@@ -11,6 +11,9 @@ package colocmodel_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -472,11 +475,31 @@ func BenchmarkModelSaveLoad(b *testing.B) {
 	}
 }
 
+// benchWriter is the minimal http.ResponseWriter: status, headers and
+// body bytes, reused from call to call so the harness contributes no
+// allocations to what BenchmarkServePredict reports.
+type benchWriter struct {
+	hdr    http.Header
+	status int
+	buf    []byte
+}
+
+func (w *benchWriter) Header() http.Header { return w.hdr }
+
+func (w *benchWriter) WriteHeader(status int) { w.status = status }
+
+func (w *benchWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
 // BenchmarkServePredict measures the serving path of the inference
-// tier: one POST /v1/predict round trip through the in-process handler,
-// cold (cache disabled, full feature extraction + NN forward pass per
-// request) versus cache-hit (the canonicalised-scenario memo that
-// scheduling loops exercise). Future PRs track serving latency here.
+// tier through the in-process handler with a reused request and a
+// minimal writer, so ns/op and allocs/op are the handler's own: one
+// POST /v1/predict cold (cache disabled, full feature extraction + NN
+// forward pass per request) versus cache-hit (the canonicalised-scenario
+// memo that scheduling loops exercise), and one 64-row POST
+// /v1/predict/batch whose rows all miss the cache.
 func BenchmarkServePredict(b *testing.B) {
 	s := benchSuite(b)
 	ds, err := s.Dataset(6)
@@ -491,28 +514,50 @@ func BenchmarkServePredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	body := []byte(`{"target":"canneal","co_apps":["cg","cg","cg"],"pstate":0}`)
-	bench := func(b *testing.B, cacheSize, traceRing int) {
+	single := []byte(`{"target":"canneal","co_apps":["cg","cg","cg"],"pstate":0}`)
+	var batch64 []byte
+	{
+		apps := m.Apps()
+		req := serve.BatchRequest{Scenarios: make([]serve.ScenarioRequest, 64)}
+		for i := range req.Scenarios {
+			req.Scenarios[i] = serve.ScenarioRequest{
+				Target: apps[i%len(apps)],
+				CoApps: []string{apps[(i/2)%len(apps)], apps[(i/3)%len(apps)], apps[(i/5)%len(apps)]}[:1+i%3],
+				PState: i % m.PStates(),
+			}
+		}
+		if batch64, err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bench := func(b *testing.B, path string, body []byte, cacheSize, traceRing int) {
 		reg := serve.NewRegistry()
 		if err := reg.Add("bench", "", m); err != nil {
 			b.Fatal(err)
 		}
 		h := serve.New(reg, serve.Config{CacheSize: cacheSize, TraceRing: traceRing}).Handler()
+		rd := bytes.NewReader(body)
+		req := httptest.NewRequest("POST", path, rd)
+		req.Body = io.NopCloser(rd)
+		w := &benchWriter{hdr: make(http.Header, 8)}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
-			w := httptest.NewRecorder()
+			rd.Reset(body)
+			clear(w.hdr)
+			w.status, w.buf = 0, w.buf[:0]
 			h.ServeHTTP(w, req)
-			if w.Code != 200 {
-				b.Fatalf("status %d: %s", w.Code, w.Body.String())
+			if w.status != 200 {
+				b.Fatalf("status %d: %s", w.status, w.buf)
 			}
 		}
 	}
-	b.Run("cold", func(b *testing.B) { bench(b, -1, 0) })
-	b.Run("cache-hit", func(b *testing.B) { bench(b, 65536, 0) })
+	b.Run("cold", func(b *testing.B) { bench(b, "/v1/predict", single, -1, 0) })
+	b.Run("cache-hit", func(b *testing.B) { bench(b, "/v1/predict", single, 65536, 0) })
 	// cache-hit-untraced disables the trace ring, isolating the tracing
 	// overhead of the default cache-hit path (budgeted at <5%).
-	b.Run("cache-hit-untraced", func(b *testing.B) { bench(b, 65536, -1) })
+	b.Run("cache-hit-untraced", func(b *testing.B) { bench(b, "/v1/predict", single, 65536, -1) })
+	b.Run("batch64", func(b *testing.B) { bench(b, "/v1/predict/batch", batch64, -1, 0) })
 }
 
 // BenchmarkObservationIngest measures the observation-log write path

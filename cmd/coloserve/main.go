@@ -65,10 +65,9 @@ import (
 func main() {
 	var (
 		listen  = flag.String("listen", ":8080", "address to serve on")
-		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout")
+		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout (batch, schedule, placements, observations)")
 		drain   = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
 		cache   = flag.Int("cache", 65536, "prediction cache capacity in entries (negative disables)")
-		workers = flag.Int("batch-workers", 0, "batch fan-out worker pool size (0 = GOMAXPROCS)")
 
 		logFormat = flag.String("log-format", "json", "structured request log format: json, text, or off")
 		slowMS    = flag.Float64("slow-ms", 100, "slow-request threshold in ms for log sampling and trace retention (0 = retain and warn on everything)")
@@ -99,7 +98,7 @@ func main() {
 		commitInterval: *obsCommit, queue: *obsQueue, retention: retention}
 	ocfg := obsArgs{logFormat: *logFormat, slowMS: *slowMS, traceRing: *traceRing,
 		sloObjective: *sloObj, sloLatency: *sloLat, pprof: *pprofOn}
-	if err := run(*listen, *timeout, *drain, *cache, *workers, models, cfg, ocfg); err != nil {
+	if err := run(*listen, *timeout, *drain, *cache, models, cfg, ocfg); err != nil {
 		fmt.Fprintln(os.Stderr, "coloserve:", err)
 		os.Exit(1)
 	}
@@ -345,14 +344,13 @@ func buildAdaptation(a adaptArgs, reg *serve.Registry, srv *serve.Server) (*retr
 	return ctrl, nil
 }
 
-func run(listen string, timeout, drain time.Duration, cache, workers int, models modelArgs, a adaptArgs, o obsArgs) error {
+func run(listen string, timeout, drain time.Duration, cache int, models modelArgs, a adaptArgs, o obsArgs) error {
 	reg, err := buildRegistry(models)
 	if err != nil {
 		return err
 	}
 	cfg := serve.Config{
 		RequestTimeout: timeout,
-		BatchWorkers:   workers,
 		CacheSize:      cache,
 	}
 	if err := o.serveConfig(&cfg); err != nil {

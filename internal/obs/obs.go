@@ -48,7 +48,9 @@ var reqCounter atomic.Uint64
 // per-process prefix plus a monotone counter. It is cheap enough to
 // call once per request on the hot path.
 func NewRequestID() string {
-	return reqPrefix + strconv.FormatUint(reqCounter.Add(1), 36)
+	var buf [32]byte // prefix (9) + a base-36 uint64 (at most 13)
+	b := append(buf[:0], reqPrefix...)
+	return string(strconv.AppendUint(b, reqCounter.Add(1), 36))
 }
 
 // reqState is the single context value the observability layer plants

@@ -122,11 +122,10 @@ type ObservationsResponse struct {
 	RetrainTriggered bool `json:"retrain_triggered,omitempty"`
 }
 
-func (s *Server) handleObservations(r *http.Request) (int, any) {
+func (s *Server) handleObservations(r *http.Request, tr *obs.Trace) (int, any) {
 	if s.adapt == nil {
 		return adaptationDisabled()
 	}
-	tr := obs.TraceFrom(r.Context())
 	sp := tr.StartSpan("decode")
 	var req ObservationsRequest
 	e := decodeJSON(r, &req)
@@ -228,12 +227,12 @@ func recordCommitSpans(sp obs.Span, c feedback.Commit) {
 // a log record, filling in the model's prediction when the caller
 // omitted it. It does not touch the log or the drift monitor.
 func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedback.Observation, string, *Error) {
-	name, m, gen, reps, e := s.resolveModel(or.Model)
+	rm, e := s.resolveModel(or.Model)
 	if e != nil {
 		return feedback.Observation{}, "", e
 	}
 	sc := ScenarioRequest{Target: or.Target, CoApps: or.CoApps, PState: or.PState}.scenario()
-	if e := validateScenario(m, sc); e != nil {
+	if e := validateScenario(rm.m, sc); e != nil {
 		return feedback.Observation{}, "", e
 	}
 	if or.MeasuredSeconds <= 0 {
@@ -241,23 +240,23 @@ func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedbac
 	}
 	pred := or.PredictedSeconds
 	if pred == 0 {
-		pr, e := s.predictOne(tr.Root(), name, m, gen, reps, sc)
-		if e != nil {
+		var pr PredictResponse
+		if e := s.predictOne(tr.Root(), &rm, sc, &pr); e != nil {
 			return feedback.Observation{}, "", e
 		}
 		pred = pr.PredictedSeconds
 	}
 	return feedback.Observation{
-		Model: name, Generation: gen,
+		Model: rm.name, Generation: rm.gen,
 		Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState,
 		PredictedSeconds: pred, MeasuredSeconds: or.MeasuredSeconds,
 		UnixNanos: time.Now().UnixNano(),
-	}, name, nil
+	}, rm.name, nil
 }
 
 // ---- drift ----
 
-func (s *Server) handleDrift(r *http.Request) (int, any) {
+func (s *Server) handleDrift(r *http.Request, _ *obs.Trace) (int, any) {
 	if s.adapt == nil {
 		return adaptationDisabled()
 	}
@@ -285,7 +284,7 @@ type RetrainTriggerResponse struct {
 	Status    retrain.Status `json:"status"`
 }
 
-func (s *Server) handleRetrain(r *http.Request) (int, any) {
+func (s *Server) handleRetrain(r *http.Request, _ *obs.Trace) (int, any) {
 	if s.adapt == nil || s.adapt.Controller == nil {
 		return adaptationDisabled()
 	}
@@ -312,7 +311,7 @@ func (s *Server) handleRetrain(r *http.Request) (int, any) {
 	}
 }
 
-func (s *Server) handleRetrainStatus(r *http.Request) (int, any) {
+func (s *Server) handleRetrainStatus(r *http.Request, _ *obs.Trace) (int, any) {
 	if s.adapt == nil || s.adapt.Controller == nil {
 		return adaptationDisabled()
 	}
@@ -343,7 +342,7 @@ type VersionResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-func (s *Server) handleVersion(r *http.Request) (int, any) {
+func (s *Server) handleVersion(r *http.Request, _ *obs.Trace) (int, any) {
 	resp := VersionResponse{
 		Service:      "coloserve",
 		APIVersion:   "v1",

@@ -25,7 +25,10 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message)
 
 // Stable error codes returned in response bodies.
 const (
-	CodeBadRequest   = "bad_request"
+	CodeBadRequest = "bad_request"
+	// CodeBodyTooLarge marks a request body over the package's size
+	// bound; it is the one typed 413.
+	CodeBodyTooLarge = "body_too_large"
 	CodeUnknownModel = "unknown_model"
 	CodeUnknownApp   = "unknown_app"
 	CodeBadPState    = "bad_pstate"

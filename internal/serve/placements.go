@@ -78,11 +78,11 @@ type PlacementsStreamEvent struct {
 // rawHandlerFunc is a handler that writes its own response (the
 // streaming endpoint) and returns the status it committed, for logging
 // and metrics.
-type rawHandlerFunc func(w http.ResponseWriter, r *http.Request) int
+type rawHandlerFunc func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) int
 
 // wrapRaw applies wrap's cross-cutting layers (drain shed, request ID,
-// timeout context, tracing, logging, metrics) to a handler that writes
-// its own body — required for NDJSON streaming, where bytes must reach
+// tracing, logging, metrics) plus the timeout context to a handler that
+// writes its own body — required for NDJSON streaming, where bytes must reach
 // the client before the handler returns. Server-Timing is omitted:
 // trailers would be the only correct vehicle once the body has begun.
 func (s *Server) wrapRaw(endpoint string, h rawHandlerFunc) http.HandlerFunc {
@@ -90,16 +90,9 @@ func (s *Server) wrapRaw(endpoint string, h rawHandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		s.metrics.RequestStarted()
 		defer s.metrics.RequestDone()
-		reqID := r.Header.Get("X-Request-ID")
-		if reqID == "" {
-			reqID = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", reqID)
+		reqID := requestID(w, r)
 		if s.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			status, body := errBody(&Error{Status: http.StatusServiceUnavailable,
-				Code: CodeDraining, Message: "server is draining for shutdown"})
-			writeJSON(w, status, body)
+			status := s.shed(w)
 			d := time.Since(start)
 			s.logRequest(r, endpoint, reqID, status, d)
 			s.metrics.ObserveRequest(endpoint, d, true)
@@ -114,8 +107,7 @@ func (s *Server) wrapRaw(endpoint string, h rawHandlerFunc) http.HandlerFunc {
 		if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
 			tr.AdoptContext(tc)
 		}
-		ctx = obs.NewContext(ctx, reqID, tr)
-		status := h(w, r.WithContext(ctx))
+		status := h(w, r.WithContext(ctx), tr)
 		d := time.Since(start)
 		tr.Finish(status, status >= 400)
 		s.logRequest(r, endpoint, reqID, status, d)
@@ -220,21 +212,19 @@ func placementError(ctx context.Context, err error) *Error {
 // act on a good-enough plan before convergence. The search runs under
 // the request context: timeout or disconnect mid-search yields the best
 // plan found so far (stats flag it), matching the optimizer's contract.
-func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *obs.Trace) int {
 	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
 	sp := tr.StartSpan("decode")
 	var req PlacementsRequest
 	e := decodeJSON(r, &req)
 	sp.End()
-	var m *core.Model
-	var name string
+	var rm resolved
 	if e == nil {
-		name, m, _, _, e = s.resolveModel(req.Model)
+		rm, e = s.resolveModel(req.Model)
 	}
 	var prob placement.Problem
 	if e == nil {
-		prob, e = s.decodePlacements(req, m)
+		prob, e = s.decodePlacements(req, rm.m)
 	}
 	if e != nil {
 		status, body := errBody(e)
@@ -311,10 +301,10 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request) int {
 		return http.StatusOK
 	}
 	if st := tr.ServerTiming(); st != "" {
-		w.Header().Set("Server-Timing", st)
+		w.Header()[hdrServerTiming] = []string{st}
 	}
 	writeJSON(w, http.StatusOK, PlacementsResponse{
-		Model:     name,
+		Model:     rm.name,
 		Objective: prob.Objective.String(),
 		Plan:      res.Plan,
 		Search:    res.Stats,

@@ -26,7 +26,7 @@ type registryEntry struct {
 	name  string
 	path  string // source artefact, "" if the model was added in-process
 	gen   atomic.Uint64
-	model atomic.Pointer[core.Model]
+	model atomic.Pointer[servedModel]
 	// reps holds the entry's per-P-core compiled replicas (replicas.go).
 	// Slots pin themselves to whatever model pointer they last compiled,
 	// so a Swap needs no replica bookkeeping: each slot notices the new
@@ -34,11 +34,23 @@ type registryEntry struct {
 	reps *replicaSet
 }
 
+// servedModel is a model plus what every reply derives from it, worked
+// out once per Add, Swap or Reload instead of once per request.
+type servedModel struct {
+	m *core.Model
+	// spec is m.Spec.String().
+	spec string
+}
+
+func (e *registryEntry) store(m *core.Model) {
+	e.model.Store(&servedModel{m: m, spec: m.Spec.String()})
+}
+
 // snapshot reads the entry's serving state. Generation is read before
 // the pointer: if a swap lands between the two loads the prediction is
 // computed with the *newer* model under the older generation, which only
 // wastes a cache slot — it never serves a stale model.
-func (e *registryEntry) snapshot() (*core.Model, uint64) {
+func (e *registryEntry) snapshot() (*servedModel, uint64) {
 	gen := e.gen.Load()
 	return e.model.Load(), gen
 }
@@ -84,7 +96,7 @@ func (r *Registry) Add(name string, path string, m *core.Model) error {
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
 	e := &registryEntry{name: name, path: path, reps: newReplicaSet(0)}
-	e.model.Store(m)
+	e.store(m)
 	e.gen.Store(1)
 	r.entries[name] = e
 	if r.first == "" {
@@ -105,7 +117,7 @@ func (r *Registry) Swap(name string, m *core.Model) error {
 	if !ok {
 		return fmt.Errorf("serve: model %q not registered", name)
 	}
-	e.model.Store(m)
+	e.store(m)
 	e.gen.Add(1)
 	return nil
 }
@@ -117,8 +129,8 @@ func (r *Registry) Get(name string) (*core.Model, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	m, gen := e.snapshot()
-	return m, gen, nil
+	sm, gen := e.snapshot()
+	return sm.m, gen, nil
 }
 
 // lookup resolves a registry entry by name (empty selects the default).
@@ -155,11 +167,12 @@ func (r *Registry) List() []ModelInfo {
 	infos := make([]ModelInfo, 0, len(r.entries))
 	first := r.first
 	for _, e := range r.entries {
-		m := e.model.Load()
+		sm := e.model.Load()
+		m := sm.m
 		infos = append(infos, ModelInfo{
 			Name:       e.name,
 			Default:    e.name == first,
-			Spec:       m.Spec.String(),
+			Spec:       sm.spec,
 			Machine:    m.Machine(),
 			Apps:       m.Apps(),
 			PStates:    m.PStates(),
@@ -191,7 +204,7 @@ func (r *Registry) Reload() (reloaded []string, err error) {
 		if lerr != nil {
 			return reloaded, fmt.Errorf("serve: reloading %q: %w", e.name, lerr)
 		}
-		e.model.Store(m)
+		e.store(m)
 		e.gen.Add(1)
 		reloaded = append(reloaded, e.name)
 	}

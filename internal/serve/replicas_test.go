@@ -213,7 +213,8 @@ func TestReplicasRaceHotSwap(t *testing.T) {
 					return
 				}
 				sc := scenarios[(i+r)%len(scenarios)]
-				name, m, gen, reps, e := s.resolveModel("")
+				rm, e := s.resolveModel("")
+				gen := rm.gen
 				if e != nil {
 					errs <- fmt.Errorf("resolveModel: %s", e.Message)
 					return
@@ -223,8 +224,8 @@ func TestReplicasRaceHotSwap(t *testing.T) {
 					return
 				}
 				lastGen = gen
-				resp, e := s.predictOne(obs.Span{}, name, m, gen, reps, sc)
-				if e != nil {
+				var resp PredictResponse
+				if e := s.predictOne(obs.Span{}, &rm, sc, &resp); e != nil {
 					errs <- fmt.Errorf("predictOne: %s", e.Message)
 					return
 				}
@@ -259,7 +260,8 @@ func TestReplicasRaceHotSwap(t *testing.T) {
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	m, _ := e.snapshot()
+	sm, _ := e.snapshot()
+	m := sm.m
 	if m != models[numModels-1] {
 		t.Fatal("final model not in service after swaps")
 	}

@@ -23,22 +23,20 @@
 // /v1/observations, GET /v1/drift, POST /v1/retrain, GET
 // /v1/retrain/status, GET /v1/version, GET /healthz,
 // GET /metrics. Client mistakes (unknown app or model, out-of-range
-// P-state, malformed JSON) return 400 with a typed error body; only
-// genuine faults return 500. Every request runs under a context
-// timeout.
+// P-state, malformed JSON) return 400 with a typed error body (413 for
+// an oversized one); only genuine faults return 500. The endpoints
+// that can run long (batch, schedule, placements, observations) run
+// under a context timeout.
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -56,15 +54,9 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// RequestTimeout bounds each request's total processing time.
-	// Default 10s.
+	// RequestTimeout bounds the processing time of a batch, schedule,
+	// placements or observations request. Default 10s.
 	RequestTimeout time.Duration
-	// BatchWorkers formerly bounded the per-slot worker pool of the
-	// batch endpoint. The batch path now serves cache hits inline and
-	// evaluates all misses in one batched model call, so this knob no
-	// longer affects request handling; it is accepted for configuration
-	// compatibility. Default GOMAXPROCS.
-	BatchWorkers int
 	// CacheSize bounds the prediction cache (entries). 0 selects the
 	// default (65536); negative disables caching.
 	CacheSize int
@@ -106,9 +98,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 65536
@@ -221,12 +210,12 @@ func (s *Server) Handler() http.Handler {
 	s.muxOnce.Do(func() {
 		mux := http.NewServeMux()
 		mux.HandleFunc("POST /v1/predict", s.wrap("predict", s.handlePredict))
-		mux.HandleFunc("POST /v1/predict/batch", s.wrap("predict_batch", s.handlePredictBatch))
-		mux.HandleFunc("POST /v1/schedule", s.wrap("schedule", s.handleSchedule))
+		mux.HandleFunc("POST /v1/predict/batch", s.wrap("predict_batch", s.withDeadline(s.handlePredictBatch)))
+		mux.HandleFunc("POST /v1/schedule", s.wrap("schedule", s.withDeadline(s.handleSchedule)))
 		mux.HandleFunc("POST /v1/placements", s.wrapRaw("placements", s.handlePlacements))
 		mux.HandleFunc("GET /v1/models", s.wrap("models", s.handleModels))
 		mux.HandleFunc("POST /v1/models/reload", s.wrap("reload", s.handleReload))
-		mux.HandleFunc("POST /v1/observations", s.wrap("observations", s.handleObservations))
+		mux.HandleFunc("POST /v1/observations", s.wrap("observations", s.withDeadline(s.handleObservations)))
 		mux.HandleFunc("GET /v1/drift", s.wrap("drift", s.handleDrift))
 		mux.HandleFunc("POST /v1/retrain", s.wrap("retrain", s.handleRetrain))
 		mux.HandleFunc("GET /v1/retrain/status", s.wrap("retrain_status", s.handleRetrainStatus))
@@ -247,9 +236,9 @@ func (s *Server) Handler() http.Handler {
 	return s.mux
 }
 
-// handlerFunc processes one decoded request and returns a status and a
-// JSON-encodable body.
-type handlerFunc func(r *http.Request) (int, any)
+// handlerFunc processes one request under its (possibly nil) trace and
+// returns a status and a JSON-encodable body.
+type handlerFunc func(r *http.Request, tr *obs.Trace) (int, any)
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -265,36 +254,71 @@ func errBody(e *Error) (int, any) {
 	return e.Status, errorBody{Error: errorDetail{Code: e.Code, Message: e.Message}}
 }
 
+// Response header keys in canonical form, assigned directly: Header.Set
+// would canonicalise (and for X-Request-ID allocate) on every request.
+const (
+	hdrRequestID    = "X-Request-Id"
+	hdrServerTiming = "Server-Timing"
+)
+
+// requestID adopts the caller's X-Request-ID or mints one, and echoes
+// it on the response (an adopted ID by sharing the request's own header
+// slice, which outlives the reply).
+func requestID(w http.ResponseWriter, r *http.Request) string {
+	if vs := r.Header[hdrRequestID]; len(vs) > 0 && vs[0] != "" {
+		w.Header()[hdrRequestID] = vs[:1:1]
+		return vs[0]
+	}
+	id := obs.NewRequestID()
+	w.Header()[hdrRequestID] = []string{id}
+	return id
+}
+
+// shed answers a request arriving during shutdown with a typed,
+// retryable 503: the Retry-After header plus the stable "draining" code
+// let a routing tier distinguish a backend that is shedding (re-route,
+// come back) from one that is dead (eject).
+func (s *Server) shed(w http.ResponseWriter) int {
+	w.Header().Set("Retry-After", "1")
+	status, body := errBody(&Error{Status: http.StatusServiceUnavailable,
+		Code: CodeDraining, Message: "server is draining for shutdown"})
+	writeJSON(w, status, body)
+	return status
+}
+
+// withDeadline runs a handler under the per-request timeout. The scalar
+// predict, the retrain trigger and the read-only endpoints never
+// consult their context, so they are registered without it and pay for
+// no timer.
+func (s *Server) withDeadline(h handlerFunc) handlerFunc {
+	return func(r *http.Request, tr *obs.Trace) (int, any) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		return h(r.WithContext(ctx), tr)
+	}
+}
+
 // wrap applies the cross-cutting layers to a handler: in-flight and
-// latency accounting, the per-request timeout context, and the
-// observability envelope — a request ID minted at ingress (or adopted
-// from the caller's X-Request-ID) and echoed on the response, a root
-// span whose children time the pipeline stages, a Server-Timing header
-// carrying the completed stage timings, and one structured log line
-// per request (Warn above the slow threshold). An incoming traceparent
-// header re-parents the handler span under the caller's trace, and a
-// sampled trace context additionally ships the completed span tree back
-// in X-Trace-Spans so the caller can stitch a cross-process tree.
+// latency accounting and the observability envelope — a request ID
+// minted at ingress (or adopted from the caller's X-Request-ID) and
+// echoed on the response, a root span whose children time the pipeline
+// stages, a Server-Timing header carrying the completed stage timings,
+// and one structured log line per request (Warn above the slow
+// threshold). An incoming traceparent header re-parents the handler
+// span under the caller's trace, and a sampled trace context
+// additionally ships the completed span tree back in X-Trace-Spans so
+// the caller can stitch a cross-process tree. The body is encoded into
+// a pooled buffer before any header is written, so the encode span
+// lands in Server-Timing and in the shipped tree.
 func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
+	sloPath := endpoint == "predict" || endpoint == "predict_batch"
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.RequestStarted()
 		defer s.metrics.RequestDone()
-		reqID := r.Header.Get("X-Request-ID")
-		if reqID == "" {
-			reqID = obs.NewRequestID()
-		}
-		w.Header().Set("X-Request-ID", reqID)
-		sloPath := endpoint == "predict" || endpoint == "predict_batch"
+		reqID := requestID(w, r)
 		if s.draining.Load() {
-			// Shed load during shutdown with a typed, retryable 503: the
-			// Retry-After header plus the stable "draining" code let a
-			// routing tier distinguish a backend that is shedding (re-route,
-			// come back) from one that is dead (eject).
-			w.Header().Set("Retry-After", "1")
-			status, body := errBody(&Error{Status: http.StatusServiceUnavailable,
-				Code: CodeDraining, Message: "server is draining for shutdown"})
-			writeJSON(w, status, body)
+			status := s.shed(w)
 			d := time.Since(start)
 			s.logRequest(r, endpoint, reqID, status, d)
 			s.metrics.ObserveRequest(endpoint, d, true)
@@ -303,53 +327,29 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 			}
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
 		tr := s.tracer.StartAt("http", endpoint, reqID, start)
 		tc, hasTC := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 		if hasTC {
 			tr.AdoptContext(tc)
 		}
-		ctx = obs.NewContext(ctx, reqID, tr)
-		status, body := h(r.WithContext(ctx))
-		if hasTC && tc.Sampled && tr != nil {
-			// The span tree must ride response headers, so the body is
-			// encoded into a pooled buffer first: the encode span (and its
-			// Server-Timing entry) then land in the shipped tree instead of
-			// being cut off at the header write.
-			enc := tr.StartSpan("encode")
-			buf := bodyBufPool.Get().(*bytes.Buffer)
-			buf.Reset()
-			encErr := json.NewEncoder(buf).Encode(body)
-			enc.End()
-			// Ship spans only for requests at or past the slow threshold —
-			// the same bar both tiers retain traces at. Fast requests would
-			// have their tree discarded by every ring anyway, so encoding
-			// and shipping it would be pure hot-path overhead.
-			if time.Since(start) >= s.cfg.SlowThreshold {
-				if ws := tr.WireSpans(); ws != "" {
-					w.Header().Set(obs.TraceSpansHeader, ws)
-				}
+		status, body := h(r, tr)
+		enc := tr.StartSpan("encode")
+		wb := getWireBuf()
+		encErr := encodeBody(wb, body)
+		enc.End()
+		// Ship spans only for requests at or past the slow threshold —
+		// the same bar both tiers retain traces at. Fast requests would
+		// have their tree discarded by every ring anyway, so encoding
+		// and shipping it would be pure hot-path overhead.
+		if hasTC && tc.Sampled && time.Since(start) >= s.cfg.SlowThreshold {
+			if ws := tr.WireSpans(); ws != "" {
+				w.Header().Set(obs.TraceSpansHeader, ws)
 			}
-			if st := tr.ServerTiming(); st != "" {
-				w.Header().Set("Server-Timing", st)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			if encErr == nil {
-				w.Write(buf.Bytes())
-			}
-			if buf.Cap() <= maxPooledBodyBuf {
-				bodyBufPool.Put(buf)
-			}
-		} else {
-			if st := tr.ServerTiming(); st != "" {
-				w.Header().Set("Server-Timing", st)
-			}
-			enc := tr.StartSpan("encode")
-			writeJSON(w, status, body)
-			enc.End()
 		}
+		if st := tr.ServerTiming(); st != "" {
+			w.Header()[hdrServerTiming] = []string{st}
+		}
+		writeBody(w, status, wb, encErr)
 		d := time.Since(start)
 		tr.Finish(status, status >= 400)
 		s.logRequest(r, endpoint, reqID, status, d)
@@ -359,13 +359,6 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		}
 	}
 }
-
-// bodyBufPool recycles response-body buffers for the traced path that
-// must encode before writing headers; oversized buffers are dropped so
-// one huge batch response does not pin memory.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBodyBuf = 1 << 20
 
 // logRequest emits the request's structured log line: Info for ordinary
 // requests, Warn for those at or above the slow threshold, Error for
@@ -389,24 +382,6 @@ func (s *Server) logRequest(r *http.Request, endpoint, reqID string, status int,
 		slog.Int("status", status),
 		slog.Float64("dur_ms", float64(d)/1e6),
 	)
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
-}
-
-// decodeJSON strictly decodes a request body, mapping every decoding
-// failure to a 400.
-func decodeJSON(r *http.Request, into any) *Error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		return badRequest(CodeBadRequest, "decoding request body: %v", err)
-	}
-	return nil
 }
 
 // ---- predict ----
@@ -450,42 +425,50 @@ type PredictResponse struct {
 	Cached bool `json:"cached"`
 }
 
-func (s *Server) handlePredict(r *http.Request) (int, any) {
-	tr := obs.TraceFrom(r.Context())
+func (s *Server) handlePredict(r *http.Request, tr *obs.Trace) (int, any) {
 	sp := tr.StartSpan("decode")
 	var req PredictRequest
-	e := decodeJSON(r, &req)
+	e := decodePredict(r, &req)
 	sp.End()
 	if e != nil {
 		return errBody(e)
 	}
-	name, m, gen, reps, e := s.resolveModel(req.Model)
+	rm, e := s.resolveModel(req.Model)
 	if e != nil {
 		return errBody(e)
 	}
-	resp, e := s.predictOne(tr.Root(), name, m, gen, reps, req.scenario())
-	if e != nil {
+	resp := new(PredictResponse)
+	if e := s.predictOne(tr.Root(), &rm, req.scenario(), resp); e != nil {
 		return errBody(e)
 	}
 	return http.StatusOK, resp
 }
 
-// resolveModel maps a (possibly empty) request model name to a registry
-// entry: the model, its serving generation, and the entry's per-P-core
+// resolved is one request's view of a registry entry: the model with
+// its rendered spec, its serving generation, and the entry's per-P-core
 // replica set for the compiled fast path.
-func (s *Server) resolveModel(name string) (string, *core.Model, uint64, *replicaSet, *Error) {
+type resolved struct {
+	name string
+	*servedModel
+	gen  uint64
+	reps *replicaSet
+}
+
+// resolveModel maps a (possibly empty) request model name to a registry
+// entry.
+func (s *Server) resolveModel(name string) (resolved, *Error) {
 	if name == "" {
 		name = s.reg.DefaultName()
 		if name == "" {
-			return "", nil, 0, nil, &Error{Status: http.StatusServiceUnavailable, Code: CodeUnknownModel, Message: "no models loaded"}
+			return resolved{}, &Error{Status: http.StatusServiceUnavailable, Code: CodeUnknownModel, Message: "no models loaded"}
 		}
 	}
 	e, err := s.reg.lookup(name)
 	if err != nil {
-		return "", nil, 0, nil, asError(err)
+		return resolved{}, asError(err)
 	}
-	m, gen := e.snapshot()
-	return name, m, gen, e.reps, nil
+	sm, gen := e.snapshot()
+	return resolved{name: name, servedModel: sm, gen: gen, reps: e.reps}, nil
 }
 
 // validateScenario rejects requests the model cannot serve before any
@@ -508,39 +491,39 @@ func validateScenario(m *core.Model, sc features.Scenario) *Error {
 	return nil
 }
 
-// newPredictResponse validates a scenario against the model and builds
+// initPredictResponse validates a scenario against the model and fills
 // the response shell (identity fields plus the baseline) that both the
-// single and batch predict paths fill in.
-func (s *Server) newPredictResponse(name string, m *core.Model, gen uint64, sc features.Scenario) (*PredictResponse, *Error) {
-	if e := validateScenario(m, sc); e != nil {
-		return nil, e
+// single and batch predict paths complete.
+func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenario) *Error {
+	if e := validateScenario(rm.m, sc); e != nil {
+		return e
 	}
-	base, err := m.BaselineSeconds(sc.Target, sc.PState)
+	base, err := rm.m.BaselineSeconds(sc.Target, sc.PState)
 	if err != nil {
-		return nil, asError(err)
+		return asError(err)
 	}
-	return &PredictResponse{
-		Model: name, Generation: gen, Spec: m.Spec.String(),
+	*resp = PredictResponse{
+		Model: rm.name, Generation: rm.gen, Spec: rm.spec,
 		Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState,
 		BaselineSeconds: base,
-	}, nil
+	}
+	return nil
 }
 
-// predictOne serves one scenario through the cache, timing the cache
-// lookup and (on a miss) the model evaluation as children of parent —
-// the root span for single predicts. The cache key is built in pooled
-// scratch and looked up by raw bytes, so a cache hit allocates nothing
-// beyond the response body; a miss evaluates through one of the entry's
-// per-P-core compiled replicas (replicas.go) when one is free.
-func (s *Server) predictOne(parent obs.Span, name string, m *core.Model, gen uint64, reps *replicaSet, sc features.Scenario) (*PredictResponse, *Error) {
-	resp, e := s.newPredictResponse(name, m, gen, sc)
-	if e != nil {
-		return nil, e
+// predictOne serves one scenario into resp through the cache, timing
+// the cache lookup and (on a miss) the model evaluation as children of
+// parent — the root span for single predicts. The cache key is built in
+// pooled scratch and looked up by raw bytes, so a cache hit allocates
+// nothing; a miss evaluates through one of the entry's per-P-core
+// compiled replicas (replicas.go) when one is free.
+func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario, resp *PredictResponse) *Error {
+	if e := initPredictResponse(resp, rm, sc); e != nil {
+		return e
 	}
 	var ks *keyScratch
 	if s.cache != nil {
 		ks = keyPool.Get().(*keyScratch)
-		ks.build(name, gen, sc)
+		ks.build(rm.name, rm.gen, sc)
 		csp := parent.StartChild("cache")
 		p, ok := s.cache.GetBytes(ks.buf)
 		csp.End()
@@ -548,18 +531,18 @@ func (s *Server) predictOne(parent obs.Span, name string, m *core.Model, gen uin
 			keyPool.Put(ks)
 			s.metrics.CacheHit()
 			resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
-			return resp, nil
+			return nil
 		}
 		s.metrics.CacheMiss()
 	}
 	esp := parent.StartChild("eval")
-	seconds, err := evalScalar(reps, m, sc)
+	seconds, err := evalScalar(rm.reps, rm.m, sc)
 	esp.End()
 	if err != nil {
 		if ks != nil {
 			keyPool.Put(ks)
 		}
-		return nil, asError(err)
+		return asError(err)
 	}
 	p := prediction{Seconds: seconds, Slowdown: seconds / resp.BaselineSeconds}
 	if ks != nil {
@@ -567,7 +550,7 @@ func (s *Server) predictOne(parent obs.Span, name string, m *core.Model, gen uin
 		keyPool.Put(ks)
 	}
 	resp.PredictedSeconds, resp.PredictedSlowdown = p.Seconds, p.Slowdown
-	return resp, nil
+	return nil
 }
 
 // ---- predict/batch ----
@@ -595,11 +578,10 @@ type BatchResponse struct {
 	Errors int `json:"errors"`
 }
 
-func (s *Server) handlePredictBatch(r *http.Request) (int, any) {
-	tr := obs.TraceFrom(r.Context())
+func (s *Server) handlePredictBatch(r *http.Request, tr *obs.Trace) (int, any) {
 	sp := tr.StartSpan("decode")
 	var req BatchRequest
-	e := decodeJSON(r, &req)
+	e := decodeBatch(r, &req)
 	sp.End()
 	if e != nil {
 		return errBody(e)
@@ -610,7 +592,7 @@ func (s *Server) handlePredictBatch(r *http.Request) (int, any) {
 	if len(req.Scenarios) > s.cfg.MaxBatch {
 		return errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(req.Scenarios), s.cfg.MaxBatch))
 	}
-	name, m, gen, reps, e := s.resolveModel(req.Model)
+	rm, e := s.resolveModel(req.Model)
 	if e != nil {
 		return errBody(e)
 	}
@@ -626,6 +608,7 @@ func (s *Server) handlePredictBatch(r *http.Request) (int, any) {
 	ctx := r.Context()
 	n := len(req.Scenarios)
 	results := make([]BatchItem, n)
+	resps := make([]PredictResponse, n) // one slab for every slot's result
 	fsp := tr.StartSpan("fanout")
 	fsp.Annotate("slots", strconv.Itoa(n))
 
@@ -641,13 +624,13 @@ func (s *Server) handlePredictBatch(r *http.Request) (int, any) {
 	}
 	for i, sr := range req.Scenarios {
 		sc := sr.scenario()
-		resp, e := s.newPredictResponse(name, m, gen, sc)
-		if e != nil {
+		resp := &resps[i]
+		if e := initPredictResponse(resp, &rm, sc); e != nil {
 			results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
 			continue
 		}
 		if s.cache != nil {
-			ks.build(name, gen, sc)
+			ks.build(rm.name, rm.gen, sc)
 			if p, ok := s.cache.GetBytes(ks.buf); ok {
 				s.metrics.CacheHit()
 				resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
@@ -671,7 +654,7 @@ func (s *Server) handlePredictBatch(r *http.Request) (int, any) {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = ctxErr
 		} else {
-			preds, err = evalBatch(reps, m, missScs)
+			preds, err = evalBatch(rm.reps, rm.m, missScs)
 		}
 		esp.End()
 		if err != nil {
@@ -697,7 +680,7 @@ func (s *Server) handlePredictBatch(r *http.Request) (int, any) {
 	}
 	fsp.End()
 
-	out := BatchResponse{Model: name, Results: results}
+	out := &BatchResponse{Model: rm.name, Results: results}
 	for _, it := range results {
 		if it.Error != nil {
 			out.Errors++
@@ -736,8 +719,7 @@ type ScheduleResponse struct {
 	Jobs         int        `json:"jobs"`
 }
 
-func (s *Server) handleSchedule(r *http.Request) (int, any) {
-	tr := obs.TraceFrom(r.Context())
+func (s *Server) handleSchedule(r *http.Request, tr *obs.Trace) (int, any) {
 	sp := tr.StartSpan("decode")
 	var req ScheduleRequest
 	e := decodeJSON(r, &req)
@@ -745,10 +727,11 @@ func (s *Server) handleSchedule(r *http.Request) (int, any) {
 	if e != nil {
 		return errBody(e)
 	}
-	name, m, _, _, e := s.resolveModel(req.Model)
+	rm, e := s.resolveModel(req.Model)
 	if e != nil {
 		return errBody(e)
 	}
+	m := rm.m
 	if len(req.Jobs) == 0 {
 		return errBody(badRequest(CodeBadRequest, "jobs must not be empty"))
 	}
@@ -789,7 +772,7 @@ func (s *Server) handleSchedule(r *http.Request) (int, any) {
 	}
 	a := sched.Assignment(asg)
 	return http.StatusOK, ScheduleResponse{
-		Model: name, Spec: m.Spec.String(), Machine: spec.Name,
+		Model: rm.name, Spec: rm.spec, Machine: spec.Name,
 		Assignment: a, MachinesUsed: a.MachinesUsed(), Jobs: a.JobCount(),
 	}
 }
@@ -828,7 +811,7 @@ type ModelsResponse struct {
 	Models  []ModelInfo `json:"models"`
 }
 
-func (s *Server) handleModels(r *http.Request) (int, any) {
+func (s *Server) handleModels(r *http.Request, _ *obs.Trace) (int, any) {
 	return http.StatusOK, ModelsResponse{Default: s.reg.DefaultName(), Models: s.reg.List()}
 }
 
@@ -837,7 +820,7 @@ type ReloadResponse struct {
 	Reloaded []string `json:"reloaded"`
 }
 
-func (s *Server) handleReload(r *http.Request) (int, any) {
+func (s *Server) handleReload(r *http.Request, _ *obs.Trace) (int, any) {
 	reloaded, err := s.reg.Reload()
 	if err != nil {
 		s.metrics.SwapsRecorded(len(reloaded))
@@ -865,7 +848,7 @@ type HealthResponse struct {
 	Tracing       bool              `json:"tracing,omitempty"`
 }
 
-func (s *Server) handleHealthz(r *http.Request) (int, any) {
+func (s *Server) handleHealthz(r *http.Request, _ *obs.Trace) (int, any) {
 	n := s.reg.Len()
 	resp := HealthResponse{Status: "ok", Models: n}
 	status := http.StatusOK
@@ -906,7 +889,7 @@ type TracesResponse struct {
 // handleTraces serves the trace ring. Query parameters: endpoint
 // (exact match on the traced endpoint), kind ("http" or "retrain"),
 // min_ms (minimum duration in milliseconds), limit (newest-first cap).
-func (s *Server) handleTraces(r *http.Request) (int, any) {
+func (s *Server) handleTraces(r *http.Request, _ *obs.Trace) (int, any) {
 	if s.tracer == nil {
 		return errBody(&Error{Status: http.StatusServiceUnavailable, Code: CodeTracingDisabled,
 			Message: "this server is running without the trace ring (negative TraceRing)"})
@@ -933,7 +916,7 @@ func (s *Server) handleTraces(r *http.Request) (int, any) {
 
 // handleSLO serves the predict-path SLO verdict: per-window good/bad
 // counts, burn rates, and an ok|warn|page state.
-func (s *Server) handleSLO(r *http.Request) (int, any) {
+func (s *Server) handleSLO(r *http.Request, _ *obs.Trace) (int, any) {
 	if s.slo == nil {
 		return errBody(&Error{Status: http.StatusServiceUnavailable, Code: CodeSLODisabled,
 			Message: "this server is running without SLO tracking (negative SLOObjective)"})
@@ -946,11 +929,7 @@ func (s *Server) handleSLO(r *http.Request) (int, any) {
 // response carries X-Request-ID and produces one structured log line.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
+	reqID := requestID(w, r)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	entries := 0
 	if s.cache != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -14,11 +15,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"colocmodel/internal/core"
+	"colocmodel/internal/drift"
 	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
+	"colocmodel/internal/retrain"
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/workload"
 )
@@ -235,8 +239,144 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
+func postRaw(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return w
+}
+
+// Strict decoding rejects anything but whitespace after the first JSON
+// value, on every endpoint that decodes a body: through the fast decoder
+// (canonical predict bodies) and through encoding/json (the rest) alike.
+func TestTrailingDataRejected(t *testing.T) {
+	s, _, _ := newAdaptiveServer(t, drift.Config{}, retrain.Config{})
+	h := s.Handler()
+	bodies := map[string]string{
+		"/v1/predict":       `{"target":"cg","co_apps":["ep"],"pstate":0}`,
+		"/v1/predict/batch": `{"scenarios":[{"target":"cg","co_apps":["ep"],"pstate":0}]}`,
+		"/v1/schedule":      `{"jobs":["cg","ep"],"max_slowdown":1.5}`,
+		"/v1/placements":    `{"apps":["cg","ep"],"machines":[{}]}`,
+		"/v1/observations":  `{"target":"cg","co_apps":["ep"],"pstate":0,"measured_seconds":100}`,
+		"/v1/retrain":       `{"reason":"test"}`,
+	}
+	for path, body := range bodies {
+		for _, ok := range []string{body, body + " \n\t\r", "  " + body} {
+			if w := postRaw(h, path, ok); w.Code >= 300 {
+				t.Errorf("%s %q: status %d, want 2xx (body %s)", path, ok, w.Code, w.Body.String())
+			}
+		}
+		for _, tail := range []string{"xyz", "{}", " 1", "\n" + body, "}", ","} {
+			w := postRaw(h, path, body+tail)
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("%s with trailing %q: status %d, want 400 (body %s)", path, tail, w.Code, w.Body.String())
+				continue
+			}
+			if c := errCode(t, w); c != CodeBadRequest {
+				t.Errorf("%s with trailing %q: code %q, want %q", path, tail, c, CodeBadRequest)
+			}
+		}
+	}
+	// A predict body the fast decoder hands to encoding/json (an escape
+	// in a string) is held to the same rule.
+	if w := postRaw(h, "/v1/predict", `{"target":"c\u0067","pstate":0}xyz`); w.Code != http.StatusBadRequest {
+		t.Errorf("fallback path with trailing data: status %d, want 400", w.Code)
+	}
+	if w := postRaw(h, "/v1/predict", `{"target":"c\u0067","pstate":0} `); w.Code != http.StatusOK {
+		t.Errorf("fallback path with trailing space: status %d, want 200 (body %s)", w.Code, w.Body.String())
+	}
+}
+
+// countingBody serves n bytes of JSON whitespace and counts what was
+// actually read of it.
+type countingBody struct {
+	n, read int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), b.n-b.read)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	b.read += k
+	return k, nil
+}
+
+func (b *countingBody) Close() error { return nil }
+
+// An oversized body is a typed 413 on every decoding endpoint. When the
+// client declares its length nothing is read; when it does not, the read
+// stops one byte past the bound and the buffer never grows beyond it.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, path := range []string{"/v1/predict", "/v1/predict/batch", "/v1/schedule", "/v1/placements"} {
+		for _, declared := range []bool{true, false} {
+			body := &countingBody{n: 64 << 20}
+			req := httptest.NewRequest(http.MethodPost, path, nil)
+			req.Body = body
+			req.ContentLength = -1
+			if declared {
+				req.ContentLength = int64(body.n)
+			}
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s declared=%v: status %d, want 413 (body %s)", path, declared, w.Code, w.Body.String())
+			}
+			if c := errCode(t, w); c != CodeBodyTooLarge {
+				t.Fatalf("%s declared=%v: code %q, want %q", path, declared, c, CodeBodyTooLarge)
+			}
+			if want := map[bool]int{true: 0, false: maxBodyBytes + 1}[declared]; body.read != want {
+				t.Fatalf("%s declared=%v: read %d bytes of the body, want %d", path, declared, body.read, want)
+			}
+		}
+	}
+	// A body of exactly the bound is read in full and reaches the decoder
+	// (all whitespace: the decoder's EOF, not a 413).
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	req.Body, req.ContentLength = &countingBody{n: maxBodyBytes}, -1
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "EOF") {
+		t.Fatalf("body at the bound: status %d body %s, want the decoder's 400", w.Code, w.Body.String())
+	}
+}
+
+// readBody's buffer growth is clamped at the bound: however the body
+// arrives, the buffer it returns never has capacity past maxBodyBytes+1.
+func TestReadBodyBuffersAtMostTheBound(t *testing.T) {
+	for _, n := range []int{0, 1, 511, 512, 513, maxBodyBytes - 1, maxBodyBytes} {
+		buf, e := readBody(&countingBody{n: n}, nil)
+		if e != nil || len(buf) != n {
+			t.Fatalf("body of %d: read %d, error %v", n, len(buf), e)
+		}
+		if cap(buf) > maxBodyBytes+1 {
+			t.Fatalf("body of %d: buffer grew to %d", n, cap(buf))
+		}
+	}
+	for _, n := range []int{maxBodyBytes + 1, 4 * maxBodyBytes} {
+		body := &countingBody{n: n}
+		buf, e := readBody(iotest.OneByteReader(body), make([]byte, 0, 16))
+		if e == nil || e.Status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body of %d: error %v, want 413", n, e)
+		}
+		if cap(buf) > maxBodyBytes+1 || body.read != maxBodyBytes+1 {
+			t.Fatalf("body of %d: buffer cap %d after reading %d bytes", n, cap(buf), body.read)
+		}
+	}
+	// A transport error surfaces as the decoder's 400, as it did when
+	// encoding/json read the body itself.
+	_, e := readBody(iotest.ErrReader(io.ErrUnexpectedEOF), nil)
+	if e == nil || e.Status != http.StatusBadRequest || e.Message != "decoding request body: unexpected EOF" {
+		t.Fatalf("read error: %v", e)
+	}
+}
+
 func TestPredictBatch(t *testing.T) {
-	s, m := newTestServer(t, Config{BatchWorkers: 4})
+	s, m := newTestServer(t, Config{})
 	h := s.Handler()
 	req := BatchRequest{Scenarios: []ScenarioRequest{
 		{Target: "canneal", CoApps: []string{"cg"}, PState: 0},

@@ -111,14 +111,13 @@ func TestCacheNeverServesStaleGenerationDuringSwaps(t *testing.T) {
 					return
 				}
 				sc := scenarios[(i+r)%len(scenarios)]
-				m, gen, err := reg.Get("primary")
-				if err != nil {
-					errs <- err
+				rm, e := s.resolveModel("primary")
+				if e != nil {
+					errs <- e
 					return
 				}
-				reps := reg.entries["primary"].reps
-				resp, e := s.predictOne(obs.Span{}, "primary", m, gen, reps, sc)
-				if e != nil {
+				var resp PredictResponse
+				if e := s.predictOne(obs.Span{}, &rm, sc, &resp); e != nil {
 					errs <- fmt.Errorf("predictOne: %s", e.Message)
 					return
 				}
