@@ -1,282 +1,105 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"colocmodel/internal/obs"
 )
 
 // Metrics is the router's observability layer: per-endpoint request and
 // error counters with latency histograms, per-backend proxy accounting
 // (requests, errors, sheds, ejections, re-admissions, last observed
 // generation), and the coalescing/hedging counters the tail-latency
-// machinery is judged by. Rendered in the Prometheus text format with a
+// machinery is judged by. Declared on one obs.Registry with a
 // colorouter_ prefix so a scrape of router and backends never collides.
 type Metrics struct {
-	mu        sync.Mutex // guards both maps (writes only at registration)
-	endpoints map[string]*endpointMetrics
-	backends  map[string]*backendMetrics
+	reg       *obs.Registry
+	endpoints *obs.Endpoints
+	pool      *Pool // its backends hold the per-backend series
 
-	inFlight   atomic.Int64
-	coalesced  atomic.Uint64
-	hedges     atomic.Uint64
-	hedgeWins  atomic.Uint64
-	promotions atomic.Uint64
-	noBackend  atomic.Uint64
-	dropped    atomic.Uint64 // observations against unregistered endpoints
+	coalesced, hedges, hedgeWins, promotions, noBackend *obs.Counter
+	inFlight                                            *obs.Gauge
 }
 
-type endpointMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	latency  latencyHist
-}
-
+// backendMetrics is one backend's proxy accounting. It lives in the
+// Backend, so recording takes no lock and no lookup, and a backend that
+// leaves the pool takes its series with it.
 type backendMetrics struct {
-	requests     atomic.Uint64
-	errors       atomic.Uint64
-	sheds        atomic.Uint64
-	ejections    atomic.Uint64
-	readmissions atomic.Uint64
-	generation   atomic.Uint64
+	requests, errors, sheds, ejections, readmissions obs.Counter
+	generation                                       obs.Gauge // monotone in practice
 }
 
-// NewMetrics returns a metrics layer with the router's endpoints
-// pre-registered.
-func NewMetrics(endpoints ...string) *Metrics {
-	m := &Metrics{
-		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
-		backends:  make(map[string]*backendMetrics),
+// request records one proxy attempt against the backend.
+func (bm *backendMetrics) request(failed bool) {
+	bm.requests.Inc()
+	if failed {
+		bm.errors.Inc()
 	}
-	for _, e := range endpoints {
-		m.endpoints[e] = &endpointMetrics{}
-	}
+}
+
+// NewMetrics declares the router's metric families in scrape order.
+func NewMetrics(pool *Pool) *Metrics {
+	r := obs.NewRegistry()
+	m := &Metrics{reg: r, pool: pool}
+	m.endpoints = r.Endpoints("colorouter", "Router request latency per endpoint.", latencyBuckets)
+	r.Collect(m.collectBackends)
+	m.coalesced = r.Counter("colorouter_coalesced_total", "Requests served from another request's in-flight backend call.")
+	m.hedges = r.Counter("colorouter_hedges_total", "Hedged backend calls launched.")
+	m.hedgeWins = r.Counter("colorouter_hedge_wins_total", "Hedged calls that answered before the primary.")
+	m.promotions = r.Counter("colorouter_promotions_total", "Coordinated rolling promotions completed.")
+	m.noBackend = r.Counter("colorouter_no_backend_total", "Requests that found no admissible backend.")
+	r.GaugeFunc("colorouter_backends_healthy", "Backends currently admitted to routing.",
+		func() float64 { return float64(len(pool.Available())) })
+	r.GaugeFunc("colorouter_backends_total", "Backends joined to the ring.",
+		func() float64 { return float64(len(pool.Members())) })
+	m.inFlight = r.Gauge("colorouter_in_flight_requests", "Requests currently being routed.")
 	return m
 }
 
-func (m *Metrics) backend(name string) *backendMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	bm := m.backends[name]
-	if bm == nil {
-		bm = &backendMetrics{}
-		m.backends[name] = bm
-	}
-	return bm
-}
-
-// ObserveRequest records one inbound router request. Observations
-// against endpoints never registered with NewMetrics are counted as
-// dropped rather than silently discarded, mirroring the serve tier's
-// coloserve_metrics_dropped_total.
-func (m *Metrics) ObserveRequest(endpoint string, d time.Duration, failed bool) {
-	em, ok := m.endpoints[endpoint]
-	if !ok {
-		m.dropped.Add(1)
-		return
-	}
-	em.requests.Add(1)
-	if failed {
-		em.errors.Add(1)
-	}
-	em.latency.observe(d)
-}
-
-// BackendRequest records one proxy attempt against a backend.
-func (m *Metrics) BackendRequest(name string, failed bool) {
-	bm := m.backend(name)
-	bm.requests.Add(1)
-	if failed {
-		bm.errors.Add(1)
-	}
-}
-
-// BackendRequests returns a backend's proxy-attempt count (tests).
-func (m *Metrics) BackendRequests(name string) uint64 { return m.backend(name).requests.Load() }
-
-// ShedRecorded counts one typed-drain shed answered by a backend.
-func (m *Metrics) ShedRecorded(name string) { m.backend(name).sheds.Add(1) }
-
-// Sheds returns a backend's shed count (tests).
-func (m *Metrics) Sheds(name string) uint64 { return m.backend(name).sheds.Load() }
-
-// EjectionRecorded / ReadmissionRecorded count pool admission flips.
-func (m *Metrics) EjectionRecorded(name string)    { m.backend(name).ejections.Add(1) }
-func (m *Metrics) ReadmissionRecorded(name string) { m.backend(name).readmissions.Add(1) }
-
-// GenerationObserved records the latest serving generation seen on a
-// backend (a gauge; monotone in practice).
-func (m *Metrics) GenerationObserved(name string, gen uint64) {
-	bm := m.backend(name)
-	for {
-		old := bm.generation.Load()
-		if gen <= old || bm.generation.CompareAndSwap(old, gen) {
-			return
-		}
-	}
-}
-
-// CoalesceRecorded counts one request served from another request's
-// in-flight backend call (a singleflight follower).
-func (m *Metrics) CoalesceRecorded() { m.coalesced.Add(1) }
-
-// Coalesced returns the follower count (tests).
-func (m *Metrics) Coalesced() uint64 { return m.coalesced.Load() }
-
-// HedgeFired counts one hedge launch; HedgeWon counts a hedge whose
-// reply arrived before the primary's.
-func (m *Metrics) HedgeFired() { m.hedges.Add(1) }
-func (m *Metrics) HedgeWon()   { m.hedgeWins.Add(1) }
-
-// Hedges and HedgeWins return the hedging counters (tests).
-func (m *Metrics) Hedges() uint64    { return m.hedges.Load() }
-func (m *Metrics) HedgeWins() uint64 { return m.hedgeWins.Load() }
-
-// PromotionRecorded counts one coordinated rolling promotion.
-func (m *Metrics) PromotionRecorded() { m.promotions.Add(1) }
-
-// NoBackendRecorded counts requests that found no admissible backend.
-func (m *Metrics) NoBackendRecorded() { m.noBackend.Add(1) }
-
-// DroppedObservations returns the count of observations against
-// unregistered endpoints (tests).
-func (m *Metrics) DroppedObservations() uint64 { return m.dropped.Load() }
-
-// RequestStarted / RequestDone track in-flight requests.
-func (m *Metrics) RequestStarted() { m.inFlight.Add(1) }
-func (m *Metrics) RequestDone()    { m.inFlight.Add(-1) }
-
-// WritePrometheus renders every router metric (text format 0.0.4).
-func (m *Metrics) WritePrometheus(w io.Writer, healthy, members int) {
-	m.mu.Lock()
-	eps := make([]string, 0, len(m.endpoints))
-	for e := range m.endpoints {
-		eps = append(eps, e)
-	}
-	bes := make([]string, 0, len(m.backends))
-	for b := range m.backends {
-		bes = append(bes, b)
-	}
-	m.mu.Unlock()
-	sort.Strings(eps)
-	sort.Strings(bes)
-
-	fmt.Fprintln(w, "# HELP colorouter_requests_total Requests received per endpoint.")
-	fmt.Fprintln(w, "# TYPE colorouter_requests_total counter")
-	for _, e := range eps {
-		fmt.Fprintf(w, "colorouter_requests_total{endpoint=%q} %d\n", e, m.endpoints[e].requests.Load())
-	}
-	fmt.Fprintln(w, "# HELP colorouter_request_errors_total Failed requests per endpoint.")
-	fmt.Fprintln(w, "# TYPE colorouter_request_errors_total counter")
-	for _, e := range eps {
-		fmt.Fprintf(w, "colorouter_request_errors_total{endpoint=%q} %d\n", e, m.endpoints[e].errors.Load())
-	}
-	fmt.Fprintln(w, "# HELP colorouter_request_duration_seconds Router request latency per endpoint.")
-	fmt.Fprintln(w, "# TYPE colorouter_request_duration_seconds histogram")
-	for _, e := range eps {
-		h := &m.endpoints[e].latency
-		cum := uint64(0)
-		for i, ub := range hedgeBuckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "colorouter_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n", e, fmt.Sprintf("%g", ub.Seconds()), cum)
-		}
-		cum += h.counts[len(hedgeBuckets)].Load()
-		fmt.Fprintf(w, "colorouter_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", e, cum)
-		fmt.Fprintf(w, "colorouter_request_duration_seconds_sum{endpoint=%q} %g\n", e, math.Float64frombits(h.sumBits.Load()))
-		fmt.Fprintf(w, "colorouter_request_duration_seconds_count{endpoint=%q} %d\n", e, h.count.Load())
-	}
+func (m *Metrics) collectBackends(w *obs.Writer) {
+	backends := m.pool.Backends() // sorted by name
 	for _, row := range []struct {
 		name, help string
-		val        func(*backendMetrics) uint64
+		val        func(*backendMetrics) *obs.Counter
 	}{
-		{"colorouter_backend_requests_total", "Proxy attempts per backend.", func(b *backendMetrics) uint64 { return b.requests.Load() }},
-		{"colorouter_backend_errors_total", "Failed proxy attempts per backend.", func(b *backendMetrics) uint64 { return b.errors.Load() }},
-		{"colorouter_backend_sheds_total", "Typed drain sheds answered per backend.", func(b *backendMetrics) uint64 { return b.sheds.Load() }},
-		{"colorouter_backend_ejections_total", "Health ejections per backend.", func(b *backendMetrics) uint64 { return b.ejections.Load() }},
-		{"colorouter_backend_readmissions_total", "Backoff re-admissions per backend.", func(b *backendMetrics) uint64 { return b.readmissions.Load() }},
+		{"colorouter_backend_requests_total", "Proxy attempts per backend.", func(b *backendMetrics) *obs.Counter { return &b.requests }},
+		{"colorouter_backend_errors_total", "Failed proxy attempts per backend.", func(b *backendMetrics) *obs.Counter { return &b.errors }},
+		{"colorouter_backend_sheds_total", "Typed drain sheds answered per backend.", func(b *backendMetrics) *obs.Counter { return &b.sheds }},
+		{"colorouter_backend_ejections_total", "Health ejections per backend.", func(b *backendMetrics) *obs.Counter { return &b.ejections }},
+		{"colorouter_backend_readmissions_total", "Backoff re-admissions per backend.", func(b *backendMetrics) *obs.Counter { return &b.readmissions }},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", row.name, row.help, row.name)
-		for _, be := range bes {
-			fmt.Fprintf(w, "%s{backend=%q} %d\n", row.name, be, row.val(m.backends[be]))
+		for _, b := range backends {
+			w.Counter(row.name, row.help, float64(row.val(&b.metrics).Load()), obs.Label{Key: "backend", Value: b.Name})
 		}
 	}
-	fmt.Fprintln(w, "# HELP colorouter_backend_generation Last serving generation observed per backend.")
-	fmt.Fprintln(w, "# TYPE colorouter_backend_generation gauge")
-	for _, be := range bes {
-		fmt.Fprintf(w, "colorouter_backend_generation{backend=%q} %d\n", be, m.backends[be].generation.Load())
+	for _, b := range backends {
+		w.Gauge("colorouter_backend_generation", "Last serving generation observed per backend.",
+			float64(b.metrics.generation.Load()), obs.Label{Key: "backend", Value: b.Name})
 	}
-	scalar := func(name, typ, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
-	}
-	scalar("colorouter_coalesced_total", "counter", "Requests served from another request's in-flight backend call.", m.coalesced.Load())
-	scalar("colorouter_hedges_total", "counter", "Hedged backend calls launched.", m.hedges.Load())
-	scalar("colorouter_hedge_wins_total", "counter", "Hedged calls that answered before the primary.", m.hedgeWins.Load())
-	scalar("colorouter_promotions_total", "counter", "Coordinated rolling promotions completed.", m.promotions.Load())
-	scalar("colorouter_no_backend_total", "counter", "Requests that found no admissible backend.", m.noBackend.Load())
-	scalar("colorouter_metrics_dropped_total", "counter", "Observations against unregistered endpoints.", m.dropped.Load())
-	scalar("colorouter_backends_healthy", "gauge", "Backends currently admitted to routing.", uint64(healthy))
-	scalar("colorouter_backends_total", "gauge", "Backends joined to the ring.", uint64(members))
-	fmt.Fprintf(w, "# HELP colorouter_in_flight_requests Requests currently being routed.\n# TYPE colorouter_in_flight_requests gauge\ncolorouter_in_flight_requests %d\n", m.inFlight.Load())
 }
 
-// hedgeBuckets are the latency histogram bounds: geometric ×2 from
-// 50µs to ~1.6s, wide enough to derive a p95 hedge delay for both
-// in-process (µs) and networked (ms) fleets.
-var hedgeBuckets = func() []time.Duration {
-	out := make([]time.Duration, 0, 16)
+// BackendRequests returns a backend's proxy-attempt count (0 for a
+// backend not in the pool).
+func (m *Metrics) BackendRequests(name string) uint64 {
+	if b := m.pool.Get(name); b != nil {
+		return b.metrics.requests.Load()
+	}
+	return 0
+}
+
+// Coalesced returns the singleflight follower count.
+func (m *Metrics) Coalesced() uint64 { return m.coalesced.Load() }
+
+// Hedges returns the hedge-launch count.
+func (m *Metrics) Hedges() uint64 { return m.hedges.Load() }
+
+// latencyBuckets are the latency histogram bounds in seconds:
+// geometric ×2 from 50µs to ~1.6s, wide enough to derive a p95 hedge
+// delay for both in-process (µs) and networked (ms) fleets.
+var latencyBuckets = func() []float64 {
+	out := make([]float64, 0, 16)
 	for d := 50 * time.Microsecond; d <= 2*time.Second; d *= 2 {
-		out = append(out, d)
+		out = append(out, d.Seconds())
 	}
 	return out
 }()
-
-// latencyHist is a fixed-bucket histogram with lock-free observation,
-// used both for the per-endpoint scrape and to derive the hedge delay
-// from the backend-call p95.
-type latencyHist struct {
-	counts  [17]atomic.Uint64 // len(hedgeBuckets)+1 for +Inf
-	sumBits atomic.Uint64
-	count   atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	i := sort.Search(len(hedgeBuckets), func(i int) bool { return hedgeBuckets[i] >= d })
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		s := math.Float64frombits(old) + d.Seconds()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(s)) {
-			return
-		}
-	}
-}
-
-// quantile returns the upper bound of the bucket containing quantile q
-// (0 when the histogram is empty). Upper bounds overestimate slightly,
-// which is the safe direction for a hedge delay.
-func (h *latencyHist) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	cum := uint64(0)
-	for i, ub := range hedgeBuckets {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			return ub
-		}
-	}
-	return hedgeBuckets[len(hedgeBuckets)-1] * 2
-}
-
-// samples returns the observation count.
-func (h *latencyHist) samples() uint64 { return h.count.Load() }

@@ -56,14 +56,14 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // fleet load for no latency win.
 func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	rt.metrics.RequestStarted()
-	defer rt.metrics.RequestDone()
+	rt.metrics.inFlight.Add(1)
+	defer rt.metrics.inFlight.Add(-1)
 	reqID, tr := rt.ingress(w, r, "placements", start)
 	finish := func(status int) {
 		d := time.Since(start)
 		tr.Finish(status, status >= 500)
 		rt.logRequest(r, "placements", reqID, status, d)
-		rt.metrics.ObserveRequest("placements", d, status >= 500)
+		rt.placements.Observe(d, status >= 500)
 	}
 
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
@@ -75,7 +75,7 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) {
 	}
 	cands := rt.leastLoaded()
 	if len(cands) == 0 {
-		rt.metrics.NoBackendRecorded()
+		rt.metrics.noBackend.Inc()
 		w.Header().Set("Retry-After", "1")
 		status, eb := errJSON(http.StatusServiceUnavailable, CodeNoBackend, "no healthy backend")
 		writeJSON(w, status, eb)
@@ -104,7 +104,7 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) {
 		resp, derr := rt.cfg.Client.Do(req)
 		if derr != nil {
 			b.release()
-			rt.metrics.BackendRequest(b.Name, true)
+			b.metrics.request(true)
 			lastErr = derr
 			allShed = false
 			continue
@@ -115,21 +115,21 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			b.release()
 			b.markShedding(time.Second)
-			rt.metrics.ShedRecorded(b.Name)
-			rt.metrics.BackendRequest(b.Name, false)
+			b.metrics.sheds.Inc()
+			b.metrics.request(false)
 			continue
 		}
 		if resp.StatusCode >= 500 {
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			b.release()
-			rt.metrics.BackendRequest(b.Name, true)
+			b.metrics.request(true)
 			lastErr = nil
 			allShed = false
 			continue
 		}
 		// Definitive answer: replay status and stream the body through.
-		rt.metrics.BackendRequest(b.Name, false)
+		b.metrics.request(false)
 		if ct := resp.Header.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}

@@ -56,6 +56,8 @@ type Backend struct {
 	// Base is the HTTP root, e.g. "http://10.0.0.3:8080".
 	Base string
 
+	metrics backendMetrics
+
 	state atomic.Int32
 	// inflight counts proxied calls currently outstanding against the
 	// backend; the placements route picks the least-loaded backend by it.
@@ -171,7 +173,6 @@ type Pool struct {
 	backoffBase  time.Duration
 	backoffMax   time.Duration
 	vnodes       int
-	metrics      *Metrics
 
 	mu       sync.RWMutex
 	backends map[string]*Backend
@@ -180,7 +181,7 @@ type Pool struct {
 
 // newPool wires a pool from the router config (cfg must have defaults
 // applied).
-func newPool(cfg Config, m *Metrics) *Pool {
+func newPool(cfg Config) *Pool {
 	p := &Pool{
 		client:       cfg.Client,
 		probeTimeout: cfg.ProbeTimeout,
@@ -188,7 +189,6 @@ func newPool(cfg Config, m *Metrics) *Pool {
 		backoffBase:  cfg.ReadmitBackoff,
 		backoffMax:   cfg.ReadmitBackoffMax,
 		vnodes:       cfg.VirtualNodes,
-		metrics:      m,
 		backends:     make(map[string]*Backend),
 	}
 	p.ring.Store(buildRing(nil, p.vnodes))
@@ -326,7 +326,7 @@ func (p *Pool) probe(ctx context.Context, b *Backend) {
 		b.mu.Unlock()
 		b.state.Store(int32(StateHealthy))
 		if was == StateEjected {
-			p.metrics.ReadmissionRecorded(b.Name)
+			b.metrics.readmissions.Inc()
 		}
 		p.RefreshGeneration(ctx, b)
 	case err == nil && retryAfter > 0:
@@ -358,7 +358,7 @@ func (p *Pool) recordFailure(b *Backend) {
 	b.mu.Unlock()
 	if eject {
 		if BackendState(b.state.Load()) != StateEjected {
-			p.metrics.EjectionRecorded(b.Name)
+			b.metrics.ejections.Inc()
 		}
 		b.state.Store(int32(StateEjected))
 	}
@@ -428,5 +428,5 @@ func (p *Pool) RefreshGeneration(ctx context.Context, b *Backend) {
 	for model, gen := range v.Generations {
 		b.SetGeneration(model, gen)
 	}
-	p.metrics.GenerationObserved(b.Name, b.Gen(""))
+	b.metrics.generation.SetMax(int64(b.Gen("")))
 }

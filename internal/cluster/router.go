@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -139,12 +140,15 @@ type Router struct {
 	metrics *Metrics
 	flights flightGroup
 	floors  floorTable
-	backLat latencyHist // completed predict proxy latencies → p95 hedge delay
+	backLat *obs.Histogram // completed predict proxy latencies → p95 hedge delay
 	logger  *slog.Logger
 	tracer  *obs.Tracer     // nil when tracing is disabled
 	slo     *obs.SLOTracker // nil when SLO tracking is disabled
 	fleet   *fleetobs.Aggregator
 	started time.Time
+
+	// Handles of the endpoints served outside wrap.
+	placements, scrapes, fleetScrapes *obs.Endpoint
 
 	promoteMu sync.Mutex // serializes rolling promotions
 
@@ -156,12 +160,12 @@ type Router struct {
 // Start the probe loop.
 func New(cfg Config) *Router {
 	cfg.defaults()
-	m := NewMetrics("predict", "predict_batch", "placements", "observations", "reload",
-		"models", "healthz", "cluster", "metrics", "traces", "slo", "fleet_metrics")
+	pool := newPool(cfg)
 	rt := &Router{
 		cfg:     cfg,
-		pool:    newPool(cfg, m),
-		metrics: m,
+		pool:    pool,
+		metrics: NewMetrics(pool),
+		backLat: obs.NewHistogram(latencyBuckets),
 		logger:  cfg.Logger,
 		fleet:   &fleetobs.Aggregator{Client: cfg.Client, Timeout: cfg.FleetScrapeTimeout},
 		started: time.Now(),
@@ -172,6 +176,10 @@ func New(cfg Config) *Router {
 	if cfg.SLOObjective > 0 {
 		rt.slo = obs.NewSLOTracker(obs.SLOConfig{Objective: cfg.SLOObjective, LatencyTarget: cfg.SLOLatencyTarget})
 	}
+	rt.slo.Register(rt.metrics.reg, "colorouter")
+	rt.placements = rt.metrics.endpoints.Endpoint("placements")
+	rt.scrapes = rt.metrics.endpoints.Endpoint("metrics")
+	rt.fleetScrapes = rt.metrics.endpoints.Endpoint("fleet_metrics")
 	return rt
 }
 
@@ -321,10 +329,11 @@ func (rt *Router) ingress(w http.ResponseWriter, r *http.Request, endpoint strin
 // accounting on the predict paths, and one structured log line.
 func (rt *Router) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 	sloPath := endpoint == "predict" || endpoint == "predict_batch"
+	em := rt.metrics.endpoints.Endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		rt.metrics.RequestStarted()
-		defer rt.metrics.RequestDone()
+		rt.metrics.inFlight.Add(1)
+		defer rt.metrics.inFlight.Add(-1)
 		reqID, tr := rt.ingress(w, r, endpoint, start)
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
@@ -337,7 +346,7 @@ func (rt *Router) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		d := time.Since(start)
 		tr.Finish(status, status >= 500)
 		rt.logRequest(r, endpoint, reqID, status, d)
-		rt.metrics.ObserveRequest(endpoint, d, status >= 500)
+		em.Observe(d, status >= 500)
 		if sloPath {
 			rt.slo.Observe(d, status >= 500)
 		}
@@ -426,7 +435,7 @@ func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, bo
 	req, err := http.NewRequestWithContext(ctx, method, b.Base+path, rd)
 	if err != nil {
 		pr.err = err
-		rt.metrics.BackendRequest(b.Name, true)
+		b.metrics.request(true)
 		return pr
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -438,7 +447,7 @@ func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, bo
 	if err != nil {
 		pr.err = err
 		pr.elapsed = time.Since(start)
-		rt.metrics.BackendRequest(b.Name, true)
+		b.metrics.request(true)
 		return pr
 	}
 	defer resp.Body.Close()
@@ -446,7 +455,7 @@ func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, bo
 	pr.elapsed = time.Since(start)
 	if err != nil {
 		pr.err = err
-		rt.metrics.BackendRequest(b.Name, true)
+		b.metrics.request(true)
 		return pr
 	}
 	pr.status = resp.StatusCode
@@ -462,11 +471,11 @@ func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, bo
 			secs = 1
 		}
 		b.markShedding(time.Duration(secs) * time.Second)
-		rt.metrics.ShedRecorded(b.Name)
-		rt.metrics.BackendRequest(b.Name, false)
+		b.metrics.sheds.Inc()
+		b.metrics.request(false)
 		return pr
 	}
-	rt.metrics.BackendRequest(b.Name, resp.StatusCode >= 500)
+	b.metrics.request(resp.StatusCode >= 500)
 	return pr
 }
 
@@ -480,7 +489,7 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if rt.cfg.HedgeAfter < 0 {
 		return -1
 	}
-	if d := rt.backLat.quantile(0.95); d > rt.cfg.HedgeMin {
+	if d := time.Duration(math.Round(rt.backLat.Quantile(0.95) * float64(time.Second))); d > rt.cfg.HedgeMin {
 		return d
 	}
 	return rt.cfg.HedgeMin
@@ -564,9 +573,9 @@ func (rt *Router) hedgedCall(ctx context.Context, cands []*Backend, method, path
 			outstanding--
 			if pr.ok() {
 				if pr.hedge {
-					rt.metrics.HedgeWon()
+					rt.metrics.hedgeWins.Inc()
 				}
-				rt.backLat.observe(pr.elapsed)
+				rt.backLat.Observe(pr.elapsed.Seconds())
 				finishSpan(pr, true)
 				abandonRest()
 				pr.hedgeWait = hedgeWait
@@ -587,7 +596,7 @@ func (rt *Router) hedgedCall(ctx context.Context, cands []*Backend, method, path
 		case <-hedgeC:
 			hedgeC = nil
 			if next < len(cands) {
-				rt.metrics.HedgeFired()
+				rt.metrics.hedges.Inc()
 				hedgeWait = time.Since(callStart)
 				launch(cands[next], true)
 				next++
@@ -668,7 +677,7 @@ func (rt *Router) handlePredict(r *http.Request) (int, any) {
 	rsp.End()
 	routeDur := time.Since(routeStart)
 	if len(cands) == 0 {
-		rt.metrics.NoBackendRecorded()
+		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(r, "no admissible backend (healthy at generation >= %d)", floor)
 	}
 
@@ -681,7 +690,7 @@ func (rt *Router) handlePredict(r *http.Request) (int, any) {
 	})
 	stages := hopStages{route: routeDur, hedgeWait: pr.hedgeWait}
 	if shared {
-		rt.metrics.CoalesceRecorded()
+		rt.metrics.coalesced.Inc()
 		stages.coalesce = time.Since(flightStart)
 	}
 	if pr.err != nil {
@@ -699,7 +708,7 @@ func (rt *Router) handlePredict(r *http.Request) (int, any) {
 			// or it answers a spurious retryable no_backend.
 			if b := rt.pool.Get(pr.backend); b != nil {
 				b.NoteGeneration(id.Model, id.Generation)
-				rt.metrics.GenerationObserved(b.Name, b.Gen(""))
+				b.metrics.generation.SetMax(int64(b.Gen("")))
 			}
 			rt.floors.raise(client, req.Model, id.Generation)
 		}
@@ -798,7 +807,7 @@ func (rt *Router) handlePredictBatch(r *http.Request) (int, any) {
 		sc := features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
 		cands := rt.candidates(routeKey(req.Model, sc), req.Model, floor)
 		if len(cands) == 0 {
-			rt.metrics.NoBackendRecorded()
+			rt.metrics.noBackend.Inc()
 			results[i].Error = &unroutable
 			continue
 		}
@@ -934,7 +943,7 @@ func (rt *Router) handleObservations(r *http.Request) (int, any) {
 	sc := features.Scenario{Target: one.Target, CoApps: one.CoApps, PState: one.PState}
 	cands := rt.candidates(routeKey(one.Model, sc), one.Model, 0)
 	if len(cands) == 0 {
-		rt.metrics.NoBackendRecorded()
+		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(r, "no admissible backend")
 	}
 	reqID := r.Header.Get("X-Request-ID")
@@ -992,7 +1001,7 @@ func (rt *Router) scatterObservations(r *http.Request, req serve.ObservationsReq
 		sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
 		cands := rt.candidates(routeKey(or.Model, sc), or.Model, 0)
 		if len(cands) == 0 {
-			rt.metrics.NoBackendRecorded()
+			rt.metrics.noBackend.Inc()
 			out.Results[i].Error = &unroutable
 			out.Rejected++
 			continue
@@ -1172,7 +1181,7 @@ func (rt *Router) handleReload(r *http.Request) (int, any) {
 		resp.Backends = append(resp.Backends, *rb)
 	}
 	if resp.Completed {
-		rt.metrics.PromotionRecorded()
+		rt.metrics.promotions.Inc()
 	}
 	return http.StatusOK, resp
 }
@@ -1193,7 +1202,7 @@ func truncate(b []byte, n int) string {
 func (rt *Router) handleModels(r *http.Request) (int, any) {
 	avail := rt.pool.Available()
 	if len(avail) == 0 {
-		rt.metrics.NoBackendRecorded()
+		rt.metrics.noBackend.Inc()
 		return errJSON(http.StatusServiceUnavailable, CodeNoBackend, "no healthy backend")
 	}
 	sort.SliceStable(avail, func(i, j int) bool { return avail[i].Gen("") > avail[j].Gen("") })
@@ -1269,12 +1278,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	reqID, tr := rt.ingress(w, r, "metrics", start)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.WritePrometheus(w, len(rt.pool.Available()), len(rt.pool.Members()))
-	rt.slo.WriteSLOMetrics(w, "colorouter")
+	rt.metrics.reg.Write(w)
 	d := time.Since(start)
 	tr.Finish(http.StatusOK, false)
 	rt.logRequest(r, "metrics", reqID, http.StatusOK, d)
-	rt.metrics.ObserveRequest("metrics", d, false)
+	rt.scrapes.Observe(d, false)
 }
 
 // ---- traces / SLO / fleet metrics ----
@@ -1347,36 +1355,36 @@ func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	if fs.Merged != nil {
 		fs.Merged.Write(w)
 	}
+	var fw obs.Writer
 	for _, row := range []struct {
-		name, typ, help string
-		val             func(bs *fleetobs.BackendScrape) float64
+		name, help string
+		val        func(bs *fleetobs.BackendScrape) float64
 	}{
-		{"colorouter_fleet_backend_up", "gauge", "Whether the last fleet scrape of this backend succeeded.",
+		{"colorouter_fleet_backend_up", "Whether the last fleet scrape of this backend succeeded.",
 			func(bs *fleetobs.BackendScrape) float64 {
 				if bs.Err == nil {
 					return 1
 				}
 				return 0
 			}},
-		{"colorouter_fleet_backend_generation", "gauge", "Default-model serving generation per backend.",
+		{"colorouter_fleet_backend_generation", "Default-model serving generation per backend.",
 			func(bs *fleetobs.BackendScrape) float64 { return float64(byName[bs.Name].Gen("")) }},
-		{"colorouter_fleet_backend_inflight", "gauge", "Outstanding proxied calls per backend.",
+		{"colorouter_fleet_backend_inflight", "Outstanding proxied calls per backend.",
 			func(bs *fleetobs.BackendScrape) float64 { return float64(byName[bs.Name].Inflight()) }},
-		{"colorouter_fleet_backend_error_rate", "gauge", "Error fraction of each backend's requests since the previous fleet scrape.",
+		{"colorouter_fleet_backend_error_rate", "Error fraction of each backend's requests since the previous fleet scrape.",
 			func(bs *fleetobs.BackendScrape) float64 { return bs.ErrorRate }},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", row.name, row.help, row.name, row.typ)
 		for i := range fs.Backends {
 			bs := &fs.Backends[i]
-			fmt.Fprintf(w, "%s{backend=%q} %g\n", row.name, bs.Name, row.val(bs))
+			fw.Gauge(row.name, row.help, row.val(bs), obs.Label{Key: "backend", Value: bs.Name})
 		}
 	}
-	rt.metrics.WritePrometheus(w, len(rt.pool.Available()), len(rt.pool.Members()))
-	rt.slo.WriteSLOMetrics(w, "colorouter")
+	fw.Flush(w)
+	rt.metrics.reg.Write(w)
 	d := time.Since(start)
 	tr.Finish(http.StatusOK, false)
 	rt.logRequest(r, "fleet_metrics", reqID, http.StatusOK, d)
-	rt.metrics.ObserveRequest("fleet_metrics", d, false)
+	rt.fleetScrapes.Observe(d, false)
 }
 
 // ListenAndServe runs the router on addr until ctx is cancelled, then

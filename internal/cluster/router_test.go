@@ -287,18 +287,19 @@ func TestHedgeFiresOnStall(t *testing.T) {
 	if got := rt.metrics.Hedges(); got != 1 {
 		t.Fatalf("hedges %d, want 1", got)
 	}
-	if got := rt.metrics.HedgeWins(); got != 1 {
+	if got := rt.metrics.hedgeWins.Load(); got != 1 {
 		t.Fatalf("hedge wins %d, want 1", got)
 	}
 	// No double counting: one inbound request, one measured latency, one
 	// winning backend-call sample in the hedge-delay estimator.
-	if got := rt.metrics.endpoints["predict"].requests.Load(); got != 1 {
+	predict := rt.metrics.endpoints.Endpoint("predict")
+	if got := predict.Requests.Load(); got != 1 {
 		t.Fatalf("endpoint counted %d requests, want 1", got)
 	}
-	if got := rt.metrics.endpoints["predict"].latency.samples(); got != 1 {
+	if got := predict.Latency.Snapshot().Count; got != 1 {
 		t.Fatalf("endpoint latency has %d samples, want 1", got)
 	}
-	if got := rt.backLat.samples(); got != 1 {
+	if got := rt.backLat.Snapshot().Count; got != 1 {
 		t.Fatalf("backend-latency estimator has %d samples, want 1 (the winner)", got)
 	}
 }
@@ -325,7 +326,7 @@ func TestDrainShedFailover(t *testing.T) {
 	if got := ba.State(); got != StateShedding {
 		t.Fatalf("drained backend state %v, want shedding (alive, not ejected)", got)
 	}
-	if got := rt.metrics.Sheds("a"); got != 1 {
+	if got := rt.pool.Get("a").metrics.sheds.Load(); got != 1 {
 		t.Fatalf("sheds(a) %d, want 1", got)
 	}
 	// The ring still holds both members: drain never reshuffles keys.
@@ -370,7 +371,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	if got := ba.State(); got != StateEjected {
 		t.Fatalf("state after 2 failed probes %v, want ejected", got)
 	}
-	if got := rt.metrics.backend("a").ejections.Load(); got != 1 {
+	if got := rt.pool.Get("a").metrics.ejections.Load(); got != 1 {
 		t.Fatalf("ejections(a) %d, want 1", got)
 	}
 	if got := len(rt.pool.Members()); got != 2 {
@@ -386,7 +387,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	if got := ba.State(); got != StateHealthy {
 		t.Fatalf("state after recovery probe %v, want healthy", got)
 	}
-	if got := rt.metrics.backend("a").readmissions.Load(); got != 1 {
+	if got := rt.pool.Get("a").metrics.readmissions.Load(); got != 1 {
 		t.Fatalf("readmissions(a) %d, want 1", got)
 	}
 }

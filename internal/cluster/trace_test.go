@@ -250,26 +250,6 @@ func TestCoalesceFollowerSharesLeaderTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsDroppedObservations pins the satellite counter: an
-// observation against an endpoint never registered with NewMetrics is
-// counted as dropped, mirroring coloserve_metrics_dropped_total.
-func TestMetricsDroppedObservations(t *testing.T) {
-	m := NewMetrics("known")
-	m.ObserveRequest("known", time.Millisecond, false)
-	m.ObserveRequest("unknown", time.Millisecond, true)
-	if got := m.DroppedObservations(); got != 1 {
-		t.Fatalf("dropped %d, want 1", got)
-	}
-	if got := m.endpoints["known"].requests.Load(); got != 1 {
-		t.Fatalf("registered endpoint saw %d requests, want 1", got)
-	}
-	var sb strings.Builder
-	m.WritePrometheus(&sb, 0, 0)
-	if !strings.Contains(sb.String(), "colorouter_metrics_dropped_total 1") {
-		t.Fatalf("scrape missing the dropped counter:\n%s", sb.String())
-	}
-}
-
 // TestFleetMetricsEndpoint pins the aggregation surface: the router's
 // GET /v1/fleet/metrics merges every backend's scrape, labels fleet
 // health per backend, appends the router's own metrics and SLO gauges,

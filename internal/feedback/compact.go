@@ -113,8 +113,8 @@ func (l *Log) foldPlain() error {
 		compacted: true, mod: time.Now(),
 	}
 
-	// Publish before deleting sources: readers holding the old
-	// snapshot retry on ENOENT and pick up the compacted view.
+	// Publish before deleting sources: new readers pick up the
+	// compacted view, and unlink waits out readers of the old one.
 	l.snapMu.Lock()
 	fresh := l.snap.Load()
 	refs := make([]segmentRef, 0, len(fresh.refs)-len(run)+1)
@@ -125,10 +125,8 @@ func (l *Log) foldPlain() error {
 	l.snapMu.Unlock()
 	l.chain = chain
 
-	for _, ref := range run {
-		if err := os.Remove(filepath.Join(l.cfg.Dir, ref.name)); err != nil {
-			return fmt.Errorf("removing folded %s: %w", ref.name, err)
-		}
+	if err := l.unlink(run); err != nil {
+		return fmt.Errorf("removing folded segment: %w", err)
 	}
 	l.st.compactRuns.Add(1)
 	l.st.compactedRecords.Add(uint64(recs))
@@ -166,12 +164,25 @@ func (l *Log) enforceRetention() error {
 			activeOff: fresh.activeOff, total: fresh.total - oldest.recs,
 		})
 		l.snapMu.Unlock()
-		if err := os.Remove(filepath.Join(l.cfg.Dir, oldest.name)); err != nil {
-			return fmt.Errorf("dropping expired %s: %w", oldest.name, err)
+		if err := l.unlink([]segmentRef{oldest}); err != nil {
+			return fmt.Errorf("dropping expired segment: %w", err)
 		}
 		l.st.reclaimedBytes.Add(uint64(oldest.bytes))
 		l.st.retentionRecords.Add(uint64(oldest.recs))
 	}
+}
+
+// unlink removes segment files the published snapshot no longer names,
+// once every reader that loaded an older snapshot has finished.
+func (l *Log) unlink(refs []segmentRef) error {
+	l.pinMu.Lock()
+	defer l.pinMu.Unlock()
+	for _, ref := range refs {
+		if err := os.Remove(filepath.Join(l.cfg.Dir, ref.name)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // VerifyChain re-reads every compacted segment in the current snapshot
@@ -182,6 +193,8 @@ func (l *Log) enforceRetention() error {
 // modified, dropped, duplicated or reordered after compaction breaks
 // the chain.
 func (l *Log) VerifyChain() error {
+	l.pinMu.RLock()
+	defer l.pinMu.RUnlock()
 	snap := l.snap.Load()
 	var prev [sha256.Size]byte
 	seen := false

@@ -651,9 +651,9 @@ func TestAppendAfterClose(t *testing.T) {
 }
 
 // TestLockFreeReadsUnderCompaction races readers against concurrent
-// appends and compaction passes: All() must never error (retrying when
-// compaction unlinks a snapshotted file) and must never observe the log
-// shrinking.
+// appends and compaction passes: All() must never error (compaction
+// unlinks a file only once no reader's snapshot names it) and must
+// never observe the log shrinking.
 func TestLockFreeReadsUnderCompaction(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), MaxSegmentRecords: 4, CompactAfter: 2})
 	if err != nil {

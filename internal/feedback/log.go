@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -54,6 +53,11 @@ type Log struct {
 
 	snap   atomic.Pointer[snapshot]
 	snapMu sync.Mutex // serialises snapshot publication (committer vs compactor)
+	// pinMu keeps the files a loaded snapshot names on disk: readers hold
+	// it shared from snapshot load to last read, the compactor exclusively
+	// only while unlinking files the published snapshot no longer names.
+	// The append path never touches it.
+	pinMu sync.RWMutex
 
 	ringMu sync.Mutex
 	ring   ring
@@ -520,15 +524,12 @@ func (l *Log) Recent(n int) []Observation {
 
 // All re-reads every committed observation from disk, oldest first. It
 // runs against a published snapshot, never blocking on (or observing)
-// in-flight commits. If compaction deletes a snapshotted file
-// mid-read, the read retries against a fresh snapshot.
+// in-flight commits, and pins the snapshot's files against the
+// compactor's unlinks for the duration of the read.
 func (l *Log) All() ([]Observation, error) {
-	for attempt := 0; ; attempt++ {
-		out, err := l.readSnapshot(l.snap.Load())
-		if err == nil || attempt >= 4 || !errors.Is(err, fs.ErrNotExist) {
-			return out, err
-		}
-	}
+	l.pinMu.RLock()
+	defer l.pinMu.RUnlock()
+	return l.readSnapshot(l.snap.Load())
 }
 
 func (l *Log) readSnapshot(s *snapshot) ([]Observation, error) {

@@ -1,10 +1,9 @@
 package feedback
 
 import (
-	"math"
-	"sort"
-	"sync/atomic"
 	"time"
+
+	metrics "colocmodel/internal/obs"
 )
 
 // Store is the observation log abstraction the rest of the system
@@ -72,9 +71,9 @@ type IngestStats struct {
 	// BatchRecords, CommitSeconds and FsyncSeconds are histograms of
 	// group-commit size, total commit latency (write start → release)
 	// and fsync latency.
-	BatchRecords  HistSnapshot
-	CommitSeconds HistSnapshot
-	FsyncSeconds  HistSnapshot
+	BatchRecords  metrics.HistSnapshot
+	CommitSeconds metrics.HistSnapshot
+	FsyncSeconds  metrics.HistSnapshot
 	// CompactionRuns counts compaction passes that folded segments;
 	// CompactedRecords counts records folded into compacted segments.
 	CompactionRuns   uint64
@@ -83,55 +82,6 @@ type IngestStats struct {
 	// removed by the retention policy.
 	ReclaimedBytes          uint64
 	RetentionDroppedRecords uint64
-}
-
-// HistSnapshot is a fixed-bucket histogram snapshot. Counts has
-// len(Bounds)+1 entries; the last is the overflow (+Inf) bucket.
-type HistSnapshot struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// hist is a lock-free fixed-bucket histogram (same idiom as the serve
-// metrics registry, duplicated here so feedback stays stdlib-only and
-// dependency-free).
-type hist struct {
-	bounds  []float64
-	counts  []atomic.Uint64
-	sumBits atomic.Uint64
-	n       atomic.Uint64
-}
-
-func newHist(bounds []float64) *hist {
-	return &hist{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
-
-func (h *hist) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (h *hist) snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-		Count:  h.n.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
 }
 
 var (
@@ -145,43 +95,32 @@ var (
 // ingestCounters is the shared cumulative-counter block behind
 // Store.Stats.
 type ingestCounters struct {
-	batches          atomic.Uint64
-	records          atomic.Uint64
-	fsyncs           atomic.Uint64
-	maxBatch         atomic.Int64
-	batchHist        *hist
-	commitHist       *hist
-	fsyncHist        *hist
-	compactRuns      atomic.Uint64
-	compactedRecords atomic.Uint64
-	reclaimedBytes   atomic.Uint64
-	retentionRecords atomic.Uint64
+	batches, records, fsyncs         metrics.Counter
+	maxBatch                         metrics.Gauge
+	batchHist, commitHist, fsyncHist *metrics.Histogram
+	compactRuns, compactedRecords    metrics.Counter
+	reclaimedBytes, retentionRecords metrics.Counter
 }
 
 func newIngestCounters() *ingestCounters {
 	return &ingestCounters{
-		batchHist:  newHist(batchBounds),
-		commitHist: newHist(latencyBounds),
-		fsyncHist:  newHist(latencyBounds),
+		batchHist:  metrics.NewHistogram(batchBounds),
+		commitHist: metrics.NewHistogram(latencyBounds),
+		fsyncHist:  metrics.NewHistogram(latencyBounds),
 	}
 }
 
 // observeCommit records one group commit of n records that issued the
 // given number of fsyncs between the stage timestamps.
 func (c *ingestCounters) observeCommit(n, fsyncs int, writeStart, syncStart, done time.Time) {
-	c.batches.Add(1)
+	c.batches.Inc()
 	c.records.Add(uint64(n))
 	c.fsyncs.Add(uint64(fsyncs))
-	for {
-		old := c.maxBatch.Load()
-		if int64(n) <= old || c.maxBatch.CompareAndSwap(old, int64(n)) {
-			break
-		}
-	}
-	c.batchHist.observe(float64(n))
-	c.commitHist.observe(done.Sub(writeStart).Seconds())
+	c.maxBatch.SetMax(int64(n))
+	c.batchHist.Observe(float64(n))
+	c.commitHist.Observe(done.Sub(writeStart).Seconds())
 	if fsyncs > 0 {
-		c.fsyncHist.observe(done.Sub(syncStart).Seconds())
+		c.fsyncHist.Observe(done.Sub(syncStart).Seconds())
 	}
 }
 
@@ -192,9 +131,9 @@ func (c *ingestCounters) snapshot(queueDepth int) IngestStats {
 		Fsyncs:                  c.fsyncs.Load(),
 		MaxBatch:                int(c.maxBatch.Load()),
 		QueueDepth:              queueDepth,
-		BatchRecords:            c.batchHist.snapshot(),
-		CommitSeconds:           c.commitHist.snapshot(),
-		FsyncSeconds:            c.fsyncHist.snapshot(),
+		BatchRecords:            c.batchHist.Snapshot(),
+		CommitSeconds:           c.commitHist.Snapshot(),
+		FsyncSeconds:            c.fsyncHist.Snapshot(),
 		CompactionRuns:          c.compactRuns.Load(),
 		CompactedRecords:        c.compactedRecords.Load(),
 		ReclaimedBytes:          c.reclaimedBytes.Load(),

@@ -19,12 +19,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"colocmodel/internal/obs"
 )
 
 // Label is one metric label pair.
-type Label struct {
-	Key, Value string
-}
+type Label = obs.Label
 
 // Sample is one exposition line: a metric name (which for histograms
 // and summaries carries a _bucket/_sum/_count suffix), its labels, and
@@ -105,15 +105,15 @@ func Parse(r io.Reader) (*Doc, error) {
 		switch {
 		case line == "":
 			continue
-		case strings.HasPrefix(line, "# HELP "):
-			rest := line[len("# HELP "):]
+		case strings.HasPrefix(line, obs.HelpPrefix):
+			rest := line[len(obs.HelpPrefix):]
 			name, help, _ := strings.Cut(rest, " ")
 			if name == "" {
 				return nil, fmt.Errorf("fleetobs: line %d: HELP without metric name", lineNo)
 			}
 			d.family(name).Help = help
-		case strings.HasPrefix(line, "# TYPE "):
-			rest := line[len("# TYPE "):]
+		case strings.HasPrefix(line, obs.TypePrefix):
+			rest := line[len(obs.TypePrefix):]
 			name, typ, ok := strings.Cut(rest, " ")
 			if !ok || name == "" {
 				return nil, fmt.Errorf("fleetobs: line %d: malformed TYPE line", lineNo)
@@ -282,30 +282,18 @@ func Merge(backends []string, docs []*Doc) *Doc {
 }
 
 // Write renders the document in the text exposition format.
-func (d *Doc) Write(w io.Writer) {
+func (d *Doc) Write(out io.Writer) {
+	var w obs.Writer
 	for _, f := range d.Families {
 		if len(f.Samples) == 0 {
 			continue
 		}
-		if f.Help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.Name, f.Help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.Name, f.Type)
+		w.Header(f.Name, f.Help, f.Type)
 		for _, s := range f.Samples {
-			if len(s.Labels) == 0 {
-				fmt.Fprintf(w, "%s %s\n", s.Name, formatValue(s.Value))
-				continue
-			}
-			fmt.Fprintf(w, "%s{", s.Name)
-			for i, l := range s.Labels {
-				if i > 0 {
-					io.WriteString(w, ",")
-				}
-				fmt.Fprintf(w, "%s=%q", l.Key, l.Value)
-			}
-			fmt.Fprintf(w, "} %s\n", formatValue(s.Value))
+			w.Sample(s.Name, s.Value, s.Labels...)
 		}
 	}
+	w.Flush(out)
 }
 
 // SumSamples adds every sample value of the named family whose line
@@ -344,13 +332,4 @@ func hasLabels(have, want []Label) bool {
 		}
 	}
 	return true
-}
-
-func formatValue(v float64) string {
-	// Counters are integral in practice; keep them integer-rendered so
-	// merged output matches what single-backend emitters write.
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 )
@@ -227,33 +225,30 @@ func sloStateValue(state string) int {
 	}
 }
 
-// WriteSLOMetrics renders the tracker's verdict as Prometheus gauges
-// under the given metric prefix ("coloserve", "colorouter"):
-// <prefix>_slo_objective, _slo_burn_rate{window=}, _slo_good_total /
-// _slo_bad_total{window=} (window-scoped gauges, not counters — they
-// fall as buckets expire), and _slo_state (0 ok / 1 warn / 2 page).
-// No-op on a nil tracker.
-func (t *SLOTracker) WriteSLOMetrics(w io.Writer, prefix string) {
+// Register declares the tracker's verdict as gauges under the given
+// metric prefix ("coloserve", "colorouter"): <prefix>_slo_objective,
+// _slo_burn_rate{window=}, _slo_good_total / _slo_bad_total{window=}
+// (window-scoped gauges, not counters — they fall as buckets expire),
+// and _slo_state (0 ok / 1 warn / 2 page). One Status is computed per
+// scrape. No-op on a nil tracker.
+func (t *SLOTracker) Register(reg *Registry, prefix string) {
 	if t == nil {
 		return
 	}
-	st := t.Status()
-	fmt.Fprintf(w, "# HELP %s_slo_objective Configured good-request fraction objective.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_objective gauge\n", prefix)
-	fmt.Fprintf(w, "%s_slo_objective %g\n", prefix, st.Objective)
-	fmt.Fprintf(w, "# HELP %s_slo_burn_rate Error-budget burn rate per alert window (1 = exactly on budget).\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_burn_rate gauge\n", prefix)
-	fmt.Fprintf(w, "%s_slo_burn_rate{window=%q} %g\n", prefix, st.Short.Window.String(), st.Short.BurnRate)
-	fmt.Fprintf(w, "%s_slo_burn_rate{window=%q} %g\n", prefix, st.Long.Window.String(), st.Long.BurnRate)
-	fmt.Fprintf(w, "# HELP %s_slo_good_total Good requests in each alert window.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_good_total gauge\n", prefix)
-	fmt.Fprintf(w, "%s_slo_good_total{window=%q} %d\n", prefix, st.Short.Window.String(), st.Short.Good)
-	fmt.Fprintf(w, "%s_slo_good_total{window=%q} %d\n", prefix, st.Long.Window.String(), st.Long.Good)
-	fmt.Fprintf(w, "# HELP %s_slo_bad_total Bad requests in each alert window.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_bad_total gauge\n", prefix)
-	fmt.Fprintf(w, "%s_slo_bad_total{window=%q} %d\n", prefix, st.Short.Window.String(), st.Short.Bad)
-	fmt.Fprintf(w, "%s_slo_bad_total{window=%q} %d\n", prefix, st.Long.Window.String(), st.Long.Bad)
-	fmt.Fprintf(w, "# HELP %s_slo_state SLO verdict: 0 ok, 1 warn, 2 page.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_slo_state gauge\n", prefix)
-	fmt.Fprintf(w, "%s_slo_state %d\n", prefix, sloStateValue(st.State))
+	reg.Collect(func(w *Writer) {
+		st := t.Status()
+		windows := [2]SLOWindow{st.Short, st.Long}
+		label := func(win SLOWindow) Label { return Label{"window", win.Window.String()} }
+		w.Gauge(prefix+"_slo_objective", "Configured good-request fraction objective.", st.Objective)
+		for _, win := range windows {
+			w.Gauge(prefix+"_slo_burn_rate", "Error-budget burn rate per alert window (1 = exactly on budget).", win.BurnRate, label(win))
+		}
+		for _, win := range windows {
+			w.Gauge(prefix+"_slo_good_total", "Good requests in each alert window.", float64(win.Good), label(win))
+		}
+		for _, win := range windows {
+			w.Gauge(prefix+"_slo_bad_total", "Bad requests in each alert window.", float64(win.Bad), label(win))
+		}
+		w.Gauge(prefix+"_slo_state", "SLO verdict: 0 ok, 1 warn, 2 page.", float64(sloStateValue(st.State)))
+	})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -173,27 +174,35 @@ func TestSLOEmptyAndNil(t *testing.T) {
 		t.Fatalf("nil tracker state %q", got.State)
 	}
 	var sb strings.Builder
-	nilTr.WriteSLOMetrics(&sb, "x")
+	reg := NewRegistry()
+	nilTr.Register(reg, "x")
+	reg.Write(&sb)
 	if sb.Len() != 0 {
 		t.Fatal("nil tracker wrote metrics")
 	}
 }
 
+// TestSLOMetricsRender pins the SLO families byte for byte against a
+// scrape captured from the hand-written renderer the registry replaced
+// (PR 12's WriteSLOMetrics), driven through the same observations.
 func TestSLOMetricsRender(t *testing.T) {
-	tr := newTestSLO()
-	tr.Observe(time.Millisecond, true)
+	tr := NewSLOTracker(SLOConfig{Objective: 0.99, LatencyTarget: 100 * time.Millisecond})
+	now := time.Now()
+	for i := 0; i < 97; i++ {
+		tr.ObserveAt(now, 10*time.Millisecond, false)
+	}
+	tr.ObserveAt(now, 200*time.Millisecond, false)
+	tr.ObserveAt(now, 200*time.Millisecond, false)
+	tr.ObserveAt(now, time.Millisecond, true)
+	reg := NewRegistry()
+	tr.Register(reg, "colorouter")
 	var sb strings.Builder
-	tr.WriteSLOMetrics(&sb, "colorouter")
-	out := sb.String()
-	for _, want := range []string{
-		"colorouter_slo_objective 0.99",
-		`colorouter_slo_burn_rate{window="1m0s"}`,
-		`colorouter_slo_burn_rate{window="10m0s"}`,
-		`colorouter_slo_bad_total{window="1m0s"} 1`,
-		"colorouter_slo_state",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, out)
-		}
+	reg.Write(&sb)
+	want, err := os.ReadFile("testdata/slo.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(want) {
+		t.Fatalf("SLO scrape differs from testdata/slo.golden:\n%s", sb.String())
 	}
 }

@@ -40,8 +40,8 @@ type Registry interface {
 // log type: any store implementation (file-backed, memory, object
 // store) can feed retraining, and dataset assembly reads through the
 // store's snapshot semantics — a compaction pass racing All() is
-// invisible to the read (the store retries against the post-compaction
-// snapshot).
+// invisible to the read (the store keeps a snapshot's files on disk
+// until its readers are done).
 type ObservationSource = feedback.Store
 
 // Config tunes the controller.

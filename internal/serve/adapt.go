@@ -10,7 +10,6 @@ package serve
 // /v1/retrain/status drive and observe the controller.
 
 import (
-	"io"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -54,7 +53,7 @@ func (s *Server) EnableAdaptation(a Adaptation) error {
 	if a.Controller != nil {
 		a.Controller.OnPromote(func(model string) {
 			a.Monitor.Reset(model)
-			s.metrics.SwapRecorded()
+			s.metrics.SwapsRecorded(1)
 		})
 		// Retrain attempts trace their stage lifecycle (dataset assembly,
 		// train, holdout eval, promote) into the same ring the request
@@ -157,7 +156,7 @@ func (s *Server) handleObservations(r *http.Request, tr *obs.Trace) (int, any) {
 		if e != nil {
 			resp.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
 			resp.Rejected++
-			s.metrics.ObservationRejected()
+			s.metrics.obsRejected.Inc()
 			continue
 		}
 		pending = append(pending, i)
@@ -180,7 +179,7 @@ func (s *Server) handleObservations(r *http.Request, tr *obs.Trace) (int, any) {
 			for _, i := range pending {
 				resp.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
 				resp.Rejected++
-				s.metrics.ObservationRejected()
+				s.metrics.obsRejected.Inc()
 			}
 			pending = pending[:0]
 		}
@@ -192,10 +191,10 @@ func (s *Server) handleObservations(r *http.Request, tr *obs.Trace) (int, any) {
 			pct := ob.PercentError()
 			resp.Results[i].PercentError = pct
 			resp.Accepted++
-			s.metrics.ObservationIngested()
+			s.metrics.obsIngested.Inc()
 			if s.adapt.Monitor.Observe(names[k], ob.Target, pct) {
 				resp.DriftTripped = true
-				s.metrics.DriftTripRecorded()
+				s.metrics.driftTrips.Inc()
 				if s.adapt.AutoRetrain && s.adapt.Controller.Trigger("drift") {
 					resp.RetrainTriggered = true
 				}
@@ -369,44 +368,42 @@ func (s *Server) handleVersion(r *http.Request, _ *obs.Trace) (int, any) {
 	return http.StatusOK, resp
 }
 
-// writeAdaptationMetrics appends the adaptation gauges to a metrics
-// scrape: values read live from the monitor and controller rather than
-// mirrored into counters.
-func (s *Server) writeAdaptationMetrics(w io.Writer) {
+// collectAdaptation declares the adaptation families of a metrics
+// scrape: values read live from the monitor, the log's ingest
+// statistics and the controller rather than mirrored into handles.
+// Nothing is written while the loop is disabled.
+func (s *Server) collectAdaptation(w *obs.Writer) {
 	if s.adapt == nil {
 		return
 	}
-	writeGauge(w, "coloserve_drift_score", "Largest Page–Hinkley score across residual streams.", s.adapt.Monitor.MaxScore())
-	writeGauge(w, "coloserve_drift_tripped", "1 when any drift detector has fired.", boolGauge(s.adapt.Monitor.Tripped()))
-	writeGauge(w, "coloserve_observations_logged", "Observations in the feedback log.", float64(s.adapt.Log.Len()))
+	tripped := 0.0
+	if s.adapt.Monitor.Tripped() {
+		tripped = 1
+	}
+	w.Gauge("coloserve_drift_score", "Largest Page–Hinkley score across residual streams.", s.adapt.Monitor.MaxScore())
+	w.Gauge("coloserve_drift_tripped", "1 when any drift detector has fired.", tripped)
+	w.Gauge("coloserve_observations_logged", "Observations in the feedback log.", float64(s.adapt.Log.Len()))
 	ist := s.adapt.Log.Stats()
-	writeCounter(w, "coloserve_obs_group_commits_total", "Group commits written by the observation log.", ist.Batches)
-	writeCounter(w, "coloserve_obs_fsyncs_total", "fsync calls issued by the observation log.", ist.Fsyncs)
-	writeGauge(w, "coloserve_obs_queue_depth", "Append batches waiting on the observation log committer.", float64(ist.QueueDepth))
-	writeGauge(w, "coloserve_obs_max_batch_records", "Largest group commit seen.", float64(ist.MaxBatch))
-	writeHistSnapshot(w, "coloserve_obs_commit_batch_records", "Records per observation group commit.", ist.BatchRecords)
-	writeHistSnapshot(w, "coloserve_obs_commit_duration_seconds", "Observation group-commit latency (write start to release).", ist.CommitSeconds)
-	writeHistSnapshot(w, "coloserve_obs_fsync_duration_seconds", "Observation log fsync latency.", ist.FsyncSeconds)
-	writeCounter(w, "coloserve_obs_compaction_runs_total", "Observation segment compaction passes.", ist.CompactionRuns)
-	writeCounter(w, "coloserve_obs_compacted_records_total", "Observations folded into compacted segments.", ist.CompactedRecords)
-	writeCounter(w, "coloserve_obs_reclaimed_bytes_total", "Bytes reclaimed by the observation retention policy.", ist.ReclaimedBytes)
-	writeCounter(w, "coloserve_obs_retention_dropped_records_total", "Observations dropped by the retention policy.", ist.RetentionDroppedRecords)
+	w.Counter("coloserve_obs_group_commits_total", "Group commits written by the observation log.", float64(ist.Batches))
+	w.Counter("coloserve_obs_fsyncs_total", "fsync calls issued by the observation log.", float64(ist.Fsyncs))
+	w.Gauge("coloserve_obs_queue_depth", "Append batches waiting on the observation log committer.", float64(ist.QueueDepth))
+	w.Gauge("coloserve_obs_max_batch_records", "Largest group commit seen.", float64(ist.MaxBatch))
+	w.Histogram("coloserve_obs_commit_batch_records", "Records per observation group commit.", ist.BatchRecords)
+	w.Histogram("coloserve_obs_commit_duration_seconds", "Observation group-commit latency (write start to release).", ist.CommitSeconds)
+	w.Histogram("coloserve_obs_fsync_duration_seconds", "Observation log fsync latency.", ist.FsyncSeconds)
+	w.Counter("coloserve_obs_compaction_runs_total", "Observation segment compaction passes.", float64(ist.CompactionRuns))
+	w.Counter("coloserve_obs_compacted_records_total", "Observations folded into compacted segments.", float64(ist.CompactedRecords))
+	w.Counter("coloserve_obs_reclaimed_bytes_total", "Bytes reclaimed by the observation retention policy.", float64(ist.ReclaimedBytes))
+	w.Counter("coloserve_obs_retention_dropped_records_total", "Observations dropped by the retention policy.", float64(ist.RetentionDroppedRecords))
 	if s.adapt.Controller == nil {
 		return
 	}
 	st := s.adapt.Controller.Status()
-	writeGauge(w, "coloserve_retrains_attempted_total", "Retraining attempts completed.", float64(st.Attempts))
-	writeGauge(w, "coloserve_retrains_promoted_total", "Retraining attempts that promoted a candidate.", float64(st.Promoted))
-	writeGauge(w, "coloserve_retrains_rejected_total", "Retraining attempts that kept the incumbent.", float64(st.Rejected))
+	w.Counter("coloserve_retrains_attempted_total", "Retraining attempts completed.", float64(st.Attempts))
+	w.Counter("coloserve_retrains_promoted_total", "Retraining attempts that promoted a candidate.", float64(st.Promoted))
+	w.Counter("coloserve_retrains_rejected_total", "Retraining attempts that kept the incumbent.", float64(st.Rejected))
 	if st.Last != nil {
-		writeGauge(w, "coloserve_retrain_candidate_mpe", "Holdout MPE of the last retraining candidate.", st.Last.CandidateMPE)
-		writeGauge(w, "coloserve_retrain_incumbent_mpe", "Holdout MPE of the incumbent at the last attempt.", st.Last.IncumbentMPE)
+		w.Gauge("coloserve_retrain_candidate_mpe", "Holdout MPE of the last retraining candidate.", st.Last.CandidateMPE)
+		w.Gauge("coloserve_retrain_incumbent_mpe", "Holdout MPE of the incumbent at the last attempt.", st.Last.IncumbentMPE)
 	}
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -1,42 +1,22 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"colocmodel/internal/feedback"
+	"colocmodel/internal/obs"
 )
 
 // Metrics is the serving tier's observability layer: request and error
 // counters plus latency histograms per endpoint, and cache hit/miss and
-// hot-swap counters. Everything is lock-free atomics on the hot path
-// and renders in the Prometheus text exposition format, keeping the
-// module stdlib-only.
+// hot-swap counters, declared on one obs.Registry. Handlers hold the
+// handles they record into, so the hot path is lock-free atomics; the
+// adaptation loop and the SLO tracker add their families to the same
+// registry.
 type Metrics struct {
-	mu        sync.Mutex // guards the endpoints map (writes only at registration)
-	endpoints map[string]*endpointMetrics
+	reg       *obs.Registry
+	endpoints *obs.Endpoints
 
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	swaps       atomic.Uint64
-	inFlight    atomic.Int64
-	dropped     atomic.Uint64 // observations for unregistered endpoints
-
-	obsIngested atomic.Uint64
-	obsRejected atomic.Uint64
-	driftTrips  atomic.Uint64
-}
-
-// endpointMetrics aggregates one endpoint's counters and latency.
-type endpointMetrics struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	latency  histogram
+	cacheHits, cacheMisses, swaps        *obs.Counter
+	inFlight                             *obs.Gauge
+	obsIngested, obsRejected, driftTrips *obs.Counter
 }
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning
@@ -45,184 +25,31 @@ var latencyBuckets = []float64{
 	1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5,
 }
 
-const numLatencyBuckets = 12
-
-// histogram is a fixed-bucket latency histogram. The sum is kept as
-// float64 bits updated by CAS so Observe never takes a lock.
-type histogram struct {
-	counts  [numLatencyBuckets + 1]atomic.Uint64 // +1 for +Inf
-	sumBits atomic.Uint64
-	count   atomic.Uint64
-}
-
-func (h *histogram) Observe(seconds float64) {
-	i := sort.SearchFloat64s(latencyBuckets, seconds)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		s := math.Float64frombits(old) + seconds
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(s)) {
-			return
-		}
-	}
-}
-
-// NewMetrics returns a metrics layer with the given endpoints
-// pre-registered (observations for unregistered endpoints are dropped).
-func NewMetrics(endpoints ...string) *Metrics {
-	m := &Metrics{endpoints: make(map[string]*endpointMetrics, len(endpoints))}
-	for _, e := range endpoints {
-		m.endpoints[e] = &endpointMetrics{}
-	}
+// NewMetrics declares the serving tier's metric families in scrape
+// order. cacheEntries and modelsLoaded are read at scrape time.
+func NewMetrics(cacheEntries, modelsLoaded func() float64) *Metrics {
+	r := obs.NewRegistry()
+	m := &Metrics{reg: r}
+	m.endpoints = r.Endpoints("coloserve", "Request latency per endpoint.", latencyBuckets)
+	m.cacheHits = r.Counter("coloserve_cache_hits_total", "Prediction-cache hits.")
+	m.cacheMisses = r.Counter("coloserve_cache_misses_total", "Prediction-cache misses.")
+	r.GaugeFunc("coloserve_cache_entries", "Current prediction-cache size.", cacheEntries)
+	m.swaps = r.Counter("coloserve_model_swaps_total", "Registry hot-swaps performed.")
+	r.GaugeFunc("coloserve_models_loaded", "Models currently in the registry.", modelsLoaded)
+	m.inFlight = r.Gauge("coloserve_in_flight_requests", "Requests currently being served.")
+	m.obsIngested = r.Counter("coloserve_observations_ingested_total", "Observations accepted into the feedback log.")
+	m.obsRejected = r.Counter("coloserve_observations_rejected_total", "Observations rejected at ingest.")
+	m.driftTrips = r.Counter("coloserve_drift_trips_total", "Drift-detector trips observed at ingest.")
 	return m
 }
 
-// ObserveRequest records one request against an endpoint: its latency
-// and whether it failed. Observations for endpoints that were never
-// registered are counted in coloserve_metrics_dropped_total rather than
-// silently discarded.
-func (m *Metrics) ObserveRequest(endpoint string, d time.Duration, failed bool) {
-	em, ok := m.endpoints[endpoint]
-	if !ok {
-		m.dropped.Add(1)
-		return
-	}
-	em.requests.Add(1)
-	if failed {
-		em.errors.Add(1)
-	}
-	em.latency.Observe(d.Seconds())
-}
-
-// CacheHit and CacheMiss record prediction-cache outcomes.
-func (m *Metrics) CacheHit()  { m.cacheHits.Add(1) }
-func (m *Metrics) CacheMiss() { m.cacheMisses.Add(1) }
-
-// CacheHits returns the hit counter (used by tests and handlers).
+// CacheHits returns the prediction-cache hit count.
 func (m *Metrics) CacheHits() uint64 { return m.cacheHits.Load() }
 
-// CacheMisses returns the miss counter.
-func (m *Metrics) CacheMisses() uint64 { return m.cacheMisses.Load() }
-
-// SwapRecorded counts one registry hot-swap.
-func (m *Metrics) SwapRecorded() { m.swaps.Add(1) }
-
 // SwapsRecorded counts n registry hot-swaps at once (a reload swaps
-// every disk-backed entry). The swap counter is reachable only through
-// these accessors so call sites cannot bypass the accounting.
+// every disk-backed entry).
 func (m *Metrics) SwapsRecorded(n int) {
 	if n > 0 {
 		m.swaps.Add(uint64(n))
 	}
 }
-
-// DroppedObservations returns the count of request observations made
-// against endpoints that were never registered.
-func (m *Metrics) DroppedObservations() uint64 { return m.dropped.Load() }
-
-// ObservationIngested and ObservationRejected count observation-log
-// ingest outcomes; DriftTripRecorded counts drift-detector trips.
-func (m *Metrics) ObservationIngested() { m.obsIngested.Add(1) }
-func (m *Metrics) ObservationRejected() { m.obsRejected.Add(1) }
-func (m *Metrics) DriftTripRecorded()   { m.driftTrips.Add(1) }
-
-// RequestStarted / RequestDone track in-flight requests (a gauge).
-func (m *Metrics) RequestStarted() { m.inFlight.Add(1) }
-func (m *Metrics) RequestDone()    { m.inFlight.Add(-1) }
-
-// WritePrometheus renders every metric in the Prometheus text
-// exposition format (version 0.0.4).
-func (m *Metrics) WritePrometheus(w io.Writer, modelsLoaded int, cacheEntries int) {
-	names := make([]string, 0, len(m.endpoints))
-	for e := range m.endpoints {
-		names = append(names, e)
-	}
-	sort.Strings(names)
-
-	fmt.Fprintln(w, "# HELP coloserve_requests_total Requests received per endpoint.")
-	fmt.Fprintln(w, "# TYPE coloserve_requests_total counter")
-	for _, e := range names {
-		fmt.Fprintf(w, "coloserve_requests_total{endpoint=%q} %d\n", e, m.endpoints[e].requests.Load())
-	}
-	fmt.Fprintln(w, "# HELP coloserve_request_errors_total Failed requests per endpoint.")
-	fmt.Fprintln(w, "# TYPE coloserve_request_errors_total counter")
-	for _, e := range names {
-		fmt.Fprintf(w, "coloserve_request_errors_total{endpoint=%q} %d\n", e, m.endpoints[e].errors.Load())
-	}
-	fmt.Fprintln(w, "# HELP coloserve_request_duration_seconds Request latency per endpoint.")
-	fmt.Fprintln(w, "# TYPE coloserve_request_duration_seconds histogram")
-	for _, e := range names {
-		h := &m.endpoints[e].latency
-		cum := uint64(0)
-		for i, ub := range latencyBuckets {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "coloserve_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n", e, formatBound(ub), cum)
-		}
-		cum += h.counts[len(latencyBuckets)].Load()
-		fmt.Fprintf(w, "coloserve_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", e, cum)
-		fmt.Fprintf(w, "coloserve_request_duration_seconds_sum{endpoint=%q} %g\n", e, math.Float64frombits(h.sumBits.Load()))
-		fmt.Fprintf(w, "coloserve_request_duration_seconds_count{endpoint=%q} %d\n", e, h.count.Load())
-	}
-	fmt.Fprintln(w, "# HELP coloserve_cache_hits_total Prediction-cache hits.")
-	fmt.Fprintln(w, "# TYPE coloserve_cache_hits_total counter")
-	fmt.Fprintf(w, "coloserve_cache_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprintln(w, "# HELP coloserve_cache_misses_total Prediction-cache misses.")
-	fmt.Fprintln(w, "# TYPE coloserve_cache_misses_total counter")
-	fmt.Fprintf(w, "coloserve_cache_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprintln(w, "# HELP coloserve_cache_entries Current prediction-cache size.")
-	fmt.Fprintln(w, "# TYPE coloserve_cache_entries gauge")
-	fmt.Fprintf(w, "coloserve_cache_entries %d\n", cacheEntries)
-	fmt.Fprintln(w, "# HELP coloserve_model_swaps_total Registry hot-swaps performed.")
-	fmt.Fprintln(w, "# TYPE coloserve_model_swaps_total counter")
-	fmt.Fprintf(w, "coloserve_model_swaps_total %d\n", m.swaps.Load())
-	fmt.Fprintln(w, "# HELP coloserve_models_loaded Models currently in the registry.")
-	fmt.Fprintln(w, "# TYPE coloserve_models_loaded gauge")
-	fmt.Fprintf(w, "coloserve_models_loaded %d\n", modelsLoaded)
-	fmt.Fprintln(w, "# HELP coloserve_metrics_dropped_total Request observations dropped for unregistered endpoints.")
-	fmt.Fprintln(w, "# TYPE coloserve_metrics_dropped_total counter")
-	fmt.Fprintf(w, "coloserve_metrics_dropped_total %d\n", m.dropped.Load())
-	fmt.Fprintln(w, "# HELP coloserve_in_flight_requests Requests currently being served.")
-	fmt.Fprintln(w, "# TYPE coloserve_in_flight_requests gauge")
-	fmt.Fprintf(w, "coloserve_in_flight_requests %d\n", m.inFlight.Load())
-	fmt.Fprintln(w, "# HELP coloserve_observations_ingested_total Observations accepted into the feedback log.")
-	fmt.Fprintln(w, "# TYPE coloserve_observations_ingested_total counter")
-	fmt.Fprintf(w, "coloserve_observations_ingested_total %d\n", m.obsIngested.Load())
-	fmt.Fprintln(w, "# HELP coloserve_observations_rejected_total Observations rejected at ingest.")
-	fmt.Fprintln(w, "# TYPE coloserve_observations_rejected_total counter")
-	fmt.Fprintf(w, "coloserve_observations_rejected_total %d\n", m.obsRejected.Load())
-	fmt.Fprintln(w, "# HELP coloserve_drift_trips_total Drift-detector trips observed at ingest.")
-	fmt.Fprintln(w, "# TYPE coloserve_drift_trips_total counter")
-	fmt.Fprintf(w, "coloserve_drift_trips_total %d\n", m.driftTrips.Load())
-}
-
-// writeGauge renders one unlabelled gauge with help and type lines.
-func writeGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-}
-
-// writeCounter renders one unlabelled counter with help and type lines.
-func writeCounter(w io.Writer, name, help string, v uint64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-// writeHistSnapshot renders a feedback-log histogram snapshot in the
-// Prometheus histogram exposition format.
-func writeHistSnapshot(w io.Writer, name, help string, h feedback.HistSnapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cum := uint64(0)
-	for i, ub := range h.Bounds {
-		cum += h.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(ub), cum)
-	}
-	if len(h.Counts) > len(h.Bounds) {
-		cum += h.Counts[len(h.Bounds)]
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-}
-
-// formatBound renders a bucket bound the way Prometheus expects
-// (shortest float form).
-func formatBound(v float64) string { return fmt.Sprintf("%g", v) }

@@ -3,151 +3,72 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"fmt"
+	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-// TestHistogramBucketBoundaries pins the bucket an observation lands in
-// at and around every boundary: Prometheus buckets are cumulative with
-// le (less-or-equal) semantics, so a value exactly on a bound belongs
-// in that bound's bucket.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	cases := []struct {
-		seconds float64
-		bucket  int // index into counts, len(latencyBuckets) = +Inf
-	}{
-		{0, 0},
-		{9.9e-6, 0},
-		{1e-5, 0},         // exactly on the first bound → first bucket
-		{1.0000001e-5, 1}, // just past it → next bucket
-		{5e-5, 1},         // on the second bound
-		{1e-4, 2},
-		{5e-4, 3},
-		{1e-3, 4},
-		{5e-3, 5},
-		{1e-2, 6},
-		{5e-2, 7},
-		{0.1, 8},
-		{0.5, 9},
-		{1, 10},
-		{5, 11},        // last finite bound
-		{5.000001, 12}, // past every bound → +Inf bucket
-		{3600, 12},
-	}
-	for _, tc := range cases {
-		var h histogram
-		h.Observe(tc.seconds)
-		for i := range h.counts {
-			want := uint64(0)
-			if i == tc.bucket {
-				want = 1
-			}
-			if got := h.counts[i].Load(); got != want {
-				t.Fatalf("Observe(%g): bucket %d = %d, want bucket %d hit", tc.seconds, i, got, tc.bucket)
-			}
-		}
-		if h.count.Load() != 1 {
-			t.Fatalf("Observe(%g): count = %d", tc.seconds, h.count.Load())
-		}
-	}
-	if len(latencyBuckets) != numLatencyBuckets {
-		t.Fatalf("latencyBuckets has %d bounds, const says %d", len(latencyBuckets), numLatencyBuckets)
-	}
+// fixedGauges are the scrape-time gauge values the metrics tests pin:
+// 17 cache entries, 2 models loaded.
+func fixedGauges() (cacheEntries, modelsLoaded func() float64) {
+	return func() float64 { return 17 }, func() float64 { return 2 }
 }
 
-// TestHistogramConcurrentObserve hammers Observe and WritePrometheus
-// concurrently (run with -race); afterwards the totals must be exact —
-// the CAS loop on the sum must not lose updates.
-func TestHistogramConcurrentObserve(t *testing.T) {
-	m := NewMetrics("predict")
-	const workers, per = 8, 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m.ObserveRequest("predict", time.Millisecond, i%7 == 0)
-			}
-		}(w)
-	}
-	// Concurrent scrapes while observations land.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			var buf bytes.Buffer
-			m.WritePrometheus(&buf, 1, 0)
-		}
-	}()
-	wg.Wait()
-
-	em := m.endpoints["predict"]
-	const total = workers * per
-	if got := em.requests.Load(); got != total {
-		t.Fatalf("requests = %d, want %d", got, total)
-	}
-	if got := em.latency.count.Load(); got != total {
-		t.Fatalf("histogram count = %d, want %d", got, total)
-	}
-	wantSum := float64(total) * 1e-3
-	gotSum := scrapeSum(t, m, "predict")
-	if diff := gotSum - wantSum; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("sum = %g, want %g (CAS lost updates?)", gotSum, wantSum)
-	}
-}
-
-// scrapeSum reads an endpoint's latency sum through the exposition
-// path, the same way a Prometheus scrape would.
-func scrapeSum(t *testing.T, m *Metrics, endpoint string) float64 {
-	t.Helper()
+func scrape(m *Metrics) string {
 	var buf bytes.Buffer
-	m.WritePrometheus(&buf, 0, 0)
-	prefix := fmt.Sprintf("coloserve_request_duration_seconds_sum{endpoint=%q}", endpoint)
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, prefix) {
-			f, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
-			if err != nil {
-				t.Fatalf("unparseable sum line %q: %v", line, err)
-			}
-			return f
-		}
-	}
-	t.Fatalf("sum line for %s not found", endpoint)
-	return 0
+	m.reg.Write(&buf)
+	return buf.String()
 }
 
-// TestMetricsDroppedCounter covers satellite: observations against
-// unregistered endpoints are counted, not silently discarded.
-func TestMetricsDroppedCounter(t *testing.T) {
-	m := NewMetrics("predict")
-	m.ObserveRequest("predict", time.Millisecond, false)
-	m.ObserveRequest("nosuch", time.Millisecond, false)
-	m.ObserveRequest("nosuch", time.Millisecond, true)
-	if got := m.DroppedObservations(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
+// TestMetricsGolden drives the metrics layer through a fixed sequence
+// of calls and compares the scrape byte for byte with one captured from
+// the hand-written renderer the registry replaced (PR 12's
+// WritePrometheus), less the coloserve_metrics_dropped_total family
+// that went with the unregistered-endpoint branch.
+func TestMetricsGolden(t *testing.T) {
+	m := NewMetrics(fixedGauges())
+	predict, schedule, metrics := m.endpoints.Endpoint("predict"), m.endpoints.Endpoint("schedule"), m.endpoints.Endpoint("metrics")
+	for i := 0; i < 40; i++ {
+		predict.Observe(time.Duration(i*i)*7*time.Microsecond, i%9 == 0)
 	}
-	var buf bytes.Buffer
-	m.WritePrometheus(&buf, 1, 0)
-	if !strings.Contains(buf.String(), "coloserve_metrics_dropped_total 2") {
-		t.Fatalf("dropped counter missing from scrape:\n%s", buf.String())
+	schedule.Observe(2*time.Second, false)
+	schedule.Observe(7*time.Second, true)
+	metrics.Observe(350*time.Microsecond, false)
+	m.cacheHits.Add(3)
+	m.cacheMisses.Inc()
+	m.SwapsRecorded(1)
+	m.SwapsRecorded(2)
+	m.inFlight.Add(2)
+	m.inFlight.Add(-1)
+	m.obsIngested.Add(5)
+	m.obsRejected.Inc()
+	m.driftTrips.Inc()
+
+	golden, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, line := range strings.SplitAfter(string(golden), "\n") {
+		if !strings.Contains(line, "coloserve_metrics_dropped_total") {
+			want.WriteString(line)
+		}
+	}
+	if got := scrape(m); got != want.String() {
+		t.Fatalf("scrape differs from testdata/metrics.golden:\n%s", got)
 	}
 }
 
 func TestSwapsRecorded(t *testing.T) {
-	m := NewMetrics()
-	m.SwapRecorded()
+	m := NewMetrics(fixedGauges())
+	m.SwapsRecorded(1)
 	m.SwapsRecorded(3)
 	m.SwapsRecorded(0)
 	m.SwapsRecorded(-5)
-	var buf bytes.Buffer
-	m.WritePrometheus(&buf, 0, 0)
-	if !strings.Contains(buf.String(), "coloserve_model_swaps_total 4") {
-		t.Fatalf("swaps counter wrong:\n%s", buf.String())
+	if out := scrape(m); !strings.Contains(out, "coloserve_model_swaps_total 4") {
+		t.Fatalf("swaps counter wrong:\n%s", out)
 	}
 }
 
@@ -156,18 +77,14 @@ func TestSwapsRecorded(t *testing.T) {
 // precedes TYPE, and histogram bucket counts are monotone in le with
 // the +Inf bucket equal to _count.
 func TestPrometheusScrapeFormat(t *testing.T) {
-	m := NewMetrics("predict", "schedule")
+	m := NewMetrics(fixedGauges())
 	for i := 0; i < 100; i++ {
-		m.ObserveRequest("predict", time.Duration(i)*100*time.Microsecond, i%9 == 0)
+		m.endpoints.Endpoint("predict").Observe(time.Duration(i)*100*time.Microsecond, i%9 == 0)
 	}
-	m.ObserveRequest("schedule", 2*time.Second, false)
-	m.CacheHit()
-	m.CacheMiss()
+	m.endpoints.Endpoint("schedule").Observe(2*time.Second, false)
+	m.cacheHits.Inc()
+	m.cacheMisses.Inc()
 	m.SwapsRecorded(2)
-	m.ObserveRequest("ghost", time.Millisecond, false)
-
-	var buf bytes.Buffer
-	m.WritePrometheus(&buf, 2, 17)
 
 	typed := map[string]string{} // family → type
 	helped := map[string]bool{}
@@ -175,7 +92,7 @@ func TestPrometheusScrapeFormat(t *testing.T) {
 	infCount := map[string]uint64{}
 	sampleCount := map[string]uint64{}
 
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
+	sc := bufio.NewScanner(strings.NewReader(scrape(m)))
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {
@@ -236,8 +153,8 @@ func TestPrometheusScrapeFormat(t *testing.T) {
 		t.Fatalf("bucket series for %d endpoints, want 2", len(buckets))
 	}
 	for ep, bs := range buckets {
-		if len(bs) != numLatencyBuckets+1 {
-			t.Fatalf("%s: %d bucket lines, want %d", ep, len(bs), numLatencyBuckets+1)
+		if len(bs) != len(latencyBuckets)+1 {
+			t.Fatalf("%s: %d bucket lines, want %d", ep, len(bs), len(latencyBuckets)+1)
 		}
 		for i := 1; i < len(bs); i++ {
 			if bs[i] < bs[i-1] {
@@ -250,9 +167,6 @@ func TestPrometheusScrapeFormat(t *testing.T) {
 	}
 	if sampleCount["predict"] != 100 || sampleCount["schedule"] != 1 {
 		t.Fatalf("sample counts: %v", sampleCount)
-	}
-	if !strings.Contains(buf.String(), "coloserve_metrics_dropped_total 1") {
-		t.Fatal("ghost observation not counted as dropped")
 	}
 }
 
@@ -269,20 +183,4 @@ func labelValue(t *testing.T, line, key string) string {
 		t.Fatalf("unterminated label in %q", line)
 	}
 	return rest[:j]
-}
-
-// TestHistogramSumFidelity checks the float64-bits CAS representation
-// round-trips oddly-sized values exactly.
-func TestHistogramSumFidelity(t *testing.T) {
-	vals := []float64{1e-7, 0.125, 3.5, 1e-3}
-	want := 0.0
-	m := NewMetrics("e")
-	for _, v := range vals {
-		m.ObserveRequest("e", time.Duration(v*float64(time.Second)), false)
-		want += v
-	}
-	got := scrapeSum(t, m, "e")
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("sum = %v, want %v", got, want)
-	}
 }

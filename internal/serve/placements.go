@@ -86,16 +86,17 @@ type rawHandlerFunc func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) 
 // the client before the handler returns. Server-Timing is omitted:
 // trailers would be the only correct vehicle once the body has begun.
 func (s *Server) wrapRaw(endpoint string, h rawHandlerFunc) http.HandlerFunc {
+	em := s.metrics.endpoints.Endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.RequestStarted()
-		defer s.metrics.RequestDone()
+		s.metrics.inFlight.Add(1)
+		defer s.metrics.inFlight.Add(-1)
 		reqID := requestID(w, r)
 		if s.draining.Load() {
 			status := s.shed(w)
 			d := time.Since(start)
 			s.logRequest(r, endpoint, reqID, status, d)
-			s.metrics.ObserveRequest(endpoint, d, true)
+			em.Observe(d, true)
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -111,7 +112,7 @@ func (s *Server) wrapRaw(endpoint string, h rawHandlerFunc) http.HandlerFunc {
 		d := time.Since(start)
 		tr.Finish(status, status >= 400)
 		s.logRequest(r, endpoint, reqID, status, d)
-		s.metrics.ObserveRequest(endpoint, d, status >= 400)
+		em.Observe(d, status >= 400)
 	}
 }
 

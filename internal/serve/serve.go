@@ -143,6 +143,7 @@ type Server struct {
 	reg      *Registry
 	cache    *Cache // nil when disabled
 	metrics  *Metrics
+	scrapes  *obs.Endpoint   // GET /metrics, served outside wrap
 	adapt    *Adaptation     // nil when the adaptation loop is disabled
 	logger   *slog.Logger    // nil when request logging is disabled
 	tracer   *obs.Tracer     // nil when tracing is disabled
@@ -159,12 +160,8 @@ type Server struct {
 func New(reg *Registry, cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
-		cfg: cfg,
-		reg: reg,
-		metrics: NewMetrics(
-			"predict", "predict_batch", "schedule", "placements", "models", "reload", "healthz", "metrics",
-			"observations", "drift", "retrain", "retrain_status", "version", "traces", "slo",
-		),
+		cfg:     cfg,
+		reg:     reg,
 		logger:  cfg.Logger,
 		started: time.Now(),
 	}
@@ -180,6 +177,18 @@ func New(reg *Registry, cfg Config) *Server {
 			LatencyTarget: cfg.SLOLatencyTarget,
 		})
 	}
+	s.metrics = NewMetrics(
+		func() float64 {
+			if s.cache == nil {
+				return 0
+			}
+			return float64(s.cache.Len())
+		},
+		func() float64 { return float64(reg.Len()) },
+	)
+	s.metrics.reg.Collect(s.collectAdaptation)
+	s.slo.Register(s.metrics.reg, "coloserve")
+	s.scrapes = s.metrics.endpoints.Endpoint("metrics")
 	return s
 }
 
@@ -312,16 +321,17 @@ func (s *Server) withDeadline(h handlerFunc) handlerFunc {
 // lands in Server-Timing and in the shipped tree.
 func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 	sloPath := endpoint == "predict" || endpoint == "predict_batch"
+	em := s.metrics.endpoints.Endpoint(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.metrics.RequestStarted()
-		defer s.metrics.RequestDone()
+		s.metrics.inFlight.Add(1)
+		defer s.metrics.inFlight.Add(-1)
 		reqID := requestID(w, r)
 		if s.draining.Load() {
 			status := s.shed(w)
 			d := time.Since(start)
 			s.logRequest(r, endpoint, reqID, status, d)
-			s.metrics.ObserveRequest(endpoint, d, true)
+			em.Observe(d, true)
 			if sloPath {
 				s.slo.Observe(d, true)
 			}
@@ -353,7 +363,7 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		d := time.Since(start)
 		tr.Finish(status, status >= 400)
 		s.logRequest(r, endpoint, reqID, status, d)
-		s.metrics.ObserveRequest(endpoint, d, status >= 400)
+		em.Observe(d, status >= 400)
 		if sloPath {
 			s.slo.Observe(d, status >= 500)
 		}
@@ -529,11 +539,11 @@ func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario,
 		csp.End()
 		if ok {
 			keyPool.Put(ks)
-			s.metrics.CacheHit()
+			s.metrics.cacheHits.Inc()
 			resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
 			return nil
 		}
-		s.metrics.CacheMiss()
+		s.metrics.cacheMisses.Inc()
 	}
 	esp := parent.StartChild("eval")
 	seconds, err := evalScalar(rm.reps, rm.m, sc)
@@ -632,12 +642,12 @@ func (s *Server) handlePredictBatch(r *http.Request, tr *obs.Trace) (int, any) {
 		if s.cache != nil {
 			ks.build(rm.name, rm.gen, sc)
 			if p, ok := s.cache.GetBytes(ks.buf); ok {
-				s.metrics.CacheHit()
+				s.metrics.cacheHits.Inc()
 				resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
 				results[i].Result = resp
 				continue
 			}
-			s.metrics.CacheMiss()
+			s.metrics.cacheMisses.Inc()
 			missKeys = append(missKeys, string(ks.buf))
 		}
 		results[i].Result = resp
@@ -931,16 +941,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	reqID := requestID(w, r)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	entries := 0
-	if s.cache != nil {
-		entries = s.cache.Len()
-	}
-	s.metrics.WritePrometheus(w, s.reg.Len(), entries)
-	s.writeAdaptationMetrics(w)
-	s.slo.WriteSLOMetrics(w, "coloserve")
+	s.metrics.reg.Write(w)
 	d := time.Since(start)
 	s.logRequest(r, "metrics", reqID, http.StatusOK, d)
-	s.metrics.ObserveRequest("metrics", d, false)
+	s.scrapes.Observe(d, false)
 }
 
 // ListenAndServe runs the server on addr until ctx is cancelled, then
