@@ -164,8 +164,8 @@ type (
 	// Observation is one logged predicted-vs-measured runtime.
 	Observation = feedback.Observation
 	// ObservationStore is the observation-log interface the adaptation
-	// loop consumes: durable file-backed group-commit log, in-memory
-	// ring, or object-store-backed.
+	// loop consumes: durable file-backed group-commit log or in-memory
+	// ring.
 	ObservationStore = feedback.Store
 	// ObservationLog is the durable, checksummed, file-backed
 	// group-commit observation log (what OpenObservationLog returns

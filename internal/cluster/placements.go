@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"sort"
-	"time"
 
 	"colocmodel/internal/obs"
 )
@@ -47,115 +44,56 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 }
 
 // handlePlacements proxies POST /v1/placements to the least-loaded
-// healthy backend. Registered outside wrap: the streaming mode must
-// copy the backend's NDJSON body to the client incrementally, so the
-// handler owns the writer. Failover (transport error, 5xx, drain shed)
-// moves to the next candidate as long as no body byte has been
-// forwarded; hedging is deliberately off — an optimizer search is the
-// most expensive call in the system, and racing two of them doubles
-// fleet load for no latency win.
-func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rt.metrics.inFlight.Add(1)
-	defer rt.metrics.inFlight.Add(-1)
-	reqID, tr := rt.ingress(w, r, "placements", start)
-	finish := func(status int) {
-		d := time.Since(start)
-		tr.Finish(status, status >= 500)
-		rt.logRequest(r, "placements", reqID, status, d)
-		rt.placements.Observe(d, status >= 500)
-	}
-
+// healthy backend, streaming the backend's NDJSON body to the client
+// incrementally. Failover (transport error, 5xx, drain shed) moves to
+// the next candidate as long as no body byte has been forwarded;
+// hedging is deliberately off — an optimizer search is the most
+// expensive call in the system, and racing two of them doubles fleet
+// load for no latency win.
+func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) (int, any) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
-		status, eb := errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
-		writeJSON(w, status, eb)
-		finish(status)
-		return
+		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
 	cands := rt.leastLoaded()
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
-		w.Header().Set("Retry-After", "1")
-		status, eb := errJSON(http.StatusServiceUnavailable, CodeNoBackend, "no healthy backend")
-		writeJSON(w, status, eb)
-		finish(status)
-		return
+		return rt.retryableUnavailable(w, "no healthy backend")
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	ctx = obs.NewContext(ctx, reqID, tr)
-	var lastErr error
-	allShed := true
-	for _, b := range cands {
-		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, b.Base+"/v1/placements", bytes.NewReader(body))
-		if rerr != nil {
-			lastErr = rerr
-			allShed = false
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-ID", reqID)
-		if tp := outboundTraceparent(ctx); tp != "" {
-			req.Header.Set(obs.TraceparentHeader, tp)
-		}
-		b.acquire()
-		resp, derr := rt.cfg.Client.Do(req)
-		if derr != nil {
-			b.release()
-			b.metrics.request(true)
-			lastErr = derr
-			allShed = false
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
-			// Typed drain shed: alive but refusing. Mark it and move on.
+	// Only a definitive answer is forwarded (status, then the body
+	// streamed through), so a reply that is not ok has put no byte in
+	// front of the client and the next candidate may still answer.
+	forward := func(pr *proxyResult, resp *http.Response) error {
+		if !pr.ok() {
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			b.release()
-			b.markShedding(time.Second)
-			b.metrics.sheds.Inc()
-			b.metrics.request(false)
-			continue
+			return nil
 		}
-		if resp.StatusCode >= 500 {
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			b.release()
-			b.metrics.request(true)
-			lastErr = nil
-			allShed = false
-			continue
-		}
-		// Definitive answer: replay status and stream the body through.
-		b.metrics.request(false)
 		if ct := resp.Header.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}
-		if st := resp.Header.Get("Server-Timing"); st != "" {
-			w.Header().Set("Server-Timing", st)
+		if pr.serverTiming != "" {
+			w.Header().Set("Server-Timing", pr.serverTiming)
 		}
-		w.Header().Set("X-Backend", b.Name)
-		w.WriteHeader(resp.StatusCode)
+		w.Header().Set("X-Backend", pr.backend)
+		w.WriteHeader(pr.status)
 		f, _ := w.(http.Flusher)
 		_, _ = io.Copy(flushWriter{w: w, f: f}, resp.Body)
-		resp.Body.Close()
-		b.release()
-		finish(resp.StatusCode)
-		return
+		return nil
 	}
-	var status int
-	var eb any
+	ctx := r.Context()
+	tr := obs.TraceFrom(ctx)
+	reqID, tp := obs.RequestID(ctx), outboundTraceparent(tr)
+	pr := failover(tr.Root(), cands, notOK, func(b *Backend) *proxyResult {
+		return rt.send(ctx, b, http.MethodPost, "/v1/placements", body, reqID, tp, forward)
+	})
 	switch {
-	case allShed && lastErr == nil:
-		w.Header().Set("Retry-After", "1")
-		status, eb = errJSON(http.StatusServiceUnavailable, CodeNoBackend, "all healthy backends are draining")
-	case lastErr != nil:
-		status, eb = errJSON(http.StatusBadGateway, CodeBackendUnavailable, "all candidates failed: %v", lastErr)
+	case pr.ok():
+		return pr.status, nil
+	case pr.shed:
+		return rt.retryableUnavailable(w, "all healthy backends are draining")
+	case pr.err != nil:
+		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "all candidates failed: %v", pr.err)
 	default:
-		status, eb = errJSON(http.StatusBadGateway, CodeBackendUnavailable, "all candidates failed")
+		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "all candidates failed")
 	}
-	writeJSON(w, status, eb)
-	finish(status)
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -316,7 +315,7 @@ func (p *Pool) probe(ctx context.Context, b *Backend) {
 	}
 	b.mu.Unlock()
 
-	status, retryAfter, err := p.probeHealthz(ctx, b)
+	status, shedFor, err := p.probeHealthz(ctx, b)
 	switch {
 	case err == nil && status == http.StatusOK:
 		was := BackendState(b.state.Load())
@@ -329,9 +328,9 @@ func (p *Pool) probe(ctx context.Context, b *Backend) {
 			b.metrics.readmissions.Inc()
 		}
 		p.RefreshGeneration(ctx, b)
-	case err == nil && retryAfter > 0:
+	case err == nil && shedFor > 0:
 		// Typed drain shed: alive but refusing work. Not a failure.
-		b.markShedding(retryAfter)
+		b.markShedding(shedFor)
 	default:
 		p.recordFailure(b)
 	}
@@ -364,29 +363,35 @@ func (p *Pool) recordFailure(b *Backend) {
 	}
 }
 
-// probeHealthz GETs the backend's /healthz. A 503 carrying Retry-After
-// is the serve tier's typed drain shed; its delay is returned so the
-// caller can mark the backend shedding instead of failed.
-func (p *Pool) probeHealthz(ctx context.Context, b *Backend) (status int, retryAfter time.Duration, err error) {
+// get performs one probe GET against a backend, bounded by the probe
+// timeout, and returns the reply with its (bounded) body read.
+func (p *Pool) get(ctx context.Context, b *Backend, path string) (*http.Response, []byte, error) {
 	pctx, cancel := context.WithTimeout(ctx, p.probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.Base+"/healthz", nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.Base+path, nil)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	return resp, raw, err
+}
+
+// probeHealthz GETs the backend's /healthz. A 503 carrying Retry-After
+// is the serve tier's typed drain shed; its delay is returned so the
+// caller can mark the backend shedding instead of failed.
+func (p *Pool) probeHealthz(ctx context.Context, b *Backend) (status int, shedFor time.Duration, err error) {
+	resp, _, err := p.get(ctx, b, "/healthz")
+	if err != nil {
+		return 0, 0, err
+	}
 	if resp.StatusCode == http.StatusServiceUnavailable {
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			secs, perr := strconv.Atoi(strings.TrimSpace(ra))
-			if perr != nil || secs < 1 {
-				secs = 1
-			}
-			return resp.StatusCode, time.Duration(secs) * time.Second, nil
+		if d := retryAfter(resp.Header); d > 0 {
+			return resp.StatusCode, d, nil
 		}
 		return resp.StatusCode, 0, fmt.Errorf("cluster: %s unhealthy: %s", b.Name, resp.Status)
 	}
@@ -401,18 +406,7 @@ func (p *Pool) probeHealthz(ctx context.Context, b *Backend) (status int, retryA
 // authoritative, so a restart's counter reset is picked up rather than
 // shadowed by the old high-water mark).
 func (p *Pool) RefreshGeneration(ctx context.Context, b *Backend) {
-	pctx, cancel := context.WithTimeout(ctx, p.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.Base+"/v1/version", nil)
-	if err != nil {
-		return
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	resp, raw, err := p.get(ctx, b, "/v1/version")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return
 	}

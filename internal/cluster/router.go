@@ -148,7 +148,7 @@ type Router struct {
 	started time.Time
 
 	// Handles of the endpoints served outside wrap.
-	placements, scrapes, fleetScrapes *obs.Endpoint
+	scrapes, fleetScrapes *obs.Endpoint
 
 	promoteMu sync.Mutex // serializes rolling promotions
 
@@ -177,7 +177,6 @@ func New(cfg Config) *Router {
 		rt.slo = obs.NewSLOTracker(obs.SLOConfig{Objective: cfg.SLOObjective, LatencyTarget: cfg.SLOLatencyTarget})
 	}
 	rt.slo.Register(rt.metrics.reg, "colorouter")
-	rt.placements = rt.metrics.endpoints.Endpoint("placements")
 	rt.scrapes = rt.metrics.endpoints.Endpoint("metrics")
 	rt.fleetScrapes = rt.metrics.endpoints.Endpoint("fleet_metrics")
 	return rt
@@ -240,7 +239,10 @@ func (f *floorTable) raise(client, model string, gen uint64) {
 
 // ---- HTTP plumbing ----
 
-type handlerFunc func(r *http.Request) (int, any)
+// handlerFunc answers one request with a JSON body for wrap to write; a
+// nil body means the handler wrote its own response (placements
+// streams).
+type handlerFunc func(w http.ResponseWriter, r *http.Request) (int, any)
 
 type errorBody struct {
 	Error errorDetail `json:"error"`
@@ -277,10 +279,8 @@ func errJSON(status int, code, format string, args ...any) (int, any) {
 // drain in progress, or a promotion window where no backend satisfies
 // the caller's generation floor yet), so it carries Retry-After — the
 // same contract the serve tier's drain shed gives the router.
-func (rt *Router) retryableUnavailable(r *http.Request, format string, args ...any) (int, any) {
-	if h := responseHeaderOf(r); h != nil {
-		h.Set("Retry-After", "1")
-	}
+func (rt *Router) retryableUnavailable(w http.ResponseWriter, format string, args ...any) (int, any) {
+	w.Header().Set("Retry-After", "1")
 	return errJSON(http.StatusServiceUnavailable, CodeNoBackend, format, args...)
 }
 
@@ -290,7 +290,7 @@ func (rt *Router) Handler() http.Handler {
 		mux := http.NewServeMux()
 		mux.HandleFunc("POST /v1/predict", rt.wrap("predict", rt.handlePredict))
 		mux.HandleFunc("POST /v1/predict/batch", rt.wrap("predict_batch", rt.handlePredictBatch))
-		mux.HandleFunc("POST /v1/placements", rt.handlePlacements)
+		mux.HandleFunc("POST /v1/placements", rt.wrap("placements", rt.handlePlacements))
 		mux.HandleFunc("POST /v1/observations", rt.wrap("observations", rt.handleObservations))
 		mux.HandleFunc("POST /v1/models/reload", rt.wrap("reload", rt.handleReload))
 		mux.HandleFunc("GET /v1/models", rt.wrap("models", rt.handleModels))
@@ -337,25 +337,26 @@ func (rt *Router) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		reqID, tr := rt.ingress(w, r, endpoint, start)
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		// Handlers return (status, body) without seeing the writer;
-		// proxy handlers stitch Server-Timing/X-Backend through here.
-		ctx = context.WithValue(ctx, respHeaderKey{}, w.Header())
 		ctx = obs.NewContext(ctx, reqID, tr)
-		status, body := h(r.WithContext(ctx))
-		writeJSON(w, status, body)
-		d := time.Since(start)
-		tr.Finish(status, status >= 500)
-		rt.logRequest(r, endpoint, reqID, status, d)
-		em.Observe(d, status >= 500)
+		status, body := h(w, r.WithContext(ctx))
+		if body != nil {
+			writeJSON(w, status, body)
+		}
+		d := rt.finish(tr, em, endpoint, reqID, status, start)
 		if sloPath {
 			rt.slo.Observe(d, status >= 500)
 		}
 	}
 }
 
-func (rt *Router) logRequest(r *http.Request, endpoint, reqID string, status int, d time.Duration) {
+// finish closes one request's accounting — trace, endpoint metrics and
+// one structured log line — and returns its duration.
+func (rt *Router) finish(tr *obs.Trace, em *obs.Endpoint, endpoint, reqID string, status int, start time.Time) time.Duration {
+	d := time.Since(start)
+	tr.Finish(status, status >= 500)
+	em.Observe(d, status >= 500)
 	if rt.logger == nil {
-		return
+		return d
 	}
 	lvl, msg := slog.LevelInfo, "request"
 	if status >= 500 {
@@ -367,6 +368,7 @@ func (rt *Router) logRequest(r *http.Request, endpoint, reqID string, status int
 		slog.Int("status", status),
 		slog.Float64("dur_ms", float64(d)/1e6),
 	)
+	return d
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -406,24 +408,45 @@ func (pr *proxyResult) ok() bool {
 }
 
 // outboundTraceparent renders the W3C trace context to inject into one
-// proxied call: a fresh child of the request's router trace. Empty when
+// backend call: a fresh child of the request's router trace. Empty when
 // tracing is disabled or the request carries no trace. Callers that
 // outlive the request (abandoned hedge losers) must capture this string
 // before the handler returns rather than hold the trace itself.
-func outboundTraceparent(ctx context.Context) string {
-	if tc, ok := obs.TraceFrom(ctx).OutboundContext(); ok {
+func outboundTraceparent(tr *obs.Trace) string {
+	if tc, ok := tr.OutboundContext(); ok {
 		return tc.Header()
 	}
 	return ""
 }
 
-// proxy performs one backend call, forwarding the request ID and trace
-// context and recording per-backend metrics. A typed drain shed (503 +
-// Retry-After) marks the backend shedding in the pool rather than
-// failed. tp is the pre-rendered Traceparent value ("" injects none):
-// a string rather than the live trace, so calls that outlive the
-// request never touch a recycled trace.
-func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string) *proxyResult {
+// retryAfter reads a response's Retry-After delay in whole seconds: 0
+// when the header is absent, 1s when it is unparsable or below 1.
+func retryAfter(h http.Header) time.Duration {
+	ra := h.Get("Retry-After")
+	if ra == "" {
+		return 0
+	}
+	secs, err := strconv.Atoi(strings.TrimSpace(ra))
+	if err != nil || secs < 1 {
+		secs = 1
+	}
+	return time.Duration(secs) * time.Second
+}
+
+// send is the one backend-call path. It builds the outbound request
+// (forwarding the request ID and trace context), holds the backend's
+// in-flight count across the whole exchange, classifies the reply and
+// records the attempt in the backend's metrics exactly once. A typed
+// drain shed (503 + Retry-After) marks the backend shedding for the
+// advertised delay rather than failed: alive but refusing, so callers
+// re-route without ejecting and the probe loop re-admits it when the
+// drain ends. consume sees every reply (sheds and 5xx included, with
+// pr already classified) while the body is open, and its error fails
+// the call. tp is the pre-rendered Traceparent value ("" injects
+// none): a string rather than the live trace, so calls that outlive
+// the request never touch a recycled trace.
+func (rt *Router) send(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string,
+	consume func(*proxyResult, *http.Response) error) *proxyResult {
 	start := time.Now()
 	b.acquire()
 	defer b.release()
@@ -433,51 +456,75 @@ func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, bo
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, b.Base+path, rd)
-	if err != nil {
-		pr.err = err
-		b.metrics.request(true)
-		return pr
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-ID", reqID)
-	if tp != "" {
-		req.Header.Set(obs.TraceparentHeader, tp)
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		pr.err = err
-		pr.elapsed = time.Since(start)
-		b.metrics.request(true)
-		return pr
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	pr.elapsed = time.Since(start)
-	if err != nil {
-		pr.err = err
-		b.metrics.request(true)
-		return pr
-	}
-	pr.status = resp.StatusCode
-	pr.body = raw
-	pr.serverTiming = resp.Header.Get("Server-Timing")
-	pr.traceSpans = resp.Header.Get(obs.TraceSpansHeader)
-	if resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "" {
-		// The serve tier's drain shed: alive but refusing. Re-route
-		// without ejecting; the probe loop re-admits when the drain ends.
-		pr.shed = true
-		secs := 1
-		if n, perr := fmt.Sscanf(resp.Header.Get("Retry-After"), "%d", &secs); n != 1 || perr != nil || secs < 1 {
-			secs = 1
+	var resp *http.Response
+	if err == nil {
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Request-ID", reqID)
+		if tp != "" {
+			req.Header.Set(obs.TraceparentHeader, tp)
 		}
-		b.markShedding(time.Duration(secs) * time.Second)
-		b.metrics.sheds.Inc()
-		b.metrics.request(false)
-		return pr
+		resp, err = rt.cfg.Client.Do(req)
 	}
-	b.metrics.request(resp.StatusCode >= 500)
+	if err == nil {
+		pr.status = resp.StatusCode
+		pr.serverTiming = resp.Header.Get("Server-Timing")
+		pr.traceSpans = resp.Header.Get(obs.TraceSpansHeader)
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			if d := retryAfter(resp.Header); d > 0 {
+				pr.shed = true
+				b.markShedding(d)
+				b.metrics.sheds.Inc()
+			}
+		}
+		err = consume(pr, resp)
+		resp.Body.Close()
+	}
+	pr.err = err
+	pr.elapsed = time.Since(start)
+	b.metrics.request(err != nil || (pr.status >= 500 && !pr.shed))
 	return pr
 }
+
+// proxy is send with the reply body read into memory (bounded).
+func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string) *proxyResult {
+	return rt.send(ctx, b, method, path, body, reqID, tp, readBody)
+}
+
+func readBody(pr *proxyResult, resp *http.Response) (err error) {
+	pr.body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	return err
+}
+
+// failover makes one backend call against the candidates in order,
+// moving on only while retry holds for the previous reply: notOK for
+// idempotent reads (and for placements, which forwards nothing of a
+// reply that is not ok), shedOnly for ingest. The first attempt is
+// timed as a "proxy" child of parent and later ones as "retry"; each
+// carries its backend's own span tree. Nothing here races candidates —
+// hedgedCall is the only place that does.
+func failover(parent obs.Span, cands []*Backend, retry func(*proxyResult) bool, call func(*Backend) *proxyResult) *proxyResult {
+	var pr *proxyResult
+	name := "proxy"
+	for _, b := range cands {
+		sp := parent.StartChild(name)
+		sp.Annotate("backend", b.Name)
+		pr = call(b)
+		sp.AttachRemote(pr.backend, pr.traceSpans)
+		sp.End()
+		if !retry(pr) {
+			break
+		}
+		name = "retry"
+	}
+	return pr
+}
+
+// notOK retries anything short of a definitive answer.
+func notOK(pr *proxyResult) bool { return !pr.ok() }
+
+// shedOnly retries only a drain shed, the one failure that says the
+// request was definitely not processed.
+func shedOnly(pr *proxyResult) bool { return pr.shed }
 
 // hedgeDelay is the time to wait before launching a second attempt on
 // the next replica: the configured HedgeAfter, or the observed backend
@@ -514,7 +561,7 @@ func (rt *Router) hedgedCall(ctx context.Context, cands []*Backend, method, path
 	callStart := time.Now()
 	resc := make(chan *proxyResult, len(cands))
 	spans := make(map[string]obs.Span, len(cands))
-	tp := outboundTraceparent(ctx)
+	tp := outboundTraceparent(tr)
 	launch := func(b *Backend, hedge bool) {
 		name := "proxy"
 		if hedge {
@@ -655,7 +702,7 @@ type predictIdentity struct {
 	Generation uint64 `json:"generation"`
 }
 
-func (rt *Router) handlePredict(r *http.Request) (int, any) {
+func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -678,7 +725,7 @@ func (rt *Router) handlePredict(r *http.Request) (int, any) {
 	routeDur := time.Since(routeStart)
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
-		return rt.retryableUnavailable(r, "no admissible backend (healthy at generation >= %d)", floor)
+		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
 
 	// Coalesce identical in-flight scenarios at the same floor: a
@@ -697,7 +744,7 @@ func (rt *Router) handlePredict(r *http.Request) (int, any) {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "all candidates failed: %v", pr.err)
 	}
 	if pr.shed {
-		return rt.retryableUnavailable(r, "all admissible candidates are draining")
+		return rt.retryableUnavailable(w, "all admissible candidates are draining")
 	}
 	if pr.status < 300 {
 		var id predictIdentity
@@ -706,14 +753,20 @@ func (rt *Router) handlePredict(r *http.Request) (int, any) {
 			// floor: a concurrent request that reads the raised floor
 			// must already find at least one backend admissible at it,
 			// or it answers a spurious retryable no_backend.
-			if b := rt.pool.Get(pr.backend); b != nil {
-				b.NoteGeneration(id.Model, id.Generation)
-				b.metrics.generation.SetMax(int64(b.Gen("")))
-			}
+			rt.noteServed(pr.backend, id.Model, id.Generation)
 			rt.floors.raise(client, req.Model, id.Generation)
 		}
 	}
-	return rt.replay(r, pr, stages)
+	return rt.replay(w, pr, stages)
+}
+
+// noteServed folds a generation a backend just served into its pool
+// record and its colorouter_backend_generation gauge.
+func (rt *Router) noteServed(backend, model string, gen uint64) {
+	if b := rt.pool.Get(backend); b != nil {
+		b.NoteGeneration(model, gen)
+		b.metrics.generation.SetMax(int64(b.Gen("")))
+	}
 }
 
 // hopStages are the router-local durations of one proxied request,
@@ -727,36 +780,117 @@ type hopStages struct {
 
 // replay converts a proxied result into a handler response, stitching
 // the hop's Server-Timing (route, optional coalesce and hedge_wait,
-// backend) in front of the backend's own stage breakdown. The
-// http.ResponseWriter is not available here, so headers ride on the
-// request's response-header staging area.
-func (rt *Router) replay(r *http.Request, pr *proxyResult, st hopStages) (int, any) {
-	if w := responseHeaderOf(r); w != nil {
-		parts := make([]string, 0, 5)
-		parts = append(parts, obs.ServerTimingEntry("route", st.route.Seconds()))
-		if st.coalesce > 0 {
-			parts = append(parts, obs.ServerTimingEntry("coalesce", st.coalesce.Seconds()))
-		}
-		if st.hedgeWait > 0 {
-			parts = append(parts, obs.ServerTimingEntry("hedge_wait", st.hedgeWait.Seconds()))
-		}
-		parts = append(parts, obs.ServerTimingEntry("backend", pr.elapsed.Seconds()), pr.serverTiming)
-		w.Set("Server-Timing", obs.JoinServerTiming(parts...))
-		w.Set("X-Backend", pr.backend)
+// backend) in front of the backend's own stage breakdown.
+func (rt *Router) replay(w http.ResponseWriter, pr *proxyResult, st hopStages) (int, any) {
+	parts := make([]string, 0, 5)
+	parts = append(parts, obs.ServerTimingEntry("route", st.route.Seconds()))
+	if st.coalesce > 0 {
+		parts = append(parts, obs.ServerTimingEntry("coalesce", st.coalesce.Seconds()))
 	}
+	if st.hedgeWait > 0 {
+		parts = append(parts, obs.ServerTimingEntry("hedge_wait", st.hedgeWait.Seconds()))
+	}
+	parts = append(parts, obs.ServerTimingEntry("backend", pr.elapsed.Seconds()), pr.serverTiming)
+	w.Header().Set("Server-Timing", obs.JoinServerTiming(parts...))
+	w.Header().Set("X-Backend", pr.backend)
 	return pr.status, passthrough(pr.body)
 }
 
-// responseHeaderOf retrieves the response headers staged for the
-// request (planted by wrap before the handler runs).
-func responseHeaderOf(r *http.Request) http.Header {
-	if v, ok := r.Context().Value(respHeaderKey{}).(http.Header); ok {
-		return v
-	}
-	return nil
+// ---- scatter-gather ----
+
+// group is one owner's shard of a scattered request.
+type group struct {
+	cands []*Backend // the owner, then one failover alternate
+	idx   []int      // request slots in this shard, in request order
 }
 
-type respHeaderKey struct{}
+var (
+	errUnroutable  = errorDetail{Code: CodeNoBackend, Message: "no admissible backend for this scenario"}
+	errShardFailed = errorDetail{Code: CodeBackendUnavailable, Message: "backend call failed for this slot's shard"}
+)
+
+// scatter routes each item of a batched request to the backend that
+// owns its key — the same consistent-hash routing predict uses, so a
+// scenario's batch slots and observations land beside its cached
+// predictions and drift streams — and gathers the shards concurrently:
+// one sub-request per owner (in first-seen order), failing over per
+// retry to one other available backend at the floor, each 200 reply
+// decoded into an R and spliced back by merge under one mutex. route
+// gives an item's ring key and the model whose generations decide
+// admissibility; encode renders the sub-request for a shard's items;
+// merge reports false for a reply it cannot splice into the shard's
+// slots. The returned slice holds a typed error for every slot that was
+// not merged: unroutable ones and those of a failed shard. Gather
+// workers are joined before scatter returns, so span work inside them
+// is safe.
+func scatter[T, R any](rt *Router, r *http.Request, path string, items []T, floor uint64,
+	retry func(*proxyResult) bool, route func(T) (key, model string), encode func([]T) any,
+	merge func(idx []int, shard *R, backend string) bool) []*errorDetail {
+	ctx := r.Context()
+	reqID := r.Header.Get("X-Request-ID")
+	tr := obs.TraceFrom(ctx)
+	ssp := tr.StartSpan("scatter")
+	errs := make([]*errorDetail, len(items))
+	avail := rt.pool.Available()
+	groups := make(map[string]*group)
+	order := make([]*group, 0, 4)
+	for i, item := range items {
+		key, model := route(item)
+		cands := rt.candidates(key, model, floor)
+		if len(cands) == 0 {
+			rt.metrics.noBackend.Inc()
+			errs[i] = &errUnroutable
+			continue
+		}
+		owner := cands[0]
+		g := groups[owner.Name]
+		if g == nil {
+			g = &group{cands: []*Backend{owner}}
+			for _, alt := range avail {
+				if alt != owner && alt.Gen(model) >= floor {
+					g.cands = append(g.cands, alt)
+					break
+				}
+			}
+			groups[owner.Name] = g
+			order = append(order, g)
+		}
+		g.idx = append(g.idx, i)
+	}
+	ssp.End()
+
+	tp := outboundTraceparent(tr)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for _, g := range order {
+		wg.Add(1)
+		go func(g *group) {
+			defer wg.Done()
+			gsp := tr.StartSpan("gather")
+			gsp.Annotate("backend", g.cands[0].Name)
+			defer gsp.End()
+			picked := make([]T, len(g.idx))
+			for j, i := range g.idx {
+				picked[j] = items[i]
+			}
+			sub, _ := json.Marshal(encode(picked))
+			pr := failover(gsp, g.cands, retry, func(b *Backend) *proxyResult {
+				return rt.proxy(ctx, b, http.MethodPost, path, sub, reqID, tp)
+			})
+			var shard R
+			ok := pr.ok() && pr.status == http.StatusOK && json.Unmarshal(pr.body, &shard) == nil
+			mu.Lock()
+			if !ok || !merge(g.idx, &shard, pr.backend) {
+				for _, i := range g.idx {
+					errs[i] = &errShardFailed
+				}
+			}
+			mu.Unlock()
+		}(g)
+	}
+	wg.Wait()
+	return errs
+}
 
 // ---- batch predict ----
 
@@ -775,7 +909,7 @@ type batchResponse struct {
 	Errors  int         `json:"errors"`
 }
 
-func (rt *Router) handlePredictBatch(r *http.Request) (int, any) {
+func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -789,117 +923,48 @@ func (rt *Router) handlePredictBatch(r *http.Request) (int, any) {
 	}
 	client := clientID(r)
 	floor := rt.floors.get(client, req.Model)
-	reqID := r.Header.Get("X-Request-ID")
-	tr := obs.TraceFrom(r.Context())
-	ssp := tr.StartSpan("scatter")
-
-	// Scatter: group slots by the owning backend of each scenario key.
-	type group struct {
-		backend *Backend
-		idx     []int
-		scs     []serve.ScenarioRequest
-	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 4)
-	results := make([]batchItem, len(req.Scenarios))
-	unroutable := errorDetail{Code: CodeNoBackend, Message: "no admissible backend for this scenario"}
-	for i, sr := range req.Scenarios {
-		sc := features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
-		cands := rt.candidates(routeKey(req.Model, sc), req.Model, floor)
-		if len(cands) == 0 {
-			rt.metrics.noBackend.Inc()
-			results[i].Error = &unroutable
-			continue
-		}
-		b := cands[0]
-		g := groups[b.Name]
-		if g == nil {
-			g = &group{backend: b}
-			groups[b.Name] = g
-			order = append(order, b.Name)
-		}
-		g.idx = append(g.idx, i)
-		g.scs = append(g.scs, sr)
-	}
-	ssp.End()
-
-	// Gather: one sub-batch per owner, proxied concurrently. A failed
-	// group retries once on any other available backend at the floor
-	// before its slots are marked unavailable. Gather workers are joined
-	// before the handler returns, so span work inside them is safe
-	// (StartSpan/AttachRemote reserve slots atomically).
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	modelName := req.Model
+	out := batchResponse{Model: req.Model, Results: make([]batchItem, len(req.Scenarios))}
 	maxGen := uint64(0)
-	for _, name := range order {
-		g := groups[name]
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			gsp := tr.StartSpan("gather")
-			gsp.Annotate("backend", g.backend.Name)
-			defer gsp.End()
-			sub, _ := json.Marshal(serve.BatchRequest{Model: req.Model, Scenarios: g.scs})
-			pr := rt.proxy(r.Context(), g.backend, http.MethodPost, "/v1/predict/batch", sub, reqID, outboundTraceparent(r.Context()))
-			if !pr.ok() {
-				for _, alt := range rt.pool.Available() {
-					if alt.Name != g.backend.Name && alt.Gen(req.Model) >= floor {
-						rsp := gsp.StartChild("retry")
-						rsp.Annotate("backend", alt.Name)
-						pr = rt.proxy(r.Context(), alt, http.MethodPost, "/v1/predict/batch", sub, reqID, outboundTraceparent(r.Context()))
-						rsp.End()
-						break
-					}
-				}
-			}
-			gsp.AttachRemote(pr.backend, pr.traceSpans)
-			var sub2 batchResponse
-			if !pr.ok() || pr.status != http.StatusOK || json.Unmarshal(pr.body, &sub2) != nil ||
-				len(sub2.Results) != len(g.idx) {
-				ed := errorDetail{Code: CodeBackendUnavailable, Message: "backend call failed for this scenario's shard"}
-				mu.Lock()
-				for _, i := range g.idx {
-					results[i].Error = &ed
-				}
-				mu.Unlock()
-				return
+	errs := scatter(rt, r, "/v1/predict/batch", req.Scenarios, floor, notOK,
+		func(sr serve.ScenarioRequest) (string, string) {
+			sc := features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
+			return routeKey(req.Model, sc), req.Model
+		},
+		func(scs []serve.ScenarioRequest) any { return serve.BatchRequest{Model: req.Model, Scenarios: scs} },
+		func(idx []int, sub *batchResponse, backend string) bool {
+			if len(sub.Results) != len(idx) {
+				return false
 			}
 			subMax := uint64(0)
-			mu.Lock()
-			for j, i := range g.idx {
-				results[i] = sub2.Results[j]
-				if raw := sub2.Results[j].Result; raw != nil {
+			for j, i := range idx {
+				out.Results[i] = sub.Results[j]
+				if raw := sub.Results[j].Result; raw != nil {
 					var id predictIdentity
-					if json.Unmarshal(raw, &id) == nil {
-						if id.Generation > maxGen {
-							maxGen = id.Generation
-						}
-						if id.Generation > subMax {
-							subMax = id.Generation
-						}
+					if json.Unmarshal(raw, &id) == nil && id.Generation > subMax {
+						subMax = id.Generation
 					}
-					if modelName == "" {
-						modelName = sub2.Model
+					if out.Model == "" {
+						out.Model = sub.Model
 					}
 				}
 			}
-			mu.Unlock()
 			// Record the serving backend's generation in the pool before
 			// the shared floor rises past it (same ordering as predict).
 			if subMax > 0 {
-				if b := rt.pool.Get(pr.backend); b != nil {
-					b.NoteGeneration(sub2.Model, subMax)
-				}
+				rt.noteServed(backend, sub.Model, subMax)
 			}
-		}(g)
-	}
-	wg.Wait()
+			if subMax > maxGen {
+				maxGen = subMax
+			}
+			return true
+		})
 	rt.floors.raise(client, req.Model, maxGen)
 
-	out := batchResponse{Model: modelName, Results: results}
-	for i := range results {
-		if results[i].Error != nil {
+	for i := range out.Results {
+		if errs[i] != nil {
+			out.Results[i].Error = errs[i]
+		}
+		if out.Results[i].Error != nil {
 			out.Errors++
 		}
 	}
@@ -924,7 +989,11 @@ type obsResponse struct {
 	RetrainTriggered bool      `json:"retrain_triggered,omitempty"`
 }
 
-func (rt *Router) handleObservations(r *http.Request) (int, any) {
+// handleObservations forwards observation ingest. Ingest is an append,
+// not an idempotent read: it is never hedged, and it fails over only on
+// a drain shed (definitely not processed). A batch is scattered so each
+// backend folds its shard into a single group commit.
+func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -934,7 +1003,7 @@ func (rt *Router) handleObservations(r *http.Request) (int, any) {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
 	}
 	if len(req.Observations) > 1 {
-		return rt.scatterObservations(r, req)
+		return rt.scatterObservations(r, req.Observations)
 	}
 	one := req.ObservationRequest
 	if len(req.Observations) > 0 {
@@ -944,128 +1013,53 @@ func (rt *Router) handleObservations(r *http.Request) (int, any) {
 	cands := rt.candidates(routeKey(one.Model, sc), one.Model, 0)
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
-		return rt.retryableUnavailable(r, "no admissible backend")
+		return rt.retryableUnavailable(w, "no admissible backend")
 	}
 	reqID := r.Header.Get("X-Request-ID")
 	tr := obs.TraceFrom(r.Context())
+	tp := outboundTraceparent(tr)
 	routeStart := time.Now()
-	// Ingest is an append, not an idempotent read: never hedge it, and
-	// fail over only on a drain shed (definitely not processed).
-	var pr *proxyResult
-	for i, b := range cands {
-		name := "proxy"
-		if i > 0 {
-			name = "retry"
-		}
-		sp := tr.StartSpan(name)
-		sp.Annotate("backend", b.Name)
-		pr = rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, reqID, outboundTraceparent(r.Context()))
-		sp.AttachRemote(pr.backend, pr.traceSpans)
-		sp.End()
-		if !pr.shed {
-			break
-		}
-	}
+	pr := failover(tr.Root(), cands, shedOnly, func(b *Backend) *proxyResult {
+		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, reqID, tp)
+	})
 	if pr.err != nil {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "observation ingest failed: %v", pr.err)
 	}
 	if pr.shed {
-		return rt.retryableUnavailable(r, "all admissible candidates are draining")
+		return rt.retryableUnavailable(w, "all admissible candidates are draining")
 	}
-	return rt.replay(r, pr, hopStages{route: time.Since(routeStart) - pr.elapsed})
+	return rt.replay(w, pr, hopStages{route: time.Since(routeStart) - pr.elapsed})
 }
 
-// scatterObservations routes each observation of a batch to the
-// backend that owns its scenario key — the same consistent-hash
-// routing predict uses, so a scenario's observations land beside its
-// cached predictions and drift streams instead of all funnelling into
-// the first observation's owner. One sub-batch per owner is proxied
-// concurrently (each backend folds its shard into a single group
-// commit), and the shard responses merge back in request order.
-// Ingest sub-requests are never hedged; a shard fails over only on a
-// drain shed (definitely not processed).
-func (rt *Router) scatterObservations(r *http.Request, req serve.ObservationsRequest) (int, any) {
-	reqID := r.Header.Get("X-Request-ID")
-	tr := obs.TraceFrom(r.Context())
-	ssp := tr.StartSpan("scatter")
-	type group struct {
-		backend *Backend
-		idx     []int
-		obsr    []serve.ObservationRequest
-	}
-	groups := make(map[string]*group)
-	order := make([]string, 0, 4)
-	out := obsResponse{Results: make([]obsItem, len(req.Observations))}
-	unroutable := errorDetail{Code: CodeNoBackend, Message: "no admissible backend for this scenario"}
-	for i, or := range req.Observations {
-		sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
-		cands := rt.candidates(routeKey(or.Model, sc), or.Model, 0)
-		if len(cands) == 0 {
-			rt.metrics.noBackend.Inc()
-			out.Results[i].Error = &unroutable
-			out.Rejected++
-			continue
-		}
-		b := cands[0]
-		g := groups[b.Name]
-		if g == nil {
-			g = &group{backend: b}
-			groups[b.Name] = g
-			order = append(order, b.Name)
-		}
-		g.idx = append(g.idx, i)
-		g.obsr = append(g.obsr, or)
-	}
-	ssp.End()
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, name := range order {
-		g := groups[name]
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			gsp := tr.StartSpan("gather")
-			gsp.Annotate("backend", g.backend.Name)
-			defer gsp.End()
-			sub, _ := json.Marshal(serve.ObservationsRequest{Observations: g.obsr})
-			pr := rt.proxy(r.Context(), g.backend, http.MethodPost, "/v1/observations", sub, reqID, outboundTraceparent(r.Context()))
-			if pr.shed {
-				for _, alt := range rt.pool.Available() {
-					if alt.Name != g.backend.Name {
-						rsp := gsp.StartChild("retry")
-						rsp.Annotate("backend", alt.Name)
-						pr = rt.proxy(r.Context(), alt, http.MethodPost, "/v1/observations", sub, reqID, outboundTraceparent(r.Context()))
-						rsp.End()
-						break
-					}
-				}
+// scatterObservations shards a batch of observations by owner and
+// merges the shard responses back in request order.
+func (rt *Router) scatterObservations(r *http.Request, observations []serve.ObservationRequest) (int, any) {
+	out := obsResponse{Results: make([]obsItem, len(observations))}
+	errs := scatter(rt, r, "/v1/observations", observations, 0, shedOnly,
+		func(or serve.ObservationRequest) (string, string) {
+			sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
+			return routeKey(or.Model, sc), or.Model
+		},
+		func(shard []serve.ObservationRequest) any { return serve.ObservationsRequest{Observations: shard} },
+		func(idx []int, shard *obsResponse, _ string) bool {
+			if len(shard.Results) != len(idx) {
+				return false
 			}
-			gsp.AttachRemote(pr.backend, pr.traceSpans)
-			var shard obsResponse
-			if !pr.ok() || pr.status != http.StatusOK || json.Unmarshal(pr.body, &shard) != nil ||
-				len(shard.Results) != len(g.idx) {
-				ed := errorDetail{Code: CodeBackendUnavailable, Message: "backend call failed for this observation's shard"}
-				mu.Lock()
-				for _, i := range g.idx {
-					out.Results[i].Error = &ed
-					out.Rejected++
-				}
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
 			out.Accepted += shard.Accepted
 			out.Rejected += shard.Rejected
 			out.DriftTripped = out.DriftTripped || shard.DriftTripped
 			out.RetrainTriggered = out.RetrainTriggered || shard.RetrainTriggered
-			for j, i := range g.idx {
+			for j, i := range idx {
 				out.Results[i] = shard.Results[j]
 			}
-			mu.Unlock()
-		}(g)
+			return true
+		})
+	for i, ed := range errs {
+		if ed != nil {
+			out.Results[i].Error = ed
+			out.Rejected++
+		}
 	}
-	wg.Wait()
 	return http.StatusOK, out
 }
 
@@ -1103,13 +1097,13 @@ type RolloutResponse struct {
 // handler therefore issues catch-up reloads to any backend still below
 // the fleet maximum until the counters align (each extra reload re-reads
 // the same artefacts, so catch-ups are harmless no-op swaps).
-func (rt *Router) handleReload(r *http.Request) (int, any) {
+func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request) (int, any) {
 	rt.promoteMu.Lock()
 	defer rt.promoteMu.Unlock()
 	reqID := r.Header.Get("X-Request-ID")
 	resp := RolloutResponse{Completed: true}
 	reload := func(b *Backend, rb *RolloutBackend) bool {
-		pr := rt.proxy(r.Context(), b, http.MethodPost, "/v1/models/reload", nil, reqID, outboundTraceparent(r.Context()))
+		pr := rt.proxy(r.Context(), b, http.MethodPost, "/v1/models/reload", nil, reqID, outboundTraceparent(obs.TraceFrom(r.Context())))
 		switch {
 		case pr.err != nil:
 			rb.Error = pr.err.Error()
@@ -1199,7 +1193,7 @@ func truncate(b []byte, n int) string {
 // handleModels proxies the registry listing from the most-promoted
 // available backend, so discovery (coloload, clients) sees the newest
 // generation the fleet serves.
-func (rt *Router) handleModels(r *http.Request) (int, any) {
+func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) (int, any) {
 	avail := rt.pool.Available()
 	if len(avail) == 0 {
 		rt.metrics.noBackend.Inc()
@@ -1208,11 +1202,11 @@ func (rt *Router) handleModels(r *http.Request) (int, any) {
 	sort.SliceStable(avail, func(i, j int) bool { return avail[i].Gen("") > avail[j].Gen("") })
 	reqID := r.Header.Get("X-Request-ID")
 	start := time.Now()
-	pr := rt.proxy(r.Context(), avail[0], http.MethodGet, "/v1/models", nil, reqID, outboundTraceparent(r.Context()))
+	pr := rt.proxy(r.Context(), avail[0], http.MethodGet, "/v1/models", nil, reqID, outboundTraceparent(obs.TraceFrom(r.Context())))
 	if pr.err != nil || pr.shed {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "listing models failed")
 	}
-	return rt.replay(r, pr, hopStages{route: time.Since(start) - pr.elapsed})
+	return rt.replay(w, pr, hopStages{route: time.Since(start) - pr.elapsed})
 }
 
 // BackendInfo describes one pool entry for GET /v1/cluster.
@@ -1232,7 +1226,7 @@ type ClusterResponse struct {
 	Backends []BackendInfo `json:"backends"`
 }
 
-func (rt *Router) handleCluster(r *http.Request) (int, any) {
+func (rt *Router) handleCluster(_ http.ResponseWriter, r *http.Request) (int, any) {
 	resp := ClusterResponse{Replicas: rt.cfg.Replicas, Members: rt.pool.Members()}
 	for _, b := range rt.pool.Backends() {
 		resp.Backends = append(resp.Backends, BackendInfo{
@@ -1254,7 +1248,7 @@ type HealthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func (rt *Router) handleHealthz(r *http.Request) (int, any) {
+func (rt *Router) handleHealthz(_ http.ResponseWriter, r *http.Request) (int, any) {
 	resp := HealthResponse{Status: "ok", Replicas: rt.cfg.Replicas, UptimeSeconds: time.Since(rt.started).Seconds()}
 	for _, b := range rt.pool.Backends() {
 		resp.Backends++
@@ -1279,10 +1273,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reqID, tr := rt.ingress(w, r, "metrics", start)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	rt.metrics.reg.Write(w)
-	d := time.Since(start)
-	tr.Finish(http.StatusOK, false)
-	rt.logRequest(r, "metrics", reqID, http.StatusOK, d)
-	rt.scrapes.Observe(d, false)
+	rt.finish(tr, rt.scrapes, "metrics", reqID, http.StatusOK, start)
 }
 
 // ---- traces / SLO / fleet metrics ----
@@ -1290,34 +1281,22 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleTraces serves the router's trace ring: stitched cross-process
 // trees whose proxy spans carry the winning backend's own span tree
 // (decode → cache → eval → encode) under the router's trace ID. Query
-// parameters match the serve tier: endpoint, kind, min_ms, limit.
-func (rt *Router) handleTraces(r *http.Request) (int, any) {
+// parameters match the serve tier (obs.FilterFromQuery).
+func (rt *Router) handleTraces(_ http.ResponseWriter, r *http.Request) (int, any) {
 	if rt.tracer == nil {
 		return errJSON(http.StatusServiceUnavailable, CodeTracingDisabled,
 			"this router is running without the trace ring (negative TraceRing)")
 	}
-	q := r.URL.Query()
-	f := obs.Filter{Name: q.Get("endpoint"), Kind: q.Get("kind")}
-	if v := q.Get("min_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			return errJSON(http.StatusBadRequest, CodeBadRequest, "bad min_ms %q", v)
-		}
-		f.MinDuration = time.Duration(ms * 1e6)
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return errJSON(http.StatusBadRequest, CodeBadRequest, "bad limit %q", v)
-		}
-		f.Limit = n
+	f, err := obs.FilterFromQuery(r.URL.Query())
+	if err != nil {
+		return errJSON(http.StatusBadRequest, CodeBadRequest, "%v", err)
 	}
 	traces := rt.tracer.Snapshot(f)
 	return http.StatusOK, serve.TracesResponse{Stats: rt.tracer.Stats(), Count: len(traces), Traces: traces}
 }
 
 // handleSLO serves the router's predict-path SLO verdict.
-func (rt *Router) handleSLO(r *http.Request) (int, any) {
+func (rt *Router) handleSLO(_ http.ResponseWriter, r *http.Request) (int, any) {
 	if rt.slo == nil {
 		return errJSON(http.StatusServiceUnavailable, CodeSLODisabled,
 			"this router is running without SLO tracking (negative SLOObjective)")
@@ -1381,10 +1360,7 @@ func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fw.Flush(w)
 	rt.metrics.reg.Write(w)
-	d := time.Since(start)
-	tr.Finish(http.StatusOK, false)
-	rt.logRequest(r, "fleet_metrics", reqID, http.StatusOK, d)
-	rt.fleetScrapes.Observe(d, false)
+	rt.finish(tr, rt.fleetScrapes, "fleet_metrics", reqID, http.StatusOK, start)
 }
 
 // ListenAndServe runs the router on addr until ctx is cancelled, then

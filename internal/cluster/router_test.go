@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -602,8 +603,9 @@ func TestHealthzAndClusterEndpoints(t *testing.T) {
 func TestBatchScatterGather(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
+	c := newFakeBackend(t, "c")
 	// The fakes need a batch endpoint; answer each scenario in order.
-	for _, fb := range []*fakeBackend{a, b} {
+	for _, fb := range []*fakeBackend{a, b, c} {
 		fb := fb
 		mux := fb.ts.Config.Handler.(*http.ServeMux)
 		mux.HandleFunc("POST /v1/predict/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -647,6 +649,43 @@ func TestBatchScatterGather(t *testing.T) {
 		}
 		if id.Target != wantTargets[i] {
 			t.Fatalf("slot %d answered for %q, want %q (order lost in scatter-gather)", i, id.Target, wantTargets[i])
+		}
+	}
+
+	// Property: however the ring partitions a random batch over three
+	// owners, the gathered response equals the answer of a fleet of one
+	// (no partition at all) slot for slot.
+	fleet := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b, c)
+	solo := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		scs := make([]string, 1+rng.Intn(48))
+		owners := map[string]bool{}
+		for i := range scs {
+			sc := features.Scenario{Target: fmt.Sprintf("app%d", rng.Intn(500)), CoApps: []string{"ep"}, PState: 0}
+			scs[i] = fmt.Sprintf(`{"target":%q,"co_apps":["ep"],"pstate":0}`, sc.Target)
+			owners[fleet.pool.Replicas(routeKey("demo", sc), 1)[0].Name] = true
+		}
+		body := `{"model":"demo","scenarios":[` + strings.Join(scs, ",") + `]}`
+		var got, want batchResponse
+		for rt, into := range map[*Router]*batchResponse{fleet: &got, solo: &want} {
+			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", body, nil)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("round %d: batch returned %d: %s", round, rec.Code, rec.Body.String())
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.Model != want.Model || got.Errors != 0 || want.Errors != 0 || len(got.Results) != len(scs) || len(want.Results) != len(scs) {
+			t.Fatalf("round %d (%d owners): fleet model=%q errors=%d results=%d, solo model=%q errors=%d results=%d",
+				round, len(owners), got.Model, got.Errors, len(got.Results), want.Model, want.Errors, len(want.Results))
+		}
+		for i := range scs {
+			if string(got.Results[i].Result) != string(want.Results[i].Result) {
+				t.Fatalf("round %d slot %d (%d owners): gathered %s, single backend answers %s",
+					round, i, len(owners), got.Results[i].Result, want.Results[i].Result)
+			}
 		}
 	}
 }

@@ -319,3 +319,19 @@ func TestRouterSLOEndpoint(t *testing.T) {
 		t.Fatalf("disabled tracing returned %d, want 503", rec.Code)
 	}
 }
+
+// TestTracesBadQueryIsTyped400: the router keeps its own typed 400 over
+// the filter parser it shares with the serve tier.
+func TestTracesBadQueryIsTyped400(t *testing.T) {
+	rt := newTestRouter(t, Config{}, newFakeBackend(t, "a"))
+	for _, bad := range []string{"min_ms=abc", "min_ms=-1", "limit=x", "limit=-2"} {
+		rec := doReq(t, rt.Handler(), http.MethodGet, "/v1/traces?"+bad, "", nil)
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusBadRequest || eb.Error.Code != CodeBadRequest {
+			t.Fatalf("%s: status %d code %q, want a typed 400", bad, rec.Code, eb.Error.Code)
+		}
+	}
+}

@@ -7,11 +7,9 @@
 // monitor can notice when the two diverge and the retraining
 // controller can fold real observations back into the training set.
 //
-// The package exposes a small Store interface with three
+// The package exposes a small Store interface with two
 // implementations selected by Config: a file-backed group-commit Log
-// (Dir set), a memory-only MemStore (Dir empty), and an
-// object-store-shaped ObjectLog (NewObjectLog) for embedders that keep
-// observations in a blob store.
+// (Dir set) and a memory-only MemStore (Dir empty).
 //
 // Durability model (file-backed): the log is a directory of segment
 // files. Each record is one line — an 8-hex-digit CRC32 of the JSON

@@ -572,7 +572,7 @@ func TestRetention(t *testing.T) {
 	})
 }
 
-// TestStoreParity: the three Store implementations agree on what was
+// TestStoreParity: the two Store implementations agree on what was
 // stored.
 func TestStoreParity(t *testing.T) {
 	var seq []Observation
@@ -590,14 +590,8 @@ func TestStoreParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	objects := NewMemObjects()
-	objl, err := NewObjectLog(objects, Config{MaxSegmentRecords: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer objl.Close()
 
-	for name, s := range map[string]Store{"file": file, "mem": mem, "object": objl} {
+	for name, s := range map[string]Store{"file": file, "mem": mem} {
 		if err := s.AppendAll(seq); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -615,18 +609,6 @@ func TestStoreParity(t *testing.T) {
 			t.Fatalf("%s: Recent wrong: %+v", name, got)
 		}
 	}
-
-	// ObjectLog durability is at sealed-segment granularity by design:
-	// a reopen over the same object store recovers the 8 sealed records
-	// and loses the 2-record in-memory tail.
-	re, err := NewObjectLog(objects, Config{MaxSegmentRecords: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Len() != 8 || re.Segments() != 2 {
-		t.Fatalf("object reopen: len=%d segments=%d, want 8/2", re.Len(), re.Segments())
-	}
-	re.Close()
 }
 
 // TestAppendAfterClose: every implementation rejects appends once

@@ -8,8 +8,8 @@ import (
 
 // Store is the observation log abstraction the rest of the system
 // consumes: serve ingests through it, drift/retrain read through it.
-// Implementations: the file-backed group-commit *Log, the memory-only
-// *MemStore, and the object-store-shaped *ObjectLog.
+// Implementations: the file-backed group-commit *Log and the
+// memory-only *MemStore.
 type Store interface {
 	// Append stores one observation durably (one-record AppendBatch).
 	Append(o Observation) error

@@ -12,10 +12,8 @@ import (
 // at path: the file holds a JSON array of artifacts keyed by bench
 // name; an entry with the same name is replaced in place, every other
 // entry is preserved, and the array stays sorted by name so re-running
-// one benchmark produces a minimal diff. A legacy single-object file
-// (the format before cluster benchmarks joined the trajectory) is
-// adopted as a one-entry array. The merged set is written back and
-// returned.
+// one benchmark produces a minimal diff. The merged set is written back
+// and returned.
 func MergeArtifact(path string, art BenchArtifact) ([]BenchArtifact, error) {
 	raw, err := json.Marshal(art)
 	if err != nil {
@@ -36,11 +34,10 @@ func MergeArtifact(path string, art BenchArtifact) ([]BenchArtifact, error) {
 
 // MergeRawArtifact is the schema-free core of the trajectory format:
 // it folds one pre-encoded artifact object into the file at path,
-// keyed by the object's "bench" field ("benchmark" is accepted as a
-// legacy alias so trajectories started before the array format can be
-// adopted in place). Entries with other schemas — different tools
-// share one trajectory file — pass through byte-for-byte. The merged,
-// name-sorted set is written back and returned.
+// keyed by the object's "bench" field. Entries with other schemas —
+// different tools share one trajectory file — pass through
+// byte-for-byte. The merged, name-sorted set is written back and
+// returned.
 func MergeRawArtifact(path string, art json.RawMessage) ([]json.RawMessage, error) {
 	key, err := artifactKey(art)
 	if err != nil {
@@ -50,9 +47,10 @@ func MergeRawArtifact(path string, art json.RawMessage) ([]json.RawMessage, erro
 	raw, err := os.ReadFile(path)
 	switch {
 	case err == nil:
-		arts, err = decodeRawArtifacts(raw)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: parsing %s: %w", path, err)
+		if len(bytes.TrimSpace(raw)) > 0 {
+			if err := json.Unmarshal(raw, &arts); err != nil {
+				return nil, fmt.Errorf("loadgen: parsing %s: %w", path, err)
+			}
 		}
 	case os.IsNotExist(err):
 		// First write: start a fresh trajectory.
@@ -97,39 +95,13 @@ func MergeRawArtifact(path string, art json.RawMessage) ([]json.RawMessage, erro
 // artifactKey extracts the bench name of one artifact object.
 func artifactKey(raw json.RawMessage) (string, error) {
 	var probe struct {
-		Bench     string `json:"bench"`
-		Benchmark string `json:"benchmark"` // legacy single-object key
+		Bench string `json:"bench"`
 	}
 	if err := json.Unmarshal(raw, &probe); err != nil {
 		return "", fmt.Errorf("loadgen: artifact is not a JSON object: %w", err)
 	}
-	switch {
-	case probe.Bench != "":
-		return probe.Bench, nil
-	case probe.Benchmark != "":
-		return probe.Benchmark, nil
-	default:
+	if probe.Bench == "" {
 		return "", fmt.Errorf("loadgen: artifact has no bench name")
 	}
-}
-
-// decodeRawArtifacts parses a trajectory file: a JSON array of
-// artifacts, or one bare artifact object from before the format grew.
-func decodeRawArtifacts(raw []byte) ([]json.RawMessage, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return nil, nil
-	}
-	if trimmed[0] == '[' {
-		var arts []json.RawMessage
-		if err := json.Unmarshal(trimmed, &arts); err != nil {
-			return nil, err
-		}
-		return arts, nil
-	}
-	var one json.RawMessage
-	if err := json.Unmarshal(trimmed, &one); err != nil {
-		return nil, err
-	}
-	return []json.RawMessage{one}, nil
+	return probe.Bench, nil
 }

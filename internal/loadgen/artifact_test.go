@@ -53,48 +53,28 @@ func TestMergeArtifactFreshAndReplace(t *testing.T) {
 	}
 }
 
-func TestMergeArtifactAdoptsLegacyObject(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	legacy := BenchArtifact{Bench: "ci-soak", Pass: true}
-	raw, _ := json.MarshalIndent(legacy, "", "  ")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := MergeArtifact(path, BenchArtifact{Bench: "cluster-soak", Pass: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 2 {
-		t.Fatalf("legacy single-object file not adopted: %+v", merged)
-	}
-	arts := readArtifacts(t, path)
-	if arts[0].Bench != "ci-soak" || arts[1].Bench != "cluster-soak" {
-		t.Fatalf("adopted trajectory out of order: %+v", arts)
-	}
-}
-
 func TestMergeArtifactRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeArtifact(path, BenchArtifact{Bench: "x"}); err == nil {
-		t.Fatal("MergeArtifact silently overwrote an unparseable trajectory file")
+	// Anything but a JSON array of artifacts, a bare artifact object
+	// included, is left alone.
+	for _, garbage := range []string{"not json", `{"bench":"ci-soak","pass":true}`} {
+		if err := os.WriteFile(path, []byte(garbage), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := MergeArtifact(path, BenchArtifact{Bench: "x"}); err == nil {
+			t.Fatalf("MergeArtifact silently overwrote an unparseable trajectory file %q", garbage)
+		}
 	}
 }
 
-func TestMergeRawArtifactAdoptsLegacyBenchmarkKey(t *testing.T) {
+func TestMergeRawArtifactPreservesForeignSchemas(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_train.json")
-	// A pre-array trajectory: one bare object keyed "benchmark", with
-	// fields no loadgen schema knows about.
-	legacy := `{"benchmark":"train-scg-batched","go_version":"go1.24.0","cases":[{"name":"batched/rows64","ns_per_op":1575420}]}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+	// An entry with fields no loadgen schema knows about.
+	foreign := `[{"bench":"train-scg-batched","go_version":"go1.24.0","cases":[{"name":"batched/rows64","ns_per_op":1575420}]}]`
+	if err := os.WriteFile(path, []byte(foreign), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Merging a differently-keyed artifact adopts the legacy object into
-	// the array and preserves it byte-for-byte semantically.
 	merged, err := MergeRawArtifact(path, json.RawMessage(`{"bench":"predict-path","cases":[]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -121,15 +101,7 @@ func TestMergeRawArtifactAdoptsLegacyBenchmarkKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	if train.GoVersion != "go1.24.0" || len(train.Cases) != 1 || train.Cases[0].NsPerOp != 1575420 {
-		t.Fatalf("legacy entry's foreign fields were not preserved: %s", merged[1])
-	}
-
-	// Re-merging under the legacy alias replaces the adopted entry.
-	if merged, err = MergeRawArtifact(path, json.RawMessage(`{"bench":"train-scg-batched","cases":[]}`)); err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 2 {
-		t.Fatalf("replace under legacy alias appended instead: %d entries", len(merged))
+		t.Fatalf("entry's foreign fields were not preserved: %s", merged[1])
 	}
 }
 

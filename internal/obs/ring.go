@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"net/url"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -108,6 +111,30 @@ type Filter struct {
 	MinDuration time.Duration
 	// Limit caps the result count (newest first). 0 = no cap.
 	Limit int
+}
+
+// FilterFromQuery parses the GET /v1/traces query parameters both tiers
+// serve: endpoint (exact match on the traced endpoint), kind ("http" or
+// "retrain"), min_ms (minimum duration in milliseconds) and limit
+// (newest-first cap). A malformed or negative number is an error whose
+// text is fit for a typed 400.
+func FilterFromQuery(q url.Values) (Filter, error) {
+	f := Filter{Name: q.Get("endpoint"), Kind: q.Get("kind")}
+	if v := q.Get("min_ms"); v != "" {
+		ms, err := strconv.ParseFloat(v, 64)
+		if err != nil || ms < 0 {
+			return Filter{}, fmt.Errorf("bad min_ms %q", v)
+		}
+		f.MinDuration = time.Duration(ms * 1e6)
+	}
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return Filter{}, fmt.Errorf("bad limit %q", v)
+		}
+		f.Limit = n
+	}
+	return f, nil
 }
 
 // Snapshot returns retained traces matching the filter, newest first.

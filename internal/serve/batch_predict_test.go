@@ -155,12 +155,12 @@ func TestCacheHitLookupZeroAllocs(t *testing.T) {
 	ks := keyPool.Get().(*keyScratch)
 	defer keyPool.Put(ks)
 	ks.build("primary", 7, sc)
-	c.PutBytes(ks.buf, prediction{Seconds: 3.5, Slowdown: 1.2})
+	c.Put(string(ks.buf), prediction{Seconds: 3.5, Slowdown: 1.2})
 
 	hits := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		ks.build("primary", 7, sc)
-		if _, ok := c.GetBytes(ks.buf); ok {
+		if _, ok := c.Get(ks.buf); ok {
 			hits++
 		}
 	})

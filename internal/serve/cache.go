@@ -128,23 +128,10 @@ func (k *keyScratch) build(model string, gen uint64, sc features.Scenario) {
 	k.buf = b
 }
 
-// fnv1a hashes a key for shard selection.
-func fnv1a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
-// fnv1aBytes is fnv1a over raw key bytes (identical digest for identical
-// bytes, so string and byte keyed access hit the same shard).
-func fnv1aBytes(s []byte) uint64 {
+// fnv1a hashes a key for shard selection: one body for the string keys
+// Put stores and the raw key bytes Get probes with, so both land on the
+// same shard.
+func fnv1a[K string | []byte](s K) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -161,20 +148,12 @@ func (c *Cache) shard(key string) *cacheShard {
 	return &c.shards[fnv1a(key)&c.mask]
 }
 
-// Get returns the memoised prediction for key, if present.
-func (c *Cache) Get(key string) (prediction, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	p, ok := s.entries[key]
-	s.mu.Unlock()
-	return p, ok
-}
-
-// GetBytes is Get keyed by raw bytes (a keyScratch buffer). The map
-// access compiles to a no-allocation lookup, which keeps the cache-hit
-// predict path free of per-request garbage.
-func (c *Cache) GetBytes(key []byte) (prediction, bool) {
-	s := &c.shards[fnv1aBytes(key)&c.mask]
+// Get returns the memoised prediction for key, if present. The key is
+// raw bytes (a keyScratch buffer): the map access compiles to a
+// no-allocation lookup, which keeps the cache-hit predict path free of
+// per-request garbage.
+func (c *Cache) Get(key []byte) (prediction, bool) {
+	s := &c.shards[fnv1a(key)&c.mask]
 	s.mu.Lock()
 	p, ok := s.entries[string(key)]
 	s.mu.Unlock()
@@ -182,7 +161,8 @@ func (c *Cache) GetBytes(key []byte) (prediction, bool) {
 }
 
 // Put memoises a prediction, evicting the oldest entry in the shard if
-// it is full.
+// it is full. The string key is materialised by the caller, on the miss
+// path, where the model evaluation dominates anyway.
 func (c *Cache) Put(key string, p prediction) {
 	s := c.shard(key)
 	s.mu.Lock()
@@ -195,12 +175,6 @@ func (c *Cache) Put(key string, p prediction) {
 	}
 	s.entries[key] = p
 	s.mu.Unlock()
-}
-
-// PutBytes is Put keyed by raw bytes; the string key is materialised only
-// here, on the miss path, where the model evaluation dominates anyway.
-func (c *Cache) PutBytes(key []byte, p prediction) {
-	c.Put(string(key), p)
 }
 
 // Len returns the current number of memoised predictions.

@@ -129,31 +129,31 @@ func TestCacheEvictsFIFOAtShardCapacity(t *testing.T) {
 	k1, k2, k3 := keys[0], keys[1], keys[2]
 
 	c.Put(k1, prediction{Seconds: 1})
-	if p, ok := c.Get(k1); !ok || p.Seconds != 1 {
+	if p, ok := c.Get([]byte(k1)); !ok || p.Seconds != 1 {
 		t.Fatalf("k1 missing right after Put: %v %v", p, ok)
 	}
 
 	// Updating the resident key must not evict it.
 	c.Put(k1, prediction{Seconds: 10})
-	if p, ok := c.Get(k1); !ok || p.Seconds != 10 {
+	if p, ok := c.Get([]byte(k1)); !ok || p.Seconds != 10 {
 		t.Fatalf("update lost: %v %v", p, ok)
 	}
 
 	// A second key in the same one-slot shard evicts the first.
 	c.Put(k2, prediction{Seconds: 2})
-	if _, ok := c.Get(k1); ok {
+	if _, ok := c.Get([]byte(k1)); ok {
 		t.Fatal("k1 survived past shard capacity")
 	}
-	if p, ok := c.Get(k2); !ok || p.Seconds != 2 {
+	if p, ok := c.Get([]byte(k2)); !ok || p.Seconds != 2 {
 		t.Fatalf("k2 missing after eviction: %v %v", p, ok)
 	}
 
 	// FIFO continues: k3 evicts k2.
 	c.Put(k3, prediction{Seconds: 3})
-	if _, ok := c.Get(k2); ok {
+	if _, ok := c.Get([]byte(k2)); ok {
 		t.Fatal("k2 survived past shard capacity")
 	}
-	if _, ok := c.Get(k3); !ok {
+	if _, ok := c.Get([]byte(k3)); !ok {
 		t.Fatal("k3 missing")
 	}
 }
@@ -180,7 +180,7 @@ func TestCacheCapacityBound(t *testing.T) {
 func TestCacheTinyCapacityRoundsUp(t *testing.T) {
 	c := NewCache(1)
 	c.Put("a", prediction{Seconds: 1})
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get([]byte("a")); !ok {
 		t.Fatal("single-slot shard cannot hold an entry")
 	}
 }

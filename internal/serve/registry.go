@@ -27,11 +27,6 @@ type registryEntry struct {
 	path  string // source artefact, "" if the model was added in-process
 	gen   atomic.Uint64
 	model atomic.Pointer[servedModel]
-	// reps holds the entry's per-P-core compiled replicas (replicas.go).
-	// Slots pin themselves to whatever model pointer they last compiled,
-	// so a Swap needs no replica bookkeeping: each slot notices the new
-	// pointer on its next acquisition and recompiles then.
-	reps *replicaSet
 }
 
 // servedModel is a model plus what every reply derives from it, worked
@@ -95,7 +90,7 @@ func (r *Registry) Add(name string, path string, m *core.Model) error {
 	if _, dup := r.entries[name]; dup {
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
-	e := &registryEntry{name: name, path: path, reps: newReplicaSet(0)}
+	e := &registryEntry{name: name, path: path}
 	e.store(m)
 	e.gen.Store(1)
 	r.entries[name] = e

@@ -455,13 +455,11 @@ func (s *Server) handlePredict(r *http.Request, tr *obs.Trace) (int, any) {
 }
 
 // resolved is one request's view of a registry entry: the model with
-// its rendered spec, its serving generation, and the entry's per-P-core
-// replica set for the compiled fast path.
+// its rendered spec and its serving generation.
 type resolved struct {
 	name string
 	*servedModel
-	gen  uint64
-	reps *replicaSet
+	gen uint64
 }
 
 // resolveModel maps a (possibly empty) request model name to a registry
@@ -478,7 +476,7 @@ func (s *Server) resolveModel(name string) (resolved, *Error) {
 		return resolved{}, asError(err)
 	}
 	sm, gen := e.snapshot()
-	return resolved{name: name, servedModel: sm, gen: gen, reps: e.reps}, nil
+	return resolved{name: name, servedModel: sm, gen: gen}, nil
 }
 
 // validateScenario rejects requests the model cannot serve before any
@@ -524,8 +522,8 @@ func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenar
 // the cache lookup and (on a miss) the model evaluation as children of
 // parent — the root span for single predicts. The cache key is built in
 // pooled scratch and looked up by raw bytes, so a cache hit allocates
-// nothing; a miss evaluates through one of the entry's per-P-core
-// compiled replicas (replicas.go) when one is free.
+// nothing; a miss evaluates through Model.Predict, which checks a
+// compiled instance out of the model's own pool.
 func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario, resp *PredictResponse) *Error {
 	if e := initPredictResponse(resp, rm, sc); e != nil {
 		return e
@@ -535,7 +533,7 @@ func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario,
 		ks = keyPool.Get().(*keyScratch)
 		ks.build(rm.name, rm.gen, sc)
 		csp := parent.StartChild("cache")
-		p, ok := s.cache.GetBytes(ks.buf)
+		p, ok := s.cache.Get(ks.buf)
 		csp.End()
 		if ok {
 			keyPool.Put(ks)
@@ -546,7 +544,7 @@ func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario,
 		s.metrics.cacheMisses.Inc()
 	}
 	esp := parent.StartChild("eval")
-	seconds, err := evalScalar(rm.reps, rm.m, sc)
+	seconds, err := rm.m.Predict(sc)
 	esp.End()
 	if err != nil {
 		if ks != nil {
@@ -556,7 +554,7 @@ func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario,
 	}
 	p := prediction{Seconds: seconds, Slowdown: seconds / resp.BaselineSeconds}
 	if ks != nil {
-		s.cache.PutBytes(ks.buf, p)
+		s.cache.Put(string(ks.buf), p)
 		keyPool.Put(ks)
 	}
 	resp.PredictedSeconds, resp.PredictedSlowdown = p.Seconds, p.Slowdown
@@ -641,7 +639,7 @@ func (s *Server) handlePredictBatch(r *http.Request, tr *obs.Trace) (int, any) {
 		}
 		if s.cache != nil {
 			ks.build(rm.name, rm.gen, sc)
-			if p, ok := s.cache.GetBytes(ks.buf); ok {
+			if p, ok := s.cache.Get(ks.buf); ok {
 				s.metrics.cacheHits.Inc()
 				resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
 				results[i].Result = resp
@@ -664,7 +662,7 @@ func (s *Server) handlePredictBatch(r *http.Request, tr *obs.Trace) (int, any) {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = ctxErr
 		} else {
-			preds, err = evalBatch(rm.reps, rm.m, missScs)
+			preds, err = rm.m.PredictScenarios(missScs)
 		}
 		esp.End()
 		if err != nil {
@@ -896,29 +894,16 @@ type TracesResponse struct {
 	Traces []*obs.TraceData `json:"traces"`
 }
 
-// handleTraces serves the trace ring. Query parameters: endpoint
-// (exact match on the traced endpoint), kind ("http" or "retrain"),
-// min_ms (minimum duration in milliseconds), limit (newest-first cap).
+// handleTraces serves the trace ring; obs.FilterFromQuery documents
+// the query parameters.
 func (s *Server) handleTraces(r *http.Request, _ *obs.Trace) (int, any) {
 	if s.tracer == nil {
 		return errBody(&Error{Status: http.StatusServiceUnavailable, Code: CodeTracingDisabled,
 			Message: "this server is running without the trace ring (negative TraceRing)"})
 	}
-	q := r.URL.Query()
-	f := obs.Filter{Name: q.Get("endpoint"), Kind: q.Get("kind")}
-	if v := q.Get("min_ms"); v != "" {
-		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
-			return errBody(badRequest(CodeBadRequest, "bad min_ms %q", v))
-		}
-		f.MinDuration = time.Duration(ms * 1e6)
-	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return errBody(badRequest(CodeBadRequest, "bad limit %q", v))
-		}
-		f.Limit = n
+	f, err := obs.FilterFromQuery(r.URL.Query())
+	if err != nil {
+		return errBody(badRequest(CodeBadRequest, "%v", err))
 	}
 	traces := s.tracer.Snapshot(f)
 	return http.StatusOK, TracesResponse{Stats: s.tracer.Stats(), Count: len(traces), Traces: traces}
