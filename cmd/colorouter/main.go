@@ -48,54 +48,46 @@ import (
 )
 
 func main() {
-	var (
-		listen   = flag.String("listen", ":8080", "address to serve on")
-		replicas = flag.Int("replicas", 2, "replica-set size per scenario key")
-		vnodes   = flag.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
-		probe    = flag.Duration("probe-interval", 2*time.Second, "health/generation probe interval")
-		eject    = flag.Int("eject-after", 3, "consecutive probe failures before a backend is ejected")
-		hedge    = flag.Duration("hedge-after", 0, "hedge delay for predict calls (0 = derive from observed p95, negative disables)")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		drain    = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
-
-		logFormat = flag.String("log-format", "json", "structured request log format: json, text, or off")
-
-		traceRing    = flag.Int("trace-ring", 256, "stitched traces retained for /v1/traces (negative disables tracing)")
-		slowMS       = flag.Int("slow-ms", 100, "slow-request threshold in ms for trace retention and warn logs (0 retains everything)")
-		sloObjective = flag.Float64("slo-objective", 0.999, "predict success-rate objective for burn-rate alerts (negative disables)")
-		sloLatency   = flag.Duration("slo-latency", 250*time.Millisecond, "predict latency target counted against the SLO (0 = availability only)")
-		fleetTimeout = flag.Duration("fleet-scrape-timeout", 2*time.Second, "per-backend timeout for /v1/fleet/metrics scrapes")
-
-		backends backendArgs
-	)
-	flag.Var(&backends, "backend", "backend to join, as name=url or bare url (repeatable)")
-	flag.Parse()
-	cfg := cluster.Config{
-		Replicas:           *replicas,
-		VirtualNodes:       *vnodes,
-		ProbeInterval:      *probe,
-		EjectAfter:         *eject,
-		HedgeAfter:         *hedge,
-		RequestTimeout:     *timeout,
-		TraceRing:          *traceRing,
-		SlowThreshold:      slowFlag(*slowMS),
-		SLOObjective:       *sloObjective,
-		SLOLatencyTarget:   *sloLatency,
-		FleetScrapeTimeout: *fleetTimeout,
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(o)
 	}
-	if err := run(*listen, *drain, *logFormat, cfg, backends); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "colorouter:", err)
 		os.Exit(1)
 	}
 }
 
-// slowFlag maps the -slow-ms convention (0 = everything is slow) onto
-// the config convention (0 = default, negative = everything).
-func slowFlag(ms int) time.Duration {
-	if ms <= 0 {
-		return -1
+// options is the parsed command line.
+type options struct {
+	listen   string
+	drain    time.Duration
+	cfg      cluster.Config
+	backends backendArgs
+}
+
+// parseFlags declares the router's flags on fs and parses args into
+// options; request logs go to stderr.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.listen, "listen", ":8080", "address to serve on")
+	fs.IntVar(&o.cfg.Replicas, "replicas", 2, "replica-set size per scenario key")
+	fs.IntVar(&o.cfg.VirtualNodes, "vnodes", 64, "virtual nodes per backend on the hash ring")
+	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 2*time.Second, "health/generation probe interval")
+	fs.IntVar(&o.cfg.EjectAfter, "eject-after", 3, "consecutive probe failures before a backend is ejected")
+	fs.DurationVar(&o.cfg.HedgeAfter, "hedge-after", 0, "hedge delay for predict calls (0 = derive from observed p95, negative disables)")
+	fs.DurationVar(&o.cfg.RequestTimeout, "timeout", 10*time.Second, "per-request timeout")
+	fs.DurationVar(&o.drain, "drain", 15*time.Second, "shutdown drain budget for in-flight requests")
+	fs.DurationVar(&o.cfg.FleetScrapeTimeout, "fleet-scrape-timeout", 2*time.Second, "per-backend timeout for /v1/fleet/metrics scrapes")
+	fs.Var(&o.backends, "backend", "backend to join, as name=url or bare url (repeatable)")
+	edge := obs.EdgeFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	return time.Duration(ms) * time.Millisecond
+	ec, err := edge(os.Stderr)
+	o.cfg.Logger, o.cfg.TraceRing, o.cfg.SlowThreshold = ec.Logger, ec.TraceRing, ec.SlowThreshold
+	o.cfg.SLOObjective, o.cfg.SLOLatencyTarget = ec.SLOObjective, ec.SLOLatencyTarget
+	return o, err
 }
 
 // backendArgs collects repeated -backend flags.
@@ -126,17 +118,13 @@ func parseBackendArg(arg string) (name, base string, err error) {
 	return name, arg, nil
 }
 
-func run(listen string, drain time.Duration, logFormat string, cfg cluster.Config, backends backendArgs) error {
-	if len(backends) == 0 {
+func run(o options) error {
+	if len(o.backends) == 0 {
 		return fmt.Errorf("no backends: pass at least one -backend url")
 	}
-	logger, err := obs.NewLogger(os.Stderr, logFormat, 0)
-	if err != nil {
-		return err
-	}
-	cfg.Logger = logger
+	cfg := o.cfg
 	rt := cluster.New(cfg)
-	for _, arg := range backends {
+	for _, arg := range o.backends {
 		name, base, err := parseBackendArg(arg)
 		if err != nil {
 			return err
@@ -156,8 +144,8 @@ func run(listen string, drain time.Duration, logFormat string, cfg cluster.Confi
 		hedgeDesc = "off"
 	}
 	fmt.Printf("routing on %s (replicas %d, vnodes %d, probe %s, hedge %s, timeout %s, drain %s)\n",
-		listen, cfg.Replicas, cfg.VirtualNodes, cfg.ProbeInterval, hedgeDesc, cfg.RequestTimeout, drain)
-	if err := rt.ListenAndServe(ctx, listen, drain); err != nil {
+		o.listen, cfg.Replicas, cfg.VirtualNodes, cfg.ProbeInterval, hedgeDesc, cfg.RequestTimeout, o.drain)
+	if err := rt.ListenAndServe(ctx, o.listen, o.drain); err != nil {
 		return err
 	}
 	fmt.Println("drained, exiting")

@@ -69,12 +69,7 @@ func main() {
 		drain   = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
 		cache   = flag.Int("cache", 65536, "prediction cache capacity in entries (negative disables)")
 
-		logFormat = flag.String("log-format", "json", "structured request log format: json, text, or off")
-		slowMS    = flag.Float64("slow-ms", 100, "slow-request threshold in ms for log sampling and trace retention (0 = retain and warn on everything)")
-		traceRing = flag.Int("trace-ring", 256, "retained-trace ring capacity (0 disables tracing)")
-		sloObj    = flag.Float64("slo-objective", 0.999, "predict success-rate objective for /v1/slo burn-rate alerts (0 disables)")
-		sloLat    = flag.Duration("slo-latency", 250*time.Millisecond, "predict latency target counted against the SLO (0 = availability only)")
-		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 		adapt     = flag.Bool("adapt", false, "enable the online adaptation loop (observations, drift detection, gated retraining)")
 		obslog    = flag.String("obslog", "", "directory for the durable observation log (empty = in-memory only)")
@@ -88,17 +83,20 @@ func main() {
 		models    modelArgs
 	)
 	flag.Var(&models, "model", "model artefact to serve, as path or name=path (repeatable; first is the default)")
+	edge := obs.EdgeFlags(flag.CommandLine)
 	flag.Parse()
 	retention, err := parseRetention(*obsRetain)
+	var ec obs.EdgeConfig
+	if err == nil {
+		ec, err = edge(os.Stderr)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coloserve:", err)
 		os.Exit(1)
 	}
 	cfg := adaptArgs{enabled: *adapt, obslog: *obslog, dataset: *dataset, margin: *margin, lambda: *lambda, minObs: *minObs,
 		commitInterval: *obsCommit, queue: *obsQueue, retention: retention}
-	ocfg := obsArgs{logFormat: *logFormat, slowMS: *slowMS, traceRing: *traceRing,
-		sloObjective: *sloObj, sloLatency: *sloLat, pprof: *pprofOn}
-	if err := run(*listen, *timeout, *drain, *cache, models, cfg, ocfg); err != nil {
+	if err := run(*listen, *timeout, *drain, *cache, models, cfg, ec, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "coloserve:", err)
 		os.Exit(1)
 	}
@@ -188,60 +186,6 @@ func parseByteSize(s string) (n int64, ok bool, err error) {
 		return int64(v * float64(u.mult)), true, nil
 	}
 	return 0, false, nil
-}
-
-// obsArgs carries the observability flags into run.
-type obsArgs struct {
-	logFormat    string
-	slowMS       float64
-	traceRing    int
-	sloObjective float64
-	sloLatency   time.Duration
-	pprof        bool
-}
-
-// serveConfig translates the observability flags into serve.Config
-// fields: -slow-ms 0 means "everything is slow" (negative threshold),
-// -trace-ring 0 disables tracing (negative capacity).
-func (o obsArgs) serveConfig(cfg *serve.Config) error {
-	logger, err := obs.NewLogger(os.Stderr, o.logFormat, 0)
-	if err != nil {
-		return err
-	}
-	cfg.Logger = logger
-	if o.slowMS < 0 {
-		return fmt.Errorf("bad -slow-ms %g: must be >= 0", o.slowMS)
-	}
-	if o.slowMS == 0 {
-		cfg.SlowThreshold = -1
-	} else {
-		cfg.SlowThreshold = time.Duration(o.slowMS * float64(time.Millisecond))
-	}
-	if o.traceRing < 0 {
-		return fmt.Errorf("bad -trace-ring %d: must be >= 0", o.traceRing)
-	}
-	if o.traceRing == 0 {
-		cfg.TraceRing = -1
-	} else {
-		cfg.TraceRing = o.traceRing
-	}
-	if o.sloObjective < 0 || o.sloObjective >= 1 {
-		return fmt.Errorf("bad -slo-objective %g: must be in [0, 1)", o.sloObjective)
-	}
-	if o.sloObjective == 0 {
-		cfg.SLOObjective = -1
-	} else {
-		cfg.SLOObjective = o.sloObjective
-	}
-	if o.sloLatency < 0 {
-		return fmt.Errorf("bad -slo-latency %s: must be >= 0", o.sloLatency)
-	}
-	if o.sloLatency == 0 {
-		cfg.SLOLatencyTarget = -1
-	} else {
-		cfg.SLOLatencyTarget = o.sloLatency
-	}
-	return nil
 }
 
 // parseModelArg splits a -model value into a registry name and a path:
@@ -344,20 +288,17 @@ func buildAdaptation(a adaptArgs, reg *serve.Registry, srv *serve.Server) (*retr
 	return ctrl, nil
 }
 
-func run(listen string, timeout, drain time.Duration, cache int, models modelArgs, a adaptArgs, o obsArgs) error {
+func run(listen string, timeout, drain time.Duration, cache int, models modelArgs, a adaptArgs, ec obs.EdgeConfig, pprofOn bool) error {
 	reg, err := buildRegistry(models)
 	if err != nil {
 		return err
 	}
-	cfg := serve.Config{
-		RequestTimeout: timeout,
-		CacheSize:      cache,
-	}
-	if err := o.serveConfig(&cfg); err != nil {
-		return err
-	}
-	srv := serve.New(reg, cfg)
-	if o.pprof {
+	srv := serve.New(reg, serve.Config{
+		RequestTimeout: timeout, CacheSize: cache,
+		Logger: ec.Logger, TraceRing: ec.TraceRing, SlowThreshold: ec.SlowThreshold,
+		SLOObjective: ec.SLOObjective, SLOLatencyTarget: ec.SLOLatencyTarget,
+	})
+	if pprofOn {
 		srv.EnablePprof()
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -383,19 +324,17 @@ func run(listen string, timeout, drain time.Duration, cache int, models modelArg
 		fmt.Printf("model %s%s: %s on %s, %d apps, %d P-states [%s]\n",
 			info.Name, def, info.Spec, info.Machine, len(info.Apps), info.PStates, info.Path)
 	}
-	tracing := "off"
-	if o.traceRing > 0 {
-		tracing = fmt.Sprintf("ring %d, slow %gms", o.traceRing, o.slowMS)
+	tracing, slo, pprofDesc := "off", "off", ""
+	if ec.TraceRing > 0 {
+		tracing = fmt.Sprintf("ring %d, slow %s", ec.TraceRing, max(ec.SlowThreshold, 0))
 	}
-	pprofDesc := ""
-	if o.pprof {
+	if ec.SLOObjective > 0 {
+		slo = fmt.Sprintf("%g objective, latency %s", ec.SLOObjective, max(ec.SLOLatencyTarget, 0))
+	}
+	if pprofOn {
 		pprofDesc = ", pprof on"
 	}
-	slo := "off"
-	if o.sloObjective > 0 {
-		slo = fmt.Sprintf("%g objective, latency %s", o.sloObjective, o.sloLatency)
-	}
-	fmt.Printf("observability: logs %s, traces %s, slo %s%s\n", o.logFormat, tracing, slo, pprofDesc)
+	fmt.Printf("observability: logs %s, traces %s, slo %s%s\n", flag.Lookup("log-format").Value, tracing, slo, pprofDesc)
 	fmt.Printf("serving on %s (timeout %s, cache %d, drain %s)\n", listen, timeout, cache, drain)
 	if err := srv.ListenAndServe(ctx, listen, drain); err != nil {
 		return err

@@ -40,8 +40,9 @@ type scriptedBackend struct {
 
 	mu       sync.Mutex
 	reply    string
-	retryHdr string   // Retry-After value sent with replyShed
-	targets  []string // observation targets ingested, in arrival order
+	retryHdr string            // Retry-After value sent with replyShed
+	targets  []string          // observation targets ingested, in arrival order
+	reqIDs   map[string]string // inbound X-Request-ID of the latest call, by path
 	// Observation-shard reply knobs.
 	rejectTarget   string
 	drift, retrain bool
@@ -55,13 +56,14 @@ func (sb *scriptedBackend) script(reply string) {
 
 func newScriptedBackend(t *testing.T, name string, gen uint64) *scriptedBackend {
 	t.Helper()
-	sb := &scriptedBackend{name: name, reply: replyOK, retryHdr: "3"}
+	sb := &scriptedBackend{name: name, reply: replyOK, retryHdr: "3", reqIDs: make(map[string]string)}
 	sb.gen.Store(gen)
 	scripted := func(ok http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			sb.hits.Add(1)
 			sb.mu.Lock()
 			reply, retryHdr := sb.reply, sb.retryHdr
+			sb.reqIDs[r.URL.Path] = r.Header.Get("X-Request-ID")
 			sb.mu.Unlock()
 			switch reply {
 			case replyTransport:

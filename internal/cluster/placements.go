@@ -50,7 +50,7 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // hedging is deliberately off — an optimizer search is the most
 // expensive call in the system, and racing two of them doubles fleet
 // load for no latency win.
-func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -80,11 +80,9 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request) (int,
 		_, _ = io.Copy(flushWriter{w: w, f: f}, resp.Body)
 		return nil
 	}
-	ctx := r.Context()
-	tr := obs.TraceFrom(ctx)
-	reqID, tp := obs.RequestID(ctx), outboundTraceparent(tr)
-	pr := failover(tr.Root(), cands, notOK, func(b *Backend) *proxyResult {
-		return rt.send(ctx, b, http.MethodPost, "/v1/placements", body, reqID, tp, forward)
+	tp := outboundTraceparent(rq.Trace)
+	pr := failover(rq.Trace.Root(), cands, notOK, func(b *Backend) *proxyResult {
+		return rt.send(r.Context(), b, http.MethodPost, "/v1/placements", body, rq.ID, tp, forward)
 	})
 	switch {
 	case pr.ok():

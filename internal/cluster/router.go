@@ -53,22 +53,13 @@ type Config struct {
 	RequestTimeout time.Duration
 	// Client reaches the backends; nil selects a pooled transport.
 	Client *http.Client
-	// Logger receives one structured line per request; nil disables.
-	Logger *slog.Logger
-	// TraceRing bounds the retained-trace ring (entries). 0 selects the
-	// default (256); negative disables tracing entirely.
-	TraceRing int
-	// SlowThreshold is the trace-retention bar: traces at least this
-	// slow are kept for GET /v1/traces. 0 selects 100ms; negative
-	// retains every trace (soaks and debugging).
-	SlowThreshold time.Duration
-	// SLOObjective is the predict-path availability objective (e.g.
-	// 0.999). 0 selects the default 0.999; negative disables SLO
-	// tracking.
-	SLOObjective float64
-	// SLOLatencyTarget marks a successful predict as SLO-bad when it
-	// exceeds this duration. 0 selects 250ms; negative counts errors
-	// only.
+	// The five observability knobs, passed to the request edge as an
+	// obs.EdgeConfig, which documents them and owns their defaults
+	// (0 = default, negative = off).
+	Logger           *slog.Logger
+	TraceRing        int
+	SlowThreshold    time.Duration
+	SLOObjective     float64
 	SLOLatencyTarget time.Duration
 	// FleetScrapeTimeout bounds one backend /metrics scrape in the
 	// fleet-aggregation endpoint. Default 2s.
@@ -107,24 +98,6 @@ func (c *Config) defaults() {
 		tr := &http.Transport{MaxIdleConns: 512, MaxIdleConnsPerHost: 128}
 		c.Client = &http.Client{Transport: tr}
 	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 256
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = 100 * time.Millisecond
-	}
-	if c.SlowThreshold < 0 {
-		c.SlowThreshold = 0 // obs semantics: 0 = everything is slow
-	}
-	if c.SLOObjective == 0 {
-		c.SLOObjective = 0.999
-	}
-	if c.SLOLatencyTarget == 0 {
-		c.SLOLatencyTarget = 250 * time.Millisecond
-	}
-	if c.SLOLatencyTarget < 0 {
-		c.SLOLatencyTarget = 0
-	}
 	if c.FleetScrapeTimeout <= 0 {
 		c.FleetScrapeTimeout = 2 * time.Second
 	}
@@ -141,14 +114,9 @@ type Router struct {
 	flights flightGroup
 	floors  floorTable
 	backLat *obs.Histogram // completed predict proxy latencies → p95 hedge delay
-	logger  *slog.Logger
-	tracer  *obs.Tracer     // nil when tracing is disabled
-	slo     *obs.SLOTracker // nil when SLO tracking is disabled
+	edge    *obs.Edge      // the request envelope every endpoint runs under
 	fleet   *fleetobs.Aggregator
 	started time.Time
-
-	// Handles of the endpoints served outside wrap.
-	scrapes, fleetScrapes *obs.Endpoint
 
 	promoteMu sync.Mutex // serializes rolling promotions
 
@@ -166,19 +134,12 @@ func New(cfg Config) *Router {
 		pool:    pool,
 		metrics: NewMetrics(pool),
 		backLat: obs.NewHistogram(latencyBuckets),
-		logger:  cfg.Logger,
 		fleet:   &fleetobs.Aggregator{Client: cfg.Client, Timeout: cfg.FleetScrapeTimeout},
 		started: time.Now(),
 	}
-	if cfg.TraceRing > 0 {
-		rt.tracer = obs.NewTracer(obs.Config{Capacity: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold})
-	}
-	if cfg.SLOObjective > 0 {
-		rt.slo = obs.NewSLOTracker(obs.SLOConfig{Objective: cfg.SLOObjective, LatencyTarget: cfg.SLOLatencyTarget})
-	}
-	rt.slo.Register(rt.metrics.reg, "colorouter")
-	rt.scrapes = rt.metrics.endpoints.Endpoint("metrics")
-	rt.fleetScrapes = rt.metrics.endpoints.Endpoint("fleet_metrics")
+	rt.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,
+		SLOObjective: cfg.SLOObjective, SLOLatencyTarget: cfg.SLOLatencyTarget},
+		http.StatusInternalServerError, rt.metrics.reg, rt.metrics.endpoints, rt.metrics.inFlight)
 	return rt
 }
 
@@ -190,11 +151,11 @@ func (rt *Router) Metrics() *Metrics { return rt.metrics }
 
 // Tracer returns the router's span tracer (nil when tracing is
 // disabled via a negative Config.TraceRing).
-func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
+func (rt *Router) Tracer() *obs.Tracer { return rt.edge.Tracer() }
 
 // SLO returns the router's predict-path SLO tracker (nil when SLO
 // tracking is disabled via a negative Config.SLOObjective).
-func (rt *Router) SLO() *obs.SLOTracker { return rt.slo }
+func (rt *Router) SLO() *obs.SLOTracker { return rt.edge.SLO() }
 
 // Start probes every backend once (so routing starts with fresh health
 // and generation data) and launches the periodic probe loop.
@@ -239,10 +200,10 @@ func (f *floorTable) raise(client, model string, gen uint64) {
 
 // ---- HTTP plumbing ----
 
-// handlerFunc answers one request with a JSON body for wrap to write; a
-// nil body means the handler wrote its own response (placements
-// streams).
-type handlerFunc func(w http.ResponseWriter, r *http.Request) (int, any)
+// handlerFunc answers one request, whose identity (request ID, trace)
+// it receives as rq, with a JSON body for wrap to write; a nil body
+// means the handler wrote its own response (placements streams).
+type handlerFunc func(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any)
 
 type errorBody struct {
 	Error errorDetail `json:"error"`
@@ -297,78 +258,37 @@ func (rt *Router) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/cluster", rt.wrap("cluster", rt.handleCluster))
 		mux.HandleFunc("GET /v1/traces", rt.wrap("traces", rt.handleTraces))
 		mux.HandleFunc("GET /v1/slo", rt.wrap("slo", rt.handleSLO))
-		mux.HandleFunc("GET /v1/fleet/metrics", rt.handleFleetMetrics)
+		fleetScrapes := rt.edge.Route("fleet_metrics")
+		mux.HandleFunc("GET /v1/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
+			fleetScrapes.Scrape(w, r, func(out io.Writer, tr *obs.Trace) { rt.writeFleetMetrics(r.Context(), out, tr) })
+		})
 		mux.HandleFunc("GET /healthz", rt.wrap("healthz", rt.handleHealthz))
-		mux.HandleFunc("GET /metrics", rt.handleMetrics)
+		scrapes := rt.edge.Route("metrics")
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			scrapes.Scrape(w, r, func(out io.Writer, _ *obs.Trace) { rt.metrics.reg.Write(out) })
+		})
 		rt.mux = mux
 	})
 	return rt.mux
 }
 
-// ingress applies the edge identity contract shared by every router
-// handler: adopt or mint the request ID, echo it, open the root span at
-// the request's arrival time, and adopt the caller's W3C trace context
-// (Traceparent) as the parent of the router's trace when one is
-// present.
-func (rt *Router) ingress(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time) (string, *obs.Trace) {
-	reqID := r.Header.Get("X-Request-ID")
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-ID", reqID)
-	tr := rt.tracer.StartAt("http", endpoint, reqID, start)
-	if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-		tr.AdoptContext(tc)
-	}
-	return reqID, tr
-}
-
-// wrap applies the cross-cutting layers: in-flight accounting, the
-// request timeout, the request-ID and trace-context contract (adopt or
-// mint, echo, and — in the proxy path — forward), metrics, SLO
-// accounting on the predict paths, and one structured log line.
+// wrap runs a handler under the request edge (obs.Edge: request ID,
+// root span under the caller's traceparent, in-flight, log line, metrics,
+// SLO) and adds what is the router's own: the end-to-end request
+// timeout. A handler that panics is accounted as the 500 it amounts to.
 func (rt *Router) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
-	sloPath := endpoint == "predict" || endpoint == "predict_batch"
-	em := rt.metrics.endpoints.Endpoint(endpoint)
+	route := rt.edge.Route(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rt.metrics.inFlight.Add(1)
-		defer rt.metrics.inFlight.Add(-1)
-		reqID, tr := rt.ingress(w, r, endpoint, start)
+		rq := route.Begin(w, r)
+		status := http.StatusInternalServerError
+		defer func() { route.End(rq, r, status) }()
 		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 		defer cancel()
-		ctx = obs.NewContext(ctx, reqID, tr)
-		status, body := h(w, r.WithContext(ctx))
-		if body != nil {
+		var body any
+		if status, body = h(w, r.WithContext(ctx), rq); body != nil {
 			writeJSON(w, status, body)
 		}
-		d := rt.finish(tr, em, endpoint, reqID, status, start)
-		if sloPath {
-			rt.slo.Observe(d, status >= 500)
-		}
 	}
-}
-
-// finish closes one request's accounting — trace, endpoint metrics and
-// one structured log line — and returns its duration.
-func (rt *Router) finish(tr *obs.Trace, em *obs.Endpoint, endpoint, reqID string, status int, start time.Time) time.Duration {
-	d := time.Since(start)
-	tr.Finish(status, status >= 500)
-	em.Observe(d, status >= 500)
-	if rt.logger == nil {
-		return d
-	}
-	lvl, msg := slog.LevelInfo, "request"
-	if status >= 500 {
-		lvl, msg = slog.LevelError, "request failed"
-	}
-	rt.logger.LogAttrs(context.Background(), lvl, msg,
-		slog.String("request_id", reqID),
-		slog.String("endpoint", endpoint),
-		slog.Int("status", status),
-		slog.Float64("dur_ms", float64(d)/1e6),
-	)
-	return d
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -459,7 +379,7 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 	var resp *http.Response
 	if err == nil {
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-ID", reqID)
+		req.Header[obs.RequestIDHeader] = []string{reqID}
 		if tp != "" {
 			req.Header.Set(obs.TraceparentHeader, tp)
 		}
@@ -556,8 +476,8 @@ func (rt *Router) hedgeDelay() time.Duration {
 // losers are ended and annotated at winner time — their goroutines may
 // outlive the request, so they only ever see pre-rendered strings,
 // never the trace.
-func (rt *Router) hedgedCall(ctx context.Context, cands []*Backend, method, path string, body []byte, reqID string) *proxyResult {
-	tr := obs.TraceFrom(ctx)
+func (rt *Router) hedgedCall(ctx context.Context, rq obs.Request, cands []*Backend, method, path string, body []byte) *proxyResult {
+	tr, reqID := rq.Trace, rq.ID // the launched goroutines capture the ID alone
 	callStart := time.Now()
 	resc := make(chan *proxyResult, len(cands))
 	spans := make(map[string]obs.Span, len(cands))
@@ -702,7 +622,7 @@ type predictIdentity struct {
 	Generation uint64 `json:"generation"`
 }
 
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -715,8 +635,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) (int, an
 	key := routeKey(req.Model, sc)
 	client := clientID(r)
 	floor := rt.floors.get(client, req.Model)
-	reqID := r.Header.Get("X-Request-ID")
-	tr := obs.TraceFrom(r.Context())
+	tr := rq.Trace
 
 	routeStart := time.Now()
 	rsp := tr.StartSpan("route")
@@ -733,7 +652,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) (int, an
 	flightKey := fmt.Sprintf("%d|%s", floor, key)
 	flightStart := time.Now()
 	pr, _, shared := rt.flights.do(flightKey, tr, func() (*proxyResult, error) {
-		return rt.hedgedCall(r.Context(), cands, http.MethodPost, "/v1/predict", raw, reqID), nil
+		return rt.hedgedCall(r.Context(), rq, cands, http.MethodPost, "/v1/predict", raw), nil
 	})
 	stages := hopStages{route: routeDur, hedgeWait: pr.hedgeWait}
 	if shared {
@@ -823,12 +742,10 @@ var (
 // not merged: unroutable ones and those of a failed shard. Gather
 // workers are joined before scatter returns, so span work inside them
 // is safe.
-func scatter[T, R any](rt *Router, r *http.Request, path string, items []T, floor uint64,
+func scatter[T, R any](rt *Router, r *http.Request, rq obs.Request, path string, items []T, floor uint64,
 	retry func(*proxyResult) bool, route func(T) (key, model string), encode func([]T) any,
 	merge func(idx []int, shard *R, backend string) bool) []*errorDetail {
-	ctx := r.Context()
-	reqID := r.Header.Get("X-Request-ID")
-	tr := obs.TraceFrom(ctx)
+	ctx, tr := r.Context(), rq.Trace
 	ssp := tr.StartSpan("scatter")
 	errs := make([]*errorDetail, len(items))
 	avail := rt.pool.Available()
@@ -875,7 +792,7 @@ func scatter[T, R any](rt *Router, r *http.Request, path string, items []T, floo
 			}
 			sub, _ := json.Marshal(encode(picked))
 			pr := failover(gsp, g.cands, retry, func(b *Backend) *proxyResult {
-				return rt.proxy(ctx, b, http.MethodPost, path, sub, reqID, tp)
+				return rt.proxy(ctx, b, http.MethodPost, path, sub, rq.ID, tp)
 			})
 			var shard R
 			ok := pr.ok() && pr.status == http.StatusOK && json.Unmarshal(pr.body, &shard) == nil
@@ -909,7 +826,7 @@ type batchResponse struct {
 	Errors  int         `json:"errors"`
 }
 
-func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -925,7 +842,7 @@ func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request) (in
 	floor := rt.floors.get(client, req.Model)
 	out := batchResponse{Model: req.Model, Results: make([]batchItem, len(req.Scenarios))}
 	maxGen := uint64(0)
-	errs := scatter(rt, r, "/v1/predict/batch", req.Scenarios, floor, notOK,
+	errs := scatter(rt, r, rq, "/v1/predict/batch", req.Scenarios, floor, notOK,
 		func(sr serve.ScenarioRequest) (string, string) {
 			sc := features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
 			return routeKey(req.Model, sc), req.Model
@@ -993,7 +910,7 @@ type obsResponse struct {
 // not an idempotent read: it is never hedged, and it fails over only on
 // a drain shed (definitely not processed). A batch is scattered so each
 // backend folds its shard into a single group commit.
-func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
@@ -1003,7 +920,7 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request) (in
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
 	}
 	if len(req.Observations) > 1 {
-		return rt.scatterObservations(r, req.Observations)
+		return rt.scatterObservations(r, rq, req.Observations)
 	}
 	one := req.ObservationRequest
 	if len(req.Observations) > 0 {
@@ -1015,12 +932,10 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request) (in
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend")
 	}
-	reqID := r.Header.Get("X-Request-ID")
-	tr := obs.TraceFrom(r.Context())
-	tp := outboundTraceparent(tr)
+	tp := outboundTraceparent(rq.Trace)
 	routeStart := time.Now()
-	pr := failover(tr.Root(), cands, shedOnly, func(b *Backend) *proxyResult {
-		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, reqID, tp)
+	pr := failover(rq.Trace.Root(), cands, shedOnly, func(b *Backend) *proxyResult {
+		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, rq.ID, tp)
 	})
 	if pr.err != nil {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "observation ingest failed: %v", pr.err)
@@ -1033,9 +948,9 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request) (in
 
 // scatterObservations shards a batch of observations by owner and
 // merges the shard responses back in request order.
-func (rt *Router) scatterObservations(r *http.Request, observations []serve.ObservationRequest) (int, any) {
+func (rt *Router) scatterObservations(r *http.Request, rq obs.Request, observations []serve.ObservationRequest) (int, any) {
 	out := obsResponse{Results: make([]obsItem, len(observations))}
-	errs := scatter(rt, r, "/v1/observations", observations, 0, shedOnly,
+	errs := scatter(rt, r, rq, "/v1/observations", observations, 0, shedOnly,
 		func(or serve.ObservationRequest) (string, string) {
 			sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
 			return routeKey(or.Model, sc), or.Model
@@ -1097,13 +1012,12 @@ type RolloutResponse struct {
 // handler therefore issues catch-up reloads to any backend still below
 // the fleet maximum until the counters align (each extra reload re-reads
 // the same artefacts, so catch-ups are harmless no-op swaps).
-func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	rt.promoteMu.Lock()
 	defer rt.promoteMu.Unlock()
-	reqID := r.Header.Get("X-Request-ID")
 	resp := RolloutResponse{Completed: true}
 	reload := func(b *Backend, rb *RolloutBackend) bool {
-		pr := rt.proxy(r.Context(), b, http.MethodPost, "/v1/models/reload", nil, reqID, outboundTraceparent(obs.TraceFrom(r.Context())))
+		pr := rt.proxy(r.Context(), b, http.MethodPost, "/v1/models/reload", nil, rq.ID, outboundTraceparent(rq.Trace))
 		switch {
 		case pr.err != nil:
 			rb.Error = pr.err.Error()
@@ -1193,16 +1107,15 @@ func truncate(b []byte, n int) string {
 // handleModels proxies the registry listing from the most-promoted
 // available backend, so discovery (coloload, clients) sees the newest
 // generation the fleet serves.
-func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	avail := rt.pool.Available()
 	if len(avail) == 0 {
 		rt.metrics.noBackend.Inc()
 		return errJSON(http.StatusServiceUnavailable, CodeNoBackend, "no healthy backend")
 	}
 	sort.SliceStable(avail, func(i, j int) bool { return avail[i].Gen("") > avail[j].Gen("") })
-	reqID := r.Header.Get("X-Request-ID")
 	start := time.Now()
-	pr := rt.proxy(r.Context(), avail[0], http.MethodGet, "/v1/models", nil, reqID, outboundTraceparent(obs.TraceFrom(r.Context())))
+	pr := rt.proxy(r.Context(), avail[0], http.MethodGet, "/v1/models", nil, rq.ID, outboundTraceparent(rq.Trace))
 	if pr.err != nil || pr.shed {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "listing models failed")
 	}
@@ -1226,7 +1139,7 @@ type ClusterResponse struct {
 	Backends []BackendInfo `json:"backends"`
 }
 
-func (rt *Router) handleCluster(_ http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handleCluster(http.ResponseWriter, *http.Request, obs.Request) (int, any) {
 	resp := ClusterResponse{Replicas: rt.cfg.Replicas, Members: rt.pool.Members()}
 	for _, b := range rt.pool.Backends() {
 		resp.Backends = append(resp.Backends, BackendInfo{
@@ -1248,7 +1161,7 @@ type HealthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-func (rt *Router) handleHealthz(_ http.ResponseWriter, r *http.Request) (int, any) {
+func (rt *Router) handleHealthz(http.ResponseWriter, *http.Request, obs.Request) (int, any) {
 	resp := HealthResponse{Status: "ok", Replicas: rt.cfg.Replicas, UptimeSeconds: time.Since(rt.started).Seconds()}
 	for _, b := range rt.pool.Backends() {
 		resp.Backends++
@@ -1268,52 +1181,45 @@ func (rt *Router) handleHealthz(_ http.ResponseWriter, r *http.Request) (int, an
 	return http.StatusOK, resp
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID, tr := rt.ingress(w, r, "metrics", start)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.reg.Write(w)
-	rt.finish(tr, rt.scrapes, "metrics", reqID, http.StatusOK, start)
-}
-
 // ---- traces / SLO / fleet metrics ----
 
 // handleTraces serves the router's trace ring: stitched cross-process
 // trees whose proxy spans carry the winning backend's own span tree
-// (decode → cache → eval → encode) under the router's trace ID. Query
-// parameters match the serve tier (obs.FilterFromQuery).
-func (rt *Router) handleTraces(_ http.ResponseWriter, r *http.Request) (int, any) {
-	if rt.tracer == nil {
-		return errJSON(http.StatusServiceUnavailable, CodeTracingDisabled,
-			"this router is running without the trace ring (negative TraceRing)")
-	}
-	f, err := obs.FilterFromQuery(r.URL.Query())
+// (decode → cache → eval → encode) under the router's trace ID.
+func (rt *Router) handleTraces(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
+	resp, err := rt.edge.Traces(r.URL.Query())
 	if err != nil {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "%v", err)
+		return edgeRefusal(err, CodeTracingDisabled)
 	}
-	traces := rt.tracer.Snapshot(f)
-	return http.StatusOK, serve.TracesResponse{Stats: rt.tracer.Stats(), Count: len(traces), Traces: traces}
+	return http.StatusOK, resp
 }
 
 // handleSLO serves the router's predict-path SLO verdict.
-func (rt *Router) handleSLO(_ http.ResponseWriter, r *http.Request) (int, any) {
-	if rt.slo == nil {
-		return errJSON(http.StatusServiceUnavailable, CodeSLODisabled,
-			"this router is running without SLO tracking (negative SLOObjective)")
+func (rt *Router) handleSLO(http.ResponseWriter, *http.Request, obs.Request) (int, any) {
+	st, err := rt.edge.SLOStatus()
+	if err != nil {
+		return edgeRefusal(err, CodeSLODisabled)
 	}
-	return http.StatusOK, rt.slo.Status()
+	return http.StatusOK, st
 }
 
-// handleFleetMetrics serves one Prometheus text document describing the
+// edgeRefusal types what the edge declines to answer: a feature this
+// router runs without is a 503 under the feature's own code, anything
+// else a bad query.
+func edgeRefusal(err error, offCode string) (int, any) {
+	if errors.Is(err, obs.ErrDisabled) {
+		return errJSON(http.StatusServiceUnavailable, offCode, "%v", err)
+	}
+	return errJSON(http.StatusBadRequest, CodeBadRequest, "%v", err)
+}
+
+// writeFleetMetrics renders one Prometheus text document describing the
 // whole fleet: every non-ejected backend's /metrics scrape merged
 // (counters and histograms summed, gauges re-labelled per backend),
 // per-backend liveness/generation/inflight/error-rate gauges, and the
-// router's own metrics and SLO gauges. Registered outside wrap because
-// the output is text, not JSON.
-func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID, tr := rt.ingress(w, r, "fleet_metrics", start)
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
+// router's own metrics and SLO gauges.
+func (rt *Router) writeFleetMetrics(ctx context.Context, w io.Writer, tr *obs.Trace) {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 
 	backends := rt.pool.Backends()
@@ -1330,7 +1236,6 @@ func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	fs := rt.fleet.Scrape(ctx, targets)
 	ssp.End()
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if fs.Merged != nil {
 		fs.Merged.Write(w)
 	}
@@ -1360,7 +1265,6 @@ func (rt *Router) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fw.Flush(w)
 	rt.metrics.reg.Write(w)
-	rt.finish(tr, rt.fleetScrapes, "fleet_metrics", reqID, http.StatusOK, start)
 }
 
 // ListenAndServe runs the router on addr until ctx is cancelled, then
@@ -1370,27 +1274,5 @@ func (rt *Router) ListenAndServe(ctx context.Context, addr string, drain time.Du
 	if err != nil {
 		return err
 	}
-	return rt.ServeListener(ctx, ln, drain)
-}
-
-// ServeListener runs the router on an existing listener until ctx is
-// cancelled, then drains in-flight requests for up to drain.
-func (rt *Router) ServeListener(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	srv := &http.Server{Handler: rt.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("cluster: draining: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return serve.ServeGracefully(ctx, ln, rt.Handler(), drain, nil)
 }

@@ -10,7 +10,6 @@ import (
 
 	"colocmodel/internal/fleetobs"
 	"colocmodel/internal/obs"
-	"colocmodel/internal/serve"
 )
 
 // spanAttr returns the value of one span annotation ("" when absent).
@@ -66,7 +65,7 @@ func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("traces returned %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp serve.TracesResponse
+	var resp obs.TracesResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decoding traces response: %v", err)
 	}

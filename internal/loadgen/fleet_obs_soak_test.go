@@ -80,7 +80,7 @@ func TestFleetObservabilitySoak(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("traces returned %d: %s", rec.Code, rec.Body.String())
 	}
-	var traces serve.TracesResponse
+	var traces obs.TracesResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &traces); err != nil {
 		t.Fatal(err)
 	}

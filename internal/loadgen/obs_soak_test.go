@@ -116,7 +116,7 @@ func TestObservabilitySoak(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("traces: %d", w.Code)
 	}
-	var tr serve.TracesResponse
+	var tr obs.TracesResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &tr); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package obs is the serving stack's observability core, stdlib-only:
 //
-//   - Request identity: process-unique request IDs minted at ingress and
-//     carried through context.Context so every layer (registry, cache,
-//     adaptation, retraining) can stamp its logs and spans with the
-//     request that caused the work.
+//   - Request identity: the Edge both HTTP tiers put every request
+//     through adopts or mints a process-unique request ID, opens the root
+//     span under the caller's traceparent, and hands both to the handler
+//     as an argument (Request), so each layer stamps its spans and its
+//     outbound calls with the request that caused the work; the same Edge
+//     closes the request's log line, metrics and SLO accounting.
 //   - Structured logging: log/slog constructors keyed by a -log-format
 //     style selector (json / text / off), so request logs are machine-
 //     parseable by default.
@@ -24,7 +26,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"strconv"
@@ -51,38 +52,4 @@ func NewRequestID() string {
 	var buf [32]byte // prefix (9) + a base-36 uint64 (at most 13)
 	b := append(buf[:0], reqPrefix...)
 	return string(strconv.AppendUint(b, reqCounter.Add(1), 36))
-}
-
-// reqState is the single context value the observability layer plants
-// at ingress: the request ID plus the live trace (nil when tracing is
-// disabled). One allocation covers both.
-type reqState struct {
-	id string
-	tr *Trace
-}
-
-type ctxKey struct{}
-
-// NewContext returns ctx carrying the request ID and (possibly nil)
-// trace for downstream layers.
-func NewContext(ctx context.Context, id string, tr *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, &reqState{id: id, tr: tr})
-}
-
-// RequestID returns the request ID planted at ingress, or "" when the
-// context carries none (e.g. internal work not tied to a request).
-func RequestID(ctx context.Context) string {
-	if s, ok := ctx.Value(ctxKey{}).(*reqState); ok {
-		return s.id
-	}
-	return ""
-}
-
-// TraceFrom returns the live trace carried by ctx, or nil. A nil trace
-// is safe to use: all span operations on it are no-ops.
-func TraceFrom(ctx context.Context) *Trace {
-	if s, ok := ctx.Value(ctxKey{}).(*reqState); ok {
-		return s.tr
-	}
-	return nil
 }

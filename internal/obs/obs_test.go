@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -53,32 +52,6 @@ func TestNewRequestIDConcurrent(t *testing.T) {
 			}
 			seen[id] = true
 		}
-	}
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	bg := context.Background()
-	if got := RequestID(bg); got != "" {
-		t.Fatalf("RequestID on bare context = %q, want empty", got)
-	}
-	if TraceFrom(bg) != nil {
-		t.Fatal("TraceFrom on bare context should be nil")
-	}
-	tr := NewTracer(Config{}).Start("http", "predict", "rid-1")
-	ctx := NewContext(bg, "rid-1", tr)
-	if got := RequestID(ctx); got != "rid-1" {
-		t.Fatalf("RequestID = %q, want rid-1", got)
-	}
-	if TraceFrom(ctx) != tr {
-		t.Fatal("TraceFrom did not return the planted trace")
-	}
-	// A nil trace in the context is fine (tracing disabled).
-	ctx = NewContext(bg, "rid-2", nil)
-	if TraceFrom(ctx) != nil {
-		t.Fatal("TraceFrom should return the nil trace unchanged")
-	}
-	if got := RequestID(ctx); got != "rid-2" {
-		t.Fatalf("RequestID = %q, want rid-2", got)
 	}
 }
 

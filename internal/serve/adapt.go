@@ -58,7 +58,7 @@ func (s *Server) EnableAdaptation(a Adaptation) error {
 		// Retrain attempts trace their stage lifecycle (dataset assembly,
 		// train, holdout eval, promote) into the same ring the request
 		// traces land in.
-		a.Controller.SetTracer(s.tracer)
+		a.Controller.SetTracer(s.edge.Tracer())
 	}
 	s.adapt = &a
 	return nil
@@ -121,7 +121,7 @@ type ObservationsResponse struct {
 	RetrainTriggered bool `json:"retrain_triggered,omitempty"`
 }
 
-func (s *Server) handleObservations(r *http.Request, tr *obs.Trace) (int, any) {
+func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 	if s.adapt == nil {
 		return adaptationDisabled()
 	}
@@ -255,7 +255,7 @@ func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedbac
 
 // ---- drift ----
 
-func (s *Server) handleDrift(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleDrift(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	if s.adapt == nil {
 		return adaptationDisabled()
 	}
@@ -283,7 +283,7 @@ type RetrainTriggerResponse struct {
 	Status    retrain.Status `json:"status"`
 }
 
-func (s *Server) handleRetrain(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleRetrain(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	if s.adapt == nil || s.adapt.Controller == nil {
 		return adaptationDisabled()
 	}
@@ -310,7 +310,7 @@ func (s *Server) handleRetrain(r *http.Request, _ *obs.Trace) (int, any) {
 	}
 }
 
-func (s *Server) handleRetrainStatus(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleRetrainStatus(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	if s.adapt == nil || s.adapt.Controller == nil {
 		return adaptationDisabled()
 	}
@@ -341,7 +341,7 @@ type VersionResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-func (s *Server) handleVersion(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleVersion(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	resp := VersionResponse{
 		Service:      "coloserve",
 		APIVersion:   "v1",

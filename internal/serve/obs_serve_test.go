@@ -140,7 +140,7 @@ func TestTraceEndpointSpanTree(t *testing.T) {
 	if tw.Code != http.StatusOK {
 		t.Fatalf("traces: %d: %s", tw.Code, tw.Body.String())
 	}
-	tr := decodeBody[TracesResponse](t, tw)
+	tr := decodeBody[obs.TracesResponse](t, tw)
 	if tr.Count == 0 || len(tr.Traces) == 0 {
 		t.Fatal("no retained traces")
 	}
@@ -204,11 +204,11 @@ func TestTracesFiltering(t *testing.T) {
 	}
 	get(t, h, "/healthz")
 
-	all := decodeBody[TracesResponse](t, get(t, h, "/v1/traces"))
+	all := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces"))
 	if all.Count < 4 {
 		t.Fatalf("retained %d traces, want >= 4", all.Count)
 	}
-	onlyPredict := decodeBody[TracesResponse](t, get(t, h, "/v1/traces?endpoint=predict"))
+	onlyPredict := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces?endpoint=predict"))
 	for _, td := range onlyPredict.Traces {
 		if td.Name != "predict" {
 			t.Fatalf("endpoint filter leaked %s", td.Name)
@@ -217,15 +217,15 @@ func TestTracesFiltering(t *testing.T) {
 	if onlyPredict.Count != 3 {
 		t.Fatalf("predict traces = %d, want 3", onlyPredict.Count)
 	}
-	limited := decodeBody[TracesResponse](t, get(t, h, "/v1/traces?limit=2"))
+	limited := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces?limit=2"))
 	if limited.Count != 2 {
 		t.Fatalf("limit=2 returned %d", limited.Count)
 	}
-	slow := decodeBody[TracesResponse](t, get(t, h, "/v1/traces?min_ms=3600000"))
+	slow := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces?min_ms=3600000"))
 	if slow.Count != 0 {
 		t.Fatalf("min_ms filter returned %d", slow.Count)
 	}
-	if none := decodeBody[TracesResponse](t, get(t, h, "/v1/traces?kind=retrain")); none.Count != 0 {
+	if none := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces?kind=retrain")); none.Count != 0 {
 		t.Fatalf("kind filter returned %d", none.Count)
 	}
 	if st := all.Stats; st.Capacity != 32 || st.Retained < 4 {
@@ -305,7 +305,7 @@ func TestSlowRetentionThreshold(t *testing.T) {
 	h.ServeHTTP(w, req)
 	postJSON(t, h, "/v1/predict", map[string]any{"target": "nosuch"})
 
-	tr := decodeBody[TracesResponse](t, get(t, h, "/v1/traces"))
+	tr := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces"))
 	if tr.Count != 1 || !tr.Traces[0].Error || tr.Traces[0].Status != http.StatusBadRequest {
 		t.Fatalf("retained %d traces (%+v), want only the failed request", tr.Count, tr.Traces)
 	}
@@ -430,7 +430,7 @@ func TestBatchFanoutSpans(t *testing.T) {
 	if w := postJSON(t, h, "/v1/predict/batch", body); w.Code != http.StatusOK {
 		t.Fatalf("batch: %d: %s", w.Code, w.Body.String())
 	}
-	tr := decodeBody[TracesResponse](t, get(t, h, "/v1/traces?endpoint=predict_batch"))
+	tr := decodeBody[obs.TracesResponse](t, get(t, h, "/v1/traces?endpoint=predict_batch"))
 	if tr.Count != 1 {
 		t.Fatalf("batch traces = %d", tr.Count)
 	}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/obs"
@@ -73,47 +72,6 @@ type PlacementsStreamEvent struct {
 	Plan   *placement.Plan        `json:"plan,omitempty"`
 	Search *placement.SearchStats `json:"search,omitempty"`
 	Error  *errorDetail           `json:"error,omitempty"`
-}
-
-// rawHandlerFunc is a handler that writes its own response (the
-// streaming endpoint) and returns the status it committed, for logging
-// and metrics.
-type rawHandlerFunc func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) int
-
-// wrapRaw applies wrap's cross-cutting layers (drain shed, request ID,
-// tracing, logging, metrics) plus the timeout context to a handler that
-// writes its own body — required for NDJSON streaming, where bytes must reach
-// the client before the handler returns. Server-Timing is omitted:
-// trailers would be the only correct vehicle once the body has begun.
-func (s *Server) wrapRaw(endpoint string, h rawHandlerFunc) http.HandlerFunc {
-	em := s.metrics.endpoints.Endpoint(endpoint)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-		reqID := requestID(w, r)
-		if s.draining.Load() {
-			status := s.shed(w)
-			d := time.Since(start)
-			s.logRequest(r, endpoint, reqID, status, d)
-			em.Observe(d, true)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		tr := s.tracer.StartAt("http", endpoint, reqID, start)
-		// Adopt the caller's trace context for the backend's own ring;
-		// X-Trace-Spans is omitted along with Server-Timing, since the
-		// streamed body begins before the span tree is complete.
-		if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-			tr.AdoptContext(tc)
-		}
-		status := h(w, r.WithContext(ctx), tr)
-		d := time.Since(start)
-		tr.Finish(status, status >= 400)
-		s.logRequest(r, endpoint, reqID, status, d)
-		em.Observe(d, status >= 400)
-	}
 }
 
 // decodePlacements validates a placement request against the model and
@@ -207,13 +165,16 @@ func placementError(ctx context.Context, err error) *Error {
 }
 
 // handlePlacements serves POST /v1/placements in both modes. The sync
-// path buffers the final result like every other endpoint; the
+// path returns the final result like every other endpoint; the
 // streaming path commits an NDJSON response and flushes one line per
 // improving plan as local search finds them, so a scheduling client can
-// act on a good-enough plan before convergence. The search runs under
-// the request context: timeout or disconnect mid-search yields the best
-// plan found so far (stats flag it), matching the optimizer's contract.
-func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *obs.Trace) int {
+// act on a good-enough plan before convergence — it writes for itself
+// (and so carries no Server-Timing: trailers would be the only correct
+// vehicle once the body has begun) and returns a nil body. The search
+// runs under the request context: timeout or disconnect mid-search
+// yields the best plan found so far (stats flag it), matching the
+// optimizer's contract.
+func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 	ctx := r.Context()
 	sp := tr.StartSpan("decode")
 	var req PlacementsRequest
@@ -228,9 +189,7 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 		prob, e = s.decodePlacements(req, rm.m)
 	}
 	if e != nil {
-		status, body := errBody(e)
-		writeJSON(w, status, body)
-		return status
+		return errBody(e)
 	}
 
 	// Search-stage spans: construct runs until the first incremental
@@ -275,11 +234,9 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 			// as a terminal NDJSON line instead.
 			_ = enc.Encode(PlacementsStreamEvent{Final: true,
 				Error: &errorDetail{Code: e.Code, Message: e.Message}})
-			return http.StatusOK
+			return http.StatusOK, nil
 		}
-		status, body := errBody(e)
-		writeJSON(w, status, body)
-		return status
+		return errBody(e)
 	}
 	end := "converged"
 	switch {
@@ -299,16 +256,12 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 		if flusher != nil {
 			flusher.Flush()
 		}
-		return http.StatusOK
+		return http.StatusOK, nil
 	}
-	if st := tr.ServerTiming(); st != "" {
-		w.Header()[hdrServerTiming] = []string{st}
-	}
-	writeJSON(w, http.StatusOK, PlacementsResponse{
+	return http.StatusOK, PlacementsResponse{
 		Model:     rm.name,
 		Objective: prob.Objective.String(),
 		Plan:      res.Plan,
 		Search:    res.Stats,
-	})
-	return http.StatusOK
+	}
 }

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -73,25 +74,13 @@ type Config struct {
 	// MaxPlacementBeam caps the local-search beam width per placement
 	// request. Default 64.
 	MaxPlacementBeam int
-	// Logger receives one structured log line per request (request ID,
-	// endpoint, status, latency). nil disables request logging.
-	Logger *slog.Logger
-	// SlowThreshold marks a request as slow: slow requests are logged at
-	// Warn and their traces retained in the trace ring. 0 selects the
-	// default (100ms); negative treats every request as slow (retain and
-	// log everything — soaks and debugging).
-	SlowThreshold time.Duration
-	// TraceRing bounds the retained-trace ring (entries). 0 selects the
-	// default (256); negative disables tracing entirely.
-	TraceRing int
-	// SLOObjective is the good-request fraction target for the predict
-	// paths (GET /v1/slo, coloserve_slo_* gauges). 0 selects the default
-	// (0.999); negative disables SLO tracking.
-	SLOObjective float64
-	// SLOLatencyTarget is the per-request latency bound counted toward
-	// the objective: a predict request is good only if it succeeds
-	// within the target. 0 selects the default (250ms); negative makes
-	// errors alone burn budget.
+	// The five observability knobs, passed to the request edge as an
+	// obs.EdgeConfig, which documents them and owns their defaults
+	// (0 = default, negative = off).
+	Logger           *slog.Logger
+	SlowThreshold    time.Duration
+	TraceRing        int
+	SLOObjective     float64
 	SLOLatencyTarget time.Duration
 }
 
@@ -117,24 +106,6 @@ func (c *Config) defaults() {
 	if c.MaxPlacementBeam == 0 {
 		c.MaxPlacementBeam = 64
 	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = 100 * time.Millisecond
-	}
-	if c.SlowThreshold < 0 {
-		c.SlowThreshold = 0 // obs semantics: 0 = everything is slow
-	}
-	if c.TraceRing == 0 {
-		c.TraceRing = 256
-	}
-	if c.SLOObjective == 0 {
-		c.SLOObjective = 0.999
-	}
-	if c.SLOLatencyTarget == 0 {
-		c.SLOLatencyTarget = 250 * time.Millisecond
-	}
-	if c.SLOLatencyTarget < 0 {
-		c.SLOLatencyTarget = 0 // obs semantics: 0 = errors only
-	}
 }
 
 // Server serves predictions from a model registry.
@@ -143,11 +114,8 @@ type Server struct {
 	reg      *Registry
 	cache    *Cache // nil when disabled
 	metrics  *Metrics
-	scrapes  *obs.Endpoint   // GET /metrics, served outside wrap
-	adapt    *Adaptation     // nil when the adaptation loop is disabled
-	logger   *slog.Logger    // nil when request logging is disabled
-	tracer   *obs.Tracer     // nil when tracing is disabled
-	slo      *obs.SLOTracker // nil when SLO tracking is disabled
+	edge     *obs.Edge   // the request envelope every endpoint runs under
+	adapt    *Adaptation // nil when the adaptation loop is disabled
 	started  time.Time
 	pprofOn  bool
 	draining atomic.Bool
@@ -162,20 +130,10 @@ func New(reg *Registry, cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		logger:  cfg.Logger,
 		started: time.Now(),
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = NewCache(cfg.CacheSize)
-	}
-	if cfg.TraceRing > 0 {
-		s.tracer = obs.NewTracer(obs.Config{Capacity: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold})
-	}
-	if cfg.SLOObjective > 0 {
-		s.slo = obs.NewSLOTracker(obs.SLOConfig{
-			Objective:     cfg.SLOObjective,
-			LatencyTarget: cfg.SLOLatencyTarget,
-		})
 	}
 	s.metrics = NewMetrics(
 		func() float64 {
@@ -187,8 +145,9 @@ func New(reg *Registry, cfg Config) *Server {
 		func() float64 { return float64(reg.Len()) },
 	)
 	s.metrics.reg.Collect(s.collectAdaptation)
-	s.slo.Register(s.metrics.reg, "coloserve")
-	s.scrapes = s.metrics.endpoints.Endpoint("metrics")
+	s.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,
+		SLOObjective: cfg.SLOObjective, SLOLatencyTarget: cfg.SLOLatencyTarget},
+		http.StatusBadRequest, s.metrics.reg, s.metrics.endpoints, s.metrics.inFlight)
 	return s
 }
 
@@ -200,11 +159,11 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Tracer returns the server's span tracer (nil when tracing is
 // disabled via a negative Config.TraceRing).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+func (s *Server) Tracer() *obs.Tracer { return s.edge.Tracer() }
 
 // SLO returns the server's SLO tracker (nil when disabled via a
 // negative Config.SLOObjective).
-func (s *Server) SLO() *obs.SLOTracker { return s.slo }
+func (s *Server) SLO() *obs.SLOTracker { return s.edge.SLO() }
 
 // EnablePprof registers the net/http/pprof handlers under /debug/pprof/
 // on the server's mux. Opt-in (profiles expose internals and cost CPU
@@ -221,7 +180,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("POST /v1/predict", s.wrap("predict", s.handlePredict))
 		mux.HandleFunc("POST /v1/predict/batch", s.wrap("predict_batch", s.withDeadline(s.handlePredictBatch)))
 		mux.HandleFunc("POST /v1/schedule", s.wrap("schedule", s.withDeadline(s.handleSchedule)))
-		mux.HandleFunc("POST /v1/placements", s.wrapRaw("placements", s.handlePlacements))
+		mux.HandleFunc("POST /v1/placements", s.wrap("placements", s.withDeadline(s.handlePlacements)))
 		mux.HandleFunc("GET /v1/models", s.wrap("models", s.handleModels))
 		mux.HandleFunc("POST /v1/models/reload", s.wrap("reload", s.handleReload))
 		mux.HandleFunc("POST /v1/observations", s.wrap("observations", s.withDeadline(s.handleObservations)))
@@ -232,7 +191,10 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /v1/traces", s.wrap("traces", s.handleTraces))
 		mux.HandleFunc("GET /v1/slo", s.wrap("slo", s.handleSLO))
 		mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
+		scrapes := s.edge.Route("metrics")
+		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+			scrapes.Scrape(w, r, func(out io.Writer, _ *obs.Trace) { s.metrics.reg.Write(out) })
+		})
 		if s.pprofOn {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -246,8 +208,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handlerFunc processes one request under its (possibly nil) trace and
-// returns a status and a JSON-encodable body.
-type handlerFunc func(r *http.Request, tr *obs.Trace) (int, any)
+// returns a status and a JSON-encodable body for wrap to write; a nil
+// body means the handler wrote its own response (placements streams).
+type handlerFunc func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any)
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -263,25 +226,9 @@ func errBody(e *Error) (int, any) {
 	return e.Status, errorBody{Error: errorDetail{Code: e.Code, Message: e.Message}}
 }
 
-// Response header keys in canonical form, assigned directly: Header.Set
-// would canonicalise (and for X-Request-ID allocate) on every request.
-const (
-	hdrRequestID    = "X-Request-Id"
-	hdrServerTiming = "Server-Timing"
-)
-
-// requestID adopts the caller's X-Request-ID or mints one, and echoes
-// it on the response (an adopted ID by sharing the request's own header
-// slice, which outlives the reply).
-func requestID(w http.ResponseWriter, r *http.Request) string {
-	if vs := r.Header[hdrRequestID]; len(vs) > 0 && vs[0] != "" {
-		w.Header()[hdrRequestID] = vs[:1:1]
-		return vs[0]
-	}
-	id := obs.NewRequestID()
-	w.Header()[hdrRequestID] = []string{id}
-	return id
-}
+// hdrServerTiming is assigned directly: already canonical, so
+// Header.Set's canonicalisation would be wasted work on every request.
+const hdrServerTiming = "Server-Timing"
 
 // shed answers a request arriving during shutdown with a typed,
 // retryable 503: the Retry-After header plus the stable "draining" code
@@ -300,49 +247,37 @@ func (s *Server) shed(w http.ResponseWriter) int {
 // consult their context, so they are registered without it and pay for
 // no timer.
 func (s *Server) withDeadline(h handlerFunc) handlerFunc {
-	return func(r *http.Request, tr *obs.Trace) (int, any) {
+	return func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		return h(r.WithContext(ctx), tr)
+		return h(w, r.WithContext(ctx), tr)
 	}
 }
 
-// wrap applies the cross-cutting layers to a handler: in-flight and
-// latency accounting and the observability envelope — a request ID
-// minted at ingress (or adopted from the caller's X-Request-ID) and
-// echoed on the response, a root span whose children time the pipeline
-// stages, a Server-Timing header carrying the completed stage timings,
-// and one structured log line per request (Warn above the slow
-// threshold). An incoming traceparent header re-parents the handler
-// span under the caller's trace, and a sampled trace context
+// wrap runs a handler under the request edge (obs.Edge: request ID,
+// root span under the caller's traceparent, in-flight, log line, metrics,
+// SLO) and adds what is the node's own: requests arriving during a drain
+// are shed; the body is encoded into a pooled buffer before any header
+// is written, so the encode span lands in the Server-Timing header that
+// carries the completed stage timings; and a sampled trace context
 // additionally ships the completed span tree back in X-Trace-Spans so
-// the caller can stitch a cross-process tree. The body is encoded into
-// a pooled buffer before any header is written, so the encode span
-// lands in Server-Timing and in the shipped tree.
+// the caller can stitch a cross-process tree. A handler that panics is
+// accounted as the 500 it amounts to.
 func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
-	sloPath := endpoint == "predict" || endpoint == "predict_batch"
-	em := s.metrics.endpoints.Endpoint(endpoint)
+	route := s.edge.Route(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.metrics.inFlight.Add(1)
-		defer s.metrics.inFlight.Add(-1)
-		reqID := requestID(w, r)
+		rq := route.Begin(w, r)
+		status := http.StatusInternalServerError
+		defer func() { route.End(rq, r, status) }()
 		if s.draining.Load() {
-			status := s.shed(w)
-			d := time.Since(start)
-			s.logRequest(r, endpoint, reqID, status, d)
-			em.Observe(d, true)
-			if sloPath {
-				s.slo.Observe(d, true)
-			}
+			status = s.shed(w)
 			return
 		}
-		tr := s.tracer.StartAt("http", endpoint, reqID, start)
-		tc, hasTC := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		if hasTC {
-			tr.AdoptContext(tc)
+		tr := rq.Trace
+		var body any
+		if status, body = h(w, r, tr); body == nil {
+			return
 		}
-		status, body := h(r, tr)
 		enc := tr.StartSpan("encode")
 		wb := getWireBuf()
 		encErr := encodeBody(wb, body)
@@ -351,7 +286,7 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		// the same bar both tiers retain traces at. Fast requests would
 		// have their tree discarded by every ring anyway, so encoding
 		// and shipping it would be pure hot-path overhead.
-		if hasTC && tc.Sampled && time.Since(start) >= s.cfg.SlowThreshold {
+		if rq.Parent.Sampled && s.edge.Slow(time.Since(rq.Start)) {
 			if ws := tr.WireSpans(); ws != "" {
 				w.Header().Set(obs.TraceSpansHeader, ws)
 			}
@@ -360,38 +295,7 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 			w.Header()[hdrServerTiming] = []string{st}
 		}
 		writeBody(w, status, wb, encErr)
-		d := time.Since(start)
-		tr.Finish(status, status >= 400)
-		s.logRequest(r, endpoint, reqID, status, d)
-		em.Observe(d, status >= 400)
-		if sloPath {
-			s.slo.Observe(d, status >= 500)
-		}
 	}
-}
-
-// logRequest emits the request's structured log line: Info for ordinary
-// requests, Warn for those at or above the slow threshold, Error for
-// 5xx. No-op without a configured logger.
-func (s *Server) logRequest(r *http.Request, endpoint, reqID string, status int, d time.Duration) {
-	if s.logger == nil {
-		return
-	}
-	lvl, msg := slog.LevelInfo, "request"
-	if d >= s.cfg.SlowThreshold {
-		lvl, msg = slog.LevelWarn, "slow request"
-	}
-	if status >= 500 {
-		lvl, msg = slog.LevelError, "request failed"
-	}
-	s.logger.LogAttrs(context.Background(), lvl, msg,
-		slog.String("request_id", reqID),
-		slog.String("endpoint", endpoint),
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", status),
-		slog.Float64("dur_ms", float64(d)/1e6),
-	)
 }
 
 // ---- predict ----
@@ -435,7 +339,7 @@ type PredictResponse struct {
 	Cached bool `json:"cached"`
 }
 
-func (s *Server) handlePredict(r *http.Request, tr *obs.Trace) (int, any) {
+func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 	sp := tr.StartSpan("decode")
 	var req PredictRequest
 	e := decodePredict(r, &req)
@@ -586,7 +490,7 @@ type BatchResponse struct {
 	Errors int `json:"errors"`
 }
 
-func (s *Server) handlePredictBatch(r *http.Request, tr *obs.Trace) (int, any) {
+func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 	sp := tr.StartSpan("decode")
 	var req BatchRequest
 	e := decodeBatch(r, &req)
@@ -727,7 +631,7 @@ type ScheduleResponse struct {
 	Jobs         int        `json:"jobs"`
 }
 
-func (s *Server) handleSchedule(r *http.Request, tr *obs.Trace) (int, any) {
+func (s *Server) handleSchedule(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 	sp := tr.StartSpan("decode")
 	var req ScheduleRequest
 	e := decodeJSON(r, &req)
@@ -819,7 +723,7 @@ type ModelsResponse struct {
 	Models  []ModelInfo `json:"models"`
 }
 
-func (s *Server) handleModels(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleModels(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	return http.StatusOK, ModelsResponse{Default: s.reg.DefaultName(), Models: s.reg.List()}
 }
 
@@ -828,7 +732,7 @@ type ReloadResponse struct {
 	Reloaded []string `json:"reloaded"`
 }
 
-func (s *Server) handleReload(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleReload(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	reloaded, err := s.reg.Reload()
 	if err != nil {
 		s.metrics.SwapsRecorded(len(reloaded))
@@ -856,7 +760,7 @@ type HealthResponse struct {
 	Tracing       bool              `json:"tracing,omitempty"`
 }
 
-func (s *Server) handleHealthz(r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleHealthz(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	n := s.reg.Len()
 	resp := HealthResponse{Status: "ok", Models: n}
 	status := http.StatusOK
@@ -879,57 +783,39 @@ func (s *Server) handleHealthz(r *http.Request, _ *obs.Trace) (int, any) {
 			}
 		}
 		resp.Adaptation = s.adapt != nil
-		resp.Tracing = s.tracer != nil
+		resp.Tracing = s.edge.Tracer() != nil
 	}
 	return status, resp
 }
 
-// ---- traces ----
+// ---- traces / SLO ----
 
-// TracesResponse is the body of GET /v1/traces: the retained slow and
-// failed traces, newest first, plus the tracer's retention counters.
-type TracesResponse struct {
-	Stats  obs.Stats        `json:"stats"`
-	Count  int              `json:"count"`
-	Traces []*obs.TraceData `json:"traces"`
-}
-
-// handleTraces serves the trace ring; obs.FilterFromQuery documents
-// the query parameters.
-func (s *Server) handleTraces(r *http.Request, _ *obs.Trace) (int, any) {
-	if s.tracer == nil {
-		return errBody(&Error{Status: http.StatusServiceUnavailable, Code: CodeTracingDisabled,
-			Message: "this server is running without the trace ring (negative TraceRing)"})
-	}
-	f, err := obs.FilterFromQuery(r.URL.Query())
+// handleTraces serves the trace ring.
+func (s *Server) handleTraces(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+	resp, err := s.edge.Traces(r.URL.Query())
 	if err != nil {
-		return errBody(badRequest(CodeBadRequest, "%v", err))
+		return errBody(edgeRefusal(err, CodeTracingDisabled))
 	}
-	traces := s.tracer.Snapshot(f)
-	return http.StatusOK, TracesResponse{Stats: s.tracer.Stats(), Count: len(traces), Traces: traces}
+	return http.StatusOK, resp
 }
 
-// handleSLO serves the predict-path SLO verdict: per-window good/bad
-// counts, burn rates, and an ok|warn|page state.
-func (s *Server) handleSLO(r *http.Request, _ *obs.Trace) (int, any) {
-	if s.slo == nil {
-		return errBody(&Error{Status: http.StatusServiceUnavailable, Code: CodeSLODisabled,
-			Message: "this server is running without SLO tracking (negative SLOObjective)"})
+// handleSLO serves the predict-path SLO verdict.
+func (s *Server) handleSLO(_ http.ResponseWriter, _ *http.Request, _ *obs.Trace) (int, any) {
+	st, err := s.edge.SLOStatus()
+	if err != nil {
+		return errBody(edgeRefusal(err, CodeSLODisabled))
 	}
-	return http.StatusOK, s.slo.Status()
+	return http.StatusOK, st
 }
 
-// handleMetrics is registered outside wrap (the scrape body is plain
-// text, not JSON) but keeps the request-ID and logging contract: every
-// response carries X-Request-ID and produces one structured log line.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	reqID := requestID(w, r)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.reg.Write(w)
-	d := time.Since(start)
-	s.logRequest(r, "metrics", reqID, http.StatusOK, d)
-	s.scrapes.Observe(d, false)
+// edgeRefusal types what the edge declines to answer: a feature this
+// server runs without is a 503 under the feature's own code, anything
+// else a bad query.
+func edgeRefusal(err error, offCode string) *Error {
+	if errors.Is(err, obs.ErrDisabled) {
+		return &Error{Status: http.StatusServiceUnavailable, Code: offCode, Message: err.Error()}
+	}
+	return badRequest(CodeBadRequest, "%v", err)
 }
 
 // ListenAndServe runs the server on addr until ctx is cancelled, then
@@ -957,9 +843,17 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // then drains in-flight requests for up to drain. Cancellation stops
 // accepting new connections immediately and sheds requests arriving on
 // kept-alive connections with a typed 503 (StartDrain); requests already
-// being processed complete normally (http.Server.Shutdown semantics).
+// being processed complete normally.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration) error {
-	srv := &http.Server{Handler: s.Handler()}
+	return ServeGracefully(ctx, ln, s.Handler(), drain, s.StartDrain)
+}
+
+// ServeGracefully is the serve loop of both HTTP tiers: it serves h on
+// ln until ctx is cancelled, calls beforeShutdown (when non-nil), then
+// gives in-flight requests up to drain to complete before connections
+// are forced closed (http.Server.Shutdown semantics).
+func ServeGracefully(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration, beforeShutdown func()) error {
+	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -967,11 +861,13 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drain time.Duration
 		return err
 	case <-ctx.Done():
 	}
-	s.StartDrain()
+	if beforeShutdown != nil {
+		beforeShutdown()
+	}
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("serve: draining: %w", err)
+		return fmt.Errorf("draining: %w", err)
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err

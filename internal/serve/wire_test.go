@@ -451,7 +451,7 @@ func TestPredictCacheHitAllocs(t *testing.T) {
 	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"cached":true`)) {
 		t.Fatalf("not a cache hit: %d %s", w.status, w.body)
 	}
-	if w.hdr[hdrRequestID] == nil || w.hdr[hdrServerTiming] == nil {
+	if w.hdr["X-Request-Id"] == nil || w.hdr[hdrServerTiming] == nil {
 		t.Fatalf("envelope headers missing: %v", w.hdr)
 	}
 	if allocs > predictAllocBudget {
