@@ -530,6 +530,25 @@ func BenchmarkServePredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// One placement problem of the repository benchmark's shape
+	// (bench/ops.go): 16 apps over four 6-core machines, beam 12, QoS 2.5.
+	var placements []byte
+	{
+		apps := m.Apps()
+		req := serve.PlacementsRequest{
+			Machines:    []serve.PlacementMachineRequest{{Machine: "6core", Count: 4}},
+			Apps:        make([]string, 16),
+			MaxSlowdown: 2.5,
+			Seed:        11,
+			Beam:        12,
+		}
+		for i := range req.Apps {
+			req.Apps[i] = apps[(i*i+3*i)%len(apps)]
+		}
+		if placements, err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
 	bench := func(b *testing.B, path string, body []byte, cacheSize, traceRing int) {
 		reg := serve.NewRegistry()
 		if err := reg.Add("bench", "", m); err != nil {
@@ -558,6 +577,7 @@ func BenchmarkServePredict(b *testing.B) {
 	// overhead of the default cache-hit path (budgeted at <5%).
 	b.Run("cache-hit-untraced", func(b *testing.B) { bench(b, "/v1/predict", single, 65536, -1) })
 	b.Run("batch64", func(b *testing.B) { bench(b, "/v1/predict/batch", batch64, -1, 0) })
+	b.Run("placements", func(b *testing.B) { bench(b, "/v1/placements", placements, -1, 0) })
 }
 
 // BenchmarkObservationIngest measures the observation-log write path

@@ -64,7 +64,7 @@ func main() {
 	flag.Parse()
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	code, err := run(*modelPath, *demo, *input, *apps, *count, *seed, *beam, *rounds,
+	code, err := run(os.Stdout, *modelPath, *demo, *input, *apps, *count, *seed, *beam, *rounds,
 		*objective, *qos, *timeout, *jsonOut, set)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coloplan:", err)
@@ -72,7 +72,16 @@ func main() {
 	os.Exit(code)
 }
 
-func run(modelPath string, demo bool, input, apps string, count int, seed uint64,
+// Offline planning takes the serving tier's request documents but not its
+// per-request limits (256 apps, 64 machines, beam 64 by default): these
+// only stop a runaway document.
+const (
+	maxApps     = 1 << 16
+	maxMachines = 1 << 12
+	maxBeam     = 1 << 10
+)
+
+func run(out io.Writer, modelPath string, demo bool, input, apps string, count int, seed uint64,
 	beam, rounds int, objective string, qos float64, timeout time.Duration,
 	jsonOut bool, set map[string]bool) (int, error) {
 
@@ -100,7 +109,10 @@ func run(modelPath string, demo bool, input, apps string, count int, seed uint64
 	if set["qos"] {
 		req.MaxSlowdown = qos
 	}
-	prob, err := toProblem(req, m)
+	if len(req.Machines) == 0 {
+		req.Machines = []serve.PlacementMachineRequest{{Count: 2}}
+	}
+	prob, err := serve.PlacementProblem(req, m, maxApps, maxMachines, maxBeam)
 	if err != nil {
 		return 1, err
 	}
@@ -113,13 +125,13 @@ func run(modelPath string, demo bool, input, apps string, count int, seed uint64
 	}
 
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
 			return 1, err
 		}
 	} else {
-		printPlan(os.Stdout, prob, res)
+		printPlan(out, prob, res)
 	}
 	if res.Plan.QoSViolations > 0 {
 		return 2, fmt.Errorf("%d app(s) exceed the QoS bound %.2f", res.Plan.QoSViolations, prob.QoSBound)
@@ -202,67 +214,6 @@ func readProblem(input, apps string, count int) (serve.PlacementsRequest, error)
 		return req, fmt.Errorf("decoding problem: %w", err)
 	}
 	return req, nil
-}
-
-// specFor resolves a request machine name the same way the serve tier
-// does, defaulting to the machine the model was trained on.
-func specFor(name string, m *core.Model) (simproc.Spec, error) {
-	if name == "" {
-		name = m.Machine()
-	}
-	switch name {
-	case "6core", "e5649", "E5649":
-		return simproc.XeonE5649(), nil
-	case "12core", "e5-2697v2", "E5-2697v2":
-		return simproc.XeonE52697v2(), nil
-	}
-	for _, spec := range simproc.Machines() {
-		if spec.Name == name {
-			return spec, nil
-		}
-	}
-	return simproc.Spec{}, fmt.Errorf("unknown machine %q (want 6core or 12core)", name)
-}
-
-// toProblem expands the wire request into an optimizer problem.
-func toProblem(req serve.PlacementsRequest, m *core.Model) (placement.Problem, error) {
-	prob := placement.Problem{
-		Model:     m,
-		Apps:      req.Apps,
-		QoSBound:  req.MaxSlowdown,
-		Seed:      req.Seed,
-		Beam:      req.Beam,
-		MaxRounds: req.MaxRounds,
-	}
-	obj, err := placement.ObjectiveByName(req.Objective)
-	if err != nil {
-		return prob, err
-	}
-	prob.Objective = obj
-	if len(req.Machines) == 0 {
-		req.Machines = []serve.PlacementMachineRequest{{Count: 2}}
-	}
-	for i, mr := range req.Machines {
-		spec, err := specFor(mr.Machine, m)
-		if err != nil {
-			return prob, fmt.Errorf("machines[%d]: %w", i, err)
-		}
-		n := mr.Count
-		if n <= 0 {
-			n = 1
-		}
-		for k := 0; k < n; k++ {
-			name := mr.Name
-			if name != "" && n > 1 {
-				name = fmt.Sprintf("%s-%d", name, k)
-			}
-			prob.Machines = append(prob.Machines, placement.Machine{
-				Name: name, Spec: spec, Cores: mr.Cores,
-				PStates: append([]int(nil), mr.PStates...),
-			})
-		}
-	}
-	return prob, nil
 }
 
 // printPlan renders the per-machine and per-app tables plus the search

@@ -312,23 +312,34 @@ func (m *Model) PredictRecords(records []harness.Record) ([]float64, error) {
 
 // PredictScenarios predicts every scenario in one batched pass, the
 // many-scenario counterpart of Predict (bit-identical to calling it per
-// scenario). Compiled models evaluate the batch through the blocked
-// compiled kernels; the result is bit-identical to
-// PredictScenariosInterpreted.
+// scenario): PredictScenariosInto with a fresh result slice.
 func (m *Model) PredictScenarios(scs []features.Scenario) ([]float64, error) {
-	if len(scs) == 0 {
-		return []float64{}, nil
+	out := make([]float64, len(scs))
+	if err := m.PredictScenariosInto(scs, out); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// PredictScenariosInto is PredictScenarios writing into the caller's
+// buffer (length len(scs)), for callers that predict in a loop and keep
+// one buffer: compiled models evaluate the batch through a pooled
+// instance's blocked kernels with zero heap allocations once that
+// instance's scratch has grown to the batch size. The result is
+// bit-identical to PredictScenariosInterpreted, which models whose
+// artefact defeated the compiler fall back to.
+func (m *Model) PredictScenariosInto(scs []features.Scenario, out []float64) error {
 	if c := m.compiled(); c != nil {
-		out := make([]float64, len(scs))
 		err := c.PredictScenarios(scs, out)
 		m.cpool.Put(c)
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return err
 	}
-	return m.PredictScenariosInterpreted(scs)
+	if len(out) != len(scs) {
+		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(scs))
+	}
+	preds, err := m.PredictScenariosInterpreted(scs)
+	copy(out, preds)
+	return err
 }
 
 // PredictScenariosInterpreted is the uncompiled reference batch path:

@@ -8,9 +8,14 @@ package core_test
 // package because testeq imports core.
 
 import (
+	"bytes"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"colocmodel/internal/core"
+	"colocmodel/internal/features"
 	"colocmodel/internal/testeq"
 )
 
@@ -113,4 +118,36 @@ func TestCompileOnLoad(t *testing.T) {
 			t.Fatalf("model %d (%s) not compiled after LoadModel", i, m.Spec)
 		}
 	}
+}
+
+// TestPredictScenariosIntoInterpretedFallback drives the caller-buffer
+// entry point through the branch CheckModel cannot reach: the committed
+// scaler-width-mismatch artefact loads but defeats the compiler, so
+// PredictScenariosInto must take the interpreted path inside core and
+// agree with PredictScenarios on it (here: both reject every scenario,
+// the scaler having been fitted on another width).
+func TestPredictScenariosIntoInterpretedFallback(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzCompileModel/scaler-width-mismatch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Corpus files are a version line and one Go-quoted []byte literal.
+	lit := strings.TrimSpace(strings.SplitN(string(raw), "\n", 2)[1])
+	artefact, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.LoadModel(bytes.NewReader([]byte(artefact)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.IsCompiled() {
+		t.Fatal("scaler-width-mismatch artefact compiled; it no longer exercises the fallback")
+	}
+	apps := m.Apps()
+	testeq.CheckInto(t, m, []features.Scenario{
+		{Target: apps[0]},
+		{Target: apps[1], CoApps: []string{apps[0], apps[0]}},
+	})
+	testeq.CheckInto(t, m, nil)
 }

@@ -8,8 +8,12 @@
 // The optimizer is deliberately built as a heavy consumer of the batch
 // inference tier: every candidate it considers is scored by funneling
 // the implied co-location scenarios through one batched
-// core.PredictScenarios call per decision round, so a single placement
-// request fans out to thousands of predictions. Search is greedy
+// core.PredictScenariosInto call per decision round, so a single
+// placement request fans out to thousands of predictions. The search
+// itself is kept out of the way of that work: apps are small integer
+// ids, every distinct (machine class, membership) is predicted once, and
+// a candidate is assembled, keyed and scored in buffers one Optimize call
+// owns, so what a candidate costs is the model's rows and nothing else. Search is greedy
 // construction followed by seeded local search (move/swap neighbourhoods
 // sampled at a configurable beam width), and everything stochastic draws
 // from one explicit seed so the same problem always yields the same plan
@@ -268,8 +272,12 @@ type SearchStats struct {
 	// counted).
 	Rounds       int `json:"rounds"`
 	Improvements int `json:"improvements"`
-	// Scenarios counts co-location scenarios sent through the model
-	// (cache-deduplicated candidates are not re-predicted).
+	// Scenarios counts the co-location scenarios sent through the model:
+	// for each distinct machine membership the search scored, one row per
+	// distinct resident per candidate P-state. A membership seen again is
+	// not re-predicted, identical residents of a membership share one row
+	// (same target, same co-runners, same prediction), and a lone
+	// resident needs none.
 	Scenarios int `json:"scenarios_predicted"`
 	// Converged reports that local search ran dry (two consecutive
 	// rounds without an improving move) before hitting the round cap.

@@ -336,4 +336,22 @@ func BenchmarkPlacementSearch(b *testing.B) {
 			}
 		})
 	}
+	// wide16x4 is the repository benchmark's placement family: one op is
+	// one of 128 seeded problems of bench/ops.go's shape over its model,
+	// taken in turn, so -benchtime should be a multiple of 128.
+	probs := wideProblems(b, 128)
+	b.Run("wide16x4", func(b *testing.B) {
+		b.ReportAllocs()
+		var scenarios, rounds int
+		for i := 0; i < b.N; i++ {
+			res, err := Optimize(context.Background(), probs[i%len(probs)], nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scenarios += res.Stats.Scenarios
+			rounds += res.Stats.Rounds
+		}
+		b.ReportMetric(float64(scenarios)/float64(b.N), "scenarios/op")
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	})
 }

@@ -12,13 +12,18 @@ import (
 
 // state is the search's mutable placement: app → machine plus each
 // machine's membership (app indices in placement order) and its current
-// score.
+// score, and the buffers a round of search reuses.
 type state struct {
 	prob    *Problem
 	eng     *engine
 	assign  []int   // app index → machine
 	members [][]int // machine → app indices, placement order
 	scores  []*machineScore
+
+	cands   []int // construct: the machines a round asked about
+	moves   []move
+	touched [][2]int // the two machines each of moves changes
+	seen    map[move]struct{}
 }
 
 func newState(prob *Problem, eng *engine) *state {
@@ -28,6 +33,7 @@ func newState(prob *Problem, eng *engine) *state {
 		assign:  make([]int, len(prob.Apps)),
 		members: make([][]int, len(prob.Machines)),
 		scores:  make([]*machineScore, len(prob.Machines)),
+		seen:    make(map[move]struct{}, prob.Beam),
 	}
 	for i := range st.assign {
 		st.assign[i] = -1
@@ -38,20 +44,11 @@ func newState(prob *Problem, eng *engine) *state {
 	return st
 }
 
-// residentsWith returns machine m's resident names, sorted, with the
-// named extras added and the app at index except removed (except < 0
-// removes nothing).
-func (st *state) residentsWith(m int, except int, extra ...string) []string {
-	names := make([]string, 0, len(st.members[m])+len(extra))
-	for _, ai := range st.members[m] {
-		if ai == except {
-			continue
-		}
-		names = append(names, st.prob.Apps[ai])
-	}
-	names = append(names, extra...)
-	sort.Strings(names)
-	return names
+// ask requests the score of machine m's membership with the app at index
+// except removed and the app at index extra added (< 0 removes, adds,
+// nobody).
+func (st *state) ask(m, except, extra int) {
+	st.eng.ask(st.eng.classOf[m], false, st.members[m], except, extra)
 }
 
 func (st *state) free(m int) bool {
@@ -72,28 +69,35 @@ func (st *state) plan() *Plan {
 		PStates:     make([]int, len(st.members)),
 		Apps:        make([]AppPlacement, len(st.prob.Apps)),
 	}
+	ids := st.eng.appID
 	for m, mem := range st.members {
-		idx := append([]int(nil), mem...)
-		sort.Ints(idx)
-		names := make([]string, len(idx))
-		for j, ai := range idx {
-			names[j] = st.prob.Apps[ai]
-		}
+		names := make([]string, len(mem))
 		p.Assignments[m] = names
-		sc := st.scores[m]
 		if len(mem) == 0 {
 			p.PStates[m] = st.prob.Machines[m].PStates[0]
 			continue
 		}
+		sc := st.scores[m]
 		p.PStates[m] = sc.pstate
 		p.MachinesUsed++
-		sorted := st.residentsWith(m, -1)
-		for _, ai := range idx {
+		for _, ai := range mem {
+			// Assignments list a machine's apps in input order, and the
+			// score's accounts follow the sorted ids: an app's rank is the
+			// residents before it in either order. Identical apps share
+			// identical scenarios, so the first occurrence's account is
+			// exact for all of them.
+			at, first := 0, 0
+			for _, other := range mem {
+				if other < ai {
+					at++
+				}
+				if ids[other] < ids[ai] {
+					first++
+				}
+			}
 			name := st.prob.Apps[ai]
-			// Locate the app's account: identical names share identical
-			// scenarios, so the first occurrence is exact.
-			j := sort.SearchStrings(sorted, name)
-			a := sc.perApp[j]
+			names[at] = name
+			a := sc.perApp[first]
 			p.Apps[ai] = AppPlacement{
 				App: name, Machine: m, PState: sc.pstate,
 				PredictedSeconds: a.predictedSeconds,
@@ -114,59 +118,54 @@ func (st *state) plan() *Plan {
 // appOrder returns app indices in construction order: longest-running
 // first (descending P0 baseline — the heavy jobs spread across machines
 // before the fleet fills), ties by name then index for determinism.
-func appOrder(prob *Problem) ([]int, error) {
-	base := make([]float64, len(prob.Apps))
-	for i, a := range prob.Apps {
-		b, err := prob.Model.BaselineSeconds(a, 0)
-		if err != nil {
-			return nil, err
-		}
-		base[i] = b
-	}
-	order := make([]int, len(prob.Apps))
+func appOrder(st *state) []int {
+	e := st.eng
+	order := make([]int, len(st.prob.Apps))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(x, y int) bool {
-		i, j := order[x], order[y]
-		if base[i] != base[j] {
-			return base[i] > base[j]
+		i, j := e.appID[order[x]], e.appID[order[y]]
+		if bi, bj := e.base[int(i)*e.pstates], e.base[int(j)*e.pstates]; bi != bj {
+			return bi > bj
 		}
-		if prob.Apps[i] != prob.Apps[j] {
-			return prob.Apps[i] < prob.Apps[j]
+		if i != j {
+			return i < j // ids are ordered like names
 		}
-		return i < j
+		return order[x] < order[y]
 	})
-	return order, nil
+	return order
 }
 
 // construct greedily places every app: each app goes to the machine
 // (with a free core) where the fleet's (violations, objective) grows
-// least, all candidate machines scored in one batched model call.
+// least, all candidate machines scored in one batched model call. A
+// machine of the same class and membership as an earlier candidate is
+// not asked about: it would score the same, and ties go to the lower
+// machine index. Every score is a memo entry, so two machines of one
+// class have equal memberships exactly when they share a score.
 func construct(ctx context.Context, st *state) error {
-	order, err := appOrder(st.prob)
-	if err != nil {
-		return err
-	}
-	for _, ai := range order {
-		name := st.prob.Apps[ai]
-		var reqs []scoreReq
-		var cands []int
+	e := st.eng
+	for _, ai := range appOrder(st) {
+		e.begin()
+		st.cands = st.cands[:0]
+	machines:
 		for m := range st.prob.Machines {
 			if !st.free(m) {
 				continue
 			}
-			reqs = append(reqs, scoreReq{
-				class:     st.eng.classOf[m],
-				residents: st.residentsWith(m, -1, name),
-				pinPState: -1,
-			})
-			cands = append(cands, m)
+			for _, c := range st.cands {
+				if e.classOf[c] == e.classOf[m] && st.scores[c] == st.scores[m] {
+					continue machines
+				}
+			}
+			st.ask(m, -1, ai)
+			st.cands = append(st.cands, m)
 		}
-		if len(cands) == 0 {
-			return fmt.Errorf("placement: no free core for app %d (%s)", ai, name)
+		if len(st.cands) == 0 {
+			return fmt.Errorf("placement: no free core for app %d (%s)", ai, st.prob.Apps[ai])
 		}
-		scores, err := st.eng.scoreAll(ctx, reqs)
+		scores, err := e.scoreAll(ctx)
 		if err != nil {
 			return err
 		}
@@ -174,14 +173,14 @@ func construct(ctx context.Context, st *state) error {
 		var bestDV int
 		var bestDO float64
 		for c, sc := range scores {
-			m := cands[c]
+			m := st.cands[c]
 			dv := sc.violations - st.scores[m].violations
 			do := sc.objective - st.scores[m].objective
 			if best == -1 || dv < bestDV || (dv == bestDV && do < bestDO) {
 				best, bestDV, bestDO = c, dv, do
 			}
 		}
-		st.place(ai, cands[best], scores[best])
+		st.place(ai, st.cands[best], scores[best])
 	}
 	return nil
 }
@@ -198,9 +197,9 @@ type move struct {
 // source. Swaps between equal app names are no-ops and skipped.
 func sampleMoves(st *state, rng *xrand.Source, beam int) []move {
 	nApps, nMach := len(st.prob.Apps), len(st.prob.Machines)
-	seen := make(map[move]struct{}, beam)
-	out := make([]move, 0, beam)
-	for tries := 0; tries < beam*6 && len(out) < beam; tries++ {
+	clear(st.seen)
+	st.moves = st.moves[:0]
+	for tries := 0; tries < beam*6 && len(st.moves) < beam; tries++ {
 		var mv move
 		if nMach > 1 && rng.Bool(0.5) {
 			mv = move{a: rng.Intn(nApps), to: rng.Intn(nMach)}
@@ -213,38 +212,36 @@ func sampleMoves(st *state, rng *xrand.Source, beam int) []move {
 				mv.a, mv.b = mv.b, mv.a
 			}
 			if st.assign[mv.a] == st.assign[mv.b] ||
-				st.prob.Apps[mv.a] == st.prob.Apps[mv.b] {
+				st.eng.appID[mv.a] == st.eng.appID[mv.b] {
 				continue
 			}
 		}
-		if _, dup := seen[mv]; dup {
+		if _, dup := st.seen[mv]; dup {
 			continue
 		}
-		seen[mv] = struct{}{}
-		out = append(out, mv)
+		st.seen[mv] = struct{}{}
+		st.moves = append(st.moves, mv)
 	}
-	return out
+	return st.moves
 }
 
-// affected returns the machines a move touches and their new
-// memberships.
-func (st *state) affected(mv move) (ms [2]int, res [2][]string) {
+// affected asks for the scores of the two memberships a move creates and
+// returns the machines it touches.
+func (st *state) affected(mv move) [2]int {
 	if mv.swap {
 		ma, mb := st.assign[mv.a], st.assign[mv.b]
-		return [2]int{ma, mb}, [2][]string{
-			st.residentsWith(ma, mv.a, st.prob.Apps[mv.b]),
-			st.residentsWith(mb, mv.b, st.prob.Apps[mv.a]),
-		}
+		st.ask(ma, mv.a, mv.b)
+		st.ask(mb, mv.b, mv.a)
+		return [2]int{ma, mb}
 	}
 	from := st.assign[mv.a]
-	return [2]int{from, mv.to}, [2][]string{
-		st.residentsWith(from, mv.a),
-		st.residentsWith(mv.to, -1, st.prob.Apps[mv.a]),
-	}
+	st.ask(from, mv.a, -1)
+	st.ask(mv.to, -1, mv.a)
+	return [2]int{from, mv.to}
 }
 
 // apply commits a move with its two freshly scored memberships.
-func (st *state) apply(mv move, ms [2]int, scs [2]*machineScore) {
+func (st *state) apply(mv move, ms [2]int, na, nb *machineScore) {
 	remove := func(m, ai int) {
 		mem := st.members[m]
 		for i, v := range mem {
@@ -265,7 +262,7 @@ func (st *state) apply(mv move, ms [2]int, scs [2]*machineScore) {
 		st.members[ms[1]] = append(st.members[ms[1]], mv.a)
 		st.assign[mv.a] = ms[1]
 	}
-	st.scores[ms[0]], st.scores[ms[1]] = scs[0], scs[1]
+	st.scores[ms[0]], st.scores[ms[1]] = na, nb
 }
 
 // Optimize searches for the best placement: greedy construction, then
@@ -281,24 +278,28 @@ func Optimize(ctx context.Context, prob Problem, onImprove func(*Plan)) (*Result
 	if err != nil {
 		return nil, err
 	}
-	eng := newEngine(np.Model, np.Machines, np.Objective, np.QoSBound)
+	eng, err := newEngine(np.Model, np.Machines, np.Apps, np.Objective, np.QoSBound)
+	if err != nil {
+		return nil, err
+	}
 	st := newState(&np, eng)
 	if err := construct(ctx, st); err != nil {
 		return nil, err
 	}
-	res := &Result{Plan: st.plan()}
-	if onImprove != nil {
-		onImprove(res.Plan)
+	// A Plan is built only for a consumer: per improvement when someone
+	// listens, otherwise once, at return.
+	res := &Result{}
+	report := func() {
+		if onImprove != nil {
+			res.Plan = st.plan()
+			onImprove(res.Plan)
+		}
 	}
-	if np.Beam == 0 {
-		res.Stats.Converged = true
-		res.Stats.Scenarios = eng.scenarios
-		return res, nil
-	}
+	report()
 
 	rng := xrand.New(np.Seed)
 	dry := 0
-	for res.Stats.Rounds < np.MaxRounds && dry < 2 {
+	for np.Beam > 0 && res.Stats.Rounds < np.MaxRounds && dry < 2 {
 		if ctx.Err() != nil {
 			res.Stats.TimedOut = true
 			break
@@ -309,18 +310,12 @@ func Optimize(ctx context.Context, prob Problem, onImprove func(*Plan)) (*Result
 			dry++
 			continue
 		}
-		reqs := make([]scoreReq, 0, len(moves)*2)
+		eng.begin()
+		st.touched = st.touched[:0]
 		for _, mv := range moves {
-			ms, res2 := st.affected(mv)
-			for k := 0; k < 2; k++ {
-				reqs = append(reqs, scoreReq{
-					class:     eng.classOf[ms[k]],
-					residents: res2[k],
-					pinPState: -1,
-				})
-			}
+			st.touched = append(st.touched, st.affected(mv))
 		}
-		scores, err := eng.scoreAll(ctx, reqs)
+		scores, err := eng.scoreAll(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				res.Stats.TimedOut = true
@@ -331,8 +326,7 @@ func Optimize(ctx context.Context, prob Problem, onImprove func(*Plan)) (*Result
 		best := -1
 		var bestDV int
 		var bestDO float64
-		for c, mv := range moves {
-			ms, _ := st.affected(mv)
+		for c, ms := range st.touched {
 			na, nb := scores[2*c], scores[2*c+1]
 			dv := na.violations + nb.violations - st.scores[ms[0]].violations - st.scores[ms[1]].violations
 			do := na.objective + nb.objective - st.scores[ms[0]].objective - st.scores[ms[1]].objective
@@ -348,16 +342,14 @@ func Optimize(ctx context.Context, prob Problem, onImprove func(*Plan)) (*Result
 			continue
 		}
 		dry = 0
-		mv := moves[best]
-		ms, _ := st.affected(mv)
-		st.apply(mv, ms, [2]*machineScore{scores[2*best], scores[2*best+1]})
-		res.Plan = st.plan()
+		st.apply(moves[best], st.touched[best], scores[2*best], scores[2*best+1])
 		res.Stats.Improvements++
-		if onImprove != nil {
-			onImprove(res.Plan)
-		}
+		report()
 	}
-	res.Stats.Converged = dry >= 2
+	if res.Plan == nil {
+		res.Plan = st.plan()
+	}
+	res.Stats.Converged = np.Beam == 0 || dry >= 2
 	res.Stats.Scenarios = eng.scenarios
 	return res, nil
 }
@@ -371,7 +363,10 @@ func PackFirst(ctx context.Context, prob Problem) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := newEngine(np.Model, np.Machines, np.Objective, np.QoSBound)
+	eng, err := newEngine(np.Model, np.Machines, np.Apps, np.Objective, np.QoSBound)
+	if err != nil {
+		return nil, err
+	}
 	st := newState(&np, eng)
 	m := 0
 	for ai := range np.Apps {
@@ -381,26 +376,17 @@ func PackFirst(ctx context.Context, prob Problem) (*Plan, error) {
 		st.assign[ai] = m
 		st.members[m] = append(st.members[m], ai)
 	}
-	reqs := make([]scoreReq, 0, len(np.Machines))
-	var idx []int
-	for mi := range np.Machines {
-		if len(st.members[mi]) == 0 {
-			continue
-		}
-		reqs = append(reqs, scoreReq{
-			class:     eng.classOf[mi],
-			residents: st.residentsWith(mi, -1),
-			pinPState: np.Machines[mi].PStates[0],
-		})
-		idx = append(idx, mi)
+	// Every machine is asked about, pinned; an empty one answers
+	// emptyScore.
+	eng.begin()
+	for mi, mem := range st.members {
+		eng.ask(eng.classOf[mi], true, mem, -1, -1)
 	}
-	scores, err := eng.scoreAll(ctx, reqs)
+	scores, err := eng.scoreAll(ctx)
 	if err != nil {
 		return nil, err
 	}
-	for i, mi := range idx {
-		st.scores[mi] = scores[i]
-	}
+	copy(st.scores, scores)
 	return st.plan(), nil
 }
 
@@ -442,24 +428,26 @@ func GreedyPack(ctx context.Context, model *core.Model, spec simproc.Spec, jobs 
 			return nil, invalidf("unknown app %q", j)
 		}
 	}
-	eng := newEngine(model, []Machine{{
+	eng, err := newEngine(model, []Machine{{
 		Spec: spec, Cores: spec.Cores, PStates: []int{cfg.PState},
-	}}, MinDegradation, cfg.MaxSlowdown)
+	}}, jobs, MinDegradation, cfg.MaxSlowdown)
+	if err != nil {
+		return nil, err
+	}
 
-	var out [][]string
-	for _, job := range jobs {
-		var reqs []scoreReq
-		var cands []int
-		for mi, resident := range out {
-			if len(resident) >= spec.Cores {
+	var placed [][]int // machine → job indices, placement order
+	var cands []int
+	for ji := range jobs {
+		eng.begin()
+		cands = cands[:0]
+		for mi, mem := range placed {
+			if len(mem) >= spec.Cores {
 				continue
 			}
-			names := append(append([]string{}, resident...), job)
-			sort.Strings(names)
-			reqs = append(reqs, scoreReq{class: 0, residents: names, pinPState: cfg.PState})
+			eng.ask(0, false, mem, -1, ji)
 			cands = append(cands, mi)
 		}
-		scores, err := eng.scoreAll(ctx, reqs)
+		scores, err := eng.scoreAll(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -469,12 +457,7 @@ func GreedyPack(ctx context.Context, model *core.Model, spec simproc.Spec, jobs 
 				best, bestWorst = c, sc.worst
 			}
 		}
-		if best >= 0 {
-			mi := cands[best]
-			out[mi] = append(out[mi], job)
-			continue
-		}
-		if cfg.MaxMachines > 0 && len(out) >= cfg.MaxMachines {
+		if best == -1 && cfg.MaxMachines > 0 && len(placed) >= cfg.MaxMachines {
 			// Fleet is capped: fall back to the least-bad machine.
 			for c, sc := range scores {
 				if best == -1 || sc.worst < bestWorst {
@@ -484,10 +467,20 @@ func GreedyPack(ctx context.Context, model *core.Model, spec simproc.Spec, jobs 
 			if best == -1 {
 				return nil, fmt.Errorf("placement: fleet capped at %d machines and all cores busy", cfg.MaxMachines)
 			}
-			out[cands[best]] = append(out[cands[best]], job)
+		}
+		if best == -1 {
+			placed = append(placed, []int{ji})
 			continue
 		}
-		out = append(out, []string{job})
+		placed[cands[best]] = append(placed[cands[best]], ji)
+	}
+	var out [][]string
+	for _, mem := range placed {
+		names := make([]string, len(mem))
+		for k, ji := range mem {
+			names[k] = jobs[ji]
+		}
+		out = append(out, names)
 	}
 	return out, nil
 }

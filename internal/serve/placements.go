@@ -74,15 +74,18 @@ type PlacementsStreamEvent struct {
 	Error  *errorDetail           `json:"error,omitempty"`
 }
 
-// decodePlacements validates a placement request against the model and
-// expands it into an optimizer problem.
-func (s *Server) decodePlacements(req PlacementsRequest, m *core.Model) (placement.Problem, *Error) {
+// PlacementProblem validates a placement request against the model and
+// the caller's limits on apps, expanded fleet size and beam width, and
+// expands it into an optimizer problem: the one fleet expansion behind
+// both POST /v1/placements and cmd/coloplan. Every failure is an *Error
+// carrying a typed 400.
+func PlacementProblem(req PlacementsRequest, m *core.Model, maxApps, maxMachines, maxBeam int) (placement.Problem, error) {
 	var prob placement.Problem
 	if len(req.Apps) == 0 {
 		return prob, badRequest(CodeBadRequest, "apps must not be empty")
 	}
-	if len(req.Apps) > s.cfg.MaxPlacementApps {
-		return prob, badRequest(CodeBadRequest, "%d apps exceed limit %d", len(req.Apps), s.cfg.MaxPlacementApps)
+	if len(req.Apps) > maxApps {
+		return prob, badRequest(CodeBadRequest, "%d apps exceed limit %d", len(req.Apps), maxApps)
 	}
 	for _, a := range req.Apps {
 		if !m.HasApp(a) {
@@ -96,8 +99,8 @@ func (s *Server) decodePlacements(req PlacementsRequest, m *core.Model) (placeme
 	if err != nil {
 		return prob, badRequest(CodeBadRequest, "%v", err)
 	}
-	if req.Beam < 0 || req.Beam > s.cfg.MaxPlacementBeam {
-		return prob, badRequest(CodeBadRequest, "beam %d out of [0,%d]", req.Beam, s.cfg.MaxPlacementBeam)
+	if req.Beam < 0 || req.Beam > maxBeam {
+		return prob, badRequest(CodeBadRequest, "beam %d out of [0,%d]", req.Beam, maxBeam)
 	}
 	var machines []placement.Machine
 	for i, mr := range req.Machines {
@@ -108,8 +111,10 @@ func (s *Server) decodePlacements(req PlacementsRequest, m *core.Model) (placeme
 		if count < 0 {
 			return prob, badRequest(CodeBadRequest, "machine %d: negative count %d", i, count)
 		}
-		if len(machines)+count > s.cfg.MaxPlacementMachines {
-			return prob, badRequest(CodeBadRequest, "fleet exceeds limit of %d machines", s.cfg.MaxPlacementMachines)
+		// Not len(machines)+count > max: a count near the integer limit
+		// wraps that sum negative and the expansion below never ends.
+		if count > maxMachines-len(machines) {
+			return prob, badRequest(CodeBadRequest, "fleet exceeds limit of %d machines", maxMachines)
 		}
 		spec, e := resolveMachine(mr.Machine, m)
 		if e != nil {
@@ -186,7 +191,11 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 	}
 	var prob placement.Problem
 	if e == nil {
-		prob, e = s.decodePlacements(req, rm.m)
+		var err error
+		prob, err = PlacementProblem(req, rm.m, s.cfg.MaxPlacementApps, s.cfg.MaxPlacementMachines, s.cfg.MaxPlacementBeam)
+		if err != nil {
+			e = asError(err)
+		}
 	}
 	if e != nil {
 		return errBody(e)

@@ -159,6 +159,25 @@ func TestPlacementsValidation(t *testing.T) {
 	}
 }
 
+// overflowingCount is the 70-byte request that took coloserve down: the
+// second group's count wraps len(machines)+count negative, which slipped
+// under the fleet limit and into an expansion loop that appended until
+// the runtime ran out of memory.
+const overflowingCount = `{"apps":["cg"],"machines":[{"count":1},{"count":9223372036854775807}]}`
+
+func TestPlacementsCountOverflowIs400(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	req := httptest.NewRequest(http.MethodPost, "/v1/placements", strings.NewReader(overflowingCount))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if got := errCode(t, w); got != CodeBadRequest {
+		t.Fatalf("code %q, want %q: %s", got, CodeBadRequest, w.Body.String())
+	}
+}
+
 func TestPlacementsTimeoutBeforePlanIs503(t *testing.T) {
 	s, _ := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	w := postJSON(t, s.Handler(), "/v1/placements", placementsBody())
@@ -260,6 +279,7 @@ func FuzzPlacements(f *testing.F) {
 	f.Add([]byte(`{"apps":["cg"],"machines":[{"pstates":[0,0]}]}`))
 	f.Add([]byte(`{"apps":["cg"],"machines":[{"pstates":[-1,99]}]}`))
 	f.Add([]byte(`{"apps":["cg"],"machines":[{"count":-5}]}`))
+	f.Add([]byte(overflowingCount))
 	f.Add([]byte(`{"apps":["cg"],"machines":[{"machine":"13core"}]}`))
 	f.Add([]byte(`{"stream":true,"apps":["cg","ep"],"machines":[{"count":2}],"beam":2}`))
 	s, _ := newTestServer(f, Config{

@@ -234,7 +234,8 @@ func (g *Gen) HostileScenarios(m *core.Model, n int) []features.Scenario {
 //     dispatch both reproduce PredictScenariosInterpreted exactly, for
 //     the full batch and for mixed-width sub-batches re-evaluated
 //     through the *same* compiled instance (scratch reuse across batch
-//     shapes must not perturb results).
+//     shapes must not perturb results);
+//   - caller-buffer: CheckInto on the valid scenarios.
 func CheckModel(tb testing.TB, m *core.Model, scs []features.Scenario) {
 	tb.Helper()
 	if !m.IsCompiled() {
@@ -274,6 +275,7 @@ func CheckModel(tb testing.TB, m *core.Model, scs []features.Scenario) {
 	if len(valid) == 0 {
 		return
 	}
+	CheckInto(tb, m, valid)
 
 	// Mixed-width batches through one compiled instance: growing and
 	// shrinking the batch exercises scratch reuse across shapes.
@@ -302,5 +304,49 @@ func CheckModel(tb testing.TB, m *core.Model, scs []features.Scenario) {
 					m.Spec, n, i, disp[i], want[i])
 			}
 		}
+	}
+}
+
+// CheckInto asserts that Model.PredictScenariosInto agrees with
+// Model.PredictScenarios on scs: the same error verdict and, on success,
+// exactly the same bits in the caller's buffer; that it refuses a buffer
+// of the wrong length; and — for a compiled model, outside the race
+// detector, whose sync.Pool drops a share of Puts — that it allocates
+// nothing once warm. Unlike CheckModel it accepts a model whose artefact
+// defeated the compiler: the entry point serves the interpreted fallback
+// too.
+func CheckInto(tb testing.TB, m *core.Model, scs []features.Scenario) {
+	tb.Helper()
+	want, wantErr := m.PredictScenarios(scs)
+	out := make([]float64, len(scs)+1)
+	for _, n := range []int{len(scs) + 1, len(scs) - 1} {
+		if n >= 0 && m.PredictScenariosInto(scs, out[:n]) == nil {
+			tb.Fatalf("%s PredictScenariosInto accepted a %d-slot buffer for %d scenarios", m.Spec, n, len(scs))
+		}
+	}
+	out = out[:len(scs)]
+	err := m.PredictScenariosInto(scs, out)
+	if (wantErr == nil) != (err == nil) {
+		tb.Fatalf("%s batch(%d): error parity broken: PredictScenarios err=%v, PredictScenariosInto err=%v",
+			m.Spec, len(scs), wantErr, err)
+	}
+	if wantErr != nil {
+		return
+	}
+	for i := range want {
+		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+			tb.Fatalf("%s slot %d: PredictScenariosInto %v != PredictScenarios %v (not bit-identical)",
+				m.Spec, i, out[i], want[i])
+		}
+	}
+	if !m.IsCompiled() || RaceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := m.PredictScenariosInto(scs, out); err != nil {
+			tb.Error(err)
+		}
+	}); n != 0 {
+		tb.Fatalf("%s: warm PredictScenariosInto allocates %.1f/op, want 0", m.Spec, n)
 	}
 }
