@@ -26,11 +26,29 @@
 // # Tail latency
 //
 // Identical in-flight cache-miss scenarios are coalesced (singleflight):
-// a thundering herd of one scenario costs one backend call. Predict
-// calls unanswered after a hedge delay — configured, or derived from
-// the observed backend p95 — launch a second attempt on the next
-// replica; the first usable reply wins and the loser is discarded
-// without double-counting metrics.
+// a thundering herd of one scenario costs one backend call, and a
+// follower whose leader's client hangs up re-enters the flight rather
+// than answer with the leader's cancellation. A predict's attempts run
+// on the request's own goroutine, failing over in order; beside them
+// one timer-driven sidecar, if the call is still open after a hedge
+// delay — configured, or derived from the observed backend p95 — calls
+// the next unclaimed replica from the timer's goroutine. The first
+// usable reply wins: a winning sidecar releases the caller by
+// cancelling the context its attempt is blocked under, a returning
+// caller cancels the sidecar the same way, and the loser is discarded
+// without double-counting metrics. A predict whose hedge never fires
+// (all but about one in a hundred) starts no goroutine.
+//
+// # Bytes in, bytes out
+//
+// The single-predict hop decodes and encodes nothing it can read off
+// the bytes: the route key comes from the serve tier's own request scan
+// (serve.ScanPredictRequest), model and generation from the prefix the
+// serve tier renders its reply with (serve.PredictReplyIdentity), each
+// with encoding/json as the fallback for any other bytes, and the reply
+// — body and Content-Type — is written to the client as it came.
+// Backends are resolved when they join: base URL parsed once, header
+// values pre-rendered, ring points holding the backend itself.
 //
 // # Rolling promotion protocol
 //

@@ -23,10 +23,10 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	res  *proxyResult
-	err  error
-	// leaderTrace is the leader's trace ID, recorded so followers can
-	// annotate their coalesce span with the trace that did the work.
-	leaderTrace string
+	// leader is the leader's trace, so followers can annotate their
+	// coalesce span with the ID of the trace that did the work. It is
+	// live for as long as the flight is in calls: read it under g.mu.
+	leader *obs.Trace
 	// followers counts callers sharing this flight; tests use it to
 	// step the coalescing machinery deterministically.
 	followers atomic.Int64
@@ -34,36 +34,37 @@ type flightCall struct {
 
 // do runs fn for key, coalescing concurrent duplicates. The boolean
 // reports whether the result was shared from another caller's flight.
-// tr is the caller's trace (nil-safe): the leader's trace ID is stored
-// on the flight, and a follower spends its wait inside a "coalesce"
-// span annotated with that ID, so the two traces cross-reference.
-func (g *flightGroup) do(key string, tr *obs.Trace, fn func() (*proxyResult, error)) (*proxyResult, error, bool) {
+// tr is the caller's trace (nil-safe): a follower spends its wait
+// inside a "coalesce" span annotated with the leader's trace ID, so the
+// two traces cross-reference.
+func (g *flightGroup) do(key string, tr *obs.Trace, fn func() *proxyResult) (*proxyResult, bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flightCall)
 	}
 	if c, ok := g.calls[key]; ok {
 		c.followers.Add(1)
+		leaderTrace := c.leader.TraceID()
 		g.mu.Unlock()
 		sp := tr.StartSpan("coalesce")
-		if c.leaderTrace != "" {
-			sp.Annotate("leader_trace", c.leaderTrace)
+		if leaderTrace != "" {
+			sp.Annotate("leader_trace", leaderTrace)
 		}
 		<-c.done
 		sp.End()
-		return c.res, c.err, true
+		return c.res, true
 	}
-	c := &flightCall{done: make(chan struct{}), leaderTrace: tr.TraceID()}
+	c := &flightCall{done: make(chan struct{}), leader: tr}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.res, c.err = fn()
+	c.res = fn()
 
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.res, c.err, false
+	return c.res, false
 }
 
 // pendingFollowers reports how many callers are sharing the in-flight

@@ -74,7 +74,7 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq ob
 		if pr.serverTiming != "" {
 			w.Header().Set("Server-Timing", pr.serverTiming)
 		}
-		w.Header().Set("X-Backend", pr.backend)
+		w.Header()["X-Backend"] = pr.backend.nameHdr
 		w.WriteHeader(pr.status)
 		f, _ := w.(http.Flusher)
 		_, _ = io.Copy(flushWriter{w: w, f: f}, resp.Body)

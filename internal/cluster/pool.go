@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -54,6 +55,11 @@ type Backend struct {
 	Name string
 	// Base is the HTTP root, e.g. "http://10.0.0.3:8080".
 	Base string
+
+	// Resolved once at join, so that a request parses and renders
+	// nothing: Base parsed, and Name as an X-Backend header value.
+	url     *url.URL
+	nameHdr []string
 
 	metrics backendMetrics
 
@@ -201,12 +207,17 @@ func (p *Pool) Add(name, base string) error {
 		return fmt.Errorf("cluster: backend needs a name and a base URL")
 	}
 	base = strings.TrimRight(base, "/")
+	u, err := url.Parse(base)
+	if err != nil {
+		return fmt.Errorf("cluster: backend %q: %w", name, err)
+	}
+	u.Host = strings.TrimSuffix(u.Host, ":") // "host:" is "host", as http.NewRequest reads it
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, dup := p.backends[name]; dup {
 		return fmt.Errorf("cluster: backend %q already joined", name)
 	}
-	p.backends[name] = &Backend{Name: name, Base: base}
+	p.backends[name] = &Backend{Name: name, Base: base, url: u, nameHdr: []string{name}}
 	p.rebuildLocked()
 	return nil
 }
@@ -225,11 +236,11 @@ func (p *Pool) Remove(name string) error {
 }
 
 func (p *Pool) rebuildLocked() {
-	names := make([]string, 0, len(p.backends))
-	for n := range p.backends {
-		names = append(names, n)
+	backends := make([]*Backend, 0, len(p.backends))
+	for _, b := range p.backends {
+		backends = append(backends, b)
 	}
-	p.ring.Store(buildRing(names, p.vnodes))
+	p.ring.Store(buildRing(backends, p.vnodes))
 }
 
 // Get resolves a backend by name (nil if unknown).
@@ -265,17 +276,8 @@ func (p *Pool) Available() []*Backend {
 
 // Replicas returns the key's replica set in ring order (owner first),
 // unfiltered by health — the router filters so that fallback decisions
-// and metrics stay in one place.
-func (p *Pool) Replicas(key string, n int) []*Backend {
-	names := p.ring.Load().pick(key, n)
-	out := make([]*Backend, 0, len(names))
-	for _, name := range names {
-		if b := p.Get(name); b != nil {
-			out = append(out, b)
-		}
-	}
-	return out
-}
+// and metrics stay in one place. The slice is the caller's.
+func (p *Pool) Replicas(key string, n int) []*Backend { return p.ring.Load().pick(key, n) }
 
 // Members returns the ring's member names (sorted).
 func (p *Pool) Members() []string { return p.ring.Load().members() }

@@ -5,11 +5,12 @@ import (
 	"strconv"
 )
 
-// ring is a consistent-hash ring over backend names. Each backend owns
-// a fixed number of virtual nodes, so keys spread evenly and a join or
-// leave moves only the key ranges adjacent to the changed backend's
-// virtual nodes — every other key keeps its owner, which keeps the
-// fleet's prediction caches warm across membership churn.
+// ring is a consistent-hash ring over backends, placed by their names.
+// Each backend owns a fixed number of virtual nodes, so keys spread
+// evenly and a join or leave moves only the key ranges adjacent to the
+// changed backend's virtual nodes — every other key keeps its owner,
+// which keeps the fleet's prediction caches warm across membership
+// churn.
 //
 // A ring is immutable once built; membership changes build a new ring
 // and swap the pointer, so lookups never take a lock.
@@ -22,7 +23,7 @@ type ring struct {
 // that owns the arc ending there.
 type ringPoint struct {
 	hash uint64
-	name string
+	b    *Backend
 }
 
 // defaultVirtualNodes balances placement smoothness against rebuild
@@ -30,25 +31,22 @@ type ringPoint struct {
 // small fleets.
 const defaultVirtualNodes = 64
 
-// buildRing constructs a ring over the given backend names with vnodes
-// virtual nodes each. Duplicate names are collapsed.
-func buildRing(names []string, vnodes int) *ring {
+// buildRing constructs a ring over the given backends with vnodes
+// virtual nodes each. Unnamed and duplicate-named backends are skipped.
+func buildRing(backends []*Backend, vnodes int) *ring {
 	if vnodes <= 0 {
 		vnodes = defaultVirtualNodes
 	}
-	seen := make(map[string]bool, len(names))
+	seen := make(map[string]bool, len(backends))
 	r := &ring{}
-	for _, n := range names {
-		if n == "" || seen[n] {
+	for _, b := range backends {
+		if b.Name == "" || seen[b.Name] {
 			continue
 		}
-		seen[n] = true
-		r.names = append(r.names, n)
+		seen[b.Name] = true
+		r.names = append(r.names, b.Name)
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{
-				hash: hashKey(n + "#" + strconv.Itoa(v)),
-				name: n,
-			})
+			r.points = append(r.points, ringPoint{hash: hashKey(b.Name + "#" + strconv.Itoa(v)), b: b})
 		}
 	}
 	sort.Strings(r.names)
@@ -56,14 +54,14 @@ func buildRing(names []string, vnodes int) *ring {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash
 		}
-		return r.points[i].name < r.points[j].name
+		return r.points[i].b.Name < r.points[j].b.Name
 	})
 	return r
 }
 
 // pick returns the replica set for a key: the first n distinct backends
 // clockwise from the key's position. n is clamped to the member count.
-func (r *ring) pick(key string, n int) []string {
+func (r *ring) pick(key string, n int) []*Backend {
 	if r == nil || len(r.points) == 0 || n <= 0 {
 		return nil
 	}
@@ -72,21 +70,22 @@ func (r *ring) pick(key string, n int) []string {
 	}
 	h := hashKey(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
+	out := make([]*Backend, 0, n)
+next:
 	for range r.points {
 		if i == len(r.points) {
 			i = 0
 		}
-		p := r.points[i]
-		if !seen[p.name] {
-			seen[p.name] = true
-			out = append(out, p.name)
-			if len(out) == n {
-				break
+		b := r.points[i].b
+		i++
+		for _, picked := range out {
+			if picked == b {
+				continue next
 			}
 		}
-		i++
+		if out = append(out, b); len(out) == n {
+			break
+		}
 	}
 	return out
 }

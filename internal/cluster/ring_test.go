@@ -14,19 +14,31 @@ func testKeys(n int) []string {
 	return keys
 }
 
+// ringOf builds a 64-vnode ring over backends with the given names.
+func ringOf(names ...string) *ring {
+	backends := make([]*Backend, len(names))
+	for i, n := range names {
+		backends[i] = &Backend{Name: n}
+	}
+	return buildRing(backends, 64)
+}
+
+// owner is the name of the key's first replica.
+func (r *ring) owner(key string) string { return r.pick(key, 1)[0].Name }
+
 // TestRingStableUnderJoin pins the consistent-hashing contract: adding
 // a backend moves ONLY the key ranges the new backend takes over —
 // every key whose owner changes must now be owned by the newcomer, and
 // no key moves between pre-existing backends.
 func TestRingStableUnderJoin(t *testing.T) {
 	keys := testKeys(2000)
-	before := buildRing([]string{"a", "b", "c"}, 64)
-	after := buildRing([]string{"a", "b", "c", "d"}, 64)
+	before := ringOf("a", "b", "c")
+	after := ringOf("a", "b", "c", "d")
 
 	moved := 0
 	for _, k := range keys {
-		was := before.pick(k, 1)[0]
-		now := after.pick(k, 1)[0]
+		was := before.owner(k)
+		now := after.owner(k)
 		if was != now {
 			moved++
 			if now != "d" {
@@ -50,12 +62,12 @@ func TestRingStableUnderJoin(t *testing.T) {
 // membership, with no history).
 func TestRingStableUnderLeave(t *testing.T) {
 	keys := testKeys(2000)
-	full := buildRing([]string{"a", "b", "c", "d"}, 64)
-	without := buildRing([]string{"a", "b", "c"}, 64)
+	full := ringOf("a", "b", "c", "d")
+	without := ringOf("a", "b", "c")
 
 	for _, k := range keys {
-		was := full.pick(k, 1)[0]
-		now := without.pick(k, 1)[0]
+		was := full.owner(k)
+		now := without.owner(k)
 		if was != "d" && was != now {
 			t.Fatalf("key %q moved %s -> %s on leave of d: only the leaver's keys may move", k, was, now)
 		}
@@ -63,9 +75,9 @@ func TestRingStableUnderLeave(t *testing.T) {
 			t.Fatalf("key %q still owned by removed backend d", k)
 		}
 	}
-	rejoined := buildRing([]string{"d", "c", "b", "a"}, 64) // order must not matter
+	rejoined := ringOf("d", "c", "b", "a") // order must not matter
 	for _, k := range keys {
-		if full.pick(k, 1)[0] != rejoined.pick(k, 1)[0] {
+		if full.owner(k) != rejoined.owner(k) {
 			t.Fatalf("key %q owner differs after leave+rejoin: placement is not a pure function of membership", k)
 		}
 	}
@@ -74,17 +86,17 @@ func TestRingStableUnderLeave(t *testing.T) {
 // TestRingReplicaSets pins replica-set semantics: R distinct backends,
 // owner first, clamped to the member count, deterministic across calls.
 func TestRingReplicaSets(t *testing.T) {
-	r := buildRing([]string{"a", "b", "c"}, 64)
+	r := ringOf("a", "b", "c")
 	for _, k := range testKeys(200) {
 		set := r.pick(k, 2)
 		if len(set) != 2 {
 			t.Fatalf("pick(%q, 2) returned %d backends", k, len(set))
 		}
 		if set[0] == set[1] {
-			t.Fatalf("pick(%q, 2) repeated backend %s", k, set[0])
+			t.Fatalf("pick(%q, 2) repeated backend %s", k, set[0].Name)
 		}
-		if owner := r.pick(k, 1); owner[0] != set[0] {
-			t.Fatalf("pick(%q, 2)[0]=%s disagrees with owner %s", k, set[0], owner[0])
+		if owner := r.owner(k); owner != set[0].Name {
+			t.Fatalf("pick(%q, 2)[0]=%s disagrees with owner %s", k, set[0].Name, owner)
 		}
 	}
 	if got := r.pick("k", 10); len(got) != 3 {
@@ -98,11 +110,11 @@ func TestRingReplicaSets(t *testing.T) {
 // TestRingBalance guards the virtual-node count: with 64 vnodes per
 // backend no member should own a wildly disproportionate share.
 func TestRingBalance(t *testing.T) {
-	r := buildRing([]string{"a", "b", "c", "d"}, 64)
+	r := ringOf("a", "b", "c", "d")
 	counts := map[string]int{}
 	keys := testKeys(4000)
 	for _, k := range keys {
-		counts[r.pick(k, 1)[0]]++
+		counts[r.owner(k)]++
 	}
 	for name, n := range counts {
 		frac := float64(n) / float64(len(keys))

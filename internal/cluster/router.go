@@ -202,7 +202,8 @@ func (f *floorTable) raise(client, model string, gen uint64) {
 
 // handlerFunc answers one request, whose identity (request ID, trace)
 // it receives as rq, with a JSON body for wrap to write; a nil body
-// means the handler wrote its own response (placements streams).
+// means the handler wrote its own response (placements streams, replay
+// writes a backend's bytes as they came).
 type handlerFunc func(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any)
 
 type errorBody struct {
@@ -291,15 +292,16 @@ func (rt *Router) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 	}
 }
 
+// jsonContentType is shared by every reply and backend call the router
+// renders itself: assigned under the already-canonical key, it costs no
+// canonicalisation and no one-element slice.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
 }
-
-// passthrough is a proxied response replayed to the client verbatim:
-// wrap encodes json.RawMessage without re-marshalling.
-type passthrough = json.RawMessage
 
 // clientID identifies the requester for generation-floor tracking.
 func clientID(r *http.Request) string { return r.Header.Get("X-Client-ID") }
@@ -308,14 +310,14 @@ func clientID(r *http.Request) string { return r.Header.Get("X-Client-ID") }
 
 // proxyResult is one backend call's outcome.
 type proxyResult struct {
-	backend      string
+	backend      *Backend
 	status       int
 	body         []byte
+	contentType  []string // backend's Content-Type values, as sent
 	serverTiming string
 	traceSpans   string // backend's X-Trace-Spans payload, verbatim
 	shed         bool   // typed 503 "draining": alive, re-route, don't eject
 	err          error
-	hedge        bool
 	elapsed      time.Duration
 	hedgeWait    time.Duration // delay waited before a hedge fired (0: none fired)
 }
@@ -353,10 +355,18 @@ func retryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// send is the one backend-call path. It builds the outbound request
-// (forwarding the request ID and trace context), holds the backend's
-// in-flight count across the whole exchange, classifies the reply and
-// records the attempt in the backend's metrics exactly once. A typed
+// outBody is an outbound request body over bytes the caller keeps.
+type outBody struct{ bytes.Reader }
+
+func (*outBody) Close() error { return nil }
+
+// send is the one backend-call path. It builds the outbound request —
+// the one http.NewRequestWithContext would build from Base+path, put
+// together from what the backend resolved when it joined, so a call
+// parses and canonicalises nothing — forwarding the request ID and
+// trace context, holds the backend's in-flight count across the whole
+// exchange, classifies the reply and records the attempt in the
+// backend's metrics exactly once. A typed
 // drain shed (503 + Retry-After) marks the backend shedding for the
 // advertised delay rather than failed: alive but refusing, so callers
 // re-route without ejecting and the probe loop re-admits it when the
@@ -370,23 +380,27 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 	start := time.Now()
 	b.acquire()
 	defer b.release()
-	pr := &proxyResult{backend: b.Name}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	pr := &proxyResult{backend: b}
+	u := *b.url
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.Base+path, rd)
-	var resp *http.Response
-	if err == nil {
-		req.Header.Set("Content-Type", "application/json")
-		req.Header[obs.RequestIDHeader] = []string{reqID}
-		if tp != "" {
-			req.Header.Set(obs.TraceparentHeader, tp)
-		}
-		resp, err = rt.cfg.Client.Do(req)
+	ids := []string{reqID, tp}
+	req := &http.Request{Method: method, URL: &u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: http.Header{"Content-Type": jsonContentType, obs.RequestIDHeader: ids[:1:1]}}
+	if tp != "" {
+		req.Header[obs.TraceparentHeader] = ids[1:]
 	}
+	if len(body) > 0 {
+		req.ContentLength = int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) { return &outBody{*bytes.NewReader(body)}, nil }
+		req.Body, _ = req.GetBody()
+	}
+	resp, err := rt.cfg.Client.Do(req.WithContext(ctx))
 	if err == nil {
 		pr.status = resp.StatusCode
+		pr.contentType = resp.Header["Content-Type"]
 		pr.serverTiming = resp.Header.Get("Server-Timing")
 		pr.traceSpans = resp.Header.Get(obs.TraceSpansHeader)
 		if resp.StatusCode == http.StatusServiceUnavailable {
@@ -421,7 +435,7 @@ func readBody(pr *proxyResult, resp *http.Response) (err error) {
 // reply that is not ok), shedOnly for ingest. The first attempt is
 // timed as a "proxy" child of parent and later ones as "retry"; each
 // carries its backend's own span tree. Nothing here races candidates —
-// hedgedCall is the only place that does.
+// hedgedCall's sidecar is the only place that does.
 func failover(parent obs.Span, cands []*Backend, retry func(*proxyResult) bool, call func(*Backend) *proxyResult) *proxyResult {
 	var pr *proxyResult
 	name := "proxy"
@@ -429,7 +443,7 @@ func failover(parent obs.Span, cands []*Backend, retry func(*proxyResult) bool, 
 		sp := parent.StartChild(name)
 		sp.Annotate("backend", b.Name)
 		pr = call(b)
-		sp.AttachRemote(pr.backend, pr.traceSpans)
+		sp.AttachRemote(b.Name, pr.traceSpans)
 		sp.End()
 		if !retry(pr) {
 			break
@@ -462,121 +476,134 @@ func (rt *Router) hedgeDelay() time.Duration {
 	return rt.cfg.HedgeMin
 }
 
-// hedgedCall runs a backend call against the candidate list with
-// tail-latency hedging: the primary is launched immediately; if it has
-// not answered within the hedge delay, the next candidate is launched
-// in parallel and the first usable reply wins. Failures and drain sheds
-// fail over to the next candidate immediately. The losing reply is
-// discarded; only the winning call's latency feeds the p95 estimator,
-// so hedges never double-count.
+// hedge is what one hedgedCall shares with its sidecar.
+type hedge struct {
+	mu     sync.Mutex
+	next   int           // first candidate nobody has claimed
+	closed bool          // the call has returned: a late sidecar starts nothing
+	done   chan struct{} // made when the sidecar fires, closed when its reply is in
+	wait   time.Duration // how long the call had run when the sidecar fired
+	span   obs.Span      // the sidecar's "hedge" span
+	reply  *proxyResult  // the sidecar's reply
+}
+
+// hedgedCall makes one backend call against the candidates with
+// tail-latency hedging. The attempts run on the caller's goroutine, in
+// order, a failed or shedding candidate failing over to the next at
+// once. Beside them runs at most one sidecar: a timer that, if the call
+// is still open after the hedge delay and a candidate is unclaimed,
+// claims it and calls it from the timer's goroutine. The first usable
+// reply wins; a sidecar that gets it cancels the context the inline
+// attempt is blocked under, which releases the caller to take the
+// sidecar's reply, and a caller that returns cancels the sidecar the
+// same way. The losing reply is discarded and only the winner's
+// latency feeds the p95 estimator, so hedges never double-count.
 //
-// Every span lives on this goroutine: launch opens a "proxy" or
-// "hedge" span before the backend goroutine starts, and the select
-// loop ends it when the reply (or the winner) arrives. Abandoned
-// losers are ended and annotated at winner time — their goroutines may
-// outlive the request, so they only ever see pre-rendered strings,
-// never the trace.
+// The sidecar touches the trace only to open its "hedge" span, under
+// h.mu and only while the call is open; every span is ended here, on
+// the caller's goroutine, a loser annotated with why it lost. A sidecar
+// that outlives the request therefore sees only pre-rendered strings,
+// never the recycled trace.
 func (rt *Router) hedgedCall(ctx context.Context, rq obs.Request, cands []*Backend, method, path string, body []byte) *proxyResult {
-	tr, reqID := rq.Trace, rq.ID // the launched goroutines capture the ID alone
-	callStart := time.Now()
-	resc := make(chan *proxyResult, len(cands))
-	spans := make(map[string]obs.Span, len(cands))
-	tp := outboundTraceparent(tr)
-	launch := func(b *Backend, hedge bool) {
-		name := "proxy"
-		if hedge {
-			name = "hedge"
-		}
-		sp := tr.StartSpan(name)
-		sp.Annotate("backend", b.Name)
-		spans[b.Name] = sp
-		go func() {
-			pr := rt.proxy(ctx, b, method, path, body, reqID, tp)
-			pr.hedge = hedge
-			resc <- pr
-		}()
-	}
-	finishSpan := func(pr *proxyResult, won bool) {
-		sp, ok := spans[pr.backend]
-		if !ok {
-			return
-		}
-		delete(spans, pr.backend)
-		switch {
-		case won:
-			sp.AttachRemote(pr.backend, pr.traceSpans)
-		case pr.err != nil:
-			sp.Fail(pr.err.Error())
-		case pr.shed:
-			sp.Annotate("outcome", "shed")
-		default:
-			sp.Annotate("outcome", fmt.Sprintf("status %d", pr.status))
-		}
-		sp.End()
-	}
-	abandonRest := func() {
-		for name, sp := range spans {
-			sp.Annotate("outcome", "abandoned")
-			sp.End()
-			delete(spans, name)
-		}
-	}
-	launch(cands[0], false)
-	next, outstanding := 1, 1
-
-	delay := rt.hedgeDelay()
-	var hedgeC <-chan time.Time
-	if delay > 0 && len(cands) > 1 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		hedgeC = t.C
+	tr, tp, start := rq.Trace, outboundTraceparent(rq.Trace), time.Now()
+	h := &hedge{next: 1}
+	actx := ctx
+	if delay := rt.hedgeDelay(); delay > 0 && len(cands) > 1 {
+		hctx, release := context.WithCancel(ctx)
+		defer release()
+		actx = hctx
+		defer time.AfterFunc(delay, func() {
+			h.mu.Lock()
+			if h.closed || h.next == len(cands) {
+				h.mu.Unlock()
+				return
+			}
+			b := cands[h.next]
+			h.next++
+			rt.metrics.hedges.Inc()
+			h.wait, h.done = time.Since(start), make(chan struct{})
+			h.span = tr.StartSpan("hedge")
+			h.span.Annotate("backend", b.Name)
+			h.mu.Unlock()
+			reply := rt.proxy(hctx, b, method, path, body, rq.ID, tp)
+			h.mu.Lock()
+			if h.reply = reply; reply.ok() {
+				release()
+			}
+			h.mu.Unlock()
+			close(h.done)
+		}).Stop()
 	}
 
-	var hedgeWait time.Duration
-	var lastFailure *proxyResult
+	b := cands[0]
 	for {
-		select {
-		case pr := <-resc:
-			outstanding--
-			if pr.ok() {
-				if pr.hedge {
-					rt.metrics.hedgeWins.Inc()
+		sp := tr.StartSpan("proxy")
+		sp.Annotate("backend", b.Name)
+		pr := rt.proxy(actx, b, method, path, body, rq.ID, tp)
+		h.mu.Lock()
+		hedgeWon := h.reply != nil && h.reply.ok()
+		if !pr.ok() && !hedgeWon {
+			if ctx.Err() == nil && h.next < len(cands) {
+				// Immediate failover: a failed or shedding candidate never
+				// waits out the hedge timer.
+				endAttempt(sp, pr, false)
+				b = cands[h.next]
+				h.next++
+				h.mu.Unlock()
+				continue
+			}
+			if h.done != nil && h.reply == nil {
+				// Every inline attempt failed with the sidecar still out:
+				// its reply decides.
+				h.mu.Unlock()
+				select {
+				case <-h.done:
+				case <-ctx.Done():
 				}
-				rt.backLat.Observe(pr.elapsed.Seconds())
-				finishSpan(pr, true)
-				abandonRest()
-				pr.hedgeWait = hedgeWait
-				return pr
+				h.mu.Lock()
+				hedgeWon = h.reply != nil && h.reply.ok()
 			}
-			finishSpan(pr, false)
-			lastFailure = pr
-			// Immediate failover: a failed or shedding candidate never
-			// waits out the hedge timer.
-			if next < len(cands) {
-				launch(cands[next], false)
-				next++
-				outstanding++
-			} else if outstanding == 0 {
-				lastFailure.hedgeWait = hedgeWait
-				return lastFailure
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if next < len(cands) {
-				rt.metrics.hedges.Inc()
-				hedgeWait = time.Since(callStart)
-				launch(cands[next], true)
-				next++
-				outstanding++
-			}
-		case <-ctx.Done():
-			abandonRest()
-			if lastFailure != nil {
-				return lastFailure
-			}
-			return &proxyResult{err: ctx.Err()}
 		}
+		h.closed = true
+		winner := pr
+		if hedgeWon {
+			endAttempt(sp, nil, false) // released by the sidecar's reply, not failed
+			winner = h.reply
+		} else {
+			endAttempt(sp, pr, pr.ok())
+		}
+		if h.done != nil {
+			endAttempt(h.span, h.reply, hedgeWon)
+		}
+		winner.hedgeWait = h.wait
+		h.mu.Unlock()
+		if winner.ok() {
+			rt.backLat.Observe(winner.elapsed.Seconds())
+			if hedgeWon {
+				rt.metrics.hedgeWins.Inc()
+			}
+		}
+		return winner
 	}
+}
+
+// endAttempt closes one attempt's span: the winner's carries its
+// backend's own span tree, a loser's says why it lost (no reply: it
+// was still out when the call returned).
+func endAttempt(sp obs.Span, pr *proxyResult, won bool) {
+	switch {
+	case won:
+		sp.AttachRemote(pr.backend.Name, pr.traceSpans)
+	case pr == nil:
+		sp.Annotate("outcome", "abandoned")
+	case pr.err != nil:
+		sp.Fail(pr.err.Error())
+	case pr.shed:
+		sp.Annotate("outcome", "shed")
+	default:
+		sp.Annotate("outcome", "status "+strconv.Itoa(pr.status))
+	}
+	sp.End()
 }
 
 // candidates resolves the admissible backends for a key: the replica
@@ -586,7 +613,7 @@ func (rt *Router) hedgedCall(ctx context.Context, rq obs.Request, cands []*Backe
 // the request servable at the cost of affinity.
 func (rt *Router) candidates(key, model string, floor uint64) []*Backend {
 	set := rt.pool.Replicas(key, rt.cfg.Replicas)
-	cands := make([]*Backend, 0, len(set))
+	cands := set[:0] // filtered in place: the set is this call's own
 	for _, b := range set {
 		if b.Available() && b.Gen(model) >= floor {
 			cands = append(cands, b)
@@ -615,6 +642,25 @@ func routeKey(model string, sc features.Scenario) string {
 
 // ---- predict ----
 
+// decodePredict reads a predict body for its route key with the scan
+// the serving backend will run on the same bytes; whatever that scan
+// declines is encoding/json's, so acceptance, decoded values and every
+// 400 are the stdlib's.
+func decodePredict(raw []byte) (req serve.PredictRequest, err error) {
+	if !serve.ScanPredictRequest(raw, &req) {
+		req = serve.PredictRequest{}
+		err = json.Unmarshal(raw, &req)
+	}
+	return req, err
+}
+
+// flightKey is the coalescing key of a route key at a generation floor:
+// "floor|key".
+func flightKey(floor uint64, key string) string {
+	var buf [128]byte
+	return string(append(append(strconv.AppendUint(buf[:0], floor, 10), '|'), key...))
+}
+
 // predictIdentity is the slice of a predict response the router needs:
 // the resolved model and the serving generation.
 type predictIdentity struct {
@@ -627,8 +673,8 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
-	var req serve.PredictRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	req, err := decodePredict(raw)
+	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
 	}
 	sc := features.Scenario{Target: req.Target, CoApps: req.CoApps, PState: req.PState}
@@ -649,11 +695,19 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 
 	// Coalesce identical in-flight scenarios at the same floor: a
 	// thundering herd of one cache-miss scenario costs one backend call.
-	flightKey := fmt.Sprintf("%d|%s", floor, key)
+	fkey := flightKey(floor, key)
 	flightStart := time.Now()
-	pr, _, shared := rt.flights.do(flightKey, tr, func() (*proxyResult, error) {
-		return rt.hedgedCall(r.Context(), rq, cands, http.MethodPost, "/v1/predict", raw), nil
-	})
+	call := func() *proxyResult {
+		return rt.hedgedCall(r.Context(), rq, cands, http.MethodPost, "/v1/predict", raw)
+	}
+	pr, shared := rt.flights.do(fkey, tr, call)
+	// The leader's call runs under the leader's request context. A
+	// follower whose own client is still there never answers with its
+	// leader's hang-up: it goes round again, to lead or to join a newer
+	// flight.
+	for rejoins := 0; shared && rejoins < maxRejoins && isContextErr(pr.err) && r.Context().Err() == nil; rejoins++ {
+		pr, _ = rt.flights.do(fkey, tr, call)
+	}
 	stages := hopStages{route: routeDur, hedgeWait: pr.hedgeWait}
 	if shared {
 		rt.metrics.coalesced.Inc()
@@ -666,26 +720,42 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 		return rt.retryableUnavailable(w, "all admissible candidates are draining")
 	}
 	if pr.status < 300 {
-		var id predictIdentity
-		if json.Unmarshal(pr.body, &id) == nil && id.Generation > 0 {
+		// Model and generation lead the reply as serve renders it; any
+		// other bytes are encoding/json's to read.
+		model, gen, ok := serve.PredictReplyIdentity(pr.body)
+		if !ok {
+			var id predictIdentity
+			if json.Unmarshal(pr.body, &id) == nil {
+				model, gen = id.Model, id.Generation
+			}
+		}
+		if gen > 0 {
 			// Note the backend's generation BEFORE raising the shared
 			// floor: a concurrent request that reads the raised floor
 			// must already find at least one backend admissible at it,
 			// or it answers a spurious retryable no_backend.
-			rt.noteServed(pr.backend, id.Model, id.Generation)
-			rt.floors.raise(client, req.Model, id.Generation)
+			pr.backend.noteServed(model, gen)
+			rt.floors.raise(client, req.Model, gen)
 		}
 	}
 	return rt.replay(w, pr, stages)
 }
 
-// noteServed folds a generation a backend just served into its pool
+// maxRejoins bounds how often a coalesced follower re-enters the flight
+// group after its leader's client gave up.
+const maxRejoins = 3
+
+// isContextErr reports whether a backend call died of its caller's
+// context rather than of the backend.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// noteServed folds a generation the backend just served into its pool
 // record and its colorouter_backend_generation gauge.
-func (rt *Router) noteServed(backend, model string, gen uint64) {
-	if b := rt.pool.Get(backend); b != nil {
-		b.NoteGeneration(model, gen)
-		b.metrics.generation.SetMax(int64(b.Gen("")))
-	}
+func (b *Backend) noteServed(model string, gen uint64) {
+	b.NoteGeneration(model, gen)
+	b.metrics.generation.SetMax(int64(b.Gen("")))
 }
 
 // hopStages are the router-local durations of one proxied request,
@@ -697,22 +767,32 @@ type hopStages struct {
 	coalesce  time.Duration // time spent sharing another request's flight
 }
 
-// replay converts a proxied result into a handler response, stitching
-// the hop's Server-Timing (route, optional coalesce and hedge_wait,
-// backend) in front of the backend's own stage breakdown.
+// replay answers the client with a proxied result as it came — status,
+// body bytes and the backend's Content-Type — under the hop's
+// Server-Timing: route, optional coalesce and hedge_wait, backend, then
+// the backend's own stage breakdown.
 func (rt *Router) replay(w http.ResponseWriter, pr *proxyResult, st hopStages) (int, any) {
-	parts := make([]string, 0, 5)
-	parts = append(parts, obs.ServerTimingEntry("route", st.route.Seconds()))
+	var arr [192]byte
+	b := obs.AppendServerTiming(arr[:0], "route", st.route)
 	if st.coalesce > 0 {
-		parts = append(parts, obs.ServerTimingEntry("coalesce", st.coalesce.Seconds()))
+		b = obs.AppendServerTiming(b, "coalesce", st.coalesce)
 	}
 	if st.hedgeWait > 0 {
-		parts = append(parts, obs.ServerTimingEntry("hedge_wait", st.hedgeWait.Seconds()))
+		b = obs.AppendServerTiming(b, "hedge_wait", st.hedgeWait)
 	}
-	parts = append(parts, obs.ServerTimingEntry("backend", pr.elapsed.Seconds()), pr.serverTiming)
-	w.Header().Set("Server-Timing", obs.JoinServerTiming(parts...))
-	w.Header().Set("X-Backend", pr.backend)
-	return pr.status, passthrough(pr.body)
+	b = obs.AppendServerTiming(b, "backend", pr.elapsed)
+	if backend := strings.TrimSpace(pr.serverTiming); backend != "" {
+		b = append(append(b, ", "...), backend...)
+	}
+	h := w.Header()
+	h["Server-Timing"] = []string{string(b)}
+	h["X-Backend"] = pr.backend.nameHdr
+	if len(pr.contentType) > 0 {
+		h["Content-Type"] = pr.contentType
+	}
+	w.WriteHeader(pr.status)
+	_, _ = w.Write(pr.body)
+	return pr.status, nil
 }
 
 // ---- scatter-gather ----
@@ -744,7 +824,7 @@ var (
 // is safe.
 func scatter[T, R any](rt *Router, r *http.Request, rq obs.Request, path string, items []T, floor uint64,
 	retry func(*proxyResult) bool, route func(T) (key, model string), encode func([]T) any,
-	merge func(idx []int, shard *R, backend string) bool) []*errorDetail {
+	merge func(idx []int, shard *R, backend *Backend) bool) []*errorDetail {
 	ctx, tr := r.Context(), rq.Trace
 	ssp := tr.StartSpan("scatter")
 	errs := make([]*errorDetail, len(items))
@@ -848,7 +928,7 @@ func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request, rq 
 			return routeKey(req.Model, sc), req.Model
 		},
 		func(scs []serve.ScenarioRequest) any { return serve.BatchRequest{Model: req.Model, Scenarios: scs} },
-		func(idx []int, sub *batchResponse, backend string) bool {
+		func(idx []int, sub *batchResponse, backend *Backend) bool {
 			if len(sub.Results) != len(idx) {
 				return false
 			}
@@ -868,7 +948,7 @@ func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request, rq 
 			// Record the serving backend's generation in the pool before
 			// the shared floor rises past it (same ordering as predict).
 			if subMax > 0 {
-				rt.noteServed(backend, sub.Model, subMax)
+				backend.noteServed(sub.Model, subMax)
 			}
 			if subMax > maxGen {
 				maxGen = subMax
@@ -956,7 +1036,7 @@ func (rt *Router) scatterObservations(r *http.Request, rq obs.Request, observati
 			return routeKey(or.Model, sc), or.Model
 		},
 		func(shard []serve.ObservationRequest) any { return serve.ObservationsRequest{Observations: shard} },
-		func(idx []int, shard *obsResponse, _ string) bool {
+		func(idx []int, shard *obsResponse, _ *Backend) bool {
 			if len(shard.Results) != len(idx) {
 				return false
 			}

@@ -8,12 +8,16 @@ package loadgen
 // merge must equal the arithmetic sum of the per-backend scrapes.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,49 +184,140 @@ func TestFleetObservabilitySoak(t *testing.T) {
 	}
 }
 
+// leanCaller drives a handler the way the repository benchmark does
+// (the bench/caller.go idea; bench/ is its own module and cannot be
+// imported): the request is built directly and the reply lands in a
+// reusable minimal ResponseWriter, so a routed predict is measured
+// without httptest's per-call recorder and 4 KB bufio.Reader.
+type leanCaller struct {
+	hdr    http.Header
+	u      url.URL
+	body   leanBody
+	status int
+	reply  []byte
+	rhdr   http.Header
+}
+
+type leanBody struct{ bytes.Reader }
+
+func (*leanBody) Close() error { return nil }
+
+func newLeanCaller(path string) *leanCaller {
+	return &leanCaller{hdr: http.Header{"Content-Type": {"application/json"}}, u: url.URL{Path: path}, rhdr: make(http.Header, 8)}
+}
+
+func (c *leanCaller) Header() http.Header { return c.rhdr }
+
+func (c *leanCaller) WriteHeader(status int) {
+	if c.status == 0 {
+		c.status = status
+	}
+}
+
+func (c *leanCaller) Write(p []byte) (int, error) {
+	c.WriteHeader(http.StatusOK)
+	c.reply = append(c.reply, p...)
+	return len(p), nil
+}
+
+// post sends one POST and returns the status; the reply body is in
+// c.reply until the next call.
+func (c *leanCaller) post(h http.Handler, body []byte) int {
+	clear(c.rhdr)
+	c.status, c.reply = 0, c.reply[:0]
+	c.body.Reset(body)
+	h.ServeHTTP(c, &http.Request{
+		Method: http.MethodPost, URL: &c.u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: c.hdr, Body: &c.body, ContentLength: int64(len(body)), Host: "bench", RequestURI: c.u.Path,
+	})
+	c.WriteHeader(http.StatusOK)
+	return c.status
+}
+
+// routedPredict builds a two-replica fleet behind a router with cfg and
+// returns the router's handler and n clients, each a caller and the
+// request body of its own cached scenario, already served once
+// (connections open, cache warm; distinct scenarios, so concurrent
+// clients do not coalesce).
+func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*leanCaller, [][]byte) {
+	tb.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	tb.Cleanup(cancel)
+	cfg.ProbeInterval = time.Hour
+	ct, err := NewClusterTarget(ctx, cfg, 2, func(int) (*serve.Server, error) {
+		return newSoakServer(tb), nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(ct.Close)
+	space, h := soakSpace(tb, ct.Servers[0]), ct.Router.Handler()
+	callers, bodies := make([]*leanCaller, n), make([][]byte, n)
+	for i := range callers {
+		sc := space.Scenario(i)
+		co := ""
+		if len(sc.CoApps) > 0 {
+			co = `"co_apps":["` + strings.Join(sc.CoApps, `","`) + `"],`
+		}
+		callers[i], bodies[i] = newLeanCaller("/v1/predict"), []byte(fmt.Sprintf(`{"target":%q,%s"pstate":%d}`, sc.Target, co, sc.PState))
+		if status := callers[i].post(h, bodies[i]); status != http.StatusOK {
+			tb.Fatalf("warm-up predict returned %d: %s", status, callers[i].reply)
+		}
+	}
+	return h, callers, bodies
+}
+
 // BenchmarkClusterProxyTracing measures the router's cache-hit proxy
-// hot path with observability on (default: tracing, traceparent
-// injection, SLO accounting) against fully off, to bound the tracing
-// overhead. The path includes a real loopback HTTP hop, as production
-// does.
+// hot path as the repository benchmark drives it — one closed-loop
+// client per CPU, hedging and coalescing armed, observability on
+// (tracing, traceparent injection, SLO accounting) — beside the same
+// path with the hedge disarmed and with observability fully off, to
+// bound what each costs. The path includes a real loopback HTTP hop, as
+// production does. ns/op is wall time per predict over all clients: a
+// predict's latency is that times the -cpu value.
 func BenchmarkClusterProxyTracing(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		cfg  cluster.Config
 	}{
+		{"hedge-armed", cluster.Config{Replicas: 2}},
 		{"traced", cluster.Config{Replicas: 2, HedgeAfter: -1}},
 		{"untraced", cluster.Config{Replicas: 2, HedgeAfter: -1, TraceRing: -1, SLOObjective: -1}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			cfg := mode.cfg
-			cfg.ProbeInterval = time.Hour
-			ct, err := NewClusterTarget(ctx, cfg, 2, func(int) (*serve.Server, error) {
-				return newSoakServer(b), nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ct.Close()
-			space := soakSpace(b, ct.Servers[0])
-			sc := space.Scenario(0)
-			co := ""
-			if len(sc.CoApps) > 0 {
-				co = `"co_apps":["` + strings.Join(sc.CoApps, `","`) + `"],`
-			}
-			body := fmt.Sprintf(`{"target":%q,%s"pstate":%d}`, sc.Target, co, sc.PState)
-			h := ct.Router.Handler()
-			if rec := doHandler(b, h, http.MethodPost, "/v1/predict", body); rec.Code != http.StatusOK {
-				b.Fatalf("warm-up predict returned %d: %s", rec.Code, rec.Body.String())
-			}
+			h, callers, bodies := routedPredict(b, mode.cfg, runtime.GOMAXPROCS(0))
+			var next atomic.Int32
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if rec := doHandler(b, h, http.MethodPost, "/v1/predict", body); rec.Code != http.StatusOK {
-					b.Fatalf("predict returned %d", rec.Code)
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(next.Add(1)) - 1
+				for pb.Next() {
+					if status := callers[i].post(h, bodies[i]); status != http.StatusOK {
+						b.Errorf("predict returned %d", status)
+						return
+					}
 				}
-			}
+			})
 		})
+	}
+}
+
+// TestRoutedPredictAllocs guards the allocations of one routed predict
+// under the default Config (hedge armed), both tiers counted: 135
+// measured, of which a bare net/http keep-alive round trip accounts for
+// 89. A router that decodes the request, re-encodes the reply or starts
+// a goroutine per predict (158 through this caller) does not pass.
+func TestRoutedPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	h, callers, bodies := routedPredict(t, cluster.Config{Replicas: 2}, 1)
+	allocs := testing.AllocsPerRun(500, func() {
+		if status := callers[0].post(h, bodies[0]); status != http.StatusOK {
+			t.Fatalf("predict returned %d", status)
+		}
+	})
+	if allocs > 140 {
+		t.Fatalf("one routed predict costs %.0f allocations, want <= 140", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"strconv"
 	"strings"
+	"time"
 )
 
 // EachServerTiming parses a Server-Timing header value as produced by
@@ -47,28 +48,18 @@ func ParseServerTiming(h string) map[string]float64 {
 	return out
 }
 
-// JoinServerTiming merges Server-Timing header values, skipping empty
-// parts. A gateway uses it to propagate a backend's stage breakdown
-// alongside its own hop stages in one header, which clients parse back
-// with EachServerTiming (repeated stage names sum).
-func JoinServerTiming(parts ...string) string {
-	var b strings.Builder
-	for _, p := range parts {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p)
+// AppendServerTiming appends one entry ("name;dur=1.234") to the
+// Server-Timing value being built in b, after a separator when b already
+// holds entries. dur has millisecond units and microsecond precision, so
+// it is exactly the duration in µs with a point inserted: integer
+// arithmetic, because this sits on both tiers' per-request hot path and
+// fixed-precision FormatFloat is too slow for it.
+func AppendServerTiming(b []byte, name string, d time.Duration) []byte {
+	if len(b) > 0 {
+		b = append(b, ", "...)
 	}
-	return b.String()
-}
-
-// ServerTimingEntry renders one Server-Timing entry ("name;dur=1.234",
-// duration in milliseconds with microsecond resolution) for handlers
-// that time stages without a full Tracer attached.
-func ServerTimingEntry(name string, seconds float64) string {
-	return name + ";dur=" + strconv.FormatFloat(seconds*1e3, 'f', 3, 64)
+	b = append(append(b, name...), ";dur="...)
+	us := (d.Nanoseconds() + 500) / 1000 // round ns to µs
+	b = strconv.AppendInt(b, us/1000, 10)
+	return append(b, '.', byte('0'+us/100%10), byte('0'+us/10%10), byte('0'+us%10))
 }

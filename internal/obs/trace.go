@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/hex"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -424,10 +423,8 @@ func (t *Trace) ServerTiming() string {
 	if t == nil {
 		return ""
 	}
-	// Aggregate into stack-backed arrays and format with integer
-	// arithmetic (dur has millisecond units and microsecond precision,
-	// so it is exactly the duration in µs with a point inserted): this
-	// sits on the per-request hot path and FormatFloat is too slow.
+	// Aggregate into stack-backed arrays: this sits on the per-request
+	// hot path.
 	var nameBuf [16]string
 	var durBuf [16]int64
 	names, durs := nameBuf[:0], durBuf[:0]
@@ -461,14 +458,7 @@ func (t *Trace) ServerTiming() string {
 	var arr [160]byte
 	b := arr[:0]
 	for i, n := range names {
-		if i > 0 {
-			b = append(b, ", "...)
-		}
-		b = append(b, n...)
-		b = append(b, ";dur="...)
-		us := (durs[i] + 500) / 1000 // round ns to µs
-		b = strconv.AppendInt(b, us/1000, 10)
-		b = append(b, '.', byte('0'+us/100%10), byte('0'+us/10%10), byte('0'+us%10))
+		b = AppendServerTiming(b, n, time.Duration(durs[i]))
 	}
 	return string(b)
 }

@@ -144,7 +144,7 @@ func readBody(body io.Reader, buf []byte) ([]byte, *Error) {
 // its own value so that only it, not every request, pays for a heap
 // escape through decodeStrict's interface parameter.
 func decodePredictBytes(body []byte, req *PredictRequest) *Error {
-	if fastDecodePredict(body, req) {
+	if ScanPredictRequest(body, req) {
 		return nil
 	}
 	var slow PredictRequest
@@ -213,9 +213,11 @@ type fastDecoder struct {
 	arena []string
 }
 
-// fastDecodePredict reports whether it decoded body; when it reports
-// false req holds a partial decode the caller must overwrite.
-func fastDecodePredict(body []byte, req *PredictRequest) bool {
+// ScanPredictRequest reports whether it decoded body; when it reports
+// false req holds a partial decode the caller must overwrite. Exported
+// for the router, which learns its route key from the same scan and
+// likewise leaves every body the scan declines to encoding/json.
+func ScanPredictRequest(body []byte, req *PredictRequest) bool {
 	d := fastDecoder{s: string(body)}
 	return d.object(fieldModel|scenarioFields, &req.Model, &req.ScenarioRequest, nil) && d.atEnd()
 }
@@ -469,6 +471,39 @@ func appendPredictResponse(b []byte, p *PredictResponse) ([]byte, bool) {
 	b, ok3 = appendFloat(append(b, `,"baseline_seconds":`...), p.BaselineSeconds)
 	b = strconv.AppendBool(append(b, `,"cached":`...), p.Cached)
 	return append(b, '}'), ok1 && ok2 && ok3
+}
+
+// PredictReplyIdentity reads the model and generation off the front of
+// a predict reply, where appendPredictResponse (like json.Encoder over
+// PredictResponse) renders them: `{"model":"<name>","generation":<n>`
+// and then a delimiter. It reports false for any other bytes — an
+// escaped or non-ASCII name, a generation that is not a plain integer
+// of at most 19 digits — and the caller decodes those with
+// encoding/json.
+func PredictReplyIdentity(body []byte) (model string, generation uint64, ok bool) {
+	const open, mid = `{"model":"`, `","generation":`
+	if !bytes.HasPrefix(body, []byte(open)) {
+		return "", 0, false
+	}
+	i := len(open)
+	for ; i < len(body) && body[i] != '"'; i++ {
+		if c := body[i]; c < 0x20 || c >= 0x80 || c == '\\' {
+			return "", 0, false
+		}
+	}
+	name := body[len(open):i]
+	if !bytes.HasPrefix(body[i:], []byte(mid)) {
+		return "", 0, false
+	}
+	i += len(mid)
+	start := i
+	for ; i < len(body) && body[i]-'0' <= 9; i++ {
+		generation = generation*10 + uint64(body[i]-'0')
+	}
+	if n := i - start; n == 0 || n > 19 || (n > 1 && body[start] == '0') || i == len(body) || (body[i] != ',' && body[i] != '}') {
+		return "", 0, false
+	}
+	return string(name), generation, true
 }
 
 func appendBatchResponse(b []byte, r *BatchResponse) ([]byte, bool) {

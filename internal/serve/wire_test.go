@@ -60,7 +60,7 @@ var fallbackBatchBodies = []string{
 func TestFastDecoderTakesCanonicalForm(t *testing.T) {
 	for _, b := range canonicalPredictBodies {
 		var req PredictRequest
-		if !fastDecodePredict([]byte(b), &req) {
+		if !ScanPredictRequest([]byte(b), &req) {
 			t.Errorf("fast predict decoder declined %q", b)
 		}
 	}
@@ -72,7 +72,7 @@ func TestFastDecoderTakesCanonicalForm(t *testing.T) {
 	}
 	for _, b := range fallbackPredictBodies {
 		var req PredictRequest
-		if fastDecodePredict([]byte(b), &req) {
+		if ScanPredictRequest([]byte(b), &req) {
 			t.Errorf("fast predict decoder took %q", b)
 		}
 	}
@@ -206,7 +206,7 @@ func TestDecodeAgreesWithEncodingJSONOnRandomBodies(t *testing.T) {
 		var gb, wb BatchRequest
 		ge, we = decodeBatchBytes(raw, &gb), decodeStrict(raw, &wb)
 		sameDecode(t, raw, gb, wb, ge, we)
-		if fastDecodePredict(raw, new(PredictRequest)) {
+		if ScanPredictRequest(raw, new(PredictRequest)) {
 			fast++
 		}
 		if fastDecodeBatch(raw, new(BatchRequest)) {
@@ -348,6 +348,62 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		}
 		got, ok := appendBatchResponse(nil, r)
 		check(r, got, ok)
+	}
+}
+
+// The reply prefix reader either reads the identity encoding/json would
+// decode from the whole reply or declines: over replies rendered by the
+// append encoder and by json.Encoder, for plain, empty, escaped and
+// non-ASCII model names and for generations at every edge.
+func TestPredictReplyIdentityAgreesWithEncodingJSON(t *testing.T) {
+	type identity struct {
+		Model      string `json:"model"`
+		Generation uint64 `json:"generation"`
+	}
+	check := func(reply []byte, wantFast bool) {
+		t.Helper()
+		model, gen, ok := PredictReplyIdentity(reply)
+		if ok != wantFast {
+			t.Fatalf("reply %q: reader took it = %v, want %v", reply, ok, wantFast)
+		}
+		var want identity
+		if err := json.Unmarshal(reply, &want); ok && (err != nil || model != want.Model || gen != want.Generation) {
+			t.Fatalf("reply %q: reader says (%q, %d), encoding/json (%q, %d, %v)", reply, model, gen, want.Model, want.Generation, err)
+		}
+	}
+	plain := func(s string) bool {
+		return !strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 || r >= 0x80 || strings.ContainsRune("\"\\<>&", r) })
+	}
+	models := append([]string{"primary", "", "neural-net-F", "a b", `q"uote`, `back\slash`, "café", "日本語", "\xff", "<m>", "a&b", "tab\there", "x\x7fy"}, encStrings...)
+	for _, m := range models {
+		for _, g := range []uint64{0, 1, 2, 9, 10, 1<<63 - 1, 9999999999999999999, 10000000000000000000, math.MaxUint64} {
+			p := &PredictResponse{Model: m, Generation: g, Spec: "s", Target: "cg", CoApps: []string{"ep"}, PredictedSeconds: 1.5}
+			fast := plain(m) && g <= 9999999999999999999
+			rendered, ok := appendPredictResponse(nil, p)
+			if !ok {
+				t.Fatal("append encoder declined a finite reply")
+			}
+			check(rendered, fast)
+			encoded, err := referenceJSON(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(encoded, fast)
+		}
+	}
+	for _, reply := range []string{
+		``, `{}`, `null`, `{"model":"m"}`, `{"model":"m","generation":`, `{"model":"m","generation":}`, `{"model":"m","generation":1`,
+		`{"model":"m","generation":01,"spec":""}`, `{"model":"m","generation":00}`, `{"model":"m","generation":-1}`,
+		`{"model":"m","generation":1.5}`, `{"model":"m","generation":1e3}`, `{"model":"m","generation":"1"}`, `{"model":"m","generation":null}`,
+		`{"model":"m","generation":18446744073709551616}`, `{"model":"m","generation":123456789012345678901}`,
+		`{"model":"m", "generation":1}`, ` {"model":"m","generation":1}`, `{"generation":1,"model":"m"}`, `{"Model":"m","generation":1}`,
+		`{"model":null,"generation":1}`, `{"model":7,"generation":1}`, `{"model":"m`, `{"model":"m\u0041","generation":1}`,
+		`{"error":{"code":"bad_request","message":"x"}}`, `[{"model":"m","generation":1}]`, `upstream proxy says no`,
+	} {
+		check([]byte(reply), false)
+	}
+	for _, reply := range []string{`{"model":"m","generation":1}`, `{"model":"","generation":0,"x":1}`, `{"model":"m","generation":9999999999999999999}` + "\n"} {
+		check([]byte(reply), true)
 	}
 }
 
