@@ -498,8 +498,12 @@ func (w *benchWriter) Write(p []byte) (int, error) {
 // minimal writer, so ns/op and allocs/op are the handler's own: one
 // POST /v1/predict cold (cache disabled, full feature extraction + NN
 // forward pass per request) versus cache-hit (the canonicalised-scenario
-// memo that scheduling loops exercise), and one 64-row POST
-// /v1/predict/batch whose rows all miss the cache.
+// memo that scheduling loops exercise), and 64-row POST
+// /v1/predict/batch three ways: batch64 (cache off, one body) is the
+// control, batch64-repeat the same body under the default Config, and
+// batch64-wide the repository benchmark's traffic — 2 048 distinct
+// bodies walked in order under the default Config, so no row comes round
+// again before 131 071 others have.
 func BenchmarkServePredict(b *testing.B) {
 	s := benchSuite(b)
 	ds, err := s.Dataset(6)
@@ -530,6 +534,37 @@ func BenchmarkServePredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// The wide population of bench/ops.go (which cannot be imported):
+	// target × P-state × a uniformly drawn multiset of 0–5 co-runners,
+	// every scenario distinct across all bodies.
+	wide := make([][]byte, 2048)
+	{
+		src := xrand.New(0x77696465)
+		apps := m.Apps()
+		seen := make(map[string]struct{}, len(wide)*64)
+		for i := range wide {
+			req := serve.BatchRequest{Scenarios: make([]serve.ScenarioRequest, 0, 64)}
+			for len(req.Scenarios) < 64 {
+				sr := serve.ScenarioRequest{
+					Target: apps[src.Intn(len(apps))],
+					PState: src.Intn(m.PStates()),
+					CoApps: make([]string, src.Intn(6)),
+				}
+				for j := range sr.CoApps {
+					sr.CoApps[j] = apps[src.Intn(len(apps))]
+				}
+				key := serve.CanonicalScenario(features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState})
+				if _, dup := seen[key]; dup {
+					continue
+				}
+				seen[key] = struct{}{}
+				req.Scenarios = append(req.Scenarios, sr)
+			}
+			if wide[i], err = json.Marshal(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	// One placement problem of the repository benchmark's shape
 	// (bench/ops.go): 16 apps over four 6-core machines, beam 12, QoS 2.5.
 	var placements []byte
@@ -549,19 +584,19 @@ func BenchmarkServePredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bench := func(b *testing.B, path string, body []byte, cacheSize, traceRing int) {
+	// bench posts the bodies in order, round and round, after one
+	// untimed pass over all of them.
+	bench := func(b *testing.B, path string, cacheSize, traceRing int, bodies ...[]byte) {
 		reg := serve.NewRegistry()
 		if err := reg.Add("bench", "", m); err != nil {
 			b.Fatal(err)
 		}
 		h := serve.New(reg, serve.Config{CacheSize: cacheSize, TraceRing: traceRing}).Handler()
-		rd := bytes.NewReader(body)
+		rd := bytes.NewReader(nil)
 		req := httptest.NewRequest("POST", path, rd)
 		req.Body = io.NopCloser(rd)
 		w := &benchWriter{hdr: make(http.Header, 8)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		post := func(body []byte) {
 			rd.Reset(body)
 			clear(w.hdr)
 			w.status, w.buf = 0, w.buf[:0]
@@ -570,14 +605,24 @@ func BenchmarkServePredict(b *testing.B) {
 				b.Fatalf("status %d: %s", w.status, w.buf)
 			}
 		}
+		for _, body := range bodies {
+			post(body)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(bodies[i%len(bodies)])
+		}
 	}
-	b.Run("cold", func(b *testing.B) { bench(b, "/v1/predict", single, -1, 0) })
-	b.Run("cache-hit", func(b *testing.B) { bench(b, "/v1/predict", single, 65536, 0) })
+	b.Run("cold", func(b *testing.B) { bench(b, "/v1/predict", -1, 0, single) })
+	b.Run("cache-hit", func(b *testing.B) { bench(b, "/v1/predict", 65536, 0, single) })
 	// cache-hit-untraced disables the trace ring, isolating the tracing
 	// overhead of the default cache-hit path (budgeted at <5%).
-	b.Run("cache-hit-untraced", func(b *testing.B) { bench(b, "/v1/predict", single, 65536, -1) })
-	b.Run("batch64", func(b *testing.B) { bench(b, "/v1/predict/batch", batch64, -1, 0) })
-	b.Run("placements", func(b *testing.B) { bench(b, "/v1/placements", placements, -1, 0) })
+	b.Run("cache-hit-untraced", func(b *testing.B) { bench(b, "/v1/predict", 65536, -1, single) })
+	b.Run("batch64", func(b *testing.B) { bench(b, "/v1/predict/batch", -1, 0, batch64) })
+	b.Run("batch64-repeat", func(b *testing.B) { bench(b, "/v1/predict/batch", 0, 0, batch64) })
+	b.Run("batch64-wide", func(b *testing.B) { bench(b, "/v1/predict/batch", 0, 0, wide...) })
+	b.Run("placements", func(b *testing.B) { bench(b, "/v1/placements", -1, 0, placements) })
 }
 
 // BenchmarkObservationIngest measures the observation-log write path

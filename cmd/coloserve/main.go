@@ -17,8 +17,9 @@
 // Endpoints:
 //
 //	POST /v1/predict          one scenario → predicted time and slowdown
-//	POST /v1/predict/batch    many scenarios, fanned out over a worker pool
+//	POST /v1/predict/batch    many scenarios, evaluated in one batched model call
 //	POST /v1/schedule         jobs → interference-aware placement
+//	POST /v1/placements       apps × fleet → optimised placement plan (optionally streamed)
 //	GET  /v1/models           registry listing
 //	POST /v1/models/reload    re-read artefacts from disk (atomic hot-swap)
 //	POST /v1/observations     report measured runtimes (single or batch)

@@ -231,7 +231,7 @@ func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedbac
 		return feedback.Observation{}, "", e
 	}
 	sc := ScenarioRequest{Target: or.Target, CoApps: or.CoApps, PState: or.PState}.scenario()
-	if e := validateScenario(rm.m, sc); e != nil {
+	if _, e := validateScenario(rm.servedModel, sc); e != nil {
 		return feedback.Observation{}, "", e
 	}
 	if or.MeasuredSeconds <= 0 {

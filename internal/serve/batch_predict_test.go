@@ -41,7 +41,8 @@ var batchScenarios = []map[string]any{
 }
 
 // The batched batch endpoint must return bit-identical predictions to the
-// single-predict endpoint, with and without the cache in the loop.
+// single-predict endpoint, whether or not the single predicts go
+// through the cache; the batch itself never does.
 func TestBatchMatchesSinglePredict(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -81,13 +82,12 @@ func TestBatchMatchesSinglePredict(t *testing.T) {
 				if it.Result.PredictedSlowdown != singles[i].PredictedSlowdown {
 					t.Fatalf("slot %d: slowdown %v != %v", i, it.Result.PredictedSlowdown, singles[i].PredictedSlowdown)
 				}
-				if tc.cfg.CacheSize >= 0 && !it.Result.Cached {
-					t.Fatalf("slot %d: expected a cache hit after single predicts warmed the cache", i)
+				if it.Result.Cached {
+					t.Fatalf("slot %d: a batch row claims a cache hit; batches are evaluated without the memo", i)
 				}
 			}
 
-			// A second batch must serve every slot from the cache (or, with
-			// the cache disabled, recompute identically).
+			// A second batch recomputes every slot identically.
 			w = postJSON(t, h, "/v1/predict/batch", map[string]any{"scenarios": batchScenarios})
 			again := decodeBody[BatchResponse](t, w)
 			for i, it := range again.Results {
@@ -97,6 +97,89 @@ func TestBatchMatchesSinglePredict(t *testing.T) {
 			}
 		})
 	}
+}
+
+// distinctScenarios enumerates scenarios no two of which share a cache
+// key: every target and P-state of the model under every multiset of
+// minCo to maxCo co-runners drawn from its first three applications.
+func distinctScenarios(m *core.Model, minCo, maxCo int) []ScenarioRequest {
+	apps := m.Apps()
+	var scs []ScenarioRequest
+	for n := minCo; n <= maxCo; n++ {
+		for a := 0; a <= n; a++ {
+			for b := 0; a+b <= n; b++ {
+				co := make([]string, n) // a of apps[0], b of apps[1], the rest apps[2]
+				for i := range co {
+					switch {
+					case i < a:
+						co[i] = apps[0]
+					case i < a+b:
+						co[i] = apps[1]
+					default:
+						co[i] = apps[2]
+					}
+				}
+				for _, target := range apps {
+					for ps := 0; ps < m.PStates(); ps++ {
+						scs = append(scs, ScenarioRequest{Target: target, CoApps: co, PState: ps})
+					}
+				}
+			}
+		}
+	}
+	return scs
+}
+
+// A batch neither reads nor fills the prediction cache: a what-if sweep
+// larger than the cache leaves the single-predict working set, and the
+// three cache series, exactly where they were.
+func TestBatchLeavesPredictMemoAlone(t *testing.T) {
+	s, m := newTestServer(t, Config{CacheSize: 64})
+	h := s.Handler()
+	apps := m.Apps()
+	var singles []ScenarioRequest
+	for i := 0; i < 8; i++ {
+		singles = append(singles, ScenarioRequest{Target: apps[i%len(apps)], CoApps: []string{apps[(i/3)%len(apps)]}, PState: i % m.PStates()})
+	}
+	allCached := func(when string) {
+		t.Helper()
+		for i, sr := range singles {
+			if r := decodeBody[PredictResponse](t, postJSON(t, h, "/v1/predict", sr)); !r.Cached {
+				t.Fatalf("%s: single predict %d is not served from the cache", when, i)
+			}
+		}
+	}
+	cacheSeries := func() [3]float64 {
+		body := get(t, h, "/metrics").Body.String()
+		return [3]float64{
+			metricValue(t, body, "coloserve_cache_entries"),
+			metricValue(t, body, "coloserve_cache_hits_total"),
+			metricValue(t, body, "coloserve_cache_misses_total"),
+		}
+	}
+	for _, sr := range singles {
+		postJSON(t, h, "/v1/predict", sr)
+	}
+	allCached("warmed")
+	before := cacheSeries()
+
+	// 256 distinct scenarios, none of them one of the singles (two to
+	// five co-runners each): four times what the cache holds.
+	sweep := BatchRequest{Scenarios: distinctScenarios(m, 2, 5)[:256]}
+	w := postJSON(t, h, "/v1/predict/batch", sweep)
+	batch := decodeBody[BatchResponse](t, w)
+	if w.Code != http.StatusOK || batch.Errors != 0 || len(batch.Results) != 256 {
+		t.Fatalf("batch: %d, %d errors, %d results", w.Code, batch.Errors, len(batch.Results))
+	}
+	for i, it := range batch.Results {
+		if it.Result.Cached {
+			t.Fatalf("batch row %d claims a cache hit", i)
+		}
+	}
+	if after := cacheSeries(); after != before {
+		t.Fatalf("cache entries/hits/misses moved across the batch: %v -> %v", before, after)
+	}
+	allCached("after the batch")
 }
 
 // One bad slot fails alone; the rest of the batch is still evaluated in

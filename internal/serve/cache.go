@@ -13,7 +13,11 @@ import (
 // Cache is a sharded, size-bounded prediction cache. Scheduling loops
 // query the same co-location scenarios over and over (a greedy packer
 // re-evaluates every machine for every job), so memoising the model's
-// forward pass turns the common case into a map hit. Sharding keeps
+// forward pass turns the common case into a map hit. It sits in front
+// of single predicts (POST /v1/predict, and observations that carry no
+// prediction of their own) only: /v1/predict/batch and /v1/placements
+// evaluate in batched model calls, where probing and filling the memo
+// costs more per row than evaluating it. Sharding keeps
 // lock contention negligible under concurrent traffic; each shard
 // evicts in FIFO order once full, which is close enough to LRU for the
 // highly repetitive key distribution scheduling produces.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,15 +31,43 @@ type registryEntry struct {
 }
 
 // servedModel is a model plus what every reply derives from it, worked
-// out once per Add, Swap or Reload instead of once per request.
+// out once per Add, Swap or Reload instead of once per request. It is
+// one immutable value behind one pointer, so a reply never mixes one
+// model's prediction with another's baseline.
 type servedModel struct {
 	m *core.Model
 	// spec is m.Spec.String().
 	spec string
+	// apps is the serving table request validation reads: one lookup
+	// per application name.
+	apps    map[string]servedApp
+	pstates int
+	// known is m.Apps() joined for the unknown-app messages.
+	known string
+}
+
+// servedApp is one application's baseline seconds per P-state, and the
+// same values as encoding/json renders them ("" for one it cannot).
+type servedApp struct {
+	secs []float64
+	text []string
 }
 
 func (e *registryEntry) store(m *core.Model) {
-	e.model.Store(&servedModel{m: m, spec: m.Spec.String()})
+	sm := &servedModel{m: m, spec: m.Spec.String(), pstates: m.PStates(), known: strings.Join(m.Apps(), ", ")}
+	if ds := m.Baselines(); ds != nil {
+		sm.apps = make(map[string]servedApp, len(ds.Baselines))
+		for name, b := range ds.Baselines {
+			app := servedApp{secs: b.SecondsByPState, text: make([]string, len(b.SecondsByPState))}
+			for ps, sec := range app.secs {
+				if text, ok := appendFloat(nil, sec); ok {
+					app.text[ps] = string(text)
+				}
+			}
+			sm.apps[name] = app
+		}
+	}
+	e.model.Store(sm)
 }
 
 // snapshot reads the entry's serving state. Generation is read before

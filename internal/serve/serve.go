@@ -9,7 +9,10 @@
 //     request.
 //   - Cache: a sharded, size-bounded memo of canonicalised scenarios —
 //     scheduling loops repeat scenarios heavily, so the neural forward
-//     pass becomes a map hit.
+//     pass becomes a map hit. It serves POST /v1/predict and the
+//     observations that arrive without a prediction; batches and
+//     placement searches evaluate through the batched kernel, where a
+//     row costs less than a probe.
 //   - Metrics: request/error counters, per-endpoint latency histograms
 //     and cache hit ratios in Prometheus text format, stdlib only.
 //
@@ -19,10 +22,10 @@
 // detector can trigger gated background retraining with atomic promotion.
 //
 // Endpoints: POST /v1/predict, POST /v1/predict/batch, POST
-// /v1/schedule, POST /v1/models/reload, GET /v1/models, POST
-// /v1/observations, GET /v1/drift, POST /v1/retrain, GET
-// /v1/retrain/status, GET /v1/version, GET /healthz,
-// GET /metrics. Client mistakes (unknown app or model, out-of-range
+// /v1/schedule, POST /v1/placements, POST /v1/models/reload, GET
+// /v1/models, POST /v1/observations, GET /v1/drift, POST /v1/retrain,
+// GET /v1/retrain/status, GET /v1/version, GET /v1/traces, GET /v1/slo,
+// GET /healthz, GET /metrics. Client mistakes (unknown app or model, out-of-range
 // P-state, malformed JSON) return 400 with a typed error body (413 for
 // an oversized one); only genuine faults return 500. The endpoints
 // that can run long (batch, schedule, placements, observations) run
@@ -40,7 +43,6 @@ import (
 	"net/http/pprof"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -335,8 +337,13 @@ type PredictResponse struct {
 	PredictedSeconds  float64  `json:"predicted_seconds"`
 	PredictedSlowdown float64  `json:"predicted_slowdown"`
 	BaselineSeconds   float64  `json:"baseline_seconds"`
-	// Cached reports whether the prediction came from the cache.
+	// Cached reports whether the prediction came from the cache; always
+	// false on batch rows, which are evaluated without it.
 	Cached bool `json:"cached"`
+	// baselineJSON, when set, is BaselineSeconds as encoding/json
+	// renders it: the serving table's text, copied rather than
+	// formatted again.
+	baselineJSON string
 }
 
 func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
@@ -367,57 +374,60 @@ type resolved struct {
 }
 
 // resolveModel maps a (possibly empty) request model name to a registry
-// entry.
+// entry, under one acquisition of the registry's read lock.
 func (s *Server) resolveModel(name string) (resolved, *Error) {
-	if name == "" {
-		name = s.reg.DefaultName()
+	e, err := s.reg.lookup(name)
+	if err != nil {
 		if name == "" {
 			return resolved{}, &Error{Status: http.StatusServiceUnavailable, Code: CodeUnknownModel, Message: "no models loaded"}
 		}
-	}
-	e, err := s.reg.lookup(name)
-	if err != nil {
 		return resolved{}, asError(err)
 	}
 	sm, gen := e.snapshot()
-	return resolved{name: name, servedModel: sm, gen: gen}, nil
+	return resolved{name: e.name, servedModel: sm, gen: gen}, nil
 }
 
 // validateScenario rejects requests the model cannot serve before any
-// prediction work happens, so that client mistakes are 400s.
-func validateScenario(m *core.Model, sc features.Scenario) *Error {
+// prediction work happens, so that client mistakes are 400s. It reads
+// the snapshot's serving table and returns the target's row of it.
+func validateScenario(sm *servedModel, sc features.Scenario) (servedApp, *Error) {
 	if sc.Target == "" {
-		return badRequest(CodeBadRequest, "target must be set")
+		return servedApp{}, badRequest(CodeBadRequest, "target must be set")
 	}
-	if !m.HasApp(sc.Target) {
-		return badRequest(CodeUnknownApp, "unknown target %q (known: %s)", sc.Target, strings.Join(m.Apps(), ", "))
+	target, ok := sm.apps[sc.Target]
+	if !ok {
+		return servedApp{}, badRequest(CodeUnknownApp, "unknown target %q (known: %s)", sc.Target, sm.known)
 	}
 	for _, a := range sc.CoApps {
-		if !m.HasApp(a) {
-			return badRequest(CodeUnknownApp, "unknown co-app %q (known: %s)", a, strings.Join(m.Apps(), ", "))
+		if _, ok := sm.apps[a]; !ok {
+			return servedApp{}, badRequest(CodeUnknownApp, "unknown co-app %q (known: %s)", a, sm.known)
 		}
 	}
-	if sc.PState < 0 || sc.PState >= m.PStates() {
-		return badRequest(CodeBadPState, "P-state %d out of range [0,%d)", sc.PState, m.PStates())
+	if sc.PState < 0 || sc.PState >= sm.pstates {
+		return servedApp{}, badRequest(CodeBadPState, "P-state %d out of range [0,%d)", sc.PState, sm.pstates)
 	}
-	return nil
+	return target, nil
 }
 
 // initPredictResponse validates a scenario against the model and fills
-// the response shell (identity fields plus the baseline) that both the
-// single and batch predict paths complete.
+// the response shell (identity fields plus the baseline, as a number
+// and as rendered) that both the single and batch predict paths
+// complete.
 func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenario) *Error {
-	if e := validateScenario(rm.m, sc); e != nil {
+	target, e := validateScenario(rm.servedModel, sc)
+	if e != nil {
 		return e
 	}
-	base, err := rm.m.BaselineSeconds(sc.Target, sc.PState)
-	if err != nil {
+	if sc.PState >= len(target.secs) {
+		// A hand-built model whose baselines disagree about the P-state
+		// count; core words the fault.
+		_, err := rm.m.BaselineSeconds(sc.Target, sc.PState)
 		return asError(err)
 	}
 	*resp = PredictResponse{
 		Model: rm.name, Generation: rm.gen, Spec: rm.spec,
 		Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState,
-		BaselineSeconds: base,
+		BaselineSeconds: target.secs[sc.PState], baselineJSON: target.text[sc.PState],
 	}
 	return nil
 }
@@ -509,64 +519,39 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 		return errBody(e)
 	}
 
-	// Two phases under one fanout span. Phase one validates every slot
-	// and probes the cache (hits are served immediately); phase two
-	// evaluates all misses in one batched model call — a single GEMM per
-	// network layer for the resolved model generation instead of one
-	// forward pass per slot. Each slot still fails independently:
-	// validation errors mark only their own slot, and a request-level
-	// timeout fails the un-evaluated slots rather than the whole
-	// response. Results are bit-identical to per-slot Predict.
+	// One pass under one fanout span: validate every slot, evaluate all
+	// valid ones in one batched model call — a single GEMM per network
+	// layer instead of one forward pass per slot — and leave the rest to
+	// the encoder. The prediction cache is not consulted: probing and
+	// filling it costs more per row than the kernel row it could save.
+	// Each slot still fails independently: validation errors mark only
+	// their own slot, and a request-level timeout fails the un-evaluated
+	// slots rather than the whole response. Results are bit-identical to
+	// per-slot Predict.
 	ctx := r.Context()
 	n := len(req.Scenarios)
-	results := make([]BatchItem, n)
+	out := &BatchResponse{Model: rm.name, Results: make([]BatchItem, n)}
 	resps := make([]PredictResponse, n) // one slab for every slot's result
+	scs := make([]features.Scenario, 0, n)
 	fsp := tr.StartSpan("fanout")
 	fsp.Annotate("slots", strconv.Itoa(n))
-
-	csp := fsp.StartChild("cache")
-	missIdx := make([]int, 0, n)
-	missScs := make([]features.Scenario, 0, n)
-	var missKeys []string
-	var ks *keyScratch
-	if s.cache != nil {
-		missKeys = make([]string, 0, n)
-		ks = keyPool.Get().(*keyScratch)
-		defer keyPool.Put(ks)
-	}
 	for i, sr := range req.Scenarios {
 		sc := sr.scenario()
-		resp := &resps[i]
-		if e := initPredictResponse(resp, &rm, sc); e != nil {
-			results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
+		if e := initPredictResponse(&resps[i], &rm, sc); e != nil {
+			out.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
+			out.Errors++
 			continue
 		}
-		if s.cache != nil {
-			ks.build(rm.name, rm.gen, sc)
-			if p, ok := s.cache.Get(ks.buf); ok {
-				s.metrics.cacheHits.Inc()
-				resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
-				results[i].Result = resp
-				continue
-			}
-			s.metrics.cacheMisses.Inc()
-			missKeys = append(missKeys, string(ks.buf))
-		}
-		results[i].Result = resp
-		missIdx = append(missIdx, i)
-		missScs = append(missScs, sc)
+		out.Results[i].Result = &resps[i]
+		scs = append(scs, sc)
 	}
-	csp.End()
-
-	if len(missScs) > 0 {
+	if len(scs) > 0 {
 		esp := fsp.StartChild("eval")
-		esp.Annotate("scenarios", strconv.Itoa(len(missScs)))
-		var preds []float64
-		var err error
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			err = ctxErr
-		} else {
-			preds, err = rm.m.PredictScenarios(missScs)
+		esp.Annotate("scenarios", strconv.Itoa(len(scs)))
+		preds := make([]float64, len(scs))
+		err := ctx.Err()
+		if err == nil {
+			err = rm.m.PredictScenariosInto(scs, preds)
 		}
 		esp.End()
 		if err != nil {
@@ -575,29 +560,23 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 				e := asError(err)
 				ed = errorDetail{Code: e.Code, Message: e.Message}
 			}
-			for _, i := range missIdx {
-				results[i].Result = nil
-				results[i].Error = &ed
+			for i := range out.Results {
+				if out.Results[i].Result != nil {
+					out.Results[i] = BatchItem{Error: &ed}
+					out.Errors++
+				}
 			}
 		} else {
-			for j, i := range missIdx {
-				resp := results[i].Result
-				p := prediction{Seconds: preds[j], Slowdown: preds[j] / resp.BaselineSeconds}
-				if s.cache != nil {
-					s.cache.Put(missKeys[j], p)
+			j := 0
+			for _, it := range out.Results {
+				if resp := it.Result; resp != nil {
+					resp.PredictedSeconds, resp.PredictedSlowdown = preds[j], preds[j]/resp.BaselineSeconds
+					j++
 				}
-				resp.PredictedSeconds, resp.PredictedSlowdown = p.Seconds, p.Slowdown
 			}
 		}
 	}
 	fsp.End()
-
-	out := &BatchResponse{Model: rm.name, Results: results}
-	for _, it := range results {
-		if it.Error != nil {
-			out.Errors++
-		}
-	}
 	return http.StatusOK, out
 }
 
@@ -651,15 +630,15 @@ func (s *Server) handleSchedule(_ http.ResponseWriter, r *http.Request, tr *obs.
 		return errBody(badRequest(CodeBadRequest, "%d jobs exceed limit %d", len(req.Jobs), s.cfg.MaxScheduleJobs))
 	}
 	for _, j := range req.Jobs {
-		if !m.HasApp(j) {
-			return errBody(badRequest(CodeUnknownApp, "unknown job %q (known: %s)", j, strings.Join(m.Apps(), ", ")))
+		if _, ok := rm.apps[j]; !ok {
+			return errBody(badRequest(CodeUnknownApp, "unknown job %q (known: %s)", j, rm.known))
 		}
 	}
 	if req.MaxSlowdown <= 1 {
 		return errBody(badRequest(CodeBadRequest, "max_slowdown %v must exceed 1", req.MaxSlowdown))
 	}
-	if req.PState < 0 || req.PState >= m.PStates() {
-		return errBody(badRequest(CodeBadPState, "P-state %d out of range [0,%d)", req.PState, m.PStates()))
+	if req.PState < 0 || req.PState >= rm.pstates {
+		return errBody(badRequest(CodeBadPState, "P-state %d out of range [0,%d)", req.PState, rm.pstates))
 	}
 	spec, e := resolveMachine(req.Machine, m)
 	if e != nil {

@@ -202,13 +202,17 @@ func TestPredictValidation(t *testing.T) {
 		name string
 		req  PredictRequest
 		code string
+		msg  string
 	}{
-		{"unknown target", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "ghost", PState: 0}}, CodeUnknownApp},
-		{"unknown co-app", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", CoApps: []string{"ghost"}, PState: 0}}, CodeUnknownApp},
-		{"bad pstate", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", PState: 99}}, CodeBadPState},
-		{"negative pstate", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", PState: -1}}, CodeBadPState},
-		{"empty target", PredictRequest{}, CodeBadRequest},
-		{"unknown model", PredictRequest{Model: "ghost", ScenarioRequest: ScenarioRequest{Target: "cg"}}, CodeUnknownModel},
+		{"unknown target", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "ghost", PState: 0}}, CodeUnknownApp,
+			`unknown target "ghost" (known: canneal, cg, ep)`},
+		{"unknown co-app", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", CoApps: []string{"ghost"}, PState: 0}}, CodeUnknownApp,
+			`unknown co-app "ghost" (known: canneal, cg, ep)`},
+		{"bad pstate", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", PState: 99}}, CodeBadPState, "P-state 99 out of range [0,6)"},
+		{"negative pstate", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", PState: -1}}, CodeBadPState, "P-state -1 out of range [0,6)"},
+		{"empty target", PredictRequest{}, CodeBadRequest, "target must be set"},
+		{"unknown model", PredictRequest{Model: "ghost", ScenarioRequest: ScenarioRequest{Target: "cg"}}, CodeUnknownModel,
+			`unknown model "ghost" (see GET /v1/models)`},
 	}
 	for _, tc := range cases {
 		w := postJSON(t, h, "/v1/predict", tc.req)
@@ -216,8 +220,8 @@ func TestPredictValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, w.Code, w.Body.String())
 			continue
 		}
-		if c := errCode(t, w); c != tc.code {
-			t.Errorf("%s: code %q, want %q", tc.name, c, tc.code)
+		if e := decodeBody[errorBody](t, w).Error; e.Code != tc.code || e.Message != tc.msg {
+			t.Errorf("%s: error %+v, want %s: %s", tc.name, e, tc.code, tc.msg)
 		}
 	}
 	// Malformed JSON and unknown fields are client errors too.
@@ -498,8 +502,9 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("empty registry health = %d, want 503", w.Code)
 	}
 	// Predict against an empty registry is a 503, not a panic.
-	if w := postJSON(t, empty.Handler(), "/v1/predict", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg"}}); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("empty registry predict = %d, want 503", w.Code)
+	w := postJSON(t, empty.Handler(), "/v1/predict", PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg"}})
+	if e := decodeBody[errorBody](t, w).Error; w.Code != http.StatusServiceUnavailable || e.Code != CodeUnknownModel || e.Message != "no models loaded" {
+		t.Fatalf("empty registry predict = %d %+v, want 503 unknown_model: no models loaded", w.Code, e)
 	}
 }
 

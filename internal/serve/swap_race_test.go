@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +181,179 @@ func swapRace(t *testing.T, cacheSize int) {
 	}
 	if gen != numModels || m != models[numModels-1] {
 		t.Fatalf("after %d swaps: generation %d, model index wrong", numModels-1, gen)
+	}
+}
+
+// TestHotSwapRepliesCarryOneSnapshot drives /v1/predict and
+// /v1/predict/batch from several goroutines while the registry swaps
+// back and forth between two models whose baselines differ (the test
+// dataset, and a copy with every baseline scaled). The model and the
+// serving table validation and the baseline are read from sit behind one
+// pointer, so every evaluated row is one model's through and through:
+// its baseline_seconds is bit for bit a baseline of exactly one of the
+// two, predicted_seconds is that model's prediction, predicted_slowdown
+// their quotient; and all rows of one batch reply carry one generation
+// and one model. A row served from the prediction cache (single
+// predicts only) is held to less: the memo is keyed by the generation,
+// which a request reads before the pointer, so the pair it stores is one
+// model's but the baseline beside it may be read from the other's table.
+func TestHotSwapRepliesCarryOneSnapshot(t *testing.T) {
+	ds := testDataset(t)
+	scaled := *ds
+	scaled.Baselines = make(map[string]harness.Baseline, len(ds.Baselines))
+	for name, b := range ds.Baselines {
+		b.SecondsByPState = slices.Clone(b.SecondsByPState)
+		for ps := range b.SecondsByPState {
+			b.SecondsByPState[ps] *= 1.25
+		}
+		scaled.Baselines[name] = b
+	}
+	set, err := features.SetByName("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second model is also fitted to fewer records, so that the two
+	// disagree by more than rounding.
+	var models [2]*core.Model
+	for i, d := range []*harness.Dataset{ds, &scaled} {
+		if models[i], err = core.Train(core.Spec{Technique: core.Linear, FeatureSet: set, Seed: 1}, d, d.Records[i*len(d.Records)/3:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scenarios := distinctScenarios(models[0], 1, 2)[:48]
+	// base[mi][si] and pred[mi][si]: what model mi says of scenario si.
+	var base, pred [2][]float64
+	for mi, m := range models {
+		for _, sr := range scenarios {
+			b, err := m.BaselineSeconds(sr.Target, sr.PState)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.Predict(sr.scenario())
+			if err != nil {
+				t.Fatal(err)
+			}
+			base[mi], pred[mi] = append(base[mi], b), append(pred[mi], p)
+		}
+	}
+	for si := range scenarios {
+		if pred[0][si] == pred[1][si] || base[0][si] == base[1][si] {
+			t.Fatalf("the models agree on scenario %d; a row could not be attributed", si)
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	// attribute names the model a row is from, or says what is wrong
+	// with it.
+	attribute := func(row *PredictResponse, si int) (int, error) {
+		for mi := range models {
+			if row.Cached && same(row.PredictedSeconds, pred[mi][si]) {
+				if !same(row.PredictedSlowdown, pred[mi][si]/base[mi][si]) || !(same(row.BaselineSeconds, base[0][si]) || same(row.BaselineSeconds, base[1][si])) {
+					return 0, fmt.Errorf("cached row %+v: not model %d's pair beside a baseline", *row, mi)
+				}
+				return mi, nil
+			}
+			if !row.Cached && same(row.BaselineSeconds, base[mi][si]) {
+				if !same(row.PredictedSeconds, pred[mi][si]) || !same(row.PredictedSlowdown, pred[mi][si]/base[mi][si]) {
+					return 0, fmt.Errorf("row %+v: model %d's baseline %v beside a prediction that is not its %v", *row, mi, base[mi][si], pred[mi][si])
+				}
+				return mi, nil
+			}
+		}
+		return 0, fmt.Errorf("row %+v belongs to neither model", *row)
+	}
+	batchBody, err := json.Marshal(BatchRequest{Scenarios: scenarios})
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleBodies := make([]string, len(scenarios))
+	for si, sr := range scenarios {
+		raw, err := json.Marshal(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singleBodies[si] = string(raw)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+	}{
+		{"cached", 1 << 12},
+		{"uncached", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			if err := reg.Add("primary", "", models[0]); err != nil {
+				t.Fatal(err)
+			}
+			h := New(reg, Config{CacheSize: tc.cacheSize}).Handler()
+
+			// The swapper paces itself by the readers' progress, so every
+			// generation is read from, and stops them after the last swap.
+			const swaps, requestsPerSwap, readers = 40, 16, 4
+			var served atomic.Int64
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1 + readers)
+			go func() {
+				defer wg.Done()
+				defer stop.Store(true)
+				for i := 1; i <= swaps; i++ {
+					for served.Load() < int64(i*requestsPerSwap) && !t.Failed() {
+						runtime.Gosched()
+					}
+					if err := reg.Swap("primary", models[i%2]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			for r := 0; r < readers; r++ {
+				go func(r int) {
+					defer wg.Done()
+					for i := r; !stop.Load(); i++ {
+						served.Add(1)
+						if i%2 == 0 {
+							si := i / 2 % len(scenarios)
+							w := postRaw(h, "/v1/predict", singleBodies[si])
+							var row PredictResponse
+							if err := json.Unmarshal(w.Body.Bytes(), &row); w.Code != http.StatusOK || err != nil {
+								t.Errorf("predict: %d %v: %s", w.Code, err, w.Body)
+								return
+							}
+							if _, err := attribute(&row, si); err != nil {
+								t.Error(err)
+								return
+							}
+							continue
+						}
+						w := postRaw(h, "/v1/predict/batch", string(batchBody))
+						var reply BatchResponse
+						if err := json.Unmarshal(w.Body.Bytes(), &reply); w.Code != http.StatusOK || err != nil || reply.Errors != 0 || len(reply.Results) != len(scenarios) {
+							t.Errorf("batch: %d %v: %s", w.Code, err, w.Body)
+							return
+						}
+						first, firstModel := reply.Results[0].Result, 0
+						for si, it := range reply.Results {
+							mi, err := attribute(it.Result, si)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if si == 0 {
+								firstModel = mi
+							}
+							if mi != firstModel || it.Result.Generation != first.Generation {
+								t.Errorf("one batch reply, two snapshots: row 0 is model %d at generation %d, row %d model %d at generation %d",
+									firstModel, first.Generation, si, mi, it.Result.Generation)
+								return
+							}
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+		})
 	}
 }
 

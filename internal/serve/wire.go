@@ -447,9 +447,19 @@ func encodeBody(wb *wireBuf, body any) error {
 }
 
 func appendPredictResponse(b []byte, p *PredictResponse) ([]byte, bool) {
+	return appendPredictFields(appendPredictIdentity(b, p), p)
+}
+
+// appendPredictIdentity opens a predict reply with the fields that say
+// which model answered; every row of a served batch shares them.
+func appendPredictIdentity(b []byte, p *PredictResponse) []byte {
 	b = appendString(append(b, `{"model":`...), p.Model)
 	b = strconv.AppendUint(append(b, `,"generation":`...), p.Generation, 10)
-	b = appendString(append(b, `,"spec":`...), p.Spec)
+	return appendString(append(b, `,"spec":`...), p.Spec)
+}
+
+// appendPredictFields completes a reply appendPredictIdentity opened.
+func appendPredictFields(b []byte, p *PredictResponse) ([]byte, bool) {
 	b = appendString(append(b, `,"target":`...), p.Target)
 	b = append(b, `,"co_apps":`...)
 	if p.CoApps == nil {
@@ -465,10 +475,16 @@ func appendPredictResponse(b []byte, p *PredictResponse) ([]byte, bool) {
 		b = append(b, ']')
 	}
 	b = strconv.AppendInt(append(b, `,"pstate":`...), int64(p.PState), 10)
-	var ok1, ok2, ok3 bool
+	var ok1, ok2 bool
 	b, ok1 = appendFloat(append(b, `,"predicted_seconds":`...), p.PredictedSeconds)
 	b, ok2 = appendFloat(append(b, `,"predicted_slowdown":`...), p.PredictedSlowdown)
-	b, ok3 = appendFloat(append(b, `,"baseline_seconds":`...), p.BaselineSeconds)
+	b = append(b, `,"baseline_seconds":`...)
+	ok3 := p.baselineJSON != ""
+	if ok3 {
+		b = append(b, p.baselineJSON...)
+	} else {
+		b, ok3 = appendFloat(b, p.BaselineSeconds)
+	}
 	b = strconv.AppendBool(append(b, `,"cached":`...), p.Cached)
 	return append(b, '}'), ok1 && ok2 && ok3
 }
@@ -513,15 +529,26 @@ func appendBatchResponse(b []byte, r *BatchResponse) ([]byte, bool) {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
+		var shared *PredictResponse // the row b[from:to] was rendered for
+		var from, to int
 		for i := range r.Results {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			it := &r.Results[i]
 			b = append(b, '{')
-			if it.Result != nil {
+			if p := it.Result; p != nil {
+				// The row's opening is rendered once and copied for every
+				// following row with the same identity.
+				if shared != nil && p.Model == shared.Model && p.Generation == shared.Generation && p.Spec == shared.Spec {
+					b = append(b, b[from:to]...)
+				} else {
+					from = len(b)
+					b = appendPredictIdentity(append(b, `"result":`...), p)
+					to, shared = len(b), p
+				}
 				var ok bool
-				if b, ok = appendPredictResponse(append(b, `"result":`...), it.Result); !ok {
+				if b, ok = appendPredictFields(b, p); !ok {
 					return b, false
 				}
 			}

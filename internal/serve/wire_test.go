@@ -11,6 +11,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"colocmodel/internal/core"
+	"colocmodel/internal/features"
+	"colocmodel/internal/harness"
 )
 
 // canonicalBodies are request bodies in the form clients send; the fast
@@ -349,6 +353,104 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		got, ok := appendBatchResponse(nil, r)
 		check(r, got, ok)
 	}
+	// The rows of a served batch share model, generation and spec, and
+	// the encoder renders those once and copies them; the random rows
+	// above never share them. Here rows share one identity throughout
+	// (an error-only slot in between), or alternate with a second that
+	// differs in exactly one of the three, which must be rendered afresh
+	// each time — for names the json.Marshal fallback renders and for
+	// generations at both ends.
+	row := func(model string, gen uint64, spec string) BatchItem {
+		p := randPredictResponse(rng, true)
+		p.Model, p.Generation, p.Spec = model, gen, spec
+		return BatchItem{Result: p}
+	}
+	for _, model := range []string{"primary", "", "<m>", `q"uote`, "café", "\xff"} {
+		for _, gen := range []uint64{0, 1, math.MaxUint64} {
+			for _, other := range [][3]any{{model + "2", gen, "s"}, {model, gen + 1, "s"}, {model, gen, "<s>"}} {
+				shared, alternating := &BatchResponse{Model: model}, &BatchResponse{Model: model}
+				for i := 0; i < 6; i++ {
+					shared.Results = append(shared.Results, row(model, gen, "s"))
+					if i%2 == 1 {
+						alternating.Results = append(alternating.Results, row(other[0].(string), other[1].(uint64), other[2].(string)))
+					} else {
+						alternating.Results = append(alternating.Results, row(model, gen, "s"))
+					}
+				}
+				shared.Results[2] = BatchItem{Error: &errorDetail{Code: CodeUnknownApp, Message: "x"}}
+				for _, r := range []*BatchResponse{shared, alternating} {
+					got, ok := appendBatchResponse(nil, r)
+					check(r, got, ok)
+				}
+			}
+		}
+	}
+}
+
+// A response built from the serving table carries its baseline already
+// rendered; the copy must be the bytes encoding/json formats from the
+// number — for every application and P-state of a trained model, and for
+// baselines encoding/json prints in exponent form. A hand-built model
+// whose baseline row is shorter than its P-state table still gets
+// core's error for the P-states the row lacks.
+func TestRenderedBaselineMatchesEncodingJSON(t *testing.T) {
+	_, m := newTestServer(t, Config{})
+	odd := *m.Baselines()
+	odd.Baselines = map[string]harness.Baseline{}
+	for i, name := range m.Apps() {
+		secs := [][]float64{{1e-7, 1e21}, {math.Nextafter(1e-6, 0), 123456789}, {5e-324, math.MaxFloat64}}[i%3]
+		if i%3 != 2 { // the third row stays two P-states long
+			secs = append(secs, m.Baselines().Baselines[name].SecondsByPState[2:]...)
+		}
+		odd.Baselines[name] = harness.Baseline{App: name, SecondsByPState: secs}
+	}
+	oddModel, err := core.Train(m.Spec, &odd, testDataset(t).Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	for name, model := range map[string]*core.Model{"trained": m, "odd": oddModel} {
+		if err := reg.Add(name, "", model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(reg, Config{})
+	for _, name := range []string{"trained", "odd"} {
+		rm, e := s.resolveModel(name)
+		if e != nil {
+			t.Fatal(e)
+		}
+		batch := &BatchResponse{Model: name}
+		for _, app := range rm.m.Apps() {
+			for ps := 0; ps < rm.m.PStates(); ps++ {
+				p := &PredictResponse{}
+				e := initPredictResponse(p, &rm, features.Scenario{Target: app, CoApps: []string{app}, PState: ps})
+				base, err := rm.m.BaselineSeconds(app, ps)
+				if err != nil {
+					if e == nil || e.Status != http.StatusInternalServerError || e.Message != err.Error() {
+						t.Fatalf("%s %s@%d: error %+v, model says %v", name, app, ps, e, err)
+					}
+					continue
+				}
+				if e != nil || p.baselineJSON == "" || math.Float64bits(p.BaselineSeconds) != math.Float64bits(base) {
+					t.Fatalf("%s %s@%d: baseline %v rendered %q (%v), model says %v", name, app, ps, p.BaselineSeconds, p.baselineJSON, e, base)
+				}
+				p.PredictedSeconds, p.PredictedSlowdown = base, 1
+				batch.Results = append(batch.Results, BatchItem{Result: p})
+				for _, v := range []any{p, batch} {
+					want, err := referenceJSON(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wb := getWireBuf()
+					if err := encodeBody(wb, v); err != nil || !bytes.Equal(wb.b, want) {
+						t.Fatalf("%s %s@%d: encodeBody %q (%v), encoding/json %q", name, app, ps, wb.b, err, want)
+					}
+					putWireBuf(wb)
+				}
+			}
+		}
+	}
 }
 
 // The reply prefix reader either reads the identity encoding/json would
@@ -485,32 +587,74 @@ func (w *minimalWriter) Write(p []byte) (int, error) {
 // only with a reason; encoding/json on this path cost 35.
 const predictAllocBudget = 7
 
-func TestPredictCacheHitAllocs(t *testing.T) {
+// handlerAllocs posts the bodies to path in order, round and round, and
+// reports the allocations per request through the whole handler stack
+// over runs requests, after two that fill the cache and the pools,
+// together with the last reply.
+func handlerAllocs(t *testing.T, h http.Handler, path string, runs int, bodies ...[]byte) (float64, *minimalWriter) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("sync.Pool drops a share of Puts under the race detector")
 	}
-	s, _ := newTestServer(t, Config{})
-	h := s.Handler()
-	body := []byte(`{"target":"canneal","co_apps":["cg","ep","cg"],"pstate":1}`)
-	rd := bytes.NewReader(body)
-	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	rd := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, path, nil)
 	req.Body = io.NopCloser(rd)
 	w := &minimalWriter{hdr: make(http.Header, 8)}
+	next := 0
 	call := func() {
-		rd.Reset(body)
+		rd.Reset(bodies[next%len(bodies)])
+		next++
 		clear(w.hdr)
 		w.status, w.body = 0, w.body[:0]
 		h.ServeHTTP(w, req)
 	}
-	call() // fill the cache and the pools
-	allocs := testing.AllocsPerRun(1000, call)
-	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"cached":true`)) {
-		t.Fatalf("not a cache hit: %d %s", w.status, w.body)
-	}
+	call()
+	allocs := testing.AllocsPerRun(runs, call) // makes one warm-up call of its own
 	if w.hdr["X-Request-Id"] == nil || w.hdr[hdrServerTiming] == nil {
 		t.Fatalf("envelope headers missing: %v", w.hdr)
 	}
+	return allocs, w
+}
+
+func TestPredictCacheHitAllocs(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	allocs, w := handlerAllocs(t, s.Handler(), "/v1/predict", 1000, []byte(`{"target":"canneal","co_apps":["cg","ep","cg"],"pstate":1}`))
+	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"cached":true`)) {
+		t.Fatalf("not a cache hit: %d %s", w.status, w.body)
+	}
 	if allocs > predictAllocBudget {
 		t.Fatalf("cache-hit /v1/predict allocates %v per request, budget %d", allocs, predictAllocBudget)
+	}
+}
+
+// batchAllocBudget is the allocation count of one 64-row
+// /v1/predict/batch under the default config: what a single predict's
+// envelope costs plus the scenario slice, the reply, its item and
+// response slabs, the valid scenarios and their predictions — a fixed
+// number per request, none per row. No scenario is posted twice, as in
+// a what-if sweep: every row would miss the prediction cache, and the
+// per-row detour through it cost 65 allocations.
+const batchAllocBudget = 24
+
+func TestBatchPredictAllocs(t *testing.T) {
+	s := neuralTestServer(t, Config{})
+	m, _, err := s.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	for scs := distinctScenarios(m, 0, 5); len(scs) >= 64; scs = scs[64:] {
+		body, err := json.Marshal(BatchRequest{Scenarios: scs[:64]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	allocs, w := handlerAllocs(t, s.Handler(), "/v1/predict/batch", len(bodies)-2, bodies...)
+	if w.status != http.StatusOK || bytes.Count(w.body, []byte(`"predicted_seconds"`)) != 64 || !bytes.Contains(w.body, []byte(`"errors":0}`)) {
+		t.Fatalf("not 64 clean rows: %d %s", w.status, w.body)
+	}
+	if allocs > batchAllocBudget {
+		t.Fatalf("64-row /v1/predict/batch allocates %v per request, budget %d", allocs, batchAllocBudget)
 	}
 }
