@@ -1,9 +1,8 @@
 // Command colorouter is the scale-out serving gateway: it spreads
 // prediction traffic across a replicated coloserve fleet with
 // consistent-hash scenario affinity (so each backend's prediction cache
-// stays hot), health- and generation-aware backend selection, identical
-// in-flight request coalescing, tail-latency hedging, and coordinated
-// rolling model promotions.
+// stays hot), health- and generation-aware backend selection,
+// tail-latency hedging, and coordinated rolling model promotions.
 //
 // Usage:
 //
@@ -16,8 +15,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/predict          routed by scenario key, coalesced, hedged
-//	POST /v1/predict/batch    scatter-gathered by scenario owner
+//	POST /v1/predict          routed by scenario key, hedged
+//	POST /v1/predict/batch    forwarded whole, least-loaded
+//	POST /v1/placements       forwarded whole, least-loaded, streamed
 //	POST /v1/observations     routed by scenario key (never hedged)
 //	POST /v1/models/reload    rolling promotion across the fleet
 //	GET  /v1/models           proxied from the most-promoted backend

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"colocmodel/internal/features"
+	"colocmodel/internal/obs"
 	"colocmodel/internal/serve"
 )
 
@@ -28,6 +29,21 @@ const (
 	reply500       = "500"
 )
 
+// batchItem / batchResponse mirror the serve tier's batch wire shape for
+// the fakes that render it and the tests that read it back (serve keeps
+// its error detail type unexported); the router itself forwards batch
+// bytes and declares no such type.
+type batchItem struct {
+	Result json.RawMessage `json:"result,omitempty"`
+	Error  *errorDetail    `json:"error,omitempty"`
+}
+
+type batchResponse struct {
+	Model   string      `json:"model"`
+	Results []batchItem `json:"results"`
+	Errors  int         `json:"errors"`
+}
+
 // scriptedBackend is a coloserve stand-in covering every endpoint the
 // router calls through send. Each request endpoint answers per the
 // current script; a 200 is a well-formed reply that names the backend,
@@ -40,6 +56,7 @@ type scriptedBackend struct {
 
 	mu       sync.Mutex
 	reply    string
+	stall    time.Duration     // waited out before any scripted reply
 	retryHdr string            // Retry-After value sent with replyShed
 	targets  []string          // observation targets ingested, in arrival order
 	reqIDs   map[string]string // inbound X-Request-ID of the latest call, by path
@@ -62,9 +79,10 @@ func newScriptedBackend(t *testing.T, name string, gen uint64) *scriptedBackend 
 		return func(w http.ResponseWriter, r *http.Request) {
 			sb.hits.Add(1)
 			sb.mu.Lock()
-			reply, retryHdr := sb.reply, sb.retryHdr
+			reply, stall, retryHdr := sb.reply, sb.stall, sb.retryHdr
 			sb.reqIDs[r.URL.Path] = r.Header.Get("X-Request-ID")
 			sb.mu.Unlock()
+			time.Sleep(stall)
 			switch reply {
 			case replyTransport:
 				conn, _, err := w.(http.Hijacker).Hijack()
@@ -343,6 +361,42 @@ func TestCallPathConformance(t *testing.T) {
 					t.Fatalf("in-flight leaked: a=%d b=%d", ba.Inflight(), bb.Inflight())
 				}
 			})
+		}
+	}
+}
+
+// TestRouteStageIsCandidateResolution: the route Server-Timing stage is
+// the time spent resolving candidates, whatever happens to the attempts
+// after it. It used to be "everything but the last attempt" for
+// observations and models, so a first candidate that stalled and then
+// shed filed its whole round trip under route — and a batch reported no
+// stages at all.
+func TestRouteStageIsCandidateResolution(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	for _, c := range []struct {
+		name, path string
+		body       func(target string) string
+	}{
+		{"predict", "/v1/predict", func(target string) string { return predictBody(features.Scenario{Target: target}) }},
+		{"batch", "/v1/predict/batch", func(target string) string { return batchBody(target) }},
+		{"observation", "/v1/observations", func(target string) string { return obsBody(target, 2) }},
+	} {
+		a, b := newScriptedBackend(t, "a", 1), newScriptedBackend(t, "b", 1)
+		rt := newScriptedRouter(t, Config{Replicas: 2}, a, b)
+		sc := scenarioOwnedBy(t, rt, "a")
+		a.mu.Lock()
+		a.reply, a.stall = replyShed, stall
+		a.mu.Unlock()
+		rec := doReq(t, rt.Handler(), http.MethodPost, c.path, c.body(sc.Target), nil)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Backend") != "b" || a.hits.Load() != 1 {
+			t.Errorf("%s: status %d from %q after %d calls to a, want b's 200 after a's stalled shed",
+				c.name, rec.Code, rec.Header().Get("X-Backend"), a.hits.Load())
+			continue
+		}
+		st := rec.Header().Get("Server-Timing")
+		route, ok := obs.ParseServerTiming(st)["route"]
+		if !ok || !strings.HasPrefix(st, "route;dur=") || route >= stall.Seconds() {
+			t.Errorf("%s: Server-Timing %q, want it to lead with a route stage under the %v the first attempt took", c.name, st, stall)
 		}
 	}
 }

@@ -5,14 +5,23 @@
 //
 // # Routing
 //
-// Each request's scenario is reduced to the serve tier's canonical form
-// (serve.CanonicalScenario — byte-identical to the backend cache key,
-// minus the generation) and consistent-hashed onto a ring of virtual
-// nodes. The first R distinct backends clockwise form the key's replica
-// set, owner first, so the same scenario always lands on the same small
-// set of backends and their prediction caches stay hot. The ring is
-// rebuilt only on explicit join/leave; health flaps never reshuffle key
-// ownership.
+// A predict's (and an observation's) scenario is reduced to the serve
+// tier's canonical form (serve.CanonicalScenario — byte-identical to the
+// backend cache key, minus the generation) and consistent-hashed onto a
+// ring of virtual nodes. The first R distinct backends clockwise form
+// the key's replica set, owner first, so the same scenario always lands
+// on the same small set of backends and their prediction caches stay
+// hot. The ring is rebuilt only on explicit join/leave; health flaps
+// never reshuffle key ownership.
+//
+// A batch (like a placement search) has no key: it is forwarded whole,
+// with the caller's bytes, to the least-loaded available backend at the
+// client's generation floor, failing over in load order. Backends
+// evaluate a batch in one kernel call without consulting the prediction
+// cache (since PR 20), so splitting it by ring owner bought only more
+// HTTP envelopes around smaller GEMMs; forwarded whole, every check —
+// the batch limit, the model name, each row — is the serving backend's
+// own, and its reply is the client's byte for byte.
 //
 // # Health
 //
@@ -25,11 +34,9 @@
 //
 // # Tail latency
 //
-// Identical in-flight cache-miss scenarios are coalesced (singleflight):
-// a thundering herd of one scenario costs one backend call, and a
-// follower whose leader's client hangs up re-enters the flight rather
-// than answer with the leader's cancellation. A predict's attempts run
-// on the request's own goroutine, failing over in order; beside them
+// A predict's attempts run on the request's own goroutine, failing over
+// in order (identical predicts in flight together share nothing: a
+// backend answers a repeat from its cache in microseconds); beside them
 // one timer-driven sidecar, if the call is still open after a hedge
 // delay — configured, or derived from the observed backend p95 — calls
 // the next unclaimed replica from the timer's goroutine. The first
@@ -46,7 +53,10 @@
 // (serve.ScanPredictRequest), model and generation from the prefix the
 // serve tier renders its reply with (serve.PredictReplyIdentity), each
 // with encoding/json as the fallback for any other bytes, and the reply
-// — body and Content-Type — is written to the client as it came.
+// — body and Content-Type — is written to the client as it came. A
+// batch is read for its model name on the way in and for its rows'
+// generation on the way out, and is otherwise the same: route, send,
+// replay.
 // Backends are resolved when they join: base URL parsed once, header
 // values pre-rendered, ring points holding the backend itself.
 //

@@ -3,9 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,48 +11,11 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"colocmodel/internal/features"
 	"colocmodel/internal/serve"
 )
-
-// TestCoalescedFollowerSurvivesLeaderHangUp: a coalesced follower shares its
-// leader's backend call, which runs under the leader's request context.
-// When the leader's client hangs up, a follower whose own client is
-// still there must be answered — it re-enters the flight group and
-// leads — not handed the leader's "context canceled" as a 502.
-func TestCoalescedFollowerSurvivesLeaderHangUp(t *testing.T) {
-	a := newFakeBackend(t, "a")
-	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
-	body := predictBody(sc)
-	fkey := flightKey(0, routeKey("demo", sc))
-
-	a.stall.Store(true)
-	var once sync.Once
-	open := func() { once.Do(func() { close(a.gate) }) }
-	defer open() // whatever happens, no call stays parked in the fake
-	leaderCtx, hangUp := context.WithCancel(context.Background())
-	leader := predictAsync(leaderCtx, rt, body)
-	waitFor(t, "leader to reach the backend", func() bool { return a.predicts.Load() == 1 })
-	follower := predictAsync(context.Background(), rt, body)
-	waitFor(t, "follower to join the flight", func() bool { return rt.flights.pendingFollowers(fkey) == 1 })
-	hangUp()
-	if rec := awaitReply(t, leader); rec.Code != http.StatusBadGateway {
-		t.Fatalf("leader whose client hung up answered %d, want its 502", rec.Code)
-	}
-	waitFor(t, "follower to lead its own call (or to answer)", func() bool { return a.predicts.Load() == 2 || len(follower) == 1 })
-	open()
-	if rec := awaitReply(t, follower); rec.Code != http.StatusOK {
-		t.Fatalf("follower with a live client answered %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rt.metrics.Coalesced(); got != 1 {
-		t.Fatalf("coalesced counter %d, want the follower counted once", got)
-	}
-}
 
 // TestNonJSONBackendReplyIsReplayed: a backend-side plain-text reply
 // (net/http's own 400/404/413/431, or any intermediary's) reaches the
@@ -116,8 +77,8 @@ func fuzzCorpus(t *testing.T, fuzzer string) [][]byte {
 
 // TestPredictDecodeAgreesWithEncodingJSON: whichever of the two readers
 // decodes a predict body — serve's scanner or the encoding/json
-// fallback — the router derives the same route key and flight key and
-// answers a malformed body with the same 400.
+// fallback — the router derives the same route key and answers a
+// malformed body with the same 400.
 func TestPredictDecodeAgreesWithEncodingJSON(t *testing.T) {
 	bodies := fuzzCorpus(t, "FuzzPredictDecode")
 	for _, b := range []string{
@@ -164,18 +125,10 @@ func TestPredictDecodeAgreesWithEncodingJSON(t *testing.T) {
 		if key(got) != key(want) {
 			t.Fatalf("body %q: route key %q, encoding/json's %q", raw, key(got), key(want))
 		}
-		for _, floor := range []uint64{0, 7, math.MaxUint64} {
-			if got, want := flightKey(floor, key(got)), fmt.Sprintf("%d|%s", floor, key(want)); got != want {
-				t.Fatalf("body %q: flight key %q, want %q", raw, got, want)
-			}
-		}
 	}
 	// Both readers must have had their share, or the table tests nothing.
 	if scanned < 8 || scanned > len(bodies)-8 {
 		t.Fatalf("the scanner took %d of %d bodies: the table no longer covers both readers", scanned, len(bodies))
-	}
-	if got, want := flightKey(3, strings.Repeat("k", 300)), "3|"+strings.Repeat("k", 300); got != want {
-		t.Fatalf("flight key of a long route key: %q", got)
 	}
 }
 

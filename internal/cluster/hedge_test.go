@@ -246,3 +246,47 @@ func TestHedgeArmedRepliesVerbatim(t *testing.T) {
 		t.Fatalf("hedges=%d, want 0", h)
 	}
 }
+
+// TestConcurrentIdenticalPredictsAreIndependent: identical predicts in
+// flight together share nothing. Each makes its own backend call, a
+// client that hangs up takes down its own request only, and once all
+// have answered no goroutine and no in-flight count is left behind.
+func TestConcurrentIdenticalPredictsAreIndependent(t *testing.T) {
+	a, b := newGatedBackend(t, "a", true, false), newGatedBackend(t, "b", false, false)
+	rt, body := hedgeFleet(t, -1, a, b)
+	goroutines := runtime.NumGoroutine()
+
+	const clients = 8
+	leaverCtx, hangUp := context.WithCancel(context.Background())
+	leaver := predictAsync(leaverCtx, rt, body)
+	var stayers []<-chan *httptest.ResponseRecorder
+	for i := 1; i < clients; i++ {
+		stayers = append(stayers, predictAsync(context.Background(), rt, body))
+	}
+	waitFor(t, "every predict to reach the stalled owner", func() bool { return a.calls.Load() == clients })
+	hangUp()
+	if rec := awaitReply(t, leaver); rec.Code != http.StatusBadGateway {
+		t.Fatalf("the client that hung up was answered %d, want its own 502", rec.Code)
+	}
+	for i, replies := range stayers {
+		if len(replies) != 0 {
+			t.Fatalf("client %d was answered while the owner was still stalled: another client's hang-up reached it", i)
+		}
+	}
+	a.open()
+	for i, replies := range stayers {
+		if rec := awaitReply(t, replies); rec.Code != http.StatusOK || rec.Body.String() != a.reply {
+			t.Fatalf("client %d: status %d: %s, want the owner's reply", i, rec.Code, rec.Body.String())
+		}
+	}
+	if ca, cb := a.calls.Load(), b.calls.Load(); ca != clients || cb != 0 {
+		t.Fatalf("backend calls a=%d b=%d, want one call to the owner per client and none elsewhere", ca, cb)
+	}
+	if ia, ib, n := rt.pool.Get("a").Inflight(), rt.pool.Get("b").Inflight(), rt.metrics.inFlight.Load(); ia != 0 || ib != 0 || n != 0 {
+		t.Fatalf("in-flight left behind: backend a=%d b=%d, router %d", ia, ib, n)
+	}
+	waitFor(t, "the calls' goroutines and connections to wind down", func() bool {
+		rt.cfg.Client.CloseIdleConnections()
+		return runtime.NumGoroutine() <= goroutines
+	})
+}

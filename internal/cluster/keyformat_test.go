@@ -8,10 +8,10 @@ import (
 )
 
 // TestScenarioKeyFormatPin pins the canonical scenario-key format from
-// OUTSIDE the serve package. The router's shard placement and
-// singleflight keys are derived from serve.CanonicalScenario; if serve
-// ever changes the byte layout, routing silently desynchronises from
-// the backend caches (keys hash elsewhere, cache hit rates collapse).
+// OUTSIDE the serve package. The router's shard placement is derived
+// from serve.CanonicalScenario; if serve ever changes the byte layout,
+// routing silently desynchronises from the backend caches (keys hash
+// elsewhere, cache hit rates collapse).
 // This test turns that silent drift into a loud one.
 func TestScenarioKeyFormatPin(t *testing.T) {
 	cases := []struct {

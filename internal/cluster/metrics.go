@@ -9,16 +9,16 @@ import (
 // Metrics is the router's observability layer: per-endpoint request and
 // error counters with latency histograms, per-backend proxy accounting
 // (requests, errors, sheds, ejections, re-admissions, last observed
-// generation), and the coalescing/hedging counters the tail-latency
-// machinery is judged by. Declared on one obs.Registry with a
-// colorouter_ prefix so a scrape of router and backends never collides.
+// generation), and the hedging counters the tail-latency machinery is
+// judged by. Declared on one obs.Registry with a colorouter_ prefix so a
+// scrape of router and backends never collides.
 type Metrics struct {
 	reg       *obs.Registry
 	endpoints *obs.Endpoints
 	pool      *Pool // its backends hold the per-backend series
 
-	coalesced, hedges, hedgeWins, promotions, noBackend *obs.Counter
-	inFlight                                            *obs.Gauge
+	hedges, hedgeWins, promotions, noBackend *obs.Counter
+	inFlight                                 *obs.Gauge
 }
 
 // backendMetrics is one backend's proxy accounting. It lives in the
@@ -43,7 +43,6 @@ func NewMetrics(pool *Pool) *Metrics {
 	m := &Metrics{reg: r, pool: pool}
 	m.endpoints = r.Endpoints("colorouter", "Router request latency per endpoint.", latencyBuckets)
 	r.Collect(m.collectBackends)
-	m.coalesced = r.Counter("colorouter_coalesced_total", "Requests served from another request's in-flight backend call.")
 	m.hedges = r.Counter("colorouter_hedges_total", "Hedged backend calls launched.")
 	m.hedgeWins = r.Counter("colorouter_hedge_wins_total", "Hedged calls that answered before the primary.")
 	m.promotions = r.Counter("colorouter_promotions_total", "Coordinated rolling promotions completed.")
@@ -87,8 +86,9 @@ func (m *Metrics) BackendRequests(name string) uint64 {
 	return 0
 }
 
-// Coalesced returns the singleflight follower count.
-func (m *Metrics) Coalesced() uint64 { return m.coalesced.Load() }
+// Coalesced reports 0: the router no longer coalesces in-flight
+// predicts. A shim for bench/target.go, which ROADMAP item 3(d) removes.
+func (m *Metrics) Coalesced() uint64 { return 0 }
 
 // Hedges returns the hedge-launch count.
 func (m *Metrics) Hedges() uint64 { return m.hedges.Load() }

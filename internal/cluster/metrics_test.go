@@ -54,7 +54,6 @@ func TestMetricsGolden(t *testing.T) {
 	a.generation.SetMax(3)
 	a.generation.SetMax(2)
 	b.generation.SetMax(1)
-	m.coalesced.Inc()
 	m.hedges.Add(2)
 	m.hedgeWins.Inc()
 	m.promotions.Inc()

@@ -10,13 +10,20 @@ import (
 
 // ---- placements ----
 
-// leastLoaded returns the available backends ordered by outstanding
-// proxied calls (ties by name, so routing is deterministic under equal
-// load). Placement requests have no scenario key — any backend can
-// serve any request, and they are the fleet's most expensive calls, so
-// load is the only signal worth routing on.
-func (rt *Router) leastLoaded() []*Backend {
-	cands := rt.pool.Available()
+// leastLoaded returns the available backends serving model at or above
+// the generation floor, ordered by outstanding proxied calls (ties by
+// name, so routing is deterministic under equal load). Placement and
+// batch requests have no scenario key — any backend can serve any
+// request, and they are the fleet's most expensive calls, so load is the
+// only signal worth routing on.
+func (rt *Router) leastLoaded(model string, floor uint64) []*Backend {
+	avail := rt.pool.Available()
+	cands := avail[:0]
+	for _, b := range avail {
+		if floor == 0 || b.Gen(model) >= floor {
+			cands = append(cands, b)
+		}
+	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		li, lj := cands[i].Inflight(), cands[j].Inflight()
 		if li != lj {
@@ -55,7 +62,7 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq ob
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
-	cands := rt.leastLoaded()
+	cands := rt.leastLoaded("", 0) // a plan carries no generation
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no healthy backend")

@@ -104,14 +104,14 @@ func (c *Config) defaults() {
 }
 
 // Router is the scale-out gateway: it consistent-hashes canonicalised
-// scenario keys across a replicated coloserve fleet, coalesces identical
-// in-flight predictions, hedges slow calls, and coordinates rolling
-// model promotions with per-client generation monotonicity.
+// scenario keys across a replicated coloserve fleet, hedges slow
+// predicts, forwards batches whole to the least-loaded backend, and
+// coordinates rolling model promotions with per-client generation
+// monotonicity.
 type Router struct {
 	cfg     Config
 	pool    *Pool
 	metrics *Metrics
-	flights flightGroup
 	floors  floorTable
 	backLat *obs.Histogram // completed predict proxy latencies → p95 hedge delay
 	edge    *obs.Edge      // the request envelope every endpoint runs under
@@ -632,6 +632,17 @@ func (rt *Router) candidates(key, model string, floor uint64) []*Backend {
 	return cands
 }
 
+// routed resolves a request's candidates under its "route" span and
+// reports how long that took: the route Server-Timing stage, which
+// covers candidate resolution only, never a backend attempt.
+func routed(tr *obs.Trace, pick func() []*Backend) ([]*Backend, time.Duration) {
+	start := time.Now()
+	sp := tr.StartSpan("route")
+	cands := pick()
+	sp.End()
+	return cands, time.Since(start)
+}
+
 // routeKey is the consistent-hash key of a scenario: the requested
 // model plus the serve tier's canonical scenario form — byte-identical
 // canonicalisation to the backend cache key (minus the generation,
@@ -654,18 +665,25 @@ func decodePredict(raw []byte) (req serve.PredictRequest, err error) {
 	return req, err
 }
 
-// flightKey is the coalescing key of a route key at a generation floor:
-// "floor|key".
-func flightKey(floor uint64, key string) string {
-	var buf [128]byte
-	return string(append(append(strconv.AppendUint(buf[:0], floor, 10), '|'), key...))
-}
-
 // predictIdentity is the slice of a predict response the router needs:
 // the resolved model and the serving generation.
 type predictIdentity struct {
 	Model      string `json:"model"`
 	Generation uint64 `json:"generation"`
+}
+
+// predictReplyIdentity reads who served a predict reply. Model and
+// generation lead the reply as serve renders it; any other bytes are
+// encoding/json's to read.
+func predictReplyIdentity(body []byte) (string, uint64) {
+	model, gen, ok := serve.PredictReplyIdentity(body)
+	if !ok {
+		var id predictIdentity
+		if json.Unmarshal(body, &id) == nil {
+			model, gen = id.Model, id.Generation
+		}
+	}
+	return model, gen
 }
 
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
@@ -681,38 +699,21 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 	key := routeKey(req.Model, sc)
 	client := clientID(r)
 	floor := rt.floors.get(client, req.Model)
-	tr := rq.Trace
-
-	routeStart := time.Now()
-	rsp := tr.StartSpan("route")
-	cands := rt.candidates(key, req.Model, floor)
-	rsp.End()
-	routeDur := time.Since(routeStart)
+	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(key, req.Model, floor) })
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
+	pr := rt.hedgedCall(r.Context(), rq, cands, http.MethodPost, "/v1/predict", raw)
+	return rt.answer(w, pr, route, client, req.Model, predictReplyIdentity)
+}
 
-	// Coalesce identical in-flight scenarios at the same floor: a
-	// thundering herd of one cache-miss scenario costs one backend call.
-	fkey := flightKey(floor, key)
-	flightStart := time.Now()
-	call := func() *proxyResult {
-		return rt.hedgedCall(r.Context(), rq, cands, http.MethodPost, "/v1/predict", raw)
-	}
-	pr, shared := rt.flights.do(fkey, tr, call)
-	// The leader's call runs under the leader's request context. A
-	// follower whose own client is still there never answers with its
-	// leader's hang-up: it goes round again, to lead or to join a newer
-	// flight.
-	for rejoins := 0; shared && rejoins < maxRejoins && isContextErr(pr.err) && r.Context().Err() == nil; rejoins++ {
-		pr, _ = rt.flights.do(fkey, tr, call)
-	}
-	stages := hopStages{route: routeDur, hedgeWait: pr.hedgeWait}
-	if shared {
-		rt.metrics.coalesced.Inc()
-		stages.coalesce = time.Since(flightStart)
-	}
+// answer finishes a routed predict or batch once its backend call is
+// back: a transport failure is the typed 502, a round of sheds the
+// retryable 503, and any reply is replayed as it came. identity reads
+// the resolved model and serving generation off a 2xx body.
+func (rt *Router) answer(w http.ResponseWriter, pr *proxyResult, route time.Duration, client, model string,
+	identity func(body []byte) (string, uint64)) (int, any) {
 	if pr.err != nil {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "all candidates failed: %v", pr.err)
 	}
@@ -720,35 +721,16 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 		return rt.retryableUnavailable(w, "all admissible candidates are draining")
 	}
 	if pr.status < 300 {
-		// Model and generation lead the reply as serve renders it; any
-		// other bytes are encoding/json's to read.
-		model, gen, ok := serve.PredictReplyIdentity(pr.body)
-		if !ok {
-			var id predictIdentity
-			if json.Unmarshal(pr.body, &id) == nil {
-				model, gen = id.Model, id.Generation
-			}
-		}
-		if gen > 0 {
+		if served, gen := identity(pr.body); gen > 0 {
 			// Note the backend's generation BEFORE raising the shared
 			// floor: a concurrent request that reads the raised floor
 			// must already find at least one backend admissible at it,
 			// or it answers a spurious retryable no_backend.
-			pr.backend.noteServed(model, gen)
-			rt.floors.raise(client, req.Model, gen)
+			pr.backend.noteServed(served, gen)
+			rt.floors.raise(client, model, gen)
 		}
 	}
-	return rt.replay(w, pr, stages)
-}
-
-// maxRejoins bounds how often a coalesced follower re-enters the flight
-// group after its leader's client gave up.
-const maxRejoins = 3
-
-// isContextErr reports whether a backend call died of its caller's
-// context rather than of the backend.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return rt.replay(w, pr, route)
 }
 
 // noteServed folds a generation the backend just served into its pool
@@ -758,27 +740,15 @@ func (b *Backend) noteServed(model string, gen uint64) {
 	b.metrics.generation.SetMax(int64(b.Gen("")))
 }
 
-// hopStages are the router-local durations of one proxied request,
-// merged into the response's Server-Timing in front of the backend's
-// own stage breakdown. Zero-valued optional stages are omitted.
-type hopStages struct {
-	route     time.Duration // candidate resolution
-	hedgeWait time.Duration // time before the hedge fired (0: none fired)
-	coalesce  time.Duration // time spent sharing another request's flight
-}
-
 // replay answers the client with a proxied result as it came — status,
 // body bytes and the backend's Content-Type — under the hop's
-// Server-Timing: route, optional coalesce and hedge_wait, backend, then
-// the backend's own stage breakdown.
-func (rt *Router) replay(w http.ResponseWriter, pr *proxyResult, st hopStages) (int, any) {
+// Server-Timing: route (candidate resolution), hedge_wait when a hedge
+// fired, backend, then the backend's own stage breakdown.
+func (rt *Router) replay(w http.ResponseWriter, pr *proxyResult, route time.Duration) (int, any) {
 	var arr [192]byte
-	b := obs.AppendServerTiming(arr[:0], "route", st.route)
-	if st.coalesce > 0 {
-		b = obs.AppendServerTiming(b, "coalesce", st.coalesce)
-	}
-	if st.hedgeWait > 0 {
-		b = obs.AppendServerTiming(b, "hedge_wait", st.hedgeWait)
+	b := obs.AppendServerTiming(arr[:0], "route", route)
+	if pr.hedgeWait > 0 {
+		b = obs.AppendServerTiming(b, "hedge_wait", pr.hedgeWait)
 	}
 	b = obs.AppendServerTiming(b, "backend", pr.elapsed)
 	if backend := strings.TrimSpace(pr.serverTiming); backend != "" {
@@ -795,177 +765,58 @@ func (rt *Router) replay(w http.ResponseWriter, pr *proxyResult, st hopStages) (
 	return pr.status, nil
 }
 
-// ---- scatter-gather ----
-
-// group is one owner's shard of a scattered request.
-type group struct {
-	cands []*Backend // the owner, then one failover alternate
-	idx   []int      // request slots in this shard, in request order
-}
-
-var (
-	errUnroutable  = errorDetail{Code: CodeNoBackend, Message: "no admissible backend for this scenario"}
-	errShardFailed = errorDetail{Code: CodeBackendUnavailable, Message: "backend call failed for this slot's shard"}
-)
-
-// scatter routes each item of a batched request to the backend that
-// owns its key — the same consistent-hash routing predict uses, so a
-// scenario's batch slots and observations land beside its cached
-// predictions and drift streams — and gathers the shards concurrently:
-// one sub-request per owner (in first-seen order), failing over per
-// retry to one other available backend at the floor, each 200 reply
-// decoded into an R and spliced back by merge under one mutex. route
-// gives an item's ring key and the model whose generations decide
-// admissibility; encode renders the sub-request for a shard's items;
-// merge reports false for a reply it cannot splice into the shard's
-// slots. The returned slice holds a typed error for every slot that was
-// not merged: unroutable ones and those of a failed shard. Gather
-// workers are joined before scatter returns, so span work inside them
-// is safe.
-func scatter[T, R any](rt *Router, r *http.Request, rq obs.Request, path string, items []T, floor uint64,
-	retry func(*proxyResult) bool, route func(T) (key, model string), encode func([]T) any,
-	merge func(idx []int, shard *R, backend *Backend) bool) []*errorDetail {
-	ctx, tr := r.Context(), rq.Trace
-	ssp := tr.StartSpan("scatter")
-	errs := make([]*errorDetail, len(items))
-	avail := rt.pool.Available()
-	groups := make(map[string]*group)
-	order := make([]*group, 0, 4)
-	for i, item := range items {
-		key, model := route(item)
-		cands := rt.candidates(key, model, floor)
-		if len(cands) == 0 {
-			rt.metrics.noBackend.Inc()
-			errs[i] = &errUnroutable
-			continue
-		}
-		owner := cands[0]
-		g := groups[owner.Name]
-		if g == nil {
-			g = &group{cands: []*Backend{owner}}
-			for _, alt := range avail {
-				if alt != owner && alt.Gen(model) >= floor {
-					g.cands = append(g.cands, alt)
-					break
-				}
-			}
-			groups[owner.Name] = g
-			order = append(order, g)
-		}
-		g.idx = append(g.idx, i)
-	}
-	ssp.End()
-
-	tp := outboundTraceparent(tr)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, g := range order {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			gsp := tr.StartSpan("gather")
-			gsp.Annotate("backend", g.cands[0].Name)
-			defer gsp.End()
-			picked := make([]T, len(g.idx))
-			for j, i := range g.idx {
-				picked[j] = items[i]
-			}
-			sub, _ := json.Marshal(encode(picked))
-			pr := failover(gsp, g.cands, retry, func(b *Backend) *proxyResult {
-				return rt.proxy(ctx, b, http.MethodPost, path, sub, rq.ID, tp)
-			})
-			var shard R
-			ok := pr.ok() && pr.status == http.StatusOK && json.Unmarshal(pr.body, &shard) == nil
-			mu.Lock()
-			if !ok || !merge(g.idx, &shard, pr.backend) {
-				for _, i := range g.idx {
-					errs[i] = &errShardFailed
-				}
-			}
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
-	return errs
-}
-
 // ---- batch predict ----
 
-// batchItem / batchResponse mirror the serve tier's batch wire shape
-// (serve keeps its error detail type unexported) so scatter-gather can
-// splice per-backend sub-batches back into request order without
-// re-marshalling successful slots.
-type batchItem struct {
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *errorDetail    `json:"error,omitempty"`
+// batchReplyIdentity reads who served a batch reply, in one pass: the
+// resolved model and the highest generation any row was served at.
+func batchReplyIdentity(body []byte) (string, uint64) {
+	var reply struct {
+		Model   string `json:"model"`
+		Results []struct {
+			Result *predictIdentity `json:"result"`
+		} `json:"results"`
+	}
+	var gen uint64
+	if json.Unmarshal(body, &reply) != nil {
+		return "", 0
+	}
+	for _, row := range reply.Results {
+		if row.Result != nil && row.Result.Generation > gen {
+			gen = row.Result.Generation
+		}
+	}
+	return reply.Model, gen
 }
 
-type batchResponse struct {
-	Model   string      `json:"model"`
-	Results []batchItem `json:"results"`
-	Errors  int         `json:"errors"`
-}
-
-func (rt *Router) handlePredictBatch(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
+// handlePredictBatch forwards a batch whole, with the caller's bytes, to
+// the least-loaded backend at the client's generation floor, and replays
+// the reply as it came. Backends evaluate a batch in one kernel call and
+// keep no per-scenario state for it, so no backend is a better home for
+// a row than another; the router reads only the model the floor is
+// tracked under, and every other check is the serving backend's.
+func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
-	var req serve.BatchRequest
+	var req struct {
+		Model string `json:"model"`
+	}
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
 	}
-	if len(req.Scenarios) == 0 {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "scenarios must not be empty")
-	}
 	client := clientID(r)
 	floor := rt.floors.get(client, req.Model)
-	out := batchResponse{Model: req.Model, Results: make([]batchItem, len(req.Scenarios))}
-	maxGen := uint64(0)
-	errs := scatter(rt, r, rq, "/v1/predict/batch", req.Scenarios, floor, notOK,
-		func(sr serve.ScenarioRequest) (string, string) {
-			sc := features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
-			return routeKey(req.Model, sc), req.Model
-		},
-		func(scs []serve.ScenarioRequest) any { return serve.BatchRequest{Model: req.Model, Scenarios: scs} },
-		func(idx []int, sub *batchResponse, backend *Backend) bool {
-			if len(sub.Results) != len(idx) {
-				return false
-			}
-			subMax := uint64(0)
-			for j, i := range idx {
-				out.Results[i] = sub.Results[j]
-				if raw := sub.Results[j].Result; raw != nil {
-					var id predictIdentity
-					if json.Unmarshal(raw, &id) == nil && id.Generation > subMax {
-						subMax = id.Generation
-					}
-					if out.Model == "" {
-						out.Model = sub.Model
-					}
-				}
-			}
-			// Record the serving backend's generation in the pool before
-			// the shared floor rises past it (same ordering as predict).
-			if subMax > 0 {
-				backend.noteServed(sub.Model, subMax)
-			}
-			if subMax > maxGen {
-				maxGen = subMax
-			}
-			return true
-		})
-	rt.floors.raise(client, req.Model, maxGen)
-
-	for i := range out.Results {
-		if errs[i] != nil {
-			out.Results[i].Error = errs[i]
-		}
-		if out.Results[i].Error != nil {
-			out.Errors++
-		}
+	cands, route := routed(rq.Trace, func() []*Backend { return rt.leastLoaded(req.Model, floor) })
+	if len(cands) == 0 {
+		rt.metrics.noBackend.Inc()
+		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
-	return http.StatusOK, out
+	tp := outboundTraceparent(rq.Trace)
+	pr := failover(rq.Trace.Root(), cands, notOK, func(b *Backend) *proxyResult {
+		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/predict/batch", raw, rq.ID, tp)
+	})
+	return rt.answer(w, pr, route, client, req.Model, batchReplyIdentity)
 }
 
 // ---- observations ----
@@ -1007,13 +858,12 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq 
 		one = req.Observations[0]
 	}
 	sc := features.Scenario{Target: one.Target, CoApps: one.CoApps, PState: one.PState}
-	cands := rt.candidates(routeKey(one.Model, sc), one.Model, 0)
+	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(routeKey(one.Model, sc), one.Model, 0) })
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend")
 	}
 	tp := outboundTraceparent(rq.Trace)
-	routeStart := time.Now()
 	pr := failover(rq.Trace.Root(), cands, shedOnly, func(b *Backend) *proxyResult {
 		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, rq.ID, tp)
 	})
@@ -1023,38 +873,101 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq 
 	if pr.shed {
 		return rt.retryableUnavailable(w, "all admissible candidates are draining")
 	}
-	return rt.replay(w, pr, hopStages{route: time.Since(routeStart) - pr.elapsed})
+	return rt.replay(w, pr, route)
 }
 
-// scatterObservations shards a batch of observations by owner and
-// merges the shard responses back in request order.
+// group is one owner's shard of a scattered observation batch.
+type group struct {
+	cands []*Backend // the owner, then one failover alternate
+	idx   []int      // request slots in this shard, in request order
+}
+
+var (
+	errUnroutable  = errorDetail{Code: CodeNoBackend, Message: "no admissible backend for this scenario"}
+	errShardFailed = errorDetail{Code: CodeBackendUnavailable, Message: "backend call failed for this slot's shard"}
+)
+
+// scatterObservations routes each observation of a batch to the backend
+// that owns its scenario key — the routing predict uses, so it lands
+// beside that scenario's drift stream — and gathers the shards
+// concurrently: one sub-request per owner (in first-seen order), a shed
+// failing over to one other available backend, each 200 reply spliced
+// back into request order under one mutex. A slot that was not merged —
+// unroutable, or of a failed shard — carries a typed error and counts as
+// rejected. Gather workers are joined before the function returns, so
+// span work inside them is safe.
 func (rt *Router) scatterObservations(r *http.Request, rq obs.Request, observations []serve.ObservationRequest) (int, any) {
+	ctx, tr := r.Context(), rq.Trace
 	out := obsResponse{Results: make([]obsItem, len(observations))}
-	errs := scatter(rt, r, rq, "/v1/observations", observations, 0, shedOnly,
-		func(or serve.ObservationRequest) (string, string) {
-			sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
-			return routeKey(or.Model, sc), or.Model
-		},
-		func(shard []serve.ObservationRequest) any { return serve.ObservationsRequest{Observations: shard} },
-		func(idx []int, shard *obsResponse, _ *Backend) bool {
-			if len(shard.Results) != len(idx) {
-				return false
+	ssp := tr.StartSpan("scatter")
+	avail := rt.pool.Available()
+	groups := make(map[string]*group)
+	order := make([]*group, 0, 4)
+	for i, or := range observations {
+		sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
+		cands := rt.candidates(routeKey(or.Model, sc), or.Model, 0)
+		if len(cands) == 0 {
+			rt.metrics.noBackend.Inc()
+			out.Results[i].Error = &errUnroutable
+			out.Rejected++
+			continue
+		}
+		owner := cands[0]
+		g := groups[owner.Name]
+		if g == nil {
+			g = &group{cands: []*Backend{owner}}
+			for _, alt := range avail {
+				if alt != owner {
+					g.cands = append(g.cands, alt)
+					break
+				}
+			}
+			groups[owner.Name] = g
+			order = append(order, g)
+		}
+		g.idx = append(g.idx, i)
+	}
+	ssp.End()
+
+	tp := outboundTraceparent(tr)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for _, g := range order {
+		wg.Add(1)
+		go func(g *group) {
+			defer wg.Done()
+			gsp := tr.StartSpan("gather")
+			gsp.Annotate("backend", g.cands[0].Name)
+			defer gsp.End()
+			picked := make([]serve.ObservationRequest, len(g.idx))
+			for j, i := range g.idx {
+				picked[j] = observations[i]
+			}
+			sub, _ := json.Marshal(serve.ObservationsRequest{Observations: picked})
+			pr := failover(gsp, g.cands, shedOnly, func(b *Backend) *proxyResult {
+				return rt.proxy(ctx, b, http.MethodPost, "/v1/observations", sub, rq.ID, tp)
+			})
+			var shard obsResponse
+			ok := pr.ok() && pr.status == http.StatusOK && json.Unmarshal(pr.body, &shard) == nil && len(shard.Results) == len(g.idx)
+			mu.Lock()
+			defer mu.Unlock()
+			if !ok {
+				for _, i := range g.idx {
+					out.Results[i].Error = &errShardFailed
+				}
+				out.Rejected += len(g.idx)
+				return
 			}
 			out.Accepted += shard.Accepted
 			out.Rejected += shard.Rejected
 			out.DriftTripped = out.DriftTripped || shard.DriftTripped
 			out.RetrainTriggered = out.RetrainTriggered || shard.RetrainTriggered
-			for j, i := range idx {
+			for j, i := range g.idx {
 				out.Results[i] = shard.Results[j]
 			}
-			return true
-		})
-	for i, ed := range errs {
-		if ed != nil {
-			out.Results[i].Error = ed
-			out.Rejected++
-		}
+		}(g)
 	}
+	wg.Wait()
 	return http.StatusOK, out
 }
 
@@ -1188,18 +1101,20 @@ func truncate(b []byte, n int) string {
 // available backend, so discovery (coloload, clients) sees the newest
 // generation the fleet serves.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	avail := rt.pool.Available()
+	avail, route := routed(rq.Trace, func() []*Backend {
+		avail := rt.pool.Available()
+		sort.SliceStable(avail, func(i, j int) bool { return avail[i].Gen("") > avail[j].Gen("") })
+		return avail
+	})
 	if len(avail) == 0 {
 		rt.metrics.noBackend.Inc()
-		return errJSON(http.StatusServiceUnavailable, CodeNoBackend, "no healthy backend")
+		return rt.retryableUnavailable(w, "no healthy backend")
 	}
-	sort.SliceStable(avail, func(i, j int) bool { return avail[i].Gen("") > avail[j].Gen("") })
-	start := time.Now()
 	pr := rt.proxy(r.Context(), avail[0], http.MethodGet, "/v1/models", nil, rq.ID, outboundTraceparent(rq.Trace))
 	if pr.err != nil || pr.shed {
 		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "listing models failed")
 	}
-	return rt.replay(w, pr, hopStages{route: time.Since(start) - pr.elapsed})
+	return rt.replay(w, pr, route)
 }
 
 // BackendInfo describes one pool entry for GET /v1/cluster.

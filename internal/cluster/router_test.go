@@ -28,6 +28,7 @@ type fakeBackend struct {
 	ts   *httptest.Server
 
 	predicts   atomic.Int64
+	batches    atomic.Int64
 	placements atomic.Int64
 	reloads    atomic.Int64
 	gen        atomic.Uint64
@@ -94,6 +95,22 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 		}
 		w.Header().Set("Server-Timing", "eval;dur=0.100")
 		fmt.Fprintf(w, `{"model":"demo","generation":%d,"predicted_seconds":1.5,"predicted_slowdown":1.1}`, fb.gen.Load())
+	})
+	mux.HandleFunc("POST /v1/predict/batch", func(w http.ResponseWriter, r *http.Request) {
+		if fb.drain.Load() {
+			writeShed(w)
+			return
+		}
+		fb.batches.Add(1)
+		// Answer each scenario in order, at the backend's generation.
+		var req serve.BatchRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		results := make([]batchItem, len(req.Scenarios))
+		for i, sc := range req.Scenarios {
+			results[i].Result = json.RawMessage(fmt.Sprintf(
+				`{"model":"demo","generation":%d,"target":%q,"predicted_seconds":1.5}`, fb.gen.Load(), sc.Target))
+		}
+		_ = json.NewEncoder(w).Encode(batchResponse{Model: "demo", Results: results})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -180,6 +197,15 @@ func predictBody(sc features.Scenario) string {
 	return fmt.Sprintf(`{"model":"demo","target":%q,"co_apps":["ep"],"pstate":%d}`, sc.Target, sc.PState)
 }
 
+// batchBody is a batch request for model "demo" over the named targets.
+func batchBody(targets ...string) string {
+	rows := make([]string, len(targets))
+	for i, target := range targets {
+		rows[i] = fmt.Sprintf(`{"target":%q,"co_apps":["ep"],"pstate":0}`, target)
+	}
+	return `{"model":"demo","scenarios":[` + strings.Join(rows, ",") + `]}`
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -223,46 +249,6 @@ func TestPredictProxy(t *testing.T) {
 	// The response generation raised the anonymous floor.
 	if got := rt.floors.get("", "demo"); got != 1 {
 		t.Fatalf("anonymous floor %d after a gen-1 response, want 1", got)
-	}
-}
-
-// TestSingleflightCoalesce pins the coalescing contract: N concurrent
-// identical cache-miss scenarios cost exactly one backend call, and the
-// followers share the leader's response.
-func TestSingleflightCoalesce(t *testing.T) {
-	a := newFakeBackend(t, "a")
-	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
-	body := predictBody(sc)
-	flightKey := fmt.Sprintf("%d|%s", 0, routeKey("demo", sc))
-
-	a.stall.Store(true)
-	const followers = 7
-	results := make(chan *httptest.ResponseRecorder, followers+1)
-	issue := func() { results <- doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", body, nil) }
-
-	go issue() // leader
-	waitFor(t, "leader to reach the backend", func() bool { return a.predicts.Load() == 1 })
-	for i := 0; i < followers; i++ {
-		go issue()
-	}
-	waitFor(t, "followers to join the flight", func() bool {
-		return rt.flights.pendingFollowers(flightKey) == followers
-	})
-	close(a.gate) // release the leader; everyone shares its response
-
-	for i := 0; i < followers+1; i++ {
-		rec := <-results
-		if rec.Code != http.StatusOK {
-			t.Fatalf("coalesced request returned %d: %s", rec.Code, rec.Body.String())
-		}
-	}
-	if got := a.predicts.Load(); got != 1 {
-		t.Fatalf("backend saw %d predict calls for %d identical requests, want 1", got, followers+1)
-	}
-	if got := rt.metrics.Coalesced(); got != followers {
-		t.Fatalf("coalesced counter %d, want %d", got, followers)
 	}
 }
 
@@ -434,6 +420,49 @@ func TestGenerationFloorRouting(t *testing.T) {
 	if got := rec.Header().Get("X-Backend"); got != "b" {
 		t.Fatalf("fresh client served by %q, want owner b", got)
 	}
+
+	// Batches route on load, not on keys, under the same floor: with a
+	// busy, the unpromoted b is the least loaded — a fresh client's batch
+	// goes there, c1's never does.
+	ba := rt.pool.Get("a")
+	ba.acquire()
+	batch := batchBody(scA.Target, scB.Target)
+	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batch, map[string]string{"X-Client-ID": "c3"})
+	if got := rec.Header().Get("X-Backend"); rec.Code != http.StatusOK || got != "b" {
+		t.Fatalf("fresh client's batch: code %d from %q, want the least-loaded b", rec.Code, got)
+	}
+	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batch, hdr)
+	if got := rec.Header().Get("X-Backend"); rec.Code != http.StatusOK || got != "a" {
+		t.Fatalf("batch of a client with floor 2: code %d from %q (gen 1), want a (gen 2)", rec.Code, got)
+	}
+	// A batch reply raises the floor like a predict's, the serving
+	// backend's pool record and generation gauge first: b was promoted to
+	// 3 behind the router's back, c3's next batch finds out, and the one
+	// after it still finds b admissible at the raised floor.
+	b.gen.Store(3)
+	for i := 0; i < 2; i++ {
+		rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batch, map[string]string{"X-Client-ID": "c3"})
+		if got := rec.Header().Get("X-Backend"); rec.Code != http.StatusOK || got != "b" {
+			t.Fatalf("batch %d after b's promotion: code %d from %q, want b: %s", i, rec.Code, got, rec.Body.String())
+		}
+	}
+	if floor, gen := rt.floors.get("c3", "demo"), rt.pool.Get("b").Gen("demo"); floor != 3 || gen != 3 {
+		t.Fatalf("after a generation-3 batch reply: client floor %d, pool record %d, want 3 and 3", floor, gen)
+	}
+	scrape := doReq(t, rt.Handler(), http.MethodGet, "/metrics", "", nil).Body.String()
+	if want := `colorouter_backend_generation{backend="b"} 3`; !strings.Contains(scrape, want) {
+		t.Fatalf("scrape missing %q after a generation-3 batch reply", want)
+	}
+	ba.release()
+	// No backend at the floor: the retryable typed 503, as for a predict.
+	rt.floors.raise("c4", "demo", 9)
+	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batch, map[string]string{"X-Client-ID": "c4"})
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusServiceUnavailable ||
+		eb.Error.Code != CodeNoBackend || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("batch with no backend at the floor: %d %s (Retry-After %q), want the retryable typed 503",
+			rec.Code, rec.Body.String(), rec.Header().Get("Retry-After"))
+	}
 }
 
 // TestRollingPromotion drives the router's reload endpoint: every
@@ -442,6 +471,10 @@ func TestGenerationFloorRouting(t *testing.T) {
 func TestRollingPromotion(t *testing.T) {
 	fbs := []*fakeBackend{newFakeBackend(t, "a"), newFakeBackend(t, "b"), newFakeBackend(t, "c")}
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, fbs...)
+	hdr := map[string]string{"X-Client-ID": "c1"}
+	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody("cg"), hdr); rec.Code != http.StatusOK || rt.floors.get("c1", "demo") != 1 {
+		t.Fatalf("batch before the promotion: %d, floor %d, want 200 and 1", rec.Code, rt.floors.get("c1", "demo"))
+	}
 
 	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/models/reload", "", nil)
 	if rec.Code != http.StatusOK {
@@ -472,6 +505,14 @@ func TestRollingPromotion(t *testing.T) {
 	}
 	if got := rt.metrics.promotions.Load(); got != 1 {
 		t.Fatalf("promotions %d, want 1", got)
+	}
+	// A batch sees the promoted fleet and raises its client's floor to it.
+	batch := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody("cg", "ep"), hdr)
+	if batch.Code != http.StatusOK || !strings.Contains(batch.Body.String(), `"generation":2`) {
+		t.Fatalf("batch after the promotion: %d %s", batch.Code, batch.Body.String())
+	}
+	if got := rt.floors.get("c1", "demo"); got != 2 {
+		t.Fatalf("client floor %d after a generation-2 batch, want 2", got)
 	}
 }
 
@@ -530,7 +571,8 @@ func TestRestartedBackendCatchesUp(t *testing.T) {
 }
 
 // TestNoBackendTyped503 pins the router's own typed unavailability: no
-// admissible backend yields a 503 with code "no_backend".
+// admissible backend yields a retryable 503 with code "no_backend" on
+// every endpoint that needs one.
 func TestNoBackendTyped503(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
@@ -540,19 +582,30 @@ func TestNoBackendTyped503(t *testing.T) {
 	rt.pool.ProbeAll(context.Background()) // default EjectAfter=3
 
 	sc := features.Scenario{Target: "cg", CoApps: []string{"ep"}, PState: 0}
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("predict with no backends returned %d, want 503", rec.Code)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
-		t.Fatal(err)
-	}
-	if eb.Error.Code != CodeNoBackend {
-		t.Fatalf("error code %q, want %q", eb.Error.Code, CodeNoBackend)
-	}
-	if got := rt.metrics.noBackend.Load(); got == 0 {
-		t.Fatal("no_backend counter not incremented")
+	for i, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/predict", predictBody(sc)},
+		{http.MethodPost, "/v1/predict/batch", batchBody("cg")},
+		{http.MethodGet, "/v1/models", ""},
+	} {
+		rec := doReq(t, rt.Handler(), c.method, c.path, c.body, nil)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s with no backends returned %d, want 503", c.path, rec.Code)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Error.Code != CodeNoBackend {
+			t.Fatalf("%s: error code %q, want %q", c.path, eb.Error.Code, CodeNoBackend)
+		}
+		// Retryable by contract: send takes a 503 without Retry-After for
+		// a backend failure, which a router behind a router would eject on.
+		if got := rec.Header().Get("Retry-After"); got != "1" {
+			t.Fatalf("%s: Retry-After %q, want 1", c.path, got)
+		}
+		if got := rt.metrics.noBackend.Load(); got != uint64(i+1) {
+			t.Fatalf("%s: no_backend counter %d, want %d", c.path, got, i+1)
+		}
 	}
 }
 
@@ -598,38 +651,25 @@ func TestHealthzAndClusterEndpoints(t *testing.T) {
 	}
 }
 
-// TestBatchScatterGather splits a batch across owners and reassembles
-// it in request order.
-func TestBatchScatterGather(t *testing.T) {
+// TestBatchForwardedWhole: a batch reaches one backend, once, and its
+// slots come back in request order; however many backends the fleet has
+// and whichever of them serves, the reply is byte for byte what a fleet
+// of one answers.
+func TestBatchForwardedWhole(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	c := newFakeBackend(t, "c")
-	// The fakes need a batch endpoint; answer each scenario in order.
-	for _, fb := range []*fakeBackend{a, b, c} {
-		fb := fb
-		mux := fb.ts.Config.Handler.(*http.ServeMux)
-		mux.HandleFunc("POST /v1/predict/batch", func(w http.ResponseWriter, r *http.Request) {
-			var req serve.BatchRequest
-			_ = json.NewDecoder(r.Body).Decode(&req)
-			results := make([]batchItem, len(req.Scenarios))
-			for i, sc := range req.Scenarios {
-				results[i].Result = json.RawMessage(fmt.Sprintf(
-					`{"model":"demo","generation":%d,"target":%q,"predicted_seconds":1.5}`, fb.gen.Load(), sc.Target))
-			}
-			_ = json.NewEncoder(w).Encode(batchResponse{Model: "demo", Results: results})
-		})
-	}
 	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b)
 	scA := scenarioOwnedBy(t, rt, "a")
 	scB := scenarioOwnedBy(t, rt, "b")
 
-	body := fmt.Sprintf(`{"model":"demo","scenarios":[
-		{"target":%q,"co_apps":["ep"],"pstate":0},
-		{"target":%q,"co_apps":["ep"],"pstate":0},
-		{"target":%q,"co_apps":["ep"],"pstate":0}]}`, scA.Target, scB.Target, scA.Target)
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", body, nil)
+	wantTargets := []string{scA.Target, scB.Target, scA.Target}
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody(wantTargets...), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch returned %d: %s", rec.Code, rec.Body.String())
+	}
+	if na, nb := a.batches.Load(), b.batches.Load(); na+nb != 1 {
+		t.Fatalf("backends saw %d and %d batch calls for one batch over two owners' keys, want one call in all", na, nb)
 	}
 	var resp batchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -639,7 +679,6 @@ func TestBatchScatterGather(t *testing.T) {
 		t.Fatalf("batch results %d errors %d, want 3/0", len(resp.Results), resp.Errors)
 	}
 	// Order preserved: slot targets match the request order.
-	wantTargets := []string{scA.Target, scB.Target, scA.Target}
 	for i, item := range resp.Results {
 		var id struct {
 			Target string `json:"target"`
@@ -648,45 +687,38 @@ func TestBatchScatterGather(t *testing.T) {
 			t.Fatal(err)
 		}
 		if id.Target != wantTargets[i] {
-			t.Fatalf("slot %d answered for %q, want %q (order lost in scatter-gather)", i, id.Target, wantTargets[i])
+			t.Fatalf("slot %d answered for %q, want %q (order lost on the way)", i, id.Target, wantTargets[i])
 		}
 	}
 
-	// Property: however the ring partitions a random batch over three
-	// owners, the gathered response equals the answer of a fleet of one
-	// (no partition at all) slot for slot.
+	// Property: whichever of three backends the load picks for a random
+	// batch, the reply equals the answer of a fleet of one byte for byte.
 	fleet := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b, c)
 	solo := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
 	rng := rand.New(rand.NewSource(5))
+	served := map[string]bool{}
 	for round := 0; round < 20; round++ {
-		scs := make([]string, 1+rng.Intn(48))
-		owners := map[string]bool{}
-		for i := range scs {
-			sc := features.Scenario{Target: fmt.Sprintf("app%d", rng.Intn(500)), CoApps: []string{"ep"}, PState: 0}
-			scs[i] = fmt.Sprintf(`{"target":%q,"co_apps":["ep"],"pstate":0}`, sc.Target)
-			owners[fleet.pool.Replicas(routeKey("demo", sc), 1)[0].Name] = true
+		targets := make([]string, 1+rng.Intn(48))
+		for i := range targets {
+			targets[i] = fmt.Sprintf("app%d", rng.Intn(500))
 		}
-		body := `{"model":"demo","scenarios":[` + strings.Join(scs, ",") + `]}`
-		var got, want batchResponse
-		for rt, into := range map[*Router]*batchResponse{fleet: &got, solo: &want} {
-			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", body, nil)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("round %d: batch returned %d: %s", round, rec.Code, rec.Body.String())
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), into); err != nil {
-				t.Fatal(err)
-			}
+		// A different backend looks busy each round, so each gets its turn.
+		busy := fleet.pool.Get([]string{"a", "b", "c"}[round%3])
+		busy.acquire()
+		got := doReq(t, fleet.Handler(), http.MethodPost, "/v1/predict/batch", batchBody(targets...), nil)
+		busy.release()
+		want := doReq(t, solo.Handler(), http.MethodPost, "/v1/predict/batch", batchBody(targets...), nil)
+		if got.Code != http.StatusOK || want.Code != http.StatusOK {
+			t.Fatalf("round %d: fleet answered %d, fleet of one %d: %s", round, got.Code, want.Code, got.Body.String())
 		}
-		if got.Model != want.Model || got.Errors != 0 || want.Errors != 0 || len(got.Results) != len(scs) || len(want.Results) != len(scs) {
-			t.Fatalf("round %d (%d owners): fleet model=%q errors=%d results=%d, solo model=%q errors=%d results=%d",
-				round, len(owners), got.Model, got.Errors, len(got.Results), want.Model, want.Errors, len(want.Results))
+		if got.Body.String() != want.Body.String() || strings.Count(got.Body.String(), `"result"`) != len(targets) {
+			t.Fatalf("round %d (%d slots, served by %s): fleet answered %s, a fleet of one %s",
+				round, len(targets), got.Header().Get("X-Backend"), got.Body.String(), want.Body.String())
 		}
-		for i := range scs {
-			if string(got.Results[i].Result) != string(want.Results[i].Result) {
-				t.Fatalf("round %d slot %d (%d owners): gathered %s, single backend answers %s",
-					round, i, len(owners), got.Results[i].Result, want.Results[i].Result)
-			}
-		}
+		served[got.Header().Get("X-Backend")] = true
+	}
+	if len(served) < 2 {
+		t.Fatalf("every round was served by %v: the property never left one backend", served)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -175,77 +174,6 @@ func TestStitchedTraceUnderHedge(t *testing.T) {
 	}
 	if findSpan(td, "eval", "a") >= 0 {
 		t.Fatalf("abandoned loser must not contribute remote spans: %+v", td.Spans)
-	}
-}
-
-// TestCoalesceFollowerSharesLeaderTrace pins coalescing tracing: the
-// follower's trace records a coalesce span annotated with the leader's
-// trace ID, its Server-Timing carries the coalesce stage, and only the
-// leader's trace carries the backend's stitched spans.
-func TestCoalesceFollowerSharesLeaderTrace(t *testing.T) {
-	a := newFakeBackend(t, "a")
-	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1, SlowThreshold: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
-	body := predictBody(sc)
-	flightKey := fmt.Sprintf("%d|%s", 0, routeKey("demo", sc))
-
-	a.stall.Store(true)
-	type res struct {
-		code int
-		st   string
-	}
-	results := make(chan res, 2)
-	issue := func() {
-		rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", body, nil)
-		results <- res{rec.Code, rec.Header().Get("Server-Timing")}
-	}
-	go issue() // leader
-	waitFor(t, "leader to reach the backend", func() bool { return a.predicts.Load() == 1 })
-	go issue() // follower
-	waitFor(t, "follower to join the flight", func() bool {
-		return rt.flights.pendingFollowers(flightKey) == 1
-	})
-	close(a.gate)
-
-	sawCoalesceStage := false
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.code != http.StatusOK {
-			t.Fatalf("coalesced predict returned %d", r.code)
-		}
-		if strings.Contains(r.st, "coalesce;dur=") {
-			sawCoalesceStage = true
-		}
-	}
-	if !sawCoalesceStage {
-		t.Fatal("no response carried the coalesce Server-Timing stage")
-	}
-
-	var leader, follower *obs.TraceData
-	for _, td := range rt.Tracer().Snapshot(obs.Filter{Name: "predict"}) {
-		if findSpan(td, "coalesce", "") >= 0 {
-			follower = td
-		} else if findSpan(td, "proxy", "") >= 0 {
-			leader = td
-		}
-	}
-	if leader == nil || follower == nil {
-		t.Fatalf("leader/follower traces not both retained (leader=%v follower=%v)", leader != nil, follower != nil)
-	}
-	ci := findSpan(follower, "coalesce", "")
-	if got := spanAttr(&follower.Spans[ci], "leader_trace"); got != leader.TraceID {
-		t.Fatalf("follower's leader_trace %q, want the leader's trace ID %q", got, leader.TraceID)
-	}
-	if leader.TraceID == follower.TraceID {
-		t.Fatal("leader and follower must keep distinct trace IDs")
-	}
-	// The stitched backend spans live on the leader only.
-	if findSpan(leader, "eval", "a") < 0 {
-		t.Fatalf("leader missing the backend's stitched spans: %+v", leader.Spans)
-	}
-	if findSpan(follower, "eval", "a") >= 0 {
-		t.Fatalf("follower must not duplicate the backend's spans: %+v", follower.Spans)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 
 // ClusterTarget is an in-process serving fleet: n coloserve replicas on
 // httptest listeners joined to a colorouter gateway. Driving the
-// returned Doer exercises the full two-hop path — router routing,
-// coalescing and hedging in front, real HTTP to the replicas behind —
+// returned Doer exercises the full two-hop path — router routing and
+// hedging in front, real HTTP to the replicas behind —
 // deterministically enough to run as a seeded soak under -race.
 type ClusterTarget struct {
 	// Router is the gateway; its Pool and Metrics are exposed so soaks

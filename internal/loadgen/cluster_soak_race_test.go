@@ -3,8 +3,8 @@ package loadgen
 // The cluster soaks promised by the scale-out tier: the loadgen harness
 // drives the colorouter gateway in process (the router still reaches
 // its coloserve replicas over loopback HTTP), so one seeded soak
-// exercises consistent-hash routing, coalescing, hedging, health
-// probing and rolling promotion end to end — under -race in CI.
+// exercises consistent-hash routing, hedging, whole-batch forwarding,
+// health probing and rolling promotion end to end — under -race in CI.
 
 import (
 	"context"
@@ -45,9 +45,9 @@ func newClusterTarget(t *testing.T, n int, cfg cluster.Config) *ClusterTarget {
 // closed-loop run with a mixed predict / batch / observe / reload
 // stream against a 3-replica fleet. Reload ops become rolling
 // promotions rolled by the router, so generation floors, probe
-// refreshes and scatter-gather are all live under concurrency. Any 5xx
-// or transport error fails the gate; generation monotonicity is checked
-// per worker.
+// refreshes, batch forwarding and the observation scatter are all live
+// under concurrency. Any 5xx or transport error fails the gate;
+// generation monotonicity is checked per worker.
 func TestClusterSoakInProcess(t *testing.T) {
 	ct := newClusterTarget(t, 3, cluster.Config{Replicas: 2})
 	space := soakSpace(t, ct.Servers[0])

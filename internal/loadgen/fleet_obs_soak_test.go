@@ -234,12 +234,9 @@ func (c *leanCaller) post(h http.Handler, body []byte) int {
 	return c.status
 }
 
-// routedPredict builds a two-replica fleet behind a router with cfg and
-// returns the router's handler and n clients, each a caller and the
-// request body of its own cached scenario, already served once
-// (connections open, cache warm; distinct scenarios, so concurrent
-// clients do not coalesce).
-func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*leanCaller, [][]byte) {
+// routedFleet builds a two-replica fleet behind a router with cfg and
+// returns the router's handler and the scenario space the replicas serve.
+func routedFleet(tb testing.TB, cfg cluster.Config) (http.Handler, *Space) {
 	tb.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	tb.Cleanup(cancel)
@@ -251,15 +248,27 @@ func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*l
 		tb.Fatal(err)
 	}
 	tb.Cleanup(ct.Close)
-	space, h := soakSpace(tb, ct.Servers[0]), ct.Router.Handler()
+	return ct.Router.Handler(), soakSpace(tb, ct.Servers[0])
+}
+
+// scenarioJSON renders a scenario as the wire codec does.
+func scenarioJSON(sc serve.ScenarioRequest) string {
+	co := ""
+	if len(sc.CoApps) > 0 {
+		co = `"co_apps":["` + strings.Join(sc.CoApps, `","`) + `"],`
+	}
+	return fmt.Sprintf(`{"target":%q,%s"pstate":%d}`, sc.Target, co, sc.PState)
+}
+
+// routedPredict returns routedFleet's handler and n clients, each a
+// caller and the request body of its own cached scenario, already served
+// once (connections open, cache warm).
+func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*leanCaller, [][]byte) {
+	tb.Helper()
+	h, space := routedFleet(tb, cfg)
 	callers, bodies := make([]*leanCaller, n), make([][]byte, n)
 	for i := range callers {
-		sc := space.Scenario(i)
-		co := ""
-		if len(sc.CoApps) > 0 {
-			co = `"co_apps":["` + strings.Join(sc.CoApps, `","`) + `"],`
-		}
-		callers[i], bodies[i] = newLeanCaller("/v1/predict"), []byte(fmt.Sprintf(`{"target":%q,%s"pstate":%d}`, sc.Target, co, sc.PState))
+		callers[i], bodies[i] = newLeanCaller("/v1/predict"), []byte(scenarioJSON(space.Scenario(i)))
 		if status := callers[i].post(h, bodies[i]); status != http.StatusOK {
 			tb.Fatalf("warm-up predict returned %d: %s", status, callers[i].reply)
 		}
@@ -269,13 +278,31 @@ func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*l
 
 // BenchmarkClusterProxyTracing measures the router's cache-hit proxy
 // hot path as the repository benchmark drives it — one closed-loop
-// client per CPU, hedging and coalescing armed, observability on
-// (tracing, traceparent injection, SLO accounting) — beside the same
-// path with the hedge disarmed and with observability fully off, to
-// bound what each costs. The path includes a real loopback HTTP hop, as
-// production does. ns/op is wall time per predict over all clients: a
-// predict's latency is that times the -cpu value.
+// client per CPU, hedging armed, observability on (tracing, traceparent
+// injection, SLO accounting) — beside the same path with the hedge
+// disarmed and with observability fully off, to bound what each costs,
+// and (batch64) a routed 64-row batch under the default Config, which no
+// workload of the repository benchmark drives. The path includes a real
+// loopback HTTP hop, as production does. ns/op is wall time per request
+// over all clients: a request's latency is that times the -cpu value.
 func BenchmarkClusterProxyTracing(b *testing.B) {
+	// drive runs one closed-loop client per CPU, each walking the bodies
+	// bodiesOf gives it, in order.
+	drive := func(b *testing.B, h http.Handler, callers []*leanCaller, bodiesOf func(client int) [][]byte) {
+		var next atomic.Int32
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			client := int(next.Add(1)) - 1
+			c, bodies := callers[client], bodiesOf(client)
+			for i := 0; pb.Next(); i++ {
+				if status := c.post(h, bodies[i%len(bodies)]); status != http.StatusOK {
+					b.Errorf("%s returned %d", c.u.Path, status)
+					return
+				}
+			}
+		})
+	}
 	for _, mode := range []struct {
 		name string
 		cfg  cluster.Config
@@ -286,24 +313,32 @@ func BenchmarkClusterProxyTracing(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			h, callers, bodies := routedPredict(b, mode.cfg, runtime.GOMAXPROCS(0))
-			var next atomic.Int32
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int(next.Add(1)) - 1
-				for pb.Next() {
-					if status := callers[i].post(h, bodies[i]); status != http.StatusOK {
-						b.Errorf("predict returned %d", status)
-						return
-					}
-				}
-			})
+			drive(b, h, callers, func(client int) [][]byte { return bodies[client : client+1] })
 		})
 	}
+	b.Run("batch64", func(b *testing.B) {
+		h, space := routedFleet(b, cluster.Config{Replicas: 2})
+		bodies := make([][]byte, 8) // a handful of distinct batches
+		for i := range bodies {
+			rows := make([]string, 64)
+			for j := range rows {
+				rows[j] = scenarioJSON(space.Scenario((i*len(rows) + j) % space.Size()))
+			}
+			bodies[i] = []byte(`{"scenarios":[` + strings.Join(rows, ",") + `]}`)
+		}
+		callers := make([]*leanCaller, runtime.GOMAXPROCS(0))
+		for i := range callers {
+			callers[i] = newLeanCaller("/v1/predict/batch")
+			if status := callers[i].post(h, bodies[i%len(bodies)]); status != http.StatusOK || !bytes.Contains(callers[i].reply, []byte(`"errors":0}`)) {
+				b.Fatalf("warm-up batch returned %d: %s", status, callers[i].reply)
+			}
+		}
+		drive(b, h, callers, func(int) [][]byte { return bodies })
+	})
 }
 
 // TestRoutedPredictAllocs guards the allocations of one routed predict
-// under the default Config (hedge armed), both tiers counted: 135
+// under the default Config (hedge armed), both tiers counted: 132
 // measured, of which a bare net/http keep-alive round trip accounts for
 // 89. A router that decodes the request, re-encodes the reply or starts
 // a goroutine per predict (158 through this caller) does not pass.
@@ -317,7 +352,7 @@ func TestRoutedPredictAllocs(t *testing.T) {
 			t.Fatalf("predict returned %d", status)
 		}
 	})
-	if allocs > 140 {
-		t.Fatalf("one routed predict costs %.0f allocations, want <= 140", allocs)
+	if allocs > 136 {
+		t.Fatalf("one routed predict costs %.0f allocations, want <= 136", allocs)
 	}
 }

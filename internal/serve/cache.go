@@ -87,8 +87,8 @@ func CanonicalScenario(sc features.Scenario) string {
 // ScenarioKey canonicalises a scenario into a cache key:
 // "model@generation|<CanonicalScenario>". The model name and registry
 // generation prefix the key so a hot-swapped model never serves stale
-// predictions. Exported so the cluster router shards and coalesces on
-// byte-identical keys — router and cache cannot drift on the format.
+// predictions. Exported so the cluster router shards on byte-identical
+// keys — router and cache cannot drift on the format.
 func ScenarioKey(model string, gen uint64, sc features.Scenario) string {
 	var b strings.Builder
 	canon := CanonicalScenario(sc)
