@@ -496,14 +496,11 @@ func (w *benchWriter) Write(p []byte) (int, error) {
 // BenchmarkServePredict measures the serving path of the inference
 // tier through the in-process handler with a reused request and a
 // minimal writer, so ns/op and allocs/op are the handler's own: one
-// POST /v1/predict cold (cache disabled, full feature extraction + NN
-// forward pass per request) versus cache-hit (the canonicalised-scenario
-// memo that scheduling loops exercise), and 64-row POST
-// /v1/predict/batch three ways: batch64 (cache off, one body) is the
-// control, batch64-repeat the same body under the default Config, and
-// batch64-wide the repository benchmark's traffic — 2 048 distinct
-// bodies walked in order under the default Config, so no row comes round
-// again before 131 071 others have.
+// POST /v1/predict (decode, validate, feature extraction + NN forward
+// pass, encode) traced and untraced, and 64-row POST /v1/predict/batch
+// two ways: batch64 (one body) is the control, and batch64-wide the
+// repository benchmark's traffic — 2 048 distinct bodies walked in
+// order, so no row comes round again before 131 071 others have.
 func BenchmarkServePredict(b *testing.B) {
 	s := benchSuite(b)
 	ds, err := s.Dataset(6)
@@ -586,12 +583,12 @@ func BenchmarkServePredict(b *testing.B) {
 	}
 	// bench posts the bodies in order, round and round, after one
 	// untimed pass over all of them.
-	bench := func(b *testing.B, path string, cacheSize, traceRing int, bodies ...[]byte) {
+	bench := func(b *testing.B, path string, traceRing int, bodies ...[]byte) {
 		reg := serve.NewRegistry()
 		if err := reg.Add("bench", "", m); err != nil {
 			b.Fatal(err)
 		}
-		h := serve.New(reg, serve.Config{CacheSize: cacheSize, TraceRing: traceRing}).Handler()
+		h := serve.New(reg, serve.Config{TraceRing: traceRing}).Handler()
 		rd := bytes.NewReader(nil)
 		req := httptest.NewRequest("POST", path, rd)
 		req.Body = io.NopCloser(rd)
@@ -614,15 +611,13 @@ func BenchmarkServePredict(b *testing.B) {
 			post(bodies[i%len(bodies)])
 		}
 	}
-	b.Run("cold", func(b *testing.B) { bench(b, "/v1/predict", -1, 0, single) })
-	b.Run("cache-hit", func(b *testing.B) { bench(b, "/v1/predict", 65536, 0, single) })
-	// cache-hit-untraced disables the trace ring, isolating the tracing
-	// overhead of the default cache-hit path (budgeted at <5%).
-	b.Run("cache-hit-untraced", func(b *testing.B) { bench(b, "/v1/predict", 65536, -1, single) })
-	b.Run("batch64", func(b *testing.B) { bench(b, "/v1/predict/batch", -1, 0, batch64) })
-	b.Run("batch64-repeat", func(b *testing.B) { bench(b, "/v1/predict/batch", 0, 0, batch64) })
-	b.Run("batch64-wide", func(b *testing.B) { bench(b, "/v1/predict/batch", 0, 0, wide...) })
-	b.Run("placements", func(b *testing.B) { bench(b, "/v1/placements", -1, 0, placements) })
+	b.Run("single", func(b *testing.B) { bench(b, "/v1/predict", 0, single) })
+	// single-untraced disables the trace ring, isolating the tracing
+	// overhead of the default path (budgeted at <5%).
+	b.Run("single-untraced", func(b *testing.B) { bench(b, "/v1/predict", -1, single) })
+	b.Run("batch64", func(b *testing.B) { bench(b, "/v1/predict/batch", 0, batch64) })
+	b.Run("batch64-wide", func(b *testing.B) { bench(b, "/v1/predict/batch", 0, wide...) })
+	b.Run("placements", func(b *testing.B) { bench(b, "/v1/placements", 0, placements) })
 }
 
 // BenchmarkObservationIngest measures the observation-log write path

@@ -404,7 +404,7 @@ func demoServer(path string, m *core.Model, obsDir string) (*serve.Server, error
 	if err := reg.Add("demo", path, m); err != nil {
 		return nil, err
 	}
-	srv := serve.New(reg, serve.Config{CacheSize: 1 << 12})
+	srv := serve.New(reg, serve.Config{})
 	log, err := feedback.Open(feedback.Config{Dir: obsDir, Sync: obsDir != ""})
 	if err != nil {
 		return nil, err

@@ -1,7 +1,7 @@
 // Command colorouter is the scale-out serving gateway: it spreads
 // prediction traffic across a replicated coloserve fleet with
-// consistent-hash scenario affinity (so each backend's prediction cache
-// stays hot), health- and generation-aware backend selection,
+// consistent-hash scenario affinity, health- and generation-aware
+// backend selection,
 // tail-latency hedging, and coordinated rolling model promotions.
 //
 // Usage:

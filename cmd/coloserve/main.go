@@ -68,7 +68,6 @@ func main() {
 		listen  = flag.String("listen", ":8080", "address to serve on")
 		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout (batch, schedule, placements, observations)")
 		drain   = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
-		cache   = flag.Int("cache", 65536, "prediction cache capacity in entries (negative disables)")
 
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
@@ -97,7 +96,7 @@ func main() {
 	}
 	cfg := adaptArgs{enabled: *adapt, obslog: *obslog, dataset: *dataset, margin: *margin, lambda: *lambda, minObs: *minObs,
 		commitInterval: *obsCommit, queue: *obsQueue, retention: retention}
-	if err := run(*listen, *timeout, *drain, *cache, models, cfg, ec, *pprofOn); err != nil {
+	if err := run(*listen, *timeout, *drain, models, cfg, ec, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "coloserve:", err)
 		os.Exit(1)
 	}
@@ -289,14 +288,14 @@ func buildAdaptation(a adaptArgs, reg *serve.Registry, srv *serve.Server) (*retr
 	return ctrl, nil
 }
 
-func run(listen string, timeout, drain time.Duration, cache int, models modelArgs, a adaptArgs, ec obs.EdgeConfig, pprofOn bool) error {
+func run(listen string, timeout, drain time.Duration, models modelArgs, a adaptArgs, ec obs.EdgeConfig, pprofOn bool) error {
 	reg, err := buildRegistry(models)
 	if err != nil {
 		return err
 	}
 	srv := serve.New(reg, serve.Config{
-		RequestTimeout: timeout, CacheSize: cache,
-		Logger: ec.Logger, TraceRing: ec.TraceRing, SlowThreshold: ec.SlowThreshold,
+		RequestTimeout: timeout,
+		Logger:         ec.Logger, TraceRing: ec.TraceRing, SlowThreshold: ec.SlowThreshold,
 		SLOObjective: ec.SLOObjective, SLOLatencyTarget: ec.SLOLatencyTarget,
 	})
 	if pprofOn {
@@ -336,7 +335,7 @@ func run(listen string, timeout, drain time.Duration, cache int, models modelArg
 		pprofDesc = ", pprof on"
 	}
 	fmt.Printf("observability: logs %s, traces %s, slo %s%s\n", flag.Lookup("log-format").Value, tracing, slo, pprofDesc)
-	fmt.Printf("serving on %s (timeout %s, cache %d, drain %s)\n", listen, timeout, cache, drain)
+	fmt.Printf("serving on %s (timeout %s, drain %s)\n", listen, timeout, drain)
 	if err := srv.ListenAndServe(ctx, listen, drain); err != nil {
 		return err
 	}

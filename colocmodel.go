@@ -139,11 +139,11 @@ type (
 // binary; these let programs embed the inference tier directly).
 type (
 	// PredictionServer is the HTTP JSON inference server: registry +
-	// prediction cache + metrics behind /v1/predict, /v1/predict/batch,
+	// wire codec + metrics behind /v1/predict, /v1/predict/batch,
 	// /v1/schedule, /v1/models, /healthz and /metrics.
 	PredictionServer = serve.Server
-	// PredictionServerConfig tunes timeouts, cache size and batch
-	// fan-out.
+	// PredictionServerConfig tunes timeouts, request limits and the
+	// observability edge.
 	PredictionServerConfig = serve.Config
 	// ModelRegistry holds named trained models with atomic hot-swap.
 	ModelRegistry = serve.Registry

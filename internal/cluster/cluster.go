@@ -1,25 +1,24 @@
 // Package cluster is the scale-out serving tier: an HTTP gateway
 // (cmd/colorouter) that spreads prediction traffic across a replicated
-// coloserve fleet while preserving the single-node tier's cache
-// behaviour and API surface.
+// coloserve fleet while preserving the single-node tier's API surface.
 //
 // # Routing
 //
 // A predict's (and an observation's) scenario is reduced to the serve
-// tier's canonical form (serve.CanonicalScenario — byte-identical to the
-// backend cache key, minus the generation) and consistent-hashed onto a
-// ring of virtual nodes. The first R distinct backends clockwise form
-// the key's replica set, owner first, so the same scenario always lands
-// on the same small set of backends and their prediction caches stay
-// hot. The ring is rebuilt only on explicit join/leave; health flaps
-// never reshuffle key ownership.
+// tier's canonical form (serve.CanonicalScenario) and consistent-hashed
+// onto a ring of virtual nodes. The first R distinct backends clockwise
+// form the key's replica set, owner first, so the same scenario always
+// lands on the same small set of backends, and each backend's drift
+// monitor sees the same streams. Backends keep no prediction memo, so
+// the ring no longer buys warm caches; removing it is ROADMAP 2(e),
+// after a single promotion authority. The ring is rebuilt only on
+// explicit join/leave; health flaps never reshuffle key ownership.
 //
 // A batch (like a placement search) has no key: it is forwarded whole,
 // with the caller's bytes, to the least-loaded available backend at the
 // client's generation floor, failing over in load order. Backends
-// evaluate a batch in one kernel call without consulting the prediction
-// cache (since PR 20), so splitting it by ring owner bought only more
-// HTTP envelopes around smaller GEMMs; forwarded whole, every check —
+// evaluate a batch in one kernel call, so splitting it by ring owner
+// bought only more HTTP envelopes around smaller GEMMs; forwarded whole, every check —
 // the batch limit, the model name, each row — is the serving backend's
 // own, and its reply is the client's byte for byte.
 //
@@ -36,7 +35,7 @@
 //
 // A predict's attempts run on the request's own goroutine, failing over
 // in order (identical predicts in flight together share nothing: a
-// backend answers a repeat from its cache in microseconds); beside them
+// backend evaluates a predict in microseconds); beside them
 // one timer-driven sidecar, if the call is still open after a hedge
 // delay — configured, or derived from the observed backend p95 — calls
 // the next unclaimed replica from the timer's goroutine. The first

@@ -7,13 +7,12 @@ import (
 	"colocmodel/internal/serve"
 )
 
-// TestScenarioKeyFormatPin pins the canonical scenario-key format from
-// OUTSIDE the serve package. The router's shard placement is derived
+// TestCanonicalScenarioFormatPin pins the canonical scenario format from
+// OUTSIDE the serve package. The router's ring placement is derived
 // from serve.CanonicalScenario; if serve ever changes the byte layout,
-// routing silently desynchronises from the backend caches (keys hash
-// elsewhere, cache hit rates collapse).
+// every scenario silently moves to another owner.
 // This test turns that silent drift into a loud one.
-func TestScenarioKeyFormatPin(t *testing.T) {
+func TestCanonicalScenarioFormatPin(t *testing.T) {
 	cases := []struct {
 		sc        features.Scenario
 		wantCanon string
@@ -27,19 +26,16 @@ func TestScenarioKeyFormatPin(t *testing.T) {
 			t.Errorf("CanonicalScenario(%+v) = %q, want %q", tc.sc, got, tc.wantCanon)
 		}
 	}
-	// The cache key prefixes model@generation; the router's routing key
-	// deliberately omits the generation (promotions must not move keys).
+	// The routing key prefixes the model name and deliberately omits the
+	// generation (promotions must not move keys).
 	sc := cases[0].sc
-	if got, want := serve.ScenarioKey("m6", 3, sc), "m6@3|canneal|2|cg|ep"; got != want {
-		t.Errorf("ScenarioKey = %q, want %q", got, want)
-	}
 	if got, want := routeKey("m6", sc), "m6|canneal|2|cg|ep"; got != want {
 		t.Errorf("routeKey = %q, want %q", got, want)
 	}
 	// Co-app order must not matter (the features are sums).
 	perm := features.Scenario{Target: "canneal", CoApps: []string{"cg", "ep"}, PState: 2}
 	if routeKey("m6", sc) != routeKey("m6", perm) {
-		t.Error("routeKey differs across co-app permutations; cache affinity lost")
+		t.Error("routeKey differs across co-app permutations; ring affinity lost")
 	}
 	// CanonicalScenario must not mutate the caller's slice.
 	co := []string{"ep", "cg"}

@@ -267,7 +267,7 @@ func TestScrapeRoundTrip(t *testing.T) {
 		families   []string
 	}{
 		{"coloserve", serveScrape(t), true, []string{
-			"coloserve_requests_total", "coloserve_request_duration_seconds", "coloserve_cache_entries",
+			"coloserve_requests_total", "coloserve_request_duration_seconds", "coloserve_models_loaded",
 			"coloserve_drift_score", "coloserve_obs_commit_duration_seconds", "coloserve_obs_compaction_runs_total",
 			"coloserve_retrains_attempted_total", "coloserve_retrain_candidate_mpe", "coloserve_slo_burn_rate"}},
 		{"colorouter", routerDoc, true, []string{

@@ -8,9 +8,8 @@ import (
 // ring is a consistent-hash ring over backends, placed by their names.
 // Each backend owns a fixed number of virtual nodes, so keys spread
 // evenly and a join or leave moves only the key ranges adjacent to the
-// changed backend's virtual nodes — every other key keeps its owner,
-// which keeps the fleet's prediction caches warm across membership
-// churn.
+// changed backend's virtual nodes — every other key keeps its owner
+// across membership churn.
 //
 // A ring is immutable once built; membership changes build a new ring
 // and swap the pointer, so lookups never take a lock.

@@ -644,9 +644,8 @@ func routed(tr *obs.Trace, pick func() []*Backend) ([]*Backend, time.Duration) {
 }
 
 // routeKey is the consistent-hash key of a scenario: the requested
-// model plus the serve tier's canonical scenario form — byte-identical
-// canonicalisation to the backend cache key (minus the generation,
-// which must not move keys across the ring on every promotion).
+// model plus the serve tier's canonical scenario form. The generation is
+// left out: it must not move keys across the ring on every promotion.
 func routeKey(model string, sc features.Scenario) string {
 	return model + "|" + serve.CanonicalScenario(sc)
 }
@@ -1180,7 +1179,7 @@ func (rt *Router) handleHealthz(http.ResponseWriter, *http.Request, obs.Request)
 
 // handleTraces serves the router's trace ring: stitched cross-process
 // trees whose proxy spans carry the winning backend's own span tree
-// (decode → cache → eval → encode) under the router's trace ID.
+// (decode → eval → encode) under the router's trace ID.
 func (rt *Router) handleTraces(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	resp, err := rt.edge.Traces(r.URL.Query())
 	if err != nil {

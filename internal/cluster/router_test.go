@@ -86,7 +86,7 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 		if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok && tc.Sampled {
 			bt := obs.NewTracer(obs.Config{}).Start("http", "predict", "backend-req")
 			bt.AdoptContext(tc)
-			for _, stage := range []string{"decode", "cache", "eval", "encode"} {
+			for _, stage := range []string{"decode", "eval", "encode"} {
 				sp := bt.StartSpan(stage)
 				sp.End()
 			}

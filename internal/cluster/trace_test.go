@@ -47,7 +47,7 @@ func latestPredictTrace(t *testing.T, rt *Router) *obs.TraceData {
 // TestStitchedTraceServedByTracesEndpoint is the end-to-end acceptance
 // path: one proxied predict retains a trace whose tree holds both the
 // router's own spans (route, proxy) and the winning backend's
-// decode → cache → eval → encode spans under one trace ID, served by
+// decode → eval → encode spans under one trace ID, served by
 // GET /v1/traces.
 func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
@@ -103,7 +103,7 @@ func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 	if spanAttr(&td.Spans[ri], "remote_id") == "" {
 		t.Fatal("remote root missing the remote_id annotation")
 	}
-	for _, stage := range []string{"decode", "cache", "eval", "encode"} {
+	for _, stage := range []string{"decode", "eval", "encode"} {
 		si := findSpan(td, stage, "a")
 		if si < 0 {
 			t.Fatalf("remote %s span missing: %+v", stage, td.Spans)

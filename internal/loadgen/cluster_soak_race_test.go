@@ -221,7 +221,7 @@ func TestClusterRollingPromotionMonotone(t *testing.T) {
 // property at the system level: with hedging off and a healthy fleet,
 // each scenario is always served by its ring owner; joining a fourth
 // replica moves only the scenarios the newcomer takes over, and every
-// other scenario keeps its backend (caches stay warm through scale-out).
+// other scenario keeps its backend through scale-out.
 func TestClusterRoutingAffinityUnderJoin(t *testing.T) {
 	ct := newClusterTarget(t, 3, cluster.Config{Replicas: 2, HedgeAfter: -1})
 	space := soakSpace(t, ct.Servers[0])

@@ -3,8 +3,8 @@ package loadgen
 // The fleet-observability acceptance soak: a seeded in-process cluster
 // run (router + replicas over loopback HTTP, under -race in CI) must
 // leave stitched cross-process traces in the router's ring — router
-// route/proxy spans plus the winning backend's decode → cache → eval →
-// encode spans under one trace ID — and the router's fleet-metrics
+// route/proxy spans plus the winning backend's decode → eval → encode
+// spans under one trace ID — and the router's fleet-metrics
 // merge must equal the arithmetic sum of the per-backend scrapes.
 
 import (
@@ -45,7 +45,7 @@ func TestFleetObservabilitySoak(t *testing.T) {
 	ct, err := NewClusterTarget(ctx,
 		cluster.Config{Replicas: 2, SlowThreshold: -1, ProbeInterval: time.Hour}, 3,
 		func(int) (*serve.Server, error) {
-			return newSoakServerWith(t, serve.Config{CacheSize: 1 << 10, SlowThreshold: -1}), nil
+			return newSoakServerWith(t, serve.Config{SlowThreshold: -1}), nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestFleetObservabilitySoak(t *testing.T) {
 			continue
 		}
 		complete := true
-		for _, stage := range []string{"decode", "cache", "eval", "encode"} {
+		for _, stage := range []string{"decode", "eval", "encode"} {
 			if _, ok := spans[stage+"/"+backend]; !ok {
 				complete = false
 				break
@@ -261,8 +261,8 @@ func scenarioJSON(sc serve.ScenarioRequest) string {
 }
 
 // routedPredict returns routedFleet's handler and n clients, each a
-// caller and the request body of its own cached scenario, already served
-// once (connections open, cache warm).
+// caller and the request body of its own scenario, already served once
+// (connections open, pools warm).
 func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*leanCaller, [][]byte) {
 	tb.Helper()
 	h, space := routedFleet(tb, cfg)
@@ -276,8 +276,8 @@ func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*l
 	return h, callers, bodies
 }
 
-// BenchmarkClusterProxyTracing measures the router's cache-hit proxy
-// hot path as the repository benchmark drives it — one closed-loop
+// BenchmarkClusterProxyTracing measures the router's single-predict
+// proxy hot path as the repository benchmark drives it — one closed-loop
 // client per CPU, hedging armed, observability on (tracing, traceparent
 // injection, SLO accounting) — beside the same path with the hedge
 // disarmed and with observability fully off, to bound what each costs,

@@ -32,7 +32,7 @@ func TestIngestSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: opening log: %v", seed, err)
 		}
-		s := newSoakServerLog(t, serve.Config{CacheSize: 1 << 10}, log)
+		s := newSoakServerLog(t, serve.Config{}, log)
 		space := soakSpace(t, s)
 		rep, err := Run(Config{
 			Mode:        ClosedLoop,

@@ -18,7 +18,7 @@
 //
 // Everything stochastic draws from one explicit seed, so the generated
 // op stream is reproducible bit-for-bit; an in-process run against
-// serve.Server.Handler() turns the whole registry/cache/adaptation
+// serve.Server.Handler() turns the whole registry/predict/adaptation
 // stack into a deterministic, race-detectable end-to-end test.
 package loadgen
 
@@ -71,7 +71,7 @@ type Config struct {
 	// independent of machine speed, which is what a deterministic soak
 	// test wants.
 	Requests int
-	// Warmup excludes the run's first stretch from the report, so cache
+	// Warmup excludes the run's first stretch from the report, so pool
 	// fill and connection establishment do not pollute the quantiles.
 	Warmup time.Duration
 	// Seed drives scenario sampling and the op mix.

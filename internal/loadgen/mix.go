@@ -14,7 +14,7 @@ import (
 // Scenarios are addressed by a dense index so a Zipf sampler over a
 // seeded permutation of the space yields a skewed, realistic request
 // population: a few scenarios dominate (a scheduling loop re-evaluating
-// its hot jobs) while the long tail keeps the cache honest.
+// its hot jobs) while the long tail keeps the workload honest.
 type Space struct {
 	apps    []string
 	pstates int
@@ -114,7 +114,7 @@ func (m *Mix) defaults() {
 // MixPreset returns a named traffic preset. "predict" (or "") is the
 // default predict-only mix; "mixed" is the CI soak blend; "ingest" is
 // the observe-heavy mix (~80% observations, the rest predicts keeping
-// the cache and drift monitor honest) that exercises the feedback
+// the predict path and drift monitor honest) that exercises the feedback
 // log's group-commit pipeline.
 func MixPreset(name string) (Mix, error) {
 	switch name {

@@ -63,7 +63,6 @@ func newObsSoakServer(t testing.TB) (*serve.Server, *syncBuffer) {
 		t.Fatal(err)
 	}
 	s := serve.New(reg, serve.Config{
-		CacheSize:     1 << 10,
 		SlowThreshold: -1, // retain and slow-log everything
 		TraceRing:     128,
 		Logger:        logger,
@@ -93,9 +92,8 @@ func TestObservabilitySoak(t *testing.T) {
 	}
 
 	// The report carries the server-side stage breakdown parsed from
-	// Server-Timing headers: decode and cache on every predict, eval on
-	// the cold subset.
-	for _, stage := range []string{"decode", "cache", "eval"} {
+	// Server-Timing headers: decode and eval on every predict.
+	for _, stage := range []string{"decode", "eval"} {
 		ss, ok := rep.ServerStages[stage]
 		if !ok || ss.Count == 0 {
 			t.Fatalf("stage %s missing from report: %v", stage, rep.ServerStages)
@@ -108,8 +106,8 @@ func TestObservabilitySoak(t *testing.T) {
 		t.Fatalf("decode reported by %d of %d requests", rep.ServerStages["decode"].Count, rep.Requests)
 	}
 
-	// The trace ring retained traces; at least one cold predict covers
-	// the full decode → cache → eval → encode pipeline with monotone,
+	// The trace ring retained traces; at least one predict covers the
+	// full decode → eval → encode pipeline with monotone,
 	// parent-contained timings.
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/traces?endpoint=predict", nil))
@@ -138,12 +136,12 @@ func TestObservabilitySoak(t *testing.T) {
 				}
 			}
 		}
-		if seen["decode"] && seen["cache"] && seen["eval"] && seen["encode"] {
+		if seen["decode"] && seen["eval"] && seen["encode"] {
 			full++
 		}
 	}
 	if full == 0 {
-		t.Fatal("no retained trace covers decode→cache→eval→encode")
+		t.Fatal("no retained trace covers decode→eval→encode")
 	}
 
 	// Every structured log line carries a request ID, and the log saw
@@ -216,7 +214,7 @@ func TestSoakStagesDisabledTracing(t *testing.T) {
 	if err := reg.Add("primary", "", m); err != nil {
 		t.Fatal(err)
 	}
-	s := serve.New(reg, serve.Config{CacheSize: 1 << 10, TraceRing: -1})
+	s := serve.New(reg, serve.Config{TraceRing: -1})
 	space := soakSpace(t, s)
 	rep, err := Run(Config{
 		Mode:        ClosedLoop,

@@ -56,7 +56,7 @@ type Report struct {
 	PerOp map[string]uint64 `json:"per_op"`
 
 	// ServerStages breaks measured requests down by server-side pipeline
-	// stage (decode, cache, eval, fanout, ...) as reported in
+	// stage (decode, eval, encode, fanout, ...) as reported in
 	// Server-Timing response headers. Absent when the target does not
 	// emit the header (tracing disabled).
 	ServerStages map[string]StageStat `json:"server_stages,omitempty"`

@@ -2,8 +2,8 @@ package loadgen
 
 // The soak tests promised by the serving tier: the loadgen harness
 // drives serve.Server's real mux in process (HandlerDoer), so one
-// seeded short soak exercises registry hot-swap, the sharded cache,
-// batch prediction and the adaptation ingest path end to end — under
+// seeded short soak exercises registry hot-swap, single and batch
+// prediction and the adaptation ingest path end to end — under
 // -race in CI — with zero network jitter and a reproducible op stream.
 
 import (
@@ -62,7 +62,7 @@ func soakDataset(t testing.TB) *harness.Dataset {
 // untrippable drift monitor so observation traffic exercises the ingest
 // path without ever firing the detector.
 func newSoakServer(t testing.TB) *serve.Server {
-	return newSoakServerWith(t, serve.Config{CacheSize: 1 << 10})
+	return newSoakServerWith(t, serve.Config{})
 }
 
 // newSoakServerWith is newSoakServer with an explicit serve config, for

@@ -10,7 +10,7 @@
 //     style selector (json / text / off), so request logs are machine-
 //     parseable by default.
 //   - Span tracing: a lightweight start/finish tracer recording
-//     per-stage timings (decode → cache → eval → encode, batch fan-out,
+//     per-stage timings (decode → eval → encode, batch fan-out,
 //     observation ingest, drift checks, retrain attempt stages) as a
 //     tree of spans with parent links and attributes.
 //   - Trace retention: a bounded ring keeping recent slow or failed

@@ -7,7 +7,7 @@ import (
 )
 
 // EachServerTiming parses a Server-Timing header value as produced by
-// Trace.ServerTiming ("decode;dur=0.012, cache;dur=0.003") and calls fn
+// Trace.ServerTiming ("decode;dur=0.012, eval;dur=0.003") and calls fn
 // with each stage name and duration in seconds. Entries without a dur
 // parameter, and malformed entries, are skipped — the header is
 // advisory, never load-bearing.

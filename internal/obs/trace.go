@@ -30,7 +30,7 @@ type Attr struct {
 // offsets from the trace start, so a span tree is self-contained and
 // trivially checked for containment/monotonicity.
 type SpanData struct {
-	// Name is the stage name ("decode", "cache", "eval", "encode", ...).
+	// Name is the stage name ("decode", "eval", "encode", ...).
 	Name string `json:"name"`
 	// Parent indexes the parent span within the trace; -1 for the root.
 	Parent int `json:"parent"`
@@ -38,7 +38,7 @@ type SpanData struct {
 	// EndNS is 0 for a span that never ended (a bug or a panic path).
 	StartNS int64 `json:"start_ns"`
 	EndNS   int64 `json:"end_ns"`
-	// Attrs are optional annotations (cache outcome, model name, ...).
+	// Attrs are optional annotations (slot count, model name, ...).
 	Attrs []Attr `json:"attrs,omitempty"`
 	// Error is set when the span's stage failed.
 	Error string `json:"error,omitempty"`
@@ -416,7 +416,7 @@ func (t *Trace) stitch(data *TraceData, ra *remoteAttach) {
 }
 
 // ServerTiming renders the trace's completed non-root spans as a
-// Server-Timing header value ("decode;dur=0.012, cache;dur=0.003", dur
+// Server-Timing header value ("decode;dur=0.012, eval;dur=0.003", dur
 // in milliseconds), aggregating repeated stage names. Returns "" on a
 // nil trace or when no span has finished.
 func (t *Trace) ServerTiming() string {

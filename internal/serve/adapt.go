@@ -87,8 +87,9 @@ type ObservationRequest struct {
 	CoApps []string `json:"co_apps,omitempty"`
 	PState int      `json:"pstate,omitempty"`
 	// PredictedSeconds is the runtime the model predicted. Zero asks
-	// the server to compute it (through the cache) so callers that only
-	// measure can still feed the loop.
+	// the server to compute it, with the model snapshot whose generation
+	// the observation is logged under, so callers that only measure can
+	// still feed the loop.
 	PredictedSeconds float64 `json:"predicted_seconds,omitempty"`
 	// MeasuredSeconds is the observed runtime (must be positive).
 	MeasuredSeconds float64 `json:"measured_seconds"`
@@ -244,7 +245,7 @@ func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedbac
 	pred := or.PredictedSeconds
 	if pred == 0 {
 		var pr PredictResponse
-		if e := s.predictOne(tr.Root(), &rm, sc, &pr); e != nil {
+		if e := predictOne(tr.Root(), &rm, sc, &pr); e != nil {
 			return feedback.Observation{}, "", e
 		}
 		pred = pr.PredictedSeconds

@@ -5,35 +5,31 @@ import (
 )
 
 // Metrics is the serving tier's observability layer: request and error
-// counters plus latency histograms per endpoint, and cache hit/miss and
-// hot-swap counters, declared on one obs.Registry. Handlers hold the
-// handles they record into, so the hot path is lock-free atomics; the
-// adaptation loop and the SLO tracker add their families to the same
-// registry.
+// counters plus latency histograms per endpoint, and hot-swap and ingest
+// counters, declared on one obs.Registry. Handlers hold the handles they
+// record into, so the hot path is lock-free atomics; the adaptation loop
+// and the SLO tracker add their families to the same registry.
 type Metrics struct {
 	reg       *obs.Registry
 	endpoints *obs.Endpoints
 
-	cacheHits, cacheMisses, swaps        *obs.Counter
+	swaps                                *obs.Counter
 	inFlight                             *obs.Gauge
 	obsIngested, obsRejected, driftTrips *obs.Counter
 }
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning
-// cache hits (~µs) through batch fan-outs and schedule calls.
+// single predicts (~µs) through batch fan-outs and schedule calls.
 var latencyBuckets = []float64{
 	1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5,
 }
 
 // NewMetrics declares the serving tier's metric families in scrape
-// order. cacheEntries and modelsLoaded are read at scrape time.
-func NewMetrics(cacheEntries, modelsLoaded func() float64) *Metrics {
+// order. modelsLoaded is read at scrape time.
+func NewMetrics(modelsLoaded func() float64) *Metrics {
 	r := obs.NewRegistry()
 	m := &Metrics{reg: r}
 	m.endpoints = r.Endpoints("coloserve", "Request latency per endpoint.", latencyBuckets)
-	m.cacheHits = r.Counter("coloserve_cache_hits_total", "Prediction-cache hits.")
-	m.cacheMisses = r.Counter("coloserve_cache_misses_total", "Prediction-cache misses.")
-	r.GaugeFunc("coloserve_cache_entries", "Current prediction-cache size.", cacheEntries)
 	m.swaps = r.Counter("coloserve_model_swaps_total", "Registry hot-swaps performed.")
 	r.GaugeFunc("coloserve_models_loaded", "Models currently in the registry.", modelsLoaded)
 	m.inFlight = r.Gauge("coloserve_in_flight_requests", "Requests currently being served.")
@@ -42,9 +38,6 @@ func NewMetrics(cacheEntries, modelsLoaded func() float64) *Metrics {
 	m.driftTrips = r.Counter("coloserve_drift_trips_total", "Drift-detector trips observed at ingest.")
 	return m
 }
-
-// CacheHits returns the prediction-cache hit count.
-func (m *Metrics) CacheHits() uint64 { return m.cacheHits.Load() }
 
 // SwapsRecorded counts n registry hot-swaps at once (a reload swaps
 // every disk-backed entry).

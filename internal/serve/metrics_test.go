@@ -10,11 +10,9 @@ import (
 	"time"
 )
 
-// fixedGauges are the scrape-time gauge values the metrics tests pin:
-// 17 cache entries, 2 models loaded.
-func fixedGauges() (cacheEntries, modelsLoaded func() float64) {
-	return func() float64 { return 17 }, func() float64 { return 2 }
-}
+// modelsLoaded is the scrape-time gauge value the metrics tests pin: 2
+// models loaded.
+func modelsLoaded() float64 { return 2 }
 
 func scrape(m *Metrics) string {
 	var buf bytes.Buffer
@@ -26,9 +24,10 @@ func scrape(m *Metrics) string {
 // of calls and compares the scrape byte for byte with one captured from
 // the hand-written renderer the registry replaced (PR 12's
 // WritePrometheus), less the coloserve_metrics_dropped_total family
-// that went with the unregistered-endpoint branch.
+// that went with the unregistered-endpoint branch and the three
+// coloserve_cache_* series that went with the prediction memo.
 func TestMetricsGolden(t *testing.T) {
-	m := NewMetrics(fixedGauges())
+	m := NewMetrics(modelsLoaded)
 	predict, schedule, metrics := m.endpoints.Endpoint("predict"), m.endpoints.Endpoint("schedule"), m.endpoints.Endpoint("metrics")
 	for i := 0; i < 40; i++ {
 		predict.Observe(time.Duration(i*i)*7*time.Microsecond, i%9 == 0)
@@ -36,8 +35,6 @@ func TestMetricsGolden(t *testing.T) {
 	schedule.Observe(2*time.Second, false)
 	schedule.Observe(7*time.Second, true)
 	metrics.Observe(350*time.Microsecond, false)
-	m.cacheHits.Add(3)
-	m.cacheMisses.Inc()
 	m.SwapsRecorded(1)
 	m.SwapsRecorded(2)
 	m.inFlight.Add(2)
@@ -62,7 +59,7 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 func TestSwapsRecorded(t *testing.T) {
-	m := NewMetrics(fixedGauges())
+	m := NewMetrics(modelsLoaded)
 	m.SwapsRecorded(1)
 	m.SwapsRecorded(3)
 	m.SwapsRecorded(0)
@@ -77,13 +74,11 @@ func TestSwapsRecorded(t *testing.T) {
 // precedes TYPE, and histogram bucket counts are monotone in le with
 // the +Inf bucket equal to _count.
 func TestPrometheusScrapeFormat(t *testing.T) {
-	m := NewMetrics(fixedGauges())
+	m := NewMetrics(modelsLoaded)
 	for i := 0; i < 100; i++ {
 		m.endpoints.Endpoint("predict").Observe(time.Duration(i)*100*time.Microsecond, i%9 == 0)
 	}
 	m.endpoints.Endpoint("schedule").Observe(2*time.Second, false)
-	m.cacheHits.Inc()
-	m.cacheMisses.Inc()
 	m.SwapsRecorded(2)
 
 	typed := map[string]string{} // family → type

@@ -15,9 +15,9 @@ import (
 // Registry holds named trained models and supports atomic hot-swap: a
 // model can be re-trained and reloaded while requests are in flight,
 // without a lock on the prediction path and without any request
-// observing a half-replaced model. Each swap bumps the entry's
-// generation, which the prediction cache folds into its keys so stale
-// entries are never served.
+// observing a half-replaced model. Each swap publishes the entry's next
+// generation in the same value as the model, so a request that reads one
+// reads the other.
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*registryEntry
@@ -25,18 +25,23 @@ type Registry struct {
 }
 
 type registryEntry struct {
-	name  string
-	path  string // source artefact, "" if the model was added in-process
-	gen   atomic.Uint64
+	name string
+	path string // source artefact, "" if the model was added in-process
+	// mu serialises the writers (Add, Swap, Reload), so each store reads
+	// the generation it succeeds; readers never take it.
+	mu    sync.Mutex
 	model atomic.Pointer[servedModel]
 }
 
 // servedModel is a model plus what every reply derives from it, worked
 // out once per Add, Swap or Reload instead of once per request. It is
 // one immutable value behind one pointer, so a reply never mixes one
-// model's prediction with another's baseline.
+// model's prediction with another's baseline or generation.
 type servedModel struct {
 	m *core.Model
+	// gen counts the models this entry has served, this one included
+	// (1 = never swapped).
+	gen uint64
 	// spec is m.Spec.String().
 	spec string
 	// apps is the serving table request validation reads: one lookup
@@ -68,16 +73,21 @@ func (e *registryEntry) store(m *core.Model) {
 			sm.apps[name] = app
 		}
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	sm.gen = 1
+	if prev := e.model.Load(); prev != nil {
+		sm.gen = prev.gen + 1
+	}
 	e.model.Store(sm)
 }
 
-// snapshot reads the entry's serving state. Generation is read before
-// the pointer: if a swap lands between the two loads the prediction is
-// computed with the *newer* model under the older generation, which only
-// wastes a cache slot — it never serves a stale model.
-func (e *registryEntry) snapshot() (*servedModel, uint64) {
-	gen := e.gen.Load()
-	return e.model.Load(), gen
+// snapshot reads the entry's serving state in one pointer load: the
+// model, its serving table and its generation were published together,
+// so whatever a request derives from one snapshot — values, baseline,
+// generation label — belongs to one model.
+func (e *registryEntry) snapshot() *servedModel {
+	return e.model.Load()
 }
 
 // ModelInfo describes one registry entry for the listing endpoint.
@@ -122,7 +132,6 @@ func (r *Registry) Add(name string, path string, m *core.Model) error {
 	}
 	e := &registryEntry{name: name, path: path}
 	e.store(m)
-	e.gen.Store(1)
 	r.entries[name] = e
 	if r.first == "" {
 		r.first = name
@@ -143,7 +152,6 @@ func (r *Registry) Swap(name string, m *core.Model) error {
 		return fmt.Errorf("serve: model %q not registered", name)
 	}
 	e.store(m)
-	e.gen.Add(1)
 	return nil
 }
 
@@ -154,8 +162,8 @@ func (r *Registry) Get(name string) (*core.Model, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	sm, gen := e.snapshot()
-	return sm.m, gen, nil
+	sm := e.snapshot()
+	return sm.m, sm.gen, nil
 }
 
 // lookup resolves a registry entry by name (empty selects the default).
@@ -192,7 +200,7 @@ func (r *Registry) List() []ModelInfo {
 	infos := make([]ModelInfo, 0, len(r.entries))
 	first := r.first
 	for _, e := range r.entries {
-		sm := e.model.Load()
+		sm := e.snapshot()
 		m := sm.m
 		infos = append(infos, ModelInfo{
 			Name:       e.name,
@@ -201,7 +209,7 @@ func (r *Registry) List() []ModelInfo {
 			Machine:    m.Machine(),
 			Apps:       m.Apps(),
 			PStates:    m.PStates(),
-			Generation: e.gen.Load(),
+			Generation: sm.gen,
 			Path:       e.path,
 		})
 	}
@@ -230,7 +238,6 @@ func (r *Registry) Reload() (reloaded []string, err error) {
 			return reloaded, fmt.Errorf("serve: reloading %q: %w", e.name, lerr)
 		}
 		e.store(m)
-		e.gen.Add(1)
 		reloaded = append(reloaded, e.name)
 	}
 	return reloaded, nil

@@ -7,14 +7,12 @@
 //   - Registry: named models with lock-free reads and atomic hot-swap,
 //     so a re-trained model replaces its predecessor without dropping a
 //     request.
-//   - Cache: a sharded, size-bounded memo of canonicalised scenarios —
-//     scheduling loops repeat scenarios heavily, so the neural forward
-//     pass becomes a map hit. It serves POST /v1/predict and the
-//     observations that arrive without a prediction; batches and
-//     placement searches evaluate through the batched kernel, where a
-//     row costs less than a probe.
-//   - Metrics: request/error counters, per-endpoint latency histograms
-//     and cache hit ratios in Prometheus text format, stdlib only.
+//   - Wire: hand-written request decoders and reply encoders, byte for
+//     byte what encoding/json reads and writes. A single predict is
+//     decode → validate → eval → encode on one registry snapshot, which
+//     carries the model, its serving table and its generation together.
+//   - Metrics: request/error counters and per-endpoint latency
+//     histograms in Prometheus text format, stdlib only.
 //
 // A fourth, optional layer closes the adaptation loop (EnableAdaptation):
 // deployed schedulers report measured runtimes to POST /v1/observations,
@@ -42,7 +40,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,9 +60,6 @@ type Config struct {
 	// RequestTimeout bounds the processing time of a batch, schedule,
 	// placements or observations request. Default 10s.
 	RequestTimeout time.Duration
-	// CacheSize bounds the prediction cache (entries). 0 selects the
-	// default (65536); negative disables caching.
-	CacheSize int
 	// MaxBatch caps scenarios per batch request. Default 4096.
 	MaxBatch int
 	// MaxScheduleJobs caps jobs per schedule request. Default 1024.
@@ -90,9 +87,6 @@ func (c *Config) defaults() {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 65536
-	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 4096
 	}
@@ -114,7 +108,6 @@ func (c *Config) defaults() {
 type Server struct {
 	cfg      Config
 	reg      *Registry
-	cache    *Cache // nil when disabled
 	metrics  *Metrics
 	edge     *obs.Edge   // the request envelope every endpoint runs under
 	adapt    *Adaptation // nil when the adaptation loop is disabled
@@ -134,18 +127,7 @@ func New(reg *Registry, cfg Config) *Server {
 		reg:     reg,
 		started: time.Now(),
 	}
-	if cfg.CacheSize > 0 {
-		s.cache = NewCache(cfg.CacheSize)
-	}
-	s.metrics = NewMetrics(
-		func() float64 {
-			if s.cache == nil {
-				return 0
-			}
-			return float64(s.cache.Len())
-		},
-		func() float64 { return float64(reg.Len()) },
-	)
+	s.metrics = NewMetrics(func() float64 { return float64(reg.Len()) })
 	s.metrics.reg.Collect(s.collectAdaptation)
 	s.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,
 		SLOObjective: cfg.SLOObjective, SLOLatencyTarget: cfg.SLOLatencyTarget},
@@ -316,6 +298,26 @@ func (sr ScenarioRequest) scenario() features.Scenario {
 	return features.Scenario{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
 }
 
+// CanonicalScenario renders a scenario as "target|pstate|co1|co2|..."
+// with the co-apps sorted. Co-runner order is irrelevant to the model's
+// features (they are sums), so "canneal with [cg ep]" and "canneal with
+// [ep cg]" canonicalise identically. The cluster router hashes this form
+// onto its ring; a cross-package test pins it.
+func CanonicalScenario(sc features.Scenario) string {
+	co := slices.Clone(sc.CoApps)
+	slices.Sort(co)
+	var b strings.Builder
+	b.Grow(len(sc.Target) + 4 + 8*len(co))
+	b.WriteString(sc.Target)
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(sc.PState))
+	for _, a := range co {
+		b.WriteByte('|')
+		b.WriteString(a)
+	}
+	return b.String()
+}
+
 // PredictRequest asks for one scenario's prediction.
 type PredictRequest struct {
 	// Model names the registry entry; empty selects the default model.
@@ -337,8 +339,8 @@ type PredictResponse struct {
 	PredictedSeconds  float64  `json:"predicted_seconds"`
 	PredictedSlowdown float64  `json:"predicted_slowdown"`
 	BaselineSeconds   float64  `json:"baseline_seconds"`
-	// Cached reports whether the prediction came from the cache; always
-	// false on batch rows, which are evaluated without it.
+	// Cached is always false: every prediction is evaluated. It stays on
+	// the wire until the benchmark module stops reading it (ROADMAP 3(d)).
 	Cached bool `json:"cached"`
 	// baselineJSON, when set, is BaselineSeconds as encoding/json
 	// renders it: the serving table's text, copied rather than
@@ -359,18 +361,17 @@ func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.T
 		return errBody(e)
 	}
 	resp := new(PredictResponse)
-	if e := s.predictOne(tr.Root(), &rm, req.scenario(), resp); e != nil {
+	if e := predictOne(tr.Root(), &rm, req.scenario(), resp); e != nil {
 		return errBody(e)
 	}
 	return http.StatusOK, resp
 }
 
-// resolved is one request's view of a registry entry: the model with
-// its rendered spec and its serving generation.
+// resolved is one request's view of a registry entry: its name and one
+// snapshot of what it serves.
 type resolved struct {
 	name string
 	*servedModel
-	gen uint64
 }
 
 // resolveModel maps a (possibly empty) request model name to a registry
@@ -383,8 +384,7 @@ func (s *Server) resolveModel(name string) (resolved, *Error) {
 		}
 		return resolved{}, asError(err)
 	}
-	sm, gen := e.snapshot()
-	return resolved{name: e.name, servedModel: sm, gen: gen}, nil
+	return resolved{name: e.name, servedModel: e.snapshot()}, nil
 }
 
 // validateScenario rejects requests the model cannot serve before any
@@ -432,46 +432,21 @@ func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenar
 	return nil
 }
 
-// predictOne serves one scenario into resp through the cache, timing
-// the cache lookup and (on a miss) the model evaluation as children of
-// parent — the root span for single predicts. The cache key is built in
-// pooled scratch and looked up by raw bytes, so a cache hit allocates
-// nothing; a miss evaluates through Model.Predict, which checks a
-// compiled instance out of the model's own pool.
-func (s *Server) predictOne(parent obs.Span, rm *resolved, sc features.Scenario, resp *PredictResponse) *Error {
+// predictOne serves one scenario into resp from rm's snapshot, timing
+// the model evaluation as a child of parent — the root span for single
+// predicts. Model.Predict checks a compiled instance out of the model's
+// own pool.
+func predictOne(parent obs.Span, rm *resolved, sc features.Scenario, resp *PredictResponse) *Error {
 	if e := initPredictResponse(resp, rm, sc); e != nil {
 		return e
-	}
-	var ks *keyScratch
-	if s.cache != nil {
-		ks = keyPool.Get().(*keyScratch)
-		ks.build(rm.name, rm.gen, sc)
-		csp := parent.StartChild("cache")
-		p, ok := s.cache.Get(ks.buf)
-		csp.End()
-		if ok {
-			keyPool.Put(ks)
-			s.metrics.cacheHits.Inc()
-			resp.PredictedSeconds, resp.PredictedSlowdown, resp.Cached = p.Seconds, p.Slowdown, true
-			return nil
-		}
-		s.metrics.cacheMisses.Inc()
 	}
 	esp := parent.StartChild("eval")
 	seconds, err := rm.m.Predict(sc)
 	esp.End()
 	if err != nil {
-		if ks != nil {
-			keyPool.Put(ks)
-		}
 		return asError(err)
 	}
-	p := prediction{Seconds: seconds, Slowdown: seconds / resp.BaselineSeconds}
-	if ks != nil {
-		s.cache.Put(string(ks.buf), p)
-		keyPool.Put(ks)
-	}
-	resp.PredictedSeconds, resp.PredictedSlowdown = p.Seconds, p.Slowdown
+	resp.PredictedSeconds, resp.PredictedSlowdown = seconds, seconds/resp.BaselineSeconds
 	return nil
 }
 
@@ -522,12 +497,10 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 	// One pass under one fanout span: validate every slot, evaluate all
 	// valid ones in one batched model call — a single GEMM per network
 	// layer instead of one forward pass per slot — and leave the rest to
-	// the encoder. The prediction cache is not consulted: probing and
-	// filling it costs more per row than the kernel row it could save.
-	// Each slot still fails independently: validation errors mark only
-	// their own slot, and a request-level timeout fails the un-evaluated
-	// slots rather than the whole response. Results are bit-identical to
-	// per-slot Predict.
+	// the encoder. Each slot still fails independently: validation errors
+	// mark only their own slot, and a request-level timeout fails the
+	// un-evaluated slots rather than the whole response. Results are
+	// bit-identical to per-slot Predict.
 	ctx := r.Context()
 	n := len(req.Scenarios)
 	out := &BatchResponse{Model: rm.name, Results: make([]BatchItem, n)}

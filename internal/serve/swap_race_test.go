@@ -18,32 +18,18 @@ import (
 	"colocmodel/internal/testeq"
 )
 
-// TestCacheNeverServesStaleGenerationDuringSwaps hammers predictOne
-// with concurrent reads while the registry hot-swaps through a sequence
-// of distinct models — once through the sharded prediction cache, once
-// with the cache off so every predict evaluates through Model.Predict.
-// The invariants under test: a response carrying generation g never
-// holds a value computed by a model *older* than generation g, and the
-// generations one reader resolves never decrease. (The registry
-// documents the benign inverse race — a newer model under an older
-// generation when a swap lands between the generation load and the
-// pointer load — so newer is allowed; stale is the bug.) Cache keys
-// embed the generation, so every swap implicitly invalidates; a hit on
-// a stale key would surface here as a generation/value mismatch. Run
-// under -race.
-func TestCacheNeverServesStaleGenerationDuringSwaps(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		cacheSize int
-	}{
-		{"cached", 1 << 12},
-		{"uncached", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) { swapRace(t, tc.cacheSize) })
-	}
-}
-
-func swapRace(t *testing.T, cacheSize int) {
+// TestHotSwapNeverMislabelsGeneration hammers single predicts and
+// observations without a predicted_seconds from several goroutines while
+// the registry hot-swaps round a ring of distinct models many times.
+// Generation g serves models[(g-1) % len(models)], so every value names
+// its model and every label names the model it must come from. The
+// invariants under test: a reply's predicted_seconds is exactly the
+// model its generation label names — never an older and never a newer
+// one — an observation is logged under the generation of the model that
+// predicted it, and the generations one reader resolves never decrease.
+// The label and the model are published in one value, so they cannot
+// come apart however the swaps interleave. Run under -race.
+func TestHotSwapNeverMislabelsGeneration(t *testing.T) {
 	ds := testDataset(t)
 
 	// K distinct models: each drops a different fifth of the records
@@ -69,9 +55,8 @@ func swapRace(t *testing.T, cacheSize int) {
 		models[i] = m
 	}
 
-	// The probe scenarios, and each model's exact prediction for them.
-	// predictOne must return one of these values bit-for-bit (the cache
-	// stores exact float64s), so the value identifies the model.
+	// The probe scenarios, and each model's exact prediction for them:
+	// the value identifies the model.
 	scenarios := []features.Scenario{
 		{Target: "canneal", CoApps: []string{"cg", "cg", "cg"}, PState: 0},
 		{Target: "cg", CoApps: []string{"ep"}, PState: 1},
@@ -87,21 +72,32 @@ func swapRace(t *testing.T, cacheSize int) {
 				t.Fatal(err)
 			}
 			if prev, dup := want[si][v]; dup && prev != mi {
-				t.Skipf("models %d and %d agree exactly on scenario %d; cannot attribute values", prev, mi, si)
+				t.Fatalf("models %d and %d agree exactly on scenario %d; cannot attribute values", prev, mi, si)
 			}
 			want[si][v] = mi
 		}
+	}
+	// check attributes one served value to its model and holds it to
+	// the model its generation names.
+	check := func(si int, gen uint64, v float64, what string) error {
+		mi, known := want[si][v]
+		if !known {
+			return fmt.Errorf("%s at generation %d carries a value belonging to no model: %v", what, gen, v)
+		}
+		if wantMi := int((gen - 1) % numModels); mi != wantMi {
+			return fmt.Errorf("MISLABELLED: %s at generation %d carries model %d's value %v, want model %d's", what, gen, mi, v, wantMi)
+		}
+		return nil
 	}
 
 	reg := NewRegistry()
 	if err := reg.Add("primary", "", models[0]); err != nil { // generation 1
 		t.Fatal(err)
 	}
-	s := New(reg, Config{CacheSize: cacheSize})
+	s := New(reg, Config{})
 
-	// Swapper: one-directional walk through the remaining models.
-	// Generation after swapping in models[i] is i+1, so model index ==
-	// generation-1 and "stale" means valueIndex < gen-1.
+	// Swapper: generation g+1 is models[g % numModels].
+	const swaps = 2000
 	var stop atomic.Bool
 	var swapErr error
 	var swapWG sync.WaitGroup
@@ -109,14 +105,8 @@ func swapRace(t *testing.T, cacheSize int) {
 	go func() {
 		defer swapWG.Done()
 		defer stop.Store(true)
-		for i := 1; i < numModels; i++ {
-			for k := 0; k < 500; k++ { // let readers hammer each generation
-				if _, _, err := reg.Get("primary"); err != nil {
-					swapErr = err
-					return
-				}
-			}
-			if err := reg.Swap("primary", models[i]); err != nil {
+		for g := 1; g <= swaps; g++ {
+			if err := reg.Swap("primary", models[g%numModels]); err != nil {
 				swapErr = err
 				return
 			}
@@ -133,7 +123,20 @@ func swapRace(t *testing.T, cacheSize int) {
 					errs <- nil
 					return
 				}
-				sc := scenarios[(i+r)%len(scenarios)]
+				si := (i + r) % len(scenarios)
+				sc := scenarios[si]
+				if i%3 == 2 {
+					o, _, e := s.buildObservation(nil, ObservationRequest{Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState, MeasuredSeconds: 1})
+					if e != nil {
+						errs <- fmt.Errorf("buildObservation: %s", e.Message)
+						return
+					}
+					if err := check(si, o.Generation, o.PredictedSeconds, "observation"); err != nil {
+						errs <- err
+						return
+					}
+					continue
+				}
 				rm, e := s.resolveModel("primary")
 				if e != nil {
 					errs <- e
@@ -145,21 +148,12 @@ func swapRace(t *testing.T, cacheSize int) {
 				}
 				lastGen = rm.gen
 				var resp PredictResponse
-				if e := s.predictOne(obs.Span{}, &rm, sc, &resp); e != nil {
+				if e := predictOne(obs.Span{}, &rm, sc, &resp); e != nil {
 					errs <- fmt.Errorf("predictOne: %s", e.Message)
 					return
 				}
-				if cacheSize < 0 && resp.Cached {
-					errs <- fmt.Errorf("cache disabled but response claims a hit")
-					return
-				}
-				mi, known := want[(i+r)%len(scenarios)][resp.PredictedSeconds]
-				if !known {
-					errs <- fmt.Errorf("generation %d returned a value belonging to no model: %v", resp.Generation, resp.PredictedSeconds)
-					return
-				}
-				if uint64(mi) < resp.Generation-1 {
-					errs <- fmt.Errorf("STALE: generation %d served model %d's value %v", resp.Generation, mi, resp.PredictedSeconds)
+				if err := check(si, resp.Generation, resp.PredictedSeconds, "predict"); err != nil {
+					errs <- err
 					return
 				}
 			}
@@ -179,24 +173,22 @@ func swapRace(t *testing.T, cacheSize int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != numModels || m != models[numModels-1] {
-		t.Fatalf("after %d swaps: generation %d, model index wrong", numModels-1, gen)
+	if gen != swaps+1 || m != models[swaps%numModels] {
+		t.Fatalf("after %d swaps: generation %d, model index wrong", swaps, gen)
 	}
 }
 
 // TestHotSwapRepliesCarryOneSnapshot drives /v1/predict and
 // /v1/predict/batch from several goroutines while the registry swaps
 // back and forth between two models whose baselines differ (the test
-// dataset, and a copy with every baseline scaled). The model and the
-// serving table validation and the baseline are read from sit behind one
-// pointer, so every evaluated row is one model's through and through:
-// its baseline_seconds is bit for bit a baseline of exactly one of the
-// two, predicted_seconds is that model's prediction, predicted_slowdown
-// their quotient; and all rows of one batch reply carry one generation
-// and one model. A row served from the prediction cache (single
-// predicts only) is held to less: the memo is keyed by the generation,
-// which a request reads before the pointer, so the pair it stores is one
-// model's but the baseline beside it may be read from the other's table.
+// dataset, and a copy with every baseline scaled). The model, the
+// serving table validation and the baseline are read from, and the
+// generation sit behind one pointer, so every row is one model's
+// through and through: its baseline_seconds is bit for bit a baseline of
+// exactly one of the two, predicted_seconds is that model's prediction,
+// predicted_slowdown their quotient, and its generation is one that
+// model was served under; and all rows of one batch reply carry one
+// generation and one model.
 func TestHotSwapRepliesCarryOneSnapshot(t *testing.T) {
 	ds := testDataset(t)
 	scaled := *ds
@@ -243,21 +235,19 @@ func TestHotSwapRepliesCarryOneSnapshot(t *testing.T) {
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	// attribute names the model a row is from, or says what is wrong
-	// with it.
+	// with it. Generation g serves models[(g-1) % 2].
 	attribute := func(row *PredictResponse, si int) (int, error) {
 		for mi := range models {
-			if row.Cached && same(row.PredictedSeconds, pred[mi][si]) {
-				if !same(row.PredictedSlowdown, pred[mi][si]/base[mi][si]) || !(same(row.BaselineSeconds, base[0][si]) || same(row.BaselineSeconds, base[1][si])) {
-					return 0, fmt.Errorf("cached row %+v: not model %d's pair beside a baseline", *row, mi)
-				}
-				return mi, nil
+			if !same(row.BaselineSeconds, base[mi][si]) {
+				continue
 			}
-			if !row.Cached && same(row.BaselineSeconds, base[mi][si]) {
-				if !same(row.PredictedSeconds, pred[mi][si]) || !same(row.PredictedSlowdown, pred[mi][si]/base[mi][si]) {
-					return 0, fmt.Errorf("row %+v: model %d's baseline %v beside a prediction that is not its %v", *row, mi, base[mi][si], pred[mi][si])
-				}
-				return mi, nil
+			if !same(row.PredictedSeconds, pred[mi][si]) || !same(row.PredictedSlowdown, pred[mi][si]/base[mi][si]) {
+				return 0, fmt.Errorf("row %+v: model %d's baseline %v beside a prediction that is not its %v", *row, mi, base[mi][si], pred[mi][si])
 			}
+			if row.Cached || int((row.Generation-1)%2) != mi {
+				return 0, fmt.Errorf("row %+v: model %d's values under a label it was not served with", *row, mi)
+			}
+			return mi, nil
 		}
 		return 0, fmt.Errorf("row %+v belongs to neither model", *row)
 	}
@@ -274,92 +264,82 @@ func TestHotSwapRepliesCarryOneSnapshot(t *testing.T) {
 		singleBodies[si] = string(raw)
 	}
 
-	for _, tc := range []struct {
-		name      string
-		cacheSize int
-	}{
-		{"cached", 1 << 12},
-		{"uncached", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := NewRegistry()
-			if err := reg.Add("primary", "", models[0]); err != nil {
-				t.Fatal(err)
-			}
-			h := New(reg, Config{CacheSize: tc.cacheSize}).Handler()
+	reg := NewRegistry()
+	if err := reg.Add("primary", "", models[0]); err != nil {
+		t.Fatal(err)
+	}
+	h := New(reg, Config{}).Handler()
 
-			// The swapper paces itself by the readers' progress, so every
-			// generation is read from, and stops them after the last swap.
-			const swaps, requestsPerSwap, readers = 40, 16, 4
-			var served atomic.Int64
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1 + readers)
-			go func() {
-				defer wg.Done()
-				defer stop.Store(true)
-				for i := 1; i <= swaps; i++ {
-					for served.Load() < int64(i*requestsPerSwap) && !t.Failed() {
-						runtime.Gosched()
+	// The swapper paces itself by the readers' progress, so every
+	// generation is read from, and stops them after the last swap.
+	const swaps, requestsPerSwap, readers = 400, 4, 4
+	var served atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1 + readers)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := 1; i <= swaps; i++ {
+			for served.Load() < int64(i*requestsPerSwap) && !t.Failed() {
+				runtime.Gosched()
+			}
+			if err := reg.Swap("primary", models[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				served.Add(1)
+				if i%2 == 0 {
+					si := i / 2 % len(scenarios)
+					w := postRaw(h, "/v1/predict", singleBodies[si])
+					var row PredictResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &row); w.Code != http.StatusOK || err != nil {
+						t.Errorf("predict: %d %v: %s", w.Code, err, w.Body)
+						return
 					}
-					if err := reg.Swap("primary", models[i%2]); err != nil {
+					if _, err := attribute(&row, si); err != nil {
 						t.Error(err)
 						return
 					}
+					continue
 				}
-			}()
-			for r := 0; r < readers; r++ {
-				go func(r int) {
-					defer wg.Done()
-					for i := r; !stop.Load(); i++ {
-						served.Add(1)
-						if i%2 == 0 {
-							si := i / 2 % len(scenarios)
-							w := postRaw(h, "/v1/predict", singleBodies[si])
-							var row PredictResponse
-							if err := json.Unmarshal(w.Body.Bytes(), &row); w.Code != http.StatusOK || err != nil {
-								t.Errorf("predict: %d %v: %s", w.Code, err, w.Body)
-								return
-							}
-							if _, err := attribute(&row, si); err != nil {
-								t.Error(err)
-								return
-							}
-							continue
-						}
-						w := postRaw(h, "/v1/predict/batch", string(batchBody))
-						var reply BatchResponse
-						if err := json.Unmarshal(w.Body.Bytes(), &reply); w.Code != http.StatusOK || err != nil || reply.Errors != 0 || len(reply.Results) != len(scenarios) {
-							t.Errorf("batch: %d %v: %s", w.Code, err, w.Body)
-							return
-						}
-						first, firstModel := reply.Results[0].Result, 0
-						for si, it := range reply.Results {
-							mi, err := attribute(it.Result, si)
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							if si == 0 {
-								firstModel = mi
-							}
-							if mi != firstModel || it.Result.Generation != first.Generation {
-								t.Errorf("one batch reply, two snapshots: row 0 is model %d at generation %d, row %d model %d at generation %d",
-									firstModel, first.Generation, si, mi, it.Result.Generation)
-								return
-							}
-						}
+				w := postRaw(h, "/v1/predict/batch", string(batchBody))
+				var reply BatchResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &reply); w.Code != http.StatusOK || err != nil || reply.Errors != 0 || len(reply.Results) != len(scenarios) {
+					t.Errorf("batch: %d %v: %s", w.Code, err, w.Body)
+					return
+				}
+				first, firstModel := reply.Results[0].Result, 0
+				for si, it := range reply.Results {
+					mi, err := attribute(it.Result, si)
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				}(r)
+					if si == 0 {
+						firstModel = mi
+					}
+					if mi != firstModel || it.Result.Generation != first.Generation {
+						t.Errorf("one batch reply, two snapshots: row 0 is model %d at generation %d, row %d model %d at generation %d",
+							firstModel, first.Generation, si, mi, it.Result.Generation)
+						return
+					}
+				}
 			}
-			wg.Wait()
-		})
+		}(r)
 	}
+	wg.Wait()
 }
 
 // TestEvalBitIdentical pins the serving tier's eval path to the testeq
-// equivalence contract: with the cache off, /v1/predict and
-// /v1/predict/batch reproduce the interpreted reference bit for bit.
+// equivalence contract: /v1/predict and /v1/predict/batch reproduce the
+// interpreted reference bit for bit.
 func TestEvalBitIdentical(t *testing.T) {
 	gen := testeq.New(23, testeq.GenConfig{})
 	for i := 0; i < 10; i++ {
@@ -371,7 +351,7 @@ func TestEvalBitIdentical(t *testing.T) {
 		if err := reg.Add("m", "", m); err != nil {
 			t.Fatal(err)
 		}
-		h := New(reg, Config{CacheSize: -1}).Handler()
+		h := New(reg, Config{}).Handler()
 		scs := gen.Scenarios(m, 16)
 		want, err := m.PredictScenariosInterpreted(scs)
 		if err != nil {

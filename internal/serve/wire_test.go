@@ -619,18 +619,18 @@ func (w *minimalWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// predictAllocBudget is the allocation count of one cache-hit
-// /v1/predict through the whole handler stack with default config
-// (tracing, SLO tracking and the cache on, request ID minted): the
-// body's string, the co-app arena, the response, the request ID and its
-// header slice, the Server-Timing value and its header slice. Raise it
-// only with a reason; encoding/json on this path cost 35.
+// predictAllocBudget is the allocation count of one /v1/predict
+// through the whole handler stack with default config (tracing and SLO
+// tracking on, request ID minted): the body's string, the co-app arena,
+// the response, the request ID and its header slice, the Server-Timing
+// value and its header slice. Raise it only with a reason;
+// encoding/json on this path cost 35.
 const predictAllocBudget = 7
 
 // handlerAllocs posts the bodies to path in order, round and round, and
 // reports the allocations per request through the whole handler stack
-// over runs requests, after two that fill the cache and the pools,
-// together with the last reply.
+// over runs requests, after two that fill the pools, together with the
+// last reply.
 func handlerAllocs(t *testing.T, h http.Handler, path string, runs int, bodies ...[]byte) (float64, *minimalWriter) {
 	t.Helper()
 	if raceEnabled {
@@ -656,14 +656,28 @@ func handlerAllocs(t *testing.T, h http.Handler, path string, runs int, bodies .
 	return allocs, w
 }
 
-func TestPredictCacheHitAllocs(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	allocs, w := handlerAllocs(t, s.Handler(), "/v1/predict", 1000, []byte(`{"target":"canneal","co_apps":["cg","ep","cg"],"pstate":1}`))
-	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"cached":true`)) {
-		t.Fatalf("not a cache hit: %d %s", w.status, w.body)
+// TestPredictAllocs walks distinct scenarios, so every request runs
+// decode, validation, the model and the encoder on a body it has not
+// seen.
+func TestPredictAllocs(t *testing.T) {
+	s, m := newTestServer(t, Config{})
+	var bodies [][]byte
+	for _, sr := range distinctScenarios(m, 1, 3) {
+		body, err := json.Marshal(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	if len(bodies) < 64 {
+		t.Fatalf("%d distinct bodies, want at least 64", len(bodies))
+	}
+	allocs, w := handlerAllocs(t, s.Handler(), "/v1/predict", len(bodies)-2, bodies...)
+	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"cached":false}`)) {
+		t.Fatalf("not a clean reply: %d %s", w.status, w.body)
 	}
 	if allocs > predictAllocBudget {
-		t.Fatalf("cache-hit /v1/predict allocates %v per request, budget %d", allocs, predictAllocBudget)
+		t.Fatalf("/v1/predict allocates %v per request, budget %d", allocs, predictAllocBudget)
 	}
 }
 
@@ -672,8 +686,7 @@ func TestPredictCacheHitAllocs(t *testing.T) {
 // envelope costs plus the scenario slice, the reply, its item and
 // response slabs, the valid scenarios and their predictions — a fixed
 // number per request, none per row. No scenario is posted twice, as in
-// a what-if sweep: every row would miss the prediction cache, and the
-// per-row detour through it cost 65 allocations.
+// a what-if sweep.
 const batchAllocBudget = 24
 
 func TestBatchPredictAllocs(t *testing.T) {
