@@ -1,7 +1,10 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, plus ablation benchmarks for the design choices
+// evaluation section, ablation benchmarks for the design choices
 // DESIGN.md calls out (SCG vs. gradient descent, analytical engine vs.
-// trace-driven cache, replacement policies).
+// trace-driven cache, replacement policies), and the in-process
+// handler controls ServePredict and ObservationIngest. A quantity the
+// repository benchmark (bench/) already reports per layer — one
+// predict, save/load, dataset collection — has no benchmark here.
 //
 // Dataset collection and other one-time setup run outside the timed
 // region; each benchmark iteration regenerates its table or figure from
@@ -24,7 +27,6 @@ import (
 	"colocmodel/internal/core"
 	"colocmodel/internal/experiments"
 	"colocmodel/internal/features"
-	"colocmodel/internal/harness"
 	"colocmodel/internal/linalg"
 	"colocmodel/internal/mlp"
 	"colocmodel/internal/serve"
@@ -194,21 +196,6 @@ func BenchmarkPCAFeatureRanking(b *testing.B) {
 	}
 }
 
-// ---- Data collection ----
-
-// BenchmarkDatasetCollection6Core measures the full Table V campaign on
-// the 6-core machine (1320 simulated co-location runs plus baselines).
-func BenchmarkDatasetCollection6Core(b *testing.B) {
-	plan := harness.DefaultPlan(simproc.XeonE5649(), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.Seed = uint64(i)
-		if _, err := harness.Collect(plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Ablations ----
 
 // BenchmarkAblationSCGTraining and BenchmarkAblationGDTraining compare
@@ -340,32 +327,6 @@ func BenchmarkAblationReplacementPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictionLatency measures single-scenario prediction cost —
-// the operation an interference-aware scheduler performs per placement
-// decision.
-func BenchmarkPredictionLatency(b *testing.B) {
-	s := benchSuite(b)
-	ds, err := s.Dataset(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	setF, err := features.SetByName("F")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Train(core.Spec{Technique: core.NeuralNet, FeatureSet: setF, Seed: 1}, ds, ds.Records)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := features.Scenario{Target: "canneal", CoApps: []string{"cg", "cg", "cg"}, PState: 0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Extension experiments ----
 
 // BenchmarkGeneralization measures the Section IV-B3 out-of-sample
@@ -445,34 +406,6 @@ func BenchmarkAblationBootstrapVsKFold(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkModelSaveLoad measures serialising and restoring a trained
-// NN-F model (the deployment artefact).
-func BenchmarkModelSaveLoad(b *testing.B) {
-	s := benchSuite(b)
-	ds, err := s.Dataset(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	setF, err := features.SetByName("F")
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := core.Train(core.Spec{Technique: core.NeuralNet, FeatureSet: setF, Seed: 1}, ds, ds.Records)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.LoadModel(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchWriter is the minimal http.ResponseWriter: status, headers and

@@ -139,8 +139,8 @@ func run(out io.Writer, modelPath string, demo bool, input, apps string, count i
 	return 0, nil
 }
 
-// loadModel reads the artefact, or trains the small demo model (the
-// same sweep coloload -demo uses) when demo is set.
+// loadModel reads the artefact, or trains the small demo model when
+// demo is set.
 func loadModel(path string, demo bool) (*core.Model, error) {
 	if demo {
 		cg, _ := workload.ByName("cg")

@@ -36,20 +36,8 @@ func main() {
 		coapp      = flag.String("coapp", "cg", "co-app for -predict")
 		n          = flag.Int("n", 1, "co-located copies for -predict")
 		pstate     = flag.Int("pstate", 0, "P-state for -predict")
-		benchTrain = flag.String("bench-train", "", "benchmark batched SCG training and the predict path; merge results into this trajectory JSON")
 	)
 	flag.Parse()
-	if *benchTrain != "" {
-		if err := runBenchTrain(*benchTrain); err != nil {
-			fmt.Fprintln(os.Stderr, "colotrain:", err)
-			os.Exit(1)
-		}
-		if err := runBenchPredict(*benchTrain); err != nil {
-			fmt.Fprintln(os.Stderr, "colotrain:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*machine, *in, *out, *models, *partitions, *seed, *noise, *predict, *coapp, *n, *pstate, *saveModel, *loadModel); err != nil {
 		fmt.Fprintln(os.Stderr, "colotrain:", err)
 		os.Exit(1)

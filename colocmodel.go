@@ -34,8 +34,8 @@
 // (internal/cache, internal/dram), synthetic workloads
 // (internal/workload), the data-collection harness (internal/harness),
 // and the from-scratch ML kernel (internal/linalg, internal/linreg,
-// internal/mlp, internal/pca). This facade re-exports the stable surface
-// that the examples and command-line tools build on.
+// internal/mlp, internal/pca). This facade re-exports the surface the
+// examples build on, and the types that surface's signatures name.
 package colocmodel
 
 import (
@@ -47,10 +47,7 @@ import (
 	"colocmodel/internal/energy"
 	"colocmodel/internal/features"
 	"colocmodel/internal/feedback"
-	"colocmodel/internal/fleetobs"
 	"colocmodel/internal/harness"
-	"colocmodel/internal/loadgen"
-	"colocmodel/internal/obs"
 	"colocmodel/internal/placement"
 	"colocmodel/internal/retrain"
 	"colocmodel/internal/sched"
@@ -94,13 +91,6 @@ type (
 	ModelSpec = core.Spec
 	// Model is a trained co-location performance predictor.
 	Model = core.Model
-	// CompiledModel is a model specialised into a fused, allocation-free
-	// predict closure (Model.Compile). Model.Predict and
-	// Model.PredictScenarios already dispatch through a pooled compiled
-	// instance; hold a CompiledModel directly when one goroutine issues
-	// many predictions and the pool round-trip matters. Not safe for
-	// concurrent use.
-	CompiledModel = core.Compiled
 	// Technique selects linear or neural-network modeling.
 	Technique = core.Technique
 	// FeatureSet is a Table II feature group.
@@ -202,102 +192,6 @@ type (
 	RetrainStatus = retrain.Status
 )
 
-// Re-exported load-generation types (cmd/coloload is the packaged
-// binary; these let programs soak an embedded PredictionServer).
-type (
-	// LoadConfig tunes one load run (mode, rate, concurrency, warmup,
-	// seed, mix, generation checking).
-	LoadConfig = loadgen.Config
-	// LoadMix tunes the generated traffic: Zipf scenario skew and the
-	// relative weights of predict / batch / observe / reload operations.
-	LoadMix = loadgen.Mix
-	// LoadMode selects open-loop (fixed arrival rate) or closed-loop
-	// (fixed concurrency) driving.
-	LoadMode = loadgen.Mode
-	// LoadSpace enumerates a served model's scenario universe for
-	// sampling.
-	LoadSpace = loadgen.Space
-	// LoadDoer executes generated requests: over HTTP (NewHTTPLoadDoer)
-	// or directly against a handler in process.
-	LoadDoer = loadgen.Doer
-	// LoadReport is the measured outcome: latency quantiles,
-	// throughput, error and status breakdowns, per-op counts.
-	LoadReport = loadgen.Report
-	// LoadSLO is the pass/fail gate over a report.
-	LoadSLO = loadgen.SLO
-)
-
-// Re-exported fleet-observability types (the cross-process tracing,
-// telemetry-merge and SLO machinery behind coloserve's and colorouter's
-// /v1/traces, /v1/fleet/metrics and /v1/slo endpoints).
-type (
-	// SLOTracker scores requests against an availability-plus-latency
-	// objective in lock-free multi-window burn-rate rings.
-	SLOTracker = obs.SLOTracker
-	// SLOTrackerConfig tunes the objective, latency target and windows.
-	SLOTrackerConfig = obs.SLOConfig
-	// SLOStatus is a tracker's verdict: per-window burn rates and an
-	// ok | warn | page state.
-	SLOStatus = obs.SLOStatus
-	// TraceContext is a decoded W3C traceparent: the trace identity a
-	// request carries across processes.
-	TraceContext = obs.TraceContext
-	// FleetDoc is one parsed Prometheus text document, mergeable across
-	// backends.
-	FleetDoc = fleetobs.Doc
-	// FleetAggregator scrapes a fleet's /metrics endpoints and merges
-	// them into one document with per-backend deltas.
-	FleetAggregator = fleetobs.Aggregator
-	// FleetScrape is one aggregated scrape: the merged document plus
-	// per-backend readings, deltas and error rates.
-	FleetScrape = fleetobs.FleetScrape
-)
-
-// NewSLOTracker builds a burn-rate tracker; zero-value windows default
-// to 5 minutes / 1 hour.
-func NewSLOTracker(cfg SLOTrackerConfig) *SLOTracker { return obs.NewSLOTracker(cfg) }
-
-// ParseTraceparent decodes a W3C traceparent header value.
-func ParseTraceparent(h string) (TraceContext, bool) { return obs.ParseTraceparent(h) }
-
-// ParseFleetMetrics parses one Prometheus text document (as served by
-// /metrics or /v1/fleet/metrics).
-func ParseFleetMetrics(r io.Reader) (*FleetDoc, error) { return fleetobs.Parse(r) }
-
-// MergeFleetMetrics merges per-backend documents: counters and
-// histograms sum, gauges are re-labelled per backend. backends[i]
-// names docs[i].
-func MergeFleetMetrics(backends []string, docs []*FleetDoc) *FleetDoc {
-	return fleetobs.Merge(backends, docs)
-}
-
-// Load-driving mode constants.
-const (
-	// ClosedLoopLoad runs a fixed number of workers back-to-back.
-	ClosedLoopLoad = loadgen.ClosedLoop
-	// OpenLoopLoad issues requests at a fixed arrival rate, measuring
-	// latency from scheduled arrival (no coordinated omission).
-	OpenLoopLoad = loadgen.OpenLoop
-)
-
-// NewLoadSpace enumerates the scenario universe to sample load from.
-func NewLoadSpace(apps []string, pstates, maxCo int) (*LoadSpace, error) {
-	return loadgen.NewSpace(apps, pstates, maxCo)
-}
-
-// LoadSpaceFromModel builds the space served by a registry entry.
-func LoadSpaceFromModel(info ServedModelInfo, maxCo int) (*LoadSpace, error) {
-	return loadgen.SpaceFromModel(info, maxCo)
-}
-
-// NewHTTPLoadDoer returns a LoadDoer that drives a live server.
-func NewHTTPLoadDoer(base string) LoadDoer { return loadgen.NewHTTPDoer(base) }
-
-// RunLoad executes one load run against a Doer and returns the report.
-func RunLoad(cfg LoadConfig, d LoadDoer, space *LoadSpace) (*LoadReport, error) {
-	return loadgen.Run(cfg, d, space)
-}
-
 // Modeling technique constants.
 const (
 	// Linear is least-squares linear regression (Eq. 1).
@@ -370,19 +264,10 @@ func EvaluateModel(spec ModelSpec, ds *Dataset, cfg EvalConfig) (*EvalResult, er
 	return core.Evaluate(spec, ds, cfg)
 }
 
-// EvaluateAllModels evaluates the twelve Section V models.
-func EvaluateAllModels(ds *Dataset, cfg EvalConfig) ([]*EvalResult, error) {
-	return core.EvaluateAll(ds, cfg)
-}
-
 // LoadModel reads a model previously written by Model.Save: the
 // deployable artefact a resource manager ships to scheduling nodes.
 // Loaded models are compiled for the inference fast path on load.
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModel(r) }
-
-// CompileModel specialises a model into a single-goroutine compiled
-// predict closure, bit-for-bit equal to the interpreted path.
-func CompileModel(m *Model) (*CompiledModel, error) { return m.Compile() }
 
 // NewModelRegistry returns an empty model registry for serving.
 func NewModelRegistry() *ModelRegistry { return serve.NewRegistry() }

@@ -1097,7 +1097,7 @@ func truncate(b []byte, n int) string {
 // ---- models / cluster / health / metrics ----
 
 // handleModels proxies the registry listing from the most-promoted
-// available backend, so discovery (coloload, clients) sees the newest
+// available backend, so discovery (clients, soak tests) sees the newest
 // generation the fleet serves.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	avail, route := routed(rq.Trace, func() []*Backend {

@@ -4,9 +4,7 @@ package core_test
 // against the interpreted reference on one production-shaped model
 // (8 base features, one hidden layer of 20 tanh nodes — the neural-net-F
 // shape): cold (compile per op), warm scalar, the pooled Model.Predict
-// dispatch, batched at the loadgen sizes, and parallel dispatch. The
-// colotrain -bench-train command records the same cases into the
-// BENCH_train.json trajectory.
+// dispatch, batched at 64, 512 and 4096 rows, and parallel dispatch.
 
 import (
 	"bytes"

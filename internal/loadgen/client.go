@@ -2,65 +2,17 @@ package loadgen
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
-	"time"
 )
 
 // Doer executes one generated request against a serve tier and reports
-// the HTTP status, the response headers (for X-Request-ID and the
-// Server-Timing stage breakdown) and the response body. Implementations
-// must be safe for concurrent use by many workers.
+// the HTTP status, the response headers (for the Server-Timing stage
+// names) and the response body. Implementations must be safe for
+// concurrent use by many workers.
 type Doer interface {
 	Do(op Op) (status int, header http.Header, body []byte, err error)
-}
-
-// HTTPDoer drives a live server over the network.
-type HTTPDoer struct {
-	// Base is the server root, e.g. "http://localhost:8080".
-	Base string
-	// Client is the HTTP client; nil selects a dedicated client with a
-	// 30s timeout and enough idle connections for heavy fan-out.
-	Client *http.Client
-}
-
-// NewHTTPDoer returns a Doer for the given server root.
-func NewHTTPDoer(base string) *HTTPDoer {
-	tr := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
-	return &HTTPDoer{
-		Base:   strings.TrimRight(base, "/"),
-		Client: &http.Client{Timeout: 30 * time.Second, Transport: tr},
-	}
-}
-
-// Do sends the op and reads the full response.
-func (h *HTTPDoer) Do(op Op) (int, http.Header, []byte, error) {
-	var rd io.Reader
-	if op.Body != nil {
-		rd = bytes.NewReader(op.Body)
-	}
-	req, err := http.NewRequest(op.Method, strings.TrimRight(h.Base, "/")+op.Path, rd)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, resp.Header, nil, fmt.Errorf("loadgen: reading response: %w", err)
-	}
-	return resp.StatusCode, resp.Header, body, nil
 }
 
 // HandlerDoer drives an http.Handler directly in process — no sockets,

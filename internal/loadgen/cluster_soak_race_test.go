@@ -46,19 +46,16 @@ func newClusterTarget(t *testing.T, n int, cfg cluster.Config) *ClusterTarget {
 // stream against a 3-replica fleet. Reload ops become rolling
 // promotions rolled by the router, so generation floors, probe
 // refreshes, batch forwarding and the observation scatter are all live
-// under concurrency. Any 5xx or transport error fails the gate;
-// generation monotonicity is checked per worker.
+// under concurrency. Any failed request fails the gate; generation
+// monotonicity is checked per worker.
 func TestClusterSoakInProcess(t *testing.T) {
 	ct := newClusterTarget(t, 3, cluster.Config{Replicas: 2})
 	space := soakSpace(t, ct.Servers[0])
 
 	const requests = 2000
 	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 8,
-		Duration:    time.Minute, // the request budget ends the run
-		Requests:    requests,
-		Seed:        42,
+		Requests: requests,
+		Seed:     42,
 		Mix: Mix{
 			ZipfSkew:        1.1,
 			PredictWeight:   8,
@@ -68,20 +65,15 @@ func TestClusterSoakInProcess(t *testing.T) {
 			PlacementWeight: 0.5,
 			BatchSize:       8,
 		},
-		CheckGenerations: true,
 	}, ct.Doer(), space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests != requests {
-		t.Fatalf("measured %d requests, want %d", rep.Requests, requests)
+		t.Fatalf("issued %d requests, want %d", rep.Requests, requests)
 	}
-	if rep.Status4xx != 0 || rep.Status5xx != 0 || rep.TransportErrors != 0 {
-		t.Fatalf("cluster soak saw errors: 4xx=%d 5xx=%d transport=%d (rate %.4f)",
-			rep.Status4xx, rep.Status5xx, rep.TransportErrors, rep.ErrorRate)
-	}
-	if rep.GenerationRegressions != 0 {
-		t.Fatalf("%d generation regressions: a client was routed to a stale backend", rep.GenerationRegressions)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("cluster soak failed: %v", v)
 	}
 	for _, kind := range []string{OpPredict, OpBatch, OpObserve, OpReload, OpPlacements} {
 		if rep.PerOp[kind] == 0 {
@@ -107,12 +99,9 @@ func TestClusterSoakInProcess(t *testing.T) {
 			t.Fatalf("replica %d at generation %d, replica 0 at %d: rollout did not converge", i, g, gen)
 		}
 	}
-	// The router's Server-Timing hop stages reached the report.
-	if _, ok := rep.ServerStages["backend"]; !ok {
-		t.Errorf("report missing the router's 'backend' hop stage (stages: %v)", rep.ServerStages)
-	}
-	if v := rep.Gate(SLO{MaxErrorRate: 0, MinThroughput: 1}); len(v) != 0 {
-		t.Fatalf("SLO violations: %v", v)
+	// The router's Server-Timing hop stages reached the client.
+	if rep.Stages["backend"] == 0 {
+		t.Errorf("no reply named the router's 'backend' hop stage (stages: %v)", rep.Stages)
 	}
 }
 

@@ -55,11 +55,8 @@ func TestFleetObservabilitySoak(t *testing.T) {
 
 	const requests = 600
 	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 8,
-		Duration:    time.Minute,
-		Requests:    requests,
-		Seed:        99,
+		Requests: requests,
+		Seed:     99,
 		Mix: Mix{
 			ZipfSkew:      1.1,
 			PredictWeight: 8,
@@ -71,8 +68,8 @@ func TestFleetObservabilitySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Status4xx != 0 || rep.Status5xx != 0 || rep.TransportErrors != 0 {
-		t.Fatalf("soak saw errors: 4xx=%d 5xx=%d transport=%d", rep.Status4xx, rep.Status5xx, rep.TransportErrors)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("soak failed: %v", v)
 	}
 
 	h := ct.Router.Handler()

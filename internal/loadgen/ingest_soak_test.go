@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
-	"time"
 
 	"colocmodel/internal/feedback"
 	"colocmodel/internal/serve"
@@ -21,10 +20,9 @@ import (
 
 func TestIngestSoak(t *testing.T) {
 	dir := t.TempDir()
-	mix, err := MixPreset("ingest")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Observe-heavy: ~80 % observations, the rest predicts keeping the
+	// predict path and the drift monitor honest.
+	mix := Mix{PredictWeight: 1.5, BatchWeight: 0.5, ObserveWeight: 8, BatchSize: 8}
 
 	phase := func(seed uint64, requests int) uint64 {
 		t.Helper()
@@ -34,20 +32,12 @@ func TestIngestSoak(t *testing.T) {
 		}
 		s := newSoakServerLog(t, serve.Config{}, log)
 		space := soakSpace(t, s)
-		rep, err := Run(Config{
-			Mode:        ClosedLoop,
-			Concurrency: 8,
-			Duration:    time.Minute,
-			Requests:    requests,
-			Seed:        seed,
-			Mix:         mix,
-		}, &HandlerDoer{Handler: s.Handler()}, space)
+		rep, err := Run(Config{Requests: requests, Seed: seed, Mix: mix}, &HandlerDoer{Handler: s.Handler()}, space)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Status4xx != 0 || rep.Status5xx != 0 || rep.TransportErrors != 0 {
-			t.Fatalf("seed %d: ingest soak saw errors: 4xx=%d 5xx=%d transport=%d",
-				seed, rep.Status4xx, rep.Status5xx, rep.TransportErrors)
+		if v := rep.Gate(); len(v) != 0 {
+			t.Fatalf("seed %d: ingest soak failed: %v", seed, v)
 		}
 		// The preset is observe-heavy by construction.
 		if 2*rep.PerOp[OpObserve] < rep.Requests {

@@ -3,11 +3,12 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
-	"math"
+	"errors"
+	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
-	"time"
 
 	"colocmodel/internal/serve"
 	"colocmodel/internal/xrand"
@@ -21,86 +22,6 @@ func mustStrictDecode(t *testing.T, raw []byte, v any) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		t.Fatalf("strict decode of %s: %v", raw, err)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	var h Histogram
-	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatalf("zero histogram not empty: count=%d", h.Count())
-	}
-	samples := []time.Duration{
-		50 * time.Microsecond,
-		100 * time.Microsecond,
-		200 * time.Microsecond,
-		400 * time.Microsecond,
-		10 * time.Millisecond,
-	}
-	for _, d := range samples {
-		h.Record(d)
-	}
-	if h.Count() != uint64(len(samples)) {
-		t.Fatalf("count = %d, want %d", h.Count(), len(samples))
-	}
-	if h.Min() != 50*time.Microsecond || h.Max() != 10*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	wantMean := (50 + 100 + 200 + 400 + 10000) * time.Microsecond / 5
-	if got := h.Mean(); got < wantMean-time.Microsecond || got > wantMean+time.Microsecond {
-		t.Fatalf("mean = %v, want ~%v", got, wantMean)
-	}
-	// Quantiles must be monotone and clamped to [min, max].
-	prev := time.Duration(0)
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
-		}
-		if v < h.Min() || v > h.Max() {
-			t.Fatalf("quantile %v = %v outside [%v, %v]", q, v, h.Min(), h.Max())
-		}
-		prev = v
-	}
-}
-
-func TestHistogramBucketResolution(t *testing.T) {
-	// The log bucketing promises ~9 % relative resolution: any recorded
-	// duration's quantile estimate must land within one bucket width.
-	for _, d := range []time.Duration{
-		time.Microsecond, 37 * time.Microsecond, time.Millisecond,
-		73 * time.Millisecond, time.Second, time.Minute,
-	} {
-		var h Histogram
-		h.Record(d)
-		got := h.Quantile(0.5)
-		rel := math.Abs(got.Seconds()-d.Seconds()) / d.Seconds()
-		if rel > 0.10 {
-			t.Errorf("Quantile after Record(%v) = %v (relative error %.3f > 0.10)", d, got, rel)
-		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b, all Histogram
-	src := xrand.New(11)
-	for i := 0; i < 1000; i++ {
-		d := time.Duration(src.LogNormal(math.Log(float64(time.Millisecond)), 1))
-		all.Record(d)
-		if i%2 == 0 {
-			a.Record(d)
-		} else {
-			b.Record(d)
-		}
-	}
-	a.Merge(&b)
-	if a.Count() != all.Count() || a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merged count/min/max = %d/%v/%v, want %d/%v/%v",
-			a.Count(), a.Min(), a.Max(), all.Count(), all.Min(), all.Max())
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if a.Quantile(q) != all.Quantile(q) {
-			t.Fatalf("merged q%v = %v, direct = %v", q, a.Quantile(q), all.Quantile(q))
-		}
 	}
 }
 
@@ -239,15 +160,29 @@ func TestGeneratorZipfSkew(t *testing.T) {
 	}
 }
 
-// fixedDoer answers every op with a canned status after an optional
-// deterministic delay.
+// fixedDoer answers every op with a canned status and body, or fails
+// it in transport with err.
 type fixedDoer struct {
 	status int
 	body   []byte
+	err    error
 }
 
 func (f *fixedDoer) Do(op Op) (int, http.Header, []byte, error) {
-	return f.status, nil, f.body, nil
+	return f.status, nil, f.body, f.err
+}
+
+// sequenceDoer answers its i-th call with generation gens[i]. It is
+// for one worker only.
+type sequenceDoer struct {
+	gens []uint64
+	i    int
+}
+
+func (s *sequenceDoer) Do(op Op) (int, http.Header, []byte, error) {
+	body := fmt.Appendf(nil, `{"generation":%d}`, s.gens[s.i])
+	s.i++
+	return http.StatusOK, nil, body, nil
 }
 
 func testSpace(t *testing.T) *Space {
@@ -261,30 +196,16 @@ func testSpace(t *testing.T) *Space {
 
 func TestRunClosedLoopRequestBound(t *testing.T) {
 	space := testSpace(t)
-	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 4,
-		Duration:    time.Minute, // request budget ends the run long before this
-		Requests:    500,
-		Seed:        7,
-	}, &fixedDoer{status: 200, body: []byte(`{"generation":1}`)}, space)
+	rep, err := Run(Config{Workers: 4, Requests: 500, Seed: 7},
+		&fixedDoer{status: 200, body: []byte(`{"generation":1}`)}, space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests != 500 {
-		t.Fatalf("measured %d requests, want 500", rep.Requests)
+		t.Fatalf("issued %d requests, want 500", rep.Requests)
 	}
-	if rep.Errors != 0 || rep.ErrorRate != 0 {
-		t.Fatalf("errors = %d, rate = %v, want zero", rep.Errors, rep.ErrorRate)
-	}
-	if rep.Status2xx != 500 {
-		t.Fatalf("status_2xx = %d, want 500", rep.Status2xx)
-	}
-	if rep.ThroughputPerSec <= 0 {
-		t.Fatalf("throughput = %v, want > 0", rep.ThroughputPerSec)
-	}
-	if rep.Mode != "closed-loop" || rep.Concurrency != 4 || rep.Seed != 7 {
-		t.Fatalf("config echo wrong: %+v", rep)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("clean run violated the gate: %v", v)
 	}
 	if rep.PerOp[OpPredict] != 500 {
 		t.Fatalf("per_op predict = %d, want 500", rep.PerOp[OpPredict])
@@ -293,108 +214,79 @@ func TestRunClosedLoopRequestBound(t *testing.T) {
 
 func TestRunCountsErrorStatuses(t *testing.T) {
 	space := testSpace(t)
-	rep, err := Run(Config{
-		Mode:     ClosedLoop,
-		Duration: time.Minute,
-		Requests: 100,
-		Seed:     1,
-	}, &fixedDoer{status: 503}, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status5xx != 100 || rep.Errors != 100 || rep.ErrorRate != 1 {
-		t.Fatalf("5xx = %d, errors = %d, rate = %v; want all 100", rep.Status5xx, rep.Errors, rep.ErrorRate)
-	}
-}
-
-func TestRunOpenLoop(t *testing.T) {
-	space := testSpace(t)
-	rep, err := Run(Config{
-		Mode:        OpenLoop,
-		Rate:        2000,
-		Concurrency: 4,
-		Duration:    time.Minute,
-		Requests:    200,
-		Seed:        3,
-	}, &fixedDoer{status: 200}, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 200 {
-		t.Fatalf("measured %d requests, want 200", rep.Requests)
-	}
-	if rep.Mode != "open-loop" || rep.TargetRate != 2000 {
-		t.Fatalf("mode/rate echo wrong: %q %v", rep.Mode, rep.TargetRate)
+	for _, c := range []struct {
+		d    Doer
+		want func(*Result) uint64
+	}{
+		{&fixedDoer{status: 503}, func(r *Result) uint64 { return r.Status5xx }},
+		{&fixedDoer{status: 400}, func(r *Result) uint64 { return r.Status4xx }},
+		{&fixedDoer{err: errors.New("connection reset")}, func(r *Result) uint64 { return r.TransportErrors }},
+	} {
+		rep, err := Run(Config{Requests: 100, Seed: 1}, c.d, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.want(rep); got != 100 {
+			t.Fatalf("%+v: counted %d of 100 failures in their class (%+v)", c.d, got, rep)
+		}
+		if v := rep.Gate(); len(v) != 1 {
+			t.Fatalf("%+v: gate reported %v, want one violation", c.d, v)
+		}
 	}
 }
 
-func TestRunWarmupExcluded(t *testing.T) {
+// TestRunChecksGenerationsPerWorker: a worker whose predict replies go
+// 2 → 1 counts one regression; replies that only repeat or rise count
+// none.
+func TestRunChecksGenerationsPerWorker(t *testing.T) {
 	space := testSpace(t)
-	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 2,
-		Duration:    300 * time.Millisecond,
-		Warmup:      100 * time.Millisecond,
-		Seed:        5,
-	}, &fixedDoer{status: 200}, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WarmupRequests == 0 {
-		t.Fatal("no warmup requests recorded despite 100ms warmup")
-	}
-	if rep.Requests == 0 {
-		t.Fatal("no measured requests after warmup")
+	for _, c := range []struct {
+		gens []uint64
+		want uint64
+	}{
+		{[]uint64{1, 1, 2, 2, 3}, 0},
+		{[]uint64{1, 2, 1, 2, 3}, 1},
+	} {
+		d := &sequenceDoer{gens: c.gens}
+		rep, err := Run(Config{Workers: 1, Requests: len(c.gens)}, d, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.GenerationRegressions != c.want {
+			t.Fatalf("generations %v: %d regressions, want %d", c.gens, rep.GenerationRegressions, c.want)
+		}
 	}
 }
 
 func TestRunValidation(t *testing.T) {
 	space := testSpace(t)
 	d := &fixedDoer{status: 200}
-	if _, err := Run(Config{Mode: OpenLoop}, d, space); err == nil {
-		t.Error("open loop without rate accepted")
-	}
-	if _, err := Run(Config{}, nil, space); err == nil {
-		t.Error("nil doer accepted")
-	}
-	if _, err := Run(Config{}, d, nil); err == nil {
-		t.Error("nil space accepted")
-	}
-	if _, err := Run(Config{Duration: time.Second, Warmup: time.Second}, d, space); err == nil {
-		t.Error("warmup >= duration accepted")
-	}
-	if _, err := Run(Config{Mix: Mix{PredictWeight: -1}}, d, space); err == nil {
-		t.Error("negative mix weight accepted")
+	for name, run := range map[string]func() (*Result, error){
+		"nil doer":            func() (*Result, error) { return Run(Config{Requests: 1}, nil, space) },
+		"nil space":           func() (*Result, error) { return Run(Config{Requests: 1}, d, nil) },
+		"no request budget":   func() (*Result, error) { return Run(Config{}, d, space) },
+		"negative workers":    func() (*Result, error) { return Run(Config{Requests: 1, Workers: -1}, d, space) },
+		"negative mix weight": func() (*Result, error) { return Run(Config{Requests: 1, Mix: Mix{PredictWeight: -1}}, d, space) },
+		"negative zipf skew":  func() (*Result, error) { return Run(Config{Requests: 1, Mix: Mix{ZipfSkew: -1}}, d, space) },
+	} {
+		if _, err := run(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestGate(t *testing.T) {
-	rep := &Report{
-		ThroughputPerSec: 100,
-		Requests:         1000,
-		Errors:           10,
-		ErrorRate:        0.01,
-		Latency:          Quantiles{P50: 0.001, P95: 0.004, P99: 0.008, P999: 0.02},
+	if v := (&Result{Requests: 1000}).Gate(); len(v) != 0 {
+		t.Fatalf("clean result violated the gate: %v", v)
 	}
-	if v := rep.Gate(SLO{MaxErrorRate: -1}); len(v) != 0 {
-		t.Fatalf("everything-unchecked gate violated: %v", v)
+	v := (&Result{Requests: 1000, Status4xx: 1, Status5xx: 2, TransportErrors: 3, GenerationRegressions: 4}).Gate()
+	if len(v) != 4 {
+		t.Fatalf("expected 4 violations, got %d: %v", len(v), v)
 	}
-	if v := rep.Gate(SLO{MaxP99: 10 * time.Millisecond, MaxErrorRate: 0.02, MinThroughput: 50}); len(v) != 0 {
-		t.Fatalf("passing SLO violated: %v", v)
-	}
-	v := rep.Gate(SLO{
-		MaxP50:        500 * time.Microsecond,
-		MaxP99:        5 * time.Millisecond,
-		MaxP999:       10 * time.Millisecond,
-		MaxErrorRate:  0.001,
-		MinThroughput: 500,
-	})
-	if len(v) != 5 {
-		t.Fatalf("expected 5 violations, got %d: %v", len(v), v)
-	}
-	// The zero-valued error-rate bound is strict: any error violates it.
-	if v := rep.Gate(SLO{}); len(v) != 1 {
-		t.Fatalf("zero-value SLO should flag the nonzero error rate, got %v", v)
+	for i, want := range []string{"1 of 1000", "2 of 1000", "3 of 1000", "4 of 1000"} {
+		if !strings.HasPrefix(v[i], want) {
+			t.Fatalf("violation %d = %q, want it to start %q", i, v[i], want)
+		}
 	}
 }
 

@@ -41,12 +41,6 @@ func NewSpace(apps []string, pstates, maxCo int) (*Space, error) {
 	return &Space{apps: append([]string(nil), apps...), pstates: pstates, maxCo: maxCo}, nil
 }
 
-// SpaceFromModel builds the space served by a registry entry, as
-// described by the /v1/models listing.
-func SpaceFromModel(info serve.ModelInfo, maxCo int) (*Space, error) {
-	return NewSpace(info.Apps, info.PStates, maxCo)
-}
-
 // Size returns the number of distinct scenarios.
 func (s *Space) Size() int {
 	return len(s.apps) * (1 + len(s.apps)*s.maxCo) * s.pstates
@@ -111,24 +105,6 @@ func (m *Mix) defaults() {
 	}
 }
 
-// MixPreset returns a named traffic preset. "predict" (or "") is the
-// default predict-only mix; "mixed" is the CI soak blend; "ingest" is
-// the observe-heavy mix (~80% observations, the rest predicts keeping
-// the predict path and drift monitor honest) that exercises the feedback
-// log's group-commit pipeline.
-func MixPreset(name string) (Mix, error) {
-	switch name {
-	case "", "predict":
-		return Mix{PredictWeight: 1}, nil
-	case "mixed":
-		return Mix{PredictWeight: 8, BatchWeight: 1, ObserveWeight: 2, ReloadWeight: 0.5}, nil
-	case "ingest":
-		return Mix{PredictWeight: 1.5, BatchWeight: 0.5, ObserveWeight: 8, BatchSize: 8}, nil
-	default:
-		return Mix{}, fmt.Errorf("loadgen: unknown mix preset %q (have predict, mixed, ingest)", name)
-	}
-}
-
 func (m Mix) validate() error {
 	for _, w := range []float64{m.PredictWeight, m.BatchWeight, m.ObserveWeight, m.ReloadWeight, m.PlacementWeight} {
 		if w < 0 {
@@ -141,7 +117,7 @@ func (m Mix) validate() error {
 	return nil
 }
 
-// Operation kind names, also the per-op keys of the report.
+// Operation kind names, also the keys of Result.PerOp.
 const (
 	OpPredict    = "predict"
 	OpBatch      = "predict_batch"

@@ -3,8 +3,8 @@ package loadgen
 // The observability acceptance soak: a seeded in-process run against a
 // retain-everything server must leave traces in /v1/traces whose span
 // trees cover the full predict pipeline, stamp every response with an
-// X-Request-ID that matches a structured log line, and surface the
-// server-side stage breakdown in the loadgen report.
+// X-Request-ID that matches a structured log line, and name the
+// server-side stages in every reply's Server-Timing header.
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
@@ -77,33 +76,25 @@ func TestObservabilitySoak(t *testing.T) {
 
 	const requests = 300
 	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 4,
-		Duration:    time.Minute,
-		Requests:    requests,
-		Seed:        11,
-		Mix:         Mix{ZipfSkew: 1.1, PredictWeight: 8, BatchWeight: 1, BatchSize: 4},
+		Workers:  4,
+		Requests: requests,
+		Seed:     11,
+		Mix:      Mix{ZipfSkew: 1.1, PredictWeight: 8, BatchWeight: 1, BatchSize: 4},
 	}, &HandlerDoer{Handler: h}, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("soak saw %d errors", rep.Errors)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("soak failed: %v", v)
 	}
 
-	// The report carries the server-side stage breakdown parsed from
-	// Server-Timing headers: decode and eval on every predict.
-	for _, stage := range []string{"decode", "eval"} {
-		ss, ok := rep.ServerStages[stage]
-		if !ok || ss.Count == 0 {
-			t.Fatalf("stage %s missing from report: %v", stage, rep.ServerStages)
-		}
-		if ss.MeanSeconds < 0 || ss.TotalSeconds < float64(ss.Count)*ss.MeanSeconds*0.999 {
-			t.Fatalf("stage %s stats inconsistent: %+v", stage, ss)
-		}
+	// Every reply names its server-side stages in Server-Timing: decode
+	// on every request, eval on predicts.
+	if rep.Stages["decode"] != rep.Requests {
+		t.Fatalf("decode named by %d of %d replies", rep.Stages["decode"], rep.Requests)
 	}
-	if rep.ServerStages["decode"].Count != rep.Requests {
-		t.Fatalf("decode reported by %d of %d requests", rep.ServerStages["decode"].Count, rep.Requests)
+	if rep.Stages["eval"] == 0 {
+		t.Fatalf("no reply named eval: %v", rep.Stages)
 	}
 
 	// The trace ring retained traces; at least one predict covers the
@@ -198,8 +189,8 @@ func TestObservabilitySoak(t *testing.T) {
 	}
 }
 
-// TestSoakStagesDisabledTracing: driving a server without tracing
-// yields a report with no stage breakdown — the header is advisory.
+// TestSoakStagesDisabledTracing: a server without tracing names no
+// stages — the header is advisory.
 func TestSoakStagesDisabledTracing(t *testing.T) {
 	ds := soakDataset(t)
 	set, err := features.SetByName("F")
@@ -216,21 +207,14 @@ func TestSoakStagesDisabledTracing(t *testing.T) {
 	}
 	s := serve.New(reg, serve.Config{TraceRing: -1})
 	space := soakSpace(t, s)
-	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 2,
-		Duration:    time.Minute,
-		Requests:    50,
-		Seed:        3,
-		Mix:         Mix{PredictWeight: 1},
-	}, &HandlerDoer{Handler: s.Handler()}, space)
+	rep, err := Run(Config{Workers: 2, Requests: 50, Seed: 3}, &HandlerDoer{Handler: s.Handler()}, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("errors: %d", rep.Errors)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("soak failed: %v", v)
 	}
-	if len(rep.ServerStages) != 0 {
-		t.Fatalf("stage breakdown present with tracing disabled: %v", rep.ServerStages)
+	if len(rep.Stages) != 0 {
+		t.Fatalf("stages named with tracing disabled: %v", rep.Stages)
 	}
 }

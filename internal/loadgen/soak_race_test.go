@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/drift"
@@ -114,15 +113,16 @@ func newSoakServerLog(t testing.TB, cfg serve.Config, log feedback.Store) *serve
 	return s
 }
 
-// soakSpace derives the scenario space from the served model exactly as
-// cmd/coloload does: from the /v1/models listing.
+// soakSpace derives the scenario space from the served model's
+// /v1/models listing: its apps and P-state count, up to three copies of
+// a co-runner.
 func soakSpace(t testing.TB, s *serve.Server) *Space {
 	t.Helper()
 	infos := s.Registry().List()
 	if len(infos) != 1 {
 		t.Fatalf("registry lists %d models, want 1", len(infos))
 	}
-	space, err := SpaceFromModel(infos[0], 3)
+	space, err := NewSpace(infos[0].Apps, infos[0].PStates, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,8 @@ func TestSeededSoakInProcess(t *testing.T) {
 
 	const requests = 2000
 	rep, err := Run(Config{
-		Mode:        ClosedLoop,
-		Concurrency: 8,
-		Duration:    time.Minute, // the request budget ends the run
-		Requests:    requests,
-		Seed:        42,
+		Requests: requests,
+		Seed:     42,
 		Mix: Mix{
 			ZipfSkew:      1.1,
 			PredictWeight: 8,
@@ -155,20 +152,15 @@ func TestSeededSoakInProcess(t *testing.T) {
 			ReloadWeight:  0.5,
 			BatchSize:     8,
 		},
-		CheckGenerations: true,
 	}, d, space)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests != requests {
-		t.Fatalf("measured %d requests, want %d", rep.Requests, requests)
+		t.Fatalf("issued %d requests, want %d", rep.Requests, requests)
 	}
-	if rep.Status4xx != 0 || rep.Status5xx != 0 || rep.TransportErrors != 0 {
-		t.Fatalf("soak saw errors: 4xx=%d 5xx=%d transport=%d (rate %.4f)",
-			rep.Status4xx, rep.Status5xx, rep.TransportErrors, rep.ErrorRate)
-	}
-	if rep.GenerationRegressions != 0 {
-		t.Fatalf("%d generation regressions: hot swap served a stale model", rep.GenerationRegressions)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("soak failed: %v", v)
 	}
 	for _, kind := range []string{OpPredict, OpBatch, OpObserve, OpReload} {
 		if rep.PerOp[kind] == 0 {
@@ -184,25 +176,19 @@ func TestSeededSoakInProcess(t *testing.T) {
 	if got := s.Adaptation().Log.Len(); uint64(got) != rep.PerOp[OpObserve] {
 		t.Fatalf("feedback log holds %d observations, want %d", got, rep.PerOp[OpObserve])
 	}
-	// An SLO gate a healthy in-process run must clear.
-	if v := rep.Gate(SLO{MaxErrorRate: 0, MinThroughput: 1}); len(v) != 0 {
-		t.Fatalf("SLO violations: %v", v)
-	}
 }
 
 // TestSeededSoakDeterministic re-runs a single-worker request-bounded
 // soak twice with one seed: the op mix — and therefore the per-op
 // counts and the feedback-log depth — must be identical across runs.
 func TestSeededSoakDeterministic(t *testing.T) {
-	run := func() (*Report, int) {
+	run := func() (*Result, int) {
 		s := newSoakServer(t)
 		space := soakSpace(t, s)
 		rep, err := Run(Config{
-			Mode:        ClosedLoop,
-			Concurrency: 1,
-			Duration:    time.Minute,
-			Requests:    400,
-			Seed:        9,
+			Workers:  1,
+			Requests: 400,
+			Seed:     9,
 			Mix: Mix{
 				PredictWeight: 4,
 				BatchWeight:   1,
@@ -210,7 +196,6 @@ func TestSeededSoakDeterministic(t *testing.T) {
 				ReloadWeight:  0.25,
 				BatchSize:     4,
 			},
-			CheckGenerations: true,
 		}, &HandlerDoer{Handler: s.Handler()}, space)
 		if err != nil {
 			t.Fatal(err)
@@ -231,8 +216,10 @@ func TestSeededSoakDeterministic(t *testing.T) {
 	if logA != logB {
 		t.Fatalf("feedback log depth differs: %d vs %d", logA, logB)
 	}
-	if repA.Errors != 0 || repB.Errors != 0 {
-		t.Fatalf("deterministic soak saw errors: %d, %d", repA.Errors, repB.Errors)
+	for _, rep := range []*Result{repA, repB} {
+		if v := rep.Gate(); len(v) != 0 {
+			t.Fatalf("deterministic soak failed: %v", v)
+		}
 	}
 }
 
@@ -284,8 +271,7 @@ func TestSoakRaceReloadObservations(t *testing.T) {
 	}()
 
 	// Observation writer: streams measured runtimes for scenarios the
-	// model covers, forcing server-side prediction (and cache traffic)
-	// on every ingest.
+	// model covers, forcing server-side prediction on every ingest.
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
@@ -310,13 +296,9 @@ func TestSoakRaceReloadObservations(t *testing.T) {
 	}()
 
 	rep, err := Run(Config{
-		Mode:             ClosedLoop,
-		Concurrency:      8,
-		Duration:         time.Minute,
-		Requests:         1500,
-		Seed:             1234,
-		Mix:              Mix{ZipfSkew: 1.1, PredictWeight: 1},
-		CheckGenerations: true,
+		Requests: 1500,
+		Seed:     1234,
+		Mix:      Mix{ZipfSkew: 1.1, PredictWeight: 1},
 	}, &HandlerDoer{Handler: h}, space)
 	close(done)
 	writers.Wait()
@@ -328,14 +310,8 @@ func TestSoakRaceReloadObservations(t *testing.T) {
 			t.Fatal(werr)
 		}
 	}
-	if rep.Status5xx != 0 || rep.TransportErrors != 0 {
-		t.Fatalf("predict traffic failed under concurrent reload: 5xx=%d transport=%d", rep.Status5xx, rep.TransportErrors)
-	}
-	if rep.Status4xx != 0 {
-		t.Fatalf("predict traffic rejected: 4xx=%d", rep.Status4xx)
-	}
-	if rep.GenerationRegressions != 0 {
-		t.Fatalf("%d generation regressions under concurrent reload", rep.GenerationRegressions)
+	if v := rep.Gate(); len(v) != 0 {
+		t.Fatalf("predict traffic under concurrent reload: %v", v)
 	}
 	if infos := s.Registry().List(); infos[0].Generation < 2 {
 		t.Fatal("reload writer never swapped the model; race coverage lost")

@@ -17,8 +17,8 @@
 //     traces for GET /v1/traces, so "why was that request slow" is
 //     answerable after the fact without a profiler attached.
 //   - Server-Timing interchange: completed span timings render into the
-//     standard Server-Timing response header, which the loadgen harness
-//     parses back into a per-stage latency breakdown.
+//     standard Server-Timing response header, which clients (the
+//     repository benchmark, the loadgen soaks) parse back into stages.
 //
 // Everything is nil-safe: a nil *Tracer or nil *Trace makes every
 // tracing call a no-op, so disabled observability costs a pointer test
