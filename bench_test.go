@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation section, ablation benchmarks for the design choices
 // DESIGN.md calls out (SCG vs. gradient descent, analytical engine vs.
-// trace-driven cache, replacement policies), and the in-process
+// trace-driven LRU cache), and the in-process
 // handler controls ServePredict and ObservationIngest. A quantity the
 // repository benchmark (bench/) already reports per layer — one
 // predict, save/load, dataset collection — has no benchmark here.
@@ -23,7 +23,6 @@ import (
 	"testing"
 
 	"colocmodel"
-	"colocmodel/internal/cache"
 	"colocmodel/internal/core"
 	"colocmodel/internal/experiments"
 	"colocmodel/internal/features"
@@ -259,7 +258,8 @@ func BenchmarkAblationGDTraining(b *testing.B) {
 
 // BenchmarkAblationAnalyticalEngine vs BenchmarkAblationTraceDriven
 // compare the cost of the epoch-analytical co-location engine against the
-// trace-driven shared-cache path for the same two-app scenario.
+// trace-driven shared-cache path (RunTraceDriven, 200 000 references a
+// pass) for the same cg + ep scenario.
 func BenchmarkAblationAnalyticalEngine(b *testing.B) {
 	proc, err := simproc.New(simproc.XeonE5649())
 	if err != nil {
@@ -296,34 +296,9 @@ func BenchmarkAblationTraceDriven(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := proc.TraceOccupancy([]workload.App{cg, ep}, 200000, uint64(i)); err != nil {
+		if _, err := proc.RunTraceDriven(cg, []workload.App{ep}, 0, 200000, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkAblationReplacementPolicies compares LRU, tree-PLRU and random
-// replacement under an identical reference stream.
-func BenchmarkAblationReplacementPolicies(b *testing.B) {
-	for _, pol := range []cache.Policy{cache.LRU, cache.TreePLRU, cache.Random} {
-		b.Run(pol.String(), func(b *testing.B) {
-			c, err := cache.New(cache.Config{
-				SizeBytes: 1 << 20, LineBytes: 64, Ways: 16, Policy: pol, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := xrand.New(2)
-			z := xrand.NewZipf(src, 0.9, 1<<15)
-			addrs := make([]uint64, 1<<14)
-			for i := range addrs {
-				addrs[i] = uint64(z.Next()) * 64
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Access(0, addrs[i&(1<<14-1)])
-			}
-		})
 	}
 }
 

@@ -46,6 +46,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -135,29 +136,58 @@ func parseRetention(s string) (feedback.Retention, error) {
 		if part == "" {
 			continue
 		}
-		if n, ok, err := parseByteSize(part); err != nil {
-			return r, fmt.Errorf("-obs-retention %q: %w", part, err)
-		} else if ok {
-			r.MaxBytes = n
-			continue
+		n, isSize, err := parseByteSize(part)
+		if !isSize {
+			n, err = parseAge(part)
 		}
-		// Accept "7d" style ages on top of time.ParseDuration units.
-		if i := len(part) - 1; i > 0 && part[i] == 'd' {
-			if days, err := strconv.ParseFloat(part[:i], 64); err == nil {
-				r.MaxAge = time.Duration(days * 24 * float64(time.Hour))
-				continue
-			}
-		}
-		d, err := time.ParseDuration(part)
 		if err != nil {
-			return r, fmt.Errorf("-obs-retention %q: want a size (512MB) or age (72h)", part)
+			return r, fmt.Errorf("-obs-retention %q: %w", part, err)
 		}
-		r.MaxAge = d
-	}
-	if r.MaxBytes < 0 || r.MaxAge < 0 {
-		return r, fmt.Errorf("-obs-retention: negative bound")
+		if isSize {
+			r.MaxBytes = n
+		} else {
+			r.MaxAge = time.Duration(n)
+		}
 	}
 	return r, nil
+}
+
+// parseAge parses a Go duration, or a number of days with a "d"
+// suffix, into nanoseconds.
+func parseAge(s string) (int64, error) {
+	if i := len(s) - 1; i > 0 && s[i] == 'd' {
+		if days, err := strconv.ParseFloat(s[:i], 64); err == nil {
+			return count(days, 24*float64(time.Hour), "age")
+		}
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("want a size (512MB) or age (72h)")
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("negative age")
+	}
+	return int64(d), nil
+}
+
+// count converts v units of unit to a whole number of bytes or
+// nanoseconds. It refuses what the conversion cannot carry: NaN and
+// infinities, negatives, counts past MaxInt64 (an out-of-range float to
+// int conversion is implementation-defined in Go), and positive values
+// that truncate to zero, which feedback.Retention would read as no bound.
+func count(v, unit float64, what string) (int64, error) {
+	x := v * unit
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 0):
+		return 0, fmt.Errorf("%s is not a finite number", what)
+	case x < 0:
+		return 0, fmt.Errorf("negative %s", what)
+	case x >= math.MaxInt64:
+		return 0, fmt.Errorf("%s out of range", what)
+	case x > 0 && x < 1:
+		return 0, fmt.Errorf("%s truncates to zero", what)
+	}
+	return int64(x), nil
 }
 
 // parseByteSize parses "512MB"-style sizes; ok reports whether the
@@ -180,10 +210,8 @@ func parseByteSize(s string) (n int64, ok bool, err error) {
 		if perr != nil {
 			return 0, true, fmt.Errorf("bad size number %q", num)
 		}
-		if v < 0 {
-			return 0, true, fmt.Errorf("negative size")
-		}
-		return int64(v * float64(u.mult)), true, nil
+		n, err := count(v, float64(u.mult), "size")
+		return n, true, err
 	}
 	return 0, false, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -13,6 +14,7 @@ import (
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
+	"colocmodel/internal/feedback"
 	"colocmodel/internal/harness"
 	"colocmodel/internal/serve"
 	"colocmodel/internal/simproc"
@@ -31,6 +33,44 @@ func TestParseModelArg(t *testing.T) {
 	for _, bad := range []string{"=path", "name=", ""} {
 		if _, _, err := parseModelArg(bad); err == nil {
 			t.Fatalf("parseModelArg(%q) accepted", bad)
+		}
+	}
+}
+
+func TestParseRetention(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want feedback.Retention
+		err  string // substring of the error after the part's name; "" = accepted
+	}{
+		{in: "", want: feedback.Retention{}},
+		{in: "512MB", want: feedback.Retention{MaxBytes: 512e6}},
+		{in: "1.5KiB", want: feedback.Retention{MaxBytes: 1536}},
+		{in: "1GiB, 7d", want: feedback.Retention{MaxBytes: 1 << 30, MaxAge: 7 * 24 * time.Hour}},
+		{in: "72h", want: feedback.Retention{MaxAge: 72 * time.Hour}},
+		{in: "0.5d", want: feedback.Retention{MaxAge: 12 * time.Hour}},
+		{in: "0B", want: feedback.Retention{}},
+		{in: "NaNMB", err: "size is not a finite number"},
+		{in: "InfMB", err: "size is not a finite number"},
+		{in: "1e30GB", err: "size out of range"},
+		{in: "0.5B", err: "size truncates to zero"},
+		{in: "-5MB", err: "negative size"},
+		{in: "abcMB", err: `bad size number "abc"`},
+		{in: "NaNd", err: "age is not a finite number"},
+		{in: "1e12d", err: "age out of range"},
+		{in: "1e-20d", err: "age truncates to zero"},
+		{in: "-3h", err: "negative age"},
+		{in: "soon", err: "want a size (512MB) or age (72h)"},
+	} {
+		got, err := parseRetention(tc.in)
+		if tc.err == "" {
+			if err != nil || got != tc.want {
+				t.Errorf("parseRetention(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+			}
+			continue
+		}
+		if want := fmt.Sprintf("-obs-retention %q: %s", tc.in, tc.err); err == nil || err.Error() != want {
+			t.Errorf("parseRetention(%q) error = %v; want %q", tc.in, err, want)
 		}
 	}
 }

@@ -30,9 +30,10 @@
 //	})
 //
 // The packages under internal/ contain the full substrate: the multicore
-// processor simulator (internal/simproc), cache and DRAM models
-// (internal/cache, internal/dram), synthetic workloads
-// (internal/workload), the data-collection harness (internal/harness),
+// processor simulator with its trace-driven LRU cache check
+// (internal/simproc), the DRAM model (internal/dram), synthetic
+// workloads and their miss-ratio curves (internal/workload), the
+// data-collection harness (internal/harness),
 // and the from-scratch ML kernel (internal/linalg, internal/linreg,
 // internal/mlp, internal/pca). This facade re-exports the surface the
 // examples build on, and the types that surface's signatures name.

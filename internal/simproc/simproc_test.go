@@ -2,6 +2,7 @@ package simproc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"colocmodel/internal/workload"
@@ -379,31 +380,25 @@ func TestTraceOccupancyAgreesWithAnalytical(t *testing.T) {
 	p := proc6(t)
 	heavy := app(t, "cg")
 	light := app(t, "ep")
-	stats, err := p.TraceOccupancy([]workload.App{heavy, light}, 3_000_000, 11)
+	tr, err := p.RunTraceDriven(heavy, []workload.App{light}, 0, 500_000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats[0].Occupancy <= stats[1].Occupancy {
-		t.Fatalf("trace occupancy: heavy %d ≤ light %d lines", stats[0].Occupancy, stats[1].Occupancy)
-	}
+	occ := tr.OccupancyFractions
 	// Analytical side: run co-location and check the heavy app's average
 	// share also dominates.
 	r, err := p.RunColocation(heavy, []workload.App{light}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	share := r.TargetAvgOccupancyBytes / p.Spec().LLCBytes
+	t.Logf("cg + ep on %s, LLC share cg / ep: traced %.3f / %.3f, analytical %.3f / %.3f",
+		p.Spec().Name, occ[0], occ[1], share, 1-share)
+	if occ[0] <= occ[1] {
+		t.Fatalf("trace occupancy: heavy %v ≤ light %v", occ[0], occ[1])
+	}
 	if r.TargetAvgOccupancyBytes < p.Spec().LLCBytes/2 {
 		t.Fatalf("analytical: heavy app holds %v of %v", r.TargetAvgOccupancyBytes, p.Spec().LLCBytes)
-	}
-}
-
-func TestTraceOccupancyErrors(t *testing.T) {
-	p := proc6(t)
-	if _, err := p.TraceOccupancy(nil, 100, 1); err == nil {
-		t.Fatal("empty app list accepted")
-	}
-	if _, err := p.TraceOccupancy([]workload.App{app(t, "cg")}, 0, 1); err == nil {
-		t.Fatal("zero refs accepted")
 	}
 }
 
@@ -463,6 +458,9 @@ func TestRunTraceDrivenValidatesAnalytical(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := shared.TargetSeconds / solo.TargetSeconds
+	ratio := (traced - 1) / (analytical - 1)
+	t.Logf("canneal + 3 cg on %s: slowdown traced %.3f, analytical %.3f, delta ratio %.2f; canneal's LLC share %.3f solo -> %.3f shared; miss ratios %.3f",
+		p.Spec().Name, traced, analytical, ratio, solo.OccupancyFractions[0], shared.OccupancyFractions[0], shared.MissRatios)
 
 	if traced <= 1.0 {
 		t.Fatalf("trace-driven slowdown %v shows no interference", traced)
@@ -474,7 +472,6 @@ func TestRunTraceDrivenValidatesAnalytical(t *testing.T) {
 	// claim is therefore directional and order-of-magnitude: both paths
 	// must see interference, within a factor of five on the slowdown
 	// delta.
-	ratio := (traced - 1) / (analytical - 1)
 	if ratio < 0.2 || ratio > 5.0 {
 		t.Fatalf("trace-driven slowdown %v disagrees with analytical %v (delta ratio %v)",
 			traced, analytical, ratio)
@@ -509,6 +506,19 @@ func TestRunTraceDrivenErrors(t *testing.T) {
 	}
 	if _, err := p.RunTraceDriven(a, co, 0, 10000, 1); err == nil {
 		t.Fatal("too many co-runners accepted")
+	}
+	if _, err := p.RunTraceDriven(a, []workload.App{a, bad}, 0, 10000, 1); err == nil || !strings.Contains(err.Error(), "co-app 1") {
+		t.Fatalf("invalid co-app: err = %v, want it named", err)
+	}
+	noClass := a
+	noClass.Class = 0
+	if _, err := p.RunTraceDriven(noClass, nil, 0, 10000, 1); err == nil {
+		t.Fatal("class-0 target accepted")
+	}
+	negRate := a
+	negRate.LLCAccessRate = -1
+	if _, err := p.RunTraceDriven(negRate, nil, 0, 10000, 1); err == nil {
+		t.Fatal("negative LLC access rate accepted")
 	}
 }
 

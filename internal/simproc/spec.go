@@ -24,6 +24,12 @@
 // co-runners is smoothly nonlinear in exactly the features of Table I —
 // the property the paper's models must learn.
 //
+// RunTraceDriven checks the occupancy rule against measurement: it
+// replays synthetic reference streams, one per application and matched
+// to its memory-intensity class, through a set-associative LRU model of
+// the LLC, and times the measured miss ratios with the same CPI and DRAM
+// model.
+//
 // Hardware performance counters (instructions, cycles, LLC accesses, LLC
 // misses) are accumulated per application context and exposed through the
 // internal/perfctr PAPI-like backend.
@@ -45,7 +51,8 @@ type Spec struct {
 	Cores int
 	// LLCBytes is the shared last-level cache capacity.
 	LLCBytes float64
-	// LLCWays is the LLC associativity (used by the trace-driven path).
+	// LLCWays is the LLC associativity. Only RunTraceDriven's LRU cache
+	// uses it; the analytical engine sees capacity alone.
 	LLCWays int
 	// LLCHitLatencyCycles is the load-to-use latency of an LLC hit.
 	LLCHitLatencyCycles float64

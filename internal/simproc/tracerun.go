@@ -3,8 +3,6 @@ package simproc
 import (
 	"fmt"
 
-	"colocmodel/internal/cache"
-	"colocmodel/internal/trace"
 	"colocmodel/internal/workload"
 )
 
@@ -23,7 +21,7 @@ type TraceRunResult struct {
 
 // RunTraceDriven estimates a co-location's effect by measurement instead
 // of the analytical occupancy fixed point: it replays interleaved
-// synthetic reference streams through a real set-associative model of the
+// synthetic reference streams through a set-associative LRU model of the
 // shared LLC, measures each application's miss ratio and occupancy under
 // contention, and feeds the *measured* miss ratios through the same
 // CPI/DRAM timing model the analytical engine uses.
@@ -33,7 +31,8 @@ type TraceRunResult struct {
 // LLC access rate, and the IPS estimates are refined from the measured
 // miss ratios until the mix stabilises. This is the ground-truth path the
 // analytical engine is validated against (slower, but free of the
-// occupancy-model approximation).
+// occupancy-model approximation): the package tests check that both agree
+// on who holds the LLC and on the direction and size of a slowdown.
 func (p *Processor) RunTraceDriven(target workload.App, coApps []workload.App, pstate int, refs int, seed uint64) (*TraceRunResult, error) {
 	if err := target.Validate(); err != nil {
 		return nil, err
@@ -65,19 +64,12 @@ func (p *Processor) RunTraceDriven(target workload.App, coApps []workload.App, p
 	}
 
 	const passes = 3
-	var llc *cache.Cache
+	var llc *lru
 	for pass := 0; pass < passes; pass++ {
-		llc, err = cache.New(cache.Config{
-			SizeBytes: int(p.spec.LLCBytes),
-			LineBytes: p.spec.Mem.LineBytes,
-			Ways:      p.spec.LLCWays,
-			Policy:    cache.LRU,
-			Seed:      seed + uint64(pass),
-		})
-		if err != nil {
+		if llc, err = newLRU(int(p.spec.LLCBytes), p.spec.Mem.LineBytes, p.spec.LLCWays); err != nil {
 			return nil, err
 		}
-		gens := make([]trace.Generator, len(apps))
+		gens := make([]generator, len(apps))
 		weights := make([]int, len(apps))
 		// Weight each stream by its LLC access bandwidth (IPS × access
 		// rate), normalised to small integers.
@@ -92,36 +84,27 @@ func (p *Processor) RunTraceDriven(target workload.App, coApps []workload.App, p
 			minRate = 1
 		}
 		for i, a := range apps {
-			g, err := a.TraceGenerator(uint64(i)<<50, seed+uint64(i)*104729)
+			g, err := traceGenerator(a, uint64(i)<<50, seed+uint64(i)*104729)
 			if err != nil {
 				return nil, err
 			}
 			gens[i] = g
-			w := int(ips[i]*a.LLCAccessRate/minRate + 0.5)
-			if w < 1 {
-				w = 1
-			}
-			if w > 128 {
-				w = 128
-			}
-			weights[i] = w
+			weights[i] = min(max(int(ips[i]*a.LLCAccessRate/minRate+0.5), 1), 128)
 		}
-		iv, err := trace.NewInterleave(gens, weights)
+		iv, err := newInterleave(gens, weights)
 		if err != nil {
 			return nil, err
 		}
 		for r := 0; r < refs; r++ {
-			addr, owner := iv.Next()
-			llc.Access(owner, addr)
+			llc.access(iv.next())
 		}
 		// Refine miss ratios and IPS from measurement; discard the first
 		// half of accesses' cold effects by keeping ratios as measured
 		// (adequate for validation purposes).
 		totalMissRate := 0.0
 		for i, a := range apps {
-			stc := llc.Stats(i)
-			if stc.Accesses > 0 {
-				missRatio[i] = stc.MissRatio()
+			if stc := llc.stats(i); stc.accesses > 0 {
+				missRatio[i] = stc.missRatio()
 			}
 			totalMissRate += ips[i] * a.LLCAccessRate * missRatio[i]
 		}
@@ -137,7 +120,7 @@ func (p *Processor) RunTraceDriven(target workload.App, coApps []workload.App, p
 	}
 	for i := range apps {
 		res.MissRatios = append(res.MissRatios, missRatio[i])
-		res.OccupancyFractions = append(res.OccupancyFractions, llc.OccupancyFraction(i))
+		res.OccupancyFractions = append(res.OccupancyFractions, llc.occupancyFraction(i))
 	}
 	return res, nil
 }

@@ -1,7 +1,5 @@
 package workload
 
-import "colocmodel/internal/cache"
-
 // Microbenchmarks returns four constructed kernels in the style of the
 // [ChD14] "energy roofline" study the related-work section contrasts
 // against: synthetic probes that each stress one corner of the
@@ -25,25 +23,25 @@ func Microbenchmarks() []App {
 		{
 			Name: "pchase", Suite: NAS /* hosted kernel */, Class: ClassII,
 			Instructions: 1.8e11, BaseCPI: 0.90, LLCAccessRate: 0.0150,
-			MRC:            cache.PowerLawMRC{WorkingSetBytes: 64 * mib, Knee: 0.95, Floor: 0.05, Alpha: 0.60},
+			MRC:            PowerLawMRC{WorkingSetBytes: 64 * mib, Knee: 0.95, Floor: 0.05, Alpha: 0.60},
 			MissExposeFrac: 1.00, HitExposeFrac: 0.60, PhaseAmplitude: 0,
 		},
 		{
 			Name: "stream", Suite: PARSEC /* hosted kernel */, Class: ClassI,
 			Instructions: 3.0e11, BaseCPI: 0.60, LLCAccessRate: 0.0700,
-			MRC:            cache.PowerLawMRC{WorkingSetBytes: 512 * mib, Knee: 0.98, Floor: 0.90, Alpha: 0.50},
+			MRC:            PowerLawMRC{WorkingSetBytes: 512 * mib, Knee: 0.98, Floor: 0.90, Alpha: 0.50},
 			MissExposeFrac: 0.10, HitExposeFrac: 0.15, PhaseAmplitude: 0,
 		},
 		{
 			Name: "dgemm", Suite: NAS /* hosted kernel */, Class: ClassIV,
 			Instructions: 1.1e12, BaseCPI: 0.95, LLCAccessRate: 0.0008,
-			MRC:            cache.PowerLawMRC{WorkingSetBytes: 2 * mib, Knee: 0.30, Floor: 0.0005, Alpha: 1.00},
+			MRC:            PowerLawMRC{WorkingSetBytes: 2 * mib, Knee: 0.30, Floor: 0.0005, Alpha: 1.00},
 			MissExposeFrac: 0.30, HitExposeFrac: 0.25, PhaseAmplitude: 0,
 		},
 		{
 			Name: "ministencil", Suite: PARSEC /* hosted kernel */, Class: ClassIII,
 			Instructions: 6.0e11, BaseCPI: 0.85, LLCAccessRate: 0.0100,
-			MRC:            cache.PowerLawMRC{WorkingSetBytes: 10 * mib, Knee: 0.60, Floor: 0.004, Alpha: 1.10},
+			MRC:            PowerLawMRC{WorkingSetBytes: 10 * mib, Knee: 0.60, Floor: 0.004, Alpha: 1.10},
 			MissExposeFrac: 0.45, HitExposeFrac: 0.30, PhaseAmplitude: 0,
 		},
 	}

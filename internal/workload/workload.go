@@ -18,9 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"colocmodel/internal/cache"
-	"colocmodel/internal/trace"
 )
 
 // Suite identifies the benchmark suite an application is drawn from.
@@ -84,7 +81,7 @@ type App struct {
 	LLCAccessRate float64
 	// MRC maps an effective LLC allocation to this application's miss
 	// ratio there.
-	MRC cache.PowerLawMRC
+	MRC PowerLawMRC
 	// MissExposeFrac is the fraction of each LLC-miss latency that
 	// stalls the pipeline (1/MLP): lower values model better
 	// memory-level parallelism / prefetching.
@@ -161,46 +158,6 @@ func (a App) Scaled(suffix string, factor float64) (App, error) {
 	return out, nil
 }
 
-// TraceGenerator returns a synthetic reference generator matched to the
-// application's locality class, for the trace-driven validation path. base
-// offsets the address space; seed controls the stream.
-func (a App) TraceGenerator(base, seed uint64) (trace.Generator, error) {
-	hotLines := int(a.MRC.WorkingSetBytes / trace.LineBytes)
-	if hotLines < 8 {
-		hotLines = 8
-	}
-	// The trace path is used for qualitative validation at LLC scale;
-	// working sets far beyond any LLC are capped so the hot set warms up
-	// within a reasonable trace length (the excess footprint is carried
-	// by the cold/streaming component instead).
-	const maxHotLines = 1 << 18 // 16 MiB of 64 B lines
-	if hotLines > maxHotLines {
-		hotLines = maxHotLines
-	}
-	// Streaming-dominant applications (high floor relative to knee) are
-	// modelled with a stride generator mixed over a reuse core; others
-	// with a hot-set generator whose cold probability matches the
-	// compulsory floor.
-	sd, err := trace.NewHotSet(trace.HotSetConfig{
-		HotLines: hotLines,
-		ZipfS:    0.6 + 0.6/float64(a.Class), // tighter locality for lower classes
-		ColdProb: a.MRC.Floor,
-		Base:     base,
-		Seed:     seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if a.MRC.Floor > 0.15 {
-		st, err := trace.NewStride(hotLines*4, 1, base+1<<44)
-		if err != nil {
-			return nil, err
-		}
-		return trace.NewMix(sd, st, 0.6, seed+1)
-	}
-	return sd, nil
-}
-
 const (
 	kib = 1024.0
 	mib = 1024 * kib
@@ -214,19 +171,19 @@ var apps = []App{
 	{
 		Name: "cg", Suite: NAS, Class: ClassI,
 		Instructions: 3.2e11, BaseCPI: 0.70, LLCAccessRate: 0.065,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 256 * mib, Knee: 0.85, Floor: 0.30, Alpha: 0.50},
+		MRC:            PowerLawMRC{WorkingSetBytes: 256 * mib, Knee: 0.85, Floor: 0.30, Alpha: 0.50},
 		MissExposeFrac: 0.18, HitExposeFrac: 0.20, PhaseAmplitude: 0.05,
 	},
 	{
 		Name: "streamcluster", Suite: PARSEC, Class: ClassI,
 		Instructions: 4.2e11, BaseCPI: 0.65, LLCAccessRate: 0.052,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 192 * mib, Knee: 0.90, Floor: 0.40, Alpha: 0.45},
+		MRC:            PowerLawMRC{WorkingSetBytes: 192 * mib, Knee: 0.90, Floor: 0.40, Alpha: 0.45},
 		MissExposeFrac: 0.15, HitExposeFrac: 0.20, PhaseAmplitude: 0.04,
 	},
 	{
 		Name: "mg", Suite: NAS, Class: ClassI,
 		Instructions: 2.8e11, BaseCPI: 0.75, LLCAccessRate: 0.045,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 320 * mib, Knee: 0.80, Floor: 0.35, Alpha: 0.55},
+		MRC:            PowerLawMRC{WorkingSetBytes: 320 * mib, Knee: 0.80, Floor: 0.35, Alpha: 0.55},
 		MissExposeFrac: 0.18, HitExposeFrac: 0.20, PhaseAmplitude: 0.08,
 	},
 
@@ -234,19 +191,19 @@ var apps = []App{
 	{
 		Name: "sp", Suite: NAS, Class: ClassII,
 		Instructions: 5.5e11, BaseCPI: 0.80, LLCAccessRate: 0.0080,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 16 * mib, Knee: 0.50, Floor: 0.020, Alpha: 1.00},
+		MRC:            PowerLawMRC{WorkingSetBytes: 16 * mib, Knee: 0.50, Floor: 0.020, Alpha: 1.00},
 		MissExposeFrac: 0.45, HitExposeFrac: 0.25, PhaseAmplitude: 0.06,
 	},
 	{
 		Name: "canneal", Suite: PARSEC, Class: ClassII,
 		Instructions: 5.0e11, BaseCPI: 0.85, LLCAccessRate: 0.0110,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 24 * mib, Knee: 0.45, Floor: 0.025, Alpha: 0.85},
+		MRC:            PowerLawMRC{WorkingSetBytes: 24 * mib, Knee: 0.45, Floor: 0.025, Alpha: 0.85},
 		MissExposeFrac: 0.42, HitExposeFrac: 0.25, PhaseAmplitude: 0.03,
 	},
 	{
 		Name: "ft", Suite: NAS, Class: ClassII,
 		Instructions: 4.6e11, BaseCPI: 0.78, LLCAccessRate: 0.0065,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 20 * mib, Knee: 0.45, Floor: 0.030, Alpha: 0.90},
+		MRC:            PowerLawMRC{WorkingSetBytes: 20 * mib, Knee: 0.45, Floor: 0.030, Alpha: 0.90},
 		MissExposeFrac: 0.40, HitExposeFrac: 0.25, PhaseAmplitude: 0.10,
 	},
 
@@ -254,19 +211,19 @@ var apps = []App{
 	{
 		Name: "fluidanimate", Suite: PARSEC, Class: ClassIII,
 		Instructions: 6.5e11, BaseCPI: 0.90, LLCAccessRate: 0.0080,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 6 * mib, Knee: 0.45, Floor: 0.0035, Alpha: 1.10},
+		MRC:            PowerLawMRC{WorkingSetBytes: 6 * mib, Knee: 0.45, Floor: 0.0035, Alpha: 1.10},
 		MissExposeFrac: 0.50, HitExposeFrac: 0.30, PhaseAmplitude: 0.05,
 	},
 	{
 		Name: "lu", Suite: NAS, Class: ClassIII,
 		Instructions: 7.0e11, BaseCPI: 0.85, LLCAccessRate: 0.0060,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 8 * mib, Knee: 0.40, Floor: 0.0045, Alpha: 1.00},
+		MRC:            PowerLawMRC{WorkingSetBytes: 8 * mib, Knee: 0.40, Floor: 0.0045, Alpha: 1.00},
 		MissExposeFrac: 0.45, HitExposeFrac: 0.30, PhaseAmplitude: 0.07,
 	},
 	{
 		Name: "bodytrack", Suite: PARSEC, Class: ClassIII,
 		Instructions: 5.8e11, BaseCPI: 0.95, LLCAccessRate: 0.0045,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 5 * mib, Knee: 0.35, Floor: 0.0030, Alpha: 1.20},
+		MRC:            PowerLawMRC{WorkingSetBytes: 5 * mib, Knee: 0.35, Floor: 0.0030, Alpha: 1.20},
 		MissExposeFrac: 0.40, HitExposeFrac: 0.30, PhaseAmplitude: 0.04,
 	},
 
@@ -274,13 +231,13 @@ var apps = []App{
 	{
 		Name: "ep", Suite: NAS, Class: ClassIV,
 		Instructions: 9.0e11, BaseCPI: 1.05, LLCAccessRate: 0.0020,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 1 * mib, Knee: 0.50, Floor: 0.0010, Alpha: 1.00},
+		MRC:            PowerLawMRC{WorkingSetBytes: 1 * mib, Knee: 0.50, Floor: 0.0010, Alpha: 1.00},
 		MissExposeFrac: 0.35, HitExposeFrac: 0.30, PhaseAmplitude: 0.02,
 	},
 	{
 		Name: "blackscholes", Suite: PARSEC, Class: ClassIV,
 		Instructions: 8.0e11, BaseCPI: 1.00, LLCAccessRate: 0.0012,
-		MRC:            cache.PowerLawMRC{WorkingSetBytes: 1.5 * mib, Knee: 0.40, Floor: 0.0008, Alpha: 1.10},
+		MRC:            PowerLawMRC{WorkingSetBytes: 1.5 * mib, Knee: 0.40, Floor: 0.0008, Alpha: 1.10},
 		MissExposeFrac: 0.35, HitExposeFrac: 0.30, PhaseAmplitude: 0.02,
 	},
 }

@@ -3,8 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-
-	"colocmodel/internal/cache"
 )
 
 const testLLC = 12 * 1024 * 1024 // the 6-core machine's LLC
@@ -169,39 +167,49 @@ func TestBaselineMissRatioMonotoneInCapacity(t *testing.T) {
 	}
 }
 
-func TestTraceGeneratorsConstructible(t *testing.T) {
-	for _, a := range All() {
-		g, err := a.TraceGenerator(0, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-		for i := 0; i < 100; i++ {
-			g.Next()
+func TestPowerLawMRCValidate(t *testing.T) {
+	good := PowerLawMRC{WorkingSetBytes: 1 << 20, Knee: 0.8, Floor: 0.01, Alpha: 0.7}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := []PowerLawMRC{
+		{WorkingSetBytes: 0, Knee: 0.5, Floor: 0.1, Alpha: 1},
+		{WorkingSetBytes: 1, Knee: 1.5, Floor: 0.1, Alpha: 1},
+		{WorkingSetBytes: 1, Knee: 0.2, Floor: 0.5, Alpha: 1},
+		{WorkingSetBytes: 1, Knee: 0.5, Floor: 0.1, Alpha: 0},
+	}
+	for i, m := range bad {
+		if err := m.Validate(); err == nil {
+			t.Fatalf("bad MRC %d accepted", i)
 		}
 	}
 }
 
-func TestTraceGeneratorMatchesClass(t *testing.T) {
-	// A Class I generator must miss far more than a Class IV generator
-	// in the same cache.
-	cg, _ := ByName("cg")
-	ep, _ := ByName("ep")
-	mr := func(a App) float64 {
-		g, err := a.TraceGenerator(0, 7)
-		if err != nil {
-			t.Fatal(err)
+func TestPowerLawMRCShape(t *testing.T) {
+	m := PowerLawMRC{WorkingSetBytes: 8 << 20, Knee: 0.9, Floor: 0.02, Alpha: 0.8}
+	// Monotone non-increasing.
+	prev := m.Ratio(1)
+	for c := 2.0; c < 1e9; c *= 1.5 {
+		r := m.Ratio(c)
+		if r > prev+1e-12 {
+			t.Fatalf("MRC not monotone at %v: %v > %v", c, r, prev)
 		}
-		c, err := cache.New(cache.Config{SizeBytes: 1 << 20, LineBytes: 64, Ways: 16, Policy: cache.LRU})
-		if err != nil {
-			t.Fatal(err)
+		if r < 0 || r > 1 {
+			t.Fatalf("MRC out of range at %v: %v", c, r)
 		}
-		for i := 0; i < 300000; i++ {
-			c.Access(0, g.Next())
-		}
-		return c.GlobalMissRatio()
+		prev = r
 	}
-	if mrCg, mrEp := mr(cg), mr(ep); mrCg < 2*mrEp {
-		t.Fatalf("trace miss ratios do not reflect classes: cg %v, ep %v", mrCg, mrEp)
+	// Limits.
+	if m.Ratio(0) != 0.9 {
+		t.Fatalf("knee = %v", m.Ratio(0))
+	}
+	if got := m.Ratio(1e15); math.Abs(got-0.02) > 1e-3 {
+		t.Fatalf("floor = %v", got)
+	}
+	// Continuity near the working-set point.
+	a, b := m.Ratio(8<<20-1), m.Ratio(8<<20+1)
+	if math.Abs(a-b) > 1e-6 {
+		t.Fatalf("discontinuity at working set: %v vs %v", a, b)
 	}
 }
 
