@@ -6,25 +6,48 @@ import (
 	"testing"
 )
 
+// shared memoises one suite computation across the package's tests.
+type shared[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+func (s *shared[T]) get(t testing.TB, f func() (T, error)) T {
+	t.Helper()
+	s.once.Do(func() { s.val, s.err = f() })
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	return s.val
+}
+
 // The suite collects full Table V datasets; share one across tests with a
-// reduced partition count so the package tests stay fast.
+// reduced partition count so the package tests stay fast. Table VI and
+// Figure 5(b) train their own models, so they are shared too.
 var (
-	suiteOnce sync.Once
-	suiteVal  *Suite
-	suiteErr  error
+	suiteMemo    shared[*Suite]
+	table6Memo   shared[*Table6Result]
+	figure5bMemo shared[*Figure5bResult]
 )
 
 func testSuite(t testing.TB) *Suite {
 	t.Helper()
-	suiteOnce.Do(func() {
+	return suiteMemo.get(t, func() (*Suite, error) {
 		cfg := Default()
 		cfg.Partitions = 5
-		suiteVal, suiteErr = NewSuite(cfg)
+		return NewSuite(cfg)
 	})
-	if suiteErr != nil {
-		t.Fatal(suiteErr)
-	}
-	return suiteVal
+}
+
+func table6(t testing.TB) *Table6Result {
+	t.Helper()
+	return table6Memo.get(t, testSuite(t).Table6)
+}
+
+func figure5b(t testing.TB) *Figure5bResult {
+	t.Helper()
+	return figure5bMemo.get(t, testSuite(t).Figure5b)
 }
 
 func TestNewSuiteValidation(t *testing.T) {
@@ -95,11 +118,7 @@ func TestTable3ClassStructure(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	s := testSuite(t)
-	res, err := s.Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := table6(t)
 	if len(res.Rows) != 11 {
 		t.Fatalf("got %d rows, want 11 (k = 1..11)", len(res.Rows))
 	}
@@ -201,11 +220,7 @@ func TestFigure5a(t *testing.T) {
 }
 
 func TestFigure5bAccuracyClaims(t *testing.T) {
-	s := testSuite(t)
-	res, err := s.Figure5b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := figure5b(t)
 	if len(res.Rows) != 11 {
 		t.Fatalf("got %d rows, want 11", len(res.Rows))
 	}
@@ -305,18 +320,10 @@ func TestSVGRenderers(t *testing.T) {
 	if svg, err := Figure5aSVG(rows); err != nil || !strings.Contains(svg, "canneal") {
 		t.Fatalf("figure 5a SVG: %v", err)
 	}
-	f5b, err := s.Figure5b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svg, err := Figure5bSVG(f5b); err != nil || !strings.Contains(svg, "percent error") {
+	if svg, err := Figure5bSVG(figure5b(t)); err != nil || !strings.Contains(svg, "percent error") {
 		t.Fatalf("figure 5b SVG: %v", err)
 	}
-	t6, err := s.Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svg, err := Table6SVG(t6); err != nil || !strings.Contains(svg, "normalised") {
+	if svg, err := Table6SVG(table6(t)); err != nil || !strings.Contains(svg, "normalised") {
 		t.Fatalf("table 6 SVG: %v", err)
 	}
 	if SVGName("5a") != "figure5a.svg" || SVGName("table6") != "table6.svg" {
