@@ -75,6 +75,9 @@ func run(machine, target, coapp string, n, pstate int, list, timeline, jsonOut b
 		}
 		return w.Flush()
 	}
+	if n < 0 {
+		return fmt.Errorf("-n %d: the number of co-located copies cannot be negative", n)
+	}
 	spec, err := specFor(machine)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("6core", "canneal", "cg", 1, 99, false, false, false); err == nil {
 		t.Fatal("bad P-state accepted")
+	}
+	if err := run("6core", "canneal", "cg", -3, 0, false, false, true); err == nil || !strings.Contains(err.Error(), "-3") {
+		t.Fatalf("-n -3: err = %v, want a refusal naming -3", err)
 	}
 }
 

@@ -367,18 +367,75 @@ func TestCollectScenariosErrors(t *testing.T) {
 }
 
 func TestAsRecords(t *testing.T) {
-	mixed := []MixedRecord{
-		{Machine: "m", Target: "t", CoApps: []string{"cg", "cg"}, Seconds: 10, PState: 1, FreqGHz: 2},
-		{Machine: "m", Target: "t", CoApps: []string{"cg", "ep"}, Seconds: 12},
+	cases := []struct {
+		name string
+		in   MixedRecord
+		want *Record // nil: skipped as heterogeneous
+	}{
+		{
+			name: "homogeneous",
+			in:   MixedRecord{Machine: "m", Target: "t", CoApps: []string{"cg", "cg"}, Seconds: 10, TrueSeconds: 9.5, PState: 1, FreqGHz: 2},
+			want: &Record{Machine: "m", Target: "t", CoApp: "cg", NumCoLoc: 2, Seconds: 10, TrueSeconds: 9.5, PState: 1, FreqGHz: 2},
+		},
+		{
+			name: "heterogeneous",
+			in:   MixedRecord{Machine: "m", Target: "t", CoApps: []string{"cg", "ep"}, Seconds: 12, TrueSeconds: 12.1},
+		},
+		{
+			name: "solo",
+			in:   MixedRecord{Machine: "m", Target: "t", Seconds: 7, TrueSeconds: 7.2},
+			want: &Record{Machine: "m", Target: "t", Seconds: 7, TrueSeconds: 7.2},
+		},
+		{
+			name: "empty co-runner list",
+			in:   MixedRecord{Machine: "m", Target: "t", CoApps: []string{}, Seconds: 7, TrueSeconds: 7.2},
+			want: &Record{Machine: "m", Target: "t", Seconds: 7, TrueSeconds: 7.2},
+		},
 	}
-	recs, skipped := AsRecords(mixed)
-	if len(recs) != 1 || skipped != 1 {
-		t.Fatalf("got %d records, %d skipped", len(recs), skipped)
-	}
-	if recs[0].CoApp != "cg" || recs[0].NumCoLoc != 2 || recs[0].Seconds != 10 {
-		t.Fatalf("record = %+v", recs[0])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			recs, skipped := AsRecords([]MixedRecord{c.in})
+			if c.want == nil {
+				if len(recs) != 0 || skipped != 1 {
+					t.Fatalf("got %+v, %d skipped; want it skipped", recs, skipped)
+				}
+				return
+			}
+			if skipped != 0 || len(recs) != 1 || recs[0] != *c.want {
+				t.Fatalf("got %+v, %d skipped; want %+v", recs, skipped, *c.want)
+			}
+		})
 	}
 	if got := SortScenarioNames([]string{"b", "a"}); got[0] != "a" {
 		t.Fatalf("sorted = %v", got)
+	}
+}
+
+// TestCollectScenariosSoloAsRecord measures a valid scenario with no
+// co-runners and converts it: a solo record, its noise-free time kept.
+func TestCollectScenariosSoloAsRecord(t *testing.T) {
+	proc, err := simproc.New(simproc.XeonE5649())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := workload.ByName("ep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, err := CollectScenarios(proc, []Scenario{{Target: ep}}, 0.01, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := proc.RunBaseline(ep, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped := AsRecords(measured)
+	if skipped != 0 || len(recs) != 1 {
+		t.Fatalf("got %d records, %d skipped", len(recs), skipped)
+	}
+	r := recs[0]
+	if r.CoApp != "" || r.NumCoLoc != 0 || r.TrueSeconds != base.TargetSeconds || r.Seconds == r.TrueSeconds {
+		t.Fatalf("record = %+v, want solo with TrueSeconds %v and noisy Seconds", r, base.TargetSeconds)
 	}
 }

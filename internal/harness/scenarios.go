@@ -34,7 +34,10 @@ type MixedRecord struct {
 	FreqGHz float64
 	Target  string
 	CoApps  []string
+	// Seconds is the measured (noisy) target execution time.
 	Seconds float64
+	// TrueSeconds is the noise-free simulated execution time.
+	TrueSeconds float64
 }
 
 // CollectScenarios measures each scenario on the processor, with the same
@@ -58,12 +61,13 @@ func CollectScenarios(proc *simproc.Processor, scenarios []Scenario, sigma float
 			names[j] = a.Name
 		}
 		out = append(out, MixedRecord{
-			Machine: proc.Spec().Name,
-			PState:  sc.PState,
-			FreqGHz: st.FreqGHz,
-			Target:  sc.Target.Name,
-			CoApps:  names,
-			Seconds: applyNoise(run.TargetSeconds, sigma, noise),
+			Machine:     proc.Spec().Name,
+			PState:      sc.PState,
+			FreqGHz:     st.FreqGHz,
+			Target:      sc.Target.Name,
+			CoApps:      names,
+			Seconds:     applyNoise(run.TargetSeconds, sigma, noise),
+			TrueSeconds: run.TargetSeconds,
 		})
 	}
 	return out, nil
@@ -101,8 +105,9 @@ func RandomMixedScenarios(targets, pool []workload.App, maxCo, n int, pstates []
 
 // AsRecords converts mixed records whose co-runner sets happen to be
 // homogeneous into harness Records (others are skipped), so they can be
-// appended to a Dataset for training. The returned count reports how many
-// were heterogeneous and therefore skipped.
+// appended to a Dataset for training. A record with no co-runners is a
+// solo run and converts with CoApp "" and NumCoLoc 0. The returned count
+// reports how many were heterogeneous and therefore skipped.
 func AsRecords(mixed []MixedRecord) (records []Record, skipped int) {
 	for _, m := range mixed {
 		if !homogeneous(m.CoApps) {
@@ -121,14 +126,15 @@ func AsRecords(mixed []MixedRecord) (records []Record, skipped int) {
 			CoApp:       co,
 			NumCoLoc:    len(m.CoApps),
 			Seconds:     m.Seconds,
-			TrueSeconds: m.Seconds,
+			TrueSeconds: m.TrueSeconds,
 		})
 	}
 	return records, skipped
 }
 
+// homogeneous reports whether every name is the same; an empty list is.
 func homogeneous(names []string) bool {
-	for _, n := range names[1:] {
+	for _, n := range names {
 		if n != names[0] {
 			return false
 		}

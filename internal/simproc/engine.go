@@ -36,6 +36,10 @@ type appCtx struct {
 	restart  bool // co-runners restart on completion until the target ends
 	executed float64
 	finished bool // only meaningful for the non-restarting target
+	// twin marks a co-runner whose app equals the previous co-runner's:
+	// the two start alike and stay alike, so the fixed point copies a
+	// twin's state from its predecessor instead of recomputing it.
+	twin bool
 
 	// Accumulated hardware counters.
 	instructions float64
@@ -49,6 +53,23 @@ type appCtx struct {
 	accessRate float64 // effective LLC accesses/instruction this epoch
 	cpi        float64
 	ips        float64
+	weight     float64 // LLC insertion weight of the current iteration
+}
+
+// newContexts builds the target's context followed by one restarting
+// context per co-runner, marking each co-runner that repeats the one
+// before it a twin. The target is never a twin.
+func newContexts(target workload.App, coApps []workload.App) []*appCtx {
+	backing := make([]appCtx, len(coApps)+1)
+	ctxs := make([]*appCtx, len(backing))
+	backing[0].app = target
+	ctxs[0] = &backing[0]
+	for i, a := range coApps {
+		c := &backing[i+1]
+		c.app, c.restart, c.twin = a, true, i > 0 && a == coApps[i-1]
+		ctxs[i+1] = c
+	}
+	return ctxs
 }
 
 // CounterValue implements perfctr.Backend over the context's accumulated
@@ -167,12 +188,8 @@ func (p *Processor) RunColocation(target workload.App, coApps []workload.App, ps
 		epochs = defaultEpochs
 	}
 
-	ctxs := make([]*appCtx, 0, len(coApps)+1)
-	tgt := &appCtx{app: target}
-	ctxs = append(ctxs, tgt)
-	for _, a := range coApps {
-		ctxs = append(ctxs, &appCtx{app: a, restart: true})
-	}
+	ctxs := newContexts(target, coApps)
+	tgt := ctxs[0]
 
 	var (
 		elapsed      float64
@@ -280,13 +297,12 @@ func (p *Processor) SteadyRates(apps []workload.App, pstate int) ([]float64, err
 	if err != nil {
 		return nil, err
 	}
-	ctxs := make([]*appCtx, len(apps))
 	for i, a := range apps {
 		if err := a.Validate(); err != nil {
 			return nil, fmt.Errorf("simproc: app %d: %w", i, err)
 		}
-		ctxs[i] = &appCtx{app: a}
 	}
+	ctxs := newContexts(apps[0], apps[1:])
 	p.solveFixedPoint(ctxs, st.FreqGHz)
 	out := make([]float64, len(ctxs))
 	for i, c := range ctxs {
@@ -304,14 +320,21 @@ const (
 
 // solveFixedPoint computes the epoch's steady state: per-context LLC
 // occupancy, miss ratio, CPI and instruction rate, and the shared memory
-// latency, mutually consistent at frequency freqGHz.
+// latency, mutually consistent at frequency freqGHz. A twin takes each
+// per-context value from its predecessor, whose inputs are the same, and
+// every sum still adds one term per context in context order, so the
+// result is bit-identical to solving every context separately.
 func (p *Processor) solveFixedPoint(ctxs []*appCtx, freqGHz float64) {
 	n := len(ctxs)
 	llc := p.spec.LLCBytes
 
 	// Effective access rate this epoch: the application's base rate
 	// modulated by its phase position (three full phase cycles per run).
-	for _, c := range ctxs {
+	for i, c := range ctxs {
+		if c.twin {
+			c.accessRate, c.occupancy = ctxs[i-1].accessRate, ctxs[i-1].occupancy
+			continue
+		}
 		progress := 0.0
 		if c.app.Instructions > 0 {
 			progress = math.Mod(c.executed/c.app.Instructions, 1)
@@ -326,18 +349,7 @@ func (p *Processor) solveFixedPoint(ctxs []*appCtx, freqGHz float64) {
 
 	memLat := p.spec.Mem.BaseLatencyNs
 	for iter := 0; iter < fpIterations; iter++ {
-		// Miss ratios from current occupancies.
-		for _, c := range ctxs {
-			c.missRatio = c.app.MRC.Ratio(c.occupancy)
-		}
-		// CPI and instruction rate at the current memory latency.
-		memLatCycles := memLat * freqGHz
-		for _, c := range ctxs {
-			hit := (1 - c.missRatio) * p.spec.LLCHitLatencyCycles * c.app.HitExposeFrac
-			miss := c.missRatio * memLatCycles * c.app.MissExposeFrac
-			c.cpi = c.app.BaseCPI + c.accessRate*(hit+miss)
-			c.ips = freqGHz * 1e9 / c.cpi
-		}
+		p.rates(ctxs, memLat*freqGHz, freqGHz)
 		// Aggregate miss bandwidth → new memory latency (damped).
 		total := 0.0
 		for _, c := range ctxs {
@@ -350,15 +362,18 @@ func (p *Processor) solveFixedPoint(ctxs []*appCtx, freqGHz float64) {
 		// touches the cache, not just the rate at which it misses. A
 		// small floor keeps nearly-idle applications from vanishing.
 		weightSum := 0.0
-		weights := make([]float64, n)
-		for i, c := range ctxs {
-			w := c.ips*c.accessRate + 1e3
-			weights[i] = w
-			weightSum += w
+		for _, c := range ctxs {
+			c.weight = c.ips*c.accessRate + 1e3
+			weightSum += c.weight
 		}
 		maxDelta := math.Abs(newLat-memLat) / p.spec.Mem.BaseLatencyNs
 		for i, c := range ctxs {
-			targetOcc := llc * weights[i] / weightSum
+			if c.twin {
+				// Its delta is its predecessor's, already in maxDelta.
+				c.occupancy = ctxs[i-1].occupancy
+				continue
+			}
+			targetOcc := llc * c.weight / weightSum
 			delta := fpDamping * (targetOcc - c.occupancy)
 			c.occupancy += delta
 			maxDelta = math.Max(maxDelta, math.Abs(delta)/llc)
@@ -369,8 +384,19 @@ func (p *Processor) solveFixedPoint(ctxs []*appCtx, freqGHz float64) {
 		}
 	}
 	// Final consistency pass with converged occupancies and latency.
-	memLatCycles := memLat * freqGHz
-	for _, c := range ctxs {
+	p.rates(ctxs, memLat*freqGHz, freqGHz)
+}
+
+// rates sets each context's miss ratio at its occupancy, and its CPI and
+// instruction rate at a memory latency of memLatCycles; a twin copies its
+// predecessor's.
+func (p *Processor) rates(ctxs []*appCtx, memLatCycles, freqGHz float64) {
+	for i, c := range ctxs {
+		if c.twin {
+			prev := ctxs[i-1]
+			c.missRatio, c.cpi, c.ips = prev.missRatio, prev.cpi, prev.ips
+			continue
+		}
 		c.missRatio = c.app.MRC.Ratio(c.occupancy)
 		hit := (1 - c.missRatio) * p.spec.LLCHitLatencyCycles * c.app.HitExposeFrac
 		miss := c.missRatio * memLatCycles * c.app.MissExposeFrac

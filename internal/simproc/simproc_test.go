@@ -370,6 +370,24 @@ func TestMoreEpochsConverges(t *testing.T) {
 	}
 }
 
+// TestRunColocationAllocs holds a run's allocations to a fixed set per
+// run: none may come from an epoch or a fixed-point iteration.
+func TestRunColocationAllocs(t *testing.T) {
+	p := proc12(t)
+	target := app(t, "canneal")
+	co := []workload.App{app(t, "cg"), app(t, "cg"), app(t, "ep")}
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := p.RunColocation(target, co, 0, Options{Epochs: epochs}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a16, a256 := allocs(16), allocs(256); a16 != a256 {
+		t.Fatalf("%v allocations at 16 epochs, %v at 256", a16, a256)
+	}
+}
+
 func TestTraceOccupancyAgreesWithAnalytical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace-driven validation is slow")
@@ -405,6 +423,7 @@ func TestTraceOccupancyAgreesWithAnalytical(t *testing.T) {
 func BenchmarkBaselineRun(b *testing.B) {
 	p := proc6(b)
 	a := app(b, "cg")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.RunBaseline(a, 0); err != nil {
@@ -421,6 +440,7 @@ func BenchmarkColocationRun11(b *testing.B) {
 	for i := range co {
 		co[i] = cg
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.RunColocation(target, co, 0, Options{}); err != nil {
