@@ -1,6 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation section, ablation benchmarks for the design choices
-// DESIGN.md calls out (SCG vs. gradient descent, analytical engine vs.
+// DESIGN.md calls out (bootstrap vs. k-fold, analytical engine vs.
 // trace-driven LRU cache), and the in-process
 // handler controls ServePredict and ObservationIngest. A quantity the
 // repository benchmark (bench/) already reports per layer — one
@@ -197,10 +197,9 @@ func BenchmarkPCAFeatureRanking(b *testing.B) {
 
 // ---- Ablations ----
 
-// BenchmarkAblationSCGTraining and BenchmarkAblationGDTraining compare
-// the paper's scaled-conjugate-gradient trainer against plain momentum
-// gradient descent on the same NN-F task (see also the accuracy
-// comparison in internal/mlp tests).
+// ablationTrainingData is the standardised NN-F training task on the
+// 6-core dataset that BenchmarkAblationSCGTraining trains on with the
+// paper's scaled-conjugate-gradient trainer.
 func ablationTrainingData(b *testing.B) (*linalg.Matrix, []float64) {
 	b.Helper()
 	s := benchSuite(b)
@@ -235,22 +234,6 @@ func BenchmarkAblationSCGTraining(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := mlp.TrainSCGWS(net, x, y, mlp.SCGConfig{MaxIter: 200}, ws); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationGDTraining(b *testing.B) {
-	x, y := ablationTrainingData(b)
-	ws := mlp.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, err := mlp.New(mlp.Config{Inputs: x.Cols, Hidden: []int{20}, Seed: uint64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := mlp.TrainGDWS(net, x, y, mlp.GDConfig{Epochs: 200, Seed: uint64(i)}, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

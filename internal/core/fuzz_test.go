@@ -14,11 +14,13 @@ import (
 // and any artefact it does accept must be fully usable: it saves,
 // reloads to an equivalent model, and predicts finite values.
 //
-// The committed corpus under testdata/fuzz/FuzzLoadModel holds a
-// valid artefact plus the interesting mutations (truncation, bad
-// feature index, non-finite coefficient, wrong format version) and
-// runs as a normal test; `go test -fuzz=FuzzLoadModel` explores from
-// there and is excluded from CI.
+// The committed corpus under testdata/fuzz/FuzzLoadModel holds a valid
+// linear and a valid neural artefact plus the interesting mutations
+// (truncation, bad feature index, non-finite coefficient, wrong format
+// version, network shapes that overflow or outsize their parameters, a
+// negative output-scaler deviation) and runs as a normal test. CI also
+// runs `go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 20s
+// ./internal/core/` to explore from there.
 func FuzzLoadModel(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("{}"))

@@ -125,7 +125,55 @@ func TestLoadModelHostileInput(t *testing.T) {
 			t.Fatal("unknown technique accepted")
 		}
 	})
+
+	// Neural artefacts: the declared network shape must match the
+	// parameters it carries, checked before anything is allocated for
+	// it, and the scalers must have positive deviations.
+	neural := func(inputs, hidden, xStd, yStd string) string {
+		return fmt.Sprintf(neuralArtefact, inputs, hidden, xStd, yStd)
+	}
+	t.Run("neural-valid", func(t *testing.T) {
+		m, err := LoadModel(strings.NewReader(neural("1", "2", "50", "30")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.Predict(features.Scenario{Target: "cg", CoApps: []string{"ep"}})
+		if err != nil || p <= 0 {
+			t.Fatalf("valid neural artefact predicts %v, %v", p, err)
+		}
+	})
+	for name, c := range map[string]struct{ blob, why string }{
+		// A parameter count that overflows: at 2^62 hidden nodes the
+		// allocation length is out of range.
+		"net-config-overflow": {neural("1", "4611686018427387904", "50", "30"), "parameters"},
+		// A count that fits an int but would need about 51 GB.
+		"net-config-huge-hidden": {neural("1", "2147483648", "50", "30"), "params"},
+		"net-config-huge-inputs": {neural("70368744177664", "2", "50", "30"), "params"},
+		"net-config-short":       {neural("1", "3", "50", "30"), "params"},
+		"negative-output-std":    {neural("1", "2", "50", "-3"), "standard deviation"},
+		"zero-output-std":        {neural("1", "2", "50", "0"), "standard deviation"},
+		"negative-input-std":     {neural("1", "2", "-50", "30"), "standard deviation"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := LoadModel(strings.NewReader(c.blob))
+			if err == nil || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("hostile neural artefact: err = %v, want one about %s", err, c.why)
+			}
+		})
+	}
 }
+
+// neuralArtefact is a hand-written neural-net-A artefact with one input
+// and one hidden layer of two nodes, so 7 parameters. The verbs fill the
+// declared inputs and hidden width, the input scaler's Std and the output
+// scaler's Std.
+const neuralArtefact = `{"format":1,"technique":1,"feature_set":"A","features":[0],"seed":1,` +
+	`"net_config":{"Inputs":%s,"Hidden":[%s],"Activation":0,"Seed":1},` +
+	`"net_params":[0.5,-0.25,0.1,0.05,0.8,-0.6,0.2],` +
+	`"x_scaler":{"Mean":[300],"Std":[%s]},"y_scaler":{"Mean":300,"Std":%s},` +
+	`"machine":"m","pstate_freqs":[2.5],"baselines":{` +
+	`"cg":{"App":"cg","SecondsByPState":[300],"MemIntensity":0.05,"CMPerCA":0.7,"CAPerIns":0.06},` +
+	`"ep":{"App":"ep","SecondsByPState":[380],"MemIntensity":1e-5,"CMPerCA":0.003,"CAPerIns":0.002}}}`
 
 func TestLoadModelInconsistentBaselines(t *testing.T) {
 	base := `{"format":1,"technique":0,"feature_set":"A","features":[0],` +

@@ -87,9 +87,10 @@ func (m *Model) Save(w io.Writer) error {
 // LoadModel reads a model previously written by Save. Artefacts cross an
 // untrusted boundary (a serving tier loads whatever file it is pointed
 // at), so the decoder rejects unknown format versions, truncated or
-// corrupt JSON, out-of-range feature indices, non-finite parameters, and
-// inconsistent baseline stores with descriptive errors instead of
-// producing a model that fails (or worse, mispredicts) later.
+// corrupt JSON, out-of-range feature indices, network shapes that do not
+// match their parameters, non-finite parameters, non-positive scaler
+// deviations, and inconsistent baseline stores with descriptive errors
+// instead of producing a model that fails (or worse, mispredicts) later.
 func LoadModel(r io.Reader) (*Model, error) {
 	dec := json.NewDecoder(r)
 	var dto modelDTO
@@ -167,11 +168,11 @@ func LoadModel(r io.Reader) (*Model, error) {
 		if !allFinite(dto.NetParams) {
 			return nil, fmt.Errorf("core: neural model has non-finite parameters")
 		}
-		net, err := mlp.New(*dto.NetConfig)
-		if err != nil {
+		if err := checkScalers(dto.XScaler, dto.YScaler); err != nil {
 			return nil, err
 		}
-		if err := net.SetParams(dto.NetParams); err != nil {
+		net, err := mlp.FromParams(*dto.NetConfig, dto.NetParams)
+		if err != nil {
 			return nil, err
 		}
 		if net.Config().Inputs != set.Width() {
@@ -191,6 +192,23 @@ func LoadModel(r io.Reader) (*Model, error) {
 	// load.
 	m.initCompiled()
 	return m, nil
+}
+
+// checkScalers rejects a standard deviation that FitScaler and
+// FitVecScaler never write: one that is not positive. A negative Std
+// flips every prediction about the mean and a zero one divides by zero.
+// A width mismatch is not checked here: such a model loads and stays on
+// the interpreted path.
+func checkScalers(x *features.Scaler, y *features.VecScaler) error {
+	for j, std := range x.Std {
+		if std <= 0 {
+			return fmt.Errorf("core: input scaler has standard deviation %v at column %d; it must be positive", std, j)
+		}
+	}
+	if y.Std <= 0 {
+		return fmt.Errorf("core: output scaler has standard deviation %v; it must be positive", y.Std)
+	}
+	return nil
 }
 
 // finite reports whether v is neither NaN nor ±Inf.

@@ -28,20 +28,9 @@ func dims(op string, ok bool, format string, args ...any) {
 	}
 }
 
-// MatMulInto computes dst = a·b without allocating. dst must be
-// a.Rows×b.Cols and must not alias a or b.
-func MatMulInto(dst, a, b *Matrix) {
-	dims("MatMulInto", a.Cols == b.Rows, "dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	dims("MatMulInto", dst.Rows == a.Rows && dst.Cols == b.Cols, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	AccumMatMul(dst, a, b)
-}
-
 // AccumMatMul computes dst += a·b without allocating: the blocked i-k-j
 // GEMM. Per destination element the additions arrive in ascending k order
-// (zero a-elements are skipped, matching Matrix.Mul), so accumulating on
+// (zero a-elements are skipped), so accumulating on
 // top of a caller-initialised dst — e.g. a broadcast bias row — reproduces
 // the scalar "start at bias, add terms in order" sum bit-for-bit.
 func AccumMatMul(dst, a, b *Matrix) {
@@ -68,16 +57,6 @@ func AccumMatMul(dst, a, b *Matrix) {
 			}
 		}
 	}
-}
-
-// MulABTInto computes dst = a·bᵀ without allocating: dst[i][j] is the dot
-// product of row i of a and row j of b. dst must be a.Rows×b.Rows and must
-// not alias a or b.
-func MulABTInto(dst, a, b *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	AccumMulABT(dst, a, b)
 }
 
 // AccumMulABT computes dst += a·bᵀ without allocating. Each dst element
@@ -124,15 +103,6 @@ func AccumMulABT(dst, a, b *Matrix) {
 			}
 		}
 	}
-}
-
-// MulATBInto computes dst = aᵀ·b without allocating. dst must be
-// a.Cols×b.Cols and must not alias a or b.
-func MulATBInto(dst, a, b *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	AccumMulATB(dst, a, b)
 }
 
 // AccumMulATB computes dst += aᵀ·b without allocating: the rank-1-update
@@ -195,7 +165,3 @@ func Scal(alpha float64, x []float64) {
 		x[i] *= alpha
 	}
 }
-
-// Axpy computes y ← y + alpha·x in place (alias of AXPY under the BLAS
-// casing the kernel set uses).
-func Axpy(alpha float64, x, y []float64) { AXPY(alpha, x, y) }

@@ -23,56 +23,38 @@ func naiveMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// TestBlockedKernelsMatchNaive drives the blocked GEMM variants over
-// randomized non-square shapes — including empty and single-row/column
-// extremes and shapes straddling the block edge — and checks exact
-// agreement with the naive reference (same accumulation order per
-// element, so equality is bitwise up to ±0).
+// TestBlockedKernelsMatchNaive drives the blocked GEMM variants, each on
+// a zeroed destination, over randomized non-square shapes — including
+// empty and single-row/column extremes and shapes straddling the block
+// edge, with zeros injected so AccumMatMul's zero skip runs — and checks
+// agreement with the naive reference. AccumMatMul accumulates each
+// element in the reference's order, so it must agree exactly (up to ±0,
+// which a skipped zero term can flip).
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	src := xrand.New(41)
 	shapes := [][2]int{{0, 3}, {1, 1}, {3, 0}, {2, 5}, {7, 3}, {63, 9}, {64, 65}, {130, 17}, {5, 129}}
 	for _, sa := range shapes {
 		for _, k := range []int{0, 1, 7, 64, 70} {
 			a := randomMatrix(src, sa[0], k)
+			for i := 0; i < len(a.Data); i += 7 {
+				a.Data[i] = 0
+			}
 			b := randomMatrix(src, k, sa[1])
 			want := naiveMul(a, b)
 
 			got := NewMatrix(a.Rows, b.Cols)
-			MatMulInto(got, a, b)
-			matrixApproxEqual(t, "MatMulInto", got, want, 0)
+			AccumMatMul(got, a, b)
+			matrixApproxEqual(t, "AccumMatMul", got, want, 0)
 
 			bt := b.T()
 			got2 := NewMatrix(a.Rows, bt.Rows)
-			MulABTInto(got2, a, bt)
-			matrixApproxEqual(t, "MulABTInto", got2, want, 1e-13)
+			AccumMulABT(got2, a, bt)
+			matrixApproxEqual(t, "AccumMulABT", got2, want, 1e-13)
 
 			at := a.T()
 			got3 := NewMatrix(at.Cols, b.Cols)
-			MulATBInto(got3, at, b)
-			matrixApproxEqual(t, "MulATBInto", got3, want, 1e-13)
-		}
-	}
-}
-
-// TestMatMulIntoMatchesMul pins the blocked kernel to the existing
-// allocating Matrix.Mul bit-for-bit (both accumulate in ascending k with
-// the same zero skip).
-func TestMatMulIntoMatchesMul(t *testing.T) {
-	src := xrand.New(42)
-	for _, sh := range [][3]int{{3, 4, 5}, {65, 64, 63}, {1, 100, 1}, {128, 2, 128}} {
-		a := randomMatrix(src, sh[0], sh[1])
-		b := randomMatrix(src, sh[1], sh[2])
-		// Inject zeros so the zero-skip path is exercised.
-		for i := 0; i < len(a.Data); i += 7 {
-			a.Data[i] = 0
-		}
-		want := a.Mul(b)
-		got := NewMatrix(sh[0], sh[2])
-		MatMulInto(got, a, b)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("shape %v: MatMulInto differs from Mul at %d: %v vs %v", sh, i, got.Data[i], want.Data[i])
-			}
+			AccumMulATB(got3, at, b)
+			matrixApproxEqual(t, "AccumMulATB", got3, want, 1e-13)
 		}
 	}
 }
@@ -145,10 +127,10 @@ func TestKernelShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(4, 2)
 	for name, fn := range map[string]func(){
-		"MatMulInto-inner": func() { MatMulInto(NewMatrix(2, 2), a, b) },
-		"MatMulInto-dst":   func() { MatMulInto(NewMatrix(1, 1), a, NewMatrix(3, 2)) },
-		"MulABTInto-inner": func() { MulABTInto(NewMatrix(2, 4), a, b) },
-		"MulATBInto-outer": func() { MulATBInto(NewMatrix(3, 2), a, b) },
+		"AccumMatMul-inner": func() { AccumMatMul(NewMatrix(2, 2), a, b) },
+		"AccumMatMul-dst":   func() { AccumMatMul(NewMatrix(1, 1), a, NewMatrix(3, 2)) },
+		"AccumMulABT-inner": func() { AccumMulABT(NewMatrix(2, 4), a, b) },
+		"AccumMulATB-outer": func() { AccumMulATB(NewMatrix(3, 2), a, b) },
 	} {
 		func() {
 			defer func() {
@@ -268,8 +250,8 @@ func TestScalAndAxpy(t *testing.T) {
 		t.Fatalf("Scal: %v", x)
 	}
 	y := []float64{1, 1, 1}
-	Axpy(0.5, x, y)
+	AXPY(0.5, x, y)
 	if y[0] != 2 || y[1] != 3 || y[2] != 4 {
-		t.Fatalf("Axpy: %v", y)
+		t.Fatalf("AXPY: %v", y)
 	}
 }

@@ -109,28 +109,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out
-}
-
 // MulVec returns the matrix-vector product m·x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if m.Cols != len(x) {
@@ -146,41 +124,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// Add returns m + b element-wise.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.sameShape(b, "Add")
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
-// Sub returns m − b element-wise.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.sameShape(b, "Sub")
-	out := m.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-func (m *Matrix) sameShape(b *Matrix, op string) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: %s shape mismatch %dx%d vs %dx%d", op, m.Rows, m.Cols, b.Rows, b.Cols))
-	}
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.
@@ -248,37 +191,4 @@ func AXPY(alpha float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += alpha * v
 	}
-}
-
-// ScaleVec returns alpha·x as a new slice.
-func ScaleVec(alpha float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = alpha * v
-	}
-	return out
-}
-
-// SubVec returns a − b as a new slice.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: SubVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a + b as a new slice.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }

@@ -3,19 +3,18 @@ package mlp
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"colocmodel/internal/linalg"
 )
 
 // numParamVecs is how many parameter-length scratch vectors a Workspace
-// carries for the trainers (SCG uses seven, early stopping an eighth).
-const numParamVecs = 8
+// carries for the SCG trainer.
+const numParamVecs = 7
 
 // Workspace holds the activation, delta and parameter-length scratch that
 // the batched forward/backward passes and the trainers write into. A
 // workspace grows on demand and is reused across every training iteration,
-// so a warmed SCG/GD/RProp iteration performs zero heap allocations.
+// so a warmed SCG iteration performs zero heap allocations.
 //
 // Reuse contract: a Workspace is NOT goroutine-safe. Keep one workspace
 // per worker goroutine (core.Evaluate does exactly that); sharing one
@@ -26,10 +25,8 @@ type Workspace struct {
 	acts []linalg.Matrix
 	// deltas[li] holds the backpropagated error at layer li's output.
 	deltas []linalg.Matrix
-	// vecs are parameter-length scratch vectors for the optimisers.
+	// vecs are parameter-length scratch vectors for the trainer.
 	vecs [numParamVecs][]float64
-	// pw backs the opt-in row-chunked parallel evaluation (SCGConfig.Workers).
-	pw ParallelWorkspace
 }
 
 // NewWorkspace returns an empty workspace; buffers are allocated lazily on
@@ -149,19 +146,6 @@ func (n *Network) LossWS(ws *Workspace, x *linalg.Matrix, y []float64) (float64,
 // propagation. Results are bit-identical to the scalar reference; see the
 // property tests. Zero heap allocations once ws is warmed.
 func (n *Network) LossAndGradWS(ws *Workspace, x *linalg.Matrix, y []float64, grad []float64) (float64, error) {
-	raw, err := n.rawLossGrad(ws, x, y, grad)
-	if err != nil {
-		return 0, err
-	}
-	inv := 1 / float64(x.Rows)
-	linalg.Scal(inv, grad)
-	return raw * 0.5 * inv, nil
-}
-
-// rawLossGrad computes the unnormalised sum-of-squares loss and gradient
-// sums over the rows of x (no 1/n factor), so chunked parallel accumulation
-// can combine partial sums before normalising once.
-func (n *Network) rawLossGrad(ws *Workspace, x *linalg.Matrix, y []float64, grad []float64) (float64, error) {
 	if x.Cols != n.cfg.Inputs {
 		return 0, fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
 	}
@@ -173,13 +157,16 @@ func (n *Network) rawLossGrad(ws *Workspace, x *linalg.Matrix, y []float64, grad
 	}
 	ws.ensure(n, x.Rows)
 	n.forwardBatch(ws, x)
-	return n.backwardRaw(ws, x, y, grad), nil
+	raw := n.backwardRaw(ws, x, y, grad)
+	inv := 1 / float64(x.Rows)
+	linalg.Scal(inv, grad)
+	return raw * 0.5 * inv, nil
 }
 
 // backwardRaw runs the batched backward pass against the activations
 // already present in ws (from a forwardBatch at the current parameters),
 // filling grad with unnormalised gradient sums and returning the raw
-// sum-of-squares loss. Separated from rawLossGrad so the SCG accept path
+// sum-of-squares loss. Separated from LossAndGradWS so the SCG accept path
 // can reuse the trial step's forward activations instead of recomputing
 // them — the recomputation would produce identical bits, so skipping it
 // changes nothing but time.
@@ -235,136 +222,4 @@ func (n *Network) backwardRaw(ws *Workspace, x *linalg.Matrix, y []float64, grad
 		}
 	}
 	return loss
-}
-
-// ParallelWorkspace carries per-worker workspaces and gradient buffers for
-// LossAndGradParallel/LossParallel. Like Workspace it is not
-// goroutine-safe across calls; one ParallelWorkspace serves one caller at
-// a time.
-type ParallelWorkspace struct {
-	chunks []Workspace
-	grads  [][]float64
-	losses []float64
-	errs   []error
-}
-
-// LossAndGradParallel is the opt-in row-chunked variant of LossAndGradWS
-// for large batches: the sample matrix is split into `workers` contiguous
-// row chunks, each chunk's unnormalised loss and gradient sums are computed
-// concurrently in its own workspace, and the partial sums are reduced in
-// ascending chunk order. The reduction order is deterministic for a fixed
-// worker count, but the grouping of floating-point additions differs from
-// the sequential pass, so results match LossAndGradWS to ~1e-12 rather
-// than bit-for-bit — which is why the sequential pass remains the default
-// everywhere reproducibility matters.
-func (n *Network) LossAndGradParallel(pw *ParallelWorkspace, x *linalg.Matrix, y []float64, grad []float64, workers int) (float64, error) {
-	if x.Cols != n.cfg.Inputs {
-		return 0, fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
-	}
-	if len(y) != x.Rows {
-		return 0, fmt.Errorf("mlp: %d labels for %d samples", len(y), x.Rows)
-	}
-	if len(grad) != len(n.params) {
-		return 0, fmt.Errorf("mlp: gradient slice length %d, network has %d params", len(grad), len(n.params))
-	}
-	workers = pw.ensure(workers, x.Rows, len(grad))
-	chunk := (x.Rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := min(lo+chunk, x.Rows)
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			xc := linalg.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
-			pw.losses[g], pw.errs[g] = n.rawLossGrad(&pw.chunks[g], &xc, y[lo:hi], pw.grads[g])
-		}(g, lo, hi)
-	}
-	wg.Wait()
-	for g := 0; g < workers; g++ {
-		if pw.errs[g] != nil {
-			return 0, pw.errs[g]
-		}
-	}
-	for i := range grad {
-		grad[i] = 0
-	}
-	loss := 0.0
-	for g := 0; g < workers; g++ {
-		loss += pw.losses[g]
-		linalg.Axpy(1, pw.grads[g], grad)
-	}
-	inv := 1 / float64(x.Rows)
-	linalg.Scal(inv, grad)
-	return loss * 0.5 * inv, nil
-}
-
-// LossParallel is the row-chunked counterpart of LossWS: chunk forward
-// passes run concurrently and the per-chunk sum-of-squares partials are
-// reduced in ascending chunk order. Same determinism contract as
-// LossAndGradParallel.
-func (n *Network) LossParallel(pw *ParallelWorkspace, x *linalg.Matrix, y []float64, workers int) (float64, error) {
-	if x.Cols != n.cfg.Inputs {
-		return 0, fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
-	}
-	if len(y) != x.Rows {
-		return 0, fmt.Errorf("mlp: %d labels for %d samples", len(y), x.Rows)
-	}
-	workers = pw.ensure(workers, x.Rows, 0)
-	chunk := (x.Rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := min(lo+chunk, x.Rows)
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			ws := &pw.chunks[g]
-			xc := linalg.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
-			ws.ensure(n, xc.Rows)
-			pred := n.forwardBatch(ws, &xc)
-			s := 0.0
-			for i, p := range pred.Data {
-				d := p - y[lo+i]
-				s += d * d
-			}
-			pw.losses[g] = s
-			pw.errs[g] = nil
-		}(g, lo, hi)
-	}
-	wg.Wait()
-	loss := 0.0
-	for g := 0; g < workers; g++ {
-		loss += pw.losses[g]
-	}
-	return loss / (2 * float64(len(y))), nil
-}
-
-// ensure clamps workers to [1, rows], grows the per-chunk buffers and
-// returns the effective worker count. gradDim 0 skips gradient buffers.
-func (pw *ParallelWorkspace) ensure(workers, rows, gradDim int) int {
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if len(pw.chunks) < workers {
-		pw.chunks = append(pw.chunks, make([]Workspace, workers-len(pw.chunks))...)
-	}
-	for len(pw.grads) < workers {
-		pw.grads = append(pw.grads, nil)
-	}
-	if len(pw.losses) < workers {
-		pw.losses = make([]float64, workers)
-		pw.errs = make([]error, workers)
-	}
-	if gradDim > 0 {
-		for g := 0; g < workers; g++ {
-			if len(pw.grads[g]) != gradDim {
-				pw.grads[g] = make([]float64, gradDim)
-			}
-		}
-	}
-	return workers
 }

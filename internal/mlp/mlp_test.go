@@ -63,6 +63,51 @@ func TestParamLayoutAndRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFromParams restores a network from its configuration and
+// parameters, and refuses shapes that do not match the parameters given,
+// including shapes whose parameter count would overflow an int or ask for
+// gigabytes.
+func TestFromParams(t *testing.T) {
+	n := newNet(t, 3, []int{4, 2})
+	r, err := FromParams(n.Config(), n.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []float64{0.3, -1, 2}
+	want, _ := n.Forward(in)
+	if got, _ := r.Forward(in); got != want {
+		t.Fatalf("restored network predicts %v, want %v", got, want)
+	}
+	p := n.Params()
+	r, _ = FromParams(n.Config(), p)
+	p[0]++
+	if r.Params()[0] == p[0] {
+		t.Fatal("FromParams aliased the caller's slice")
+	}
+	bad := map[string]Config{
+		"short": {Inputs: 3, Hidden: []int{5}},
+		// One layer's count overflows.
+		"overflow": {Inputs: 1, Hidden: []int{math.MaxInt}},
+		// Each layer's count fits, their sum does not.
+		"overflow-sum":   {Inputs: 1, Hidden: []int{math.MaxInt / 2}},
+		"huge":           {Inputs: 1, Hidden: []int{math.MaxInt32}},
+		"huge-inputs":    {Inputs: math.MaxInt32, Hidden: []int{4}},
+		"invalid-config": {Inputs: 0, Hidden: []int{4}},
+	}
+	for name, cfg := range bad {
+		if _, err := FromParams(cfg, n.Params()); err == nil {
+			t.Fatalf("%s: shape %d→%v accepted for %d params", name, cfg.Inputs, cfg.Hidden, n.NumParams())
+		}
+	}
+	// New lays shapes out the same way, so it refuses an overflowing
+	// count instead of passing a wrapped length to make.
+	for _, name := range []string{"overflow", "overflow-sum"} {
+		if _, err := New(bad[name]); err == nil {
+			t.Fatalf("New accepted the %s shape", name)
+		}
+	}
+}
+
 func TestForwardErrors(t *testing.T) {
 	n := newNet(t, 2, []int{3})
 	if _, err := n.Forward([]float64{1}); err == nil {
@@ -170,12 +215,14 @@ func TestSCGSolvesXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainSCG(n, x, y, SCGConfig{MaxIter: 2000, LossTol: 1e-6})
+	res, err := TrainSCG(n, x, y, SCGConfig{MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalLoss > 1e-3 {
-		t.Fatalf("SCG failed XOR: loss %v after %d iters", res.FinalLoss, res.Iterations)
+	// XOR is exactly representable, so SCG drives the loss to round-off
+	// and stops on the gradient tolerance well inside the budget.
+	if !res.Converged || res.FinalLoss > 1e-10 {
+		t.Fatalf("SCG failed XOR: loss %v after %d iters (converged %v)", res.FinalLoss, res.Iterations, res.Converged)
 	}
 	for i := 0; i < x.Rows; i++ {
 		p, err := n.Forward(x.Row(i))
@@ -221,60 +268,6 @@ func TestSCGFitsSmoothNonlinearFunction(t *testing.T) {
 	}
 	if res.FinalLoss > 0.002 {
 		t.Fatalf("SCG fit too poor: loss %v", res.FinalLoss)
-	}
-}
-
-func TestSCGBeatsOrMatchesGDOnBudget(t *testing.T) {
-	// The paper chose SCG; verify it converges at least as well as
-	// momentum GD under a comparable gradient-evaluation budget.
-	src := xrand.New(9)
-	n := 150
-	x := linalg.NewMatrix(n, 2)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a, b := src.Uniform(-2, 2), src.Uniform(-2, 2)
-		x.Set(i, 0, a)
-		x.Set(i, 1, b)
-		y[i] = a*b + 0.5*a*a
-	}
-	scgNet, _ := New(Config{Inputs: 2, Hidden: []int{12}, Seed: 5})
-	scgRes, err := TrainSCG(scgNet, x, y, SCGConfig{MaxIter: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gdNet, _ := New(Config{Inputs: 2, Hidden: []int{12}, Seed: 5})
-	gdRes, err := TrainGD(gdNet, x, y, GDConfig{Epochs: 600, LearningRate: 0.02, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scgRes.FinalLoss > gdRes.FinalLoss*2 {
-		t.Fatalf("SCG (%v) much worse than GD (%v)", scgRes.FinalLoss, gdRes.FinalLoss)
-	}
-}
-
-func TestGDReducesLoss(t *testing.T) {
-	x, y := xorProblem()
-	n, _ := New(Config{Inputs: 2, Hidden: []int{8}, Seed: 6})
-	before, err := n.Loss(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := TrainGD(n, x, y, GDConfig{Epochs: 500, LearningRate: 0.05, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalLoss >= before {
-		t.Fatalf("GD did not reduce loss: %v -> %v", before, res.FinalLoss)
-	}
-}
-
-func TestGDErrors(t *testing.T) {
-	n := newNet(t, 2, []int{3})
-	if _, err := TrainGD(n, linalg.NewMatrix(0, 2), nil, GDConfig{}); err == nil {
-		t.Fatal("empty training set accepted")
-	}
-	if _, err := TrainGD(n, linalg.NewMatrix(2, 2), []float64{1}, GDConfig{}); err == nil {
-		t.Fatal("mismatched labels accepted")
 	}
 }
 
@@ -350,27 +343,5 @@ func BenchmarkForward(b *testing.B) {
 		if _, err := n.Forward(in); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSCGWeightDecayShrinksWeights(t *testing.T) {
-	x, y := xorProblem()
-	plain, _ := New(Config{Inputs: 2, Hidden: []int{8}, Seed: 12})
-	if _, err := TrainSCG(plain, x, y, SCGConfig{MaxIter: 400}); err != nil {
-		t.Fatal(err)
-	}
-	decayed, _ := New(Config{Inputs: 2, Hidden: []int{8}, Seed: 12})
-	if _, err := TrainSCG(decayed, x, y, SCGConfig{MaxIter: 400, WeightDecay: 0.05}); err != nil {
-		t.Fatal(err)
-	}
-	norm := func(n *Network) float64 {
-		s := 0.0
-		for _, w := range n.Params() {
-			s += w * w
-		}
-		return s
-	}
-	if norm(decayed) >= norm(plain) {
-		t.Fatalf("weight decay did not shrink weights: %v vs %v", norm(decayed), norm(plain))
 	}
 }

@@ -4,13 +4,13 @@
 // co-located execution time. Networks here use 10–20 hidden nodes, as in
 // the paper, and are trained with Møller's scaled conjugate gradient
 // ("a scaled conjugate gradient numerical method was used to determine the
-// coefficient values at each network node"). A plain gradient-descent
-// trainer is included as an ablation baseline.
+// coefficient values at each network node").
 package mlp
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"colocmodel/internal/linalg"
 	"colocmodel/internal/xrand"
@@ -129,21 +129,11 @@ type Network struct {
 
 // New builds a network with Xavier/Glorot-scaled random initial weights.
 func New(cfg Config) (*Network, error) {
-	if err := cfg.Validate(); err != nil {
+	n, size, err := newShape(cfg)
+	if err != nil {
 		return nil, err
 	}
-	sizes := append([]int{cfg.Inputs}, cfg.Hidden...)
-	sizes = append(sizes, 1) // linear output
-	n := &Network{cfg: cfg}
-	off := 0
-	for l := 0; l+1 < len(sizes); l++ {
-		ly := layer{in: sizes[l], out: sizes[l+1], wOff: off}
-		off += ly.in * ly.out
-		ly.bOff = off
-		off += ly.out
-		n.layers = append(n.layers, ly)
-	}
-	n.params = make([]float64, off)
+	n.params = make([]float64, size)
 	src := xrand.New(cfg.Seed)
 	for _, ly := range n.layers {
 		scale := math.Sqrt(2.0 / float64(ly.in+ly.out))
@@ -153,6 +143,49 @@ func New(cfg Config) (*Network, error) {
 		// Biases start at zero.
 	}
 	return n, nil
+}
+
+// FromParams builds a network of shape cfg holding a copy of params,
+// which must be exactly the parameter vector that shape declares. It is
+// how a saved network is restored: the declared shape is checked against
+// len(params) before anything is allocated, so a hostile shape cannot
+// request more memory than the parameters it arrived with.
+func FromParams(cfg Config, params []float64) (*Network, error) {
+	n, size, err := newShape(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if size != len(params) {
+		return nil, fmt.Errorf("mlp: %d params, network has %d", len(params), size)
+	}
+	n.params = append([]float64(nil), params...)
+	return n, nil
+}
+
+// newShape validates cfg and lays out its layers in the flat parameter
+// vector, returning the network without parameters and the vector's
+// length. The length is computed with overflow checks, so no shape can
+// wrap it.
+func newShape(cfg Config) (*Network, int, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, 0, err
+	}
+	sizes := append([]int{cfg.Inputs}, cfg.Hidden...)
+	sizes = append(sizes, 1) // linear output
+	n := &Network{cfg: cfg}
+	off := 0
+	for l := 0; l+1 < len(sizes); l++ {
+		ly := layer{in: sizes[l], out: sizes[l+1], wOff: off}
+		// The layer holds out·(in+1) parameters: weights and biases.
+		hi, lo := bits.Mul64(uint64(ly.out), uint64(ly.in)+1)
+		if hi != 0 || lo > uint64(math.MaxInt-off) {
+			return nil, 0, fmt.Errorf("mlp: network shape %d→%v→1 has too many parameters", cfg.Inputs, cfg.Hidden)
+		}
+		ly.bOff = off + ly.in*ly.out
+		off += int(lo)
+		n.layers = append(n.layers, ly)
+	}
+	return n, off, nil
 }
 
 // Config returns the network configuration.

@@ -121,37 +121,6 @@ func scalarLossAndGrad(n *Network, x *linalg.Matrix, y []float64) (float64, []fl
 	return loss, grad, nil
 }
 
-func scalarPenalizedLossGrad(n *Network, x *linalg.Matrix, y []float64, lambda float64) (float64, []float64, error) {
-	loss, grad, err := scalarLossAndGrad(n, x, y)
-	if err != nil {
-		return 0, nil, err
-	}
-	if lambda > 0 {
-		s := 0.0
-		for i, w := range n.params {
-			grad[i] += lambda * w
-			s += w * w
-		}
-		loss += 0.5 * lambda * s
-	}
-	return loss, grad, nil
-}
-
-func scalarPenalizedLoss(n *Network, x *linalg.Matrix, y []float64, lambda float64) (float64, error) {
-	loss, err := scalarLoss(n, x, y)
-	if err != nil {
-		return 0, err
-	}
-	if lambda > 0 {
-		s := 0.0
-		for _, w := range n.params {
-			s += w * w
-		}
-		loss += 0.5 * lambda * s
-	}
-	return loss, nil
-}
-
 // scalarTrainSCG is the old allocating, sample-at-a-time TrainSCG,
 // verbatim. The batched TrainSCG must reproduce its parameter trajectory
 // bit-for-bit; it also anchors the old-vs-new training benchmarks.
@@ -171,11 +140,11 @@ func scalarTrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*
 	w := n.Params()
 	dim := len(w)
 
-	loss, grad, err := scalarPenalizedLossGrad(n, x, y, cfg.WeightDecay)
+	loss, grad, err := scalarLossAndGrad(n, x, y)
 	if err != nil {
 		return nil, err
 	}
-	r := linalg.ScaleVec(-1, grad)
+	r := negated(grad)
 	p := append([]float64(nil), r...)
 	lambda := firstLamda
 	lambdaBar := 0.0
@@ -197,7 +166,7 @@ func scalarTrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*
 			if err := n.SetParams(wProbe); err != nil {
 				return nil, err
 			}
-			_, gradProbe, err := scalarPenalizedLossGrad(n, x, y, cfg.WeightDecay)
+			_, gradProbe, err := scalarLossAndGrad(n, x, y)
 			if err != nil {
 				return nil, err
 			}
@@ -220,7 +189,7 @@ func scalarTrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*
 		if err := n.SetParams(wNew); err != nil {
 			return nil, err
 		}
-		lossNew, err := scalarPenalizedLoss(n, x, y, cfg.WeightDecay)
+		lossNew, err := scalarLoss(n, x, y)
 		if err != nil {
 			return nil, err
 		}
@@ -229,11 +198,11 @@ func scalarTrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*
 		if Delta >= 0 {
 			w = wNew
 			loss = lossNew
-			_, gradNew, err := scalarPenalizedLossGrad(n, x, y, cfg.WeightDecay)
+			_, gradNew, err := scalarLossAndGrad(n, x, y)
 			if err != nil {
 				return nil, err
 			}
-			rNew := linalg.ScaleVec(-1, gradNew)
+			rNew := negated(gradNew)
 			lambdaBar = 0
 			success = true
 			if k%dim == 0 {
@@ -262,7 +231,7 @@ func scalarTrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*
 		}
 
 		gn := linalg.Norm2(r)
-		if gn <= cfg.GradTol || loss <= cfg.LossTol {
+		if gn <= scgGradTol || loss <= scgLossTol {
 			res.Converged = true
 			break
 		}
@@ -273,4 +242,13 @@ func scalarTrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*
 	res.FinalLoss = loss
 	res.GradNorm = linalg.Norm2(r)
 	return res, nil
+}
+
+// negated returns −v as a new slice.
+func negated(v []float64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = -1 * x
+	}
+	return out
 }

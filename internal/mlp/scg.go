@@ -12,31 +12,11 @@ type SCGConfig struct {
 	// MaxIter bounds the number of SCG iterations (weight updates plus
 	// rejected steps). Default 500.
 	MaxIter int
-	// GradTol stops training when the gradient norm falls below it.
-	// Default 1e-6.
-	GradTol float64
-	// LossTol stops training when the loss falls below it. Default 0.
-	LossTol float64
-	// WeightDecay adds an L2 penalty ½·λ·‖w‖² to the loss, shrinking
-	// weights toward zero. Default 0 (the paper's models are unpenalised;
-	// the option exists for regularisation ablations).
-	WeightDecay float64
-	// Workers > 1 opts in to row-chunked parallel loss/gradient
-	// evaluation for large batches. The chunk reduction order is
-	// deterministic for a fixed worker count, but its floating-point
-	// grouping differs from the sequential pass, so results match the
-	// default (0 or 1: sequential, bit-identical to the scalar reference)
-	// to ~1e-12 rather than exactly. Leave at 0 wherever reproducibility
-	// of the paper figures matters.
-	Workers int
 }
 
 func (c *SCGConfig) defaults() {
 	if c.MaxIter == 0 {
 		c.MaxIter = 500
-	}
-	if c.GradTol == 0 {
-		c.GradTol = 1e-6
 	}
 }
 
@@ -60,6 +40,10 @@ const (
 	scgLambdaMin  = 1e-15
 	scgLambdaMax  = 1e15
 	scgFirstLamda = 1e-6
+	// scgGradTol and scgLossTol end training early: when the gradient
+	// norm or the loss falls to them.
+	scgGradTol = 1e-6
+	scgLossTol = 0
 )
 
 // TrainSCG trains the network on (x, y) with Møller's scaled conjugate
@@ -106,11 +90,10 @@ func TrainSCGWS(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig, ws *Wo
 // the workspace's scratch, swapped by pointer on accepted steps instead of
 // reallocated, which is what makes step() allocation-free after warmup.
 type scgState struct {
-	n   *Network
-	x   *linalg.Matrix
-	y   []float64
-	cfg SCGConfig
-	ws  *Workspace
+	n  *Network
+	x  *linalg.Matrix
+	y  []float64
+	ws *Workspace
 
 	// w holds the best accepted parameters; wScratch is overwritten by the
 	// curvature probe and by each trial step (and swapped with w on
@@ -130,7 +113,7 @@ type scgState struct {
 
 func newSCGState(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig, ws *Workspace) (*scgState, error) {
 	dim := n.NumParams()
-	st := &scgState{n: n, x: x, y: y, cfg: cfg, ws: ws, dim: dim}
+	st := &scgState{n: n, x: x, y: y, ws: ws, dim: dim}
 	st.w = ws.paramVec(0, dim)
 	st.wScratch = ws.paramVec(1, dim)
 	st.grad = ws.paramVec(2, dim)
@@ -139,7 +122,7 @@ func newSCGState(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig, ws *W
 	st.rAlt = ws.paramVec(5, dim)
 	st.p = ws.paramVec(6, dim)
 	copy(st.w, n.params)
-	loss, err := st.evalLossGrad(st.grad)
+	loss, err := n.LossAndGradWS(ws, x, y, st.grad)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +158,7 @@ func (s *scgState) step() (bool, error) {
 		if err := s.n.SetParams(s.wScratch); err != nil {
 			return false, err
 		}
-		if _, err := s.evalLossGrad(s.gradAlt); err != nil {
+		if _, err := s.n.LossAndGradWS(s.ws, s.x, s.y, s.gradAlt); err != nil {
 			return false, err
 		}
 		delta := 0.0
@@ -201,7 +184,7 @@ func (s *scgState) step() (bool, error) {
 	if err := s.n.SetParams(s.wScratch); err != nil {
 		return false, err
 	}
-	lossNew, err := s.evalLoss()
+	lossNew, err := s.n.LossWS(s.ws, s.x, s.y)
 	if err != nil {
 		return false, err
 	}
@@ -211,9 +194,12 @@ func (s *scgState) step() (bool, error) {
 		// Successful step: the trial vector becomes the new w.
 		s.w, s.wScratch = s.wScratch, s.w
 		s.loss = lossNew
-		if err := s.acceptGrad(); err != nil {
-			return false, err
-		}
+		// The gradient at the accepted parameters: LossWS left their
+		// forward activations in the workspace, and a second forward
+		// would reproduce them bit for bit, so only the backward pass
+		// runs.
+		s.n.backwardRaw(s.ws, s.x, s.y, s.gradAlt)
+		linalg.Scal(1/float64(s.x.Rows), s.gradAlt)
 		for i, g := range s.gradAlt {
 			s.rAlt[i] = -1 * g
 		}
@@ -247,82 +233,11 @@ func (s *scgState) step() (bool, error) {
 	}
 
 	gn := linalg.Norm2(s.r)
-	if gn <= s.cfg.GradTol || s.loss <= s.cfg.LossTol {
+	if gn <= scgGradTol || s.loss <= scgLossTol {
 		s.res.Converged = true
 		return true, nil
 	}
 	return false, nil
-}
-
-// evalLossGrad computes the penalised loss and gradient at the network's
-// current parameters, sequentially (default, bit-identical) or row-chunked
-// when cfg.Workers > 1.
-func (s *scgState) evalLossGrad(grad []float64) (float64, error) {
-	var loss float64
-	var err error
-	if s.cfg.Workers > 1 {
-		loss, err = s.n.LossAndGradParallel(&s.ws.pw, s.x, s.y, grad, s.cfg.Workers)
-	} else {
-		loss, err = s.n.LossAndGradWS(s.ws, s.x, s.y, grad)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return s.addDecay(loss, grad), nil
-}
-
-// evalLoss computes the penalised loss at the current parameters. In
-// sequential mode it leaves the forward activations in the workspace for
-// acceptGrad to reuse.
-func (s *scgState) evalLoss() (float64, error) {
-	var loss float64
-	var err error
-	if s.cfg.Workers > 1 {
-		loss, err = s.n.LossParallel(&s.ws.pw, s.x, s.y, s.cfg.Workers)
-	} else {
-		loss, err = s.n.LossWS(s.ws, s.x, s.y)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return s.addDecay(loss, nil), nil
-}
-
-// acceptGrad computes the penalised gradient at the just-accepted
-// parameters into gradAlt. The sequential path reuses the forward
-// activations that evalLoss left in the workspace — a forward at the same
-// parameters would reproduce them bit-for-bit, so only the backward pass
-// runs.
-func (s *scgState) acceptGrad() error {
-	if s.cfg.Workers > 1 {
-		_, err := s.evalLossGrad(s.gradAlt)
-		return err
-	}
-	s.n.backwardRaw(s.ws, s.x, s.y, s.gradAlt)
-	linalg.Scal(1/float64(s.x.Rows), s.gradAlt)
-	s.addDecay(0, s.gradAlt)
-	return nil
-}
-
-// addDecay folds the L2 weight penalty into loss and (when non-nil) grad,
-// in the same order the scalar reference applied it.
-func (s *scgState) addDecay(loss float64, grad []float64) float64 {
-	lambda := s.cfg.WeightDecay
-	if lambda <= 0 {
-		return loss
-	}
-	sum := 0.0
-	if grad != nil {
-		for i, w := range s.n.params {
-			grad[i] += lambda * w
-			sum += w * w
-		}
-	} else {
-		for _, w := range s.n.params {
-			sum += w * w
-		}
-	}
-	return loss + 0.5*lambda*sum
 }
 
 func (s *scgState) finish() (*TrainResult, error) {
