@@ -26,19 +26,15 @@ func naiveMul(a, b *Matrix) *Matrix {
 // TestBlockedKernelsMatchNaive drives the blocked GEMM variants, each on
 // a zeroed destination, over randomized non-square shapes — including
 // empty and single-row/column extremes and shapes straddling the block
-// edge, with zeros injected so AccumMatMul's zero skip runs — and checks
-// agreement with the naive reference. AccumMatMul accumulates each
-// element in the reference's order, so it must agree exactly (up to ±0,
-// which a skipped zero term can flip).
+// edge — and checks agreement with the naive reference. AccumMatMul
+// accumulates each element in the reference's order, so it must agree
+// exactly (up to ±0).
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	src := xrand.New(41)
 	shapes := [][2]int{{0, 3}, {1, 1}, {3, 0}, {2, 5}, {7, 3}, {63, 9}, {64, 65}, {130, 17}, {5, 129}}
 	for _, sa := range shapes {
 		for _, k := range []int{0, 1, 7, 64, 70} {
 			a := randomMatrix(src, sa[0], k)
-			for i := 0; i < len(a.Data); i += 7 {
-				a.Data[i] = 0
-			}
 			b := randomMatrix(src, k, sa[1])
 			want := naiveMul(a, b)
 
@@ -55,6 +51,40 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 			got3 := NewMatrix(at.Cols, b.Cols)
 			AccumMulATB(got3, at, b)
 			matrixApproxEqual(t, "AccumMulATB", got3, want, 1e-13)
+		}
+	}
+}
+
+// TestMatMulIntoMatchesMul pins the blocked AccumMatMul, on a zeroed
+// destination, bit-for-bit to the scalar product it replaced: ascending k
+// per element, skipping zero entries of a.
+func TestMatMulIntoMatchesMul(t *testing.T) {
+	src := xrand.New(42)
+	for _, sh := range [][3]int{{3, 4, 5}, {65, 64, 63}, {1, 100, 1}, {128, 2, 128}} {
+		a := randomMatrix(src, sh[0], sh[1])
+		b := randomMatrix(src, sh[1], sh[2])
+		// Inject zeros so the zero-skip path is exercised.
+		for i := 0; i < len(a.Data); i += 7 {
+			a.Data[i] = 0
+		}
+		want := NewMatrix(sh[0], sh[2])
+		for i := 0; i < a.Rows; i++ {
+			for k := 0; k < a.Cols; k++ {
+				aik := a.At(i, k)
+				if aik == 0 {
+					continue
+				}
+				for j := 0; j < b.Cols; j++ {
+					want.Data[i*want.Cols+j] += aik * b.At(k, j)
+				}
+			}
+		}
+		got := NewMatrix(sh[0], sh[2])
+		AccumMatMul(got, a, b)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("shape %v: AccumMatMul differs from the scalar product at %d: %v vs %v", sh, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }
