@@ -87,6 +87,9 @@ func main() {
 	edge := obs.EdgeFlags(flag.CommandLine)
 	flag.Parse()
 	retention, err := parseRetention(*obsRetain)
+	if err == nil {
+		err = checkLambda(*lambda)
+	}
 	var ec obs.EdgeConfig
 	if err == nil {
 		ec, err = edge(os.Stderr)
@@ -150,6 +153,16 @@ func parseRetention(s string) (feedback.Retention, error) {
 		}
 	}
 	return r, nil
+}
+
+// checkLambda refuses a -drift-lambda the Page–Hinkley detector cannot
+// use: a NaN or infinite threshold never trips, and one at or below zero
+// trips every stream (zero would also be read as "use the default").
+func checkLambda(v float64) error {
+	if !(v > 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("-drift-lambda %v: want a positive finite threshold", v)
+	}
+	return nil
 }
 
 // parseAge parses a Go duration, or a number of days with a "d"

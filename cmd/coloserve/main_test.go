@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -71,6 +72,20 @@ func TestParseRetention(t *testing.T) {
 		}
 		if want := fmt.Sprintf("-obs-retention %q: %s", tc.in, tc.err); err == nil || err.Error() != want {
 			t.Errorf("parseRetention(%q) error = %v; want %q", tc.in, err, want)
+		}
+	}
+}
+
+func TestCheckLambda(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5} {
+		want := fmt.Sprintf("-drift-lambda %v: want a positive finite threshold", v)
+		if err := checkLambda(v); err == nil || err.Error() != want {
+			t.Errorf("checkLambda(%v) = %v; want %q", v, err, want)
+		}
+	}
+	for _, v := range []float64{50, 0.5} {
+		if err := checkLambda(v); err != nil {
+			t.Errorf("checkLambda(%v) = %v", v, err)
 		}
 	}
 }

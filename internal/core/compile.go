@@ -18,10 +18,12 @@ import (
 // through the generic technique switch; compileProgram instead specialises
 // a trained model once, at promotion/load time, into a fused program:
 //
-//   - the feature pipeline is flattened into a fixed op table whose
-//     operands are pre-resolved indices into a baked per-app fact table
-//     (one baseline map lookup per *name*, at compile time, not per
-//     predict);
+//   - the feature pipeline is flattened into a fixed op table over a
+//     baked per-app fact table indexed by the model's application ids
+//     (AppID): every baseline is looked up once, at compile time, and the
+//     op table evaluates rows of ids with no map lookup at all. The name
+//     entry points resolve each name to its id once per scenario;
+//     PredictIDsInto takes rows a caller resolved itself;
 //   - a linear model folds to a single dot product over that vector;
 //   - a neural model's standardise → layers → de-standardise chain runs
 //     over preallocated fixed-width scratch with the activation resolved
@@ -82,9 +84,9 @@ type appFacts struct {
 type program struct {
 	spec Spec
 
-	appIndex map[string]int
-	apps     []appFacts
-	pstates  int
+	space   *appSpace  // the model's id space
+	apps    []appFacts // indexed by application id
+	pstates int
 
 	// ops has one entry per base feature (the first width entries feed
 	// the design vector directly) followed by any interaction operand ops;
@@ -92,8 +94,8 @@ type program struct {
 	ops  []featOp
 	cols []int
 	// usesCo marks programs with at least one co-app sum op: only those
-	// resolve co-app names, preserving the interpreted path's behaviour of
-	// never touching co-app baselines when no feature reads them.
+	// resolve or read co-apps, preserving the interpreted path's behaviour
+	// of never touching co-app baselines when no feature reads them.
 	usesCo bool
 
 	// Linear technique: Eq. 1 folded to a dot product.
@@ -139,12 +141,14 @@ func (m *Model) compileProgram() (*program, error) {
 		return nil, fmt.Errorf("core: compile: empty feature set")
 	}
 	p := &program{
-		spec:     m.Spec,
-		appIndex: make(map[string]int, len(m.baselines.Baselines)),
-		pstates:  len(m.baselines.PStateFreqs),
+		spec:    m.Spec,
+		space:   m.space,
+		apps:    make([]appFacts, 0, len(m.space.names)),
+		pstates: len(m.baselines.PStateFreqs),
 	}
-	// Bake the fact table: one baseline lookup per app name, forever.
-	for _, name := range m.Apps() {
+	// Bake the fact table in id order: one baseline lookup per app name,
+	// forever.
+	for _, name := range m.space.names {
 		b, err := m.baselines.Baseline(name)
 		if err != nil {
 			return nil, fmt.Errorf("core: compile: %w", err)
@@ -157,7 +161,6 @@ func (m *Model) compileProgram() (*program, error) {
 		f.stats[statMem] = b.MemIntensity
 		f.stats[statCMCA] = b.CMPerCA
 		f.stats[statCAINS] = b.CAPerIns
-		p.appIndex[name] = len(p.apps)
 		p.apps = append(p.apps, f)
 	}
 	// Flatten the feature pipeline. Base features first (design-vector
@@ -283,26 +286,48 @@ func compileFeature(f features.Feature) (featOp, error) {
 	}
 }
 
-// evalOps evaluates the op table for one scenario into vals (length
+// resolve maps sc's names to ids, carving the co-app ids from co[:0],
+// and fails on the first unknown name exactly where the interpreted
+// feature pipeline fails on it: always for the target, for a co-app only
+// when a feature sums over co-apps. A co-app no feature reads is not
+// looked up; its id is -1, which nothing reads either.
+func (p *program) resolve(sc features.Scenario, co []int32) (IDScenario, []int32, error) {
+	ti, ok := p.space.ids[sc.Target]
+	if !ok {
+		return IDScenario{}, co, fmt.Errorf("core: no baseline for application %q", sc.Target)
+	}
+	co = co[:0]
+	for _, name := range sc.CoApps {
+		id := int32(-1)
+		if p.usesCo {
+			if id, ok = p.space.ids[name]; !ok {
+				return IDScenario{}, co, fmt.Errorf("core: no baseline for application %q", name)
+			}
+		}
+		co = append(co, id)
+	}
+	return IDScenario{Target: ti, CoApps: co, PState: sc.PState}, co, nil
+}
+
+// evalOps evaluates the op table for one row of ids into vals (length
 // len(p.ops)). All three co-app stat sums are accumulated in one pass
 // over the co-apps — each sum still receives its terms in CoApps order
 // with exactly the additions features.Value applies, so every slot is
-// bit-identical to the interpreted feature pipeline, while each co-app
-// name is resolved once per scenario instead of once per sum feature.
-func (p *program) evalOps(sc features.Scenario, vals []float64) error {
-	ti, ok := p.appIndex[sc.Target]
-	if !ok {
-		return fmt.Errorf("core: no baseline for application %q", sc.Target)
+// bit-identical to the interpreted feature pipeline. An id outside the
+// space fails where the name it stands for would: always as the target,
+// as a co-app only when a feature reads co-apps.
+func (p *program) evalOps(row IDScenario, vals []float64) error {
+	if uint32(row.Target) >= uint32(len(p.apps)) {
+		return fmt.Errorf("core: no application with id %d (the model has %d)", row.Target, len(p.apps))
 	}
-	target := &p.apps[ti]
+	target := &p.apps[row.Target]
 	var coSums [numAppStats]float64
 	if p.usesCo {
-		for _, name := range sc.CoApps {
-			ci, ok := p.appIndex[name]
-			if !ok {
-				return fmt.Errorf("core: no baseline for application %q", name)
+		for _, id := range row.CoApps {
+			if uint32(id) >= uint32(len(p.apps)) {
+				return fmt.Errorf("core: no application with id %d (the model has %d)", id, len(p.apps))
 			}
-			st := &p.apps[ci].stats
+			st := &p.apps[id].stats
 			coSums[statMem] += st[statMem]
 			coSums[statCMCA] += st[statCMCA]
 			coSums[statCAINS] += st[statCAINS]
@@ -312,12 +337,12 @@ func (p *program) evalOps(sc features.Scenario, vals []float64) error {
 		op := &p.ops[i]
 		switch op.kind {
 		case opBaseExTime:
-			if sc.PState < 0 || sc.PState >= p.pstates {
-				return fmt.Errorf("core: P-state %d not in baseline for %s", sc.PState, sc.Target)
+			if row.PState < 0 || row.PState >= p.pstates {
+				return fmt.Errorf("core: P-state %d not in baseline for %s", row.PState, p.space.names[row.Target])
 			}
-			vals[i] = target.secondsByPState[sc.PState]
+			vals[i] = target.secondsByPState[row.PState]
 		case opNumCoApp:
-			vals[i] = float64(len(sc.CoApps))
+			vals[i] = float64(len(row.CoApps))
 		case opTargetStat:
 			vals[i] = target.stats[op.stat]
 		case opCoSumStat:
@@ -354,6 +379,7 @@ type Compiled struct {
 	// out. Built once at compile time with the model's exact widths.
 	scalar func(row []float64) float64
 
+	co   []int32   // co-app ids of the scenario being resolved
 	vals []float64 // op-table scratch
 	row  []float64 // design vector scratch
 	actA []float64 // layer ping
@@ -463,7 +489,17 @@ func (c *Compiled) Spec() Spec { return c.prog.spec }
 // Predict is the compiled scalar fast path: bit-identical to the
 // interpreted Model.Predict, with zero heap allocations when warm.
 func (c *Compiled) Predict(sc features.Scenario) (float64, error) {
-	if err := c.prog.evalOps(sc, c.vals); err != nil {
+	row, co, err := c.prog.resolve(sc, c.co)
+	c.co = co
+	if err != nil {
+		return 0, err
+	}
+	return c.predictRow(row)
+}
+
+// predictRow evaluates one row of ids through the fused scalar closure.
+func (c *Compiled) predictRow(row IDScenario) (float64, error) {
+	if err := c.prog.evalOps(row, c.vals); err != nil {
 		return 0, err
 	}
 	c.prog.gather(c.vals, c.row)
@@ -482,9 +518,10 @@ func growMat(m *linalg.Matrix, r, cDim int) {
 // PredictScenarios evaluates every scenario in one batched pass into out
 // (length len(scs)): the compiled counterpart of Model.PredictScenarios,
 // bit-identical to it and to per-scenario Predict. The design matrix is
-// filled by the compiled feature pipeline and each layer runs one blocked
-// kernel over the whole batch. Zero heap allocations once the scratch has
-// grown to the batch size.
+// filled by the compiled feature pipeline, each scenario's names resolved
+// as its row is filled, and each layer runs one blocked kernel over the
+// whole batch. Zero heap allocations once the scratch has grown to the
+// batch size.
 func (c *Compiled) PredictScenarios(scs []features.Scenario, out []float64) error {
 	if len(out) != len(scs) {
 		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(scs))
@@ -496,14 +533,55 @@ func (c *Compiled) PredictScenarios(scs []features.Scenario, out []float64) erro
 	width := p.width()
 	growMat(&c.x, len(scs), width)
 	for i, sc := range scs {
-		if err := p.evalOps(sc, c.vals); err != nil {
+		row, co, err := p.resolve(sc, c.co)
+		c.co = co
+		if err == nil {
+			err = p.evalOps(row, c.vals)
+		}
+		if err != nil {
 			return err
 		}
 		p.gather(c.vals, c.x.Data[i*width:(i+1)*width])
 	}
+	c.forward(out)
+	return nil
+}
+
+// predictIDs is PredictScenarios over rows of ids, behind
+// Model.PredictIDsInto. A lone row takes the fused scalar closure, which
+// is bit-identical to the batched kernels and cheaper for one row.
+func (c *Compiled) predictIDs(rows []IDScenario, out []float64) error {
+	if len(out) != len(rows) {
+		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(rows))
+	}
+	switch len(rows) {
+	case 0:
+		return nil
+	case 1:
+		v, err := c.predictRow(rows[0])
+		out[0] = v
+		return err
+	}
+	p := c.prog
+	width := p.width()
+	growMat(&c.x, len(rows), width)
+	for i, row := range rows {
+		if err := p.evalOps(row, c.vals); err != nil {
+			return err
+		}
+		p.gather(c.vals, c.x.Data[i*width:(i+1)*width])
+	}
+	c.forward(out)
+	return nil
+}
+
+// forward runs the technique over the filled design matrix into out.
+func (c *Compiled) forward(out []float64) {
+	p := c.prog
+	width := p.width()
 	if p.coef != nil {
 		linalg.GemvBiasInto(out, &c.x, p.coef, p.constant)
-		return nil
+		return
 	}
 	// Standardise in place (the matrix is private scratch), then one
 	// bias-broadcast + blocked GEMM per layer — the same element-wise
@@ -519,7 +597,7 @@ func (c *Compiled) PredictScenarios(scs []features.Scenario, out []float64) erro
 	for li := range p.layers {
 		ly := &p.layers[li]
 		dst := &c.actM[li%2]
-		growMat(dst, len(scs), ly.out)
+		growMat(dst, len(out), ly.out)
 		for s := 0; s < dst.Rows; s++ {
 			copy(dst.Data[s*ly.out:(s+1)*ly.out], ly.b)
 		}
@@ -541,15 +619,16 @@ func (c *Compiled) PredictScenarios(scs []features.Scenario, out []float64) erro
 	for i := range out {
 		out[i] = src.Data[i]*p.yStd + p.yMean
 	}
-	return nil
 }
 
 // ---- Model integration ----
 
-// initCompiled specialises the model after training or loading. A model
-// that cannot compile (possible only for inconsistent artefacts) keeps
-// prog nil and serves every prediction through the interpreted path.
+// initCompiled builds the model's id space and specialises the model
+// after training or loading. A model that cannot compile (possible only
+// for inconsistent artefacts) keeps prog nil and serves every prediction
+// through the interpreted path.
 func (m *Model) initCompiled() {
+	m.space = newAppSpace(m.baselines)
 	p, err := m.compileProgram()
 	if err != nil {
 		return

@@ -115,6 +115,10 @@ type Model struct {
 	xScaler   *features.Scaler
 	yScaler   *features.VecScaler
 
+	// space is the model's application-id space (see AppID), built from
+	// the baselines at train/load time; nil only for a model without them.
+	space *appSpace
+
 	// prog is the model compiled into a fused predict program at
 	// train/load time (see compile.go); cpool recycles per-worker
 	// Compiled instances so Predict stays goroutine-safe while running
@@ -336,6 +340,35 @@ func (m *Model) PredictScenariosInto(scs []features.Scenario, out []float64) err
 	}
 	if len(out) != len(scs) {
 		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(scs))
+	}
+	preds, err := m.PredictScenariosInterpreted(scs)
+	copy(out, preds)
+	return err
+}
+
+// PredictIDsInto is PredictScenariosInto over rows whose applications
+// are already ids in the model's id space (AppID): a caller that resolved
+// each name once — at request validation, or when a placement problem is
+// set up — evaluates without resolving any again. Results are
+// bit-identical to PredictScenariosInto on the same scenarios. An id
+// outside the space fails where an unknown name would, with an error,
+// never a panic. A model whose artefact defeated the compiler maps the
+// ids back to names and runs the interpreted path.
+func (m *Model) PredictIDsInto(rows []IDScenario, out []float64) error {
+	if c := m.compiled(); c != nil {
+		err := c.predictIDs(rows, out)
+		m.cpool.Put(c)
+		return err
+	}
+	if len(out) != len(rows) {
+		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(rows))
+	}
+	if m.space == nil {
+		return fmt.Errorf("core: model %s has no baselines", m.Spec)
+	}
+	scs := make([]features.Scenario, len(rows))
+	for i, row := range rows {
+		scs[i] = m.space.scenario(row)
 	}
 	preds, err := m.PredictScenariosInterpreted(scs)
 	copy(out, preds)

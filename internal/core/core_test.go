@@ -482,3 +482,45 @@ func TestModelIOErrors(t *testing.T) {
 		t.Fatal("model without baselines accepted")
 	}
 }
+
+// TestPredictIDsIntoInterpretedFallback drives PredictIDsInto on a model
+// without a compiled program, the path an artefact that defeats the
+// compiler takes: each id names the application at that index of Apps(),
+// so a row must give the bits PredictInterpreted gives those names, and
+// an id outside the space must fail as an unknown name does.
+func TestPredictIDsIntoInterpretedFallback(t *testing.T) {
+	ds := testDataset(t)
+	set, _ := features.SetByName("F")
+	m, err := Train(Spec{Technique: Linear, FeatureSet: set}, ds, ds.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.prog = nil // the interpreted fallback
+	apps := m.Apps()
+	last := int32(len(apps) - 1)
+	valid := []IDScenario{
+		{Target: 0, CoApps: []int32{1, 1}},
+		{Target: last, CoApps: []int32{0, last, 1}, PState: m.PStates() - 1},
+		{Target: 1},
+	}
+	named := []features.Scenario{
+		{Target: apps[0], CoApps: []string{apps[1], apps[1]}},
+		{Target: apps[last], CoApps: []string{apps[0], apps[last], apps[1]}, PState: m.PStates() - 1},
+		{Target: apps[1]},
+	}
+	out := make([]float64, len(valid))
+	if err := m.PredictIDsInto(valid, out); err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range named {
+		want, err := m.PredictInterpreted(sc)
+		if err != nil || math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d %+v: PredictIDsInto %v, interpreted %v (%v) on %+v", i, valid[i], out[i], want, err, sc)
+		}
+	}
+	for _, row := range []IDScenario{{Target: -1}, {Target: last + 1}, {Target: 0, CoApps: []int32{-1}}, {Target: 0, CoApps: []int32{last + 1}}} {
+		if err := m.PredictIDsInto([]IDScenario{row}, out[:1]); err == nil {
+			t.Fatalf("ids %+v outside the space accepted", row)
+		}
+	}
+}

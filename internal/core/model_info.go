@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
 )
 
@@ -24,27 +26,85 @@ func (m *Model) Machine() string {
 }
 
 // Apps returns the sorted names of every application the model has a
-// baseline for — the applications it can predict.
+// baseline for — the applications it can predict. An application's
+// index in this list is its id (AppID).
 func (m *Model) Apps() []string {
-	if m.baselines == nil {
+	if m.space == nil {
 		return nil
 	}
-	out := make([]string, 0, len(m.baselines.Baselines))
-	for name := range m.baselines.Baselines {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(m.space.names)
 }
 
 // HasApp reports whether the model has a baseline for the named
 // application.
 func (m *Model) HasApp(name string) bool {
-	if m.baselines == nil {
-		return false
-	}
-	_, ok := m.baselines.Baselines[name]
+	_, ok := m.AppID(name)
 	return ok
+}
+
+// AppID resolves an application name to its id in the model's id space:
+// its index in Apps(). Ids are ordered like names. A caller that predicts
+// many rows resolves each name once and hands the ids to PredictIDsInto.
+func (m *Model) AppID(name string) (int32, bool) {
+	if m.space == nil {
+		return 0, false
+	}
+	id, ok := m.space.ids[name]
+	return id, ok
+}
+
+// IDScenario is a features.Scenario whose applications are ids in the
+// model's id space (AppID): the row PredictIDsInto evaluates. An id
+// outside the space is an unknown application and fails wherever an
+// unknown name would.
+type IDScenario struct {
+	Target int32
+	CoApps []int32
+	PState int
+}
+
+// appSpace is a model's application-id space: its baseline names in
+// sorted order, and each name's index in that order. The compiled
+// program's fact table, the serving table and the placement engine's
+// rows are all indexed by it.
+type appSpace struct {
+	names []string
+	ids   map[string]int32
+}
+
+func newAppSpace(ds *harness.Dataset) *appSpace {
+	if ds == nil {
+		return nil
+	}
+	s := &appSpace{names: make([]string, 0, len(ds.Baselines)), ids: make(map[string]int32, len(ds.Baselines))}
+	for name := range ds.Baselines {
+		s.names = append(s.names, name)
+	}
+	sort.Strings(s.names)
+	for id, name := range s.names {
+		s.ids[name] = int32(id)
+	}
+	return s
+}
+
+// scenario maps an id row back to names. An id outside the space maps to
+// a name sorting after every name in it, which no baseline has, so the
+// interpreted path rejects it exactly where it rejects an unknown name.
+func (s *appSpace) scenario(row IDScenario) features.Scenario {
+	name := func(id int32) string {
+		switch {
+		case uint32(id) < uint32(len(s.names)):
+			return s.names[id]
+		case len(s.names) == 0:
+			return ""
+		}
+		return s.names[len(s.names)-1] + "\x00"
+	}
+	sc := features.Scenario{Target: name(row.Target), CoApps: make([]string, len(row.CoApps)), PState: row.PState}
+	for i, id := range row.CoApps {
+		sc.CoApps[i] = name(id)
+	}
+	return sc
 }
 
 // PStates returns the number of P-states the model's baselines cover.

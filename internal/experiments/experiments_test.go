@@ -24,11 +24,13 @@ func (s *shared[T]) get(t testing.TB, f func() (T, error)) T {
 
 // The suite collects full Table V datasets; share one across tests with a
 // reduced partition count so the package tests stay fast. Table VI and
-// Figure 5(b) train their own models, so they are shared too.
+// Figure 5(b) train their own models, and the PCA ranking fits its own
+// decomposition, so they are shared too.
 var (
 	suiteMemo    shared[*Suite]
 	table6Memo   shared[*Table6Result]
 	figure5bMemo shared[*Figure5bResult]
+	pcaMemo      shared[[]PCARankRow]
 )
 
 func testSuite(t testing.TB) *Suite {
@@ -48,6 +50,11 @@ func table6(t testing.TB) *Table6Result {
 func figure5b(t testing.TB) *Figure5bResult {
 	t.Helper()
 	return figure5bMemo.get(t, testSuite(t).Figure5b)
+}
+
+func pcaRanking(t testing.TB) []PCARankRow {
+	t.Helper()
+	return pcaMemo.get(t, testSuite(t).PCARanking)
 }
 
 func TestNewSuiteValidation(t *testing.T) {
@@ -244,11 +251,7 @@ func TestFigure5bAccuracyClaims(t *testing.T) {
 }
 
 func TestPCARanking(t *testing.T) {
-	s := testSuite(t)
-	rows, err := s.PCARanking()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := pcaRanking(t)
 	if len(rows) != 8 {
 		t.Fatalf("got %d features, want 8", len(rows))
 	}

@@ -99,8 +99,9 @@ func datasetDigest(ds *harness.Dataset) string {
 
 // collectPaperGolden computes the golden from the shared suite: the two
 // dataset digests, Table VI, train/test MPE and NRMSE of all twelve
-// models on both machines (Figures 1–4), and Figure 5(b)'s ±2 % and ±5 %
-// shares, overall and per application.
+// models on both machines (Figures 1–4), Figure 5(b)'s ±2 % and ±5 %
+// shares, overall and per application, and the Section III-B PCA ranking
+// (each feature's score, in rank order).
 func collectPaperGolden(t *testing.T) paperGolden {
 	t.Helper()
 	s := testSuite(t)
@@ -142,6 +143,10 @@ func collectPaperGolden(t *testing.T) paperGolden {
 	for _, r := range f5.Rows {
 		add("figure5b/"+r.App+"/within2", r.Within2)
 		add("figure5b/"+r.App+"/within5", r.Within5)
+	}
+
+	for i, r := range pcaRanking(t) {
+		add(fmt.Sprintf("pca/rank=%d/%s/score", i+1, r.Feature), r.Score)
 	}
 	return g
 }

@@ -179,7 +179,7 @@ func (p Plan) Validate() error {
 			return err
 		}
 	}
-	if p.NoiseSigma < 0 || p.NoiseSigma > 0.2 {
+	if !(p.NoiseSigma >= 0 && p.NoiseSigma <= 0.2) { // NaN fails too
 		return fmt.Errorf("harness: noise sigma %v out of [0,0.2]", p.NoiseSigma)
 	}
 	return nil

@@ -89,6 +89,7 @@ func TestPlanValidation(t *testing.T) {
 		func(p *Plan) { p.PStates = []int{9} },
 		func(p *Plan) { p.NoiseSigma = -1 },
 		func(p *Plan) { p.NoiseSigma = 0.5 },
+		func(p *Plan) { p.NoiseSigma = math.NaN() },
 		func(p *Plan) { p.Spec.Cores = 0 },
 	}
 	for i, m := range mut {

@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"slices"
-	"sort"
 
 	"colocmodel/internal/core"
-	"colocmodel/internal/features"
 )
 
 // machineClass groups machines that score identically: same processor,
@@ -70,19 +68,20 @@ type miss struct {
 
 // engine scores machine memberships through batched model calls, with a
 // memo so repeated candidates (local search revisits neighbourhoods
-// constantly) cost nothing. Apps are small integer ids ordered like
-// their names, so an id-sorted membership is the name-sorted one and the
-// model sees co-runners in name order; everything a round needs lives in
-// buffers the engine keeps for the whole search, so a candidate costs no
-// allocation beyond its memo entry.
+// constantly) cost nothing. Apps are the model's own application ids
+// (core.Model.AppID), resolved once when the engine is built: ids are
+// ordered like names, so an id-sorted membership is the name-sorted one,
+// the model sees co-runners in name order, and the rows it is asked for
+// are rows of ids it evaluates without a name lookup. Everything a round
+// needs lives in buffers the engine keeps for the whole search, so a
+// candidate costs no allocation beyond its memo entry.
 type engine struct {
 	model     *core.Model
 	obj       Objective
 	qos       float64
 	classes   []machineClass
 	classOf   []int     // machine index → class index
-	names     []string  // app id → name, sorted
-	appID     []int32   // app (or job) index → app id
+	appID     []int32   // app (or job) index → model app id
 	pstates   int       // the model's P-state count: the stride of base
 	base      []float64 // id*pstates + P-state → baseline seconds
 	memo      map[string]*machineScore
@@ -96,8 +95,8 @@ type engine struct {
 	out     []*machineScore
 	key     []byte
 	misses  []miss
-	scs     []features.Scenario
-	co      []string // arena the scenarios' co-runner lists are carved from
+	rows    []core.IDScenario
+	co      []int32 // arena the rows' co-runner lists are carved from
 	preds   []float64
 	scratch [2]machineScore
 
@@ -106,33 +105,40 @@ type engine struct {
 	apps   []appScore
 }
 
-// newEngine resolves apps to ids and tables what scoring would otherwise
-// look up per resident per P-state: baselines per (id, P-state) and each
-// class's per-core power at its allowed P-states.
+// newEngine resolves apps to the model's ids and tables what scoring
+// would otherwise look up per resident per P-state: baselines per (id,
+// P-state) and each class's per-core power at its allowed P-states.
 func newEngine(model *core.Model, machines []Machine, apps []string, obj Objective, qos float64) (*engine, error) {
 	e := &engine{
 		model:   model,
 		obj:     obj,
 		qos:     qos,
 		classOf: make([]int, len(machines)),
-		names:   append([]string(nil), apps...),
 		appID:   make([]int32, len(apps)),
 		pstates: model.PStates(),
 		memo:    make(map[string]*machineScore),
 	}
-	sort.Strings(e.names)
-	e.names = slices.Compact(e.names)
+	n := 0
 	for i, a := range apps {
-		e.appID[i] = int32(sort.SearchStrings(e.names, a))
+		id, ok := model.AppID(a)
+		if !ok {
+			return nil, invalidf("unknown app %q", a)
+		}
+		e.appID[i] = id
+		n = max(n, int(id)+1)
 	}
-	e.base = make([]float64, len(e.names)*e.pstates)
-	for id, name := range e.names {
-		for ps := 0; ps < e.pstates; ps++ {
-			b, err := model.BaselineSeconds(name, ps)
+	e.base = make([]float64, n*e.pstates)
+	for i, id := range e.appID {
+		row := e.base[int(id)*e.pstates : int(id+1)*e.pstates]
+		if row[0] != 0 {
+			continue // an earlier copy of the app filled it
+		}
+		for ps := range row {
+			b, err := model.BaselineSeconds(apps[i], ps)
 			if err != nil {
 				return nil, err
 			}
-			e.base[id*e.pstates+ps] = b
+			row[ps] = b
 		}
 	}
 	for i, m := range machines {
@@ -195,7 +201,7 @@ func (e *engine) states(r scoreReq) int {
 // one batched model call. Results are in request order and valid until
 // the next call; requests may repeat (repeats share one entry).
 func (e *engine) scoreAll(ctx context.Context) ([]*machineScore, error) {
-	e.out, e.misses, e.scs, e.co = e.out[:0], e.misses[:0], e.scs[:0], e.co[:0]
+	e.out, e.misses, e.rows, e.co = e.out[:0], e.misses[:0], e.rows[:0], e.co[:0]
 	for _, r := range e.reqs {
 		if r.lo == r.hi {
 			e.out = append(e.out, emptyScore)
@@ -222,21 +228,21 @@ func (e *engine) scoreAll(ctx context.Context) ([]*machineScore, error) {
 			sc = e.newScore()
 			key := string(e.key)
 			e.memo[key] = sc
-			p := miss{req: r, key: key, sc: sc, row: len(e.scs)}
+			p := miss{req: r, key: key, sc: sc, row: len(e.rows)}
 			p.perState = e.appendRows(r)
 			e.misses = append(e.misses, p)
 		}
 		e.out = append(e.out, sc)
 	}
-	if len(e.scs) > 0 {
-		e.preds = slices.Grow(e.preds[:0], len(e.scs))[:len(e.scs)]
-		if err := e.model.PredictScenariosInto(e.scs, e.preds); err != nil {
+	if len(e.rows) > 0 {
+		e.preds = slices.Grow(e.preds[:0], len(e.rows))[:len(e.rows)]
+		if err := e.model.PredictIDsInto(e.rows, e.preds); err != nil {
 			for _, p := range e.misses {
 				delete(e.memo, p.key)
 			}
 			return nil, err
 		}
-		e.scenarios += len(e.scs)
+		e.scenarios += len(e.rows)
 	}
 	for _, p := range e.misses {
 		e.settle(p)
@@ -258,7 +264,7 @@ func (e *engine) appendRows(r scoreReq) int {
 		return 0
 	}
 	pss := e.classes[r.class].machine.PStates[:e.states(r)]
-	first := len(e.scs)
+	first := len(e.rows)
 	for i, id := range w {
 		if i > 0 && id == w[i-1] {
 			continue
@@ -266,16 +272,16 @@ func (e *engine) appendRows(r scoreReq) int {
 		lo := len(e.co)
 		for j, other := range w {
 			if j != i {
-				e.co = append(e.co, e.names[other])
+				e.co = append(e.co, other)
 			}
 		}
-		e.scs = append(e.scs, features.Scenario{Target: e.names[id], CoApps: e.co[lo:len(e.co):len(e.co)], PState: pss[0]})
+		e.rows = append(e.rows, core.IDScenario{Target: id, CoApps: e.co[lo:len(e.co):len(e.co)], PState: pss[0]})
 	}
-	perState := len(e.scs) - first
+	perState := len(e.rows) - first
 	for _, ps := range pss[1:] {
-		for _, sc := range e.scs[first : first+perState] {
-			sc.PState = ps
-			e.scs = append(e.scs, sc)
+		for _, row := range e.rows[first : first+perState] {
+			row.PState = ps
+			e.rows = append(e.rows, row)
 		}
 	}
 	return perState

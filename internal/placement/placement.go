@@ -8,16 +8,18 @@
 // The optimizer is deliberately built as a heavy consumer of the batch
 // inference tier: every candidate it considers is scored by funneling
 // the implied co-location scenarios through one batched
-// core.PredictScenariosInto call per decision round, so a single
-// placement request fans out to thousands of predictions. The search
-// itself is kept out of the way of that work: apps are small integer
-// ids, every distinct (machine class, membership) is predicted once, and
-// a candidate is assembled, keyed and scored in buffers one Optimize call
-// owns, so what a candidate costs is the model's rows and nothing else. Search is greedy
-// construction followed by seeded local search (move/swap neighbourhoods
-// sampled at a configurable beam width), and everything stochastic draws
-// from one explicit seed so the same problem always yields the same plan
-// byte for byte.
+// core.PredictIDsInto call per decision round, so a single placement
+// request fans out to thousands of predictions. The search itself is
+// kept out of the way of that work: apps are the model's own application
+// ids (core.Model.AppID), resolved once per problem, so the model's rows
+// are rows of ids; every distinct (machine class, membership) is
+// predicted once; and a candidate is assembled, keyed and scored in
+// buffers one Optimize call owns, so what a candidate costs is the
+// model's rows and nothing else. Search is greedy construction followed
+// by seeded local search (move/swap neighbourhoods sampled at a
+// configurable beam width), and everything stochastic draws from one
+// explicit seed so the same problem always yields the same plan byte for
+// byte.
 //
 // P-states are co-optimised per machine: a machine's score is the best
 // (fewest QoS violations, then lowest objective) over its allowed
@@ -143,7 +145,7 @@ func (p Problem) normalize() (Problem, error) {
 	if p.Objective != MinDegradation && p.Objective != MinEnergy {
 		return p, invalidf("unknown objective %d", int(p.Objective))
 	}
-	if p.QoSBound != 0 && p.QoSBound <= 1 {
+	if p.QoSBound != 0 && !(p.QoSBound > 1) { // NaN fails too
 		return p, invalidf("QoS bound %v must exceed 1 (or 0 to disable)", p.QoSBound)
 	}
 	if p.Beam < 0 {

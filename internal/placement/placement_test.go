@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -80,10 +81,10 @@ func benchProblem(t testing.TB, machines int) Problem {
 
 // TestOptimizerUsesCompiledPath pins the optimizer's transparent pickup
 // of the inference fast path: the shared trained model carries a
-// compiled closure, and the batched PredictScenarios call the decision
-// engine issues returns bit-for-bit the interpreted reference — so every
-// plan scored since the fast path landed is the plan the interpreted
-// engine would have scored.
+// compiled closure, and the batched PredictIDsInto call the decision
+// engine issues, on the model's application ids, returns bit-for-bit the
+// interpreted reference — so every plan scored since the fast path landed
+// is the plan the interpreted engine would have scored.
 func TestOptimizerUsesCompiledPath(t *testing.T) {
 	m := trainedModel(t)
 	if !m.IsCompiled() {
@@ -100,8 +101,17 @@ func TestOptimizerUsesCompiledPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.PredictScenarios(scs)
-	if err != nil {
+	rows := make([]core.IDScenario, len(scs))
+	for i, sc := range scs {
+		rows[i].Target, _ = m.AppID(sc.Target)
+		rows[i].PState = sc.PState
+		for _, a := range sc.CoApps {
+			id, _ := m.AppID(a)
+			rows[i].CoApps = append(rows[i].CoApps, id)
+		}
+	}
+	got := make([]float64, len(rows))
+	if err := m.PredictIDsInto(rows, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -247,6 +257,7 @@ func TestProblemValidation(t *testing.T) {
 		{"no apps", func(p *Problem) { p.Apps = nil }},
 		{"unknown app", func(p *Problem) { p.Apps = []string{"nosuch"} }},
 		{"bad qos", func(p *Problem) { p.QoSBound = 0.5 }},
+		{"NaN qos", func(p *Problem) { p.QoSBound = math.NaN() }},
 		{"negative beam", func(p *Problem) { p.Beam = -1 }},
 		{"zero cores", func(p *Problem) { p.Machines[0].Cores = -1 }},
 		{"too many cores", func(p *Problem) { p.Machines[0].Cores = 99 }},
@@ -275,6 +286,16 @@ func TestProblemValidation(t *testing.T) {
 	// The valid base problem must pass.
 	if _, err := Optimize(context.Background(), ok, nil); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
+	}
+}
+
+// TestGreedyPackRejectsNaNBound: a NaN bound fails "must exceed 1" like
+// any other bound at or below 1, instead of switching QoS off.
+func TestGreedyPackRejectsNaNBound(t *testing.T) {
+	_, err := GreedyPack(context.Background(), trainedModel(t), simproc.XeonE5649(), []string{"cg", "ep"},
+		PackConfig{MaxSlowdown: math.NaN()})
+	if !IsInvalid(err) {
+		t.Fatalf("NaN bound: error %v, want one wrapping ErrInvalid", err)
 	}
 }
 

@@ -414,7 +414,7 @@ func GreedyPack(ctx context.Context, model *core.Model, spec simproc.Spec, jobs 
 	if model == nil {
 		return nil, invalidf("nil model")
 	}
-	if cfg.MaxSlowdown <= 1 {
+	if !(cfg.MaxSlowdown > 1) { // NaN fails too
 		return nil, invalidf("QoS bound %v must exceed 1", cfg.MaxSlowdown)
 	}
 	if cfg.PState < 0 || cfg.PState >= model.PStates() {
@@ -423,11 +423,7 @@ func GreedyPack(ctx context.Context, model *core.Model, spec simproc.Spec, jobs 
 	if err := spec.Validate(); err != nil {
 		return nil, invalidf("%v", err)
 	}
-	for _, j := range jobs {
-		if !model.HasApp(j) {
-			return nil, invalidf("unknown app %q", j)
-		}
-	}
+	// newEngine refuses an unknown job as it resolves the jobs to ids.
 	eng, err := newEngine(model, []Machine{{
 		Spec: spec, Cores: spec.Cores, PStates: []int{cfg.PState},
 	}}, jobs, MinDegradation, cfg.MaxSlowdown)

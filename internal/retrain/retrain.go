@@ -16,6 +16,7 @@ package retrain
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"colocmodel/internal/core"
@@ -74,11 +75,16 @@ func (c *Config) defaults() error {
 	if c.HoldoutFraction == 0 {
 		c.HoldoutFraction = 0.3
 	}
-	if c.HoldoutFraction <= 0 || c.HoldoutFraction >= 1 {
+	if !(c.HoldoutFraction > 0 && c.HoldoutFraction < 1) { // NaN fails too
 		return fmt.Errorf("retrain: holdout fraction %v out of (0,1)", c.HoldoutFraction)
 	}
 	if c.MarginPct == 0 {
 		c.MarginPct = 0.25
+	}
+	if math.IsNaN(c.MarginPct) || math.IsInf(c.MarginPct, 0) {
+		// A NaN margin makes the gate's comparison false, which promotes
+		// every candidate.
+		return fmt.Errorf("retrain: margin %v is not a finite number", c.MarginPct)
 	}
 	if c.MinObservations == 0 {
 		c.MinObservations = 30

@@ -1,6 +1,7 @@
 package retrain
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -389,6 +390,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Model: "m", HoldoutFraction: 1.5}, reg, nil, log); err == nil {
 		t.Fatal("holdout fraction 1.5 accepted")
+	}
+	if _, err := New(Config{Model: "m", HoldoutFraction: math.NaN()}, reg, nil, log); err == nil {
+		t.Fatal("NaN holdout fraction accepted")
+	}
+	if _, err := New(Config{Model: "m", MarginPct: math.NaN()}, reg, nil, log); err == nil {
+		t.Fatal("NaN margin accepted: the gate would promote every candidate")
 	}
 	if _, err := New(Config{Model: "m"}, nil, nil, log); err == nil {
 		t.Fatal("nil registry accepted")

@@ -138,7 +138,7 @@ func SimulateOnline(spec simproc.Spec, jobs []BatchJob, cfg BatchConfig) (*Batch
 		if cfg.Model == nil {
 			return nil, fmt.Errorf("sched: AwareSpread needs a model")
 		}
-		if cfg.MaxSlowdown <= 1 {
+		if !(cfg.MaxSlowdown > 1) { // NaN fails too
 			return nil, fmt.Errorf("sched: QoS bound %v must exceed 1", cfg.MaxSlowdown)
 		}
 	}

@@ -86,7 +86,7 @@ func GreedyAware(model *core.Model, spec simproc.Spec, jobs []string, cfg AwareC
 	if model == nil {
 		return nil, fmt.Errorf("sched: nil model")
 	}
-	if cfg.MaxSlowdown <= 1 {
+	if !(cfg.MaxSlowdown > 1) { // NaN fails too
 		return nil, fmt.Errorf("sched: QoS bound %v must exceed 1", cfg.MaxSlowdown)
 	}
 	for _, job := range jobs {

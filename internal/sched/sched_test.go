@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -118,6 +119,9 @@ func TestGreedyAwareErrors(t *testing.T) {
 	}
 	if _, err := GreedyAware(m, simproc.XeonE5649(), []string{"cg"}, AwareConfig{MaxSlowdown: 0.9}); err == nil {
 		t.Fatal("bound below 1 accepted")
+	}
+	if _, err := GreedyAware(m, simproc.XeonE5649(), []string{"cg"}, AwareConfig{MaxSlowdown: math.NaN()}); err == nil {
+		t.Fatal("NaN bound accepted")
 	}
 	if _, err := GreedyAware(m, simproc.XeonE5649(), []string{"ghost"}, AwareConfig{MaxSlowdown: 1.2}); err == nil {
 		t.Fatal("unknown app accepted")
@@ -391,6 +395,9 @@ func TestSimulateBatchErrors(t *testing.T) {
 	m := trainedModel(t)
 	if _, err := SimulateBatch(spec, []string{"cg"}, BatchConfig{Machines: 1, Policy: AwareSpread, Model: m, MaxSlowdown: 0.5}); err == nil {
 		t.Fatal("bad bound accepted")
+	}
+	if _, err := SimulateBatch(spec, []string{"cg"}, BatchConfig{Machines: 1, Policy: AwareSpread, Model: m, MaxSlowdown: math.NaN()}); err == nil {
+		t.Fatal("NaN bound accepted")
 	}
 	if _, err := SimulateBatch(spec, []string{"cg"}, BatchConfig{Machines: 1, Policy: BatchPolicy(9)}); err == nil {
 		t.Fatal("unknown policy accepted")

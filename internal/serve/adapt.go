@@ -152,8 +152,15 @@ func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *
 	pending := make([]int, 0, len(batch))
 	obsBatch := make([]feedback.Observation, 0, len(batch))
 	names := make([]string, 0, len(batch))
+	total := 0
+	for _, or := range batch {
+		total += len(or.CoApps)
+	}
+	co := make([]int32, total) // every slot's co-app ids, carved in order
 	for i, or := range batch {
-		ob, name, e := s.buildObservation(tr, or)
+		k := len(or.CoApps)
+		ob, name, e := s.buildObservation(tr, or, co[:k:k])
+		co = co[k:]
 		if e != nil {
 			resp.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
 			resp.Rejected++
@@ -223,16 +230,18 @@ func recordCommitSpans(sp obs.Span, c feedback.Commit) {
 	}
 }
 
-// buildObservation validates one observation request and turns it into
-// a log record, filling in the model's prediction when the caller
-// omitted it. It does not touch the log or the drift monitor.
-func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedback.Observation, string, *Error) {
+// buildObservation validates one observation request, its co-apps' ids
+// going into co, and turns it into a log record, filling in the model's
+// prediction from the ids it validated when the caller omitted it. It
+// does not touch the log or the drift monitor.
+func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest, co []int32) (feedback.Observation, string, *Error) {
 	rm, e := s.resolveModel(or.Model)
 	if e != nil {
 		return feedback.Observation{}, "", e
 	}
 	sc := ScenarioRequest{Target: or.Target, CoApps: or.CoApps, PState: or.PState}.scenario()
-	if _, e := validateScenario(rm.servedModel, sc); e != nil {
+	row, e := validateScenario(rm.servedModel, sc, co)
+	if e != nil {
 		return feedback.Observation{}, "", e
 	}
 	if or.MeasuredSeconds <= 0 {
@@ -244,11 +253,9 @@ func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest) (feedbac
 	}
 	pred := or.PredictedSeconds
 	if pred == 0 {
-		var pr PredictResponse
-		if e := predictOne(tr.Root(), &rm, sc, &pr); e != nil {
+		if pred, e = evalOne(tr.Root(), rm.m, row); e != nil {
 			return feedback.Observation{}, "", e
 		}
-		pred = pr.PredictedSeconds
 	}
 	return feedback.Observation{
 		Model: rm.name, Generation: rm.gen,

@@ -36,7 +36,8 @@ type registryEntry struct {
 // servedModel is a model plus what every reply derives from it, worked
 // out once per Add, Swap or Reload instead of once per request. It is
 // one immutable value behind one pointer, so a reply never mixes one
-// model's prediction with another's baseline or generation.
+// model's prediction with another's baseline or generation, and an
+// application id is only ever read against the snapshot that resolved it.
 type servedModel struct {
 	m *core.Model
 	// gen counts the models this entry has served, this one included
@@ -44,34 +45,36 @@ type servedModel struct {
 	gen uint64
 	// spec is m.Spec.String().
 	spec string
-	// apps is the serving table request validation reads: one lookup
-	// per application name.
-	apps    map[string]servedApp
+	// apps is the serving table, indexed by the model's application ids
+	// (core.Model.AppID): request validation resolves each name to its id
+	// once, and every later step reads this row.
+	apps    []servedApp
 	pstates int
 	// known is m.Apps() joined for the unknown-app messages.
 	known string
 }
 
-// servedApp is one application's baseline seconds per P-state, and the
-// same values as encoding/json renders them ("" for one it cannot).
+// servedApp is one application's name and baseline seconds per P-state,
+// each also as encoding/json renders it ("" for a value it cannot).
 type servedApp struct {
+	json string
 	secs []float64
 	text []string
 }
 
 func (e *registryEntry) store(m *core.Model) {
-	sm := &servedModel{m: m, spec: m.Spec.String(), pstates: m.PStates(), known: strings.Join(m.Apps(), ", ")}
-	if ds := m.Baselines(); ds != nil {
-		sm.apps = make(map[string]servedApp, len(ds.Baselines))
-		for name, b := range ds.Baselines {
-			app := servedApp{secs: b.SecondsByPState, text: make([]string, len(b.SecondsByPState))}
-			for ps, sec := range app.secs {
-				if text, ok := jsonwire.AppendFloat(nil, sec); ok {
-					app.text[ps] = string(text)
-				}
+	names := m.Apps()
+	sm := &servedModel{m: m, spec: m.Spec.String(), pstates: m.PStates(), known: strings.Join(names, ", "),
+		apps: make([]servedApp, len(names))}
+	for id, name := range names {
+		secs := m.Baselines().Baselines[name].SecondsByPState
+		app := servedApp{json: string(jsonwire.AppendString(nil, name)), secs: secs, text: make([]string, len(secs))}
+		for ps, sec := range secs {
+			if text, ok := jsonwire.AppendFloat(nil, sec); ok {
+				app.text[ps] = string(text)
 			}
-			sm.apps[name] = app
 		}
+		sm.apps[id] = app
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

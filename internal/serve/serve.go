@@ -342,10 +342,18 @@ type PredictResponse struct {
 	// Cached is always false: every prediction is evaluated. It stays on
 	// the wire until the benchmark module stops reading it (ROADMAP 3(d)).
 	Cached bool `json:"cached"`
-	// baselineJSON, when set, is BaselineSeconds as encoding/json
-	// renders it: the serving table's text, copied rather than
-	// formatted again.
-	baselineJSON string
+	// served, when set, is the snapshot that validated the scenario, and
+	// target and co the scenario's applications as ids in its id space:
+	// the encoder copies the names and the baseline as the serving table
+	// renders them rather than escaping and formatting them again.
+	target int32
+	served *servedModel
+	co     []int32
+}
+
+// row is the validated scenario as the model evaluates it.
+func (p *PredictResponse) row() core.IDScenario {
+	return core.IDScenario{Target: p.target, CoApps: p.co, PState: p.PState}
 }
 
 func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
@@ -360,11 +368,25 @@ func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.T
 	if e != nil {
 		return errBody(e)
 	}
-	resp := new(PredictResponse)
-	if e := predictOne(tr.Root(), &rm, req.scenario(), resp); e != nil {
+	rep := new(predictReply)
+	co := rep.co[:]
+	if n := len(req.CoApps); n <= len(co) {
+		co = co[:n]
+	} else {
+		co = make([]int32, n)
+	}
+	if e := predictOne(tr.Root(), &rm, req.scenario(), &rep.PredictResponse, co); e != nil {
 		return errBody(e)
 	}
-	return http.StatusOK, resp
+	return http.StatusOK, &rep.PredictResponse
+}
+
+// predictReply is a single predict's reply with room for the co-apps' ids
+// its row points at: a scenario of up to a 12-core machine's co-runners
+// costs one allocation.
+type predictReply struct {
+	PredictResponse
+	co [11]int32
 }
 
 // resolved is one request's view of a registry entry: its name and one
@@ -388,36 +410,41 @@ func (s *Server) resolveModel(name string) (resolved, *Error) {
 }
 
 // validateScenario rejects requests the model cannot serve before any
-// prediction work happens, so that client mistakes are 400s. It reads
-// the snapshot's serving table and returns the target's row of it.
-func validateScenario(sm *servedModel, sc features.Scenario) (servedApp, *Error) {
+// prediction work happens, so that client mistakes are 400s. It resolves
+// each name to its id in the snapshot's id space, once, writing the
+// co-apps' ids into co (one slot per co-app), and returns the scenario as
+// a row of ids, which only this snapshot may evaluate.
+func validateScenario(sm *servedModel, sc features.Scenario, co []int32) (core.IDScenario, *Error) {
 	if sc.Target == "" {
-		return servedApp{}, badRequest(CodeBadRequest, "target must be set")
+		return core.IDScenario{}, badRequest(CodeBadRequest, "target must be set")
 	}
-	target, ok := sm.apps[sc.Target]
+	target, ok := sm.m.AppID(sc.Target)
 	if !ok {
-		return servedApp{}, badRequest(CodeUnknownApp, "unknown target %q (known: %s)", sc.Target, sm.known)
+		return core.IDScenario{}, badRequest(CodeUnknownApp, "unknown target %q (known: %s)", sc.Target, sm.known)
 	}
-	for _, a := range sc.CoApps {
-		if _, ok := sm.apps[a]; !ok {
-			return servedApp{}, badRequest(CodeUnknownApp, "unknown co-app %q (known: %s)", a, sm.known)
+	for i, a := range sc.CoApps {
+		id, ok := sm.m.AppID(a)
+		if !ok {
+			return core.IDScenario{}, badRequest(CodeUnknownApp, "unknown co-app %q (known: %s)", a, sm.known)
 		}
+		co[i] = id
 	}
 	if sc.PState < 0 || sc.PState >= sm.pstates {
-		return servedApp{}, badRequest(CodeBadPState, "P-state %d out of range [0,%d)", sc.PState, sm.pstates)
+		return core.IDScenario{}, badRequest(CodeBadPState, "P-state %d out of range [0,%d)", sc.PState, sm.pstates)
 	}
-	return target, nil
+	return core.IDScenario{Target: target, CoApps: co, PState: sc.PState}, nil
 }
 
-// initPredictResponse validates a scenario against the model and fills
-// the response shell (identity fields plus the baseline, as a number
-// and as rendered) that both the single and batch predict paths
-// complete.
-func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenario) *Error {
-	target, e := validateScenario(rm.servedModel, sc)
+// initPredictResponse validates a scenario against the model, its
+// co-apps' ids going into co, and fills the response shell (identity
+// fields, the row of ids, and the baseline) that both the single and
+// batch predict paths complete.
+func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenario, co []int32) *Error {
+	row, e := validateScenario(rm.servedModel, sc, co)
 	if e != nil {
 		return e
 	}
+	target := &rm.apps[row.Target]
 	if sc.PState >= len(target.secs) {
 		// A hand-built model whose baselines disagree about the P-state
 		// count; core words the fault.
@@ -427,27 +454,38 @@ func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenar
 	*resp = PredictResponse{
 		Model: rm.name, Generation: rm.gen, Spec: rm.spec,
 		Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState,
-		BaselineSeconds: target.secs[sc.PState], baselineJSON: target.text[sc.PState],
+		BaselineSeconds: target.secs[sc.PState], target: row.Target, served: rm.servedModel, co: row.CoApps,
 	}
 	return nil
 }
 
-// predictOne serves one scenario into resp from rm's snapshot, timing
-// the model evaluation as a child of parent — the root span for single
-// predicts. Model.Predict checks a compiled instance out of the model's
-// own pool.
-func predictOne(parent obs.Span, rm *resolved, sc features.Scenario, resp *PredictResponse) *Error {
-	if e := initPredictResponse(resp, rm, sc); e != nil {
+// predictOne serves one scenario into resp from rm's snapshot, its
+// co-apps' ids going into co, timing the model evaluation as a child of
+// parent — the root span for single predicts.
+func predictOne(parent obs.Span, rm *resolved, sc features.Scenario, resp *PredictResponse, co []int32) *Error {
+	if e := initPredictResponse(resp, rm, sc, co); e != nil {
 		return e
 	}
-	esp := parent.StartChild("eval")
-	seconds, err := rm.m.Predict(sc)
-	esp.End()
-	if err != nil {
-		return asError(err)
+	seconds, e := evalOne(parent, rm.m, resp.row())
+	if e != nil {
+		return e
 	}
 	resp.PredictedSeconds, resp.PredictedSlowdown = seconds, seconds/resp.BaselineSeconds
 	return nil
+}
+
+// evalOne evaluates one validated row against the model of the snapshot
+// that validated it, timed as a child of parent. PredictIDsInto checks a
+// compiled instance out of the model's own pool.
+func evalOne(parent obs.Span, m *core.Model, row core.IDScenario) (float64, *Error) {
+	rows, out := [1]core.IDScenario{row}, [1]float64{}
+	esp := parent.StartChild("eval")
+	err := m.PredictIDsInto(rows[:], out[:])
+	esp.End()
+	if err != nil {
+		return 0, asError(err)
+	}
+	return out[0], nil
 }
 
 // ---- predict/batch ----
@@ -505,26 +543,35 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 	n := len(req.Scenarios)
 	out := &BatchResponse{Model: rm.name, Results: make([]BatchItem, n)}
 	resps := make([]PredictResponse, n) // one slab for every slot's result
-	scs := make([]features.Scenario, 0, n)
+	ev := batchEvalPool.Get().(*batchEval)
+	defer ev.release()
+	total := 0
+	for _, sr := range req.Scenarios {
+		total += len(sr.CoApps)
+	}
+	co := make([]int32, total) // every slot's co-app ids, carved in order
 	fsp := tr.StartSpan("fanout")
 	fsp.Annotate("slots", strconv.Itoa(n))
 	for i, sr := range req.Scenarios {
-		sc := sr.scenario()
-		if e := initPredictResponse(&resps[i], &rm, sc); e != nil {
+		k := len(sr.CoApps)
+		e := initPredictResponse(&resps[i], &rm, sr.scenario(), co[:k:k])
+		co = co[k:]
+		if e != nil {
 			out.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
 			out.Errors++
 			continue
 		}
 		out.Results[i].Result = &resps[i]
-		scs = append(scs, sc)
+		ev.rows = append(ev.rows, resps[i].row())
 	}
-	if len(scs) > 0 {
+	if rows := ev.rows; len(rows) > 0 {
 		esp := fsp.StartChild("eval")
-		esp.Annotate("scenarios", strconv.Itoa(len(scs)))
-		preds := make([]float64, len(scs))
+		esp.Annotate("scenarios", strconv.Itoa(len(rows)))
+		ev.preds = slices.Grow(ev.preds, len(rows))[:len(rows)]
+		preds := ev.preds
 		err := ctx.Err()
 		if err == nil {
-			err = rm.m.PredictScenariosInto(scs, preds)
+			err = rm.m.PredictIDsInto(rows, preds)
 		}
 		esp.End()
 		if err != nil {
@@ -551,6 +598,28 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 	}
 	fsp.End()
 	return http.StatusOK, out
+}
+
+// batchEval is a batch's evaluation scratch: the rows of ids handed to
+// the model and the predictions it writes back. Neither is read once the
+// predictions are in the replies, so they are pooled rather than
+// allocated per request.
+type batchEval struct {
+	rows  []core.IDScenario
+	preds []float64
+}
+
+var batchEvalPool = sync.Pool{New: func() any { return new(batchEval) }}
+
+// release empties the scratch, dropping the rows' references to the
+// request's co-app ids, and returns it to the pool; one oversized batch's
+// scratch is dropped rather than pinned.
+func (ev *batchEval) release() {
+	clear(ev.rows)
+	ev.rows, ev.preds = ev.rows[:0], ev.preds[:0]
+	if cap(ev.rows) <= maxRowHint {
+		batchEvalPool.Put(ev)
+	}
 }
 
 // ---- schedule ----
@@ -603,7 +672,7 @@ func (s *Server) handleSchedule(_ http.ResponseWriter, r *http.Request, tr *obs.
 		return errBody(badRequest(CodeBadRequest, "%d jobs exceed limit %d", len(req.Jobs), s.cfg.MaxScheduleJobs))
 	}
 	for _, j := range req.Jobs {
-		if _, ok := rm.apps[j]; !ok {
+		if !m.HasApp(j) {
 			return errBody(badRequest(CodeUnknownApp, "unknown job %q (known: %s)", j, rm.known))
 		}
 	}

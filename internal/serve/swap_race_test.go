@@ -7,12 +7,15 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"colocmodel/internal/core"
+	"colocmodel/internal/drift"
 	"colocmodel/internal/features"
+	"colocmodel/internal/feedback"
 	"colocmodel/internal/harness"
 	"colocmodel/internal/obs"
 	"colocmodel/internal/testeq"
@@ -126,7 +129,8 @@ func TestHotSwapNeverMislabelsGeneration(t *testing.T) {
 				si := (i + r) % len(scenarios)
 				sc := scenarios[si]
 				if i%3 == 2 {
-					o, _, e := s.buildObservation(nil, ObservationRequest{Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState, MeasuredSeconds: 1})
+					o, _, e := s.buildObservation(nil, ObservationRequest{Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState, MeasuredSeconds: 1},
+						make([]int32, len(sc.CoApps)))
 					if e != nil {
 						errs <- fmt.Errorf("buildObservation: %s", e.Message)
 						return
@@ -148,7 +152,7 @@ func TestHotSwapNeverMislabelsGeneration(t *testing.T) {
 				}
 				lastGen = rm.gen
 				var resp PredictResponse
-				if e := predictOne(obs.Span{}, &rm, sc, &resp); e != nil {
+				if e := predictOne(obs.Span{}, &rm, sc, &resp, make([]int32, len(sc.CoApps))); e != nil {
 					errs <- fmt.Errorf("predictOne: %s", e.Message)
 					return
 				}
@@ -373,6 +377,260 @@ func TestEvalBitIdentical(t *testing.T) {
 			if math.Float64bits(it.Result.PredictedSeconds) != math.Float64bits(want[j]) {
 				t.Fatalf("model %d batch slot %d: %v != %v", i, j, it.Result.PredictedSeconds, want[j])
 			}
+		}
+	}
+}
+
+// TestHotSwapAcrossAppSets swaps back and forth between two models whose
+// application sets differ: the second drops canneal, the first name in
+// sorted order, so every other application's id shifts down by one. Ids
+// are resolved once per request, at validation, so they must only ever be
+// evaluated and rendered against the snapshot that resolved them. Single
+// predicts, batches and self-predicted observations run from several
+// goroutines while the registry swaps. Every served row must be exactly
+// its generation's model's: that model's prediction, with the names the
+// request sent. An unknown-app error must come only from the snapshot
+// without canneal, which its message's list of known apps shows. In a
+// batch, the valid rows name that snapshot too. Generation g serves
+// models[(g-1) % 2].
+func TestHotSwapAcrossAppSets(t *testing.T) {
+	ds := testDataset(t)
+	narrow := *ds
+	narrow.Baselines = make(map[string]harness.Baseline, len(ds.Baselines))
+	for name, b := range ds.Baselines {
+		if name != "canneal" {
+			narrow.Baselines[name] = b
+		}
+	}
+	narrow.Records = nil
+	for _, r := range ds.Records {
+		if r.Target != "canneal" && r.CoApp != "canneal" {
+			narrow.Records = append(narrow.Records, r)
+		}
+	}
+	set, err := features.SetByName("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var models [2]*core.Model
+	for i, d := range []*harness.Dataset{ds, &narrow} {
+		if models[i], err = core.Train(core.Spec{Technique: core.Linear, FeatureSet: set, Seed: 1}, d, d.Records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := strings.Join(models[1].Apps(), ","); got != "cg,ep" || strings.Join(models[0].Apps(), ",") != "canneal,cg,ep" {
+		t.Fatalf("app sets %v and %v; the test needs canneal,cg,ep and cg,ep", models[0].Apps(), got)
+	}
+	known := [2]string{"canneal, cg, ep", "cg, ep"}
+
+	// Every scenario over the three apps with one or two co-runners, at
+	// both P-states; pred[mi][si] is model mi's prediction, valid[mi][si]
+	// whether it knows every app of scenario si.
+	apps := models[0].Apps()
+	var scenarios []ScenarioRequest
+	for _, target := range apps {
+		for _, a := range apps {
+			for _, co := range [][]string{{a}, {a, "cg"}, {a, "ep"}} {
+				for ps := 0; ps < 2; ps++ {
+					scenarios = append(scenarios, ScenarioRequest{Target: target, CoApps: co, PState: ps})
+				}
+			}
+		}
+	}
+	var pred [2][]float64
+	var valid [2][]bool
+	for mi, m := range models {
+		for _, sr := range scenarios {
+			p, err := m.Predict(sr.scenario())
+			pred[mi], valid[mi] = append(pred[mi], p), append(valid[mi], err == nil)
+		}
+	}
+	for si := range scenarios {
+		if valid[1][si] && pred[0][si] == pred[1][si] {
+			t.Fatalf("the models agree on scenario %d; a row could not be attributed", si)
+		}
+	}
+	index := make(map[string]int, len(scenarios)) // co-runners in request order
+	for si, sr := range scenarios {
+		index[fmt.Sprint(sr.Target, sr.CoApps, sr.PState)] = si
+	}
+	modelOf := func(gen uint64) int { return int((gen - 1) % 2) }
+	// row checks a served row against scenario si.
+	row := func(r *PredictResponse, si int) error {
+		mi, sr := modelOf(r.Generation), scenarios[si]
+		if !valid[mi][si] || math.Float64bits(r.PredictedSeconds) != math.Float64bits(pred[mi][si]) {
+			return fmt.Errorf("scenario %+v at generation %d: predicted %v, not model %d's", sr, r.Generation, r.PredictedSeconds, mi)
+		}
+		if r.Target != sr.Target || !slices.Equal(r.CoApps, sr.CoApps) {
+			return fmt.Errorf("scenario %+v at generation %d: reply names %q with %q", sr, r.Generation, r.Target, r.CoApps)
+		}
+		return nil
+	}
+	// unknown checks an unknown-app error against scenario si: only the
+	// narrow model lacks an app, and the message lists its apps.
+	unknown := func(code, msg string, si int) error {
+		if code != CodeUnknownApp || valid[1][si] || !strings.HasSuffix(msg, "(known: "+known[1]+")") {
+			return fmt.Errorf("scenario %+v: error %s %q", scenarios[si], code, msg)
+		}
+		return nil
+	}
+
+	batchBody, err := json.Marshal(BatchRequest{Scenarios: scenarios})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observations := make([]ObservationRequest, len(scenarios))
+	singleBodies := make([]string, len(scenarios))
+	for si, sr := range scenarios {
+		observations[si] = ObservationRequest{Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState, MeasuredSeconds: 1000}
+		raw, err := json.Marshal(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singleBodies[si] = string(raw)
+	}
+	obsBody, err := json.Marshal(ObservationsRequest{Observations: observations})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry()
+	if err := reg.Add("primary", "", models[0]); err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{})
+	log, err := feedback.Open(feedback.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EnableAdaptation(Adaptation{Log: log, Monitor: drift.NewMonitor(drift.Config{})}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	const swaps, requestsPerSwap, readers = 200, 6, 4
+	var served atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1 + readers)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := 1; i <= swaps; i++ {
+			for served.Load() < int64(i*requestsPerSwap) && !t.Failed() {
+				runtime.Gosched()
+			}
+			if err := reg.Swap("primary", models[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				served.Add(1)
+				switch i % 3 {
+				case 0:
+					si := i / 3 % len(scenarios)
+					w := postRaw(h, "/v1/predict", singleBodies[si])
+					if w.Code != http.StatusOK {
+						var eb errorBody
+						if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+							t.Errorf("predict: %d %v: %s", w.Code, err, w.Body)
+							return
+						}
+						if err := unknown(eb.Error.Code, eb.Error.Message, si); err != nil {
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					var r PredictResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &r); err != nil {
+						t.Errorf("predict: %v: %s", err, w.Body)
+						return
+					}
+					if err := row(&r, si); err != nil {
+						t.Error(err)
+						return
+					}
+				case 1:
+					w := postRaw(h, "/v1/predict/batch", string(batchBody))
+					var reply BatchResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &reply); w.Code != http.StatusOK || err != nil || len(reply.Results) != len(scenarios) {
+						t.Errorf("batch: %d %v: %s", w.Code, err, w.Body)
+						return
+					}
+					// All rows of one batch come from one snapshot: the
+					// valid ones carry its generation, and the unknown-app
+					// slots are exactly the scenarios that snapshot lacks.
+					gen := uint64(0)
+					for _, it := range reply.Results {
+						if it.Result != nil {
+							gen = it.Result.Generation
+							break
+						}
+					}
+					mi := modelOf(gen)
+					for si, it := range reply.Results {
+						var err error
+						switch {
+						case it.Result != nil && it.Result.Generation != gen:
+							err = fmt.Errorf("one batch reply, generations %d and %d", gen, it.Result.Generation)
+						case it.Result != nil:
+							err = row(it.Result, si)
+						case valid[mi][si]:
+							err = fmt.Errorf("batch at generation %d: scenario %+v failed: %+v", gen, scenarios[si], *it.Error)
+						default:
+							err = unknown(it.Error.Code, it.Error.Message, si)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				default:
+					w := postRaw(h, "/v1/observations", string(obsBody))
+					var reply ObservationsResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &reply); w.Code != http.StatusOK || err != nil || len(reply.Results) != len(scenarios) {
+						t.Errorf("observations: %d %v: %s", w.Code, err, w.Body)
+						return
+					}
+					for si, it := range reply.Results {
+						if it.Error != nil {
+							if err := unknown(it.Error.Code, it.Error.Message, si); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Every self-predicted observation is logged under the generation
+	// whose model predicted it.
+	logged, err := log.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) == 0 {
+		t.Fatal("no observation was logged")
+	}
+	for _, o := range logged {
+		si, ok := index[fmt.Sprint(o.Target, o.CoApps, o.PState)]
+		if !ok {
+			t.Fatalf("logged observation %+v matches no scenario", o)
+		}
+		r := PredictResponse{Generation: o.Generation, Target: o.Target, CoApps: o.CoApps, PredictedSeconds: o.PredictedSeconds}
+		if err := row(&r, si); err != nil {
+			t.Fatalf("logged observation: %v", err)
 		}
 	}
 }

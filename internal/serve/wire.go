@@ -383,8 +383,16 @@ func appendPredictIdentity(b []byte, p *PredictResponse) []byte {
 }
 
 // appendPredictFields completes a reply appendPredictIdentity opened.
+// A reply built from a serving snapshot copies its names and baseline
+// from the snapshot's table, rendered once per model.
 func appendPredictFields(b []byte, p *PredictResponse) ([]byte, bool) {
-	b = jsonwire.AppendString(append(b, `,"target":`...), p.Target)
+	sm := p.served
+	b = append(b, `,"target":`...)
+	if sm != nil {
+		b = append(b, sm.apps[p.target].json...)
+	} else {
+		b = jsonwire.AppendString(b, p.Target)
+	}
 	b = append(b, `,"co_apps":`...)
 	if p.CoApps == nil {
 		b = append(b, "null"...)
@@ -394,7 +402,11 @@ func appendPredictFields(b []byte, p *PredictResponse) ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = jsonwire.AppendString(b, a)
+			if sm != nil {
+				b = append(b, sm.apps[p.co[i]].json...)
+			} else {
+				b = jsonwire.AppendString(b, a)
+			}
 		}
 		b = append(b, ']')
 	}
@@ -403,9 +415,13 @@ func appendPredictFields(b []byte, p *PredictResponse) ([]byte, bool) {
 	b, ok1 = jsonwire.AppendFloat(append(b, `,"predicted_seconds":`...), p.PredictedSeconds)
 	b, ok2 = jsonwire.AppendFloat(append(b, `,"predicted_slowdown":`...), p.PredictedSlowdown)
 	b = append(b, `,"baseline_seconds":`...)
-	ok3 := p.baselineJSON != ""
+	text := ""
+	if sm != nil {
+		text = sm.apps[p.target].text[p.PState]
+	}
+	ok3 := text != ""
 	if ok3 {
-		b = append(b, p.baselineJSON...)
+		b = append(b, text...)
 	} else {
 		b, ok3 = jsonwire.AppendFloat(b, p.BaselineSeconds)
 	}

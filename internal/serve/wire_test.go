@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
@@ -13,8 +14,10 @@ import (
 	"testing"
 
 	"colocmodel/internal/core"
+	"colocmodel/internal/drift"
 	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
+	"colocmodel/internal/retrain"
 )
 
 // canonicalBodies are request bodies in the form clients send; the fast
@@ -464,7 +467,7 @@ func TestRenderedBaselineMatchesEncodingJSON(t *testing.T) {
 		for _, app := range rm.m.Apps() {
 			for ps := 0; ps < rm.m.PStates(); ps++ {
 				p := &PredictResponse{}
-				e := initPredictResponse(p, &rm, features.Scenario{Target: app, CoApps: []string{app}, PState: ps})
+				e := initPredictResponse(p, &rm, features.Scenario{Target: app, CoApps: []string{app}, PState: ps}, make([]int32, 1))
 				base, err := rm.m.BaselineSeconds(app, ps)
 				if err != nil {
 					if e == nil || e.Status != http.StatusInternalServerError || e.Message != err.Error() {
@@ -472,8 +475,8 @@ func TestRenderedBaselineMatchesEncodingJSON(t *testing.T) {
 					}
 					continue
 				}
-				if e != nil || p.baselineJSON == "" || math.Float64bits(p.BaselineSeconds) != math.Float64bits(base) {
-					t.Fatalf("%s %s@%d: baseline %v rendered %q (%v), model says %v", name, app, ps, p.BaselineSeconds, p.baselineJSON, e, base)
+				if e != nil || rm.apps[p.target].text[ps] == "" || math.Float64bits(p.BaselineSeconds) != math.Float64bits(base) {
+					t.Fatalf("%s %s@%d: baseline %v (%v), model says %v", name, app, ps, p.BaselineSeconds, e, base)
 				}
 				p.PredictedSeconds, p.PredictedSlowdown = base, 1
 				batch.Results = append(batch.Results, BatchItem{Result: p})
@@ -619,12 +622,66 @@ func (w *minimalWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestEscapedNamesServeLikePlainOnes: a name spelled with a JSON escape
+// ("c\u0067") sends its body to the encoding/json fallback decoder, but
+// validation resolves it to the same id as "cg". So /v1/predict,
+// /v1/predict/batch and /v1/observations answer it byte for byte as they
+// answer the plain spelling. An unknown name gets the same 400 through
+// either decoder, and a batch mixing known, unknown and escaped names
+// fails exactly its unknown slots, each with that slot's message.
+func TestEscapedNamesServeLikePlainOnes(t *testing.T) {
+	s, _, _ := newAdaptiveServer(t, drift.Config{}, retrain.Config{})
+	h := s.Handler()
+	for _, tc := range []struct{ name, path, body string }{
+		{"predict", "/v1/predict", `{"target":%[1]s,"co_apps":[%[1]s,"ep"],"pstate":1}`},
+		{"batch", "/v1/predict/batch", `{"scenarios":[{"target":%[1]s,"co_apps":[%[1]s],"pstate":0},{"target":"ep","co_apps":["ep",%[1]s],"pstate":1}]}`},
+		{"observations", "/v1/observations", `{"target":"ep","co_apps":[%[1]s,%[1]s],"pstate":1,"measured_seconds":300}`},
+	} {
+		for _, names := range [][2]string{{`"cg"`, `"c\u0067"`}, {`"ghost"`, `"gh\u006fst"`}} {
+			plain, escaped := fmt.Sprintf(tc.body, names[0]), fmt.Sprintf(tc.body, names[1])
+			if !fastDecoders[tc.name]([]byte(plain)) || fastDecoders[tc.name]([]byte(escaped)) {
+				t.Fatalf("%s: %s should take the fast decoder and %s the fallback", tc.name, plain, escaped)
+			}
+			a, b := postRaw(h, tc.path, plain), postRaw(h, tc.path, escaped)
+			if a.Code != b.Code || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+				t.Fatalf("%s: %s answered %d %s\nbut %s answered %d %s", tc.name, plain, a.Code, a.Body, escaped, b.Code, b.Body)
+			}
+			if known := names[0] == `"cg"`; known != (a.Code == http.StatusOK && !bytes.Contains(a.Body.Bytes(), []byte(CodeUnknownApp))) {
+				t.Fatalf("%s %s: %d %s", tc.name, names[0], a.Code, a.Body)
+			}
+		}
+	}
+
+	mixed := postRaw(h, "/v1/predict/batch", `{"scenarios":[`+
+		`{"target":"cg","co_apps":["ep"],"pstate":0},`+
+		`{"target":"ghost","co_apps":["ep"],"pstate":0},`+
+		`{"target":"c\u0067","co_apps":["ep"],"pstate":0},`+
+		`{"target":"cg","co_apps":["e\u0070","gh\u006fst"],"pstate":0}]}`)
+	reply := decodeBody[BatchResponse](t, mixed)
+	if mixed.Code != http.StatusOK || reply.Errors != 2 || len(reply.Results) != 4 {
+		t.Fatalf("mixed batch: %d %s", mixed.Code, mixed.Body)
+	}
+	single := decodeBody[PredictResponse](t, postRaw(h, "/v1/predict", `{"target":"cg","co_apps":["ep"],"pstate":0}`))
+	for i, want := range []string{"", `unknown target "ghost"`, "", `unknown co-app "ghost"`} {
+		it := reply.Results[i]
+		if want == "" {
+			if it.Result == nil || !reflect.DeepEqual(*it.Result, single) {
+				t.Fatalf("mixed batch slot %d: %+v, want the single predict's %+v", i, it, single)
+			}
+			continue
+		}
+		if it.Error == nil || it.Error.Code != CodeUnknownApp || !strings.HasPrefix(it.Error.Message, want) {
+			t.Fatalf("mixed batch slot %d: %+v, want %s", i, it, want)
+		}
+	}
+}
+
 // predictAllocBudget is the allocation count of one /v1/predict
 // through the whole handler stack with default config (tracing and SLO
 // tracking on, request ID minted): the body's string, the co-app arena,
-// the response, the request ID and its header slice, the Server-Timing
-// value and its header slice. Raise it only with a reason;
-// encoding/json on this path cost 35.
+// the response (with room for its co-apps' ids), the request ID and its
+// header slice, the Server-Timing value and its header slice. Raise it
+// only with a reason; encoding/json on this path cost 35.
 const predictAllocBudget = 7
 
 // handlerAllocs posts the bodies to path in order, round and round, and
@@ -682,12 +739,15 @@ func TestPredictAllocs(t *testing.T) {
 }
 
 // batchAllocBudget is the allocation count of one 64-row
-// /v1/predict/batch under the default config: what a single predict's
-// envelope costs plus the scenario slice, the reply, its item and
-// response slabs, the valid scenarios and their predictions — a fixed
-// number per request, none per row. No scenario is posted twice, as in
-// a what-if sweep.
-const batchAllocBudget = 24
+// /v1/predict/batch of the repository benchmark's wide shape (0–5
+// co-runners, no scenario posted twice, as in a what-if sweep) under the
+// default config: what a single predict's envelope costs plus the
+// request deadline, the scenario slice, the reply, its item and response
+// slabs, and the slots' co-app ids — a fixed number per request, none per
+// row. The rows handed to the model and its predictions are pooled. It
+// guards the batch path the way TestRoutedPredictAllocs guards the
+// router's.
+const batchAllocBudget = 19
 
 func TestBatchPredictAllocs(t *testing.T) {
 	s := neuralTestServer(t, Config{})

@@ -235,7 +235,8 @@ func (g *Gen) HostileScenarios(m *core.Model, n int) []features.Scenario {
 //     the full batch and for mixed-width sub-batches re-evaluated
 //     through the *same* compiled instance (scratch reuse across batch
 //     shapes must not perturb results);
-//   - caller-buffer: CheckInto on the valid scenarios.
+//   - caller-buffer: CheckInto on the valid scenarios;
+//   - ids: checkIDs on every scenario.
 func CheckModel(tb testing.TB, m *core.Model, scs []features.Scenario) {
 	tb.Helper()
 	if !m.IsCompiled() {
@@ -272,6 +273,7 @@ func CheckModel(tb testing.TB, m *core.Model, scs []features.Scenario) {
 		}
 		valid = append(valid, sc)
 	}
+	checkIDs(tb, m, scs)
 	if len(valid) == 0 {
 		return
 	}
@@ -348,5 +350,101 @@ func CheckInto(tb testing.TB, m *core.Model, scs []features.Scenario) {
 		}
 	}); n != 0 {
 		tb.Fatalf("%s: warm PredictScenariosInto allocates %.1f/op, want 0", m.Spec, n)
+	}
+}
+
+// checkIDs asserts that the id entry point, Model.PredictIDsInto, is the
+// interpreted path on the same applications. Every scenario is resolved
+// through AppID (an unknown name becomes id -1), and rows naming ids -1
+// and len(Apps()) as target and as co-app are added. Each row alone must
+// agree with PredictInterpreted on the scenario its ids name — on the
+// error verdict and, on success, bit for bit — where an id outside the
+// space names an application no baseline has. The rows that succeed must
+// give the same bits as one batch, a buffer of the wrong length must be
+// refused, and — outside the race detector — a warm call must allocate
+// nothing.
+func checkIDs(tb testing.TB, m *core.Model, scs []features.Scenario) {
+	tb.Helper()
+	apps := m.Apps()
+	if len(apps) == 0 {
+		tb.Fatalf("%s has no applications", m.Spec)
+	}
+	id := func(name string) int32 {
+		if id, ok := m.AppID(name); ok {
+			return id
+		}
+		return -1
+	}
+	name := func(id int32) string {
+		if id >= 0 && int(id) < len(apps) {
+			return apps[id]
+		}
+		return apps[len(apps)-1] + "\x00" // sorts after every app, so no baseline has it
+	}
+	var rows []core.IDScenario
+	for _, sc := range scs {
+		row := core.IDScenario{Target: id(sc.Target), CoApps: make([]int32, len(sc.CoApps)), PState: sc.PState}
+		for i, a := range sc.CoApps {
+			row.CoApps[i] = id(a)
+		}
+		rows = append(rows, row)
+	}
+	for _, bad := range []int32{-1, int32(len(apps))} {
+		rows = append(rows,
+			core.IDScenario{Target: bad},
+			core.IDScenario{Target: 0, CoApps: []int32{0, bad}})
+	}
+
+	var valid []core.IDScenario
+	var want []float64
+	one := make([]float64, 1)
+	for _, row := range rows {
+		sc := features.Scenario{Target: name(row.Target), CoApps: make([]string, len(row.CoApps)), PState: row.PState}
+		for i, co := range row.CoApps {
+			sc.CoApps[i] = name(co)
+		}
+		ref, refErr := m.PredictInterpreted(sc)
+		err := m.PredictIDsInto([]core.IDScenario{row}, one)
+		if (refErr == nil) != (err == nil) {
+			tb.Fatalf("%s ids %+v: error parity broken: interpreted err=%v, PredictIDsInto err=%v",
+				m.Spec, row, refErr, err)
+		}
+		if refErr != nil {
+			continue
+		}
+		if math.Float64bits(one[0]) != math.Float64bits(ref) {
+			tb.Fatalf("%s ids %+v: PredictIDsInto %v != interpreted %v (not bit-identical)", m.Spec, row, one[0], ref)
+		}
+		valid = append(valid, row)
+		want = append(want, ref)
+	}
+	if len(valid) == 0 {
+		return
+	}
+	out := make([]float64, len(valid)+1)
+	if m.PredictIDsInto(valid, out) == nil {
+		tb.Fatalf("%s PredictIDsInto accepted a %d-slot buffer for %d rows", m.Spec, len(out), len(valid))
+	}
+	out = out[:len(valid)]
+	if err := m.PredictIDsInto(valid, out); err != nil {
+		tb.Fatalf("%s ids batch(%d): %v", m.Spec, len(valid), err)
+	}
+	for i := range want {
+		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+			tb.Fatalf("%s ids batch(%d) slot %d: PredictIDsInto %v != interpreted %v (not bit-identical)",
+				m.Spec, len(valid), i, out[i], want[i])
+		}
+	}
+	if RaceEnabled {
+		return
+	}
+	for _, n := range []int{1, len(valid)} {
+		if a := testing.AllocsPerRun(20, func() {
+			if err := m.PredictIDsInto(valid[:n], out[:n]); err != nil {
+				tb.Error(err)
+			}
+		}); a != 0 {
+			tb.Fatalf("%s: warm PredictIDsInto of %d rows allocates %.1f/op, want 0", m.Spec, n, a)
+		}
 	}
 }
