@@ -46,6 +46,14 @@ func main() {
 
 func run(machine, in, out, models string, partitions int, seed uint64, noise float64,
 	predict, coapp string, n, pstate int, saveModel, loadModel string) error {
+	if n < 0 {
+		return fmt.Errorf("-n %d: the number of co-located copies cannot be negative", n)
+	}
+	// Without -predict or -savemodel the run evaluates models.
+	evaluate := predict == "" && saveModel == ""
+	if evaluate && partitions <= 0 {
+		return fmt.Errorf("-partitions %d: evaluation needs at least one partition", partitions)
+	}
 	if loadModel != "" && predict != "" {
 		return runPredictLoaded(loadModel, predict, coapp, n, pstate)
 	}
@@ -78,7 +86,7 @@ func run(machine, in, out, models string, partitions int, seed uint64, noise flo
 	if predict != "" {
 		return runPredict(ds, seed, predict, coapp, n, pstate)
 	}
-	if saveModel != "" {
+	if !evaluate {
 		return nil
 	}
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,29 @@ func TestObtainDatasetErrors(t *testing.T) {
 	}
 	if _, err := obtainDataset("6core", "/does/not/exist.csv", 1, 0.01); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestRunRejectsBadCounts: a partition count below one where models are
+// evaluated, and a negative -n, are refused before any dataset is read or
+// model loaded, with an error naming the flag.
+func TestRunRejectsBadCounts(t *testing.T) {
+	const missing = "/does/not/exist"
+	for _, c := range []struct {
+		name               string
+		partitions, n      int
+		predict, loadModel string
+		want               string
+	}{
+		{name: "negative partitions", partitions: -3, want: "-partitions -3"},
+		{name: "zero partitions", partitions: 0, want: "-partitions 0"},
+		{name: "negative n", partitions: 1, n: -3, predict: "canneal", want: "-n -3"},
+		{name: "negative n, loaded model", partitions: 1, n: -3, predict: "canneal", loadModel: missing, want: "-n -3"},
+	} {
+		err := run("6core", missing+".csv", "", "linear-A", c.partitions, 1, 0.01, c.predict, "cg", c.n, 0, "", c.loadModel)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }
 

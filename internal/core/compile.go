@@ -10,20 +10,23 @@ import (
 )
 
 // The model compiler. The predict path is the product's hot loop: every
-// serving, placement and retraining tier funnels through Predict /
-// PredictScenarios, and the paper's value proposition — cheap what-if
-// prediction replacing measurement — only holds while that loop is cheap.
+// serving, placement and retraining tier funnels through Predict,
+// PredictScenarios or PredictIDsInto, and the paper's value proposition
+// — cheap what-if prediction replacing measurement — only holds while
+// that loop is cheap.
 // The interpreted path walks the feature Set, hashes baseline names into
 // a map per feature, allocates a vector per scenario and dispatches
 // through the generic technique switch; compileProgram instead specialises
-// a trained model once, at promotion/load time, into a fused program:
+// a trained model once, at train/load time, into a fused program. Every
+// Model carries one: LoadModel and Train refuse a model that does not
+// compile.
 //
 //   - the feature pipeline is flattened into a fixed op table over a
 //     baked per-app fact table indexed by the model's application ids
 //     (AppID): every baseline is looked up once, at compile time, and the
 //     op table evaluates rows of ids with no map lookup at all. The name
-//     entry points resolve each name to its id once per scenario;
-//     PredictIDsInto takes rows a caller resolved itself;
+//     entry points resolve each name to its id once, then run the id
+//     path; PredictIDsInto takes rows a caller resolved itself;
 //   - a linear model folds to a single dot product over that vector;
 //   - a neural model's standardise → layers → de-standardise chain runs
 //     over preallocated fixed-width scratch with the activation resolved
@@ -80,10 +83,8 @@ type appFacts struct {
 
 // program is the immutable, shareable half of a compiled model: the op
 // table, the baked fact table, and the technique's folded parameters.
-// Many Compiled instances (one per worker) share one program.
+// Every pooled instance of the model shares one program.
 type program struct {
-	spec Spec
-
 	space   *appSpace  // the model's id space
 	apps    []appFacts // indexed by application id
 	pstates int
@@ -126,9 +127,8 @@ type compiledLayer struct {
 func (p *program) width() int { return len(p.cols) }
 
 // compileProgram specialises a trained model. It never panics: a model
-// whose shape is inconsistent (possible only for artefacts that slipped
-// past load validation) yields an error, and the model simply stays on
-// the interpreted path.
+// whose shape is inconsistent yields an error, which LoadModel and Train
+// return instead of a model.
 func (m *Model) compileProgram() (*program, error) {
 	if m.baselines == nil {
 		return nil, fmt.Errorf("core: compile: model has no baseline store")
@@ -141,7 +141,6 @@ func (m *Model) compileProgram() (*program, error) {
 		return nil, fmt.Errorf("core: compile: empty feature set")
 	}
 	p := &program{
-		spec:    m.Spec,
 		space:   m.space,
 		apps:    make([]appFacts, 0, len(m.space.names)),
 		pstates: len(m.baselines.PStateFreqs),
@@ -223,8 +222,8 @@ func (m *Model) compileProgram() (*program, error) {
 			return nil, fmt.Errorf("core: compile: neural model missing scalers")
 		}
 		if len(m.xScaler.Mean) != width || len(m.xScaler.Std) != width {
-			return nil, fmt.Errorf("core: compile: scaler fitted on %d columns for width %d",
-				len(m.xScaler.Mean), width)
+			return nil, fmt.Errorf("core: compile: input scaler has %d means and %d deviations for width %d",
+				len(m.xScaler.Mean), len(m.xScaler.Std), width)
 		}
 		cfg := m.net.Config()
 		if cfg.Inputs != width {
@@ -286,29 +285,6 @@ func compileFeature(f features.Feature) (featOp, error) {
 	}
 }
 
-// resolve maps sc's names to ids, carving the co-app ids from co[:0],
-// and fails on the first unknown name exactly where the interpreted
-// feature pipeline fails on it: always for the target, for a co-app only
-// when a feature sums over co-apps. A co-app no feature reads is not
-// looked up; its id is -1, which nothing reads either.
-func (p *program) resolve(sc features.Scenario, co []int32) (IDScenario, []int32, error) {
-	ti, ok := p.space.ids[sc.Target]
-	if !ok {
-		return IDScenario{}, co, fmt.Errorf("core: no baseline for application %q", sc.Target)
-	}
-	co = co[:0]
-	for _, name := range sc.CoApps {
-		id := int32(-1)
-		if p.usesCo {
-			if id, ok = p.space.ids[name]; !ok {
-				return IDScenario{}, co, fmt.Errorf("core: no baseline for application %q", name)
-			}
-		}
-		co = append(co, id)
-	}
-	return IDScenario{Target: ti, CoApps: co, PState: sc.PState}, co, nil
-}
-
 // evalOps evaluates the op table for one row of ids into vals (length
 // len(p.ops)). All three co-app stat sums are accumulated in one pass
 // over the co-apps — each sum still receives its terms in CoApps order
@@ -363,36 +339,33 @@ func (p *program) gather(vals, row []float64) {
 	}
 }
 
-// Compiled is one worker's instance of a compiled model: the shared
+// instance is one worker's copy of a compiled model: the shared
 // immutable program plus private scratch, evaluated by fused closures.
-// A warmed Compiled predicts — scalar or batched — with zero heap
-// allocations.
-//
-// Reuse contract: a Compiled is NOT goroutine-safe. Keep exactly one per
-// worker (the serving tier keeps one per P-core replica slot); Model's
-// own Predict/PredictScenarios dispatch through an internal pool and stay
-// goroutine-safe.
-type Compiled struct {
+// It is not goroutine-safe; the model keeps a pool of them (Model.cpool)
+// and every entry point checks one out per call. A warm instance
+// predicts — scalar or batched — with zero heap allocations.
+type instance struct {
 	prog *program
 
 	// scalar is the fused scalar closure: design vector in, prediction
 	// out. Built once at compile time with the model's exact widths.
 	scalar func(row []float64) float64
 
-	co   []int32   // co-app ids of the scenario being resolved
-	vals []float64 // op-table scratch
-	row  []float64 // design vector scratch
-	actA []float64 // layer ping
-	actB []float64 // layer pong
+	rows []IDScenario // rows resolved from names
+	co   []int32      // their co-app ids
+	vals []float64    // op-table scratch
+	row  []float64    // design vector scratch
+	actA []float64    // layer ping
+	actB []float64    // layer pong
 
 	// Batched scratch (grown on first batch, reused after).
 	x    linalg.Matrix // design matrix
 	actM [2]linalg.Matrix
 }
 
-// newCompiled builds a worker instance over a program.
-func newCompiled(p *program) *Compiled {
-	c := &Compiled{
+// newInstance builds a worker instance over a program.
+func newInstance(p *program) *instance {
+	c := &instance{
 		prog: p,
 		vals: make([]float64, len(p.ops)),
 		row:  make([]float64, p.width()),
@@ -423,7 +396,7 @@ func newCompiled(p *program) *Compiled {
 // per-node dispatch of any kind; deeper or non-tanh networks share a
 // generic loop whose activation is still resolved once per layer, not
 // per node. Both reproduce predictVector's arithmetic order exactly.
-func (c *Compiled) compileNetScalar() func(row []float64) float64 {
+func (c *instance) compileNetScalar() func(row []float64) float64 {
 	p := c.prog
 	mean, std := p.xMean, p.xStd
 	yMean, yStd := p.yMean, p.yStd
@@ -483,29 +456,6 @@ func (c *Compiled) compileNetScalar() func(row []float64) float64 {
 	}
 }
 
-// Spec returns the compiled model's identity.
-func (c *Compiled) Spec() Spec { return c.prog.spec }
-
-// Predict is the compiled scalar fast path: bit-identical to the
-// interpreted Model.Predict, with zero heap allocations when warm.
-func (c *Compiled) Predict(sc features.Scenario) (float64, error) {
-	row, co, err := c.prog.resolve(sc, c.co)
-	c.co = co
-	if err != nil {
-		return 0, err
-	}
-	return c.predictRow(row)
-}
-
-// predictRow evaluates one row of ids through the fused scalar closure.
-func (c *Compiled) predictRow(row IDScenario) (float64, error) {
-	if err := c.prog.evalOps(row, c.vals); err != nil {
-		return 0, err
-	}
-	c.prog.gather(c.vals, c.row)
-	return c.scalar(c.row), nil
-}
-
 // growMat resizes m to r×c, reusing its backing array when large enough.
 func growMat(m *linalg.Matrix, r, cDim int) {
 	if cap(m.Data) < r*cDim {
@@ -515,54 +465,66 @@ func growMat(m *linalg.Matrix, r, cDim int) {
 	m.Rows, m.Cols = r, cDim
 }
 
-// PredictScenarios evaluates every scenario in one batched pass into out
-// (length len(scs)): the compiled counterpart of Model.PredictScenarios,
-// bit-identical to it and to per-scenario Predict. The design matrix is
-// filled by the compiled feature pipeline, each scenario's names resolved
-// as its row is filled, and each layer runs one blocked kernel over the
-// whole batch. Zero heap allocations once the scratch has grown to the
-// batch size.
-func (c *Compiled) PredictScenarios(scs []features.Scenario, out []float64) error {
-	if len(out) != len(scs) {
-		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(scs))
-	}
-	if len(scs) == 0 {
-		return nil
-	}
+// resolve maps scs' names to rows of ids in the instance's scratch. It
+// stops at the first unknown name and returns the rows before it with
+// the error the interpreted feature pipeline gives for that name: always
+// for the target, for a co-app only when a feature sums over co-apps. A
+// co-app no feature reads is not looked up; its id is -1, which nothing
+// reads either.
+func (c *instance) resolve(scs []features.Scenario) ([]IDScenario, error) {
 	p := c.prog
-	width := p.width()
-	growMat(&c.x, len(scs), width)
-	for i, sc := range scs {
-		row, co, err := p.resolve(sc, c.co)
-		c.co = co
-		if err == nil {
-			err = p.evalOps(row, c.vals)
-		}
-		if err != nil {
-			return err
-		}
-		p.gather(c.vals, c.x.Data[i*width:(i+1)*width])
+	n := 0
+	for _, sc := range scs {
+		n += len(sc.CoApps)
 	}
-	c.forward(out)
-	return nil
+	if cap(c.co) < n {
+		c.co = make([]int32, n)
+	}
+	if cap(c.rows) < len(scs) {
+		c.rows = make([]IDScenario, len(scs))
+	}
+	co, rows := c.co[:0], c.rows[:0]
+	for _, sc := range scs {
+		ti, ok := p.space.ids[sc.Target]
+		if !ok {
+			return rows, fmt.Errorf("core: no baseline for application %q", sc.Target)
+		}
+		start := len(co)
+		for _, name := range sc.CoApps {
+			id := int32(-1)
+			if p.usesCo {
+				if id, ok = p.space.ids[name]; !ok {
+					return rows, fmt.Errorf("core: no baseline for application %q", name)
+				}
+			}
+			co = append(co, id)
+		}
+		rows = append(rows, IDScenario{Target: ti, CoApps: co[start:], PState: sc.PState})
+	}
+	return rows, nil
 }
 
-// predictIDs is PredictScenarios over rows of ids, behind
-// Model.PredictIDsInto. A lone row takes the fused scalar closure, which
-// is bit-identical to the batched kernels and cheaper for one row.
-func (c *Compiled) predictIDs(rows []IDScenario, out []float64) error {
+// predictIDs is the one fill loop behind every entry point: each row's
+// op table is evaluated into the design matrix, stopping at the first
+// failing row, and the technique runs once over the batch. A lone row
+// takes the fused scalar closure, which is bit-identical to the batched
+// kernels and cheaper for one row.
+func (c *instance) predictIDs(rows []IDScenario, out []float64) error {
 	if len(out) != len(rows) {
 		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(rows))
 	}
+	p := c.prog
 	switch len(rows) {
 	case 0:
 		return nil
 	case 1:
-		v, err := c.predictRow(rows[0])
-		out[0] = v
-		return err
+		if err := p.evalOps(rows[0], c.vals); err != nil {
+			return err
+		}
+		p.gather(c.vals, c.row)
+		out[0] = c.scalar(c.row)
+		return nil
 	}
-	p := c.prog
 	width := p.width()
 	growMat(&c.x, len(rows), width)
 	for i, row := range rows {
@@ -576,7 +538,7 @@ func (c *Compiled) predictIDs(rows []IDScenario, out []float64) error {
 }
 
 // forward runs the technique over the filled design matrix into out.
-func (c *Compiled) forward(out []float64) {
+func (c *instance) forward(out []float64) {
 	p := c.prog
 	width := p.width()
 	if p.coef != nil {
@@ -624,45 +586,25 @@ func (c *Compiled) forward(out []float64) {
 // ---- Model integration ----
 
 // initCompiled builds the model's id space and specialises the model
-// after training or loading. A model that cannot compile (possible only
-// for inconsistent artefacts) keeps prog nil and serves every prediction
-// through the interpreted path.
-func (m *Model) initCompiled() {
+// after training or loading. Its error is the compiler's, which LoadModel
+// and Train return instead of the model: every Model that exists carries
+// a program.
+func (m *Model) initCompiled() error {
 	m.space = newAppSpace(m.baselines)
 	p, err := m.compileProgram()
 	if err != nil {
-		return
+		return err
 	}
 	m.prog = p
-	m.cpool.New = func() any { return newCompiled(p) }
+	m.cpool.New = func() any { return newInstance(p) }
+	return nil
 }
 
-// IsCompiled reports whether the model carries a compiled program (set at
-// train/load time; false only for models whose artefact shape defeated
-// the compiler, which then predict through the interpreted path).
-func (m *Model) IsCompiled() bool { return m.prog != nil }
-
-// Compile returns a fresh compiled instance of the model for a single
-// worker: the fused, allocation-free fast path behind Predict. Callers
-// that predict from many goroutines keep one Compiled per worker (see the
-// serving tier's per-P-core replicas); Model.Predict itself remains
-// goroutine-safe by pooling instances internally.
-func (m *Model) Compile() (*Compiled, error) {
+// checkout takes a worker instance from the pool; the caller puts it back.
+// Only the zero Model has no program.
+func (m *Model) checkout() (*instance, error) {
 	if m.prog == nil {
-		p, err := m.compileProgram()
-		if err != nil {
-			return nil, err
-		}
-		return newCompiled(p), nil
+		return nil, fmt.Errorf("core: model %s not trained", m.Spec)
 	}
-	return newCompiled(m.prog), nil
-}
-
-// compiled checks out a pooled worker instance (nil when the model has no
-// program).
-func (m *Model) compiled() *Compiled {
-	if m.prog == nil {
-		return nil
-	}
-	return m.cpool.Get().(*Compiled)
+	return m.cpool.Get().(*instance), nil
 }

@@ -11,13 +11,13 @@ import (
 
 // FuzzCompileModel drives hostile and mutated artefacts through the full
 // load→compile→predict chain. The contract under fuzz: LoadModel either
-// rejects the bytes with an error, or yields a model that (a) never
-// panics and (b), when it compiled, predicts bit-identically to the
-// interpreted path on every scenario — including invalid ones, where the
-// two paths must agree on rejecting. A model that loads but does not
-// compile is also legal: that is the interpreted fallback working as
-// designed (the committed corpus includes a scaler-width-mismatch
-// artefact that exercises exactly that branch).
+// rejects the bytes with an error, or yields a compiled model that never
+// panics and predicts bit-identically to the interpreted path through
+// every entry point (testeq.CheckModel) on every scenario — including
+// invalid ones, where the two paths must agree on rejecting. An artefact
+// that loads but does not compile cannot exist: the loader returns the
+// compiler's error (the committed scaler-width-mismatch artefact is one
+// such refusal).
 func FuzzCompileModel(f *testing.F) {
 	// Seed with real artefacts from the property generator (one per
 	// technique) on top of the committed corpus, so mutation starts from
@@ -31,9 +31,6 @@ func FuzzCompileModel(f *testing.F) {
 		m, err := core.LoadModel(bytes.NewReader(data))
 		if err != nil {
 			return // rejected: the loader did its job
-		}
-		if !m.IsCompiled() {
-			return // interpreted fallback: legal for shapes that defeat the compiler
 		}
 		apps := m.Apps()
 		if len(apps) == 0 {

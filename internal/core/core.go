@@ -116,13 +116,13 @@ type Model struct {
 	yScaler   *features.VecScaler
 
 	// space is the model's application-id space (see AppID), built from
-	// the baselines at train/load time; nil only for a model without them.
+	// the baselines at train/load time; nil only for the zero Model.
 	space *appSpace
 
 	// prog is the model compiled into a fused predict program at
 	// train/load time (see compile.go); cpool recycles per-worker
-	// Compiled instances so Predict stays goroutine-safe while running
-	// the compiled fast path. nil prog means interpreted-only.
+	// instances of it, so every entry point is goroutine-safe while
+	// running the compiled path. Only the zero Model has a nil prog.
 	prog  *program
 	cpool sync.Pool
 }
@@ -249,29 +249,37 @@ func trainXY(spec Spec, ds *harness.Dataset, x *linalg.Matrix, y []float64, scra
 	default:
 		return nil, fmt.Errorf("core: unknown technique %d", int(spec.Technique))
 	}
-	m.initCompiled()
+	if err := m.initCompiled(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
 // Predict estimates the target's co-located execution time for a
-// schedule-time scenario, using only baseline measurements. Models carry
-// a compiled fast path (built at train/load time) that this dispatches
-// through; results are bit-identical to PredictInterpreted, which remains
-// the reference implementation.
+// schedule-time scenario, using only baseline measurements. It runs the
+// model's compiled program on a pooled instance; results are
+// bit-identical to PredictInterpreted, the reference implementation.
 func (m *Model) Predict(sc features.Scenario) (float64, error) {
-	if c := m.compiled(); c != nil {
-		v, err := c.Predict(sc)
-		m.cpool.Put(c)
-		return v, err
+	c, err := m.checkout()
+	if err != nil {
+		return 0, err
 	}
-	return m.PredictInterpreted(sc)
+	defer m.cpool.Put(c)
+	rows, err := c.resolve([]features.Scenario{sc})
+	if err != nil {
+		return 0, err
+	}
+	var out [1]float64
+	if err := c.predictIDs(rows, out[:]); err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }
 
 // PredictInterpreted is the uncompiled reference predict path: the
 // feature pipeline walked per call and the technique dispatched
-// generically. The compiled path is property-tested bit-for-bit against
-// it (internal/testeq), and models whose artefacts defeat the compiler
-// fall back to it transparently.
+// generically. No production code runs it; the compiled path is
+// property-tested bit-for-bit against it (internal/testeq).
 func (m *Model) PredictInterpreted(sc features.Scenario) (float64, error) {
 	v, err := features.Vector(m.Spec.FeatureSet, m.baselines, sc)
 	if err != nil {
@@ -299,80 +307,45 @@ func (m *Model) predictVector(v []float64) (float64, error) {
 	}
 }
 
-// PredictRecords predicts the execution time of each record's scenario in
-// one batched pass: the design matrix is built once and the model is
-// evaluated with a single batched kernel call per layer instead of one
-// forward per record. Results are bit-identical to per-record Predict.
-func (m *Model) PredictRecords(records []harness.Record) ([]float64, error) {
-	if len(records) == 0 {
-		return []float64{}, nil
-	}
-	x, _, err := features.Matrix(m.Spec.FeatureSet, m.baselines, records)
+// PredictScenarios predicts every scenario in one batched pass, the
+// many-scenario counterpart of Predict and bit-identical to calling it
+// per scenario: the names are resolved to ids once and the batch runs
+// PredictIDsInto's path. A batch fails with its first failing row's
+// error.
+func (m *Model) PredictScenarios(scs []features.Scenario) ([]float64, error) {
+	c, err := m.checkout()
 	if err != nil {
 		return nil, err
 	}
-	return m.predictMatrix(x)
-}
-
-// PredictScenarios predicts every scenario in one batched pass, the
-// many-scenario counterpart of Predict (bit-identical to calling it per
-// scenario): PredictScenariosInto with a fresh result slice.
-func (m *Model) PredictScenarios(scs []features.Scenario) ([]float64, error) {
+	defer m.cpool.Put(c)
+	rows, rerr := c.resolve(scs)
 	out := make([]float64, len(scs))
-	if err := m.PredictScenariosInto(scs, out); err != nil {
+	// The rows before an unknown name may still hold an earlier failure.
+	if err := c.predictIDs(rows, out[:len(rows)]); err != nil {
 		return nil, err
+	}
+	if rerr != nil {
+		return nil, rerr
 	}
 	return out, nil
 }
 
-// PredictScenariosInto is PredictScenarios writing into the caller's
-// buffer (length len(scs)), for callers that predict in a loop and keep
-// one buffer: compiled models evaluate the batch through a pooled
-// instance's blocked kernels with zero heap allocations once that
-// instance's scratch has grown to the batch size. The result is
-// bit-identical to PredictScenariosInterpreted, which models whose
-// artefact defeated the compiler fall back to.
-func (m *Model) PredictScenariosInto(scs []features.Scenario, out []float64) error {
-	if c := m.compiled(); c != nil {
-		err := c.PredictScenarios(scs, out)
-		m.cpool.Put(c)
-		return err
-	}
-	if len(out) != len(scs) {
-		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(scs))
-	}
-	preds, err := m.PredictScenariosInterpreted(scs)
-	copy(out, preds)
-	return err
-}
-
-// PredictIDsInto is PredictScenariosInto over rows whose applications
-// are already ids in the model's id space (AppID): a caller that resolved
-// each name once — at request validation, or when a placement problem is
-// set up — evaluates without resolving any again. Results are
-// bit-identical to PredictScenariosInto on the same scenarios. An id
-// outside the space fails where an unknown name would, with an error,
-// never a panic. A model whose artefact defeated the compiler maps the
-// ids back to names and runs the interpreted path.
+// PredictIDsInto is PredictScenarios over rows whose applications are
+// already ids in the model's id space (AppID), writing into the caller's
+// buffer (length len(rows)): a caller that resolved each name once — at
+// request validation, or when a placement problem is set up — evaluates
+// without resolving any again, with zero heap allocations once the
+// pooled instance's scratch has grown to the batch size. Results are
+// bit-identical to PredictScenarios on the same scenarios. An id outside
+// the space fails where an unknown name would, with an error, never a
+// panic.
 func (m *Model) PredictIDsInto(rows []IDScenario, out []float64) error {
-	if c := m.compiled(); c != nil {
-		err := c.predictIDs(rows, out)
-		m.cpool.Put(c)
+	c, err := m.checkout()
+	if err != nil {
 		return err
 	}
-	if len(out) != len(rows) {
-		return fmt.Errorf("core: output length %d for %d scenarios", len(out), len(rows))
-	}
-	if m.space == nil {
-		return fmt.Errorf("core: model %s has no baselines", m.Spec)
-	}
-	scs := make([]features.Scenario, len(rows))
-	for i, row := range rows {
-		scs[i] = m.space.scenario(row)
-	}
-	preds, err := m.PredictScenariosInterpreted(scs)
-	copy(out, preds)
-	return err
+	defer m.cpool.Put(c)
+	return c.predictIDs(rows, out)
 }
 
 // PredictScenariosInterpreted is the uncompiled reference batch path:
@@ -442,7 +415,11 @@ func (m *Model) PredictedSlowdown(sc features.Scenario) (float64, error) {
 
 // Errors computes MPE and NRMSE of the model on the given records.
 func (m *Model) Errors(records []harness.Record) (mpe, nrmse float64, err error) {
-	pred, err := m.PredictRecords(records)
+	scs := make([]features.Scenario, len(records))
+	for i, r := range records {
+		scs[i] = features.ScenarioFromRecord(r)
+	}
+	pred, err := m.PredictScenarios(scs)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -476,6 +453,7 @@ type EvalConfig struct {
 	// Seed drives the partition sampling and per-partition model seeds.
 	Seed uint64
 	// Workers bounds parallel partition training; 0 = GOMAXPROCS.
+	// Negative Partitions or Workers are errors.
 	Workers int
 }
 
@@ -510,6 +488,12 @@ type EvalResult struct {
 // sides, and average. Partitions train concurrently.
 func Evaluate(spec Spec, ds *harness.Dataset, cfg EvalConfig) (*EvalResult, error) {
 	cfg.defaults()
+	if cfg.Partitions < 0 {
+		return nil, fmt.Errorf("core: %d partitions; need at least 1", cfg.Partitions)
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("core: %d workers; need at least 1", cfg.Workers)
+	}
 	if len(ds.Records) < 10 {
 		return nil, fmt.Errorf("core: only %d records; need at least 10", len(ds.Records))
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
@@ -147,12 +149,34 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train(Spec{Technique: Linear, FeatureSet: set}, ds, nil); err == nil {
 		t.Fatal("no records accepted")
 	}
+	// A baseline row one P-state short of the machine's table still
+	// covers every record, so the fit succeeds; the compiler refuses the
+	// model, and so does Train.
+	short := *ds
+	short.Baselines = maps.Clone(ds.Baselines)
+	b := short.Baselines["cg"]
+	b.SecondsByPState = b.SecondsByPState[:len(b.SecondsByPState)-1]
+	short.Baselines["cg"] = b
+	if _, err := Train(Spec{Technique: Linear, FeatureSet: set}, &short, ds.Records); err == nil || !strings.Contains(err.Error(), "compile") {
+		t.Fatalf("short baseline row: err = %v, want the compiler's", err)
+	}
 }
 
+// TestUntrainedModelRejectsPredict: the zero Model, the only one without
+// a compiled program, answers "not trained" at every entry point.
 func TestUntrainedModelRejectsPredict(t *testing.T) {
 	m := &Model{Spec: Spec{FeatureSet: features.Sets()[0]}}
 	if _, err := m.predictVector([]float64{1}); err == nil {
 		t.Fatal("untrained model predicted")
+	}
+	sc := features.Scenario{Target: "cg"}
+	_, err1 := m.Predict(sc)
+	_, err2 := m.PredictScenarios([]features.Scenario{sc})
+	err3 := m.PredictIDsInto([]IDScenario{{}}, make([]float64, 1))
+	for i, err := range []error{err1, err2, err3} {
+		if err == nil || !strings.Contains(err.Error(), "not trained") {
+			t.Fatalf("entry point %d on the zero Model: err = %v, want \"not trained\"", i, err)
+		}
 	}
 }
 
@@ -249,6 +273,27 @@ func TestEvaluateErrors(t *testing.T) {
 	ds := testDataset(t)
 	if _, err := Evaluate(Spec{Technique: Technique(9), FeatureSet: set}, ds, EvalConfig{Partitions: 2}); err == nil {
 		t.Fatal("bad technique accepted")
+	}
+	spec := Spec{Technique: Linear, FeatureSet: set}
+	if _, err := Evaluate(spec, ds, EvalConfig{Partitions: -3}); err == nil {
+		t.Fatal("negative partition count accepted")
+	}
+	if _, err := Evaluate(spec, ds, EvalConfig{Partitions: 2, TestFraction: math.NaN()}); err == nil {
+		t.Fatal("NaN test fraction accepted")
+	}
+	// With no worker the feeder would block forever: bound the wait.
+	done := make(chan error, 1)
+	go func() {
+		_, err := Evaluate(spec, ds, EvalConfig{Partitions: 2, Workers: -1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("negative worker count accepted")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Evaluate with Workers -1 did not return within 10 s")
 	}
 }
 
@@ -420,11 +465,15 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Identical predictions on every record.
-		want, err := m.PredictRecords(ds.Records[:20])
+		scs := make([]features.Scenario, 20)
+		for i, r := range ds.Records[:len(scs)] {
+			scs[i] = features.ScenarioFromRecord(r)
+		}
+		want, err := m.PredictScenarios(scs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.PredictRecords(ds.Records[:20])
+		got, err := loaded.PredictScenarios(scs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,47 +529,5 @@ func TestModelIOErrors(t *testing.T) {
 	}
 	if _, err := LoadModel(strings.NewReader(`{"format":1,"technique":0,"feature_set":"A","features":[0],"linear":{"Coefficients":[1],"Constant":0}}`)); err == nil {
 		t.Fatal("model without baselines accepted")
-	}
-}
-
-// TestPredictIDsIntoInterpretedFallback drives PredictIDsInto on a model
-// without a compiled program, the path an artefact that defeats the
-// compiler takes: each id names the application at that index of Apps(),
-// so a row must give the bits PredictInterpreted gives those names, and
-// an id outside the space must fail as an unknown name does.
-func TestPredictIDsIntoInterpretedFallback(t *testing.T) {
-	ds := testDataset(t)
-	set, _ := features.SetByName("F")
-	m, err := Train(Spec{Technique: Linear, FeatureSet: set}, ds, ds.Records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.prog = nil // the interpreted fallback
-	apps := m.Apps()
-	last := int32(len(apps) - 1)
-	valid := []IDScenario{
-		{Target: 0, CoApps: []int32{1, 1}},
-		{Target: last, CoApps: []int32{0, last, 1}, PState: m.PStates() - 1},
-		{Target: 1},
-	}
-	named := []features.Scenario{
-		{Target: apps[0], CoApps: []string{apps[1], apps[1]}},
-		{Target: apps[last], CoApps: []string{apps[0], apps[last], apps[1]}, PState: m.PStates() - 1},
-		{Target: apps[1]},
-	}
-	out := make([]float64, len(valid))
-	if err := m.PredictIDsInto(valid, out); err != nil {
-		t.Fatal(err)
-	}
-	for i, sc := range named {
-		want, err := m.PredictInterpreted(sc)
-		if err != nil || math.Float64bits(out[i]) != math.Float64bits(want) {
-			t.Fatalf("row %d %+v: PredictIDsInto %v, interpreted %v (%v) on %+v", i, valid[i], out[i], want, err, sc)
-		}
-	}
-	for _, row := range []IDScenario{{Target: -1}, {Target: last + 1}, {Target: 0, CoApps: []int32{-1}}, {Target: 0, CoApps: []int32{last + 1}}} {
-		if err := m.PredictIDsInto([]IDScenario{row}, out[:1]); err == nil {
-			t.Fatalf("ids %+v outside the space accepted", row)
-		}
 	}
 }

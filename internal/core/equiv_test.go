@@ -9,9 +9,12 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"colocmodel/internal/core"
@@ -20,8 +23,8 @@ import (
 )
 
 // TestCompiledEquivalenceProperty is the acceptance sweep: ≥200 seeded
-// random models, each checked bit-for-bit on the scalar, pooled-dispatch
-// and batched paths over valid and hostile scenarios.
+// random models, each checked bit-for-bit through Predict,
+// PredictScenarios and PredictIDsInto over valid and hostile scenarios.
 func TestCompiledEquivalenceProperty(t *testing.T) {
 	const models = 220
 	gen := testeq.New(0xc010c, testeq.GenConfig{})
@@ -64,49 +67,76 @@ func genModel(t *testing.T, gen *testeq.Gen, tech core.Technique) *core.Model {
 	return nil
 }
 
-// TestCompiledPredictZeroAllocs pins the compiled fast path's headline
-// property: a warmed Compiled instance predicts — scalar and batched —
-// with zero heap allocations, for both techniques.
+// idRows resolves scenarios to rows of the model's application ids.
+func idRows(t testing.TB, m *core.Model, scs []features.Scenario) []core.IDScenario {
+	t.Helper()
+	rows := make([]core.IDScenario, len(scs))
+	for i, sc := range scs {
+		var ok bool
+		if rows[i].Target, ok = m.AppID(sc.Target); !ok {
+			t.Fatalf("unknown target %q", sc.Target)
+		}
+		rows[i].PState = sc.PState
+		for _, a := range sc.CoApps {
+			id, ok := m.AppID(a)
+			if !ok {
+				t.Fatalf("unknown co-app %q", a)
+			}
+			rows[i].CoApps = append(rows[i].CoApps, id)
+		}
+	}
+	return rows
+}
+
+// TestCompiledPredictZeroAllocs pins the compiled path's headline
+// property through the model's own entry points: once the pooled
+// instance is warm, Predict and PredictIDsInto — one row and a batch of
+// 64 — allocate nothing, for both techniques. The race detector's
+// sync.Pool drops a share of Puts, so the guard runs without it.
 func TestCompiledPredictZeroAllocs(t *testing.T) {
+	if testeq.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	gen := testeq.New(7, testeq.GenConfig{})
 	for _, tech := range []core.Technique{core.Linear, core.NeuralNet} {
 		m := genModel(t, gen, tech)
-		c, err := m.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
 		scs := gen.Scenarios(m, 64)
-		out := make([]float64, len(scs))
+		rows := idRows(t, m, scs)
+		out := make([]float64, len(rows))
 
-		// Warm the scratch (first batch grows the design matrix), then
-		// measure.
-		if _, err := c.Predict(scs[0]); err != nil {
+		// Warm the instance (the first batch grows the design matrix),
+		// then measure.
+		if _, err := m.Predict(scs[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.PredictScenarios(scs, out); err != nil {
+		if err := m.PredictIDsInto(rows, out); err != nil {
 			t.Fatal(err)
 		}
 
 		if n := testing.AllocsPerRun(200, func() {
-			if _, err := c.Predict(scs[0]); err != nil {
+			if _, err := m.Predict(scs[0]); err != nil {
 				t.Error(err)
 			}
 		}); n != 0 {
-			t.Errorf("%v: warm compiled scalar predict allocates %.1f/op, want 0", tech, n)
+			t.Errorf("%v: warm Predict allocates %.1f/op, want 0", tech, n)
 		}
-		if n := testing.AllocsPerRun(50, func() {
-			if err := c.PredictScenarios(scs, out); err != nil {
-				t.Error(err)
+		for _, k := range []int{1, len(rows)} {
+			if n := testing.AllocsPerRun(50, func() {
+				if err := m.PredictIDsInto(rows[:k], out[:k]); err != nil {
+					t.Error(err)
+				}
+			}); n != 0 {
+				t.Errorf("%v: warm PredictIDsInto of %d rows allocates %.1f/op, want 0", tech, k, n)
 			}
-		}); n != 0 {
-			t.Errorf("%v: warm compiled batch predict allocates %.1f/op, want 0", tech, n)
 		}
 	}
 }
 
-// TestCompileOnLoad pins compile-on-load: models coming out of both
-// trainXY (via testeq's generator, which trains nothing) and LoadModel
-// carry a compiled program without any explicit Compile call.
+// TestCompileOnLoad pins compile-on-load from both sides: generated
+// artefacts load and predict through their compiled program, and the
+// committed scaler-width-mismatch artefact — an input scaler fitted on
+// three columns for a width-four network — is refused by LoadModel with
+// the compiler's error instead of loading without a program.
 func TestCompileOnLoad(t *testing.T) {
 	gen := testeq.New(11, testeq.GenConfig{})
 	for i := 0; i < 8; i++ {
@@ -114,19 +144,10 @@ func TestCompileOnLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !m.IsCompiled() {
-			t.Fatalf("model %d (%s) not compiled after LoadModel", i, m.Spec)
+		if _, err := m.Predict(gen.Scenarios(m, 1)[0]); err != nil {
+			t.Fatalf("model %d (%s): %v", i, m.Spec, err)
 		}
 	}
-}
-
-// TestPredictScenariosIntoInterpretedFallback drives the caller-buffer
-// entry point through the branch CheckModel cannot reach: the committed
-// scaler-width-mismatch artefact loads but defeats the compiler, so
-// PredictScenariosInto must take the interpreted path inside core and
-// agree with PredictScenarios on it (here: both reject every scenario,
-// the scaler having been fitted on another width).
-func TestPredictScenariosIntoInterpretedFallback(t *testing.T) {
 	raw, err := os.ReadFile("testdata/fuzz/FuzzCompileModel/scaler-width-mismatch")
 	if err != nil {
 		t.Fatal(err)
@@ -138,16 +159,81 @@ func TestPredictScenariosIntoInterpretedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, err := core.LoadModel(bytes.NewReader([]byte(artefact)))
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "compile: input scaler") {
+		t.Fatalf("scaler-width-mismatch artefact: model %v, err = %v; want the compiler's scaler error", m, err)
 	}
-	if m.IsCompiled() {
-		t.Fatal("scaler-width-mismatch artefact compiled; it no longer exercises the fallback")
+}
+
+// TestPooledPredictConcurrent drives one model's pool from several
+// goroutines at once: each mixes Predict, PredictScenarios at widths 1,
+// 3 and 64, and PredictIDsInto, so instances change hands between
+// goroutines and batch shapes, and every result must be bit-equal to the
+// interpreted reference. Run under -race.
+func TestPooledPredictConcurrent(t *testing.T) {
+	gen := testeq.New(0xc0c0, testeq.GenConfig{})
+	for _, tech := range []core.Technique{core.Linear, core.NeuralNet} {
+		m := genModel(t, gen, tech)
+		scs := gen.Scenarios(m, 64)
+		rows := idRows(t, m, scs)
+		want, err := m.PredictScenariosInterpreted(scs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(what string, off int, got []float64) error {
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[off+i]) {
+					return fmt.Errorf("%v %s slot %d: %v != interpreted %v", tech, what, off+i, v, want[off+i])
+				}
+			}
+			return nil
+		}
+		const workers, rounds = 6, 40
+		run := func(w int) error {
+			out := make([]float64, len(rows))
+			for r := 0; r < rounds; r++ {
+				i := (w*rounds + r) % len(scs)
+				v, err := m.Predict(scs[i])
+				if err != nil {
+					return err
+				}
+				if err := same("Predict", i, []float64{v}); err != nil {
+					return err
+				}
+				for _, n := range []int{1, 3, 64} {
+					off := (i * n) % (len(scs) - n + 1)
+					got, err := m.PredictScenarios(scs[off : off+n])
+					if err != nil {
+						return err
+					}
+					if err := same(fmt.Sprintf("PredictScenarios(%d)", n), off, got); err != nil {
+						return err
+					}
+				}
+				k := 1 + i
+				if err := m.PredictIDsInto(rows[:k], out[:k]); err != nil {
+					return err
+				}
+				if err := same("PredictIDsInto", 0, out[:k]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := run(w); err != nil {
+					errs <- err
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
 	}
-	apps := m.Apps()
-	testeq.CheckInto(t, m, []features.Scenario{
-		{Target: apps[0]},
-		{Target: apps[1], CoApps: []string{apps[0], apps[0]}},
-	})
-	testeq.CheckInto(t, m, nil)
 }

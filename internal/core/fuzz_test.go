@@ -18,7 +18,8 @@ import (
 // linear and a valid neural artefact plus the interesting mutations
 // (truncation, bad feature index, non-finite coefficient, wrong format
 // version, network shapes that overflow or outsize their parameters, a
-// negative output-scaler deviation) and runs as a normal test. CI also
+// negative output-scaler deviation, an input scaler with one deviation
+// too few or too many for its width) and runs as a normal test. CI also
 // runs `go test -run '^$' -fuzz '^FuzzLoadModel$' -fuzztime 20s
 // ./internal/core/` to explore from there.
 func FuzzLoadModel(f *testing.F) {

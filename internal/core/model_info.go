@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
 )
 
@@ -85,26 +84,6 @@ func newAppSpace(ds *harness.Dataset) *appSpace {
 		s.ids[name] = int32(id)
 	}
 	return s
-}
-
-// scenario maps an id row back to names. An id outside the space maps to
-// a name sorting after every name in it, which no baseline has, so the
-// interpreted path rejects it exactly where it rejects an unknown name.
-func (s *appSpace) scenario(row IDScenario) features.Scenario {
-	name := func(id int32) string {
-		switch {
-		case uint32(id) < uint32(len(s.names)):
-			return s.names[id]
-		case len(s.names) == 0:
-			return ""
-		}
-		return s.names[len(s.names)-1] + "\x00"
-	}
-	sc := features.Scenario{Target: name(row.Target), CoApps: make([]string, len(row.CoApps)), PState: row.PState}
-	for i, id := range row.CoApps {
-		sc.CoApps[i] = name(id)
-	}
-	return sc
 }
 
 // PStates returns the number of P-states the model's baselines cover.

@@ -153,6 +153,10 @@ func TestLoadModelHostileInput(t *testing.T) {
 		"negative-output-std":    {neural("1", "2", "50", "-3"), "standard deviation"},
 		"zero-output-std":        {neural("1", "2", "50", "0"), "standard deviation"},
 		"negative-input-std":     {neural("1", "2", "-50", "30"), "standard deviation"},
+		// An input scaler fitted on another width: the compiler refuses
+		// it, so the load does.
+		"scaler-std-short": {neural("1", "2", "", "30"), "input scaler has 1 means and 0 deviations"},
+		"scaler-std-long":  {neural("1", "2", "50,50", "30"), "input scaler has 1 means and 2 deviations"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := LoadModel(strings.NewReader(c.blob))

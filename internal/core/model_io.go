@@ -89,8 +89,10 @@ func (m *Model) Save(w io.Writer) error {
 // at), so the decoder rejects unknown format versions, truncated or
 // corrupt JSON, out-of-range feature indices, network shapes that do not
 // match their parameters, non-finite parameters, non-positive scaler
-// deviations, and inconsistent baseline stores with descriptive errors
-// instead of producing a model that fails (or worse, mispredicts) later.
+// deviations, inconsistent baseline stores, and anything else the
+// predict compiler refuses (a scaler fitted on another width) with
+// descriptive errors instead of producing a model that fails (or worse,
+// mispredicts) later.
 func LoadModel(r io.Reader) (*Model, error) {
 	dec := json.NewDecoder(r)
 	var dto modelDTO
@@ -186,19 +188,18 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: unknown technique %d", dto.Technique)
 	}
 	// Specialise the loaded model into its compiled predict program
-	// (compile-on-load). An artefact consistent enough to pass the checks
-	// above always compiles; if a shape nonetheless defeats the compiler
-	// the model stays on the interpreted path rather than failing the
-	// load.
-	m.initCompiled()
+	// (compile-on-load); an artefact the compiler refuses is refused.
+	if err := m.initCompiled(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
 // checkScalers rejects a standard deviation that FitScaler and
 // FitVecScaler never write: one that is not positive. A negative Std
 // flips every prediction about the mean and a zero one divides by zero.
-// A width mismatch is not checked here: such a model loads and stays on
-// the interpreted path.
+// A width mismatch is the compiler's to refuse (compileProgram), with the
+// load.
 func checkScalers(x *features.Scaler, y *features.VecScaler) error {
 	for j, std := range x.Std {
 		if std <= 0 {

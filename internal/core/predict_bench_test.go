@@ -1,10 +1,10 @@
 package core_test
 
-// BenchmarkPredictPath measures every rung of the inference fast path
-// against the interpreted reference on one production-shaped model
-// (8 base features, one hidden layer of 20 tanh nodes — the neural-net-F
-// shape): cold (compile per op), warm scalar, the pooled Model.Predict
-// dispatch, batched at 64, 512 and 4096 rows, and parallel dispatch.
+// BenchmarkPredictPath measures the model's pooled entry points against
+// the interpreted reference on one production-shaped model (8 base
+// features, one hidden layer of 20 tanh nodes — the neural-net-F shape):
+// Predict, PredictScenarios and PredictIDsInto batched at 64, 512 and
+// 4096 rows, and Predict from parallel goroutines.
 
 import (
 	"bytes"
@@ -90,9 +90,6 @@ func BenchmarkPredictPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !m.IsCompiled() {
-		b.Fatal("bench model did not compile")
-	}
 	pool := benchScenarios(m, 4096)
 	sc := pool[0]
 
@@ -104,38 +101,7 @@ func BenchmarkPredictPath(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scalar/compiled-cold", func(b *testing.B) {
-		// Cold: pay compilation (program is shared, instance scratch is
-		// not) plus one predict per op — the promotion-time cost.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c, err := m.Compile()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := c.Predict(sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scalar/compiled-warm", func(b *testing.B) {
-		c, err := m.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Predict(sc); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Predict(sc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scalar/dispatch", func(b *testing.B) {
-		// The goroutine-safe entry point: pool checkout + compiled predict.
+	b.Run("scalar/compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Predict(sc); err != nil {
@@ -154,24 +120,25 @@ func BenchmarkPredictPath(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("batch%d/compiled", n), func(b *testing.B) {
-			c, err := m.Compile()
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float64, n)
-			if err := c.PredictScenarios(scs, out); err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.PredictScenarios(scs, out); err != nil {
+				if _, err := m.PredictScenarios(scs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		rows := idRows(b, m, scs)
+		b.Run(fmt.Sprintf("batch%d/ids", n), func(b *testing.B) {
+			out := make([]float64, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := m.PredictIDsInto(rows, out); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	b.Run("parallel/dispatch", func(b *testing.B) {
+	b.Run("parallel/compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0

@@ -47,8 +47,8 @@ func TestTrainWithScratchMatchesTrain(t *testing.T) {
 	}
 }
 
-// Batched PredictRecords and PredictScenarios must agree bit-for-bit with
-// scenario-at-a-time Predict for both techniques.
+// Batched PredictScenarios must agree bit-for-bit with scenario-at-a-time
+// Predict for both techniques.
 func TestBatchedPredictionMatchesPredict(t *testing.T) {
 	ds := testDataset(t)
 	set, _ := features.SetByName("F")
@@ -61,10 +61,6 @@ func TestBatchedPredictionMatchesPredict(t *testing.T) {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		recs := ds.Records[:37]
-		batch, err := m.PredictRecords(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		scs := make([]features.Scenario, len(recs))
 		for i, r := range recs {
 			scs[i] = features.ScenarioFromRecord(r)
@@ -78,9 +74,6 @@ func TestBatchedPredictionMatchesPredict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch[i] != want {
-				t.Fatalf("%s: PredictRecords[%d] = %v, Predict = %v", spec, i, batch[i], want)
-			}
 			if byScenario[i] != want {
 				t.Fatalf("%s: PredictScenarios[%d] = %v, Predict = %v", spec, i, byScenario[i], want)
 			}
@@ -88,17 +81,13 @@ func TestBatchedPredictionMatchesPredict(t *testing.T) {
 	}
 }
 
-// Empty inputs are a no-op, not an error (features.Matrix rejects empty
-// record sets, so the batched paths must short-circuit first).
+// An empty batch is a no-op, not an error.
 func TestBatchedPredictionEmpty(t *testing.T) {
 	ds := testDataset(t)
 	set, _ := features.SetByName("C")
 	m, err := Train(Spec{Technique: Linear, FeatureSet: set}, ds, ds.Records)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if out, err := m.PredictRecords(nil); err != nil || len(out) != 0 {
-		t.Fatalf("PredictRecords(nil) = %v, %v", out, err)
 	}
 	if out, err := m.PredictScenarios(nil); err != nil || len(out) != 0 {
 		t.Fatalf("PredictScenarios(nil) = %v, %v", out, err)

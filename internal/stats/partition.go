@@ -29,7 +29,7 @@ func NewPartitioner(n int, testFrac float64, src *xrand.Source) (*Partitioner, e
 	if n < 2 {
 		return nil, fmt.Errorf("stats: partitioner requires at least 2 samples, got %d", n)
 	}
-	if testFrac <= 0 || testFrac >= 1 {
+	if !(testFrac > 0 && testFrac < 1) { // NaN fails too
 		return nil, fmt.Errorf("stats: test fraction must be in (0,1), got %v", testFrac)
 	}
 	nTest := int(float64(n) * testFrac)

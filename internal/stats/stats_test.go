@@ -221,6 +221,9 @@ func TestPartitionerErrors(t *testing.T) {
 	if _, err := NewPartitioner(10, 1, src); err == nil {
 		t.Fatal("frac=1 accepted")
 	}
+	if _, err := NewPartitioner(10, math.NaN(), src); err == nil {
+		t.Fatal("frac=NaN accepted")
+	}
 	if _, err := NewPartitioner(3, 0.01, src); err == nil {
 		t.Fatal("empty test split accepted")
 	}

@@ -1,8 +1,9 @@
 // Package testeq is the compiled-vs-interpreted equivalence harness: a
 // seeded random model generator plus bit-for-bit assertion helpers that
 // prove a model's compiled predict program (internal/core/compile.go)
-// reproduces the interpreted reference path exactly — scalar, batched,
-// and PredictScenarios, across techniques, widths and P-state counts.
+// reproduces the interpreted reference path exactly through every entry
+// point — Predict, PredictScenarios and PredictIDsInto — across
+// techniques, widths and P-state counts.
 //
 // It extends the pattern PR 5 established for batched-vs-scalar kernels
 // into a reusable harness: models are generated as *artefact JSON* and
@@ -224,132 +225,79 @@ func (g *Gen) HostileScenarios(m *core.Model, n int) []features.Scenario {
 	return out
 }
 
-// CheckModel asserts bit-for-bit equivalence of the model's compiled and
-// interpreted predict paths on the given scenarios:
+// CheckModel asserts that the model's pooled entry points reproduce the
+// interpreted reference bit for bit (values compared by bits, so NaNs
+// must match too) and agree with it on whether each input fails:
 //
-//   - scalar: Compiled.Predict and the pooled Model.Predict dispatch both
-//     reproduce PredictInterpreted exactly (values compared by bits, so
-//     NaNs must match too; errors must agree on presence);
-//   - batched: Compiled.PredictScenarios and the Model.PredictScenarios
-//     dispatch both reproduce PredictScenariosInterpreted exactly, for
-//     the full batch and for mixed-width sub-batches re-evaluated
-//     through the *same* compiled instance (scratch reuse across batch
-//     shapes must not perturb results);
-//   - caller-buffer: CheckInto on the valid scenarios;
-//   - ids: checkIDs on every scenario.
+//   - Predict against PredictInterpreted on every scenario, and — outside
+//     the race detector, whose sync.Pool drops a share of Puts — a warm
+//     Predict allocates nothing;
+//   - PredictScenarios against PredictScenariosInterpreted on the whole
+//     input, hostile scenarios included, and on valid batches of several
+//     widths, growing and shrinking so the pooled scratch is reused
+//     across batch shapes;
+//   - PredictIDsInto through checkIDs.
 func CheckModel(tb testing.TB, m *core.Model, scs []features.Scenario) {
 	tb.Helper()
-	if !m.IsCompiled() {
-		tb.Fatalf("model %s did not compile at load", m.Spec)
-	}
-	c, err := m.Compile()
-	if err != nil {
-		tb.Fatalf("Compile(%s): %v", m.Spec, err)
-	}
-
 	valid := scs[:0:0]
 	for _, sc := range scs {
 		want, wantErr := m.PredictInterpreted(sc)
-		got, gotErr := c.Predict(sc)
-		if (wantErr == nil) != (gotErr == nil) {
-			tb.Fatalf("%s scalar %+v: error parity broken: interpreted err=%v, compiled err=%v",
-				m.Spec, sc, wantErr, gotErr)
-		}
-		disp, dispErr := m.Predict(sc)
-		if (wantErr == nil) != (dispErr == nil) {
-			tb.Fatalf("%s scalar %+v: dispatch error parity broken: interpreted err=%v, dispatch err=%v",
-				m.Spec, sc, wantErr, dispErr)
+		got, err := m.Predict(sc)
+		if (wantErr == nil) != (err == nil) {
+			tb.Fatalf("%s scalar %+v: error parity broken: interpreted err=%v, Predict err=%v",
+				m.Spec, sc, wantErr, err)
 		}
 		if wantErr != nil {
 			continue
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			tb.Fatalf("%s scalar %+v: compiled %v != interpreted %v (not bit-identical)",
+			tb.Fatalf("%s scalar %+v: Predict %v != interpreted %v (not bit-identical)",
 				m.Spec, sc, got, want)
-		}
-		if math.Float64bits(disp) != math.Float64bits(want) {
-			tb.Fatalf("%s scalar %+v: dispatch %v != interpreted %v (not bit-identical)",
-				m.Spec, sc, disp, want)
 		}
 		valid = append(valid, sc)
 	}
 	checkIDs(tb, m, scs)
+	checkBatch(tb, m, scs)
 	if len(valid) == 0 {
 		return
 	}
-	CheckInto(tb, m, valid)
-
-	// Mixed-width batches through one compiled instance: growing and
-	// shrinking the batch exercises scratch reuse across shapes.
-	sizes := []int{len(valid), 1, min(3, len(valid)), len(valid)}
-	for _, n := range sizes {
-		sub := valid[:n]
-		want, err := m.PredictScenariosInterpreted(sub)
-		if err != nil {
-			tb.Fatalf("%s interpreted batch(%d): %v", m.Spec, n, err)
+	for _, n := range []int{len(valid), 1, min(3, len(valid)), len(valid)} {
+		checkBatch(tb, m, valid[:n])
+	}
+	if RaceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := m.Predict(valid[0]); err != nil {
+			tb.Error(err)
 		}
-		out := make([]float64, n)
-		if err := c.PredictScenarios(sub, out); err != nil {
-			tb.Fatalf("%s compiled batch(%d): %v", m.Spec, n, err)
-		}
-		disp, err := m.PredictScenarios(sub)
-		if err != nil {
-			tb.Fatalf("%s dispatch batch(%d): %v", m.Spec, n, err)
-		}
-		for i := range want {
-			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-				tb.Fatalf("%s batch(%d) slot %d: compiled %v != interpreted %v (not bit-identical)",
-					m.Spec, n, i, out[i], want[i])
-			}
-			if math.Float64bits(disp[i]) != math.Float64bits(want[i]) {
-				tb.Fatalf("%s batch(%d) slot %d: dispatch %v != interpreted %v (not bit-identical)",
-					m.Spec, n, i, disp[i], want[i])
-			}
-		}
+	}); n != 0 {
+		tb.Fatalf("%s: warm Predict allocates %.1f/op, want 0", m.Spec, n)
 	}
 }
 
-// CheckInto asserts that Model.PredictScenariosInto agrees with
-// Model.PredictScenarios on scs: the same error verdict and, on success,
-// exactly the same bits in the caller's buffer; that it refuses a buffer
-// of the wrong length; and — for a compiled model, outside the race
-// detector, whose sync.Pool drops a share of Puts — that it allocates
-// nothing once warm. Unlike CheckModel it accepts a model whose artefact
-// defeated the compiler: the entry point serves the interpreted fallback
-// too.
-func CheckInto(tb testing.TB, m *core.Model, scs []features.Scenario) {
+// checkBatch asserts that PredictScenarios agrees with
+// PredictScenariosInterpreted on scs: the same error verdict and, on
+// success, the same bits in every slot.
+func checkBatch(tb testing.TB, m *core.Model, scs []features.Scenario) {
 	tb.Helper()
-	want, wantErr := m.PredictScenarios(scs)
-	out := make([]float64, len(scs)+1)
-	for _, n := range []int{len(scs) + 1, len(scs) - 1} {
-		if n >= 0 && m.PredictScenariosInto(scs, out[:n]) == nil {
-			tb.Fatalf("%s PredictScenariosInto accepted a %d-slot buffer for %d scenarios", m.Spec, n, len(scs))
-		}
-	}
-	out = out[:len(scs)]
-	err := m.PredictScenariosInto(scs, out)
+	want, wantErr := m.PredictScenariosInterpreted(scs)
+	got, err := m.PredictScenarios(scs)
 	if (wantErr == nil) != (err == nil) {
-		tb.Fatalf("%s batch(%d): error parity broken: PredictScenarios err=%v, PredictScenariosInto err=%v",
+		tb.Fatalf("%s batch(%d): error parity broken: interpreted err=%v, PredictScenarios err=%v",
 			m.Spec, len(scs), wantErr, err)
 	}
 	if wantErr != nil {
 		return
 	}
+	if len(got) != len(want) {
+		tb.Fatalf("%s batch(%d): PredictScenarios returned %d slots", m.Spec, len(scs), len(got))
+	}
 	for i := range want {
-		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-			tb.Fatalf("%s slot %d: PredictScenariosInto %v != PredictScenarios %v (not bit-identical)",
-				m.Spec, i, out[i], want[i])
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			tb.Fatalf("%s batch(%d) slot %d: PredictScenarios %v != interpreted %v (not bit-identical)",
+				m.Spec, len(scs), i, got[i], want[i])
 		}
-	}
-	if !m.IsCompiled() || RaceEnabled {
-		return
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if err := m.PredictScenariosInto(scs, out); err != nil {
-			tb.Error(err)
-		}
-	}); n != 0 {
-		tb.Fatalf("%s: warm PredictScenariosInto allocates %.1f/op, want 0", m.Spec, n)
 	}
 }
 
