@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"colocmodel/internal/features"
 	"colocmodel/internal/linalg"
@@ -33,7 +32,9 @@ import (
 //     at compile time, so the scalar path performs zero heap allocations
 //     and no interface or switch dispatch per node;
 //   - the batched path fills a reusable design matrix and evaluates one
-//     blocked kernel per layer (linalg.AccumMulABT8 / GemvBiasInto).
+//     blocked kernel per layer (linalg.AccumMulABT8 / GemvBiasInto);
+//     every hidden tanh, batched or scalar, is one linalg.Tanh call over
+//     the layer, math.Tanh bit for bit.
 //
 // Reproducibility contract: every compiled evaluation applies exactly the
 // floating-point operations of the interpreted path in exactly the same
@@ -393,7 +394,9 @@ func newInstance(p *program) *instance {
 // compileNetScalar fuses standardise → layer chain → de-standardise into
 // one closure over the instance's ping-pong scratch. The common served
 // shape — one hidden tanh layer — gets a fully fused fast path with no
-// per-node dispatch of any kind; deeper or non-tanh networks share a
+// per-node dispatch of any kind: it writes the hidden pre-activations
+// into its scratch, then activates them all with one linalg.Tanh call,
+// which is math.Tanh bit for bit. Deeper or non-tanh networks share a
 // generic loop whose activation is still resolved once per layer, not
 // per node. Both reproduce predictVector's arithmetic order exactly.
 func (c *instance) compileNetScalar() func(row []float64) float64 {
@@ -418,8 +421,9 @@ func (c *instance) compileNetScalar() func(row []float64) float64 {
 				for i, v := range z {
 					s += w[i] * v
 				}
-				a[o] = math.Tanh(s)
+				a[o] = s
 			}
+			linalg.Tanh(a)
 			s := ob[0]
 			for i, v := range a {
 				s += ow[i] * v
@@ -444,11 +448,14 @@ func (c *instance) compileNetScalar() func(row []float64) float64 {
 				for i, v := range cur {
 					s += w[i] * v
 				}
-				if ly.last {
+				if ly.last || act == mlp.Tanh {
 					nx[o] = s
 				} else {
 					nx[o] = act.Apply(s)
 				}
+			}
+			if !ly.last && act == mlp.Tanh {
+				linalg.Tanh(nx)
 			}
 			cur, next = nx, cur[:cap(cur)]
 		}
@@ -567,9 +574,7 @@ func (c *instance) forward(out []float64) {
 		linalg.AccumMulABT8(dst, src, &wm)
 		if !ly.last {
 			if p.act == mlp.Tanh {
-				for i, v := range dst.Data {
-					dst.Data[i] = math.Tanh(v)
-				}
+				linalg.Tanh(dst.Data)
 			} else {
 				for i, v := range dst.Data {
 					dst.Data[i] = p.act.Apply(v)

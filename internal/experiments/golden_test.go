@@ -14,6 +14,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"colocmodel/internal/harness"
@@ -176,11 +178,45 @@ func (g paperGolden) encode(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// tanhProbePath is the probe table that decides whether linalg.Tanh may
+// use its kernel: inputs and their math.Tanh under math.Exp's amd64 FMA
+// sequence, as float64 bits in hex.
+const tanhProbePath = "../linalg/tanh_probe.txt"
+
+// expOnFMASequence reports whether math.Tanh, and so math.Exp, gives every
+// row of the tanh probe its recorded result on this host.
+func expOnFMASequence(t *testing.T) bool {
+	t.Helper()
+	raw, err := os.ReadFile(tanhProbePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || strings.HasPrefix(f[0], "#") {
+			continue
+		}
+		x, err1 := strconv.ParseUint(f[0], 16, 64)
+		y, err2 := strconv.ParseUint(f[1], 16, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: malformed line %q", tanhProbePath, line)
+		}
+		got := math.Tanh(math.Float64frombits(x))
+		if want := math.Float64frombits(y); math.Float64bits(got) != y && !(got != got && want != want) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPaperGolden pins the paper's reproduced numbers: any change to the
 // simulator, the harness noise, feature extraction or model training that
-// moves one bit of them fails here. It is exact on amd64; elsewhere the
-// compiler may fuse multiply-adds and math has no assembly, so values are
-// compared at 1e-12 relative and the digests are not compared.
+// moves one bit of them fails here. It is exact on amd64 with math.Exp on
+// its FMA sequence; elsewhere the compiler may fuse multiply-adds and math
+// has no assembly, so values are compared at 1e-12 relative and the
+// digests are not compared. An amd64 host whose math.Exp takes its other
+// rounding sequence (no FMA, or GODEBUG=cpu.fma=off) moves the digests and
+// about half the values by a few ulp; the failure then says so.
 func TestPaperGolden(t *testing.T) {
 	got := collectPaperGolden(t)
 	have := got.encode(t)
@@ -238,6 +274,9 @@ func TestPaperGolden(t *testing.T) {
 	}
 	if !exact {
 		t.Logf("GOARCH=%s: values compared at 1e-12 relative, dataset digests not compared (exact only on amd64)", runtime.GOARCH)
+	}
+	if t.Failed() && exact && !expOnFMASequence(t) {
+		t.Errorf("this host's math.Exp is not on its amd64 FMA sequence (math.Tanh misses a row of %s), so values move here without a code change; the golden is exact only on that sequence", tanhProbePath)
 	}
 	if !t.Failed() && exact {
 		t.Fatalf("%s differs from what -update writes, though every value matches: regenerate it", paperGoldenPath)

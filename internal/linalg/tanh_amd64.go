@@ -1,0 +1,71 @@
+package linalg
+
+import "math"
+
+// tanhAVX2 runs the kernel over len(v)/4 groups of four elements, with k
+// as its constant table. It is in tanh_amd64.s.
+//
+//go:noescape
+func tanhAVX2(v []float64, k *[tanhRows][4]uint64)
+
+// cpuid executes CPUID for leaf eaxArg, subleaf ecxArg.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads XCR0, the register state the OS saves.
+func xgetbv() (eax, edx uint32)
+
+// tanhKernel runs the kernel over v, whose length is a multiple of 4.
+func tanhKernel(v []float64) { tanhAVX2(v, &tanhConst) }
+
+// tanhKernelCPU reports whether the CPU runs the kernel: AVX2 and FMA,
+// with the OS saving the YMM registers.
+func tanhKernelCPU() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0 // AVX2
+}
+
+// tanhConst is the kernel's constant table, each constant in all four
+// lanes so the kernel can take it as a 256-bit memory operand. The row
+// order is the offsets #defined in tanh_amd64.s. The values are math's:
+// exp_amd64.s for the exp part, tanh.go for the rest.
+var tanhConst = [tanhRows][4]uint64{
+	lanes(0x7FFFFFFFFFFFFFFF), // |x| mask
+	lanesF(1),
+	lanesF(2),
+	lanesF(1.4426950408889634073599246810018920),                  // log2(e)
+	lanesF(0.69314718055966295651160180568695068359375),           // ln2, upper half
+	lanesF(0.28235290563031577122588448175013436025525412068e-12), // ln2, lower half
+	lanesF(0.0625),
+	lanesF(2.4801587301587301587e-5), // exp polynomial, highest term first
+	lanesF(1.9841269841269841270e-4),
+	lanesF(1.3888888888888888889e-3),
+	lanesF(8.3333333333333333333e-3),
+	lanesF(4.1666666666666666667e-2),
+	lanesF(1.6666666666666666667e-1),
+	lanesF(0.5),
+	lanes(0x3FF),                       // exponent bias
+	lanesF(-9.64399179425052238628e-1), // tanh P
+	lanesF(-9.92877231001918586564e1),
+	lanesF(-1.61468768441708447952e3),
+	lanesF(1.12811678491632931402e2), // tanh Q
+	lanesF(2.23548839060100448583e3),
+	lanesF(4.84406305325125486048e3),
+	lanesF(0.625),                              // smallest |x| on the exp path
+	lanesF(0.5 * 8.8029691931113054295988e+01), // largest |x| not saturated
+}
+
+const tanhRows = 23
+
+func lanes(b uint64) [4]uint64 { return [4]uint64{b, b, b, b} }
+
+func lanesF(f float64) [4]uint64 { return lanes(math.Float64bits(f)) }

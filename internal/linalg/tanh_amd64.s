@@ -1,0 +1,142 @@
+#include "textflag.h"
+
+// Byte offsets of tanhConst's rows (tanh_amd64.go), 32 bytes a row.
+#define ABS 0
+#define ONE 32
+#define TWO 64
+#define LOG2E 96
+#define LN2U 128
+#define LN2L 160
+#define SIXTEENTH 192
+#define E9 224
+#define E8 256
+#define E7 288
+#define E6 320
+#define E5 352
+#define E4 384
+#define HALF 416
+#define BIAS 448
+#define P0 480
+#define P1 512
+#define P2 544
+#define Q0 576
+#define Q1 608
+#define Q2 640
+#define EXPMIN 672
+#define SAT 704
+
+// func tanhAVX2(v []float64, k *[tanhRows][4]uint64)
+//
+// Four lanes of math.Tanh (math/tanh.go) per iteration. Each lane
+// computes both of tanh's paths and blends them in the order of its
+// switch:
+//   - rational path: x + ((x*s)*P(s))/Q(s), s = x*x, each step rounded
+//     on its own as Go evaluates it;
+//   - exp path, |x| >= 0.625: 1 - 2/(exp(2|x|)+1) with x's sign, where
+//     exp is the avxfma branch of math's exp_amd64.s done lane-wise;
+//   - |x| > 0.5*MAXLOG gives ±1, and x == 0 gives x (keeping -0).
+// NaN fails both ordered compares and takes the rational path, as it
+// falls through Go's switch.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	MOVQ k+24(FP), R8
+	SHRQ $2, CX
+	JZ   done
+	VMOVUPD ABS(R8), Y15
+	VMOVUPD ONE(R8), Y14
+	VMOVUPD TWO(R8), Y13
+	VXORPD  Y12, Y12, Y12
+
+loop:
+	VMOVUPD (SI), Y0             // x
+	VANDPD  Y15, Y0, Y1          // z = |x|
+	VANDNPD Y0, Y15, Y2          // x's sign bit
+
+	// Y3 = exp(2z). k = round(2z·log2e) in X5, its float in Y4.
+	VADDPD       Y1, Y1, Y3
+	VMULPD       LOG2E(R8), Y3, Y4
+	VCVTPD2DQY   Y4, X5
+	VCVTDQ2PD    X5, Y4
+	VFNMADD231PD LN2U(R8), Y4, Y3
+	VFNMADD231PD LN2L(R8), Y4, Y3
+	VMULPD       SIXTEENTH(R8), Y3, Y3
+	VMOVUPD      E9(R8), Y6
+	VFMADD213PD  E8(R8), Y3, Y6
+	VFMADD213PD  E7(R8), Y3, Y6
+	VFMADD213PD  E6(R8), Y3, Y6
+	VFMADD213PD  E5(R8), Y3, Y6
+	VFMADD213PD  E4(R8), Y3, Y6
+	VFMADD213PD  HALF(R8), Y3, Y6
+	VFMADD213PD  ONE(R8), Y3, Y6
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y13, Y3, Y6
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y13, Y3, Y6
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y13, Y3, Y6
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y13, Y3, Y6
+	VFMADD213PD  Y14, Y6, Y3
+	VPMOVSXDQ    X5, Y5
+	VPADDQ       BIAS(R8), Y5, Y5
+	VPSLLQ       $52, Y5, Y5
+	VMULPD       Y5, Y3, Y3
+
+	// Exp path: 1 - 2/(s+1), x's sign ORed back.
+	VADDPD Y14, Y3, Y3
+	VDIVPD Y3, Y13, Y3
+	VSUBPD Y3, Y14, Y3
+	VORPD  Y2, Y3, Y3
+
+	// Rational path.
+	VMULPD Y0, Y0, Y8            // s = x*x
+	VMULPD P0(R8), Y8, Y9
+	VADDPD P1(R8), Y9, Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD P2(R8), Y9, Y9        // (P0*s+P1)*s+P2
+	VADDPD Q0(R8), Y8, Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Q1(R8), Y10, Y10
+	VMULPD Y8, Y10, Y10
+	VADDPD Q2(R8), Y10, Y10      // ((s+Q0)*s+Q1)*s+Q2
+	VMULPD Y8, Y0, Y11
+	VMULPD Y9, Y11, Y11
+	VDIVPD Y10, Y11, Y11
+	VADDPD Y0, Y11, Y11
+
+	VCMPPD    $0x1d, EXPMIN(R8), Y1, Y7 // z >= 0.625, GE_OQ
+	VBLENDVPD Y7, Y3, Y11, Y11
+	VCMPPD    $0x1e, SAT(R8), Y1, Y7    // z > 0.5*MAXLOG, GT_OQ
+	VORPD     Y2, Y14, Y3
+	VBLENDVPD Y7, Y3, Y11, Y11
+	VCMPPD    $0x00, Y12, Y0, Y7        // x == 0, EQ_OQ
+	VBLENDVPD Y7, Y0, Y11, Y11
+	VMOVUPD   Y11, (SI)
+
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+
+done:
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -2,7 +2,6 @@ package mlp
 
 import (
 	"fmt"
-	"math"
 
 	"colocmodel/internal/linalg"
 )
@@ -88,11 +87,9 @@ func (n *Network) forwardBatch(ws *Workspace, x *linalg.Matrix) *linalg.Matrix {
 		linalg.AccumMulABT(dst, src, &wm)
 		if li != nl-1 {
 			if n.cfg.Activation == Tanh {
-				// apply(Tanh) is math.Tanh; hoisting the switch out of
-				// the hot loop changes no bits.
-				for i, v := range dst.Data {
-					dst.Data[i] = math.Tanh(v)
-				}
+				// apply(Tanh) is math.Tanh, which linalg.Tanh gives bit
+				// for bit.
+				linalg.Tanh(dst.Data)
 			} else {
 				for i, v := range dst.Data {
 					dst.Data[i] = n.cfg.Activation.apply(v)

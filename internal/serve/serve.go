@@ -444,17 +444,13 @@ func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenar
 	if e != nil {
 		return e
 	}
-	target := &rm.apps[row.Target]
-	if sc.PState >= len(target.secs) {
-		// A hand-built model whose baselines disagree about the P-state
-		// count; core words the fault.
-		_, err := rm.m.BaselineSeconds(sc.Target, sc.PState)
-		return asError(err)
-	}
+	// The baseline index is in range: validateScenario bounds the P-state
+	// by the model's table, and compileProgram refuses a model whose
+	// baseline rows do not all cover it.
 	*resp = PredictResponse{
 		Model: rm.name, Generation: rm.gen, Spec: rm.spec,
 		Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState,
-		BaselineSeconds: target.secs[sc.PState], target: row.Target, served: rm.servedModel, co: row.CoApps,
+		BaselineSeconds: rm.apps[row.Target].secs[sc.PState], target: row.Target, served: rm.servedModel, co: row.CoApps,
 	}
 	return nil
 }
