@@ -32,9 +32,11 @@ import (
 //     at compile time, so the scalar path performs zero heap allocations
 //     and no interface or switch dispatch per node;
 //   - the batched path fills a reusable design matrix and evaluates one
-//     blocked kernel per layer (linalg.AccumMulABT8 / GemvBiasInto);
-//     every hidden tanh, batched or scalar, is one linalg.Tanh call over
-//     the layer, math.Tanh bit for bit.
+//     kernel per layer: linalg.AccumMulABT over the hidden weights,
+//     packed in × out once here, and linalg.GemvBiasInto for the
+//     one-node output layer, four rows at a time; every hidden tanh,
+//     batched or scalar, is one linalg.Tanh call over the layer,
+//     math.Tanh bit for bit.
 //
 // Reproducibility contract: every compiled evaluation applies exactly the
 // floating-point operations of the interpreted path in exactly the same
@@ -122,6 +124,9 @@ type compiledLayer struct {
 	w       []float64 // out × in
 	b       []float64 // out
 	last    bool      // linear output layer
+	// wt is a hidden layer's w packed once, at compile time, for the
+	// batched path: in × out, the operand linalg.AccumMulABT takes.
+	wt linalg.Matrix
 }
 
 // width returns the design-vector width the program expects.
@@ -248,6 +253,10 @@ func (m *Model) compileProgram() (*program, error) {
 			off += in * out
 			ly.b = params[off : off+out]
 			off += out
+			if !ly.last {
+				ly.wt = *linalg.NewMatrix(in, out)
+				linalg.TransposeInto(&ly.wt, &linalg.Matrix{Rows: out, Cols: in, Data: ly.w})
+			}
 			p.layers = append(p.layers, ly)
 			if out > p.maxWidth {
 				p.maxWidth = out
@@ -565,26 +574,29 @@ func (c *instance) forward(out []float64) {
 	src := &c.x
 	for li := range p.layers {
 		ly := &p.layers[li]
+		if ly.last {
+			// The one-node output layer: a dot product per row, four
+			// rows at a time, straight into out.
+			linalg.GemvBiasInto(out, src, ly.w, ly.b[0])
+			break
+		}
 		dst := &c.actM[li%2]
 		growMat(dst, len(out), ly.out)
 		for s := 0; s < dst.Rows; s++ {
 			copy(dst.Data[s*ly.out:(s+1)*ly.out], ly.b)
 		}
-		wm := linalg.Matrix{Rows: ly.out, Cols: ly.in, Data: ly.w}
-		linalg.AccumMulABT8(dst, src, &wm)
-		if !ly.last {
-			if p.act == mlp.Tanh {
-				linalg.Tanh(dst.Data)
-			} else {
-				for i, v := range dst.Data {
-					dst.Data[i] = p.act.Apply(v)
-				}
+		linalg.AccumMulABT(dst, src, &ly.wt)
+		if p.act == mlp.Tanh {
+			linalg.Tanh(dst.Data)
+		} else {
+			for i, v := range dst.Data {
+				dst.Data[i] = p.act.Apply(v)
 			}
 		}
 		src = dst
 	}
-	for i := range out {
-		out[i] = src.Data[i]*p.yStd + p.yMean
+	for i, v := range out {
+		out[i] = v*p.yStd + p.yMean
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
@@ -49,6 +50,22 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 	if linear < models/4 || neural < models/4 {
 		t.Fatalf("generator imbalance: %d linear, %d neural of %d", linear, neural, models)
 	}
+}
+
+// useMatKernel is linalg's unexported switch between its AVX2 matrix
+// kernels and its Go loops.
+//
+//go:linkname useMatKernel colocmodel/internal/linalg.useMatKernel
+var useMatKernel bool
+
+// TestCompiledEquivalencePropertyGoLoops reruns the acceptance sweep with
+// linalg's Go loops; the sweep itself runs on whichever path init
+// selected, the AVX2 kernels on an AVX2 host.
+func TestCompiledEquivalencePropertyGoLoops(t *testing.T) {
+	saved := useMatKernel
+	useMatKernel = false
+	t.Cleanup(func() { useMatKernel = saved })
+	TestCompiledEquivalenceProperty(t)
 }
 
 // genModel draws models until one of the wanted technique appears.

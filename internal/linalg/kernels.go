@@ -11,6 +11,9 @@
 // dst element is identical to the naive triple loop — results are
 // bit-for-bit equal to the scalar reference implementations, which is what
 // keeps the paper's Figures 1–4 outputs unchanged by the batched rewrite.
+// The AVX2 kernels (kernels_amd64.s) keep the contract the same way: they
+// run four dst columns per register, and a column's sum is untouched by
+// which other columns share its register.
 package linalg
 
 import "fmt"
@@ -22,34 +25,72 @@ import "fmt"
 // modeling pipeline produces.
 const kernelBlock = 64
 
+// useMatKernel selects the AVX2 kernels (kernels_amd64.s) for the three
+// accumulating products, once, at init: when the CPU runs AVX2 and the
+// OS saves the YMM registers. Columns past the last group of four, and
+// every product while it is false, take the Go loops below. Tests clear
+// it to force the Go loops.
+var useMatKernel = cpuAVX2
+
 func dims(op string, ok bool, format string, args ...any) {
 	if !ok {
 		panic(fmt.Sprintf("linalg: %s %s", op, fmt.Sprintf(format, args...)))
 	}
 }
 
-// AccumMatMul computes dst += a·b without allocating: the blocked i-k-j
-// GEMM. Per destination element the additions arrive in ascending k order
-// (zero a-elements are skipped), so accumulating on
-// top of a caller-initialised dst — e.g. a broadcast bias row — reproduces
-// the scalar "start at bias, add terms in order" sum bit-for-bit.
+// checkData panics unless every matrix holds the elements its shape
+// names: the kernels read and write by shape, not by slice bounds.
+func checkData(op string, dst, a, b *Matrix) {
+	if len(dst.Data) < dst.Rows*dst.Cols || len(a.Data) < a.Rows*a.Cols || len(b.Data) < b.Rows*b.Cols {
+		dims(op, false, "matrix data shorter than its shape")
+	}
+}
+
+// AccumMatMul computes dst += a·b without allocating. Per destination
+// element the additions arrive in ascending k order (zero a-elements are
+// skipped), so accumulating on top of a caller-initialised dst — e.g. a
+// broadcast bias row — reproduces the scalar "start at bias, add terms
+// in order" sum bit-for-bit.
 func AccumMatMul(dst, a, b *Matrix) {
-	dims("AccumMatMul", a.Cols == b.Rows, "dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	dims("AccumMatMul", dst.Rows == a.Rows && dst.Cols == b.Cols, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols)
+	// Shape checks guard *before* calling dims: boxing its arguments into
+	// dims' variadic any allocates for ints above 255.
+	if a.Cols != b.Rows {
+		dims("AccumMatMul", false, "dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Cols {
+		dims("AccumMatMul", false, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols)
+	}
+	checkData("AccumMatMul", dst, a, b)
 	n, k := a.Cols, b.Cols
+	j0 := 0
+	if useMatKernel && k >= 4 && a.Rows > 0 && n > 0 {
+		// Row i of dst takes a[i][p]·(row p of b) for p ascending.
+		rank1AVX2(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, n, k, 0, 0, k, k)
+		j0 = k &^ 3
+	}
+	accumMatMulGo(dst, a, b, j0)
+}
+
+// accumMatMulGo is AccumMatMul's Go loop over dst columns j0 onwards:
+// the blocked i-k-j GEMM.
+func accumMatMulGo(dst, a, b *Matrix, j0 int) {
+	n, k := a.Cols, b.Cols
+	if j0 == k {
+		return
+	}
 	for i0 := 0; i0 < a.Rows; i0 += kernelBlock {
 		i1 := min(i0+kernelBlock, a.Rows)
 		for p0 := 0; p0 < n; p0 += kernelBlock {
 			p1 := min(p0+kernelBlock, n)
 			for i := i0; i < i1; i++ {
 				ai := a.Data[i*n : (i+1)*n]
-				di := dst.Data[i*k : (i+1)*k]
+				di := dst.Data[i*k+j0 : (i+1)*k]
 				for p := p0; p < p1; p++ {
 					aip := ai[p]
 					if aip == 0 {
 						continue
 					}
-					bp := b.Data[p*k : (p+1)*k]
+					bp := b.Data[p*k+j0 : (p+1)*k]
 					for j, bpj := range bp {
 						di[j] += aip * bpj
 					}
@@ -59,48 +100,58 @@ func AccumMatMul(dst, a, b *Matrix) {
 	}
 }
 
-// AccumMulABT computes dst += a·bᵀ without allocating. Each dst element
-// receives its k terms in ascending order, on top of whatever the caller
-// stored there (zero for a plain product, a bias for a dense layer).
-func AccumMulABT(dst, a, b *Matrix) {
-	dims("AccumMulABT", a.Cols == b.Cols, "inner dimension mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
-	dims("AccumMulABT", dst.Rows == a.Rows && dst.Cols == b.Rows, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows)
-	n := a.Cols
-	for i0 := 0; i0 < a.Rows; i0 += kernelBlock {
-		i1 := min(i0+kernelBlock, a.Rows)
-		for j0 := 0; j0 < b.Rows; j0 += kernelBlock {
-			j1 := min(j0+kernelBlock, b.Rows)
-			for i := i0; i < i1; i++ {
-				ai := a.Data[i*n : (i+1)*n]
-				di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-				// Four dst elements at a time: each keeps its own
-				// accumulator fed in ascending p, so the per-element
-				// addition order is untouched while one streaming pass
-				// over ai feeds four b rows (ILP, fewer loop trips).
-				j := j0
-				for ; j+4 <= j1; j += 4 {
-					b0 := b.Data[j*n : (j+1)*n][:len(ai)]
-					b1 := b.Data[(j+1)*n : (j+2)*n][:len(ai)]
-					b2 := b.Data[(j+2)*n : (j+3)*n][:len(ai)]
-					b3 := b.Data[(j+3)*n : (j+4)*n][:len(ai)]
-					s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
-					for p, av := range ai {
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-					di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-				}
-				for ; j < j1; j++ {
-					bj := b.Data[j*n : (j+1)*n][:len(ai)]
-					s := di[j]
-					for p, av := range ai {
-						s += av * bj[p]
-					}
-					di[j] = s
-				}
+// AccumMulABT computes dst += a·bᵀ without allocating, with b passed
+// packed: bt is bᵀ (a.Cols × dst.Cols), so a dense layer's out × in
+// weights are transposed once — at compile time, or once per training
+// iteration — and every product reads them as contiguous rows. Each dst
+// element receives its a.Cols terms in ascending order, on top of
+// whatever the caller stored there (zero for a plain product, a bias for
+// a dense layer); no term is skipped.
+func AccumMulABT(dst, a, bt *Matrix) {
+	if a.Cols != bt.Rows {
+		dims("AccumMulABT", false, "inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, bt.Rows, bt.Cols)
+	}
+	if dst.Rows != a.Rows || dst.Cols != bt.Cols {
+		dims("AccumMulABT", false, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bt.Cols)
+	}
+	checkData("AccumMulABT", dst, a, bt)
+	j0 := 0
+	if useMatKernel && dst.Cols >= 4 && a.Rows > 0 && a.Cols > 0 {
+		abAVX2(&dst.Data[0], &a.Data[0], &bt.Data[0], a.Rows, a.Cols, dst.Cols)
+		j0 = dst.Cols &^ 3
+	}
+	accumMulABTGo(dst, a, bt, j0)
+}
+
+// accumMulABTGo is AccumMulABT's Go loop over dst columns j0 onwards:
+// four dst elements at a time, each with its own accumulator fed in
+// ascending p, then one at a time.
+func accumMulABTGo(dst, a, bt *Matrix, j0 int) {
+	n, k := a.Cols, bt.Cols
+	if j0 == k {
+		return
+	}
+	for i := 0; i < a.Rows; i++ {
+		ai := a.Data[i*n : (i+1)*n]
+		di := dst.Data[i*k : (i+1)*k]
+		j := j0
+		for ; j+4 <= k; j += 4 {
+			s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
+			for p, av := range ai {
+				bp := bt.Data[p*k+j : p*k+j+4]
+				s0 += av * bp[0]
+				s1 += av * bp[1]
+				s2 += av * bp[2]
+				s3 += av * bp[3]
 			}
+			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
+		}
+		for ; j < k; j++ {
+			s := di[j]
+			for p, av := range ai {
+				s += av * bt.Data[p*k+j]
+			}
+			di[j] = s
 		}
 	}
 }
@@ -112,12 +163,32 @@ func AccumMulABT(dst, a, b *Matrix) {
 // backward pass skips zero deltas), so batched gradient accumulation is
 // bit-identical to the per-sample loop.
 func AccumMulATB(dst, a, b *Matrix) {
-	dims("AccumMulATB", a.Rows == b.Rows, "outer dimension mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	dims("AccumMulATB", dst.Rows == a.Cols && dst.Cols == b.Cols, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols)
+	if a.Rows != b.Rows {
+		dims("AccumMulATB", false, "outer dimension mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+		dims("AccumMulATB", false, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols)
+	}
+	checkData("AccumMulATB", dst, a, b)
 	n, k := a.Cols, b.Cols
+	j0 := 0
+	if useMatKernel && k >= 4 && a.Rows > 0 && n > 0 {
+		// Row i of dst takes a[s][i]·(row s of b) for s ascending.
+		rank1AVX2(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, n, 0, k, k, 0, k)
+		j0 = k &^ 3
+	}
+	accumMulATBGo(dst, a, b, j0)
+}
+
+// accumMulATBGo is AccumMulATB's Go loop over dst columns j0 onwards.
+func accumMulATBGo(dst, a, b *Matrix, j0 int) {
+	n, k := a.Cols, b.Cols
+	if j0 == k {
+		return
+	}
 	for s := 0; s < a.Rows; s++ {
 		as := a.Data[s*n : (s+1)*n]
-		bs := b.Data[s*k : (s+1)*k]
+		bs := b.Data[s*k+j0 : (s+1)*k]
 		// Two dst rows per pass over bs. Within one rank-1 update the
 		// touched dst elements are all distinct, so pairing rows changes
 		// no per-element addition order; the zero skip still applies per
@@ -128,8 +199,8 @@ func AccumMulATB(dst, a, b *Matrix) {
 			if av0 == 0 && av1 == 0 {
 				continue
 			}
-			d0 := dst.Data[i*k : (i+1)*k][:len(bs)]
-			d1 := dst.Data[(i+1)*k : (i+2)*k][:len(bs)]
+			d0 := dst.Data[i*k+j0 : (i+1)*k][:len(bs)]
+			d1 := dst.Data[(i+1)*k+j0 : (i+2)*k][:len(bs)]
 			switch {
 			case av0 != 0 && av1 != 0:
 				for j, bv := range bs {
@@ -151,7 +222,7 @@ func AccumMulATB(dst, a, b *Matrix) {
 			if av == 0 {
 				continue
 			}
-			di := dst.Data[i*k : (i+1)*k][:len(bs)]
+			di := dst.Data[i*k+j0 : (i+1)*k][:len(bs)]
 			for j, bv := range bs {
 				di[j] += av * bv
 			}

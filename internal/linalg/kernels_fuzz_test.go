@@ -1,0 +1,205 @@
+package linalg
+
+import (
+	"math"
+	"testing"
+
+	"colocmodel/internal/xrand"
+)
+
+// matPaths runs f once per implementation the three accumulating
+// products can take on this host: the AVX2 kernels when init selected
+// them, and the Go loops.
+func matPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	if useMatKernel {
+		t.Run("kernel", f)
+	} else {
+		t.Log("matrix kernels not selected on this host")
+	}
+	t.Run("go", func(t *testing.T) {
+		saved := useMatKernel
+		useMatKernel = false
+		t.Cleanup(func() { useMatKernel = saved })
+		f(t)
+	})
+}
+
+// kernelSpecials are the inputs whose arithmetic is its own: signed
+// zeros, NaN with two payloads and signs, infinities, subnormals, and
+// values whose products overflow or underflow.
+var kernelSpecials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0xFFF8000000000123),
+	math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 2.2250738585072e-310, -1e-320,
+	math.MaxFloat64, -math.MaxFloat64, 1e-300, 1, -1,
+}
+
+// fuzzFill fills m from src: a special value where src's draw falls
+// under density/256, a standard normal elsewhere.
+func fuzzFill(m *Matrix, src *xrand.Source, density uint8) {
+	for i := range m.Data {
+		if src.Uint64()%256 < uint64(density) {
+			m.Data[i] = kernelSpecials[src.Uint64()%uint64(len(kernelSpecials))]
+		} else {
+			m.Data[i] = src.Normal(0, 1)
+		}
+	}
+}
+
+// fuzzDst returns a rows×cols destination in one of four starting
+// states: zeros, one bias row repeated down the matrix (how a dense
+// layer starts), -0 everywhere (where skipping a zero term shows: -0 +
+// +0 is +0), and independent values with specials.
+func fuzzDst(rows, cols int, mode uint8, src *xrand.Source, density uint8) *Matrix {
+	dst := NewMatrix(rows, cols)
+	switch mode % 4 {
+	case 1:
+		bias := NewMatrix(1, cols)
+		fuzzFill(bias, src, density)
+		for i := 0; i < rows; i++ {
+			copy(dst.Data[i*cols:(i+1)*cols], bias.Data)
+		}
+	case 2:
+		for i := range dst.Data {
+			dst.Data[i] = math.Copysign(0, -1)
+		}
+	case 3:
+		fuzzFill(dst, src, density)
+	}
+	return dst
+}
+
+// fuzzShape maps fuzzer bytes to a product shape: 0–70 rows and inner
+// and output widths of 1–37, so every 4-row and 4-column tail occurs.
+func fuzzShape(rows, inner, cols uint8) (int, int, int) {
+	return int(rows) % 71, 1 + int(inner)%37, 1 + int(cols)%37
+}
+
+// kernelAgrees runs op on a copy of dst as init selected and on another
+// with the Go loops, and fails on every element whose bits
+// differ. Any NaN matches any NaN: which NaN's payload survives an
+// operation on two NaNs depends on operand order, which Go leaves to its
+// compiler.
+func kernelAgrees(t *testing.T, name string, dst *Matrix, op func(dst *Matrix)) {
+	t.Helper()
+	got := dst.Clone()
+	op(got)
+	want := dst.Clone()
+	saved := useMatKernel
+	useMatKernel = false
+	defer func() { useMatKernel = saved }()
+	op(want)
+	for i := range want.Data {
+		if !sameFloat(got.Data[i], want.Data[i]) {
+			t.Fatalf("%s %dx%d: element %d: kernel %v [%#016x], Go %v [%#016x]", name, dst.Rows, dst.Cols,
+				i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+func addKernelSeeds(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint64(1))
+	f.Add(uint8(70), uint8(7), uint8(19), uint8(1), uint8(0), uint64(2))
+	f.Add(uint8(5), uint8(19), uint8(3), uint8(2), uint8(64), uint64(3))
+	f.Add(uint8(9), uint8(36), uint8(36), uint8(3), uint8(128), uint64(4))
+	f.Add(uint8(64), uint8(8), uint8(20), uint8(1), uint8(16), uint64(5))
+	f.Add(uint8(13), uint8(0), uint8(9), uint8(2), uint8(255), uint64(6))
+}
+
+func FuzzAccumMulABT(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
+		m, n, k := fuzzShape(rows, inner, cols)
+		src := xrand.New(seed)
+		a, bt := NewMatrix(m, n), NewMatrix(n, k)
+		fuzzFill(a, src, density)
+		fuzzFill(bt, src, density)
+		kernelAgrees(t, "AccumMulABT", fuzzDst(m, k, mode, src, density), func(dst *Matrix) { AccumMulABT(dst, a, bt) })
+	})
+}
+
+func FuzzAccumMulATB(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
+		m, n, k := fuzzShape(rows, inner, cols)
+		src := xrand.New(seed)
+		a, b := NewMatrix(m, n), NewMatrix(m, k)
+		fuzzFill(a, src, density)
+		fuzzFill(b, src, density)
+		kernelAgrees(t, "AccumMulATB", fuzzDst(n, k, mode, src, density), func(dst *Matrix) { AccumMulATB(dst, a, b) })
+	})
+}
+
+func FuzzAccumMatMul(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
+		m, n, k := fuzzShape(rows, inner, cols)
+		src := xrand.New(seed)
+		a, b := NewMatrix(m, n), NewMatrix(n, k)
+		fuzzFill(a, src, density)
+		fuzzFill(b, src, density)
+		kernelAgrees(t, "AccumMatMul", fuzzDst(m, k, mode, src, density), func(dst *Matrix) { AccumMatMul(dst, a, b) })
+	})
+}
+
+// TestKernelsRefuseShortData checks the products panic, rather than read
+// or write past a slice, when a matrix holds fewer elements than its
+// shape names.
+func TestKernelsRefuseShortData(t *testing.T) {
+	short := &Matrix{Rows: 8, Cols: 8, Data: make([]float64, 63)}
+	full := NewMatrix(8, 8)
+	for name, fn := range map[string]func(){
+		"AccumMatMul": func() { AccumMatMul(full, full, short) },
+		"AccumMulABT": func() { AccumMulABT(short, full, full) },
+		"AccumMulATB": func() { AccumMulATB(full, short, full) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on short data", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// BenchmarkKernels times the three products at the neural model's shapes
+// (8 inputs, 20 hidden nodes) on each path: the serving hidden layer over
+// a 352-row batch, and the training products over 1 848 samples.
+func BenchmarkKernels(b *testing.B) {
+	src := xrand.New(1)
+	x, h := randomMatrix(src, 1848, 8), randomMatrix(src, 1848, 20)
+	wt, w := randomMatrix(src, 8, 20), randomMatrix(src, 1, 20)
+	delta, deltaOut := randomMatrix(src, 1848, 20), randomMatrix(src, 1848, 1)
+	xs := &Matrix{Rows: 352, Cols: 8, Data: x.Data[:352*8]}
+	cases := []struct {
+		name string
+		dst  *Matrix
+		op   func(dst *Matrix)
+	}{
+		{"ABT/352x8x20", NewMatrix(352, 20), func(dst *Matrix) { AccumMulABT(dst, xs, wt) }},
+		{"ATB/1848x20x8", NewMatrix(20, 8), func(dst *Matrix) { AccumMulATB(dst, delta, x) }},
+		{"ATB/1848x1x20", NewMatrix(1, 20), func(dst *Matrix) { AccumMulATB(dst, deltaOut, h) }},
+		{"MatMul/1848x1x20", NewMatrix(1848, 20), func(dst *Matrix) { AccumMatMul(dst, deltaOut, w) }},
+	}
+	for _, c := range cases {
+		for _, kernel := range []bool{true, false} {
+			name := c.name + "/go"
+			if kernel {
+				if !useMatKernel {
+					continue
+				}
+				name = c.name + "/kernel"
+			}
+			b.Run(name, func(b *testing.B) {
+				saved := useMatKernel
+				useMatKernel = kernel
+				defer func() { useMatKernel = saved }()
+				for i := 0; i < b.N; i++ {
+					c.op(c.dst)
+				}
+			})
+		}
+	}
+}

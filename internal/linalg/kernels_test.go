@@ -30,29 +30,31 @@ func naiveMul(a, b *Matrix) *Matrix {
 // accumulates each element in the reference's order, so it must agree
 // exactly (up to ±0).
 func TestBlockedKernelsMatchNaive(t *testing.T) {
-	src := xrand.New(41)
-	shapes := [][2]int{{0, 3}, {1, 1}, {3, 0}, {2, 5}, {7, 3}, {63, 9}, {64, 65}, {130, 17}, {5, 129}}
-	for _, sa := range shapes {
-		for _, k := range []int{0, 1, 7, 64, 70} {
-			a := randomMatrix(src, sa[0], k)
-			b := randomMatrix(src, k, sa[1])
-			want := naiveMul(a, b)
+	matPaths(t, func(t *testing.T) {
+		src := xrand.New(41)
+		shapes := [][2]int{{0, 3}, {1, 1}, {3, 0}, {2, 5}, {7, 3}, {63, 9}, {64, 65}, {130, 17}, {5, 129}}
+		for _, sa := range shapes {
+			for _, k := range []int{0, 1, 7, 64, 70} {
+				a := randomMatrix(src, sa[0], k)
+				b := randomMatrix(src, k, sa[1])
+				want := naiveMul(a, b)
 
-			got := NewMatrix(a.Rows, b.Cols)
-			AccumMatMul(got, a, b)
-			matrixApproxEqual(t, "AccumMatMul", got, want, 0)
+				got := NewMatrix(a.Rows, b.Cols)
+				AccumMatMul(got, a, b)
+				matrixApproxEqual(t, "AccumMatMul", got, want, 0)
 
-			bt := b.T()
-			got2 := NewMatrix(a.Rows, bt.Rows)
-			AccumMulABT(got2, a, bt)
-			matrixApproxEqual(t, "AccumMulABT", got2, want, 1e-13)
+				// AccumMulABT takes b packed: a·(bᵀ)ᵀ = a·b.
+				got2 := NewMatrix(a.Rows, b.Cols)
+				AccumMulABT(got2, a, b)
+				matrixApproxEqual(t, "AccumMulABT", got2, want, 1e-13)
 
-			at := a.T()
-			got3 := NewMatrix(at.Cols, b.Cols)
-			AccumMulATB(got3, at, b)
-			matrixApproxEqual(t, "AccumMulATB", got3, want, 1e-13)
+				at := a.T()
+				got3 := NewMatrix(at.Cols, b.Cols)
+				AccumMulATB(got3, at, b)
+				matrixApproxEqual(t, "AccumMulATB", got3, want, 1e-13)
+			}
 		}
-	}
+	})
 }
 
 // TestMatMulIntoMatchesMul pins the blocked AccumMatMul, on a zeroed
@@ -93,51 +95,53 @@ func TestMatMulIntoMatchesMul(t *testing.T) {
 // a pre-initialised destination equals init + product under the kernels'
 // ordered accumulation.
 func TestAccumVariantsStartFromDst(t *testing.T) {
-	src := xrand.New(43)
-	a := randomMatrix(src, 9, 5)
-	b := randomMatrix(src, 5, 7)
-	bias := randomMatrix(src, 9, 7)
+	matPaths(t, func(t *testing.T) {
+		src := xrand.New(43)
+		a := randomMatrix(src, 9, 5)
+		b := randomMatrix(src, 5, 7)
+		bias := randomMatrix(src, 9, 7)
 
-	got := bias.Clone()
-	AccumMatMul(got, a, b)
-	// Reference: start each element at bias, add terms in k order.
-	want := bias.Clone()
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			s := want.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				if a.At(i, k) == 0 {
-					continue
+		got := bias.Clone()
+		AccumMatMul(got, a, b)
+		// Reference: start each element at bias, add terms in k order.
+		want := bias.Clone()
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Cols; j++ {
+				s := want.At(i, j)
+				for k := 0; k < a.Cols; k++ {
+					if a.At(i, k) == 0 {
+						continue
+					}
+					s += a.At(i, k) * b.At(k, j)
 				}
-				s += a.At(i, k) * b.At(k, j)
+				want.Set(i, j, s)
 			}
-			want.Set(i, j, s)
 		}
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("AccumMatMul bias element %d: %v vs %v", i, got.Data[i], want.Data[i])
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("AccumMatMul bias element %d: %v vs %v", i, got.Data[i], want.Data[i])
+			}
 		}
-	}
 
-	bt := b.T()
-	got2 := bias.Clone()
-	AccumMulABT(got2, a, bt)
-	want2 := bias.Clone()
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < bt.Rows; j++ {
-			s := want2.At(i, j)
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * bt.At(j, k)
+		// b is AccumMulABT's packed operand: the product is a·b.
+		got2 := bias.Clone()
+		AccumMulABT(got2, a, b)
+		want2 := bias.Clone()
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Cols; j++ {
+				s := want2.At(i, j)
+				for k := 0; k < a.Cols; k++ {
+					s += a.At(i, k) * b.At(k, j)
+				}
+				want2.Set(i, j, s)
 			}
-			want2.Set(i, j, s)
 		}
-	}
-	for i := range want2.Data {
-		if got2.Data[i] != want2.Data[i] {
-			t.Fatalf("AccumMulABT bias element %d: %v vs %v", i, got2.Data[i], want2.Data[i])
+		for i := range want2.Data {
+			if got2.Data[i] != want2.Data[i] {
+				t.Fatalf("AccumMulABT bias element %d: %v vs %v", i, got2.Data[i], want2.Data[i])
+			}
 		}
-	}
+	})
 }
 
 func matrixApproxEqual(t *testing.T, op string, got, want *Matrix, tol float64) {

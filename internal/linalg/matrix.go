@@ -101,12 +101,22 @@ func (m *Matrix) Clone() *Matrix {
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
+	TransposeInto(out, m)
+	return out
+}
+
+// TransposeInto writes mᵀ into dst, which must be m.Cols × m.Rows,
+// without allocating: how a dense layer's weights are packed for
+// AccumMulABT.
+func TransposeInto(dst, m *Matrix) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("linalg: TransposeInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, m.Rows, m.Cols))
+	}
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
+		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			dst.Data[j*dst.Cols+i] = v
 		}
 	}
-	return out
 }
 
 // MulVec returns the matrix-vector product m·x.

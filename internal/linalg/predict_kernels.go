@@ -1,12 +1,9 @@
-// Inference-path kernels: the blocked primitives the compiled predict
-// closures (internal/core) evaluate batches with. They follow the same
-// reproducibility contract as the training kernels in kernels.go — every
+// The linear model's inference kernel. It follows the same
+// reproducibility contract as the products in kernels.go — every
 // destination element accumulates its terms in strictly ascending inner
 // index order — so a compiled batched prediction is bit-for-bit equal to
-// the scalar predict loop it replaces. The widths differ from the
-// training kernels because inference shapes differ: prediction batches
-// are tall and skinny (thousands of scenarios × ≤20 node layers), which
-// rewards wider per-row ILP blocking over cache tiling.
+// the scalar predict loop it replaces. The neural model's one-node output
+// layer runs on it too.
 
 package linalg
 
@@ -49,82 +46,5 @@ func GemvBiasInto(out []float64, x *Matrix, coef []float64, bias float64) {
 			s += c * ri[j]
 		}
 		out[i] = s
-	}
-}
-
-// AccumMulABT8 computes dst += a·bᵀ without allocating, like AccumMulABT
-// but with eight destination columns (eight b rows) per streaming pass
-// over each a row instead of four. Each dst element still receives its k
-// terms in ascending order on top of whatever the caller stored there, so
-// substituting this kernel for AccumMulABT changes no bits — only how
-// many independent accumulators one pass over the inputs feeds. It is the
-// batch-forward kernel of the compiled predict path, where layer widths
-// (10–20 hidden nodes) comfortably exceed the four-wide blocking that
-// training favours.
-func AccumMulABT8(dst, a, b *Matrix) {
-	// As in GemvBiasInto, guard before boxing dims arguments.
-	if a.Cols != b.Cols {
-		dims("AccumMulABT8", false, "inner dimension mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		dims("AccumMulABT8", false, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows)
-	}
-	n := a.Cols
-	for i0 := 0; i0 < a.Rows; i0 += kernelBlock {
-		i1 := min(i0+kernelBlock, a.Rows)
-		for j0 := 0; j0 < b.Rows; j0 += kernelBlock {
-			j1 := min(j0+kernelBlock, b.Rows)
-			for i := i0; i < i1; i++ {
-				ai := a.Data[i*n : (i+1)*n]
-				di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-				j := j0
-				for ; j+8 <= j1; j += 8 {
-					b0 := b.Data[j*n : (j+1)*n][:len(ai)]
-					b1 := b.Data[(j+1)*n : (j+2)*n][:len(ai)]
-					b2 := b.Data[(j+2)*n : (j+3)*n][:len(ai)]
-					b3 := b.Data[(j+3)*n : (j+4)*n][:len(ai)]
-					b4 := b.Data[(j+4)*n : (j+5)*n][:len(ai)]
-					b5 := b.Data[(j+5)*n : (j+6)*n][:len(ai)]
-					b6 := b.Data[(j+6)*n : (j+7)*n][:len(ai)]
-					b7 := b.Data[(j+7)*n : (j+8)*n][:len(ai)]
-					s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
-					s4, s5, s6, s7 := di[j+4], di[j+5], di[j+6], di[j+7]
-					for p, av := range ai {
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-						s4 += av * b4[p]
-						s5 += av * b5[p]
-						s6 += av * b6[p]
-						s7 += av * b7[p]
-					}
-					di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-					di[j+4], di[j+5], di[j+6], di[j+7] = s4, s5, s6, s7
-				}
-				for ; j+4 <= j1; j += 4 {
-					b0 := b.Data[j*n : (j+1)*n][:len(ai)]
-					b1 := b.Data[(j+1)*n : (j+2)*n][:len(ai)]
-					b2 := b.Data[(j+2)*n : (j+3)*n][:len(ai)]
-					b3 := b.Data[(j+3)*n : (j+4)*n][:len(ai)]
-					s0, s1, s2, s3 := di[j], di[j+1], di[j+2], di[j+3]
-					for p, av := range ai {
-						s0 += av * b0[p]
-						s1 += av * b1[p]
-						s2 += av * b2[p]
-						s3 += av * b3[p]
-					}
-					di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
-				}
-				for ; j < j1; j++ {
-					bj := b.Data[j*n : (j+1)*n][:len(ai)]
-					s := di[j]
-					for p, av := range ai {
-						s += av * bj[p]
-					}
-					di[j] = s
-				}
-			}
-		}
 	}
 }

@@ -64,60 +64,55 @@ func TestGemvBiasIntoPanicsOnBadShapes(t *testing.T) {
 	mustPanic("out", func() { GemvBiasInto(make([]float64, 2), x, make([]float64, 2), 0) })
 }
 
-// TestAccumMulABT8BitIdentical checks the 8-wide kernel against both the
-// naive per-element ascending-p reference and the training kernel
-// AccumMulABT: all three must agree bit-for-bit, including when dst starts
-// from a non-zero (bias-like) state. Shapes cover every 8/4/1 remainder
-// path and spans beyond one cache block.
-func TestAccumMulABT8BitIdentical(t *testing.T) {
-	src := xrand.New(11)
-	for _, ar := range []int{1, 3, 5, 64, 65} {
-		for _, br := range []int{1, 2, 4, 7, 8, 9, 13, 16, 20, 67} {
-			for _, n := range []int{1, 3, 8, 21} {
-				a := NewMatrix(ar, n)
-				b := NewMatrix(br, n)
-				fillNormal(a, src)
-				fillNormal(b, src)
-				init := NewMatrix(ar, br)
-				fillNormal(init, src)
+// TestAccumMulABTBitIdentical checks the packed A·Bᵀ product against the
+// naive per-element ascending-p reference, bit for bit, including when dst
+// starts from a non-zero (bias-like) state. Shapes cover every 4-column
+// and 4-row remainder, on the kernel and on the Go loop.
+func TestAccumMulABTBitIdentical(t *testing.T) {
+	matPaths(t, func(t *testing.T) {
+		src := xrand.New(11)
+		for _, ar := range []int{1, 3, 5, 64, 65} {
+			for _, br := range []int{1, 2, 4, 7, 8, 9, 13, 16, 20, 67} {
+				for _, n := range []int{1, 3, 8, 21} {
+					a := NewMatrix(ar, n)
+					b := NewMatrix(br, n)
+					fillNormal(a, src)
+					fillNormal(b, src)
+					init := NewMatrix(ar, br)
+					fillNormal(init, src)
 
-				want := init.Clone()
-				for i := 0; i < ar; i++ {
-					for j := 0; j < br; j++ {
-						s := want.At(i, j)
-						for p := 0; p < n; p++ {
-							s += a.At(i, p) * b.At(j, p)
+					want := init.Clone()
+					for i := 0; i < ar; i++ {
+						for j := 0; j < br; j++ {
+							s := want.At(i, j)
+							for p := 0; p < n; p++ {
+								s += a.At(i, p) * b.At(j, p)
+							}
+							want.Set(i, j, s)
 						}
-						want.Set(i, j, s)
 					}
-				}
-				four := init.Clone()
-				AccumMulABT(four, a, b)
-				got := init.Clone()
-				AccumMulABT8(got, a, b)
-				for i := range got.Data {
-					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-						t.Fatalf("a=%dx%d b=%dx%d: elem %d: ABT8 %v, naive %v (not bit-identical)",
-							ar, n, br, n, i, got.Data[i], want.Data[i])
-					}
-					if math.Float64bits(got.Data[i]) != math.Float64bits(four.Data[i]) {
-						t.Fatalf("a=%dx%d b=%dx%d: elem %d: ABT8 %v, ABT %v (not bit-identical)",
-							ar, n, br, n, i, got.Data[i], four.Data[i])
+					got := init.Clone()
+					AccumMulABT(got, a, b.T())
+					for i := range got.Data {
+						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+							t.Fatalf("a=%dx%d b=%dx%d: elem %d: ABT %v, naive %v (not bit-identical)",
+								ar, n, br, n, i, got.Data[i], want.Data[i])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-func TestAccumMulABT8PanicsOnBadShapes(t *testing.T) {
+func TestAccumMulABTPanicsOnBadShapes(t *testing.T) {
 	a := NewMatrix(2, 3)
-	b := NewMatrix(4, 2)
+	bt := NewMatrix(2, 4)
 	dst := NewMatrix(2, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on inner dimension mismatch")
 		}
 	}()
-	AccumMulABT8(dst, a, b)
+	AccumMulABT(dst, a, bt)
 }

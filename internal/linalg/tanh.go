@@ -28,7 +28,7 @@ func Tanh(v []float64) {
 
 // useTanhKernel selects the packed kernel. Tests clear it to force the
 // math.Tanh loop.
-var useTanhKernel = tanhKernelCPU() && tanhProbeHolds(tanhKernel)
+var useTanhKernel = cpuFMA && tanhProbeHolds(tanhKernel)
 
 //go:embed tanh_probe.txt
 var tanhProbe string

@@ -8,31 +8,8 @@ import "math"
 //go:noescape
 func tanhAVX2(v []float64, k *[tanhRows][4]uint64)
 
-// cpuid executes CPUID for leaf eaxArg, subleaf ecxArg.
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-// xgetbv reads XCR0, the register state the OS saves.
-func xgetbv() (eax, edx uint32)
-
 // tanhKernel runs the kernel over v, whose length is a multiple of 4.
 func tanhKernel(v []float64) { tanhAVX2(v, &tanhConst) }
-
-// tanhKernelCPU reports whether the CPU runs the kernel: AVX2 and FMA,
-// with the OS saving the YMM registers.
-func tanhKernelCPU() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0 // AVX2
-}
 
 // tanhConst is the kernel's constant table, each constant in all four
 // lanes so the kernel can take it as a 256-bit memory operand. The row

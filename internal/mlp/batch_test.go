@@ -194,42 +194,48 @@ func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 }
 
 // TestSCGStepZeroAllocs is the allocation-regression guard the issue asks
-// for: a warmed SCG iteration must not touch the heap.
+// for: a warmed SCG iteration must not touch the heap, at 128 rows and at
+// 1 294, the paper's 70 % training split. A shape check that boxed its
+// ints for a message allocated only above 255 rows, past the small case.
 func TestSCGStepZeroAllocs(t *testing.T) {
-	src := xrand.New(29)
-	n, err := New(Config{Inputs: 8, Hidden: []int{20}, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y := randomDataset(src, 128, 8)
-	ws := NewWorkspace()
-	// MaxIter generous so the preallocated loss history never grows.
-	st, err := newSCGState(n, x, y, SCGConfig{MaxIter: 100000}, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	step := func() {
-		steps++
-		done, err := st.step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A converged run would stop here; every measured step must be
-		// a full one.
-		if done {
-			t.Fatalf("SCG converged at step %d; the measured steps must not", steps)
-		}
-	}
-	for i := 0; i < 5; i++ { // warm every buffer and code path
-		step()
-	}
-	allocs := testing.AllocsPerRun(100, step)
-	if st.res.Iterations != steps {
-		t.Fatalf("state ran %d iterations for %d steps", st.res.Iterations, steps)
-	}
-	if allocs != 0 {
-		t.Fatalf("warmed SCG step allocates %v/op, want 0", allocs)
+	for _, rows := range []int{128, 1294} {
+		t.Run(fmt.Sprintf("rows%d", rows), func(t *testing.T) {
+			src := xrand.New(29)
+			n, err := New(Config{Inputs: 8, Hidden: []int{20}, Seed: 31})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, y := randomDataset(src, rows, 8)
+			ws := NewWorkspace()
+			// MaxIter generous so the preallocated loss history never grows.
+			st, err := newSCGState(n, x, y, SCGConfig{MaxIter: 100000}, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			step := func() {
+				steps++
+				done, err := st.step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A converged run would stop here; every measured step must be
+				// a full one.
+				if done {
+					t.Fatalf("SCG converged at step %d; the measured steps must not", steps)
+				}
+			}
+			for i := 0; i < 5; i++ { // warm every buffer and code path
+				step()
+			}
+			allocs := testing.AllocsPerRun(100, step)
+			if st.res.Iterations != steps {
+				t.Fatalf("state ran %d iterations for %d steps", st.res.Iterations, steps)
+			}
+			if allocs != 0 {
+				t.Fatalf("warmed SCG step allocates %v/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -9,9 +9,29 @@ package mlp
 import (
 	"fmt"
 	"math"
+	"testing"
+	_ "unsafe" // go:linkname
 
 	"colocmodel/internal/linalg"
 )
+
+// useMatKernel is linalg's unexported switch between its AVX2 matrix
+// kernels and its Go loops, so the reference comparisons below can run
+// on both.
+//
+//go:linkname useMatKernel colocmodel/internal/linalg.useMatKernel
+var useMatKernel bool
+
+// TestScalarReferenceOnGoLoops reruns the scalar-reference comparisons
+// with linalg's Go loops; the tests themselves run on whichever path init
+// selected, the AVX2 kernels on an AVX2 host.
+func TestScalarReferenceOnGoLoops(t *testing.T) {
+	saved := useMatKernel
+	useMatKernel = false
+	t.Cleanup(func() { useMatKernel = saved })
+	t.Run("BatchedMatchesScalarProperty", TestBatchedMatchesScalarProperty)
+	t.Run("TrainSCGMatchesScalarReference", TestTrainSCGMatchesScalarReference)
+}
 
 // scalarPredictBatch is the old PredictBatch: one Forward call per row.
 func scalarPredictBatch(n *Network, x *linalg.Matrix) ([]float64, error) {
