@@ -26,6 +26,7 @@ import (
 	"colocmodel/internal/core"
 	"colocmodel/internal/experiments"
 	"colocmodel/internal/features"
+	"colocmodel/internal/feedback"
 	"colocmodel/internal/linalg"
 	"colocmodel/internal/mlp"
 	"colocmodel/internal/serve"
@@ -519,7 +520,7 @@ func BenchmarkServePredict(b *testing.B) {
 // speedup stays measurable. Both variants run Sync (real fsyncs): the
 // amortised durability cost is the whole point.
 func BenchmarkObservationIngest(b *testing.B) {
-	o := colocmodel.Observation{
+	o := feedback.Observation{
 		Model:            "bench",
 		Target:           "canneal",
 		CoApps:           []string{"cg", "cg"},
@@ -540,7 +541,7 @@ func BenchmarkObservationIngest(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := log.AppendBatch([]colocmodel.Observation{o}); err != nil {
+				if _, err := log.AppendBatch([]feedback.Observation{o}); err != nil {
 					b.Error(err)
 					return
 				}

@@ -18,7 +18,6 @@
 //
 //	POST /v1/predict          one scenario → predicted time and slowdown
 //	POST /v1/predict/batch    many scenarios, evaluated in one batched model call
-//	POST /v1/schedule         jobs → interference-aware placement
 //	POST /v1/placements       apps × fleet → optimised placement plan (optionally streamed)
 //	GET  /v1/models           registry listing
 //	POST /v1/models/reload    re-read artefacts from disk (atomic hot-swap)
@@ -67,7 +66,7 @@ import (
 func main() {
 	var (
 		listen  = flag.String("listen", ":8080", "address to serve on")
-		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout (batch, schedule, placements, observations)")
+		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout (batch, placements, observations)")
 		drain   = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
 
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")

@@ -40,7 +40,6 @@
 package colocmodel
 
 import (
-	"context"
 	"io"
 
 	"colocmodel/internal/core"
@@ -49,7 +48,6 @@ import (
 	"colocmodel/internal/features"
 	"colocmodel/internal/feedback"
 	"colocmodel/internal/harness"
-	"colocmodel/internal/placement"
 	"colocmodel/internal/retrain"
 	"colocmodel/internal/sched"
 	"colocmodel/internal/serve"
@@ -63,14 +61,10 @@ type (
 	MachineSpec = simproc.Spec
 	// Processor simulates one multicore machine.
 	Processor = simproc.Processor
-	// RunResult reports one simulated (co-located) execution.
-	RunResult = simproc.Result
 	// RunOptions tunes a simulated run.
 	RunOptions = simproc.Options
 	// App is a synthetic application model (Table III).
 	App = workload.App
-	// AppClass is a Table III memory-intensity class.
-	AppClass = workload.Class
 )
 
 // Re-exported data-collection types.
@@ -79,8 +73,6 @@ type (
 	Plan = harness.Plan
 	// Dataset holds baselines plus co-location measurements.
 	Dataset = harness.Dataset
-	// Baseline is one application's serial baseline measurement.
-	Baseline = harness.Baseline
 	// Record is one co-location measurement.
 	Record = harness.Record
 )
@@ -92,18 +84,10 @@ type (
 	ModelSpec = core.Spec
 	// Model is a trained co-location performance predictor.
 	Model = core.Model
-	// Technique selects linear or neural-network modeling.
-	Technique = core.Technique
 	// FeatureSet is a Table II feature group.
 	FeatureSet = features.Set
-	// Feature is one of the eight Table I features.
-	Feature = features.Feature
 	// Scenario is a schedule-time co-location description.
 	Scenario = features.Scenario
-	// EvalConfig tunes repeated random sub-sampling validation.
-	EvalConfig = core.EvalConfig
-	// EvalResult aggregates a model's accuracy across partitions.
-	EvalResult = core.EvalResult
 )
 
 // Re-exported application-layer types.
@@ -118,8 +102,6 @@ type (
 	BatchConfig = sched.BatchConfig
 	// BatchResult reports a batch simulation.
 	BatchResult = sched.BatchResult
-	// BatchPolicy selects the batch placement rule.
-	BatchPolicy = sched.BatchPolicy
 	// EnergyEstimator computes P-state package power.
 	EnergyEstimator = energy.Estimator
 	// EnergyEstimate is a predicted per-run energy account.
@@ -130,19 +112,15 @@ type (
 // binary; these let programs embed the inference tier directly).
 type (
 	// PredictionServer is the HTTP JSON inference server: registry +
-	// wire codec + metrics behind /v1/predict, /v1/predict/batch,
-	// /v1/schedule, /v1/models, /healthz and /metrics.
+	// wire codec + metrics behind the endpoints the serve package
+	// documents (predict, batch, placements, models, the adaptation
+	// loop, traces, SLO, health and metrics).
 	PredictionServer = serve.Server
 	// PredictionServerConfig tunes timeouts, request limits and the
 	// observability edge.
 	PredictionServerConfig = serve.Config
 	// ModelRegistry holds named trained models with atomic hot-swap.
 	ModelRegistry = serve.Registry
-	// ServedModelInfo describes one registry entry.
-	ServedModelInfo = serve.ModelInfo
-	// ServeMetrics is the serving tier's Prometheus-rendered metrics
-	// layer.
-	ServeMetrics = serve.Metrics
 )
 
 // Re-exported adaptation-loop types (the online feedback path: logged
@@ -152,25 +130,10 @@ type (
 	// retraining controller a PredictionServer wires together via
 	// EnableAdaptation.
 	Adaptation = serve.Adaptation
-	// Observation is one logged predicted-vs-measured runtime.
-	Observation = feedback.Observation
 	// ObservationStore is the observation-log interface the adaptation
 	// loop consumes: durable file-backed group-commit log or memory-only
 	// store.
 	ObservationStore = feedback.Store
-	// ObservationLog is the durable, checksummed, file-backed
-	// group-commit observation log (what OpenObservationLog returns
-	// for a non-empty Dir).
-	ObservationLog = feedback.Log
-	// ObservationCommit describes the group commit that made an
-	// AppendBatch durable.
-	ObservationCommit = feedback.Commit
-	// ObservationIngestStats is a snapshot of the ingest pipeline's
-	// cumulative counters and histograms.
-	ObservationIngestStats = feedback.IngestStats
-	// ObservationRetention is the size/age retention bound enforced by
-	// the log's compactor.
-	ObservationRetention = feedback.Retention
 	// ObservationLogConfig tunes segment rotation, the group-commit
 	// queue, compaction and retention.
 	ObservationLogConfig = feedback.Config
@@ -187,10 +150,6 @@ type (
 	RetrainController = retrain.Controller
 	// RetrainConfig tunes the controller.
 	RetrainConfig = retrain.Config
-	// RetrainResult reports one retraining attempt.
-	RetrainResult = retrain.Result
-	// RetrainStatus is the controller's queryable state.
-	RetrainStatus = retrain.Status
 )
 
 // Modeling technique constants.
@@ -209,35 +168,17 @@ const (
 	AwareSpread = sched.AwareSpread
 )
 
-// Application class constants (Table III).
-const (
-	ClassI   = workload.ClassI
-	ClassII  = workload.ClassII
-	ClassIII = workload.ClassIII
-	ClassIV  = workload.ClassIV
-)
-
 // XeonE5649 returns the 6-core Table IV machine.
 func XeonE5649() MachineSpec { return simproc.XeonE5649() }
 
 // XeonE52697v2 returns the 12-core Table IV machine.
 func XeonE52697v2() MachineSpec { return simproc.XeonE52697v2() }
 
-// Machines returns both Table IV machines.
-func Machines() []MachineSpec { return simproc.Machines() }
-
 // NewProcessor constructs a simulated processor from a spec.
 func NewProcessor(spec MachineSpec) (*Processor, error) { return simproc.New(spec) }
 
-// Apps returns the eleven Table III applications.
-func Apps() []App { return workload.All() }
-
 // AppByName returns the named Table III application.
 func AppByName(name string) (App, error) { return workload.ByName(name) }
-
-// TrainingCoApps returns the four representative co-location applications
-// (cg, sp, fluidanimate, ep).
-func TrainingCoApps() []App { return workload.TrainingCoApps() }
 
 // DefaultPlan returns the paper's Table V campaign for a machine.
 func DefaultPlan(spec MachineSpec, seed uint64) Plan { return harness.DefaultPlan(spec, seed) }
@@ -245,24 +186,12 @@ func DefaultPlan(spec MachineSpec, seed uint64) Plan { return harness.DefaultPla
 // CollectDataset executes a data-collection plan on the simulator.
 func CollectDataset(p Plan) (*Dataset, error) { return harness.Collect(p) }
 
-// FeatureSets returns the six Table II feature sets A–F.
-func FeatureSets() []FeatureSet { return features.Sets() }
-
 // FeatureSetByName returns a Table II set by letter.
 func FeatureSetByName(name string) (FeatureSet, error) { return features.SetByName(name) }
-
-// AllModelSpecs returns the twelve Section V model specs.
-func AllModelSpecs(seed uint64) []ModelSpec { return core.AllSpecs(seed) }
 
 // TrainModel fits one model on the given records.
 func TrainModel(spec ModelSpec, ds *Dataset, records []Record) (*Model, error) {
 	return core.Train(spec, ds, records)
-}
-
-// EvaluateModel runs the repeated random sub-sampling protocol for one
-// model spec.
-func EvaluateModel(spec ModelSpec, ds *Dataset, cfg EvalConfig) (*EvalResult, error) {
-	return core.Evaluate(spec, ds, cfg)
 }
 
 // LoadModel reads a model previously written by Model.Save: the
@@ -316,46 +245,6 @@ func MeasureAssignment(spec MachineSpec, asg SchedAssignment, pstate int, qosBou
 // slowdowns, violations and fleet energy.
 func SimulateBatch(spec MachineSpec, jobs []string, cfg BatchConfig) (*BatchResult, error) {
 	return sched.SimulateBatch(spec, jobs, cfg)
-}
-
-// Placement optimizer types (the what-if scheduling product: fleet +
-// pending apps -> seeded assignment and P-state choice minimising
-// predicted degradation or energy).
-type (
-	// PlacementProblem is one optimizer instance: model, fleet, apps,
-	// objective, QoS bound, seed and search knobs.
-	PlacementProblem = placement.Problem
-	// PlacementMachine describes one fleet machine: spec, usable cores,
-	// allowed P-states.
-	PlacementMachine = placement.Machine
-	// PlacementPlan is a complete placement with its predicted account
-	// (per-app slowdown/degradation, per-machine P-states, totals).
-	PlacementPlan = placement.Plan
-	// PlacementResult pairs the best plan with search statistics.
-	PlacementResult = placement.Result
-	// PlacementObjective selects what the optimizer minimises.
-	PlacementObjective = placement.Objective
-)
-
-// Placement objective constants.
-const (
-	// MinDegradation minimises total predicted degradation (default).
-	MinDegradation = placement.MinDegradation
-	// MinEnergy minimises total predicted machine energy.
-	MinEnergy = placement.MinEnergy
-)
-
-// OptimizePlacement searches for the best assignment of apps to the
-// fleet; onImprove (optional) observes each improving plan as the
-// seeded local search finds it.
-func OptimizePlacement(ctx context.Context, prob PlacementProblem, onImprove func(*PlacementPlan)) (*PlacementResult, error) {
-	return placement.Optimize(ctx, prob, onImprove)
-}
-
-// PackFirstPlacement is the interference-oblivious baseline: fill
-// machines in order at their first allowed P-state.
-func PackFirstPlacement(ctx context.Context, prob PlacementProblem) (*PlacementPlan, error) {
-	return placement.PackFirst(ctx, prob)
 }
 
 // NewEnergyEstimator returns a package-power estimator for a machine.

@@ -172,12 +172,10 @@ func (b *Backend) markShedding(retryAfter time.Duration) {
 // failures eject a backend; re-admission is retried with exponential
 // backoff and succeeds on the first healthy probe.
 type Pool struct {
-	client       *http.Client
-	probeTimeout time.Duration
-	ejectAfter   int
-	backoffBase  time.Duration
-	backoffMax   time.Duration
-	vnodes       int
+	client      *http.Client
+	ejectAfter  int
+	backoffBase time.Duration
+	vnodes      int
 
 	mu       sync.RWMutex
 	backends map[string]*Backend
@@ -188,13 +186,11 @@ type Pool struct {
 // applied).
 func newPool(cfg Config) *Pool {
 	p := &Pool{
-		client:       cfg.Client,
-		probeTimeout: cfg.ProbeTimeout,
-		ejectAfter:   cfg.EjectAfter,
-		backoffBase:  cfg.ReadmitBackoff,
-		backoffMax:   cfg.ReadmitBackoffMax,
-		vnodes:       cfg.VirtualNodes,
-		backends:     make(map[string]*Backend),
+		client:      cfg.Client,
+		ejectAfter:  cfg.EjectAfter,
+		backoffBase: cfg.ReadmitBackoff,
+		vnodes:      cfg.VirtualNodes,
+		backends:    make(map[string]*Backend),
 	}
 	p.ring.Store(buildRing(nil, p.vnodes))
 	return p
@@ -338,6 +334,9 @@ func (p *Pool) probe(ctx context.Context, b *Backend) {
 	}
 }
 
+// readmitBackoffMax caps the re-admission backoff's doubling.
+const readmitBackoffMax = 30 * time.Second
+
 // recordFailure counts one probe failure and ejects the backend once
 // the consecutive-failure threshold is crossed (doubling the
 // re-admission backoff while failures continue).
@@ -350,8 +349,8 @@ func (p *Pool) recordFailure(b *Backend) {
 			b.backoff = p.backoffBase
 		} else {
 			b.backoff *= 2
-			if b.backoff > p.backoffMax {
-				b.backoff = p.backoffMax
+			if b.backoff > readmitBackoffMax {
+				b.backoff = readmitBackoffMax
 			}
 		}
 		b.retryAt = time.Now().Add(b.backoff)
@@ -365,10 +364,13 @@ func (p *Pool) recordFailure(b *Backend) {
 	}
 }
 
+// probeTimeout bounds one probe round trip.
+const probeTimeout = 2 * time.Second
+
 // get performs one probe GET against a backend, bounded by the probe
 // timeout, and returns the reply with its (bounded) body read.
 func (p *Pool) get(ctx context.Context, b *Backend, path string) (*http.Response, []byte, error) {
-	pctx, cancel := context.WithTimeout(ctx, p.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.Base+path, nil)
 	if err != nil {

@@ -32,23 +32,17 @@ type Config struct {
 	VirtualNodes int
 	// ProbeInterval paces the health/generation probe loop. Default 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip. Default 2s.
-	ProbeTimeout time.Duration
 	// EjectAfter is the consecutive probe failures before a backend is
 	// ejected from routing. Default 3.
 	EjectAfter int
 	// ReadmitBackoff is the first re-admission probe delay after an
-	// ejection; it doubles per failed re-probe up to ReadmitBackoffMax.
-	// Defaults 1s and 30s.
-	ReadmitBackoff    time.Duration
-	ReadmitBackoffMax time.Duration
+	// ejection; it doubles per failed re-probe up to 30s. Default 1s.
+	ReadmitBackoff time.Duration
 	// HedgeAfter fixes the hedge delay: a predict call still unanswered
 	// after this long launches a second attempt on the next replica. 0
-	// derives the delay from the observed backend p95 (floored at
-	// HedgeMin); negative disables hedging.
+	// derives the delay from the observed backend p95 (floored at 1ms);
+	// negative disables hedging.
 	HedgeAfter time.Duration
-	// HedgeMin floors the derived hedge delay. Default 1ms.
-	HedgeMin time.Duration
 	// RequestTimeout bounds one inbound request end to end. Default 10s.
 	RequestTimeout time.Duration
 	// Client reaches the backends; nil selects a pooled transport.
@@ -76,20 +70,11 @@ func (c *Config) defaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
 	if c.ReadmitBackoff <= 0 {
 		c.ReadmitBackoff = time.Second
-	}
-	if c.ReadmitBackoffMax <= 0 {
-		c.ReadmitBackoffMax = 30 * time.Second
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = time.Millisecond
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -460,9 +445,12 @@ func notOK(pr *proxyResult) bool { return !pr.ok() }
 // request was definitely not processed.
 func shedOnly(pr *proxyResult) bool { return pr.shed }
 
+// hedgeMin floors the derived hedge delay.
+const hedgeMin = time.Millisecond
+
 // hedgeDelay is the time to wait before launching a second attempt on
 // the next replica: the configured HedgeAfter, or the observed backend
-// p95 floored at HedgeMin. Negative HedgeAfter disables hedging.
+// p95 floored at hedgeMin. Negative HedgeAfter disables hedging.
 func (rt *Router) hedgeDelay() time.Duration {
 	if rt.cfg.HedgeAfter > 0 {
 		return rt.cfg.HedgeAfter
@@ -470,10 +458,10 @@ func (rt *Router) hedgeDelay() time.Duration {
 	if rt.cfg.HedgeAfter < 0 {
 		return -1
 	}
-	if d := time.Duration(math.Round(rt.backLat.Quantile(0.95) * float64(time.Second))); d > rt.cfg.HedgeMin {
+	if d := time.Duration(math.Round(rt.backLat.Quantile(0.95) * float64(time.Second))); d > hedgeMin {
 		return d
 	}
-	return rt.cfg.HedgeMin
+	return hedgeMin
 }
 
 // hedge is what one hedgedCall shares with its sidecar.

@@ -40,7 +40,6 @@ type machineScore struct {
 	slowSum     float64
 	energyJ     float64
 	objective   float64
-	worst       float64 // worst interference slowdown (GreedyPack's criterion)
 }
 
 var emptyScore = &machineScore{}
@@ -359,9 +358,6 @@ func (e *engine) scoreState(sc *machineScore, cls *machineClass, k int, w []int3
 		sc.energyJ += sharePower * pred
 		if e.qos > 0 && a.slowdown > e.qos {
 			sc.violations++
-		}
-		if a.slowdown > sc.worst {
-			sc.worst = a.slowdown
 		}
 	}
 	if e.obj == MinEnergy {

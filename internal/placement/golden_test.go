@@ -201,40 +201,8 @@ func optimizeRecord(t testing.TB, c goldenCase) (goldenRecord, []byte) {
 	}, raw
 }
 
-// greedyPackRecords runs the /v1/schedule packer over seeded job lists at
-// three bounds, pinned P-states and a capped fleet.
-func greedyPackRecords(t testing.TB, tag string, m *core.Model) []goldenRecord {
-	t.Helper()
-	src := xrand.New(0x9ac4)
-	names := m.Apps()
-	var out []goldenRecord
-	for i := 0; i < 12; i++ {
-		jobs := make([]string, 6+src.Intn(14))
-		for j := range jobs {
-			jobs[j] = names[src.Intn(len(names))]
-		}
-		cfg := PackConfig{MaxSlowdown: []float64{1.1, 1.3, 2.0}[i%3], PState: i % m.PStates()}
-		if i%4 == 3 {
-			cfg.MaxMachines = 2
-		}
-		spec := simproc.XeonE5649()
-		if i%6 == 5 {
-			spec = simproc.XeonE52697v2()
-		}
-		got, err := GreedyPack(context.Background(), m, spec, jobs, cfg)
-		name := fmt.Sprintf("%s/pack-%02d", tag, i)
-		if err != nil {
-			// A capped fleet can run out of cores: the error is the pinned outcome.
-			got = [][]string{{"error: " + err.Error()}}
-		}
-		sum := sha256.Sum256(mustJSON(t, got))
-		out = append(out, goldenRecord{Case: name, Digest: hex.EncodeToString(sum[:]), Assignments: got})
-	}
-	return out
-}
-
 // TestGoldenPlans pins every byte the optimizer reports — streamed plans,
-// final result, the pack-first baseline and the /v1/schedule packer —
+// final result and the pack-first baseline —
 // against a corpus generated by the string-keyed engine this one
 // replaced: the search may get cheaper, its plans may not move.
 func TestGoldenPlans(t *testing.T) {
@@ -248,8 +216,6 @@ func TestGoldenPlans(t *testing.T) {
 		got = append(got, rec)
 		raws[rec.Case] = raw
 	}
-	got = append(got, greedyPackRecords(t, "test", small)...)
-	got = append(got, greedyPackRecords(t, "wide", wide)...)
 
 	if *updateGolden {
 		var buf bytes.Buffer

@@ -11,7 +11,6 @@ import (
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
-	"colocmodel/internal/sched"
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/workload"
 )
@@ -286,57 +285,63 @@ func TestProblemValidation(t *testing.T) {
 	}
 }
 
+// greedyPackers are the package's two single-pass packers: the
+// interference-oblivious PackFirst and greedy construction alone
+// (Optimize with Beam 0). Each returns the error it met.
+var greedyPackers = []struct {
+	name string
+	pack func(Problem) error
+}{
+	{"PackFirst", func(p Problem) error {
+		_, err := PackFirst(context.Background(), p)
+		return err
+	}},
+	{"greedy construction", func(p Problem) error {
+		p.Beam = 0
+		_, err := Optimize(context.Background(), p, nil)
+		return err
+	}},
+}
+
 // TestGreedyPackRejectsNaNBound: a NaN bound fails "must exceed 1" like
 // any other bound at or below 1, instead of switching QoS off.
 func TestGreedyPackRejectsNaNBound(t *testing.T) {
-	_, err := GreedyPack(context.Background(), trainedModel(t), simproc.XeonE5649(), []string{"cg", "ep"},
-		PackConfig{MaxSlowdown: math.NaN()})
-	if !IsInvalid(err) {
-		t.Fatalf("NaN bound: error %v, want one wrapping ErrInvalid", err)
+	p := Problem{
+		Model:    trainedModel(t),
+		Machines: []Machine{{Spec: simproc.XeonE5649()}},
+		Apps:     []string{"cg", "ep"},
+		QoSBound: math.NaN(),
 	}
-}
-
-func TestGreedyPackMatchesSchedGreedyAware(t *testing.T) {
-	// /v1/schedule routes through GreedyPack; it must reproduce
-	// sched.GreedyAware's assignments exactly (predictions are
-	// bit-identical between the scalar and batched paths).
-	model := trainedModel(t)
-	spec := simproc.XeonE5649()
-	jobs := []string{"cg", "cg", "ep", "canneal", "cg", "ep", "canneal", "canneal", "cg", "ep"}
-	for _, cfg := range []sched.AwareConfig{
-		{MaxSlowdown: 1.3},
-		{MaxSlowdown: 2.0},
-		{MaxSlowdown: 1.1, MaxMachines: 2},
-	} {
-		want, err := sched.GreedyAware(model, spec, jobs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := GreedyPack(context.Background(), model, spec, jobs, PackConfig{
-			MaxSlowdown: cfg.MaxSlowdown,
-			PState:      cfg.PState,
-			MaxMachines: cfg.MaxMachines,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual([][]string(want), got) {
-			t.Fatalf("cfg %+v: GreedyPack %v != sched.GreedyAware %v", cfg, got, want)
+	for _, g := range greedyPackers {
+		if err := g.pack(p); !IsInvalid(err) {
+			t.Fatalf("%s, NaN bound: error %v, want one wrapping ErrInvalid", g.name, err)
 		}
 	}
 }
 
 func TestGreedyPackValidation(t *testing.T) {
 	model := trainedModel(t)
-	spec := simproc.XeonE5649()
-	if _, err := GreedyPack(context.Background(), model, spec, []string{"cg"}, PackConfig{MaxSlowdown: 1.0}); !IsInvalid(err) {
-		t.Fatalf("bound 1.0: want ErrInvalid, got %v", err)
+	problem := func(apps []string, bound float64, pstates []int) Problem {
+		return Problem{
+			Model:    model,
+			Machines: []Machine{{Spec: simproc.XeonE5649(), PStates: pstates}},
+			Apps:     apps,
+			QoSBound: bound,
+		}
 	}
-	if _, err := GreedyPack(context.Background(), model, spec, []string{"nosuch"}, PackConfig{MaxSlowdown: 1.5}); !IsInvalid(err) {
-		t.Fatalf("unknown app: want ErrInvalid, got %v", err)
-	}
-	if _, err := GreedyPack(context.Background(), model, spec, []string{"cg"}, PackConfig{MaxSlowdown: 1.5, PState: 99}); !IsInvalid(err) {
-		t.Fatalf("bad pstate: want ErrInvalid, got %v", err)
+	for _, g := range greedyPackers {
+		if err := g.pack(problem([]string{"cg"}, 1.0, nil)); !IsInvalid(err) {
+			t.Fatalf("%s, bound 1.0: want ErrInvalid, got %v", g.name, err)
+		}
+		if err := g.pack(problem([]string{"nosuch"}, 1.5, nil)); !IsInvalid(err) {
+			t.Fatalf("%s, unknown app: want ErrInvalid, got %v", g.name, err)
+		}
+		if err := g.pack(problem([]string{"cg"}, 1.5, []int{99})); !IsInvalid(err) {
+			t.Fatalf("%s, bad pstate: want ErrInvalid, got %v", g.name, err)
+		}
+		if err := g.pack(problem([]string{"cg"}, 1.5, nil)); err != nil {
+			t.Fatalf("%s, valid problem rejected: %v", g.name, err)
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"colocmodel/internal/core"
-	"colocmodel/internal/simproc"
 	"colocmodel/internal/xrand"
 )
 
@@ -388,95 +386,4 @@ func PackFirst(ctx context.Context, prob Problem) (*Plan, error) {
 	}
 	copy(st.scores, scores)
 	return st.plan(), nil
-}
-
-// PackConfig tunes GreedyPack, mirroring sched.AwareConfig.
-type PackConfig struct {
-	// MaxSlowdown is the QoS bound on predicted interference slowdown
-	// (must exceed 1).
-	MaxSlowdown float64
-	// PState is every machine's fixed operating point.
-	PState int
-	// MaxMachines optionally caps the fleet; 0 = unlimited. When the
-	// cap binds, jobs go to the least-bad machine even over the bound.
-	MaxMachines int
-}
-
-// GreedyPack is the open-fleet greedy packer behind POST /v1/schedule:
-// semantically identical to sched.GreedyAware (each job goes to the
-// feasible machine with the smallest predicted worst slowdown after
-// placement, opening a new machine when none is feasible), but every
-// decision's candidate machines are scored in one batched model call
-// through the placement engine — one scoring path for the whole
-// scheduling surface. Predictions are bit-identical to the per-scenario
-// path, so assignments match sched.GreedyAware exactly.
-func GreedyPack(ctx context.Context, model *core.Model, spec simproc.Spec, jobs []string, cfg PackConfig) ([][]string, error) {
-	if model == nil {
-		return nil, invalidf("nil model")
-	}
-	if !(cfg.MaxSlowdown > 1) { // NaN fails too
-		return nil, invalidf("QoS bound %v must exceed 1", cfg.MaxSlowdown)
-	}
-	if cfg.PState < 0 || cfg.PState >= model.PStates() {
-		return nil, invalidf("P-state %d out of range [0,%d)", cfg.PState, model.PStates())
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, invalidf("%v", err)
-	}
-	// newEngine refuses an unknown job as it resolves the jobs to ids.
-	eng, err := newEngine(model, []Machine{{
-		Spec: spec, Cores: spec.Cores, PStates: []int{cfg.PState},
-	}}, jobs, MinDegradation, cfg.MaxSlowdown)
-	if err != nil {
-		return nil, err
-	}
-
-	var placed [][]int // machine → job indices, placement order
-	var cands []int
-	for ji := range jobs {
-		eng.begin()
-		cands = cands[:0]
-		for mi, mem := range placed {
-			if len(mem) >= spec.Cores {
-				continue
-			}
-			eng.ask(0, false, mem, -1, ji)
-			cands = append(cands, mi)
-		}
-		scores, err := eng.scoreAll(ctx)
-		if err != nil {
-			return nil, err
-		}
-		best, bestWorst := -1, 0.0
-		for c, sc := range scores {
-			if sc.worst <= cfg.MaxSlowdown && (best == -1 || sc.worst < bestWorst) {
-				best, bestWorst = c, sc.worst
-			}
-		}
-		if best == -1 && cfg.MaxMachines > 0 && len(placed) >= cfg.MaxMachines {
-			// Fleet is capped: fall back to the least-bad machine.
-			for c, sc := range scores {
-				if best == -1 || sc.worst < bestWorst {
-					best, bestWorst = c, sc.worst
-				}
-			}
-			if best == -1 {
-				return nil, fmt.Errorf("placement: fleet capped at %d machines and all cores busy", cfg.MaxMachines)
-			}
-		}
-		if best == -1 {
-			placed = append(placed, []int{ji})
-			continue
-		}
-		placed[cands[best]] = append(placed[cands[best]], ji)
-	}
-	var out [][]string
-	for _, mem := range placed {
-		names := make([]string, len(mem))
-		for k, ji := range mem {
-			names[k] = jobs[ji]
-		}
-		out = append(out, names)
-	}
-	return out, nil
 }

@@ -89,9 +89,17 @@ func GreedyAware(model *core.Model, spec simproc.Spec, jobs []string, cfg AwareC
 	if !(cfg.MaxSlowdown > 1) { // NaN fails too
 		return nil, fmt.Errorf("sched: QoS bound %v must exceed 1", cfg.MaxSlowdown)
 	}
+	// Checked up front: a job placed alone is never predicted, so a bad
+	// P-state or app would otherwise surface only when one is co-located.
+	if cfg.PState < 0 || cfg.PState >= model.PStates() {
+		return nil, fmt.Errorf("sched: P-state %d out of range [0,%d)", cfg.PState, model.PStates())
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
 	for _, job := range jobs {
-		if _, err := workload.ByName(job); err != nil {
-			return nil, err
+		if !model.HasApp(job) {
+			return nil, fmt.Errorf("sched: model has no baseline for job %q", job)
 		}
 	}
 	var out Assignment

@@ -112,19 +112,32 @@ func TestGreedyAwareUsesFewerMachinesWithLooserBound(t *testing.T) {
 	}
 }
 
+// Every input is checked before the first placement: a lone job is never
+// predicted, so a bad P-state, spec or app must not slip through on one.
 func TestGreedyAwareErrors(t *testing.T) {
 	m := trainedModel(t)
-	if _, err := GreedyAware(nil, simproc.XeonE5649(), []string{"cg"}, AwareConfig{MaxSlowdown: 1.2}); err == nil {
-		t.Fatal("nil model accepted")
-	}
-	if _, err := GreedyAware(m, simproc.XeonE5649(), []string{"cg"}, AwareConfig{MaxSlowdown: 0.9}); err == nil {
-		t.Fatal("bound below 1 accepted")
-	}
-	if _, err := GreedyAware(m, simproc.XeonE5649(), []string{"cg"}, AwareConfig{MaxSlowdown: math.NaN()}); err == nil {
-		t.Fatal("NaN bound accepted")
-	}
-	if _, err := GreedyAware(m, simproc.XeonE5649(), []string{"ghost"}, AwareConfig{MaxSlowdown: 1.2}); err == nil {
-		t.Fatal("unknown app accepted")
+	six := simproc.XeonE5649()
+	for _, c := range []struct {
+		name  string
+		model *core.Model
+		spec  simproc.Spec
+		jobs  []string
+		cfg   AwareConfig
+	}{
+		{"nil model", nil, six, []string{"cg"}, AwareConfig{MaxSlowdown: 1.2}},
+		{"bound below 1", m, six, []string{"cg"}, AwareConfig{MaxSlowdown: 0.9}},
+		{"bound 1", m, six, []string{"cg"}, AwareConfig{MaxSlowdown: 1.0}},
+		{"NaN bound", m, six, []string{"cg", "ep"}, AwareConfig{MaxSlowdown: math.NaN()}},
+		{"unknown app", m, six, []string{"ghost"}, AwareConfig{MaxSlowdown: 1.2}},
+		{"app without baseline", m, six, []string{"lu"}, AwareConfig{MaxSlowdown: 1.5}},
+		{"P-state past the model", m, six, []string{"cg"}, AwareConfig{MaxSlowdown: 1.5, PState: 99}},
+		{"negative P-state", m, six, []string{"cg"}, AwareConfig{MaxSlowdown: 1.5, PState: -1}},
+		{"P-state with two jobs", m, six, []string{"cg", "ep"}, AwareConfig{MaxSlowdown: 1.5, PState: 99}},
+		{"zero spec", m, simproc.Spec{}, []string{"cg"}, AwareConfig{MaxSlowdown: 1.5}},
+	} {
+		if asg, err := GreedyAware(c.model, c.spec, c.jobs, c.cfg); err == nil {
+			t.Errorf("%s: accepted, assignment %v", c.name, asg)
+		}
 	}
 }
 
@@ -221,73 +234,6 @@ func TestSortJobsByIntensity(t *testing.T) {
 	}
 	if _, err := SortJobsByIntensity(spec, []string{"ghost"}); err == nil {
 		t.Fatal("unknown app accepted")
-	}
-}
-
-func TestPStatePlanMeetsDeadline(t *testing.T) {
-	m := trainedModel(t)
-	spec := simproc.XeonE5649()
-	sc := features.Scenario{Target: "canneal", CoApps: []string{"cg"}}
-	// Generous deadline: the plan must pick a P-state slower than P0
-	// (less energy) and still meet it.
-	choices, best, ok, err := PStatePlan(m, spec, sc, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("generous deadline not met")
-	}
-	if len(choices) != spec.PStates.Len() {
-		t.Fatalf("got %d choices", len(choices))
-	}
-	if best == 0 {
-		t.Fatal("generous deadline should allow a slower P-state than P0")
-	}
-	for _, c := range choices {
-		if !c.MeetsDeadline {
-			t.Fatalf("P%d misses a generous deadline", c.PState)
-		}
-	}
-	// The recommendation is the energy minimum among feasible points.
-	for _, c := range choices {
-		if c.MeetsDeadline && c.TargetEnergyJ < choices[best].TargetEnergyJ {
-			t.Fatalf("P%d cheaper than recommended P%d", c.PState, best)
-		}
-	}
-}
-
-func TestPStatePlanTightDeadline(t *testing.T) {
-	m := trainedModel(t)
-	spec := simproc.XeonE5649()
-	sc := features.Scenario{Target: "canneal", CoApps: []string{"cg", "cg"}}
-	// Impossible deadline: fall back to P0, flagged infeasible.
-	choices, best, ok, err := PStatePlan(m, spec, sc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("1-second deadline reported feasible")
-	}
-	if best != 0 {
-		t.Fatalf("infeasible plan recommends P%d, want P0", best)
-	}
-	if choices[0].MeetsDeadline {
-		t.Fatal("P0 cannot meet a 1-second deadline")
-	}
-}
-
-func TestPStatePlanErrors(t *testing.T) {
-	m := trainedModel(t)
-	spec := simproc.XeonE5649()
-	sc := features.Scenario{Target: "canneal"}
-	if _, _, _, err := PStatePlan(nil, spec, sc, 100); err == nil {
-		t.Fatal("nil model accepted")
-	}
-	if _, _, _, err := PStatePlan(m, spec, sc, 0); err == nil {
-		t.Fatal("zero deadline accepted")
-	}
-	if _, _, _, err := PStatePlan(m, spec, features.Scenario{Target: "ghost"}, 100); err == nil {
-		t.Fatal("unknown target accepted")
 	}
 }
 

@@ -19,7 +19,7 @@ type Metrics struct {
 }
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning
-// single predicts (~µs) through batch fan-outs and schedule calls.
+// single predicts (~µs) through batch fan-outs and placement searches.
 var latencyBuckets = []float64{
 	1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5,
 }

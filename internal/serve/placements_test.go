@@ -8,9 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"colocmodel/internal/sched"
-	"colocmodel/internal/simproc"
 )
 
 // placementsBody builds the canonical test request: a 4-machine fleet
@@ -201,49 +198,6 @@ func TestPlacementsDrainingSheds(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("missing Retry-After")
-	}
-}
-
-// TestScheduleCompatShape pins POST /v1/schedule's behaviour now that it
-// routes through the placement engine: the response shape is unchanged
-// field for field, and the assignment still matches sched.GreedyAware.
-func TestScheduleCompatShape(t *testing.T) {
-	s, m := newTestServer(t, Config{})
-	jobs := []string{"cg", "cg", "ep", "canneal", "cg", "ep"}
-	w := postJSON(t, s.Handler(), "/v1/schedule", ScheduleRequest{
-		Jobs: jobs, MaxSlowdown: 1.5,
-	})
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	// Exactly the pre-placement-engine keys, no more, no fewer.
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"model", "spec", "machine", "assignment", "machines_used", "jobs"} {
-		if _, ok := raw[k]; !ok {
-			t.Fatalf("response lost key %q: %s", k, w.Body.String())
-		}
-	}
-	if len(raw) != 6 {
-		t.Fatalf("response grew to %d keys: %s", len(raw), w.Body.String())
-	}
-	resp := decodeBody[ScheduleResponse](t, w)
-	want, err := sched.GreedyAware(m, simproc.XeonE5649(), jobs, sched.AwareConfig{MaxSlowdown: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Assignment) != len(want) {
-		t.Fatalf("assignment %v != sched.GreedyAware %v", resp.Assignment, want)
-	}
-	for i := range want {
-		if strings.Join(resp.Assignment[i], ",") != strings.Join(want[i], ",") {
-			t.Fatalf("machine %d: %v != %v", i, resp.Assignment[i], want[i])
-		}
-	}
-	if resp.Machine != "Xeon E5649" || resp.Jobs != len(jobs) {
-		t.Fatalf("identity fields wrong: %+v", resp)
 	}
 }
 

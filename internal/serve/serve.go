@@ -20,13 +20,13 @@
 // detector can trigger gated background retraining with atomic promotion.
 //
 // Endpoints: POST /v1/predict, POST /v1/predict/batch, POST
-// /v1/schedule, POST /v1/placements, POST /v1/models/reload, GET
-// /v1/models, POST /v1/observations, GET /v1/drift, POST /v1/retrain,
-// GET /v1/retrain/status, GET /v1/version, GET /v1/traces, GET /v1/slo,
-// GET /healthz, GET /metrics. Client mistakes (unknown app or model, out-of-range
-// P-state, malformed JSON) return 400 with a typed error body (413 for
-// an oversized one); only genuine faults return 500. The endpoints
-// that can run long (batch, schedule, placements, observations) run
+// /v1/placements, POST /v1/models/reload, GET /v1/models, POST
+// /v1/observations, GET /v1/drift, POST /v1/retrain, GET
+// /v1/retrain/status, GET /v1/version, GET /v1/traces, GET /v1/slo, GET
+// /healthz, GET /metrics. Client mistakes (unknown app or model,
+// out-of-range P-state, malformed JSON) return 400 with a typed error
+// body (413 for an oversized one); only genuine faults return 500. The
+// endpoints that can run long (batch, placements, observations) run
 // under a context timeout.
 package serve
 
@@ -50,20 +50,16 @@ import (
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
 	"colocmodel/internal/obs"
-	"colocmodel/internal/placement"
-	"colocmodel/internal/sched"
 	"colocmodel/internal/simproc"
 )
 
 // Config tunes the server.
 type Config struct {
-	// RequestTimeout bounds the processing time of a batch, schedule,
-	// placements or observations request. Default 10s.
+	// RequestTimeout bounds the processing time of a batch, placements
+	// or observations request. Default 10s.
 	RequestTimeout time.Duration
 	// MaxBatch caps scenarios per batch request. Default 4096.
 	MaxBatch int
-	// MaxScheduleJobs caps jobs per schedule request. Default 1024.
-	MaxScheduleJobs int
 	// MaxPlacementApps caps pending apps per placement request.
 	// Default 256.
 	MaxPlacementApps int
@@ -89,9 +85,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 4096
-	}
-	if c.MaxScheduleJobs == 0 {
-		c.MaxScheduleJobs = 1024
 	}
 	if c.MaxPlacementApps == 0 {
 		c.MaxPlacementApps = 256
@@ -163,7 +156,6 @@ func (s *Server) Handler() http.Handler {
 		mux := http.NewServeMux()
 		mux.HandleFunc("POST /v1/predict", s.wrap("predict", s.handlePredict))
 		mux.HandleFunc("POST /v1/predict/batch", s.wrap("predict_batch", s.withDeadline(s.handlePredictBatch)))
-		mux.HandleFunc("POST /v1/schedule", s.wrap("schedule", s.withDeadline(s.handleSchedule)))
 		mux.HandleFunc("POST /v1/placements", s.wrap("placements", s.withDeadline(s.handlePlacements)))
 		mux.HandleFunc("GET /v1/models", s.wrap("models", s.handleModels))
 		mux.HandleFunc("POST /v1/models/reload", s.wrap("reload", s.handleReload))
@@ -226,8 +218,9 @@ func (s *Server) shed(w http.ResponseWriter) int {
 	return status
 }
 
-// withDeadline runs a handler under the per-request timeout. The scalar
-// predict, the retrain trigger and the read-only endpoints never
+// withDeadline runs a handler under the per-request timeout: batch,
+// placements and observations, the endpoints that can run long. The
+// scalar predict, the retrain trigger and the read-only endpoints never
 // consult their context, so they are registered without it and pay for
 // no timer.
 func (s *Server) withDeadline(h handlerFunc) handlerFunc {
@@ -615,94 +608,6 @@ func (ev *batchEval) release() {
 	ev.rows, ev.preds = ev.rows[:0], ev.preds[:0]
 	if cap(ev.rows) <= maxRowHint {
 		batchEvalPool.Put(ev)
-	}
-}
-
-// ---- schedule ----
-
-// ScheduleRequest asks for a placement of jobs onto machines using the
-// interference-aware greedy packer.
-type ScheduleRequest struct {
-	// Model names the registry entry; empty selects the default.
-	Model string `json:"model,omitempty"`
-	// Machine selects the fleet's machine type ("6core" or "12core");
-	// empty infers it from the model's training machine.
-	Machine string `json:"machine,omitempty"`
-	// Jobs are the application names to place (one entry per copy).
-	Jobs []string `json:"jobs"`
-	// MaxSlowdown is the QoS bound (must exceed 1).
-	MaxSlowdown float64 `json:"max_slowdown"`
-	// PState is the fleet's operating point.
-	PState int `json:"pstate"`
-	// MaxMachines optionally caps the fleet (0 = unlimited).
-	MaxMachines int `json:"max_machines,omitempty"`
-}
-
-// ScheduleResponse reports the placement.
-type ScheduleResponse struct {
-	Model        string     `json:"model"`
-	Spec         string     `json:"spec"`
-	Machine      string     `json:"machine"`
-	Assignment   [][]string `json:"assignment"`
-	MachinesUsed int        `json:"machines_used"`
-	Jobs         int        `json:"jobs"`
-}
-
-func (s *Server) handleSchedule(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
-	sp := tr.StartSpan("decode")
-	var req ScheduleRequest
-	e := decodeRequest(r, &req)
-	sp.End()
-	if e != nil {
-		return errBody(e)
-	}
-	rm, e := s.resolveModel(req.Model)
-	if e != nil {
-		return errBody(e)
-	}
-	m := rm.m
-	if len(req.Jobs) == 0 {
-		return errBody(badRequest(CodeBadRequest, "jobs must not be empty"))
-	}
-	if len(req.Jobs) > s.cfg.MaxScheduleJobs {
-		return errBody(badRequest(CodeBadRequest, "%d jobs exceed limit %d", len(req.Jobs), s.cfg.MaxScheduleJobs))
-	}
-	for _, j := range req.Jobs {
-		if !m.HasApp(j) {
-			return errBody(badRequest(CodeUnknownApp, "unknown job %q (known: %s)", j, rm.known))
-		}
-	}
-	if req.MaxSlowdown <= 1 {
-		return errBody(badRequest(CodeBadRequest, "max_slowdown %v must exceed 1", req.MaxSlowdown))
-	}
-	if req.PState < 0 || req.PState >= rm.pstates {
-		return errBody(badRequest(CodeBadPState, "P-state %d out of range [0,%d)", req.PState, rm.pstates))
-	}
-	spec, e := resolveMachine(req.Machine, m)
-	if e != nil {
-		return errBody(e)
-	}
-	if err := r.Context().Err(); err != nil {
-		return errBody(&Error{Status: http.StatusServiceUnavailable, Code: CodeTimeout, Message: "request timed out"})
-	}
-	// One scoring path for the whole scheduling surface: the placement
-	// engine's open-fleet greedy packer, which batches each decision's
-	// candidate scoring and reproduces sched.GreedyAware exactly.
-	asg, err := placement.GreedyPack(r.Context(), m, spec, req.Jobs, placement.PackConfig{
-		MaxSlowdown: req.MaxSlowdown,
-		PState:      req.PState,
-		MaxMachines: req.MaxMachines,
-	})
-	if err != nil {
-		if placement.IsInvalid(err) {
-			return errBody(badRequest(CodeBadRequest, "%v", err))
-		}
-		return errBody(asError(err))
-	}
-	a := sched.Assignment(asg)
-	return http.StatusOK, ScheduleResponse{
-		Model: rm.name, Spec: rm.spec, Machine: spec.Name,
-		Assignment: a, MachinesUsed: a.MachinesUsed(), Jobs: a.JobCount(),
 	}
 }
 

@@ -213,7 +213,6 @@ func TestTrailingDataRejected(t *testing.T) {
 	bodies := map[string]string{
 		"/v1/predict":       `{"target":"cg","co_apps":["ep"],"pstate":0}`,
 		"/v1/predict/batch": `{"scenarios":[{"target":"cg","co_apps":["ep"],"pstate":0}]}`,
-		"/v1/schedule":      `{"jobs":["cg","ep"],"max_slowdown":1.5}`,
 		"/v1/placements":    `{"apps":["cg","ep"],"machines":[{}]}`,
 		"/v1/observations":  `{"target":"cg","co_apps":["ep"],"pstate":0,"measured_seconds":100}`,
 		"/v1/retrain":       `{"reason":"test"}`,
@@ -271,7 +270,7 @@ func (b *countingBody) Close() error { return nil }
 func TestOversizedBodyRejected(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
-	for _, path := range []string{"/v1/predict", "/v1/predict/batch", "/v1/schedule", "/v1/placements"} {
+	for _, path := range []string{"/v1/predict", "/v1/predict/batch", "/v1/placements"} {
 		for _, declared := range []bool{true, false} {
 			body := &countingBody{n: 64 << 20}
 			req := httptest.NewRequest(http.MethodPost, path, nil)
@@ -293,11 +292,21 @@ func TestOversizedBodyRejected(t *testing.T) {
 			}
 		}
 	}
+	// POST /v1/schedule is gone: the mux's plain 404, with no handler to
+	// read the body or answer a typed error.
+	body := &countingBody{n: 64 << 20}
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule", nil)
+	req.Body, req.ContentLength = body, -1
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusNotFound || w.Body.String() != "404 page not found\n" || body.read != 0 {
+		t.Fatalf("/v1/schedule: status %d body %q read %d, want the mux's 404 and nothing read", w.Code, w.Body.String(), body.read)
+	}
 	// A body of exactly the bound is read in full and reaches the decoder
 	// (all whitespace: the decoder's EOF, not a 413).
-	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	req = httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
 	req.Body, req.ContentLength = &countingBody{n: maxBodyBytes}, -1
-	w := httptest.NewRecorder()
+	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "EOF") {
 		t.Fatalf("body at the bound: status %d body %s, want the decoder's 400", w.Code, w.Body.String())
@@ -382,43 +391,6 @@ func TestPredictBatchLimits(t *testing.T) {
 	big := BatchRequest{Scenarios: make([]ScenarioRequest, 3)}
 	if w := postJSON(t, h, "/v1/predict/batch", big); w.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d", w.Code)
-	}
-}
-
-func TestSchedule(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	h := s.Handler()
-	req := ScheduleRequest{
-		Jobs:        []string{"canneal", "cg", "cg", "ep", "ep", "ep"},
-		MaxSlowdown: 1.25,
-		PState:      0,
-	}
-	w := postJSON(t, h, "/v1/schedule", req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	resp := decodeBody[ScheduleResponse](t, w)
-	if resp.Jobs != 6 {
-		t.Fatalf("placed %d jobs, want 6", resp.Jobs)
-	}
-	if resp.MachinesUsed < 1 || resp.MachinesUsed > 6 {
-		t.Fatalf("machines used = %d", resp.MachinesUsed)
-	}
-	if resp.Machine != "Xeon E5649" {
-		t.Fatalf("machine inferred as %q", resp.Machine)
-	}
-
-	for name, bad := range map[string]ScheduleRequest{
-		"empty jobs":     {MaxSlowdown: 1.2},
-		"unknown job":    {Jobs: []string{"ghost"}, MaxSlowdown: 1.2},
-		"bad bound":      {Jobs: []string{"cg"}, MaxSlowdown: 1.0},
-		"bad pstate":     {Jobs: []string{"cg"}, MaxSlowdown: 1.2, PState: 99},
-		"unknown fleet":  {Jobs: []string{"cg"}, MaxSlowdown: 1.2, Machine: "pentium"},
-		"unknown model2": {Model: "ghost", Jobs: []string{"cg"}, MaxSlowdown: 1.2},
-	} {
-		if w := postJSON(t, h, "/v1/schedule", bad); w.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, w.Code)
-		}
 	}
 }
 
