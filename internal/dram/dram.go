@@ -33,13 +33,13 @@ type Config struct {
 	LineBytes int
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. A NaN fails every check it meets.
 func (c Config) Validate() error {
-	if c.BaseLatencyNs <= 0 {
-		return fmt.Errorf("dram: base latency must be positive, got %v", c.BaseLatencyNs)
+	if !(c.BaseLatencyNs > 0) || math.IsInf(c.BaseLatencyNs, 1) {
+		return fmt.Errorf("dram: base latency must be positive and finite, got %v", c.BaseLatencyNs)
 	}
-	if c.PeakBandwidthGBs <= 0 {
-		return fmt.Errorf("dram: peak bandwidth must be positive, got %v", c.PeakBandwidthGBs)
+	if !(c.PeakBandwidthGBs > 0) || math.IsInf(c.PeakBandwidthGBs, 1) {
+		return fmt.Errorf("dram: peak bandwidth must be positive and finite, got %v", c.PeakBandwidthGBs)
 	}
 	if c.Channels <= 0 || c.BanksPerChannel <= 0 {
 		return fmt.Errorf("dram: channels and banks must be positive, got %d, %d", c.Channels, c.BanksPerChannel)
@@ -53,6 +53,9 @@ func (c Config) Validate() error {
 // Controller is an analytical DRAM latency model.
 type Controller struct {
 	cfg Config
+	// Constants of the latency model, computed once by New.
+	peakBytesPerSec float64 // PeakBandwidthGBs·1e9
+	serviceNs       float64 // BaseLatencyNs/√BanksPerChannel
 }
 
 // New constructs a Controller.
@@ -60,7 +63,11 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg}, nil
+	return &Controller{
+		cfg:             cfg,
+		peakBytesPerSec: cfg.PeakBandwidthGBs * 1e9,
+		serviceNs:       cfg.BaseLatencyNs / math.Sqrt(float64(cfg.BanksPerChannel)),
+	}, nil
 }
 
 // Config returns the controller configuration.
@@ -78,7 +85,7 @@ func (c *Controller) Utilization(missesPerSec float64) float64 {
 		return 0
 	}
 	bytesPerSec := missesPerSec * float64(c.cfg.LineBytes)
-	return bytesPerSec / (c.cfg.PeakBandwidthGBs * 1e9)
+	return bytesPerSec / c.peakBytesPerSec
 }
 
 // Latency returns the average memory access latency in nanoseconds when
@@ -97,8 +104,7 @@ func (c *Controller) Latency(missesPerSec float64) float64 {
 	if rho > maxUtilization {
 		rho = maxUtilization
 	}
-	serviceNs := c.cfg.BaseLatencyNs / math.Sqrt(float64(c.cfg.BanksPerChannel))
-	queueNs := serviceNs * rho / (1 - rho)
+	queueNs := c.serviceNs * rho / (1 - rho)
 	return c.cfg.BaseLatencyNs + queueNs
 }
 

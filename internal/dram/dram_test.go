@@ -37,6 +37,18 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted zero config")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, field := range map[string]func(*Config) *float64{
+			"BaseLatencyNs":    func(c *Config) *float64 { return &c.BaseLatencyNs },
+			"PeakBandwidthGBs": func(c *Config) *float64 { return &c.PeakBandwidthGBs },
+		} {
+			cfg := validCfg()
+			*field(&cfg) = v
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
+	}
 }
 
 func TestIdleLatencyIsBase(t *testing.T) {

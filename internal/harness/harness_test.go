@@ -267,6 +267,18 @@ func BenchmarkCollectSmallPlan(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectTableV times the full Table V sweep of the 6-core
+// machine, the collect stage every pipeline pass pays.
+func BenchmarkCollectTableV(b *testing.B) {
+	p := DefaultPlan(simproc.XeonE5649(), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Collect(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // FuzzReadCSV guards the dataset parser against malformed input: it must
 // return an error or a dataset, never panic, and any dataset it accepts
 // must round-trip.

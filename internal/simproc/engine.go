@@ -40,6 +40,10 @@ type appCtx struct {
 	// the two start alike and stay alike, so the fixed point copies a
 	// twin's state from its predecessor instead of recomputing it.
 	twin bool
+	// mrc is app.MRC compiled once per run; memoOcc and memoMiss hold the
+	// last occupancy it was evaluated at and the miss ratio it gave.
+	mrc               workload.CompiledMRC
+	memoOcc, memoMiss float64
 
 	// Accumulated hardware counters.
 	instructions float64
@@ -58,16 +62,27 @@ type appCtx struct {
 
 // newContexts builds the target's context followed by one restarting
 // context per co-runner, marking each co-runner that repeats the one
-// before it a twin. The target is never a twin.
+// before it a twin. The target is never a twin. Each context compiles its
+// curve, or copies its predecessor's if it is a twin, and its memo starts
+// at the curve's value at zero occupancy, the knee.
 func newContexts(target workload.App, coApps []workload.App) []*appCtx {
 	backing := make([]appCtx, len(coApps)+1)
 	ctxs := make([]*appCtx, len(backing))
-	backing[0].app = target
-	ctxs[0] = &backing[0]
-	for i, a := range coApps {
-		c := &backing[i+1]
-		c.app, c.restart, c.twin = a, true, i > 0 && a == coApps[i-1]
-		ctxs[i+1] = c
+	for i := range backing {
+		c := &backing[i]
+		if i == 0 {
+			c.app = target
+		} else {
+			a := coApps[i-1]
+			c.app, c.restart, c.twin = a, true, i > 1 && a == coApps[i-2]
+		}
+		if c.twin {
+			c.mrc = backing[i-1].mrc
+		} else {
+			c.mrc = c.app.MRC.Compile()
+		}
+		c.memoMiss = c.app.MRC.Knee
+		ctxs[i] = c
 	}
 	return ctxs
 }
@@ -206,7 +221,7 @@ func (p *Processor) RunColocation(target workload.App, coApps []workload.App, ps
 		instrPerEpoch := target.Instructions / float64(epochs)
 		for e := 0; e < epochs; e++ {
 			p.solveFixedPoint(ctxs, st.FreqGHz)
-			if tgt.ips <= 0 {
+			if !(tgt.ips > 0) {
 				return fmt.Errorf("simproc: target instruction rate collapsed to zero")
 			}
 			dt := instrPerEpoch / tgt.ips
@@ -376,7 +391,11 @@ func (p *Processor) solveFixedPoint(ctxs []*appCtx, freqGHz float64) {
 			targetOcc := llc * c.weight / weightSum
 			delta := fpDamping * (targetOcc - c.occupancy)
 			c.occupancy += delta
-			maxDelta = math.Max(maxDelta, math.Abs(delta)/llc)
+			// A compare, not math.Max: maxDelta only meets the
+			// tolerance test below, which NaN and +Inf both fail.
+			if d := math.Abs(delta) / llc; d > maxDelta || d != d {
+				maxDelta = d
+			}
 		}
 		memLat += fpDamping * (newLat - memLat)
 		if maxDelta < fpTolerance {
@@ -389,7 +408,8 @@ func (p *Processor) solveFixedPoint(ctxs []*appCtx, freqGHz float64) {
 
 // rates sets each context's miss ratio at its occupancy, and its CPI and
 // instruction rate at a memory latency of memLatCycles; a twin copies its
-// predecessor's.
+// predecessor's. An occupancy bitwise equal to the context's last one
+// reuses the last miss ratio, which is what the curve would return again.
 func (p *Processor) rates(ctxs []*appCtx, memLatCycles, freqGHz float64) {
 	for i, c := range ctxs {
 		if c.twin {
@@ -397,7 +417,10 @@ func (p *Processor) rates(ctxs []*appCtx, memLatCycles, freqGHz float64) {
 			c.missRatio, c.cpi, c.ips = prev.missRatio, prev.cpi, prev.ips
 			continue
 		}
-		c.missRatio = c.app.MRC.Ratio(c.occupancy)
+		if math.Float64bits(c.occupancy) != math.Float64bits(c.memoOcc) {
+			c.memoOcc, c.memoMiss = c.occupancy, c.mrc.Ratio(c.occupancy)
+		}
+		c.missRatio = c.memoMiss
 		hit := (1 - c.missRatio) * p.spec.LLCHitLatencyCycles * c.app.HitExposeFrac
 		miss := c.missRatio * memLatCycles * c.app.MissExposeFrac
 		c.cpi = c.app.BaseCPI + c.accessRate*(hit+miss)

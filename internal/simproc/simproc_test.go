@@ -57,6 +57,16 @@ func TestSpecValidateCatchesBadSpecs(t *testing.T) {
 		func(s *Spec) { s.Mem.BaseLatencyNs = 0 },
 		func(s *Spec) { s.CoreCEffW = -1 },
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mut = append(mut,
+			func(s *Spec) { s.LLCBytes = v },
+			func(s *Spec) { s.LLCHitLatencyCycles = v },
+			func(s *Spec) { s.Mem.BaseLatencyNs = v },
+			func(s *Spec) { s.Mem.PeakBandwidthGBs = v },
+			func(s *Spec) { s.CoreCEffW = v },
+			func(s *Spec) { s.UncorePowerW = v },
+		)
+	}
 	for i, m := range mut {
 		s := XeonE5649()
 		m(&s)
@@ -65,6 +75,36 @@ func TestSpecValidateCatchesBadSpecs(t *testing.T) {
 		}
 		if _, err := New(s); err == nil {
 			t.Errorf("New accepted mutation %d", i)
+		}
+	}
+}
+
+// TestRunRejectsNaNApp checks that a NaN in any real-valued parameter of
+// the target or a co-runner is an error, never a NaN execution time.
+func TestRunRejectsNaNApp(t *testing.T) {
+	p := proc6(t)
+	good := app(t, "canneal")
+	setters := []func(*workload.App){
+		func(a *workload.App) { a.Instructions = math.NaN() },
+		func(a *workload.App) { a.BaseCPI = math.NaN() },
+		func(a *workload.App) { a.LLCAccessRate = math.NaN() },
+		func(a *workload.App) { a.MRC.WorkingSetBytes = math.NaN() },
+		func(a *workload.App) { a.MRC.Knee = math.NaN() },
+		func(a *workload.App) { a.MRC.Floor = math.NaN() },
+		func(a *workload.App) { a.MRC.Alpha = math.NaN() },
+		func(a *workload.App) { a.MissExposeFrac = math.NaN() },
+		func(a *workload.App) { a.HitExposeFrac = math.NaN() },
+		func(a *workload.App) { a.PhaseAmplitude = math.NaN() },
+		func(a *workload.App) { a.Instructions = math.Inf(1) },
+	}
+	for i, set := range setters {
+		bad := good
+		set(&bad)
+		if r, err := p.RunBaseline(bad, 0); err == nil {
+			t.Errorf("setter %d: target accepted, TargetSeconds %v", i, r.TargetSeconds)
+		}
+		if r, err := p.RunColocation(good, []workload.App{bad}, 0, Options{}); err == nil {
+			t.Errorf("setter %d: co-runner accepted, TargetSeconds %v", i, r.TargetSeconds)
 		}
 	}
 }

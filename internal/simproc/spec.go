@@ -37,6 +37,7 @@ package simproc
 
 import (
 	"fmt"
+	"math"
 
 	"colocmodel/internal/dram"
 	"colocmodel/internal/dvfs"
@@ -67,7 +68,8 @@ type Spec struct {
 	UncorePowerW float64
 }
 
-// Validate checks the specification.
+// Validate checks the specification. Every comparison is written so that
+// a NaN fails it, and the unbounded quantities must be finite.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("simproc: spec with empty name")
@@ -75,14 +77,14 @@ func (s Spec) Validate() error {
 	if s.Cores <= 0 {
 		return fmt.Errorf("simproc: %s has %d cores", s.Name, s.Cores)
 	}
-	if s.LLCBytes <= 0 {
-		return fmt.Errorf("simproc: %s LLC size must be positive", s.Name)
+	if !positiveFinite(s.LLCBytes) {
+		return fmt.Errorf("simproc: %s LLC size must be positive and finite, got %v", s.Name, s.LLCBytes)
 	}
 	if s.LLCWays <= 0 {
 		return fmt.Errorf("simproc: %s LLC ways must be positive", s.Name)
 	}
-	if s.LLCHitLatencyCycles <= 0 {
-		return fmt.Errorf("simproc: %s LLC hit latency must be positive", s.Name)
+	if !positiveFinite(s.LLCHitLatencyCycles) {
+		return fmt.Errorf("simproc: %s LLC hit latency must be positive and finite, got %v", s.Name, s.LLCHitLatencyCycles)
 	}
 	if s.PStates == nil || s.PStates.Len() == 0 {
 		return fmt.Errorf("simproc: %s has no P-states", s.Name)
@@ -90,11 +92,14 @@ func (s Spec) Validate() error {
 	if err := s.Mem.Validate(); err != nil {
 		return fmt.Errorf("simproc: %s: %w", s.Name, err)
 	}
-	if s.CoreCEffW < 0 || s.UncorePowerW < 0 {
-		return fmt.Errorf("simproc: %s power parameters must be non-negative", s.Name)
+	if !(s.CoreCEffW >= 0 && s.UncorePowerW >= 0) || math.IsInf(s.CoreCEffW, 1) || math.IsInf(s.UncorePowerW, 1) {
+		return fmt.Errorf("simproc: %s power parameters must be non-negative and finite", s.Name)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is in (0, +Inf); NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 const mib = 1024.0 * 1024.0
 

@@ -94,7 +94,8 @@ type App struct {
 	PhaseAmplitude float64
 }
 
-// Validate checks the model parameters.
+// Validate checks the model parameters. Every comparison is written so
+// that a NaN fails it, and the unbounded quantities must be finite.
 func (a App) Validate() error {
 	if a.Name == "" {
 		return fmt.Errorf("workload: app with empty name")
@@ -105,29 +106,32 @@ func (a App) Validate() error {
 	if a.Class < ClassI || a.Class > ClassIV {
 		return fmt.Errorf("workload: %s has invalid class %d", a.Name, a.Class)
 	}
-	if a.Instructions <= 0 {
-		return fmt.Errorf("workload: %s instructions must be positive", a.Name)
+	if !positiveFinite(a.Instructions) {
+		return fmt.Errorf("workload: %s instructions must be positive and finite, got %v", a.Name, a.Instructions)
 	}
-	if a.BaseCPI <= 0 {
-		return fmt.Errorf("workload: %s base CPI must be positive", a.Name)
+	if !positiveFinite(a.BaseCPI) {
+		return fmt.Errorf("workload: %s base CPI must be positive and finite, got %v", a.Name, a.BaseCPI)
 	}
-	if a.LLCAccessRate < 0 || a.LLCAccessRate > 1 {
+	if !(a.LLCAccessRate >= 0 && a.LLCAccessRate <= 1) {
 		return fmt.Errorf("workload: %s LLC access rate %v out of [0,1]", a.Name, a.LLCAccessRate)
 	}
 	if err := a.MRC.Validate(); err != nil {
 		return fmt.Errorf("workload: %s: %w", a.Name, err)
 	}
-	if a.MissExposeFrac <= 0 || a.MissExposeFrac > 1 {
+	if !(a.MissExposeFrac > 0 && a.MissExposeFrac <= 1) {
 		return fmt.Errorf("workload: %s miss expose fraction %v out of (0,1]", a.Name, a.MissExposeFrac)
 	}
-	if a.HitExposeFrac < 0 || a.HitExposeFrac > 1 {
+	if !(a.HitExposeFrac >= 0 && a.HitExposeFrac <= 1) {
 		return fmt.Errorf("workload: %s hit expose fraction %v out of [0,1]", a.Name, a.HitExposeFrac)
 	}
-	if a.PhaseAmplitude < 0 || a.PhaseAmplitude > 0.5 {
+	if !(a.PhaseAmplitude >= 0 && a.PhaseAmplitude <= 0.5) {
 		return fmt.Errorf("workload: %s phase amplitude %v out of [0,0.5]", a.Name, a.PhaseAmplitude)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is in (0, +Inf); NaN is not.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // BaselineMissRatio returns the miss ratio when the application owns the
 // entire LLC of the given capacity.
@@ -148,8 +152,8 @@ func (a App) BaselineMemoryIntensity(llcBytes float64) float64 {
 // the 3-D grid codes that dominate the suite. The name gains a suffix so
 // baselines of different sizes coexist in one dataset.
 func (a App) Scaled(suffix string, factor float64) (App, error) {
-	if factor <= 0 {
-		return App{}, fmt.Errorf("workload: scale factor must be positive, got %v", factor)
+	if !positiveFinite(factor) {
+		return App{}, fmt.Errorf("workload: scale factor must be positive and finite, got %v", factor)
 	}
 	out := a
 	out.Name = a.Name + suffix

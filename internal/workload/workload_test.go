@@ -134,6 +134,9 @@ func TestIntensityStableAcrossMachines(t *testing.T) {
 	}
 }
 
+// nonFinite are the values every real-valued parameter check must refuse.
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
 func TestValidateCatchesBadApps(t *testing.T) {
 	good, _ := ByName("cg")
 	mut := []func(*App){
@@ -153,6 +156,31 @@ func TestValidateCatchesBadApps(t *testing.T) {
 		m(&a)
 		if err := a.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+	// Every real-valued App parameter must refuse every non-finite value.
+	fields := []struct {
+		name  string
+		field func(*App) *float64
+	}{
+		{"Instructions", func(a *App) *float64 { return &a.Instructions }},
+		{"BaseCPI", func(a *App) *float64 { return &a.BaseCPI }},
+		{"LLCAccessRate", func(a *App) *float64 { return &a.LLCAccessRate }},
+		{"MRC.WorkingSetBytes", func(a *App) *float64 { return &a.MRC.WorkingSetBytes }},
+		{"MRC.Knee", func(a *App) *float64 { return &a.MRC.Knee }},
+		{"MRC.Floor", func(a *App) *float64 { return &a.MRC.Floor }},
+		{"MRC.Alpha", func(a *App) *float64 { return &a.MRC.Alpha }},
+		{"MissExposeFrac", func(a *App) *float64 { return &a.MissExposeFrac }},
+		{"HitExposeFrac", func(a *App) *float64 { return &a.HitExposeFrac }},
+		{"PhaseAmplitude", func(a *App) *float64 { return &a.PhaseAmplitude }},
+	}
+	for _, f := range fields {
+		for _, v := range nonFinite {
+			a := good
+			*f.field(&a) = v
+			if err := a.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
 		}
 	}
 }
@@ -287,7 +315,9 @@ func TestScaled(t *testing.T) {
 	if big.BaselineMemoryIntensity(testLLC) < cg.BaselineMemoryIntensity(testLLC) {
 		t.Fatal("scaling reduced memory intensity")
 	}
-	if _, err := cg.Scaled(".X", 0); err == nil {
-		t.Fatal("zero factor accepted")
+	for _, f := range append([]float64{0}, nonFinite...) {
+		if _, err := cg.Scaled(".X", f); err == nil {
+			t.Errorf("factor %v accepted", f)
+		}
 	}
 }
