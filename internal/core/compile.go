@@ -32,7 +32,7 @@ import (
 //     at compile time, so the scalar path performs zero heap allocations
 //     and no interface or switch dispatch per node;
 //   - the batched path fills a reusable design matrix and evaluates one
-//     kernel per layer: linalg.AccumMulABT over the hidden weights,
+//     kernel per layer: linalg.MulABTBias over the hidden weights,
 //     packed in × out once here, and linalg.GemvBiasInto for the
 //     one-node output layer, four rows at a time; every hidden tanh,
 //     batched or scalar, is one linalg.Tanh call over the layer,
@@ -125,7 +125,7 @@ type compiledLayer struct {
 	b       []float64 // out
 	last    bool      // linear output layer
 	// wt is a hidden layer's w packed once, at compile time, for the
-	// batched path: in × out, the operand linalg.AccumMulABT takes.
+	// batched path: in × out, the operand linalg.MulABTBias takes.
 	wt linalg.Matrix
 }
 
@@ -562,9 +562,8 @@ func (c *instance) forward(out []float64) {
 		return
 	}
 	// Standardise in place (the matrix is private scratch), then one
-	// bias-broadcast + blocked GEMM per layer — the same element-wise
-	// operations, in the same order, as Scaler.Transform followed by
-	// mlp's forwardBatch.
+	// bias-seeded GEMM per layer — the same element-wise operations, in
+	// the same order, as Scaler.Transform followed by mlp's forwardBatch.
 	for i := 0; i < c.x.Rows; i++ {
 		rowD := c.x.Data[i*width : (i+1)*width]
 		for j, v := range rowD {
@@ -582,10 +581,7 @@ func (c *instance) forward(out []float64) {
 		}
 		dst := &c.actM[li%2]
 		growMat(dst, len(out), ly.out)
-		for s := 0; s < dst.Rows; s++ {
-			copy(dst.Data[s*ly.out:(s+1)*ly.out], ly.b)
-		}
-		linalg.AccumMulABT(dst, src, &ly.wt)
+		linalg.MulABTBias(dst, src, &ly.wt, ly.b)
 		if p.act == mlp.Tanh {
 			linalg.Tanh(dst.Data)
 		} else {

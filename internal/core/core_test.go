@@ -11,6 +11,7 @@ import (
 
 	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
+	"colocmodel/internal/mlp"
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/workload"
 )
@@ -159,6 +160,31 @@ func TestTrainErrors(t *testing.T) {
 	short.Baselines["cg"] = b
 	if _, err := Train(Spec{Technique: Linear, FeatureSet: set}, &short, ds.Records); err == nil || !strings.Contains(err.Error(), "compile") {
 		t.Fatalf("short baseline row: err = %v, want the compiler's", err)
+	}
+}
+
+// TestTrainNeuralRejectsBadInput: a negative SCG iteration bound and a
+// non-finite feature are errors, not an untrained model (MaxIter -1), a
+// panic (-5) or the initial random weights with a NaN loss (±Inf).
+func TestTrainNeuralRejectsBadInput(t *testing.T) {
+	ds := testDataset(t)
+	set, _ := features.SetByName("F")
+	for _, n := range []int{-1, -5} {
+		spec := Spec{Technique: NeuralNet, FeatureSet: set, Seed: 1, SCG: mlp.SCGConfig{MaxIter: n}}
+		if _, err := Train(spec, ds, ds.Records); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("MaxIter %d: err = %v, want a negative-bound error", n, err)
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
+		bad := *ds
+		bad.Baselines = maps.Clone(ds.Baselines)
+		b := bad.Baselines["cg"]
+		b.MemIntensity = v
+		bad.Baselines["cg"] = b
+		spec := Spec{Technique: NeuralNet, FeatureSet: set, Seed: 1, SCG: mlp.SCGConfig{MaxIter: 50}}
+		if _, err := Train(spec, &bad, ds.Records); err == nil || !strings.Contains(err.Error(), "infinite") {
+			t.Errorf("cg memory intensity %v: err = %v, want a non-finite data error", v, err)
+		}
 	}
 }
 
@@ -350,6 +376,24 @@ func BenchmarkTrainLinearF(b *testing.B) {
 
 func BenchmarkTrainNeuralF(b *testing.B) {
 	ds := testDataset(b)
+	set, _ := features.SetByName("F")
+	spec := Spec{Technique: NeuralNet, FeatureSet: set, Seed: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(spec, ds, ds.Records); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainNeuralFTableV trains neural-net-F on every record of the
+// 6-core Table V sweep: the training the repository benchmark's train_s
+// times, where BenchmarkTrainNeuralF uses a four-target plan.
+func BenchmarkTrainNeuralFTableV(b *testing.B) {
+	ds, err := harness.Collect(harness.DefaultPlan(simproc.XeonE5649(), 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	set, _ := features.SetByName("F")
 	spec := Spec{Technique: NeuralNet, FeatureSet: set, Seed: 1}
 	b.ResetTimer()

@@ -7,10 +7,14 @@ var cpuAVX2, cpuFMA = false, false
 
 func tanhKernel([]float64) { panic("linalg: no tanh kernel on this architecture") }
 
-func abAVX2(dst, a, b *float64, rows, n, k int) {
-	panic("linalg: no matrix kernel on this architecture")
-}
+func abAVX2(dst, bias, a, b *float64, rows, n, k int) { panic(noMatKernel) }
 
-func rank1AVX2(dst, a, src *float64, outer, inner, dO, dQ, sO, sQ, k int) {
-	panic("linalg: no matrix kernel on this architecture")
-}
+func rank1AVX2(dst, a, b *float64, rows, n, k int) { panic(noMatKernel) }
+
+func atbAVX2(dst, a, b *float64, rows, n, k int) { panic(noMatKernel) }
+
+func colSumsAVX2(dst, a *float64, rows, k int) { panic(noMatKernel) }
+
+func tanhDerivAVX2(d, y *float64, n int) { panic(noMatKernel) }
+
+const noMatKernel = "linalg: no matrix kernel on this architecture"

@@ -25,11 +25,11 @@ import "fmt"
 // modeling pipeline produces.
 const kernelBlock = 64
 
-// useMatKernel selects the AVX2 kernels (kernels_amd64.s) for the three
-// accumulating products, once, at init: when the CPU runs AVX2 and the
-// OS saves the YMM registers. Columns past the last group of four, and
-// every product while it is false, take the Go loops below. Tests clear
-// it to force the Go loops.
+// useMatKernel selects the AVX2 kernels (kernels_amd64.s) for the
+// products, AccumColSums and MulTanhDeriv, once, at init:
+// when the CPU runs AVX2 and the OS saves the YMM registers. Columns past
+// the last group of four, and every entry point while it is false, take
+// the Go loops below. Tests clear it to force the Go loops.
 var useMatKernel = cpuAVX2
 
 func dims(op string, ok bool, format string, args ...any) {
@@ -64,8 +64,7 @@ func AccumMatMul(dst, a, b *Matrix) {
 	n, k := a.Cols, b.Cols
 	j0 := 0
 	if useMatKernel && k >= 4 && a.Rows > 0 && n > 0 {
-		// Row i of dst takes a[i][p]·(row p of b) for p ascending.
-		rank1AVX2(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, n, k, 0, 0, k, k)
+		rank1AVX2(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, n, k)
 		j0 = k &^ 3
 	}
 	accumMatMulGo(dst, a, b, j0)
@@ -100,32 +99,42 @@ func accumMatMulGo(dst, a, b *Matrix, j0 int) {
 	}
 }
 
-// AccumMulABT computes dst += a·bᵀ without allocating, with b passed
-// packed: bt is bᵀ (a.Cols × dst.Cols), so a dense layer's out × in
-// weights are transposed once — at compile time, or once per training
-// iteration — and every product reads them as contiguous rows. Each dst
-// element receives its a.Cols terms in ascending order, on top of
-// whatever the caller stored there (zero for a plain product, a bias for
-// a dense layer); no term is skipped.
-func AccumMulABT(dst, a, bt *Matrix) {
+// MulABTBias sets dst to a·bᵀ with bias added to every row: a dense
+// layer's pre-activations. b is passed packed: bt is bᵀ (a.Cols ×
+// dst.Cols), so a dense layer's out × in weights are transposed once — at
+// compile time, or once per training iteration — and every product reads
+// them as contiguous rows. Each dst element starts at its column's bias
+// and receives its a.Cols terms in ascending order; no term is skipped.
+// dst's previous contents are not read.
+func MulABTBias(dst, a, bt *Matrix, bias []float64) {
+	if len(bias) != dst.Cols {
+		dims("MulABTBias", false, "bias length %d for %d columns", len(bias), dst.Cols)
+	}
 	if a.Cols != bt.Rows {
-		dims("AccumMulABT", false, "inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, bt.Rows, bt.Cols)
+		dims("MulABTBias", false, "inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, bt.Rows, bt.Cols)
 	}
 	if dst.Rows != a.Rows || dst.Cols != bt.Cols {
-		dims("AccumMulABT", false, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bt.Cols)
+		dims("MulABTBias", false, "dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bt.Cols)
 	}
-	checkData("AccumMulABT", dst, a, bt)
+	checkData("MulABTBias", dst, a, bt)
+	k := dst.Cols
 	j0 := 0
-	if useMatKernel && dst.Cols >= 4 && a.Rows > 0 && a.Cols > 0 {
-		abAVX2(&dst.Data[0], &a.Data[0], &bt.Data[0], a.Rows, a.Cols, dst.Cols)
-		j0 = dst.Cols &^ 3
+	if useMatKernel && k >= 4 && a.Rows > 0 && a.Cols > 0 {
+		abAVX2(&dst.Data[0], &bias[0], &a.Data[0], &bt.Data[0], a.Rows, a.Cols, k)
+		j0 = k &^ 3
+	}
+	if j0 == k {
+		return
+	}
+	for i := 0; i < dst.Rows; i++ {
+		copy(dst.Data[i*k+j0:(i+1)*k], bias[j0:])
 	}
 	accumMulABTGo(dst, a, bt, j0)
 }
 
-// accumMulABTGo is AccumMulABT's Go loop over dst columns j0 onwards:
-// four dst elements at a time, each with its own accumulator fed in
-// ascending p, then one at a time.
+// accumMulABTGo is MulABTBias's Go loop over dst columns j0 onwards,
+// which hold the bias: four dst elements at a time, each with its own
+// accumulator fed in ascending p, then one at a time.
 func accumMulABTGo(dst, a, bt *Matrix, j0 int) {
 	n, k := a.Cols, bt.Cols
 	if j0 == k {
@@ -173,8 +182,7 @@ func AccumMulATB(dst, a, b *Matrix) {
 	n, k := a.Cols, b.Cols
 	j0 := 0
 	if useMatKernel && k >= 4 && a.Rows > 0 && n > 0 {
-		// Row i of dst takes a[s][i]·(row s of b) for s ascending.
-		rank1AVX2(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, n, 0, k, k, 0, k)
+		atbAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], a.Rows, n, k)
 		j0 = k &^ 3
 	}
 	accumMulATBGo(dst, a, b, j0)
@@ -227,6 +235,55 @@ func accumMulATBGo(dst, a, b *Matrix, j0 int) {
 				di[j] += av * bv
 			}
 		}
+	}
+}
+
+// AccumColSums adds the rows of a into dst without allocating: dst[j] +=
+// Σ_s a[s][j] with s ascending, zero terms skipped. This is the order a
+// sample-at-a-time loop accumulates a dense layer's bias gradient in, so
+// the batched sum is bit-identical to it.
+func AccumColSums(dst []float64, a *Matrix) {
+	if len(dst) != a.Cols {
+		dims("AccumColSums", false, "dst length %d for %d columns", len(dst), a.Cols)
+	}
+	if len(a.Data) < a.Rows*a.Cols {
+		dims("AccumColSums", false, "matrix data shorter than its shape")
+	}
+	k := a.Cols
+	j0 := 0
+	if useMatKernel && k >= 4 && a.Rows > 0 {
+		colSumsAVX2(&dst[0], &a.Data[0], a.Rows, k)
+		j0 = k &^ 3
+	}
+	if j0 == k {
+		return
+	}
+	d := dst[j0:k]
+	for s := 0; s < a.Rows; s++ {
+		for j, v := range a.Data[s*k+j0 : (s+1)*k] {
+			if v == 0 {
+				continue
+			}
+			d[j] += v
+		}
+	}
+}
+
+// MulTanhDeriv multiplies every dst[i] by tanh's derivative at the
+// output y[i], dst[i] *= 1 - y[i]·y[i], each operation rounded on its
+// own: backpropagation through a tanh layer.
+func MulTanhDeriv(dst, y []float64) {
+	if len(dst) != len(y) {
+		dims("MulTanhDeriv", false, "dst length %d for %d outputs", len(dst), len(y))
+	}
+	n := 0
+	if useMatKernel && len(y) >= 4 {
+		n = len(y) &^ 3
+		tanhDerivAVX2(&dst[0], &y[0], n)
+	}
+	d := dst[n:]
+	for i, v := range y[n:] {
+		d[i] *= 1 - v*v
 	}
 }
 

@@ -1,20 +1,38 @@
 package linalg
 
-// abAVX2 adds a·b to dst over dst's first k&^3 columns: dst is rows×k,
-// a rows×n, b n×k, all row-major, with rows ≥ 1, n ≥ 1 and k ≥ 4. Each
-// dst element takes its n terms in ascending order. It is in
-// kernels_amd64.s.
-//
-//go:noescape
-func abAVX2(dst, a, b *float64, rows, n, k int)
+// The matrix kernels, in kernels_amd64.s. Each runs over the first k&^3
+// columns of its destination, with k ≥ 4 and every other count ≥ 1, all
+// matrices row-major.
 
-// rank1AVX2 applies outer×inner rank-1 row updates over the first k&^3
-// columns, taking the broadcasts from a in order: for o < outer, q <
-// inner, with av = a[o*inner+q] not zero,
-//
-//	dst[o*dO+q*dQ:][:k&^3] += av · src[o*sO+q*sQ:][:k&^3]
-//
-// with outer, inner ≥ 1 and k ≥ 4. It is in kernels_amd64.s.
+// abAVX2 sets dst to a·b plus bias in every row: dst is rows×k, a
+// rows×n, b n×k, bias k long. Each dst element starts at bias's element
+// in its column and takes its n terms in ascending order.
 //
 //go:noescape
-func rank1AVX2(dst, a, src *float64, outer, inner, dO, dQ, sO, sQ, k int)
+func abAVX2(dst, bias, a, b *float64, rows, n, k int)
+
+// rank1AVX2 adds a·b to dst: dst is rows×k, a rows×n, b n×k. Each dst
+// element takes its n terms in ascending order, skipping the terms whose
+// a element is zero.
+//
+//go:noescape
+func rank1AVX2(dst, a, b *float64, rows, n, k int)
+
+// atbAVX2 adds aᵀ·b to dst: dst is n×k, a rows×n, b rows×k. Each dst
+// element takes its rows terms in ascending order, skipping the terms
+// whose a element is zero.
+//
+//go:noescape
+func atbAVX2(dst, a, b *float64, rows, n, k int)
+
+// colSumsAVX2 adds the rows of a (rows×k) into dst in ascending order,
+// skipping zero terms.
+//
+//go:noescape
+func colSumsAVX2(dst, a *float64, rows, k int)
+
+// tanhDerivAVX2 multiplies d[i] by 1 - y[i]·y[i] for i < n, a multiple
+// of 4.
+//
+//go:noescape
+func tanhDerivAVX2(d, y *float64, n int)

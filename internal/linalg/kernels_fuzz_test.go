@@ -106,20 +106,38 @@ func addKernelSeeds(f *testing.F) {
 	f.Add(uint8(13), uint8(0), uint8(9), uint8(2), uint8(255), uint64(6))
 }
 
+// addTileSeeds adds the shapes of the register tiles the neural model's
+// products run in: 1, 4 and 20 as the inner width (the rows of
+// AccumMulATB's dst) by 8 and 20 columns, over 64 rows, each from a -0
+// dst and from a repeated bias row, with a few specials.
+func addTileSeeds(f *testing.F) {
+	for i, n := range []uint8{1, 4, 20} {
+		for j, k := range []uint8{8, 20} {
+			f.Add(uint8(64), n-1, k-1, uint8(2), uint8(8), uint64(10+2*i+j))
+			f.Add(uint8(64), n-1, k-1, uint8(1), uint8(8), uint64(20+2*i+j))
+		}
+	}
+}
+
+// FuzzAccumMulABT checks the packed A·Bᵀ product, MulABTBias, whose
+// result must not depend on what dst held before.
 func FuzzAccumMulABT(f *testing.F) {
 	addKernelSeeds(f)
+	addTileSeeds(f)
 	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
 		m, n, k := fuzzShape(rows, inner, cols)
 		src := xrand.New(seed)
-		a, bt := NewMatrix(m, n), NewMatrix(n, k)
+		a, bt, bias := NewMatrix(m, n), NewMatrix(n, k), NewMatrix(1, k)
 		fuzzFill(a, src, density)
 		fuzzFill(bt, src, density)
-		kernelAgrees(t, "AccumMulABT", fuzzDst(m, k, mode, src, density), func(dst *Matrix) { AccumMulABT(dst, a, bt) })
+		fuzzFill(bias, src, density)
+		kernelAgrees(t, "MulABTBias", fuzzDst(m, k, mode, src, density), func(dst *Matrix) { MulABTBias(dst, a, bt, bias.Data) })
 	})
 }
 
 func FuzzAccumMulATB(f *testing.F) {
 	addKernelSeeds(f)
+	addTileSeeds(f)
 	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
 		m, n, k := fuzzShape(rows, inner, cols)
 		src := xrand.New(seed)
@@ -142,6 +160,28 @@ func FuzzAccumMatMul(f *testing.F) {
 	})
 }
 
+func FuzzAccumColSums(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
+		m, _, k := fuzzShape(rows, inner, cols)
+		src := xrand.New(seed)
+		a := NewMatrix(m, k)
+		fuzzFill(a, src, density)
+		kernelAgrees(t, "AccumColSums", fuzzDst(1, k, mode, src, density), func(dst *Matrix) { AccumColSums(dst.Data, a) })
+	})
+}
+
+func FuzzMulTanhDeriv(f *testing.F) {
+	addKernelSeeds(f)
+	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
+		m, _, k := fuzzShape(rows, inner, cols)
+		src := xrand.New(seed)
+		y := NewMatrix(m, k)
+		fuzzFill(y, src, density)
+		kernelAgrees(t, "MulTanhDeriv", fuzzDst(m, k, mode, src, density), func(dst *Matrix) { MulTanhDeriv(dst.Data, y.Data) })
+	})
+}
+
 // TestKernelsRefuseShortData checks the products panic, rather than read
 // or write past a slice, when a matrix holds fewer elements than its
 // shape names.
@@ -149,9 +189,11 @@ func TestKernelsRefuseShortData(t *testing.T) {
 	short := &Matrix{Rows: 8, Cols: 8, Data: make([]float64, 63)}
 	full := NewMatrix(8, 8)
 	for name, fn := range map[string]func(){
-		"AccumMatMul": func() { AccumMatMul(full, full, short) },
-		"AccumMulABT": func() { AccumMulABT(short, full, full) },
-		"AccumMulATB": func() { AccumMulATB(full, short, full) },
+		"AccumMatMul":  func() { AccumMatMul(full, full, short) },
+		"AccumMulATB":  func() { AccumMulATB(full, short, full) },
+		"MulABTBias-a": func() { MulABTBias(full, short, full, make([]float64, 8)) },
+		"MulABTBias":   func() { MulABTBias(short, full, full, make([]float64, 8)) },
+		"AccumColSums": func() { AccumColSums(make([]float64, 8), short) },
 	} {
 		func() {
 			defer func() {
@@ -164,24 +206,29 @@ func TestKernelsRefuseShortData(t *testing.T) {
 	}
 }
 
-// BenchmarkKernels times the three products at the neural model's shapes
-// (8 inputs, 20 hidden nodes) on each path: the serving hidden layer over
-// a 352-row batch, and the training products over 1 848 samples.
+// BenchmarkKernels times the kernels at the neural model's shapes (8
+// inputs, 20 hidden nodes) on each path: the serving hidden layer over a
+// 352-row batch, and the training products, bias gradient and tanh
+// derivative over 1 848 samples.
 func BenchmarkKernels(b *testing.B) {
 	src := xrand.New(1)
 	x, h := randomMatrix(src, 1848, 8), randomMatrix(src, 1848, 20)
-	wt, w := randomMatrix(src, 8, 20), randomMatrix(src, 1, 20)
-	delta, deltaOut := randomMatrix(src, 1848, 20), randomMatrix(src, 1848, 1)
+	wt, w, bias := randomMatrix(src, 8, 20), randomMatrix(src, 1, 20), randomMatrix(src, 1, 20)
+	delta, deltaOut, zeros := randomMatrix(src, 1848, 20), randomMatrix(src, 1848, 1), NewMatrix(1848, 20)
 	xs := &Matrix{Rows: 352, Cols: 8, Data: x.Data[:352*8]}
 	cases := []struct {
 		name string
 		dst  *Matrix
 		op   func(dst *Matrix)
 	}{
-		{"ABT/352x8x20", NewMatrix(352, 20), func(dst *Matrix) { AccumMulABT(dst, xs, wt) }},
 		{"ATB/1848x20x8", NewMatrix(20, 8), func(dst *Matrix) { AccumMulATB(dst, delta, x) }},
 		{"ATB/1848x1x20", NewMatrix(1, 20), func(dst *Matrix) { AccumMulATB(dst, deltaOut, h) }},
 		{"MatMul/1848x1x20", NewMatrix(1848, 20), func(dst *Matrix) { AccumMatMul(dst, deltaOut, w) }},
+		{"ABTBias/352x8x20", NewMatrix(352, 20), func(dst *Matrix) { MulABTBias(dst, xs, wt, bias.Data) }},
+		{"ColSums/1848x20", NewMatrix(1, 20), func(dst *Matrix) { AccumColSums(dst.Data, delta) }},
+		// Outputs of 0 multiply by exactly 1, so dst stays normal however
+		// many times the loop runs.
+		{"TanhDeriv/1848x20", delta.Clone(), func(dst *Matrix) { MulTanhDeriv(dst.Data, zeros.Data) }},
 	}
 	for _, c := range cases {
 		for _, kernel := range []bool{true, false} {

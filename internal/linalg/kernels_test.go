@@ -43,10 +43,10 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 				AccumMatMul(got, a, b)
 				matrixApproxEqual(t, "AccumMatMul", got, want, 0)
 
-				// AccumMulABT takes b packed: a·(bᵀ)ᵀ = a·b.
+				// MulABTBias takes b packed: a·(bᵀ)ᵀ = a·b.
 				got2 := NewMatrix(a.Rows, b.Cols)
-				AccumMulABT(got2, a, b)
-				matrixApproxEqual(t, "AccumMulABT", got2, want, 1e-13)
+				MulABTBias(got2, a, b, make([]float64, b.Cols))
+				matrixApproxEqual(t, "MulABTBias", got2, want, 1e-13)
 
 				at := a.T()
 				got3 := NewMatrix(at.Cols, b.Cols)
@@ -91,9 +91,10 @@ func TestMatMulIntoMatchesMul(t *testing.T) {
 	}
 }
 
-// TestAccumVariantsStartFromDst checks the += contract: accumulating onto
-// a pre-initialised destination equals init + product under the kernels'
-// ordered accumulation.
+// TestAccumVariantsStartFromDst checks where each product's sums start:
+// AccumMatMul accumulates onto a pre-initialised destination, and
+// MulABTBias starts every row at one bias row whatever dst held. Both
+// must equal the ordered scalar sum from that start bit for bit.
 func TestAccumVariantsStartFromDst(t *testing.T) {
 	matPaths(t, func(t *testing.T) {
 		src := xrand.New(43)
@@ -123,13 +124,16 @@ func TestAccumVariantsStartFromDst(t *testing.T) {
 			}
 		}
 
-		// b is AccumMulABT's packed operand: the product is a·b.
+		// b is MulABTBias's packed operand: the product is a·b. dst
+		// starts out holding the whole bias matrix, which must not leak
+		// into the result.
+		row := bias.Data[:b.Cols]
 		got2 := bias.Clone()
-		AccumMulABT(got2, a, b)
-		want2 := bias.Clone()
+		MulABTBias(got2, a, b, row)
+		want2 := NewMatrix(a.Rows, b.Cols)
 		for i := 0; i < a.Rows; i++ {
 			for j := 0; j < b.Cols; j++ {
-				s := want2.At(i, j)
+				s := row[j]
 				for k := 0; k < a.Cols; k++ {
 					s += a.At(i, k) * b.At(k, j)
 				}
@@ -137,8 +141,8 @@ func TestAccumVariantsStartFromDst(t *testing.T) {
 			}
 		}
 		for i := range want2.Data {
-			if got2.Data[i] != want2.Data[i] {
-				t.Fatalf("AccumMulABT bias element %d: %v vs %v", i, got2.Data[i], want2.Data[i])
+			if math.Float64bits(got2.Data[i]) != math.Float64bits(want2.Data[i]) {
+				t.Fatalf("MulABTBias element %d: %v vs %v", i, got2.Data[i], want2.Data[i])
 			}
 		}
 	})
@@ -163,8 +167,11 @@ func TestKernelShapePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"AccumMatMul-inner": func() { AccumMatMul(NewMatrix(2, 2), a, b) },
 		"AccumMatMul-dst":   func() { AccumMatMul(NewMatrix(1, 1), a, NewMatrix(3, 2)) },
-		"AccumMulABT-inner": func() { AccumMulABT(NewMatrix(2, 4), a, b) },
+		"MulABTBias-inner":  func() { MulABTBias(NewMatrix(2, 4), a, b, make([]float64, 4)) },
 		"AccumMulATB-outer": func() { AccumMulATB(NewMatrix(3, 2), a, b) },
+		"MulABTBias-bias":   func() { MulABTBias(NewMatrix(2, 2), a, NewMatrix(3, 2), make([]float64, 3)) },
+		"AccumColSums-dst":  func() { AccumColSums(make([]float64, 2), a) },
+		"MulTanhDeriv-len":  func() { MulTanhDeriv(make([]float64, 5), make([]float64, 4)) },
 	} {
 		func() {
 			defer func() {

@@ -107,7 +107,7 @@ func (m *Matrix) T() *Matrix {
 
 // TransposeInto writes mᵀ into dst, which must be m.Cols × m.Rows,
 // without allocating: how a dense layer's weights are packed for
-// AccumMulABT.
+// MulABTBias.
 func TransposeInto(dst, m *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("linalg: TransposeInto dst %dx%d for %dx%d", dst.Rows, dst.Cols, m.Rows, m.Cols))

@@ -64,10 +64,11 @@ func TestGemvBiasIntoPanicsOnBadShapes(t *testing.T) {
 	mustPanic("out", func() { GemvBiasInto(make([]float64, 2), x, make([]float64, 2), 0) })
 }
 
-// TestAccumMulABTBitIdentical checks the packed A·Bᵀ product against the
-// naive per-element ascending-p reference, bit for bit, including when dst
-// starts from a non-zero (bias-like) state. Shapes cover every 4-column
-// and 4-row remainder, on the kernel and on the Go loop.
+// TestAccumMulABTBitIdentical checks the packed A·Bᵀ product, MulABTBias,
+// against the naive "start at the column's bias, add terms in ascending p"
+// reference, bit for bit, over a dst whose old contents must not leak in.
+// Shapes cover every 4-column and 4-row remainder, on the kernel and on
+// the Go loop.
 func TestAccumMulABTBitIdentical(t *testing.T) {
 	matPaths(t, func(t *testing.T) {
 		src := xrand.New(11)
@@ -78,21 +79,22 @@ func TestAccumMulABTBitIdentical(t *testing.T) {
 					b := NewMatrix(br, n)
 					fillNormal(a, src)
 					fillNormal(b, src)
-					init := NewMatrix(ar, br)
-					fillNormal(init, src)
+					bias := NewMatrix(1, br)
+					fillNormal(bias, src)
 
-					want := init.Clone()
+					want := NewMatrix(ar, br)
 					for i := 0; i < ar; i++ {
 						for j := 0; j < br; j++ {
-							s := want.At(i, j)
+							s := bias.Data[j]
 							for p := 0; p < n; p++ {
 								s += a.At(i, p) * b.At(j, p)
 							}
 							want.Set(i, j, s)
 						}
 					}
-					got := init.Clone()
-					AccumMulABT(got, a, b.T())
+					got := NewMatrix(ar, br)
+					fillNormal(got, src)
+					MulABTBias(got, a, b.T(), bias.Data)
 					for i := range got.Data {
 						if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 							t.Fatalf("a=%dx%d b=%dx%d: elem %d: ABT %v, naive %v (not bit-identical)",
@@ -114,5 +116,5 @@ func TestAccumMulABTPanicsOnBadShapes(t *testing.T) {
 			t.Fatal("expected panic on inner dimension mismatch")
 		}
 	}()
-	AccumMulABT(dst, a, bt)
+	MulABTBias(dst, a, bt, make([]float64, 4))
 }

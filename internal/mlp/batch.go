@@ -26,7 +26,7 @@ type Workspace struct {
 	acts []linalg.Matrix
 	// deltas[li] holds the backpropagated error at layer li's output.
 	deltas []linalg.Matrix
-	// wt[li] holds layer li's weights packed for linalg.AccumMulABT
+	// wt[li] holds layer li's weights packed for linalg.MulABTBias
 	// (in × out, the transpose of their out × in layout in params),
 	// repacked on every forward pass.
 	wt []linalg.Matrix
@@ -80,7 +80,7 @@ func (w *Workspace) paramVec(i, dim int) []float64 {
 // over the whole sample matrix. Each pre-activation starts at the bias and
 // receives its weighted inputs in ascending input-index order, so every
 // output is bit-identical to the scalar Forward loop. A layer's weights
-// are packed into ws for linalg.AccumMulABT; a one-node layer (the
+// are packed into ws for linalg.MulABTBias; a one-node layer (the
 // output) is a dot product per sample instead, linalg.GemvBiasInto, in
 // the same order. Returns the rows×1 output activation.
 func (n *Network) forwardBatch(ws *Workspace, x *linalg.Matrix) *linalg.Matrix {
@@ -94,11 +94,8 @@ func (n *Network) forwardBatch(ws *Workspace, x *linalg.Matrix) *linalg.Matrix {
 		if ly.out == 1 {
 			linalg.GemvBiasInto(dst.Data, src, w, bias[0])
 		} else {
-			for s := 0; s < x.Rows; s++ {
-				copy(dst.Data[s*ly.out:(s+1)*ly.out], bias)
-			}
 			linalg.TransposeInto(&ws.wt[li], &linalg.Matrix{Rows: ly.out, Cols: ly.in, Data: w})
-			linalg.AccumMulABT(dst, src, &ws.wt[li])
+			linalg.MulABTBias(dst, src, &ws.wt[li], bias)
 		}
 		if li != nl-1 {
 			if n.cfg.Activation == Tanh {
@@ -201,16 +198,7 @@ func (n *Network) backwardRaw(ws *Workspace, x *linalg.Matrix, y []float64, grad
 		in := &ws.acts[li]
 		gw := linalg.Matrix{Rows: ly.out, Cols: ly.in, Data: grad[ly.wOff : ly.wOff+ly.in*ly.out]}
 		linalg.AccumMulATB(&gw, delta, in)
-		gb := grad[ly.bOff : ly.bOff+ly.out]
-		for s := 0; s < x.Rows; s++ {
-			ds := delta.Data[s*ly.out : (s+1)*ly.out]
-			for o, d := range ds {
-				if d == 0 {
-					continue
-				}
-				gb[o] += d
-			}
-		}
+		linalg.AccumColSums(grad[ly.bOff:ly.bOff+ly.out], delta)
 		if li == 0 {
 			break
 		}
@@ -222,11 +210,9 @@ func (n *Network) backwardRaw(ws *Workspace, x *linalg.Matrix, y []float64, grad
 		linalg.AccumMatMul(prev, delta, &wm)
 		pa := &ws.acts[li]
 		if n.cfg.Activation == Tanh {
-			// derivFromOutput(Tanh) is 1 - v*v; hoisting the switch out
-			// of the hot loop changes no bits.
-			for i, v := range pa.Data {
-				prev.Data[i] *= 1 - v*v
-			}
+			// derivFromOutput(Tanh) is 1 - v*v, which MulTanhDeriv
+			// multiplies by, rounding each step on its own.
+			linalg.MulTanhDeriv(prev.Data, pa.Data)
 		} else {
 			for i, v := range pa.Data {
 				prev.Data[i] *= n.cfg.Activation.derivFromOutput(v)

@@ -278,6 +278,41 @@ func TestSCGErrors(t *testing.T) {
 	}
 }
 
+// TestSCGRejectsBadInput checks the trainer fails, leaving the network
+// untouched, on a negative iteration bound and on training data no step
+// could fit: with MaxIter -1 it used to return the untrained network and
+// no error, with -5 it panicked, and a NaN label made every step a
+// rejected one and returned the initial weights with a NaN loss.
+func TestSCGRejectsBadInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name    string
+		maxIter int
+		x       [][]float64
+		y       []float64
+	}{
+		{"MaxIter -1", -1, [][]float64{{-1, -1}, {1, 1}}, []float64{-1, 1}},
+		{"MaxIter -5", -5, [][]float64{{-1, -1}, {1, 1}}, []float64{-1, 1}},
+		{"NaN label", 50, [][]float64{{-1, -1}, {1, 1}}, []float64{nan, 1}},
+		{"+Inf label", 50, [][]float64{{-1, -1}, {1, 1}}, []float64{-1, inf}},
+		{"NaN feature", 0, [][]float64{{nan, -1}, {1, 1}}, []float64{-1, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := newNet(t, 2, []int{3})
+			before := n.Params()
+			res, err := TrainSCG(n, linalg.NewMatrixFromRows(c.x), c.y, SCGConfig{MaxIter: c.maxIter})
+			if err == nil {
+				t.Fatalf("trained without error: %+v", res)
+			}
+			for i, p := range n.Params() {
+				if math.Float64bits(p) != math.Float64bits(before[i]) {
+					t.Fatalf("param %d moved from %v to %v on a failed training", i, before[i], p)
+				}
+			}
+		})
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	n := newNet(t, 2, []int{3})
 	c := n.Clone()

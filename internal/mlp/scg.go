@@ -10,7 +10,7 @@ import (
 // SCGConfig tunes the scaled conjugate gradient trainer.
 type SCGConfig struct {
 	// MaxIter bounds the number of SCG iterations (weight updates plus
-	// rejected steps). Default 500.
+	// rejected steps). Default 500; a negative value is an error.
 	MaxIter int
 }
 
@@ -62,7 +62,14 @@ func TrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*TrainR
 // iteration performs zero heap allocations; pass the same workspace across
 // bootstrap partitions or retrain attempts to amortise even the warmup.
 // A nil ws uses a fresh private workspace.
+//
+// Training fails, leaving the network as it was, when the loss or the
+// gradient at the starting weights is not finite: a NaN or infinite
+// value in x or y, which no step could train away.
 func TrainSCGWS(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig, ws *Workspace) (*TrainResult, error) {
+	if cfg.MaxIter < 0 {
+		return nil, fmt.Errorf("mlp: SCG MaxIter %d is negative", cfg.MaxIter)
+	}
 	cfg.defaults()
 	if x.Rows == 0 {
 		return nil, fmt.Errorf("mlp: no training samples")
@@ -125,6 +132,9 @@ func newSCGState(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig, ws *W
 	loss, err := n.LossAndGradWS(ws, x, y, st.grad)
 	if err != nil {
 		return nil, err
+	}
+	if gn := linalg.Norm2(st.grad); !finite(loss) || !finite(gn) {
+		return nil, fmt.Errorf("mlp: initial loss %v, gradient norm %v: training data holds a NaN or infinite value", loss, gn)
 	}
 	for i, g := range st.grad {
 		st.r[i] = -1 * g // steepest descent residual
@@ -248,3 +258,6 @@ func (s *scgState) finish() (*TrainResult, error) {
 	s.res.GradNorm = linalg.Norm2(s.r)
 	return s.res, nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
