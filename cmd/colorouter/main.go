@@ -72,17 +72,22 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.listen, "listen", ":8080", "address to serve on")
 	fs.IntVar(&o.cfg.Replicas, "replicas", 2, "replica-set size per scenario key")
-	fs.IntVar(&o.cfg.VirtualNodes, "vnodes", 64, "virtual nodes per backend on the hash ring")
 	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 2*time.Second, "health/generation probe interval")
 	fs.IntVar(&o.cfg.EjectAfter, "eject-after", 3, "consecutive probe failures before a backend is ejected")
 	fs.DurationVar(&o.cfg.HedgeAfter, "hedge-after", 0, "hedge delay for predict calls (0 = derive from observed p95, negative disables)")
 	fs.DurationVar(&o.cfg.RequestTimeout, "timeout", 10*time.Second, "per-request timeout")
 	fs.DurationVar(&o.drain, "drain", 15*time.Second, "shutdown drain budget for in-flight requests")
-	fs.DurationVar(&o.cfg.FleetScrapeTimeout, "fleet-scrape-timeout", 2*time.Second, "per-backend timeout for /v1/fleet/metrics scrapes")
 	fs.Var(&o.backends, "backend", "backend to join, as name=url or bare url (repeatable)")
 	edge := obs.EdgeFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return o, err
+	}
+	// cluster.Config reads 0 or below as "use the default", so a
+	// negative value would run silently at the default instead.
+	for _, name := range []string{"replicas", "probe-interval", "eject-after", "timeout", "drain"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return o, fmt.Errorf("-%s %s: must not be negative", name, v)
+		}
 	}
 	ec, err := edge(os.Stderr)
 	o.cfg.Logger, o.cfg.TraceRing, o.cfg.SlowThreshold = ec.Logger, ec.TraceRing, ec.SlowThreshold
@@ -143,8 +148,8 @@ func run(o options) error {
 	} else if cfg.HedgeAfter < 0 {
 		hedgeDesc = "off"
 	}
-	fmt.Printf("routing on %s (replicas %d, vnodes %d, probe %s, hedge %s, timeout %s, drain %s)\n",
-		o.listen, cfg.Replicas, cfg.VirtualNodes, cfg.ProbeInterval, hedgeDesc, cfg.RequestTimeout, o.drain)
+	fmt.Printf("routing on %s (replicas %d, probe %s, hedge %s, timeout %s, drain %s)\n",
+		o.listen, cfg.Replicas, cfg.ProbeInterval, hedgeDesc, cfg.RequestTimeout, o.drain)
 	if err := rt.ListenAndServe(ctx, o.listen, o.drain); err != nil {
 		return err
 	}

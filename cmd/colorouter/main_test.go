@@ -62,8 +62,37 @@ func TestParseFlagsRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.listen != ":9" || o.drain != 2*time.Second || o.cfg.Replicas != 3 || o.cfg.HedgeAfter != -time.Second ||
-		o.cfg.VirtualNodes != 64 || o.cfg.RequestTimeout != 10*time.Second || len(o.backends) != 2 {
+		o.cfg.RequestTimeout != 10*time.Second || len(o.backends) != 2 {
 		t.Fatalf("parsed %+v", o)
+	}
+}
+
+// TestParseFlagsRefuses: a negative count or duration is an error naming
+// its flag (cluster.Config would read it as the default), 0 still means
+// the default, and the flags that became constants are gone.
+func TestParseFlagsRefuses(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-timeout", "-1s"}, "-timeout -1s: must not be negative"},
+		{[]string{"-drain", "-2s"}, "-drain -2s: must not be negative"},
+		{[]string{"-probe-interval", "-1ms"}, "-probe-interval -1ms: must not be negative"},
+		{[]string{"-eject-after", "-1"}, "-eject-after -1: must not be negative"},
+		{[]string{"-replicas", "-3"}, "-replicas -3: must not be negative"},
+		{[]string{"-vnodes", "32"}, "flag provided but not defined: -vnodes"},
+		{[]string{"-fleet-scrape-timeout", "1s"}, "flag provided but not defined: -fleet-scrape-timeout"},
+	} {
+		fs := flag.NewFlagSet("colorouter", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseFlags(fs, c.args); err == nil || err.Error() != c.want {
+			t.Errorf("%v: error %v, want %q", c.args, err, c.want)
+		}
+	}
+	fs := flag.NewFlagSet("colorouter", flag.ContinueOnError)
+	o, err := parseFlags(fs, []string{"-timeout", "0", "-drain", "0", "-probe-interval", "0", "-eject-after", "0", "-replicas", "0"})
+	if err != nil || o.cfg.RequestTimeout != 0 || o.drain != 0 || o.cfg.Replicas != 0 {
+		t.Fatalf("zeros: %+v, %v", o, err)
 	}
 }
 

@@ -73,12 +73,10 @@ func main() {
 
 		adapt     = flag.Bool("adapt", false, "enable the online adaptation loop (observations, drift detection, gated retraining)")
 		obslog    = flag.String("obslog", "", "directory for the durable observation log (empty = in-memory only)")
-		dataset   = flag.String("dataset", "", "offline training sweep CSV to augment with observations when retraining (see colotrain -savecsv)")
+		dataset   = flag.String("dataset", "", "offline training sweep CSV to augment with observations when retraining (see colotrain -out)")
 		margin    = flag.Float64("retrain-margin", 0.25, "percentage points by which a retrained candidate's holdout MPE must beat the incumbent")
 		lambda    = flag.Float64("drift-lambda", 50, "Page-Hinkley trip threshold on the residual stream")
 		minObs    = flag.Int("retrain-min-obs", 30, "fewest logged observations before a retraining attempt will run")
-		obsCommit = flag.Duration("obs-commit-interval", 0, "group-commit hold window for observation ingest (0 = commit whatever is queued immediately)")
-		obsQueue  = flag.Int("obs-queue", 0, "observation commit queue capacity; writers park here awaiting their group fsync (0 = default 1024)")
 		obsRetain = flag.String("obs-retention", "", "observation log retention as size and/or age, comma-separated (e.g. 512MB, 72h, 1GiB,7d); empty keeps everything")
 		models    modelArgs
 	)
@@ -98,7 +96,7 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := adaptArgs{enabled: *adapt, obslog: *obslog, dataset: *dataset, margin: *margin, lambda: *lambda, minObs: *minObs,
-		commitInterval: *obsCommit, queue: *obsQueue, retention: retention}
+		retention: retention}
 	if err := run(*listen, *timeout, *drain, models, cfg, ec, *pprofOn); err != nil {
 		fmt.Fprintln(os.Stderr, "coloserve:", err)
 		os.Exit(1)
@@ -116,15 +114,13 @@ func (m *modelArgs) Set(v string) error {
 
 // adaptArgs carries the adaptation flags into run.
 type adaptArgs struct {
-	enabled        bool
-	obslog         string
-	dataset        string
-	margin         float64
-	lambda         float64
-	minObs         int
-	commitInterval time.Duration
-	queue          int
-	retention      feedback.Retention
+	enabled   bool
+	obslog    string
+	dataset   string
+	margin    float64
+	lambda    float64
+	minObs    int
+	retention feedback.Retention
 }
 
 // parseRetention parses the -obs-retention flag: a comma-separated list
@@ -280,11 +276,9 @@ func buildRegistry(args []string) (*serve.Registry, error) {
 // retraining controller (augmenting the optional offline sweep).
 func buildAdaptation(a adaptArgs, reg *serve.Registry, srv *serve.Server) (*retrain.Controller, error) {
 	fcfg := feedback.Config{
-		Dir:            a.obslog,
-		Sync:           a.obslog != "",
-		CommitInterval: a.commitInterval,
-		Queue:          a.queue,
-		Retention:      a.retention,
+		Dir:       a.obslog,
+		Sync:      a.obslog != "",
+		Retention: a.retention,
 	}
 	if a.retention.MaxBytes > 0 || a.retention.MaxAge > 0 {
 		// Retention drops whole segments; folding sealed segments into
@@ -329,6 +323,14 @@ func buildAdaptation(a adaptArgs, reg *serve.Registry, srv *serve.Server) (*retr
 }
 
 func run(listen string, timeout, drain time.Duration, models modelArgs, a adaptArgs, ec obs.EdgeConfig, pprofOn bool) error {
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"-timeout", timeout}, {"-drain", drain}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %v: must not be negative", f.name, f.v)
+		}
+	}
 	reg, err := buildRegistry(models)
 	if err != nil {
 		return err

@@ -17,6 +17,7 @@ import (
 	"colocmodel/internal/features"
 	"colocmodel/internal/feedback"
 	"colocmodel/internal/harness"
+	"colocmodel/internal/obs"
 	"colocmodel/internal/serve"
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/workload"
@@ -86,6 +87,25 @@ func TestCheckLambda(t *testing.T) {
 	for _, v := range []float64{50, 0.5} {
 		if err := checkLambda(v); err != nil {
 			t.Errorf("checkLambda(%v) = %v", v, err)
+		}
+	}
+}
+
+// TestRunRefusesNegativeDurations: a negative -timeout or -drain stops
+// run with an error naming the flag, before any model is loaded or
+// address bound (serve.Config would read a negative timeout as the
+// default).
+func TestRunRefusesNegativeDurations(t *testing.T) {
+	for _, c := range []struct {
+		timeout, drain time.Duration
+		want           string
+	}{
+		{-time.Second, 15 * time.Second, "-timeout -1s: must not be negative"},
+		{10 * time.Second, -time.Millisecond, "-drain -1ms: must not be negative"},
+	} {
+		err := run("127.0.0.1:0", c.timeout, c.drain, modelArgs{"missing.json"}, adaptArgs{}, obs.EdgeConfig{}, false)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("run(timeout %v, drain %v) = %v; want %q", c.timeout, c.drain, err, c.want)
 		}
 	}
 }

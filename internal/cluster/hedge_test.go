@@ -162,14 +162,17 @@ func TestHedgeLosesToPrimary(t *testing.T) {
 
 // (b) The primary fails while the timer is pending: the second candidate
 // is called at once, and the timer, firing later, finds nobody left to
-// hedge to.
+// hedge to. The timer is long (100ms) so the failover, a dropped
+// loopback connection, reaches b well before it can fire, even on a
+// loaded machine; the test then sleeps past it.
 func TestHedgeTimerFindsNoCandidateAfterFailover(t *testing.T) {
+	const hedgeAfter = 100 * time.Millisecond
 	a, b := newGatedBackend(t, "a", false, true), newGatedBackend(t, "b", true, false)
-	rt, body := hedgeFleet(t, 2*time.Millisecond, a, b)
+	rt, body := hedgeFleet(t, hedgeAfter, a, b)
 
 	replies := predictAsync(context.Background(), rt, body)
 	waitFor(t, "the failover to reach b", func() bool { return b.calls.Load() == 1 })
-	time.Sleep(20 * time.Millisecond) // let the timer fire into the open call
+	time.Sleep(2 * hedgeAfter) // let the timer fire into the open call
 	b.open()
 	rec := awaitReply(t, replies)
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Backend") != "b" {

@@ -145,7 +145,7 @@ func serveScrape(t *testing.T) string {
 		t.Fatal(err)
 	}
 	if err := s.EnableAdaptation(serve.Adaptation{
-		Log: log, Monitor: drift.NewMonitor(drift.Config{Delta: 2, Lambda: 30, MinSamples: 10}), Controller: ctrl,
+		Log: log, Monitor: drift.NewMonitor(drift.Config{Lambda: 30, MinSamples: 10}), Controller: ctrl,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -174,8 +174,7 @@ func (b *Backend) markShedding(retryAfter time.Duration) {
 type Pool struct {
 	client      *http.Client
 	ejectAfter  int
-	backoffBase time.Duration
-	vnodes      int
+	backoffBase time.Duration // the first re-admission delay; tests shorten it
 
 	mu       sync.RWMutex
 	backends map[string]*Backend
@@ -188,11 +187,10 @@ func newPool(cfg Config) *Pool {
 	p := &Pool{
 		client:      cfg.Client,
 		ejectAfter:  cfg.EjectAfter,
-		backoffBase: cfg.ReadmitBackoff,
-		vnodes:      cfg.VirtualNodes,
+		backoffBase: readmitBackoffBase,
 		backends:    make(map[string]*Backend),
 	}
-	p.ring.Store(buildRing(nil, p.vnodes))
+	p.ring.Store(buildRing(nil))
 	return p
 }
 
@@ -236,7 +234,7 @@ func (p *Pool) rebuildLocked() {
 	for _, b := range p.backends {
 		backends = append(backends, b)
 	}
-	p.ring.Store(buildRing(backends, p.vnodes))
+	p.ring.Store(buildRing(backends))
 }
 
 // Get resolves a backend by name (nil if unknown).
@@ -334,8 +332,13 @@ func (p *Pool) probe(ctx context.Context, b *Backend) {
 	}
 }
 
-// readmitBackoffMax caps the re-admission backoff's doubling.
-const readmitBackoffMax = 30 * time.Second
+// The re-admission backoff: the first re-probe after an ejection waits
+// readmitBackoffBase, and each failed re-probe doubles the wait up to
+// readmitBackoffMax.
+const (
+	readmitBackoffBase = time.Second
+	readmitBackoffMax  = 30 * time.Second
+)
 
 // recordFailure counts one probe failure and ejects the backend once
 // the consecutive-failure threshold is crossed (doubling the
@@ -364,7 +367,8 @@ func (p *Pool) recordFailure(b *Backend) {
 	}
 }
 
-// probeTimeout bounds one probe round trip.
+// probeTimeout bounds one admin GET to a backend: a probe round trip or
+// a /v1/fleet/metrics scrape.
 const probeTimeout = 2 * time.Second
 
 // get performs one probe GET against a backend, bounded by the probe

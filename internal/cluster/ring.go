@@ -25,17 +25,14 @@ type ringPoint struct {
 	b    *Backend
 }
 
-// defaultVirtualNodes balances placement smoothness against rebuild
-// cost; 64 vnodes keeps the per-backend load imbalance under ~15% for
+// virtualNodes per backend balances placement smoothness against
+// rebuild cost; 64 keeps the per-backend load imbalance under ~15% for
 // small fleets.
-const defaultVirtualNodes = 64
+const virtualNodes = 64
 
-// buildRing constructs a ring over the given backends with vnodes
+// buildRing constructs a ring over the given backends with virtualNodes
 // virtual nodes each. Unnamed and duplicate-named backends are skipped.
-func buildRing(backends []*Backend, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
-	}
+func buildRing(backends []*Backend) *ring {
 	seen := make(map[string]bool, len(backends))
 	r := &ring{}
 	for _, b := range backends {
@@ -44,7 +41,7 @@ func buildRing(backends []*Backend, vnodes int) *ring {
 		}
 		seen[b.Name] = true
 		r.names = append(r.names, b.Name)
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hashKey(b.Name + "#" + strconv.Itoa(v)), b: b})
 		}
 	}

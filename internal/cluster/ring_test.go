@@ -20,7 +20,7 @@ func ringOf(names ...string) *ring {
 	for i, n := range names {
 		backends[i] = &Backend{Name: n}
 	}
-	return buildRing(backends, 64)
+	return buildRing(backends)
 }
 
 // owner is the name of the key's first replica.
@@ -102,7 +102,7 @@ func TestRingReplicaSets(t *testing.T) {
 	if got := r.pick("k", 10); len(got) != 3 {
 		t.Fatalf("pick with n=10 over 3 members returned %d, want clamp to 3", len(got))
 	}
-	if got := buildRing(nil, 64).pick("k", 2); got != nil {
+	if got := buildRing(nil).pick("k", 2); got != nil {
 		t.Fatalf("empty ring pick returned %v, want nil", got)
 	}
 }

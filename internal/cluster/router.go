@@ -28,16 +28,11 @@ type Config struct {
 	// Replicas is the replica-set size R: each scenario key maps to R
 	// distinct backends on the ring (owner first). Default 2.
 	Replicas int
-	// VirtualNodes per backend on the hash ring. Default 64.
-	VirtualNodes int
 	// ProbeInterval paces the health/generation probe loop. Default 2s.
 	ProbeInterval time.Duration
 	// EjectAfter is the consecutive probe failures before a backend is
 	// ejected from routing. Default 3.
 	EjectAfter int
-	// ReadmitBackoff is the first re-admission probe delay after an
-	// ejection; it doubles per failed re-probe up to 30s. Default 1s.
-	ReadmitBackoff time.Duration
 	// HedgeAfter fixes the hedge delay: a predict call still unanswered
 	// after this long launches a second attempt on the next replica. 0
 	// derives the delay from the observed backend p95 (floored at 1ms);
@@ -55,17 +50,11 @@ type Config struct {
 	SlowThreshold    time.Duration
 	SLOObjective     float64
 	SLOLatencyTarget time.Duration
-	// FleetScrapeTimeout bounds one backend /metrics scrape in the
-	// fleet-aggregation endpoint. Default 2s.
-	FleetScrapeTimeout time.Duration
 }
 
 func (c *Config) defaults() {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = defaultVirtualNodes
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -73,18 +62,12 @@ func (c *Config) defaults() {
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
-	if c.ReadmitBackoff <= 0 {
-		c.ReadmitBackoff = time.Second
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
 	if c.Client == nil {
 		tr := &http.Transport{MaxIdleConns: 512, MaxIdleConnsPerHost: 128}
 		c.Client = &http.Client{Transport: tr}
-	}
-	if c.FleetScrapeTimeout <= 0 {
-		c.FleetScrapeTimeout = 2 * time.Second
 	}
 }
 
@@ -119,7 +102,7 @@ func New(cfg Config) *Router {
 		pool:    pool,
 		metrics: NewMetrics(pool),
 		backLat: obs.NewHistogram(latencyBuckets),
-		fleet:   &fleetobs.Aggregator{Client: cfg.Client, Timeout: cfg.FleetScrapeTimeout},
+		fleet:   &fleetobs.Aggregator{Client: cfg.Client, Timeout: probeTimeout},
 		started: time.Now(),
 	}
 	rt.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,

@@ -341,11 +341,11 @@ func TestEjectionAndReadmission(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{
-		Replicas:       2,
-		HedgeAfter:     -1,
-		EjectAfter:     2,
-		ReadmitBackoff: time.Millisecond,
+		Replicas:   2,
+		HedgeAfter: -1,
+		EjectAfter: 2,
 	}, a, b)
+	rt.pool.backoffBase = time.Millisecond
 	ctx := context.Background()
 	ba := rt.pool.Get("a")
 

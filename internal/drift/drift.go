@@ -29,10 +29,6 @@ import (
 
 // Config tunes the detector.
 type Config struct {
-	// Delta is the Page–Hinkley tolerance in percent-error units:
-	// deviations from the running mean smaller than Delta do not
-	// accumulate. Default 2 (two percentage points).
-	Delta float64
 	// Lambda is the trip threshold on the cumulative score. Default 50.
 	Lambda float64
 	// MinSamples is the number of residuals a stream needs before it
@@ -41,10 +37,12 @@ type Config struct {
 	MinSamples int
 }
 
+// delta is the Page–Hinkley tolerance δ in percent-error units:
+// deviations from the running mean smaller than two percentage points
+// do not accumulate.
+const delta = 2
+
 func (c *Config) defaults() {
-	if c.Delta == 0 {
-		c.Delta = 2
-	}
 	if c.Lambda == 0 {
 		c.Lambda = 50
 	}
@@ -69,7 +67,7 @@ type cell struct {
 
 // observe folds one residual into the stream and reports whether this
 // observation transitioned the stream into the tripped state.
-func (c *cell) observe(x, delta, lambda float64, minSamples int) bool {
+func (c *cell) observe(x, lambda float64, minSamples int) bool {
 	c.count++
 	d := x - c.mean
 	c.mean += d / float64(c.count)
@@ -129,7 +127,7 @@ func (m *Monitor) Observe(model, target string, pctError float64) bool {
 		c = &cell{}
 		m.cells[key{model, target}] = c
 	}
-	return c.observe(pctError, m.cfg.Delta, m.cfg.Lambda, m.cfg.MinSamples)
+	return c.observe(pctError, m.cfg.Lambda, m.cfg.MinSamples)
 }
 
 // Reset clears every stream of the named model. Called after a

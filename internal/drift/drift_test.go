@@ -14,7 +14,7 @@ func centered(src *xrand.Source) float64 { return src.Normal(0, 1.5) }
 func shifted(src *xrand.Source) float64 { return src.Normal(-25, 3) }
 
 func TestNoTripOnCenteredNoise(t *testing.T) {
-	m := NewMonitor(Config{Delta: 2, Lambda: 50, MinSamples: 30})
+	m := NewMonitor(Config{Lambda: 50, MinSamples: 30})
 	src := xrand.New(7)
 	for i := 0; i < 5000; i++ {
 		if m.Observe("primary", "canneal", centered(src)) {
@@ -34,7 +34,7 @@ func TestNoTripOnCenteredNoise(t *testing.T) {
 }
 
 func TestTripsOnSustainedShift(t *testing.T) {
-	m := NewMonitor(Config{Delta: 2, Lambda: 50, MinSamples: 10})
+	m := NewMonitor(Config{Lambda: 50, MinSamples: 10})
 	src := xrand.New(11)
 	// Healthy prefix.
 	for i := 0; i < 200; i++ {
@@ -72,7 +72,7 @@ func TestTripsOnSustainedShift(t *testing.T) {
 // The detector is two-sided: a positive shift (over-prediction) trips
 // just like a negative one.
 func TestTripsOnPositiveShift(t *testing.T) {
-	m := NewMonitor(Config{Delta: 2, Lambda: 50, MinSamples: 10})
+	m := NewMonitor(Config{Lambda: 50, MinSamples: 10})
 	src := xrand.New(3)
 	for i := 0; i < 200; i++ {
 		if m.Observe("primary", "cg", centered(src)) {
@@ -91,7 +91,7 @@ func TestTripsOnPositiveShift(t *testing.T) {
 }
 
 func TestMinSamplesGuard(t *testing.T) {
-	m := NewMonitor(Config{Delta: 1, Lambda: 5, MinSamples: 50})
+	m := NewMonitor(Config{Lambda: 5, MinSamples: 50})
 	for i := 0; i < 49; i++ {
 		if m.Observe("primary", "cg", -100) {
 			t.Fatalf("tripped at %d observations, below MinSamples", i+1)
@@ -100,7 +100,7 @@ func TestMinSamplesGuard(t *testing.T) {
 }
 
 func TestStreamsAreIndependentAndResettable(t *testing.T) {
-	m := NewMonitor(Config{Delta: 2, Lambda: 30, MinSamples: 5})
+	m := NewMonitor(Config{Lambda: 30, MinSamples: 5})
 	src := xrand.New(5)
 	// Healthy prefix on every stream, then only a/canneal shifts:
 	// Page–Hinkley detects the change-point relative to each stream's

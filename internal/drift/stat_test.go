@@ -30,7 +30,7 @@ func TestFalseTripRateUnderPureNoise(t *testing.T) {
 	trips := 0
 	for s := 0; s < statStreams; s++ {
 		src := xrand.New(uint64(1000 + s))
-		m := NewMonitor(Config{}) // defaults: Delta 2, Lambda 50, MinSamples 30
+		m := NewMonitor(Config{}) // defaults: Lambda 50, MinSamples 30
 		for i := 0; i < 500; i++ {
 			if m.Observe("m", "app", src.Normal(0, noiseSigma)) {
 				trips++
@@ -38,7 +38,7 @@ func TestFalseTripRateUnderPureNoise(t *testing.T) {
 			}
 		}
 	}
-	// With Delta=2 the accumulators shed two points of slack per
+	// With delta = 2 the accumulators shed two points of slack per
 	// observation, so a Lambda=50 excursion from sigma=3 noise alone is
 	// a large-deviation event. Allow 2% for the fixed seed set (the
 	// observed rate is 0).
@@ -83,7 +83,7 @@ func TestSustainedShiftTripsQuickly(t *testing.T) {
 		}
 	}
 	t.Logf("worst-case detection delay: %d observations", worst)
-	// The shift clears Delta by ~10 points per observation, so the score
+	// The shift clears delta by ~10 points per observation, so the score
 	// reaches Lambda=50 in roughly 5–15 observations even as the running
 	// mean starts absorbing the shift.
 	if worst > 30 {

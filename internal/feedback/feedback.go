@@ -127,15 +127,6 @@ type Config struct {
 	// already tolerates a torn tail, so the only exposure is the OS
 	// page cache.
 	Sync bool
-	// Queue bounds the commit queue: the number of append batches that
-	// may wait on the committer before further callers block
-	// (backpressure). Default 1024.
-	Queue int
-	// CommitInterval optionally holds each group commit open for this
-	// long after its first batch arrives, trading append latency for
-	// larger cohorts. 0 commits as soon as the committer is free
-	// (pure piggyback coalescing — usually the right choice).
-	CommitInterval time.Duration
 	// Direct bypasses the group-commit pipeline: every append performs
 	// its own write (and fsync, under Sync) while holding the log
 	// lock. This is the pre-group-commit write path, kept as the
@@ -156,10 +147,14 @@ func (c *Config) defaults() {
 	if c.MaxSegmentRecords == 0 {
 		c.MaxSegmentRecords = 4096
 	}
-	if c.Queue == 0 {
-		c.Queue = 1024
-	}
 }
+
+// commitQueue bounds the commit queue: the number of append batches
+// that may wait on the committer before further callers block
+// (backpressure). The committer takes whatever is queued as soon as it
+// is free, so a cohort is every batch that arrived during the previous
+// commit.
+const commitQueue = 1024
 
 // ErrClosed is returned by appends against a closed store.
 var ErrClosed = errors.New("feedback: log closed")

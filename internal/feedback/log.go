@@ -97,7 +97,7 @@ func openLog(cfg Config) (*Log, error) {
 		return nil, err
 	}
 	if !cfg.Direct {
-		l.queue = make(chan *appendReq, cfg.Queue)
+		l.queue = make(chan *appendReq, commitQueue)
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
 		go l.committer()
@@ -273,23 +273,7 @@ func (l *Log) committer() {
 			l.finalDrain()
 			return
 		}
-		cohort := append(l.cohort[:0], first)
-		if iv := l.cfg.CommitInterval; iv > 0 {
-			t := time.NewTimer(iv)
-		hold:
-			for {
-				select {
-				case r := <-l.queue:
-					cohort = append(cohort, r)
-				case <-t.C:
-					break hold
-				case <-l.stop:
-					break hold
-				}
-			}
-			t.Stop()
-		}
-		cohort = l.drainQueue(cohort)
+		cohort := l.drainQueue(append(l.cohort[:0], first))
 		l.commitCohort(cohort)
 		for i := range cohort {
 			cohort[i] = nil

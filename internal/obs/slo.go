@@ -14,49 +14,25 @@ type SLOConfig struct {
 	// good only if it finished within the target AND did not fail. 0
 	// means errors alone burn budget.
 	LatencyTarget time.Duration
-	// ShortWindow and LongWindow are the two burn-rate windows (the
-	// classic fast/slow pair). Defaults 5m and 1h.
-	ShortWindow, LongWindow time.Duration
-	// BucketWidth is the ring's time-bucket granularity. Default 10s.
-	// Both windows are rounded up to whole buckets.
-	BucketWidth time.Duration
-	// WarnBurn and PageBurn are burn-rate thresholds (1.0 = burning the
-	// budget exactly as fast as the objective allows over the window).
-	// A state fires only when BOTH windows exceed its threshold, so a
-	// long-past incident (long window still high) or a brief blip
-	// (short window spike) alone does not page. Defaults 2 and 10.
-	WarnBurn, PageBurn float64
 }
 
-func (c *SLOConfig) applyDefaults() {
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.999
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 5 * time.Minute
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = time.Hour
-	}
-	if c.LongWindow < c.ShortWindow {
-		c.LongWindow = c.ShortWindow
-	}
-	if c.BucketWidth <= 0 {
-		c.BucketWidth = 10 * time.Second
-	}
-	if c.BucketWidth > c.ShortWindow {
-		c.BucketWidth = c.ShortWindow
-	}
-	if c.WarnBurn <= 0 {
-		c.WarnBurn = 2
-	}
-	if c.PageBurn <= c.WarnBurn {
-		c.PageBurn = 10
-		if c.PageBurn <= c.WarnBurn {
-			c.PageBurn = c.WarnBurn * 2
-		}
-	}
-}
+// The burn-rate windows (the classic fast/slow pair), each a whole
+// number of time buckets, and the burn-rate thresholds (1.0 = burning
+// the budget exactly as fast as the objective allows over the window).
+// A state fires only when BOTH windows exceed its threshold, so a
+// long-past incident (long window still high) or a brief blip (short
+// window spike) alone does not page.
+const (
+	sloShortWindow = 5 * time.Minute
+	sloLongWindow  = time.Hour
+	sloBucketWidth = 10 * time.Second
+	sloWarnBurn    = 2
+	sloPageBurn    = 10
+	// sloBuckets is the ring size: the long window plus one slot, so the
+	// oldest in-window bucket is not reused by the current epoch
+	// mid-read.
+	sloBuckets = int64(sloLongWindow/sloBucketWidth) + 1
+)
 
 // sloBucket is one time bucket of good/bad counts. epoch is the bucket
 // sequence number (unix time / width) the counts belong to; a bucket is
@@ -73,33 +49,18 @@ type sloBucket struct {
 // observation — tolerable for telemetry, and single-threaded use (as in
 // tests) is exact. A nil tracker no-ops everywhere.
 type SLOTracker struct {
-	cfg      SLOConfig
-	budget   float64 // 1 - objective
-	nbuckets int
-	buckets  []sloBucket
+	cfg     SLOConfig
+	budget  float64 // 1 - objective
+	buckets [sloBuckets]sloBucket
 }
 
-// NewSLOTracker builds a tracker; zero config fields take defaults.
+// NewSLOTracker builds a tracker; an Objective outside (0,1) takes the
+// default.
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	cfg.applyDefaults()
-	n := int((cfg.LongWindow + cfg.BucketWidth - 1) / cfg.BucketWidth)
-	// One extra slot so the oldest in-window bucket is not reused by the
-	// current epoch mid-read.
-	n++
-	return &SLOTracker{
-		cfg:      cfg,
-		budget:   1 - cfg.Objective,
-		nbuckets: n,
-		buckets:  make([]sloBucket, n),
+	if cfg.Objective <= 0 || cfg.Objective >= 1 {
+		cfg.Objective = 0.999
 	}
-}
-
-// Config returns the tracker's resolved configuration.
-func (t *SLOTracker) Config() SLOConfig {
-	if t == nil {
-		return SLOConfig{}
-	}
-	return t.cfg
+	return &SLOTracker{cfg: cfg, budget: 1 - cfg.Objective}
 }
 
 // Observe records one request outcome at the current time.
@@ -116,8 +77,8 @@ func (t *SLOTracker) ObserveAt(now time.Time, d time.Duration, failed bool) {
 		return
 	}
 	good := !failed && (t.cfg.LatencyTarget <= 0 || d <= t.cfg.LatencyTarget)
-	epoch := now.UnixNano() / int64(t.cfg.BucketWidth)
-	b := &t.buckets[int(epoch%int64(t.nbuckets))]
+	epoch := now.UnixNano() / int64(sloBucketWidth)
+	b := &t.buckets[epoch%sloBuckets]
 	if e := b.epoch.Load(); e != epoch {
 		if b.epoch.CompareAndSwap(e, epoch) {
 			b.good.Store(0)
@@ -168,14 +129,13 @@ func (t *SLOTracker) StatusAt(now time.Time) SLOStatus {
 	if t == nil {
 		return SLOStatus{State: "disabled"}
 	}
-	nowEpoch := now.UnixNano() / int64(t.cfg.BucketWidth)
-	shortN := int64((t.cfg.ShortWindow + t.cfg.BucketWidth - 1) / t.cfg.BucketWidth)
-	longN := int64((t.cfg.LongWindow + t.cfg.BucketWidth - 1) / t.cfg.BucketWidth)
+	nowEpoch := now.UnixNano() / int64(sloBucketWidth)
+	const shortN, longN = int64(sloShortWindow / sloBucketWidth), int64(sloLongWindow / sloBucketWidth)
 	var st SLOStatus
 	st.Objective = t.cfg.Objective
 	st.LatencyTarget = float64(t.cfg.LatencyTarget) / 1e6
-	st.Short.Window = t.cfg.ShortWindow
-	st.Long.Window = t.cfg.LongWindow
+	st.Short.Window = sloShortWindow
+	st.Long.Window = sloLongWindow
 	for i := range t.buckets {
 		b := &t.buckets[i]
 		e := b.epoch.Load()
@@ -194,9 +154,9 @@ func (t *SLOTracker) StatusAt(now time.Time) SLOStatus {
 	st.Short.BurnRate = t.burn(st.Short.Good, st.Short.Bad)
 	st.Long.BurnRate = t.burn(st.Long.Good, st.Long.Bad)
 	switch {
-	case st.Short.BurnRate >= t.cfg.PageBurn && st.Long.BurnRate >= t.cfg.PageBurn:
+	case st.Short.BurnRate >= sloPageBurn && st.Long.BurnRate >= sloPageBurn:
 		st.State = "page"
-	case st.Short.BurnRate >= t.cfg.WarnBurn && st.Long.BurnRate >= t.cfg.WarnBurn:
+	case st.Short.BurnRate >= sloWarnBurn && st.Long.BurnRate >= sloWarnBurn:
 		st.State = "warn"
 	default:
 		st.State = "ok"

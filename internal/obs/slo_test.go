@@ -19,19 +19,12 @@ func closeTo(got, want float64) bool {
 }
 
 func newTestSLO() *SLOTracker {
-	return NewSLOTracker(SLOConfig{
-		Objective:   0.99, // budget 0.01
-		ShortWindow: time.Minute,
-		LongWindow:  10 * time.Minute,
-		BucketWidth: 10 * time.Second,
-		WarnBurn:    2,
-		PageBurn:    10,
-	})
+	return NewSLOTracker(SLOConfig{Objective: 0.99}) // budget 0.01
 }
 
 func TestSLOBurnRateMath(t *testing.T) {
 	tr := newTestSLO()
-	now := sloT0(10 * time.Second)
+	now := sloT0(sloBucketWidth)
 	for i := 0; i < 99; i++ {
 		tr.ObserveAt(now, time.Millisecond, false)
 	}
@@ -51,7 +44,7 @@ func TestSLOBurnRateMath(t *testing.T) {
 
 func TestSLOLatencyTargetCountsAsBad(t *testing.T) {
 	tr := NewSLOTracker(SLOConfig{Objective: 0.9, LatencyTarget: 100 * time.Millisecond})
-	now := sloT0(tr.Config().BucketWidth)
+	now := sloT0(sloBucketWidth)
 	tr.ObserveAt(now, 50*time.Millisecond, false)  // good
 	tr.ObserveAt(now, 100*time.Millisecond, false) // good: boundary inclusive
 	tr.ObserveAt(now, 101*time.Millisecond, false) // bad: too slow
@@ -64,18 +57,18 @@ func TestSLOLatencyTargetCountsAsBad(t *testing.T) {
 
 func TestSLOWindowBoundaryExpiry(t *testing.T) {
 	tr := newTestSLO()
-	width := 10 * time.Second
+	width := sloBucketWidth
 	t0 := sloT0(width)
 	tr.ObserveAt(t0, time.Millisecond, true) // one bad in bucket at t0
 
-	// Short window is 6 buckets. From bucket t0+5w the observation is
-	// still in the short window; at t0+6w it ages out of short but stays
-	// in long.
-	st := tr.StatusAt(t0.Add(5 * width))
+	// Short window is 30 buckets. At t0+29w the observation is still in
+	// the short window; at t0+30w it ages out of short but stays in
+	// long.
+	st := tr.StatusAt(t0.Add(29 * width))
 	if st.Short.Bad != 1 {
 		t.Fatalf("bad aged out of short window too early: %+v", st.Short)
 	}
-	st = tr.StatusAt(t0.Add(6 * width))
+	st = tr.StatusAt(t0.Add(30 * width))
 	if st.Short.Bad != 0 {
 		t.Fatalf("bad survived past the short window: %+v", st.Short)
 	}
@@ -83,12 +76,12 @@ func TestSLOWindowBoundaryExpiry(t *testing.T) {
 		t.Fatalf("bad missing from long window: %+v", st.Long)
 	}
 
-	// Long window is 60 buckets: present at +59w, gone at +60w.
-	st = tr.StatusAt(t0.Add(59 * width))
+	// Long window is 360 buckets: present at +359w, gone at +360w.
+	st = tr.StatusAt(t0.Add(359 * width))
 	if st.Long.Bad != 1 {
 		t.Fatalf("bad aged out of long window too early: %+v", st.Long)
 	}
-	st = tr.StatusAt(t0.Add(60 * width))
+	st = tr.StatusAt(t0.Add(360 * width))
 	if st.Long.Bad != 0 || st.Long.Good != 0 {
 		t.Fatalf("observation survived past the long window: %+v", st.Long)
 	}
@@ -96,12 +89,12 @@ func TestSLOWindowBoundaryExpiry(t *testing.T) {
 
 func TestSLOBucketReuseZeroesStaleCounts(t *testing.T) {
 	tr := newTestSLO()
-	width := 10 * time.Second
+	width := sloBucketWidth
 	t0 := sloT0(width)
 	tr.ObserveAt(t0, time.Millisecond, true)
 	// One full ring rotation later the same slot is reused for a new
 	// epoch; the stale bad count must not bleed into the new bucket.
-	later := t0.Add(time.Duration(tr.nbuckets) * width)
+	later := t0.Add(time.Duration(sloBuckets) * width)
 	tr.ObserveAt(later, time.Millisecond, false)
 	st := tr.StatusAt(later)
 	if st.Long.Bad != 0 || st.Long.Good != 1 {
@@ -111,7 +104,7 @@ func TestSLOBucketReuseZeroesStaleCounts(t *testing.T) {
 
 func TestSLOStateTransitions(t *testing.T) {
 	tr := newTestSLO()
-	now := sloT0(10 * time.Second)
+	now := sloT0(sloBucketWidth)
 	// 100% bad: burn = 1/0.01 = 100 in both windows -> page.
 	for i := 0; i < 10; i++ {
 		tr.ObserveAt(now, time.Millisecond, true)
@@ -138,7 +131,7 @@ func TestSLOStateTransitions(t *testing.T) {
 
 func TestSLOPageNeedsBothWindows(t *testing.T) {
 	tr := newTestSLO()
-	width := 10 * time.Second
+	width := sloBucketWidth
 	t0 := sloT0(width)
 	// A large good history in the long window, then a short burst of
 	// errors: the short window pages but the long window stays low, so
@@ -146,15 +139,15 @@ func TestSLOPageNeedsBothWindows(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tr.ObserveAt(t0, time.Millisecond, false)
 	}
-	burst := t0.Add(8 * width)
+	burst := t0.Add(sloShortWindow + 2*width)
 	for i := 0; i < 20; i++ {
 		tr.ObserveAt(burst, time.Millisecond, true)
 	}
 	st := tr.StatusAt(burst)
-	if st.Short.BurnRate < tr.Config().PageBurn {
+	if st.Short.BurnRate < sloPageBurn {
 		t.Fatalf("test setup: short burn %v should exceed page", st.Short.BurnRate)
 	}
-	if st.Long.BurnRate >= tr.Config().PageBurn {
+	if st.Long.BurnRate >= sloPageBurn {
 		t.Fatalf("test setup: long burn %v should stay below page", st.Long.BurnRate)
 	}
 	if st.State == "page" {
@@ -164,7 +157,7 @@ func TestSLOPageNeedsBothWindows(t *testing.T) {
 
 func TestSLOEmptyAndNil(t *testing.T) {
 	tr := newTestSLO()
-	st := tr.StatusAt(sloT0(10 * time.Second))
+	st := tr.StatusAt(sloT0(sloBucketWidth))
 	if st.State != "ok" || st.Short.BurnRate != 0 {
 		t.Fatalf("empty tracker not ok: %+v", st)
 	}

@@ -49,13 +49,6 @@ type ObservationSource = feedback.Store
 type Config struct {
 	// Model is the registry entry the controller manages.
 	Model string
-	// Spec is the candidate's model spec. A zero Spec (empty feature
-	// set) adopts the incumbent's spec at each attempt.
-	Spec core.Spec
-	// HoldoutFraction is the share of the augmented dataset withheld
-	// from training and used for the gate. Default 0.3 (the paper's
-	// test fraction).
-	HoldoutFraction float64
 	// MarginPct is the gate: the candidate's holdout MPE must be at
 	// least this many percentage points below the incumbent's.
 	// Default 0.25.
@@ -68,15 +61,13 @@ type Config struct {
 	Seed uint64
 }
 
+// holdoutFraction is the share of the augmented dataset withheld from
+// training and used for the gate: the paper's test fraction.
+const holdoutFraction = 0.3
+
 func (c *Config) defaults() error {
 	if c.Model == "" {
 		return fmt.Errorf("retrain: config needs a model name")
-	}
-	if c.HoldoutFraction == 0 {
-		c.HoldoutFraction = 0.3
-	}
-	if !(c.HoldoutFraction > 0 && c.HoldoutFraction < 1) { // NaN fails too
-		return fmt.Errorf("retrain: holdout fraction %v out of (0,1)", c.HoldoutFraction)
 	}
 	if c.MarginPct == 0 {
 		c.MarginPct = 0.25
@@ -343,7 +334,7 @@ func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*
 	// Deterministic shuffle, split off the holdout.
 	src := xrand.New(c.cfg.Seed + uint64(attempt))
 	perm := src.Perm(len(scs))
-	nTest := int(c.cfg.HoldoutFraction * float64(len(scs)))
+	nTest := int(holdoutFraction * float64(len(scs)))
 	if nTest < 1 || len(scs)-nTest < 2 {
 		asp.End()
 		return reject("augmented dataset of %d records too small to split", len(scs))
@@ -354,10 +345,8 @@ func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*
 	asp.Annotate("records", fmt.Sprintf("%d", len(scs)))
 	asp.End()
 
-	spec := c.cfg.Spec
-	if len(spec.FeatureSet.Features) == 0 {
-		spec = incumbent.Spec
-	}
+	// The candidate is trained to the incumbent's spec.
+	spec := incumbent.Spec
 	spec.Seed = c.cfg.Seed + uint64(attempt)
 
 	tsp := tr.StartSpan("train")

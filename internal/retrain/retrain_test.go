@@ -385,12 +385,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}, reg, nil, log); err == nil {
 		t.Fatal("empty model name accepted")
 	}
-	if _, err := New(Config{Model: "m", HoldoutFraction: 1.5}, reg, nil, log); err == nil {
-		t.Fatal("holdout fraction 1.5 accepted")
-	}
-	if _, err := New(Config{Model: "m", HoldoutFraction: math.NaN()}, reg, nil, log); err == nil {
-		t.Fatal("NaN holdout fraction accepted")
-	}
 	if _, err := New(Config{Model: "m", MarginPct: math.NaN()}, reg, nil, log); err == nil {
 		t.Fatal("NaN margin accepted: the gate would promote every candidate")
 	}

@@ -140,8 +140,8 @@ func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *
 	} else if req.Target != "" || req.MeasuredSeconds != 0 {
 		return errBody(badRequest(CodeBadRequest, "set either the single observation fields or \"observations\", not both"))
 	}
-	if len(batch) > s.cfg.MaxBatch {
-		return errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(batch), s.cfg.MaxBatch))
+	if len(batch) > maxBatch {
+		return errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(batch), maxBatch))
 	}
 
 	// Validate and resolve every slot first, then funnel all the valid

@@ -100,7 +100,7 @@ func replay(records []harness.Record, n int) []harness.Record {
 // seeded split, linear training.
 func TestClosedLoopAdaptation(t *testing.T) {
 	s, solo, heavy := newAdaptiveServer(t,
-		drift.Config{Delta: 2, Lambda: 30, MinSamples: 10},
+		drift.Config{Lambda: 30, MinSamples: 10},
 		retrain.Config{Seed: 42, MinObservations: 10, MarginPct: 0.01})
 	h := s.Handler()
 
@@ -203,7 +203,7 @@ func TestFailingCandidateKeepsIncumbent(t *testing.T) {
 // drift trip alone — no manual retrain call — promotes a new model.
 func TestAutoRetrainInBackground(t *testing.T) {
 	s, solo, heavy := newAdaptiveServer(t,
-		drift.Config{Delta: 2, Lambda: 30, MinSamples: 10},
+		drift.Config{Lambda: 30, MinSamples: 10},
 		retrain.Config{Seed: 42, MinObservations: 10, MarginPct: 0.01})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -370,7 +370,7 @@ func TestAdaptationEndpointsDisabled(t *testing.T) {
 // and live gauges.
 func TestAdaptationMetricsExposed(t *testing.T) {
 	s, solo, heavy := newAdaptiveServer(t,
-		drift.Config{Delta: 2, Lambda: 30, MinSamples: 10},
+		drift.Config{Lambda: 30, MinSamples: 10},
 		retrain.Config{Seed: 42, MinObservations: 10, MarginPct: 0.01})
 	h := s.Handler()
 	stream := append(replay(solo, 3), replay(heavy, 10)...)

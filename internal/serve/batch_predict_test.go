@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
 	"colocmodel/internal/mlp"
+	"colocmodel/internal/simproc"
+	"colocmodel/internal/workload"
 )
 
 // neuralTestServer builds a server around a neural model, the technique
@@ -145,5 +151,57 @@ func TestBatchMixedValidAndInvalidSlots(t *testing.T) {
 	}
 	if resp.Results[2].Error == nil || resp.Results[2].Error.Code != CodeBadPState {
 		t.Fatalf("slot 2 error = %+v", resp.Results[2].Error)
+	}
+}
+
+// TestBatchBoundsMeet pins the batch limit against the body bound: a
+// full batch of the longest legal 12-core scenario (every core busy, the
+// longest application name in every slot) fits under maxBodyBytes, so
+// one row past the limit is the typed batch-limit 400, never the 413
+// body_too_large.
+func TestBatchBoundsMeet(t *testing.T) {
+	longest := ""
+	for _, a := range workload.All() {
+		if len(a.Name) > len(longest) {
+			longest = a.Name
+		}
+	}
+	spec := simproc.XeonE52697v2()
+	co := make([]string, spec.Cores-1)
+	for i := range co {
+		co[i] = longest
+	}
+	rows := make([]ScenarioRequest, maxBatch+1)
+	for i := range rows {
+		rows[i] = ScenarioRequest{Target: longest, CoApps: co, PState: spec.PStates.Len() - 1}
+	}
+	full, err := json.Marshal(BatchRequest{Model: "primary", Scenarios: rows[:maxBatch]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) > maxBodyBytes {
+		t.Fatalf("a full batch of %q rows is %d bytes, over the %d-byte body bound", longest, len(full), maxBodyBytes)
+	}
+	s, _ := newTestServer(t, Config{})
+	w := postJSON(t, s.Handler(), "/v1/predict/batch", BatchRequest{Model: "primary", Scenarios: rows})
+	if w.Code != http.StatusBadRequest || errCode(t, w) != CodeBadRequest ||
+		!strings.Contains(w.Body.String(), "exceeds limit "+strconv.Itoa(maxBatch)) {
+		t.Fatalf("%d rows: status %d, body %.200s", maxBatch+1, w.Code, w.Body.String())
+	}
+}
+
+// TestNegativeTimeoutIsDefault: a negative RequestTimeout takes the
+// default, as 0 does, instead of expiring every request on arrival.
+func TestNegativeTimeoutIsDefault(t *testing.T) {
+	s, _ := newTestServer(t, Config{RequestTimeout: -time.Second})
+	w := postJSON(t, s.Handler(), "/v1/predict/batch", BatchRequest{Scenarios: []ScenarioRequest{{Target: "cg", CoApps: []string{"ep"}}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if resp := decodeBody[BatchResponse](t, w); len(resp.Results) != 1 || resp.Results[0].Error != nil {
+		t.Fatalf("slot failed: %s", w.Body.String())
+	}
+	if w := postJSON(t, s.Handler(), "/v1/placements", placementsBody()); w.Code != http.StatusOK {
+		t.Fatalf("placements: status %d: %s", w.Code, w.Body.String())
 	}
 }

@@ -192,7 +192,7 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 	var prob placement.Problem
 	if e == nil {
 		var err error
-		prob, err = PlacementProblem(req, rm.m, s.cfg.MaxPlacementApps, s.cfg.MaxPlacementMachines, s.cfg.MaxPlacementBeam)
+		prob, err = PlacementProblem(req, rm.m, maxPlacementApps, maxPlacementMachines, maxPlacementBeam)
 		if err != nil {
 			e = asError(err)
 		}

@@ -115,17 +115,17 @@ func TestPlacementsStreamingMonotone(t *testing.T) {
 }
 
 func TestPlacementsValidation(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxPlacementApps: 8, MaxPlacementMachines: 4, MaxPlacementBeam: 16})
+	s, _ := newTestServer(t, Config{})
 	cases := []struct {
 		name     string
 		mutate   func(*PlacementsRequest)
 		wantCode string
 	}{
 		{"no apps", func(r *PlacementsRequest) { r.Apps = nil }, CodeBadRequest},
-		{"too many apps", func(r *PlacementsRequest) { r.Apps = make([]string, 9) }, CodeBadRequest},
+		{"too many apps", func(r *PlacementsRequest) { r.Apps = make([]string, maxPlacementApps+1) }, CodeBadRequest},
 		{"unknown app", func(r *PlacementsRequest) { r.Apps = []string{"nosuch"} }, CodeUnknownApp},
 		{"no machines", func(r *PlacementsRequest) { r.Machines = nil }, CodeBadRequest},
-		{"fleet too big", func(r *PlacementsRequest) { r.Machines[0].Count = 5 }, CodeBadRequest},
+		{"fleet too big", func(r *PlacementsRequest) { r.Machines[0].Count = maxPlacementMachines + 1 }, CodeBadRequest},
 		{"negative count", func(r *PlacementsRequest) { r.Machines[0].Count = -1 }, CodeBadRequest},
 		{"unknown machine", func(r *PlacementsRequest) { r.Machines[0].Machine = "nosuch" }, CodeBadRequest},
 		{"zero cores", func(r *PlacementsRequest) { r.Machines[0].Cores = -2 }, CodeBadRequest},
@@ -133,7 +133,7 @@ func TestPlacementsValidation(t *testing.T) {
 		{"duplicate pstates", func(r *PlacementsRequest) { r.Machines[0].PStates = []int{0, 0} }, CodeBadRequest},
 		{"bad objective", func(r *PlacementsRequest) { r.Objective = "latency" }, CodeBadRequest},
 		{"bad qos", func(r *PlacementsRequest) { r.MaxSlowdown = 0.5 }, CodeBadRequest},
-		{"beam too big", func(r *PlacementsRequest) { r.Beam = 99 }, CodeBadRequest},
+		{"beam too big", func(r *PlacementsRequest) { r.Beam = maxPlacementBeam + 1 }, CodeBadRequest},
 		{"overfull fleet", func(r *PlacementsRequest) {
 			r.Machines = []PlacementMachineRequest{{Cores: 1}}
 			r.Apps = []string{"cg", "cg", "cg", "cg", "cg", "cg", "cg"}
@@ -236,12 +236,7 @@ func FuzzPlacements(f *testing.F) {
 	f.Add([]byte(overflowingCount))
 	f.Add([]byte(`{"apps":["cg"],"machines":[{"machine":"13core"}]}`))
 	f.Add([]byte(`{"stream":true,"apps":["cg","ep"],"machines":[{"count":2}],"beam":2}`))
-	s, _ := newTestServer(f, Config{
-		MaxPlacementApps:     16,
-		MaxPlacementMachines: 8,
-		MaxPlacementBeam:     8,
-		RequestTimeout:       2 * time.Second,
-	})
+	s, _ := newTestServer(f, Config{RequestTimeout: 2 * time.Second})
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/placements", bytes.NewReader(data))

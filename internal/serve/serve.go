@@ -56,19 +56,8 @@ import (
 // Config tunes the server.
 type Config struct {
 	// RequestTimeout bounds the processing time of a batch, placements
-	// or observations request. Default 10s.
+	// or observations request. 0 or negative selects the default, 10s.
 	RequestTimeout time.Duration
-	// MaxBatch caps scenarios per batch request. Default 4096.
-	MaxBatch int
-	// MaxPlacementApps caps pending apps per placement request.
-	// Default 256.
-	MaxPlacementApps int
-	// MaxPlacementMachines caps the fleet size per placement request.
-	// Default 64.
-	MaxPlacementMachines int
-	// MaxPlacementBeam caps the local-search beam width per placement
-	// request. Default 64.
-	MaxPlacementBeam int
 	// The five observability knobs, passed to the request edge as an
 	// obs.EdgeConfig, which documents them and owns their defaults
 	// (0 = default, negative = off).
@@ -79,21 +68,18 @@ type Config struct {
 	SLOLatencyTarget time.Duration
 }
 
+// The request limits: rows per batch (predict or observations), and the
+// pending apps, fleet size and beam width of one placement search.
+const (
+	maxBatch             = 4096
+	maxPlacementApps     = 256
+	maxPlacementMachines = 64
+	maxPlacementBeam     = 64
+)
+
 func (c *Config) defaults() {
-	if c.RequestTimeout == 0 {
+	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 4096
-	}
-	if c.MaxPlacementApps == 0 {
-		c.MaxPlacementApps = 256
-	}
-	if c.MaxPlacementMachines == 0 {
-		c.MaxPlacementMachines = 64
-	}
-	if c.MaxPlacementBeam == 0 {
-		c.MaxPlacementBeam = 64
 	}
 }
 
@@ -513,8 +499,8 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 	if len(req.Scenarios) == 0 {
 		return errBody(badRequest(CodeBadRequest, "scenarios must not be empty"))
 	}
-	if len(req.Scenarios) > s.cfg.MaxBatch {
-		return errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(req.Scenarios), s.cfg.MaxBatch))
+	if len(req.Scenarios) > maxBatch {
+		return errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(req.Scenarios), maxBatch))
 	}
 	rm, e := s.resolveModel(req.Model)
 	if e != nil {

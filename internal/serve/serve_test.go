@@ -383,12 +383,12 @@ func TestPredictBatch(t *testing.T) {
 }
 
 func TestPredictBatchLimits(t *testing.T) {
-	s, _ := newTestServer(t, Config{MaxBatch: 2})
+	s, _ := newTestServer(t, Config{})
 	h := s.Handler()
 	if w := postJSON(t, h, "/v1/predict/batch", BatchRequest{}); w.Code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d", w.Code)
 	}
-	big := BatchRequest{Scenarios: make([]ScenarioRequest, 3)}
+	big := BatchRequest{Scenarios: make([]ScenarioRequest, maxBatch+1)}
 	if w := postJSON(t, h, "/v1/predict/batch", big); w.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d", w.Code)
 	}

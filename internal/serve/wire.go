@@ -23,10 +23,9 @@ import (
 // stdlib's; the fast encoder renders only values it renders
 // byte-for-byte as json.Encoder does and hands the rest back to it.
 
-// maxBodyBytes bounds a request body: the default MaxBatch of 4096 rows
-// at up to 512 B each (a 12-core scenario with eleven long co-runner
-// names is about 250 B).
-const maxBodyBytes = 4096 * 512
+// maxBodyBytes bounds a request body: maxBatch rows at up to 512 B each
+// (a 12-core scenario with eleven long co-runner names is about 250 B).
+const maxBodyBytes = maxBatch * 512
 
 // maxPooledWireBuf drops oversized buffers instead of pooling them, so
 // one huge batch does not pin memory.
