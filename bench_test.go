@@ -1,7 +1,9 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section, ablation benchmarks for the design choices
-// DESIGN.md calls out (bootstrap vs. k-fold, analytical engine vs.
-// trace-driven LRU cache), and the in-process
+// Benchmark harness: a benchmark for each table and figure of the paper's
+// evaluation section (Figures 1–4 share BenchmarkEvaluateAll, whose one
+// evaluation per machine yields both its MPE and its NRMSE figure),
+// ablation benchmarks for the design choices DESIGN.md calls out
+// (bootstrap vs. k-fold, analytical engine vs. trace-driven LRU cache),
+// and the in-process
 // handler controls ServePredict and ObservationIngest. A quantity the
 // repository benchmark (bench/) already reports per layer — one
 // predict, save/load, dataset collection — has no benchmark here.
@@ -15,6 +17,7 @@ package colocmodel_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -127,30 +130,30 @@ func BenchmarkTable6CannealCG(b *testing.B) {
 
 // ---- Figures ----
 
-// evaluateAllBench regenerates one of Figures 1–4: the full twelve-model
-// repeated-random-subsampling evaluation on one machine's dataset.
-func evaluateAllBench(b *testing.B, cores int) {
+// BenchmarkEvaluateAll regenerates Figures 1–4: the full twelve-model
+// repeated-random-subsampling evaluation on each machine's dataset. One
+// evaluation yields both the MPE and the NRMSE figure of its machine
+// (Figures 1 and 3 on the 6-core, 2 and 4 on the 12-core).
+func BenchmarkEvaluateAll(b *testing.B) {
 	s := benchSuite(b)
-	ds, err := s.Dataset(cores)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.EvaluateAll(ds, core.EvalConfig{Partitions: benchPartitions, Seed: uint64(i)})
+	for _, cores := range []int{6, 12} {
+		ds, err := s.Dataset(cores)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) != 12 {
-			b.Fatalf("got %d models", len(res))
-		}
+		b.Run(fmt.Sprintf("%dcore", cores), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := core.EvaluateAll(ds, core.EvalConfig{Partitions: benchPartitions, Seed: uint64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res) != 12 {
+					b.Fatalf("got %d models", len(res))
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFigure1MPE6Core(b *testing.B)    { evaluateAllBench(b, 6) }
-func BenchmarkFigure2MPE12Core(b *testing.B)   { evaluateAllBench(b, 12) }
-func BenchmarkFigure3NRMSE6Core(b *testing.B)  { evaluateAllBench(b, 6) }
-func BenchmarkFigure4NRMSE12Core(b *testing.B) { evaluateAllBench(b, 12) }
 
 func BenchmarkFigure5aDistributions(b *testing.B) {
 	s := benchSuite(b)

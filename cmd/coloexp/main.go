@@ -3,59 +3,35 @@
 //
 // Usage:
 //
-//	coloexp [-partitions N] [-seed S] [-table N] [-figure N|5a|5b] [-pca] [-all]
+//	coloexp [-run id,id,...] [-partitions N] [-seed S] [-noise SIGMA] [-svgdir DIR]
 //
-// With no selection flags, -all is assumed. Figures 1–4 run the full
-// twelve-model repeated-random-subsampling evaluation and dominate the
-// runtime; lower -partitions for a quick look.
+// -run selects experiments by id (experiments.Registry lists them); with
+// no -run every experiment runs. Selected experiments print in registry
+// order. Figures 1–4 run the full twelve-model repeated-random-subsampling
+// evaluation and dominate the runtime; lower -partitions for a quick look.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"colocmodel/internal/experiments"
 )
 
 func main() {
-	var (
-		partitions = flag.Int("partitions", 100, "repeated random sub-sampling partitions (paper: 100)")
-		seed       = flag.Uint64("seed", 42, "experiment seed")
-		noise      = flag.Float64("noise", 0.01, "measurement noise sigma")
-		table      = flag.Int("table", 0, "regenerate one table (1-6)")
-		figure     = flag.String("figure", "", "regenerate one figure (1-4, 5a, 5b)")
-		pcaFlag    = flag.Bool("pca", false, "run the Section III-B PCA feature ranking")
-		genFlag    = flag.Bool("generalize", false, "run the Section IV-B3 generalisation experiment")
-		interFlag  = flag.Bool("interactions", false, "run the linear-interactions ablation")
-		corrFlag   = flag.Bool("correlations", false, "print the Table I feature correlation matrix")
-		microFlag  = flag.Bool("micro", false, "run the microbenchmark-transfer experiment")
-		phaseFlag  = flag.Bool("phases", false, "run the phase-sensitivity experiment")
-		mixedFlag  = flag.Bool("mixed", false, "run the mixed-training ablation")
-		scaleFlag  = flag.Bool("scaling", false, "run the problem-size scaling experiment")
-		svgDir     = flag.String("svgdir", "", "also write figures (and the Table VI sweep) as SVG files to this directory")
-		all        = flag.Bool("all", false, "regenerate everything")
-	)
+	var o options
+	flag.StringVar(&o.run, "run", "", "comma-separated experiment ids (default: all): "+strings.Join(ids(), ","))
+	flag.IntVar(&o.partitions, "partitions", 100, "repeated random sub-sampling partitions (paper: 100)")
+	flag.Uint64Var(&o.seed, "seed", 42, "experiment seed")
+	flag.Float64Var(&o.noise, "noise", 0.01, "measurement noise sigma")
+	flag.StringVar(&o.svgDir, "svgdir", "", "also write figures (and the Table VI sweep) as <id>.svg files to this directory")
 	flag.Parse()
-	opts := options{
-		partitions: *partitions,
-		seed:       *seed,
-		noise:      *noise,
-		table:      *table,
-		figure:     *figure,
-		pca:        *pcaFlag,
-		generalize: *genFlag,
-		interact:   *interFlag,
-		correlate:  *corrFlag,
-		micro:      *microFlag,
-		phases:     *phaseFlag,
-		mixed:      *mixedFlag,
-		scaling:    *scaleFlag,
-		all:        *all,
-		svgDir:     *svgDir,
-	}
-	if err := run(opts); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "coloexp:", err)
 		os.Exit(1)
 	}
@@ -63,221 +39,90 @@ func main() {
 
 // options collects the command's parsed flags.
 type options struct {
+	run        string
 	partitions int
 	seed       uint64
 	noise      float64
-	table      int
-	figure     string
-	pca        bool
-	generalize bool
-	interact   bool
-	correlate  bool
-	micro      bool
-	phases     bool
-	mixed      bool
-	scaling    bool
-	all        bool
 	svgDir     string
 }
 
-// selected reports whether any specific experiment flag was given.
-func (o options) selected() bool {
-	return o.table != 0 || o.figure != "" || o.pca || o.generalize ||
-		o.interact || o.correlate || o.micro || o.phases || o.mixed || o.scaling
+// ids lists every experiment id in registry order.
+func ids() []string {
+	var out []string
+	for _, e := range experiments.Registry() {
+		out = append(out, e.ID)
+	}
+	return out
 }
 
-func run(o options) error {
-	all := o.all
-	if !o.selected() {
-		all = true
+// selection returns the experiments a -run list names, in registry order
+// and each once; an empty list selects all of them.
+func selection(list string) ([]experiments.Experiment, error) {
+	all := experiments.Registry()
+	if list == "" {
+		return all, nil
 	}
-	table, figure, svgDir := o.table, o.figure, o.svgDir
+	valid := ids()
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ","))
+		}
+		want[id] = true
+	}
+	var out []experiments.Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
 
-	// Static tables need no data collection.
-	if all || table == 1 {
-		fmt.Println("=== Table I: Model Features ===")
-		fmt.Println(experiments.Table1())
-	}
-	if all || table == 2 {
-		fmt.Println("=== Table II: Sets of Model Feature Groups ===")
-		fmt.Println(experiments.Table2())
-	}
-	if all || table == 4 {
-		fmt.Println("=== Table IV: Multicore Processors Used for Validation ===")
-		fmt.Println(experiments.Table4())
-	}
-	if all || table == 5 {
-		fmt.Println("=== Table V: Training Setup ===")
-		fmt.Println(experiments.Table5())
-	}
-	needSuite := all || table == 3 || table == 6 || figure != "" || o.pca || o.generalize ||
-		o.interact || o.correlate || o.micro || o.phases || o.mixed || o.scaling
-	if !needSuite {
-		return nil
-	}
-
-	cfg := experiments.Config{Partitions: o.partitions, Seed: o.seed, NoiseSigma: o.noise}
-	fmt.Printf("collecting Table V datasets on both machines (seed %d)...\n\n", o.seed)
-	suite, err := experiments.NewSuite(cfg)
+func run(w io.Writer, o options) error {
+	sel, err := selection(o.run)
 	if err != nil {
 		return err
 	}
-
-	if all || table == 3 {
-		rows, err := suite.Table3()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Table III: Benchmark Applications (measured baselines) ===")
-		fmt.Println(experiments.RenderTable3(rows))
-	}
-	if all || o.pca {
-		rows, err := suite.PCARanking()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Section III-B: PCA Feature Ranking ===")
-		fmt.Println(experiments.RenderPCARanking(rows))
-	}
-	if all || table == 6 {
-		res, err := suite.Table6()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Table VI: canneal vs. increasing cg co-location (12-core) ===")
-		fmt.Println(experiments.RenderTable6(res))
-		if svgDir != "" {
-			svg, err := experiments.Table6SVG(res)
+	var suite *experiments.Suite
+	for _, e := range sel {
+		if e.NeedsSuite && suite == nil {
+			fmt.Fprintf(w, "collecting Table V datasets on both machines (seed %d)...\n\n", o.seed)
+			suite, err = experiments.NewSuite(experiments.Config{Partitions: o.partitions, Seed: o.seed, NoiseSigma: o.noise})
 			if err != nil {
 				return err
 			}
-			if err := writeSVG(svgDir, "table6", svg); err != nil {
-				return err
-			}
 		}
-	}
-	for n := 1; n <= 4; n++ {
-		if all || figure == fmt.Sprint(n) {
-			f, err := suite.Figure(n)
-			if err != nil {
-				return err
-			}
-			fmt.Println("===", "Figure", n, "===")
-			fmt.Println(experiments.RenderFigure(f))
-			if svgDir != "" {
-				svg, err := experiments.FigureSVG(f)
-				if err != nil {
-					return err
-				}
-				if err := writeSVG(svgDir, fmt.Sprint(n), svg); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if all || figure == "5a" {
-		rows, err := suite.Figure5a()
+		out, err := e.Compute(suite)
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Figure 5(a) ===")
-		fmt.Println(experiments.RenderFigure5a(rows))
-		if svgDir != "" {
-			svg, err := experiments.Figure5aSVG(rows)
-			if err != nil {
-				return err
-			}
-			if err := writeSVG(svgDir, "5a", svg); err != nil {
-				return err
-			}
+		fmt.Fprintln(w, "===", e.Title, "===")
+		fmt.Fprintln(w, out.Text)
+		if o.svgDir == "" || out.SVG == nil {
+			continue
 		}
-	}
-	if all || figure == "5b" {
-		res, err := suite.Figure5b()
+		svg, err := out.SVG()
 		if err != nil {
 			return err
 		}
-		fmt.Println("=== Figure 5(b) ===")
-		fmt.Println(experiments.RenderFigure5b(res))
-		if svgDir != "" {
-			svg, err := experiments.Figure5bSVG(res)
-			if err != nil {
-				return err
-			}
-			if err := writeSVG(svgDir, "5b", svg); err != nil {
-				return err
-			}
-		}
-	}
-	if all || o.generalize {
-		cases, err := suite.Generalization()
-		if err != nil {
+		if err := writeSVG(w, o.svgDir, e.ID, svg); err != nil {
 			return err
 		}
-		fmt.Println("=== Extension: out-of-sample generalization (Section IV-B3) ===")
-		fmt.Println(experiments.RenderGeneralization(cases))
-	}
-	if all || o.interact {
-		rows, err := suite.InteractionAblation()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Ablation: linear models with interaction terms ===")
-		fmt.Println(experiments.RenderInteractionAblation(rows))
-	}
-	if all || o.correlate {
-		m, fs, err := suite.FeatureCorrelations()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Feature correlation structure ===")
-		fmt.Println(experiments.RenderFeatureCorrelations(m, fs))
-	}
-	if all || o.micro {
-		rows, err := suite.MicrobenchmarkTransfer()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Extension: microbenchmark transfer (validity boundary) ===")
-		fmt.Println(experiments.RenderMicrobenchmarkTransfer(rows))
-	}
-	if all || o.phases {
-		rows, err := suite.PhaseSensitivity(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Extension: phase sensitivity (Section I claim) ===")
-		fmt.Println(experiments.RenderPhaseSensitivity(rows))
-	}
-	if all || o.mixed {
-		rows, err := suite.MixedTraining(0)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Ablation: homogeneous vs. mixed training data ===")
-		fmt.Println(experiments.RenderMixedTraining(rows))
-	}
-	if all || o.scaling {
-		rows, err := suite.ProblemSizeScaling()
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Extension: problem-size scaling (validity boundary) ===")
-		fmt.Println(experiments.RenderProblemSizeScaling(rows))
 	}
 	return nil
 }
 
-// writeSVG writes one rendered figure to svgDir, creating the directory
-// if needed.
-func writeSVG(dir, id, svg string) error {
+// writeSVG writes one rendered figure to dir as <id>.svg, creating the
+// directory if needed.
+func writeSVG(w io.Writer, dir, id, svg string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, experiments.SVGName(id))
+	path := filepath.Join(dir, id+".svg")
 	if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
 		return err
 	}
-	fmt.Println("wrote", path)
+	fmt.Fprintln(w, "wrote", path)
 	return nil
 }

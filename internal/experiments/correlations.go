@@ -16,29 +16,26 @@ import (
 // co-runners (all are k times a per-application constant), as are the
 // three target-side features, so later sets add little *linear*
 // information — the nonlinear interactions are what the neural network
-// exploits.
-func (s *Suite) FeatureCorrelations() ([][]float64, []features.Feature, error) {
+// exploits. Rows and columns are in Table I order.
+func (s *Suite) FeatureCorrelations() ([][]float64, error) {
 	ds, err := s.Dataset(6)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	x, err := features.FullMatrix(ds, ds.Records)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cols := make([][]float64, x.Cols)
 	for j := 0; j < x.Cols; j++ {
 		cols[j] = x.Col(j)
 	}
-	m, err := stats.CorrelationMatrix(cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, features.AllFeatures(), nil
+	return stats.CorrelationMatrix(cols)
 }
 
-// RenderFeatureCorrelations formats the correlation matrix.
-func RenderFeatureCorrelations(m [][]float64, fs []features.Feature) string {
+// renderFeatureCorrelations formats the correlation matrix.
+func renderFeatureCorrelations(m [][]float64) string {
+	fs := features.AllFeatures()
 	var b strings.Builder
 	fmt.Fprintln(&b, "Table I feature correlations over the 6-core training data")
 	w := tabwriter.NewWriter(&b, 2, 4, 1, ' ', 0)

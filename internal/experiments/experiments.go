@@ -3,19 +3,7 @@
 // behind cmd/coloexp and the repository's benchmark harness; EXPERIMENTS.md
 // records its output next to the paper's numbers.
 //
-// Experiment index:
-//
-//	Table I    — the eight model features (static)
-//	Table II   — the six feature sets A–F (static)
-//	Table III  — the eleven applications with baseline memory intensity
-//	Table IV   — the two Xeon machines
-//	Table V    — the training-data campaign
-//	Table VI   — canneal vs. increasing cg co-location on the 12-core
-//	             machine, with linear-F and NN-F prediction error
-//	Figures 1,2 — MPE of all twelve models (6-core, 12-core)
-//	Figures 3,4 — NRMSE of all twelve models (6-core, 12-core)
-//	Figure 5a  — per-application execution-time distributions (6-core)
-//	Figure 5b  — per-application NN-F percent-error distributions
+// Registry lists every experiment, with its id and title, in print order.
 package experiments
 
 import (
@@ -43,8 +31,6 @@ type Config struct {
 	Seed uint64
 	// NoiseSigma is the measurement-noise sigma for data collection.
 	NoiseSigma float64
-	// Workers bounds parallel partition training; 0 = GOMAXPROCS.
-	Workers int
 }
 
 // Default returns the paper's evaluation configuration.
@@ -110,11 +96,7 @@ func (s *Suite) evaluations(cores int) ([]*core.EvalResult, error) {
 	if *cached != nil {
 		return *cached, nil
 	}
-	res, err := core.EvaluateAll(ds, core.EvalConfig{
-		Partitions: s.cfg.Partitions,
-		Seed:       s.cfg.Seed,
-		Workers:    s.cfg.Workers,
-	})
+	res, err := core.EvaluateAll(ds, core.EvalConfig{Partitions: s.cfg.Partitions, Seed: s.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +171,8 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 	return rows, nil
 }
 
-// RenderTable3 formats Table III.
-func RenderTable3(rows []Table3Row) string {
+// renderTable3 formats Table III.
+func renderTable3(rows []Table3Row) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "application\tsuite\tclass\tbaseline memory intensity")
@@ -345,8 +327,8 @@ func abs(v float64) float64 {
 	return v
 }
 
-// RenderTable6 formats the Table VI reproduction.
-func RenderTable6(t *Table6Result) string {
+// renderTable6 formats the Table VI reproduction.
+func renderTable6(t *Table6Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "canneal baseline execution time: %.1f s\n", t.BaselineSeconds)
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
@@ -414,8 +396,8 @@ func (s *Suite) Figure(n int) (*FigureResult, error) {
 	return res, nil
 }
 
-// RenderFigure formats a Figures 1–4 result.
-func RenderFigure(f *FigureResult) string {
+// renderFigure formats a Figures 1–4 result.
+func renderFigure(f *FigureResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %d: %s prediction accuracy on %s (%s, %% error)\n",
 		f.Figure, f.Metric, f.Machine, f.Metric)
@@ -457,8 +439,8 @@ func (s *Suite) Figure5a() ([]Figure5aRow, error) {
 	return rows, nil
 }
 
-// RenderFigure5a formats Figure 5(a).
-func RenderFigure5a(rows []Figure5aRow) string {
+// renderFigure5a formats Figure 5(a).
+func renderFigure5a(rows []Figure5aRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 5(a): execution-time distributions per application (6-core, seconds)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
@@ -553,8 +535,8 @@ func (s *Suite) Figure5b() (*Figure5bResult, error) {
 	return res, nil
 }
 
-// RenderFigure5b formats Figure 5(b).
-func RenderFigure5b(f *Figure5bResult) string {
+// renderFigure5b formats Figure 5(b).
+func renderFigure5b(f *Figure5bResult) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Figure 5(b): NN model-F percent-error distributions per application (6-core)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
@@ -600,8 +582,8 @@ func (s *Suite) PCARanking() ([]PCARankRow, error) {
 	return rows, nil
 }
 
-// RenderPCARanking formats the PCA feature ranking.
-func RenderPCARanking(rows []PCARankRow) string {
+// renderPCARanking formats the PCA feature ranking.
+func renderPCARanking(rows []PCARankRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "PCA feature ranking (Section III-B)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

@@ -23,15 +23,18 @@ func (s *shared[T]) get(t testing.TB, f func() (T, error)) T {
 }
 
 // The suite collects full Table V datasets; share one across tests with a
-// reduced partition count so the package tests stay fast. Table VI and
-// Figure 5(b) train their own models, and the PCA ranking fits its own
-// decomposition, so they are shared too.
+// reduced partition count so the package tests stay fast, and share each
+// registry entry's output on it.
 var (
-	suiteMemo    shared[*Suite]
-	table6Memo   shared[*Table6Result]
-	figure5bMemo shared[*Figure5bResult]
-	pcaMemo      shared[[]PCARankRow]
+	suiteMemo  shared[*Suite]
+	outputMemo = map[string]*shared[*Output]{}
 )
+
+func init() {
+	for _, e := range Registry() {
+		outputMemo[e.ID] = new(shared[*Output])
+	}
+}
 
 func testSuite(t testing.TB) *Suite {
 	t.Helper()
@@ -42,19 +45,16 @@ func testSuite(t testing.TB) *Suite {
 	})
 }
 
-func table6(t testing.TB) *Table6Result {
+// output is the registry entry id's output on the shared suite.
+func output(t testing.TB, id string) *Output {
 	t.Helper()
-	return table6Memo.get(t, testSuite(t).Table6)
-}
-
-func figure5b(t testing.TB) *Figure5bResult {
-	t.Helper()
-	return figure5bMemo.get(t, testSuite(t).Figure5b)
-}
-
-func pcaRanking(t testing.TB) []PCARankRow {
-	t.Helper()
-	return pcaMemo.get(t, testSuite(t).PCARanking)
+	for _, e := range Registry() {
+		if e.ID == id {
+			return outputMemo[id].get(t, func() (*Output, error) { return e.Compute(testSuite(t)) })
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
 }
 
 func TestNewSuiteValidation(t *testing.T) {
@@ -119,13 +119,13 @@ func TestTable3ClassStructure(t *testing.T) {
 			t.Fatal("rows not ordered by class")
 		}
 	}
-	if out := RenderTable3(rows); !strings.Contains(out, "canneal") {
+	if out := renderTable3(rows); !strings.Contains(out, "canneal") {
 		t.Fatal("render missing canneal")
 	}
 }
 
 func TestTable6Shape(t *testing.T) {
-	res := table6(t)
+	res := output(t, "table6").result.(*Table6Result)
 	if len(res.Rows) != 11 {
 		t.Fatalf("got %d rows, want 11 (k = 1..11)", len(res.Rows))
 	}
@@ -150,7 +150,7 @@ func TestTable6Shape(t *testing.T) {
 				r.NumCG, r.LinearFError, r.NeuralFError)
 		}
 	}
-	if out := RenderTable6(res); !strings.Contains(out, "normalized") {
+	if out := renderTable6(res); !strings.Contains(out, "normalized") {
 		t.Fatal("render missing header")
 	}
 }
@@ -170,7 +170,7 @@ func TestFiguresShape(t *testing.T) {
 				t.Fatalf("figure %d model %s has non-positive error", n, p.Model)
 			}
 		}
-		if out := RenderFigure(f); !strings.Contains(out, "neural-net-F") {
+		if out := renderFigure(f); !strings.Contains(out, "neural-net-F") {
 			t.Fatalf("figure %d render incomplete", n)
 		}
 	}
@@ -221,13 +221,13 @@ func TestFigure5a(t *testing.T) {
 			t.Fatalf("%s has no execution-time spread", r.App)
 		}
 	}
-	if out := RenderFigure5a(rows); !strings.Contains(out, "median") {
+	if out := renderFigure5a(rows); !strings.Contains(out, "median") {
 		t.Fatal("render missing header")
 	}
 }
 
 func TestFigure5bAccuracyClaims(t *testing.T) {
-	res := figure5b(t)
+	res := output(t, "figure5b").result.(*Figure5bResult)
 	if len(res.Rows) != 11 {
 		t.Fatalf("got %d rows, want 11", len(res.Rows))
 	}
@@ -245,13 +245,13 @@ func TestFigure5bAccuracyClaims(t *testing.T) {
 			t.Fatalf("%s median error %v far from zero", r.App, r.Summary.Median)
 		}
 	}
-	if out := RenderFigure5b(res); !strings.Contains(out, "overall") {
+	if out := renderFigure5b(res); !strings.Contains(out, "overall") {
 		t.Fatal("render missing overall line")
 	}
 }
 
 func TestPCARanking(t *testing.T) {
-	rows := pcaRanking(t)
+	rows := output(t, "pca").result.([]PCARankRow)
 	if len(rows) != 8 {
 		t.Fatalf("got %d features, want 8", len(rows))
 	}
@@ -265,7 +265,7 @@ func TestPCARanking(t *testing.T) {
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("scores sum to %v", sum)
 	}
-	if out := RenderPCARanking(rows); !strings.Contains(out, "rank") {
+	if out := renderPCARanking(rows); !strings.Contains(out, "rank") {
 		t.Fatal("render missing header")
 	}
 }
@@ -296,41 +296,33 @@ func TestGeneralization(t *testing.T) {
 			t.Errorf("family %s MPE %.2f%% exceeds %.0f%%", c.Family, c.MPE, limit)
 		}
 	}
-	if out := RenderGeneralization(cases); !strings.Contains(out, "unseen") {
+	if out := renderGeneralization(cases); !strings.Contains(out, "unseen") {
 		t.Fatal("render incomplete")
 	}
 }
 
+// Every figure, and the Table VI sweep, draws an SVG from its registry
+// entry's output.
 func TestSVGRenderers(t *testing.T) {
-	s := testSuite(t)
-	f, err := s.Figure(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svg, err := FigureSVG(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<svg", "neural test", "linear train"} {
-		if !strings.Contains(svg, want) {
-			t.Errorf("figure SVG missing %q", want)
+	for id, wants := range map[string][]string{
+		"figure1":  {"neural test", "linear train"},
+		"figure5a": {"canneal"},
+		"figure5b": {"percent error"},
+		"table6":   {"normalised"},
+	} {
+		out := output(t, id)
+		if out.SVG == nil {
+			t.Fatalf("%s draws no SVG", id)
 		}
-	}
-	rows, err := s.Figure5a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svg, err := Figure5aSVG(rows); err != nil || !strings.Contains(svg, "canneal") {
-		t.Fatalf("figure 5a SVG: %v", err)
-	}
-	if svg, err := Figure5bSVG(figure5b(t)); err != nil || !strings.Contains(svg, "percent error") {
-		t.Fatalf("figure 5b SVG: %v", err)
-	}
-	if svg, err := Table6SVG(table6(t)); err != nil || !strings.Contains(svg, "normalised") {
-		t.Fatalf("table 6 SVG: %v", err)
-	}
-	if SVGName("5a") != "figure5a.svg" || SVGName("table6") != "table6.svg" {
-		t.Fatal("SVG names wrong")
+		svg, err := out.SVG()
+		if err != nil {
+			t.Fatalf("%s SVG: %v", id, err)
+		}
+		for _, want := range append(wants, "<svg") {
+			if !strings.Contains(svg, want) {
+				t.Errorf("%s SVG missing %q", id, want)
+			}
+		}
 	}
 }
 
@@ -358,19 +350,19 @@ func TestInteractionAblation(t *testing.T) {
 	if byModel["neural-net-F"] >= byModel["linear-F"] {
 		t.Fatalf("NN-F (%v) not better than linear-F (%v)", byModel["neural-net-F"], byModel["linear-F"])
 	}
-	if out := RenderInteractionAblation(rows); !strings.Contains(out, "linear-F+x") {
+	if out := renderInteractionAblation(rows); !strings.Contains(out, "linear-F+x") {
 		t.Fatal("render incomplete")
 	}
 }
 
 func TestFeatureCorrelations(t *testing.T) {
 	s := testSuite(t)
-	m, fs, err := s.FeatureCorrelations()
+	m, err := s.FeatureCorrelations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 8 || len(fs) != 8 {
-		t.Fatalf("matrix %dx, features %d", len(m), len(fs))
+	if len(m) != 8 {
+		t.Fatalf("matrix has %d rows, want 8", len(m))
 	}
 	for i := range m {
 		if m[i][i] != 1 {
@@ -383,7 +375,7 @@ func TestFeatureCorrelations(t *testing.T) {
 	if m[2][4] < 0.7 || m[2][5] < 0.7 {
 		t.Fatalf("co-app features not strongly correlated: %v, %v", m[2][4], m[2][5])
 	}
-	if out := RenderFeatureCorrelations(m, fs); !strings.Contains(out, "coAppMem") {
+	if out := renderFeatureCorrelations(m); !strings.Contains(out, "coAppMem") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -426,7 +418,7 @@ func TestMicrobenchmarkTransfer(t *testing.T) {
 				k, byKernel[k].MPE, byKernel["ministencil"].MPE)
 		}
 	}
-	if out := RenderMicrobenchmarkTransfer(rows); !strings.Contains(out, "pchase") {
+	if out := renderMicrobenchmarkTransfer(rows); !strings.Contains(out, "pchase") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -453,7 +445,7 @@ func TestPhaseSensitivity(t *testing.T) {
 		t.Fatalf("phases break the model: %.2f%% (0x) -> %.2f%% (5x)",
 			rows[0].TestMPE, rows[2].TestMPE)
 	}
-	if out := RenderPhaseSensitivity(rows); !strings.Contains(out, "amplitude") {
+	if out := renderPhaseSensitivity(rows); !strings.Contains(out, "amplitude") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -487,7 +479,7 @@ func TestMixedTraining(t *testing.T) {
 		t.Fatalf("augmentation hurt: %.2f%% -> %.2f%%",
 			byVariant["homogeneous (Table V)"].TestMPE, byVariant["augmented"].TestMPE)
 	}
-	if out := RenderMixedTraining(rows); !strings.Contains(out, "augmented") {
+	if out := renderMixedTraining(rows); !strings.Contains(out, "augmented") {
 		t.Fatal("render incomplete")
 	}
 }
@@ -520,7 +512,7 @@ func TestProblemSizeScaling(t *testing.T) {
 			t.Errorf("%gx transfer MPE %.2f%% exceeds 40%%", f, byFactor[f].MPE)
 		}
 	}
-	if out := RenderProblemSizeScaling(rows); !strings.Contains(out, "work factor") {
+	if out := renderProblemSizeScaling(rows); !strings.Contains(out, "work factor") {
 		t.Fatal("render incomplete")
 	}
 }

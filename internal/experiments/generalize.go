@@ -160,8 +160,8 @@ func repeatName(name string, k int) []string {
 	return out
 }
 
-// RenderGeneralization formats the generalisation experiment.
-func RenderGeneralization(cases []GeneralizationCase) string {
+// renderGeneralization formats the generalisation experiment.
+func renderGeneralization(cases []GeneralizationCase) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Generalization (Section IV-B3 claim): NN-F on out-of-sample scenarios (12-core)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

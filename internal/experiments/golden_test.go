@@ -99,11 +99,14 @@ func datasetDigest(ds *harness.Dataset) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// paperGoldenIDs are the registry entries the golden pins, in the
+// golden's order: Table VI, train/test MPE and NRMSE of all twelve models
+// on both machines (Figures 1–4), Figure 5(b)'s ±2 % and ±5 % shares, and
+// the Section III-B PCA ranking.
+var paperGoldenIDs = []string{"table6", "figure1", "figure2", "figure3", "figure4", "figure5b", "pca"}
+
 // collectPaperGolden computes the golden from the shared suite: the two
-// dataset digests, Table VI, train/test MPE and NRMSE of all twelve
-// models on both machines (Figures 1–4), Figure 5(b)'s ±2 % and ±5 %
-// shares, overall and per application, and the Section III-B PCA ranking
-// (each feature's score, in rank order).
+// dataset digests and the Values of every pinned registry entry.
 func collectPaperGolden(t *testing.T) paperGolden {
 	t.Helper()
 	s := testSuite(t)
@@ -111,44 +114,10 @@ func collectPaperGolden(t *testing.T) paperGolden {
 	for _, ds := range []*harness.Dataset{s.ds6, s.ds12} {
 		g.Datasets[ds.Machine] = datasetDigest(ds)
 	}
-	add := func(name string, v float64) {
-		g.Values = append(g.Values, goldenValue{Name: name, Bits: fmt.Sprintf("%016x", math.Float64bits(v)), Value: v})
-	}
-
-	t6 := table6(t)
-	add("table6/baseline_seconds", t6.BaselineSeconds)
-	for _, r := range t6.Rows {
-		p := fmt.Sprintf("table6/k=%02d/", r.NumCG)
-		add(p+"seconds", r.Seconds)
-		add(p+"normalized", r.Normalized)
-		add(p+"linear_f_predict", r.LinearFPredict)
-		add(p+"linear_f_error_pct", r.LinearFError)
-		add(p+"neural_f_predict", r.NeuralFPredict)
-		add(p+"neural_f_error_pct", r.NeuralFError)
-	}
-
-	for n := 1; n <= 4; n++ {
-		f, err := s.Figure(n)
-		if err != nil {
-			t.Fatal(err)
+	for _, id := range paperGoldenIDs {
+		for _, v := range output(t, id).Values {
+			g.Values = append(g.Values, goldenValue{Name: v.Name, Bits: fmt.Sprintf("%016x", math.Float64bits(v.V)), Value: v.V})
 		}
-		for _, p := range f.Points {
-			prefix := fmt.Sprintf("figure%d/%s/%s/", n, f.Metric, p.Model)
-			add(prefix+"train", p.TrainError)
-			add(prefix+"test", p.TestError)
-		}
-	}
-
-	f5 := figure5b(t)
-	add("figure5b/overall/within2", f5.Within2)
-	add("figure5b/overall/within5", f5.Within5)
-	for _, r := range f5.Rows {
-		add("figure5b/"+r.App+"/within2", r.Within2)
-		add("figure5b/"+r.App+"/within5", r.Within5)
-	}
-
-	for i, r := range pcaRanking(t) {
-		add(fmt.Sprintf("pca/rank=%d/%s/score", i+1, r.Feature), r.Score)
 	}
 	return g
 }

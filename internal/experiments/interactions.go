@@ -37,7 +37,7 @@ func (s *Suite) InteractionAblation() ([]InteractionRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.EvalConfig{Partitions: s.cfg.Partitions, Seed: s.cfg.Seed, Workers: s.cfg.Workers}
+	cfg := core.EvalConfig{Partitions: s.cfg.Partitions, Seed: s.cfg.Seed}
 	specs := []core.Spec{
 		{Technique: core.Linear, FeatureSet: setF},
 		{Technique: core.Linear, FeatureSet: features.WithInteractions(setF)},
@@ -54,8 +54,8 @@ func (s *Suite) InteractionAblation() ([]InteractionRow, error) {
 	return out, nil
 }
 
-// RenderInteractionAblation formats the ablation.
-func RenderInteractionAblation(rows []InteractionRow) string {
+// renderInteractionAblation formats the ablation.
+func renderInteractionAblation(rows []InteractionRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Interaction ablation: why the neural network wins (6-core, test MPE)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

@@ -131,8 +131,8 @@ func (s *Suite) MicrobenchmarkTransfer() ([]MicroTransferRow, error) {
 	return out, nil
 }
 
-// RenderMicrobenchmarkTransfer formats the experiment.
-func RenderMicrobenchmarkTransfer(rows []MicroTransferRow) string {
+// renderMicrobenchmarkTransfer formats the experiment.
+func renderMicrobenchmarkTransfer(rows []MicroTransferRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Microbenchmark transfer: scientific-workload model on constructed kernels (12-core, NN-F)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

@@ -153,8 +153,8 @@ func toSeconds(ms []harness.MixedRecord) []float64 {
 	return out
 }
 
-// RenderMixedTraining formats the experiment.
-func RenderMixedTraining(rows []MixedTrainingRow) string {
+// renderMixedTraining formats the experiment.
+func renderMixedTraining(rows []MixedTrainingRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Mixed-training ablation: accuracy on heterogeneous schedules (12-core, NN-F)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

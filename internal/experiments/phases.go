@@ -61,7 +61,7 @@ func (s *Suite) PhaseSensitivity(scales []float64) ([]PhaseSensitivityRow, error
 			return nil, err
 		}
 		res, err := core.Evaluate(core.Spec{Technique: core.NeuralNet, FeatureSet: setF, Seed: s.cfg.Seed},
-			ds, core.EvalConfig{Partitions: partitions, Seed: s.cfg.Seed, Workers: s.cfg.Workers})
+			ds, core.EvalConfig{Partitions: partitions, Seed: s.cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -87,8 +87,8 @@ func scaleAmplitudes(apps []workload.App, scale float64, maxAmp *float64) []work
 	return out
 }
 
-// RenderPhaseSensitivity formats the experiment.
-func RenderPhaseSensitivity(rows []PhaseSensitivityRow) string {
+// renderPhaseSensitivity formats the experiment.
+func renderPhaseSensitivity(rows []PhaseSensitivityRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Phase sensitivity: NN-F accuracy vs. application phase amplitude (6-core)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

@@ -133,8 +133,8 @@ func (s *Suite) ProblemSizeScaling() ([]ScalingRow, error) {
 	return out, nil
 }
 
-// RenderProblemSizeScaling formats the experiment.
-func RenderProblemSizeScaling(rows []ScalingRow) string {
+// renderProblemSizeScaling formats the experiment.
+func renderProblemSizeScaling(rows []ScalingRow) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Problem-size scaling: NN-F on rescaled targets (12-core, canneal/cg/fluidanimate)")
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)

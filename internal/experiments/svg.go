@@ -2,16 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"colocmodel/internal/features"
 	"colocmodel/internal/svgplot"
 )
 
-// FigureSVG renders a Figures 1–4 result as an SVG line chart with the
+// figureSVG renders a Figures 1–4 result as an SVG line chart with the
 // paper's layout: feature sets A–F on the x axis, four series (train and
 // test error for each technique, training dashed).
-func FigureSVG(f *FigureResult) (string, error) {
+func figureSVG(f *FigureResult) (string, error) {
 	cats := make([]string, 0, len(features.Sets()))
 	for _, s := range features.Sets() {
 		cats = append(cats, s.Name)
@@ -47,8 +46,8 @@ func FigureSVG(f *FigureResult) (string, error) {
 	return chart.Render()
 }
 
-// Figure5aSVG renders the execution-time distributions as a box plot.
-func Figure5aSVG(rows []Figure5aRow) (string, error) {
+// figure5aSVG renders the execution-time distributions as a box plot.
+func figure5aSVG(rows []Figure5aRow) (string, error) {
 	p := &svgplot.BoxPlot{
 		Title:  "Figure 5(a): execution-time distributions (6-core)",
 		YLabel: "execution time (s)",
@@ -63,9 +62,9 @@ func Figure5aSVG(rows []Figure5aRow) (string, error) {
 	return p.Render()
 }
 
-// Figure5bSVG renders the NN-F percent-error distributions as a box plot
+// figure5bSVG renders the NN-F percent-error distributions as a box plot
 // with a zero reference line.
-func Figure5bSVG(f *Figure5bResult) (string, error) {
+func figure5bSVG(f *Figure5bResult) (string, error) {
 	p := &svgplot.BoxPlot{
 		Title:    "Figure 5(b): NN model-F percent-error distributions (6-core)",
 		YLabel:   "percent error",
@@ -81,9 +80,9 @@ func Figure5bSVG(f *Figure5bResult) (string, error) {
 	return p.Render()
 }
 
-// Table6SVG renders the Table VI sweep as a line chart of normalised
+// table6SVG renders the Table VI sweep as a line chart of normalised
 // execution time vs. co-location count.
-func Table6SVG(t *Table6Result) (string, error) {
+func table6SVG(t *Table6Result) (string, error) {
 	cats := make([]string, len(t.Rows))
 	norm := make([]float64, len(t.Rows))
 	for i, r := range t.Rows {
@@ -98,14 +97,4 @@ func Table6SVG(t *Table6Result) (string, error) {
 		Series:     []svgplot.Series{{Name: "measured", Values: norm}},
 	}
 	return chart.Render()
-}
-
-// SVGName maps an experiment id ("1".."4", "5a", "5b", "table6") to a
-// file name.
-func SVGName(id string) string {
-	id = strings.ToLower(id)
-	if id == "table6" {
-		return "table6.svg"
-	}
-	return "figure" + id + ".svg"
 }
