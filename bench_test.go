@@ -2,8 +2,7 @@
 // evaluation section (Figures 1–4 share BenchmarkEvaluateAll, whose one
 // evaluation per machine yields both its MPE and its NRMSE figure),
 // ablation benchmarks for the design choices DESIGN.md calls out
-// (bootstrap vs. k-fold, analytical engine vs. trace-driven LRU cache),
-// and the in-process
+// (analytical engine vs. trace-driven LRU cache), and the in-process
 // handler controls ServePredict and ObservationIngest. A quantity the
 // repository benchmark (bench/) already reports per layer — one
 // predict, save/load, dataset collection — has no benchmark here.
@@ -50,9 +49,7 @@ var (
 func benchSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		cfg := experiments.Default()
-		cfg.Partitions = benchPartitions
-		suiteVal, suiteErr = experiments.NewSuite(cfg)
+		suiteVal, suiteErr = experiments.NewSuite(experiments.Config{Partitions: benchPartitions, Seed: 42, NoiseSigma: 0.01})
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -338,36 +335,6 @@ func BenchmarkInteractionAblation(b *testing.B) {
 			b.Fatalf("got %d rows", len(rows))
 		}
 	}
-}
-
-// BenchmarkAblationBootstrapVsKFold compares the paper's repeated random
-// sub-sampling protocol against k-fold cross-validation on the same
-// model (see core.KFold).
-func BenchmarkAblationBootstrapVsKFold(b *testing.B) {
-	s := benchSuite(b)
-	ds, err := s.Dataset(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	setC, err := features.SetByName("C")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := core.Spec{Technique: core.Linear, FeatureSet: setC}
-	b.Run("bootstrap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Evaluate(spec, ds, core.EvalConfig{Partitions: 10, Seed: uint64(i)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("kfold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.KFold(spec, ds, 10, uint64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // benchWriter is the minimal http.ResponseWriter: status, headers and

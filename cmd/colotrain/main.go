@@ -49,12 +49,15 @@ func run(machine, in, out, models string, partitions int, seed uint64, noise flo
 	if n < 0 {
 		return fmt.Errorf("-n %d: the number of co-located copies cannot be negative", n)
 	}
+	if loadModel != "" && predict == "" {
+		return fmt.Errorf("-loadmodel %s needs -predict: a loaded model is only used to predict a scenario", loadModel)
+	}
 	// Without -predict or -savemodel the run evaluates models.
 	evaluate := predict == "" && saveModel == ""
 	if evaluate && partitions <= 0 {
 		return fmt.Errorf("-partitions %d: evaluation needs at least one partition", partitions)
 	}
-	if loadModel != "" && predict != "" {
+	if loadModel != "" {
 		return runPredictLoaded(loadModel, predict, coapp, n, pstate)
 	}
 	ds, err := obtainDataset(machine, in, seed, noise)

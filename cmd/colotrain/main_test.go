@@ -34,8 +34,9 @@ func TestObtainDatasetErrors(t *testing.T) {
 }
 
 // TestRunRejectsBadCounts: a partition count below one where models are
-// evaluated, and a negative -n, are refused before any dataset is read or
-// model loaded, with an error naming the flag.
+// evaluated, a negative -n, and -loadmodel without -predict are refused
+// before any dataset is read or model loaded, with an error naming the
+// flag.
 func TestRunRejectsBadCounts(t *testing.T) {
 	const missing = "/does/not/exist"
 	for _, c := range []struct {
@@ -48,6 +49,7 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		{name: "zero partitions", partitions: 0, want: "-partitions 0"},
 		{name: "negative n", partitions: 1, n: -3, predict: "canneal", want: "-n -3"},
 		{name: "negative n, loaded model", partitions: 1, n: -3, predict: "canneal", loadModel: missing, want: "-n -3"},
+		{name: "loaded model without -predict", partitions: 1, loadModel: missing, want: "-loadmodel " + missing + " needs -predict"},
 	} {
 		err := run("6core", missing+".csv", "", "linear-A", c.partitions, 1, 0.01, c.predict, "cg", c.n, 0, "", c.loadModel)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

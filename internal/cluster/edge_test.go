@@ -164,7 +164,7 @@ func routerTier(t *testing.T, ec obs.EdgeConfig) *edgeTier {
 		sc.Target = fmt.Sprintf("app%d", i)
 	}
 	return &edgeTier{
-		h: rt.Handler(), prefix: "colorouter", failedFrom: 500, tracer: rt.Tracer(), slo: rt.SLO(),
+		h: rt.Handler(), prefix: "colorouter", failedFrom: 500, tracer: rt.edge.Tracer(), slo: rt.edge.SLO(),
 		okBody:     predictBody(sc),
 		badBody:    `{"target":`,
 		failMethod: http.MethodGet, failPath: "/v1/models", failEndpoint: "models",

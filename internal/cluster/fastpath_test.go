@@ -198,8 +198,8 @@ func TestSendBuildsTheRequestNewRequestWould(t *testing.T) {
 // at join, not discovered by the first request, and one that does is
 // resolved to the host http.NewRequest would address.
 func TestAddResolvesBaseAtJoin(t *testing.T) {
-	rt := New(Config{})
 	for i, base := range []string{"http://example.com:", "http://[::1]:", "http://[::1]", "https://example.com:8443/pre"} {
+		rt := New(Config{})
 		name := strconv.Itoa(i)
 		if err := rt.Pool().Add(name, base); err != nil {
 			t.Fatal(err)
@@ -211,10 +211,8 @@ func TestAddResolvesBaseAtJoin(t *testing.T) {
 		if got := rt.pool.Get(name).url; got.Host != req.Host || got.Scheme != req.URL.Scheme {
 			t.Errorf("base %q resolved to %s://%s, http.NewRequest addresses %s://%s", base, got.Scheme, got.Host, req.URL.Scheme, req.Host)
 		}
-		if err := rt.Pool().Remove(name); err != nil {
-			t.Fatal(err)
-		}
 	}
+	rt := New(Config{})
 	for _, base := range []string{"127.0.0.1:8080", "http://[::1", "http://a b/"} {
 		if err := rt.Pool().Add("x", base); err == nil {
 			t.Errorf("Add accepted %q", base)

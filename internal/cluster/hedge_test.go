@@ -117,7 +117,7 @@ func awaitReply(t *testing.T, replies <-chan *httptest.ResponseRecorder) *httpte
 // which the call must have ended.
 func lastTrace(t *testing.T, rt *Router) *obs.TraceData {
 	t.Helper()
-	tds := rt.Tracer().Snapshot(obs.Filter{Name: "predict"})
+	tds := rt.edge.Tracer().Snapshot(obs.Filter{Name: "predict"})
 	if len(tds) == 0 {
 		t.Fatal("no retained predict trace")
 	}

@@ -216,19 +216,6 @@ func (p *Pool) Add(name, base string) error {
 	return nil
 }
 
-// Remove leaves a backend from the pool and rebuilds the ring; keys it
-// owned move to their next replica, everything else stays put.
-func (p *Pool) Remove(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.backends[name]; !ok {
-		return fmt.Errorf("cluster: backend %q not joined", name)
-	}
-	delete(p.backends, name)
-	p.rebuildLocked()
-	return nil
-}
-
 func (p *Pool) rebuildLocked() {
 	backends := make([]*Backend, 0, len(p.backends))
 	for _, b := range p.backends {

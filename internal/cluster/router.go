@@ -117,14 +117,6 @@ func (rt *Router) Pool() *Pool { return rt.pool }
 // Metrics returns the router's metrics layer.
 func (rt *Router) Metrics() *Metrics { return rt.metrics }
 
-// Tracer returns the router's span tracer (nil when tracing is
-// disabled via a negative Config.TraceRing).
-func (rt *Router) Tracer() *obs.Tracer { return rt.edge.Tracer() }
-
-// SLO returns the router's predict-path SLO tracker (nil when SLO
-// tracking is disabled via a negative Config.SLOObjective).
-func (rt *Router) SLO() *obs.SLOTracker { return rt.edge.SLO() }
-
 // Start probes every backend once (so routing starts with fresh health
 // and generation data) and launches the periodic probe loop.
 func (rt *Router) Start(ctx context.Context) {

@@ -35,7 +35,7 @@ func findSpan(td *obs.TraceData, name, origin string) int {
 // latestPredictTrace returns the newest retained OK predict trace.
 func latestPredictTrace(t *testing.T, rt *Router) *obs.TraceData {
 	t.Helper()
-	for _, td := range rt.Tracer().Snapshot(obs.Filter{Name: "predict"}) {
+	for _, td := range rt.edge.Tracer().Snapshot(obs.Filter{Name: "predict"}) {
 		if td.Status == http.StatusOK {
 			return td
 		}

@@ -420,78 +420,6 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-func TestKFoldMatchesBootstrapBallpark(t *testing.T) {
-	ds := testDataset(t)
-	set, _ := features.SetByName("C")
-	spec := Spec{Technique: Linear, FeatureSet: set}
-	boot, err := Evaluate(spec, ds, EvalConfig{Partitions: 10, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kf, err := KFold(spec, ds, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kf.Folds != 5 || len(kf.PerFold) != 5 {
-		t.Fatalf("fold bookkeeping wrong: %+v", kf)
-	}
-	// The validation-protocol ablation: both protocols must report
-	// errors of the same magnitude (within 50% of each other).
-	ratio := kf.TestMPE / boot.TestMPE
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("k-fold MPE %v vs bootstrap %v: protocols disagree", kf.TestMPE, boot.TestMPE)
-	}
-	if kf.TrainMPE <= 0 || kf.TestNRMSE <= 0 || kf.TrainNRMSE <= 0 {
-		t.Fatalf("k-fold errors: %+v", kf)
-	}
-}
-
-func TestKFoldErrors(t *testing.T) {
-	ds := testDataset(t)
-	set, _ := features.SetByName("A")
-	spec := Spec{Technique: Linear, FeatureSet: set}
-	if _, err := KFold(spec, nil, 5, 1); err == nil {
-		t.Fatal("nil dataset accepted")
-	}
-	if _, err := KFold(spec, ds, 1, 1); err == nil {
-		t.Fatal("k=1 accepted")
-	}
-	if _, err := KFold(spec, ds, len(ds.Records)+1, 1); err == nil {
-		t.Fatal("k > n accepted")
-	}
-}
-
-func TestKFoldDeterministic(t *testing.T) {
-	ds := testDataset(t)
-	set, _ := features.SetByName("B")
-	spec := Spec{Technique: Linear, FeatureSet: set}
-	a, err := KFold(spec, ds, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := KFold(spec, ds, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TestMPE != b.TestMPE {
-		t.Fatal("k-fold not deterministic")
-	}
-}
-
-func TestKFoldCoversAllRecordsOnce(t *testing.T) {
-	// Every record appears in exactly one test fold: verify via fold
-	// sizes summing to n with k folds of ±1 equal size.
-	ds := testDataset(t)
-	set, _ := features.SetByName("A")
-	kf, err := KFold(Spec{Technique: Linear, FeatureSet: set}, ds, 7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kf.PerFold) != 7 {
-		t.Fatalf("got %d folds", len(kf.PerFold))
-	}
-}
-
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	ds := testDataset(t)
 	for _, tech := range []Technique{Linear, NeuralNet} {

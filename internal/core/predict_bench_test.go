@@ -27,11 +27,11 @@ func benchArtifact() []byte {
 	for a := 0; a < apps; a++ {
 		secs := make([]float64, pstates)
 		for p := range secs {
-			secs[p] = 100 + 20*float64(p) + src.Uniform(0, 50)
+			secs[p] = 100 + 20*float64(p) + 50*src.Float64()
 		}
 		baselines[fmt.Sprintf("app%d", a)] = map[string]any{
 			"App": fmt.Sprintf("app%d", a), "SecondsByPState": secs,
-			"MemIntensity": src.Uniform(0, 1e-3), "CMPerCA": src.Float64(), "CAPerIns": src.Uniform(0, 0.1),
+			"MemIntensity": 0.001 * src.Float64(), "CMPerCA": src.Float64(), "CAPerIns": 0.1 * src.Float64(),
 		}
 	}
 	freqs := make([]float64, pstates)
@@ -45,8 +45,8 @@ func benchArtifact() []byte {
 	mean := make([]float64, width)
 	std := make([]float64, width)
 	for j := range mean {
-		mean[j] = src.Uniform(0, 10)
-		std[j] = src.Uniform(0.5, 5)
+		mean[j] = 10 * src.Float64()
+		std[j] = 0.5 + 4.5*src.Float64()
 	}
 	dto := map[string]any{
 		"format": 1, "technique": 1, "feature_set": "bench",

@@ -70,9 +70,6 @@ func New(cfg Config) (*Controller, error) {
 	}, nil
 }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // maxUtilization caps effective utilisation so latency stays finite; real
 // controllers throttle requesters rather than diverge.
 const maxUtilization = 0.97
@@ -106,28 +103,4 @@ func (c *Controller) Latency(missesPerSec float64) float64 {
 	}
 	queueNs := c.serviceNs * rho / (1 - rho)
 	return c.cfg.BaseLatencyNs + queueNs
-}
-
-// SlowdownFactor returns Latency(load)/Latency(0): the multiplicative
-// memory-latency inflation co-location causes.
-func (c *Controller) SlowdownFactor(missesPerSec float64) float64 {
-	return c.Latency(missesPerSec) / c.cfg.BaseLatencyNs
-}
-
-// BandwidthCap returns the highest miss rate (misses/second) the
-// controller admits before throttling, i.e. the miss rate at
-// maxUtilization.
-func (c *Controller) BandwidthCap() float64 {
-	return maxUtilization * c.cfg.PeakBandwidthGBs * 1e9 / float64(c.cfg.LineBytes)
-}
-
-// ThrottledRate returns the admitted aggregate miss rate for an offered
-// aggregate rate: offered demand beyond the bandwidth cap queues, so the
-// effective service rate saturates at the cap.
-func (c *Controller) ThrottledRate(offeredMissesPerSec float64) float64 {
-	cap := c.BandwidthCap()
-	if offeredMissesPerSec <= cap {
-		return offeredMissesPerSec
-	}
-	return cap
 }

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// saturationRate is the miss rate (misses/second) at which utilisation
+// reaches maxUtilization and latency stops growing.
+func saturationRate(c *Controller) float64 {
+	return maxUtilization * c.cfg.PeakBandwidthGBs * 1e9 / float64(c.cfg.LineBytes)
+}
+
 func validCfg() Config {
 	return Config{
 		BaseLatencyNs:    80,
@@ -59,9 +65,6 @@ func TestIdleLatencyIsBase(t *testing.T) {
 	if got := c.Latency(0); got != 80 {
 		t.Fatalf("idle latency %v, want 80", got)
 	}
-	if c.SlowdownFactor(0) != 1 {
-		t.Fatal("idle slowdown != 1")
-	}
 }
 
 func TestLatencyMonotoneInLoad(t *testing.T) {
@@ -78,7 +81,7 @@ func TestLatencyMonotoneInLoad(t *testing.T) {
 
 func TestLatencySuperlinearNearSaturation(t *testing.T) {
 	c, _ := New(validCfg())
-	cap := c.BandwidthCap()
+	cap := saturationRate(c)
 	low := c.Latency(0.1*cap) - c.Latency(0)
 	high := c.Latency(0.95*cap) - c.Latency(0.85*cap)
 	// The same 10%-of-cap increment must cost far more delay near
@@ -108,14 +111,17 @@ func TestUtilizationLinear(t *testing.T) {
 	}
 }
 
+// TestBandwidthCapAndThrottle: offered demand beyond the saturation rate
+// is throttled, so it costs exactly the latency of the saturation rate,
+// while demand below it costs less.
 func TestBandwidthCapAndThrottle(t *testing.T) {
 	c, _ := New(validCfg())
-	cap := c.BandwidthCap()
-	if got := c.ThrottledRate(cap * 2); got != cap {
-		t.Fatalf("throttled rate %v, want %v", got, cap)
+	cap := saturationRate(c)
+	if got, want := c.Latency(2*cap), c.Latency(cap); got != want {
+		t.Fatalf("latency at twice the cap %v, want the cap's %v", got, want)
 	}
-	if got := c.ThrottledRate(cap / 2); got != cap/2 {
-		t.Fatalf("below-cap rate altered: %v", got)
+	if c.Latency(cap/2) >= c.Latency(cap) {
+		t.Fatalf("below-cap latency %v not below the cap's %v", c.Latency(cap/2), c.Latency(cap))
 	}
 }
 
@@ -126,20 +132,19 @@ func TestMoreBanksLowerQueueing(t *testing.T) {
 	many.BanksPerChannel = 16
 	cf, _ := New(few)
 	cm, _ := New(many)
-	load := 0.9 * cf.BandwidthCap()
+	load := 0.9 * saturationRate(cf)
 	if cm.Latency(load) >= cf.Latency(load) {
 		t.Fatalf("more banks did not reduce latency: %v vs %v", cm.Latency(load), cf.Latency(load))
 	}
 }
 
-// Property: latency ≥ base latency for all finite loads, and slowdown
-// factor ≥ 1.
+// Property: latency ≥ base latency for all finite loads.
 func TestLatencyBoundsProperty(t *testing.T) {
 	c, _ := New(validCfg())
 	f := func(loadRaw uint32) bool {
 		load := float64(loadRaw) * 1e4
 		l := c.Latency(load)
-		return l >= c.Config().BaseLatencyNs && c.SlowdownFactor(load) >= 1
+		return l >= c.cfg.BaseLatencyNs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

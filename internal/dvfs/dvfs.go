@@ -83,34 +83,9 @@ func (t *Table) MaxFreq() float64 { return t.states[0].FreqGHz }
 // MinFreq returns the lowest frequency in GHz.
 func (t *Table) MinFreq() float64 { return t.states[len(t.states)-1].FreqGHz }
 
-// Nearest returns the P-state whose frequency is closest to freqGHz.
-func (t *Table) Nearest(freqGHz float64) PState {
-	best := t.states[0]
-	bestD := abs(best.FreqGHz - freqGHz)
-	for _, s := range t.states[1:] {
-		if d := abs(s.FreqGHz - freqGHz); d < bestD {
-			best, bestD = s, d
-		}
-	}
-	return best
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // DynamicPowerW returns the dynamic power (watts) of one active core at
 // this P-state: P = C·V²·f with effective switched capacitance cEff
 // (nF·GHz units fold into the constant).
 func (p PState) DynamicPowerW(cEff float64) float64 {
 	return cEff * p.Voltage * p.Voltage * p.FreqGHz
-}
-
-// SlowdownVsMax returns how much longer a purely compute-bound task takes
-// at this P-state relative to running at fMax: fMax/f.
-func (p PState) SlowdownVsMax(fMaxGHz float64) float64 {
-	return fMaxGHz / p.FreqGHz
 }

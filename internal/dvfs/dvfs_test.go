@@ -68,19 +68,6 @@ func TestStateOutOfRange(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	tab, _ := NewTable([]float64{1.2, 1.5, 1.8, 2.1, 2.4, 2.7}, 0.8, 1.2)
-	if got := tab.Nearest(1.65); got.FreqGHz != 1.5 && got.FreqGHz != 1.8 {
-		t.Fatalf("Nearest(1.65) = %v", got.FreqGHz)
-	}
-	if got := tab.Nearest(10); got.FreqGHz != 2.7 {
-		t.Fatalf("Nearest(10) = %v", got.FreqGHz)
-	}
-	if got := tab.Nearest(0); got.FreqGHz != 1.2 {
-		t.Fatalf("Nearest(0) = %v", got.FreqGHz)
-	}
-}
-
 func TestStatesIsCopy(t *testing.T) {
 	tab, _ := NewTable([]float64{1.0, 2.0}, 0.8, 1.2)
 	states := tab.States()
@@ -98,13 +85,6 @@ func TestDynamicPowerCubicScaling(t *testing.T) {
 	ratio := hi.DynamicPowerW(1) / lo.DynamicPowerW(1)
 	if math.Abs(ratio-8) > 1e-9 {
 		t.Fatalf("power ratio %v, want 8", ratio)
-	}
-}
-
-func TestSlowdownVsMax(t *testing.T) {
-	p := PState{FreqGHz: 1.2}
-	if got := p.SlowdownVsMax(2.4); got != 2 {
-		t.Fatalf("slowdown %v, want 2", got)
 	}
 }
 

@@ -32,32 +32,6 @@ func NewEstimator(spec simproc.Spec) (*Estimator, error) {
 	return &Estimator{spec: spec}, nil
 }
 
-// PowerW returns package power (watts) at the given P-state with the
-// given number of active cores: uncore power plus per-core dynamic power
-// C·V²·f.
-func (e *Estimator) PowerW(pstate, activeCores int) (float64, error) {
-	if activeCores < 0 || activeCores > e.spec.Cores {
-		return 0, fmt.Errorf("energy: %d active cores out of [0,%d]", activeCores, e.spec.Cores)
-	}
-	st, err := e.spec.PStates.State(pstate)
-	if err != nil {
-		return 0, err
-	}
-	return e.spec.UncorePowerW + float64(activeCores)*st.DynamicPowerW(e.spec.CoreCEffW), nil
-}
-
-// EnergyJ returns package energy (joules) for a run of the given duration.
-func (e *Estimator) EnergyJ(pstate, activeCores int, seconds float64) (float64, error) {
-	if seconds < 0 {
-		return 0, fmt.Errorf("energy: negative duration %v", seconds)
-	}
-	p, err := e.PowerW(pstate, activeCores)
-	if err != nil {
-		return 0, err
-	}
-	return p * seconds, nil
-}
-
 // Estimate is a predicted energy account for one target application run
 // under co-location.
 type Estimate struct {

@@ -56,58 +56,6 @@ func TestNewEstimatorValidates(t *testing.T) {
 	}
 }
 
-func TestPowerScalesWithCoresAndPState(t *testing.T) {
-	e, err := NewEstimator(simproc.XeonE5649())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idle, err := e.PowerW(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle != simproc.XeonE5649().UncorePowerW {
-		t.Fatalf("idle power %v, want uncore only", idle)
-	}
-	one, _ := e.PowerW(0, 1)
-	six, _ := e.PowerW(0, 6)
-	if six <= one || one <= idle {
-		t.Fatalf("power not increasing with cores: %v %v %v", idle, one, six)
-	}
-	// Lower P-state, lower power.
-	low, _ := e.PowerW(5, 6)
-	if low >= six {
-		t.Fatalf("low P-state power %v not below P0 %v", low, six)
-	}
-}
-
-func TestPowerErrors(t *testing.T) {
-	e, _ := NewEstimator(simproc.XeonE5649())
-	if _, err := e.PowerW(0, -1); err == nil {
-		t.Fatal("negative cores accepted")
-	}
-	if _, err := e.PowerW(0, 7); err == nil {
-		t.Fatal("too many cores accepted")
-	}
-	if _, err := e.PowerW(9, 1); err == nil {
-		t.Fatal("bad P-state accepted")
-	}
-}
-
-func TestEnergyJ(t *testing.T) {
-	e, _ := NewEstimator(simproc.XeonE5649())
-	p, _ := e.PowerW(0, 2)
-	got, err := e.EnergyJ(0, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-10*p) > 1e-9 {
-		t.Fatalf("energy %v, want %v", got, 10*p)
-	}
-	if _, err := e.EnergyJ(0, 2, -1); err == nil {
-		t.Fatal("negative duration accepted")
-	}
-}
-
 func TestPredictTargetEnergy(t *testing.T) {
 	m := trainedModel(t)
 	e, _ := NewEstimator(simproc.XeonE5649())
@@ -200,15 +148,13 @@ func TestPredictedEnergyTracksSimulatedRAPL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := m.Predict(features.Scenario{Target: "canneal", CoApps: []string{"cg", "cg", "cg"}, PState: 0})
+	est, err := PredictTargetEnergy(m, e, features.Scenario{Target: "canneal", CoApps: []string{"cg", "cg", "cg"}, PState: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgPower, err := e.PowerW(0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	predictedPkgEnergy := pkgPower * pred
+	// Four active cores at one P-state draw equal power, so the package
+	// draws four target shares.
+	predictedPkgEnergy := 4 * est.TargetEnergyJ
 	rel := math.Abs(predictedPkgEnergy-run.PackageEnergyJ) / run.PackageEnergyJ
 	if rel > 0.10 {
 		t.Fatalf("predicted package energy %v vs simulated %v (%.1f%% off)",

@@ -33,11 +33,6 @@ type Config struct {
 	NoiseSigma float64
 }
 
-// Default returns the paper's evaluation configuration.
-func Default() Config {
-	return Config{Partitions: 100, Seed: 42, NoiseSigma: 0.01}
-}
-
 // Suite holds the collected datasets and memoised evaluation results.
 type Suite struct {
 	cfg  Config

@@ -39,9 +39,7 @@ func init() {
 func testSuite(t testing.TB) *Suite {
 	t.Helper()
 	return suiteMemo.get(t, func() (*Suite, error) {
-		cfg := Default()
-		cfg.Partitions = 5
-		return NewSuite(cfg)
+		return NewSuite(Config{Partitions: 5, Seed: 42, NoiseSigma: 0.01})
 	})
 }
 

@@ -320,28 +320,3 @@ func (d *Dataset) Baseline(app string) (Baseline, error) {
 	}
 	return b, nil
 }
-
-// RecordsForTarget returns all records whose target is app.
-func (d *Dataset) RecordsForTarget(app string) []Record {
-	var out []Record
-	for _, r := range d.Records {
-		if r.Target == app {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Targets returns the sorted distinct target names in the dataset.
-func (d *Dataset) Targets() []string {
-	seen := map[string]bool{}
-	for _, r := range d.Records {
-		seen[r.Target] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}

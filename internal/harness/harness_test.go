@@ -130,11 +130,12 @@ func TestCollectShape(t *testing.T) {
 			t.Fatalf("%s baseline metrics empty: %+v", name, b)
 		}
 	}
-	if got := ds.Targets(); len(got) != 2 {
-		t.Fatalf("dataset targets = %v", got)
+	perTarget := map[string]int{}
+	for _, r := range ds.Records {
+		perTarget[r.Target]++
 	}
-	if got := ds.RecordsForTarget("canneal"); len(got) != p.RunCount()/2 {
-		t.Fatalf("canneal records = %d", len(got))
+	if len(perTarget) != 2 || perTarget["canneal"] != p.RunCount()/2 {
+		t.Fatalf("records per target = %v", perTarget)
 	}
 }
 
@@ -379,53 +380,8 @@ func TestCollectScenariosErrors(t *testing.T) {
 	}
 }
 
-func TestAsRecords(t *testing.T) {
-	cases := []struct {
-		name string
-		in   MixedRecord
-		want *Record // nil: skipped as heterogeneous
-	}{
-		{
-			name: "homogeneous",
-			in:   MixedRecord{Machine: "m", Target: "t", CoApps: []string{"cg", "cg"}, Seconds: 10, TrueSeconds: 9.5, PState: 1, FreqGHz: 2},
-			want: &Record{Machine: "m", Target: "t", CoApp: "cg", NumCoLoc: 2, Seconds: 10, TrueSeconds: 9.5, PState: 1, FreqGHz: 2},
-		},
-		{
-			name: "heterogeneous",
-			in:   MixedRecord{Machine: "m", Target: "t", CoApps: []string{"cg", "ep"}, Seconds: 12, TrueSeconds: 12.1},
-		},
-		{
-			name: "solo",
-			in:   MixedRecord{Machine: "m", Target: "t", Seconds: 7, TrueSeconds: 7.2},
-			want: &Record{Machine: "m", Target: "t", Seconds: 7, TrueSeconds: 7.2},
-		},
-		{
-			name: "empty co-runner list",
-			in:   MixedRecord{Machine: "m", Target: "t", CoApps: []string{}, Seconds: 7, TrueSeconds: 7.2},
-			want: &Record{Machine: "m", Target: "t", Seconds: 7, TrueSeconds: 7.2},
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			recs, skipped := AsRecords([]MixedRecord{c.in})
-			if c.want == nil {
-				if len(recs) != 0 || skipped != 1 {
-					t.Fatalf("got %+v, %d skipped; want it skipped", recs, skipped)
-				}
-				return
-			}
-			if skipped != 0 || len(recs) != 1 || recs[0] != *c.want {
-				t.Fatalf("got %+v, %d skipped; want %+v", recs, skipped, *c.want)
-			}
-		})
-	}
-	if got := SortScenarioNames([]string{"b", "a"}); got[0] != "a" {
-		t.Fatalf("sorted = %v", got)
-	}
-}
-
 // TestCollectScenariosSoloAsRecord measures a valid scenario with no
-// co-runners and converts it: a solo record, its noise-free time kept.
+// co-runners: a solo record, its noise-free time kept.
 func TestCollectScenariosSoloAsRecord(t *testing.T) {
 	proc, err := simproc.New(simproc.XeonE5649())
 	if err != nil {
@@ -443,12 +399,11 @@ func TestCollectScenariosSoloAsRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, skipped := AsRecords(measured)
-	if skipped != 0 || len(recs) != 1 {
-		t.Fatalf("got %d records, %d skipped", len(recs), skipped)
+	if len(measured) != 1 {
+		t.Fatalf("got %d records", len(measured))
 	}
-	r := recs[0]
-	if r.CoApp != "" || r.NumCoLoc != 0 || r.TrueSeconds != base.TargetSeconds || r.Seconds == r.TrueSeconds {
+	r := measured[0]
+	if len(r.CoApps) != 0 || r.TrueSeconds != base.TargetSeconds || r.Seconds == r.TrueSeconds {
 		t.Fatalf("record = %+v, want solo with TrueSeconds %v and noisy Seconds", r, base.TargetSeconds)
 	}
 }

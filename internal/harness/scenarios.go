@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/workload"
@@ -101,51 +100,4 @@ func RandomMixedScenarios(targets, pool []workload.App, maxCo, n int, pstates []
 		}
 	}
 	return out, nil
-}
-
-// AsRecords converts mixed records whose co-runner sets happen to be
-// homogeneous into harness Records (others are skipped), so they can be
-// appended to a Dataset for training. A record with no co-runners is a
-// solo run and converts with CoApp "" and NumCoLoc 0. The returned count
-// reports how many were heterogeneous and therefore skipped.
-func AsRecords(mixed []MixedRecord) (records []Record, skipped int) {
-	for _, m := range mixed {
-		if !homogeneous(m.CoApps) {
-			skipped++
-			continue
-		}
-		co := ""
-		if len(m.CoApps) > 0 {
-			co = m.CoApps[0]
-		}
-		records = append(records, Record{
-			Machine:     m.Machine,
-			PState:      m.PState,
-			FreqGHz:     m.FreqGHz,
-			Target:      m.Target,
-			CoApp:       co,
-			NumCoLoc:    len(m.CoApps),
-			Seconds:     m.Seconds,
-			TrueSeconds: m.TrueSeconds,
-		})
-	}
-	return records, skipped
-}
-
-// homogeneous reports whether every name is the same; an empty list is.
-func homogeneous(names []string) bool {
-	for _, n := range names {
-		if n != names[0] {
-			return false
-		}
-	}
-	return true
-}
-
-// SortScenarioNames canonicalises a co-runner name list (sorted copy), so
-// feature extraction and grouping are order-independent.
-func SortScenarioNames(names []string) []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
 }

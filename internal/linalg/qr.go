@@ -164,18 +164,6 @@ func qrSolveInto(fact *Matrix, tau, y, x []float64) error {
 	return nil
 }
 
-// R returns the upper-triangular factor as a dense n×n matrix.
-func (qr *QR) R() *Matrix {
-	n := qr.fact.Cols
-	r := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, qr.fact.At(i, j))
-		}
-	}
-	return r
-}
-
 // LeastSquares solves min ‖a·x − b‖₂ via Householder QR. If the system is
 // rank-deficient it falls back to ridge-regularised normal equations with a
 // tiny lambda, which matches the pseudo-inverse behaviour of SciPy's lstsq

@@ -19,8 +19,8 @@ func randomProblem(src *xrand.Source, rows, cols int) (*linalg.Matrix, []float64
 	return x, y
 }
 
-// A reused Fitter must produce the same model as a fresh package-level
-// Fit, bit-for-bit, regardless of what shapes it fitted before.
+// A reused Fitter must produce the same model as a fresh Fitter,
+// bit-for-bit, regardless of what shapes it fitted before.
 func TestFitterMatchesFitAcrossShapes(t *testing.T) {
 	src := xrand.New(42)
 	var f Fitter
@@ -33,7 +33,7 @@ func TestFitterMatchesFitAcrossShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%dx%d: Fitter.Fit: %v", sh.rows, sh.cols, err)
 		}
-		want, err := Fit(x, y)
+		want, err := new(Fitter).Fit(x, y)
 		if err != nil {
 			t.Fatalf("%dx%d: Fit: %v", sh.rows, sh.cols, err)
 		}
@@ -91,7 +91,7 @@ func TestFitterValidation(t *testing.T) {
 func TestPredictBatchIntoMatchesPredict(t *testing.T) {
 	src := xrand.New(11)
 	x, y := randomProblem(src, 50, 4)
-	m, err := Fit(x, y)
+	m, err := new(Fitter).Fit(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,15 +21,6 @@ type Model struct {
 	Constant float64
 }
 
-// Fit trains a linear model on the design matrix x (samples × features)
-// and labels y by ordinary least squares with an intercept column. Each
-// call uses a private Fitter; callers fitting many models (bootstrap
-// partitions, retrain attempts) should hold a Fitter to reuse its scratch.
-func Fit(x *linalg.Matrix, y []float64) (*Model, error) {
-	var f Fitter
-	return f.Fit(x, y)
-}
-
 // Fitter fits linear models while reusing its augmented design matrix and
 // Householder QR scratch across calls, so repeated fits (the evaluation
 // protocol trains hundreds) allocate only the returned Model. A Fitter is
@@ -113,6 +104,3 @@ func (m *Model) PredictBatchInto(x *linalg.Matrix, out []float64) error {
 	}
 	return nil
 }
-
-// NumFeatures returns the model's feature arity.
-func (m *Model) NumFeatures() int { return len(m.Coefficients) }

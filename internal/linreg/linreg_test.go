@@ -25,7 +25,7 @@ func TestFitRecoversKnownCoefficients(t *testing.T) {
 		}
 		y[i] = s
 	}
-	m, err := Fit(x, y)
+	m, err := new(Fitter).Fit(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +37,17 @@ func TestFitRecoversKnownCoefficients(t *testing.T) {
 	if math.Abs(m.Constant-c) > 1e-8 {
 		t.Fatalf("constant = %v, want %v", m.Constant, c)
 	}
-	if m.NumFeatures() != 3 {
-		t.Fatal("NumFeatures wrong")
+	if len(m.Coefficients) != 3 {
+		t.Fatal("coefficient count wrong")
 	}
 }
 
 func TestFitErrors(t *testing.T) {
 	x := linalg.NewMatrix(3, 2)
-	if _, err := Fit(x, []float64{1, 2}); err == nil {
+	if _, err := new(Fitter).Fit(x, []float64{1, 2}); err == nil {
 		t.Fatal("mismatched labels accepted")
 	}
-	if _, err := Fit(linalg.NewMatrix(2, 2), []float64{1, 2}); err == nil {
+	if _, err := new(Fitter).Fit(linalg.NewMatrix(2, 2), []float64{1, 2}); err == nil {
 		t.Fatal("underdetermined system accepted")
 	}
 }
@@ -86,11 +86,11 @@ func TestFitWithNoiseApproximates(t *testing.T) {
 	x := linalg.NewMatrix(n, 1)
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
-		v := src.Uniform(0, 10)
+		v := 10 * src.Float64()
 		x.Set(i, 0, v)
 		y[i] = 3*v + 1 + src.Normal(0, 0.5)
 	}
-	m, err := Fit(x, y)
+	m, err := new(Fitter).Fit(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFitOrderInvariantProperty(t *testing.T) {
 			rows[i] = []float64{src.Normal(0, 1), src.Normal(0, 1)}
 			y[i] = 2*rows[i][0] - rows[i][1] + 4 + src.Normal(0, 0.01)
 		}
-		m1, err := Fit(linalg.NewMatrixFromRows(rows), y)
+		m1, err := new(Fitter).Fit(linalg.NewMatrixFromRows(rows), y)
 		if err != nil {
 			return false
 		}
@@ -121,7 +121,7 @@ func TestFitOrderInvariantProperty(t *testing.T) {
 			rows2[i] = rows[p]
 			y2[i] = y[p]
 		}
-		m2, err := Fit(linalg.NewMatrixFromRows(rows2), y2)
+		m2, err := new(Fitter).Fit(linalg.NewMatrixFromRows(rows2), y2)
 		if err != nil {
 			return false
 		}
@@ -150,7 +150,7 @@ func BenchmarkFit2000x8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Fit(x, y); err != nil {
+		if _, err := new(Fitter).Fit(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

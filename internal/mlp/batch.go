@@ -112,22 +112,6 @@ func (n *Network) forwardBatch(ws *Workspace, x *linalg.Matrix) *linalg.Matrix {
 	return &ws.acts[nl]
 }
 
-// PredictBatchWS evaluates the network on every row of x, writing the
-// predictions into out (length x.Rows). It allocates nothing once ws is
-// warmed for this network shape and batch size.
-func (n *Network) PredictBatchWS(ws *Workspace, x *linalg.Matrix, out []float64) error {
-	if x.Cols != n.cfg.Inputs {
-		return fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
-	}
-	if len(out) != x.Rows {
-		return fmt.Errorf("mlp: output slice length %d for %d samples", len(out), x.Rows)
-	}
-	ws.ensure(n, x.Rows)
-	pred := n.forwardBatch(ws, x)
-	copy(out, pred.Data)
-	return nil
-}
-
 // LossWS returns the mean squared error ½·mean((pred−y)²) at the current
 // parameters, reusing ws for the forward pass.
 func (n *Network) LossWS(ws *Workspace, x *linalg.Matrix, y []float64) (float64, error) {

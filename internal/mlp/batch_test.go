@@ -68,7 +68,8 @@ func TestBatchedMatchesScalarProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotLoss, err := n.Loss(x, y)
+			var ws Workspace
+			gotLoss, err := n.LossWS(&ws, x, y)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +81,8 @@ func TestBatchedMatchesScalarProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotL, gotGrad, err := n.LossAndGrad(x, y)
+			gotGrad := make([]float64, len(n.params))
+			gotL, err := n.LossAndGradWS(&ws, x, y, gotGrad)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,10 +125,10 @@ func TestTrainSCGMatchesScalarReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nScalar := nBatched.Clone()
+	nScalar := clone(nBatched)
 
 	tcfg := SCGConfig{MaxIter: 60}
-	resB, err := TrainSCG(nBatched, x, y, tcfg)
+	resB, err := TrainSCGWS(nBatched, x, y, tcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,12 +173,12 @@ func TestWorkspaceReuseAcrossShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			x, y := randomDataset(src, rows, 3)
-			fresh := n.Clone()
+			fresh := clone(n)
 			resWS, err := TrainSCGWS(n, x, y, SCGConfig{MaxIter: 15}, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resFresh, err := TrainSCG(fresh, x, y, SCGConfig{MaxIter: 15})
+			resFresh, err := TrainSCGWS(fresh, x, y, SCGConfig{MaxIter: 15}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,30 +238,6 @@ func TestSCGStepZeroAllocs(t *testing.T) {
 				t.Fatalf("warmed SCG step allocates %v/op, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestPredictBatchWSZeroAllocs guards the batched inference path serve
-// leans on.
-func TestPredictBatchWSZeroAllocs(t *testing.T) {
-	src := xrand.New(37)
-	n, err := New(Config{Inputs: 7, Hidden: []int{15}, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _ := randomDataset(src, 64, 7)
-	ws := NewWorkspace()
-	out := make([]float64, x.Rows)
-	if err := n.PredictBatchWS(ws, x, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := n.PredictBatchWS(ws, x, out); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed PredictBatchWS allocates %v/op, want 0", allocs)
 	}
 }
 

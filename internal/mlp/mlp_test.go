@@ -157,8 +157,9 @@ func TestGradientCheck(t *testing.T) {
 		for i := range y {
 			y[i] = src.Normal(0, 1)
 		}
-		_, grad, err := n.LossAndGrad(x, y)
-		if err != nil {
+		var ws Workspace
+		grad := make([]float64, len(n.params))
+		if _, err := n.LossAndGradWS(&ws, x, y, grad); err != nil {
 			t.Fatal(err)
 		}
 		p := n.Params()
@@ -169,12 +170,12 @@ func TestGradientCheck(t *testing.T) {
 			if err := n.SetParams(p); err != nil {
 				t.Fatal(err)
 			}
-			lp, _ := n.Loss(x, y)
+			lp, _ := n.LossWS(&ws, x, y)
 			p[i] = orig - h
 			if err := n.SetParams(p); err != nil {
 				t.Fatal(err)
 			}
-			lm, _ := n.Loss(x, y)
+			lm, _ := n.LossWS(&ws, x, y)
 			p[i] = orig
 			if err := n.SetParams(p); err != nil {
 				t.Fatal(err)
@@ -190,13 +191,15 @@ func TestGradientCheck(t *testing.T) {
 func TestLossAndGradErrors(t *testing.T) {
 	n := newNet(t, 2, []int{3})
 	x := linalg.NewMatrix(2, 2)
-	if _, _, err := n.LossAndGrad(x, []float64{1}); err == nil {
+	var ws Workspace
+	grad := make([]float64, len(n.params))
+	if _, err := n.LossAndGradWS(&ws, x, []float64{1}, grad); err == nil {
 		t.Fatal("mismatched labels accepted")
 	}
-	if _, _, err := n.LossAndGrad(linalg.NewMatrix(2, 3), []float64{1, 2}); err == nil {
+	if _, err := n.LossAndGradWS(&ws, linalg.NewMatrix(2, 3), []float64{1, 2}, grad); err == nil {
 		t.Fatal("wrong-width matrix accepted")
 	}
-	if _, err := n.Loss(x, []float64{1}); err == nil {
+	if _, err := n.LossWS(&ws, x, []float64{1}); err == nil {
 		t.Fatal("Loss mismatched labels accepted")
 	}
 }
@@ -215,7 +218,7 @@ func TestSCGSolvesXOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainSCG(n, x, y, SCGConfig{MaxIter: 2000})
+	res, err := TrainSCGWS(n, x, y, SCGConfig{MaxIter: 2000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +241,7 @@ func TestSCGSolvesXOR(t *testing.T) {
 func TestSCGMonotoneLossHistory(t *testing.T) {
 	x, y := xorProblem()
 	n, _ := New(Config{Inputs: 2, Hidden: []int{6}, Seed: 3})
-	res, err := TrainSCG(n, x, y, SCGConfig{MaxIter: 200})
+	res, err := TrainSCGWS(n, x, y, SCGConfig{MaxIter: 200}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +259,13 @@ func TestSCGFitsSmoothNonlinearFunction(t *testing.T) {
 	x := linalg.NewMatrix(n, 2)
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
-		a, b := src.Uniform(-1, 1), src.Uniform(-1, 1)
+		a, b := -1+2*src.Float64(), -1+2*src.Float64()
 		x.Set(i, 0, a)
 		x.Set(i, 1, b)
 		y[i] = math.Sin(2*a) * math.Cos(b)
 	}
 	net, _ := New(Config{Inputs: 2, Hidden: []int{16}, Seed: 4})
-	res, err := TrainSCG(net, x, y, SCGConfig{MaxIter: 800})
+	res, err := TrainSCGWS(net, x, y, SCGConfig{MaxIter: 800}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +276,7 @@ func TestSCGFitsSmoothNonlinearFunction(t *testing.T) {
 
 func TestSCGErrors(t *testing.T) {
 	n := newNet(t, 2, []int{3})
-	if _, err := TrainSCG(n, linalg.NewMatrix(0, 2), nil, SCGConfig{}); err == nil {
+	if _, err := TrainSCGWS(n, linalg.NewMatrix(0, 2), nil, SCGConfig{}, nil); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 }
@@ -300,7 +303,7 @@ func TestSCGRejectsBadInput(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			n := newNet(t, 2, []int{3})
 			before := n.Params()
-			res, err := TrainSCG(n, linalg.NewMatrixFromRows(c.x), c.y, SCGConfig{MaxIter: c.maxIter})
+			res, err := TrainSCGWS(n, linalg.NewMatrixFromRows(c.x), c.y, SCGConfig{MaxIter: c.maxIter}, nil)
 			if err == nil {
 				t.Fatalf("trained without error: %+v", res)
 			}
@@ -313,30 +316,17 @@ func TestSCGRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	n := newNet(t, 2, []int{3})
-	c := n.Clone()
-	p := n.Params()
-	p[0] += 1
-	if err := n.SetParams(p); err != nil {
-		t.Fatal(err)
-	}
-	if c.Params()[0] == n.Params()[0] {
-		t.Fatal("clone aliases original")
-	}
-}
-
 // Property: training is deterministic given identical seeds and data.
 func TestTrainingDeterministicProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		x, y := xorProblem()
 		a, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: uint64(seed)})
 		b, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: uint64(seed)})
-		ra, err := TrainSCG(a, x, y, SCGConfig{MaxIter: 50})
+		ra, err := TrainSCGWS(a, x, y, SCGConfig{MaxIter: 50}, nil)
 		if err != nil {
 			return false
 		}
-		rb, err := TrainSCG(b, x, y, SCGConfig{MaxIter: 50})
+		rb, err := TrainSCGWS(b, x, y, SCGConfig{MaxIter: 50}, nil)
 		if err != nil {
 			return false
 		}
@@ -364,7 +354,7 @@ func BenchmarkSCGTrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net, _ := New(Config{Inputs: 8, Hidden: []int{15}, Seed: uint64(i)})
-		if _, err := TrainSCG(net, x, y, SCGConfig{MaxIter: 100}); err != nil {
+		if _, err := TrainSCGWS(net, x, y, SCGConfig{MaxIter: 100}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

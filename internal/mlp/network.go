@@ -233,45 +233,14 @@ func (n *Network) Forward(x []float64) (float64, error) {
 	return act[0], nil
 }
 
-// PredictBatch evaluates the network on every row of x. It is the
-// allocating convenience wrapper over PredictBatchWS: one GEMM per layer
-// over the whole batch (see batch.go), bit-identical to calling Forward
-// per row.
+// PredictBatch evaluates the network on every row of x: one GEMM per
+// layer over the whole batch (see batch.go), bit-identical to calling
+// Forward per row.
 func (n *Network) PredictBatch(x *linalg.Matrix) ([]float64, error) {
-	var ws Workspace
-	out := make([]float64, x.Rows)
-	if err := n.PredictBatchWS(&ws, x, out); err != nil {
-		return nil, err
+	if x.Cols != n.cfg.Inputs {
+		return nil, fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
 	}
-	return out, nil
-}
-
-// Loss returns the mean squared error ½·mean((pred−y)²) at the current
-// parameters. Allocating wrapper over LossWS.
-func (n *Network) Loss(x *linalg.Matrix, y []float64) (float64, error) {
 	var ws Workspace
-	return n.LossWS(&ws, x, y)
-}
-
-// LossAndGrad computes the loss and its gradient with respect to the flat
-// parameter vector by reverse-mode differentiation (backpropagation).
-// Allocating wrapper over LossAndGradWS; the batched backward pass applies
-// per-sample contributions in the same order as the former per-sample
-// loop, so gradients are bit-identical to the scalar reference kept in
-// the tests.
-func (n *Network) LossAndGrad(x *linalg.Matrix, y []float64) (float64, []float64, error) {
-	var ws Workspace
-	grad := make([]float64, len(n.params))
-	loss, err := n.LossAndGradWS(&ws, x, y, grad)
-	if err != nil {
-		return 0, nil, err
-	}
-	return loss, grad, nil
-}
-
-// Clone returns a deep copy of the network.
-func (n *Network) Clone() *Network {
-	out := &Network{cfg: n.cfg, layers: append([]layer(nil), n.layers...)}
-	out.params = append([]float64(nil), n.params...)
-	return out
+	ws.ensure(n, x.Rows)
+	return append([]float64(nil), n.forwardBatch(&ws, x).Data...), nil
 }

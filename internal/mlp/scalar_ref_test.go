@@ -272,3 +272,9 @@ func negated(v []float64) []float64 {
 	}
 	return out
 }
+
+// clone returns a deep copy of the network, so two trainers can start
+// from identical weights.
+func clone(n *Network) *Network {
+	return &Network{cfg: n.cfg, layers: n.layers, params: append([]float64(nil), n.params...)}
+}

@@ -46,22 +46,18 @@ const (
 	scgLossTol = 0
 )
 
-// TrainSCG trains the network on (x, y) with Møller's scaled conjugate
+// TrainSCGWS trains the network on (x, y) with Møller's scaled conjugate
 // gradient algorithm (Møller 1993, "A scaled conjugate gradient algorithm
 // for fast supervised learning"), the method named by Section III-D. SCG
 // is a second-order batch method that avoids line searches by combining a
 // Hestenes–Stiefel conjugate direction with a Levenberg–Marquardt-style
 // scaling of the local curvature estimate.
-func TrainSCG(n *Network, x *linalg.Matrix, y []float64, cfg SCGConfig) (*TrainResult, error) {
-	return TrainSCGWS(n, x, y, cfg, nil)
-}
-
-// TrainSCGWS is TrainSCG with an explicit workspace. All per-iteration
-// state (parameter, gradient, residual and direction vectors plus the
-// batched forward/backward scratch) lives in ws and is reused, so a warmed
-// iteration performs zero heap allocations; pass the same workspace across
-// bootstrap partitions or retrain attempts to amortise even the warmup.
-// A nil ws uses a fresh private workspace.
+//
+// All per-iteration state (parameter, gradient, residual and direction
+// vectors plus the batched forward/backward scratch) lives in ws and is
+// reused, so a warmed iteration performs zero heap allocations; pass the
+// same workspace across bootstrap partitions or retrain attempts to
+// amortise even the warmup. A nil ws uses a fresh private workspace.
 //
 // Training fails, leaving the network as it was, when the loss or the
 // gradient at the starting weights is not finite: a NaN or infinite

@@ -39,14 +39,6 @@ func NewTracer(cfg Config) *Tracer {
 	return &Tracer{slow: cfg.SlowThreshold, buf: make([]*TraceData, 0, cfg.Capacity)}
 }
 
-// SlowThreshold returns the retention bar (0 = retain everything).
-func (tr *Tracer) SlowThreshold() time.Duration {
-	if tr == nil {
-		return 0
-	}
-	return tr.slow
-}
-
 // Start opens a trace. kind groups traces ("http", "retrain"), name is
 // the endpoint or trigger, id the request ID. Returns nil on a nil
 // tracer, and nil traces no-op everywhere, so callers never branch.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/hex"
 	"testing"
 	"time"
 )
@@ -29,8 +30,8 @@ func backendTrace(t *testing.T, tc TraceContext) string {
 	if snap[0].TraceID != tc.TraceIDString() {
 		t.Fatalf("backend trace ID %s != adopted %s", snap[0].TraceID, tc.TraceIDString())
 	}
-	if snap[0].ParentSpanID != tc.SpanIDString() {
-		t.Fatalf("backend parent span %s != caller span %s", snap[0].ParentSpanID, tc.SpanIDString())
+	if want := hex.EncodeToString(tc.SpanID[:]); snap[0].ParentSpanID != want {
+		t.Fatalf("backend parent span %s != caller span %s", snap[0].ParentSpanID, want)
 	}
 	return wire
 }
@@ -48,7 +49,7 @@ func TestTraceStitchAcrossProcesses(t *testing.T) {
 	if !ok {
 		t.Fatal("no outbound context on live trace")
 	}
-	if out.TraceID != [16]byte(mustParse(t, rt.TraceID())) {
+	if out.TraceID != [16]byte(mustParse(t, rt.tc.TraceIDString())) {
 		t.Fatal("outbound context trace ID differs from trace's own")
 	}
 	wire := backendTrace(t, out)

@@ -239,14 +239,6 @@ func (t *Trace) Retain() {
 	t.retain.Store(true)
 }
 
-// ID returns the trace's request ID ("" on a nil trace).
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // AdoptContext re-parents the trace under an incoming traceparent: the
 // trace takes the caller's trace ID and sampled flag, and records the
 // caller's span as its parent. Must be called at ingress, before any
@@ -259,15 +251,6 @@ func (t *Trace) AdoptContext(tc TraceContext) {
 	t.tc.Sampled = tc.Sampled
 	t.parentSpan = tc.SpanID
 	t.hasParent = true
-}
-
-// TraceID returns the trace's cross-process identity as 32 hex digits
-// ("" on a nil trace).
-func (t *Trace) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	return t.tc.TraceIDString()
 }
 
 // OutboundContext mints the trace context to inject into one proxied

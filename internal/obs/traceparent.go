@@ -83,11 +83,6 @@ func (tc TraceContext) TraceIDString() string {
 	return hex.EncodeToString(tc.TraceID[:])
 }
 
-// SpanIDString returns the 16-hex-digit span ID.
-func (tc TraceContext) SpanIDString() string {
-	return hex.EncodeToString(tc.SpanID[:])
-}
-
 // Header renders the context in traceparent wire format.
 func (tc TraceContext) Header() string {
 	var b [55]byte

@@ -149,27 +149,3 @@ func (r *Result) Rank() []int {
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx
 }
-
-// Project maps a raw sample onto the first k principal components.
-func (r *Result) Project(sample []float64, k int) ([]float64, error) {
-	d := len(r.Mean)
-	if len(sample) != d {
-		return nil, fmt.Errorf("pca: sample has %d features, want %d", len(sample), d)
-	}
-	if k < 1 || k > d {
-		return nil, fmt.Errorf("pca: k=%d out of [1,%d]", k, d)
-	}
-	z := make([]float64, d)
-	for j := range sample {
-		z[j] = (sample[j] - r.Mean[j]) / r.Std[j]
-	}
-	out := make([]float64, k)
-	for c := 0; c < k; c++ {
-		s := 0.0
-		for j := 0; j < d; j++ {
-			s += z[j] * r.Components.At(j, c)
-		}
-		out[c] = s
-	}
-	return out, nil
-}

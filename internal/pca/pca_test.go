@@ -136,38 +136,3 @@ func TestConstantColumnHarmless(t *testing.T) {
 		}
 	}
 }
-
-func TestProject(t *testing.T) {
-	src := xrand.New(6)
-	x := linalg.NewMatrix(100, 3)
-	for i := range x.Data {
-		x.Data[i] = src.Normal(0, 1)
-	}
-	r, err := Fit(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := r.Project([]float64{1, 2, 3}, 2)
-	if err != nil || len(p) != 2 {
-		t.Fatalf("Project = %v, %v", p, err)
-	}
-	if _, err := r.Project([]float64{1}, 2); err == nil {
-		t.Fatal("short sample accepted")
-	}
-	if _, err := r.Project([]float64{1, 2, 3}, 0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := r.Project([]float64{1, 2, 3}, 9); err == nil {
-		t.Fatal("k too large accepted")
-	}
-	// Projecting the mean gives the origin.
-	p0, err := r.Project(r.Mean, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range p0 {
-		if math.Abs(v) > 1e-9 {
-			t.Fatalf("mean does not project to origin: %v", p0)
-		}
-	}
-}

@@ -11,10 +11,7 @@
 // totals over a run, so every derived metric is an average across time.
 package perfctr
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Event identifies a hardware event, in the spirit of PAPI presets.
 type Event string
@@ -32,13 +29,6 @@ const (
 	// L3TCA counts last-level total cache accesses (PAPI_L3_TCA).
 	L3TCA Event = "PAPI_L3_TCA"
 )
-
-// AllPresets lists every preset this backend supports, sorted.
-func AllPresets() []Event {
-	evs := []Event{TotIns, TotCyc, L3TCM, L3TCA}
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-	return evs
-}
 
 // Backend is implemented by hardware (here: the simulator) that can report
 // event totals for one measured application context.

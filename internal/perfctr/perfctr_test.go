@@ -22,18 +22,6 @@ func (f *fakeBackend) CounterValue(ev Event) (uint64, error) {
 	return v, nil
 }
 
-func TestAllPresetsSorted(t *testing.T) {
-	ps := AllPresets()
-	if len(ps) != 4 {
-		t.Fatalf("presets = %v", ps)
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i] < ps[i-1] {
-			t.Fatal("presets not sorted")
-		}
-	}
-}
-
 func TestEventSetLifecycle(t *testing.T) {
 	f := newFake()
 	es, err := NewEventSet(f)

@@ -256,17 +256,6 @@ type Plan struct {
 	MachinesUsed int `json:"machines_used"`
 }
 
-// Better orders plans lexicographically: fewer QoS violations first,
-// then lower objective. Strict — equal plans are not better, so local
-// search terminates; it is also how the streaming endpoint's incremental
-// plans are ordered.
-func (pl *Plan) Better(than *Plan) bool {
-	if pl.QoSViolations != than.QoSViolations {
-		return pl.QoSViolations < than.QoSViolations
-	}
-	return pl.Objective < than.Objective
-}
-
 // SearchStats reports how the search went.
 type SearchStats struct {
 	// Rounds is the number of local-search rounds run; Improvements

@@ -131,7 +131,7 @@ func TestOptimizeBeatsPackFirst(t *testing.T) {
 		t.Fatalf("optimized degradation %.4f not strictly better than pack-first %.4f",
 			res.Plan.TotalDegradation, base.TotalDegradation)
 	}
-	if !res.Plan.Better(base) {
+	if !improves(res.Plan, base) {
 		t.Fatalf("optimized plan (viol=%d obj=%.4f) does not beat pack-first (viol=%d obj=%.4f)",
 			res.Plan.QoSViolations, res.Plan.Objective, base.QoSViolations, base.Objective)
 	}
@@ -183,7 +183,7 @@ func TestOptimizeIncrementalPlansMonotone(t *testing.T) {
 		t.Fatalf("got %d incremental plans, want >= 3", len(plans))
 	}
 	for i := 1; i < len(plans); i++ {
-		if !plans[i].Better(plans[i-1]) {
+		if !improves(plans[i], plans[i-1]) {
 			t.Fatalf("plan %d (viol=%d obj=%.6f) does not improve on plan %d (viol=%d obj=%.6f)",
 				i, plans[i].QoSViolations, plans[i].Objective,
 				i-1, plans[i-1].QoSViolations, plans[i-1].Objective)
@@ -377,4 +377,13 @@ func BenchmarkPlacementSearch(b *testing.B) {
 		b.ReportMetric(float64(scenarios)/float64(b.N), "scenarios/op")
 		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 	})
+}
+
+// improves orders plans lexicographically, as the search does: fewer QoS
+// violations first, then a strictly lower objective.
+func improves(pl, than *Plan) bool {
+	if pl.QoSViolations != than.QoSViolations {
+		return pl.QoSViolations < than.QoSViolations
+	}
+	return pl.Objective < than.Objective
 }

@@ -6,8 +6,7 @@
 // held-out split, and promotes it through the registry's atomic
 // hot-swap only if it wins by a configurable margin. The incumbent
 // keeps serving through training, through a failed gate, and through
-// any error; a promotion history records every attempt and supports
-// rolling back to the previous incumbent.
+// any error; a promotion history records every attempt.
 //
 // The gate is the paper's own yardstick: MPE (Eq. 2) of predicted vs.
 // measured execution time on records the candidate never trained on.
@@ -150,7 +149,6 @@ type Controller struct {
 	promoted int
 	rejected int
 	history  []Result
-	prev     []*core.Model // previous incumbents, for rollback
 
 	trigger chan string
 }
@@ -233,7 +231,7 @@ func (c *Controller) RunOnce(reason string) (*Result, error) {
 	// root annotations record the verdict.
 	tr := c.tracer.Start("retrain", reason, obs.NewRequestID())
 	tr.Retain()
-	res, incumbentBefore, err := c.attemptLocked(tr, attempt, reason)
+	res, err := c.attemptLocked(tr, attempt, reason)
 	if tr != nil {
 		if res != nil {
 			tr.Annotate("promoted", fmt.Sprintf("%t", res.Promoted))
@@ -249,7 +247,6 @@ func (c *Controller) RunOnce(reason string) (*Result, error) {
 	if res != nil {
 		if res.Promoted {
 			c.promoted++
-			c.prev = append(c.prev, incumbentBefore)
 		} else {
 			c.rejected++
 		}
@@ -264,21 +261,20 @@ func (c *Controller) RunOnce(reason string) (*Result, error) {
 
 // attemptLocked is the body of one attempt. It holds no lock (training
 // can be slow); the caller serialises attempts via the training flag.
-// On promotion it returns the incumbent that was replaced. tr may be
-// nil; stage spans are recorded when it is live.
-func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*Result, *core.Model, error) {
+// tr may be nil; stage spans are recorded when it is live.
+func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*Result, error) {
 	res := &Result{Attempt: attempt, Reason: reason}
-	reject := func(format string, args ...any) (*Result, *core.Model, error) {
+	reject := func(format string, args ...any) (*Result, error) {
 		res.Rejection = fmt.Sprintf(format, args...)
 		if _, gen, err := c.reg.Get(c.cfg.Model); err == nil {
 			res.Generation = gen
 		}
-		return res, nil, nil
+		return res, nil
 	}
 
 	incumbent, gen, err := c.reg.Get(c.cfg.Model)
 	if err != nil {
-		return nil, nil, fmt.Errorf("retrain: resolving incumbent: %w", err)
+		return nil, fmt.Errorf("retrain: resolving incumbent: %w", err)
 	}
 	res.Generation = gen
 
@@ -287,7 +283,7 @@ func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*
 	if err != nil {
 		asp.Fail(err.Error())
 		asp.End()
-		return nil, nil, fmt.Errorf("retrain: reading observations: %w", err)
+		return nil, fmt.Errorf("retrain: reading observations: %w", err)
 	}
 	if len(observations) < c.cfg.MinObservations {
 		asp.End()
@@ -302,7 +298,7 @@ func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*
 	}
 	if base == nil {
 		asp.End()
-		return nil, nil, fmt.Errorf("retrain: no baseline store available")
+		return nil, fmt.Errorf("retrain: no baseline store available")
 	}
 
 	// Assemble the augmented dataset: offline records first, then
@@ -380,13 +376,13 @@ func (c *Controller) attemptLocked(tr *obs.Trace, attempt int, reason string) (*
 	err = c.reg.Swap(c.cfg.Model, candidate)
 	psp.End()
 	if err != nil {
-		return nil, nil, fmt.Errorf("retrain: promoting candidate: %w", err)
+		return nil, fmt.Errorf("retrain: promoting candidate: %w", err)
 	}
 	res.Promoted = true
 	if _, gen, err := c.reg.Get(c.cfg.Model); err == nil {
 		res.Generation = gen
 	}
-	return res, incumbent, nil
+	return res, nil
 }
 
 // usable reports whether a scenario can produce features against the
@@ -427,26 +423,6 @@ func holdoutMPE(m *core.Model, scs []features.Scenario, measured []float64) (flo
 	return stats.MPE(pred, measured)
 }
 
-// Rollback swaps the previous incumbent back in, undoing the most
-// recent promotion. It fails when there is nothing to roll back to.
-func (c *Controller) Rollback() error {
-	c.mu.Lock()
-	if len(c.prev) == 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("retrain: no promotion to roll back")
-	}
-	m := c.prev[len(c.prev)-1]
-	c.prev = c.prev[:len(c.prev)-1]
-	c.mu.Unlock()
-	if err := c.reg.Swap(c.cfg.Model, m); err != nil {
-		return fmt.Errorf("retrain: rolling back: %w", err)
-	}
-	if c.onPromote != nil {
-		c.onPromote(c.cfg.Model)
-	}
-	return nil
-}
-
 // Status snapshots the controller.
 func (c *Controller) Status() Status {
 	c.mu.Lock()
@@ -467,6 +443,3 @@ func (c *Controller) Status() Status {
 	}
 	return s
 }
-
-// Model returns the registry entry name the controller manages.
-func (c *Controller) Model() string { return c.cfg.Model }

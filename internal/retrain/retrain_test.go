@@ -2,9 +2,12 @@ package retrain
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
@@ -295,38 +298,39 @@ func TestDeterministicAttempts(t *testing.T) {
 	}
 }
 
-// TestRollback restores the previous incumbent and bumps the
-// generation again (a rollback is itself a swap).
-func TestRollback(t *testing.T) {
-	ds := testDataset(t)
-	solo, heavy := split(ds)
-	incumbent, err := core.Train(linearSpec(t, 1), ds, solo)
-	if err != nil {
-		t.Fatal(err)
+// TestPromotionReleasesIncumbent: once promoted away, an incumbent is
+// held by nothing in the controller, so a long-running adaptation loop
+// does not keep every model it ever served alive. Two promotions (a
+// margin so negative that every candidate wins) replace the first
+// incumbent and then its successor; a finalizer on the first incumbent
+// must then run.
+func TestPromotionReleasesIncumbent(t *testing.T) {
+	var collected atomic.Bool
+	c := func() *Controller {
+		ds := testDataset(t)
+		solo, heavy := split(ds)
+		incumbent, err := core.Train(linearSpec(t, 1), ds, solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(incumbent, func(*core.Model) { collected.Store(true) })
+		reg := &fakeRegistry{name: "primary", model: incumbent, gen: 1}
+		return newController(t, Config{Model: "primary", Seed: 42, MinObservations: 10, MarginPct: -1e9},
+			reg, ds, observationsFrom(t, incumbent, heavy))
+	}()
+	for i := 0; i < 2; i++ {
+		if res, err := c.RunOnce("drift"); err != nil || !res.Promoted {
+			t.Fatalf("promotion %d failed: %+v %v", i+1, res, err)
+		}
 	}
-	reg := &fakeRegistry{name: "primary", model: incumbent, gen: 1}
-	c := newController(t, Config{Model: "primary", Seed: 42, MinObservations: 10},
-		reg, ds, observationsFrom(t, incumbent, heavy))
-
-	if err := c.Rollback(); err == nil {
-		t.Fatal("rollback with no promotion should fail")
+	for i := 0; i < 50 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
-	res, err := c.RunOnce("drift")
-	if err != nil || !res.Promoted {
-		t.Fatalf("setup promotion failed: %+v %v", res, err)
+	if !collected.Load() {
+		t.Fatal("the first incumbent is still reachable after two promotions")
 	}
-	if err := c.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if reg.model != incumbent {
-		t.Fatal("rollback did not restore the incumbent")
-	}
-	if _, gen, _ := reg.Get("primary"); gen != 3 {
-		t.Fatalf("generation = %d, want 3 (promote + rollback both swap)", gen)
-	}
-	if err := c.Rollback(); err == nil {
-		t.Fatal("second rollback should fail (stack empty)")
-	}
+	runtime.KeepAlive(c)
 }
 
 // TestTrainsFromBaselinesWithoutBaseDataset: with no offline dataset

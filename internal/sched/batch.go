@@ -32,18 +32,6 @@ const (
 	AwareSpread
 )
 
-// String names the policy.
-func (p BatchPolicy) String() string {
-	switch p {
-	case PackFirst:
-		return "pack-first"
-	case AwareSpread:
-		return "aware-spread"
-	default:
-		return fmt.Sprintf("BatchPolicy(%d)", int(p))
-	}
-}
-
 // BatchConfig tunes a batch simulation.
 type BatchConfig struct {
 	// Machines is the fleet size (identical machines).

@@ -14,7 +14,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
@@ -32,15 +31,6 @@ func (a Assignment) MachinesUsed() int {
 		if len(m) > 0 {
 			n++
 		}
-	}
-	return n
-}
-
-// JobCount returns the total number of placed jobs.
-func (a Assignment) JobCount() int {
-	n := 0
-	for _, m := range a {
-		n += len(m)
 	}
 	return n
 }
@@ -252,29 +242,4 @@ func Measure(spec simproc.Spec, asg Assignment, pstate int, qosBound float64) (*
 		ev.MeanSlowdown = sum / float64(len(ev.Outcomes))
 	}
 	return ev, nil
-}
-
-// SortJobsByIntensity orders job names from most to least memory
-// intensive (using baseline intensity at the machine's LLC), a useful
-// pre-pass for greedy packing: heavy jobs placed first spread across
-// machines instead of stacking.
-func SortJobsByIntensity(spec simproc.Spec, jobs []string) ([]string, error) {
-	type ji struct {
-		name string
-		mi   float64
-	}
-	js := make([]ji, len(jobs))
-	for i, name := range jobs {
-		app, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		js[i] = ji{name: name, mi: app.BaselineMemoryIntensity(spec.LLCBytes)}
-	}
-	sort.SliceStable(js, func(a, b int) bool { return js[a].mi > js[b].mi })
-	out := make([]string, len(jobs))
-	for i, j := range js {
-		out[i] = j.name
-	}
-	return out, nil
 }

@@ -56,8 +56,8 @@ func TestObliviousPacksDensely(t *testing.T) {
 	if asg.MachinesUsed() != 2 {
 		t.Fatalf("oblivious used %d machines, want 2", asg.MachinesUsed())
 	}
-	if asg.JobCount() != len(jobs) {
-		t.Fatalf("job count %d, want %d", asg.JobCount(), len(jobs))
+	if placed(asg) != len(jobs) {
+		t.Fatalf("job count %d, want %d", placed(asg), len(jobs))
 	}
 	if len(asg[0]) != spec.Cores {
 		t.Fatalf("first machine has %d jobs, want full %d", len(asg[0]), spec.Cores)
@@ -66,7 +66,7 @@ func TestObliviousPacksDensely(t *testing.T) {
 
 func TestObliviousEmpty(t *testing.T) {
 	asg := Oblivious(simproc.XeonE5649(), nil)
-	if asg.MachinesUsed() != 0 || asg.JobCount() != 0 {
+	if asg.MachinesUsed() != 0 || placed(asg) != 0 {
 		t.Fatal("empty job list produced machines")
 	}
 }
@@ -79,8 +79,8 @@ func TestGreedyAwareRespectsQoS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asg.JobCount() != len(jobs) {
-		t.Fatalf("placed %d of %d jobs", asg.JobCount(), len(jobs))
+	if placed(asg) != len(jobs) {
+		t.Fatalf("placed %d of %d jobs", placed(asg), len(jobs))
 	}
 	// Predicted worst slowdown within bound on every machine.
 	for mi, residents := range asg {
@@ -152,8 +152,8 @@ func TestGreedyAwareMachineCap(t *testing.T) {
 	if asg.MachinesUsed() != 1 {
 		t.Fatalf("capped fleet used %d machines", asg.MachinesUsed())
 	}
-	if asg.JobCount() != 4 {
-		t.Fatalf("placed %d jobs", asg.JobCount())
+	if placed(asg) != 4 {
+		t.Fatalf("placed %d jobs", placed(asg))
 	}
 }
 
@@ -199,10 +199,8 @@ func TestAwareBeatsObliviousOnQoS(t *testing.T) {
 	jobs := []string{"cg", "cg", "cg", "cg", "ep", "ep", "ep", "ep", "canneal", "canneal", "canneal", "canneal"}
 	const bound = 1.15
 
-	sorted, err := SortJobsByIntensity(spec, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The same jobs, heaviest first by baseline memory intensity.
+	sorted := []string{"cg", "cg", "cg", "cg", "canneal", "canneal", "canneal", "canneal", "ep", "ep", "ep", "ep"}
 	awareAsg, err := GreedyAware(m, spec, sorted, AwareConfig{MaxSlowdown: bound, PState: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -220,20 +218,6 @@ func TestAwareBeatsObliviousOnQoS(t *testing.T) {
 	if aware.Violations >= oblivious.Violations && aware.WorstSlowdown >= oblivious.WorstSlowdown {
 		t.Fatalf("aware scheduling no better: aware %d violations/worst %.3f vs oblivious %d/%.3f",
 			aware.Violations, aware.WorstSlowdown, oblivious.Violations, oblivious.WorstSlowdown)
-	}
-}
-
-func TestSortJobsByIntensity(t *testing.T) {
-	spec := simproc.XeonE5649()
-	sorted, err := SortJobsByIntensity(spec, []string{"ep", "cg", "canneal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sorted[0] != "cg" || sorted[2] != "ep" {
-		t.Fatalf("sorted = %v", sorted)
-	}
-	if _, err := SortJobsByIntensity(spec, []string{"ghost"}); err == nil {
-		t.Fatal("unknown app accepted")
 	}
 }
 
@@ -350,15 +334,6 @@ func TestSimulateBatchErrors(t *testing.T) {
 	}
 }
 
-func TestBatchPolicyString(t *testing.T) {
-	if PackFirst.String() != "pack-first" || AwareSpread.String() != "aware-spread" {
-		t.Fatal("policy names wrong")
-	}
-	if BatchPolicy(9).String() == "" {
-		t.Fatal("unknown policy empty")
-	}
-}
-
 func TestSteadyRatesConsistentWithBaseline(t *testing.T) {
 	// One app alone: SteadyRates must match the baseline run's IPS.
 	proc, err := simproc.New(simproc.XeonE5649())
@@ -450,4 +425,13 @@ func TestSimulateOnlineNegativeArrival(t *testing.T) {
 		BatchConfig{Machines: 1}); err == nil {
 		t.Fatal("negative arrival accepted")
 	}
+}
+
+// placed counts the jobs an assignment placed.
+func placed(a Assignment) int {
+	n := 0
+	for _, m := range a {
+		n += len(m)
+	}
+	return n
 }

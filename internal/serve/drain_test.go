@@ -21,12 +21,12 @@ func TestDrainSheds503(t *testing.T) {
 	if w := postJSON(t, h, "/v1/predict", body); w.Code != http.StatusOK {
 		t.Fatalf("predict before drain returned %d", w.Code)
 	}
-	if s.Draining() {
+	if s.draining.Load() {
 		t.Fatal("server reports draining before StartDrain")
 	}
 
 	s.StartDrain()
-	if !s.Draining() {
+	if !s.draining.Load() {
 		t.Fatal("server does not report draining after StartDrain")
 	}
 	for _, probe := range []struct {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"colocmodel/internal/placement"
 )
 
 // placementsBody builds the canonical test request: a 4-machine fleet
@@ -99,7 +101,7 @@ func TestPlacementsStreamingMonotone(t *testing.T) {
 		if ev.Final || ev.Plan == nil {
 			t.Fatalf("incremental line %d malformed: %+v", i, ev)
 		}
-		if i > 0 && !ev.Plan.Better(incr[i-1].Plan) {
+		if i > 0 && !improves(ev.Plan, incr[i-1].Plan) {
 			t.Fatalf("incremental plan %d (obj %.6f) does not improve on %d (obj %.6f)",
 				i, ev.Plan.Objective, i-1, incr[i-1].Plan.Objective)
 		}
@@ -253,4 +255,13 @@ func FuzzPlacements(f *testing.F) {
 			}
 		}
 	})
+}
+
+// improves orders plans lexicographically, as the search does: fewer QoS
+// violations first, then a strictly lower objective.
+func improves(pl, than *placement.Plan) bool {
+	if pl.QoSViolations != than.QoSViolations {
+		return pl.QoSViolations < than.QoSViolations
+	}
+	return pl.Objective < than.Objective
 }

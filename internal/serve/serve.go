@@ -117,9 +117,6 @@ func New(reg *Registry, cfg Config) *Server {
 // Registry returns the server's model registry.
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Metrics returns the server's metrics layer.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Tracer returns the server's span tracer (nil when tracing is
 // disabled via a negative Config.TraceRing).
 func (s *Server) Tracer() *obs.Tracer { return s.edge.Tracer() }
@@ -743,9 +740,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Dur
 // normally. Serve calls it on shutdown; it is idempotent and exported so
 // operators (and tests) can shed ahead of a planned stop.
 func (s *Server) StartDrain() { s.draining.Store(true) }
-
-// Draining reports whether the server is shedding for shutdown.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Serve runs the server on an existing listener until ctx is cancelled,
 // then drains in-flight requests for up to drain. Cancellation stops

@@ -114,22 +114,6 @@ func NRMSE(predicted, actual []float64) (float64, error) {
 	return 100 * rms / (hi - lo), nil
 }
 
-// PercentErrors returns the signed percent error of each prediction:
-// 100·(predicted−actual)/actual. Used for the Figure 5(b) distributions.
-func PercentErrors(predicted, actual []float64) ([]float64, error) {
-	if len(predicted) != len(actual) {
-		return nil, fmt.Errorf("stats: PercentErrors length mismatch %d vs %d", len(predicted), len(actual))
-	}
-	out := make([]float64, len(actual))
-	for j, a := range actual {
-		if a == 0 {
-			return nil, fmt.Errorf("stats: PercentErrors undefined, actual[%d] == 0", j)
-		}
-		out[j] = 100 * (predicted[j] - a) / a
-	}
-	return out, nil
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 func Quantile(xs []float64, q float64) float64 {
@@ -195,27 +179,6 @@ func FractionWithin(xs []float64, bound float64) float64 {
 		}
 	}
 	return float64(n) / float64(len(xs))
-}
-
-// Histogram bins xs into n equal-width bins over [lo, hi]. Values outside
-// the range are clamped into the first or last bin.
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	if n <= 0 || hi <= lo {
-		return nil
-	}
-	bins := make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, v := range xs {
-		b := int((v - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		bins[b]++
-	}
-	return bins
 }
 
 // MeanCI returns the mean of xs and the half-width of its normal-theory

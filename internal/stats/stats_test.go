@@ -90,19 +90,6 @@ func TestNRMSEDegenerate(t *testing.T) {
 	}
 }
 
-func TestPercentErrorsSigned(t *testing.T) {
-	pe, err := PercentErrors([]float64{110, 95}, []float64{100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe[0] != 10 || pe[1] != -5 {
-		t.Fatalf("PercentErrors = %v", pe)
-	}
-	if _, err := PercentErrors([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("zero actual accepted")
-	}
-}
-
 func TestQuantileKnown(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
@@ -145,17 +132,6 @@ func TestFractionWithin(t *testing.T) {
 	}
 	if !math.IsNaN(FractionWithin(nil, 1)) {
 		t.Fatal("empty not NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0.1, 0.2, 0.9, -5, 42}, 0, 1, 2)
-	// -5 clamps to bin 0; 42 clamps to bin 1.
-	if bins[0] != 3 || bins[1] != 2 {
-		t.Fatalf("Histogram = %v", bins)
-	}
-	if Histogram(nil, 1, 0, 2) != nil {
-		t.Fatal("degenerate range accepted")
 	}
 }
 
@@ -281,11 +257,11 @@ func TestMPEScaleInvariantProperty(t *testing.T) {
 		pred := make([]float64, n)
 		act := make([]float64, n)
 		for i := range act {
-			act[i] = src.Uniform(100, 1000)
-			pred[i] = act[i] * src.Uniform(0.8, 1.2)
+			act[i] = 100 + 900*src.Float64()
+			pred[i] = act[i] * (0.8 + 0.4*src.Float64())
 		}
 		m1, err1 := MPE(pred, act)
-		scale := src.Uniform(0.5, 50)
+		scale := 0.5 + 49.5*src.Float64()
 		sp := make([]float64, n)
 		sa := make([]float64, n)
 		for i := range act {
@@ -305,8 +281,8 @@ func BenchmarkMPE(b *testing.B) {
 	pred := make([]float64, n)
 	act := make([]float64, n)
 	for i := range act {
-		act[i] = src.Uniform(100, 1000)
-		pred[i] = act[i] * src.Uniform(0.9, 1.1)
+		act[i] = 100 + 900*src.Float64()
+		pred[i] = act[i] * (0.9 + 0.2*src.Float64())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -343,23 +319,6 @@ func TestPearsonKnown(t *testing.T) {
 	}
 	if _, err := Pearson([]float64{1, 2}, []float64{1}); err == nil {
 		t.Fatal("mismatched lengths accepted")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Any monotone transform preserves rank correlation exactly.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125} // x³: nonlinear but monotone
-	r, err := Spearman(xs, ys)
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("Spearman of monotone transform = %v, %v", r, err)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	r, err := Spearman([]float64{1, 1, 2, 2}, []float64{1, 1, 2, 2})
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("tied perfect correlation = %v, %v", r, err)
 	}
 }
 

@@ -133,18 +133,6 @@ func (a App) Validate() error {
 // positiveFinite reports whether x is in (0, +Inf); NaN is not.
 func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
-// BaselineMissRatio returns the miss ratio when the application owns the
-// entire LLC of the given capacity.
-func (a App) BaselineMissRatio(llcBytes float64) float64 {
-	return a.MRC.Ratio(llcBytes)
-}
-
-// BaselineMemoryIntensity returns LLC misses per instruction when running
-// alone with the full LLC: the Table III "baseline memory intensity".
-func (a App) BaselineMemoryIntensity(llcBytes float64) float64 {
-	return a.LLCAccessRate * a.BaselineMissRatio(llcBytes)
-}
-
 // Scaled returns a copy of the application with a larger (or smaller)
 // problem size, in the spirit of the NAS benchmark classes (A -> B -> C
 // scale both work and data). Instructions scale linearly with factor and
@@ -267,17 +255,6 @@ func ByName(name string) (App, error) {
 		}
 	}
 	return App{}, fmt.Errorf("workload: unknown application %q", name)
-}
-
-// ByClass returns all applications in class c.
-func ByClass(c Class) []App {
-	var out []App
-	for _, a := range All() {
-		if a.Class == c {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // TrainingCoApps returns the four co-location applications used to collect

@@ -43,8 +43,12 @@ func TestAllSortedByClassThenName(t *testing.T) {
 }
 
 func TestEveryClassPopulated(t *testing.T) {
+	populated := map[Class]bool{}
+	for _, a := range All() {
+		populated[a.Class] = true
+	}
 	for c := ClassI; c <= ClassIV; c++ {
-		if len(ByClass(c)) == 0 {
+		if !populated[c] {
 			t.Fatalf("%v has no applications", c)
 		}
 	}
@@ -97,7 +101,7 @@ func TestClassIntensityOrdering(t *testing.T) {
 	minByClass := map[Class]float64{}
 	maxByClass := map[Class]float64{}
 	for _, a := range All() {
-		mi := a.BaselineMemoryIntensity(testLLC)
+		mi := baselineMI(a, testLLC)
 		if cur, ok := minByClass[a.Class]; !ok || mi < cur {
 			minByClass[a.Class] = mi
 		}
@@ -126,8 +130,8 @@ func TestIntensityStableAcrossMachines(t *testing.T) {
 	// at the 12-core machine's 30 MB LLC.
 	const llc12 = 30 * 1024 * 1024
 	for _, a := range All() {
-		mi6 := a.BaselineMemoryIntensity(testLLC)
-		mi12 := a.BaselineMemoryIntensity(llc12)
+		mi6 := baselineMI(a, testLLC)
+		mi12 := baselineMI(a, llc12)
 		if mi12 > mi6*1.01 {
 			t.Errorf("%s: intensity grows with larger cache (%.3e -> %.3e)", a.Name, mi6, mi12)
 		}
@@ -187,8 +191,8 @@ func TestValidateCatchesBadApps(t *testing.T) {
 
 func TestBaselineMissRatioMonotoneInCapacity(t *testing.T) {
 	for _, a := range All() {
-		small := a.BaselineMissRatio(1 << 20)
-		large := a.BaselineMissRatio(1 << 30)
+		small := a.MRC.Ratio(1 << 20)
+		large := a.MRC.Ratio(1 << 30)
 		if large > small {
 			t.Errorf("%s: miss ratio grows with capacity", a.Name)
 		}
@@ -278,12 +282,12 @@ func TestMicrobenchmarkExtremes(t *testing.T) {
 	pchase, _ := MicrobenchmarkByName("pchase")
 	// stream: maximal bandwidth demand (intensity above every Table III app).
 	for _, a := range All() {
-		if a.BaselineMemoryIntensity(testLLC) >= stream.BaselineMemoryIntensity(testLLC) {
+		if baselineMI(a, testLLC) >= baselineMI(stream, testLLC) {
 			t.Errorf("%s intensity exceeds stream's", a.Name)
 		}
 	}
 	// dgemm: CPU-bound.
-	if dgemm.BaselineMemoryIntensity(testLLC) > 1e-4 {
+	if baselineMI(dgemm, testLLC) > 1e-4 {
 		t.Error("dgemm not CPU-bound")
 	}
 	// pchase: fully serialised misses.
@@ -312,7 +316,7 @@ func TestScaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Larger problems are at least as memory intensive at fixed cache.
-	if big.BaselineMemoryIntensity(testLLC) < cg.BaselineMemoryIntensity(testLLC) {
+	if baselineMI(big, testLLC) < baselineMI(cg, testLLC) {
 		t.Fatal("scaling reduced memory intensity")
 	}
 	for _, f := range append([]float64{0}, nonFinite...) {
@@ -320,4 +324,10 @@ func TestScaled(t *testing.T) {
 			t.Errorf("factor %v accepted", f)
 		}
 	}
+}
+
+// baselineMI is LLC misses per instruction when a runs alone with an LLC
+// of llcBytes: the Table III "baseline memory intensity".
+func baselineMI(a App, llcBytes float64) float64 {
+	return a.LLCAccessRate * a.MRC.Ratio(llcBytes)
 }

@@ -38,9 +38,6 @@ func NewWeighted(src *Source, weights []float64) *Weighted {
 	return &Weighted{cdf: cdf, src: src}
 }
 
-// N returns the size of the sampler's support.
-func (w *Weighted) N() int { return len(w.cdf) }
-
 // Next draws the next weighted index.
 func (w *Weighted) Next() int {
 	u := w.src.Float64()
@@ -54,15 +51,4 @@ func (w *Weighted) Next() int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability mass of index i.
-func (w *Weighted) Prob(i int) float64 {
-	if i < 0 || i >= len(w.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return w.cdf[0]
-	}
-	return w.cdf[i] - w.cdf[i-1]
 }

@@ -74,11 +74,6 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
-// Uniform returns a uniformly distributed value in [lo, hi).
-func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
-}
-
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0.
 func (s *Source) Intn(n int) int {
@@ -112,11 +107,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
@@ -142,35 +132,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Normal(mu, sigma))
 }
 
-// Exponential returns an exponentially distributed value with the given
-// rate (lambda). The mean of the distribution is 1/rate.
-func (s *Source) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: Exponential with non-positive rate")
-	}
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u) / rate
-		}
-	}
-}
-
-// Pareto returns a Pareto(xm, alpha) distributed value: xm is the scale
-// (minimum) and alpha the shape. Heavy tails model reuse distances of
-// streaming workloads well.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("xrand: Pareto requires positive parameters")
-	}
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -183,13 +144,4 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap
-// function, following the contract of math/rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -34,9 +34,6 @@ func NewZipf(src *Source, s float64, n int) *Zipf {
 	return &Zipf{cdf: cdf, src: src}
 }
 
-// N returns the size of the sampler's support.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Next draws the next Zipf-distributed rank.
 func (z *Zipf) Next() int {
 	u := z.src.Float64()
@@ -50,15 +47,4 @@ func (z *Zipf) Next() int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability mass of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }
