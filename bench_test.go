@@ -230,7 +230,7 @@ func BenchmarkAblationSCGTraining(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net, err := mlp.New(mlp.Config{Inputs: x.Cols, Hidden: []int{20}, Seed: uint64(i)})
+		net, err := mlp.New(mlp.Config{Inputs: x.Cols, Hidden: 20, Seed: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func run(machine, target, coapp string, n, pstate int, list, timeline, jsonOut b
 	if n < 0 {
 		return fmt.Errorf("-n %d: the number of co-located copies cannot be negative", n)
 	}
-	spec, err := specFor(machine)
+	spec, err := simproc.MachineByName(machine)
 	if err != nil {
 		return err
 	}
@@ -176,17 +176,6 @@ func run(machine, target, coapp string, n, pstate int, list, timeline, jsonOut b
 		}
 	}
 	return nil
-}
-
-func specFor(name string) (simproc.Spec, error) {
-	switch name {
-	case "6core", "e5649", "E5649":
-		return simproc.XeonE5649(), nil
-	case "12core", "e5-2697v2", "E5-2697v2":
-		return simproc.XeonE52697v2(), nil
-	default:
-		return simproc.Spec{}, fmt.Errorf("unknown machine %q (want 6core or 12core)", name)
-	}
 }
 
 // appByName resolves Table III applications and microbenchmark kernels.

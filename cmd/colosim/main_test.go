@@ -8,24 +8,6 @@ import (
 	"testing"
 )
 
-func TestSpecFor(t *testing.T) {
-	for _, name := range []string{"6core", "e5649", "E5649"} {
-		s, err := specFor(name)
-		if err != nil || s.Cores != 6 {
-			t.Fatalf("specFor(%q) = %+v, %v", name, s, err)
-		}
-	}
-	for _, name := range []string{"12core", "e5-2697v2", "E5-2697v2"} {
-		s, err := specFor(name)
-		if err != nil || s.Cores != 12 {
-			t.Fatalf("specFor(%q) = %+v, %v", name, s, err)
-		}
-	}
-	if _, err := specFor("pentium"); err == nil {
-		t.Fatal("unknown machine accepted")
-	}
-}
-
 func TestRunTimeline(t *testing.T) {
 	if err := run("6core", "canneal", "cg", 2, 0, false, true, false); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -21,97 +22,112 @@ import (
 	"colocmodel/internal/simproc"
 )
 
+// options are colotrain's flags.
+type options struct {
+	machine, in, out, models string
+	partitions               int
+	seed                     uint64
+	noise                    float64
+	predict, coapp           string
+	n, pstate                int
+	saveModel, loadModel     string
+}
+
 func main() {
-	var (
-		machine    = flag.String("machine", "6core", "machine to collect on: 6core or 12core")
-		in         = flag.String("in", "", "load dataset from CSV instead of collecting")
-		out        = flag.String("out", "", "save the collected dataset to CSV")
-		models     = flag.String("models", "all", "comma-separated models (e.g. linear-A,neural-net-F) or 'all'")
-		partitions = flag.Int("partitions", 100, "evaluation partitions")
-		seed       = flag.Uint64("seed", 42, "seed")
-		noise      = flag.Float64("noise", 0.01, "measurement noise sigma")
-		predict    = flag.String("predict", "", "predict a scenario for this target app (trains neural-net-F)")
-		saveModel  = flag.String("savemodel", "", "train neural-net-F on the dataset and save it as JSON")
-		loadModel  = flag.String("loadmodel", "", "load a saved model for -predict instead of training")
-		coapp      = flag.String("coapp", "cg", "co-app for -predict")
-		n          = flag.Int("n", 1, "co-located copies for -predict")
-		pstate     = flag.Int("pstate", 0, "P-state for -predict")
-	)
+	var o options
+	flag.StringVar(&o.machine, "machine", "6core", "machine to collect on: 6core or 12core")
+	flag.StringVar(&o.in, "in", "", "load dataset from CSV instead of collecting")
+	flag.StringVar(&o.out, "out", "", "save the collected dataset to CSV")
+	flag.StringVar(&o.models, "models", "all", "comma-separated models (e.g. linear-A,neural-net-F) or 'all'")
+	flag.IntVar(&o.partitions, "partitions", 100, "evaluation partitions")
+	flag.Uint64Var(&o.seed, "seed", 42, "seed")
+	flag.Float64Var(&o.noise, "noise", 0.01, "measurement noise sigma")
+	flag.StringVar(&o.predict, "predict", "", "predict a scenario for this target app (trains neural-net-F)")
+	flag.StringVar(&o.saveModel, "savemodel", "", "train neural-net-F on the dataset and save it as JSON")
+	flag.StringVar(&o.loadModel, "loadmodel", "", "load a saved model for -predict instead of training")
+	flag.StringVar(&o.coapp, "coapp", "cg", "co-app for -predict")
+	flag.IntVar(&o.n, "n", 1, "co-located copies for -predict")
+	flag.IntVar(&o.pstate, "pstate", 0, "P-state for -predict")
 	flag.Parse()
-	if err := run(*machine, *in, *out, *models, *partitions, *seed, *noise, *predict, *coapp, *n, *pstate, *saveModel, *loadModel); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "colotrain:", err)
 		os.Exit(1)
 	}
 }
 
-func run(machine, in, out, models string, partitions int, seed uint64, noise float64,
-	predict, coapp string, n, pstate int, saveModel, loadModel string) error {
-	if n < 0 {
-		return fmt.Errorf("-n %d: the number of co-located copies cannot be negative", n)
+func run(w io.Writer, o options) error {
+	if o.n < 0 {
+		return fmt.Errorf("-n %d: the number of co-located copies cannot be negative", o.n)
 	}
-	if loadModel != "" && predict == "" {
-		return fmt.Errorf("-loadmodel %s needs -predict: a loaded model is only used to predict a scenario", loadModel)
+	if o.loadModel != "" && o.predict == "" {
+		return fmt.Errorf("-loadmodel %s needs -predict: a loaded model is only used to predict a scenario", o.loadModel)
 	}
 	// Without -predict or -savemodel the run evaluates models.
-	evaluate := predict == "" && saveModel == ""
-	if evaluate && partitions <= 0 {
-		return fmt.Errorf("-partitions %d: evaluation needs at least one partition", partitions)
+	evaluate := o.predict == "" && o.saveModel == ""
+	if evaluate && o.partitions <= 0 {
+		return fmt.Errorf("-partitions %d: evaluation needs at least one partition", o.partitions)
 	}
-	if loadModel != "" {
-		return runPredictLoaded(loadModel, predict, coapp, n, pstate)
-	}
-	ds, err := obtainDataset(machine, in, seed, noise)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("dataset: %s, %d baselines, %d co-location records\n",
-		ds.Machine, len(ds.Baselines), len(ds.Records))
-	if out != "" {
-		f, err := os.Create(out)
+	if o.loadModel != "" {
+		m, err := loadModel(o.loadModel)
 		if err != nil {
 			return err
 		}
-		if err := ds.WriteCSV(f); err != nil {
-			f.Close()
+		return printPrediction(w, m, o)
+	}
+	ds, err := obtainDataset(w, o.machine, o.in, o.seed, o.noise)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "dataset: %s, %d baselines, %d co-location records\n",
+		ds.Machine, len(ds.Baselines), len(ds.Records))
+	if o.out != "" {
+		if err := writeFile(o.out, ds.WriteCSV); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("dataset written to %s\n", out)
+		fmt.Fprintf(w, "dataset written to %s\n", o.out)
 	}
 
-	if saveModel != "" {
-		if err := trainAndSave(ds, seed, saveModel); err != nil {
+	if !evaluate {
+		// -savemodel and -predict share one neural-net-F.
+		setF, err := features.SetByName("F")
+		if err != nil {
 			return err
 		}
-	}
-	if predict != "" {
-		return runPredict(ds, seed, predict, coapp, n, pstate)
-	}
-	if !evaluate {
+		m, err := core.Train(core.Spec{Technique: core.NeuralNet, FeatureSet: setF, Seed: o.seed}, ds, ds.Records)
+		if err != nil {
+			return err
+		}
+		if o.saveModel != "" {
+			if err := writeFile(o.saveModel, m.Save); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "model written to %s\n", o.saveModel)
+		}
+		if o.predict != "" {
+			return printPrediction(w, m, o)
+		}
 		return nil
 	}
 
-	specs, err := selectSpecs(models, seed)
+	specs, err := selectSpecs(o.models, o.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("evaluating %d models with %d partitions (70/30 splits)...\n\n", len(specs), partitions)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "model\ttrain MPE\ttest MPE\ttrain NRMSE\ttest NRMSE\ttest MPE 95% CI")
+	fmt.Fprintf(w, "evaluating %d models with %d partitions (70/30 splits)...\n\n", len(specs), o.partitions)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "model\ttrain MPE\ttest MPE\ttrain NRMSE\ttest NRMSE\ttest MPE 95% CI")
 	for _, spec := range specs {
-		res, err := core.Evaluate(spec, ds, core.EvalConfig{Partitions: partitions, Seed: seed})
+		res, err := core.Evaluate(spec, ds, core.EvalConfig{Partitions: o.partitions, Seed: o.seed})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s\t%.2f%%\t%.2f%%\t%.2f%%\t%.2f%%\t±%.2f%%\n",
+		fmt.Fprintf(tw, "%s\t%.2f%%\t%.2f%%\t%.2f%%\t%.2f%%\t±%.2f%%\n",
 			spec, res.TrainMPE, res.TestMPE, res.TrainNRMSE, res.TestNRMSE, res.TestMPECI)
 	}
-	return w.Flush()
+	return tw.Flush()
 }
 
-func obtainDataset(machine, in string, seed uint64, noise float64) (*harness.Dataset, error) {
+func obtainDataset(w io.Writer, machine, in string, seed uint64, noise float64) (*harness.Dataset, error) {
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
@@ -120,18 +136,13 @@ func obtainDataset(machine, in string, seed uint64, noise float64) (*harness.Dat
 		defer f.Close()
 		return harness.ReadCSV(f)
 	}
-	var spec simproc.Spec
-	switch machine {
-	case "6core":
-		spec = simproc.XeonE5649()
-	case "12core":
-		spec = simproc.XeonE52697v2()
-	default:
-		return nil, fmt.Errorf("unknown machine %q (want 6core or 12core)", machine)
+	spec, err := simproc.MachineByName(machine)
+	if err != nil {
+		return nil, err
 	}
 	plan := harness.DefaultPlan(spec, seed)
 	plan.NoiseSigma = noise
-	fmt.Printf("collecting %d co-location runs on %s...\n", plan.RunCount(), spec.Name)
+	fmt.Fprintf(w, "collecting %d co-location runs on %s...\n", plan.RunCount(), spec.Name)
 	return harness.Collect(plan)
 }
 
@@ -155,76 +166,36 @@ func selectSpecs(models string, seed uint64) ([]core.Spec, error) {
 	return out, nil
 }
 
-func runPredict(ds *harness.Dataset, seed uint64, target, coapp string, n, pstate int) error {
-	setF, err := features.SetByName("F")
-	if err != nil {
-		return err
-	}
-	m, err := core.Train(core.Spec{Technique: core.NeuralNet, FeatureSet: setF, Seed: seed}, ds, ds.Records)
-	if err != nil {
-		return err
-	}
-	co := make([]string, n)
-	for i := range co {
-		co[i] = coapp
-	}
-	sc := features.Scenario{Target: target, CoApps: co, PState: pstate}
-	pred, err := m.Predict(sc)
-	if err != nil {
-		return err
-	}
-	sd, err := m.PredictedSlowdown(sc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("prediction (neural-net-F on %s):\n", ds.Machine)
-	fmt.Printf("  %s + %d x %s at P%d\n", target, n, coapp, pstate)
-	fmt.Printf("  predicted execution time: %.1f s\n", pred)
-	fmt.Printf("  predicted slowdown:       %.3f\n", sd)
-	return nil
-}
-
-// trainAndSave trains neural-net-F on the dataset and writes it to path.
-func trainAndSave(ds *harness.Dataset, seed uint64, path string) error {
-	setF, err := features.SetByName("F")
-	if err != nil {
-		return err
-	}
-	m, err := core.Train(core.Spec{Technique: core.NeuralNet, FeatureSet: setF, Seed: seed}, ds, ds.Records)
-	if err != nil {
-		return err
-	}
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := m.Save(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("model written to %s\n", path)
-	return nil
+	return f.Close()
 }
 
-// runPredictLoaded predicts a scenario with a previously saved model.
-func runPredictLoaded(path, target, coapp string, n, pstate int) error {
+// loadModel reads a model previously saved with -savemodel.
+func loadModel(path string) (*core.Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	m, err := core.LoadModel(f)
-	if err != nil {
-		return err
-	}
-	co := make([]string, n)
+	return core.LoadModel(f)
+}
+
+// printPrediction predicts the -predict scenario with m and prints it.
+func printPrediction(w io.Writer, m *core.Model, o options) error {
+	co := make([]string, o.n)
 	for i := range co {
-		co[i] = coapp
+		co[i] = o.coapp
 	}
-	sc := features.Scenario{Target: target, CoApps: co, PState: pstate}
+	sc := features.Scenario{Target: o.predict, CoApps: co, PState: o.pstate}
 	pred, err := m.Predict(sc)
 	if err != nil {
 		return err
@@ -233,9 +204,9 @@ func runPredictLoaded(path, target, coapp string, n, pstate int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("prediction (%s, loaded from %s):\n", m.Spec, path)
-	fmt.Printf("  %s + %d x %s at P%d\n", target, n, coapp, pstate)
-	fmt.Printf("  predicted execution time: %.1f s\n", pred)
-	fmt.Printf("  predicted slowdown:       %.3f\n", sd)
+	fmt.Fprintf(w, "prediction (%s on %s):\n", m.Spec, m.Machine())
+	fmt.Fprintf(w, "  %s + %d x %s at P%d\n", o.predict, o.n, o.coapp, o.pstate)
+	fmt.Fprintf(w, "  predicted execution time: %.1f s\n", pred)
+	fmt.Fprintf(w, "  predicted slowdown:       %.3f\n", sd)
 	return nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,11 +27,25 @@ func TestSelectSpecs(t *testing.T) {
 }
 
 func TestObtainDatasetErrors(t *testing.T) {
-	if _, err := obtainDataset("pentium", "", 1, 0.01); err == nil {
+	if _, err := obtainDataset(io.Discard, "pentium", "", 1, 0.01); err == nil {
 		t.Fatal("bad machine accepted")
 	}
-	if _, err := obtainDataset("6core", "/does/not/exist.csv", 1, 0.01); err == nil {
+	if _, err := obtainDataset(io.Discard, "6core", "/does/not/exist.csv", 1, 0.01); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestObtainDatasetMachineAliases: -machine takes the names colosim and
+// the serving tier take, the model numbers included.
+func TestObtainDatasetMachineAliases(t *testing.T) {
+	for name, want := range map[string]string{"e5649": "Xeon E5649", "E5-2697v2": "Xeon E5-2697v2"} {
+		ds, err := obtainDataset(io.Discard, name, "", 1, 0.01)
+		if err != nil {
+			t.Fatalf("-machine %s: %v", name, err)
+		}
+		if ds.Machine != want {
+			t.Fatalf("-machine %s collected on %q, want %q", name, ds.Machine, want)
+		}
 	}
 }
 
@@ -51,10 +67,43 @@ func TestRunRejectsBadCounts(t *testing.T) {
 		{name: "negative n, loaded model", partitions: 1, n: -3, predict: "canneal", loadModel: missing, want: "-n -3"},
 		{name: "loaded model without -predict", partitions: 1, loadModel: missing, want: "-loadmodel " + missing + " needs -predict"},
 	} {
-		err := run("6core", missing+".csv", "", "linear-A", c.partitions, 1, 0.01, c.predict, "cg", c.n, 0, "", c.loadModel)
+		err := run(io.Discard, options{machine: "6core", in: missing + ".csv", models: "linear-A", partitions: c.partitions,
+			seed: 1, noise: 0.01, predict: c.predict, coapp: "cg", n: c.n, loadModel: c.loadModel})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestSaveAndLoadPredictAlike: a run that saves neural-net-F and predicts
+// with it prints the same prediction as a later run that loads the saved
+// artefact and predicts the same scenario.
+func TestSaveAndLoadPredictAlike(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	predict := options{predict: "canneal", coapp: "cg", n: 3}
+	var saved, loaded bytes.Buffer
+	o := predict
+	o.machine, o.seed, o.noise, o.saveModel = "6core", 42, 0.01, path
+	if err := run(&saved, o); err != nil {
+		t.Fatal(err)
+	}
+	o = predict
+	o.loadModel = path
+	if err := run(&loaded, o); err != nil {
+		t.Fatal(err)
+	}
+	lines := func(out string) []string {
+		var ls []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.Contains(l, "predicted") {
+				ls = append(ls, l)
+			}
+		}
+		return ls
+	}
+	s, l := lines(saved.String()), lines(loaded.String())
+	if len(s) != 2 || strings.Join(s, "\n") != strings.Join(l, "\n") {
+		t.Fatalf("saving run printed %q, loading run %q", s, l)
 	}
 }
 
@@ -65,22 +114,22 @@ func TestEndToEndCollectSaveLoadEvaluate(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "ds.csv")
 	// Collect the 6-core campaign, save it, evaluate one cheap model.
-	if err := run("6core", "", out, "linear-A", 3, 1, 0.01, "", "", 0, 0, "", ""); err != nil {
+	if err := run(io.Discard, options{machine: "6core", out: out, models: "linear-A", partitions: 3, seed: 1, noise: 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(out); err != nil || fi.Size() == 0 {
 		t.Fatalf("dataset not written: %v", err)
 	}
 	// Reload from CSV and run a prediction.
-	if err := run("", out, "", "", 0, 1, 0, "canneal", "cg", 2, 0, "", ""); err != nil {
+	if err := run(io.Discard, options{in: out, seed: 1, predict: "canneal", coapp: "cg", n: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Save a model from the CSV, then predict with the loaded model.
 	modelPath := filepath.Join(dir, "model.json")
-	if err := run("", out, "", "", 0, 1, 0, "", "", 0, 0, modelPath, ""); err != nil {
+	if err := run(io.Discard, options{in: out, seed: 1, saveModel: modelPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "", "", "", 0, 1, 0, "canneal", "cg", 3, 0, "", modelPath); err != nil {
+	if err := run(io.Discard, options{seed: 1, predict: "canneal", coapp: "cg", n: 3, loadModel: modelPath}); err != nil {
 		t.Fatal(err)
 	}
 }

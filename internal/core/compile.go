@@ -5,7 +5,6 @@ import (
 
 	"colocmodel/internal/features"
 	"colocmodel/internal/linalg"
-	"colocmodel/internal/mlp"
 )
 
 // The model compiler. The predict path is the product's hot loop: every
@@ -27,10 +26,10 @@ import (
 //     entry points resolve each name to its id once, then run the id
 //     path; PredictIDsInto takes rows a caller resolved itself;
 //   - a linear model folds to a single dot product over that vector;
-//   - a neural model's standardise → layers → de-standardise chain runs
-//     over preallocated fixed-width scratch with the activation resolved
-//     at compile time, so the scalar path performs zero heap allocations
-//     and no interface or switch dispatch per node;
+//   - a neural model's standardise → tanh hidden layer → linear output →
+//     de-standardise chain is one fused closure over preallocated
+//     fixed-width scratch, so the scalar path performs zero heap
+//     allocations and no interface or switch dispatch per node;
 //   - the batched path fills a reusable design matrix and evaluates one
 //     kernel per layer: linalg.MulABTBias over the hidden weights,
 //     packed in × out once here, and linalg.GemvBiasInto for the
@@ -106,27 +105,17 @@ type program struct {
 	coef     []float64
 	constant float64
 
-	// Neural technique: the layer chain plus the fitted scalers.
-	layers   []compiledLayer
-	act      mlp.Activation
-	xMean    []float64
-	xStd     []float64
-	yMean    float64
-	yStd     float64
-	maxWidth int
-}
-
-// compiledLayer is one dense layer with its parameters sliced out of the
-// network's flat vector (weights row-major by output node, as mlp lays
-// them out).
-type compiledLayer struct {
-	in, out int
-	w       []float64 // out × in
-	b       []float64 // out
-	last    bool      // linear output layer
-	// wt is a hidden layer's w packed once, at compile time, for the
-	// batched path: in × out, the operand linalg.MulABTBias takes.
-	wt linalg.Matrix
+	// Neural technique: the network's parameters sliced out of its flat
+	// vector as mlp lays them out, plus the fitted scalers.
+	hw    []float64     // hidden weights: hidden × width, row-major by node
+	hb    []float64     // hidden biases
+	hwt   linalg.Matrix // hw packed width × hidden, once, for linalg.MulABTBias
+	ow    []float64     // output weights
+	ob    float64       // output bias
+	xMean []float64
+	xStd  []float64
+	yMean float64
+	yStd  float64
 }
 
 // width returns the design-vector width the program expects.
@@ -235,36 +224,17 @@ func (m *Model) compileProgram() (*program, error) {
 		if cfg.Inputs != width {
 			return nil, fmt.Errorf("core: compile: network expects %d inputs for width %d", cfg.Inputs, width)
 		}
-		p.act = cfg.Activation
 		p.xMean, p.xStd = m.xScaler.Mean, m.xScaler.Std
 		p.yMean, p.yStd = m.yScaler.Mean, m.yScaler.Std
-		params := m.net.Params()
-		sizes := append([]int{cfg.Inputs}, cfg.Hidden...)
-		sizes = append(sizes, 1)
-		p.maxWidth = width
-		off := 0
-		for l := 0; l+1 < len(sizes); l++ {
-			in, out := sizes[l], sizes[l+1]
-			ly := compiledLayer{
-				in: in, out: out,
-				w:    params[off : off+in*out],
-				last: l+2 == len(sizes),
-			}
-			off += in * out
-			ly.b = params[off : off+out]
-			off += out
-			if !ly.last {
-				ly.wt = *linalg.NewMatrix(in, out)
-				linalg.TransposeInto(&ly.wt, &linalg.Matrix{Rows: out, Cols: in, Data: ly.w})
-			}
-			p.layers = append(p.layers, ly)
-			if out > p.maxWidth {
-				p.maxWidth = out
-			}
-		}
-		if off != len(params) {
-			return nil, fmt.Errorf("core: compile: network has %d params for its layer shapes (want %d)", len(params), off)
-		}
+		// mlp's layout: hidden weights, hidden biases, output weights,
+		// output bias.
+		params, h := m.net.Params(), cfg.Hidden
+		p.hw = params[:h*width]
+		p.hb = params[h*width : h*(width+1)]
+		p.ow = params[h*(width+1) : h*(width+2)]
+		p.ob = params[h*(width+2)]
+		p.hwt = *linalg.NewMatrix(width, h)
+		linalg.TransposeInto(&p.hwt, &linalg.Matrix{Rows: h, Cols: width, Data: p.hw})
 	default:
 		return nil, fmt.Errorf("core: compile: model %s not trained", m.Spec)
 	}
@@ -365,12 +335,10 @@ type instance struct {
 	co   []int32      // their co-app ids
 	vals []float64    // op-table scratch
 	row  []float64    // design vector scratch
-	actA []float64    // layer ping
-	actB []float64    // layer pong
 
 	// Batched scratch (grown on first batch, reused after).
-	x    linalg.Matrix // design matrix
-	actM [2]linalg.Matrix
+	x   linalg.Matrix // design matrix
+	hid linalg.Matrix // hidden-layer outputs
 }
 
 // newInstance builds a worker instance over a program.
@@ -394,81 +362,40 @@ func newInstance(p *program) *instance {
 		}
 		return c
 	}
-	c.actA = make([]float64, p.maxWidth)
-	c.actB = make([]float64, p.maxWidth)
-	c.scalar = c.compileNetScalar()
+	c.scalar = compileNetScalar(p)
 	return c
 }
 
-// compileNetScalar fuses standardise → layer chain → de-standardise into
-// one closure over the instance's ping-pong scratch. The common served
-// shape — one hidden tanh layer — gets a fully fused fast path with no
-// per-node dispatch of any kind: it writes the hidden pre-activations
-// into its scratch, then activates them all with one linalg.Tanh call,
-// which is math.Tanh bit for bit. Deeper or non-tanh networks share a
-// generic loop whose activation is still resolved once per layer, not
-// per node. Both reproduce predictVector's arithmetic order exactly.
-func (c *instance) compileNetScalar() func(row []float64) float64 {
-	p := c.prog
+// compileNetScalar fuses standardise → hidden layer → output →
+// de-standardise into one closure over its own scratch, with no per-node
+// dispatch of any kind: it writes the hidden pre-activations into the
+// scratch, then activates them all with one linalg.Tanh call, which is
+// math.Tanh bit for bit. It reproduces predictVector's arithmetic order
+// exactly.
+func compileNetScalar(p *program) func(row []float64) float64 {
 	mean, std := p.xMean, p.xStd
 	yMean, yStd := p.yMean, p.yStd
-	if len(p.layers) == 2 && p.act == mlp.Tanh {
-		hidden, out := p.layers[0], p.layers[1]
-		hw, hb := hidden.w, hidden.b
-		ow, ob := out.w, out.b
-		in, h := hidden.in, hidden.out
-		z, a := c.actA, c.actB
-		return func(row []float64) float64 {
-			z = z[:in]
-			for j, v := range row {
-				z[j] = (v - mean[j]) / std[j]
-			}
-			a = a[:h]
-			for o := 0; o < h; o++ {
-				s := hb[o]
-				w := hw[o*in : (o+1)*in]
-				for i, v := range z {
-					s += w[i] * v
-				}
-				a[o] = s
-			}
-			linalg.Tanh(a)
-			s := ob[0]
-			for i, v := range a {
-				s += ow[i] * v
-			}
-			return s*yStd + yMean
-		}
-	}
-	layers, act := p.layers, p.act
-	z, a := c.actA, c.actB
+	hw, hb, ow, ob := p.hw, p.hb, p.ow, p.ob
+	z, a := make([]float64, p.width()), make([]float64, len(hb))
+	in := len(z)
 	return func(row []float64) float64 {
-		cur := z[:len(row)]
 		for j, v := range row {
-			cur[j] = (v - mean[j]) / std[j]
+			z[j] = (v - mean[j]) / std[j]
 		}
-		next := a
-		for li := range layers {
-			ly := &layers[li]
-			nx := next[:ly.out]
-			for o := 0; o < ly.out; o++ {
-				s := ly.b[o]
-				w := ly.w[o*ly.in : (o+1)*ly.in]
-				for i, v := range cur {
-					s += w[i] * v
-				}
-				if ly.last || act == mlp.Tanh {
-					nx[o] = s
-				} else {
-					nx[o] = act.Apply(s)
-				}
+		for o := range a {
+			s := hb[o]
+			w := hw[o*in : (o+1)*in]
+			for i, v := range z {
+				s += w[i] * v
 			}
-			if !ly.last && act == mlp.Tanh {
-				linalg.Tanh(nx)
-			}
-			cur, next = nx, cur[:cap(cur)]
+			a[o] = s
 		}
-		return cur[0]*yStd + yMean
+		linalg.Tanh(a)
+		s := ob
+		for i, v := range a {
+			s += ow[i] * v
+		}
+		return s*yStd + yMean
 	}
 }
 
@@ -570,27 +497,12 @@ func (c *instance) forward(out []float64) {
 			rowD[j] = (v - p.xMean[j]) / p.xStd[j]
 		}
 	}
-	src := &c.x
-	for li := range p.layers {
-		ly := &p.layers[li]
-		if ly.last {
-			// The one-node output layer: a dot product per row, four
-			// rows at a time, straight into out.
-			linalg.GemvBiasInto(out, src, ly.w, ly.b[0])
-			break
-		}
-		dst := &c.actM[li%2]
-		growMat(dst, len(out), ly.out)
-		linalg.MulABTBias(dst, src, &ly.wt, ly.b)
-		if p.act == mlp.Tanh {
-			linalg.Tanh(dst.Data)
-		} else {
-			for i, v := range dst.Data {
-				dst.Data[i] = p.act.Apply(v)
-			}
-		}
-		src = dst
-	}
+	growMat(&c.hid, len(out), len(p.hb))
+	linalg.MulABTBias(&c.hid, &c.x, &p.hwt, p.hb)
+	linalg.Tanh(c.hid.Data)
+	// The one-node output layer: a dot product per row, four rows at a
+	// time, straight into out.
+	linalg.GemvBiasInto(out, &c.hid, p.ow, p.ob)
 	for i, v := range out {
 		out[i] = v*p.yStd + p.yMean
 	}

@@ -229,12 +229,7 @@ func trainXY(spec Spec, ds *harness.Dataset, x *linalg.Matrix, y []float64, scra
 			return nil, err
 		}
 		ys := m.yScaler.Transform(y)
-		net, err := mlp.New(mlp.Config{
-			Inputs:     x.Cols,
-			Hidden:     []int{hidden},
-			Activation: mlp.Tanh,
-			Seed:       spec.Seed,
-		})
+		net, err := mlp.New(mlp.Config{Inputs: x.Cols, Hidden: hidden, Seed: spec.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -444,12 +439,14 @@ type PartitionErrors struct {
 	TrainNRMSE, TestNRMSE float64
 }
 
+// testFraction is the share of records each partition withholds: the
+// paper's 70/30 split.
+const testFraction = 0.30
+
 // EvalConfig tunes the repeated random sub-sampling protocol.
 type EvalConfig struct {
 	// Partitions is the number of random splits (paper: 100).
 	Partitions int
-	// TestFraction is the withheld share (paper: 0.30).
-	TestFraction float64
 	// Seed drives the partition sampling and per-partition model seeds.
 	Seed uint64
 	// Workers bounds parallel partition training; 0 = GOMAXPROCS.
@@ -460,9 +457,6 @@ type EvalConfig struct {
 func (c *EvalConfig) defaults() {
 	if c.Partitions == 0 {
 		c.Partitions = 100
-	}
-	if c.TestFraction == 0 {
-		c.TestFraction = 0.30
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -497,7 +491,7 @@ func Evaluate(spec Spec, ds *harness.Dataset, cfg EvalConfig) (*EvalResult, erro
 	if len(ds.Records) < 10 {
 		return nil, fmt.Errorf("core: only %d records; need at least 10", len(ds.Records))
 	}
-	part, err := stats.NewPartitioner(len(ds.Records), cfg.TestFraction, xrand.New(cfg.Seed))
+	part, err := stats.NewPartitioner(len(ds.Records), testFraction, xrand.New(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -179,6 +179,37 @@ const neuralArtefact = `{"format":1,"technique":1,"feature_set":"A","features":[
 	`"cg":{"App":"cg","SecondsByPState":[300],"MemIntensity":0.05,"CMPerCA":0.7,"CAPerIns":0.06},` +
 	`"ep":{"App":"ep","SecondsByPState":[380],"MemIntensity":1e-5,"CMPerCA":0.003,"CAPerIns":0.002}}}`
 
+// TestLoadModelRefusesOtherNetworks: an artefact whose network is not one
+// tanh hidden layer is refused with an error naming what it declares.
+// Both the two-layer artefact (its parameter count matches its shape) and
+// the non-tanh ones would otherwise load and predict as something they
+// are not.
+func TestLoadModelRefusesOtherNetworks(t *testing.T) {
+	valid := fmt.Sprintf(neuralArtefact, "1", "2", "50", "30")
+	for _, c := range []struct {
+		name string
+		edit []string // old, new pairs for strings.NewReplacer
+		want string
+	}{
+		{"two-layers", []string{`"Hidden":[2]`, `"Hidden":[2,1]`, `0.2]`, `0.2,0.4,-0.1]`},
+			"network has 2 hidden layers; this build runs exactly one"},
+		{"no-layer", []string{`"Hidden":[2]`, `"Hidden":[]`}, "network has 0 hidden layers"},
+		{"sigmoid", []string{`"Activation":0`, `"Activation":1`}, "network activation 1 is not tanh"},
+		{"relu", []string{`"Activation":0`, `"Activation":2`}, "network activation 2 is not tanh"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			blob := strings.NewReplacer(c.edit...).Replace(valid)
+			if blob == valid {
+				t.Fatal("the edit left the artefact unchanged")
+			}
+			m, err := LoadModel(strings.NewReader(blob))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("model %v, err = %v; want an error containing %q", m, err, c.want)
+			}
+		})
+	}
+}
+
 func TestLoadModelInconsistentBaselines(t *testing.T) {
 	base := `{"format":1,"technique":0,"feature_set":"A","features":[0],` +
 		`"linear":{"Coefficients":[1],"Constant":0},` +

@@ -28,7 +28,7 @@ type modelDTO struct {
 	Hidden    int                 `json:"hidden_nodes,omitempty"`
 	Seed      uint64              `json:"seed"`
 	Linear    *linreg.Model       `json:"linear,omitempty"`
-	NetConfig *mlp.Config         `json:"net_config,omitempty"`
+	NetConfig *netConfig          `json:"net_config,omitempty"`
 	NetParams []float64           `json:"net_params,omitempty"`
 	XScaler   *features.Scaler    `json:"x_scaler,omitempty"`
 	YScaler   *features.VecScaler `json:"y_scaler,omitempty"`
@@ -37,6 +37,18 @@ type modelDTO struct {
 	PStateFreqs []float64                   `json:"pstate_freqs"`
 	LLCBytes    float64                     `json:"llc_bytes"`
 	Baselines   map[string]harness.Baseline `json:"baselines"`
+}
+
+// netConfig is the serialised network shape. Its fields, their order
+// and their spelling are the format's: Hidden lists the hidden-layer
+// widths and Activation names the hidden nonlinearity (0, tanh). This
+// build writes and reads one shape, a single tanh hidden layer, so Hidden
+// always holds one width and Activation is always 0.
+type netConfig struct {
+	Inputs     int
+	Hidden     []int
+	Activation int
+	Seed       uint64
 }
 
 // currentModelFormat versions the serialisation.
@@ -77,7 +89,7 @@ func (m *Model) Save(w io.Writer) error {
 	}
 	if m.net != nil {
 		cfg := m.net.Config()
-		dto.NetConfig = &cfg
+		dto.NetConfig = &netConfig{Inputs: cfg.Inputs, Hidden: []int{cfg.Hidden}, Seed: cfg.Seed}
 		dto.NetParams = m.net.Params()
 	}
 	enc := json.NewEncoder(w)
@@ -87,12 +99,12 @@ func (m *Model) Save(w io.Writer) error {
 // LoadModel reads a model previously written by Save. Artefacts cross an
 // untrusted boundary (a serving tier loads whatever file it is pointed
 // at), so the decoder rejects unknown format versions, truncated or
-// corrupt JSON, out-of-range feature indices, network shapes that do not
-// match their parameters, non-finite parameters, non-positive scaler
-// deviations, inconsistent baseline stores, and anything else the
-// predict compiler refuses (a scaler fitted on another width) with
-// descriptive errors instead of producing a model that fails (or worse,
-// mispredicts) later.
+// corrupt JSON, out-of-range feature indices, networks other than one
+// tanh hidden layer, network shapes that do not match their parameters,
+// non-finite parameters, non-positive scaler deviations, inconsistent
+// baseline stores, and anything else the predict compiler refuses (a
+// scaler fitted on another width) with descriptive errors instead of
+// producing a model that fails (or worse, mispredicts) later.
 func LoadModel(r io.Reader) (*Model, error) {
 	dec := json.NewDecoder(r)
 	var dto modelDTO
@@ -173,7 +185,14 @@ func LoadModel(r io.Reader) (*Model, error) {
 		if err := checkScalers(dto.XScaler, dto.YScaler); err != nil {
 			return nil, err
 		}
-		net, err := mlp.FromParams(*dto.NetConfig, dto.NetParams)
+		nc := dto.NetConfig
+		if nc.Activation != 0 {
+			return nil, fmt.Errorf("core: network activation %d is not tanh (0), the only one this build runs", nc.Activation)
+		}
+		if len(nc.Hidden) != 1 {
+			return nil, fmt.Errorf("core: network has %d hidden layers; this build runs exactly one", len(nc.Hidden))
+		}
+		net, err := mlp.FromParams(mlp.Config{Inputs: nc.Inputs, Hidden: nc.Hidden[0], Seed: nc.Seed}, dto.NetParams)
 		if err != nil {
 			return nil, err
 		}

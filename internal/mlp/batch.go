@@ -21,15 +21,16 @@ const numParamVecs = 7
 // per worker goroutine (core.Evaluate does exactly that); sharing one
 // across concurrent trainings corrupts both runs.
 type Workspace struct {
-	// acts[0] aliases the input matrix; acts[li+1] holds layer li's output
-	// (rows × layer.out).
-	acts []linalg.Matrix
-	// deltas[li] holds the backpropagated error at layer li's output.
-	deltas []linalg.Matrix
-	// wt[li] holds layer li's weights packed for linalg.MulABTBias
-	// (in × out, the transpose of their out × in layout in params),
-	// repacked on every forward pass.
-	wt []linalg.Matrix
+	// hid holds the hidden layer's tanh outputs (rows × Hidden) and out
+	// the network's output (rows × 1).
+	hid, out linalg.Matrix
+	// dHid and dOut hold the backpropagated error at the hidden layer's
+	// and the output's outputs.
+	dHid, dOut linalg.Matrix
+	// wt holds the hidden weights packed for linalg.MulABTBias (Inputs ×
+	// Hidden, the transpose of their layout in params), repacked on
+	// every forward pass.
+	wt linalg.Matrix
 	// vecs are parameter-length scratch vectors for the trainer.
 	vecs [numParamVecs][]float64
 }
@@ -50,19 +51,12 @@ func growMat(m *linalg.Matrix, r, c int) {
 
 // ensure shapes the workspace for a batch of rows samples through n.
 func (w *Workspace) ensure(n *Network, rows int) {
-	nl := len(n.layers)
-	if len(w.acts) < nl+1 {
-		w.acts = make([]linalg.Matrix, nl+1)
-	}
-	if len(w.deltas) < nl {
-		w.deltas = make([]linalg.Matrix, nl)
-		w.wt = make([]linalg.Matrix, nl)
-	}
-	for li, ly := range n.layers {
-		growMat(&w.acts[li+1], rows, ly.out)
-		growMat(&w.deltas[li], rows, ly.out)
-		growMat(&w.wt[li], ly.in, ly.out)
-	}
+	h := n.cfg.Hidden
+	growMat(&w.hid, rows, h)
+	growMat(&w.dHid, rows, h)
+	growMat(&w.out, rows, 1)
+	growMat(&w.dOut, rows, 1)
+	growMat(&w.wt, n.cfg.Inputs, h)
 }
 
 // paramVec returns the i-th parameter-length scratch vector, grown to dim.
@@ -76,40 +70,26 @@ func (w *Workspace) paramVec(i, dim int) []float64 {
 	return w.vecs[i]
 }
 
-// forwardBatch runs the layer-at-a-time forward pass: one GEMM per layer
-// over the whole sample matrix. Each pre-activation starts at the bias and
-// receives its weighted inputs in ascending input-index order, so every
-// output is bit-identical to the scalar Forward loop. A layer's weights
-// are packed into ws for linalg.MulABTBias; a one-node layer (the
-// output) is a dot product per sample instead, linalg.GemvBiasInto, in
-// the same order. Returns the rows×1 output activation.
+// forwardBatch runs the forward pass over the whole sample matrix: one
+// GEMM for the hidden layer, one linalg.Tanh call over its outputs, and a
+// dot product per sample for the output node (linalg.GemvBiasInto). Each
+// pre-activation starts at the bias and receives its weighted inputs in
+// ascending input-index order, so every output is bit-identical to the
+// scalar Forward loop. The hidden weights are packed into ws for
+// linalg.MulABTBias; a one-node hidden layer is a dot product per sample
+// too, in the same order. Returns the rows×1 output.
 func (n *Network) forwardBatch(ws *Workspace, x *linalg.Matrix) *linalg.Matrix {
-	ws.acts[0] = linalg.Matrix{Rows: x.Rows, Cols: x.Cols, Data: x.Data}
-	nl := len(n.layers)
-	for li, ly := range n.layers {
-		src := &ws.acts[li]
-		dst := &ws.acts[li+1]
-		bias := n.params[ly.bOff : ly.bOff+ly.out]
-		w := n.params[ly.wOff : ly.wOff+ly.in*ly.out]
-		if ly.out == 1 {
-			linalg.GemvBiasInto(dst.Data, src, w, bias[0])
-		} else {
-			linalg.TransposeInto(&ws.wt[li], &linalg.Matrix{Rows: ly.out, Cols: ly.in, Data: w})
-			linalg.MulABTBias(dst, src, &ws.wt[li], bias)
-		}
-		if li != nl-1 {
-			if n.cfg.Activation == Tanh {
-				// apply(Tanh) is math.Tanh, which linalg.Tanh gives bit
-				// for bit.
-				linalg.Tanh(dst.Data)
-			} else {
-				for i, v := range dst.Data {
-					dst.Data[i] = n.cfg.Activation.apply(v)
-				}
-			}
-		}
+	hw, hb, ow, ob := n.split(n.params)
+	if len(hb) == 1 {
+		linalg.GemvBiasInto(ws.hid.Data, x, hw, hb[0])
+	} else {
+		linalg.TransposeInto(&ws.wt, &linalg.Matrix{Rows: len(hb), Cols: x.Cols, Data: hw})
+		linalg.MulABTBias(&ws.hid, x, &ws.wt, hb)
 	}
-	return &ws.acts[nl]
+	// Forward's math.Tanh, which linalg.Tanh gives bit for bit.
+	linalg.Tanh(ws.hid.Data)
+	linalg.GemvBiasInto(ws.out.Data, &ws.hid, ow, ob[0])
+	return &ws.out
 }
 
 // LossWS returns the mean squared error ½·mean((pred−y)²) at the current
@@ -135,9 +115,9 @@ func (n *Network) LossWS(ws *Workspace, x *linalg.Matrix, y []float64) (float64,
 // grad slice (length NumParams) via one batched backward pass: a GEMM per
 // layer for the weight gradients (linalg.AccumMulATB applies the per-sample
 // rank-1 updates in ascending sample order, exactly the order the scalar
-// per-sample loop accumulated them in) and a GEMM per layer for delta
-// propagation. Results are bit-identical to the scalar reference; see the
-// property tests. Zero heap allocations once ws is warmed.
+// per-sample loop accumulated them in) and one for the delta sent back to
+// the hidden layer. Results are bit-identical to the scalar reference;
+// see the property tests. Zero heap allocations once ws is warmed.
 func (n *Network) LossAndGradWS(ws *Workspace, x *linalg.Matrix, y []float64, grad []float64) (float64, error) {
 	if x.Cols != n.cfg.Inputs {
 		return 0, fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
@@ -164,44 +144,29 @@ func (n *Network) LossAndGradWS(ws *Workspace, x *linalg.Matrix, y []float64, gr
 // them — the recomputation would produce identical bits, so skipping it
 // changes nothing but time.
 func (n *Network) backwardRaw(ws *Workspace, x *linalg.Matrix, y []float64, grad []float64) float64 {
-	nl := len(n.layers)
-	for i := range grad {
-		grad[i] = 0
-	}
-	out := &ws.acts[nl]
-	dl := &ws.deltas[nl-1]
+	clear(grad)
+	_, _, ow, _ := n.split(n.params)
+	gw, gb, gow, gob := n.split(grad)
+	h := n.cfg.Hidden
 	loss := 0.0
 	for s := 0; s < x.Rows; s++ {
-		diff := out.Data[s] - y[s]
+		diff := ws.out.Data[s] - y[s]
 		loss += diff * diff
-		dl.Data[s] = diff
+		ws.dOut.Data[s] = diff
 	}
-	for li := nl - 1; li >= 0; li-- {
-		ly := n.layers[li]
-		delta := &ws.deltas[li]
-		in := &ws.acts[li]
-		gw := linalg.Matrix{Rows: ly.out, Cols: ly.in, Data: grad[ly.wOff : ly.wOff+ly.in*ly.out]}
-		linalg.AccumMulATB(&gw, delta, in)
-		linalg.AccumColSums(grad[ly.bOff:ly.bOff+ly.out], delta)
-		if li == 0 {
-			break
-		}
-		prev := &ws.deltas[li-1]
-		for i := range prev.Data {
-			prev.Data[i] = 0
-		}
-		wm := linalg.Matrix{Rows: ly.out, Cols: ly.in, Data: n.params[ly.wOff : ly.wOff+ly.in*ly.out]}
-		linalg.AccumMatMul(prev, delta, &wm)
-		pa := &ws.acts[li]
-		if n.cfg.Activation == Tanh {
-			// derivFromOutput(Tanh) is 1 - v*v, which MulTanhDeriv
-			// multiplies by, rounding each step on its own.
-			linalg.MulTanhDeriv(prev.Data, pa.Data)
-		} else {
-			for i, v := range pa.Data {
-				prev.Data[i] *= n.cfg.Activation.derivFromOutput(v)
-			}
-		}
-	}
+	// The output node: its weight and bias gradients, then the error it
+	// sends back through its weights and the tanh derivative, 1 − v·v,
+	// which MulTanhDeriv multiplies by, rounding each step on its own.
+	gowM := linalg.Matrix{Rows: 1, Cols: h, Data: gow}
+	linalg.AccumMulATB(&gowM, &ws.dOut, &ws.hid)
+	linalg.AccumColSums(gob, &ws.dOut)
+	clear(ws.dHid.Data)
+	owM := linalg.Matrix{Rows: 1, Cols: h, Data: ow}
+	linalg.AccumMatMul(&ws.dHid, &ws.dOut, &owM)
+	linalg.MulTanhDeriv(ws.dHid.Data, ws.hid.Data)
+	// The hidden layer's weight and bias gradients.
+	gwM := linalg.Matrix{Rows: h, Cols: x.Cols, Data: gw}
+	linalg.AccumMulATB(&gwM, &ws.dHid, x)
+	linalg.AccumColSums(gb, &ws.dHid)
 	return loss
 }

@@ -9,9 +9,9 @@ import (
 	"colocmodel/internal/xrand"
 )
 
-func newNet(t testing.TB, inputs int, hidden []int) *Network {
+func newNet(t testing.TB, inputs, hidden int) *Network {
 	t.Helper()
-	n, err := New(Config{Inputs: inputs, Hidden: hidden, Activation: Tanh, Seed: 7})
+	n, err := New(Config{Inputs: inputs, Hidden: hidden, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,10 +20,9 @@ func newNet(t testing.TB, inputs int, hidden []int) *Network {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Inputs: 0, Hidden: []int{5}},
-		{Inputs: 2, Hidden: nil},
-		{Inputs: 2, Hidden: []int{0}},
-		{Inputs: 2, Hidden: []int{5}, Activation: Activation(9)},
+		{Inputs: 0, Hidden: 5},
+		{Inputs: 2, Hidden: 0},
+		{Inputs: 2, Hidden: -1},
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {
@@ -32,20 +31,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestActivationNames(t *testing.T) {
-	if Tanh.String() != "tanh" || Sigmoid.String() != "sigmoid" || ReLU.String() != "relu" {
-		t.Fatal("activation names wrong")
-	}
-	if Activation(9).String() == "" {
-		t.Fatal("unknown activation empty")
-	}
-}
-
 func TestParamLayoutAndRoundTrip(t *testing.T) {
-	n := newNet(t, 3, []int{4, 2})
-	// Params: 3*4+4 + 4*2+2 + 2*1+1 = 16+10+3 = 29.
-	if n.NumParams() != 29 {
-		t.Fatalf("params = %d, want 29", n.NumParams())
+	n := newNet(t, 3, 4)
+	// Params: 3*4+4 + 4*1+1 = 16+5 = 21.
+	if n.NumParams() != 21 {
+		t.Fatalf("params = %d, want 21", n.NumParams())
 	}
 	p := n.Params()
 	p[0] = 42
@@ -68,7 +58,7 @@ func TestParamLayoutAndRoundTrip(t *testing.T) {
 // including shapes whose parameter count would overflow an int or ask for
 // gigabytes.
 func TestFromParams(t *testing.T) {
-	n := newNet(t, 3, []int{4, 2})
+	n := newNet(t, 3, 4)
 	r, err := FromParams(n.Config(), n.Params())
 	if err != nil {
 		t.Fatal(err)
@@ -85,23 +75,23 @@ func TestFromParams(t *testing.T) {
 		t.Fatal("FromParams aliased the caller's slice")
 	}
 	bad := map[string]Config{
-		"short": {Inputs: 3, Hidden: []int{5}},
-		// One layer's count overflows.
-		"overflow": {Inputs: 1, Hidden: []int{math.MaxInt}},
-		// Each layer's count fits, their sum does not.
-		"overflow-sum":   {Inputs: 1, Hidden: []int{math.MaxInt / 2}},
-		"huge":           {Inputs: 1, Hidden: []int{math.MaxInt32}},
-		"huge-inputs":    {Inputs: math.MaxInt32, Hidden: []int{4}},
-		"invalid-config": {Inputs: 0, Hidden: []int{4}},
+		"short": {Inputs: 3, Hidden: 5},
+		// The count overflows a uint64.
+		"overflow": {Inputs: 1, Hidden: math.MaxInt},
+		// The count fits a uint64, not an int.
+		"overflow-int":   {Inputs: 1, Hidden: math.MaxInt / 2},
+		"huge":           {Inputs: 1, Hidden: math.MaxInt32},
+		"huge-inputs":    {Inputs: math.MaxInt32, Hidden: 4},
+		"invalid-config": {Inputs: 0, Hidden: 4},
 	}
 	for name, cfg := range bad {
 		if _, err := FromParams(cfg, n.Params()); err == nil {
-			t.Fatalf("%s: shape %d→%v accepted for %d params", name, cfg.Inputs, cfg.Hidden, n.NumParams())
+			t.Fatalf("%s: shape %d→%d accepted for %d params", name, cfg.Inputs, cfg.Hidden, n.NumParams())
 		}
 	}
 	// New lays shapes out the same way, so it refuses an overflowing
 	// count instead of passing a wrapped length to make.
-	for _, name := range []string{"overflow", "overflow-sum"} {
+	for _, name := range []string{"overflow", "overflow-int"} {
 		if _, err := New(bad[name]); err == nil {
 			t.Fatalf("New accepted the %s shape", name)
 		}
@@ -109,7 +99,7 @@ func TestFromParams(t *testing.T) {
 }
 
 func TestForwardErrors(t *testing.T) {
-	n := newNet(t, 2, []int{3})
+	n := newNet(t, 2, 3)
 	if _, err := n.Forward([]float64{1}); err == nil {
 		t.Fatal("short input accepted")
 	}
@@ -119,15 +109,15 @@ func TestForwardErrors(t *testing.T) {
 }
 
 func TestDeterministicInitialisation(t *testing.T) {
-	a, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: 3})
-	b, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: 3})
+	a, _ := New(Config{Inputs: 2, Hidden: 5, Seed: 3})
+	b, _ := New(Config{Inputs: 2, Hidden: 5, Seed: 3})
 	pa, pb := a.Params(), b.Params()
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatal("same seed, different weights")
 		}
 	}
-	c, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: 4})
+	c, _ := New(Config{Inputs: 2, Hidden: 5, Seed: 4})
 	same := true
 	for i, v := range c.Params() {
 		if v != pa[i] {
@@ -140,56 +130,50 @@ func TestDeterministicInitialisation(t *testing.T) {
 	}
 }
 
-// TestGradientCheck verifies backprop against central finite differences
-// for every activation.
+// TestGradientCheck verifies backprop against central finite differences.
 func TestGradientCheck(t *testing.T) {
 	src := xrand.New(5)
-	for _, act := range []Activation{Tanh, Sigmoid, ReLU} {
-		n, err := New(Config{Inputs: 3, Hidden: []int{4, 3}, Activation: act, Seed: 11})
-		if err != nil {
+	n := newNet(t, 3, 4)
+	x := linalg.NewMatrix(7, 3)
+	y := make([]float64, 7)
+	for i := range x.Data {
+		x.Data[i] = src.Normal(0, 1)
+	}
+	for i := range y {
+		y[i] = src.Normal(0, 1)
+	}
+	var ws Workspace
+	grad := make([]float64, len(n.params))
+	if _, err := n.LossAndGradWS(&ws, x, y, grad); err != nil {
+		t.Fatal(err)
+	}
+	p := n.Params()
+	const h = 1e-6
+	for i := range p {
+		orig := p[i]
+		p[i] = orig + h
+		if err := n.SetParams(p); err != nil {
 			t.Fatal(err)
 		}
-		x := linalg.NewMatrix(7, 3)
-		y := make([]float64, 7)
-		for i := range x.Data {
-			x.Data[i] = src.Normal(0, 1)
-		}
-		for i := range y {
-			y[i] = src.Normal(0, 1)
-		}
-		var ws Workspace
-		grad := make([]float64, len(n.params))
-		if _, err := n.LossAndGradWS(&ws, x, y, grad); err != nil {
+		lp, _ := n.LossWS(&ws, x, y)
+		p[i] = orig - h
+		if err := n.SetParams(p); err != nil {
 			t.Fatal(err)
 		}
-		p := n.Params()
-		const h = 1e-6
-		for i := 0; i < len(p); i += 3 { // sample every third param for speed
-			orig := p[i]
-			p[i] = orig + h
-			if err := n.SetParams(p); err != nil {
-				t.Fatal(err)
-			}
-			lp, _ := n.LossWS(&ws, x, y)
-			p[i] = orig - h
-			if err := n.SetParams(p); err != nil {
-				t.Fatal(err)
-			}
-			lm, _ := n.LossWS(&ws, x, y)
-			p[i] = orig
-			if err := n.SetParams(p); err != nil {
-				t.Fatal(err)
-			}
-			num := (lp - lm) / (2 * h)
-			if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
-				t.Fatalf("%s: grad[%d] = %v, numerical %v", act, i, grad[i], num)
-			}
+		lm, _ := n.LossWS(&ws, x, y)
+		p[i] = orig
+		if err := n.SetParams(p); err != nil {
+			t.Fatal(err)
+		}
+		num := (lp - lm) / (2 * h)
+		if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
+			t.Fatalf("grad[%d] = %v, numerical %v", i, grad[i], num)
 		}
 	}
 }
 
 func TestLossAndGradErrors(t *testing.T) {
-	n := newNet(t, 2, []int{3})
+	n := newNet(t, 2, 3)
 	x := linalg.NewMatrix(2, 2)
 	var ws Workspace
 	grad := make([]float64, len(n.params))
@@ -214,7 +198,7 @@ func xorProblem() (*linalg.Matrix, []float64) {
 
 func TestSCGSolvesXOR(t *testing.T) {
 	x, y := xorProblem()
-	n, err := New(Config{Inputs: 2, Hidden: []int{8}, Activation: Tanh, Seed: 2})
+	n, err := New(Config{Inputs: 2, Hidden: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +224,7 @@ func TestSCGSolvesXOR(t *testing.T) {
 
 func TestSCGMonotoneLossHistory(t *testing.T) {
 	x, y := xorProblem()
-	n, _ := New(Config{Inputs: 2, Hidden: []int{6}, Seed: 3})
+	n, _ := New(Config{Inputs: 2, Hidden: 6, Seed: 3})
 	res, err := TrainSCGWS(n, x, y, SCGConfig{MaxIter: 200}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +248,7 @@ func TestSCGFitsSmoothNonlinearFunction(t *testing.T) {
 		x.Set(i, 1, b)
 		y[i] = math.Sin(2*a) * math.Cos(b)
 	}
-	net, _ := New(Config{Inputs: 2, Hidden: []int{16}, Seed: 4})
+	net, _ := New(Config{Inputs: 2, Hidden: 16, Seed: 4})
 	res, err := TrainSCGWS(net, x, y, SCGConfig{MaxIter: 800}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +259,7 @@ func TestSCGFitsSmoothNonlinearFunction(t *testing.T) {
 }
 
 func TestSCGErrors(t *testing.T) {
-	n := newNet(t, 2, []int{3})
+	n := newNet(t, 2, 3)
 	if _, err := TrainSCGWS(n, linalg.NewMatrix(0, 2), nil, SCGConfig{}, nil); err == nil {
 		t.Fatal("empty training set accepted")
 	}
@@ -301,7 +285,7 @@ func TestSCGRejectsBadInput(t *testing.T) {
 		{"NaN feature", 0, [][]float64{{nan, -1}, {1, 1}}, []float64{-1, 1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			n := newNet(t, 2, []int{3})
+			n := newNet(t, 2, 3)
 			before := n.Params()
 			res, err := TrainSCGWS(n, linalg.NewMatrixFromRows(c.x), c.y, SCGConfig{MaxIter: c.maxIter}, nil)
 			if err == nil {
@@ -320,8 +304,8 @@ func TestSCGRejectsBadInput(t *testing.T) {
 func TestTrainingDeterministicProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		x, y := xorProblem()
-		a, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: uint64(seed)})
-		b, _ := New(Config{Inputs: 2, Hidden: []int{5}, Seed: uint64(seed)})
+		a, _ := New(Config{Inputs: 2, Hidden: 5, Seed: uint64(seed)})
+		b, _ := New(Config{Inputs: 2, Hidden: 5, Seed: uint64(seed)})
 		ra, err := TrainSCGWS(a, x, y, SCGConfig{MaxIter: 50}, nil)
 		if err != nil {
 			return false
@@ -353,7 +337,7 @@ func BenchmarkSCGTrain(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net, _ := New(Config{Inputs: 8, Hidden: []int{15}, Seed: uint64(i)})
+		net, _ := New(Config{Inputs: 8, Hidden: 15, Seed: uint64(i)})
 		if _, err := TrainSCGWS(net, x, y, SCGConfig{MaxIter: 100}, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -361,7 +345,7 @@ func BenchmarkSCGTrain(b *testing.B) {
 }
 
 func BenchmarkForward(b *testing.B) {
-	n, _ := New(Config{Inputs: 8, Hidden: []int{20}, Seed: 1})
+	n, _ := New(Config{Inputs: 8, Hidden: 20, Seed: 1})
 	in := make([]float64, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

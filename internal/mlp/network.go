@@ -1,10 +1,11 @@
 // Package mlp implements the neural-network modeling technique of Section
 // III-D: a feed-forward network whose inputs are the features of the
-// chosen Table II set and whose single linear output is the predicted
-// co-located execution time. Networks here use 10–20 hidden nodes, as in
-// the paper, and are trained with Møller's scaled conjugate gradient
-// ("a scaled conjugate gradient numerical method was used to determine the
-// coefficient values at each network node").
+// chosen Table II set, with one hidden layer of tanh nodes and a single
+// linear output, the predicted co-located execution time. Networks here
+// use 10–20 hidden nodes, as in the paper, and are trained with Møller's
+// scaled conjugate gradient ("a scaled conjugate gradient numerical
+// method was used to determine the coefficient values at each network
+// node").
 package mlp
 
 import (
@@ -16,78 +17,14 @@ import (
 	"colocmodel/internal/xrand"
 )
 
-// Activation selects the hidden-layer nonlinearity.
-type Activation int
-
-const (
-	// Tanh is the default and what the experiments use.
-	Tanh Activation = iota
-	// Sigmoid is the logistic function.
-	Sigmoid
-	// ReLU is max(0, x).
-	ReLU
-)
-
-// String names the activation.
-func (a Activation) String() string {
-	switch a {
-	case Tanh:
-		return "tanh"
-	case Sigmoid:
-		return "sigmoid"
-	case ReLU:
-		return "relu"
-	default:
-		return fmt.Sprintf("Activation(%d)", int(a))
-	}
-}
-
-// Apply evaluates the activation at x. Exported for the compiled predict
-// path (internal/core), which resolves the activation once at compile
-// time and must then apply exactly the same function the interpreted
-// forward pass uses.
-func (a Activation) Apply(x float64) float64 { return a.apply(x) }
-
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case Sigmoid:
-		return 1 / (1 + math.Exp(-x))
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	default:
-		return math.Tanh(x)
-	}
-}
-
-// derivFromOutput returns f'(x) given f(x) (all three activations allow
-// this form, which avoids recomputing the pre-activation).
-func (a Activation) derivFromOutput(y float64) float64 {
-	switch a {
-	case Sigmoid:
-		return y * (1 - y)
-	case ReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
-	default:
-		return 1 - y*y
-	}
-}
-
-// Config describes a network.
+// Config describes a network: Inputs → Hidden tanh nodes → one linear
+// output.
 type Config struct {
 	// Inputs is the feature arity.
 	Inputs int
-	// Hidden lists hidden-layer widths; the paper uses one layer of
-	// 10–20 nodes depending on the feature set.
-	Hidden []int
-	// Activation is the hidden nonlinearity (output is always linear,
-	// as appropriate for regression).
-	Activation Activation
+	// Hidden is the hidden-layer width; the paper uses 10–20 nodes
+	// depending on the feature set.
+	Hidden int
 	// Seed drives weight initialisation.
 	Seed uint64
 }
@@ -97,51 +34,39 @@ func (c Config) Validate() error {
 	if c.Inputs < 1 {
 		return fmt.Errorf("mlp: need at least 1 input, got %d", c.Inputs)
 	}
-	if len(c.Hidden) == 0 {
-		return fmt.Errorf("mlp: need at least one hidden layer")
-	}
-	for i, h := range c.Hidden {
-		if h < 1 {
-			return fmt.Errorf("mlp: hidden layer %d has %d nodes", i, h)
-		}
-	}
-	if c.Activation < Tanh || c.Activation > ReLU {
-		return fmt.Errorf("mlp: unknown activation %d", int(c.Activation))
+	if c.Hidden < 1 {
+		return fmt.Errorf("mlp: need at least 1 hidden node, got %d", c.Hidden)
 	}
 	return nil
 }
 
-// layer is one dense layer's parameter layout inside the flat vector.
-type layer struct {
-	in, out int
-	wOff    int // weights offset: out × in, row-major by output node
-	bOff    int // bias offset: out
-}
-
-// Network is a feed-forward regression network with a single linear
-// output. Parameters live in one flat vector so optimisers can treat the
-// network as a black-box differentiable function.
+// Network is a feed-forward regression network with one tanh hidden layer
+// and a single linear output. Parameters live in one flat vector so
+// optimisers can treat the network as a black-box differentiable
+// function; split names its parts.
 type Network struct {
 	cfg    Config
-	layers []layer
 	params []float64
 }
 
 // New builds a network with Xavier/Glorot-scaled random initial weights.
 func New(cfg Config) (*Network, error) {
-	n, size, err := newShape(cfg)
+	size, err := paramCount(cfg)
 	if err != nil {
 		return nil, err
 	}
-	n.params = make([]float64, size)
+	n := &Network{cfg: cfg, params: make([]float64, size)}
+	hw, _, ow, _ := n.split(n.params)
 	src := xrand.New(cfg.Seed)
-	for _, ly := range n.layers {
-		scale := math.Sqrt(2.0 / float64(ly.in+ly.out))
-		for i := 0; i < ly.in*ly.out; i++ {
-			n.params[ly.wOff+i] = src.Normal(0, scale)
+	draw := func(w []float64, fanIn, fanOut int) {
+		scale := math.Sqrt(2.0 / float64(fanIn+fanOut))
+		for i := range w {
+			w[i] = src.Normal(0, scale)
 		}
-		// Biases start at zero.
 	}
+	// Biases start at zero.
+	draw(hw, cfg.Inputs, cfg.Hidden)
+	draw(ow, cfg.Hidden, 1)
 	return n, nil
 }
 
@@ -151,41 +76,37 @@ func New(cfg Config) (*Network, error) {
 // len(params) before anything is allocated, so a hostile shape cannot
 // request more memory than the parameters it arrived with.
 func FromParams(cfg Config, params []float64) (*Network, error) {
-	n, size, err := newShape(cfg)
+	size, err := paramCount(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if size != len(params) {
 		return nil, fmt.Errorf("mlp: %d params, network has %d", len(params), size)
 	}
-	n.params = append([]float64(nil), params...)
-	return n, nil
+	return &Network{cfg: cfg, params: append([]float64(nil), params...)}, nil
 }
 
-// newShape validates cfg and lays out its layers in the flat parameter
-// vector, returning the network without parameters and the vector's
-// length. The length is computed with overflow checks, so no shape can
-// wrap it.
-func newShape(cfg Config) (*Network, int, error) {
+// paramCount validates cfg and returns the length of its parameter
+// vector, Hidden·(Inputs+2) + 1, computed with overflow checks so no shape
+// can wrap it.
+func paramCount(cfg Config) (int, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	sizes := append([]int{cfg.Inputs}, cfg.Hidden...)
-	sizes = append(sizes, 1) // linear output
-	n := &Network{cfg: cfg}
-	off := 0
-	for l := 0; l+1 < len(sizes); l++ {
-		ly := layer{in: sizes[l], out: sizes[l+1], wOff: off}
-		// The layer holds out·(in+1) parameters: weights and biases.
-		hi, lo := bits.Mul64(uint64(ly.out), uint64(ly.in)+1)
-		if hi != 0 || lo > uint64(math.MaxInt-off) {
-			return nil, 0, fmt.Errorf("mlp: network shape %d→%v→1 has too many parameters", cfg.Inputs, cfg.Hidden)
-		}
-		ly.bOff = off + ly.in*ly.out
-		off += int(lo)
-		n.layers = append(n.layers, ly)
+	hi, lo := bits.Mul64(uint64(cfg.Hidden), uint64(cfg.Inputs)+2)
+	if hi != 0 || lo >= math.MaxInt {
+		return 0, fmt.Errorf("mlp: network shape %d→%d→1 has too many parameters", cfg.Inputs, cfg.Hidden)
 	}
-	return n, off, nil
+	return int(lo) + 1, nil
+}
+
+// split cuts a parameter-length vector (the parameters or a gradient)
+// into the hidden weights (Hidden × Inputs, row-major by hidden node),
+// the hidden biases, the output weights and the one-element output bias,
+// in that order.
+func (n *Network) split(v []float64) (hw, hb, ow, ob []float64) {
+	in, h := n.cfg.Inputs, n.cfg.Hidden
+	return v[:h*in], v[h*in : h*(in+1)], v[h*(in+1) : h*(in+2)], v[h*(in+2):]
 }
 
 // Config returns the network configuration.
@@ -213,24 +134,16 @@ func (n *Network) Forward(x []float64) (float64, error) {
 	if len(x) != n.cfg.Inputs {
 		return 0, fmt.Errorf("mlp: %d inputs, network expects %d", len(x), n.cfg.Inputs)
 	}
-	act := x
-	for li, ly := range n.layers {
-		next := make([]float64, ly.out)
-		for o := 0; o < ly.out; o++ {
-			s := n.params[ly.bOff+o]
-			w := n.params[ly.wOff+o*ly.in : ly.wOff+(o+1)*ly.in]
-			for i, v := range act {
-				s += w[i] * v
-			}
-			if li == len(n.layers)-1 {
-				next[o] = s // linear output
-			} else {
-				next[o] = n.cfg.Activation.apply(s)
-			}
+	hw, hb, ow, ob := n.split(n.params)
+	out := ob[0]
+	for o, b := range hb {
+		s := b
+		for i, v := range x {
+			s += hw[o*len(x)+i] * v
 		}
-		act = next
+		out += ow[o] * math.Tanh(s)
 	}
-	return act[0], nil
+	return out, nil
 }
 
 // PredictBatch evaluates the network on every row of x: one GEMM per

@@ -66,7 +66,8 @@ func scalarLoss(n *Network, x *linalg.Matrix, y []float64) (float64, error) {
 	return s / (2 * float64(len(y))), nil
 }
 
-// scalarLossAndGrad is the old per-sample backpropagation, verbatim.
+// scalarLossAndGrad is the old per-sample backpropagation through the
+// one tanh hidden layer and the linear output node.
 func scalarLossAndGrad(n *Network, x *linalg.Matrix, y []float64) (float64, []float64, error) {
 	if x.Cols != n.cfg.Inputs {
 		return 0, nil, fmt.Errorf("mlp: matrix has %d columns, network expects %d", x.Cols, n.cfg.Inputs)
@@ -75,62 +76,44 @@ func scalarLossAndGrad(n *Network, x *linalg.Matrix, y []float64) (float64, []fl
 		return 0, nil, fmt.Errorf("mlp: %d labels for %d samples", len(y), x.Rows)
 	}
 	grad := make([]float64, len(n.params))
+	hw, hb, ow, ob := n.split(n.params)
+	gw, gb, gow, gob := n.split(grad)
+	in, h := n.cfg.Inputs, n.cfg.Hidden
 	loss := 0.0
-	nl := len(n.layers)
-	acts := make([][]float64, nl+1)
 	for s := 0; s < x.Rows; s++ {
-		acts[0] = x.Data[s*x.Cols : (s+1)*x.Cols]
-		for li, ly := range n.layers {
-			out := make([]float64, ly.out)
-			for o := 0; o < ly.out; o++ {
-				sum := n.params[ly.bOff+o]
-				w := n.params[ly.wOff+o*ly.in : ly.wOff+(o+1)*ly.in]
-				for i, v := range acts[li] {
-					sum += w[i] * v
-				}
-				if li == nl-1 {
-					out[o] = sum
-				} else {
-					out[o] = n.cfg.Activation.apply(sum)
-				}
+		xs := x.Data[s*in : (s+1)*in]
+		act := make([]float64, h)
+		for o := range act {
+			sum := hb[o]
+			for i, v := range xs {
+				sum += hw[o*in+i] * v
 			}
-			acts[li+1] = out
+			act[o] = math.Tanh(sum)
 		}
-		diff := acts[nl][0] - y[s]
-		loss += diff * diff
-		delta := []float64{diff}
-		for li := nl - 1; li >= 0; li-- {
-			ly := n.layers[li]
-			in := acts[li]
-			for o := 0; o < ly.out; o++ {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				g := grad[ly.wOff+o*ly.in : ly.wOff+(o+1)*ly.in]
-				for i, v := range in {
-					g[i] += d * v
-				}
-				grad[ly.bOff+o] += d
+		out := ob[0]
+		for i, v := range act {
+			out += ow[i] * v
+		}
+		d := out - y[s]
+		loss += d * d
+		if d == 0 {
+			continue
+		}
+		for i, v := range act {
+			gow[i] += d * v
+		}
+		gob[0] += d
+		for o, v := range act {
+			dh := d * ow[o]
+			dh *= 1 - v*v
+			if dh == 0 {
+				continue
 			}
-			if li == 0 {
-				break
+			g := gw[o*in : (o+1)*in]
+			for i, xv := range xs {
+				g[i] += dh * xv
 			}
-			prev := make([]float64, ly.in)
-			for o := 0; o < ly.out; o++ {
-				d := delta[o]
-				if d == 0 {
-					continue
-				}
-				w := n.params[ly.wOff+o*ly.in : ly.wOff+(o+1)*ly.in]
-				for i := range prev {
-					prev[i] += d * w[i]
-				}
-			}
-			for i := range prev {
-				prev[i] *= n.cfg.Activation.derivFromOutput(acts[li][i])
-			}
-			delta = prev
+			gb[o] += dh
 		}
 	}
 	inv := 1 / float64(x.Rows)
@@ -276,5 +259,5 @@ func negated(v []float64) []float64 {
 // clone returns a deep copy of the network, so two trainers can start
 // from identical weights.
 func clone(n *Network) *Network {
-	return &Network{cfg: n.cfg, layers: n.layers, params: append([]float64(nil), n.params...)}
+	return &Network{cfg: n.cfg, params: append([]float64(nil), n.params...)}
 }

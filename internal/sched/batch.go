@@ -80,47 +80,20 @@ type batchJob struct {
 	name      string
 	app       workload.App
 	remaining float64
-	arrival   float64
 	start     float64
 	machine   int
 	baseline  float64
 }
 
-// BatchJob is one submission to the online simulator: an application plus
-// the time it arrives in the queue.
-type BatchJob struct {
-	// Name is the application (Table III name).
-	Name string
-	// ArrivalSeconds is when the job becomes available for placement.
-	ArrivalSeconds float64
-}
-
 // SimulateBatch drains the job queue onto the fleet and returns per-job
-// outcomes. All jobs arrive at time zero; use SimulateOnline for arrival
-// times.
+// outcomes. Every job is queued at time zero and placed in queue order;
+// the simulation advances from one completion to the next.
 func SimulateBatch(spec simproc.Spec, jobs []string, cfg BatchConfig) (*BatchResult, error) {
-	subs := make([]BatchJob, len(jobs))
-	for i, n := range jobs {
-		subs[i] = BatchJob{Name: n}
-	}
-	return SimulateOnline(spec, subs, cfg)
-}
-
-// SimulateOnline runs the discrete-event scheduler with job arrivals:
-// placements happen only after a job's arrival time, and the simulation
-// advances to whichever comes first — the next completion or the next
-// arrival.
-func SimulateOnline(spec simproc.Spec, jobs []BatchJob, cfg BatchConfig) (*BatchResult, error) {
 	if cfg.Machines < 1 {
 		return nil, fmt.Errorf("sched: batch needs at least one machine")
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sched: batch needs jobs")
-	}
-	for i, j := range jobs {
-		if j.ArrivalSeconds < 0 {
-			return nil, fmt.Errorf("sched: job %d has negative arrival time", i)
-		}
 	}
 	if cfg.Policy == AwareSpread {
 		if cfg.Model == nil {
@@ -139,32 +112,29 @@ func SimulateOnline(spec simproc.Spec, jobs []BatchJob, cfg BatchConfig) (*Batch
 		return nil, err
 	}
 
-	// Queue with resolved apps and baselines, FIFO by arrival time
-	// (stable for equal arrivals).
+	// Queue with resolved apps and baselines, FIFO.
 	queue := make([]*batchJob, 0, len(jobs))
 	baselineCache := map[string]float64{}
-	for _, sub := range jobs {
-		app, err := workload.ByName(sub.Name)
+	for _, name := range jobs {
+		app, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		base, ok := baselineCache[sub.Name]
+		base, ok := baselineCache[name]
 		if !ok {
 			r, err := proc.RunBaseline(app, cfg.PState)
 			if err != nil {
 				return nil, err
 			}
 			base = r.TargetSeconds
-			baselineCache[sub.Name] = base
+			baselineCache[name] = base
 		}
 		queue = append(queue, &batchJob{
-			name: sub.Name, app: app,
+			name: name, app: app,
 			remaining: app.Instructions,
-			arrival:   sub.ArrivalSeconds,
 			baseline:  base,
 		})
 	}
-	sort.SliceStable(queue, func(a, b int) bool { return queue[a].arrival < queue[b].arrival })
 
 	machines := make([][]*batchJob, cfg.Machines)
 	res := &BatchResult{}
@@ -174,9 +144,6 @@ func SimulateOnline(spec simproc.Spec, jobs []BatchJob, cfg BatchConfig) (*Batch
 	admit := func() error {
 		for len(queue) > 0 {
 			job := queue[0]
-			if job.arrival > now {
-				return nil // not yet submitted
-			}
 			mi, err := placeBatch(cfg, spec, machines, job.name)
 			if err != nil {
 				return err
@@ -205,14 +172,6 @@ func SimulateOnline(spec simproc.Spec, jobs []BatchJob, cfg BatchConfig) (*Batch
 			if len(queue) == 0 {
 				break
 			}
-			// Idle fleet waiting on a future arrival: jump to it.
-			if queue[0].arrival > now {
-				now = queue[0].arrival
-				if err := admit(); err != nil {
-					return nil, err
-				}
-				continue
-			}
 			return nil, fmt.Errorf("sched: %d jobs stuck in queue with idle fleet", len(queue))
 		}
 		// Rates per machine at current membership.
@@ -240,14 +199,7 @@ func SimulateOnline(spec simproc.Spec, jobs []BatchJob, cfg BatchConfig) (*Batch
 				}
 			}
 		}
-		// Cap the step at the next arrival so newly submitted jobs are
-		// placed promptly.
-		if len(queue) > 0 && queue[0].arrival > now {
-			if untilArrival := queue[0].arrival - now; untilArrival < dt {
-				dt = untilArrival
-			}
-		}
-		// Advance to the next completion (or arrival).
+		// Advance to the next completion.
 		for mi, m := range machines {
 			for j := range m {
 				m[j].remaining -= rates[mi][j] * dt

@@ -355,78 +355,6 @@ func TestSteadyRatesConsistentWithBaseline(t *testing.T) {
 	}
 }
 
-func TestSimulateOnlineArrivals(t *testing.T) {
-	spec := simproc.XeonE5649()
-	// Second job arrives long after the first completes: the fleet idles
-	// in between and both jobs run alone (slowdown ~1).
-	jobs := []BatchJob{
-		{Name: "ft"},
-		{Name: "ft", ArrivalSeconds: 10000},
-	}
-	res, err := SimulateOnline(spec, jobs, BatchConfig{Machines: 1, PState: 0, Policy: PackFirst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) != 2 {
-		t.Fatalf("completed %d jobs", len(res.Jobs))
-	}
-	for _, j := range res.Jobs {
-		if j.Slowdown > 1.02 {
-			t.Fatalf("%s slowed down %v despite running alone", j.Job, j.Slowdown)
-		}
-	}
-	second := res.Jobs[1]
-	if second.StartSeconds < 10000 {
-		t.Fatalf("second job started at %v before its arrival", second.StartSeconds)
-	}
-	if res.MakespanSeconds < 10000 {
-		t.Fatalf("makespan %v ignores the late arrival", res.MakespanSeconds)
-	}
-}
-
-func TestSimulateOnlineStaggeredContention(t *testing.T) {
-	spec := simproc.XeonE5649()
-	// A cg joins halfway through another cg's run: the first job's
-	// overall slowdown sits strictly between solo (1.0) and full overlap.
-	proc, _ := simproc.New(spec)
-	cg, _ := workload.ByName("cg")
-	base, err := proc.RunBaseline(cg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []BatchJob{
-		{Name: "cg"},
-		{Name: "cg", ArrivalSeconds: base.TargetSeconds / 2},
-	}
-	res, err := SimulateOnline(spec, jobs, BatchConfig{Machines: 1, PState: 0, Policy: PackFirst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := res.Jobs[0]
-	if first.Job != "cg" || first.StartSeconds != 0 {
-		t.Fatalf("unexpected first completion: %+v", first)
-	}
-	if first.Slowdown <= 1.005 {
-		t.Fatalf("first job unaffected (%v) despite overlap", first.Slowdown)
-	}
-	// Full-overlap slowdown for comparison.
-	both, err := proc.RunColocation(cg, []workload.App{cg}, 0, simproc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := both.TargetSeconds / base.TargetSeconds
-	if first.Slowdown >= full {
-		t.Fatalf("half-overlap slowdown %v not below full overlap %v", first.Slowdown, full)
-	}
-}
-
-func TestSimulateOnlineNegativeArrival(t *testing.T) {
-	if _, err := SimulateOnline(simproc.XeonE5649(), []BatchJob{{Name: "cg", ArrivalSeconds: -1}},
-		BatchConfig{Machines: 1}); err == nil {
-		t.Fatal("negative arrival accepted")
-	}
-}
-
 // placed counts the jobs an assignment placed.
 func placed(a Assignment) int {
 	n := 0

@@ -606,18 +606,11 @@ func resolveMachine(name string, m *core.Model) (simproc.Spec, *Error) {
 		return simproc.Spec{}, badRequest(CodeBadRequest,
 			"model machine %q is not a known fleet type; set \"machine\" explicitly", m.Machine())
 	}
-	switch name {
-	case "6core", "e5649", "E5649":
-		return simproc.XeonE5649(), nil
-	case "12core", "e5-2697v2", "E5-2697v2":
-		return simproc.XeonE52697v2(), nil
+	spec, err := simproc.MachineByName(name)
+	if err != nil {
+		return simproc.Spec{}, badRequest(CodeBadRequest, "%v", err)
 	}
-	for _, spec := range simproc.Machines() {
-		if spec.Name == name {
-			return spec, nil
-		}
-	}
-	return simproc.Spec{}, badRequest(CodeBadRequest, "unknown machine %q (want 6core or 12core)", name)
+	return spec, nil
 }
 
 // ---- models / reload / health / metrics ----

@@ -8,6 +8,27 @@ import (
 	"colocmodel/internal/workload"
 )
 
+// TestMachineByName: each processor answers to its core count, its model
+// number in both cases and its Name; anything else is refused with the
+// message the serving tier's 400 carries.
+func TestMachineByName(t *testing.T) {
+	for cores, names := range map[int][]string{
+		6:  {"6core", "e5649", "E5649", XeonE5649().Name},
+		12: {"12core", "e5-2697v2", "E5-2697v2", XeonE52697v2().Name},
+	} {
+		for _, name := range names {
+			s, err := MachineByName(name)
+			if err != nil || s.Cores != cores {
+				t.Fatalf("MachineByName(%q) = %d cores, %v; want %d", name, s.Cores, err, cores)
+			}
+		}
+	}
+	_, err := MachineByName("pentium")
+	if err == nil || err.Error() != `unknown machine "pentium" (want 6core or 12core)` {
+		t.Fatalf("unknown machine: err = %v", err)
+	}
+}
+
 func proc6(t testing.TB) *Processor {
 	t.Helper()
 	p, err := New(XeonE5649())

@@ -161,3 +161,21 @@ func XeonE52697v2() Spec {
 func Machines() []Spec {
 	return []Spec{XeonE5649(), XeonE52697v2()}
 }
+
+// MachineByName resolves a machine name to its Table IV processor: the
+// 6-core answers to "6core", "e5649", "E5649" and its Name, the 12-core
+// to "12core", "e5-2697v2", "E5-2697v2" and its Name.
+func MachineByName(name string) (Spec, error) {
+	switch name {
+	case "6core", "e5649", "E5649":
+		return XeonE5649(), nil
+	case "12core", "e5-2697v2", "E5-2697v2":
+		return XeonE52697v2(), nil
+	}
+	for _, spec := range Machines() {
+		if spec.Name == name {
+			return spec, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("unknown machine %q (want 6core or 12core)", name)
+}

@@ -29,8 +29,8 @@ import (
 
 // GenConfig bounds the generator's model space. The zero value selects
 // the full space the acceptance harness sweeps: both techniques, hidden
-// widths 1–64, 1–8 P-states, 2–6 applications, optional interaction
-// columns and occasional two-layer or non-tanh networks.
+// widths 1–64, 1–8 P-states, 2–6 applications and optional interaction
+// columns.
 type GenConfig struct {
 	// MaxHidden caps neural hidden-layer width (default 64).
 	MaxHidden int
@@ -131,24 +131,12 @@ func (g *Gen) Artifact() []byte {
 		}
 		dto["linear"] = map[string]any{"Coefficients": coef, "Constant": r.Normal(0, 10)}
 	} else {
-		// Neural: one hidden layer of width 1–MaxHidden (two layers or a
-		// non-tanh activation occasionally, to cover the generic compiled
-		// path as well as the fused one).
+		// Neural: one tanh hidden layer of width 1–MaxHidden; at width 1
+		// mlp's batched pass takes a dot product per row where the
+		// compiled one takes a GEMM.
 		dto["technique"] = 1
-		hidden := []int{1 + r.Intn(g.cfg.MaxHidden)}
-		if r.Float64() < 0.2 {
-			hidden = append(hidden, 1+r.Intn(16))
-		}
-		activation := 0
-		if r.Float64() < 0.2 {
-			activation = 1 + r.Intn(2)
-		}
-		sizes := append([]int{width}, hidden...)
-		sizes = append(sizes, 1)
-		nparams := 0
-		for l := 0; l+1 < len(sizes); l++ {
-			nparams += sizes[l]*sizes[l+1] + sizes[l+1]
-		}
+		hidden := 1 + r.Intn(g.cfg.MaxHidden)
+		nparams := hidden*(width+2) + 1
 		params := make([]float64, nparams)
 		for i := range params {
 			params[i] = r.Normal(0, 0.8)
@@ -160,7 +148,7 @@ func (g *Gen) Artifact() []byte {
 			std[j] = math.Exp(r.Normal(0, 1))
 		}
 		dto["net_config"] = map[string]any{
-			"Inputs": width, "Hidden": hidden, "Activation": activation, "Seed": 1,
+			"Inputs": width, "Hidden": []int{hidden}, "Activation": 0, "Seed": 1,
 		}
 		dto["net_params"] = params
 		dto["x_scaler"] = map[string]any{"Mean": mean, "Std": std}
