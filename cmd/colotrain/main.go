@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -61,6 +62,9 @@ func run(w io.Writer, o options) error {
 	}
 	if o.loadModel != "" && o.predict == "" {
 		return fmt.Errorf("-loadmodel %s needs -predict: a loaded model is only used to predict a scenario", o.loadModel)
+	}
+	if o.loadModel != "" && (o.saveModel != "" || o.out != "") {
+		return fmt.Errorf("-loadmodel %s cannot be combined with -savemodel or -out: a loaded model only predicts, so no model is trained and no dataset is collected to write", o.loadModel)
 	}
 	// Without -predict or -savemodel the run evaluates models.
 	evaluate := o.predict == "" && o.saveModel == ""
@@ -121,8 +125,12 @@ func run(w io.Writer, o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(tw, "%s\t%.2f%%\t%.2f%%\t%.2f%%\t%.2f%%\t±%.2f%%\n",
-			spec, res.TrainMPE, res.TestMPE, res.TrainNRMSE, res.TestNRMSE, res.TestMPECI)
+		ci := "n/a" // one partition has no spread to bound
+		if !math.IsNaN(res.TestMPECI) {
+			ci = fmt.Sprintf("±%.2f%%", res.TestMPECI)
+		}
+		fmt.Fprintf(tw, "%s\t%.2f%%\t%.2f%%\t%.2f%%\t%.2f%%\t%s\n",
+			spec, res.TrainMPE, res.TestMPE, res.TrainNRMSE, res.TestNRMSE, ci)
 	}
 	return tw.Flush()
 }

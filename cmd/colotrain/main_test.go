@@ -50,28 +50,55 @@ func TestObtainDatasetMachineAliases(t *testing.T) {
 }
 
 // TestRunRejectsBadCounts: a partition count below one where models are
-// evaluated, a negative -n, and -loadmodel without -predict are refused
-// before any dataset is read or model loaded, with an error naming the
-// flag.
+// evaluated, a negative -n, -loadmodel without -predict, and -loadmodel
+// with -savemodel or -out (which a loaded model never writes) are
+// refused before any dataset is read or model loaded, with an error
+// naming the flags.
 func TestRunRejectsBadCounts(t *testing.T) {
 	const missing = "/does/not/exist"
+	dir := t.TempDir()
 	for _, c := range []struct {
-		name               string
-		partitions, n      int
-		predict, loadModel string
-		want               string
+		name                               string
+		partitions, n                      int
+		predict, loadModel, saveModel, out string
+		want                               string
 	}{
 		{name: "negative partitions", partitions: -3, want: "-partitions -3"},
 		{name: "zero partitions", partitions: 0, want: "-partitions 0"},
 		{name: "negative n", partitions: 1, n: -3, predict: "canneal", want: "-n -3"},
 		{name: "negative n, loaded model", partitions: 1, n: -3, predict: "canneal", loadModel: missing, want: "-n -3"},
 		{name: "loaded model without -predict", partitions: 1, loadModel: missing, want: "-loadmodel " + missing + " needs -predict"},
+		{name: "loaded model with -savemodel", partitions: 1, predict: "canneal", loadModel: missing, saveModel: filepath.Join(dir, "m.json"),
+			want: "-loadmodel " + missing + " cannot be combined with -savemodel or -out"},
+		{name: "loaded model with -out", partitions: 1, predict: "canneal", loadModel: missing, out: filepath.Join(dir, "ds.csv"),
+			want: "-loadmodel " + missing + " cannot be combined with -savemodel or -out"},
 	} {
 		err := run(io.Discard, options{machine: "6core", in: missing + ".csv", models: "linear-A", partitions: c.partitions,
-			seed: 1, noise: 0.01, predict: c.predict, coapp: "cg", n: c.n, loadModel: c.loadModel})
+			seed: 1, noise: 0.01, predict: c.predict, coapp: "cg", n: c.n, loadModel: c.loadModel, saveModel: c.saveModel, out: c.out})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
 		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("a refused run wrote %d file(s)", len(files))
+	}
+}
+
+// TestOnePartitionPrintsNoCI: one evaluation partition has no spread, so
+// the test-MPE confidence column reads n/a, never ±NaN%.
+func TestOnePartitionPrintsNoCI(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out, options{machine: "6core", models: "linear-A", partitions: 1, seed: 1, noise: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(l, "linear-A") {
+			row = l
+		}
+	}
+	if !strings.HasSuffix(strings.TrimSpace(row), "n/a") || strings.Contains(out.String(), "NaN") {
+		t.Fatalf("linear-A row %q, want its CI column n/a:\n%s", row, out.String())
 	}
 }
 

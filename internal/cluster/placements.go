@@ -58,7 +58,7 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // expensive call in the system, and racing two of them doubles fleet
 // load for no latency win.
 func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+	body, err := readSized(r.Body, r.ContentLength, 8<<20)
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -57,9 +58,12 @@ type Backend struct {
 	Base string
 
 	// Resolved once at join, so that a request parses and renders
-	// nothing: Base parsed, and Name as an X-Backend header value.
+	// nothing: Base parsed, Name as an X-Backend header value, and the
+	// user info in Base as the basic Authorization value http.Client
+	// derives from it (nil: none).
 	url     *url.URL
 	nameHdr []string
+	auth    []string
 
 	metrics backendMetrics
 
@@ -211,7 +215,12 @@ func (p *Pool) Add(name, base string) error {
 	if _, dup := p.backends[name]; dup {
 		return fmt.Errorf("cluster: backend %q already joined", name)
 	}
-	p.backends[name] = &Backend{Name: name, Base: base, url: u, nameHdr: []string{name}}
+	b := &Backend{Name: name, Base: base, url: u, nameHdr: []string{name}}
+	if u.User != nil {
+		pw, _ := u.User.Password()
+		b.auth = []string{"Basic " + base64.StdEncoding.EncodeToString([]byte(u.User.Username()+":"+pw))}
+	}
+	p.backends[name] = b
 	p.rebuildLocked()
 	return nil
 }

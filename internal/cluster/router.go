@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,7 +42,13 @@ type Config struct {
 	HedgeAfter time.Duration
 	// RequestTimeout bounds one inbound request end to end. Default 10s.
 	RequestTimeout time.Duration
-	// Client reaches the backends; nil selects a pooled transport.
+	// Client reaches the backends; nil selects a pooled transport. Its
+	// Transport (nil: http.DefaultTransport) carries every forwarded
+	// call — predict, batch, observations, placements, reload, models —
+	// through RoundTrip, so its Timeout, CheckRedirect and Jar do not
+	// apply to them: RequestTimeout bounds a forwarded call, and a
+	// backend's redirect is replayed as it came. Health probes and fleet
+	// metrics scrapes go through Client.Do.
 	Client *http.Client
 	// The five observability knobs, passed to the request edge as an
 	// obs.EdgeConfig, which documents them and owns their defaults
@@ -77,14 +85,15 @@ func (c *Config) defaults() {
 // coordinates rolling model promotions with per-client generation
 // monotonicity.
 type Router struct {
-	cfg     Config
-	pool    *Pool
-	metrics *Metrics
-	floors  floorTable
-	backLat *obs.Histogram // completed predict proxy latencies → p95 hedge delay
-	edge    *obs.Edge      // the request envelope every endpoint runs under
-	fleet   *fleetobs.Aggregator
-	started time.Time
+	cfg       Config
+	transport http.RoundTripper // cfg.Client's, which every forwarded call goes through
+	pool      *Pool
+	metrics   *Metrics
+	floors    floorTable
+	backLat   *obs.Histogram // completed predict proxy latencies → p95 hedge delay
+	edge      *obs.Edge      // the request envelope every endpoint runs under
+	fleet     *fleetobs.Aggregator
+	started   time.Time
 
 	promoteMu sync.Mutex // serializes rolling promotions
 
@@ -97,13 +106,18 @@ type Router struct {
 func New(cfg Config) *Router {
 	cfg.defaults()
 	pool := newPool(cfg)
+	transport := cfg.Client.Transport
+	if transport == nil {
+		transport = http.DefaultTransport
+	}
 	rt := &Router{
-		cfg:     cfg,
-		pool:    pool,
-		metrics: NewMetrics(pool),
-		backLat: obs.NewHistogram(latencyBuckets),
-		fleet:   &fleetobs.Aggregator{Client: cfg.Client, Timeout: probeTimeout},
-		started: time.Now(),
+		cfg:       cfg,
+		transport: transport,
+		pool:      pool,
+		metrics:   NewMetrics(pool),
+		backLat:   obs.NewHistogram(latencyBuckets),
+		fleet:     &fleetobs.Aggregator{Client: cfg.Client, Timeout: probeTimeout},
+		started:   time.Now(),
 	}
 	rt.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,
 		SLOObjective: cfg.SLOObjective, SLOLatencyTarget: cfg.SLOLatencyTarget},
@@ -315,11 +329,6 @@ func retryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// outBody is an outbound request body over bytes the caller keeps.
-type outBody struct{ bytes.Reader }
-
-func (*outBody) Close() error { return nil }
-
 // send is the one backend-call path. It builds the outbound request —
 // the one http.NewRequestWithContext would build from Base+path, put
 // together from what the backend resolved when it joined, so a call
@@ -352,12 +361,17 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 	if tp != "" {
 		req.Header[obs.TraceparentHeader] = ids[1:]
 	}
+	if b.auth != nil {
+		req.Header["Authorization"] = b.auth
+	}
 	if len(body) > 0 {
+		// A NopCloser over a bytes.Reader is a body net/http knows to be
+		// in memory, so headers and body leave in one write.
 		req.ContentLength = int64(len(body))
-		req.GetBody = func() (io.ReadCloser, error) { return &outBody{*bytes.NewReader(body)}, nil }
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 		req.Body, _ = req.GetBody()
 	}
-	resp, err := rt.cfg.Client.Do(req.WithContext(ctx))
+	resp, err := rt.roundTrip(req.WithContext(ctx))
 	if err == nil {
 		pr.status = resp.StatusCode
 		pr.contentType = resp.Header["Content-Type"]
@@ -379,14 +393,67 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 	return pr
 }
 
+// roundTrip makes one exchange on the transport, as Client.Do makes it
+// for a client with no timeout, no jar and a request with nothing to
+// redirect: a transport error comes back wrapped in the *url.Error
+// Client.Do returns, password masked, so its text is Client.Do's.
+func (rt *Router) roundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := rt.transport.RoundTrip(req)
+	if err == nil {
+		return resp, nil
+	}
+	if tlsErr, ok := err.(tls.RecordHeaderError); ok && string(tlsErr.RecordHeader[:]) == "HTTP/" {
+		err = http.ErrSchemeMismatch
+	}
+	target := req.URL.String()
+	if _, ok := req.URL.User.Password(); ok {
+		target = strings.Replace(target, req.URL.User.String()+"@", req.URL.User.Username()+":***@", 1)
+	}
+	return nil, &url.Error{Op: req.Method[:1] + strings.ToLower(req.Method[1:]), URL: target, Err: err}
+}
+
 // proxy is send with the reply body read into memory (bounded).
 func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string) *proxyResult {
 	return rt.send(ctx, b, method, path, body, reqID, tp, readBody)
 }
 
 func readBody(pr *proxyResult, resp *http.Response) (err error) {
-	pr.body, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	pr.body, err = readSized(resp.Body, resp.ContentLength, 64<<20)
 	return err
+}
+
+// presizeMax caps the buffer readSized allocates on a declared length
+// alone: a length is a claim, not bytes, and a client that declares a
+// 64 MiB batch and sends nothing must not pin 64 MiB.
+const presizeMax = 64 << 10
+
+// readSized reads a body of at most limit bytes and returns what
+// io.ReadAll(io.LimitReader(r, limit)) returns. When the sender declared
+// a length within limit and presizeMax, it is read into one buffer of
+// that length; otherwise, and for whatever a body holds beyond its
+// declared length, it falls back to that bounded ReadAll.
+func readSized(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared < 0 || declared > min(limit, presizeMax) {
+		return io.ReadAll(io.LimitReader(r, limit))
+	}
+	buf := make([]byte, declared)
+	n := 0
+	var err error
+	for n < len(buf) && err == nil {
+		var k int
+		k, err = r.Read(buf[n:])
+		n += k
+	}
+	if err == nil && int64(n) < limit {
+		// Full with no EOF seen: read on as ReadAll would. net/http's
+		// bodies report EOF with their last bytes and never get here.
+		rest, err := io.ReadAll(io.LimitReader(r, limit-int64(n)))
+		return append(buf, rest...), err
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	return buf[:n], err
 }
 
 // failover makes one backend call against the candidates in order,
@@ -649,7 +716,7 @@ func predictReplyIdentity(body []byte) (string, uint64) {
 }
 
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	raw, err := readSized(r.Body, r.ContentLength, 1<<20)
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
@@ -757,7 +824,7 @@ func batchReplyIdentity(body []byte) (string, uint64) {
 // a row than another; the router reads only the model the floor is
 // tracked under, and every other check is the serving backend's.
 func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	raw, err := readSized(r.Body, r.ContentLength, 64<<20)
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
@@ -804,7 +871,7 @@ type obsResponse struct {
 // a drain shed (definitely not processed). A batch is scattered so each
 // backend folds its shard into a single group commit.
 func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	raw, err := readSized(r.Body, r.ContentLength, 64<<20)
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
 	}
