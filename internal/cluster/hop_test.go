@@ -156,35 +156,57 @@ func TestBaseURLUserInfoIsBasicAuth(t *testing.T) {
 	}
 }
 
-// TestOversizedPredictBody: a predict body over the 1 MiB limit is read
-// to the limit and judged on what was read, whatever length it declares:
-// the first MiB of a space-padded request is a request, and one cut
-// mid-string is the decoder's 400.
+// TestOversizedPredictBody: a predict body over the 1 MiB limit is
+// refused with the typed 413, whatever length it declares and however
+// its first MiB reads: a space-padded request is not judged on its
+// prefix, and one cut mid-string gets no decoder's 400.
 func TestOversizedPredictBody(t *testing.T) {
 	sb := newScriptedBackend(t, "a", 1)
 	rt := newScriptedRouter(t, Config{Replicas: 1}, sb)
 	valid := `{"model":"demo","target":"cg","co_apps":["ep"],"pstate":0}`
 	padded := valid + strings.Repeat(" ", 1<<20+1-len(valid))
 	cut := `{"model":"demo","target":"` + strings.Repeat("a", 1<<20) + `"}`
-	var decodeErr error
-	if decodeErr = json.Unmarshal([]byte(cut[:1<<20]), new(struct{})); decodeErr == nil {
-		t.Fatal("the cut body's first MiB decodes")
-	}
-	for _, tc := range []struct {
-		name, body string
-		status     int
-		reply      string
-	}{
-		{"padded", padded, http.StatusOK, `{"model":"demo","generation":1,"predicted_seconds":1.5}`},
-		{"cut", cut, http.StatusBadRequest, errorReply(CodeBadRequest, "decoding request body: "+decodeErr.Error())},
-	} {
+	want := errorReply(CodeBodyTooLarge, "request body exceeds 1048576 bytes")
+	for _, tc := range []struct{ name, body string }{{"padded", padded}, {"cut", cut}} {
 		if len(tc.body) <= 1<<20 {
 			t.Fatalf("%s: body of %d bytes is not over the limit", tc.name, len(tc.body))
 		}
-		rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", tc.body, nil)
-		if rec.Code != tc.status || rec.Body.String() != tc.reply {
-			t.Errorf("%s: %d %q, want %d %q", tc.name, rec.Code, rec.Body.String(), tc.status, tc.reply)
+		for _, declared := range []bool{true, false} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(tc.body))
+			if !declared {
+				req.ContentLength = -1
+			}
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+				t.Errorf("%s, length declared %v: %d %q, want 413 %q", tc.name, declared, rec.Code, rec.Body.String(), want)
+			}
 		}
+	}
+	if got := sb.hits.Load(); got != 0 {
+		t.Fatalf("an oversized body reached the backend %d times", got)
+	}
+}
+
+// TestOversizedBodiesAre413: every endpoint that forwards a body refuses
+// one declared over its bound with the typed 413, before reading it.
+func TestOversizedBodiesAre413(t *testing.T) {
+	sb := newScriptedBackend(t, "a", 1)
+	rt := newScriptedRouter(t, Config{Replicas: 1}, sb)
+	for path, limit := range map[string]int64{
+		"/v1/predict": 1 << 20, "/v1/predict/batch": 64 << 20, "/v1/observations": 64 << 20, "/v1/placements": 8 << 20,
+	} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader("{}"))
+		req.ContentLength = limit + 1
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		want := errorReply(CodeBodyTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+			t.Errorf("%s: %d %q, want 413 %q", path, rec.Code, rec.Body.String(), want)
+		}
+	}
+	if got := sb.hits.Load(); got != 0 {
+		t.Fatalf("an oversized body reached the backend %d times", got)
 	}
 }
 
@@ -213,9 +235,37 @@ func TestShortBackendReply(t *testing.T) {
 	}
 }
 
+// TestOversizedBackendReply: a backend reply over the 64 MiB bound is a
+// failed call, not a reply replayed truncated; one that declares such a
+// length fails before a byte of it is read.
+func TestOversizedBackendReply(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		conn, bufrw, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = bufrw.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 67108865\r\n\r\n" +
+			`{"model":"demo","generation":1}`)
+		_ = bufrw.Flush()
+	}))
+	t.Cleanup(ts.Close)
+	rt := New(Config{Replicas: 1})
+	if err := rt.Pool().Add("huge", ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", `{"model":"demo","target":"cg","co_apps":["ep"],"pstate":0}`, nil)
+	if want := errorReply(CodeBackendUnavailable, "all candidates failed: reply body exceeds 67108864 bytes"); rec.Code != http.StatusBadGateway || rec.Body.String() != want {
+		t.Fatalf("%d %q, want 502 %q", rec.Code, rec.Body.String(), want)
+	}
+}
+
 // TestReadSizedIsBoundedReadAll: whatever length a body declares and
 // however its reader delivers it, readSized returns the bytes and the
-// error io.ReadAll(io.LimitReader(r, limit)) returns.
+// error io.ReadAll(io.LimitReader(r, limit+1)) returns when those are
+// within limit, and refuses the body as too large when they are not or
+// when it declares more than limit.
 func TestReadSizedIsBoundedReadAll(t *testing.T) {
 	errBroken := errors.New("connection reset")
 	readers := map[string]func([]byte) io.Reader{
@@ -233,10 +283,13 @@ func TestReadSizedIsBoundedReadAll(t *testing.T) {
 		for _, declared := range []int64{-1, 0, 1, 49, 50, 51, 100, 101, int64(size), presizeMax + 1} {
 			for _, lim := range []int64{limit, presizeMax + 10} {
 				for name, rd := range readers {
-					want, wantErr := io.ReadAll(io.LimitReader(rd(body), lim))
+					want, wantErr := io.ReadAll(io.LimitReader(rd(body), lim+1))
+					if declared > lim || int64(len(want)) > lim {
+						want, wantErr = nil, bodyTooLargeError(lim)
+					}
 					got, gotErr := readSized(rd(body), declared, lim)
 					if !bytes.Equal(got, want) || !errors.Is(gotErr, wantErr) {
-						t.Fatalf("%s reader, %d bytes, declared %d, limit %d: %d bytes, %v; ReadAll: %d bytes, %v",
+						t.Fatalf("%s reader, %d bytes, declared %d, limit %d: %d bytes, %v; want %d bytes, %v",
 							name, size, declared, lim, len(got), gotErr, len(want), wantErr)
 					}
 				}

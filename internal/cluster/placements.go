@@ -58,9 +58,9 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // expensive call in the system, and racing two of them doubles fleet
 // load for no latency win.
 func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	body, err := readSized(r.Body, r.ContentLength, 8<<20)
-	if err != nil {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
+	body, status, refusal := readRequestBody(r, 8<<20)
+	if refusal != nil {
+		return status, refusal
 	}
 	cands := rt.leastLoaded("", 0) // a plan carries no generation
 	if len(cands) == 0 {

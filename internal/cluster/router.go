@@ -193,6 +193,9 @@ type errorDetail struct {
 // verbatim on proxied responses).
 const (
 	CodeBadRequest = "bad_request"
+	// CodeBodyTooLarge marks a request body over the router's bound for
+	// its endpoint, as serve marks one over its own.
+	CodeBodyTooLarge = "body_too_large"
 	// CodeNoBackend marks requests that found no admissible backend
 	// (none healthy, or none at the client's generation floor).
 	CodeNoBackend = "no_backend"
@@ -417,9 +420,41 @@ func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, bo
 	return rt.send(ctx, b, method, path, body, reqID, tp, readBody)
 }
 
+// readBody reads a backend reply whole; a reply over the bound fails the
+// attempt rather than being replayed truncated.
 func readBody(pr *proxyResult, resp *http.Response) (err error) {
-	pr.body, err = readSized(resp.Body, resp.ContentLength, 64<<20)
+	if pr.body, err = readSized(resp.Body, resp.ContentLength, 64<<20); err != nil {
+		var tooLarge bodyTooLargeError
+		if errors.As(err, &tooLarge) {
+			err = fmt.Errorf("reply %w", err)
+		}
+	}
 	return err
+}
+
+// bodyTooLargeError is readSized's refusal of a body over its limit,
+// which it holds.
+type bodyTooLargeError int64
+
+func (e bodyTooLargeError) Error() string {
+	return "body exceeds " + strconv.FormatInt(int64(e), 10) + " bytes"
+}
+
+// readRequestBody reads a request body of at most limit bytes, or
+// returns the reply that refuses it: for a body over the limit the typed
+// 413 serve answers it with, for a failed read a 400.
+func readRequestBody(r *http.Request, limit int64) (raw []byte, status int, refusal any) {
+	raw, err := readSized(r.Body, r.ContentLength, limit)
+	if err == nil {
+		return raw, 0, nil
+	}
+	var tooLarge bodyTooLargeError
+	if errors.As(err, &tooLarge) {
+		status, refusal = errJSON(http.StatusRequestEntityTooLarge, CodeBodyTooLarge, "request %v", err)
+	} else {
+		status, refusal = errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
+	}
+	return nil, status, refusal
 }
 
 // presizeMax caps the buffer readSized allocates on a declared length
@@ -427,33 +462,46 @@ func readBody(pr *proxyResult, resp *http.Response) (err error) {
 // 64 MiB batch and sends nothing must not pin 64 MiB.
 const presizeMax = 64 << 10
 
-// readSized reads a body of at most limit bytes and returns what
-// io.ReadAll(io.LimitReader(r, limit)) returns. When the sender declared
-// a length within limit and presizeMax, it is read into one buffer of
-// that length; otherwise, and for whatever a body holds beyond its
+// readSized reads a body of at most limit bytes: it returns what
+// io.ReadAll(io.LimitReader(r, limit+1)) returns, except that a body that
+// declares or holds more than limit bytes is refused with a
+// bodyTooLargeError, never judged on a truncated prefix. A declared
+// length over the limit is refused before anything is read. When the
+// sender declared a length within presizeMax, it is read into one buffer
+// of that length; otherwise, and for whatever a body holds beyond its
 // declared length, it falls back to that bounded ReadAll.
 func readSized(r io.Reader, declared, limit int64) ([]byte, error) {
-	if declared < 0 || declared > min(limit, presizeMax) {
-		return io.ReadAll(io.LimitReader(r, limit))
+	if declared > limit {
+		return nil, bodyTooLargeError(limit)
 	}
-	buf := make([]byte, declared)
-	n := 0
+	var buf []byte
 	var err error
-	for n < len(buf) && err == nil {
-		var k int
-		k, err = r.Read(buf[n:])
-		n += k
+	if declared < 0 || declared > presizeMax {
+		buf, err = io.ReadAll(io.LimitReader(r, limit+1))
+	} else {
+		buf = make([]byte, declared)
+		n := 0
+		for n < len(buf) && err == nil {
+			var k int
+			k, err = r.Read(buf[n:])
+			n += k
+		}
+		buf = buf[:n]
+		if err == nil {
+			// Full with no EOF seen: read on as ReadAll would, one byte
+			// past the limit. net/http's bodies report EOF with their
+			// last bytes and never get here.
+			var rest []byte
+			rest, err = io.ReadAll(io.LimitReader(r, limit+1-int64(n)))
+			buf = append(buf, rest...)
+		} else if err == io.EOF {
+			err = nil
+		}
 	}
-	if err == nil && int64(n) < limit {
-		// Full with no EOF seen: read on as ReadAll would. net/http's
-		// bodies report EOF with their last bytes and never get here.
-		rest, err := io.ReadAll(io.LimitReader(r, limit-int64(n)))
-		return append(buf, rest...), err
+	if int64(len(buf)) > limit {
+		return nil, bodyTooLargeError(limit)
 	}
-	if err == io.EOF {
-		err = nil
-	}
-	return buf[:n], err
+	return buf, err
 }
 
 // failover makes one backend call against the candidates in order,
@@ -716,9 +764,9 @@ func predictReplyIdentity(body []byte) (string, uint64) {
 }
 
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	raw, err := readSized(r.Body, r.ContentLength, 1<<20)
-	if err != nil {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
+	raw, status, refusal := readRequestBody(r, 1<<20)
+	if refusal != nil {
+		return status, refusal
 	}
 	req, err := decodePredict(raw)
 	if err != nil {
@@ -824,9 +872,9 @@ func batchReplyIdentity(body []byte) (string, uint64) {
 // a row than another; the router reads only the model the floor is
 // tracked under, and every other check is the serving backend's.
 func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	raw, err := readSized(r.Body, r.ContentLength, 64<<20)
-	if err != nil {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
+	raw, status, refusal := readRequestBody(r, 64<<20)
+	if refusal != nil {
+		return status, refusal
 	}
 	var req struct {
 		Model string `json:"model"`
@@ -871,9 +919,9 @@ type obsResponse struct {
 // a drain shed (definitely not processed). A batch is scattered so each
 // backend folds its shard into a single group commit.
 func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
-	raw, err := readSized(r.Body, r.ContentLength, 64<<20)
-	if err != nil {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "reading request body: %v", err)
+	raw, status, refusal := readRequestBody(r, 64<<20)
+	if refusal != nil {
+		return status, refusal
 	}
 	var req serve.ObservationsRequest
 	if err := json.Unmarshal(raw, &req); err != nil {

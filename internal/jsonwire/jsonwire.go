@@ -109,12 +109,48 @@ func NewScanner(s string) Scanner { return Scanner{s: s} }
 // windows it handed out stay valid and later arrays share the arena.
 func (d *Scanner) Reset(s string) { d.s, d.i = s, 0 }
 
+// Reuse positions the scanner at the start of s and empties its arena
+// for reuse: every window handed out before is invalid from here on. An
+// arena grown past the largest first allocation is dropped rather than
+// kept.
+func (d *Scanner) Reuse(s string) {
+	clear(d.arena)
+	d.s, d.i, d.arena = s, 0, d.arena[:0]
+	if cap(d.arena) > maxArenaHint {
+		d.arena = nil
+	}
+}
+
+// A Mark is a position Rewind returns the scanner to.
+type Mark struct{ i, arena int }
+
+// Mark reports the scanner's position.
+func (d *Scanner) Mark() Mark { return Mark{d.i, len(d.arena)} }
+
+// Rewind returns the scanner to a position Mark reported, taking back
+// (and clearing) the arena windows handed out since.
+func (d *Scanner) Rewind(m Mark) {
+	clear(d.arena[m.arena:])
+	d.i, d.arena = m.i, d.arena[:m.arena]
+}
+
+// Lit consumes lit if the input continues with exactly lit, with no
+// whitespace before it.
+func (d *Scanner) Lit(lit string) bool {
+	if strings.HasPrefix(d.s[d.i:], lit) {
+		d.i += len(lit)
+		return true
+	}
+	return false
+}
+
 // Count reports the number of non-overlapping instances of sub in the
 // whole input: an allocation hint.
 func (d *Scanner) Count(sub string) int { return strings.Count(d.s, sub) }
 
 func (d *Scanner) skipSpace() {
-	for d.i < len(d.s) && IsSpace(d.s[d.i]) {
+	// Every JSON space is below '!', and compact input has none.
+	for d.i < len(d.s) && d.s[d.i] <= ' ' && IsSpace(d.s[d.i]) {
 		d.i++
 	}
 }

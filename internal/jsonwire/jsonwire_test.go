@@ -105,3 +105,23 @@ func TestStringArrayWindows(t *testing.T) {
 		t.Fatalf("an append to one window reached another: %q %q", first, second)
 	}
 }
+
+// Rewind takes back the arena windows handed out since its Mark and
+// clears them, so a reused scanner keeps none of their strings alive.
+func TestRewindClearsTakenWindows(t *testing.T) {
+	d := NewScanner(`["a","b"] ["c"]`)
+	if _, ok := d.StringArray(); !ok {
+		t.Fatal("first array")
+	}
+	at := d.Mark()
+	if _, ok := d.StringArray(); !ok {
+		t.Fatal("second array")
+	}
+	d.Rewind(at)
+	if got := d.arena[:cap(d.arena)]; len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "" {
+		t.Fatalf("arena after Rewind: %q", got)
+	}
+	if again, ok := d.StringArray(); !ok || len(again) != 1 || again[0] != "c" || !d.AtEnd() {
+		t.Fatalf("after Rewind: %q, %v", again, ok)
+	}
+}

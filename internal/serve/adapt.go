@@ -216,7 +216,7 @@ func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *
 		d := resp.Results[0].Error
 		return errBody(&Error{Status: http.StatusBadRequest, Code: d.Code, Message: d.Message})
 	}
-	return http.StatusOK, resp
+	return http.StatusOK, &resp
 }
 
 // recordCommitSpans attributes the group-commit pipeline stages

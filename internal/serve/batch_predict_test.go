@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -204,4 +206,202 @@ func TestNegativeTimeoutIsDefault(t *testing.T) {
 	if w := postJSON(t, s.Handler(), "/v1/placements", placementsBody()); w.Code != http.StatusOK {
 		t.Fatalf("placements: status %d: %s", w.Code, w.Body.String())
 	}
+}
+
+// batchOracle is the reply /v1/predict/batch is specified to give body:
+// encoding/json's rendering of the BatchResponse built by decodeStrict,
+// each slot validated against the model's own names and P-states, and
+// every valid slot predicted in one PredictScenarios call. It returns the
+// status and the body bytes (none when the reply cannot be encoded).
+func batchOracle(t testing.TB, s *Server, body []byte) (int, []byte) {
+	t.Helper()
+	render := func(status int, v any) (int, []byte) {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			return status, nil
+		}
+		return status, buf.Bytes()
+	}
+	var req BatchRequest
+	if e := decodeStrict(body, &req); e != nil {
+		return render(errBody(e))
+	}
+	if len(req.Scenarios) == 0 {
+		return render(errBody(badRequest(CodeBadRequest, "scenarios must not be empty")))
+	}
+	if len(req.Scenarios) > maxBatch {
+		return render(errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(req.Scenarios), maxBatch)))
+	}
+	rm, e := s.resolveModel(req.Model)
+	if e != nil {
+		return render(errBody(e))
+	}
+	m, known := rm.m, strings.Join(rm.m.Apps(), ", ")
+	out := &BatchResponse{Model: rm.name, Results: make([]BatchItem, len(req.Scenarios))}
+	var valid []features.Scenario
+	for i, sr := range req.Scenarios {
+		var e *Error
+		switch {
+		case sr.Target == "":
+			e = badRequest(CodeBadRequest, "target must be set")
+		case !m.HasApp(sr.Target):
+			e = badRequest(CodeUnknownApp, "unknown target %q (known: %s)", sr.Target, known)
+		default:
+			for _, a := range sr.CoApps {
+				if !m.HasApp(a) {
+					e = badRequest(CodeUnknownApp, "unknown co-app %q (known: %s)", a, known)
+					break
+				}
+			}
+			if e == nil && (sr.PState < 0 || sr.PState >= m.PStates()) {
+				e = badRequest(CodeBadPState, "P-state %d out of range [0,%d)", sr.PState, m.PStates())
+			}
+		}
+		if e != nil {
+			out.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
+			out.Errors++
+			continue
+		}
+		out.Results[i].Result = &PredictResponse{Model: rm.name, Generation: rm.gen, Spec: m.Spec.String(),
+			Target: sr.Target, CoApps: sr.CoApps, PState: sr.PState}
+		valid = append(valid, sr.scenario())
+	}
+	if len(valid) > 0 {
+		preds, err := m.PredictScenarios(valid)
+		if err != nil {
+			t.Fatalf("body %q: PredictScenarios: %v", body, err)
+		}
+		for _, it := range out.Results {
+			if p := it.Result; p != nil {
+				base, err := m.BaselineSeconds(p.Target, p.PState)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.PredictedSeconds, p.PredictedSlowdown, p.BaselineSeconds = preds[0], preds[0]/base, base
+				preds = preds[1:]
+			}
+		}
+	}
+	return render(http.StatusOK, out)
+}
+
+// checkBatchReply posts body to the batch endpoint and holds the reply
+// to batchOracle's, status and bytes.
+func checkBatchReply(t testing.TB, s *Server, body []byte) {
+	t.Helper()
+	w := postRaw(s.Handler(), "/v1/predict/batch", string(body))
+	status, want := batchOracle(t, s, body)
+	if w.Code != status || !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("body %q:\nserved %d %s\noracle %d %s", body, w.Code, w.Body.Bytes(), status, want)
+	}
+}
+
+// batchBodies returns n random batch bodies: the wide shape (a target,
+// a P-state and 0–5 co-runners per row, null or empty co-apps now and
+// then), slots naming an unknown target or co-app or a P-state out of
+// range, names spelled with JSON escapes, the model named before or
+// after the scenarios, absent or unknown, and whitespace between tokens.
+func batchBodies(m *core.Model, seed uint64, n int) [][]byte {
+	rng := rand.New(rand.NewPCG(seed, 45))
+	apps := m.Apps()
+	ws := func() string { return []string{"", "", "", "", " ", "\n", "\t", "\r\n  "}[rng.IntN(8)] }
+	plain := false // no escapes and no null co-apps: a body the fast decoder takes
+	name := func() string {
+		a := apps[rng.IntN(len(apps))]
+		switch rng.IntN(20) {
+		case 0:
+			a = "ghost"
+		case 1:
+			if !plain {
+				return strconv.Quote(a)[:1] + `\u00` + strconv.FormatInt(int64(a[0]), 16) + a[1:] + `"`
+			}
+		case 2:
+			return `""`
+		}
+		return strconv.Quote(a)
+	}
+	var bodies [][]byte
+	for len(bodies) < n {
+		plain = rng.IntN(2) == 0
+		var b strings.Builder
+		model := []string{"", "", `"nn"`, `"ghost"`}[rng.IntN(4)]
+		after := rng.IntN(3) == 0
+		b.WriteString(ws() + "{" + ws())
+		if model != "" && !after {
+			b.WriteString(`"model"` + ws() + ":" + ws() + model + ws() + "," + ws())
+		}
+		b.WriteString(`"scenarios"` + ws() + ":" + ws() + "[")
+		for i, rows := 0, 1+rng.IntN(70); i < rows; i++ {
+			if i > 0 {
+				b.WriteString(ws() + "," + ws())
+			}
+			ps := rng.IntN(m.PStates())
+			if rng.IntN(25) == 0 {
+				ps = []int{-1, m.PStates(), 99}[rng.IntN(3)]
+			}
+			fields := []string{`"target"` + ws() + ":" + ws() + name(), `"pstate"` + ws() + ":" + ws() + strconv.Itoa(ps)}
+			switch k := rng.IntN(6); {
+			case !plain && rng.IntN(15) == 0: // co_apps left out: null
+			default:
+				co := make([]string, k)
+				for j := range co {
+					co[j] = name()
+				}
+				fields = append(fields, `"co_apps"`+ws()+":"+ws()+"["+ws()+strings.Join(co, ws()+","+ws())+ws()+"]")
+			}
+			if rng.IntN(4) == 0 {
+				rng.Shuffle(len(fields), func(i, j int) { fields[i], fields[j] = fields[j], fields[i] })
+			}
+			b.WriteString("{" + ws() + strings.Join(fields, ws()+","+ws()) + ws() + "}")
+		}
+		b.WriteString(ws() + "]")
+		if model != "" && after {
+			b.WriteString(ws() + "," + ws() + `"model"` + ws() + ":" + ws() + model)
+		}
+		b.WriteString(ws() + "}" + ws())
+		bodies = append(bodies, []byte(b.String()))
+	}
+	return bodies
+}
+
+// TestBatchReplyMatchesOracle: the served batch reply is byte for byte
+// batchOracle's, over a fixed-seed stream of bodies in and out of the
+// fast decoder's form.
+func TestBatchReplyMatchesOracle(t *testing.T) {
+	s := neuralTestServer(t, Config{})
+	m, _, err := s.Registry().Get("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := 0
+	bodies := batchBodies(m, 1, 400)
+	for _, body := range bodies {
+		if fastDecoders["batch"](body) {
+			fast++
+		}
+		checkBatchReply(t, s, body)
+	}
+	// The stream must exercise both decoders.
+	if fast < len(bodies)/10 || fast > len(bodies)-len(bodies)/10 {
+		t.Fatalf("the fast decoder took %d of %d bodies", fast, len(bodies))
+	}
+}
+
+// FuzzBatchReply holds the served batch reply to batchOracle's for
+// arbitrary bodies.
+func FuzzBatchReply(f *testing.F) {
+	s := neuralTestServer(f, Config{})
+	m, _, err := s.Registry().Get("")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range batchBodies(m, 2, 24) {
+		f.Add(body)
+	}
+	for _, body := range append(canonicalBatchBodies, fallbackBatchBodies...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkBatchReply(t, s, body)
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,12 @@ type servedModel struct {
 	gen uint64
 	// spec is m.Spec.String().
 	spec string
+	// identity is `{"model":<entry>,"generation":<gen>,"spec":<spec>`,
+	// the opening every predict reply from this snapshot shares.
+	identity string
+	// pstateKeys[ps] is `,"pstate":<ps>,"predicted_seconds":`, the middle
+	// of a served batch row.
+	pstateKeys []string
 	// apps is the serving table, indexed by the model's application ids
 	// (core.Model.AppID): request validation resolves each name to its id
 	// once, and every later step reads this row.
@@ -55,11 +62,17 @@ type servedModel struct {
 }
 
 // servedApp is one application's name and baseline seconds per P-state,
-// each also as encoding/json renders it ("" for a value it cannot).
+// each also as encoding/json renders it ("" for a value it cannot), and
+// the fragments a served batch row of it is framed by: row opens it,
+// `{"result":` + the identity + `,"target":` + json + `,"co_apps":`, and
+// tail[ps] closes it, `,"baseline_seconds":` + text[ps] +
+// `,"cached":false}}` ("" where text[ps] is).
 type servedApp struct {
 	json string
 	secs []float64
 	text []string
+	row  string
+	tail []string
 }
 
 func (e *registryEntry) store(m *core.Model) {
@@ -82,7 +95,27 @@ func (e *registryEntry) store(m *core.Model) {
 	if prev := e.model.Load(); prev != nil {
 		sm.gen = prev.gen + 1
 	}
+	sm.identity = string(appendIdentity(nil, e.name, sm.gen, sm.spec))
+	sm.frameRows()
 	e.model.Store(sm)
+}
+
+// frameRows renders the fragments a served batch row is framed by.
+func (sm *servedModel) frameRows() {
+	sm.pstateKeys = make([]string, sm.pstates)
+	for ps := range sm.pstateKeys {
+		sm.pstateKeys[ps] = `,"pstate":` + strconv.Itoa(ps) + `,"predicted_seconds":`
+	}
+	for id := range sm.apps {
+		app := &sm.apps[id]
+		app.row = `{"result":` + sm.identity + `,"target":` + app.json + `,"co_apps":`
+		app.tail = make([]string, len(app.text))
+		for ps, text := range app.text {
+			if text != "" {
+				app.tail[ps] = `,"baseline_seconds":` + text + `,"cached":false}}`
+			}
+		}
+	}
 }
 
 // snapshot reads the entry's serving state in one pointer load: the

@@ -49,6 +49,7 @@ import (
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
+	"colocmodel/internal/jsonwire"
 	"colocmodel/internal/obs"
 	"colocmodel/internal/simproc"
 )
@@ -255,8 +256,15 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 			w.Header()[hdrServerTiming] = []string{st}
 		}
 		writeBody(w, status, wb, encErr)
+		if p, ok := body.(pooledReply); ok {
+			p.release() // the reply is written: its scratch is free
+		}
 	}
 }
+
+// A pooledReply is a reply body holding pooled scratch, which the edge
+// releases once the reply is written.
+type pooledReply interface{ release() }
 
 // ---- predict ----
 
@@ -389,7 +397,9 @@ func (s *Server) resolveModel(name string) (resolved, *Error) {
 // prediction work happens, so that client mistakes are 400s. It resolves
 // each name to its id in the snapshot's id space, once, writing the
 // co-apps' ids into co (one slot per co-app), and returns the scenario as
-// a row of ids, which only this snapshot may evaluate.
+// a row of ids, which only this snapshot may evaluate. The row's co-apps
+// are nil exactly when the request's are, so a reply rendered from the
+// row tells a null co_apps from an empty one.
 func validateScenario(sm *servedModel, sc features.Scenario, co []int32) (core.IDScenario, *Error) {
 	if sc.Target == "" {
 		return core.IDScenario{}, badRequest(CodeBadRequest, "target must be set")
@@ -408,13 +418,15 @@ func validateScenario(sm *servedModel, sc features.Scenario, co []int32) (core.I
 	if sc.PState < 0 || sc.PState >= sm.pstates {
 		return core.IDScenario{}, badRequest(CodeBadPState, "P-state %d out of range [0,%d)", sc.PState, sm.pstates)
 	}
+	if sc.CoApps == nil {
+		co = nil
+	}
 	return core.IDScenario{Target: target, CoApps: co, PState: sc.PState}, nil
 }
 
 // initPredictResponse validates a scenario against the model, its
 // co-apps' ids going into co, and fills the response shell (identity
-// fields, the row of ids, and the baseline) that both the single and
-// batch predict paths complete.
+// fields, the row of ids, and the baseline) that predictOne completes.
 func initPredictResponse(resp *PredictResponse, rm *resolved, sc features.Scenario, co []int32) *Error {
 	row, e := validateScenario(rm.servedModel, sc, co)
 	if e != nil {
@@ -485,113 +497,152 @@ type BatchResponse struct {
 	Errors int `json:"errors"`
 }
 
+// handlePredictBatch serves a batch into a pooled batchReply and returns
+// it as the reply, which the edge releases once written, or releases it
+// and returns an error body.
 func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
+	br := batchReplyPool.Get().(*batchReply)
+	if e := s.predictBatch(r, tr, br); e != nil {
+		br.release()
+		return errBody(e)
+	}
+	return http.StatusOK, br
+}
+
+// predictBatch serves a batch into br, or reports the request's error.
+// One pass under one fanout span resolves every slot's names to ids
+// against the request's snapshot and evaluates all valid slots in one
+// batched model call; the encoder renders the reply from br directly.
+// Each slot still fails independently: validation errors mark only their
+// own slot, and a request-level timeout fails the un-evaluated slots
+// rather than the whole response. Results are bit-identical to per-slot
+// Predict.
+func (s *Server) predictBatch(r *http.Request, tr *obs.Trace, br *batchReply) *Error {
 	sp := tr.StartSpan("decode")
-	var req BatchRequest
-	e := decodeRequest(r, &req)
+	model, reqs, e := br.decode(r)
 	sp.End()
 	if e != nil {
-		return errBody(e)
+		return e
 	}
-	if len(req.Scenarios) == 0 {
-		return errBody(badRequest(CodeBadRequest, "scenarios must not be empty"))
+	if len(reqs) == 0 {
+		return badRequest(CodeBadRequest, "scenarios must not be empty")
 	}
-	if len(req.Scenarios) > maxBatch {
-		return errBody(badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(req.Scenarios), maxBatch))
+	if len(reqs) > maxBatch {
+		return badRequest(CodeBadRequest, "batch of %d exceeds limit %d", len(reqs), maxBatch)
 	}
-	rm, e := s.resolveModel(req.Model)
+	rm, e := s.resolveModel(model)
 	if e != nil {
-		return errBody(e)
+		return e
 	}
-
-	// One pass under one fanout span: validate every slot, evaluate all
-	// valid ones in one batched model call — a single GEMM per network
-	// layer instead of one forward pass per slot — and leave the rest to
-	// the encoder. Each slot still fails independently: validation errors
-	// mark only their own slot, and a request-level timeout fails the
-	// un-evaluated slots rather than the whole response. Results are
-	// bit-identical to per-slot Predict.
-	ctx := r.Context()
-	n := len(req.Scenarios)
-	out := &BatchResponse{Model: rm.name, Results: make([]BatchItem, n)}
-	resps := make([]PredictResponse, n) // one slab for every slot's result
-	ev := batchEvalPool.Get().(*batchEval)
-	defer ev.release()
-	total := 0
-	for _, sr := range req.Scenarios {
-		total += len(sr.CoApps)
-	}
-	co := make([]int32, total) // every slot's co-app ids, carved in order
 	fsp := tr.StartSpan("fanout")
-	fsp.Annotate("slots", strconv.Itoa(n))
-	for i, sr := range req.Scenarios {
-		k := len(sr.CoApps)
-		e := initPredictResponse(&resps[i], &rm, sr.scenario(), co[:k:k])
-		co = co[k:]
-		if e != nil {
-			out.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
-			out.Errors++
-			continue
-		}
-		out.Results[i].Result = &resps[i]
-		ev.rows = append(ev.rows, resps[i].row())
-	}
-	if rows := ev.rows; len(rows) > 0 {
+	fsp.Annotate("slots", strconv.Itoa(len(reqs)))
+	br.resolve(rm, reqs)
+	if rows := br.rows; len(rows) > 0 {
 		esp := fsp.StartChild("eval")
 		esp.Annotate("scenarios", strconv.Itoa(len(rows)))
-		ev.preds = slices.Grow(ev.preds, len(rows))[:len(rows)]
-		preds := ev.preds
+		br.preds = slices.Grow(br.preds[:0], len(rows))[:len(rows)]
+		ctx := r.Context()
 		err := ctx.Err()
 		if err == nil {
-			err = rm.m.PredictIDsInto(rows, preds)
+			err = rm.m.PredictIDsInto(rows, br.preds)
 		}
 		esp.End()
 		if err != nil {
-			ed := errorDetail{Code: CodeTimeout, Message: "request timed out before this scenario was served"}
+			br.evalErr = &errorDetail{Code: CodeTimeout, Message: "request timed out before this scenario was served"}
 			if ctx.Err() == nil {
 				e := asError(err)
-				ed = errorDetail{Code: e.Code, Message: e.Message}
-			}
-			for i := range out.Results {
-				if out.Results[i].Result != nil {
-					out.Results[i] = BatchItem{Error: &ed}
-					out.Errors++
-				}
-			}
-		} else {
-			j := 0
-			for _, it := range out.Results {
-				if resp := it.Result; resp != nil {
-					resp.PredictedSeconds, resp.PredictedSlowdown = preds[j], preds[j]/resp.BaselineSeconds
-					j++
-				}
+				br.evalErr = &errorDetail{Code: e.Code, Message: e.Message}
 			}
 		}
 	}
 	fsp.End()
-	return http.StatusOK, out
+	return nil
 }
 
-// batchEval is a batch's evaluation scratch: the rows of ids handed to
-// the model and the predictions it writes back. Neither is read once the
-// predictions are in the replies, so they are pooled rather than
-// allocated per request.
-type batchEval struct {
-	rows  []core.IDScenario
-	preds []float64
+// batchReply is a batch in the one form it keeps from decode to reply:
+// the snapshot that resolved it, a row of ids and a prediction per valid
+// slot, an error per failed slot, and where each slot's entry is. The
+// encoder appends the reply from it directly, copying names and baselines
+// from the snapshot's serving table. It is pooled with the decode's
+// scratch, and released once the reply is written.
+type batchReply struct {
+	rm resolved
+	// at[i] is slot i's index in rows and preds when at least 0, and
+	// -1-k for failed[k] otherwise.
+	at      []int32
+	rows    []core.IDScenario
+	preds   []float64
+	failed  []errorDetail
+	evalErr *errorDetail // set when the model call failed every valid slot
+	co      []int32      // every valid slot's co-app ids, carved in order
+
+	// The decode's scratch: the scanner's arena and the scanned rows.
+	scan jsonwire.Scanner
+	reqs []ScenarioRequest
 }
 
-var batchEvalPool = sync.Pool{New: func() any { return new(batchEval) }}
+var batchReplyPool = sync.Pool{New: func() any { return &batchReply{co: make([]int32, 0, 256)} }}
 
-// release empties the scratch, dropping the rows' references to the
-// request's co-app ids, and returns it to the pool; one oversized batch's
-// scratch is dropped rather than pinned.
-func (ev *batchEval) release() {
-	clear(ev.rows)
-	ev.rows, ev.preds = ev.rows[:0], ev.preds[:0]
-	if cap(ev.rows) <= maxRowHint {
-		batchEvalPool.Put(ev)
+// resolve validates every slot against rm's snapshot in one pass, in
+// slot order: a valid slot's row of ids joins rows, a failed slot's error
+// joins failed.
+func (br *batchReply) resolve(rm resolved, reqs []ScenarioRequest) {
+	br.rm = rm
+	total := 0
+	for i := range reqs {
+		total += len(reqs[i].CoApps)
 	}
+	// co is never nil, so neither is a row's slice of it for an empty
+	// co_apps: null and [] reply differently.
+	co := slices.Grow(br.co[:0], total)[:total]
+	br.co = co
+	br.at = slices.Grow(br.at[:0], len(reqs))
+	br.rows = slices.Grow(br.rows[:0], len(reqs))
+	for i := range reqs {
+		sr := &reqs[i]
+		k := len(sr.CoApps)
+		row, e := validateScenario(rm.servedModel, sr.scenario(), co[:k:k])
+		co = co[k:]
+		if e != nil {
+			br.at = append(br.at, int32(-1-len(br.failed)))
+			br.failed = append(br.failed, errorDetail{Code: e.Code, Message: e.Message})
+			continue
+		}
+		br.at = append(br.at, int32(len(br.rows)))
+		br.rows = append(br.rows, row)
+	}
+}
+
+// errors counts the failed slots.
+func (br *batchReply) errors() int {
+	if br.evalErr != nil {
+		return len(br.failed) + len(br.rows)
+	}
+	return len(br.failed)
+}
+
+// maxPooledIDs bounds the co-app ids a pooled reply keeps room for:
+// maxRowHint rows of four co-runners.
+const maxPooledIDs = 4 * maxRowHint
+
+// release empties the reply, dropping its references to the request and
+// the snapshot, and returns it to the pool when it fits; one oversized
+// batch's scratch is dropped rather than pinned.
+func (br *batchReply) release() {
+	clear(br.rows)
+	clear(br.failed)
+	clear(br.reqs)
+	br.scan.Reuse("")
+	br.rm, br.evalErr = resolved{}, nil
+	br.at, br.rows, br.preds, br.failed, br.reqs = br.at[:0], br.rows[:0], br.preds[:0], br.failed[:0], br.reqs[:0]
+	if br.fits() {
+		batchReplyPool.Put(br)
+	}
+}
+
+// fits reports whether br's scratch is small enough to keep in the pool.
+func (br *batchReply) fits() bool {
+	return cap(br.reqs) <= maxRowHint && cap(br.rows) <= maxRowHint && cap(br.co) <= maxPooledIDs
 }
 
 // resolveMachine maps a request machine name to a simulator spec,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -13,15 +14,24 @@ import (
 
 // The wire path. Request bodies are read, bounded, into a pooled buffer
 // and strictly decoded; reply bodies are encoded into a pooled buffer
-// and written in one piece. The two predict endpoints have a
-// hand-written fast path beside encoding/json in both directions and
-// /v1/observations one on the way in, all built on internal/jsonwire's
-// primitives. encoding/json stays the oracle: the fast decoder only ever
-// accepts input in the canonical form it fully recognises and hands
-// everything else — including everything malformed — to the stdlib
-// decoder, so acceptance, decoded values and every 400 message are the
-// stdlib's; the fast encoder renders only values it renders
-// byte-for-byte as json.Encoder does and hands the rest back to it.
+// and written in one piece. The two predict endpoints and
+// /v1/observations have a hand-written fast path beside encoding/json in
+// both directions, all built on internal/jsonwire's primitives.
+// encoding/json stays the oracle: the fast decoder only ever accepts
+// input in the canonical form it fully recognises and hands everything
+// else — including everything malformed — to the stdlib decoder, so
+// acceptance, decoded values and every 400 message are the stdlib's; the
+// fast encoder renders only values it renders byte-for-byte as
+// json.Encoder does and hands the rest back to it.
+//
+// A batch keeps one form from scan to reply (batchReply): its rows are
+// scanned into pooled scratch (or decoded by decodeStrict, outside the
+// canonical form), resolved to rows of ids against the request's
+// snapshot in one pass, evaluated in one model call, and the reply is
+// appended from the snapshot's serving table, the id rows, their
+// predictions and the slots' errors. No per-slot reply value is built;
+// the exported BatchResponse is built only for encoding/json, when the
+// append encoder declines a reply.
 
 // maxBodyBytes bounds a request body: maxBatch rows at up to 512 B each
 // (a 12-core scenario with eleven long co-runner names is about 250 B).
@@ -132,10 +142,10 @@ func decodeBytes[T any](body []byte, req *T) *Error {
 			return nil
 		}
 	case *BatchRequest:
-		if scanRequest(body, fieldModel|fieldScenarios, &o) {
-			req.Model, req.Scenarios = o.model, o.scenarios
-			return nil
-		}
+		var br batchReply
+		var e *Error
+		req.Model, req.Scenarios, e = br.decodeBytes(body)
+		return e
 	case *ObservationsRequest:
 		if scanRequest(body, observationFields|fieldObservations, &o) {
 			req.ObservationRequest, req.Observations = o.observation(), o.observations
@@ -187,6 +197,7 @@ const maxRowHint = 4096
 // wireObject holds every key a request object can carry; object fills
 // the ones its allowed set names.
 type wireObject struct {
+	seen  uint8 // the fields object read
 	model string
 	ScenarioRequest
 	predicted, measured float64
@@ -197,6 +208,37 @@ type wireObject struct {
 func (o wireObject) observation() ObservationRequest {
 	return ObservationRequest{Model: o.model, Target: o.Target, CoApps: o.CoApps, PState: o.PState,
 		PredictedSeconds: o.predicted, MeasuredSeconds: o.measured}
+}
+
+// decode reads and decodes a batch body into the request's model name
+// and its rows, through the fast scanner into br's reusable scratch when
+// the body is in canonical form and through decodeStrict otherwise:
+// either way the rows then go through the same resolver and encoder.
+func (br *batchReply) decode(r *http.Request) (string, []ScenarioRequest, *Error) {
+	wb, e := readRequest(r)
+	if e != nil {
+		return "", nil, e
+	}
+	defer putWireBuf(wb)
+	return br.decodeBytes(wb.b)
+}
+
+func (br *batchReply) decodeBytes(body []byte) (string, []ScenarioRequest, *Error) {
+	br.scan.Reuse(string(body))
+	o := wireObject{scenarios: br.reqs[:0]} // the scanned rows land in br.reqs' storage
+	if object(&br.scan, fieldModel|fieldScenarios, &o) && br.scan.AtEnd() {
+		if o.seen&fieldScenarios == 0 {
+			o.scenarios = nil
+		} else {
+			br.reqs = o.scenarios
+		}
+		return o.model, o.scenarios, nil
+	}
+	// The rows a failed scan wrote lie past br.reqs' length.
+	clear(br.reqs[:cap(br.reqs)])
+	var req BatchRequest
+	e := decodeStrict(body, &req)
+	return req.Model, req.Scenarios, e
 }
 
 // scanRequest is the fast decoder: it takes a request in the form clients
@@ -226,25 +268,36 @@ func ScanPredictRequest(body []byte, req *PredictRequest) bool {
 }
 
 // rows scans an array of objects whose keys are drawn from allowed into
-// rows of T.
-func rows[T ScenarioRequest | ObservationRequest](d *jsonwire.Scanner, allowed uint8) ([]T, bool) {
+// rows of T, appended to out's storage when out is not nil.
+func rows[T ScenarioRequest | ObservationRequest](d *jsonwire.Scanner, allowed uint8, out []T) ([]T, bool) {
 	if !d.Eat('[') {
 		return nil, false
 	}
-	out := make([]T, 0, min(d.Count("{")-1, maxRowHint))
+	if out == nil {
+		out = make([]T, 0, min(d.Count("{")-1, maxRowHint))
+	}
 	if d.Eat(']') {
 		return out, true
 	}
+	// A body's rows share one layout, so once a row is outside
+	// scenarioRow's the rest go straight to object.
+	layout := true
 	for {
 		var o wireObject
-		if !object(d, allowed, &o) {
-			return nil, false
-		}
 		out = append(out, *new(T))
 		switch row := any(&out[len(out)-1]).(type) {
 		case *ScenarioRequest:
-			*row = o.ScenarioRequest
+			if !layout || !scenarioRow(d, row) {
+				layout = false
+				if !object(d, allowed, &o) {
+					return nil, false
+				}
+				*row = o.ScenarioRequest
+			}
 		case *ObservationRequest:
+			if !object(d, allowed, &o) {
+				return nil, false
+			}
 			*row = o.observation()
 		}
 		if d.Eat(',') {
@@ -252,6 +305,28 @@ func rows[T ScenarioRequest | ObservationRequest](d *jsonwire.Scanner, allowed u
 		}
 		return out, d.Eat(']')
 	}
+}
+
+// scenarioRow scans a scenario in the layout json.Marshal writes one,
+// {"target":…,"co_apps":[…],"pstate":…} with its keys in that order and
+// no space around them, into sr, and reports false with the scanner
+// unmoved for any other layout, which object then reads. It is the batch
+// decoder's fast path: a row in that form costs three literal
+// comparisons, not three keys to scan and look up.
+func scenarioRow(d *jsonwire.Scanner, sr *ScenarioRequest) bool {
+	at := d.Mark()
+	var ok bool
+	if d.Lit(`{"target":`) {
+		if sr.Target, ok = d.Str(); ok && d.Lit(`,"co_apps":`) {
+			if sr.CoApps, ok = d.StringArray(); ok && d.Lit(`,"pstate":`) {
+				if sr.PState, ok = d.Int(); ok && d.Lit("}") {
+					return true
+				}
+			}
+		}
+	}
+	d.Rewind(at)
+	return false
 }
 
 // object scans one object whose keys are drawn from allowed into o.
@@ -262,7 +337,6 @@ func object(d *jsonwire.Scanner, allowed uint8, o *wireObject) bool {
 	if d.Eat('}') {
 		return true
 	}
-	var seen uint8
 	for {
 		key, ok := d.Str()
 		if !ok || !d.Eat(':') {
@@ -287,10 +361,10 @@ func object(d *jsonwire.Scanner, allowed uint8, o *wireObject) bool {
 		case "observations":
 			f = fieldObservations
 		}
-		if allowed&f == 0 || seen&f != 0 {
+		if allowed&f == 0 || o.seen&f != 0 {
 			return false
 		}
-		seen |= f
+		o.seen |= f
 		switch f {
 		case fieldModel:
 			o.model, ok = d.Str()
@@ -305,9 +379,9 @@ func object(d *jsonwire.Scanner, allowed uint8, o *wireObject) bool {
 		case fieldMeasured:
 			o.measured, ok = d.Float()
 		case fieldScenarios:
-			o.scenarios, ok = rows[ScenarioRequest](d, scenarioFields)
+			o.scenarios, ok = rows(d, scenarioFields, o.scenarios[:0])
 		case fieldObservations:
-			o.observations, ok = rows[ObservationRequest](d, observationFields)
+			o.observations, ok = rows[ObservationRequest](d, observationFields, nil)
 		}
 		if !ok {
 			return false
@@ -345,10 +419,16 @@ func writeBody(w http.ResponseWriter, status int, wb *wireBuf, encErr error) {
 	putWireBuf(wb)
 }
 
+// errNonFinite is the encoding error of a served batch holding a
+// number JSON cannot carry.
+var errNonFinite = errors.New("serve: reply holds a non-finite number")
+
 // encodeBody appends to wb exactly the bytes json.NewEncoder(w).Encode(body)
-// writes: through the append encoders for the predict replies, through
-// encoding/json for every other body and for any predict reply the
-// append encoders decline.
+// writes: through the append encoders for the predict and observation
+// replies, through encoding/json for every other body and for any reply
+// the append encoders decline. A served batch, which only the append
+// encoder renders, declines only what encoding/json would fail on, and
+// fails with errNonFinite.
 func encodeBody(wb *wireBuf, body any) error {
 	start, ok := len(wb.b), false
 	switch v := body.(type) {
@@ -356,9 +436,14 @@ func encodeBody(wb *wireBuf, body any) error {
 		if v != nil {
 			wb.b, ok = appendPredictResponse(wb.b, v)
 		}
-	case *BatchResponse:
+	case *batchReply:
+		if wb.b, ok = appendBatchReply(wb.b, v); !ok {
+			wb.b = wb.b[:start]
+			return errNonFinite
+		}
+	case *ObservationsResponse:
 		if v != nil {
-			wb.b, ok = appendBatchResponse(wb.b, v)
+			wb.b, ok = appendObservationsResponse(wb.b, v)
 		}
 	}
 	if ok {
@@ -370,20 +455,25 @@ func encodeBody(wb *wireBuf, body any) error {
 }
 
 func appendPredictResponse(b []byte, p *PredictResponse) ([]byte, bool) {
-	return appendPredictFields(appendPredictIdentity(b, p), p)
+	if sm := p.served; sm != nil {
+		b = append(b, sm.identity...)
+	} else {
+		b = appendIdentity(b, p.Model, p.Generation, p.Spec)
+	}
+	return appendPredictFields(b, p)
 }
 
-// appendPredictIdentity opens a predict reply with the fields that say
-// which model answered; every row of a served batch shares them.
-func appendPredictIdentity(b []byte, p *PredictResponse) []byte {
-	b = jsonwire.AppendString(append(b, `{"model":`...), p.Model)
-	b = strconv.AppendUint(append(b, `,"generation":`...), p.Generation, 10)
-	return jsonwire.AppendString(append(b, `,"spec":`...), p.Spec)
+// appendIdentity opens a predict reply with the fields that say which
+// model answered; every row of a served batch shares them.
+func appendIdentity(b []byte, model string, generation uint64, spec string) []byte {
+	b = jsonwire.AppendString(append(b, `{"model":`...), model)
+	b = strconv.AppendUint(append(b, `,"generation":`...), generation, 10)
+	return jsonwire.AppendString(append(b, `,"spec":`...), spec)
 }
 
-// appendPredictFields completes a reply appendPredictIdentity opened.
-// A reply built from a serving snapshot copies its names and baseline
-// from the snapshot's table, rendered once per model.
+// appendPredictFields completes a predict reply after its identity. A
+// reply built from a serving snapshot copies its identity, names and
+// baseline from the snapshot's table, rendered once per model.
 func appendPredictFields(b []byte, p *PredictResponse) ([]byte, bool) {
 	sm := p.served
 	b = append(b, `,"target":`...)
@@ -461,48 +551,95 @@ func PredictReplyIdentity(body []byte) (model string, generation uint64, ok bool
 	return string(name), generation, true
 }
 
-func appendBatchResponse(b []byte, r *BatchResponse) ([]byte, bool) {
-	b = jsonwire.AppendString(append(b, `{"model":`...), r.Model)
+// appendBatchReply renders a served batch from its rows, predictions and
+// slot errors, copying the identity, names and baselines from the
+// snapshot's serving table. It declines a reply with a non-finite
+// number, which encoding/json cannot encode either.
+func appendBatchReply(b []byte, br *batchReply) ([]byte, bool) {
+	sm := br.rm.servedModel
+	b = jsonwire.AppendString(append(b, `{"model":`...), br.rm.name)
+	b = append(b, `,"results":[`...)
+	for i, k := range br.at {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch {
+		case k < 0:
+			b = appendSlotError(b, &br.failed[-1-k])
+			continue
+		case br.evalErr != nil:
+			b = appendSlotError(b, br.evalErr)
+			continue
+		}
+		row, pred := &br.rows[k], br.preds[k]
+		app := &sm.apps[row.Target]
+		b = append(b, app.row...)
+		if row.CoApps == nil {
+			b = append(b, "null"...)
+		} else {
+			b = append(b, '[')
+			for j, id := range row.CoApps {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, sm.apps[id].json...)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, sm.pstateKeys[row.PState]...)
+		base, tail := app.secs[row.PState], app.tail[row.PState]
+		var ok1, ok2 bool
+		b, ok1 = jsonwire.AppendFloat(b, pred)
+		b, ok2 = jsonwire.AppendFloat(append(b, `,"predicted_slowdown":`...), pred/base)
+		if !ok1 || !ok2 || tail == "" {
+			// A non-finite number, or a baseline encoding/json would
+			// fail on too.
+			return b, false
+		}
+		b = append(b, tail...)
+	}
+	b = strconv.AppendInt(append(b, `],"errors":`...), int64(br.errors()), 10)
+	return append(b, '}'), true
+}
+
+// appendSlotError renders a failed slot, {"error":{...}}.
+func appendSlotError(b []byte, e *errorDetail) []byte {
+	return append(appendErrorDetail(append(b, `{"error":`...), e), '}')
+}
+
+func appendErrorDetail(b []byte, e *errorDetail) []byte {
+	b = jsonwire.AppendString(append(b, `{"code":`...), e.Code)
+	b = jsonwire.AppendString(append(b, `,"message":`...), e.Message)
+	return append(b, '}')
+}
+
+func appendObservationsResponse(b []byte, r *ObservationsResponse) ([]byte, bool) {
+	b = strconv.AppendInt(append(b, `{"accepted":`...), int64(r.Accepted), 10)
+	b = strconv.AppendInt(append(b, `,"rejected":`...), int64(r.Rejected), 10)
 	b = append(b, `,"results":`...)
 	if r.Results == nil {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
-		var shared *PredictResponse // the row b[from:to] was rendered for
-		var from, to int
 		for i := range r.Results {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			it := &r.Results[i]
-			b = append(b, '{')
-			if p := it.Result; p != nil {
-				// The row's opening is rendered once and copied for every
-				// following row with the same identity.
-				if shared != nil && p.Model == shared.Model && p.Generation == shared.Generation && p.Spec == shared.Spec {
-					b = append(b, b[from:to]...)
-				} else {
-					from = len(b)
-					b = appendPredictIdentity(append(b, `"result":`...), p)
-					to, shared = len(b), p
-				}
-				var ok bool
-				if b, ok = appendPredictFields(b, p); !ok {
-					return b, false
-				}
+			var ok bool
+			if b, ok = jsonwire.AppendFloat(append(b, `{"percent_error":`...), it.PercentError); !ok {
+				return b, false
 			}
 			if it.Error != nil {
-				if it.Result != nil {
-					b = append(b, ',')
-				}
-				b = jsonwire.AppendString(append(b, `"error":{"code":`...), it.Error.Code)
-				b = jsonwire.AppendString(append(b, `,"message":`...), it.Error.Message)
-				b = append(b, '}')
+				b = appendErrorDetail(append(b, `,"error":`...), it.Error)
 			}
 			b = append(b, '}')
 		}
 		b = append(b, ']')
 	}
-	b = strconv.AppendInt(append(b, `,"errors":`...), int64(r.Errors), 10)
+	b = strconv.AppendBool(append(b, `,"drift_tripped":`...), r.DriftTripped)
+	if r.RetrainTriggered {
+		b = append(b, `,"retrain_triggered":true`...)
+	}
 	return append(b, '}'), true
 }

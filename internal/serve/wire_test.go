@@ -17,6 +17,7 @@ import (
 	"colocmodel/internal/drift"
 	"colocmodel/internal/features"
 	"colocmodel/internal/harness"
+	"colocmodel/internal/jsonwire"
 	"colocmodel/internal/retrain"
 )
 
@@ -376,58 +377,121 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		check(p, got, ok)
 	}
 	for i := 0; i < 30_000; i++ {
-		r := &BatchResponse{Model: randString(rng), Errors: int(rng.Int64() >> rng.IntN(64))}
+		br, names := randBatchReply(rng)
+		got, ok := appendBatchReply(nil, br)
+		check(batchResponse(br, names), got, ok)
+		// encodeBody renders the reply itself as json.Encoder renders the
+		// BatchResponse it stands for, declined or not.
+		want, err := referenceJSON(batchResponse(br, names))
+		wb := getWireBuf()
+		if encErr := encodeBody(wb, br); (encErr == nil) != (err == nil) || (err == nil && !bytes.Equal(wb.b, want)) {
+			t.Fatalf("encodeBody: error %v body %s\nencoding/json: error %v body %s", encErr, wb.b, err, want)
+		}
+		putWireBuf(wb)
+	}
+	for i := 0; i < 30_000; i++ {
+		r := &ObservationsResponse{Accepted: int(rng.Int64() >> rng.IntN(64)), Rejected: rng.IntN(5) - 2,
+			DriftTripped: rng.IntN(2) == 0, RetrainTriggered: rng.IntN(2) == 0}
 		switch n := rng.IntN(7); n {
 		case 0: // nil: "null"
 		case 1:
-			r.Results = []BatchItem{}
+			r.Results = []ObservationItem{}
 		default:
-			r.Results = make([]BatchItem, n-1)
+			r.Results = make([]ObservationItem, n-1)
 			for j := range r.Results {
-				kind := rng.IntN(8)
-				if kind != 0 && kind != 1 { // 0: empty slot, 1: error only
-					r.Results[j].Result = randPredictResponse(rng, rng.IntN(50) != 0)
+				if rng.IntN(20) != 0 {
+					r.Results[j].PercentError = randFloat(rng)
 				}
-				if kind <= 2 { // 2: both
+				if rng.IntN(3) == 0 {
 					r.Results[j].Error = &errorDetail{Code: randString(rng), Message: randString(rng)}
 				}
 			}
 		}
-		got, ok := appendBatchResponse(nil, r)
+		got, ok := appendObservationsResponse(nil, r)
 		check(r, got, ok)
 	}
-	// The rows of a served batch share model, generation and spec, and
-	// the encoder renders those once and copies them; the random rows
-	// above never share them. Here rows share one identity throughout
-	// (an error-only slot in between), or alternate with a second that
-	// differs in exactly one of the three, which must be rendered afresh
-	// each time — for names the json.Marshal fallback renders and for
-	// generations at both ends.
-	row := func(model string, gen uint64, spec string) BatchItem {
-		p := randPredictResponse(rng, true)
-		p.Model, p.Generation, p.Spec = model, gen, spec
-		return BatchItem{Result: p}
-	}
-	for _, model := range []string{"primary", "", "<m>", `q"uote`, "café", "\xff"} {
-		for _, gen := range []uint64{0, 1, math.MaxUint64} {
-			for _, other := range [][3]any{{model + "2", gen, "s"}, {model, gen + 1, "s"}, {model, gen, "<s>"}} {
-				shared, alternating := &BatchResponse{Model: model}, &BatchResponse{Model: model}
-				for i := 0; i < 6; i++ {
-					shared.Results = append(shared.Results, row(model, gen, "s"))
-					if i%2 == 1 {
-						alternating.Results = append(alternating.Results, row(other[0].(string), other[1].(uint64), other[2].(string)))
-					} else {
-						alternating.Results = append(alternating.Results, row(model, gen, "s"))
-					}
-				}
-				shared.Results[2] = BatchItem{Error: &errorDetail{Code: CodeUnknownApp, Message: "x"}}
-				for _, r := range []*BatchResponse{shared, alternating} {
-					got, ok := appendBatchResponse(nil, r)
-					check(r, got, ok)
+}
+
+// batchResponse is br as the exported BatchResponse it stands for, names
+// being its serving table's application names by id: the value
+// encoding/json must render to the bytes the append encoder renders from
+// br, and must fail on exactly when the encoder declines.
+func batchResponse(br *batchReply, names []string) *BatchResponse {
+	sm := br.rm.servedModel
+	out := &BatchResponse{Model: br.rm.name, Results: make([]BatchItem, len(br.at)), Errors: br.errors()}
+	for i, k := range br.at {
+		switch {
+		case k < 0:
+			out.Results[i].Error = &br.failed[-1-k]
+		case br.evalErr != nil:
+			out.Results[i].Error = br.evalErr
+		default:
+			row, app := br.rows[k], &sm.apps[br.rows[k].Target]
+			p := &PredictResponse{Model: br.rm.name, Generation: sm.gen, Spec: sm.spec, Target: names[row.Target], PState: row.PState,
+				PredictedSeconds: br.preds[k], PredictedSlowdown: br.preds[k] / app.secs[row.PState], BaselineSeconds: app.secs[row.PState]}
+			if row.CoApps != nil {
+				p.CoApps = make([]string, len(row.CoApps))
+				for j, id := range row.CoApps {
+					p.CoApps[j] = names[id]
 				}
 			}
+			out.Results[i].Result = p
 		}
 	}
+	return out
+}
+
+// randBatchReply is a served batch over a random serving table: names
+// that need escaping, baselines encoding/json prints in exponent form or
+// cannot print, null and empty co-apps, failed slots between served ones,
+// and now and then a model call that failed every valid slot. It returns
+// the table's application names by id beside it.
+func randBatchReply(rng *rand.Rand) (*batchReply, []string) {
+	sm := &servedModel{gen: rng.Uint64() >> rng.IntN(64), spec: randString(rng), pstates: 3}
+	var names []string
+	for n := 1 + rng.IntN(4); len(sm.apps) < n; {
+		names = append(names, randString(rng))
+		app := servedApp{json: string(jsonwire.AppendString(nil, names[len(names)-1])),
+			secs: make([]float64, sm.pstates), text: make([]string, sm.pstates)}
+		for ps := range app.secs {
+			app.secs[ps] = randFloat(rng)
+			if rng.IntN(40) != 0 && (math.IsNaN(app.secs[ps]) || math.IsInf(app.secs[ps], 0)) {
+				app.secs[ps] = 294.1
+			}
+			if text, ok := jsonwire.AppendFloat(nil, app.secs[ps]); ok {
+				app.text[ps] = string(text)
+			}
+		}
+		sm.apps = append(sm.apps, app)
+	}
+	name := randString(rng)
+	sm.identity = string(appendIdentity(nil, name, sm.gen, sm.spec))
+	sm.frameRows()
+	br := &batchReply{rm: resolved{name: name, servedModel: sm}}
+	for slots := 1 + rng.IntN(6); len(br.at) < slots; {
+		if rng.IntN(4) == 0 {
+			br.at = append(br.at, int32(-1-len(br.failed)))
+			br.failed = append(br.failed, errorDetail{Code: randString(rng), Message: randString(rng)})
+			continue
+		}
+		row := core.IDScenario{Target: int32(rng.IntN(len(sm.apps))), PState: rng.IntN(sm.pstates)}
+		if n := rng.IntN(5); n > 0 {
+			row.CoApps = make([]int32, n-1)
+			for j := range row.CoApps {
+				row.CoApps[j] = int32(rng.IntN(len(sm.apps)))
+			}
+		}
+		pred := randFloat(rng)
+		if rng.IntN(50) != 0 && (math.IsNaN(pred) || math.IsInf(pred, 0)) {
+			pred = 1.5
+		}
+		br.at = append(br.at, int32(len(br.rows)))
+		br.rows, br.preds = append(br.rows, row), append(br.preds, pred)
+	}
+	if rng.IntN(30) == 0 {
+		br.evalErr = &errorDetail{Code: CodeTimeout, Message: randString(rng)}
+	}
+	return br, names
 }
 
 // A response built from the serving table carries its baseline already
@@ -734,13 +798,16 @@ func TestPredictAllocs(t *testing.T) {
 // batchAllocBudget is the allocation count of one 64-row
 // /v1/predict/batch of the repository benchmark's wide shape (0–5
 // co-runners, no scenario posted twice, as in a what-if sweep) under the
-// default config: what a single predict's envelope costs plus the
-// request deadline, the scenario slice, the reply, its item and response
-// slabs, and the slots' co-app ids — a fixed number per request, none per
-// row. The rows handed to the model and its predictions are pooled. It
-// guards the batch path the way TestRoutedPredictAllocs guards the
-// router's.
-const batchAllocBudget = 19
+// default config: the envelope's four a single predict also pays (the
+// request ID and its header slice, the Server-Timing value and its
+// header slice), five for the request deadline (its context, that
+// context's cancel and timer functions, the timer, and the request copy
+// that carries it), the fanout and eval spans' two annotations, and the
+// body's string for the scanner — a fixed number per request, none per
+// row. The scanned rows, their ids and predictions and the reply are
+// pooled. It guards the batch path the way TestRoutedPredictAllocs
+// guards the router's.
+const batchAllocBudget = 12
 
 func TestBatchPredictAllocs(t *testing.T) {
 	s := neuralTestServer(t, Config{})
@@ -762,5 +829,107 @@ func TestBatchPredictAllocs(t *testing.T) {
 	}
 	if allocs > batchAllocBudget {
 		t.Fatalf("64-row /v1/predict/batch allocates %v per request, budget %d", allocs, batchAllocBudget)
+	}
+}
+
+// TestBatchScratchIsBounded: a batch whose co-apps outgrow the pooled
+// scratch's bound is not pooled, and a body the fast decoder gives up on
+// partway leaves none of the rows it scanned behind in the scratch.
+func TestBatchScratchIsBounded(t *testing.T) {
+	s := neuralTestServer(t, Config{})
+	rm, e := s.resolveModel("")
+	if e != nil {
+		t.Fatal(e)
+	}
+	apps := rm.m.Apps()
+	batch := func(coApps int) []byte {
+		co := make([]string, coApps)
+		for i := range co {
+			co[i] = apps[0]
+		}
+		body, err := json.Marshal(BatchRequest{Scenarios: []ScenarioRequest{{Target: apps[0], CoApps: co}, {Target: apps[1], CoApps: co}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	for _, tc := range []struct {
+		coApps int
+		fits   bool
+	}{{5, true}, {maxPooledIDs / 2, true}, {maxPooledIDs/2 + 1, false}} {
+		var br batchReply
+		_, reqs, e := br.decodeBytes(batch(tc.coApps))
+		if e != nil {
+			t.Fatal(e)
+		}
+		br.resolve(rm, reqs)
+		if br.errors() != 0 || br.fits() != tc.fits {
+			t.Fatalf("two rows of %d co-apps: %d errors, fits %v, want 0, %v", tc.coApps, br.errors(), br.fits(), tc.fits)
+		}
+	}
+
+	br := batchReply{reqs: make([]ScenarioRequest, 0, 8)}
+	row := `{"target":"cg","co_apps":["ep"],"pstate":0}`
+	_, reqs, e := br.decodeBytes([]byte(`{"scenarios":[` + row + `,` + row + `,{"target":"c\u0067"}]}`))
+	if e != nil || len(reqs) != 3 || reqs[2].Target != "cg" {
+		t.Fatalf("decoded %+v, %v", reqs, e)
+	}
+	for i, sr := range br.reqs[:cap(br.reqs)] {
+		if sr.Target != "" || sr.CoApps != nil {
+			t.Fatalf("scratch row %d still holds %+v after the strict decoder took over", i, sr)
+		}
+	}
+}
+
+// BenchmarkBatchDecode decodes a 64-row batch body in three layouts:
+// json.Marshal's, which scenarioRow reads; keys in another order, where
+// the first row's literal attempt fails at once; and a space before each
+// row's closing brace, where the first row's attempt fails at its last
+// literal. After one failed row the rest go straight to object.
+func BenchmarkBatchDecode(b *testing.B) {
+	apps := []string{"canneal", "cg", "ep", "streamcluster", "fluidanimate", "swaptions"}
+	rows := make([]ScenarioRequest, 64)
+	var reordered strings.Builder
+	reordered.WriteString(`{"scenarios":[`)
+	for i := range rows {
+		co := make([]string, i%6)
+		for j := range co {
+			co[j] = apps[(i+j)%len(apps)]
+		}
+		rows[i] = ScenarioRequest{Target: apps[i%len(apps)], CoApps: co, PState: i % 3}
+		coJSON, err := json.Marshal(co)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 {
+			reordered.WriteByte(',')
+		}
+		fmt.Fprintf(&reordered, `{"pstate":%d,"target":%q,"co_apps":%s}`, i%3, rows[i].Target, coJSON)
+	}
+	reordered.WriteString(`]}`)
+	canonical, err := json.Marshal(BatchRequest{Scenarios: rows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		body string
+	}{
+		{"marshal", string(canonical)},
+		{"key-order", reordered.String()},
+		{"space-before-brace", strings.ReplaceAll(string(canonical), "}", " }")},
+	} {
+		body := []byte(tc.body)
+		b.Run(tc.name, func(b *testing.B) {
+			if !fastDecoders["batch"](body) {
+				b.Fatal("the fast decoder declined the body")
+			}
+			var br batchReply
+			for i := 0; i < b.N; i++ {
+				if _, reqs, e := br.decodeBytes(body); e != nil || len(reqs) != len(rows) {
+					b.Fatalf("decoded %d rows, %v", len(reqs), e)
+				}
+			}
+		})
 	}
 }
