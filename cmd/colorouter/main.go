@@ -1,8 +1,7 @@
-// Command colorouter is the scale-out serving gateway: it spreads
-// prediction traffic across a replicated coloserve fleet with
-// consistent-hash scenario affinity, health- and generation-aware
-// backend selection,
-// tail-latency hedging, and coordinated rolling model promotions.
+// Command colorouter is the scale-out serving gateway: it forwards every
+// call to the least-loaded healthy coloserve backend at the client's
+// generation floor, with tail-latency hedging for predicts and
+// coordinated rolling model promotions.
 //
 // Usage:
 //
@@ -15,12 +14,12 @@
 //
 // Endpoints:
 //
-//	POST /v1/predict          routed by scenario key, hedged
+//	POST /v1/predict          least-loaded, hedged
 //	POST /v1/predict/batch    forwarded whole, least-loaded
 //	POST /v1/placements       forwarded whole, least-loaded, streamed
-//	POST /v1/observations     routed by scenario key (never hedged)
+//	POST /v1/observations     forwarded whole, least-loaded (never hedged)
 //	POST /v1/models/reload    rolling promotion across the fleet
-//	GET  /v1/models           proxied from the most-promoted backend
+//	GET  /v1/models           from the most-promoted backend, failing over
 //	GET  /v1/cluster          membership, health and generation state
 //	GET  /v1/traces           stitched cross-process traces from the ring
 //	GET  /v1/slo              SLO burn-rate verdict (ok | warn | page)
@@ -71,7 +70,7 @@ type options struct {
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.listen, "listen", ":8080", "address to serve on")
-	fs.IntVar(&o.cfg.Replicas, "replicas", 2, "replica-set size per scenario key")
+	fs.IntVar(&o.cfg.Replicas, "replicas", 2, "backends a predict or observation may try: failover and hedge breadth")
 	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 2*time.Second, "health/generation probe interval")
 	fs.IntVar(&o.cfg.EjectAfter, "eject-after", 3, "consecutive probe failures before a backend is ejected")
 	fs.DurationVar(&o.cfg.HedgeAfter, "hedge-after", 0, "hedge delay for predict calls (0 = derive from observed p95, negative disables)")

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,11 +57,7 @@ type scriptedBackend struct {
 	reply    string
 	stall    time.Duration     // waited out before any scripted reply
 	retryHdr string            // Retry-After value sent with replyShed
-	targets  []string          // observation targets ingested, in arrival order
 	reqIDs   map[string]string // inbound X-Request-ID of the latest call, by path
-	// Observation-shard reply knobs.
-	rejectTarget   string
-	drift, retrain bool
 }
 
 func (sb *scriptedBackend) script(reply string) {
@@ -122,27 +117,7 @@ func newScriptedBackend(t *testing.T, name string, gen uint64) *scriptedBackend 
 		_ = json.NewEncoder(w).Encode(batchResponse{Model: "demo", Results: results})
 	}))
 	mux.HandleFunc("POST /v1/observations", scripted(func(w http.ResponseWriter, r *http.Request) {
-		var req serve.ObservationsRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		batch := req.Observations
-		if len(batch) == 0 {
-			batch = []serve.ObservationRequest{req.ObservationRequest}
-		}
-		sb.mu.Lock()
-		defer sb.mu.Unlock()
-		resp := obsResponse{Results: make([]obsItem, len(batch)), DriftTripped: sb.drift, RetrainTriggered: sb.retrain}
-		for i, or := range batch {
-			sb.targets = append(sb.targets, or.Target)
-			if or.Target == sb.rejectTarget {
-				resp.Results[i].Error = &errorDetail{Code: "bad_request", Message: "rejected by script"}
-				resp.Rejected++
-				continue
-			}
-			// Echo the measurement so the merged order is checkable.
-			resp.Results[i].PercentError = or.MeasuredSeconds
-			resp.Accepted++
-		}
-		_ = json.NewEncoder(w).Encode(resp)
+		io.WriteString(w, `{"accepted":1,"rejected":0}`)
 	}))
 	mux.HandleFunc("POST /v1/placements", scripted(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
@@ -211,17 +186,22 @@ func TestCallPathConformance(t *testing.T) {
 	failsOver := map[string]outcome{
 		replyOK: {200, "a"}, replyTransport: {200, "b"}, replyShed: {200, "b"}, reply500: {200, "b"},
 	}
+	// Ingest, one observation or a batch forwarded whole, fails over on a
+	// shed alone: a 500 may have appended, so it is replayed, not retried.
+	ingest := map[string]outcome{
+		replyOK: {200, "a"}, replyTransport: {502, ""}, replyShed: {200, "b"}, reply500: {500, "a"},
+	}
 	callers := []struct {
 		name string
-		call func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string)
+		call func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string)
 		want map[string]outcome
 	}{
-		{"predict", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
-			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil)
+		{"predict", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
+			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 			return rec, rec.Header().Get("X-Backend")
 		}, failsOver},
-		{"batch", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
-			body := fmt.Sprintf(`{"model":"demo","scenarios":[{"target":%q,"co_apps":["ep"],"pstate":0}]}`, sc.Target)
+		{"batch", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
+			body := fmt.Sprintf(`{"model":"demo","scenarios":[{"target":%q,"co_apps":["ep"],"pstate":0}]}`, testScenario.Target)
 			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", body, nil)
 			var resp batchResponse
 			var slot struct {
@@ -232,50 +212,27 @@ func TestCallPathConformance(t *testing.T) {
 			}
 			return rec, slot.ServedBy
 		}, failsOver},
-		{"observation", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
-			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/observations", obsBody(sc.Target, 2), nil)
+		{"observation", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
+			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/observations", obsBody(testScenario.Target, 2), nil)
 			return rec, rec.Header().Get("X-Backend")
-		}, map[string]outcome{
-			// A 500 may have appended: it is replayed, not retried.
-			replyOK: {200, "a"}, replyTransport: {502, ""}, replyShed: {200, "b"}, reply500: {500, "a"},
-		}},
-		{"observation scatter", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
-			body := fmt.Sprintf(`{"observations":[%s,%s]}`, obsBody(sc.Target, 2), obsBody(sc.Target, 3))
+		}, ingest},
+		{"observation batch", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
+			body := fmt.Sprintf(`{"observations":[%s,%s]}`, obsBody(testScenario.Target, 2), obsBody(testScenario.Target, 3))
 			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/observations", body, nil)
-			var resp obsResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 2 {
-				t.Fatalf("scatter response: %v: %s", err, rec.Body.String())
-			}
-			if resp.Accepted == 2 {
-				for _, sb := range []*scriptedBackend{a, b} {
-					if len(sb.targets) == 2 {
-						return rec, sb.name
-					}
-				}
-			}
-			for i, item := range resp.Results {
-				if resp.Rejected != 2 || item.Error == nil || item.Error.Code != CodeBackendUnavailable {
-					t.Errorf("slot %d of the failed shard: %+v (rejected=%d), want %s", i, item, resp.Rejected, CodeBackendUnavailable)
-				}
-			}
-			return rec, ""
-		}, map[string]outcome{
-			// The scatter itself always answers 200; a shard that may have
-			// appended is reported per slot, not retried.
-			replyOK: {200, "a"}, replyTransport: {200, ""}, replyShed: {200, "b"}, reply500: {200, ""},
-		}},
-		{"placements", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
+			return rec, rec.Header().Get("X-Backend")
+		}, ingest},
+		{"placements", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
 			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/placements", placementsBody, nil)
 			return rec, rec.Header().Get("X-Backend")
 		}, failsOver},
-		{"placements streaming", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
+		{"placements streaming", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
 			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/placements", `{"machines":[{"count":2}],"apps":["cg","ep"],"stream":true}`, nil)
 			if rec.Code == http.StatusOK && strings.Count(rec.Body.String(), "\n") != 2 {
 				t.Errorf("streamed body is not the backend's two NDJSON lines: %q", rec.Body.String())
 			}
 			return rec, rec.Header().Get("X-Backend")
 		}, failsOver},
-		{"reload", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
+		{"reload", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
 			rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/models/reload", "", nil)
 			var resp RolloutResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Backends) != 2 {
@@ -293,27 +250,22 @@ func TestCallPathConformance(t *testing.T) {
 		}, map[string]outcome{
 			replyOK: {200, "a"}, replyTransport: {200, ""}, replyShed: {200, ""}, reply500: {200, ""},
 		}},
-		{"models", func(t *testing.T, rt *Router, sc features.Scenario, a, b *scriptedBackend) (*httptest.ResponseRecorder, string) {
+		{"models", func(t *testing.T, rt *Router) (*httptest.ResponseRecorder, string) {
 			rec := doReq(t, rt.Handler(), http.MethodGet, "/v1/models", "", nil)
 			return rec, rec.Header().Get("X-Backend")
-		}, map[string]outcome{
-			// One proxy call to the most-promoted backend, no failover.
-			replyOK: {200, "a"}, replyTransport: {502, ""}, replyShed: {502, ""}, reply500: {500, "a"},
-		}},
+		}, failsOver},
 	}
 	for _, caller := range callers {
 		for _, reply := range []string{replyOK, replyTransport, replyShed, reply500} {
 			t.Run(caller.name+"/"+reply, func(t *testing.T) {
-				// "a" is every caller's first candidate: it owns the
-				// scenario and sorts first under equal load and equal
-				// generations.
+				// "a" is every caller's first candidate: it sorts first by
+				// name under equal load and equal generations.
 				a, b := newScriptedBackend(t, "a", 1), newScriptedBackend(t, "b", 1)
 				rt := newScriptedRouter(t, Config{Replicas: 2}, a, b)
-				sc := scenarioOwnedBy(t, rt, "a")
 				a.script(reply)
 				ba, bb := rt.pool.Get("a"), rt.pool.Get("b")
 
-				rec, servedBy := caller.call(t, rt, sc, a, b)
+				rec, servedBy := caller.call(t, rt)
 				want := caller.want[reply]
 				if rec.Code != want.status || servedBy != want.servedBy {
 					t.Fatalf("status %d served by %q, want %d by %q: %s", rec.Code, servedBy, want.status, want.servedBy, rec.Body.String())
@@ -383,11 +335,10 @@ func TestRouteStageIsCandidateResolution(t *testing.T) {
 	} {
 		a, b := newScriptedBackend(t, "a", 1), newScriptedBackend(t, "b", 1)
 		rt := newScriptedRouter(t, Config{Replicas: 2}, a, b)
-		sc := scenarioOwnedBy(t, rt, "a")
 		a.mu.Lock()
 		a.reply, a.stall = replyShed, stall
 		a.mu.Unlock()
-		rec := doReq(t, rt.Handler(), http.MethodPost, c.path, c.body(sc.Target), nil)
+		rec := doReq(t, rt.Handler(), http.MethodPost, c.path, c.body(testScenario.Target), nil)
 		if rec.Code != http.StatusOK || rec.Header().Get("X-Backend") != "b" || a.hits.Load() != 1 {
 			t.Errorf("%s: status %d from %q after %d calls to a, want b's 200 after a's stalled shed",
 				c.name, rec.Code, rec.Header().Get("X-Backend"), a.hits.Load())
@@ -449,7 +400,7 @@ func TestRetryAfterParsedStrictly(t *testing.T) {
 		a.mu.Lock()
 		a.reply, a.retryHdr = replyShed, value
 		a.mu.Unlock()
-		rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(scenarioOwnedBy(t, rt, "a")), nil)
+		rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("Retry-After %q: predict returned %d", value, rec.Code)
 		}
@@ -459,164 +410,48 @@ func TestRetryAfterParsedStrictly(t *testing.T) {
 	}
 }
 
-// scatterFleet is three scripted backends behind a router that keeps
-// one replica per key, so every slot has exactly one owner.
-func scatterFleet(t *testing.T) (*Router, map[string]*scriptedBackend) {
-	t.Helper()
-	sbs := map[string]*scriptedBackend{}
-	var list []*scriptedBackend
-	for _, name := range []string{"a", "b", "c"} {
-		sbs[name] = newScriptedBackend(t, name, 1)
-		list = append(list, sbs[name])
-	}
-	return newScriptedRouter(t, Config{Replicas: 1}, list...), sbs
-}
-
-// randomObservations draws n observations over a target space wide
-// enough to spread over every backend; slot i measures i+1 seconds.
-func randomObservations(rng *rand.Rand, rt *Router, n int) (body string, targets, owners []string) {
-	parts := make([]string, n)
-	targets, owners = make([]string, n), make([]string, n)
-	for i := range parts {
-		targets[i] = fmt.Sprintf("app%d", rng.Intn(200))
-		parts[i] = obsBody(targets[i], float64(i+1))
-		sc := features.Scenario{Target: targets[i], CoApps: []string{"ep"}, PState: 0}
-		owners[i] = rt.pool.Replicas(routeKey("demo", sc), 1)[0].Name
-	}
-	return `{"observations":[` + strings.Join(parts, ",") + `]}`, targets, owners
-}
-
-func postObservations(t *testing.T, rt *Router, body string) obsResponse {
-	t.Helper()
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/observations", body, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("observations returned %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp obsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+// TestObservationsForwardedWhole: an observation request — one
+// observation, a batch, or bytes that are not JSON — reaches one backend
+// as the caller's bytes, and the backend's reply reaches the caller as it
+// came, so the node's limits and typed 400s are the router's.
+func TestObservationsForwardedWhole(t *testing.T) {
+	received := make(chan string, 1)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, `{"status":"ok"}`) })
+	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, `{}`) })
+	mux.HandleFunc("POST /v1/observations", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		received <- string(body)
+		w.Header().Set("Content-Type", "application/json")
+		if !json.Valid(body) {
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, `{"error":{"code":"bad_request","message":"the node's own refusal"}}`)
+			return
+		}
+		fmt.Fprintf(w, `{"accepted":%d,"rejected":0}`, strings.Count(string(body), "measured_seconds"))
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	rt := New(Config{})
+	if err := rt.Pool().Add("a", ts.URL); err != nil {
 		t.Fatal(err)
 	}
-	return resp
-}
+	rt.pool.ProbeAll(context.Background())
 
-// TestScatterObservations covers the ingest side of scatter: request
-// order survives a random three-way partition, a failed shard marks
-// only its own slots, a 500 is never retried (ingest is not
-// idempotent) while a shed is, and the drift flags OR-merge.
-func TestScatterObservations(t *testing.T) {
-	t.Run("order preserved over a random partition", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(7))
-		for round := 0; round < 20; round++ {
-			rt, sbs := scatterFleet(t)
-			n := 2 + rng.Intn(40)
-			body, _, owners := randomObservations(rng, rt, n)
-			resp := postObservations(t, rt, body)
-			if resp.Accepted != n || resp.Rejected != 0 || len(resp.Results) != n {
-				t.Fatalf("round %d: accepted=%d rejected=%d results=%d, want %d/0/%d", round, resp.Accepted, resp.Rejected, len(resp.Results), n, n)
-			}
-			perOwner := map[string]int{}
-			for i, item := range resp.Results {
-				if item.Error != nil || item.PercentError != float64(i+1) {
-					t.Fatalf("round %d slot %d: %+v, want slot %d's own measurement back", round, i, item, i)
-				}
-				perOwner[owners[i]]++
-			}
-			// Each owner got exactly its slots, in one sub-request.
-			for name, sb := range sbs {
-				if got := len(sb.targets); got != perOwner[name] {
-					t.Fatalf("round %d: backend %s ingested %d observations, owns %d", round, name, got, perOwner[name])
-				}
-				if want := min(perOwner[name], 1); sb.hits.Load() != int64(want) {
-					t.Fatalf("round %d: backend %s saw %d sub-requests, want %d", round, name, sb.hits.Load(), want)
-				}
-			}
+	for _, c := range []struct {
+		name, body, reply string
+		status            int
+	}{
+		{"one", obsBody("cg", 2), `{"accepted":1,"rejected":0}`, http.StatusOK},
+		{"batch", `{"observations":[` + obsBody("cg", 2) + `,` + obsBody("ep", 3) + `]}`, `{"accepted":2,"rejected":0}`, http.StatusOK},
+		{"not JSON", `{"observations":[`, `{"error":{"code":"bad_request","message":"the node's own refusal"}}`, http.StatusBadRequest},
+	} {
+		rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/observations", c.body, nil)
+		if got := <-received; got != c.body {
+			t.Errorf("%s: the backend received %q, want the caller's %q", c.name, got, c.body)
 		}
-	})
-
-	t.Run("failed shard marks only its own slots and is not retried", func(t *testing.T) {
-		rt, sbs := scatterFleet(t)
-		body, targets, owners := randomObservations(rand.New(rand.NewSource(11)), rt, 30)
-		sbs["b"].script(reply500)
-		// One of a's targets is rejected by the backend itself.
-		for i, o := range owners {
-			if o == "a" {
-				sbs["a"].rejectTarget = targets[i]
-				break
-			}
+		if rec.Code != c.status || rec.Body.String() != c.reply || rec.Header().Get("X-Backend") != "a" {
+			t.Errorf("%s: %d %q from %q, want the backend's %d %q", c.name, rec.Code, rec.Body.String(), rec.Header().Get("X-Backend"), c.status, c.reply)
 		}
-		resp := postObservations(t, rt, body)
-		failed, rejectedByA := 0, 0
-		for i, item := range resp.Results {
-			switch {
-			case owners[i] == "b":
-				failed++
-				if item.Error == nil || item.Error.Code != CodeBackendUnavailable {
-					t.Fatalf("slot %d of the failed shard: %+v, want %s", i, item, CodeBackendUnavailable)
-				}
-			case item.Error != nil:
-				rejectedByA++
-				if owners[i] != "a" || item.Error.Code != "bad_request" {
-					t.Fatalf("slot %d (owner %s) carries a foreign error: %+v", i, owners[i], item.Error)
-				}
-			case item.PercentError != float64(i+1):
-				t.Fatalf("slot %d: %+v, want its own measurement back", i, item)
-			}
-		}
-		if failed == 0 || rejectedByA == 0 {
-			t.Fatalf("partition has %d b-owned and %d a-rejected slots; the case needs both", failed, rejectedByA)
-		}
-		if resp.Rejected != failed+rejectedByA || resp.Accepted != len(owners)-resp.Rejected {
-			t.Fatalf("accepted=%d rejected=%d, want %d/%d", resp.Accepted, resp.Rejected, len(owners)-failed-rejectedByA, failed+rejectedByA)
-		}
-		// The 500 shard was sent once and nowhere else: a and c saw only
-		// their own sub-request.
-		for name, sb := range sbs {
-			if got := sb.hits.Load(); got != 1 {
-				t.Fatalf("backend %s saw %d sub-requests, want 1 (a 500 must not be retried)", name, got)
-			}
-		}
-		if st := rt.pool.Get("b").State(); st != StateHealthy {
-			t.Fatalf("backend b is %v after a 500, want healthy (only probes eject)", st)
-		}
-	})
-
-	t.Run("shed shard fails over", func(t *testing.T) {
-		rt, sbs := scatterFleet(t)
-		body, _, owners := randomObservations(rand.New(rand.NewSource(13)), rt, 30)
-		sbs["c"].script(replyShed)
-		resp := postObservations(t, rt, body)
-		if resp.Accepted != len(owners) || resp.Rejected != 0 {
-			t.Fatalf("accepted=%d rejected=%d, want every observation ingested after the failover", resp.Accepted, resp.Rejected)
-		}
-		for i, item := range resp.Results {
-			if item.Error != nil || item.PercentError != float64(i+1) {
-				t.Fatalf("slot %d: %+v, want its own measurement back", i, item)
-			}
-		}
-		// c's shard landed, whole, on the first other available backend.
-		if got := sbs["a"].hits.Load(); got != 2 {
-			t.Fatalf("backend a saw %d sub-requests, want its own shard plus c's", got)
-		}
-		if st := rt.pool.Get("c").State(); st != StateShedding {
-			t.Fatalf("backend c is %v, want shedding", st)
-		}
-	})
-
-	t.Run("drift flags OR-merge", func(t *testing.T) {
-		for _, tc := range []struct{ drift, retrain string }{{"", ""}, {"a", ""}, {"", "c"}, {"b", "a"}} {
-			rt, sbs := scatterFleet(t)
-			if tc.drift != "" {
-				sbs[tc.drift].drift = true
-			}
-			if tc.retrain != "" {
-				sbs[tc.retrain].retrain = true
-			}
-			body, _, _ := randomObservations(rand.New(rand.NewSource(17)), rt, 30)
-			resp := postObservations(t, rt, body)
-			if resp.DriftTripped != (tc.drift != "") || resp.RetrainTriggered != (tc.retrain != "") {
-				t.Fatalf("drift on %q, retrain on %q: merged drift_tripped=%v retrain_triggered=%v",
-					tc.drift, tc.retrain, resp.DriftTripped, resp.RetrainTriggered)
-			}
-		}
-	})
+	}
 }

@@ -4,23 +4,22 @@
 //
 // # Routing
 //
-// A predict's (and an observation's) scenario is reduced to the serve
-// tier's canonical form (serve.CanonicalScenario) and consistent-hashed
-// onto a ring of virtual nodes. The first R distinct backends clockwise
-// form the key's replica set, owner first, so the same scenario always
-// lands on the same small set of backends, and each backend's drift
-// monitor sees the same streams. Backends keep no prediction memo, so
-// the ring no longer buys warm caches; removing it is ROADMAP 2(e),
-// after a single promotion authority. The ring is rebuilt only on
-// explicit join/leave; health flaps never reshuffle key ownership.
+// Every forwarded call — predict, batch, observations, placements — goes
+// by one rule: the available backends at the client's generation floor,
+// least in-flight first, ties broken by name. The predictor is a pure
+// function of model and scenario and no backend keeps anything keyed by
+// scenario, so any backend serves any request as well as another and
+// load is the one signal worth routing on. A predict or an observation
+// may try at most Config.Replicas of them (its failover and hedge
+// breadth); a batch or a placement search may try them all. The
+// membership the rule reads is an immutable name-sorted snapshot the
+// pool swaps on join, so routing takes no lock and walks no map.
 //
-// A batch (like a placement search) has no key: it is forwarded whole,
-// with the caller's bytes, to the least-loaded available backend at the
-// client's generation floor, failing over in load order. Backends
-// evaluate a batch in one kernel call, so splitting it by ring owner
-// bought only more HTTP envelopes around smaller GEMMs; forwarded whole, every check —
-// the batch limit, the model name, each row — is the serving backend's
-// own, and its reply is the client's byte for byte.
+// Batches and observations are forwarded whole, with the caller's
+// bytes: backends evaluate a batch in one kernel call and fold an
+// observation batch into one group commit, so every check — the batch
+// limit, the model name, each row — is the serving backend's own, and
+// its reply is the client's byte for byte.
 //
 // # Health
 //
@@ -48,16 +47,17 @@
 // # Bytes in, bytes out
 //
 // The single-predict hop decodes and encodes nothing it can read off
-// the bytes: the route key comes from the serve tier's own request scan
-// (serve.ScanPredictRequest), model and generation from the prefix the
-// serve tier renders its reply with (serve.PredictReplyIdentity), each
-// with encoding/json as the fallback for any other bytes, and the reply
-// — body and Content-Type — is written to the client as it came. A
-// batch is read for its model name on the way in and for its rows'
-// generation on the way out, and is otherwise the same: route, send,
-// replay.
+// the bytes: the model name its floor is kept under comes from the serve
+// tier's own request scan (serve.ScanPredictRequest), which also gives a
+// malformed body the router's 400, model and generation from the prefix
+// the serve tier renders its reply with (serve.PredictReplyIdentity),
+// each with encoding/json as the fallback for any other bytes, and the
+// reply — body and Content-Type — is written to the client as it came.
+// A batch is read for its model name on the way in and for its rows'
+// generation on the way out, and an observation request is not read at
+// all: route, send, replay.
 // Backends are resolved when they join: base URL parsed once, header
-// values pre-rendered, ring points holding the backend itself.
+// values pre-rendered.
 //
 // # Rolling promotion protocol
 //

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -33,10 +32,10 @@ func TestRequestIDReachesBackend(t *testing.T) {
 	two := `[` + obsBody("cg", 1) + `,` + obsBody("ep", 2) + `]`
 	calls := []struct{ name, method, path, body, backendPath string }{
 		{"predict", http.MethodPost, "/v1/predict", predictBody(features.Scenario{Target: "cg"}), "/v1/predict"},
-		{"batch shard", http.MethodPost, "/v1/predict/batch",
+		{"batch", http.MethodPost, "/v1/predict/batch",
 			`{"model":"demo","scenarios":[{"target":"cg","co_apps":["ep"]},{"target":"ep","co_apps":["cg"]}]}`, "/v1/predict/batch"},
 		{"observation", http.MethodPost, "/v1/observations", obsBody("cg", 1), "/v1/observations"},
-		{"observation shard", http.MethodPost, "/v1/observations", `{"observations":` + two + `}`, "/v1/observations"},
+		{"observation batch", http.MethodPost, "/v1/observations", `{"observations":` + two + `}`, "/v1/observations"},
 		{"reload", http.MethodPost, "/v1/models/reload", "", "/v1/models/reload"},
 		{"models", http.MethodGet, "/v1/models", "", "/v1/models"},
 		{"placements", http.MethodPost, "/v1/placements", placementsBody, "/v1/placements"},
@@ -149,25 +148,21 @@ func nodeTier(t *testing.T, ec obs.EdgeConfig) *edgeTier {
 	}
 }
 
-// routerTier is colorouter over two stub backends: "ok" owns the predict
-// scenario, and "down" answers 500 — alone for /v1/models, which asks
-// only the most-promoted backend, and ahead of a failover to "ok" for
-// whatever else lands on it.
+// routerTier is colorouter over two stub backends: "down" answers 500
+// and sorts ahead of "ok" by name, so an observation, which is never
+// retried, answers down's 500, while whatever else lands on down fails
+// over to ok.
 func routerTier(t *testing.T, ec obs.EdgeConfig) *edgeTier {
 	t.Helper()
-	ok, down := newScriptedBackend(t, "ok", 1), newScriptedBackend(t, "down", 9)
-	rt := newScriptedRouter(t, Config{Replicas: 1, Logger: ec.Logger, TraceRing: ec.TraceRing, SlowThreshold: ec.SlowThreshold,
+	ok, down := newScriptedBackend(t, "ok", 1), newScriptedBackend(t, "down", 1)
+	rt := newScriptedRouter(t, Config{Replicas: 2, Logger: ec.Logger, TraceRing: ec.TraceRing, SlowThreshold: ec.SlowThreshold,
 		SLOObjective: ec.SLOObjective, SLOLatencyTarget: ec.SLOLatencyTarget}, ok, down)
 	down.script(reply500)
-	sc := features.Scenario{Target: "cg", CoApps: []string{"ep"}}
-	for i := 0; rt.pool.Replicas(routeKey("demo", sc), 1)[0].Name != "ok"; i++ {
-		sc.Target = fmt.Sprintf("app%d", i)
-	}
 	return &edgeTier{
 		h: rt.Handler(), prefix: "colorouter", failedFrom: 500, tracer: rt.edge.Tracer(), slo: rt.edge.SLO(),
-		okBody:     predictBody(sc),
+		okBody:     predictBody(testScenario),
 		badBody:    `{"target":`,
-		failMethod: http.MethodGet, failPath: "/v1/models", failEndpoint: "models",
+		failMethod: http.MethodPost, failPath: "/v1/observations", failEndpoint: "observations",
 		placementsStreamedBody: `{"machines":[{"count":2}],"apps":["cg","ep"],"stream":true}`,
 	}
 }

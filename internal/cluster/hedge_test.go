@@ -77,7 +77,7 @@ func newGatedBackend(t *testing.T, name string, gated, fail bool) *gatedBackend 
 }
 
 // hedgeFleet joins a and b behind a router that keeps every trace, and
-// returns a request body whose scenario a owns.
+// returns a predict body. With neither loaded, a is the first candidate.
 func hedgeFleet(t *testing.T, hedgeAfter time.Duration, a, b *gatedBackend) (*Router, string) {
 	t.Helper()
 	rt := New(Config{Replicas: 2, HedgeAfter: hedgeAfter, SlowThreshold: -1})
@@ -87,7 +87,7 @@ func hedgeFleet(t *testing.T, hedgeAfter time.Duration, a, b *gatedBackend) (*Ro
 		}
 	}
 	rt.pool.ProbeAll(context.Background())
-	return rt, predictBody(scenarioOwnedBy(t, rt, "a"))
+	return rt, predictBody(testScenario)
 }
 
 // predictAsync issues one predict under ctx and delivers the reply.
@@ -251,39 +251,44 @@ func TestHedgeArmedRepliesVerbatim(t *testing.T) {
 }
 
 // TestConcurrentIdenticalPredictsAreIndependent: identical predicts in
-// flight together share nothing. Each makes its own backend call, a
-// client that hangs up takes down its own request only, and once all
-// have answered no goroutine and no in-flight count is left behind.
+// flight together share nothing. Each makes its own backend call, spread
+// over both backends by load, a client that hangs up takes down its own
+// request only, and once all have answered no goroutine and no in-flight
+// count is left behind.
 func TestConcurrentIdenticalPredictsAreIndependent(t *testing.T) {
-	a, b := newGatedBackend(t, "a", true, false), newGatedBackend(t, "b", false, false)
+	a, b := newGatedBackend(t, "a", true, false), newGatedBackend(t, "b", true, false)
 	rt, body := hedgeFleet(t, -1, a, b)
 	goroutines := runtime.NumGoroutine()
+	calls := func() int64 { return a.calls.Load() + b.calls.Load() }
 
 	const clients = 8
 	leaverCtx, hangUp := context.WithCancel(context.Background())
 	leaver := predictAsync(leaverCtx, rt, body)
+	waitFor(t, "the first predict to reach a backend", func() bool { return calls() == 1 })
 	var stayers []<-chan *httptest.ResponseRecorder
 	for i := 1; i < clients; i++ {
 		stayers = append(stayers, predictAsync(context.Background(), rt, body))
 	}
-	waitFor(t, "every predict to reach the stalled owner", func() bool { return a.calls.Load() == clients })
+	waitFor(t, "every predict to reach a stalled backend", func() bool { return calls() == clients })
 	hangUp()
 	if rec := awaitReply(t, leaver); rec.Code != http.StatusBadGateway {
 		t.Fatalf("the client that hung up was answered %d, want its own 502", rec.Code)
 	}
 	for i, replies := range stayers {
 		if len(replies) != 0 {
-			t.Fatalf("client %d was answered while the owner was still stalled: another client's hang-up reached it", i)
+			t.Fatalf("client %d was answered while its backend was still stalled: another client's hang-up reached it", i)
 		}
 	}
 	a.open()
+	b.open()
 	for i, replies := range stayers {
-		if rec := awaitReply(t, replies); rec.Code != http.StatusOK || rec.Body.String() != a.reply {
-			t.Fatalf("client %d: status %d: %s, want the owner's reply", i, rec.Code, rec.Body.String())
+		rec := awaitReply(t, replies)
+		if want := map[string]string{"a": a.reply, "b": b.reply}[rec.Header().Get("X-Backend")]; rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("client %d: status %d from %q: %s, want that backend's reply", i, rec.Code, rec.Header().Get("X-Backend"), rec.Body.String())
 		}
 	}
-	if ca, cb := a.calls.Load(), b.calls.Load(); ca != clients || cb != 0 {
-		t.Fatalf("backend calls a=%d b=%d, want one call to the owner per client and none elsewhere", ca, cb)
+	if ca, cb := a.calls.Load(), b.calls.Load(); ca+cb != clients || ca == 0 || cb == 0 {
+		t.Fatalf("backend calls a=%d b=%d, want one call per client, spread over both", ca, cb)
 	}
 	if ia, ib, n := rt.pool.Get("a").Inflight(), rt.pool.Get("b").Inflight(), rt.metrics.inFlight.Load(); ia != 0 || ib != 0 || n != 0 {
 		t.Fatalf("in-flight left behind: backend a=%d b=%d, router %d", ia, ib, n)

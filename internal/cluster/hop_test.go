@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -52,20 +51,15 @@ func TestOneWritePerBackendCall(t *testing.T) {
 		sbs = append(sbs, newScriptedBackend(t, name, 1))
 	}
 	rt := newScriptedRouter(t, Config{Replicas: 1, Client: countingClient(&writes)}, sbs...)
-	observations, _, owners := randomObservations(rand.New(rand.NewSource(5)), rt, 6)
-	shards := map[string]bool{}
-	for _, o := range owners {
-		shards[o] = true
+	observations := make([]string, 6)
+	for i := range observations {
+		observations[i] = obsBody(fmt.Sprintf("app%d", i), float64(i+1))
 	}
-	if len(shards) < 2 {
-		t.Fatalf("the observation batch lands on %d backend(s); the case needs a scatter", len(shards))
-	}
-	sc := scenarioOwnedBy(t, rt, "a")
 	for _, tc := range []struct{ name, path, body string }{
-		{"predict", "/v1/predict", predictBody(sc)},
+		{"predict", "/v1/predict", predictBody(testScenario)},
 		{"batch", "/v1/predict/batch", batchBody("cg", "ep", "mg")},
-		{"observation", "/v1/observations", obsBody(sc.Target, 2)},
-		{"observation scatter", "/v1/observations", observations},
+		{"observation", "/v1/observations", obsBody(testScenario.Target, 2)},
+		{"observation batch", "/v1/observations", `{"observations":[` + strings.Join(observations, ",") + `]}`},
 		{"placements", "/v1/placements", `{"machines":[{"name":"m0","spec":"6core","count":1}],"apps":["cg","ep"]}`},
 	} {
 		for _, sb := range sbs {
@@ -80,8 +74,8 @@ func TestOneWritePerBackendCall(t *testing.T) {
 		for _, sb := range sbs {
 			calls += sb.hits.Load()
 		}
-		if calls == 0 {
-			t.Fatalf("%s: no backend call was made", tc.name)
+		if calls != 1 {
+			t.Fatalf("%s: %d backend calls, want the request forwarded whole in one", tc.name, calls)
 		}
 		if got := writes.Load(); got != calls {
 			t.Errorf("%s: %d writes for %d backend call(s), want one write per call", tc.name, got, calls)

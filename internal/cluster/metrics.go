@@ -49,14 +49,14 @@ func NewMetrics(pool *Pool) *Metrics {
 	m.noBackend = r.Counter("colorouter_no_backend_total", "Requests that found no admissible backend.")
 	r.GaugeFunc("colorouter_backends_healthy", "Backends currently admitted to routing.",
 		func() float64 { return float64(len(pool.Available())) })
-	r.GaugeFunc("colorouter_backends_total", "Backends joined to the ring.",
-		func() float64 { return float64(len(pool.Members())) })
+	r.GaugeFunc("colorouter_backends_total", "Backends joined to the pool.",
+		func() float64 { return float64(len(pool.members())) })
 	m.inFlight = r.Gauge("colorouter_in_flight_requests", "Requests currently being routed.")
 	return m
 }
 
 func (m *Metrics) collectBackends(w *obs.Writer) {
-	backends := m.pool.Backends() // sorted by name
+	backends := m.pool.members() // sorted by name
 	for _, row := range []struct {
 		name, help string
 		val        func(*backendMetrics) *obs.Counter

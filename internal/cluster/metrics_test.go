@@ -83,8 +83,7 @@ func TestMetricsGolden(t *testing.T) {
 func TestProxyRecordsIntoBackendHandles(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
-	sc := scenarioOwnedBy(t, rt, "a")
-	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil); rec.Code != http.StatusOK {
+	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d", rec.Code)
 	}
 	if got := rt.pool.Get("a").metrics.requests.Load(); got != 1 {
@@ -186,15 +185,21 @@ func routerScrapes(t *testing.T) (metrics, fleet string) {
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
 	h := rt.Handler()
-	for _, owner := range []string{"a", "b", "b"} {
-		if owner == "b" && b.predicts.Load() > 0 {
-			b.ts.Close()
-		}
-		sc := scenarioOwnedBy(t, rt, owner)
-		if rec := doReq(t, h, http.MethodPost, "/v1/predict", predictBody(sc), nil); rec.Code != http.StatusOK {
-			t.Fatalf("predict owned by %s returned %d: %s", owner, rec.Code, rec.Body.String())
+	predict := func(what string) {
+		t.Helper()
+		if rec := doReq(t, h, http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
+			t.Fatalf("predict %s returned %d: %s", what, rec.Code, rec.Body.String())
 		}
 	}
+	predict("on a")
+	// While a looks busy, b is the first candidate: it serves once, then
+	// dies, and the next call fails over from it to a.
+	ba := rt.pool.Get("a")
+	ba.acquire()
+	predict("on b")
+	b.ts.Close()
+	predict("failing over from b")
+	ba.release()
 	if got := rt.pool.Get("b").metrics.errors.Load(); got != 1 {
 		t.Fatalf("backend b counted %d failed calls, want 1", got)
 	}

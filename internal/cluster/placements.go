@@ -3,36 +3,11 @@ package cluster
 import (
 	"io"
 	"net/http"
-	"sort"
 
 	"colocmodel/internal/obs"
 )
 
 // ---- placements ----
-
-// leastLoaded returns the available backends serving model at or above
-// the generation floor, ordered by outstanding proxied calls (ties by
-// name, so routing is deterministic under equal load). Placement and
-// batch requests have no scenario key — any backend can serve any
-// request, and they are the fleet's most expensive calls, so load is the
-// only signal worth routing on.
-func (rt *Router) leastLoaded(model string, floor uint64) []*Backend {
-	avail := rt.pool.Available()
-	cands := avail[:0]
-	for _, b := range avail {
-		if floor == 0 || b.Gen(model) >= floor {
-			cands = append(cands, b)
-		}
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		li, lj := cands[i].Inflight(), cands[j].Inflight()
-		if li != lj {
-			return li < lj
-		}
-		return cands[i].Name < cands[j].Name
-	})
-	return cands
-}
 
 // flushWriter flushes after every write so a backend's incremental
 // NDJSON plans reach the client as the search produces them, not when
@@ -62,7 +37,7 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq ob
 	if refusal != nil {
 		return status, refusal
 	}
-	cands := rt.leastLoaded("", 0) // a plan carries no generation
+	cands := rt.candidates("", 0, 0) // a plan carries no generation
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no healthy backend")

@@ -107,7 +107,7 @@ func TestInflightGaugeReturnsToZero(t *testing.T) {
 	rt := newTestRouter(t, Config{}, a)
 	for i := 0; i < 3; i++ {
 		doReq(t, rt.Handler(), http.MethodPost, "/v1/placements", placementsBody, nil)
-		doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(scenarioOwnedBy(t, rt, "a")), nil)
+		doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 	}
 	if got := rt.Pool().Get("a").Inflight(); got != 0 {
 		t.Fatalf("inflight gauge %d after requests completed, want 0", got)

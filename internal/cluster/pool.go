@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,7 +69,7 @@ type Backend struct {
 
 	state atomic.Int32
 	// inflight counts proxied calls currently outstanding against the
-	// backend; the placements route picks the least-loaded backend by it.
+	// backend; routing puts the least-loaded backend first by it.
 	inflight atomic.Int64
 
 	mu           sync.Mutex
@@ -168,38 +168,31 @@ func (b *Backend) markShedding(retryAfter time.Duration) {
 	b.state.Store(int32(StateShedding))
 }
 
-// Pool is the health- and generation-aware backend set. It owns the
-// consistent-hash ring (rebuilt only on explicit join/leave, never on
-// health flaps, so temporary ejections do not reshuffle key ownership)
-// and runs the periodic probe loop: GET /healthz decides admission,
-// GET /v1/version refreshes serving generations. Consecutive probe
-// failures eject a backend; re-admission is retried with exponential
-// backoff and succeeds on the first healthy probe.
+// Pool is the health- and generation-aware backend set. Its members are
+// an immutable name-sorted snapshot, replaced whole when a backend joins,
+// so the router reads membership without a lock. It runs the periodic
+// probe loop: GET /healthz decides admission, GET /v1/version refreshes
+// serving generations. Consecutive probe failures eject a backend;
+// re-admission is retried with exponential backoff and succeeds on the
+// first healthy probe.
 type Pool struct {
 	client      *http.Client
 	ejectAfter  int
 	backoffBase time.Duration // the first re-admission delay; tests shorten it
 
-	mu       sync.RWMutex
-	backends map[string]*Backend
-	ring     atomic.Pointer[ring]
+	mu   sync.Mutex                 // serialises joins
+	snap atomic.Pointer[[]*Backend] // sorted by name; never modified once stored
 }
 
 // newPool wires a pool from the router config (cfg must have defaults
 // applied).
 func newPool(cfg Config) *Pool {
-	p := &Pool{
-		client:      cfg.Client,
-		ejectAfter:  cfg.EjectAfter,
-		backoffBase: readmitBackoffBase,
-		backends:    make(map[string]*Backend),
-	}
-	p.ring.Store(buildRing(nil))
+	p := &Pool{client: cfg.Client, ejectAfter: cfg.EjectAfter, backoffBase: readmitBackoffBase}
+	p.snap.Store(new([]*Backend))
 	return p
 }
 
-// Add joins a backend to the pool and rebuilds the ring. Only the key
-// ranges adjacent to the new backend's virtual nodes change owner.
+// Add joins a backend to the pool.
 func (p *Pool) Add(name, base string) error {
 	if name == "" || base == "" {
 		return fmt.Errorf("cluster: backend needs a name and a base URL")
@@ -212,7 +205,9 @@ func (p *Pool) Add(name, base string) error {
 	u.Host = strings.TrimSuffix(u.Host, ":") // "host:" is "host", as http.NewRequest reads it
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.backends[name]; dup {
+	old := p.members()
+	i, dup := slices.BinarySearchFunc(old, name, byName)
+	if dup {
 		return fmt.Errorf("cluster: backend %q already joined", name)
 	}
 	b := &Backend{Name: name, Base: base, url: u, nameHdr: []string{name}}
@@ -220,57 +215,40 @@ func (p *Pool) Add(name, base string) error {
 		pw, _ := u.User.Password()
 		b.auth = []string{"Basic " + base64.StdEncoding.EncodeToString([]byte(u.User.Username()+":"+pw))}
 	}
-	p.backends[name] = b
-	p.rebuildLocked()
+	members := slices.Insert(slices.Clip(old), i, b)
+	p.snap.Store(&members)
 	return nil
-}
-
-func (p *Pool) rebuildLocked() {
-	backends := make([]*Backend, 0, len(p.backends))
-	for _, b := range p.backends {
-		backends = append(backends, b)
-	}
-	p.ring.Store(buildRing(backends))
 }
 
 // Get resolves a backend by name (nil if unknown).
 func (p *Pool) Get(name string) *Backend {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.backends[name]
+	members := p.members()
+	if i, ok := slices.BinarySearchFunc(members, name, byName); ok {
+		return members[i]
+	}
+	return nil
 }
 
-// Backends lists the pool sorted by name.
-func (p *Pool) Backends() []*Backend {
-	p.mu.RLock()
-	out := make([]*Backend, 0, len(p.backends))
-	for _, b := range p.backends {
-		out = append(out, b)
-	}
-	p.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// byName orders a name-sorted member snapshot for binary search.
+func byName(b *Backend, name string) int { return strings.Compare(b.Name, name) }
+
+// members returns the pool's name-sorted snapshot. The slice is shared
+// by every reader: it must not be modified.
+func (p *Pool) members() []*Backend { return *p.snap.Load() }
+
+// Backends lists the pool sorted by name, in a slice of the caller's own.
+func (p *Pool) Backends() []*Backend { return slices.Clone(p.members()) }
 
 // Available lists routable backends sorted by name.
 func (p *Pool) Available() []*Backend {
-	all := p.Backends()
-	out := all[:0]
-	for _, b := range all {
+	var out []*Backend
+	for _, b := range p.members() {
 		if b.Available() {
 			out = append(out, b)
 		}
 	}
 	return out
 }
-
-// Replicas returns the key's replica set in ring order (owner first),
-// unfiltered by health — the router filters so that fallback decisions
-// and metrics stay in one place. The slice is the caller's.
-func (p *Pool) Replicas(key string, n int) []*Backend { return p.ring.Load().pick(key, n) }
-
-// Members returns the ring's member names (sorted).
-func (p *Pool) Members() []string { return p.ring.Load().members() }
 
 // Start runs the probe loop until ctx is cancelled.
 func (p *Pool) Start(ctx context.Context, interval time.Duration) {
@@ -292,7 +270,7 @@ func (p *Pool) Start(ctx context.Context, interval time.Duration) {
 // at startup) can step the health machinery deterministically instead
 // of waiting out the ticker.
 func (p *Pool) ProbeAll(ctx context.Context) {
-	for _, b := range p.Backends() {
+	for _, b := range p.members() {
 		p.probe(ctx, b)
 	}
 }

@@ -13,13 +13,13 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"colocmodel/internal/features"
 	"colocmodel/internal/fleetobs"
 	"colocmodel/internal/obs"
 	"colocmodel/internal/serve"
@@ -27,8 +27,9 @@ import (
 
 // Config tunes the router.
 type Config struct {
-	// Replicas is the replica-set size R: each scenario key maps to R
-	// distinct backends on the ring (owner first). Default 2.
+	// Replicas bounds the backends a predict or an observation may try,
+	// least loaded first: its failover and hedge breadth. Batches and
+	// placements may try every admissible backend. Default 2.
 	Replicas int
 	// ProbeInterval paces the health/generation probe loop. Default 2s.
 	ProbeInterval time.Duration
@@ -79,11 +80,10 @@ func (c *Config) defaults() {
 	}
 }
 
-// Router is the scale-out gateway: it consistent-hashes canonicalised
-// scenario keys across a replicated coloserve fleet, hedges slow
-// predicts, forwards batches whole to the least-loaded backend, and
-// coordinates rolling model promotions with per-client generation
-// monotonicity.
+// Router is the scale-out gateway: it forwards every call, with the
+// caller's bytes, to the least-loaded admissible backend of a replicated
+// coloserve fleet, hedges slow predicts, and coordinates rolling model
+// promotions with per-client generation monotonicity.
 type Router struct {
 	cfg       Config
 	transport http.RoundTripper // cfg.Client's, which every forwarded call goes through
@@ -684,28 +684,29 @@ func endAttempt(sp obs.Span, pr *proxyResult, won bool) {
 	sp.End()
 }
 
-// candidates resolves the admissible backends for a key: the replica
-// set in ring order filtered to available backends at or above the
-// client's generation floor; if the whole set is inadmissible, any
-// available backend meeting the floor (highest generation first) keeps
-// the request servable at the cost of affinity.
-func (rt *Router) candidates(key, model string, floor uint64) []*Backend {
-	set := rt.pool.Replicas(key, rt.cfg.Replicas)
-	cands := set[:0] // filtered in place: the set is this call's own
-	for _, b := range set {
-		if b.Available() && b.Gen(model) >= floor {
-			cands = append(cands, b)
+// candidates returns the backends a forwarded call may go to: the
+// available ones serving model at or above the client's generation
+// floor, least in-flight first, ties broken by name, and at most limit
+// of them when limit > 0. No backend keeps anything keyed by scenario,
+// so any of them serves any request as well as another, and load is the
+// one signal worth routing on.
+func (rt *Router) candidates(model string, floor uint64, limit int) []*Backend {
+	members := rt.pool.members()
+	cands := make([]*Backend, 0, len(members))
+	for _, b := range members {
+		if !b.Available() || (floor > 0 && b.Gen(model) < floor) {
+			continue
 		}
-	}
-	if len(cands) > 0 {
-		return cands
-	}
-	fallback := rt.pool.Available()
-	sort.SliceStable(fallback, func(i, j int) bool { return fallback[i].Gen(model) > fallback[j].Gen(model) })
-	for _, b := range fallback {
-		if b.Gen(model) >= floor {
-			cands = append(cands, b)
+		// Members come in name order, so an insertion that moves only
+		// past busier backends breaks ties by name.
+		load, i := b.Inflight(), len(cands)
+		for i > 0 && cands[i-1].Inflight() > load {
+			i--
 		}
+		cands = slices.Insert(cands, i, b)
+	}
+	if limit > 0 && len(cands) > limit {
+		cands = cands[:limit]
 	}
 	return cands
 }
@@ -721,16 +722,9 @@ func routed(tr *obs.Trace, pick func() []*Backend) ([]*Backend, time.Duration) {
 	return cands, time.Since(start)
 }
 
-// routeKey is the consistent-hash key of a scenario: the requested
-// model plus the serve tier's canonical scenario form. The generation is
-// left out: it must not move keys across the ring on every promotion.
-func routeKey(model string, sc features.Scenario) string {
-	return model + "|" + serve.CanonicalScenario(sc)
-}
-
 // ---- predict ----
 
-// decodePredict reads a predict body for its route key with the scan
+// decodePredict reads a predict body for its model name with the scan
 // the serving backend will run on the same bytes; whatever that scan
 // declines is encoding/json's, so acceptance, decoded values and every
 // 400 are the stdlib's.
@@ -772,11 +766,9 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 	if err != nil {
 		return errJSON(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
 	}
-	sc := features.Scenario{Target: req.Target, CoApps: req.CoApps, PState: req.PState}
-	key := routeKey(req.Model, sc)
 	client := clientID(r)
 	floor := rt.floors.get(client, req.Model)
-	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(key, req.Model, floor) })
+	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(req.Model, floor, rt.cfg.Replicas) })
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
@@ -785,10 +777,11 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 	return rt.answer(w, pr, route, client, req.Model, predictReplyIdentity)
 }
 
-// answer finishes a routed predict or batch once its backend call is
-// back: a transport failure is the typed 502, a round of sheds the
-// retryable 503, and any reply is replayed as it came. identity reads
-// the resolved model and serving generation off a 2xx body.
+// answer finishes a forwarded call once its backend call is back: a
+// transport failure is the typed 502, a round of sheds the retryable
+// 503, and any reply is replayed as it came. identity, when the reply
+// serves a model (predict and batch), reads the resolved model and
+// serving generation off a 2xx body.
 func (rt *Router) answer(w http.ResponseWriter, pr *proxyResult, route time.Duration, client, model string,
 	identity func(body []byte) (string, uint64)) (int, any) {
 	if pr.err != nil {
@@ -797,7 +790,7 @@ func (rt *Router) answer(w http.ResponseWriter, pr *proxyResult, route time.Dura
 	if pr.shed {
 		return rt.retryableUnavailable(w, "all admissible candidates are draining")
 	}
-	if pr.status < 300 {
+	if identity != nil && pr.status < 300 {
 		if served, gen := identity(pr.body); gen > 0 {
 			// Note the backend's generation BEFORE raising the shared
 			// floor: a concurrent request that reads the raised floor
@@ -884,7 +877,7 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq 
 	}
 	client := clientID(r)
 	floor := rt.floors.get(client, req.Model)
-	cands, route := routed(rq.Trace, func() []*Backend { return rt.leastLoaded(req.Model, floor) })
+	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(req.Model, floor, 0) })
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
@@ -898,44 +891,18 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq 
 
 // ---- observations ----
 
-// obsItem / obsResponse mirror serve's observation wire types so
-// shard responses merge without depending on serve's unexported error
-// detail type.
-type obsItem struct {
-	PercentError float64      `json:"percent_error"`
-	Error        *errorDetail `json:"error,omitempty"`
-}
-
-type obsResponse struct {
-	Accepted         int       `json:"accepted"`
-	Rejected         int       `json:"rejected"`
-	Results          []obsItem `json:"results"`
-	DriftTripped     bool      `json:"drift_tripped"`
-	RetrainTriggered bool      `json:"retrain_triggered,omitempty"`
-}
-
-// handleObservations forwards observation ingest. Ingest is an append,
-// not an idempotent read: it is never hedged, and it fails over only on
-// a drain shed (definitely not processed). A batch is scattered so each
-// backend folds its shard into a single group commit.
+// handleObservations forwards observation ingest whole: one observation
+// or a batch, the caller's bytes go to one backend, which folds them
+// into one group commit and whose limits and typed 400s reach the client
+// as they came. Ingest is an append, not an idempotent read: it is never
+// hedged, and it fails over only on a drain shed (definitely not
+// processed).
 func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	raw, status, refusal := readRequestBody(r, 64<<20)
 	if refusal != nil {
 		return status, refusal
 	}
-	var req serve.ObservationsRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return errJSON(http.StatusBadRequest, CodeBadRequest, "decoding request body: %v", err)
-	}
-	if len(req.Observations) > 1 {
-		return rt.scatterObservations(r, rq, req.Observations)
-	}
-	one := req.ObservationRequest
-	if len(req.Observations) > 0 {
-		one = req.Observations[0]
-	}
-	sc := features.Scenario{Target: one.Target, CoApps: one.CoApps, PState: one.PState}
-	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(routeKey(one.Model, sc), one.Model, 0) })
+	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates("", 0, rt.cfg.Replicas) })
 	if len(cands) == 0 {
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend")
@@ -944,108 +911,7 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq 
 	pr := failover(rq.Trace.Root(), cands, shedOnly, func(b *Backend) *proxyResult {
 		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, rq.ID, tp)
 	})
-	if pr.err != nil {
-		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "observation ingest failed: %v", pr.err)
-	}
-	if pr.shed {
-		return rt.retryableUnavailable(w, "all admissible candidates are draining")
-	}
-	return rt.replay(w, pr, route)
-}
-
-// group is one owner's shard of a scattered observation batch.
-type group struct {
-	cands []*Backend // the owner, then one failover alternate
-	idx   []int      // request slots in this shard, in request order
-}
-
-var (
-	errUnroutable  = errorDetail{Code: CodeNoBackend, Message: "no admissible backend for this scenario"}
-	errShardFailed = errorDetail{Code: CodeBackendUnavailable, Message: "backend call failed for this slot's shard"}
-)
-
-// scatterObservations routes each observation of a batch to the backend
-// that owns its scenario key — the routing predict uses, so it lands
-// beside that scenario's drift stream — and gathers the shards
-// concurrently: one sub-request per owner (in first-seen order), a shed
-// failing over to one other available backend, each 200 reply spliced
-// back into request order under one mutex. A slot that was not merged —
-// unroutable, or of a failed shard — carries a typed error and counts as
-// rejected. Gather workers are joined before the function returns, so
-// span work inside them is safe.
-func (rt *Router) scatterObservations(r *http.Request, rq obs.Request, observations []serve.ObservationRequest) (int, any) {
-	ctx, tr := r.Context(), rq.Trace
-	out := obsResponse{Results: make([]obsItem, len(observations))}
-	ssp := tr.StartSpan("scatter")
-	avail := rt.pool.Available()
-	groups := make(map[string]*group)
-	order := make([]*group, 0, 4)
-	for i, or := range observations {
-		sc := features.Scenario{Target: or.Target, CoApps: or.CoApps, PState: or.PState}
-		cands := rt.candidates(routeKey(or.Model, sc), or.Model, 0)
-		if len(cands) == 0 {
-			rt.metrics.noBackend.Inc()
-			out.Results[i].Error = &errUnroutable
-			out.Rejected++
-			continue
-		}
-		owner := cands[0]
-		g := groups[owner.Name]
-		if g == nil {
-			g = &group{cands: []*Backend{owner}}
-			for _, alt := range avail {
-				if alt != owner {
-					g.cands = append(g.cands, alt)
-					break
-				}
-			}
-			groups[owner.Name] = g
-			order = append(order, g)
-		}
-		g.idx = append(g.idx, i)
-	}
-	ssp.End()
-
-	tp := outboundTraceparent(tr)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, g := range order {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			gsp := tr.StartSpan("gather")
-			gsp.Annotate("backend", g.cands[0].Name)
-			defer gsp.End()
-			picked := make([]serve.ObservationRequest, len(g.idx))
-			for j, i := range g.idx {
-				picked[j] = observations[i]
-			}
-			sub, _ := json.Marshal(serve.ObservationsRequest{Observations: picked})
-			pr := failover(gsp, g.cands, shedOnly, func(b *Backend) *proxyResult {
-				return rt.proxy(ctx, b, http.MethodPost, "/v1/observations", sub, rq.ID, tp)
-			})
-			var shard obsResponse
-			ok := pr.ok() && pr.status == http.StatusOK && json.Unmarshal(pr.body, &shard) == nil && len(shard.Results) == len(g.idx)
-			mu.Lock()
-			defer mu.Unlock()
-			if !ok {
-				for _, i := range g.idx {
-					out.Results[i].Error = &errShardFailed
-				}
-				out.Rejected += len(g.idx)
-				return
-			}
-			out.Accepted += shard.Accepted
-			out.Rejected += shard.Rejected
-			out.DriftTripped = out.DriftTripped || shard.DriftTripped
-			out.RetrainTriggered = out.RetrainTriggered || shard.RetrainTriggered
-			for j, i := range g.idx {
-				out.Results[i] = shard.Results[j]
-			}
-		}(g)
-	}
-	wg.Wait()
-	return http.StatusOK, out
+	return rt.answer(w, pr, route, "", "", nil)
 }
 
 // ---- rolling promotion ----
@@ -1107,7 +973,7 @@ func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request, rq obs.Re
 
 	rolled := make(map[string]*RolloutBackend)
 	var order []*Backend
-	for _, b := range rt.pool.Backends() {
+	for _, b := range rt.pool.members() {
 		if b.State() == StateEjected {
 			continue
 		}
@@ -1176,7 +1042,8 @@ func truncate(b []byte, n int) string {
 
 // handleModels proxies the registry listing from the most-promoted
 // available backend, so discovery (clients, soak tests) sees the newest
-// generation the fleet serves.
+// generation the fleet serves; like every idempotent read it fails over,
+// in generation order, past anything short of a definitive answer.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	avail, route := routed(rq.Trace, func() []*Backend {
 		avail := rt.pool.Available()
@@ -1187,11 +1054,11 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Re
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no healthy backend")
 	}
-	pr := rt.proxy(r.Context(), avail[0], http.MethodGet, "/v1/models", nil, rq.ID, outboundTraceparent(rq.Trace))
-	if pr.err != nil || pr.shed {
-		return errJSON(http.StatusBadGateway, CodeBackendUnavailable, "listing models failed")
-	}
-	return rt.replay(w, pr, route)
+	tp := outboundTraceparent(rq.Trace)
+	pr := failover(rq.Trace.Root(), avail, notOK, func(b *Backend) *proxyResult {
+		return rt.proxy(r.Context(), b, http.MethodGet, "/v1/models", nil, rq.ID, tp)
+	})
+	return rt.answer(w, pr, route, "", "", nil)
 }
 
 // BackendInfo describes one pool entry for GET /v1/cluster.
@@ -1207,13 +1074,12 @@ type BackendInfo struct {
 // and promotion state of the fleet.
 type ClusterResponse struct {
 	Replicas int           `json:"replicas"`
-	Members  []string      `json:"members"`
 	Backends []BackendInfo `json:"backends"`
 }
 
 func (rt *Router) handleCluster(http.ResponseWriter, *http.Request, obs.Request) (int, any) {
-	resp := ClusterResponse{Replicas: rt.cfg.Replicas, Members: rt.pool.Members()}
-	for _, b := range rt.pool.Backends() {
+	resp := ClusterResponse{Replicas: rt.cfg.Replicas}
+	for _, b := range rt.pool.members() {
 		resp.Backends = append(resp.Backends, BackendInfo{
 			Name: b.Name, Base: b.Base, State: b.State().String(),
 			Inflight: b.Inflight(), Generations: b.Generations(),
@@ -1235,7 +1101,7 @@ type HealthResponse struct {
 
 func (rt *Router) handleHealthz(http.ResponseWriter, *http.Request, obs.Request) (int, any) {
 	resp := HealthResponse{Status: "ok", Replicas: rt.cfg.Replicas, UptimeSeconds: time.Since(rt.started).Seconds()}
-	for _, b := range rt.pool.Backends() {
+	for _, b := range rt.pool.members() {
 		resp.Backends++
 		switch b.State() {
 		case StateHealthy:
@@ -1294,7 +1160,7 @@ func (rt *Router) writeFleetMetrics(ctx context.Context, w io.Writer, tr *obs.Tr
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 
-	backends := rt.pool.Backends()
+	backends := rt.pool.members()
 	targets := make([]fleetobs.Target, 0, len(backends))
 	byName := make(map[string]*Backend, len(backends))
 	for _, b := range backends {

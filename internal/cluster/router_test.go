@@ -179,19 +179,9 @@ func doReq(t *testing.T, h http.Handler, method, path, body string, hdr map[stri
 	return rec
 }
 
-// scenarioOwnedBy searches the scenario space for one whose routing key
-// lands on the wanted owner.
-func scenarioOwnedBy(t *testing.T, rt *Router, owner string) features.Scenario {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		sc := features.Scenario{Target: fmt.Sprintf("app%d", i), CoApps: []string{"ep"}, PState: 0}
-		if set := rt.pool.Replicas(routeKey("demo", sc), 1); len(set) > 0 && set[0].Name == owner {
-			return sc
-		}
-	}
-	t.Fatalf("no scenario owned by %s in 10000 candidates", owner)
-	return features.Scenario{}
-}
+// testScenario is the scenario of the tests' predicts; which backend
+// serves it is a matter of load alone.
+var testScenario = features.Scenario{Target: "cg", CoApps: []string{"ep"}}
 
 func predictBody(sc features.Scenario) string {
 	return fmt.Sprintf(`{"model":"demo","target":%q,"co_apps":["ep"],"pstate":%d}`, sc.Target, sc.PState)
@@ -217,16 +207,55 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestPredictProxy pins the basic hop contract: the owner serves the
-// request, the request ID is echoed, and the router's Server-Timing
+// TestCandidatesLeastLoadedFirst pins the one routing rule: the
+// available backends at the floor, least in-flight first, ties broken by
+// name, at most limit of them; a backend is a candidate as soon as it
+// joins.
+func TestCandidatesLeastLoadedFirst(t *testing.T) {
+	rt := New(Config{})
+	for _, name := range []string{"c", "a", "d", "b"} {
+		if err := rt.Pool().Add(name, "http://"+name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := rt.pool.Get
+	check := func(what string, got []*Backend, want string) {
+		t.Helper()
+		names := make([]string, len(got))
+		for i, b := range got {
+			names[i] = b.Name
+		}
+		if strings.Join(names, ",") != want {
+			t.Errorf("%s: candidates %v, want %s", what, names, want)
+		}
+	}
+	check("equal load", rt.candidates("", 0, 0), "a,b,c,d")
+	get("a").acquire()
+	get("a").acquire()
+	get("c").acquire()
+	check("a busy twice, c once", rt.candidates("", 0, 0), "b,d,c,a")
+	check("limit 2", rt.candidates("", 0, 2), "b,d")
+	get("d").state.Store(int32(StateShedding))
+	check("d shedding", rt.candidates("", 0, 0), "b,c,a")
+	get("c").SetGeneration("demo", 2)
+	get("a").SetGeneration("demo", 3)
+	check("floor 2", rt.candidates("demo", 2, 0), "c,a")
+	check("floor 2, limit 1", rt.candidates("demo", 2, 1), "c")
+	if err := rt.Pool().Add("e", "http://e"); err != nil {
+		t.Fatal(err)
+	}
+	check("e joined", rt.candidates("", 0, 0), "b,e,c,a")
+}
+
+// TestPredictProxy pins the basic hop contract: the first candidate
+// serves the request, the request ID is echoed, and the router's Server-Timing
 // stitches its hop stages in front of the backend's own breakdown.
 func TestPredictProxy(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
 
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc),
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario),
 		map[string]string{"X-Request-ID": "req-42"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d: %s", rec.Code, rec.Body.String())
@@ -235,7 +264,7 @@ func TestPredictProxy(t *testing.T) {
 		t.Fatalf("X-Request-ID %q, want the client's req-42 echoed", got)
 	}
 	if got := rec.Header().Get("X-Backend"); got != "a" {
-		t.Fatalf("served by %q, want owner a", got)
+		t.Fatalf("served by %q, want a, first by name under equal load", got)
 	}
 	st := rec.Header().Get("Server-Timing")
 	for _, stage := range []string{"route", "backend", "eval"} {
@@ -244,7 +273,7 @@ func TestPredictProxy(t *testing.T) {
 		}
 	}
 	if a.predicts.Load() != 1 || b.predicts.Load() != 0 {
-		t.Fatalf("backend calls a=%d b=%d, want exactly one on the owner", a.predicts.Load(), b.predicts.Load())
+		t.Fatalf("backend calls a=%d b=%d, want exactly one on a", a.predicts.Load(), b.predicts.Load())
 	}
 	// The response generation raised the anonymous floor.
 	if got := rt.floors.get("", "demo"); got != 1 {
@@ -252,19 +281,18 @@ func TestPredictProxy(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresOnStall pins the hedging contract: a stalled owner
-// trips the hedge timer, the next replica answers, and the slow reply
+// TestHedgeFiresOnStall pins the hedging contract: a stalled first
+// candidate trips the hedge timer, the next replica answers, and the slow reply
 // is discarded without double-counting — one inbound request stays one
 // measured request.
 func TestHedgeFiresOnStall(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: 2 * time.Millisecond}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
 
 	a.stall.Store(true)
 	defer close(a.gate)
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil)
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("hedged predict returned %d: %s", rec.Code, rec.Body.String())
 	}
@@ -299,12 +327,11 @@ func TestDrainShedFailover(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
 
 	a.drain.Store(true)
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil)
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("predict during owner drain returned %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("predict during a's drain returned %d: %s", rec.Code, rec.Body.String())
 	}
 	if got := rec.Header().Get("X-Backend"); got != "b" {
 		t.Fatalf("served by %q, want failover to b", got)
@@ -315,10 +342,6 @@ func TestDrainShedFailover(t *testing.T) {
 	}
 	if got := rt.pool.Get("a").metrics.sheds.Load(); got != 1 {
 		t.Fatalf("sheds(a) %d, want 1", got)
-	}
-	// The ring still holds both members: drain never reshuffles keys.
-	if got := rt.pool.Members(); len(got) != 2 {
-		t.Fatalf("ring members %v, want both despite the drain", got)
 	}
 	// Probe sees the typed shed too and keeps the state, not ejecting.
 	rt.pool.ProbeAll(context.Background())
@@ -335,7 +358,7 @@ func TestDrainShedFailover(t *testing.T) {
 }
 
 // TestEjectionAndReadmission steps the probe state machine: consecutive
-// probe failures eject (without touching the ring), and a recovered
+// probe failures eject (without leaving the pool), and a recovered
 // backend is re-admitted after its backoff.
 func TestEjectionAndReadmission(t *testing.T) {
 	a := newFakeBackend(t, "a")
@@ -361,8 +384,8 @@ func TestEjectionAndReadmission(t *testing.T) {
 	if got := rt.pool.Get("a").metrics.ejections.Load(); got != 1 {
 		t.Fatalf("ejections(a) %d, want 1", got)
 	}
-	if got := len(rt.pool.Members()); got != 2 {
-		t.Fatalf("ring members %d after ejection, want 2 (health never reshuffles keys)", got)
+	if got := len(rt.pool.Backends()); got != 2 {
+		t.Fatalf("pool members %d after ejection, want 2 (health never changes membership)", got)
 	}
 	if got := len(rt.pool.Available()); got != 1 {
 		t.Fatalf("available backends %d, want 1", got)
@@ -382,15 +405,13 @@ func TestEjectionAndReadmission(t *testing.T) {
 // TestGenerationFloorRouting pins the no-mixed-generation-window
 // property at the unit level: once a client has seen generation 2, it
 // is never again routed to a backend still serving generation 1 — even
-// when that backend owns the key — while fresh clients still use the
-// owner.
+// when that backend is the least loaded — while fresh clients still go
+// by load alone.
 func TestGenerationFloorRouting(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b)
 	ctx := context.Background()
-	scA := scenarioOwnedBy(t, rt, "a")
-	scB := scenarioOwnedBy(t, rt, "b")
 	hdr := map[string]string{"X-Client-ID": "c1"}
 
 	// Promote a to generation 2 (b stays at 1) and refresh the record.
@@ -398,7 +419,7 @@ func TestGenerationFloorRouting(t *testing.T) {
 	rt.pool.RefreshGeneration(ctx, rt.pool.Get("a"))
 
 	// The client observes generation 2 on a — its floor rises.
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(scA), hdr)
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), hdr)
 	if rec.Code != http.StatusOK || rec.Header().Get("X-Backend") != "a" {
 		t.Fatalf("predict on a: code %d backend %q", rec.Code, rec.Header().Get("X-Backend"))
 	}
@@ -406,27 +427,27 @@ func TestGenerationFloorRouting(t *testing.T) {
 		t.Fatalf("client floor %d after seeing generation 2, want 2", got)
 	}
 
-	// A key owned by the unpromoted b must NOT go backwards for c1.
-	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(scB), hdr)
+	// With a busy, the unpromoted b is the least loaded: c1 must NOT go
+	// backwards to it.
+	ba := rt.pool.Get("a")
+	ba.acquire()
+	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), hdr)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("floored predict returned %d: %s", rec.Code, rec.Body.String())
 	}
 	if got := rec.Header().Get("X-Backend"); got != "a" {
 		t.Fatalf("client with floor 2 served by %q (gen 1), want a (gen 2)", got)
 	}
-	// A fresh client still gets the owner.
-	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(scB),
+	// A fresh client still goes to the least loaded.
+	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario),
 		map[string]string{"X-Client-ID": "c2"})
 	if got := rec.Header().Get("X-Backend"); got != "b" {
-		t.Fatalf("fresh client served by %q, want owner b", got)
+		t.Fatalf("fresh client served by %q, want the least-loaded b", got)
 	}
 
-	// Batches route on load, not on keys, under the same floor: with a
-	// busy, the unpromoted b is the least loaded — a fresh client's batch
-	// goes there, c1's never does.
-	ba := rt.pool.Get("a")
-	ba.acquire()
-	batch := batchBody(scA.Target, scB.Target)
+	// Batches route by the same rule: a fresh client's batch goes to b,
+	// c1's never does.
+	batch := batchBody("cg", "ep")
 	rec = doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batch, map[string]string{"X-Client-ID": "c3"})
 	if got := rec.Header().Get("X-Backend"); rec.Code != http.StatusOK || got != "b" {
 		t.Fatalf("fresh client's batch: code %d from %q, want the least-loaded b", rec.Code, got)
@@ -660,16 +681,14 @@ func TestBatchForwardedWhole(t *testing.T) {
 	b := newFakeBackend(t, "b")
 	c := newFakeBackend(t, "c")
 	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b)
-	scA := scenarioOwnedBy(t, rt, "a")
-	scB := scenarioOwnedBy(t, rt, "b")
 
-	wantTargets := []string{scA.Target, scB.Target, scA.Target}
+	wantTargets := []string{"cg", "ep", "cg"}
 	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody(wantTargets...), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch returned %d: %s", rec.Code, rec.Body.String())
 	}
 	if na, nb := a.batches.Load(), b.batches.Load(); na+nb != 1 {
-		t.Fatalf("backends saw %d and %d batch calls for one batch over two owners' keys, want one call in all", na, nb)
+		t.Fatalf("backends saw %d and %d batch calls for one batch, want one call in all", na, nb)
 	}
 	var resp batchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -724,7 +743,7 @@ func TestBatchForwardedWhole(t *testing.T) {
 
 // TestConcurrentTrafficUnderChurn hammers the router from many
 // goroutines while health flaps and a promotion rolls — a -race canary
-// for the pool/ring/floor data structures. During a simultaneous drain
+// for the pool/floor data structures. During a simultaneous drain
 // and promotion a request's generation floor can leave only the
 // draining backend admissible; the router answers that window with its
 // typed retryable 503 (Retry-After set), which is the one non-200

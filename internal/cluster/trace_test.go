@@ -53,9 +53,8 @@ func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1, SlowThreshold: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
 
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil)
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d: %s", rec.Code, rec.Body.String())
 	}
@@ -89,7 +88,7 @@ func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 		t.Fatalf("router proxy span missing: %+v", td.Spans)
 	}
 	if got := spanAttr(&td.Spans[pi], "backend"); got != "a" {
-		t.Fatalf("proxy span backend %q, want the owner a", got)
+		t.Fatalf("proxy span backend %q, want a, the first candidate", got)
 	}
 	// The backend's remote root splices under the proxy span, carrying
 	// its own stage children, all tagged with the backend's origin.
@@ -123,11 +122,10 @@ func TestStitchedTraceUnderHedge(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: 2 * time.Millisecond, SlowThreshold: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
 
 	a.stall.Store(true)
 	defer close(a.gate)
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil)
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("hedged predict returned %d: %s", rec.Code, rec.Body.String())
 	}
@@ -185,9 +183,8 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
-	sc := scenarioOwnedBy(t, rt, "a")
 
-	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil); rec.Code != http.StatusOK {
+	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d", rec.Code)
 	}
 	rec := doReq(t, rt.Handler(), http.MethodGet, "/v1/fleet/metrics", "", nil)
@@ -219,8 +216,7 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 func TestRouterSLOEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
-	sc := scenarioOwnedBy(t, rt, "a")
-	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(sc), nil); rec.Code != http.StatusOK {
+	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d", rec.Code)
 	}
 	rec := doReq(t, rt.Handler(), http.MethodGet, "/v1/slo", "", nil)

@@ -335,22 +335,37 @@ func BenchmarkClusterProxyTracing(b *testing.B) {
 }
 
 // TestRoutedPredictAllocs guards the allocations of one routed predict
-// under the default Config (hedge armed), both tiers counted: 124
-// measured, of which a bare net/http keep-alive round trip accounts for
-// 89. A router that decodes the request, re-encodes the reply or starts
-// a goroutine per predict (26 allocations more through this caller) does
-// not pass.
+// with the hedge armed and not due, as all but about one predict in a
+// hundred run, both tiers counted: 123 measured, of which a bare
+// net/http keep-alive round trip accounts for 89. The tight case arms
+// the hedge at an hour, because a test package running beside it lets
+// the default derived delay fire a hedge now and then, which moved the
+// count by one or two between runs; the default Config, whose delay is
+// read off the latency histogram's p95, is held to the 125 those runs
+// reached. A router that decodes the request, re-encodes the reply or
+// starts a goroutine per predict (26 allocations more through this
+// caller) passes neither.
 func TestRoutedPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	h, callers, bodies := routedPredict(t, cluster.Config{Replicas: 2}, 1)
-	allocs := testing.AllocsPerRun(500, func() {
-		if status := callers[0].post(h, bodies[0]); status != http.StatusOK {
-			t.Fatalf("predict returned %d", status)
+	for _, c := range []struct {
+		name  string
+		cfg   cluster.Config
+		bound float64
+	}{
+		{"hedge armed at an hour", cluster.Config{Replicas: 2, HedgeAfter: time.Hour}, 123},
+		{"default derived hedge delay", cluster.Config{Replicas: 2}, 125},
+	} {
+		h, callers, bodies := routedPredict(t, c.cfg, 1)
+		allocs := testing.AllocsPerRun(500, func() {
+			if status := callers[0].post(h, bodies[0]); status != http.StatusOK {
+				t.Fatalf("predict returned %d", status)
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.name, allocs)
+		if allocs > c.bound {
+			t.Errorf("%s: one routed predict costs %.0f allocations, want <= %.0f", c.name, allocs, c.bound)
 		}
-	})
-	if allocs > 128 {
-		t.Fatalf("one routed predict costs %.0f allocations, want <= 128", allocs)
 	}
 }

@@ -285,8 +285,9 @@ func (sr ScenarioRequest) scenario() features.Scenario {
 // CanonicalScenario renders a scenario as "target|pstate|co1|co2|..."
 // with the co-apps sorted. Co-runner order is irrelevant to the model's
 // features (they are sums), so "canneal with [cg ep]" and "canneal with
-// [ep cg]" canonicalise identically. The cluster router hashes this form
-// onto its ring; a cross-package test pins it.
+// [ep cg]" canonicalise identically. Its remaining readers are the
+// repository benchmarks, which key generated batch rows by it to keep
+// them distinct.
 func CanonicalScenario(sc features.Scenario) string {
 	co := slices.Clone(sc.CoApps)
 	slices.Sort(co)

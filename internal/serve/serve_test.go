@@ -626,35 +626,34 @@ func TestConcurrentPredictAndHotSwap(t *testing.T) {
 	}
 }
 
-// TestServeGracefulDrain verifies Serve stops accepting on cancellation
-// and completes in-flight work (the SIGTERM path of cmd/coloserve).
+// TestServeGracefulDrain verifies the serve loop stops accepting on
+// cancellation and completes in-flight work (the SIGTERM path of
+// cmd/coloserve). It runs ServeGracefully as Serve does, with a handler
+// that holds the predict, once the server has answered it, until the
+// drain has started, so the request is in flight when the drain begins
+// however the scheduler orders the goroutines.
 func TestServeGracefulDrain(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ln, err := netListen(t)
 	if err != nil {
 		t.Fatal(err)
 	}
+	answered, draining := make(chan struct{}), make(chan struct{})
+	h := s.Handler()
+	held := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == "/v1/predict" {
+			close(answered)
+			<-draining
+		}
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Serve(ctx, ln, 5*time.Second) }()
+	go func() {
+		done <- ServeGracefully(ctx, ln, held, 5*time.Second, func() { s.StartDrain(); close(draining) })
+	}()
 
 	url := "http://" + ln.Addr().String()
-	// Wait for the listener to answer.
-	var resp *http.Response
-	for i := 0; i < 50; i++ {
-		resp, err = http.Get(url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("server never came up: %v", err)
-	}
-
-	// Fire a request concurrently with cancellation; Shutdown's drain
-	// must let it complete.
 	reqDone := make(chan error, 1)
 	go func() {
 		raw, _ := json.Marshal(PredictRequest{ScenarioRequest: ScenarioRequest{Target: "cg", PState: 0}})
@@ -670,13 +669,17 @@ func TestServeGracefulDrain(t *testing.T) {
 		}
 		reqDone <- nil
 	}()
-	time.Sleep(5 * time.Millisecond)
+	select {
+	case <-answered:
+	case err := <-reqDone:
+		t.Fatalf("the predict returned before it was held: %v", err)
+	}
 	cancel()
 	if err := <-reqDone; err != nil {
 		t.Fatalf("in-flight request failed during drain: %v", err)
 	}
 	if err := <-done; err != nil {
-		t.Fatalf("Serve returned %v", err)
+		t.Fatalf("ServeGracefully returned %v", err)
 	}
 	// The listener is closed: new connections fail.
 	if _, err := http.Get(url + "/healthz"); err == nil {
