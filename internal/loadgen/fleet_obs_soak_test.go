@@ -16,7 +16,9 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -282,6 +284,9 @@ func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*l
 // workload of the repository benchmark drives. The path includes a real
 // loopback HTTP hop, as production does. ns/op is wall time per request
 // over all clients: a request's latency is that times the -cpu value.
+// stalled is the tail benchmark: three replicas, b0 answering nothing
+// for the first 10 ms of every 100 ms, closed-loop clients at GOMAXPROCS
+// and at 8, with per-request p50/p99/p999 reported beside ns/op.
 func BenchmarkClusterProxyTracing(b *testing.B) {
 	// drive runs one closed-loop client per CPU, each walking the bodies
 	// bodiesOf gives it, in order.
@@ -332,6 +337,118 @@ func BenchmarkClusterProxyTracing(b *testing.B) {
 		}
 		drive(b, h, callers, func(int) [][]byte { return bodies })
 	})
+	b.Run("stalled", func(b *testing.B) {
+		clientCounts := []int{runtime.GOMAXPROCS(0)}
+		if clientCounts[0] != 8 {
+			clientCounts = append(clientCounts, 8)
+		}
+		for _, clients := range clientCounts {
+			for _, mode := range []struct {
+				name string
+				cfg  cluster.Config
+			}{
+				{"hedge-armed", cluster.Config{}},
+				{"hedge-off", cluster.Config{HedgeAfter: -1}},
+			} {
+				b.Run(fmt.Sprintf("clients=%d/%s", clients, mode.name), func(b *testing.B) {
+					h, callers, bodies := stalledFleet(b, mode.cfg, clients)
+					driveLatencies(b, h, callers, bodies)
+				})
+			}
+		}
+	})
+}
+
+// stallPeriod and stallWindow set stallHandler's schedule: a replica
+// that answers nothing for the first 10 ms of every 100 ms.
+const (
+	stallPeriod = 100 * time.Millisecond
+	stallWindow = 10 * time.Millisecond
+)
+
+// stallHandler holds every request that arrives in the first
+// stallWindow of each stallPeriod until that window closes, then serves
+// it with h.
+func stallHandler(h http.Handler) http.Handler {
+	origin := time.Now()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if phase := time.Since(origin) % stallPeriod; phase < stallWindow {
+			time.Sleep(stallWindow - phase)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// stalledFleet builds three replicas behind a router with cfg, b0 behind
+// stallHandler, and returns the router's handler and n clients, each a
+// caller and the request body of its own scenario, already served once.
+func stalledFleet(b *testing.B, cfg cluster.Config, n int) (http.Handler, []*leanCaller, [][]byte) {
+	b.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	b.Cleanup(cancel)
+	cfg.ProbeInterval = time.Hour
+	rt := cluster.New(cfg)
+	var space *Space
+	for i := 0; i < 3; i++ {
+		srv := newSoakServer(b)
+		h := srv.Handler()
+		if i == 0 {
+			h, space = stallHandler(h), soakSpace(b, srv)
+		}
+		ts := httptest.NewServer(h)
+		b.Cleanup(ts.Close)
+		if err := rt.Pool().Add(fmt.Sprintf("b%d", i), ts.URL); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rt.Start(ctx)
+	callers, bodies := make([]*leanCaller, n), make([][]byte, n)
+	for i := range callers {
+		callers[i], bodies[i] = newLeanCaller("/v1/predict"), []byte(scenarioJSON(space.Scenario(i)))
+		if status := callers[i].post(rt.Handler(), bodies[i]); status != http.StatusOK {
+			b.Fatalf("warm-up predict returned %d: %s", status, callers[i].reply)
+		}
+	}
+	return rt.Handler(), callers, bodies
+}
+
+// driveLatencies runs one closed-loop client per caller, each sending
+// its own body, until b.N predicts have been answered, and reports the
+// per-request latency percentiles (p50-us, p99-us, p999-us).
+func driveLatencies(b *testing.B, h http.Handler, callers []*leanCaller, bodies [][]byte) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	lat := make([][]time.Duration, len(callers))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := range callers {
+		lat[c] = make([]time.Duration, 0, b.N/len(callers)+1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				start := time.Now()
+				if status := callers[c].post(h, bodies[c]); status != http.StatusOK {
+					b.Errorf("predict returned %d: %s", status, callers[c].reply)
+					return
+				}
+				lat[c] = append(lat[c], time.Since(start))
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	all := slices.Concat(lat...)
+	if len(all) == 0 {
+		return
+	}
+	slices.Sort(all)
+	for _, q := range []struct {
+		unit string
+		q    float64
+	}{{"p50-us", 0.50}, {"p99-us", 0.99}, {"p999-us", 0.999}} {
+		b.ReportMetric(float64(all[int(q.q*float64(len(all)-1))])/1e3, q.unit)
+	}
 }
 
 // TestRoutedPredictAllocs guards the allocations of one routed predict
