@@ -1,7 +1,7 @@
 // Command colorouter is the scale-out serving gateway: it forwards every
 // call to the least-loaded healthy coloserve backend at the client's
-// generation floor, with tail-latency hedging for predicts and
-// coordinated rolling model promotions.
+// generation floor, failing over past a backend that cannot answer, and
+// coordinates rolling model promotions.
 //
 // Usage:
 //
@@ -14,10 +14,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/predict          least-loaded, hedged
+//	POST /v1/predict          least-loaded, failing over
 //	POST /v1/predict/batch    forwarded whole, least-loaded
 //	POST /v1/placements       forwarded whole, least-loaded, streamed
-//	POST /v1/observations     forwarded whole, least-loaded (never hedged)
+//	POST /v1/observations     forwarded whole, least-loaded
 //	POST /v1/models/reload    rolling promotion across the fleet
 //	GET  /v1/models           from the most-promoted backend, failing over
 //	GET  /v1/cluster          membership, health and generation state
@@ -70,10 +70,9 @@ type options struct {
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.listen, "listen", ":8080", "address to serve on")
-	fs.IntVar(&o.cfg.Replicas, "replicas", 2, "backends a predict or observation may try: failover and hedge breadth")
+	fs.IntVar(&o.cfg.Replicas, "replicas", 2, "backends a predict or observation may try: failover breadth")
 	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 2*time.Second, "health/generation probe interval")
 	fs.IntVar(&o.cfg.EjectAfter, "eject-after", 3, "consecutive probe failures before a backend is ejected")
-	fs.DurationVar(&o.cfg.HedgeAfter, "hedge-after", 0, "hedge delay for predict calls (0 = derive from observed p95, negative disables)")
 	fs.DurationVar(&o.cfg.RequestTimeout, "timeout", 10*time.Second, "per-request timeout")
 	fs.DurationVar(&o.drain, "drain", 15*time.Second, "shutdown drain budget for in-flight requests")
 	fs.Var(&o.backends, "backend", "backend to join, as name=url or bare url (repeatable)")
@@ -141,14 +140,8 @@ func run(o options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	rt.Start(ctx)
-	hedgeDesc := "p95-derived"
-	if cfg.HedgeAfter > 0 {
-		hedgeDesc = cfg.HedgeAfter.String()
-	} else if cfg.HedgeAfter < 0 {
-		hedgeDesc = "off"
-	}
-	fmt.Printf("routing on %s (replicas %d, probe %s, hedge %s, timeout %s, drain %s)\n",
-		o.listen, cfg.Replicas, cfg.ProbeInterval, hedgeDesc, cfg.RequestTimeout, o.drain)
+	fmt.Printf("routing on %s (replicas %d, probe %s, timeout %s, drain %s)\n",
+		o.listen, cfg.Replicas, cfg.ProbeInterval, cfg.RequestTimeout, o.drain)
 	if err := rt.ListenAndServe(ctx, o.listen, o.drain); err != nil {
 		return err
 	}

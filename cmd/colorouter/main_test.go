@@ -56,12 +56,12 @@ func TestObservabilityFlags(t *testing.T) {
 
 func TestParseFlagsRouting(t *testing.T) {
 	fs := flag.NewFlagSet("colorouter", flag.ContinueOnError)
-	o, err := parseFlags(fs, []string{"-listen", ":9", "-replicas", "3", "-hedge-after", "-1s", "-drain", "2s",
+	o, err := parseFlags(fs, []string{"-listen", ":9", "-replicas", "3", "-drain", "2s",
 		"-backend", "a=http://h:1", "-backend", "http://h:2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.listen != ":9" || o.drain != 2*time.Second || o.cfg.Replicas != 3 || o.cfg.HedgeAfter != -time.Second ||
+	if o.listen != ":9" || o.drain != 2*time.Second || o.cfg.Replicas != 3 ||
 		o.cfg.RequestTimeout != 10*time.Second || len(o.backends) != 2 {
 		t.Fatalf("parsed %+v", o)
 	}

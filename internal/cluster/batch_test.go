@@ -21,7 +21,7 @@ import (
 // with every slot labelled backend_unavailable.
 func TestRoutedBatchIsTheNodesBatch(t *testing.T) {
 	m := edgeTestModel(t)
-	rt := New(Config{HedgeAfter: -1})
+	rt := New(Config{})
 	nodes := map[string]*httptest.Server{}
 	for _, name := range []string{"a", "b", "c"} {
 		reg := serve.NewRegistry()

@@ -143,11 +143,9 @@ func newScriptedBackend(t *testing.T, name string, gen uint64) *scriptedBackend 
 	return sb
 }
 
-// newScriptedRouter joins the backends with hedging off and probes
-// once, so every script is discovered by request traffic alone.
+// newScriptedRouter joins the backends and probes once, so every script is discovered by request traffic alone.
 func newScriptedRouter(t *testing.T, cfg Config, sbs ...*scriptedBackend) *Router {
 	t.Helper()
-	cfg.HedgeAfter = -1
 	rt := New(cfg)
 	for _, sb := range sbs {
 		if err := rt.Pool().Add(sb.name, sb.ts.URL); err != nil {

@@ -10,10 +10,10 @@
 // function of model and scenario and no backend keeps anything keyed by
 // scenario, so any backend serves any request as well as another and
 // load is the one signal worth routing on. A predict or an observation
-// may try at most Config.Replicas of them (its failover and hedge
-// breadth); a batch or a placement search may try them all. The
-// membership the rule reads is an immutable name-sorted snapshot the
-// pool swaps on join, so routing takes no lock and walks no map.
+// may try at most Config.Replicas of them (its failover breadth); a
+// batch or a placement search may try them all. The membership the rule
+// reads is an immutable name-sorted snapshot the pool swaps on join, so
+// routing takes no lock and walks no map.
 //
 // Batches and observations are forwarded whole, with the caller's
 // bytes: backends evaluate a batch in one kernel call and fold an
@@ -30,19 +30,17 @@
 // probed with exponential backoff and takes effect on the first healthy
 // answer.
 //
-// # Tail latency
+// # Failover
 //
-// A predict's attempts run on the request's own goroutine, failing over
-// in order (identical predicts in flight together share nothing: a
-// backend evaluates a predict in microseconds); beside them
-// one timer-driven sidecar, if the call is still open after a hedge
-// delay — configured, or derived from the observed backend p95 — calls
-// the next unclaimed replica from the timer's goroutine. The first
-// usable reply wins: a winning sidecar releases the caller by
-// cancelling the context its attempt is blocked under, a returning
-// caller cancels the sidecar the same way, and the loser is discarded
-// without double-counting metrics. A predict whose hedge never fires
-// (all but about one in a hundred) starts no goroutine.
+// Every forwarded call runs one loop on the request's own goroutine: it
+// tries its candidates in order, moves on only past a reply it may
+// retry (anything short of a definitive answer for reads and
+// placements, a drain shed for ingest), and stops once the request's
+// context is done. Nothing races candidates: a stalled replica's
+// in-flight count sends every later request elsewhere, so least-loaded
+// routing confines the stall to the requests it already holds.
+// Identical predicts in flight together share nothing: a backend
+// evaluates a predict in microseconds.
 //
 // # Bytes in, bytes out
 //

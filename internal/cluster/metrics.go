@@ -9,16 +9,16 @@ import (
 // Metrics is the router's observability layer: per-endpoint request and
 // error counters with latency histograms, per-backend proxy accounting
 // (requests, errors, sheds, ejections, re-admissions, last observed
-// generation), and the hedging counters the tail-latency machinery is
-// judged by. Declared on one obs.Registry with a colorouter_ prefix so a
-// scrape of router and backends never collides.
+// generation), and the fleet-level counters (promotions, requests that
+// found no backend). Declared on one obs.Registry with a colorouter_
+// prefix so a scrape of router and backends never collides.
 type Metrics struct {
 	reg       *obs.Registry
 	endpoints *obs.Endpoints
 	pool      *Pool // its backends hold the per-backend series
 
-	hedges, hedgeWins, promotions, noBackend *obs.Counter
-	inFlight                                 *obs.Gauge
+	promotions, noBackend *obs.Counter
+	inFlight              *obs.Gauge
 }
 
 // backendMetrics is one backend's proxy accounting. It lives in the
@@ -43,8 +43,6 @@ func NewMetrics(pool *Pool) *Metrics {
 	m := &Metrics{reg: r, pool: pool}
 	m.endpoints = r.Endpoints("colorouter", "Router request latency per endpoint.", latencyBuckets)
 	r.Collect(m.collectBackends)
-	m.hedges = r.Counter("colorouter_hedges_total", "Hedged backend calls launched.")
-	m.hedgeWins = r.Counter("colorouter_hedge_wins_total", "Hedged calls that answered before the primary.")
 	m.promotions = r.Counter("colorouter_promotions_total", "Coordinated rolling promotions completed.")
 	m.noBackend = r.Counter("colorouter_no_backend_total", "Requests that found no admissible backend.")
 	r.GaugeFunc("colorouter_backends_healthy", "Backends currently admitted to routing.",
@@ -90,12 +88,13 @@ func (m *Metrics) BackendRequests(name string) uint64 {
 // predicts. A shim for bench/target.go, which ROADMAP item 3(d) removes.
 func (m *Metrics) Coalesced() uint64 { return 0 }
 
-// Hedges returns the hedge-launch count.
-func (m *Metrics) Hedges() uint64 { return m.hedges.Load() }
+// Hedges reports 0: the router no longer hedges predicts. A shim for
+// bench/target.go, which ROADMAP item 3(d) removes.
+func (m *Metrics) Hedges() uint64 { return 0 }
 
 // latencyBuckets are the latency histogram bounds in seconds:
-// geometric ×2 from 50µs to ~1.6s, wide enough to derive a p95 hedge
-// delay for both in-process (µs) and networked (ms) fleets.
+// geometric ×2 from 50µs to ~1.6s, wide enough for both in-process (µs)
+// and networked (ms) fleets.
 var latencyBuckets = func() []float64 {
 	out := make([]float64, 0, 16)
 	for d := 50 * time.Microsecond; d <= 2*time.Second; d *= 2 {

@@ -25,7 +25,8 @@ import (
 // sequence of calls and compares the scrape byte for byte with one
 // captured from the hand-written renderer the registry replaced (PR
 // 12's WritePrometheus), less the colorouter_metrics_dropped_total
-// family that went with the unregistered-endpoint branch.
+// family that went with the unregistered-endpoint branch and the two
+// hedge families that went with hedging.
 func TestMetricsGolden(t *testing.T) {
 	pool := newPool(Config{})
 	for _, name := range []string{"b", "a"} {
@@ -54,8 +55,6 @@ func TestMetricsGolden(t *testing.T) {
 	a.generation.SetMax(3)
 	a.generation.SetMax(2)
 	b.generation.SetMax(1)
-	m.hedges.Add(2)
-	m.hedgeWins.Inc()
 	m.promotions.Inc()
 	m.noBackend.Inc()
 	m.inFlight.Add(1)
@@ -82,7 +81,7 @@ func TestMetricsGolden(t *testing.T) {
 // accessor and the scrape report.
 func TestProxyRecordsIntoBackendHandles(t *testing.T) {
 	a := newFakeBackend(t, "a")
-	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
+	rt := newTestRouter(t, Config{Replicas: 1}, a)
 	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d", rec.Code)
 	}
@@ -183,7 +182,7 @@ func routerScrapes(t *testing.T) (metrics, fleet string) {
 	t.Helper()
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2}, a, b)
 	h := rt.Handler()
 	predict := func(what string) {
 		t.Helper()

@@ -28,10 +28,7 @@ func (fw flushWriter) Write(p []byte) (int, error) {
 // handlePlacements proxies POST /v1/placements to the least-loaded
 // healthy backend, streaming the backend's NDJSON body to the client
 // incrementally. Failover (transport error, 5xx, drain shed) moves to
-// the next candidate as long as no body byte has been forwarded;
-// hedging is deliberately off — an optimizer search is the most
-// expensive call in the system, and racing two of them doubles fleet
-// load for no latency win.
+// the next candidate as long as no body byte has been forwarded.
 func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	body, status, refusal := readRequestBody(r, 8<<20)
 	if refusal != nil {
@@ -62,10 +59,7 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq ob
 		_, _ = io.Copy(flushWriter{w: w, f: f}, resp.Body)
 		return nil
 	}
-	tp := outboundTraceparent(rq.Trace)
-	pr := failover(rq.Trace.Root(), cands, notOK, func(b *Backend) *proxyResult {
-		return rt.send(r.Context(), b, http.MethodPost, "/v1/placements", body, rq.ID, tp, forward)
-	})
+	pr := rt.failover(r, rq, cands, notOK, http.MethodPost, "/v1/placements", body, forward)
 	switch {
 	case pr.ok():
 		return pr.status, nil

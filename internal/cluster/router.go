@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -28,7 +27,7 @@ import (
 // Config tunes the router.
 type Config struct {
 	// Replicas bounds the backends a predict or an observation may try,
-	// least loaded first: its failover and hedge breadth. Batches and
+	// least loaded first: its failover breadth. Batches and
 	// placements may try every admissible backend. Default 2.
 	Replicas int
 	// ProbeInterval paces the health/generation probe loop. Default 2s.
@@ -36,11 +35,6 @@ type Config struct {
 	// EjectAfter is the consecutive probe failures before a backend is
 	// ejected from routing. Default 3.
 	EjectAfter int
-	// HedgeAfter fixes the hedge delay: a predict call still unanswered
-	// after this long launches a second attempt on the next replica. 0
-	// derives the delay from the observed backend p95 (floored at 1ms);
-	// negative disables hedging.
-	HedgeAfter time.Duration
 	// RequestTimeout bounds one inbound request end to end. Default 10s.
 	RequestTimeout time.Duration
 	// Client reaches the backends; nil selects a pooled transport. Its
@@ -82,16 +76,16 @@ func (c *Config) defaults() {
 
 // Router is the scale-out gateway: it forwards every call, with the
 // caller's bytes, to the least-loaded admissible backend of a replicated
-// coloserve fleet, hedges slow predicts, and coordinates rolling model
-// promotions with per-client generation monotonicity.
+// coloserve fleet, fails over past a replica that cannot answer, and
+// coordinates rolling model promotions with per-client generation
+// monotonicity.
 type Router struct {
 	cfg       Config
 	transport http.RoundTripper // cfg.Client's, which every forwarded call goes through
 	pool      *Pool
 	metrics   *Metrics
 	floors    floorTable
-	backLat   *obs.Histogram // completed predict proxy latencies → p95 hedge delay
-	edge      *obs.Edge      // the request envelope every endpoint runs under
+	edge      *obs.Edge // the request envelope every endpoint runs under
 	fleet     *fleetobs.Aggregator
 	started   time.Time
 
@@ -115,7 +109,6 @@ func New(cfg Config) *Router {
 		transport: transport,
 		pool:      pool,
 		metrics:   NewMetrics(pool),
-		backLat:   obs.NewHistogram(latencyBuckets),
 		fleet:     &fleetobs.Aggregator{Client: cfg.Client, Timeout: probeTimeout},
 		started:   time.Now(),
 	}
@@ -296,7 +289,6 @@ type proxyResult struct {
 	shed         bool   // typed 503 "draining": alive, re-route, don't eject
 	err          error
 	elapsed      time.Duration
-	hedgeWait    time.Duration // delay waited before a hedge fired (0: none fired)
 }
 
 // ok reports whether the result can be returned to a client: any
@@ -308,9 +300,7 @@ func (pr *proxyResult) ok() bool {
 
 // outboundTraceparent renders the W3C trace context to inject into one
 // backend call: a fresh child of the request's router trace. Empty when
-// tracing is disabled or the request carries no trace. Callers that
-// outlive the request (abandoned hedge losers) must capture this string
-// before the handler returns rather than hold the trace itself.
+// tracing is disabled or the request carries no trace.
 func outboundTraceparent(tr *obs.Trace) string {
 	if tc, ok := tr.OutboundContext(); ok {
 		return tc.Header()
@@ -345,8 +335,7 @@ func retryAfter(h http.Header) time.Duration {
 // drain ends. consume sees every reply (sheds and 5xx included, with
 // pr already classified) while the body is open, and its error fails
 // the call. tp is the pre-rendered Traceparent value ("" injects
-// none): a string rather than the live trace, so calls that outlive
-// the request never touch a recycled trace.
+// none), rendered once for all of a request's attempts.
 func (rt *Router) send(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string,
 	consume func(*proxyResult, *http.Response) error) *proxyResult {
 	start := time.Now()
@@ -504,23 +493,25 @@ func readSized(r io.Reader, declared, limit int64) ([]byte, error) {
 	return buf, err
 }
 
-// failover makes one backend call against the candidates in order,
-// moving on only while retry holds for the previous reply: notOK for
-// idempotent reads (and for placements, which forwards nothing of a
-// reply that is not ok), shedOnly for ingest. The first attempt is
-// timed as a "proxy" child of parent and later ones as "retry"; each
-// carries its backend's own span tree. Nothing here races candidates —
-// hedgedCall's sidecar is the only place that does.
-func failover(parent obs.Span, cands []*Backend, retry func(*proxyResult) bool, call func(*Backend) *proxyResult) *proxyResult {
+// failover makes one forwarded call against the candidates in order,
+// moving on only while retry holds for the previous reply and the
+// request's context is not done: notOK for idempotent reads (and for
+// placements, which forwards nothing of a reply that is not ok),
+// shedOnly for ingest. consume is send's: readBody for a reply that is
+// replayed whole. The first attempt is timed as a "proxy" child of the
+// request's root span and later ones as "retry"; endAttempt closes
+// each.
+func (rt *Router) failover(r *http.Request, rq obs.Request, cands []*Backend, retry func(*proxyResult) bool,
+	method, path string, body []byte, consume func(*proxyResult, *http.Response) error) *proxyResult {
+	ctx, tp := r.Context(), outboundTraceparent(rq.Trace)
 	var pr *proxyResult
 	name := "proxy"
 	for _, b := range cands {
-		sp := parent.StartChild(name)
+		sp := rq.Trace.Root().StartChild(name)
 		sp.Annotate("backend", b.Name)
-		pr = call(b)
-		sp.AttachRemote(b.Name, pr.traceSpans)
-		sp.End()
-		if !retry(pr) {
+		pr = rt.send(ctx, b, method, path, body, rq.ID, tp, consume)
+		endAttempt(sp, pr)
+		if ctx.Err() != nil || !retry(pr) {
 			break
 		}
 		name = "retry"
@@ -535,145 +526,12 @@ func notOK(pr *proxyResult) bool { return !pr.ok() }
 // request was definitely not processed.
 func shedOnly(pr *proxyResult) bool { return pr.shed }
 
-// hedgeMin floors the derived hedge delay.
-const hedgeMin = time.Millisecond
-
-// hedgeDelay is the time to wait before launching a second attempt on
-// the next replica: the configured HedgeAfter, or the observed backend
-// p95 floored at hedgeMin. Negative HedgeAfter disables hedging.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.HedgeAfter > 0 {
-		return rt.cfg.HedgeAfter
-	}
-	if rt.cfg.HedgeAfter < 0 {
-		return -1
-	}
-	if d := time.Duration(math.Round(rt.backLat.Quantile(0.95) * float64(time.Second))); d > hedgeMin {
-		return d
-	}
-	return hedgeMin
-}
-
-// hedge is what one hedgedCall shares with its sidecar.
-type hedge struct {
-	mu     sync.Mutex
-	next   int           // first candidate nobody has claimed
-	closed bool          // the call has returned: a late sidecar starts nothing
-	done   chan struct{} // made when the sidecar fires, closed when its reply is in
-	wait   time.Duration // how long the call had run when the sidecar fired
-	span   obs.Span      // the sidecar's "hedge" span
-	reply  *proxyResult  // the sidecar's reply
-}
-
-// hedgedCall makes one backend call against the candidates with
-// tail-latency hedging. The attempts run on the caller's goroutine, in
-// order, a failed or shedding candidate failing over to the next at
-// once. Beside them runs at most one sidecar: a timer that, if the call
-// is still open after the hedge delay and a candidate is unclaimed,
-// claims it and calls it from the timer's goroutine. The first usable
-// reply wins; a sidecar that gets it cancels the context the inline
-// attempt is blocked under, which releases the caller to take the
-// sidecar's reply, and a caller that returns cancels the sidecar the
-// same way. The losing reply is discarded and only the winner's
-// latency feeds the p95 estimator, so hedges never double-count.
-//
-// The sidecar touches the trace only to open its "hedge" span, under
-// h.mu and only while the call is open; every span is ended here, on
-// the caller's goroutine, a loser annotated with why it lost. A sidecar
-// that outlives the request therefore sees only pre-rendered strings,
-// never the recycled trace.
-func (rt *Router) hedgedCall(ctx context.Context, rq obs.Request, cands []*Backend, method, path string, body []byte) *proxyResult {
-	tr, tp, start := rq.Trace, outboundTraceparent(rq.Trace), time.Now()
-	h := &hedge{next: 1}
-	actx := ctx
-	if delay := rt.hedgeDelay(); delay > 0 && len(cands) > 1 {
-		hctx, release := context.WithCancel(ctx)
-		defer release()
-		actx = hctx
-		defer time.AfterFunc(delay, func() {
-			h.mu.Lock()
-			if h.closed || h.next == len(cands) {
-				h.mu.Unlock()
-				return
-			}
-			b := cands[h.next]
-			h.next++
-			rt.metrics.hedges.Inc()
-			h.wait, h.done = time.Since(start), make(chan struct{})
-			h.span = tr.StartSpan("hedge")
-			h.span.Annotate("backend", b.Name)
-			h.mu.Unlock()
-			reply := rt.proxy(hctx, b, method, path, body, rq.ID, tp)
-			h.mu.Lock()
-			if h.reply = reply; reply.ok() {
-				release()
-			}
-			h.mu.Unlock()
-			close(h.done)
-		}).Stop()
-	}
-
-	b := cands[0]
-	for {
-		sp := tr.StartSpan("proxy")
-		sp.Annotate("backend", b.Name)
-		pr := rt.proxy(actx, b, method, path, body, rq.ID, tp)
-		h.mu.Lock()
-		hedgeWon := h.reply != nil && h.reply.ok()
-		if !pr.ok() && !hedgeWon {
-			if ctx.Err() == nil && h.next < len(cands) {
-				// Immediate failover: a failed or shedding candidate never
-				// waits out the hedge timer.
-				endAttempt(sp, pr, false)
-				b = cands[h.next]
-				h.next++
-				h.mu.Unlock()
-				continue
-			}
-			if h.done != nil && h.reply == nil {
-				// Every inline attempt failed with the sidecar still out:
-				// its reply decides.
-				h.mu.Unlock()
-				select {
-				case <-h.done:
-				case <-ctx.Done():
-				}
-				h.mu.Lock()
-				hedgeWon = h.reply != nil && h.reply.ok()
-			}
-		}
-		h.closed = true
-		winner := pr
-		if hedgeWon {
-			endAttempt(sp, nil, false) // released by the sidecar's reply, not failed
-			winner = h.reply
-		} else {
-			endAttempt(sp, pr, pr.ok())
-		}
-		if h.done != nil {
-			endAttempt(h.span, h.reply, hedgeWon)
-		}
-		winner.hedgeWait = h.wait
-		h.mu.Unlock()
-		if winner.ok() {
-			rt.backLat.Observe(winner.elapsed.Seconds())
-			if hedgeWon {
-				rt.metrics.hedgeWins.Inc()
-			}
-		}
-		return winner
-	}
-}
-
-// endAttempt closes one attempt's span: the winner's carries its
-// backend's own span tree, a loser's says why it lost (no reply: it
-// was still out when the call returned).
-func endAttempt(sp obs.Span, pr *proxyResult, won bool) {
+// endAttempt closes one attempt's span: a usable reply's carries its
+// backend's own span tree, any other says why the attempt failed.
+func endAttempt(sp obs.Span, pr *proxyResult) {
 	switch {
-	case won:
+	case pr.ok():
 		sp.AttachRemote(pr.backend.Name, pr.traceSpans)
-	case pr == nil:
-		sp.Annotate("outcome", "abandoned")
 	case pr.err != nil:
 		sp.Fail(pr.err.Error())
 	case pr.shed:
@@ -773,7 +631,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
-	pr := rt.hedgedCall(r.Context(), rq, cands, http.MethodPost, "/v1/predict", raw)
+	pr := rt.failover(r, rq, cands, notOK, http.MethodPost, "/v1/predict", raw, readBody)
 	return rt.answer(w, pr, route, client, req.Model, predictReplyIdentity)
 }
 
@@ -812,14 +670,11 @@ func (b *Backend) noteServed(model string, gen uint64) {
 
 // replay answers the client with a proxied result as it came — status,
 // body bytes and the backend's Content-Type — under the hop's
-// Server-Timing: route (candidate resolution), hedge_wait when a hedge
-// fired, backend, then the backend's own stage breakdown.
+// Server-Timing: route (candidate resolution), backend, then the
+// backend's own stage breakdown.
 func (rt *Router) replay(w http.ResponseWriter, pr *proxyResult, route time.Duration) (int, any) {
 	var arr [192]byte
 	b := obs.AppendServerTiming(arr[:0], "route", route)
-	if pr.hedgeWait > 0 {
-		b = obs.AppendServerTiming(b, "hedge_wait", pr.hedgeWait)
-	}
 	b = obs.AppendServerTiming(b, "backend", pr.elapsed)
 	if backend := strings.TrimSpace(pr.serverTiming); backend != "" {
 		b = append(append(b, ", "...), backend...)
@@ -882,10 +737,7 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq 
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
-	tp := outboundTraceparent(rq.Trace)
-	pr := failover(rq.Trace.Root(), cands, notOK, func(b *Backend) *proxyResult {
-		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/predict/batch", raw, rq.ID, tp)
-	})
+	pr := rt.failover(r, rq, cands, notOK, http.MethodPost, "/v1/predict/batch", raw, readBody)
 	return rt.answer(w, pr, route, client, req.Model, batchReplyIdentity)
 }
 
@@ -894,9 +746,8 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq 
 // handleObservations forwards observation ingest whole: one observation
 // or a batch, the caller's bytes go to one backend, which folds them
 // into one group commit and whose limits and typed 400s reach the client
-// as they came. Ingest is an append, not an idempotent read: it is never
-// hedged, and it fails over only on a drain shed (definitely not
-// processed).
+// as they came. Ingest is an append, not an idempotent read: it fails
+// over only on a drain shed (definitely not processed).
 func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	raw, status, refusal := readRequestBody(r, 64<<20)
 	if refusal != nil {
@@ -907,10 +758,7 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq 
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend")
 	}
-	tp := outboundTraceparent(rq.Trace)
-	pr := failover(rq.Trace.Root(), cands, shedOnly, func(b *Backend) *proxyResult {
-		return rt.proxy(r.Context(), b, http.MethodPost, "/v1/observations", raw, rq.ID, tp)
-	})
+	pr := rt.failover(r, rq, cands, shedOnly, http.MethodPost, "/v1/observations", raw, readBody)
 	return rt.answer(w, pr, route, "", "", nil)
 }
 
@@ -1054,10 +902,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Re
 		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no healthy backend")
 	}
-	tp := outboundTraceparent(rq.Trace)
-	pr := failover(rq.Trace.Root(), avail, notOK, func(b *Backend) *proxyResult {
-		return rt.proxy(r.Context(), b, http.MethodGet, "/v1/models", nil, rq.ID, tp)
-	})
+	pr := rt.failover(r, rq, avail, notOK, http.MethodGet, "/v1/models", nil, readBody)
 	return rt.answer(w, pr, route, "", "", nil)
 }
 

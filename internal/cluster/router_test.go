@@ -20,9 +20,9 @@ import (
 )
 
 // fakeBackend is a scripted coloserve stand-in: it answers the probe
-// and predict surface with controllable health, drain, generation and
-// stall behaviour, so routing decisions can be tested deterministically
-// without training a model.
+// and predict surface with controllable health, drain and generation,
+// so routing decisions can be tested deterministically without training
+// a model.
 type fakeBackend struct {
 	name string
 	ts   *httptest.Server
@@ -34,8 +34,6 @@ type fakeBackend struct {
 	gen        atomic.Uint64
 	healthy    atomic.Bool
 	drain      atomic.Bool
-	stall      atomic.Bool
-	gate       chan struct{}
 }
 
 func writeShed(w http.ResponseWriter) {
@@ -47,7 +45,7 @@ func writeShed(w http.ResponseWriter) {
 
 func newFakeBackend(t *testing.T, name string) *fakeBackend {
 	t.Helper()
-	fb := &fakeBackend{name: name, gate: make(chan struct{})}
+	fb := &fakeBackend{name: name}
 	fb.healthy.Store(true)
 	fb.gen.Store(1)
 	mux := http.NewServeMux()
@@ -73,13 +71,6 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 			return
 		}
 		fb.predicts.Add(1)
-		if fb.stall.Load() {
-			select {
-			case <-fb.gate:
-			case <-r.Context().Done():
-				return
-			}
-		}
 		// Mirror the serve tier's trace emission: when the router sent a
 		// sampled traceparent, answer with a real span tree so stitching
 		// is exercised against the production wire format.
@@ -124,13 +115,6 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 			return
 		}
 		fb.placements.Add(1)
-		if fb.stall.Load() {
-			select {
-			case <-fb.gate:
-			case <-r.Context().Done():
-				return
-			}
-		}
 		// A streaming response: one incremental plan line, one final.
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		io.WriteString(w, `{"final":false,"plan":{"objective":2.5}}`+"\n")
@@ -253,7 +237,7 @@ func TestCandidatesLeastLoadedFirst(t *testing.T) {
 func TestPredictProxy(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2}, a, b)
 
 	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario),
 		map[string]string{"X-Request-ID": "req-42"})
@@ -281,44 +265,6 @@ func TestPredictProxy(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresOnStall pins the hedging contract: a stalled first
-// candidate trips the hedge timer, the next replica answers, and the slow reply
-// is discarded without double-counting — one inbound request stays one
-// measured request.
-func TestHedgeFiresOnStall(t *testing.T) {
-	a := newFakeBackend(t, "a")
-	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: 2 * time.Millisecond}, a, b)
-
-	a.stall.Store(true)
-	defer close(a.gate)
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("hedged predict returned %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("X-Backend"); got != "b" {
-		t.Fatalf("served by %q, want the hedge replica b", got)
-	}
-	if got := rt.metrics.Hedges(); got != 1 {
-		t.Fatalf("hedges %d, want 1", got)
-	}
-	if got := rt.metrics.hedgeWins.Load(); got != 1 {
-		t.Fatalf("hedge wins %d, want 1", got)
-	}
-	// No double counting: one inbound request, one measured latency, one
-	// winning backend-call sample in the hedge-delay estimator.
-	predict := rt.metrics.endpoints.Endpoint("predict")
-	if got := predict.Requests.Load(); got != 1 {
-		t.Fatalf("endpoint counted %d requests, want 1", got)
-	}
-	if got := predict.Latency.Snapshot().Count; got != 1 {
-		t.Fatalf("endpoint latency has %d samples, want 1", got)
-	}
-	if got := rt.backLat.Snapshot().Count; got != 1 {
-		t.Fatalf("backend-latency estimator has %d samples, want 1 (the winner)", got)
-	}
-}
-
 // TestDrainShedFailover pins satellite behaviour: a typed 503 with
 // Retry-After re-routes the request and marks the backend shedding —
 // alive, skipped, NOT ejected — while a plain failure would count
@@ -326,7 +272,7 @@ func TestHedgeFiresOnStall(t *testing.T) {
 func TestDrainShedFailover(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2}, a, b)
 
 	a.drain.Store(true)
 	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
@@ -357,6 +303,36 @@ func TestDrainShedFailover(t *testing.T) {
 	}
 }
 
+// TestCancelledRequestTriesOneBackend: failover ends once the request's
+// context is done. A predict, batch, placement search or model listing
+// whose caller has already gone makes one backend attempt, charges that
+// backend at most one error, and is answered the typed 502.
+func TestCancelledRequestTriesOneBackend(t *testing.T) {
+	for _, c := range []struct{ name, method, path, body string }{
+		{"predict", http.MethodPost, "/v1/predict", predictBody(testScenario)},
+		{"batch", http.MethodPost, "/v1/predict/batch", batchBody("cg", "ep")},
+		{"placements", http.MethodPost, "/v1/placements", `{}`},
+		{"models", http.MethodGet, "/v1/models", ""},
+	} {
+		fbs := []*fakeBackend{newFakeBackend(t, "a"), newFakeBackend(t, "b"), newFakeBackend(t, "c")}
+		rt := newTestRouter(t, Config{Replicas: 2}, fbs...)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)).WithContext(ctx))
+		var attempts, errs uint64
+		for _, fb := range fbs {
+			bm := &rt.pool.Get(fb.name).metrics
+			attempts += bm.requests.Load()
+			errs += bm.errors.Load()
+		}
+		if attempts != 1 || errs > 1 || rec.Code != http.StatusBadGateway {
+			t.Errorf("%s: %d backend attempts, %d counted errors, status %d; want 1, at most 1, 502",
+				c.name, attempts, errs, rec.Code)
+		}
+	}
+}
+
 // TestEjectionAndReadmission steps the probe state machine: consecutive
 // probe failures eject (without leaving the pool), and a recovered
 // backend is re-admitted after its backoff.
@@ -365,7 +341,6 @@ func TestEjectionAndReadmission(t *testing.T) {
 	b := newFakeBackend(t, "b")
 	rt := newTestRouter(t, Config{
 		Replicas:   2,
-		HedgeAfter: -1,
 		EjectAfter: 2,
 	}, a, b)
 	rt.pool.backoffBase = time.Millisecond
@@ -410,7 +385,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 func TestGenerationFloorRouting(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 1}, a, b)
 	ctx := context.Background()
 	hdr := map[string]string{"X-Client-ID": "c1"}
 
@@ -491,7 +466,7 @@ func TestGenerationFloorRouting(t *testing.T) {
 // the rollout reports completion.
 func TestRollingPromotion(t *testing.T) {
 	fbs := []*fakeBackend{newFakeBackend(t, "a"), newFakeBackend(t, "b"), newFakeBackend(t, "c")}
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, fbs...)
+	rt := newTestRouter(t, Config{Replicas: 2}, fbs...)
 	hdr := map[string]string{"X-Client-ID": "c1"}
 	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody("cg"), hdr); rec.Code != http.StatusOK || rt.floors.get("c1", "demo") != 1 {
 		t.Fatalf("batch before the promotion: %d, floor %d, want 200 and 1", rec.Code, rt.floors.get("c1", "demo"))
@@ -547,7 +522,7 @@ func TestRollingPromotion(t *testing.T) {
 // otherwise one reload each leaves it permanently behind.
 func TestRestartedBackendCatchesUp(t *testing.T) {
 	a, b := newFakeBackend(t, "a"), newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2}, a, b)
 
 	// First rollout: fleet converges at generation 2.
 	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/models/reload", "", nil); rec.Code != http.StatusOK {
@@ -596,7 +571,7 @@ func TestRestartedBackendCatchesUp(t *testing.T) {
 // every endpoint that needs one.
 func TestNoBackendTyped503(t *testing.T) {
 	a := newFakeBackend(t, "a")
-	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
+	rt := newTestRouter(t, Config{Replicas: 1}, a)
 	a.healthy.Store(false)
 	rt.pool.ProbeAll(context.Background())
 	rt.pool.ProbeAll(context.Background())
@@ -636,7 +611,7 @@ func TestNoBackendTyped503(t *testing.T) {
 func TestHealthzAndClusterEndpoints(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2}, a, b)
 
 	rec := doReq(t, rt.Handler(), http.MethodGet, "/healthz", "", nil)
 	if rec.Code != http.StatusOK {
@@ -680,7 +655,7 @@ func TestBatchForwardedWhole(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
 	c := newFakeBackend(t, "c")
-	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 1}, a, b)
 
 	wantTargets := []string{"cg", "ep", "cg"}
 	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody(wantTargets...), nil)
@@ -712,8 +687,8 @@ func TestBatchForwardedWhole(t *testing.T) {
 
 	// Property: whichever of three backends the load picks for a random
 	// batch, the reply equals the answer of a fleet of one byte for byte.
-	fleet := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a, b, c)
-	solo := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
+	fleet := newTestRouter(t, Config{Replicas: 1}, a, b, c)
+	solo := newTestRouter(t, Config{Replicas: 1}, a)
 	rng := rand.New(rand.NewSource(5))
 	served := map[string]bool{}
 	for round := 0; round < 20; round++ {
@@ -750,7 +725,7 @@ func TestBatchForwardedWhole(t *testing.T) {
 // outcome the test accepts.
 func TestConcurrentTrafficUnderChurn(t *testing.T) {
 	fbs := []*fakeBackend{newFakeBackend(t, "a"), newFakeBackend(t, "b"), newFakeBackend(t, "c")}
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: time.Millisecond}, fbs...)
+	rt := newTestRouter(t, Config{Replicas: 2}, fbs...)
 	h := rt.Handler()
 	ctx := context.Background()
 

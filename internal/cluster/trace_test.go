@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"colocmodel/internal/fleetobs"
 	"colocmodel/internal/obs"
@@ -52,7 +51,7 @@ func latestPredictTrace(t *testing.T, rt *Router) *obs.TraceData {
 func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1, SlowThreshold: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2, SlowThreshold: -1}, a, b)
 
 	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
 	if rec.Code != http.StatusOK {
@@ -113,68 +112,6 @@ func TestStitchedTraceServedByTracesEndpoint(t *testing.T) {
 	}
 }
 
-// TestStitchedTraceUnderHedge pins stitching under hedging: the
-// winner's remote spans attach under its hedge span, the abandoned
-// loser is annotated, and the merged Server-Timing carries the
-// router-local route and hedge_wait stages in front of the backend's
-// own breakdown (satellite format pin).
-func TestStitchedTraceUnderHedge(t *testing.T) {
-	a := newFakeBackend(t, "a")
-	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: 2 * time.Millisecond, SlowThreshold: -1}, a, b)
-
-	a.stall.Store(true)
-	defer close(a.gate)
-	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("hedged predict returned %d: %s", rec.Code, rec.Body.String())
-	}
-
-	st := rec.Header().Get("Server-Timing")
-	last := -1
-	for _, stage := range []string{"route;dur=", "hedge_wait;dur=", "backend;dur=", "eval;dur="} {
-		i := strings.Index(st, stage)
-		if i < 0 {
-			t.Fatalf("Server-Timing %q missing stage %q", st, stage)
-		}
-		if i < last {
-			t.Fatalf("Server-Timing %q: stage %q out of order", st, stage)
-		}
-		last = i
-	}
-
-	td := latestPredictTrace(t, rt)
-	hi := findSpan(td, "hedge", "")
-	if hi < 0 {
-		t.Fatalf("hedge span missing: %+v", td.Spans)
-	}
-	if got := spanAttr(&td.Spans[hi], "backend"); got != "b" {
-		t.Fatalf("hedge span backend %q, want the winner b", got)
-	}
-	// Winner's remote tree hangs off the hedge span.
-	ri := findSpan(td, "predict", "b")
-	if ri < 0 || td.Spans[ri].Parent != hi {
-		t.Fatalf("winner's remote root not under the hedge span: %+v", td.Spans)
-	}
-	if findSpan(td, "eval", "b") < 0 {
-		t.Fatalf("winner's eval span missing: %+v", td.Spans)
-	}
-	// Loser a: span present, annotated abandoned, no remote spans.
-	pi := findSpan(td, "proxy", "")
-	if pi < 0 {
-		t.Fatalf("primary proxy span missing: %+v", td.Spans)
-	}
-	if got := spanAttr(&td.Spans[pi], "backend"); got != "a" {
-		t.Fatalf("primary proxy span backend %q, want a", got)
-	}
-	if got := spanAttr(&td.Spans[pi], "outcome"); got != "abandoned" {
-		t.Fatalf("loser outcome %q, want abandoned", got)
-	}
-	if findSpan(td, "eval", "a") >= 0 {
-		t.Fatalf("abandoned loser must not contribute remote spans: %+v", td.Spans)
-	}
-}
-
 // TestFleetMetricsEndpoint pins the aggregation surface: the router's
 // GET /v1/fleet/metrics merges every backend's scrape, labels fleet
 // health per backend, appends the router's own metrics and SLO gauges,
@@ -182,7 +119,7 @@ func TestStitchedTraceUnderHedge(t *testing.T) {
 func TestFleetMetricsEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
 	b := newFakeBackend(t, "b")
-	rt := newTestRouter(t, Config{Replicas: 2, HedgeAfter: -1}, a, b)
+	rt := newTestRouter(t, Config{Replicas: 2}, a, b)
 
 	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d", rec.Code)
@@ -215,7 +152,7 @@ func TestFleetMetricsEndpoint(t *testing.T) {
 // disabled form.
 func TestRouterSLOEndpoint(t *testing.T) {
 	a := newFakeBackend(t, "a")
-	rt := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1}, a)
+	rt := newTestRouter(t, Config{Replicas: 1}, a)
 	if rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil); rec.Code != http.StatusOK {
 		t.Fatalf("predict returned %d", rec.Code)
 	}
@@ -234,7 +171,7 @@ func TestRouterSLOEndpoint(t *testing.T) {
 		t.Fatalf("short window %+v, want 1 good observation", st.Short)
 	}
 
-	off := newTestRouter(t, Config{Replicas: 1, HedgeAfter: -1, SLOObjective: -1, TraceRing: -1}, a)
+	off := newTestRouter(t, Config{Replicas: 1, SLOObjective: -1, TraceRing: -1}, a)
 	if rec := doReq(t, off.Handler(), http.MethodGet, "/v1/slo", "", nil); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("disabled SLO returned %d, want 503", rec.Code)
 	}

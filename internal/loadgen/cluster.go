@@ -12,7 +12,7 @@ import (
 // ClusterTarget is an in-process serving fleet: n coloserve replicas on
 // httptest listeners joined to a colorouter gateway. Driving the
 // returned Doer exercises the full two-hop path — router routing and
-// hedging in front, real HTTP to the replicas behind —
+// failover in front, real HTTP to the replicas behind —
 // deterministically enough to run as a seeded soak under -race.
 type ClusterTarget struct {
 	// Router is the gateway; its Pool and Metrics are exposed so soaks

@@ -3,7 +3,7 @@ package loadgen
 // The cluster soaks promised by the scale-out tier: the loadgen harness
 // drives the colorouter gateway in process (the router still reaches
 // its coloserve replicas over loopback HTTP), so one seeded soak
-// exercises least-loaded routing, hedging, whole-request forwarding,
+// exercises least-loaded routing, failover, whole-request forwarding,
 // health probing and rolling promotion end to end — under -race in CI.
 
 import (

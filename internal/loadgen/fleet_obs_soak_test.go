@@ -277,14 +277,14 @@ func routedPredict(tb testing.TB, cfg cluster.Config, n int) (http.Handler, []*l
 
 // BenchmarkClusterProxyTracing measures the router's single-predict
 // proxy hot path as the repository benchmark drives it — one closed-loop
-// client per CPU, hedging armed, observability on (tracing, traceparent
-// injection, SLO accounting) — beside the same path with the hedge
-// disarmed and with observability fully off, to bound what each costs,
-// and (batch64) a routed 64-row batch under the default Config, which no
-// workload of the repository benchmark drives. The path includes a real
-// loopback HTTP hop, as production does. ns/op is wall time per request
-// over all clients: a request's latency is that times the -cpu value.
-// stalled is the tail benchmark: three replicas, b0 answering nothing
+// client per CPU, observability on (tracing, traceparent injection, SLO
+// accounting) — beside the same path with observability fully off, to
+// bound what it costs, and (batch64) a routed 64-row batch under the
+// default Config, which no workload of the repository benchmark drives.
+// The path includes a real loopback HTTP hop, as production does. ns/op
+// is wall time per request over all clients: a request's latency is that
+// times the -cpu value. stalled is the tail benchmark of least-loaded
+// routing under a stalled replica: three replicas, b0 answering nothing
 // for the first 10 ms of every 100 ms, closed-loop clients at GOMAXPROCS
 // and at 8, with per-request p50/p99/p999 reported beside ns/op.
 func BenchmarkClusterProxyTracing(b *testing.B) {
@@ -309,9 +309,8 @@ func BenchmarkClusterProxyTracing(b *testing.B) {
 		name string
 		cfg  cluster.Config
 	}{
-		{"hedge-armed", cluster.Config{Replicas: 2}},
-		{"traced", cluster.Config{Replicas: 2, HedgeAfter: -1}},
-		{"untraced", cluster.Config{Replicas: 2, HedgeAfter: -1, TraceRing: -1, SLOObjective: -1}},
+		{"traced", cluster.Config{Replicas: 2}},
+		{"untraced", cluster.Config{Replicas: 2, TraceRing: -1, SLOObjective: -1}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			h, callers, bodies := routedPredict(b, mode.cfg, runtime.GOMAXPROCS(0))
@@ -343,18 +342,10 @@ func BenchmarkClusterProxyTracing(b *testing.B) {
 			clientCounts = append(clientCounts, 8)
 		}
 		for _, clients := range clientCounts {
-			for _, mode := range []struct {
-				name string
-				cfg  cluster.Config
-			}{
-				{"hedge-armed", cluster.Config{}},
-				{"hedge-off", cluster.Config{HedgeAfter: -1}},
-			} {
-				b.Run(fmt.Sprintf("clients=%d/%s", clients, mode.name), func(b *testing.B) {
-					h, callers, bodies := stalledFleet(b, mode.cfg, clients)
-					driveLatencies(b, h, callers, bodies)
-				})
-			}
+			b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+				h, callers, bodies := stalledFleet(b, clients)
+				driveLatencies(b, h, callers, bodies)
+			})
 		}
 	})
 }
@@ -379,15 +370,15 @@ func stallHandler(h http.Handler) http.Handler {
 	})
 }
 
-// stalledFleet builds three replicas behind a router with cfg, b0 behind
-// stallHandler, and returns the router's handler and n clients, each a
-// caller and the request body of its own scenario, already served once.
-func stalledFleet(b *testing.B, cfg cluster.Config, n int) (http.Handler, []*leanCaller, [][]byte) {
+// stalledFleet builds three replicas behind a router with the default
+// Config, b0 behind stallHandler, and returns the router's handler and n
+// clients, each a caller and the request body of its own scenario,
+// already served once.
+func stalledFleet(b *testing.B, n int) (http.Handler, []*leanCaller, [][]byte) {
 	b.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	b.Cleanup(cancel)
-	cfg.ProbeInterval = time.Hour
-	rt := cluster.New(cfg)
+	rt := cluster.New(cluster.Config{ProbeInterval: time.Hour})
 	var space *Space
 	for i := 0; i < 3; i++ {
 		srv := newSoakServer(b)
@@ -452,37 +443,23 @@ func driveLatencies(b *testing.B, h http.Handler, callers []*leanCaller, bodies 
 }
 
 // TestRoutedPredictAllocs guards the allocations of one routed predict
-// with the hedge armed and not due, as all but about one predict in a
-// hundred run, both tiers counted: 123 measured, of which a bare
-// net/http keep-alive round trip accounts for 89. The tight case arms
-// the hedge at an hour, because a test package running beside it lets
-// the default derived delay fire a hedge now and then, which moved the
-// count by one or two between runs; the default Config, whose delay is
-// read off the latency histogram's p95, is held to the 125 those runs
-// reached. A router that decodes the request, re-encodes the reply or
-// starts a goroutine per predict (26 allocations more through this
-// caller) passes neither.
+// under the default Config, both tiers counted: 115 measured, of which
+// a bare net/http keep-alive round trip accounts for 89. A router that
+// decodes the request, re-encodes the reply or starts a goroutine per
+// predict (26 allocations more through this caller) does not pass.
 func TestRoutedPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	for _, c := range []struct {
-		name  string
-		cfg   cluster.Config
-		bound float64
-	}{
-		{"hedge armed at an hour", cluster.Config{Replicas: 2, HedgeAfter: time.Hour}, 123},
-		{"default derived hedge delay", cluster.Config{Replicas: 2}, 125},
-	} {
-		h, callers, bodies := routedPredict(t, c.cfg, 1)
-		allocs := testing.AllocsPerRun(500, func() {
-			if status := callers[0].post(h, bodies[0]); status != http.StatusOK {
-				t.Fatalf("predict returned %d", status)
-			}
-		})
-		t.Logf("%s: %.0f allocations", c.name, allocs)
-		if allocs > c.bound {
-			t.Errorf("%s: one routed predict costs %.0f allocations, want <= %.0f", c.name, allocs, c.bound)
+	const bound = 115
+	h, callers, bodies := routedPredict(t, cluster.Config{}, 1)
+	allocs := testing.AllocsPerRun(500, func() {
+		if status := callers[0].post(h, bodies[0]); status != http.StatusOK {
+			t.Fatalf("predict returned %d", status)
 		}
+	})
+	t.Logf("%.0f allocations", allocs)
+	if allocs > bound {
+		t.Errorf("one routed predict costs %.0f allocations, want <= %d", allocs, bound)
 	}
 }

@@ -72,8 +72,7 @@ func (h *Histogram) Observe(v float64) {
 
 // Quantile returns the upper bound of the bucket containing quantile q
 // (0 when the histogram is empty, twice the last bound for the +Inf
-// bucket). Upper bounds overestimate slightly, which is the safe
-// direction for the router's hedge delay.
+// bucket). Upper bounds overestimate slightly.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()
 	if total == 0 {

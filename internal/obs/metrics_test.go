@@ -59,8 +59,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile pins the hedge-delay estimator: the upper bound
-// of the covering bucket, 0 when empty, twice the last bound past it.
+// TestHistogramQuantile pins Quantile: the upper bound of the covering
+// bucket, 0 when empty, twice the last bound past it.
 func TestHistogramQuantile(t *testing.T) {
 	bounds := boundSets["cluster"]
 	h := NewHistogram(bounds)
