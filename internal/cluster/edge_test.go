@@ -289,6 +289,20 @@ func TestEdgeConformance(t *testing.T) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Short.Good != 2 || st.Short.Bad != 0 {
 					t.Fatalf("/v1/slo after a predict and a batch: %d %s", rec.Code, rec.Body.String())
 				}
+				// The scrape's SLO gauges are the numbers /v1/slo reports.
+				short, long := `{window="`+st.Short.Window.String()+`"}`, `{window="`+st.Long.Window.String()+`"}`
+				for sample, want := range map[string]float64{
+					"_slo_objective":          st.Objective,
+					"_slo_good_total" + short: float64(st.Short.Good),
+					"_slo_good_total" + long:  float64(st.Long.Good),
+					"_slo_bad_total" + short:  float64(st.Short.Bad),
+					"_slo_burn_rate" + long:   st.Long.BurnRate,
+					"_slo_state":              0, // ok
+				} {
+					if got := tier.metric(t, sample); got != strconv.FormatFloat(want, 'g', -1, 64) {
+						t.Errorf("%s%s = %s, /v1/slo reports %v (%s)", tier.prefix, sample, got, want, st.State)
+					}
+				}
 			})
 
 			t.Run("scrape, traces and SLO endpoints", func(t *testing.T) {

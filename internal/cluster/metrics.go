@@ -7,26 +7,24 @@ import (
 )
 
 // Metrics is the router's observability layer: per-endpoint request and
-// error counters with latency histograms, per-backend proxy accounting
-// (requests, errors, sheds, ejections, re-admissions, last observed
-// generation), and the fleet-level counters (promotions, requests that
-// found no backend). Declared on one obs.Registry with a colorouter_
-// prefix so a scrape of router and backends never collides.
+// error counters with latency histograms, and per-backend proxy
+// accounting (requests, errors, sheds, last observed generation).
+// Declared on one obs.Registry with a colorouter_ prefix so a scrape of
+// router and backends never collides.
 type Metrics struct {
 	reg       *obs.Registry
 	endpoints *obs.Endpoints
 	pool      *Pool // its backends hold the per-backend series
 
-	promotions, noBackend *obs.Counter
-	inFlight              *obs.Gauge
+	inFlight *obs.Gauge
 }
 
 // backendMetrics is one backend's proxy accounting. It lives in the
 // Backend, so recording takes no lock and no lookup, and a backend that
 // leaves the pool takes its series with it.
 type backendMetrics struct {
-	requests, errors, sheds, ejections, readmissions obs.Counter
-	generation                                       obs.Gauge // monotone in practice
+	requests, errors, sheds obs.Counter
+	generation              obs.Gauge // monotone in practice
 }
 
 // request records one proxy attempt against the backend.
@@ -43,12 +41,8 @@ func NewMetrics(pool *Pool) *Metrics {
 	m := &Metrics{reg: r, pool: pool}
 	m.endpoints = r.Endpoints("colorouter", "Router request latency per endpoint.", latencyBuckets)
 	r.Collect(m.collectBackends)
-	m.promotions = r.Counter("colorouter_promotions_total", "Coordinated rolling promotions completed.")
-	m.noBackend = r.Counter("colorouter_no_backend_total", "Requests that found no admissible backend.")
 	r.GaugeFunc("colorouter_backends_healthy", "Backends currently admitted to routing.",
 		func() float64 { return float64(len(pool.Available())) })
-	r.GaugeFunc("colorouter_backends_total", "Backends joined to the pool.",
-		func() float64 { return float64(len(pool.members())) })
 	m.inFlight = r.Gauge("colorouter_in_flight_requests", "Requests currently being routed.")
 	return m
 }
@@ -62,8 +56,6 @@ func (m *Metrics) collectBackends(w *obs.Writer) {
 		{"colorouter_backend_requests_total", "Proxy attempts per backend.", func(b *backendMetrics) *obs.Counter { return &b.requests }},
 		{"colorouter_backend_errors_total", "Failed proxy attempts per backend.", func(b *backendMetrics) *obs.Counter { return &b.errors }},
 		{"colorouter_backend_sheds_total", "Typed drain sheds answered per backend.", func(b *backendMetrics) *obs.Counter { return &b.sheds }},
-		{"colorouter_backend_ejections_total", "Health ejections per backend.", func(b *backendMetrics) *obs.Counter { return &b.ejections }},
-		{"colorouter_backend_readmissions_total", "Backoff re-admissions per backend.", func(b *backendMetrics) *obs.Counter { return &b.readmissions }},
 	} {
 		for _, b := range backends {
 			w.Counter(row.name, row.help, float64(row.val(&b.metrics).Load()), obs.Label{Key: "backend", Value: b.Name})

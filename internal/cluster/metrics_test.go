@@ -24,9 +24,10 @@ import (
 // TestMetricsGolden drives the router's metrics layer through a fixed
 // sequence of calls and compares the scrape byte for byte with one
 // captured from the hand-written renderer the registry replaced (PR
-// 12's WritePrometheus), less the colorouter_metrics_dropped_total
-// family that went with the unregistered-endpoint branch and the two
-// hedge families that went with hedging.
+// 12's WritePrometheus), less the families since deleted: the
+// unregistered-endpoint counter, the two hedge families, and the five
+// that nothing read (promotions, no-backend, ejections, re-admissions,
+// pool size).
 func TestMetricsGolden(t *testing.T) {
 	pool := newPool(Config{})
 	for _, name := range []string{"b", "a"} {
@@ -50,27 +51,18 @@ func TestMetricsGolden(t *testing.T) {
 	a.request(false)
 	a.request(true)
 	a.sheds.Inc()
-	b.ejections.Inc()
-	b.readmissions.Inc()
 	a.generation.SetMax(3)
 	a.generation.SetMax(2)
 	b.generation.SetMax(1)
-	m.promotions.Inc()
-	m.noBackend.Inc()
 	m.inFlight.Add(1)
 
-	golden, err := os.ReadFile("testdata/metrics.golden")
+	want, err := os.ReadFile("testdata/metrics.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want, got strings.Builder
-	for _, line := range strings.SplitAfter(string(golden), "\n") {
-		if !strings.Contains(line, "colorouter_metrics_dropped_total") {
-			want.WriteString(line)
-		}
-	}
+	var got strings.Builder
 	m.reg.Write(&got)
-	if got.String() != want.String() {
+	if got.String() != string(want) {
 		t.Fatalf("scrape differs from testdata/metrics.golden:\n%s", got.String())
 	}
 }
@@ -272,7 +264,7 @@ func TestScrapeRoundTrip(t *testing.T) {
 	}{
 		{"coloserve", serveScrape(t), true, []string{
 			"coloserve_requests_total", "coloserve_request_duration_seconds", "coloserve_models_loaded",
-			"coloserve_drift_score", "coloserve_obs_commit_duration_seconds", "coloserve_obs_compaction_runs_total",
+			"coloserve_drift_score", "coloserve_observations_logged",
 			"coloserve_retrains_attempted_total", "coloserve_retrain_candidate_mpe", "coloserve_slo_burn_rate"}},
 		{"colorouter", routerDoc, true, []string{
 			"colorouter_requests_total", "colorouter_request_duration_seconds", "colorouter_backend_errors_total",
@@ -358,5 +350,46 @@ func TestScrapeRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsFamiliesDocumented: the families the three scrapes export
+// (an adapt node's /metrics, the router's /metrics and
+// /v1/fleet/metrics) are exactly the family column of README's metrics
+// table, so a family added or removed without its row fails here.
+func TestMetricsFamiliesDocumented(t *testing.T) {
+	routerDoc, fleetDoc := routerScrapes(t)
+	exported := map[string]bool{}
+	for _, text := range []string{serveScrape(t), routerDoc, fleetDoc} {
+		doc, err := fleetobs.Parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range doc.Families {
+			exported[f.Name] = true
+		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "\n### Metrics\n")
+	section, _, _ = strings.Cut(section, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			documented[name] = true
+		}
+	}
+	for name := range exported {
+		if !documented[name] {
+			t.Errorf("family %s is exported but has no row in README's metrics table", name)
+		}
+	}
+	for name := range documented {
+		if !exported[name] {
+			t.Errorf("README's metrics table lists %s, which no scrape exports", name)
+		}
 	}
 }

@@ -36,7 +36,6 @@ func (rt *Router) handlePlacements(w http.ResponseWriter, r *http.Request, rq ob
 	}
 	cands := rt.candidates("", 0, 0) // a plan carries no generation
 	if len(cands) == 0 {
-		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no healthy backend")
 	}
 	// Only a definitive answer is forwarded (status, then the body

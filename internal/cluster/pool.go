@@ -288,15 +288,11 @@ func (p *Pool) probe(ctx context.Context, b *Backend) {
 	status, shedFor, err := p.probeHealthz(ctx, b)
 	switch {
 	case err == nil && status == http.StatusOK:
-		was := BackendState(b.state.Load())
 		b.mu.Lock()
 		b.consecFails = 0
 		b.backoff = 0
 		b.mu.Unlock()
 		b.state.Store(int32(StateHealthy))
-		if was == StateEjected {
-			b.metrics.readmissions.Inc()
-		}
 		p.RefreshGeneration(ctx, b)
 	case err == nil && shedFor > 0:
 		// Typed drain shed: alive but refusing work. Not a failure.
@@ -334,15 +330,11 @@ func (p *Pool) recordFailure(b *Backend) {
 	}
 	b.mu.Unlock()
 	if eject {
-		if BackendState(b.state.Load()) != StateEjected {
-			b.metrics.ejections.Inc()
-		}
 		b.state.Store(int32(StateEjected))
 	}
 }
 
-// probeTimeout bounds one admin GET to a backend: a probe round trip or
-// a /v1/fleet/metrics scrape.
+// probeTimeout bounds one admin GET to a backend (a probe round trip).
 const probeTimeout = 2 * time.Second
 
 // get performs one probe GET against a backend, bounded by the probe

@@ -109,7 +109,7 @@ func New(cfg Config) *Router {
 		transport: transport,
 		pool:      pool,
 		metrics:   NewMetrics(pool),
-		fleet:     &fleetobs.Aggregator{Client: cfg.Client, Timeout: probeTimeout},
+		fleet:     &fleetobs.Aggregator{Client: cfg.Client},
 		started:   time.Now(),
 	}
 	rt.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,
@@ -381,7 +381,10 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 	}
 	pr.err = err
 	pr.elapsed = time.Since(start)
-	b.metrics.request(err != nil || (pr.status >= 500 && !pr.shed))
+	// An attempt the caller cancelled is no fault of the backend's; one
+	// the request timeout cut short is: it did not answer in time.
+	cancelled := err != nil && errors.Is(ctx.Err(), context.Canceled)
+	b.metrics.request(!cancelled && (err != nil || (pr.status >= 500 && !pr.shed)))
 	return pr
 }
 
@@ -628,7 +631,6 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request, rq obs.R
 	floor := rt.floors.get(client, req.Model)
 	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(req.Model, floor, rt.cfg.Replicas) })
 	if len(cands) == 0 {
-		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
 	pr := rt.failover(r, rq, cands, notOK, http.MethodPost, "/v1/predict", raw, readBody)
@@ -734,7 +736,6 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request, rq 
 	floor := rt.floors.get(client, req.Model)
 	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates(req.Model, floor, 0) })
 	if len(cands) == 0 {
-		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend (healthy at generation >= %d)", floor)
 	}
 	pr := rt.failover(r, rq, cands, notOK, http.MethodPost, "/v1/predict/batch", raw, readBody)
@@ -755,7 +756,6 @@ func (rt *Router) handleObservations(w http.ResponseWriter, r *http.Request, rq 
 	}
 	cands, route := routed(rq.Trace, func() []*Backend { return rt.candidates("", 0, rt.cfg.Replicas) })
 	if len(cands) == 0 {
-		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no admissible backend")
 	}
 	pr := rt.failover(r, rq, cands, shedOnly, http.MethodPost, "/v1/observations", raw, readBody)
@@ -872,9 +872,6 @@ func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request, rq obs.Re
 		rb.Generation = b.Gen("")
 		resp.Backends = append(resp.Backends, *rb)
 	}
-	if resp.Completed {
-		rt.metrics.promotions.Inc()
-	}
 	return http.StatusOK, resp
 }
 
@@ -899,7 +896,6 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request, rq obs.Re
 		return avail
 	})
 	if len(avail) == 0 {
-		rt.metrics.noBackend.Inc()
 		return rt.retryableUnavailable(w, "no healthy backend")
 	}
 	pr := rt.failover(r, rq, avail, notOK, http.MethodGet, "/v1/models", nil, readBody)
@@ -999,17 +995,15 @@ func edgeRefusal(err error, offCode string) (int, any) {
 // writeFleetMetrics renders one Prometheus text document describing the
 // whole fleet: every non-ejected backend's /metrics scrape merged
 // (counters and histograms summed, gauges re-labelled per backend),
-// per-backend liveness/generation/inflight/error-rate gauges, and the
-// router's own metrics and SLO gauges.
+// per-backend liveness and error-rate gauges, and the router's own
+// metrics and SLO gauges.
 func (rt *Router) writeFleetMetrics(ctx context.Context, w io.Writer, tr *obs.Trace) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
 	defer cancel()
 
 	backends := rt.pool.members()
 	targets := make([]fleetobs.Target, 0, len(backends))
-	byName := make(map[string]*Backend, len(backends))
 	for _, b := range backends {
-		byName[b.Name] = b
 		if b.State() == StateEjected {
 			continue
 		}
@@ -1034,10 +1028,6 @@ func (rt *Router) writeFleetMetrics(ctx context.Context, w io.Writer, tr *obs.Tr
 				}
 				return 0
 			}},
-		{"colorouter_fleet_backend_generation", "Default-model serving generation per backend.",
-			func(bs *fleetobs.BackendScrape) float64 { return float64(byName[bs.Name].Gen("")) }},
-		{"colorouter_fleet_backend_inflight", "Outstanding proxied calls per backend.",
-			func(bs *fleetobs.BackendScrape) float64 { return float64(byName[bs.Name].Inflight()) }},
 		{"colorouter_fleet_backend_error_rate", "Error fraction of each backend's requests since the previous fleet scrape.",
 			func(bs *fleetobs.BackendScrape) float64 { return bs.ErrorRate }},
 	} {

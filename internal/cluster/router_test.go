@@ -305,8 +305,9 @@ func TestDrainShedFailover(t *testing.T) {
 
 // TestCancelledRequestTriesOneBackend: failover ends once the request's
 // context is done. A predict, batch, placement search or model listing
-// whose caller has already gone makes one backend attempt, charges that
-// backend at most one error, and is answered the typed 502.
+// whose caller has already gone makes one backend attempt, counts it as
+// a request but charges the backend no error (the caller left, the
+// backend did not fail), and is answered the typed 502.
 func TestCancelledRequestTriesOneBackend(t *testing.T) {
 	for _, c := range []struct{ name, method, path, body string }{
 		{"predict", http.MethodPost, "/v1/predict", predictBody(testScenario)},
@@ -326,10 +327,25 @@ func TestCancelledRequestTriesOneBackend(t *testing.T) {
 			attempts += bm.requests.Load()
 			errs += bm.errors.Load()
 		}
-		if attempts != 1 || errs > 1 || rec.Code != http.StatusBadGateway {
-			t.Errorf("%s: %d backend attempts, %d counted errors, status %d; want 1, at most 1, 502",
+		if attempts != 1 || errs != 0 || rec.Code != http.StatusBadGateway {
+			t.Errorf("%s: %d backend attempts, %d counted errors, status %d; want 1, 0, 502",
 				c.name, attempts, errs, rec.Code)
 		}
+	}
+}
+
+// TestTimedOutAttemptCountsAsError: unlike a caller's cancellation, a
+// request timeout that cuts an attempt short is the backend's failure
+// to answer in time, and is charged to it as an error.
+func TestTimedOutAttemptCountsAsError(t *testing.T) {
+	a := newScriptedBackend(t, "a", 1)
+	rt := newScriptedRouter(t, Config{Replicas: 1, RequestTimeout: 10 * time.Millisecond}, a)
+	a.mu.Lock()
+	a.stall = 100 * time.Millisecond
+	a.mu.Unlock()
+	rec := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict", predictBody(testScenario), nil)
+	if bm := &rt.pool.Get("a").metrics; bm.requests.Load() != 1 || bm.errors.Load() != 1 || rec.Code != http.StatusBadGateway {
+		t.Fatalf("%d attempts, %d counted errors, status %d; want 1, 1, 502", bm.requests.Load(), bm.errors.Load(), rec.Code)
 	}
 }
 
@@ -356,9 +372,6 @@ func TestEjectionAndReadmission(t *testing.T) {
 	if got := ba.State(); got != StateEjected {
 		t.Fatalf("state after 2 failed probes %v, want ejected", got)
 	}
-	if got := rt.pool.Get("a").metrics.ejections.Load(); got != 1 {
-		t.Fatalf("ejections(a) %d, want 1", got)
-	}
 	if got := len(rt.pool.Backends()); got != 2 {
 		t.Fatalf("pool members %d after ejection, want 2 (health never changes membership)", got)
 	}
@@ -371,9 +384,6 @@ func TestEjectionAndReadmission(t *testing.T) {
 	rt.pool.ProbeAll(ctx)
 	if got := ba.State(); got != StateHealthy {
 		t.Fatalf("state after recovery probe %v, want healthy", got)
-	}
-	if got := rt.pool.Get("a").metrics.readmissions.Load(); got != 1 {
-		t.Fatalf("readmissions(a) %d, want 1", got)
 	}
 }
 
@@ -499,9 +509,6 @@ func TestRollingPromotion(t *testing.T) {
 			t.Fatalf("backend %s reloaded %d times, want exactly 1", fb.name, got)
 		}
 	}
-	if got := rt.metrics.promotions.Load(); got != 1 {
-		t.Fatalf("promotions %d, want 1", got)
-	}
 	// A batch sees the promoted fleet and raises its client's floor to it.
 	batch := doReq(t, rt.Handler(), http.MethodPost, "/v1/predict/batch", batchBody("cg", "ep"), hdr)
 	if batch.Code != http.StatusOK || !strings.Contains(batch.Body.String(), `"generation":2`) {
@@ -578,7 +585,7 @@ func TestNoBackendTyped503(t *testing.T) {
 	rt.pool.ProbeAll(context.Background()) // default EjectAfter=3
 
 	sc := features.Scenario{Target: "cg", CoApps: []string{"ep"}, PState: 0}
-	for i, c := range []struct{ method, path, body string }{
+	for _, c := range []struct{ method, path, body string }{
 		{http.MethodPost, "/v1/predict", predictBody(sc)},
 		{http.MethodPost, "/v1/predict/batch", batchBody("cg")},
 		{http.MethodGet, "/v1/models", ""},
@@ -598,9 +605,6 @@ func TestNoBackendTyped503(t *testing.T) {
 		// a backend failure, which a router behind a router would eject on.
 		if got := rec.Header().Get("Retry-After"); got != "1" {
 			t.Fatalf("%s: Retry-After %q, want 1", c.path, got)
-		}
-		if got := rt.metrics.noBackend.Load(); got != uint64(i+1) {
-			t.Fatalf("%s: no_backend counter %d, want %d", c.path, got, i+1)
 		}
 	}
 }

@@ -168,7 +168,7 @@ var ErrClosed = errors.New("feedback: log closed")
 func Open(cfg Config) (Store, error) {
 	cfg.defaults()
 	if cfg.Dir == "" {
-		return newMemStore(), nil
+		return &MemStore{}, nil
 	}
 	return openLog(cfg)
 }

@@ -102,13 +102,6 @@ func TestGroupCommitCoalescing(t *testing.T) {
 	if st.MaxBatch < 2 {
 		t.Fatalf("max batch = %d, want coalescing", st.MaxBatch)
 	}
-	if st.BatchRecords.Count != st.Batches || st.CommitSeconds.Count != st.Batches {
-		t.Fatalf("histogram counts %d/%d do not match %d batches",
-			st.BatchRecords.Count, st.CommitSeconds.Count, st.Batches)
-	}
-	if st.FsyncSeconds.Count == 0 {
-		t.Fatal("no fsync latency samples with Sync on")
-	}
 }
 
 // TestGroupCommitFileParityWithDirect proves the group-commit writer

@@ -58,7 +58,7 @@ type Log struct {
 	// The append path never touches it.
 	pinMu sync.RWMutex
 
-	st *ingestCounters
+	st ingestCounters
 
 	queue chan *appendReq
 	stop  chan struct{} // closed by Close; committer drains then exits
@@ -92,7 +92,7 @@ func openLog(cfg Config) (*Log, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("feedback: creating log dir: %w", err)
 	}
-	l := &Log{cfg: cfg, st: newIngestCounters()}
+	l := &Log{cfg: cfg}
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
@@ -379,7 +379,7 @@ commit:
 	l.snap.Store(&snapshot{refs: refs, seg: l.seg, activeOff: l.segOff, total: old.total + n})
 	l.snapMu.Unlock()
 
-	l.st.observeCommit(n, fsyncs, writeStart, syncStart, end)
+	l.st.observeCommit(n, fsyncs)
 	l.release(cohort, Commit{Batch: n, WriteStart: writeStart, SyncStart: syncStart, Done: end}, nil)
 	if len(sealed) > 0 {
 		l.kickCompactor()
@@ -439,9 +439,8 @@ func (l *Log) failed() error {
 // Len reports committed observations; lock-free.
 func (l *Log) Len() int { return l.snap.Load().total }
 
-// Stats reports cumulative ingest statistics. (A Direct log has no
-// queue: the length of a nil channel is 0.)
-func (l *Log) Stats() IngestStats { return l.st.snapshot(len(l.queue)) }
+// Stats reports cumulative ingest statistics.
+func (l *Log) Stats() IngestStats { return l.st.snapshot() }
 
 // All re-reads every committed observation from disk, oldest first. It
 // runs against a published snapshot, never blocking on (or observing)

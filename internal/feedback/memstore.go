@@ -12,10 +12,8 @@ type MemStore struct {
 	mu     sync.Mutex
 	all    []Observation
 	closed bool
-	st     *ingestCounters
+	st     ingestCounters
 }
-
-func newMemStore() *MemStore { return &MemStore{st: newIngestCounters()} }
 
 // AppendBatch stores a batch; if any observation is invalid nothing is
 // written. The Commit is immediate: memory writes
@@ -35,7 +33,7 @@ func (m *MemStore) AppendBatch(obs []Observation) (Commit, error) {
 	}
 	m.all = append(m.all, obs...)
 	m.mu.Unlock()
-	m.st.observeCommit(len(obs), 0, now, now, now)
+	m.st.observeCommit(len(obs), 0)
 	return Commit{Batch: len(obs), Queued: now, WriteStart: now, SyncStart: now, Done: now}, nil
 }
 
@@ -47,7 +45,7 @@ func (m *MemStore) Len() int {
 }
 
 // Stats reports cumulative ingest statistics.
-func (m *MemStore) Stats() IngestStats { return m.st.snapshot(0) }
+func (m *MemStore) Stats() IngestStats { return m.st.snapshot() }
 
 // All returns a copy of every stored observation, oldest first.
 func (m *MemStore) All() ([]Observation, error) {

@@ -46,7 +46,7 @@ type Commit struct {
 }
 
 // IngestStats is a point-in-time snapshot of the ingest pipeline's
-// cumulative counters, exposed by serve as Prometheus metrics.
+// cumulative counters.
 type IngestStats struct {
 	// Batches counts group commits; Records counts observations
 	// committed; Fsyncs counts fsync(2) calls issued.
@@ -55,15 +55,6 @@ type IngestStats struct {
 	Fsyncs  uint64
 	// MaxBatch is the largest group commit seen.
 	MaxBatch int
-	// QueueDepth is the current number of append batches waiting on
-	// the committer.
-	QueueDepth int
-	// BatchRecords, CommitSeconds and FsyncSeconds are histograms of
-	// group-commit size, total commit latency (write start → release)
-	// and fsync latency.
-	BatchRecords  metrics.HistSnapshot
-	CommitSeconds metrics.HistSnapshot
-	FsyncSeconds  metrics.HistSnapshot
 	// CompactionRuns counts compaction passes that folded segments;
 	// CompactedRecords counts records folded into compacted segments.
 	CompactionRuns   uint64
@@ -74,56 +65,30 @@ type IngestStats struct {
 	RetentionDroppedRecords uint64
 }
 
-var (
-	latencyBounds = []float64{
-		1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-		1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25,
-	}
-	batchBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-)
-
 // ingestCounters is the shared cumulative-counter block behind
 // Store.Stats.
 type ingestCounters struct {
 	batches, records, fsyncs         metrics.Counter
 	maxBatch                         metrics.Gauge
-	batchHist, commitHist, fsyncHist *metrics.Histogram
 	compactRuns, compactedRecords    metrics.Counter
 	reclaimedBytes, retentionRecords metrics.Counter
 }
 
-func newIngestCounters() *ingestCounters {
-	return &ingestCounters{
-		batchHist:  metrics.NewHistogram(batchBounds),
-		commitHist: metrics.NewHistogram(latencyBounds),
-		fsyncHist:  metrics.NewHistogram(latencyBounds),
-	}
-}
-
 // observeCommit records one group commit of n records that issued the
-// given number of fsyncs between the stage timestamps.
-func (c *ingestCounters) observeCommit(n, fsyncs int, writeStart, syncStart, done time.Time) {
+// given number of fsyncs.
+func (c *ingestCounters) observeCommit(n, fsyncs int) {
 	c.batches.Inc()
 	c.records.Add(uint64(n))
 	c.fsyncs.Add(uint64(fsyncs))
 	c.maxBatch.SetMax(int64(n))
-	c.batchHist.Observe(float64(n))
-	c.commitHist.Observe(done.Sub(writeStart).Seconds())
-	if fsyncs > 0 {
-		c.fsyncHist.Observe(done.Sub(syncStart).Seconds())
-	}
 }
 
-func (c *ingestCounters) snapshot(queueDepth int) IngestStats {
+func (c *ingestCounters) snapshot() IngestStats {
 	return IngestStats{
 		Batches:                 c.batches.Load(),
 		Records:                 c.records.Load(),
 		Fsyncs:                  c.fsyncs.Load(),
 		MaxBatch:                int(c.maxBatch.Load()),
-		QueueDepth:              queueDepth,
-		BatchRecords:            c.batchHist.Snapshot(),
-		CommitSeconds:           c.commitHist.Snapshot(),
-		FsyncSeconds:            c.fsyncHist.Snapshot(),
 		CompactionRuns:          c.compactRuns.Load(),
 		CompactedRecords:        c.compactedRecords.Load(),
 		ReclaimedBytes:          c.reclaimedBytes.Load(),

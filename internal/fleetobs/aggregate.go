@@ -47,37 +47,24 @@ type FleetScrape struct {
 type Aggregator struct {
 	// Client issues the scrapes; http.DefaultClient when nil.
 	Client *http.Client
-	// Timeout bounds each fleet scrape (default 2s).
-	Timeout time.Duration
-	// RequestCounter/ErrorCounter name the per-backend counter families
-	// the delta error rate is derived from. Defaults are the coloserve
-	// request counters.
-	RequestCounter, ErrorCounter string
 
 	mu   sync.Mutex
 	prev map[string][2]float64 // backend -> {requests, errors} at last scrape
 }
 
-func (a *Aggregator) counters() (string, string) {
-	req, errc := a.RequestCounter, a.ErrorCounter
-	if req == "" {
-		req = "coloserve_requests_total"
-	}
-	if errc == "" {
-		errc = "coloserve_request_errors_total"
-	}
-	return req, errc
-}
+// The per-backend counter families the delta error rate is derived
+// from, and the bound on one fleet scrape.
+const (
+	requestCounter = "coloserve_requests_total"
+	errorCounter   = "coloserve_request_errors_total"
+	scrapeTimeout  = 2 * time.Second
+)
 
 // Scrape fetches and parses every target's metrics concurrently, then
 // merges the successful scrapes. Failed backends appear in Backends
 // with Err set and contribute nothing to the merged document.
 func (a *Aggregator) Scrape(ctx context.Context, targets []Target) *FleetScrape {
-	timeout := a.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 
 	out := &FleetScrape{Backends: make([]BackendScrape, len(targets))}
@@ -93,7 +80,6 @@ func (a *Aggregator) Scrape(ctx context.Context, targets []Target) *FleetScrape 
 	}
 	wg.Wait()
 
-	reqName, errName := a.counters()
 	names := make([]string, len(targets))
 	docs := make([]*Doc, len(targets))
 	a.mu.Lock()
@@ -107,8 +93,8 @@ func (a *Aggregator) Scrape(ctx context.Context, targets []Target) *FleetScrape 
 		if bs.Doc == nil {
 			continue
 		}
-		bs.Requests, _ = bs.Doc.SumSamples(reqName, reqName)
-		bs.Errors, _ = bs.Doc.SumSamples(errName, errName)
+		bs.Requests, _ = bs.Doc.SumSamples(requestCounter, requestCounter)
+		bs.Errors, _ = bs.Doc.SumSamples(errorCounter, errorCounter)
 		if prev, ok := a.prev[bs.Name]; ok && bs.Requests >= prev[0] && bs.Errors >= prev[1] {
 			bs.DeltaRequests = bs.Requests - prev[0]
 			bs.DeltaErrors = bs.Errors - prev[1]

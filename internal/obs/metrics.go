@@ -70,47 +70,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Quantile returns the upper bound of the bucket containing quantile q
-// (0 when the histogram is empty, twice the last bound for the +Inf
-// bucket). Upper bounds overestimate slightly.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := max(uint64(math.Ceil(q*float64(total))), 1)
-	cum := uint64(0)
-	for i, ub := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			return ub
-		}
-	}
-	return h.bounds[len(h.bounds)-1] * 2
-}
-
-// HistSnapshot is a point-in-time copy of a Histogram. Counts has
-// len(Bounds)+1 entries; the last is the overflow (+Inf) bucket.
-type HistSnapshot struct {
-	Bounds []float64
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-		Count:  h.count.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
 // Writer renders the text exposition format into a buffer. Counter,
 // Gauge and Histogram write a family's HELP/TYPE header before its
 // first sample, so a family's samples must be written back to back.
@@ -185,22 +144,22 @@ func (w *Writer) Gauge(name, help string, v float64, labels ...Label) {
 
 // Histogram writes one series of a histogram family: cumulative
 // _bucket lines (le last among the labels), _sum and _count.
-func (w *Writer) Histogram(name, help string, h HistSnapshot, labels ...Label) {
+func (w *Writer) Histogram(name, help string, h *Histogram, labels ...Label) {
 	if w.family != name {
 		w.Header(name, help, "histogram")
 	}
 	ls := append(labels[:len(labels):len(labels)], Label{Key: "le"})
 	bucket, cum := name+"_bucket", uint64(0)
-	for i, c := range h.Counts {
-		cum += c
+	for i := range h.counts {
+		cum += h.counts[i].Load()
 		ls[len(labels)].Value = "+Inf"
-		if i < len(h.Bounds) {
-			ls[len(labels)].Value = strconv.FormatFloat(h.Bounds[i], 'g', -1, 64)
+		if i < len(h.bounds) {
+			ls[len(labels)].Value = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
 		}
 		w.Sample(bucket, float64(cum), ls...)
 	}
-	w.Sample(name+"_sum", h.Sum, labels...)
-	w.Sample(name+"_count", float64(h.Count), labels...)
+	w.Sample(name+"_sum", math.Float64frombits(h.sumBits.Load()), labels...)
+	w.Sample(name+"_count", float64(h.count.Load()), labels...)
 }
 
 // Registry is an ordered set of metric declarations: a scrape renders
@@ -300,6 +259,6 @@ func (es *Endpoints) collect(w *Writer) {
 		w.Counter(es.prefix+"_request_errors_total", "Failed requests per endpoint.", float64(es.byName[name].Errors.Load()), Label{"endpoint", name})
 	}
 	for _, name := range names {
-		w.Histogram(es.prefix+"_request_duration_seconds", es.latencyHelp, es.byName[name].Latency.Snapshot(), Label{"endpoint", name})
+		w.Histogram(es.prefix+"_request_duration_seconds", es.latencyHelp, es.byName[name].Latency, Label{"endpoint", name})
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// boundSets are the three bucket layouts in use: the serve tier's
-// request latencies, the router's ×2 ladder (bounds as Duration.Seconds
-// renders them), and the observation log's commit latencies.
+// boundSets are the two bucket layouts in use: the serve tier's
+// request latencies and the router's ×2 ladder (bounds as
+// Duration.Seconds renders them).
 var boundSets = map[string][]float64{
 	"serve": {1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1, 5},
 	"cluster": func() []float64 {
@@ -22,7 +22,6 @@ var boundSets = map[string][]float64{
 		}
 		return out
 	}(),
-	"feedback": {1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 5e-2, 0.25},
 }
 
 // TestHistogramBucketBoundaries pins the bucket an observation lands in
@@ -33,7 +32,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	for name, bounds := range boundSets {
 		type tc struct {
 			v      float64
-			bucket int // index into Counts; len(bounds) is +Inf
+			bucket int // index into counts; len(bounds) is +Inf
 		}
 		cases := []tc{{0, 0}, {bounds[0] * 0.99, 0}, {3600, len(bounds)}}
 		for i, ub := range bounds {
@@ -42,46 +41,19 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		for _, c := range cases {
 			h := NewHistogram(bounds)
 			h.Observe(c.v)
-			s := h.Snapshot()
-			for i, got := range s.Counts {
+			for i := range h.counts {
 				want := uint64(0)
 				if i == c.bucket {
 					want = 1
 				}
-				if got != want {
+				if got := h.counts[i].Load(); got != want {
 					t.Fatalf("%s: Observe(%g): bucket %d = %d, want bucket %d hit", name, c.v, i, got, c.bucket)
 				}
 			}
-			if s.Count != 1 || len(s.Counts) != len(bounds)+1 {
-				t.Fatalf("%s: Observe(%g): count = %d over %d buckets", name, c.v, s.Count, len(s.Counts))
+			if h.count.Load() != 1 || len(h.counts) != len(bounds)+1 {
+				t.Fatalf("%s: Observe(%g): count = %d over %d buckets", name, c.v, h.count.Load(), len(h.counts))
 			}
 		}
-	}
-}
-
-// TestHistogramQuantile pins Quantile: the upper bound of the covering
-// bucket, 0 when empty, twice the last bound past it.
-func TestHistogramQuantile(t *testing.T) {
-	bounds := boundSets["cluster"]
-	h := NewHistogram(bounds)
-	if got := h.Quantile(0.95); got != 0 {
-		t.Fatalf("empty quantile = %g, want 0", got)
-	}
-	for i := 0; i < 95; i++ {
-		h.Observe(60e-6) // second bucket
-	}
-	for i := 0; i < 5; i++ {
-		h.Observe(1e-3)
-	}
-	if got := h.Quantile(0.95); got != bounds[1] {
-		t.Fatalf("p95 = %g, want %g", got, bounds[1])
-	}
-	if got := h.Quantile(0.96); got != 1.6e-3 {
-		t.Fatalf("p96 = %g, want 0.0016", got)
-	}
-	h.Observe(10)
-	if got, want := h.Quantile(1), bounds[len(bounds)-1]*2; got != want {
-		t.Fatalf("p100 in +Inf = %g, want %g", got, want)
 	}
 }
 
@@ -136,7 +108,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		if got := ep.Requests.Load(); got != total {
 			t.Fatalf("%s: requests = %d, want %d", name, got, total)
 		}
-		if got := ep.Latency.Snapshot().Count; got != total {
+		if got := ep.Latency.count.Load(); got != total {
 			t.Fatalf("%s: histogram count = %d, want %d", name, got, total)
 		}
 		if got, want := scrapeSum(t, reg, "predict"), float64(total)*1e-3; math.Abs(got-want) > 1e-6 {

@@ -381,9 +381,9 @@ func (s *Server) handleVersion(_ http.ResponseWriter, r *http.Request, _ *obs.Tr
 }
 
 // collectAdaptation declares the adaptation families of a metrics
-// scrape: values read live from the monitor, the log's ingest
-// statistics and the controller rather than mirrored into handles.
-// Nothing is written while the loop is disabled.
+// scrape: values read live from the monitor, the log and the
+// controller rather than mirrored into handles. Nothing is written
+// while the loop is disabled.
 func (s *Server) collectAdaptation(w *obs.Writer) {
 	if s.adapt == nil {
 		return
@@ -395,18 +395,6 @@ func (s *Server) collectAdaptation(w *obs.Writer) {
 	w.Gauge("coloserve_drift_score", "Largest Page–Hinkley score across residual streams.", s.adapt.Monitor.MaxScore())
 	w.Gauge("coloserve_drift_tripped", "1 when any drift detector has fired.", tripped)
 	w.Gauge("coloserve_observations_logged", "Observations in the feedback log.", float64(s.adapt.Log.Len()))
-	ist := s.adapt.Log.Stats()
-	w.Counter("coloserve_obs_group_commits_total", "Group commits written by the observation log.", float64(ist.Batches))
-	w.Counter("coloserve_obs_fsyncs_total", "fsync calls issued by the observation log.", float64(ist.Fsyncs))
-	w.Gauge("coloserve_obs_queue_depth", "Append batches waiting on the observation log committer.", float64(ist.QueueDepth))
-	w.Gauge("coloserve_obs_max_batch_records", "Largest group commit seen.", float64(ist.MaxBatch))
-	w.Histogram("coloserve_obs_commit_batch_records", "Records per observation group commit.", ist.BatchRecords)
-	w.Histogram("coloserve_obs_commit_duration_seconds", "Observation group-commit latency (write start to release).", ist.CommitSeconds)
-	w.Histogram("coloserve_obs_fsync_duration_seconds", "Observation log fsync latency.", ist.FsyncSeconds)
-	w.Counter("coloserve_obs_compaction_runs_total", "Observation segment compaction passes.", float64(ist.CompactionRuns))
-	w.Counter("coloserve_obs_compacted_records_total", "Observations folded into compacted segments.", float64(ist.CompactedRecords))
-	w.Counter("coloserve_obs_reclaimed_bytes_total", "Bytes reclaimed by the observation retention policy.", float64(ist.ReclaimedBytes))
-	w.Counter("coloserve_obs_retention_dropped_records_total", "Observations dropped by the retention policy.", float64(ist.RetentionDroppedRecords))
 	if s.adapt.Controller == nil {
 		return
 	}

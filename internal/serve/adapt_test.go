@@ -366,8 +366,9 @@ func TestAdaptationEndpointsDisabled(t *testing.T) {
 	}
 }
 
-// TestAdaptationMetricsExposed: the scrape carries the new counters
-// and live gauges.
+// TestAdaptationMetricsExposed: the scrape carries the adaptation
+// counters and gauges at the values the log, the drift monitor and the
+// retraining controller hold.
 func TestAdaptationMetricsExposed(t *testing.T) {
 	s, solo, heavy := newAdaptiveServer(t,
 		drift.Config{Lambda: 30, MinSamples: 10},
@@ -381,23 +382,25 @@ func TestAdaptationMetricsExposed(t *testing.T) {
 	postJSON(t, h, "/v1/retrain", RetrainRequest{Wait: true})
 
 	body := get(t, h, "/metrics").Body.String()
-	for _, want := range []string{
-		"coloserve_drift_score ",
-		"coloserve_drift_tripped ",
-		"coloserve_observations_logged ",
-		"coloserve_retrain_candidate_mpe ",
-		"coloserve_retrain_incumbent_mpe ",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics scrape missing %q:\n%s", want, body)
-		}
+	last := s.adapt.Controller.Status().Last
+	if last == nil {
+		t.Fatal("no retraining attempt recorded")
+	}
+	tripped := 0.0
+	if s.adapt.Monitor.Tripped() {
+		tripped = 1
 	}
 	for name, want := range map[string]float64{
 		"coloserve_observations_ingested_total": float64(len(stream)),
 		"coloserve_observations_rejected_total": 1,
+		"coloserve_observations_logged":         float64(len(stream)),
 		"coloserve_retrains_attempted_total":    1,
 		"coloserve_retrains_promoted_total":     1,
 		"coloserve_retrains_rejected_total":     0,
+		"coloserve_retrain_candidate_mpe":       last.CandidateMPE,
+		"coloserve_retrain_incumbent_mpe":       last.IncumbentMPE,
+		"coloserve_drift_score":                 s.adapt.Monitor.MaxScore(),
+		"coloserve_drift_tripped":               tripped,
 	} {
 		if got := metricValue(t, body, name); got != want {
 			t.Fatalf("%s = %v, want %v", name, got, want)

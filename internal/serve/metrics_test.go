@@ -43,17 +43,11 @@ func TestMetricsGolden(t *testing.T) {
 	m.obsRejected.Inc()
 	m.driftTrips.Inc()
 
-	golden, err := os.ReadFile("testdata/metrics.golden")
+	want, err := os.ReadFile("testdata/metrics.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want strings.Builder
-	for _, line := range strings.SplitAfter(string(golden), "\n") {
-		if !strings.Contains(line, "coloserve_metrics_dropped_total") {
-			want.WriteString(line)
-		}
-	}
-	if got := scrape(m); got != want.String() {
+	if got := scrape(m); got != string(want) {
 		t.Fatalf("scrape differs from testdata/metrics.golden:\n%s", got)
 	}
 }

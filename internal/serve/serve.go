@@ -684,11 +684,10 @@ type ReloadResponse struct {
 
 func (s *Server) handleReload(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
 	reloaded, err := s.reg.Reload()
+	s.metrics.SwapsRecorded(len(reloaded))
 	if err != nil {
-		s.metrics.SwapsRecorded(len(reloaded))
 		return errBody(internalError(err))
 	}
-	s.metrics.SwapsRecorded(len(reloaded))
 	if reloaded == nil {
 		reloaded = []string{}
 	}

@@ -499,6 +499,10 @@ func TestReloadEndpoint(t *testing.T) {
 	if pw.Code != http.StatusOK {
 		t.Fatalf("predict after failed reload: %d", pw.Code)
 	}
+	// One hot-swap in all: the failed reload swapped nothing.
+	if got := metricValue(t, get(t, h, "/metrics").Body.String(), "coloserve_model_swaps_total"); got != 1 {
+		t.Fatalf("coloserve_model_swaps_total = %v, want 1", got)
+	}
 }
 
 // TestReloadRefusesUncompilableArtefact: a neural artefact whose input

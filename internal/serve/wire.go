@@ -256,8 +256,9 @@ func scanRequest(body []byte, allowed uint8, o *wireObject) bool {
 
 // ScanPredictRequest reports whether it decoded body; when it reports
 // false req is unchanged and the caller decodes it some other way.
-// Exported for the router, which learns its route key from the same scan
-// and likewise leaves every body the scan declines to encoding/json.
+// Exported for the router, which reads the model name its generation
+// floor is kept under from the same scan and likewise leaves every body
+// the scan declines to encoding/json.
 func ScanPredictRequest(body []byte, req *PredictRequest) bool {
 	var o wireObject
 	if !scanRequest(body, fieldModel|scenarioFields, &o) {
