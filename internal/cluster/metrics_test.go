@@ -150,8 +150,9 @@ func serveScrape(t *testing.T) string {
 			t.Fatalf("POST %s returned %d, want %d: %s", path, rec.Code, want, rec.Body.String())
 		}
 	}
-	obsBatch := serve.ObservationsRequest{}
-	for i, r := range ds.Records[:30] {
+	// One observation names no application, so the rejected path runs.
+	obsBatch := serve.ObservationsRequest{Observations: []serve.ObservationRequest{{Target: "ghost", MeasuredSeconds: 1}}}
+	for i, r := range ds.Records {
 		sc := features.ScenarioFromRecord(r)
 		sr := serve.ScenarioRequest{Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState}
 		if i < 4 {

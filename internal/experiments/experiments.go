@@ -271,21 +271,19 @@ func (s *Suite) Table6() (*Table6Result, error) {
 	// Small measurement noise, as in data collection.
 	noise := xrand.New(s.cfg.Seed + 1)
 
-	res := &Table6Result{BaselineSeconds: base.TargetSeconds}
+	var scs []harness.Scenario
 	for k := 1; k <= proc.Spec().Cores-1; k++ {
-		co := make([]workload.App, k)
-		for i := range co {
-			co[i] = cg
-		}
-		run, err := proc.RunColocation(canneal, co, 0, simproc.Options{})
-		if err != nil {
-			return nil, err
-		}
-		actual := run.TargetSeconds
-		if s.cfg.NoiseSigma > 0 {
-			actual *= noise.LogNormal(0, s.cfg.NoiseSigma)
-		}
-		sc := features.Scenario{Target: "canneal", CoApps: coNames("cg", k), PState: 0}
+		scs = append(scs, harness.Scenario{Target: canneal, CoApps: harness.Homogeneous(cg, k)})
+	}
+	measured, err := harness.CollectScenarios(proc, scs, s.cfg.NoiseSigma, noise)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Table6Result{BaselineSeconds: base.TargetSeconds}
+	for _, m := range measured {
+		actual := m.Seconds
+		sc := features.Scenario{Target: m.Target, CoApps: m.CoApps, PState: 0}
 		lp, err := lin.Predict(sc)
 		if err != nil {
 			return nil, err
@@ -295,7 +293,7 @@ func (s *Suite) Table6() (*Table6Result, error) {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, Table6Row{
-			NumCG:          k,
+			NumCG:          len(m.CoApps),
 			Seconds:        actual,
 			Normalized:     actual / base.TargetSeconds,
 			LinearFPredict: lp,
@@ -307,12 +305,18 @@ func (s *Suite) Table6() (*Table6Result, error) {
 	return res, nil
 }
 
-func coNames(name string, k int) []string {
-	out := make([]string, k)
-	for i := range out {
-		out[i] = name
+// percentErrors predicts each measured scenario with m and returns the
+// absolute percent error of each against its measured time.
+func percentErrors(m *core.Model, measured []harness.MixedRecord) ([]float64, error) {
+	pes := make([]float64, len(measured))
+	for i, r := range measured {
+		pred, err := m.Predict(features.Scenario{Target: r.Target, CoApps: r.CoApps, PState: r.PState})
+		if err != nil {
+			return nil, err
+		}
+		pes[i] = 100 * abs(pred-r.Seconds) / r.Seconds
 	}
-	return out
+	return pes, nil
 }
 
 func abs(v float64) float64 {

@@ -7,6 +7,7 @@ import (
 
 	"colocmodel/internal/core"
 	"colocmodel/internal/features"
+	"colocmodel/internal/harness"
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/stats"
 	"colocmodel/internal/workload"
@@ -66,18 +67,17 @@ func (s *Suite) Generalization() ([]GeneralizationCase, error) {
 	// Measuring unseen co-runners needs their baselines, which the
 	// Table V campaign already collected only for targets; every app is
 	// a target, so all baselines exist in ds.
-
-	type scenario struct {
-		target     string
-		coAppsList []string
+	apps := map[string]workload.App{}
+	for _, a := range workload.All() {
+		apps[a.Name] = a
 	}
-	families := map[string][]scenario{}
+	families := map[string][]harness.Scenario{}
 
 	// Gap counts: training uses {1,2,3,5,7,9,11}; test 4, 6, 8, 10.
 	for _, target := range []string{"canneal", "fluidanimate", "cg"} {
 		for _, co := range []string{"cg", "sp"} {
 			for _, k := range []int{4, 6, 8, 10} {
-				families["gap"] = append(families["gap"], scenario{target, repeatName(co, k)})
+				families["gap"] = append(families["gap"], harness.Scenario{Target: apps[target], CoApps: harness.Homogeneous(apps[co], k)})
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func (s *Suite) Generalization() ([]GeneralizationCase, error) {
 				continue
 			}
 			for _, k := range []int{2, 5, 9} {
-				families["unseen"] = append(families["unseen"], scenario{target, repeatName(co, k)})
+				families["unseen"] = append(families["unseen"], harness.Scenario{Target: apps[target], CoApps: harness.Homogeneous(apps[co], k)})
 			}
 		}
 	}
@@ -102,62 +102,45 @@ func (s *Suite) Generalization() ([]GeneralizationCase, error) {
 	}
 	for _, target := range []string{"canneal", "sp", "bodytrack"} {
 		for _, mix := range mixes {
-			families["mixed"] = append(families["mixed"], scenario{target, mix})
+			co := make([]workload.App, len(mix))
+			for i, name := range mix {
+				co[i] = apps[name]
+			}
+			families["mixed"] = append(families["mixed"], harness.Scenario{Target: apps[target], CoApps: co})
 		}
 	}
 
-	noise := xrand.New(s.cfg.Seed + 3)
+	fams := []string{"gap", "unseen", "mixed"}
+	var scs []harness.Scenario
+	for _, fam := range fams {
+		scs = append(scs, families[fam]...)
+	}
+	measured, err := harness.CollectScenarios(proc, scs, s.cfg.NoiseSigma, xrand.New(s.cfg.Seed+3))
+	if err != nil {
+		return nil, err
+	}
+	pes, err := percentErrors(model, measured)
+	if err != nil {
+		return nil, err
+	}
 	var out []GeneralizationCase
-	for _, fam := range []string{"gap", "unseen", "mixed"} {
-		var pes []float64
+	for _, fam := range fams {
+		famPEs := pes[:len(families[fam])]
+		pes = pes[len(famPEs):]
 		worst := 0.0
-		for _, sc := range families[fam] {
-			target, err := workload.ByName(sc.target)
-			if err != nil {
-				return nil, err
-			}
-			co := make([]workload.App, len(sc.coAppsList))
-			for i, n := range sc.coAppsList {
-				app, err := workload.ByName(n)
-				if err != nil {
-					return nil, err
-				}
-				co[i] = app
-			}
-			run, err := proc.RunColocation(target, co, 0, simproc.Options{})
-			if err != nil {
-				return nil, err
-			}
-			actual := run.TargetSeconds
-			if s.cfg.NoiseSigma > 0 {
-				actual *= noise.LogNormal(0, s.cfg.NoiseSigma)
-			}
-			pred, err := model.Predict(features.Scenario{Target: sc.target, CoApps: sc.coAppsList, PState: 0})
-			if err != nil {
-				return nil, err
-			}
-			pe := 100 * abs(pred-actual) / actual
-			pes = append(pes, pe)
+		for _, pe := range famPEs {
 			if pe > worst {
 				worst = pe
 			}
 		}
 		out = append(out, GeneralizationCase{
 			Family:    fam,
-			Scenarios: len(pes),
-			MPE:       stats.Mean(pes),
+			Scenarios: len(famPEs),
+			MPE:       stats.Mean(famPEs),
 			WorstErr:  worst,
 		})
 	}
 	return out, nil
-}
-
-func repeatName(name string, k int) []string {
-	out := make([]string, k)
-	for i := range out {
-		out[i] = name
-	}
-	return out
 }
 
 // renderGeneralization formats the generalisation experiment.

@@ -94,37 +94,33 @@ func (s *Suite) MicrobenchmarkTransfer() ([]MicroTransferRow, error) {
 		return nil, err
 	}
 
-	var out []MicroTransferRow
+	var scs []harness.Scenario
 	for _, kernel := range micro {
-		var pes, slows []float64
 		for _, co := range workload.TrainingCoApps() {
 			for _, k := range []int{2, 5, 9} {
-				coApps := make([]workload.App, k)
-				coNames := make([]string, k)
-				for i := range coApps {
-					coApps[i] = co
-					coNames[i] = co.Name
-				}
-				run, err := proc.RunColocation(kernel, coApps, 0, simproc.Options{})
-				if err != nil {
-					return nil, err
-				}
-				actual := run.TargetSeconds
-				if s.cfg.NoiseSigma > 0 {
-					actual *= noise.LogNormal(0, s.cfg.NoiseSigma)
-				}
-				pred, err := model.Predict(features.Scenario{Target: kernel.Name, CoApps: coNames, PState: 0})
-				if err != nil {
-					return nil, err
-				}
-				pes = append(pes, 100*abs(pred-actual)/actual)
-				slows = append(slows, actual/microBase[kernel.Name].SecondsByPState[0])
+				scs = append(scs, harness.Scenario{Target: kernel, CoApps: harness.Homogeneous(co, k)})
 			}
+		}
+	}
+	measured, err := harness.CollectScenarios(proc, scs, s.cfg.NoiseSigma, noise)
+	if err != nil {
+		return nil, err
+	}
+	pes, err := percentErrors(model, measured)
+	if err != nil {
+		return nil, err
+	}
+	var out []MicroTransferRow
+	per := len(pes) / len(micro)
+	for i, kernel := range micro {
+		var slows []float64
+		for _, m := range measured[i*per : (i+1)*per] {
+			slows = append(slows, m.Seconds/microBase[kernel.Name].SecondsByPState[0])
 		}
 		out = append(out, MicroTransferRow{
 			Kernel:       kernel.Name,
-			Scenarios:    len(pes),
-			MPE:          stats.Mean(pes),
+			Scenarios:    per,
+			MPE:          stats.Mean(pes[i*per : (i+1)*per]),
 			MeanSlowdown: stats.Mean(slows),
 		})
 	}

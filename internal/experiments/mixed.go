@@ -112,13 +112,9 @@ func (s *Suite) MixedTraining(nAug int) ([]MixedTrainingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var pes []float64
-		for _, t := range testMeasured {
-			pred, err := m.Predict(features.Scenario{Target: t.Target, CoApps: t.CoApps, PState: t.PState})
-			if err != nil {
-				return nil, err
-			}
-			pes = append(pes, 100*abs(pred-t.Seconds)/t.Seconds)
+		pes, err := percentErrors(m, testMeasured)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, MixedTrainingRow{Variant: v.name, TrainSize: len(v.scs), TestMPE: stats.Mean(pes)})
 	}

@@ -100,35 +100,28 @@ func (s *Suite) ProblemSizeScaling() ([]ScalingRow, error) {
 		return nil, err
 	}
 
-	var out []ScalingRow
+	var scs []harness.Scenario
 	for _, f := range factors {
-		var pes []float64
 		for _, target := range scaled[f] {
 			for _, co := range workload.TrainingCoApps() {
 				for _, k := range []int{3, 7} {
-					coApps := make([]workload.App, k)
-					coNames := make([]string, k)
-					for i := range coApps {
-						coApps[i] = co
-						coNames[i] = co.Name
-					}
-					run, err := proc.RunColocation(target, coApps, 0, simproc.Options{})
-					if err != nil {
-						return nil, err
-					}
-					actual := run.TargetSeconds
-					if s.cfg.NoiseSigma > 0 {
-						actual *= noise.LogNormal(0, s.cfg.NoiseSigma)
-					}
-					pred, err := model.Predict(features.Scenario{Target: target.Name, CoApps: coNames, PState: 0})
-					if err != nil {
-						return nil, err
-					}
-					pes = append(pes, 100*abs(pred-actual)/actual)
+					scs = append(scs, harness.Scenario{Target: target, CoApps: harness.Homogeneous(co, k)})
 				}
 			}
 		}
-		out = append(out, ScalingRow{Factor: f, Scenarios: len(pes), MPE: stats.Mean(pes)})
+	}
+	measured, err := harness.CollectScenarios(proc, scs, s.cfg.NoiseSigma, noise)
+	if err != nil {
+		return nil, err
+	}
+	pes, err := percentErrors(model, measured)
+	if err != nil {
+		return nil, err
+	}
+	var out []ScalingRow
+	per := len(pes) / len(factors)
+	for i, f := range factors {
+		out = append(out, ScalingRow{Factor: f, Scenarios: per, MPE: stats.Mean(pes[i*per : (i+1)*per])})
 	}
 	return out, nil
 }

@@ -22,7 +22,10 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"colocmodel/internal/perfctr"
 	"colocmodel/internal/simproc"
@@ -230,36 +233,35 @@ func Collect(p Plan) (*Dataset, error) {
 	ds.Baselines = baselines
 
 	// Co-location sweep, in the paper's loop order.
+	scs := make([]Scenario, 0, p.RunCount())
 	for _, ps := range p.PStates {
-		st, err := p.Spec.PStates.State(ps)
-		if err != nil {
-			return nil, err
-		}
 		for _, target := range p.Targets {
 			for _, coApp := range p.CoApps {
 				for _, k := range p.CoCounts {
-					co := make([]workload.App, k)
-					for i := range co {
-						co[i] = coApp
-					}
-					r, err := proc.RunColocation(target, co, ps, simproc.Options{})
-					if err != nil {
-						return nil, fmt.Errorf("harness: %s + %d×%s P%d: %w",
-							target.Name, k, coApp.Name, ps, err)
-					}
-					ds.Records = append(ds.Records, Record{
-						Machine:     p.Spec.Name,
-						PState:      ps,
-						FreqGHz:     st.FreqGHz,
-						Target:      target.Name,
-						CoApp:       coApp.Name,
-						NumCoLoc:    k,
-						Seconds:     applyNoise(r.TargetSeconds, p.NoiseSigma, noise),
-						TrueSeconds: r.TargetSeconds,
-						Counts:      r.Target.Counts,
-					})
+					scs = append(scs, Scenario{Target: target, CoApps: Homogeneous(coApp, k), PState: ps})
 				}
 			}
+		}
+	}
+	runs, failed, err := sweep(proc, scs)
+	if err != nil {
+		sc := scs[failed]
+		return nil, fmt.Errorf("harness: %s + %d×%s P%d: %w",
+			sc.Target.Name, len(sc.CoApps), sc.CoApps[0].Name, sc.PState, err)
+	}
+	ds.Records = make([]Record, len(scs))
+	for i, sc := range scs {
+		r := runs[i]
+		ds.Records[i] = Record{
+			Machine:     p.Spec.Name,
+			PState:      sc.PState,
+			FreqGHz:     r.FreqGHz,
+			Target:      sc.Target.Name,
+			CoApp:       sc.CoApps[0].Name,
+			NumCoLoc:    len(sc.CoApps),
+			Seconds:     applyNoise(r.TargetSeconds, p.NoiseSigma, noise),
+			TrueSeconds: r.TargetSeconds,
+			Counts:      r.Target.Counts,
 		}
 	}
 	return ds, nil
@@ -281,26 +283,58 @@ func CollectBaselines(proc *simproc.Processor, apps []workload.App, sigma float6
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	spec := proc.Spec()
-	out := make(map[string]Baseline, len(names))
+	n := proc.Spec().PStates.Len()
+	scs := make([]Scenario, 0, len(names)*n)
 	for _, name := range names {
-		a := byName[name]
-		b := Baseline{App: name, SecondsByPState: make([]float64, spec.PStates.Len())}
-		for ps := 0; ps < spec.PStates.Len(); ps++ {
-			r, err := proc.RunBaseline(a, ps)
-			if err != nil {
-				return nil, fmt.Errorf("harness: baseline %s P%d: %w", name, ps, err)
-			}
-			b.SecondsByPState[ps] = applyNoise(r.TargetSeconds, sigma, noise)
-			if ps == 0 {
-				b.MemIntensity = r.Target.Counts.MemoryIntensity()
-				b.CMPerCA = r.Target.Counts.CMPerCA()
-				b.CAPerIns = r.Target.Counts.CAPerIns()
-			}
+		for ps := 0; ps < n; ps++ {
+			scs = append(scs, Scenario{Target: byName[name], PState: ps})
 		}
+	}
+	runs, failed, err := sweep(proc, scs)
+	if err != nil {
+		return nil, fmt.Errorf("harness: baseline %s P%d: %w", scs[failed].Target.Name, scs[failed].PState, err)
+	}
+	out := make(map[string]Baseline, len(names))
+	for i, name := range names {
+		b := Baseline{App: name, SecondsByPState: make([]float64, n)}
+		for ps, r := range runs[i*n : (i+1)*n] {
+			b.SecondsByPState[ps] = applyNoise(r.TargetSeconds, sigma, noise)
+		}
+		p0 := runs[i*n].Target.Counts
+		b.MemIntensity, b.CMPerCA, b.CAPerIns = p0.MemoryIntensity(), p0.CMPerCA(), p0.CAPerIns()
 		out[name] = b
 	}
 	return out, nil
+}
+
+// sweep runs every scenario on proc over runtime.GOMAXPROCS(0)
+// goroutines and returns the results in scenario order. A run depends on
+// its scenario alone (Processor is safe for concurrent use), so the
+// results do not depend on how many run at once; callers draw noise
+// afterwards, in scenario order. If runs fail, failed is the lowest
+// failing index and err its error; otherwise failed is -1.
+func sweep(proc *simproc.Processor, scs []Scenario) (runs []simproc.Result, failed int, err error) {
+	runs = make([]simproc.Result, len(scs))
+	errs := make([]error, len(scs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(scs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(scs); i = int(next.Add(1) - 1) {
+				sc := scs[i]
+				runs[i], errs[i] = proc.RunColocation(sc.Target, sc.CoApps, sc.PState, simproc.Options{})
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return runs, i, err
+		}
+	}
+	return runs, -1, nil
 }
 
 // applyNoise multiplies v by a log-normal factor with the given sigma.

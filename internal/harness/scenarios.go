@@ -25,6 +25,16 @@ type Scenario struct {
 	PState int
 }
 
+// Homogeneous returns k copies of app: the co-runner set of one Table V
+// measurement.
+func Homogeneous(app workload.App, k int) []workload.App {
+	out := make([]workload.App, k)
+	for i := range out {
+		out[i] = app
+	}
+	return out
+}
+
 // MixedRecord is one measured heterogeneous scenario. Unlike Record it
 // carries the full co-runner name list.
 type MixedRecord struct {
@@ -40,18 +50,20 @@ type MixedRecord struct {
 }
 
 // CollectScenarios measures each scenario on the processor, with the same
-// log-normal measurement noise as the main campaign.
+// log-normal measurement noise as the main campaign, drawn in scenario
+// order.
 func CollectScenarios(proc *simproc.Processor, scenarios []Scenario, sigma float64, noise *xrand.Source) ([]MixedRecord, error) {
 	if proc == nil {
 		return nil, fmt.Errorf("harness: nil processor")
 	}
-	out := make([]MixedRecord, 0, len(scenarios))
+	spec := proc.Spec()
+	runs, failed, runErr := sweep(proc, scenarios)
+	out := make([]MixedRecord, len(scenarios))
 	for i, sc := range scenarios {
-		st, err := proc.Spec().PStates.State(sc.PState)
-		if err != nil {
-			return nil, fmt.Errorf("harness: scenario %d: %w", i, err)
+		st, err := spec.PStates.State(sc.PState)
+		if err == nil && i == failed {
+			err = runErr
 		}
-		run, err := proc.RunColocation(sc.Target, sc.CoApps, sc.PState, simproc.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("harness: scenario %d: %w", i, err)
 		}
@@ -59,15 +71,15 @@ func CollectScenarios(proc *simproc.Processor, scenarios []Scenario, sigma float
 		for j, a := range sc.CoApps {
 			names[j] = a.Name
 		}
-		out = append(out, MixedRecord{
-			Machine:     proc.Spec().Name,
+		out[i] = MixedRecord{
+			Machine:     spec.Name,
 			PState:      sc.PState,
 			FreqGHz:     st.FreqGHz,
 			Target:      sc.Target.Name,
 			CoApps:      names,
-			Seconds:     applyNoise(run.TargetSeconds, sigma, noise),
-			TrueSeconds: run.TargetSeconds,
-		})
+			Seconds:     applyNoise(runs[i].TargetSeconds, sigma, noise),
+			TrueSeconds: runs[i].TargetSeconds,
+		}
 	}
 	return out, nil
 }

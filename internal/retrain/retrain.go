@@ -14,6 +14,7 @@ package retrain
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -108,6 +109,11 @@ type Result struct {
 	// Generation is the registry generation after the attempt.
 	Generation uint64 `json:"generation"`
 }
+
+// ErrInProgress is RunOnce's error when another attempt is already
+// running: attempts are serialised, and a second one is refused rather
+// than queued behind the first.
+var ErrInProgress = errors.New("retrain: attempt already in progress")
 
 // Status is the controller's queryable state.
 type Status struct {
@@ -219,7 +225,7 @@ func (c *Controller) RunOnce(reason string) (*Result, error) {
 	c.mu.Lock()
 	if c.training {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("retrain: attempt already in progress")
+		return nil, ErrInProgress
 	}
 	c.training = true
 	c.attempts++

@@ -10,6 +10,7 @@ package serve
 // /v1/retrain/status drive and observe the controller.
 
 import (
+	"errors"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -277,7 +278,8 @@ func (s *Server) handleDrift(_ http.ResponseWriter, r *http.Request, _ *obs.Trac
 // ---- retrain ----
 
 // RetrainRequest drives a manual retraining attempt. The body is
-// optional; an empty body is an asynchronous trigger.
+// optional; an empty body is an asynchronous trigger. While an attempt
+// is running, either form is refused with a 409 retrain_in_progress.
 type RetrainRequest struct {
 	// Wait makes the attempt synchronous: the response carries the
 	// completed result instead of 202.
@@ -308,12 +310,19 @@ func (s *Server) handleRetrain(_ http.ResponseWriter, r *http.Request, _ *obs.Tr
 	if req.Reason == "" {
 		req.Reason = "manual"
 	}
+	inProgress := &Error{Status: http.StatusConflict, Code: CodeRetrainInProgress, Message: retrain.ErrInProgress.Error()}
 	if req.Wait {
 		res, err := s.adapt.Controller.RunOnce(req.Reason)
+		if errors.Is(err, retrain.ErrInProgress) {
+			return errBody(inProgress)
+		}
 		if err != nil {
 			return errBody(asError(err))
 		}
 		return http.StatusOK, res
+	}
+	if s.adapt.Controller.Status().State == "training" {
+		return errBody(inProgress)
 	}
 	triggered := s.adapt.Controller.Trigger(req.Reason)
 	return http.StatusAccepted, RetrainTriggerResponse{

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -453,5 +456,129 @@ func TestObservationsPersistAcrossRestart(t *testing.T) {
 	s2 := build()
 	if n := s2.Adaptation().Log.Len(); n != 5 {
 		t.Fatalf("restarted log holds %d observations, want 5", n)
+	}
+}
+
+// blockingStore is a feedback.Store whose All parks its caller until
+// release is closed, so a test can hold a retraining attempt in flight.
+type blockingStore struct {
+	feedback.Store
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingStore) All() ([]feedback.Observation, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Store.All()
+}
+
+// TestRetrainInProgressIsConflict: while one attempt runs, POST
+// /v1/retrain is a typed 409 with and without "wait", and the held
+// attempt still answers with its own verdict.
+func TestRetrainInProgressIsConflict(t *testing.T) {
+	ds := testDataset(t)
+	set, err := features.SetByName("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Train(core.Spec{Technique: core.Linear, FeatureSet: set, Seed: 1}, ds, ds.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Add("primary", "", m); err != nil {
+		t.Fatal(err)
+	}
+	log, err := feedback.Open(feedback.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	store := &blockingStore{Store: log, entered: make(chan struct{}), release: make(chan struct{})}
+	ctrl, err := retrain.New(retrain.Config{Model: "primary", Seed: 42, MinObservations: 10}, reg, ds, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(reg, Config{})
+	if err := s.EnableAdaptation(Adaptation{Log: log, Monitor: drift.NewMonitor(drift.Config{}), Controller: ctrl}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, r := range ds.Records {
+		postJSON(t, h, "/v1/observations", obsReq(r))
+	}
+
+	held := make(chan *httptest.ResponseRecorder)
+	go func() {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/retrain", strings.NewReader(`{"wait":true,"reason":"held"}`)))
+		held <- w
+	}()
+	select {
+	case <-store.entered:
+	case w := <-held:
+		t.Fatalf("attempt ended before reading the observations: %d %s", w.Code, w.Body.String())
+	}
+	for _, req := range []RetrainRequest{{Wait: true}, {}} {
+		w := postJSON(t, h, "/v1/retrain", req)
+		if w.Code != http.StatusConflict || errCode(t, w) != CodeRetrainInProgress {
+			t.Errorf("retrain %+v during an attempt: %d %s, want 409 %s", req, w.Code, w.Body.String(), CodeRetrainInProgress)
+		}
+	}
+	close(store.release)
+	w := <-held
+	if w.Code != http.StatusOK {
+		t.Fatalf("held attempt: %d %s", w.Code, w.Body.String())
+	}
+	res := decodeBody[retrain.Result](t, w)
+	if res.Attempt != 1 || res.Reason != "held" || (!res.Promoted && res.Rejection == "") {
+		t.Fatalf("held attempt's verdict: %+v", res)
+	}
+	if st := decodeBody[retrain.Status](t, get(t, h, "/v1/retrain/status")); st.Attempts != 1 || st.State != "idle" {
+		t.Fatalf("status after the held attempt: %+v", st)
+	}
+}
+
+// discardStore is a feedback.Store that keeps nothing, so an allocation
+// count of /v1/observations is the handler's own.
+type discardStore struct{ feedback.Store }
+
+func (discardStore) AppendBatch(obs []feedback.Observation) (feedback.Commit, error) {
+	return feedback.Commit{Batch: len(obs)}, nil
+}
+
+// observationsAllocBudget is the allocation count of one 64-observation
+// /v1/observations through the whole handler stack, the store aside: a
+// fixed number per request, none per observation. It arms no request
+// deadline: the handler never reads its context, so a timer would add
+// five allocations that bound nothing.
+const observationsAllocBudget = 15
+
+func TestObservationsAllocs(t *testing.T) {
+	s, m := newTestServer(t, Config{})
+	if err := s.EnableAdaptation(Adaptation{Log: discardStore{}, Monitor: drift.NewMonitor(drift.Config{})}); err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	for scs := distinctScenarios(m, 0, 5); len(scs) >= 64; scs = scs[64:] {
+		var req ObservationsRequest
+		for i, sc := range scs[:64] {
+			req.Observations = append(req.Observations, ObservationRequest{
+				Target: sc.Target, CoApps: sc.CoApps, PState: sc.PState, MeasuredSeconds: float64(100 + i),
+			})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	allocs, w := handlerAllocs(t, s.Handler(), "/v1/observations", len(bodies)-2, bodies...)
+	if w.status != http.StatusOK || !bytes.Contains(w.body, []byte(`"accepted":64`)) {
+		t.Fatalf("not 64 accepted observations: %d %s", w.status, w.body)
+	}
+	if allocs > observationsAllocBudget {
+		t.Fatalf("64-observation /v1/observations allocates %v per request, budget %d", allocs, observationsAllocBudget)
 	}
 }

@@ -43,6 +43,10 @@ const (
 	// CodeSLODisabled marks calls to /v1/slo on a server started with
 	// SLO tracking disabled.
 	CodeSLODisabled = "slo_disabled"
+	// CodeRetrainInProgress marks a POST /v1/retrain refused because
+	// an attempt is already running (retrain.ErrInProgress): a 409, since
+	// the node's own retrain is a conflict, not a server fault.
+	CodeRetrainInProgress = "retrain_in_progress"
 	// CodeDraining marks requests shed because the server is draining
 	// for shutdown. The response carries a Retry-After header so a
 	// routing tier can distinguish "shedding, come back" from "dead,

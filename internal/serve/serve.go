@@ -56,8 +56,8 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// RequestTimeout bounds the processing time of a batch, placements
-	// or observations request. 0 or negative selects the default, 10s.
+	// RequestTimeout bounds the processing time of a batch or placements
+	// request. 0 or negative selects the default, 10s.
 	RequestTimeout time.Duration
 	// The five observability knobs, passed to the request edge as an
 	// obs.EdgeConfig, which documents them and owns their defaults
@@ -143,7 +143,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("POST /v1/placements", s.wrap("placements", s.withDeadline(s.handlePlacements)))
 		mux.HandleFunc("GET /v1/models", s.wrap("models", s.handleModels))
 		mux.HandleFunc("POST /v1/models/reload", s.wrap("reload", s.handleReload))
-		mux.HandleFunc("POST /v1/observations", s.wrap("observations", s.withDeadline(s.handleObservations)))
+		mux.HandleFunc("POST /v1/observations", s.wrap("observations", s.handleObservations))
 		mux.HandleFunc("GET /v1/drift", s.wrap("drift", s.handleDrift))
 		mux.HandleFunc("POST /v1/retrain", s.wrap("retrain", s.handleRetrain))
 		mux.HandleFunc("GET /v1/retrain/status", s.wrap("retrain_status", s.handleRetrainStatus))
@@ -202,11 +202,11 @@ func (s *Server) shed(w http.ResponseWriter) int {
 	return status
 }
 
-// withDeadline runs a handler under the per-request timeout: batch,
-// placements and observations, the endpoints that can run long. The
-// scalar predict, the retrain trigger and the read-only endpoints never
-// consult their context, so they are registered without it and pay for
-// no timer.
+// withDeadline runs a handler under the per-request timeout: batch and
+// placements, the endpoints that can run long. The scalar predict, the
+// observations ingest (one log append), the retrain trigger and the
+// read-only endpoints never consult their context, so they are
+// registered without it and pay for no timer.
 func (s *Server) withDeadline(h handlerFunc) handlerFunc {
 	return func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)

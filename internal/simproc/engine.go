@@ -9,7 +9,9 @@ import (
 	"colocmodel/internal/workload"
 )
 
-// Processor simulates one multicore machine.
+// Processor simulates one multicore machine. It is safe for concurrent
+// use: its spec and DRAM model are read-only after New, and all the state
+// of a run belongs to that call.
 type Processor struct {
 	spec Spec
 	mem  *dram.Controller
