@@ -255,13 +255,13 @@ func Collect(p Plan) (*Dataset, error) {
 		ds.Records[i] = Record{
 			Machine:     p.Spec.Name,
 			PState:      sc.PState,
-			FreqGHz:     r.FreqGHz,
+			FreqGHz:     r.freqGHz,
 			Target:      sc.Target.Name,
 			CoApp:       sc.CoApps[0].Name,
 			NumCoLoc:    len(sc.CoApps),
-			Seconds:     applyNoise(r.TargetSeconds, p.NoiseSigma, noise),
-			TrueSeconds: r.TargetSeconds,
-			Counts:      r.Target.Counts,
+			Seconds:     applyNoise(r.seconds, p.NoiseSigma, noise),
+			TrueSeconds: r.seconds,
+			Counts:      r.counts,
 		}
 	}
 	return ds, nil
@@ -298,13 +298,21 @@ func CollectBaselines(proc *simproc.Processor, apps []workload.App, sigma float6
 	for i, name := range names {
 		b := Baseline{App: name, SecondsByPState: make([]float64, n)}
 		for ps, r := range runs[i*n : (i+1)*n] {
-			b.SecondsByPState[ps] = applyNoise(r.TargetSeconds, sigma, noise)
+			b.SecondsByPState[ps] = applyNoise(r.seconds, sigma, noise)
 		}
-		p0 := runs[i*n].Target.Counts
+		p0 := runs[i*n].counts
 		b.MemIntensity, b.CMPerCA, b.CAPerIns = p0.MemoryIntensity(), p0.CMPerCA(), p0.CAPerIns()
 		out[name] = b
 	}
 	return out, nil
+}
+
+// run is what a sweep keeps of one simulation: the fields of its
+// simproc.Result that the datasets record.
+type run struct {
+	seconds float64        // the target's TargetSeconds
+	freqGHz float64        // the P-state's frequency
+	counts  perfctr.Counts // the target's counters
 }
 
 // sweep runs every scenario on proc over runtime.GOMAXPROCS(0)
@@ -313,8 +321,8 @@ func CollectBaselines(proc *simproc.Processor, apps []workload.App, sigma float6
 // results do not depend on how many run at once; callers draw noise
 // afterwards, in scenario order. If runs fail, failed is the lowest
 // failing index and err its error; otherwise failed is -1.
-func sweep(proc *simproc.Processor, scs []Scenario) (runs []simproc.Result, failed int, err error) {
-	runs = make([]simproc.Result, len(scs))
+func sweep(proc *simproc.Processor, scs []Scenario) (runs []run, failed int, err error) {
+	runs = make([]run, len(scs))
 	errs := make([]error, len(scs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -324,7 +332,8 @@ func sweep(proc *simproc.Processor, scs []Scenario) (runs []simproc.Result, fail
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(scs); i = int(next.Add(1) - 1) {
 				sc := scs[i]
-				runs[i], errs[i] = proc.RunColocation(sc.Target, sc.CoApps, sc.PState, simproc.Options{})
+				r, err := proc.RunColocation(sc.Target, sc.CoApps, sc.PState, simproc.Options{})
+				runs[i], errs[i] = run{r.TargetSeconds, r.FreqGHz, r.Target.Counts}, err
 			}
 		}()
 	}

@@ -77,8 +77,8 @@ func CollectScenarios(proc *simproc.Processor, scenarios []Scenario, sigma float
 			FreqGHz:     st.FreqGHz,
 			Target:      sc.Target.Name,
 			CoApps:      names,
-			Seconds:     applyNoise(runs[i].TargetSeconds, sigma, noise),
-			TrueSeconds: runs[i].TargetSeconds,
+			Seconds:     applyNoise(runs[i].seconds, sigma, noise),
+			TrueSeconds: runs[i].seconds,
 		}
 	}
 	return out, nil

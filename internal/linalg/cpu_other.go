@@ -3,11 +3,15 @@
 package linalg
 
 // No kernel runs off amd64: every entry point takes its Go loop.
-var cpuAVX2, cpuFMA = false, false
+var cpuAVX2, cpuFMA, cpuAVX512 = false, false, false
 
-func tanhKernel([]float64) { panic("linalg: no tanh kernel on this architecture") }
+func tanh4([]float64) { panic("linalg: no tanh kernel on this architecture") }
+
+func tanh8([]float64) { panic("linalg: no tanh kernel on this architecture") }
 
 func abAVX2(dst, bias, a, b *float64, rows, n, k int) { panic(noMatKernel) }
+
+func abAVX512(dst, bias, a, b *float64, rows, n, k int) { panic(noMatKernel) }
 
 func rank1AVX2(dst, a, b *float64, rows, n, k int) { panic(noMatKernel) }
 

@@ -13,7 +13,9 @@
 // keeps the paper's Figures 1–4 outputs unchanged by the batched rewrite.
 // The AVX2 kernels (kernels_amd64.s) keep the contract the same way: they
 // run four dst columns per register, and a column's sum is untouched by
-// which other columns share its register.
+// which other columns share its register. MulABTBias's AVX-512 kernel
+// runs eight to a register on the same terms, so each tier — eight
+// lanes, four, or the Go loop — gives every element the same bits.
 package linalg
 
 import "fmt"
@@ -29,8 +31,13 @@ const kernelBlock = 64
 // products, AccumColSums and MulTanhDeriv, once, at init:
 // when the CPU runs AVX2 and the OS saves the YMM registers. Columns past
 // the last group of four, and every entry point while it is false, take
-// the Go loops below. Tests clear it to force the Go loops.
+// the Go loops below. useMat512 selects, within them, MulABTBias's
+// 8-column AVX-512 kernel: when the CPU also runs AVX512F and the OS
+// saves the opmask and ZMM registers. Tests clear useMat512 to force the
+// 4-column kernels, and useMatKernel to force the Go loops.
 var useMatKernel = cpuAVX2
+
+var useMat512 = cpuAVX512
 
 func dims(op string, ok bool, format string, args ...any) {
 	if !ok {
@@ -120,7 +127,11 @@ func MulABTBias(dst, a, bt *Matrix, bias []float64) {
 	k := dst.Cols
 	j0 := 0
 	if useMatKernel && k >= 4 && a.Rows > 0 && a.Cols > 0 {
-		abAVX2(&dst.Data[0], &bias[0], &a.Data[0], &bt.Data[0], a.Rows, a.Cols, k)
+		if useMat512 {
+			abAVX512(&dst.Data[0], &bias[0], &a.Data[0], &bt.Data[0], a.Rows, a.Cols, k)
+		} else {
+			abAVX2(&dst.Data[0], &bias[0], &a.Data[0], &bt.Data[0], a.Rows, a.Cols, k)
+		}
 		j0 = k &^ 3
 	}
 	if j0 == k {

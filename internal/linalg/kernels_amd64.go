@@ -11,6 +11,12 @@ package linalg
 //go:noescape
 func abAVX2(dst, bias, a, b *float64, rows, n, k int)
 
+// abAVX512 is abAVX2 eight columns to a register: it runs over the same
+// k&^3 columns, the last four in a 4-column chunk when k&4 is set.
+//
+//go:noescape
+func abAVX512(dst, bias, a, b *float64, rows, n, k int)
+
 // rank1AVX2 adds a·b to dst: dst is rows×k, a rows×n, b n×k. Each dst
 // element takes its n terms in ascending order, skipping the terms whose
 // a element is zero.

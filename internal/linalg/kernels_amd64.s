@@ -1,10 +1,10 @@
 #include "textflag.h"
 
 // The matrix kernels vectorise across destination columns, four to a
-// YMM register. Every term is one VMULPD and one VADDPD: a lane does the
-// unfused multiply, then the add, of the Go loop it replaces, and takes
-// its terms in that loop's order, so each lane's result is the Go loop's
-// bit for bit. Where the Go loop skips a zero term, a kernel either
+// YMM register (eight to a ZMM register in abAVX512, on AVX512F). Every
+// term is one VMULPD and one VADDPD: a lane does the unfused multiply,
+// then the add, of the Go loop it replaces, and takes its terms in that
+// loop's order, so each lane's result is the Go loop's bit for bit. Where the Go loop skips a zero term, a kernel either
 // skips it too or adds -0 in its place, which is the same: x + (-0) is
 // x for every x, -0 and NaN included, while the product it replaces may
 // be +0 or NaN. Columns past the last whole group of four are the
@@ -116,6 +116,178 @@ term1:
 	JMP     rows1
 
 done:
+	VZEROUPPER
+	RET
+
+// func abAVX512(dst, bias, a, b *float64, rows, n, k int)
+//
+// abAVX2 on 8-column chunks in ZMM registers, each term's a element a
+// {1to8} broadcast, then, when k&4 is set, one 4-column chunk in YMM
+// registers as abAVX2 runs it: a lane takes the same multiply and add
+// in the same order in either width.
+TEXT ·abAVX512(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), DX
+	MOVQ rows+32(FP), R8
+	MOVQ n+40(FP), R9
+	MOVQ k+48(FP), R11
+	SHLQ $3, R11               // dst and b row stride, bytes
+	MOVQ R9, R12
+	SHLQ $3, R12               // a row stride, bytes
+	MOVQ R11, R10
+	ANDQ $-64, R10             // whole 8-column chunks of a row, bytes
+
+zrows4:
+	CMPQ R8, $4
+	JLT  zrows1
+	XORQ CX, CX                // chunk offset, bytes
+	CMPQ CX, R10
+	JGE  zlast4
+
+zchunk4:
+	LEAQ    (DI)(CX*1), AX     // dst rows 0, 1
+	MOVQ    bias+8(FP), R13
+	VMOVUPD (R13)(CX*1), Z0
+	VMOVAPD Z0, Z1
+	VMOVAPD Z0, Z2
+	VMOVAPD Z0, Z3
+	MOVQ    SI, R13            // a rows 0, 1 at term p
+	LEAQ    (SI)(R12*2), BX    // a rows 2, 3 at term p
+	LEAQ    (DX)(CX*1), R14    // b row p, this chunk
+	MOVQ    R9, R15
+	JMP     zterm4
+	PCALIGN $64
+
+zterm4:
+	VMOVUPD     (R14), Z4
+	VMULPD.BCST (R13), Z4, Z5
+	VADDPD      Z5, Z0, Z0
+	VMULPD.BCST (R13)(R12*1), Z4, Z6
+	VADDPD      Z6, Z1, Z1
+	VMULPD.BCST (BX), Z4, Z7
+	VADDPD      Z7, Z2, Z2
+	VMULPD.BCST (BX)(R12*1), Z4, Z8
+	VADDPD      Z8, Z3, Z3
+	ADDQ        $8, R13
+	ADDQ        $8, BX
+	ADDQ        R11, R14
+	DECQ        R15
+	JNZ         zterm4
+
+	LEAQ    (AX)(R11*2), BX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, (AX)(R11*1)
+	VMOVUPD Z2, (BX)
+	VMOVUPD Z3, (BX)(R11*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R10
+	JLT     zchunk4
+
+zlast4:
+	TESTQ        $32, R11      // k&4
+	JZ           znext4
+	LEAQ         (DI)(CX*1), AX
+	MOVQ         bias+8(FP), R13
+	VMOVUPD      (R13)(CX*1), Y0
+	VMOVAPD      Y0, Y1
+	VMOVAPD      Y0, Y2
+	VMOVAPD      Y0, Y3
+	MOVQ         SI, R13
+	LEAQ         (SI)(R12*2), BX
+	LEAQ         (DX)(CX*1), R14
+	MOVQ         R9, R15
+
+yterm4:
+	VMOVUPD      (R14), Y4
+	VBROADCASTSD (R13), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	VBROADCASTSD (R13)(R12*1), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (BX), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+	VBROADCASTSD (BX)(R12*1), Y8
+	VMULPD       Y4, Y8, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R13
+	ADDQ         $8, BX
+	ADDQ         R11, R14
+	DECQ         R15
+	JNZ          yterm4
+
+	LEAQ    (AX)(R11*2), BX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, (AX)(R11*1)
+	VMOVUPD Y2, (BX)
+	VMOVUPD Y3, (BX)(R11*1)
+
+znext4:
+	LEAQ (SI)(R12*4), SI
+	LEAQ (DI)(R11*4), DI
+	SUBQ $4, R8
+	JMP  zrows4
+
+zrows1:
+	TESTQ R8, R8
+	JZ    zdone
+	XORQ  CX, CX
+	CMPQ  CX, R10
+	JGE   zlast1
+
+zchunk1:
+	LEAQ    (DI)(CX*1), AX
+	MOVQ    bias+8(FP), R13
+	VMOVUPD (R13)(CX*1), Z0
+	MOVQ    SI, R13
+	LEAQ    (DX)(CX*1), R14
+	MOVQ    R9, R15
+	JMP     zterm1
+	PCALIGN $64
+
+zterm1:
+	VMOVUPD     (R14), Z4
+	VMULPD.BCST (R13), Z4, Z5
+	VADDPD      Z5, Z0, Z0
+	ADDQ        $8, R13
+	ADDQ        R11, R14
+	DECQ        R15
+	JNZ         zterm1
+
+	VMOVUPD Z0, (AX)
+	ADDQ    $64, CX
+	CMPQ    CX, R10
+	JLT     zchunk1
+
+zlast1:
+	TESTQ   $32, R11           // k&4
+	JZ      znext1
+	LEAQ    (DI)(CX*1), AX
+	MOVQ    bias+8(FP), R13
+	VMOVUPD (R13)(CX*1), Y0
+	MOVQ    SI, R13
+	LEAQ    (DX)(CX*1), R14
+	MOVQ    R9, R15
+
+yterm1:
+	VBROADCASTSD (R13), Y5
+	VMULPD       (R14), Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, R13
+	ADDQ         R11, R14
+	DECQ         R15
+	JNZ          yterm1
+	VMOVUPD      Y0, (AX)
+
+znext1:
+	ADDQ R12, SI
+	ADDQ R11, DI
+	DECQ R8
+	JMP  zrows1
+
+zdone:
 	VZEROUPPER
 	RET
 

@@ -7,22 +7,63 @@ import (
 	"colocmodel/internal/xrand"
 )
 
-// matPaths runs f once per implementation the three accumulating
-// products can take on this host: the AVX2 kernels when init selected
-// them, and the Go loops.
+// tier is one implementation an entry point can take, as the settings
+// of its two switches that force it: the packed kernels at all, and
+// their 8-lane tier.
+type tier struct {
+	name     string
+	on, wide bool
+}
+
+// tiers lists the tiers a pair of switches selects among on this host,
+// given what init set them to: the 8-lane kernels, the 4-lane kernels,
+// then the Go loop, named goName.
+func tiers(on, wide bool, goName string) []tier {
+	var out []tier
+	if wide {
+		out = append(out, tier{"kernel512", true, true})
+	}
+	if on {
+		out = append(out, tier{"kernel", true, false})
+	}
+	return append(out, tier{goName, false, false})
+}
+
+// set points the switches at t and returns the function that restores
+// them.
+func (t tier) set(on, wide *bool) (restore func()) {
+	savedOn, savedWide := *on, *wide
+	*on, *wide = t.on, t.wide
+	return func() { *on, *wide = savedOn, savedWide }
+}
+
+// logTiers records which kernel tiers init did not select on this host,
+// so a run on a CPU without AVX2 or AVX512F says what it did not check.
+func logTiers(t testing.TB, what string, on, wide bool) {
+	t.Helper()
+	switch {
+	case !on:
+		t.Logf("%s kernels not selected on this host: only the Go loop runs", what)
+	case !wide:
+		t.Logf("8-lane %s kernel not selected on this host: only the 4-lane kernel and the Go loop run", what)
+	}
+}
+
+// matTiers lists the tiers the matrix kernels select among on this host.
+func matTiers() []tier { return tiers(useMatKernel, useMat512, "go") }
+
+// matPaths runs f once per implementation the products can take on this
+// host: the 8-lane and 4-lane kernels where init selected them, and the
+// Go loops.
 func matPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	if useMatKernel {
-		t.Run("kernel", f)
-	} else {
-		t.Log("matrix kernels not selected on this host")
+	logTiers(t, "matrix", useMatKernel, useMat512)
+	for _, tr := range matTiers() {
+		t.Run(tr.name, func(t *testing.T) {
+			t.Cleanup(tr.set(&useMatKernel, &useMat512))
+			f(t)
+		})
 	}
-	t.Run("go", func(t *testing.T) {
-		saved := useMatKernel
-		useMatKernel = false
-		t.Cleanup(func() { useMatKernel = saved })
-		f(t)
-	})
 }
 
 // kernelSpecials are the inputs whose arithmetic is its own: signed
@@ -75,26 +116,33 @@ func fuzzShape(rows, inner, cols uint8) (int, int, int) {
 	return int(rows) % 71, 1 + int(inner)%37, 1 + int(cols)%37
 }
 
-// kernelAgrees runs op on a copy of dst as init selected and on another
-// with the Go loops, and fails on every element whose bits
-// differ. Any NaN matches any NaN: which NaN's payload survives an
-// operation on two NaNs depends on operand order, which Go leaves to its
-// compiler.
+// kernelAgrees runs op on a copy of dst in every kernel tier this host
+// runs and on another with the Go loops, and fails on every element
+// whose bits differ. Any NaN matches any NaN: which NaN's payload
+// survives an operation on two NaNs depends on operand order, which Go
+// leaves to its compiler.
 func kernelAgrees(t *testing.T, name string, dst *Matrix, op func(dst *Matrix)) {
 	t.Helper()
-	got := dst.Clone()
-	op(got)
+	all := matTiers()
+	goLoop := all[len(all)-1]
 	want := dst.Clone()
-	saved := useMatKernel
-	useMatKernel = false
-	defer func() { useMatKernel = saved }()
-	op(want)
-	for i := range want.Data {
-		if !sameFloat(got.Data[i], want.Data[i]) {
-			t.Fatalf("%s %dx%d: element %d: kernel %v [%#016x], Go %v [%#016x]", name, dst.Rows, dst.Cols,
-				i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+	runTier(goLoop, func() { op(want) })
+	for _, tr := range all[:len(all)-1] {
+		got := dst.Clone()
+		runTier(tr, func() { op(got) })
+		for i := range want.Data {
+			if !sameFloat(got.Data[i], want.Data[i]) {
+				t.Fatalf("%s %dx%d: element %d: %s %v [%#016x], Go %v [%#016x]", name, dst.Rows, dst.Cols, i,
+					tr.name, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+			}
 		}
 	}
+}
+
+// runTier runs f with the matrix kernels set to tr.
+func runTier(tr tier, f func()) {
+	defer tr.set(&useMatKernel, &useMat512)()
+	f()
 }
 
 func addKernelSeeds(f *testing.F) {
@@ -122,6 +170,7 @@ func addTileSeeds(f *testing.F) {
 // FuzzAccumMulABT checks the packed A·Bᵀ product, MulABTBias, whose
 // result must not depend on what dst held before.
 func FuzzAccumMulABT(f *testing.F) {
+	logTiers(f, "matrix", useMatKernel, useMat512)
 	addKernelSeeds(f)
 	addTileSeeds(f)
 	f.Fuzz(func(t *testing.T, rows, inner, cols, mode, density uint8, seed uint64) {
@@ -209,7 +258,8 @@ func TestKernelsRefuseShortData(t *testing.T) {
 // BenchmarkKernels times the kernels at the neural model's shapes (8
 // inputs, 20 hidden nodes) on each path: the serving hidden layer over a
 // 352-row batch, and the training products, bias gradient and tanh
-// derivative over 1 848 samples.
+// derivative over 1 848 samples. Under kernel512 the kernels without an
+// 8-lane twin run their 4-lane code.
 func BenchmarkKernels(b *testing.B) {
 	src := xrand.New(1)
 	x, h := randomMatrix(src, 1848, 8), randomMatrix(src, 1848, 20)
@@ -231,18 +281,9 @@ func BenchmarkKernels(b *testing.B) {
 		{"TanhDeriv/1848x20", delta.Clone(), func(dst *Matrix) { MulTanhDeriv(dst.Data, zeros.Data) }},
 	}
 	for _, c := range cases {
-		for _, kernel := range []bool{true, false} {
-			name := c.name + "/go"
-			if kernel {
-				if !useMatKernel {
-					continue
-				}
-				name = c.name + "/kernel"
-			}
-			b.Run(name, func(b *testing.B) {
-				saved := useMatKernel
-				useMatKernel = kernel
-				defer func() { useMatKernel = saved }()
+		for _, tr := range matTiers() {
+			b.Run(c.name+"/"+tr.name, func(b *testing.B) {
+				defer tr.set(&useMatKernel, &useMat512)()
 				for i := 0; i < b.N; i++ {
 					c.op(c.dst)
 				}

@@ -8,6 +8,15 @@
 // written for correctness and clarity at the problem sizes that occur here
 // (thousands of rows, at most a few dozen columns), not for BLAS-level
 // throughput.
+//
+// The batched kernels (kernels.go) and Tanh, the training and inference
+// hot paths, run in tiers chosen once at init, by CPUID alone (Tanh also
+// by a probe of math.Tanh): on amd64, eight lanes per AVX-512 register
+// for MulABTBias and Tanh where the CPU runs AVX512F and the OS saves the
+// opmask and ZMM state, four lanes per AVX2 register for every kernel
+// where it runs AVX2, and the Go loops everywhere else. Each lane does
+// the Go loop's arithmetic in its order, so every tier gives the same
+// bits.
 package linalg
 
 import (

@@ -9,26 +9,36 @@ import (
 
 // Tanh replaces every element of v with math.Tanh of it, bit for bit. It
 // is the activation of every hidden layer the predictor evaluates or
-// trains. On amd64 with AVX2 and FMA it runs a kernel over four lanes at a
-// time that does exactly math.Tanh's arithmetic — math.Exp's FMA sequence,
-// then tanh's two paths and its saturation — and math.Tanh for the last
-// len(v)%4 elements. The kernel is chosen once, at package init, and only
-// when it and math.Tanh give every input of a fixed probe table its
-// recorded result; everywhere else Tanh is a math.Tanh loop.
+// trains. On amd64 with AVX2 and FMA it runs a kernel that does exactly
+// math.Tanh's arithmetic in every lane — math.Exp's FMA sequence, then
+// tanh's two paths and its saturation: eight lanes at a time over the
+// first len(v)&^7 elements where the CPU runs AVX512F, then four lanes at
+// a time, then math.Tanh for the last len(v)%4 elements. Each tier is
+// chosen once, at package init, and only when it and math.Tanh give
+// every input of a fixed probe table its recorded result; everywhere
+// else Tanh is a math.Tanh loop.
 func Tanh(v []float64) {
 	n := 0
 	if useTanhKernel {
-		n = len(v) &^ 3
-		tanhKernel(v[:n])
+		if useTanh512 {
+			n = len(v) &^ 7
+			tanh8(v[:n])
+		}
+		m := len(v) &^ 3
+		tanh4(v[n:m])
+		n = m
 	}
 	for i, x := range v[n:] {
 		v[n+i] = math.Tanh(x)
 	}
 }
 
-// useTanhKernel selects the packed kernel. Tests clear it to force the
-// math.Tanh loop.
-var useTanhKernel = cpuFMA && tanhProbeHolds(tanhKernel)
+// useTanhKernel selects the packed kernels, and useTanh512 their 8-lane
+// tier within them. Tests clear useTanh512 to force the 4-lane kernel,
+// and useTanhKernel to force the math.Tanh loop.
+var useTanhKernel = cpuFMA && tanhProbeHolds(tanh4)
+
+var useTanh512 = useTanhKernel && cpuAVX512 && tanhProbeHolds(tanh8)
 
 //go:embed tanh_probe.txt
 var tanhProbe string
@@ -53,7 +63,8 @@ func tanhProbeRows() (in, want []float64) {
 }
 
 // tanhProbeHolds reports whether kernel and math.Tanh both give every
-// probe input its recorded result.
+// probe input its recorded result. The probe's row count is a multiple
+// of eight, so every row runs in a lane of either kernel.
 func tanhProbeHolds(kernel func([]float64)) bool {
 	in, want := tanhProbeRows()
 	got := append([]float64(nil), in...)

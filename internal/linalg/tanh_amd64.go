@@ -2,17 +2,25 @@ package linalg
 
 import "math"
 
-// tanhAVX2 runs the kernel over len(v)/4 groups of four elements, with k
-// as its constant table. It is in tanh_amd64.s.
+// tanhAVX2 and tanhAVX512 run the kernel over len(v)/4 groups of four
+// elements and len(v)/8 groups of eight, with k as its constant table.
+// They are in tanh_amd64.s.
 //
 //go:noescape
 func tanhAVX2(v []float64, k *[tanhRows][4]uint64)
 
-// tanhKernel runs the kernel over v, whose length is a multiple of 4.
-func tanhKernel(v []float64) { tanhAVX2(v, &tanhConst) }
+//go:noescape
+func tanhAVX512(v []float64, k *[tanhRows][4]uint64)
 
-// tanhConst is the kernel's constant table, each constant in all four
-// lanes so the kernel can take it as a 256-bit memory operand. The row
+// tanh4 runs the 4-lane kernel over v, whose length is a multiple of 4.
+func tanh4(v []float64) { tanhAVX2(v, &tanhConst) }
+
+// tanh8 runs the 8-lane kernel over v, whose length is a multiple of 8.
+func tanh8(v []float64) { tanhAVX512(v, &tanhConst) }
+
+// tanhConst is the kernels' constant table, each constant in all four
+// lanes so the 4-lane kernel can take it as a 256-bit memory operand;
+// the 8-lane kernel broadcasts a row's first element. The row
 // order is the offsets #defined in tanh_amd64.s. The values are math's:
 // exp_amd64.s for the exp part, tanh.go for the rest.
 var tanhConst = [tanhRows][4]uint64{

@@ -121,3 +121,96 @@ loop:
 
 done:
 	RET
+
+// func tanhAVX512(v []float64, k *[tanhRows][4]uint64)
+//
+// tanhAVX2 on eight lanes per iteration, over len(v)/8 groups: the same
+// operations in the same order on ZMM registers, each constant read as
+// a {1to8} broadcast of its table row's first element, the bitwise
+// operations as their integer forms (AVX512F has no 512-bit VANDPD),
+// and the three blends as moves under a compare's opmask. A lane's
+// result is therefore tanhAVX2's, bit for bit.
+TEXT ·tanhAVX512(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	MOVQ k+24(FP), R8
+	SHRQ $3, CX
+	JZ   done512
+	VBROADCASTSD ABS(R8), Z15
+	VBROADCASTSD ONE(R8), Z14
+	VBROADCASTSD TWO(R8), Z13
+	VPXORQ       Z12, Z12, Z12
+
+loop512:
+	VMOVUPD (SI), Z0             // x
+	VPANDQ  Z15, Z0, Z1          // z = |x|
+	VPANDNQ Z0, Z15, Z2          // x's sign bit
+
+	// Z3 = exp(2z). k = round(2z·log2e) in Y5, its float in Z4.
+	VADDPD            Z1, Z1, Z3
+	VMULPD.BCST       LOG2E(R8), Z3, Z4
+	VCVTPD2DQ         Z4, Y5
+	VCVTDQ2PD         Y5, Z4
+	VFNMADD231PD.BCST LN2U(R8), Z4, Z3
+	VFNMADD231PD.BCST LN2L(R8), Z4, Z3
+	VMULPD.BCST       SIXTEENTH(R8), Z3, Z3
+	VBROADCASTSD      E9(R8), Z6
+	VFMADD213PD.BCST  E8(R8), Z3, Z6
+	VFMADD213PD.BCST  E7(R8), Z3, Z6
+	VFMADD213PD.BCST  E6(R8), Z3, Z6
+	VFMADD213PD.BCST  E5(R8), Z3, Z6
+	VFMADD213PD.BCST  E4(R8), Z3, Z6
+	VFMADD213PD.BCST  HALF(R8), Z3, Z6
+	VFMADD213PD.BCST  ONE(R8), Z3, Z6
+	VMULPD            Z6, Z3, Z3
+	VADDPD            Z13, Z3, Z6
+	VMULPD            Z6, Z3, Z3
+	VADDPD            Z13, Z3, Z6
+	VMULPD            Z6, Z3, Z3
+	VADDPD            Z13, Z3, Z6
+	VMULPD            Z6, Z3, Z3
+	VADDPD            Z13, Z3, Z6
+	VFMADD213PD       Z14, Z6, Z3
+	VPMOVSXDQ         Y5, Z5
+	VPADDQ.BCST       BIAS(R8), Z5, Z5
+	VPSLLQ            $52, Z5, Z5
+	VMULPD            Z5, Z3, Z3
+
+	// Exp path: 1 - 2/(s+1), x's sign ORed back.
+	VADDPD Z14, Z3, Z3
+	VDIVPD Z3, Z13, Z3
+	VSUBPD Z3, Z14, Z3
+	VPORQ  Z2, Z3, Z3
+
+	// Rational path.
+	VMULPD      Z0, Z0, Z8       // s = x*x
+	VMULPD.BCST P0(R8), Z8, Z9
+	VADDPD.BCST P1(R8), Z9, Z9
+	VMULPD      Z8, Z9, Z9
+	VADDPD.BCST P2(R8), Z9, Z9   // (P0*s+P1)*s+P2
+	VADDPD.BCST Q0(R8), Z8, Z10
+	VMULPD      Z8, Z10, Z10
+	VADDPD.BCST Q1(R8), Z10, Z10
+	VMULPD      Z8, Z10, Z10
+	VADDPD.BCST Q2(R8), Z10, Z10 // ((s+Q0)*s+Q1)*s+Q2
+	VMULPD      Z8, Z0, Z11
+	VMULPD      Z9, Z11, Z11
+	VDIVPD      Z10, Z11, Z11
+	VADDPD      Z0, Z11, Z11
+
+	VCMPPD.BCST $0x1d, EXPMIN(R8), Z1, K1 // z >= 0.625, GE_OQ
+	VMOVAPD     Z3, K1, Z11
+	VCMPPD.BCST $0x1e, SAT(R8), Z1, K1    // z > 0.5*MAXLOG, GT_OQ
+	VPORQ       Z2, Z14, Z3
+	VMOVAPD     Z3, K1, Z11
+	VCMPPD      $0x00, Z12, Z0, K1        // x == 0, EQ_OQ
+	VMOVAPD     Z0, K1, Z11
+	VMOVUPD     Z11, (SI)
+
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop512
+	VZEROUPPER
+
+done512:
+	RET

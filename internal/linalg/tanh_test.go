@@ -7,21 +7,21 @@ import (
 	"colocmodel/internal/xrand"
 )
 
+// tanhTiers lists the tiers Tanh selects among on this host.
+func tanhTiers() []tier { return tiers(useTanhKernel, useTanh512, "fallback") }
+
 // tanhPaths runs f once per implementation Tanh can take on this host:
-// the packed kernel when init selected it, and the math.Tanh loop.
+// the 8-lane and 4-lane kernels where init selected them, and the
+// math.Tanh loop.
 func tanhPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	if useTanhKernel {
-		t.Run("kernel", f)
-	} else {
-		t.Log("tanh kernel not selected on this host")
+	logTiers(t, "tanh", useTanhKernel, useTanh512)
+	for _, tr := range tanhTiers() {
+		t.Run(tr.name, func(t *testing.T) {
+			t.Cleanup(tr.set(&useTanhKernel, &useTanh512))
+			f(t)
+		})
 	}
-	t.Run("fallback", func(t *testing.T) {
-		saved := useTanhKernel
-		useTanhKernel = false
-		t.Cleanup(func() { useTanhKernel = saved })
-		f(t)
-	})
 }
 
 // checkTanh runs Tanh over a copy of in and fails on every element whose
@@ -60,7 +60,7 @@ func tanhSpecials() []float64 {
 func TestTanhMatchesMath(t *testing.T) {
 	tanhPaths(t, func(t *testing.T) {
 		src := xrand.New(35)
-		for n := 0; n <= 9; n++ {
+		for n := 0; n <= 17; n++ {
 			v := make([]float64, n)
 			for i := range v {
 				v[i] = src.Normal(0, 2)
@@ -99,9 +99,18 @@ func FuzzTanh(f *testing.F) {
 	f.Add(0.0, 0.625, -1.00544675498034, 44.014845965556527, 3.0)
 	f.Add(math.Copysign(0, -1), math.Inf(1), math.NaN(), 5e-324, -0.3624600956066068)
 	f.Add(-20.0, 0.6249999999999999, 1e-300, -4.647840439692726, 0.1)
+	logTiers(f, "tanh", useTanhKernel, useTanh512)
 	f.Fuzz(func(t *testing.T, a, b, c, d, e float64) {
-		// Four kernel lanes, then the tail.
-		checkTanh(t, []float64{a, b, c, d, e})
+		// Eight lanes, four lanes, then the tail: each value in several
+		// lanes, under every tier this host runs.
+		for _, tr := range tanhTiers() {
+			restore := tr.set(&useTanhKernel, &useTanh512)
+			checkTanh(t, []float64{a, b, c, d, e, a, b, c, d, e, a, b, c})
+			restore()
+			if t.Failed() {
+				t.Fatalf("on the %s tier", tr.name)
+			}
+		}
 	})
 }
 
@@ -179,8 +188,8 @@ func tanhSeq(x float64, fmaExp, fusedPQ bool) float64 {
 // rational) misses at least one of them.
 func TestTanhProbeSeesNonFMAExp(t *testing.T) {
 	in, want := tanhProbeRows()
-	if len(in) == 0 || len(in)%4 != 0 {
-		t.Fatalf("probe has %d rows; want a positive multiple of 4, so each runs in a kernel lane", len(in))
+	if len(in) == 0 || len(in)%8 != 0 {
+		t.Fatalf("probe has %d rows; want a positive multiple of 8, so each runs in a lane of either kernel", len(in))
 	}
 	noFMA, fusedPQ, mathMisses := 0, 0, 0
 	for i, x := range in {
@@ -204,16 +213,23 @@ func TestTanhProbeSeesNonFMAExp(t *testing.T) {
 	if fusedPQ == 0 {
 		t.Error("no probe row tells a fused P/Q rational from math's unfused one")
 	}
-	if mathMisses > 0 && useTanhKernel {
-		t.Errorf("math.Tanh misses %d probe rows on this host, yet the kernel is selected", mathMisses)
+	if mathMisses > 0 && (useTanhKernel || useTanh512) {
+		t.Errorf("math.Tanh misses %d probe rows on this host, yet a kernel is selected (4-lane %v, 8-lane %v)",
+			mathMisses, useTanhKernel, useTanh512)
 	}
 	if mathMisses == 0 && cpuFMA && !useTanhKernel {
 		t.Error("the CPU runs the kernel and math.Tanh meets the probe, yet the kernel misses it")
 	}
-	t.Logf("%d rows: %d differ under non-FMA exp, %d under a fused rational, %d under this host's math.Tanh; kernel selected: %v",
-		len(in), noFMA, fusedPQ, mathMisses, useTanhKernel)
+	if mathMisses == 0 && cpuFMA && cpuAVX512 && !useTanh512 {
+		t.Error("the CPU runs the 8-lane kernel and math.Tanh meets the probe, yet the 8-lane kernel misses it")
+	}
+	t.Logf("%d rows: %d differ under non-FMA exp, %d under a fused rational, %d under this host's math.Tanh; kernel selected: %v, 8-lane: %v",
+		len(in), noFMA, fusedPQ, mathMisses, useTanhKernel, useTanh512)
 }
 
+// BenchmarkTanh times Tanh over a training pass's hidden activations
+// (1 320 rows × 20 nodes) on each tier this host runs; math is the
+// math.Tanh loop.
 func BenchmarkTanh(b *testing.B) {
 	src := xrand.New(1)
 	in := make([]float64, 26400)
@@ -221,18 +237,13 @@ func BenchmarkTanh(b *testing.B) {
 		in[i] = src.Normal(0, 2)
 	}
 	v := make([]float64, len(in))
-	b.Run("Tanh", func(b *testing.B) {
-		for range b.N {
-			copy(v, in)
-			Tanh(v)
-		}
-	})
-	b.Run("math", func(b *testing.B) {
-		for range b.N {
-			copy(v, in)
-			for i, x := range v {
-				v[i] = math.Tanh(x)
+	for _, tr := range tiers(useTanhKernel, useTanh512, "math") {
+		b.Run(tr.name, func(b *testing.B) {
+			defer tr.set(&useTanhKernel, &useTanh512)()
+			for range b.N {
+				copy(v, in)
+				Tanh(v)
 			}
-		}
-	})
+		})
+	}
 }

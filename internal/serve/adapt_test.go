@@ -37,6 +37,14 @@ func splitByCoCount(ds *harness.Dataset) (solo, heavy []harness.Record) {
 // solo co-location, with the full adaptation loop attached.
 func newAdaptiveServer(t testing.TB, driftCfg drift.Config, retrainCfg retrain.Config) (*Server, []harness.Record, []harness.Record) {
 	t.Helper()
+	return newAdaptiveServerStore(t, driftCfg, retrainCfg, nil)
+}
+
+// newAdaptiveServerStore is newAdaptiveServer with the controller
+// reading the observation log through wrap(log); nil wrap reads the log.
+func newAdaptiveServerStore(t testing.TB, driftCfg drift.Config, retrainCfg retrain.Config,
+	wrap func(feedback.Store) feedback.Store) (*Server, []harness.Record, []harness.Record) {
+	t.Helper()
 	ds := testDataset(t)
 	solo, heavy := splitByCoCount(ds)
 	set, err := features.SetByName("F")
@@ -62,7 +70,11 @@ func newAdaptiveServer(t testing.TB, driftCfg drift.Config, retrainCfg retrain.C
 	}
 	soloDS := *ds
 	soloDS.Records = solo
-	ctrl, err := retrain.New(retrainCfg, reg, &soloDS, log)
+	var store feedback.Store = log
+	if wrap != nil {
+		store = wrap(log)
+	}
+	ctrl, err := retrain.New(retrainCfg, reg, &soloDS, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +215,16 @@ func TestFailingCandidateKeepsIncumbent(t *testing.T) {
 }
 
 // TestAutoRetrainInBackground: with the controller's loop running, a
-// drift trip alone — no manual retrain call — promotes a new model.
+// drift trip alone — no manual retrain call — promotes a new model. The
+// trip comes partway through the replay; the attempt's read of the log
+// is held until the whole replay is posted, so its candidate trains on
+// every shifted observation however the goroutines are scheduled.
 func TestAutoRetrainInBackground(t *testing.T) {
-	s, solo, heavy := newAdaptiveServer(t,
+	gate := &blockingStore{release: make(chan struct{})}
+	s, solo, heavy := newAdaptiveServerStore(t,
 		drift.Config{Lambda: 30, MinSamples: 10},
-		retrain.Config{Seed: 42, MinObservations: 10, MarginPct: 0.01})
+		retrain.Config{Seed: 42, MinObservations: 10, MarginPct: 0.01},
+		func(log feedback.Store) feedback.Store { gate.Store = log; return gate })
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Adaptation().Controller.Start(ctx)
@@ -225,6 +242,7 @@ func TestAutoRetrainInBackground(t *testing.T) {
 			triggered = true
 		}
 	}
+	close(gate.release)
 	if !triggered {
 		t.Fatal("drift trip did not trigger auto-retrain")
 	}
@@ -461,6 +479,7 @@ func TestObservationsPersistAcrossRestart(t *testing.T) {
 
 // blockingStore is a feedback.Store whose All parks its caller until
 // release is closed, so a test can hold a retraining attempt in flight.
+// All first signals on entered, when it is not nil.
 type blockingStore struct {
 	feedback.Store
 	entered chan struct{}
@@ -468,7 +487,9 @@ type blockingStore struct {
 }
 
 func (b *blockingStore) All() ([]feedback.Observation, error) {
-	b.entered <- struct{}{}
+	if b.entered != nil {
+		b.entered <- struct{}{}
+	}
 	<-b.release
 	return b.Store.All()
 }
