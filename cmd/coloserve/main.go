@@ -66,7 +66,7 @@ import (
 func main() {
 	var (
 		listen  = flag.String("listen", ":8080", "address to serve on")
-		timeout = flag.Duration("timeout", 10*time.Second, "per-request timeout (batch, placements)")
+		timeout = flag.Duration("timeout", 10*time.Second, "per-request deadline, fixed at admission (a batch checks it before its model call; it bounds the placement search)")
 		drain   = flag.Duration("drain", 15*time.Second, "shutdown drain budget for in-flight requests")
 
 		pprofOn = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")

@@ -91,8 +91,8 @@ type Router struct {
 
 	promoteMu sync.Mutex // serializes rolling promotions
 
-	muxOnce sync.Once
-	mux     http.Handler
+	routesOnce sync.Once
+	routes     *obs.Routes
 }
 
 // New builds a router. Join backends with Pool().Add, then (optionally)
@@ -216,31 +216,31 @@ func (rt *Router) retryableUnavailable(w http.ResponseWriter, format string, arg
 	return errJSON(http.StatusServiceUnavailable, CodeNoBackend, format, args...)
 }
 
-// Handler returns the router's routing table (built once).
+// Handler returns the router's routing table (obs.Routes, built once).
 func (rt *Router) Handler() http.Handler {
-	rt.muxOnce.Do(func() {
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /v1/predict", rt.wrap("predict", rt.handlePredict))
-		mux.HandleFunc("POST /v1/predict/batch", rt.wrap("predict_batch", rt.handlePredictBatch))
-		mux.HandleFunc("POST /v1/placements", rt.wrap("placements", rt.handlePlacements))
-		mux.HandleFunc("POST /v1/observations", rt.wrap("observations", rt.handleObservations))
-		mux.HandleFunc("POST /v1/models/reload", rt.wrap("reload", rt.handleReload))
-		mux.HandleFunc("GET /v1/models", rt.wrap("models", rt.handleModels))
-		mux.HandleFunc("GET /v1/cluster", rt.wrap("cluster", rt.handleCluster))
-		mux.HandleFunc("GET /v1/traces", rt.wrap("traces", rt.handleTraces))
-		mux.HandleFunc("GET /v1/slo", rt.wrap("slo", rt.handleSLO))
+	rt.routesOnce.Do(func() {
+		rs := obs.NewRoutes()
+		rs.Handle("POST", "/v1/predict", rt.wrap("predict", rt.handlePredict))
+		rs.Handle("POST", "/v1/predict/batch", rt.wrap("predict_batch", rt.handlePredictBatch))
+		rs.Handle("POST", "/v1/placements", rt.wrap("placements", rt.handlePlacements))
+		rs.Handle("POST", "/v1/observations", rt.wrap("observations", rt.handleObservations))
+		rs.Handle("POST", "/v1/models/reload", rt.wrap("reload", rt.handleReload))
+		rs.Handle("GET", "/v1/models", rt.wrap("models", rt.handleModels))
+		rs.Handle("GET", "/v1/cluster", rt.wrap("cluster", rt.handleCluster))
+		rs.Handle("GET", "/v1/traces", rt.wrap("traces", rt.handleTraces))
+		rs.Handle("GET", "/v1/slo", rt.wrap("slo", rt.handleSLO))
 		fleetScrapes := rt.edge.Route("fleet_metrics")
-		mux.HandleFunc("GET /v1/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
+		rs.Handle("GET", "/v1/fleet/metrics", func(w http.ResponseWriter, r *http.Request) {
 			fleetScrapes.Scrape(w, r, func(out io.Writer, tr *obs.Trace) { rt.writeFleetMetrics(r.Context(), out, tr) })
 		})
-		mux.HandleFunc("GET /healthz", rt.wrap("healthz", rt.handleHealthz))
+		rs.Handle("GET", "/healthz", rt.wrap("healthz", rt.handleHealthz))
 		scrapes := rt.edge.Route("metrics")
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		rs.Handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
 			scrapes.Scrape(w, r, func(out io.Writer, _ *obs.Trace) { rt.metrics.reg.Write(out) })
 		})
-		rt.mux = mux
+		rt.routes = rs
 	})
-	return rt.mux
+	return rt.routes
 }
 
 // wrap runs a handler under the request edge (obs.Edge: request ID,

@@ -17,7 +17,7 @@ type Doer interface {
 
 // HandlerDoer drives an http.Handler directly in process — no sockets,
 // no serialization across a wire. This is how the seeded soak becomes a
-// deterministic unit test: the serve tier's real mux (Server.Handler)
+// deterministic unit test: the serve tier's real routing table (Server.Handler)
 // is exercised end to end under -race without network jitter.
 type HandlerDoer struct {
 	Handler http.Handler

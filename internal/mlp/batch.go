@@ -148,18 +148,22 @@ func (n *Network) backwardRaw(ws *Workspace, x *linalg.Matrix, y []float64, grad
 	_, _, ow, _ := n.split(n.params)
 	gw, gb, gow, gob := n.split(grad)
 	h := n.cfg.Hidden
-	loss := 0.0
+	// The output node's bias gradient is the errors' sum in sample order
+	// from +0: AccumColSums on the one-column dOut would skip the zero
+	// errors, which leave such a sum as it is.
+	loss, bias := 0.0, 0.0
 	for s := 0; s < x.Rows; s++ {
 		diff := ws.out.Data[s] - y[s]
 		loss += diff * diff
+		bias += diff
 		ws.dOut.Data[s] = diff
 	}
-	// The output node: its weight and bias gradients, then the error it
-	// sends back through its weights and the tanh derivative, 1 − v·v,
-	// which MulTanhDeriv multiplies by, rounding each step on its own.
+	gob[0] = bias
+	// The output node: its weight gradients, then the error it sends back
+	// through its weights and the tanh derivative, 1 − v·v, which
+	// MulTanhDeriv multiplies by, rounding each step on its own.
 	gowM := linalg.Matrix{Rows: 1, Cols: h, Data: gow}
 	linalg.AccumMulATB(&gowM, &ws.dOut, &ws.hid)
-	linalg.AccumColSums(gob, &ws.dOut)
 	clear(ws.dHid.Data)
 	owM := linalg.Matrix{Rows: 1, Cols: h, Data: ow}
 	linalg.AccumMatMul(&ws.dHid, &ws.dOut, &owM)

@@ -101,8 +101,8 @@ func (e *Edge) SLO() *SLOTracker { return e.slo }
 // shipping spans back to a caller.
 func (e *Edge) Slow(d time.Duration) bool { return d >= e.slow }
 
-// Route is one endpoint's handle on the edge, resolved when the mux is
-// built so a request pays for no lookup.
+// Route is one endpoint's handle on the edge, resolved when the routing
+// table is built so a request pays for no lookup.
 type Route struct {
 	edge     *Edge
 	name     string
@@ -169,12 +169,15 @@ func (rt *Route) End(rq Request, r *http.Request, status int) {
 
 // account finishes the trace and records the request: one log line —
 // Info, Warn at the slow threshold, Error on 5xx — then endpoint metrics
-// and, on the predict paths, the SLO.
+// and, on the predict paths, the SLO. It reads the clock once, for the
+// request's duration, which all four share.
 func (rt *Route) account(rq Request, r *http.Request, status int) {
 	e := rt.edge
 	d := time.Since(rq.Start)
 	failed := status >= e.failedFrom
-	rq.Trace.Finish(status, failed)
+	if rq.Trace != nil {
+		rq.Trace.finish(d, status, failed)
+	}
 	if e.logger != nil {
 		lvl, msg := slog.LevelInfo, "request"
 		if e.Slow(d) {
@@ -194,7 +197,7 @@ func (rt *Route) account(rq Request, r *http.Request, status int) {
 	}
 	rt.endpoint.Observe(d, failed)
 	if rt.slo {
-		e.slo.Observe(d, status >= 500)
+		e.slo.ObserveAt(rq.Start.Add(d), d, status >= 500)
 	}
 }
 

@@ -6,6 +6,7 @@
 //     as an argument (Request), so each layer stamps its spans and its
 //     outbound calls with the request that caused the work; the same Edge
 //     closes the request's log line, metrics and SLO accounting.
+//   - Routing: Routes, the exact-path table both tiers dispatch through.
 //   - Structured logging: log/slog constructors keyed by a -log-format
 //     style selector (json / text / off), so request logs are machine-
 //     parseable by default.

@@ -63,15 +63,8 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	return &SLOTracker{cfg: cfg, budget: 1 - cfg.Objective}
 }
 
-// Observe records one request outcome at the current time.
-func (t *SLOTracker) Observe(d time.Duration, failed bool) {
-	if t == nil {
-		return
-	}
-	t.ObserveAt(time.Now(), d, failed)
-}
-
-// ObserveAt is Observe with an explicit clock, for deterministic tests.
+// ObserveAt records one request outcome, of duration d, that ended at
+// now: the caller reads the clock, which the request edge already has.
 func (t *SLOTracker) ObserveAt(now time.Time, d time.Duration, failed bool) {
 	if t == nil {
 		return

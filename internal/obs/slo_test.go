@@ -162,7 +162,7 @@ func TestSLOEmptyAndNil(t *testing.T) {
 		t.Fatalf("empty tracker not ok: %+v", st)
 	}
 	var nilTr *SLOTracker
-	nilTr.Observe(time.Millisecond, true) // must not panic
+	nilTr.ObserveAt(time.Now(), time.Millisecond, true) // must not panic
 	if got := nilTr.StatusAt(time.Now()); got.State != "disabled" {
 		t.Fatalf("nil tracker state %q", got.State)
 	}

@@ -311,7 +311,12 @@ func (t *Trace) Finish(status int, failed bool) {
 	if t == nil {
 		return
 	}
-	d := time.Since(t.start)
+	t.finish(time.Since(t.start), status, failed)
+}
+
+// finish is Finish for a trace whose extent d its caller has already
+// read off the clock.
+func (t *Trace) finish(d time.Duration, status int, failed bool) {
 	t.spans[0].EndNS = int64(d)
 	nr := int(t.nremotes.Load())
 	if nr > maxRemotes {

@@ -123,11 +123,11 @@ type ObservationsResponse struct {
 	RetrainTriggered bool `json:"retrain_triggered,omitempty"`
 }
 
-func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
+func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	if s.adapt == nil {
 		return adaptationDisabled()
 	}
-	sp := tr.StartSpan("decode")
+	sp := rq.Trace.StartSpan("decode")
 	var req ObservationsRequest
 	e := decodeRequest(r, &req)
 	sp.End()
@@ -160,7 +160,7 @@ func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *
 	co := make([]int32, total) // every slot's co-app ids, carved in order
 	for i, or := range batch {
 		k := len(or.CoApps)
-		ob, name, e := s.buildObservation(tr, or, co[:k:k])
+		ob, name, e := s.buildObservation(rq.Trace, or, co[:k:k])
 		co = co[k:]
 		if e != nil {
 			resp.Results[i].Error = &errorDetail{Code: e.Code, Message: e.Message}
@@ -173,7 +173,7 @@ func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *
 		names = append(names, name)
 	}
 	if len(obsBatch) > 0 {
-		isp := tr.StartSpan("ingest")
+		isp := rq.Trace.StartSpan("ingest")
 		isp.Annotate("records", strconv.Itoa(len(obsBatch)))
 		commit, err := s.adapt.Log.AppendBatch(obsBatch)
 		if err != nil {
@@ -194,7 +194,7 @@ func (s *Server) handleObservations(_ http.ResponseWriter, r *http.Request, tr *
 		}
 	}
 	if len(pending) > 0 {
-		dsp := tr.StartSpan("drift_check")
+		dsp := rq.Trace.StartSpan("drift_check")
 		for k, i := range pending {
 			ob := obsBatch[k]
 			pct := ob.PercentError()
@@ -268,7 +268,7 @@ func (s *Server) buildObservation(tr *obs.Trace, or ObservationRequest, co []int
 
 // ---- drift ----
 
-func (s *Server) handleDrift(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleDrift(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	if s.adapt == nil {
 		return adaptationDisabled()
 	}
@@ -297,7 +297,7 @@ type RetrainTriggerResponse struct {
 	Status    retrain.Status `json:"status"`
 }
 
-func (s *Server) handleRetrain(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleRetrain(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	if s.adapt == nil || s.adapt.Controller == nil {
 		return adaptationDisabled()
 	}
@@ -331,7 +331,7 @@ func (s *Server) handleRetrain(_ http.ResponseWriter, r *http.Request, _ *obs.Tr
 	}
 }
 
-func (s *Server) handleRetrainStatus(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleRetrainStatus(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	if s.adapt == nil || s.adapt.Controller == nil {
 		return adaptationDisabled()
 	}
@@ -362,7 +362,7 @@ type VersionResponse struct {
 	Draining bool `json:"draining,omitempty"`
 }
 
-func (s *Server) handleVersion(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleVersion(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	resp := VersionResponse{
 		Service:      "coloserve",
 		APIVersion:   "v1",

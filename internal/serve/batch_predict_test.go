@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand/v2"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -205,6 +207,46 @@ func TestNegativeTimeoutIsDefault(t *testing.T) {
 	}
 	if w := postJSON(t, s.Handler(), "/v1/placements", placementsBody()); w.Code != http.StatusOK {
 		t.Fatalf("placements: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestBatchPastDeadline: a batch that reaches its model call past its
+// deadline (fixed at admission), or after its client has gone, answers
+// 200 with a timeout in every valid slot, while the invalid slots keep
+// their own errors.
+func TestBatchPastDeadline(t *testing.T) {
+	raw, err := json.Marshal(BatchRequest{Scenarios: []ScenarioRequest{
+		{Target: "canneal", CoApps: []string{"cg"}, PState: 0},
+		{Target: "ghost", PState: 0},
+		{Target: "ep", CoApps: []string{"cg", "cg", "cg"}, PState: 1},
+		{Target: "cg", PState: 99},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, _ := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	live, _ := newTestServer(t, Config{})
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, c := range map[string]struct {
+		s   *Server
+		ctx context.Context
+	}{"deadline": {expired, context.Background()}, "cancelled": {live, gone}} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(raw)).WithContext(c.ctx)
+		w := httptest.NewRecorder()
+		c.s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, w.Code, w.Body.String())
+		}
+		resp := decodeBody[BatchResponse](t, w)
+		if len(resp.Results) != 4 || resp.Errors != 4 {
+			t.Fatalf("%s: %d results, %d errors: %s", name, len(resp.Results), resp.Errors, w.Body.String())
+		}
+		for i, want := range []string{CodeTimeout, CodeUnknownApp, CodeTimeout, CodeBadPState} {
+			if r := resp.Results[i]; r.Result != nil || r.Error == nil || r.Error.Code != want {
+				t.Fatalf("%s: slot %d = %+v, want a %s error", name, i, r, want)
+			}
+		}
 	}
 }
 

@@ -176,12 +176,13 @@ func placementError(ctx context.Context, err error) *Error {
 // act on a good-enough plan before convergence — it writes for itself
 // (and so carries no Server-Timing: trailers would be the only correct
 // vehicle once the body has begun) and returns a nil body. The search
-// runs under the request context: timeout or disconnect mid-search
-// yields the best plan found so far (stats flag it), matching the
-// optimizer's contract.
-func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
-	ctx := r.Context()
-	sp := tr.StartSpan("decode")
+// runs under the request context bounded by the request's deadline:
+// timeout or disconnect mid-search yields the best plan found so far
+// (stats flag it), matching the optimizer's contract.
+func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
+	ctx, cancel := context.WithDeadline(r.Context(), s.deadline(rq))
+	defer cancel()
+	sp := rq.Trace.StartSpan("decode")
 	var req PlacementsRequest
 	e := decodeRequest(r, &req)
 	sp.End()
@@ -204,7 +205,7 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 	// Search-stage spans: construct runs until the first incremental
 	// plan exists, local_search until the optimizer returns, and the
 	// terminal span records how the search ended.
-	csp := tr.StartSpan("construct")
+	csp := rq.Trace.StartSpan("construct")
 	var lsp obs.Span
 	var enc *json.Encoder
 	var flusher http.Flusher
@@ -212,7 +213,7 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 	onImprove := func(p *placement.Plan) {
 		if streamed == 0 {
 			csp.End()
-			lsp = tr.StartSpan("local_search")
+			lsp = rq.Trace.StartSpan("local_search")
 		}
 		streamed++
 		if enc == nil {
@@ -254,7 +255,7 @@ func (s *Server) handlePlacements(w http.ResponseWriter, r *http.Request, tr *ob
 	case !res.Stats.Converged:
 		end = "round_capped"
 	}
-	esp := tr.StartSpan(end)
+	esp := rq.Trace.StartSpan(end)
 	esp.Annotate("rounds", strconv.Itoa(res.Stats.Rounds))
 	esp.Annotate("improvements", strconv.Itoa(res.Stats.Improvements))
 	esp.Annotate("scenarios", strconv.Itoa(res.Stats.Scenarios))

@@ -26,8 +26,8 @@
 // /healthz, GET /metrics. Client mistakes (unknown app or model,
 // out-of-range P-state, malformed JSON) return 400 with a typed error
 // body (413 for an oversized one); only genuine faults return 500. The
-// endpoints that can run long (batch, placements, observations) run
-// under a context timeout.
+// endpoints that can run long (batch, placements) check a deadline fixed
+// when the request is admitted.
 package serve
 
 import (
@@ -56,8 +56,9 @@ import (
 
 // Config tunes the server.
 type Config struct {
-	// RequestTimeout bounds the processing time of a batch or placements
-	// request. 0 or negative selects the default, 10s.
+	// RequestTimeout fixes a request's deadline at admission (arrival +
+	// RequestTimeout): a batch checks it right before its model call, and
+	// it bounds the placement search. 0 or negative selects 10s.
 	RequestTimeout time.Duration
 	// The five observability knobs, passed to the request edge as an
 	// obs.EdgeConfig, which documents them and owns their defaults
@@ -95,8 +96,8 @@ type Server struct {
 	pprofOn  bool
 	draining atomic.Bool
 
-	muxOnce sync.Once
-	mux     http.Handler
+	routesOnce sync.Once
+	routes     *obs.Routes
 }
 
 // New builds a server around a registry.
@@ -126,51 +127,55 @@ func (s *Server) Tracer() *obs.Tracer { return s.edge.Tracer() }
 // negative Config.SLOObjective).
 func (s *Server) SLO() *obs.SLOTracker { return s.edge.SLO() }
 
-// EnablePprof registers the net/http/pprof handlers under /debug/pprof/
-// on the server's mux. Opt-in (profiles expose internals and cost CPU
-// while running) and must be called before Handler().
+// EnablePprof serves the net/http/pprof handlers under /debug/pprof/.
+// Opt-in (profiles expose internals and cost CPU while running) and must
+// be called before Handler().
 func (s *Server) EnablePprof() { s.pprofOn = true }
 
-// Handler returns the server's HTTP routing table. The mux is built
-// once and shared, so external drivers (tests, the loadgen harness)
-// that call Handler per request hit the same routing table the network
+// Handler returns the server's HTTP routing table (obs.Routes, which
+// documents how it answers paths and methods it does not route). It is
+// built once and shared, so external drivers (tests, the loadgen
+// harness) that call Handler per request hit the same table the network
 // listener uses instead of rebuilding it each time.
 func (s *Server) Handler() http.Handler {
-	s.muxOnce.Do(func() {
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /v1/predict", s.wrap("predict", s.handlePredict))
-		mux.HandleFunc("POST /v1/predict/batch", s.wrap("predict_batch", s.withDeadline(s.handlePredictBatch)))
-		mux.HandleFunc("POST /v1/placements", s.wrap("placements", s.withDeadline(s.handlePlacements)))
-		mux.HandleFunc("GET /v1/models", s.wrap("models", s.handleModels))
-		mux.HandleFunc("POST /v1/models/reload", s.wrap("reload", s.handleReload))
-		mux.HandleFunc("POST /v1/observations", s.wrap("observations", s.handleObservations))
-		mux.HandleFunc("GET /v1/drift", s.wrap("drift", s.handleDrift))
-		mux.HandleFunc("POST /v1/retrain", s.wrap("retrain", s.handleRetrain))
-		mux.HandleFunc("GET /v1/retrain/status", s.wrap("retrain_status", s.handleRetrainStatus))
-		mux.HandleFunc("GET /v1/version", s.wrap("version", s.handleVersion))
-		mux.HandleFunc("GET /v1/traces", s.wrap("traces", s.handleTraces))
-		mux.HandleFunc("GET /v1/slo", s.wrap("slo", s.handleSLO))
-		mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
+	s.routesOnce.Do(func() {
+		rs := obs.NewRoutes()
+		rs.Handle("POST", "/v1/predict", s.wrap("predict", s.handlePredict))
+		rs.Handle("POST", "/v1/predict/batch", s.wrap("predict_batch", s.handlePredictBatch))
+		rs.Handle("POST", "/v1/placements", s.wrap("placements", s.handlePlacements))
+		rs.Handle("GET", "/v1/models", s.wrap("models", s.handleModels))
+		rs.Handle("POST", "/v1/models/reload", s.wrap("reload", s.handleReload))
+		rs.Handle("POST", "/v1/observations", s.wrap("observations", s.handleObservations))
+		rs.Handle("GET", "/v1/drift", s.wrap("drift", s.handleDrift))
+		rs.Handle("POST", "/v1/retrain", s.wrap("retrain", s.handleRetrain))
+		rs.Handle("GET", "/v1/retrain/status", s.wrap("retrain_status", s.handleRetrainStatus))
+		rs.Handle("GET", "/v1/version", s.wrap("version", s.handleVersion))
+		rs.Handle("GET", "/v1/traces", s.wrap("traces", s.handleTraces))
+		rs.Handle("GET", "/v1/slo", s.wrap("slo", s.handleSLO))
+		rs.Handle("GET", "/healthz", s.wrap("healthz", s.handleHealthz))
 		scrapes := s.edge.Route("metrics")
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		rs.Handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
 			scrapes.Scrape(w, r, func(out io.Writer, _ *obs.Trace) { s.metrics.reg.Write(out) })
 		})
 		if s.pprofOn {
+			mux := http.NewServeMux()
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+			rs.Subtree("/debug/pprof", mux)
 		}
-		s.mux = mux
+		s.routes = rs
 	})
-	return s.mux
+	return s.routes
 }
 
-// handlerFunc processes one request under its (possibly nil) trace and
-// returns a status and a JSON-encodable body for wrap to write; a nil
-// body means the handler wrote its own response (placements streams).
-type handlerFunc func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any)
+// handlerFunc processes one request under its identity (request ID,
+// trace, admission time) and returns a status and a JSON-encodable body
+// for wrap to write; a nil body means the handler wrote its own response
+// (placements streams).
+type handlerFunc func(w http.ResponseWriter, r *http.Request, rq obs.Request) (int, any)
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -202,18 +207,10 @@ func (s *Server) shed(w http.ResponseWriter) int {
 	return status
 }
 
-// withDeadline runs a handler under the per-request timeout: batch and
-// placements, the endpoints that can run long. The scalar predict, the
-// observations ingest (one log append), the retrain trigger and the
-// read-only endpoints never consult their context, so they are
-// registered without it and pay for no timer.
-func (s *Server) withDeadline(h handlerFunc) handlerFunc {
-	return func(w http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		return h(w, r.WithContext(ctx), tr)
-	}
-}
+// deadline is when a request admitted at rq.Start runs out of time: the
+// endpoints that can run long (batch, placements) check it, and no
+// request pays for a timer.
+func (s *Server) deadline(rq obs.Request) time.Time { return rq.Start.Add(s.cfg.RequestTimeout) }
 
 // wrap runs a handler under the request edge (obs.Edge: request ID,
 // root span under the caller's traceparent, in-flight, log line, metrics,
@@ -236,7 +233,7 @@ func (s *Server) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 		}
 		tr := rq.Trace
 		var body any
-		if status, body = h(w, r, tr); body == nil {
+		if status, body = h(w, r, rq); body == nil {
 			return
 		}
 		enc := tr.StartSpan("encode")
@@ -341,8 +338,8 @@ func (p *PredictResponse) row() core.IDScenario {
 	return core.IDScenario{Target: p.target, CoApps: p.co, PState: p.PState}
 }
 
-func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
-	sp := tr.StartSpan("decode")
+func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
+	sp := rq.Trace.StartSpan("decode")
 	var req PredictRequest
 	e := decodeRequest(r, &req)
 	sp.End()
@@ -360,7 +357,7 @@ func (s *Server) handlePredict(_ http.ResponseWriter, r *http.Request, tr *obs.T
 	} else {
 		co = make([]int32, n)
 	}
-	if e := predictOne(tr.Root(), &rm, req.scenario(), &rep.PredictResponse, co); e != nil {
+	if e := predictOne(rq.Trace.Root(), &rm, req.scenario(), &rep.PredictResponse, co); e != nil {
 		return errBody(e)
 	}
 	return http.StatusOK, &rep.PredictResponse
@@ -501,9 +498,9 @@ type BatchResponse struct {
 // handlePredictBatch serves a batch into a pooled batchReply and returns
 // it as the reply, which the edge releases once written, or releases it
 // and returns an error body.
-func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *obs.Trace) (int, any) {
+func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
 	br := batchReplyPool.Get().(*batchReply)
-	if e := s.predictBatch(r, tr, br); e != nil {
+	if e := s.predictBatch(r, rq, br); e != nil {
 		br.release()
 		return errBody(e)
 	}
@@ -515,11 +512,11 @@ func (s *Server) handlePredictBatch(_ http.ResponseWriter, r *http.Request, tr *
 // against the request's snapshot and evaluates all valid slots in one
 // batched model call; the encoder renders the reply from br directly.
 // Each slot still fails independently: validation errors mark only their
-// own slot, and a request-level timeout fails the un-evaluated slots
-// rather than the whole response. Results are bit-identical to per-slot
-// Predict.
-func (s *Server) predictBatch(r *http.Request, tr *obs.Trace, br *batchReply) *Error {
-	sp := tr.StartSpan("decode")
+// own slot, and a request past its deadline, or whose client has gone,
+// fails the valid slots rather than the whole response. Results are
+// bit-identical to per-slot Predict.
+func (s *Server) predictBatch(r *http.Request, rq obs.Request, br *batchReply) *Error {
+	sp := rq.Trace.StartSpan("decode")
 	model, reqs, e := br.decode(r)
 	sp.End()
 	if e != nil {
@@ -535,26 +532,20 @@ func (s *Server) predictBatch(r *http.Request, tr *obs.Trace, br *batchReply) *E
 	if e != nil {
 		return e
 	}
-	fsp := tr.StartSpan("fanout")
+	fsp := rq.Trace.StartSpan("fanout")
 	fsp.Annotate("slots", strconv.Itoa(len(reqs)))
 	br.resolve(rm, reqs)
 	if rows := br.rows; len(rows) > 0 {
 		esp := fsp.StartChild("eval")
 		esp.Annotate("scenarios", strconv.Itoa(len(rows)))
 		br.preds = slices.Grow(br.preds[:0], len(rows))[:len(rows)]
-		ctx := r.Context()
-		err := ctx.Err()
-		if err == nil {
-			err = rm.m.PredictIDsInto(rows, br.preds)
+		if r.Context().Err() != nil || !time.Now().Before(s.deadline(rq)) {
+			br.evalErr = &errorDetail{Code: CodeTimeout, Message: "request timed out before this scenario was served"}
+		} else if err := rm.m.PredictIDsInto(rows, br.preds); err != nil {
+			e := asError(err)
+			br.evalErr = &errorDetail{Code: e.Code, Message: e.Message}
 		}
 		esp.End()
-		if err != nil {
-			br.evalErr = &errorDetail{Code: CodeTimeout, Message: "request timed out before this scenario was served"}
-			if ctx.Err() == nil {
-				e := asError(err)
-				br.evalErr = &errorDetail{Code: e.Code, Message: e.Message}
-			}
-		}
 	}
 	fsp.End()
 	return nil
@@ -673,7 +664,7 @@ type ModelsResponse struct {
 	Models  []ModelInfo `json:"models"`
 }
 
-func (s *Server) handleModels(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleModels(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	return http.StatusOK, ModelsResponse{Default: s.reg.DefaultName(), Models: s.reg.List()}
 }
 
@@ -682,7 +673,7 @@ type ReloadResponse struct {
 	Reloaded []string `json:"reloaded"`
 }
 
-func (s *Server) handleReload(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleReload(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	reloaded, err := s.reg.Reload()
 	s.metrics.SwapsRecorded(len(reloaded))
 	if err != nil {
@@ -709,7 +700,7 @@ type HealthResponse struct {
 	Tracing       bool              `json:"tracing,omitempty"`
 }
 
-func (s *Server) handleHealthz(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleHealthz(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	n := s.reg.Len()
 	resp := HealthResponse{Status: "ok", Models: n}
 	status := http.StatusOK
@@ -740,7 +731,7 @@ func (s *Server) handleHealthz(_ http.ResponseWriter, r *http.Request, _ *obs.Tr
 // ---- traces / SLO ----
 
 // handleTraces serves the trace ring.
-func (s *Server) handleTraces(_ http.ResponseWriter, r *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleTraces(_ http.ResponseWriter, r *http.Request, _ obs.Request) (int, any) {
 	resp, err := s.edge.Traces(r.URL.Query())
 	if err != nil {
 		return errBody(edgeRefusal(err, CodeTracingDisabled))
@@ -749,7 +740,7 @@ func (s *Server) handleTraces(_ http.ResponseWriter, r *http.Request, _ *obs.Tra
 }
 
 // handleSLO serves the predict-path SLO verdict.
-func (s *Server) handleSLO(_ http.ResponseWriter, _ *http.Request, _ *obs.Trace) (int, any) {
+func (s *Server) handleSLO(_ http.ResponseWriter, _ *http.Request, _ obs.Request) (int, any) {
 	st, err := s.edge.SLOStatus()
 	if err != nil {
 		return errBody(edgeRefusal(err, CodeSLODisabled))

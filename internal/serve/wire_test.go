@@ -800,14 +800,13 @@ func TestPredictAllocs(t *testing.T) {
 // co-runners, no scenario posted twice, as in a what-if sweep) under the
 // default config: the envelope's four a single predict also pays (the
 // request ID and its header slice, the Server-Timing value and its
-// header slice), five for the request deadline (its context, that
-// context's cancel and timer functions, the timer, and the request copy
-// that carries it), the fanout and eval spans' two annotations, and the
+// header slice), the fanout and eval spans' two annotations, and the
 // body's string for the scanner — a fixed number per request, none per
-// row. The scanned rows, their ids and predictions and the reply are
-// pooled. It guards the batch path the way TestRoutedPredictAllocs
-// guards the router's.
-const batchAllocBudget = 12
+// row. The deadline is a time the batch compares against, not a timer.
+// The scanned rows, their ids and predictions and the reply are pooled.
+// It guards the batch path the way TestRoutedPredictAllocs guards the
+// router's.
+const batchAllocBudget = 7
 
 func TestBatchPredictAllocs(t *testing.T) {
 	s := neuralTestServer(t, Config{})
