@@ -130,8 +130,10 @@ func run(out io.Writer, modelPath string, demo bool, input, apps string, count i
 		if err := enc.Encode(res); err != nil {
 			return 1, err
 		}
+	} else if realised, err := placement.Realise(prob, res.Plan); err != nil {
+		return 1, err
 	} else {
-		printPlan(out, prob, res)
+		printPlan(out, prob, res, realised)
 	}
 	if res.Plan.QoSViolations > 0 {
 		return 2, fmt.Errorf("%d app(s) exceed the QoS bound %.2f", res.Plan.QoSViolations, prob.QoSBound)
@@ -216,9 +218,10 @@ func readProblem(input, apps string, count int) (serve.PlacementsRequest, error)
 	return req, nil
 }
 
-// printPlan renders the per-machine and per-app tables plus the search
+// printPlan renders the per-machine and per-app tables, the plan as
+// realised on the simulator beside the prediction, and the search
 // account.
-func printPlan(w io.Writer, prob placement.Problem, res *placement.Result) {
+func printPlan(w io.Writer, prob placement.Problem, res *placement.Result, realised *placement.Plan) {
 	pl := res.Plan
 	names := machineNames(prob)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -231,15 +234,23 @@ func printPlan(w io.Writer, prob placement.Problem, res *placement.Result) {
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
-	fmt.Fprintln(tw, "app\tmachine\tpstate\tbaseline_s\tpredicted_s\tslowdown\tdegradation")
-	for _, ap := range pl.Apps {
+	fmt.Fprintln(tw, "app\tmachine\tpstate\tbaseline_s\tpredicted_s\tslowdown\trealised_slowdown\tdegradation")
+	violates := func(ap placement.AppPlacement) bool { return prob.QoSBound > 0 && ap.Slowdown > prob.QoSBound }
+	missed, falseAlarms := 0, 0
+	for i, ap := range pl.Apps {
 		mark := ""
-		if prob.QoSBound > 0 && ap.Slowdown > prob.QoSBound {
+		if violates(ap) {
 			mark = " !QoS"
 		}
-		fmt.Fprintf(tw, "%s\t%s\tP%d\t%.3f\t%.3f\t%.3f\t%.3f%s\n",
+		switch got := violates(realised.Apps[i]); {
+		case got && !violates(ap):
+			missed++
+		case !got && violates(ap):
+			falseAlarms++
+		}
+		fmt.Fprintf(tw, "%s\t%s\tP%d\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f%s\n",
 			ap.App, names[ap.Machine], ap.PState,
-			ap.BaselineSeconds, ap.PredictedSeconds, ap.Slowdown, ap.Degradation, mark)
+			ap.BaselineSeconds, ap.PredictedSeconds, ap.Slowdown, realised.Apps[i].Slowdown, ap.Degradation, mark)
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
@@ -247,6 +258,8 @@ func printPlan(w io.Writer, prob placement.Problem, res *placement.Result) {
 		prob.Objective, pl.Objective, pl.TotalDegradation, pl.TotalSlowdown, pl.TotalEnergyJ)
 	fmt.Fprintf(w, "machines used %d/%d, qos violations %d\n",
 		pl.MachinesUsed, len(prob.Machines), pl.QoSViolations)
+	fmt.Fprintf(w, "realised on the simulator: objective %s = %.4f, qos violations %d (missed %d, false alarms %d)\n",
+		prob.Objective, realised.Objective, realised.QoSViolations, missed, falseAlarms)
 	st := res.Stats
 	state := "round-capped"
 	switch {

@@ -33,13 +33,17 @@
 // processor simulator with its trace-driven LRU cache check
 // (internal/simproc), the DRAM model (internal/dram), synthetic
 // workloads and their miss-ratio curves (internal/workload), the
-// data-collection harness (internal/harness),
-// and the from-scratch ML kernel (internal/linalg, internal/linreg,
-// internal/mlp, internal/pca). This facade re-exports the surface the
+// data-collection harness (internal/harness), the from-scratch ML kernel
+// (internal/linalg, internal/linreg, internal/mlp, internal/pca), and the
+// application the paper motivates, interference-aware placement
+// (internal/placement): PackFirst and Optimize place pending apps on a
+// fleet, and Realise runs any plan on the simulator to count the QoS
+// violations it really causes. This facade re-exports the surface the
 // examples build on, and the types that surface's signatures name.
 package colocmodel
 
 import (
+	"context"
 	"io"
 
 	"colocmodel/internal/core"
@@ -48,8 +52,8 @@ import (
 	"colocmodel/internal/features"
 	"colocmodel/internal/feedback"
 	"colocmodel/internal/harness"
+	"colocmodel/internal/placement"
 	"colocmodel/internal/retrain"
-	"colocmodel/internal/sched"
 	"colocmodel/internal/serve"
 	"colocmodel/internal/simproc"
 	"colocmodel/internal/workload"
@@ -92,16 +96,16 @@ type (
 
 // Re-exported application-layer types.
 type (
-	// SchedAssignment maps machines to placed applications.
-	SchedAssignment = sched.Assignment
-	// SchedEvaluation reports measured assignment quality.
-	SchedEvaluation = sched.Evaluation
-	// AwareConfig tunes the interference-aware packer.
-	AwareConfig = sched.AwareConfig
-	// BatchConfig tunes the discrete-event batch scheduler simulation.
-	BatchConfig = sched.BatchConfig
-	// BatchResult reports a batch simulation.
-	BatchResult = sched.BatchResult
+	// PlacementProblem is one placement instance: a model, a fleet, the
+	// pending apps, a QoS bound and the search's seed and beam.
+	PlacementProblem = placement.Problem
+	// PlacementMachine is one fleet machine: spec, usable cores and
+	// allowed P-states.
+	PlacementMachine = placement.Machine
+	// PlacementPlan is a complete placement with its per-app account.
+	PlacementPlan = placement.Plan
+	// PlacementResult is an optimised plan with its search account.
+	PlacementResult = placement.Result
 	// EnergyEstimator computes P-state package power.
 	EnergyEstimator = energy.Estimator
 	// EnergyEstimate is a predicted per-run energy account.
@@ -160,14 +164,6 @@ const (
 	NeuralNet = core.NeuralNet
 )
 
-// Batch placement policies.
-const (
-	// PackFirst fills machines densely, interference-blind.
-	PackFirst = sched.PackFirst
-	// AwareSpread consults the model before every placement.
-	AwareSpread = sched.AwareSpread
-)
-
 // XeonE5649 returns the 6-core Table IV machine.
 func XeonE5649() MachineSpec { return simproc.XeonE5649() }
 
@@ -224,27 +220,22 @@ func NewRetrainController(cfg RetrainConfig, reg *ModelRegistry, base *Dataset, 
 	return retrain.New(cfg, reg, base, obs)
 }
 
-// ScheduleOblivious packs jobs interference-blind.
-func ScheduleOblivious(spec MachineSpec, jobs []string) SchedAssignment {
-	return sched.Oblivious(spec, jobs)
+// PackFirst is the interference-oblivious baseline: apps fill the fleet
+// in input order, each machine to capacity at its first allowed P-state.
+func PackFirst(ctx context.Context, prob PlacementProblem) (*PlacementPlan, error) {
+	return placement.PackFirst(ctx, prob)
 }
 
-// ScheduleAware packs jobs using model predictions under a QoS bound.
-func ScheduleAware(model *Model, spec MachineSpec, jobs []string, cfg AwareConfig) (SchedAssignment, error) {
-	return sched.GreedyAware(model, spec, jobs, cfg)
+// Optimize searches for the placement that minimises the problem's
+// objective under its QoS bound, scoring every candidate with the model.
+func Optimize(ctx context.Context, prob PlacementProblem) (*PlacementResult, error) {
+	return placement.Optimize(ctx, prob, nil)
 }
 
-// MeasureAssignment runs an assignment on the simulator and reports the
-// jobs' actual slowdowns against a QoS bound.
-func MeasureAssignment(spec MachineSpec, asg SchedAssignment, pstate int, qosBound float64) (*SchedEvaluation, error) {
-	return sched.Measure(spec, asg, pstate, qosBound)
-}
-
-// SimulateBatch drains a job queue onto a fleet with dynamic co-location
-// (jobs finish, cores refill, interference shifts) and reports makespan,
-// slowdowns, violations and fleet energy.
-func SimulateBatch(spec MachineSpec, jobs []string, cfg BatchConfig) (*BatchResult, error) {
-	return sched.SimulateBatch(spec, jobs, cfg)
+// Realise runs a plan on the simulator and returns its realised account
+// in the same shape: simulated seconds, slowdowns and QoS violations.
+func Realise(prob PlacementProblem, plan *PlacementPlan) (*PlacementPlan, error) {
+	return placement.Realise(prob, plan)
 }
 
 // NewEnergyEstimator returns a package-power estimator for a machine.

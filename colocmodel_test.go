@@ -2,8 +2,10 @@ package colocmodel_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -82,28 +84,42 @@ func TestPublicCollectTrainPredict(t *testing.T) {
 
 func TestPublicScheduling(t *testing.T) {
 	_, model := apiFixtures(t)
-	spec := colocmodel.XeonE5649()
-	jobs := []string{"cg", "cg", "ep", "ep", "canneal", "canneal", "canneal"}
-	obl := colocmodel.ScheduleOblivious(spec, jobs)
-	placed := 0
-	for _, m := range obl {
-		placed += len(m)
+	six := colocmodel.PlacementMachine{Spec: colocmodel.XeonE5649(), PStates: []int{0}}
+	prob := colocmodel.PlacementProblem{
+		Model:    model,
+		Machines: []colocmodel.PlacementMachine{six, six},
+		Apps:     []string{"cg", "cg", "ep", "ep", "canneal", "canneal", "canneal"},
+		QoSBound: 1.2,
+		Beam:     8,
+		Seed:     1,
 	}
-	if placed != len(jobs) {
-		t.Fatal("oblivious lost jobs")
-	}
-	aware, err := colocmodel.ScheduleAware(model, spec, jobs, colocmodel.AwareConfig{
-		MaxSlowdown: 1.2, PState: 0,
-	})
+	packed, err := colocmodel.PackFirst(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := colocmodel.MeasureAssignment(spec, aware, 0, 1.2)
+	if packed.MachinesUsed != 2 || len(packed.Assignments[0]) != 6 {
+		t.Fatalf("pack-first did not fill machine 0 first: %v", packed.Assignments)
+	}
+	res, err := colocmodel.Optimize(context.Background(), prob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ev.Outcomes) != len(jobs) {
-		t.Fatalf("measured %d outcomes", len(ev.Outcomes))
+	if res.Plan.Objective > packed.Objective {
+		t.Fatalf("optimised objective %v above pack-first's %v", res.Plan.Objective, packed.Objective)
+	}
+	for _, plan := range []*colocmodel.PlacementPlan{packed, res.Plan} {
+		got, err := colocmodel.Realise(prob, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Apps) != len(prob.Apps) || !reflect.DeepEqual(got.Assignments, plan.Assignments) {
+			t.Fatalf("realised %v, planned %v", got.Assignments, plan.Assignments)
+		}
+		for i, a := range got.Apps {
+			if !(a.Slowdown >= 1) || a.App != prob.Apps[i] {
+				t.Fatalf("app %d realised %+v", i, a)
+			}
+		}
 	}
 }
 
@@ -149,31 +165,6 @@ func TestPublicSimulatorAccess(t *testing.T) {
 	}
 	if run.TargetSeconds <= 0 {
 		t.Fatal("no execution time")
-	}
-}
-
-func TestPublicBatchSimulation(t *testing.T) {
-	_, model := apiFixtures(t)
-	spec := colocmodel.XeonE5649()
-	jobs := []string{"cg", "cg", "ep", "canneal", "canneal", "ft", "sp"}
-	packed, err := colocmodel.SimulateBatch(spec, jobs, colocmodel.BatchConfig{
-		Machines: 1, Policy: colocmodel.PackFirst, MaxSlowdown: 1.15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aware, err := colocmodel.SimulateBatch(spec, jobs, colocmodel.BatchConfig{
-		Machines: 2, Policy: colocmodel.AwareSpread, Model: model, MaxSlowdown: 1.15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(packed.Jobs) != len(jobs) || len(aware.Jobs) != len(jobs) {
-		t.Fatal("jobs lost")
-	}
-	if aware.MeanSlowdown > packed.MeanSlowdown {
-		t.Fatalf("aware-spread on 2 machines (%.3f) worse than packed on 1 (%.3f)",
-			aware.MeanSlowdown, packed.MeanSlowdown)
 	}
 }
 

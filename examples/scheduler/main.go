@@ -1,30 +1,39 @@
 // Scheduler: the application the paper motivates — interference-aware job
-// placement. A batch of jobs is packed onto 6-core machines twice: once
-// interference-blind (dense packing), once guided by the trained model
-// under a 15 % slowdown QoS bound. Both assignments are then *measured*
-// on the simulator, showing how prediction accuracy turns into fewer QoS
-// violations.
+// placement. Twelve jobs go onto three 6-core machines at P0 twice: once
+// packed interference-blind (every core of a machine before the next),
+// once by the model-guided optimizer under a 15 % slowdown QoS bound.
+// Both plans are then realised on the simulator, showing how prediction
+// turns into fewer QoS violations, and how many the model foresaw.
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"colocmodel"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	spec := colocmodel.XeonE5649()
 
 	// Train the predictor once from baseline + training data.
-	fmt.Println("training neural-net-F predictor on", spec.Name, "...")
+	fmt.Fprintln(w, "training neural-net-F predictor on", spec.Name, "...")
 	ds, err := colocmodel.CollectDataset(colocmodel.DefaultPlan(spec, 7))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	setF, err := colocmodel.FeatureSetByName("F")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	model, err := colocmodel.TrainModel(colocmodel.ModelSpec{
 		Technique:  colocmodel.NeuralNet,
@@ -32,67 +41,55 @@ func main() {
 		Seed:       7,
 	}, ds, ds.Records)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A job mix: one third memory hogs, one third moderate, one third
-	// CPU bound.
+	// CPU bound, six to a line as pack-first fills the machines.
 	jobs := []string{
-		"cg", "cg", "streamcluster", "mg",
-		"canneal", "sp", "ft", "canneal",
-		"ep", "blackscholes", "ep", "blackscholes",
+		"cg", "cg", "streamcluster", "mg", "canneal", "sp",
+		"ft", "canneal", "ep", "blackscholes", "ep", "blackscholes",
 	}
 	const qos = 1.15 // each job may slow down at most 15 %
+	machine := colocmodel.PlacementMachine{Spec: spec, PStates: []int{0}}
+	prob := colocmodel.PlacementProblem{
+		Model:    model,
+		Machines: []colocmodel.PlacementMachine{machine, machine, machine},
+		Apps:     jobs,
+		QoSBound: qos,
+		Beam:     12,
+		Seed:     7,
+	}
 
-	oblivious := colocmodel.ScheduleOblivious(spec, jobs)
-	aware, err := colocmodel.ScheduleAware(model, spec, jobs, colocmodel.AwareConfig{
-		MaxSlowdown: qos,
-		PState:      0,
-	})
+	packed, err := colocmodel.PackFirst(context.Background(), prob)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
-	for _, c := range []struct {
-		name string
-		asg  colocmodel.SchedAssignment
-	}{
-		{"interference-oblivious (dense packing)", oblivious},
-		{"interference-aware (model-guided)", aware},
-	} {
-		ev, err := colocmodel.MeasureAssignment(spec, c.asg, 0, qos)
+	optimised, err := colocmodel.Optimize(context.Background(), prob)
+	if err != nil {
+		return err
+	}
+	plans := []*colocmodel.PlacementPlan{packed, optimised.Plan}
+	for i, name := range []string{"interference-oblivious (dense packing)", "interference-aware (model-guided)"} {
+		got, err := colocmodel.Realise(prob, plans[i])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("\n%s:\n", c.name)
-		for mi, machineJobs := range c.asg {
-			fmt.Printf("  machine %d: %v\n", mi, machineJobs)
+		fmt.Fprintf(w, "\n%s:\n", name)
+		for mi, apps := range got.Assignments {
+			if len(apps) > 0 {
+				fmt.Fprintf(w, "  machine %d: %v\n", mi, apps)
+			}
 		}
-		fmt.Printf("  machines used:       %d\n", ev.MachinesUsed)
-		fmt.Printf("  measured mean slowdown:  %.3f\n", ev.MeanSlowdown)
-		fmt.Printf("  measured worst slowdown: %.3f\n", ev.WorstSlowdown)
-		fmt.Printf("  QoS violations (> %.0f%%): %d of %d jobs\n",
-			100*(qos-1), ev.Violations, len(jobs))
+		worst := 0.0
+		for _, a := range got.Apps {
+			worst = max(worst, a.Slowdown)
+		}
+		fmt.Fprintf(w, "  machines used:       %d\n", got.MachinesUsed)
+		fmt.Fprintf(w, "  realised mean slowdown:  %.3f\n", got.TotalSlowdown/float64(len(jobs)))
+		fmt.Fprintf(w, "  realised worst slowdown: %.3f\n", worst)
+		fmt.Fprintf(w, "  QoS violations (> %.0f%%): %d of %d jobs realised, %d predicted\n",
+			100*(qos-1), got.QoSViolations, len(jobs), plans[i].QoSViolations)
 	}
-
-	// Batch mode: twice the jobs on a fixed two-machine fleet, so jobs
-	// queue, finish, and refill cores — the interference landscape shifts
-	// over time and the policies separate on makespan and violations.
-	batch := append(append([]string{}, jobs...), jobs...)
-	fmt.Printf("\nbatch simulation: %d jobs on a 2-machine fleet:\n", len(batch))
-	for _, pol := range []struct {
-		name   string
-		config colocmodel.BatchConfig
-	}{
-		{"pack-first", colocmodel.BatchConfig{Machines: 2, Policy: colocmodel.PackFirst, MaxSlowdown: qos}},
-		{"aware-spread", colocmodel.BatchConfig{Machines: 2, Policy: colocmodel.AwareSpread, Model: model, MaxSlowdown: qos}},
-	} {
-		res, err := colocmodel.SimulateBatch(spec, batch, pol.config)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-12s makespan %.0f s, mean slowdown %.3f, worst %.3f, violations %d/%d, fleet energy %.2f MJ\n",
-			pol.name, res.MakespanSeconds, res.MeanSlowdown, res.WorstSlowdown,
-			res.Violations, len(batch), res.EnergyJ/1e6)
-	}
+	return nil
 }

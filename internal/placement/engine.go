@@ -253,10 +253,10 @@ func (e *engine) scoreAll(ctx context.Context) ([]*machineScore, error) {
 // P-state, one row per distinct resident. Identical residents have the
 // same target, the same co-runners in the same order and the same
 // P-state, hence the same prediction bit for bit, and share the row. A
-// lone resident needs none (its time is the baseline by definition,
-// matching the scheduling tier's convention). Co-runner lists are carved
-// once and shared by the membership's P-states. It returns the number of
-// rows per P-state.
+// lone resident needs none: with no co-runner its time is its solo
+// baseline at that P-state, and Realise simulates it as that solo run.
+// Co-runner lists are carved once and shared by the membership's
+// P-states. It returns the number of rows per P-state.
 func (e *engine) appendRows(r scoreReq) int {
 	w := e.ids[r.lo:r.hi]
 	if len(w) < 2 {

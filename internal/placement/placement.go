@@ -26,6 +26,11 @@
 // P-states, realising the paper's conclusion that operating points shift
 // under power and temperature pressure and a scheduler should plan with
 // that freedom rather than around it.
+//
+// Realise judges a plan by the ground truth: it runs every machine's
+// co-location on the simulator the model was learned from and returns
+// the realised account in the same Plan shape, so predicted and realised
+// slowdowns, objectives and QoS violations compare field by field.
 package placement
 
 import (

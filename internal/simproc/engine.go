@@ -295,39 +295,6 @@ func (p *Processor) RunColocation(target workload.App, coApps []workload.App, ps
 	return res, nil
 }
 
-// SteadyRates solves the co-location fixed point once for the given set
-// of applications running together at a P-state and returns each
-// application's steady-state instruction rate (instructions per second).
-// Phase modulation is evaluated at the start of execution; the paper's
-// applications have small amplitudes, so this is also the run average to
-// within a few percent. The discrete-event batch scheduler uses this to
-// advance arbitrary, churning co-location states without running each
-// membership epoch through the full engine.
-func (p *Processor) SteadyRates(apps []workload.App, pstate int) ([]float64, error) {
-	if len(apps) == 0 {
-		return nil, fmt.Errorf("simproc: SteadyRates needs at least one app")
-	}
-	if len(apps) > p.spec.Cores {
-		return nil, fmt.Errorf("simproc: %d apps exceed %d cores", len(apps), p.spec.Cores)
-	}
-	st, err := p.spec.PStates.State(pstate)
-	if err != nil {
-		return nil, err
-	}
-	for i, a := range apps {
-		if err := a.Validate(); err != nil {
-			return nil, fmt.Errorf("simproc: app %d: %w", i, err)
-		}
-	}
-	ctxs := newContexts(apps[0], apps[1:])
-	p.solveFixedPoint(ctxs, st.FreqGHz)
-	out := make([]float64, len(ctxs))
-	for i, c := range ctxs {
-		out[i] = c.ips
-	}
-	return out, nil
-}
-
 // fixed-point iteration controls.
 const (
 	fpIterations = 80

@@ -19,19 +19,18 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/runs_golden.json
 
 const runsGoldenPath = "testdata/runs_golden.json"
 
-// goldenRun is one corpus line: a whole Result, or SteadyRates' output.
-// encoding/json writes the shortest decimal that parses back to the same
-// float64, so the text pins every bit.
+// goldenRun is one corpus line: a whole Result. encoding/json writes the
+// shortest decimal that parses back to the same float64, so the text pins
+// every bit.
 type goldenRun struct {
-	Case   string    `json:"case"`
-	Result *Result   `json:"result,omitempty"`
-	Rates  []float64 `json:"rates,omitempty"`
+	Case   string  `json:"case"`
+	Result *Result `json:"result"`
 }
 
 // goldenRuns covers the co-runner lists the Table V sweep never builds:
 // mixed lists with adjacent and non-adjacent duplicates, a target that is
-// also its co-runner, a recorded timeline and SteadyRates, beside the
-// sweep's own homogeneous shapes.
+// also its co-runner and a recorded timeline, beside the sweep's own
+// homogeneous shapes.
 func goldenRuns(t *testing.T) []goldenRun {
 	t.Helper()
 	p6, p12 := proc6(t), proc12(t)
@@ -76,14 +75,7 @@ func goldenRuns(t *testing.T) []goldenRun {
 		}
 		out = append(out, goldenRun{Case: c.name, Result: &r})
 	}
-	rates, err := p6.SteadyRates([]workload.App{cg, cg, ep}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rates[0] != rates[1] {
-		t.Errorf("SteadyRates: two cg copies run at %v and %v", rates[0], rates[1])
-	}
-	return append(out, goldenRun{Case: "6core/steady[cg,cg,ep]", Rates: rates})
+	return out
 }
 
 // TestRunsGolden pins whole Results of the engine, bit for bit, on the
