@@ -57,6 +57,18 @@
 // Backends are resolved when they join: base URL parsed once, header
 // values pre-rendered.
 //
+// # Backend connections
+//
+// Forwarded calls go on the router's own HTTP/1.1 keep-alive
+// connections, an idle list per backend: the request leaves in one
+// write and its reply is parsed by http.ReadResponse on the request's
+// goroutine, with no per-connection goroutines and no per-request timer.
+// The request's deadline, fixed at admission, is set on the connection,
+// and the caller's leaving expires it. An idle connection is reused only
+// if a non-blocking peek finds it open with nothing unread, and one
+// whose reply was not read to its end is closed. Health probes and
+// fleet scrapes go through Config.Client.
+//
 // # Rolling promotion protocol
 //
 // POST /v1/models/reload on the router rolls a model promotion across

@@ -177,7 +177,7 @@ func TestConcurrentIdenticalPredictsAreIndependent(t *testing.T) {
 		t.Fatalf("in-flight left behind: backend a=%d b=%d, router %d", ia, ib, n)
 	}
 	waitFor(t, "the calls' goroutines and connections to wind down", func() bool {
-		rt.cfg.Client.CloseIdleConnections()
+		rt.pool.closeIdle()
 		return runtime.NumGoroutine() <= goroutines
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
+	"time"
 )
 
 // countingConn counts the writes made on one connection.
@@ -27,30 +28,30 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// countingClient is a client whose every connection counts its writes
-// into writes.
-func countingClient(writes *atomic.Int64) *http.Client {
-	var d net.Dialer
-	return &http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := d.DialContext(ctx, network, addr)
+// countWrites makes every connection the router's pool dials count its
+// writes into writes.
+func countWrites(p *Pool, writes *atomic.Int64) {
+	dial := p.dial
+	p.dial = func(ctx context.Context, deadline time.Time, addr string) (net.Conn, error) {
+		c, err := dial(ctx, deadline, addr)
 		if err != nil {
 			return nil, err
 		}
 		return countingConn{c, writes}, nil
-	}}}
+	}
 }
 
 // TestOneWritePerBackendCall: every backend call the router makes puts
 // its request line, headers and body on the wire in one write, so the
-// backend reads each request whole; a body net/http does not know is in
-// memory makes it flush the headers first, a second write per call.
+// backend reads each request whole.
 func TestOneWritePerBackendCall(t *testing.T) {
 	var writes atomic.Int64
 	var sbs []*scriptedBackend
 	for _, name := range []string{"a", "b", "c"} {
 		sbs = append(sbs, newScriptedBackend(t, name, 1))
 	}
-	rt := newScriptedRouter(t, Config{Replicas: 1, Client: countingClient(&writes)}, sbs...)
+	rt := newScriptedRouter(t, Config{Replicas: 1}, sbs...)
+	countWrites(rt.pool, &writes)
 	observations := make([]string, 6)
 	for i := range observations {
 		observations[i] = obsBody(fmt.Sprintf("app%d", i), float64(i+1))

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"crypto/tls"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"slices"
@@ -58,12 +60,19 @@ type Backend struct {
 	Base string
 
 	// Resolved once at join, so that a request parses and renders
-	// nothing: Base parsed, Name as an X-Backend header value, and the
-	// user info in Base as the basic Authorization value http.Client
-	// derives from it (nil: none).
+	// nothing: Base parsed, the escaped path every request line starts
+	// with, Name as an X-Backend header value, and the user info in Base
+	// as the basic Authorization value http.Client derives from it (nil:
+	// none).
 	url     *url.URL
+	reqPath string
 	nameHdr []string
 	auth    []string
+
+	// idle holds the keep-alive connections forwarded calls reuse, most
+	// recently used last.
+	idleMu sync.Mutex
+	idle   []*backendConn
 
 	metrics backendMetrics
 
@@ -176,7 +185,11 @@ func (b *Backend) markShedding(retryAfter time.Duration) {
 // re-admission is retried with exponential backoff and succeeds on the
 // first healthy probe.
 type Pool struct {
-	client      *http.Client
+	client    *http.Client // probes only; forwarded calls go on the backends' own connections
+	tlsConfig *tls.Config  // client's transport's, for https backends (nil: the defaults)
+	// dial opens the TCP connection under a forwarded call's; tests wrap
+	// it.
+	dial        func(ctx context.Context, deadline time.Time, addr string) (net.Conn, error)
 	ejectAfter  int
 	backoffBase time.Duration // the first re-admission delay; tests shorten it
 
@@ -187,8 +200,13 @@ type Pool struct {
 // newPool wires a pool from the router config (cfg must have defaults
 // applied).
 func newPool(cfg Config) *Pool {
-	p := &Pool{client: cfg.Client, ejectAfter: cfg.EjectAfter, backoffBase: readmitBackoffBase}
+	p := &Pool{client: cfg.Client, dial: dialTCP, ejectAfter: cfg.EjectAfter, backoffBase: readmitBackoffBase}
 	p.snap.Store(new([]*Backend))
+	if cfg.Client != nil {
+		if tr, ok := cfg.Client.Transport.(*http.Transport); ok {
+			p.tlsConfig = tr.TLSClientConfig
+		}
+	}
 	return p
 }
 
@@ -210,7 +228,7 @@ func (p *Pool) Add(name, base string) error {
 	if dup {
 		return fmt.Errorf("cluster: backend %q already joined", name)
 	}
-	b := &Backend{Name: name, Base: base, url: u, nameHdr: []string{name}}
+	b := &Backend{Name: name, Base: base, url: u, reqPath: u.EscapedPath(), nameHdr: []string{name}}
 	if u.User != nil {
 		pw, _ := u.User.Password()
 		b.auth = []string{"Basic " + base64.StdEncoding.EncodeToString([]byte(u.User.Username()+":"+pw))}

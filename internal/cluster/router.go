@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +9,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -37,13 +34,12 @@ type Config struct {
 	EjectAfter int
 	// RequestTimeout bounds one inbound request end to end. Default 10s.
 	RequestTimeout time.Duration
-	// Client reaches the backends; nil selects a pooled transport. Its
-	// Transport (nil: http.DefaultTransport) carries every forwarded
-	// call — predict, batch, observations, placements, reload, models —
-	// through RoundTrip, so its Timeout, CheckRedirect and Jar do not
-	// apply to them: RequestTimeout bounds a forwarded call, and a
-	// backend's redirect is replayed as it came. Health probes and fleet
-	// metrics scrapes go through Client.Do.
+	// Client makes the health probes and fleet metrics scrapes, through
+	// Client.Do; nil selects http.DefaultClient. Forwarded calls —
+	// predict, batch, observations, placements, reload, models — go on
+	// the router's own keep-alive connections to each backend, bounded
+	// by RequestTimeout; of Client they use only its *http.Transport's
+	// TLSClientConfig, for an https backend.
 	Client *http.Client
 	// The five observability knobs, passed to the request edge as an
 	// obs.EdgeConfig, which documents them and owns their defaults
@@ -69,8 +65,7 @@ func (c *Config) defaults() {
 		c.RequestTimeout = 10 * time.Second
 	}
 	if c.Client == nil {
-		tr := &http.Transport{MaxIdleConns: 512, MaxIdleConnsPerHost: 128}
-		c.Client = &http.Client{Transport: tr}
+		c.Client = http.DefaultClient
 	}
 }
 
@@ -80,14 +75,13 @@ func (c *Config) defaults() {
 // coordinates rolling model promotions with per-client generation
 // monotonicity.
 type Router struct {
-	cfg       Config
-	transport http.RoundTripper // cfg.Client's, which every forwarded call goes through
-	pool      *Pool
-	metrics   *Metrics
-	floors    floorTable
-	edge      *obs.Edge // the request envelope every endpoint runs under
-	fleet     *fleetobs.Aggregator
-	started   time.Time
+	cfg     Config
+	pool    *Pool
+	metrics *Metrics
+	floors  floorTable
+	edge    *obs.Edge // the request envelope every endpoint runs under
+	fleet   *fleetobs.Aggregator
+	started time.Time
 
 	promoteMu sync.Mutex // serializes rolling promotions
 
@@ -100,17 +94,12 @@ type Router struct {
 func New(cfg Config) *Router {
 	cfg.defaults()
 	pool := newPool(cfg)
-	transport := cfg.Client.Transport
-	if transport == nil {
-		transport = http.DefaultTransport
-	}
 	rt := &Router{
-		cfg:       cfg,
-		transport: transport,
-		pool:      pool,
-		metrics:   NewMetrics(pool),
-		fleet:     &fleetobs.Aggregator{Client: cfg.Client},
-		started:   time.Now(),
+		cfg:     cfg,
+		pool:    pool,
+		metrics: NewMetrics(pool),
+		fleet:   &fleetobs.Aggregator{Client: cfg.Client},
+		started: time.Now(),
 	}
 	rt.edge = obs.NewEdge(obs.EdgeConfig{Logger: cfg.Logger, TraceRing: cfg.TraceRing, SlowThreshold: cfg.SlowThreshold,
 		SLOObjective: cfg.SLOObjective, SLOLatencyTarget: cfg.SLOLatencyTarget},
@@ -245,18 +234,17 @@ func (rt *Router) Handler() http.Handler {
 
 // wrap runs a handler under the request edge (obs.Edge: request ID,
 // root span under the caller's traceparent, in-flight, log line, metrics,
-// SLO) and adds what is the router's own: the end-to-end request
-// timeout. A handler that panics is accounted as the 500 it amounts to.
+// SLO). It arms no timer: a backend call's connection carries the
+// request's deadline, rq.Start plus RequestTimeout. A handler that
+// panics is accounted as the 500 it amounts to.
 func (rt *Router) wrap(endpoint string, h handlerFunc) http.HandlerFunc {
 	route := rt.edge.Route(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		rq := route.Begin(w, r)
 		status := http.StatusInternalServerError
 		defer func() { route.End(rq, r, status) }()
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-		defer cancel()
 		var body any
-		if status, body = h(w, r.WithContext(ctx), rq); body != nil {
+		if status, body = h(w, r, rq); body != nil {
 			writeJSON(w, status, body)
 		}
 	}
@@ -322,13 +310,13 @@ func retryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// send is the one backend-call path. It builds the outbound request —
-// the one http.NewRequestWithContext would build from Base+path, put
-// together from what the backend resolved when it joined, so a call
-// parses and canonicalises nothing — forwarding the request ID and
-// trace context, holds the backend's in-flight count across the whole
-// exchange, classifies the reply and records the attempt in the
-// backend's metrics exactly once. A typed
+// send is the one backend-call path. It makes the call on one of the
+// backend's keep-alive connections (Pool.roundTrip: the request
+// http.NewRequestWithContext would build from Base+path, put together
+// from what the backend resolved when it joined, in one write, with the
+// request ID and trace context, under deadline), holds the backend's
+// in-flight count across the whole exchange, classifies the reply and
+// records the attempt in the backend's metrics exactly once. A typed
 // drain shed (503 + Retry-After) marks the backend shedding for the
 // advertised delay rather than failed: alive but refusing, so callers
 // re-route without ejecting and the probe loop re-admits it when the
@@ -336,35 +324,15 @@ func retryAfter(h http.Header) time.Duration {
 // pr already classified) while the body is open, and its error fails
 // the call. tp is the pre-rendered Traceparent value ("" injects
 // none), rendered once for all of a request's attempts.
-func (rt *Router) send(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string,
+func (rt *Router) send(ctx context.Context, deadline time.Time, b *Backend, method, path string, body []byte, reqID, tp string,
 	consume func(*proxyResult, *http.Response) error) *proxyResult {
 	start := time.Now()
 	b.acquire()
 	defer b.release()
 	pr := &proxyResult{backend: b}
-	u := *b.url
-	u.Path += path
-	if u.RawPath != "" {
-		u.RawPath += path
-	}
-	ids := []string{reqID, tp}
-	req := &http.Request{Method: method, URL: &u, Host: u.Host, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: http.Header{"Content-Type": jsonContentType, obs.RequestIDHeader: ids[:1:1]}}
-	if tp != "" {
-		req.Header[obs.TraceparentHeader] = ids[1:]
-	}
-	if b.auth != nil {
-		req.Header["Authorization"] = b.auth
-	}
-	if len(body) > 0 {
-		// A NopCloser over a bytes.Reader is a body net/http knows to be
-		// in memory, so headers and body leave in one write.
-		req.ContentLength = int64(len(body))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
-		req.Body, _ = req.GetBody()
-	}
-	resp, err := rt.roundTrip(req.WithContext(ctx))
+	ex, err := rt.pool.roundTrip(ctx, deadline, b, method, path, body, reqID, tp)
 	if err == nil {
+		resp := ex.resp
 		pr.status = resp.StatusCode
 		pr.contentType = resp.Header["Content-Type"]
 		pr.serverTiming = resp.Header.Get("Server-Timing")
@@ -376,8 +344,10 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 				b.metrics.sheds.Inc()
 			}
 		}
-		err = consume(pr, resp)
-		resp.Body.Close()
+		if err = consume(pr, resp); err != nil {
+			err = cause(ctx, err)
+		}
+		ex.done()
 	}
 	pr.err = err
 	pr.elapsed = time.Since(start)
@@ -388,28 +358,14 @@ func (rt *Router) send(ctx context.Context, b *Backend, method, path string, bod
 	return pr
 }
 
-// roundTrip makes one exchange on the transport, as Client.Do makes it
-// for a client with no timeout, no jar and a request with nothing to
-// redirect: a transport error comes back wrapped in the *url.Error
-// Client.Do returns, password masked, so its text is Client.Do's.
-func (rt *Router) roundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := rt.transport.RoundTrip(req)
-	if err == nil {
-		return resp, nil
-	}
-	if tlsErr, ok := err.(tls.RecordHeaderError); ok && string(tlsErr.RecordHeader[:]) == "HTTP/" {
-		err = http.ErrSchemeMismatch
-	}
-	target := req.URL.String()
-	if _, ok := req.URL.User.Password(); ok {
-		target = strings.Replace(target, req.URL.User.String()+"@", req.URL.User.Username()+":***@", 1)
-	}
-	return nil, &url.Error{Op: req.Method[:1] + strings.ToLower(req.Method[1:]), URL: target, Err: err}
-}
-
-// proxy is send with the reply body read into memory (bounded).
+// proxy is send with the reply body read into memory (bounded), under
+// ctx's deadline, or RequestTimeout from now when ctx has none.
 func (rt *Router) proxy(ctx context.Context, b *Backend, method, path string, body []byte, reqID, tp string) *proxyResult {
-	return rt.send(ctx, b, method, path, body, reqID, tp, readBody)
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(rt.cfg.RequestTimeout)
+	}
+	return rt.send(ctx, deadline, b, method, path, body, reqID, tp, readBody)
 }
 
 // readBody reads a backend reply whole; a reply over the bound fails the
@@ -497,9 +453,10 @@ func readSized(r io.Reader, declared, limit int64) ([]byte, error) {
 }
 
 // failover makes one forwarded call against the candidates in order,
-// moving on only while retry holds for the previous reply and the
-// request's context is not done: notOK for idempotent reads (and for
-// placements, which forwards nothing of a reply that is not ok),
+// moving on only while retry holds for the previous reply, the caller
+// has not left and the request's deadline (fixed at admission: rq.Start
+// plus RequestTimeout) has not passed: notOK for idempotent reads (and
+// for placements, which forwards nothing of a reply that is not ok),
 // shedOnly for ingest. consume is send's: readBody for a reply that is
 // replayed whole. The first attempt is timed as a "proxy" child of the
 // request's root span and later ones as "retry"; endAttempt closes
@@ -507,14 +464,15 @@ func readSized(r io.Reader, declared, limit int64) ([]byte, error) {
 func (rt *Router) failover(r *http.Request, rq obs.Request, cands []*Backend, retry func(*proxyResult) bool,
 	method, path string, body []byte, consume func(*proxyResult, *http.Response) error) *proxyResult {
 	ctx, tp := r.Context(), outboundTraceparent(rq.Trace)
+	deadline := rq.Start.Add(rt.cfg.RequestTimeout)
 	var pr *proxyResult
 	name := "proxy"
 	for _, b := range cands {
 		sp := rq.Trace.Root().StartChild(name)
 		sp.Annotate("backend", b.Name)
-		pr = rt.send(ctx, b, method, path, body, rq.ID, tp, consume)
+		pr = rt.send(ctx, deadline, b, method, path, body, rq.ID, tp, consume)
 		endAttempt(sp, pr)
-		if ctx.Err() != nil || !retry(pr) {
+		if !retry(pr) || ctx.Err() != nil || !time.Now().Before(deadline) {
 			break
 		}
 		name = "retry"
@@ -796,12 +754,17 @@ type RolloutResponse struct {
 // handler therefore issues catch-up reloads to any backend still below
 // the fleet maximum until the counters align (each extra reload re-reads
 // the same artefacts, so catch-ups are harmless no-op swaps).
+//
+// The whole rollout, generation refreshes included, is bounded by the
+// request's deadline.
 func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request, rq obs.Request) (int, any) {
+	ctx, cancel := context.WithDeadline(r.Context(), rq.Start.Add(rt.cfg.RequestTimeout))
+	defer cancel()
 	rt.promoteMu.Lock()
 	defer rt.promoteMu.Unlock()
 	resp := RolloutResponse{Completed: true}
 	reload := func(b *Backend, rb *RolloutBackend) bool {
-		pr := rt.proxy(r.Context(), b, http.MethodPost, "/v1/models/reload", nil, rq.ID, outboundTraceparent(rq.Trace))
+		pr := rt.proxy(ctx, b, http.MethodPost, "/v1/models/reload", nil, rq.ID, outboundTraceparent(rq.Trace))
 		switch {
 		case pr.err != nil:
 			rb.Error = pr.err.Error()
@@ -814,7 +777,7 @@ func (rt *Router) handleReload(_ http.ResponseWriter, r *http.Request, rq obs.Re
 			if json.Unmarshal(pr.body, &rr) == nil && rb.Reloaded == nil {
 				rb.Reloaded = rr.Reloaded
 			}
-			rt.pool.RefreshGeneration(r.Context(), b)
+			rt.pool.RefreshGeneration(ctx, b)
 			return true
 		}
 	}
