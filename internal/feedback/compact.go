@@ -227,7 +227,14 @@ func (l *Log) VerifyChain() error {
 		if !ref.compacted {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(l.cfg.Dir, ref.name))
+		// The whole file as it is now, not the size the snapshot
+		// recorded: bytes added after compaction must fail the hash.
+		path := filepath.Join(l.cfg.Dir, ref.name)
+		fi, err := os.Stat(path)
+		var data []byte
+		if err == nil {
+			data, err = rd.load(path, fi.Size())
+		}
 		if err == nil {
 			var hdr *cmpHeader
 			if _, _, hdr, err = rd.parseSegment(nil, data, false); err == nil {

@@ -19,17 +19,21 @@
 // the bytes json.Marshal and fmt's "%08x " wrote, with no reflection and
 // no allocation per record; the scanner reads a payload in the field
 // order the encoder writes and hands any other to json.Unmarshal, which
-// defines what a record means. A read interns names, so each distinct
-// model, target or co-runner costs one allocation per read, and carves
-// every record's co-runner list from one arena. Appends go to the newest
-// segment, which rotates after a fixed number of records. Concurrent
-// appends are group-committed: callers enqueue encoded records into a
-// bounded commit queue and park; a single committer goroutine drains
-// the queue, writes one coalesced segment append, issues one fsync,
-// and releases the whole cohort — amortising the durability cost
-// across the batch. Reads are lock-free: they run against an
-// atomically published snapshot of the sealed segments and the
-// committed tail offset, so a reader never waits on in-flight commit
+// defines what a record means. A read — All, recovery, VerifyChain —
+// loads each segment into one buffer it reuses for the next and scans it
+// in place: keys are matched as the literals the encoder writes, a
+// checksum is decoded without fmt, and names are interned through a
+// small cache in front of the read's table, so each distinct model,
+// target or co-runner costs one allocation per read and no record points
+// into the buffer. Every record's co-runner list is carved from one
+// arena. Appends go to the newest segment, which rotates after a fixed
+// number of records. Concurrent appends are group-committed: callers
+// enqueue encoded records into a bounded commit queue and park; a single
+// committer goroutine drains the queue, writes one coalesced segment
+// append, issues one fsync, and releases the whole cohort — amortising
+// the durability cost across the batch. Reads are lock-free: they run
+// against an atomically published snapshot of the sealed segments and
+// the committed tail offset, so a reader never waits on in-flight commit
 // I/O.
 //
 // On open, all segments are verified; a torn tail (a partial or

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -524,6 +525,53 @@ func TestChainTamperDetected(t *testing.T) {
 	restored.Close()
 }
 
+// TestChainAuditCatchesAppendedRecord: a record line appended to a
+// compacted segment of a live log, after the snapshot recorded its size,
+// fails VerifyChain.
+func TestChainAuditCatchesAppendedRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, MaxSegmentRecords: 2, CompactAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	l := asLog(t, s)
+	for i := 0; i < 6; i++ {
+		if _, err := l.AppendBatch([]Observation{obs(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.VerifyChain(); err != nil {
+		t.Fatal(err)
+	}
+	cmps := cmpFiles(t, dir)
+	if len(cmps) == 0 {
+		t.Fatal("no compacted segment")
+	}
+	data, err := os.ReadFile(cmps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	dup := append(lines[len(lines)-1], '\n') // the body's last record, again
+	f, err := os.OpenFile(cmps[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(dup); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.VerifyChain(); err == nil || !strings.Contains(err.Error(), "chain hash mismatch") {
+		t.Fatalf("record appended after compaction not caught: %v", err)
+	}
+}
+
 // TestRetention drops whole oldest segments once the log exceeds its
 // size or age budget.
 func TestRetention(t *testing.T) {
@@ -643,7 +691,9 @@ func TestAppendAfterClose(t *testing.T) {
 // TestLockFreeReadsUnderCompaction races readers against concurrent
 // appends and compaction passes: All() must never error (compaction
 // unlinks a file only once no reader's snapshot names it) and must
-// never observe the log shrinking.
+// always return a prefix of the records written, bit for bit — so a log
+// never shrinks, and names interned across segments and compactions
+// come back right.
 func TestLockFreeReadsUnderCompaction(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), MaxSegmentRecords: 4, CompactAfter: 2})
 	if err != nil {
@@ -653,6 +703,24 @@ func TestLockFreeReadsUnderCompaction(t *testing.T) {
 	defer l.Close()
 
 	const total = 200
+	apps := []string{"canneal", "cg", "ep", "mg", "streamcluster"}
+	written := make([]Observation, total)
+	for i := range written {
+		written[i] = obs(i)
+		written[i].Target = apps[i%len(apps)]
+		written[i].CoApps = apps[i%3 : i%3+1+i%2]
+	}
+	samePrefix := func(all []Observation) error {
+		if len(all) > total {
+			return fmt.Errorf("read %d records, %d written", len(all), total)
+		}
+		for i := range all {
+			if !sameObservation(all[i], written[i]) {
+				return fmt.Errorf("record %d of %d: read %#v, wrote %#v", i, len(all), all[i], written[i])
+			}
+		}
+		return nil
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -675,12 +743,16 @@ func TestLockFreeReadsUnderCompaction(t *testing.T) {
 					t.Errorf("reader: log shrank from %d to %d", lastLen, len(all))
 					return
 				}
+				if err := samePrefix(all); err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
 				lastLen = len(all)
 			}
 		}()
 	}
-	for i := 0; i < total; i++ {
-		if _, err := l.AppendBatch([]Observation{obs(i)}); err != nil {
+	for i := range written {
+		if _, err := l.AppendBatch(written[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if i%50 == 49 {
@@ -698,10 +770,8 @@ func TestLockFreeReadsUnderCompaction(t *testing.T) {
 	if len(all) != total {
 		t.Fatalf("final All() = %d, want %d", len(all), total)
 	}
-	for i, o := range all {
-		if o.PredictedSeconds != obs(i).PredictedSeconds {
-			t.Fatalf("record %d corrupted under concurrency", i)
-		}
+	if err := samePrefix(all); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -158,13 +158,13 @@ func (l *Log) recover() error {
 	)
 	for i, s := range segs {
 		path := filepath.Join(l.cfg.Dir, s.name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("feedback: reading %s: %w", s.name, err)
-		}
 		fi, err := os.Stat(path)
 		if err != nil {
 			return fmt.Errorf("feedback: stat %s: %w", s.name, err)
+		}
+		data, err := rd.load(path, fi.Size())
+		if err != nil {
+			return fmt.Errorf("feedback: reading %s: %w", s.name, err)
 		}
 		last := i == len(segs)-1 && !s.compacted
 		obs, keep, hdr, perr := rd.parseSegment(scratch[:0], data, last)
@@ -458,7 +458,7 @@ func (l *Log) readSnapshot(s *snapshot) ([]Observation, error) {
 	var rd reader
 	active := segmentRef{name: segName(s.seg), bytes: s.activeOff}
 	for _, ref := range append(s.refs[:len(s.refs):len(s.refs)], active) {
-		data, err := readPrefix(filepath.Join(l.cfg.Dir, ref.name), ref.bytes)
+		data, err := rd.load(filepath.Join(l.cfg.Dir, ref.name), ref.bytes)
 		if err == nil {
 			out, _, _, err = rd.parseSegment(out, data, false)
 		}
@@ -469,15 +469,20 @@ func (l *Log) readSnapshot(s *snapshot) ([]Observation, error) {
 	return out, nil
 }
 
-// readPrefix reads a segment's first n bytes: a sealed segment's all, the
-// active one's committed part.
-func readPrefix(path string, n int64) ([]byte, error) {
+// load reads a segment's first n bytes — a sealed segment's all, the
+// active one's committed part — into the reader's buffer, which grows
+// only for a segment larger than every one the read loaded before. The
+// bytes are valid until the next load.
+func (r *reader) load(path string, n int64) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	data := make([]byte, n)
+	if int64(cap(r.buf)) < n {
+		r.buf = make([]byte, n)
+	}
+	data := r.buf[:n]
 	_, err = io.ReadFull(f, data)
 	return data, err
 }

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"colocmodel/internal/jsonwire"
 )
@@ -58,16 +59,34 @@ func appendRecord(b []byte, o *Observation) []byte {
 }
 
 // reader decodes the records of one read of the log — All, recovery, a
-// chain audit. Its scanner's arena backs the CoApps of every record it
-// scans, and its intern table gives each distinct name one allocation
-// for the whole read instead of one per record (or a pin on the segment
-// image it was scanned from).
+// chain audit. It owns the buffer each segment of the read is loaded
+// into in turn, and scans that buffer in place as a string (see
+// parseSegment), so no string a record keeps may point into it: its
+// intern table gives each distinct name one strings.Clone for the whole
+// read, a record that leaves the scanner goes to json.Unmarshal, which
+// copies its own strings, and the arena windows a failed scan handed
+// out are taken back. Its scanner's arena backs the CoApps of every
+// record it scans.
 type reader struct {
 	sc    jsonwire.Scanner
+	buf   []byte
 	names map[string]string
+	// recent holds interned names in slots picked by a name's length and
+	// first and last bytes: a log names a handful of models and
+	// applications, so nearly every name is found here without hashing
+	// it for the map.
+	recent [64]string
 }
 
 func (r *reader) intern(s string) string {
+	slot := &r.recent[0]
+	if n := len(s); n > 0 {
+		h := uint32(n) | uint32(s[0])<<8 | uint32(s[n-1])<<16
+		slot = &r.recent[h*0x9e3779b1>>26]
+	}
+	if *slot == s {
+		return *slot
+	}
 	v, ok := r.names[s]
 	if !ok {
 		if r.names == nil {
@@ -76,6 +95,7 @@ func (r *reader) intern(s string) string {
 		v = strings.Clone(s)
 		r.names[v] = v
 	}
+	*slot = v
 	return v
 }
 
@@ -93,6 +113,7 @@ func (r *reader) record(o *Observation, line []byte, src string) error {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return fmt.Errorf("checksum mismatch: got %08x want %08x", got, want)
 	}
+	mark := r.sc.Mark()
 	if r.scan(o, src[9:]) {
 		o.Model, o.Target = r.intern(o.Model), r.intern(o.Target)
 		for i, a := range o.CoApps {
@@ -100,6 +121,7 @@ func (r *reader) record(o *Observation, line []byte, src string) error {
 		}
 		return nil
 	}
+	r.sc.Rewind(mark)
 	*o = Observation{}
 	if err := json.Unmarshal(payload, o); err != nil {
 		return fmt.Errorf("bad payload: %w", err)
@@ -107,12 +129,15 @@ func (r *reader) record(o *Observation, line []byte, src string) error {
 	return nil
 }
 
-// recordKeys are the payload's keys in the order appendRecord writes
-// them; co_apps and unix_nanos may be absent.
-var recordKeys = [...]string{"model", "generation", "target", "co_apps", "pstate", "predicted_seconds", "measured_seconds", "unix_nanos"}
+// recordKeys are the payload's keys as appendRecord writes them, quoted
+// and followed by the colon, in its order; co_apps and unix_nanos may be
+// absent.
+var recordKeys = [...]string{`"model":`, `"generation":`, `"target":`, `"co_apps":`, `"pstate":`,
+	`"predicted_seconds":`, `"measured_seconds":`, `"unix_nanos":`}
 
 // scan decodes a payload whose keys come in recordKeys' order, each
-// spelled exactly and at most once, with plain values (see jsonwire).
+// written exactly as there, with no white space around it, and at most
+// once, with plain values (see jsonwire).
 // It reports false for anything else, leaving o partly written.
 func (r *reader) scan(o *Observation, payload string) bool {
 	d := &r.sc
@@ -124,13 +149,10 @@ func (r *reader) scan(o *Observation, payload string) bool {
 		return d.AtEnd()
 	}
 	for k := 0; ; k++ {
-		name, ok := d.Str()
-		if !ok || !d.Eat(':') {
-			return false
+		for k < len(recordKeys) && !d.Lit(recordKeys[k]) {
+			k++ // a key out of order, repeated, unknown or spelled otherwise runs off the end
 		}
-		for k < len(recordKeys) && recordKeys[k] != name {
-			k++ // a key out of order, repeated or unknown runs off the end
-		}
+		var ok bool
 		switch k {
 		case 0:
 			o.Model, ok = d.Str()
@@ -167,18 +189,27 @@ func (r *reader) scan(o *Observation, payload string) bool {
 // (a newline in it is an error), then a non-empty run of hex digits in
 // either case, and whatever follows the run ignored.
 func parseChecksum(field []byte) (uint32, bool) {
-	s := bytes.TrimLeftFunc(field, unicode.IsSpace)
-	if bytes.IndexByte(field[:len(field)-len(s)], '\n') >= 0 {
-		return 0, false
+	s := field
+	if len(s) > 0 && (s[0] <= ' ' || s[0] >= utf8.RuneSelf) {
+		// Only a field starting here can start with white space.
+		s = bytes.TrimLeftFunc(field, unicode.IsSpace)
+		if bytes.IndexByte(field[:len(field)-len(s)], '\n') >= 0 {
+			return 0, false
+		}
 	}
 	var v uint32
 	n := 0
 	for ; n < len(s); n++ {
-		x := strings.IndexByte("0123456789abcdef0123456789ABCDEF", s[n])
-		if x < 0 {
-			break
+		c := s[n]
+		switch {
+		case c-'0' <= 9:
+			c -= '0'
+		case (c|0x20)-'a' < 6: // either case
+			c = (c | 0x20) - 'a' + 10
+		default:
+			return v, n > 0
 		}
-		v = v<<4 | uint32(x%16)
+		v = v<<4 | uint32(c)
 	}
 	return v, n > 0
 }

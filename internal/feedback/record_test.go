@@ -268,19 +268,18 @@ func TestAllCoAppsAreCappedWindows(t *testing.T) {
 	}
 }
 
-// BenchmarkLogAll reads back a log of the repository benchmark's
-// ingest_rw shape: 1 024-record segments folded four at a time, 4 608
-// records — one compacted segment and half an active one.
-func BenchmarkLogAll(b *testing.B) {
-	s, err := Open(Config{Dir: b.TempDir(), MaxSegmentRecords: 1024, CompactAfter: 4})
+// benchLog writes a log of the repository benchmark's ingest_rw shape
+// into dir and returns it open: 1 024-record segments folded four at a
+// time, benchRecords records — one compacted segment and half an active
+// one.
+func benchLog(b *testing.B, dir string) Store {
+	s, err := Open(benchConfig(dir))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	apps := []string{"canneal", "cg", "ep", "mg", "streamcluster", "ft"}
-	const n = 4608
 	batch := make([]Observation, 0, 64)
-	for i := 0; i < n; i++ {
+	for i := 0; i < benchRecords; i++ {
 		p := 50 + float64(i%997)*0.7310281
 		batch = append(batch, Observation{
 			Model: "nnf", Generation: 1, Target: apps[i%len(apps)], CoApps: apps[1 : 1+i%4], PState: i % 3,
@@ -296,13 +295,48 @@ func BenchmarkLogAll(b *testing.B) {
 	if err := s.(*Log).Compact(); err != nil {
 		b.Fatal(err)
 	}
+	return s
+}
+
+const benchRecords = 4608
+
+func benchConfig(dir string) Config {
+	return Config{Dir: dir, MaxSegmentRecords: 1024, CompactAfter: 4}
+}
+
+// BenchmarkLogAll reads back the log benchLog writes.
+func BenchmarkLogAll(b *testing.B) {
+	s := benchLog(b, b.TempDir())
+	defer s.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		all, err := s.All()
-		if err != nil || len(all) != n {
+		if err != nil || len(all) != benchRecords {
 			b.Fatalf("read %d records, %v", len(all), err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRecords, "ns/record")
+}
+
+// BenchmarkLogOpen reopens the log benchLog writes: recovery decodes and
+// verifies every segment before Open returns.
+func BenchmarkLogOpen(b *testing.B) {
+	dir := b.TempDir()
+	if err := benchLog(b, dir).Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(benchConfig(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := s.Len()
+		if err := s.Close(); err != nil || n != benchRecords {
+			b.Fatalf("reopened with %d records, %v", n, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRecords, "ns/record")
 }

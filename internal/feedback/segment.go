@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 const (
@@ -101,7 +102,10 @@ func (r *reader) parseSegment(dst []Observation, data []byte, allowTorn bool) (o
 		obs, hdr, err = r.parseCompacted(dst, data)
 		return obs, int64(len(data)), hdr, err
 	}
-	src := string(data) // one copy a segment: the scanner reads strings
+	// The scanner reads strings: it reads data itself, which nothing
+	// writes until the records are decoded and which no decoded record
+	// points into (see reader).
+	src := unsafe.String(unsafe.SliceData(data), len(data))
 	obs = dst
 	off := 0
 	for off < len(data) {
